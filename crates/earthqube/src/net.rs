@@ -43,37 +43,44 @@
 //! # Threading model
 //!
 //! ```text
-//!            ┌────────────── poller thread ──────────────┐
-//! sockets ──▶ poll(2) → read → FrameDecoder → admission ──▶ job queue
-//!            │        ◀─ ordered response write-back ─┐  │     │recv
-//!            └────────────────────▲───────────────────┼──┘     ▼
-//!                                 │ completions + wake pipe  worker 0..K ──▶ QueryServer (&self)
+//!            ┌──────────── poller thread ────────────┐
+//! sockets ──▶ poll(2) → read → FrameDecoder → admission ──▶ job queue ──▶ worker 0..K ──▶ QueryServer (&self)
+//!    ▲       └──▲──────────────────────────────────┘                         │
+//!    │          └ wake pipe: only a backlog (POLLOUT) or a close ◀───────────┤
+//!    └────────── ordered, non-blocking write under the `conn-out` lock ◀──────┘
 //! ```
 //!
-//! The poller owns the listener and the whole connection table (no locks
-//! on the socket path); workers own dispatch.  Each complete request
-//! frame takes a per-connection sequence number at decode time, and the
-//! poller releases response frames **strictly in that order** — so a
-//! pipelining client ([`EqClient::run_batch`]) observes exactly the
+//! The poller owns the listener, the connection table and every socket's
+//! *read* half (no locks there).  A connection's *write* half — reorder
+//! buffer, unsent bytes, in-flight quota — is a `ConnOut` behind the
+//! connection's `conn-out` mutex and travels with each job: the worker that
+//! executed a request writes the response itself, so a request costs one
+//! poller wake-up (its bytes arriving), one worker wake-up and one
+//! `write(2)`.  Each complete request frame takes a per-connection sequence
+//! number at decode time and responses leave **strictly in that order** —
+//! a pipelining client ([`EqClient::run_batch`]) observes exactly the
 //! blocking server's ordering even though requests of one connection may
-//! execute on different workers.  All workers share the *same*
-//! `QueryServer` by reference — the catalog read/write locking, the
-//! sharded CBIR index and the result cache behave exactly as they do for
-//! in-process threads.
+//! execute on different workers.  The sockets are non-blocking, so a worker
+//! never parks on a peer: bytes the socket would not take stay in the
+//! `ConnOut`, the worker writes one byte to the wake pipe, and the poller
+//! drains them on `POLLOUT` (or evicts the connection).  All workers share
+//! the *same* `QueryServer` by reference — the catalog read/write locking,
+//! the sharded CBIR index and the result cache behave exactly as they do
+//! for in-process threads.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufReader, Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd as _;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use eq_bigearthnet::patch::Patch;
 use eq_docstore::QueryPlan;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use rand::SeedableRng as _;
 
 use crate::engine::SearchResponse;
@@ -428,6 +435,9 @@ struct NetStats {
     queue_depth_hwm: AtomicU64,
     acceptor_fatal: AtomicU64,
     connections_failed: AtomicU64,
+    responses_direct: AtomicU64,
+    responses_deferred: AtomicU64,
+    poller_wakeups: AtomicU64,
 }
 
 /// A snapshot of the network-tier counters ([`NetServer::net_stats`]);
@@ -452,6 +462,15 @@ pub struct NetTierStats {
     pub acceptor_fatal: u64,
     /// Connections that ended with a protocol or transport fault.
     pub connections_failed: u64,
+    /// Worker-executed responses whose worker left nothing on the
+    /// connection for the poller to write.
+    pub responses_direct: u64,
+    /// Worker-executed responses after which the socket would not take the
+    /// whole backlog: the rest waits for the poller's `POLLOUT`.
+    pub responses_deferred: u64,
+    /// Returns of the poller's `poll(2)` with at least one ready
+    /// descriptor (idle ticks are not counted).
+    pub poller_wakeups: u64,
 }
 
 impl NetStats {
@@ -466,13 +485,17 @@ impl NetStats {
             queue_depth_high_water: self.queue_depth_hwm.load(Ordering::Relaxed),
             acceptor_fatal: self.acceptor_fatal.load(Ordering::Relaxed),
             connections_failed: self.connections_failed.load(Ordering::Relaxed),
+            responses_direct: self.responses_direct.load(Ordering::Relaxed),
+            responses_deferred: self.responses_deferred.load(Ordering::Relaxed),
+            poller_wakeups: self.poller_wakeups.load(Ordering::Relaxed),
         }
     }
 }
 
 /// State shared between the poller, the workers and the [`NetServer`]
 /// handle.  The connection table is *not* here: the poller thread owns it
-/// exclusively, so the socket path takes no locks.
+/// exclusively; a connection's write half ([`ConnOut`]) travels with its
+/// jobs instead.
 struct Shared {
     server: Arc<QueryServer>,
     /// Set once by shutdown; checked by the poller and the workers.
@@ -487,25 +510,75 @@ struct Shared {
 
 /// One decoded request frame on its way to the worker pool.
 struct Job {
-    conn_id: u64,
-    /// Per-connection sequence number; the poller releases responses in
-    /// this order so pipelined clients see the blocking server's ordering.
+    /// The connection to answer: the worker writes the response itself.
+    conn: Arc<ConnIo>,
+    /// Per-connection sequence number; responses leave in this order so
+    /// pipelined clients see the blocking server's ordering.
     seq: u64,
     payload: Vec<u8>,
 }
 
-/// One finished response frame on its way back to the poller.
-struct Completion {
-    conn_id: u64,
-    seq: u64,
-    /// The fully framed response bytes, ready for the socket.
-    frame: Vec<u8>,
-    /// True when the connection must close after this frame (the request
-    /// payload was undecodable — a protocol fault).
-    fatal: bool,
+/// The bounded poller→worker hand-off.  One mutex and one condition
+/// variable: a push wakes exactly one parked worker (`notify_one`), where a
+/// `Mutex<mpsc::Receiver>` woke the worker in `recv` *and* the next one
+/// queued on the mutex.  The bound is the backpressure boundary: when the
+/// queue is full the poller rejects with `Overloaded` instead of queueing
+/// unboundedly, so a request flood cannot exhaust memory.
+struct JobQueue {
+    capacity: usize,
+    queue: Mutex<QueueState>,
+    ready: Condvar,
 }
 
-type Completions = Arc<Mutex<Vec<Completion>>>;
+struct QueueState {
+    jobs: VecDeque<Job>,
+    /// The poller is gone: workers drain what is queued and stop.
+    closed: bool,
+}
+
+impl JobQueue {
+    fn new(capacity: usize) -> Self {
+        Self {
+            capacity,
+            queue: Mutex::with_name(
+                QueueState { jobs: VecDeque::new(), closed: false },
+                "job-queue",
+            ),
+            ready: Condvar::new(),
+        }
+    }
+
+    /// Queues a job, or hands it back when the queue is full.
+    fn try_push(&self, job: Job) -> Result<(), Job> {
+        let mut state = self.queue.lock();
+        if state.jobs.len() >= self.capacity {
+            return Err(job);
+        }
+        state.jobs.push_back(job);
+        drop(state);
+        self.ready.notify_one();
+        Ok(())
+    }
+
+    /// Blocks for the next job; `None` once the queue is closed and empty.
+    fn pop(&self) -> Option<Job> {
+        let mut state = self.queue.lock();
+        loop {
+            if let Some(job) = state.jobs.pop_front() {
+                return Some(job);
+            }
+            if state.closed {
+                return None;
+            }
+            self.ready.wait(&mut state);
+        }
+    }
+
+    fn close(&self) {
+        self.queue.lock().closed = true;
+        self.ready.notify_all();
+    }
+}
 
 /// A response waiting in a connection's reorder buffer.
 struct PendingResponse {
@@ -513,57 +586,193 @@ struct PendingResponse {
     fatal: bool,
 }
 
-/// The poller's per-connection state.
-struct Conn {
+/// A finished response frame for [`ConnIo::advance`] to file.
+struct Done {
+    seq: u64,
+    /// The fully framed response bytes, ready for the socket.
+    frame: Vec<u8>,
+    /// The connection must close after this frame (a protocol fault).
+    fatal: bool,
+    /// The frame answers an admitted request: release its quota slot.
+    retire: bool,
+}
+
+/// What the poller and the workers share of one connection: the socket
+/// and, behind the `conn-out` lock, its write half.  The poller reads the
+/// socket without any lock.
+struct ConnIo {
     stream: TcpStream,
-    decoder: eq_wire::frame::FrameDecoder,
+    conn_out: Mutex<ConnOut>,
+}
+
+/// A connection's write half: the reorder buffer, the unsent bytes and the
+/// admission quota.
+struct ConnOut {
     /// Unsent response bytes; `outpos` marks the consumed prefix.
     outbuf: Vec<u8>,
     outpos: usize,
-    /// Sequence number assigned to the next decoded request.
-    next_seq: u64,
     /// Sequence number whose response goes out next.
     next_to_send: u64,
     /// Out-of-order completions waiting for `next_to_send` to catch up.
     pending: BTreeMap<u64, PendingResponse>,
-    /// Requests of this connection currently at the dispatch tier.
+    /// Requests of this connection currently at the dispatch tier: taken
+    /// at admission, released when the answer is filed.
     inflight: usize,
+    /// A fatal frame was released: nothing may follow it.
+    fatal: bool,
+    /// The write side errored or the connection was closed: frames filed
+    /// from here on are dropped.
+    write_dead: bool,
+    /// When the current backlog began, or last shrank.
+    last_write_progress: Instant,
+}
+
+impl ConnOut {
+    fn has_backlog(&self) -> bool {
+        self.outpos < self.outbuf.len()
+    }
+
+    /// Files a finished frame at its slot and releases every frame that is
+    /// next in the connection's order into the output buffer.  A fatal
+    /// frame is the last: later slots are dropped.
+    fn file(&mut self, seq: u64, frame: Vec<u8>, fatal: bool) {
+        if self.fatal || self.write_dead {
+            return;
+        }
+        if seq != self.next_to_send {
+            self.pending.insert(seq, PendingResponse { frame, fatal });
+            return;
+        }
+        self.release(frame, fatal);
+        while !self.fatal {
+            let Some(next) = self.pending.remove(&self.next_to_send) else { break };
+            self.release(next.frame, next.fatal);
+        }
+    }
+
+    fn release(&mut self, frame: Vec<u8>, fatal: bool) {
+        if self.has_backlog() {
+            self.outbuf.extend_from_slice(&frame);
+        } else {
+            // The common case: the frame becomes the output buffer, no copy.
+            self.last_write_progress = Instant::now();
+            self.outbuf = frame;
+            self.outpos = 0;
+        }
+        self.next_to_send += 1;
+        if fatal {
+            self.fatal = true;
+            self.pending.clear();
+        }
+    }
+}
+
+impl ConnIo {
+    fn new(stream: TcpStream) -> Self {
+        Self {
+            stream,
+            conn_out: Mutex::with_name(
+                ConnOut {
+                    outbuf: Vec::new(),
+                    outpos: 0,
+                    next_to_send: 0,
+                    pending: BTreeMap::new(),
+                    inflight: 0,
+                    fatal: false,
+                    write_dead: false,
+                    last_write_progress: Instant::now(),
+                },
+                "conn-out",
+            ),
+        }
+    }
+
+    /// Takes one slot of the connection's in-flight quota, if there is one.
+    fn admit(&self, quota: usize) -> bool {
+        let mut out = self.conn_out.lock();
+        let admitted = out.inflight < quota;
+        if admitted {
+            out.inflight += 1;
+        }
+        admitted
+    }
+
+    /// The one way bytes reach a peer: files the `done` frames at their
+    /// slots, then writes as much of the in-order backlog as the socket
+    /// accepts right now.  Workers call it with their answer, the poller
+    /// with its own frames (a burst's rejections, a fault frame) and,
+    /// frameless, on `POLLOUT`.
+    /// The socket is non-blocking, so nobody ever parks on a peer: the
+    /// return value says whether unsent bytes remain, which only the
+    /// poller's `POLLOUT` (or the eviction sweep) can deal with.
+    fn advance(&self, stats: &NetStats, done: impl IntoIterator<Item = Done>) -> bool {
+        let mut out = self.conn_out.lock();
+        for done in done {
+            if done.retire {
+                out.inflight = out.inflight.saturating_sub(1);
+            }
+            out.file(done.seq, done.frame, done.fatal);
+        }
+        while out.has_backlog() && !out.write_dead {
+            // lint:allow(lock) a non-blocking socket: the write returns WouldBlock instead of waiting, and the guard is what keeps two writers from interleaving frames
+            match (&self.stream).write(&out.outbuf[out.outpos..]) {
+                Ok(0) => out.write_dead = true,
+                Ok(n) => {
+                    out.outpos += n;
+                    stats.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
+                    if out.has_backlog() {
+                        out.last_write_progress = Instant::now();
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => out.write_dead = true,
+            }
+        }
+        if !out.has_backlog() {
+            out.outbuf.clear();
+            out.outpos = 0;
+        } else if out.outpos > OUTBUF_COMPACT {
+            let sent = out.outpos;
+            out.outbuf.drain(..sent);
+            out.outpos = 0;
+        }
+        out.has_backlog() && !out.write_dead
+    }
+}
+
+/// The poller's per-connection state; the write half lives in `io`.
+struct Conn {
+    io: Arc<ConnIo>,
+    decoder: eq_wire::frame::FrameDecoder,
+    /// Sequence number assigned to the next decoded request.
+    next_seq: u64,
     /// Peer closed its write half (clean EOF observed).
     read_closed: bool,
     /// This connection was counted in `connections_failed`.
     failed: bool,
     /// Stop reading; close once the output backlog drains.
     closing: bool,
-    /// The write side errored; close without waiting for the backlog.
-    write_dead: bool,
-    /// Last instant the output backlog shrank (or was empty).
-    last_write_progress: Instant,
+    /// The poller's last view of "there is a backlog to drain": refreshed
+    /// by its own `advance` calls and by every sweep (a worker that leaves
+    /// a backlog wakes the poller, and a wake-up sweeps).
+    want_out: bool,
 }
 
 impl Conn {
     fn new(stream: TcpStream) -> Self {
         Self {
-            stream,
+            io: Arc::new(ConnIo::new(stream)),
             decoder: eq_wire::frame::FrameDecoder::new(
                 eq_proto::REQUEST_MAGIC,
                 eq_proto::MAX_FRAME_LEN,
             ),
-            outbuf: Vec::new(),
-            outpos: 0,
             next_seq: 0,
-            next_to_send: 0,
-            pending: BTreeMap::new(),
-            inflight: 0,
             read_closed: false,
             failed: false,
             closing: false,
-            write_dead: false,
-            last_write_progress: Instant::now(),
+            want_out: false,
         }
-    }
-
-    fn has_backlog(&self) -> bool {
-        self.outpos < self.outbuf.len()
     }
 }
 
@@ -574,7 +783,7 @@ fn want_events(conn: &Conn) -> i16 {
     if !conn.closing && !conn.read_closed {
         events |= polling::POLLIN;
     }
-    if conn.has_backlog() && !conn.write_dead {
+    if conn.want_out {
         events |= polling::POLLOUT;
     }
     events
@@ -619,23 +828,25 @@ fn accept_error_is_fatal(error: &std::io::Error) -> bool {
     !matches!(error.raw_os_error(), Some(12) | Some(23) | Some(24) | Some(105))
 }
 
-/// The poll-loop tick: bounds eviction-sweep latency and is the fallback
-/// wake-up should a wake byte ever be lost.
-const POLL_TICK_MS: i32 = 25;
+/// The poll-loop tick: how often the eviction sweep runs when nothing
+/// else asks for one, and the fallback wake-up should a wake byte ever be
+/// lost.
+const POLL_TICK: Duration = Duration::from_millis(25);
 
 /// Consumed-prefix threshold past which a connection's output buffer is
 /// compacted instead of growing unboundedly.
 const OUTBUF_COMPACT: usize = 64 * 1024;
 
 /// The event loop: owns the listener, the wake pipe's read end and the
-/// whole connection table; runs on the dedicated poller thread.
+/// whole connection table; runs on the dedicated poller thread.  Dropping
+/// it (return or unwind) closes the job queue, which is what stops the
+/// workers.
 struct EventLoop {
     shared: Arc<Shared>,
     config: NetConfig,
     listener: Option<TcpListener>,
     wake_rx: UnixStream,
-    tx: mpsc::SyncSender<Job>,
-    completions: Completions,
+    queue: Arc<JobQueue>,
     conns: HashMap<u64, Conn>,
     next_conn_id: u64,
     /// Reused poll set and its parallel connection-id map.
@@ -644,22 +855,42 @@ struct EventLoop {
     readbuf: Vec<u8>,
 }
 
+impl Drop for EventLoop {
+    fn drop(&mut self) {
+        self.queue.close();
+    }
+}
+
 impl EventLoop {
     fn run(mut self) {
         self.readbuf.resize(64 * 1024, 0);
+        let mut next_sweep = Instant::now() + POLL_TICK;
         while !self.shared.stop.load(Ordering::SeqCst) {
             self.build_poll_set();
-            if polling::poll_fds(&mut self.fds, POLL_TICK_MS).is_err() {
-                // EINVAL/ENOMEM from poll(2) itself: the loop cannot make
-                // progress; treat it like a fatal listener error and stop.
-                self.shared.stats.acceptor_fatal.fetch_add(1, Ordering::Relaxed);
-                break;
+            match polling::poll_fds(&mut self.fds, POLL_TICK.as_millis() as i32) {
+                Ok(0) => {}
+                Ok(_) => {
+                    self.shared.stats.poller_wakeups.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(_) => {
+                    // EINVAL/ENOMEM from poll(2) itself: the loop cannot make
+                    // progress; treat it like a fatal listener error and stop.
+                    self.shared.stats.acceptor_fatal.fetch_add(1, Ordering::Relaxed);
+                    break;
+                }
             }
             if self.shared.stop.load(Ordering::SeqCst) {
                 break;
             }
+            // A request that is read, admitted and answered by a worker
+            // changes no connection's lifecycle, so the steady state never
+            // sweeps outside the tick.  A wake byte (a worker left a
+            // backlog or sent a fatal frame), a POLLOUT drain and an EOF or
+            // fault all can, and ask for a sweep right away.
+            let mut sweep_due = false;
             if self.fds[0].readable_or_closed() {
                 self.drain_wake();
+                sweep_due = true;
             }
             let conn_base = match &self.listener {
                 Some(_) => {
@@ -675,21 +906,24 @@ impl EventLoop {
                 let id = self.fd_conns[i - conn_base];
                 if fd.has(polling::POLLOUT) {
                     if let Some(conn) = self.conns.get_mut(&id) {
-                        flush_conn(&self.shared.stats, conn);
+                        conn.want_out = conn.io.advance(&self.shared.stats, None);
+                        sweep_due = true;
                     }
                 }
                 if fd.readable_or_closed() {
-                    self.read_ready(id);
+                    sweep_due |= self.read_ready(id);
                 }
             }
-            self.drain_completions();
-            self.sweep();
+            let now = Instant::now();
+            if sweep_due || now >= next_sweep {
+                self.sweep(now);
+                next_sweep = now + POLL_TICK;
+            }
         }
         // Shutdown: close every socket so blocked clients observe EOF.
         for (_, conn) in self.conns.drain() {
-            let _ = conn.stream.shutdown(Shutdown::Both);
+            let _ = conn.io.stream.shutdown(Shutdown::Both);
         }
-        // `self.tx` drops on return, which is what terminates the workers.
     }
 
     fn build_poll_set(&mut self) {
@@ -700,7 +934,7 @@ impl EventLoop {
             self.fds.push(polling::PollFd::new(listener.as_raw_fd(), polling::POLLIN));
         }
         for (&id, conn) in &self.conns {
-            self.fds.push(polling::PollFd::new(conn.stream.as_raw_fd(), want_events(conn)));
+            self.fds.push(polling::PollFd::new(conn.io.stream.as_raw_fd(), want_events(conn)));
             self.fd_conns.push(id);
         }
     }
@@ -748,16 +982,18 @@ impl EventLoop {
     }
 
     /// Drains a readable connection: reads a bounded burst, feeds the
-    /// frame decoder, and admits every completed request frame.
-    fn read_ready(&mut self, conn_id: u64) {
-        let Some(conn) = self.conns.get_mut(&conn_id) else { return };
+    /// frame decoder, and admits every completed request frame.  Returns
+    /// whether the connection stopped reading (EOF or fault) and so may be
+    /// ready to close.
+    fn read_ready(&mut self, conn_id: u64) -> bool {
+        let Some(conn) = self.conns.get_mut(&conn_id) else { return false };
         if conn.closing {
-            return;
+            return false;
         }
         // Bound the burst so one firehose connection cannot starve the
         // rest of the poll set; level-triggered poll re-signals leftovers.
         for _ in 0..16 {
-            match (&conn.stream).read(&mut self.readbuf) {
+            match (&conn.io.stream).read(&mut self.readbuf) {
                 Ok(0) => {
                     conn.read_closed = true;
                     if conn.decoder.has_partial_frame() {
@@ -769,7 +1005,7 @@ impl EventLoop {
                 Ok(n) => {
                     self.shared.stats.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
                     conn.decoder.extend(&self.readbuf[..n]);
-                    pump_decoder(&self.shared, &self.config, &self.tx, conn_id, conn);
+                    pump_decoder(&self.shared, &self.config, &self.queue, conn);
                     if conn.closing || n < self.readbuf.len() {
                         break;
                     }
@@ -784,69 +1020,57 @@ impl EventLoop {
                 }
             }
         }
+        conn.closing || conn.read_closed
     }
 
-    /// Moves finished responses from the workers into their connections'
-    /// reorder buffers, then releases everything that is next in line.
-    fn drain_completions(&mut self) {
-        let done = std::mem::take(&mut *self.completions.lock());
-        for completion in done {
-            let Some(conn) = self.conns.get_mut(&completion.conn_id) else {
-                continue; // the connection was evicted or died meanwhile
-            };
-            conn.inflight = conn.inflight.saturating_sub(1);
-            if completion.fatal {
-                mark_failed(&self.shared.stats, conn);
-                conn.closing = true;
-            }
-            conn.pending.insert(
-                completion.seq,
-                PendingResponse { frame: completion.frame, fatal: completion.fatal },
-            );
-        }
-        for conn in self.conns.values_mut() {
-            pump_out(conn);
-            if conn.has_backlog() && !conn.write_dead {
-                flush_conn(&self.shared.stats, conn);
-            }
-        }
-    }
-
-    /// Evicts connections that stopped draining their responses and
-    /// closes connections that finished (cleanly or after a fault).
-    fn sweep(&mut self) {
-        let now = Instant::now();
+    /// Evicts connections that stopped draining their responses, closes
+    /// connections that finished (cleanly or after a fault), and refreshes
+    /// the poller's view of who has a backlog.
+    fn sweep(&mut self, now: Instant) {
         let stats = &self.shared.stats;
         let config = &self.config;
         self.conns.retain(|_, conn| {
-            if conn.write_dead {
-                let _ = conn.stream.shutdown(Shutdown::Both);
-                return false;
+            let mut out = conn.io.conn_out.lock();
+            if out.fatal && !conn.closing {
+                // A worker found the payload undecodable: a protocol fault.
+                mark_failed(stats, &mut conn.failed);
+                conn.closing = true;
             }
-            if conn.has_backlog() {
-                let backlog = conn.outbuf.len() - conn.outpos;
-                let stalled = now.duration_since(conn.last_write_progress) >= config.write_timeout;
-                if stalled || backlog > config.write_buffer_cap {
+            let close = if out.write_dead {
+                true
+            } else if out.has_backlog() {
+                let backlog = out.outbuf.len() - out.outpos;
+                let stalled = now.duration_since(out.last_write_progress) >= config.write_timeout;
+                let evict = stalled || backlog > config.write_buffer_cap;
+                if evict {
                     stats.evicted_slow.fetch_add(1, Ordering::Relaxed);
-                    let _ = conn.stream.shutdown(Shutdown::Both);
-                    return false;
                 }
-                return true; // still draining
-            }
-            let drained = conn.pending.is_empty() && conn.inflight == 0;
-            if (conn.closing || conn.read_closed) && drained {
-                let _ = conn.stream.shutdown(Shutdown::Both);
+                evict
+            } else {
+                let drained = out.pending.is_empty() && out.inflight == 0;
+                (conn.closing || conn.read_closed) && drained
+            };
+            if close {
+                // Answers still in flight for this connection are dropped
+                // when their workers file them.
+                out.write_dead = true;
+                out.pending.clear();
+                out.outbuf = Vec::new();
+                out.outpos = 0;
+                let _ = conn.io.stream.shutdown(Shutdown::Both);
                 return false;
             }
+            conn.want_out = out.has_backlog();
             true
         });
     }
 }
 
-/// Counts a connection in `connections_failed` exactly once.
-fn mark_failed(stats: &NetStats, conn: &mut Conn) {
-    if !conn.failed {
-        conn.failed = true;
+/// Counts a connection in `connections_failed` exactly once (`failed` is
+/// the connection's own latch).
+fn mark_failed(stats: &NetStats, failed: &mut bool) {
+    if !*failed {
+        *failed = true;
         stats.connections_failed.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -856,219 +1080,116 @@ fn mark_failed(stats: &NetStats, conn: &mut Conn) {
 /// response slot (so responses to earlier pipelined requests still go out
 /// first), and stops reading.
 fn fault_conn(stats: &NetStats, conn: &mut Conn, message: &str) {
-    mark_failed(stats, conn);
+    mark_failed(stats, &mut conn.failed);
     conn.closing = true;
-    let response = eq_proto::Response {
-        id: 0,
-        body: eq_proto::ResponseBody::Error(eq_proto::ErrorPayload {
-            code: eq_proto::ErrorCode::BadRequest,
-            message: message.to_string(),
-        }),
-    };
+    let response = error_response(0, eq_proto::ErrorCode::BadRequest, message);
     let seq = conn.next_seq;
     conn.next_seq += 1;
-    conn.pending
-        .insert(seq, PendingResponse { frame: encode_response_frame(&response), fatal: true });
-    pump_out(conn);
+    let done = Done { seq, frame: encode_response_frame(&response), fatal: true, retire: false };
+    conn.want_out = conn.io.advance(stats, Some(done));
 }
 
 /// Decodes every complete frame buffered on the connection and runs
 /// admission control on each: poisoned server → typed internal error;
 /// over quota or full queue → typed `Overloaded`; otherwise hand the
-/// payload to the worker pool.
-fn pump_decoder(
-    shared: &Shared,
-    config: &NetConfig,
-    tx: &mpsc::SyncSender<Job>,
-    conn_id: u64,
-    conn: &mut Conn,
-) {
-    loop {
-        if conn.closing {
-            return;
-        }
+/// payload to the worker pool.  The refusals of one burst are filed
+/// together and leave in one write, so a flood costs the poller one
+/// `write(2)` per read, not one per request.
+fn pump_decoder(shared: &Shared, config: &NetConfig, queue: &JobQueue, conn: &mut Conn) {
+    let stats = &shared.stats;
+    let mut refused = Vec::new();
+    while !conn.closing {
         match conn.decoder.next_frame() {
             Ok(Some(payload)) => {
                 let seq = conn.next_seq;
                 conn.next_seq += 1;
                 if shared.poisoned.load(Ordering::SeqCst) {
-                    let frame =
-                        encode_response_frame(&poisoned_response(peek_request_id(&payload)));
-                    conn.pending.insert(seq, PendingResponse { frame, fatal: false });
+                    let response = poisoned_response(peek_request_id(&payload));
+                    let frame = encode_response_frame(&response);
+                    refused.push(Done { seq, frame, fatal: false, retire: false });
                     continue;
                 }
-                if conn.inflight >= config.max_inflight_per_conn {
-                    reject_overloaded(
-                        &shared.stats,
-                        conn,
-                        seq,
-                        &payload,
-                        format!(
-                            "per-connection in-flight quota of {} exceeded; \
-                             read responses before sending more requests",
-                            config.max_inflight_per_conn
-                        ),
+                if !conn.io.admit(config.max_inflight_per_conn) {
+                    let message = format!(
+                        "per-connection in-flight quota of {} exceeded; \
+                         read responses before sending more requests",
+                        config.max_inflight_per_conn
                     );
+                    refused.push(overloaded(stats, seq, &payload, &message, false));
                     continue;
                 }
-                // Count the queue slot *before* the send: the worker's
-                // decrement happens-after its recv, so the depth gauge can
+                // Count the queue slot *before* the push: the worker's
+                // decrement happens-after its pop, so the depth gauge can
                 // never underflow.
-                let depth = shared.stats.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-                shared.stats.queue_depth_hwm.fetch_max(depth, Ordering::Relaxed);
-                match tx.try_send(Job { conn_id, seq, payload }) {
-                    Ok(()) => conn.inflight += 1,
-                    Err(mpsc::TrySendError::Full(job)) => {
-                        shared.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                        reject_overloaded(
-                            &shared.stats,
-                            conn,
-                            seq,
-                            &job.payload,
-                            "the server's request queue is full; retry later".to_string(),
-                        );
-                    }
-                    Err(mpsc::TrySendError::Disconnected(_)) => {
-                        // The pool is gone (shutdown tear-down): close.
-                        shared.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                        conn.closing = true;
-                        return;
-                    }
+                let depth = stats.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
+                stats.queue_depth_hwm.fetch_max(depth, Ordering::Relaxed);
+                if let Err(job) = queue.try_push(Job { conn: Arc::clone(&conn.io), seq, payload }) {
+                    stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                    let message = "the server's request queue is full; retry later";
+                    refused.push(overloaded(stats, seq, &job.payload, message, true));
                 }
             }
-            Ok(None) => return,
-            Err(e) => {
-                // The decoder state is unspecified after an error: fault
-                // the connection and never feed the decoder again.
-                fault_conn(&shared.stats, conn, &format!("malformed frame: {e}"));
-                return;
-            }
+            Ok(None) => break,
+            // The decoder state is unspecified after an error: fault the
+            // connection (which ends this loop) and never feed it again.
+            Err(e) => fault_conn(stats, conn, &format!("malformed frame: {e}")),
         }
+    }
+    if !refused.is_empty() {
+        conn.want_out = conn.io.advance(stats, refused);
     }
 }
 
-/// Queues a typed `Overloaded` rejection at the request's response slot —
-/// the client gets a definite answer instead of a stalled connection.
-fn reject_overloaded(stats: &NetStats, conn: &mut Conn, seq: u64, payload: &[u8], message: String) {
+/// A typed `Overloaded` rejection for a request's response slot — the
+/// client gets a definite answer instead of a stalled connection.
+/// `retire` gives back the quota slot of a request that was admitted and
+/// then found the queue full.
+fn overloaded(stats: &NetStats, seq: u64, payload: &[u8], message: &str, retire: bool) -> Done {
     stats.rejected_overload.fetch_add(1, Ordering::Relaxed);
-    let response = eq_proto::Response {
-        id: peek_request_id(payload),
-        body: eq_proto::ResponseBody::Error(eq_proto::ErrorPayload {
-            code: eq_proto::ErrorCode::Overloaded,
-            message,
-        }),
-    };
-    conn.pending
-        .insert(seq, PendingResponse { frame: encode_response_frame(&response), fatal: false });
-    pump_out(conn);
+    let response =
+        error_response(peek_request_id(payload), eq_proto::ErrorCode::Overloaded, message);
+    Done { seq, frame: encode_response_frame(&response), fatal: false, retire }
 }
 
-/// Releases every response that is next in the connection's order into
-/// the output buffer.  A fatal response (protocol fault) is the last —
-/// later slots are dropped and the connection closes once it is flushed.
-fn pump_out(conn: &mut Conn) {
-    while let Some(next) = conn.pending.remove(&conn.next_to_send) {
-        if !conn.has_backlog() {
-            conn.last_write_progress = Instant::now();
-        }
-        conn.outbuf.extend_from_slice(&next.frame);
-        conn.next_to_send += 1;
-        if next.fatal {
-            conn.pending.clear();
-            break;
-        }
-    }
-}
-
-/// Writes as much of the connection's output backlog as the socket
-/// accepts right now, tracking progress for the eviction sweep.
-fn flush_conn(stats: &NetStats, conn: &mut Conn) {
-    while conn.has_backlog() {
-        match (&conn.stream).write(&conn.outbuf[conn.outpos..]) {
-            Ok(0) => {
-                conn.write_dead = true;
-                break;
-            }
-            Ok(n) => {
-                conn.outpos += n;
-                stats.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
-                conn.last_write_progress = Instant::now();
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.write_dead = true;
-                break;
-            }
-        }
-    }
-    if !conn.has_backlog() {
-        conn.outbuf.clear();
-        conn.outpos = 0;
-    } else if conn.outpos > OUTBUF_COMPACT {
-        conn.outbuf.drain(..conn.outpos);
-        conn.outpos = 0;
-    }
-}
-
-/// Encodes a response as complete frame bytes.  A response over the frame
-/// cap is a *request* problem (result set bigger than any reader accepts),
-/// not a dead connection: it is replaced by a typed error under the same
-/// id, so the connection keeps being served.
+/// Encodes a response as complete frame bytes, in place behind the frame
+/// header.  A response over the frame cap is a *request* problem (result
+/// set bigger than any reader accepts), not a dead connection: it is
+/// replaced by a typed error under the same id, so the connection keeps
+/// being served.
 fn encode_response_frame(response: &eq_proto::Response) -> Vec<u8> {
-    let mut payload = response.encode();
-    if payload.len() > eq_proto::MAX_FRAME_LEN as usize {
-        let error = eq_proto::Response {
-            id: response.id,
-            body: eq_proto::ResponseBody::Error(eq_proto::ErrorPayload {
-                code: eq_proto::ErrorCode::BadRequest,
-                message: format!(
-                    "response of {} bytes exceeds the {}-byte frame cap; \
-                     narrow the query or ingest in smaller batches",
-                    payload.len(),
-                    eq_proto::MAX_FRAME_LEN
-                ),
-            }),
-        };
-        payload = error.encode();
+    let mut frame = Vec::new();
+    if let Err(e) = eq_proto::frame_response(&mut frame, response) {
+        let message = format!(
+            "the response cannot be sent ({e}); narrow the query or ingest in smaller batches"
+        );
+        let error = error_response(response.id, eq_proto::ErrorCode::BadRequest, &message);
+        // A short error message is far below the frame cap.
+        let _ = eq_proto::frame_response(&mut frame, &error);
     }
-    let mut frame = Vec::with_capacity(12 + payload.len());
-    // Writing into a Vec cannot fail, and the length fits u32 by the cap
-    // check above.
-    let _ = eq_wire::frame::write_frame(&mut frame, &eq_proto::RESPONSE_MAGIC, &payload);
     frame
 }
 
 /// The worker-pool thread body: take jobs, execute them against the
-/// shared [`QueryServer`], hand the framed response back to the poller.
-fn worker_loop(
-    shared: Arc<Shared>,
-    rx: Arc<Mutex<mpsc::Receiver<Job>>>,
-    completions: Completions,
-    wake: UnixStream,
-) {
-    loop {
-        // The queue guard is a statement temporary: it drops before the
-        // job executes, so workers never serialise on the queue lock.
-        let job = rx.lock().recv();
-        match job {
-            Ok(job) => {
-                shared.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                if shared.stop.load(Ordering::SeqCst) {
-                    continue; // draining during shutdown: drop unserved
-                }
-                let (frame, fatal) = process_job(&shared, &job);
-                completions.lock().push(Completion {
-                    conn_id: job.conn_id,
-                    seq: job.seq,
-                    frame,
-                    fatal,
-                });
-                // Nonblocking one-byte wake; a full pipe already wakes the
-                // poller, so a WouldBlock here loses nothing.
-                let _ = (&wake).write(&[1]);
-            }
-            Err(_) => break, // poller gone: pool drains and exits
+/// shared [`QueryServer`], and write the framed response to the
+/// connection.  The poller is woken only when it has something to do: a
+/// backlog the socket would not take, or a faulted connection to close (a
+/// write side that died is found by the next tick's sweep).
+fn worker_loop(shared: Arc<Shared>, queue: Arc<JobQueue>, wake: UnixStream) {
+    let stats = &shared.stats;
+    while let Some(job) = queue.pop() {
+        stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        if shared.stop.load(Ordering::SeqCst) {
+            continue; // draining during shutdown: drop unserved
+        }
+        let (frame, fatal) = process_job(&shared, &job.payload);
+        let done = Done { seq: job.seq, frame, fatal, retire: true };
+        let backlog = job.conn.advance(stats, Some(done));
+        let counter = if backlog { &stats.responses_deferred } else { &stats.responses_direct };
+        counter.fetch_add(1, Ordering::Relaxed);
+        if backlog || fatal {
+            // Nonblocking one-byte wake; a full pipe already wakes the
+            // poller, so a WouldBlock here loses nothing.
+            let _ = (&wake).write(&[1]);
         }
     }
 }
@@ -1079,20 +1200,15 @@ fn worker_loop(
 /// validation missed) fails that request instead of killing the pool
 /// worker — otherwise a hostile client could drain the whole pool one
 /// panic at a time.
-fn process_job(shared: &Shared, job: &Job) -> (Vec<u8>, bool) {
-    let request = match eq_proto::Request::decode(&job.payload) {
+fn process_job(shared: &Shared, payload: &[u8]) -> (Vec<u8>, bool) {
+    let request = match eq_proto::Request::decode(payload) {
         Ok(request) => request,
         Err(e) => {
             // The frame was well-formed but the payload is not a request
             // (wrong version, unknown tag, corrupt fields): a protocol
             // fault — best-effort error frame under id 0, then close.
-            let response = eq_proto::Response {
-                id: 0,
-                body: eq_proto::ResponseBody::Error(eq_proto::ErrorPayload {
-                    code: eq_proto::ErrorCode::BadRequest,
-                    message: format!("malformed request: {e}"),
-                }),
-            };
+            let message = format!("malformed request: {e}");
+            let response = error_response(0, eq_proto::ErrorCode::BadRequest, &message);
             return (encode_response_frame(&response), true);
         }
     };
@@ -1119,13 +1235,8 @@ fn process_job(shared: &Shared, job: &Job) -> (Vec<u8>, bool) {
                     shared.poisoned.store(true, Ordering::SeqCst);
                     poisoned_response(id)
                 } else {
-                    eq_proto::Response {
-                        id,
-                        body: eq_proto::ResponseBody::Error(eq_proto::ErrorPayload {
-                            code: eq_proto::ErrorCode::Internal,
-                            message: "internal panic while serving the request".to_string(),
-                        }),
-                    }
+                    let message = "internal panic while serving the request";
+                    error_response(id, eq_proto::ErrorCode::Internal, message)
                 }
             }
         }
@@ -1209,40 +1320,32 @@ impl NetServer {
         // this tier pops pooled top-k state instead of constructing it, so
         // steady-state remote serving never allocates on the search path.
         shared.server.prewarm_scratch(pool);
-        // The *bounded* hand-off queue is the backpressure boundary: when
-        // it is full the poller rejects with `Overloaded` instead of
-        // queueing unboundedly, so a request flood cannot exhaust memory.
-        let (tx, rx) = mpsc::sync_channel::<Job>(config.queue_capacity.max(1));
-        let rx = Arc::new(Mutex::with_name(rx, "job-queue"));
-        let completions: Completions = Arc::new(Mutex::with_name(Vec::new(), "net-completions"));
+        let queue = Arc::new(JobQueue::new(config.queue_capacity.max(1)));
+        // Built before the workers: should spawning one fail, dropping the
+        // loop closes the queue and the workers already running stop.
+        let event_loop = EventLoop {
+            shared: Arc::clone(&shared),
+            config,
+            listener: Some(listener),
+            wake_rx,
+            queue: Arc::clone(&queue),
+            conns: HashMap::new(),
+            next_conn_id: 0,
+            fds: Vec::new(),
+            fd_conns: Vec::new(),
+            readbuf: Vec::new(),
+        };
         let workers = (0..pool)
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                let rx = Arc::clone(&rx);
-                let completions = Arc::clone(&completions);
+                let queue = Arc::clone(&queue);
                 let wake = wake_tx
                     .try_clone()
                     .map_err(|e| net_err("cloning the wake pipe for a worker", e))?;
-                Ok(std::thread::spawn(move || worker_loop(shared, rx, completions, wake)))
+                Ok(std::thread::spawn(move || worker_loop(shared, queue, wake)))
             })
             .collect::<Result<Vec<_>, EarthQubeError>>()?;
-
-        let poller = {
-            let event_loop = EventLoop {
-                shared: Arc::clone(&shared),
-                config,
-                listener: Some(listener),
-                wake_rx,
-                tx,
-                completions,
-                conns: HashMap::new(),
-                next_conn_id: 0,
-                fds: Vec::new(),
-                fd_conns: Vec::new(),
-                readbuf: Vec::new(),
-            };
-            std::thread::spawn(move || event_loop.run())
-        };
+        let poller = std::thread::spawn(move || event_loop.run());
 
         Ok(Self { shared, addr, wake: wake_tx, poller: Some(poller), workers })
     }
@@ -1292,9 +1395,8 @@ impl NetServer {
         if let Some(handle) = self.poller.take() {
             let _ = handle.join();
         }
-        // The poller dropped the job sender on exit; workers drain the
-        // queue (dropping unserved jobs now that the stop flag is set)
-        // and exit on the disconnect.
+        // The poller closed the job queue on exit; workers drain it
+        // (dropping unserved jobs now that the stop flag is set) and stop.
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -1338,20 +1440,23 @@ fn render_metrics(stats: &ServerStats, net: &NetTierStats) -> String {
     let _ = writeln!(out, "eq_net_queue_depth_high_water {}", net.queue_depth_high_water);
     let _ = writeln!(out, "eq_net_connections_failed_total {}", net.connections_failed);
     let _ = writeln!(out, "eq_net_acceptor_fatal_total {}", net.acceptor_fatal);
+    let _ = writeln!(out, "eq_net_responses_direct_total {}", net.responses_direct);
+    let _ = writeln!(out, "eq_net_responses_deferred_total {}", net.responses_deferred);
+    let _ = writeln!(out, "eq_net_poller_wakeups_total {}", net.poller_wakeups);
     out
 }
 
 /// The answer every request gets once a mutating dispatch has panicked.
 fn poisoned_response(id: u64) -> eq_proto::Response {
-    eq_proto::Response {
-        id,
-        body: eq_proto::ResponseBody::Error(eq_proto::ErrorPayload {
-            code: eq_proto::ErrorCode::Internal,
-            message: "the server is poisoned by a panic during an earlier write; \
-                      restart it (or recover from the durable tier)"
-                .to_string(),
-        }),
-    }
+    let message = "the server is poisoned by a panic during an earlier write; \
+                   restart it (or recover from the durable tier)";
+    error_response(id, eq_proto::ErrorCode::Internal, message)
+}
+
+/// A typed error answer to request `id` (0: no request can be named).
+fn error_response(id: u64, code: eq_proto::ErrorCode, message: &str) -> eq_proto::Response {
+    let payload = eq_proto::ErrorPayload { code, message: message.to_string() };
+    eq_proto::Response { id, body: eq_proto::ResponseBody::Error(payload) }
 }
 
 /// Cap on the neighbour count a remote client may request: far above any
@@ -1510,6 +1615,9 @@ pub struct EqClient {
     stream: TcpStream,
     reader: BufReader<TcpStream>,
     next_id: u64,
+    /// The request frame under construction, reused across calls: every
+    /// request leaves in one `write(2)` of one buffer.
+    frame: Vec<u8>,
 }
 
 impl std::fmt::Debug for EqClient {
@@ -1529,7 +1637,7 @@ impl EqClient {
         let _ = stream.set_nodelay(true);
         let reader =
             BufReader::new(stream.try_clone().map_err(|e| net_err("cloning the connection", e))?);
-        Ok(Self { stream, reader, next_id: 1 })
+        Ok(Self { stream, reader, next_id: 1, frame: Vec::new() })
     }
 
     /// Like [`connect`](Self::connect), but retries connection
@@ -1558,22 +1666,23 @@ impl EqClient {
     }
 
     fn send(&mut self, body: eq_proto::RequestBody) -> Result<u64, EarthQubeError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        eq_proto::write_request(&mut self.stream, &eq_proto::Request { id, body })
-            .map_err(|e| net_err("sending the request", e))?;
-        Ok(id)
+        self.send_with(|w, id| eq_proto::Request { id, body }.encode_into(w))
     }
 
-    /// Like [`send`](Self::send), but for payloads produced by the
-    /// borrowed encoders (`encode_ingest_request` & co.), which avoid
-    /// cloning raster data into an owned request body.
-    fn send_payload(&mut self, encode: impl FnOnce(u64) -> Vec<u8>) -> Result<u64, EarthQubeError> {
+    /// Sends one request frame whose payload `encode` writes in place —
+    /// for the borrowed encoders (`encode_ingest_request_into` & co.) this
+    /// also avoids cloning raster data into an owned request body.
+    fn send_with(
+        &mut self,
+        encode: impl FnOnce(&mut eq_wire::Writer, u64),
+    ) -> Result<u64, EarthQubeError> {
         let id = self.next_id;
         self.next_id += 1;
-        eq_proto::write_request_payload(&mut self.stream, &encode(id))
-            .map_err(|e| net_err("sending the request", e))?;
-        Ok(id)
+        let sent = send_frame(&mut self.stream, &mut self.frame, |w| encode(w, id));
+        if self.frame.capacity() > FRAME_BUF_KEEP {
+            self.frame = Vec::new(); // an upload's buffer is not kept for pings
+        }
+        sent.map(|()| id)
     }
 
     fn receive(&mut self, expected_id: u64) -> Result<eq_proto::ResponseBody, EarthQubeError> {
@@ -1600,10 +1709,7 @@ impl EqClient {
     fn expect_search(body: eq_proto::ResponseBody) -> Result<SearchResponse, EarthQubeError> {
         match body {
             eq_proto::ResponseBody::Search(payload) => Ok(payload_to_response(payload)),
-            eq_proto::ResponseBody::Error(e) => Err(payload_to_error(e)),
-            other => Err(EarthQubeError::Net(format!(
-                "unexpected response kind {other:?} to a search request"
-            ))),
+            other => Err(unexpected(other, "a search request")),
         }
     }
 
@@ -1614,8 +1720,7 @@ impl EqClient {
     pub fn ping(&mut self) -> Result<(), EarthQubeError> {
         match self.call(eq_proto::RequestBody::Ping)? {
             eq_proto::ResponseBody::Pong => Ok(()),
-            eq_proto::ResponseBody::Error(e) => Err(payload_to_error(e)),
-            other => Err(EarthQubeError::Net(format!("unexpected response {other:?} to ping"))),
+            other => Err(unexpected(other, "ping")),
         }
     }
 
@@ -1649,8 +1754,8 @@ impl EqClient {
         k: usize,
     ) -> Result<SearchResponse, EarthQubeError> {
         // The borrowed encoder spares a deep copy of the raster data.
-        let id =
-            self.send_payload(|id| eq_proto::encode_new_example_request(id, patch, k as u64))?;
+        let id = self
+            .send_with(|w, id| eq_proto::encode_new_example_request_into(w, id, patch, k as u64))?;
         Self::expect_search(self.receive(id)?)
     }
 
@@ -1660,12 +1765,11 @@ impl EqClient {
     /// Propagates the server-side error, or [`EarthQubeError::Net`].
     pub fn ingest(&mut self, patches: &[Patch]) -> Result<IngestReport, EarthQubeError> {
         // The borrowed encoder spares a deep copy of every patch's rasters.
-        let id = self.send_payload(|id| eq_proto::encode_ingest_request(id, patches))?;
+        let id = self.send_with(|w, id| eq_proto::encode_ingest_request_into(w, id, patches))?;
         let body = self.receive(id)?;
         match body {
             eq_proto::ResponseBody::Ingest(payload) => Ok(payload_to_report(payload)),
-            eq_proto::ResponseBody::Error(e) => Err(payload_to_error(e)),
-            other => Err(EarthQubeError::Net(format!("unexpected response {other:?} to ingest"))),
+            other => Err(unexpected(other, "ingest")),
         }
     }
 
@@ -1684,8 +1788,7 @@ impl EqClient {
         })?;
         match body {
             eq_proto::ResponseBody::Feedback { id } => Ok(id),
-            eq_proto::ResponseBody::Error(e) => Err(payload_to_error(e)),
-            other => Err(EarthQubeError::Net(format!("unexpected response {other:?} to feedback"))),
+            other => Err(unexpected(other, "feedback")),
         }
     }
 
@@ -1696,8 +1799,7 @@ impl EqClient {
     pub fn stats(&mut self) -> Result<ServerStats, EarthQubeError> {
         match self.call(eq_proto::RequestBody::Stats)? {
             eq_proto::ResponseBody::Stats(payload) => Ok(payload_to_stats(payload)),
-            eq_proto::ResponseBody::Error(e) => Err(payload_to_error(e)),
-            other => Err(EarthQubeError::Net(format!("unexpected response {other:?} to stats"))),
+            other => Err(unexpected(other, "stats")),
         }
     }
 
@@ -1709,18 +1811,14 @@ impl EqClient {
     pub fn metrics_text(&mut self) -> Result<String, EarthQubeError> {
         match self.call(eq_proto::RequestBody::MetricsText)? {
             eq_proto::ResponseBody::MetricsText(text) => Ok(text),
-            eq_proto::ResponseBody::Error(e) => Err(payload_to_error(e)),
-            other => Err(EarthQubeError::Net(format!("unexpected response {other:?} to metrics"))),
+            other => Err(unexpected(other, "metrics")),
         }
     }
 
     fn expect_filtered(body: eq_proto::ResponseBody) -> Result<FilteredResponse, EarthQubeError> {
         match body {
             eq_proto::ResponseBody::Filtered(payload) => Ok(payload_to_filtered(payload)),
-            eq_proto::ResponseBody::Error(e) => Err(payload_to_error(e)),
-            other => Err(EarthQubeError::Net(format!(
-                "unexpected response kind {other:?} to a filtered search"
-            ))),
+            other => Err(unexpected(other, "a filtered search")),
         }
     }
 
@@ -1775,10 +1873,7 @@ impl EqClient {
     pub fn repl_state(&mut self) -> Result<ReplState, EarthQubeError> {
         match self.call(eq_proto::RequestBody::ReplState)? {
             eq_proto::ResponseBody::ReplState(payload) => Ok(payload_to_repl_state(payload)),
-            eq_proto::ResponseBody::Error(e) => Err(payload_to_error(e)),
-            other => {
-                Err(EarthQubeError::Net(format!("unexpected response {other:?} to repl_state")))
-            }
+            other => Err(unexpected(other, "repl_state")),
         }
     }
 
@@ -1790,10 +1885,7 @@ impl EqClient {
     pub fn repl_manifest(&mut self) -> Result<Vec<u8>, EarthQubeError> {
         match self.call(eq_proto::RequestBody::ReplManifest)? {
             eq_proto::ResponseBody::ReplManifest { bytes } => Ok(bytes),
-            eq_proto::ResponseBody::Error(e) => Err(payload_to_error(e)),
-            other => {
-                Err(EarthQubeError::Net(format!("unexpected response {other:?} to repl_manifest")))
-            }
+            other => Err(unexpected(other, "repl_manifest")),
         }
     }
 
@@ -1816,10 +1908,7 @@ impl EqClient {
         })?;
         match body {
             eq_proto::ResponseBody::ReplChunk(payload) => Ok((payload.total_len, payload.bytes)),
-            eq_proto::ResponseBody::Error(e) => Err(payload_to_error(e)),
-            other => {
-                Err(EarthQubeError::Net(format!("unexpected response {other:?} to repl_chunk")))
-            }
+            other => Err(unexpected(other, "repl_chunk")),
         }
     }
 
@@ -1846,10 +1935,7 @@ impl EqClient {
         })?;
         match body {
             eq_proto::ResponseBody::ReplRecords(payload) => Ok(payload_to_batch(payload)),
-            eq_proto::ResponseBody::Error(e) => Err(payload_to_error(e)),
-            other => {
-                Err(EarthQubeError::Net(format!("unexpected response {other:?} to repl_pull")))
-            }
+            other => Err(unexpected(other, "repl_pull")),
         }
     }
 
@@ -1859,7 +1945,7 @@ impl EqClient {
     /// # Errors
     /// Propagates the server-side error, or [`EarthQubeError::Net`].
     pub fn execute(&mut self, request: &QueryRequest) -> Result<SearchResponse, EarthQubeError> {
-        let id = self.send_payload(|id| encode_workload_request(id, request))?;
+        let id = self.send_with(|w, id| encode_workload_request(w, id, request))?;
         Self::expect_search(self.receive(id)?)
     }
 
@@ -1890,9 +1976,11 @@ impl EqClient {
             .map_err(|e| net_err("cloning the connection for the batch writer", e))?;
         std::thread::scope(|scope| {
             let sender = scope.spawn(move || -> Result<(), EarthQubeError> {
+                let mut frame = Vec::new();
                 for (i, request) in requests.iter().enumerate() {
-                    let payload = encode_workload_request(first_id + i as u64, request);
-                    if let Err(e) = eq_proto::write_request_payload(&mut writer, &payload) {
+                    let id = first_id + i as u64;
+                    let encode = |w: &mut eq_wire::Writer| encode_workload_request(w, id, request);
+                    if let Err(e) = send_frame(&mut writer, &mut frame, encode) {
                         // The failure may be purely local (e.g. a payload
                         // over the frame cap, rejected before any byte hit
                         // the socket) with the connection itself healthy —
@@ -1900,7 +1988,7 @@ impl EqClient {
                         // that was never requested.  Kill the socket so the
                         // reader unblocks with an error.
                         let _ = writer.shutdown(Shutdown::Both);
-                        return Err(net_err("sending a batched request", e));
+                        return Err(e);
                     }
                 }
                 Ok(())
@@ -1937,21 +2025,47 @@ impl EqClient {
     }
 }
 
+/// The error for a response that is not the kind the request calls for: the
+/// server's own typed error, reconstructed, or a transport-level complaint.
+fn unexpected(body: eq_proto::ResponseBody, request: &str) -> EarthQubeError {
+    match body {
+        eq_proto::ResponseBody::Error(e) => payload_to_error(e),
+        other => EarthQubeError::Net(format!("unexpected response {other:?} to {request}")),
+    }
+}
+
+/// A client keeps its frame buffer across requests only up to this
+/// capacity.
+const FRAME_BUF_KEEP: usize = 1 << 20;
+
+/// Builds one request frame in `frame` (cleared first) and sends it with
+/// one `write_all`: header and payload leave in one `write(2)`, so the
+/// server's poller wakes once per request and never decodes half a frame.
+fn send_frame(
+    stream: &mut TcpStream,
+    frame: &mut Vec<u8>,
+    encode: impl FnOnce(&mut eq_wire::Writer),
+) -> Result<(), EarthQubeError> {
+    frame.clear();
+    eq_proto::frame_request_with(frame, encode).map_err(|e| net_err("sending the request", e))?;
+    stream.write_all(frame).map_err(|e| net_err("sending the request", e))
+}
+
 /// Encodes a [`QueryRequest`] as protocol payload bytes, borrowing the
 /// request's data (no raster copies for `NewExample`).
-fn encode_workload_request(id: u64, request: &QueryRequest) -> Vec<u8> {
+fn encode_workload_request(w: &mut eq_wire::Writer, id: u64, request: &QueryRequest) {
     match request {
         QueryRequest::Metadata(query) => {
             eq_proto::Request { id, body: eq_proto::RequestBody::Search(query_to_spec(query)) }
-                .encode()
+                .encode_into(w)
         }
         QueryRequest::SimilarTo { name, k } => eq_proto::Request {
             id,
             body: eq_proto::RequestBody::SimilarTo { name: name.clone(), k: *k as u64 },
         }
-        .encode(),
+        .encode_into(w),
         QueryRequest::NewExample { patch, k } => {
-            eq_proto::encode_new_example_request(id, patch, *k as u64)
+            eq_proto::encode_new_example_request_into(w, id, patch, *k as u64)
         }
     }
 }
@@ -2181,12 +2295,25 @@ mod tests {
             let label = format!("eq_shard_occupancy{{shard=\"{shard}\"}}");
             assert_eq!(metric(&label), occupancy as u64);
         }
+        // A closed loop of small answers: every response is flushed by the
+        // worker that produced it (counted right after its write, so the
+        // third may still be uncounted here), and each of the four requests
+        // cost the poller one wake-up to read it.
+        assert!(metric("eq_net_responses_direct_total") <= 3);
+        assert_eq!(metric("eq_net_responses_deferred_total"), 0);
+        assert!(metric("eq_net_poller_wakeups_total") >= 4);
 
         // The snapshot API reports the same counters the text renders.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while net.net_stats().responses_direct < 4 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
         let snap = net.net_stats();
         assert_eq!(snap.accepted, 1);
         assert_eq!(snap.connections_failed, 0);
         assert!(snap.bytes_out > 0);
+        assert_eq!((snap.responses_direct, snap.responses_deferred), (4, 0));
+        assert!(snap.poller_wakeups >= 4);
         net.shutdown();
     }
 

@@ -74,9 +74,14 @@ pub fn check(ctx: &FileCtx<'_>, policy: &Policy, sink: &mut Sink) {
         }
 
         // Blocking call while a guard is held: ident from the blocking
-        // list immediately followed by `(`.
+        // list immediately followed by `(`.  A zero-arg `.read()`/`.write()`
+        // is a lock acquisition (checked below), not stream I/O, so
+        // `write` can be listed as blocking without flagging every
+        // `catalog.write()`.
+        let zero_arg_acquire = ACQUIRE_METHODS.contains(&tok.text) && is_punct(code, i + 2, ")");
         if tok.kind == TokenKind::Ident
             && is_punct(code, i + 1, "(")
+            && !zero_arg_acquire
             && policy.blocking_calls.iter().any(|b| b == tok.text)
         {
             if let Some(outer) = held.last() {
@@ -291,6 +296,19 @@ mod tests {
 
         let allowed = "fn f(&self) {\n    let catalog = self.catalog.write();\n    file.sync_all()?; // lint:allow(lock) durability inside the ingest critical section is the design\n}";
         assert!(run_on(allowed, ORDERED).violations.is_empty());
+    }
+
+    #[test]
+    fn raw_write_under_guard_fires_but_a_write_lock_acquisition_does_not() {
+        let policy = "[lock]\nblocking = [\"write\"]\n\n[[lock.order]]\nouter = \"ckpt_serial\"\ninner = \"catalog\"\n";
+        let io =
+            "fn f(&self) {\n    let out = self.conn_out.lock();\n    stream.write(&out.buf);\n}";
+        let report = run_on(io, policy);
+        assert_eq!(report.violations.len(), 1);
+        assert!(report.violations[0].message.contains("`write` called while holding"));
+
+        let acquire = "fn f(&self) {\n    let serial = self.ckpt_serial.lock();\n    let catalog = self.catalog.write();\n}";
+        assert!(run_on(acquire, policy).violations.is_empty());
     }
 
     #[test]

@@ -72,7 +72,7 @@ use eq_bigearthnet::patch::{AcquisitionDate, Patch, Satellite, Season};
 use eq_bigearthnet::wire::{decode_patch, encode_patch};
 use eq_bigearthnet::{Country, Label};
 use eq_geo::{BBox, Circle, GeoShape, Point, Polygon};
-use eq_wire::frame::{read_frame, write_frame, FrameError};
+use eq_wire::frame::{begin_frame, end_frame, read_frame, write_frame, FrameError, HEADER_LEN};
 use eq_wire::{Reader, WireError, Writer};
 
 /// Protocol version; bumped on any byte-layout change.  Decoders reject
@@ -273,18 +273,29 @@ fn encode_ingest_body(w: &mut Writer, patches: &[Patch]) {
 /// caller having to clone raster data into an owned [`RequestBody`].
 pub fn encode_new_example_request(id: u64, patch: &Patch, k: u64) -> Vec<u8> {
     let mut w = Writer::new();
-    encode_envelope(&mut w, id);
-    encode_new_example_body(&mut w, patch, k);
+    encode_new_example_request_into(&mut w, id, patch, k);
     w.into_bytes()
+}
+
+/// [`encode_new_example_request`] appending to a caller's writer (a frame
+/// buffer under construction, see [`frame_request_with`]).
+pub fn encode_new_example_request_into(w: &mut Writer, id: u64, patch: &Patch, k: u64) {
+    encode_envelope(w, id);
+    encode_new_example_body(w, patch, k);
 }
 
 /// Encodes an ingest request from *borrowed* patches — the client upload
 /// hot path; byte-identical to `Request::encode` with the same fields.
 pub fn encode_ingest_request(id: u64, patches: &[Patch]) -> Vec<u8> {
     let mut w = Writer::new();
-    encode_envelope(&mut w, id);
-    encode_ingest_body(&mut w, patches);
+    encode_ingest_request_into(&mut w, id, patches);
     w.into_bytes()
+}
+
+/// [`encode_ingest_request`] appending to a caller's writer.
+pub fn encode_ingest_request_into(w: &mut Writer, id: u64, patches: &[Patch]) {
+    encode_envelope(w, id);
+    encode_ingest_body(w, patches);
 }
 
 impl Request {
@@ -292,26 +303,30 @@ impl Request {
     /// body — everything but the frame header).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        encode_envelope(&mut w, self.id);
+        self.encode_into(&mut w);
+        w.into_bytes()
+    }
+
+    /// [`encode`](Self::encode) appending to a caller's writer.
+    pub fn encode_into(&self, w: &mut Writer) {
+        encode_envelope(w, self.id);
         match &self.body {
             RequestBody::Ping => w.u8(REQ_PING),
             RequestBody::Search(spec) => {
                 w.u8(REQ_SEARCH);
-                spec.encode(&mut w);
+                spec.encode(w);
             }
             RequestBody::SimilarTo { name, k } => {
                 w.u8(REQ_SIMILAR_TO);
                 w.str(name);
                 w.u64(*k);
             }
-            RequestBody::SearchByNewExample { patch, k } => {
-                encode_new_example_body(&mut w, patch, *k)
-            }
-            RequestBody::Ingest { patches } => encode_ingest_body(&mut w, patches),
+            RequestBody::SearchByNewExample { patch, k } => encode_new_example_body(w, patch, *k),
+            RequestBody::Ingest { patches } => encode_ingest_body(w, patches),
             RequestBody::Feedback { text, category } => {
                 w.u8(REQ_FEEDBACK);
                 w.str(text);
-                encode_option_str(category.as_deref(), &mut w);
+                encode_option_str(category.as_deref(), w);
             }
             RequestBody::Stats => w.u8(REQ_STATS),
             RequestBody::MetricsText => w.u8(REQ_METRICS_TEXT),
@@ -319,15 +334,15 @@ impl Request {
                 w.u8(REQ_SIMILAR_TO_FILTERED);
                 w.str(name);
                 w.u64(*k);
-                spec.encode(&mut w);
-                mode.encode(&mut w);
+                spec.encode(w);
+                mode.encode(w);
             }
             RequestBody::SimilarWithinFiltered { name, radius, spec, mode } => {
                 w.u8(REQ_SIMILAR_WITHIN_FILTERED);
                 w.str(name);
                 w.u32(*radius);
-                spec.encode(&mut w);
-                mode.encode(&mut w);
+                spec.encode(w);
+                mode.encode(w);
             }
             RequestBody::ReplState => w.u8(REQ_REPL_STATE),
             RequestBody::ReplManifest => w.u8(REQ_REPL_MANIFEST),
@@ -346,7 +361,6 @@ impl Request {
                 w.u64(*max_bytes);
             }
         }
-        w.into_bytes()
     }
 
     /// Decodes frame-payload bytes into a request.
@@ -480,17 +494,22 @@ impl Response {
     /// Serializes the response into frame-payload bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        w.u16(PROTOCOL_VERSION);
-        w.u64(self.id);
+        self.encode_into(&mut w);
+        w.into_bytes()
+    }
+
+    /// [`encode`](Self::encode) appending to a caller's writer.
+    pub fn encode_into(&self, w: &mut Writer) {
+        encode_envelope(w, self.id);
         match &self.body {
             ResponseBody::Pong => w.u8(RESP_PONG),
             ResponseBody::Search(payload) => {
                 w.u8(RESP_SEARCH);
-                payload.encode(&mut w);
+                payload.encode(w);
             }
             ResponseBody::Ingest(payload) => {
                 w.u8(RESP_INGEST);
-                payload.encode(&mut w);
+                payload.encode(w);
             }
             ResponseBody::Feedback { id } => {
                 w.u8(RESP_FEEDBACK);
@@ -498,11 +517,11 @@ impl Response {
             }
             ResponseBody::Stats(payload) => {
                 w.u8(RESP_STATS);
-                payload.encode(&mut w);
+                payload.encode(w);
             }
             ResponseBody::Error(payload) => {
                 w.u8(RESP_ERROR);
-                payload.encode(&mut w);
+                payload.encode(w);
             }
             ResponseBody::MetricsText(text) => {
                 w.u8(RESP_METRICS_TEXT);
@@ -510,11 +529,11 @@ impl Response {
             }
             ResponseBody::Filtered(payload) => {
                 w.u8(RESP_FILTERED);
-                payload.encode(&mut w);
+                payload.encode(w);
             }
             ResponseBody::ReplState(payload) => {
                 w.u8(RESP_REPL_STATE);
-                payload.encode(&mut w);
+                payload.encode(w);
             }
             ResponseBody::ReplManifest { bytes } => {
                 w.u8(RESP_REPL_MANIFEST);
@@ -522,14 +541,13 @@ impl Response {
             }
             ResponseBody::ReplChunk(payload) => {
                 w.u8(RESP_REPL_CHUNK);
-                payload.encode(&mut w);
+                payload.encode(w);
             }
             ResponseBody::ReplRecords(payload) => {
                 w.u8(RESP_REPL_RECORDS);
-                payload.encode(&mut w);
+                payload.encode(w);
             }
         }
-        w.into_bytes()
     }
 
     /// Decodes frame-payload bytes into a response.
@@ -1381,23 +1399,71 @@ fn decode_option_str(r: &mut Reader<'_>) -> Result<Option<String>, WireError> {
 /// Enforces [`MAX_FRAME_LEN`] on the *sending* side: every reader rejects
 /// larger frames, so emitting one would only fail at the peer with an
 /// opaque transport error instead of a clear local one.
-fn check_outgoing(payload: &[u8]) -> Result<(), ProtoError> {
-    if payload.len() as u64 > MAX_FRAME_LEN as u64 {
+fn check_outgoing(payload_len: usize) -> Result<(), ProtoError> {
+    if payload_len as u64 > MAX_FRAME_LEN as u64 {
         return Err(ProtoError::Frame(FrameError::Oversized {
-            declared: payload.len() as u64,
+            declared: payload_len as u64,
             max: MAX_FRAME_LEN as u64,
         }));
     }
     Ok(())
 }
 
-/// Writes one request frame to the stream.
+/// Appends one complete frame to `buf`, its payload written by `encode`
+/// straight behind the reserved header (no payload → frame copy).  On an
+/// error `buf` is back to what it held before.
+fn frame_with(
+    buf: &mut Vec<u8>,
+    magic: &[u8; 4],
+    encode: impl FnOnce(&mut Writer),
+) -> Result<(), ProtoError> {
+    let start = begin_frame(buf, magic);
+    let mut w = Writer::appending_to(std::mem::take(buf));
+    encode(&mut w);
+    *buf = w.into_bytes();
+    let framed = check_outgoing(buf.len() - start - HEADER_LEN)
+        .and_then(|()| end_frame(buf, start).map_err(ProtoError::from));
+    if framed.is_err() {
+        buf.truncate(start);
+    }
+    framed
+}
+
+/// Appends one complete request frame to `buf`; `encode` writes the payload
+/// (envelope included: [`Request::encode_into`], or one of the borrowed
+/// `encode_*_request_into` encoders) in place.  A connection that reuses one
+/// buffer per frame and sends it with one `write_all` pays one `write(2)`
+/// and no copy per request.
+///
+/// # Errors
+/// Returns [`ProtoError::Frame`] for a payload exceeding [`MAX_FRAME_LEN`];
+/// `buf` is then unchanged.
+pub fn frame_request_with(
+    buf: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Writer),
+) -> Result<(), ProtoError> {
+    frame_with(buf, &REQUEST_MAGIC, encode)
+}
+
+/// Appends one complete response frame to `buf`, encoded in place.
+///
+/// # Errors
+/// Returns [`ProtoError::Frame`] for a message exceeding [`MAX_FRAME_LEN`];
+/// `buf` is then unchanged.
+pub fn frame_response(buf: &mut Vec<u8>, response: &Response) -> Result<(), ProtoError> {
+    frame_with(buf, &RESPONSE_MAGIC, |w| response.encode_into(w))
+}
+
+/// Writes one request frame to the stream, in one `write_all`.
 ///
 /// # Errors
 /// Returns [`ProtoError::Frame`] on I/O failure or a message exceeding
 /// [`MAX_FRAME_LEN`] (which no peer would accept).
 pub fn write_request<W: Write>(w: &mut W, request: &Request) -> Result<(), ProtoError> {
-    write_request_payload(w, &request.encode())
+    let mut frame = Vec::new();
+    frame_request_with(&mut frame, |out| request.encode_into(out))?;
+    w.write_all(&frame).map_err(FrameError::Io)?;
+    Ok(())
 }
 
 /// Writes pre-encoded request payload bytes (from [`Request::encode`],
@@ -1408,7 +1474,7 @@ pub fn write_request<W: Write>(w: &mut W, request: &Request) -> Result<(), Proto
 /// Returns [`ProtoError::Frame`] on I/O failure or a payload exceeding
 /// [`MAX_FRAME_LEN`].
 pub fn write_request_payload<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), ProtoError> {
-    check_outgoing(payload)?;
+    check_outgoing(payload.len())?;
     write_frame(w, &REQUEST_MAGIC, payload)?;
     Ok(())
 }
@@ -1425,15 +1491,15 @@ pub fn read_request<R: Read>(r: &mut R) -> Result<Option<Request>, ProtoError> {
     }
 }
 
-/// Writes one response frame to the stream.
+/// Writes one response frame to the stream, in one `write_all`.
 ///
 /// # Errors
 /// Returns [`ProtoError::Frame`] on I/O failure or a message exceeding
 /// [`MAX_FRAME_LEN`] (which no peer would accept).
 pub fn write_response<W: Write>(w: &mut W, response: &Response) -> Result<(), ProtoError> {
-    let payload = response.encode();
-    check_outgoing(&payload)?;
-    write_frame(w, &RESPONSE_MAGIC, &payload)?;
+    let mut frame = Vec::new();
+    frame_response(&mut frame, response)?;
+    w.write_all(&frame).map_err(FrameError::Io)?;
     Ok(())
 }
 
@@ -1776,6 +1842,66 @@ mod tests {
             Err(ProtoError::Frame(FrameError::Oversized { .. }))
         ));
         assert!(sink.is_empty(), "nothing may reach the wire");
+    }
+
+    /// An over-cap message built in place is refused too, and the caller's
+    /// buffer (with whatever frames it already holds) is left as it was.
+    #[test]
+    fn oversized_in_place_frames_leave_the_buffer_unchanged() {
+        let mut buf = Vec::new();
+        frame_response(&mut buf, &Response { id: 1, body: ResponseBody::Pong }).unwrap();
+        let before = buf.clone();
+        let huge =
+            Response { id: 2, body: ResponseBody::MetricsText("x".repeat(MAX_FRAME_LEN as usize)) };
+        assert!(matches!(
+            frame_response(&mut buf, &huge),
+            Err(ProtoError::Frame(FrameError::Oversized { .. }))
+        ));
+        assert_eq!(buf, before);
+    }
+
+    /// One request or response frame costs its stream exactly one `write`
+    /// call (header and payload leave together: one segment on a
+    /// `TCP_NODELAY` socket, one wake-up at the peer), and frames built in
+    /// place are the bytes the stream writers emit.
+    #[test]
+    fn a_frame_is_one_write_and_in_place_frames_match_written_ones() {
+        struct CountingWriter(usize, Vec<u8>);
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0 += 1;
+                self.1.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let patch = ArchiveGenerator::new(GeneratorConfig::tiny(1, 6)).unwrap().generate_patch(0);
+        let request = Request { id: 5, body: RequestBody::Search(sample_query()) };
+        let response = Response {
+            id: 5,
+            body: ResponseBody::Error(ErrorPayload {
+                code: ErrorCode::Overloaded,
+                message: "busy".into(),
+            }),
+        };
+
+        let mut w = CountingWriter(0, Vec::new());
+        write_request(&mut w, &request).unwrap();
+        assert_eq!(w.0, 1, "a request frame is one write");
+        write_response(&mut w, &response).unwrap();
+        assert_eq!(w.0, 2, "a response frame is one write");
+        write_request_payload(&mut w, &encode_new_example_request(6, &patch, 3)).unwrap();
+        assert_eq!(w.0, 3, "a pre-encoded request frame is one write");
+
+        // The same three frames, built in place in one reused buffer.
+        let mut buf = Vec::new();
+        frame_request_with(&mut buf, |out| request.encode_into(out)).unwrap();
+        frame_response(&mut buf, &response).unwrap();
+        frame_request_with(&mut buf, |out| encode_new_example_request_into(out, 6, &patch, 3))
+            .unwrap();
+        assert_eq!(buf, w.1);
     }
 
     #[test]

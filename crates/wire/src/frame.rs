@@ -86,27 +86,61 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-/// Writes one frame (magic, length, CRC-32, payload) to the stream: a
-/// 12-byte header write followed by the payload, with no intermediate
-/// copy of the payload (frames can run to tens of megabytes).  Streams
-/// with more than one concurrent writer need external serialisation —
-/// every user in this workspace has exactly one writer per stream.
+/// Bytes of a frame header: magic, payload length, payload CRC-32.
+pub const HEADER_LEN: usize = 12;
+
+/// Starts a frame at the end of `buf`: appends the magic and a placeholder
+/// for the length and checksum, and returns the frame's start offset for
+/// [`end_frame`].  The caller then appends the payload to `buf` directly —
+/// the message is encoded where it will be sent from, with no payload →
+/// frame copy.
+pub fn begin_frame(buf: &mut Vec<u8>, magic: &[u8; 4]) -> usize {
+    let start = buf.len();
+    buf.extend_from_slice(magic);
+    buf.extend_from_slice(&[0u8; HEADER_LEN - 4]);
+    start
+}
+
+/// Completes the frame [`begin_frame`] started at `start`: everything after
+/// its header is the payload, whose length and CRC-32 are patched into the
+/// header.
+///
+/// # Errors
+/// Fails with [`FrameError::Oversized`] if the payload exceeds `u32::MAX`
+/// bytes, and with [`FrameError::Truncated`] if `start` is not the offset of
+/// a header inside `buf` (a caller bug, reported instead of panicking).
+pub fn end_frame(buf: &mut [u8], start: usize) -> Result<(), FrameError> {
+    let Some((header, payload)) =
+        buf.get_mut(start..).and_then(|frame| frame.split_at_mut_checked(HEADER_LEN))
+    else {
+        return Err(FrameError::Truncated { context: "frame header to patch" });
+    };
+    let len = u32::try_from(payload.len()).map_err(|_| FrameError::Oversized {
+        declared: payload.len() as u64,
+        max: u32::MAX as u64,
+    })?;
+    header[4..8].copy_from_slice(&len.to_le_bytes());
+    header[8..].copy_from_slice(&crc32(payload).to_le_bytes());
+    Ok(())
+}
+
+/// Writes one frame (magic, length, CRC-32, payload) to the stream with
+/// **one** `write_all` of one contiguous buffer, so a small frame is one
+/// `write(2)` and one TCP segment.  The payload is copied once to get there;
+/// senders that encode the payload themselves avoid the copy with
+/// [`begin_frame`] / [`end_frame`].  Streams with more than one concurrent
+/// writer need external serialisation.
 ///
 /// The caller is responsible for flushing if the stream is buffered.
 ///
 /// # Errors
 /// Fails if the payload exceeds `u32::MAX` bytes or on stream I/O errors.
 pub fn write_frame<W: Write>(w: &mut W, magic: &[u8; 4], payload: &[u8]) -> Result<(), FrameError> {
-    let len = u32::try_from(payload.len()).map_err(|_| FrameError::Oversized {
-        declared: payload.len() as u64,
-        max: u32::MAX as u64,
-    })?;
-    let mut header = [0u8; 12];
-    header[..4].copy_from_slice(magic);
-    header[4..8].copy_from_slice(&len.to_le_bytes());
-    header[8..].copy_from_slice(&crc32(payload).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+    let start = begin_frame(&mut frame, magic);
+    frame.extend_from_slice(payload);
+    end_frame(&mut frame, start)?;
+    w.write_all(&frame)?;
     Ok(())
 }
 
@@ -319,6 +353,52 @@ mod tests {
         assert_eq!(read_frame(&mut r, MAGIC, 4096).unwrap().unwrap(), b"");
         assert_eq!(read_frame(&mut r, MAGIC, 4096).unwrap().unwrap(), vec![0xFF; 1000]);
         assert!(read_frame(&mut r, MAGIC, 4096).unwrap().is_none(), "clean EOF");
+    }
+
+    /// Counts the `write` calls a frame costs its stream.
+    struct CountingWriter {
+        calls: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_exactly_one_write_call() {
+        let mut w = CountingWriter { calls: 0, bytes: Vec::new() };
+        write_frame(&mut w, MAGIC, &[7u8; 3000]).unwrap();
+        assert_eq!(w.calls, 1, "header and payload must leave in one write");
+        assert_eq!(read_frame(&mut Cursor::new(w.bytes), MAGIC, 4096).unwrap().unwrap(), [7; 3000]);
+    }
+
+    #[test]
+    fn in_place_frames_equal_written_frames() {
+        // A frame built behind a reserved header, after earlier content, is
+        // byte-identical to the one `write_frame` emits.
+        let mut buf = b"earlier bytes".to_vec();
+        let start = begin_frame(&mut buf, MAGIC);
+        assert_eq!(start, 13);
+        buf.extend_from_slice(b"payload in place");
+        end_frame(&mut buf, start).unwrap();
+        assert_eq!(&buf[start..], framed(b"payload in place"));
+        // An empty payload is a valid frame too.
+        let mut empty = Vec::new();
+        let start = begin_frame(&mut empty, MAGIC);
+        end_frame(&mut empty, start).unwrap();
+        assert_eq!(empty, framed(b""));
+        // A start offset that is not a header is an error, never a panic.
+        assert!(matches!(end_frame(&mut empty, 5), Err(FrameError::Truncated { .. })));
+        assert!(matches!(end_frame(&mut empty, 99), Err(FrameError::Truncated { .. })));
     }
 
     #[test]

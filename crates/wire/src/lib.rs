@@ -75,6 +75,14 @@ impl Writer {
         Self { buf: Vec::with_capacity(capacity) }
     }
 
+    /// Continues an existing buffer: everything written lands after the
+    /// bytes `buf` already holds, and [`into_bytes`](Self::into_bytes) hands
+    /// the same allocation back.  This is how a message is encoded straight
+    /// into a frame buffer ([`frame::begin_frame`]) or a reused one.
+    pub fn appending_to(buf: Vec<u8>) -> Self {
+        Self { buf }
+    }
+
     /// The bytes written so far.
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf
@@ -324,9 +332,12 @@ impl<'a> Reader<'a> {
 pub mod frame;
 pub mod manifest;
 
-/// The CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) lookup table.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// The CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) lookup
+/// tables for slicing-by-8: `CRC32_TABLES[0]` is the classic bytewise table,
+/// and `CRC32_TABLES[k][b]` is the checksum state after byte `b` followed by
+/// `k` zero bytes, so eight table reads advance the state by eight bytes.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -335,19 +346,42 @@ const CRC32_TABLE: [u32; 256] = {
             crc = if crc & 1 == 1 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// Computes the CRC-32 (IEEE 802.3) checksum of a byte slice — the same
 /// polynomial used by zip, PNG and Ethernet, so reference vectors are easy
-/// to verify.
+/// to verify.  Eight bytes per step (slicing-by-8); the tail goes bytewise.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][c[4] as usize]
+            ^ t[2][c[5] as usize]
+            ^ t[1][c[6] as usize]
+            ^ t[0][c[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }

@@ -3,8 +3,10 @@
 //! directory must recover to byte-identical query answers.
 //!
 //! The failpoint registry is process-global (one armed point at a time),
-//! so this suite lives in its own test binary: arming a point here can
-//! never trip a checkpoint running concurrently in another test.
+//! so this suite lives in its own test binary, and its tests — which
+//! `cargo test` would run on parallel threads — take [`FAILPOINTS`] for
+//! their whole body: a point armed by one can never fire inside the
+//! other's checkpoint.
 
 use std::path::{Path, PathBuf};
 
@@ -17,6 +19,14 @@ use agoraeo::earthqube::{
 use agoraeo::geo::GeoShape;
 
 const SEED: u64 = 6161;
+
+/// Serialises the tests of this binary around the one global failpoint.
+static FAILPOINTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn failpoints_lock() -> std::sync::MutexGuard<'static, ()> {
+    // A test that failed while holding the lock must not fail the other.
+    FAILPOINTS.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 fn generate(n: usize, seed: u64) -> Archive {
     ArchiveGenerator::new(GeneratorConfig::tiny(n, seed)).unwrap().generate()
@@ -102,6 +112,7 @@ fn copy_dir(src: &Path, dst: &Path) {
 /// silently skipped by this suite.
 #[test]
 fn every_declared_crash_point_recovers_byte_identically() {
+    let _serial = failpoints_lock();
     let dir = ScratchDir::new("matrix");
     let base = dir.path().join("base");
     let initial = generate(30, SEED);
@@ -169,6 +180,7 @@ fn every_declared_crash_point_recovers_byte_identically() {
 /// be untouched by the failed attempt and keep recovering.
 #[test]
 fn crashed_full_checkpoint_leaves_the_old_lineage_recoverable() {
+    let _serial = failpoints_lock();
     let dir = ScratchDir::new("full");
     let initial = generate(12, SEED + 1);
     let srv =

@@ -247,24 +247,32 @@ fn slow_readers_are_evicted_and_service_continues() {
     let mut canary = EqClient::connect(addr).unwrap();
     let expected = server.search(&ImageQuery::all()).unwrap();
 
-    // The loris: hundreds of pipelined searches, never reading a byte of
-    // the multi-megabyte response stream.
+    // The loris: pipelined searches in bursts, never reading a byte of the
+    // response stream.  How much unread output the kernel's (autotuned)
+    // loopback buffers swallow before the server's writes stall is not
+    // ours to know, so the flood goes on until the eviction shows — bounded
+    // by a request count (gigabytes of answers) and a deadline, never by a
+    // guess at buffer sizes.
     let mut loris = TcpStream::connect(addr).unwrap();
+    let _ = loris.set_write_timeout(Some(Duration::from_secs(2)));
     let spec = agoraeo::earthqube::net::query_to_spec(&ImageQuery::all());
     let mut burst = Vec::new();
-    for id in 1..=800u64 {
+    for id in 1..=100u64 {
         proto::write_request(
             &mut burst,
             &proto::Request { id, body: proto::RequestBody::Search(spec.clone()) },
         )
         .unwrap();
     }
-    loris.write_all(&burst).unwrap();
-    loris.flush().unwrap();
-
     let deadline = Instant::now() + Duration::from_secs(20);
+    let mut bursts = 0;
     while net.net_stats().evicted_slow == 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
+        // A failed write means the server already shut the socket: evicted.
+        if bursts < 5_000 && loris.write_all(&burst).is_ok() {
+            bursts += 1;
+        } else {
+            std::thread::sleep(Duration::from_millis(5));
+        }
     }
     let stats = net.net_stats();
     assert!(stats.evicted_slow >= 1, "the non-reading client must be evicted: {stats:?}");
@@ -274,6 +282,63 @@ fn slow_readers_are_evicted_and_service_continues() {
     assert_eq!(canary.search(&ImageQuery::all()).unwrap(), expected);
     canary.ping().unwrap();
     drop(loris);
+    net.shutdown();
+}
+
+/// Workers write responses themselves, so a worker must never park on a
+/// peer: with ONE worker and one connection whose backlog is stuck (the
+/// peer never reads, the write timeout is seconds away), a canary is still
+/// served at once — and the stuck connection is evicted when its time is up.
+#[test]
+fn a_stuck_backlog_never_parks_the_only_worker() {
+    let (net, server) = serve_with(
+        48,
+        405,
+        NetConfig {
+            workers: 1,
+            max_inflight_per_conn: 64,
+            write_timeout: Duration::from_secs(3),
+            ..NetConfig::default() // the 160 MiB buffer cap: only the timeout evicts
+        },
+    );
+    let addr = net.local_addr();
+    let mut canary = EqClient::connect(addr).unwrap();
+    let expected = server.search(&ImageQuery::all()).unwrap();
+
+    // Flood without reading until a worker's write stops short: the socket
+    // took what its buffers hold and the rest is a backlog left to POLLOUT.
+    let mut stuck = TcpStream::connect(addr).unwrap();
+    let _ = stuck.set_write_timeout(Some(Duration::from_secs(2)));
+    let spec = agoraeo::earthqube::net::query_to_spec(&ImageQuery::all());
+    let mut burst = Vec::new();
+    for id in 1..=32u64 {
+        proto::write_request(
+            &mut burst,
+            &proto::Request { id, body: proto::RequestBody::Search(spec.clone()) },
+        )
+        .unwrap();
+    }
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while net.net_stats().responses_deferred == 0 && Instant::now() < deadline {
+        stuck.write_all(&burst).expect("the server keeps reading requests");
+    }
+    let stats = net.net_stats();
+    assert!(stats.responses_deferred >= 1, "the unread socket must fill up: {stats:?}");
+
+    // The backlog is stuck and its connection still open; the one worker
+    // is free all the same.
+    assert_eq!(canary.search(&ImageQuery::all()).unwrap(), expected);
+    canary.ping().unwrap();
+    assert_eq!(net.net_stats().evicted_slow, 0, "served while the backlog was still stuck");
+
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while net.net_stats().evicted_slow == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(net.net_stats().evicted_slow, 1, "the stuck connection times out");
+    assert_eq!(net.connections_failed(), 0, "eviction is not a protocol fault");
+    canary.ping().unwrap();
+    drop(stuck);
     net.shutdown();
 }
 

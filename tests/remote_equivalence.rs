@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use agoraeo::bigearthnet::{Archive, ArchiveGenerator, GeneratorConfig, Label};
-use agoraeo::earthqube::net::{response_to_payload, EqClient, NetServer};
+use agoraeo::earthqube::net::{response_to_payload, EqClient, NetConfig, NetServer};
 use agoraeo::earthqube::{
     EarthQubeConfig, ImageQuery, LabelFilter, LabelOperator, PrefilterMode, QueryRequest,
     QueryServer, SearchResponse, ServeConfig,
@@ -183,5 +183,51 @@ fn cached_responses_cross_the_wire_unchanged() {
     assert_eq!(stats.cache_hits, 1);
     assert_eq!(stats.cache_misses, 1);
     assert_byte_identical(&server.similar_to(name, 5).unwrap(), &second, "cached similar_to");
+    net.shutdown();
+}
+
+/// Four workers answer one connection's pipelined batch concurrently and
+/// write the socket themselves; the per-connection reorder buffer must
+/// still release the responses in submission order (`run_batch` fails on
+/// the first response id out of order) and unchanged: slow requests
+/// (uploads, whole-archive searches) interleaved with fast ones (cached
+/// and uncached neighbour queries, an error) come back byte-identical to
+/// executing the same list sequentially in process.
+#[test]
+fn out_of_order_completions_leave_in_submission_order() {
+    let archive = ArchiveGenerator::new(GeneratorConfig::tiny(40, 504)).unwrap().generate();
+    let server = Arc::new(build_server(&archive, 504));
+    // Quota and queue above the batch size: nothing may be rejected here.
+    let config = NetConfig {
+        workers: 4,
+        max_inflight_per_conn: 1024,
+        queue_capacity: 1024,
+        ..NetConfig::default()
+    };
+    let net = NetServer::bind_with(Arc::clone(&server), "127.0.0.1:0", config).unwrap();
+    let mut client = EqClient::connect(net.local_addr()).unwrap();
+
+    let external = ArchiveGenerator::new(GeneratorConfig::tiny(3, 4243)).unwrap().generate();
+    let mut requests = Vec::new();
+    for round in 0..12usize {
+        let upload = external.patches()[round % 3].clone();
+        requests.push(QueryRequest::NewExample { patch: Box::new(upload), k: 9 });
+        for patch in archive.patches().iter().skip(round).step_by(7) {
+            requests.push(QueryRequest::SimilarTo { name: patch.meta.name.clone(), k: 5 });
+        }
+        requests.push(QueryRequest::Metadata(ImageQuery::all()));
+        requests.push(QueryRequest::SimilarTo { name: format!("ghost-{round}"), k: 2 });
+    }
+
+    let remote = client.run_batch(&requests).unwrap();
+    assert_eq!(remote.len(), requests.len());
+    for (i, (remote_result, request)) in remote.iter().zip(&requests).enumerate() {
+        match (remote_result, server.execute(request)) {
+            (Ok(remote), Ok(local)) => assert_byte_identical(&local, remote, &format!("slot {i}")),
+            (Err(remote), Err(local)) => assert_eq!(remote, &local, "slot {i}: errors differ"),
+            (r, l) => panic!("slot {i}: remote {r:?} vs in-process {l:?}"),
+        }
+    }
+    assert_eq!(net.connections_failed(), 0);
     net.shutdown();
 }
