@@ -1,11 +1,10 @@
-//! Collections: document storage, indexes and the query planner.
+//! Collections: document storage, indexes and query execution.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use eq_geo::Point;
 use eq_hashindex::Bitmap;
 
-use crate::filter::Filter;
+use crate::filter::{point_from_field, Filter};
 use crate::index::{AttributeIndex, GeoIndex, DEFAULT_GEOHASH_PRECISION};
 use crate::value::{Document, Value};
 use crate::{DocId, StoreError};
@@ -14,17 +13,19 @@ use crate::{DocId, StoreError};
 /// experiments (E4/E5) can verify which access path was taken.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryPlan {
-    /// The index that drove the scan (`"pk"`, an attribute field name, or
-    /// the geo field), or `None` for a full collection scan.
+    /// The indexes the candidate set was built from — `"pk"`, an attribute
+    /// field name or the geo field; several joined with `+` in filter
+    /// order — or `None` for a full collection scan.
     pub index_used: Option<String>,
-    /// Number of candidate documents examined.
+    /// Number of candidate documents examined (the whole collection on a
+    /// full scan).
     pub scanned: usize,
     /// Number of documents that matched the filter.
     pub matched: usize,
 }
 
-/// The result of a query: matching document ids (in insertion order) plus
-/// the execution plan.
+/// The result of a query: matching document ids (ascending, which is
+/// insertion order) plus the execution plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
     /// Ids of the matching documents.
@@ -190,7 +191,7 @@ impl Collection {
         }
         let mut index = GeoIndex::new(DEFAULT_GEOHASH_PRECISION);
         for (&id, doc) in &self.docs {
-            if let Some(p) = point_of(doc, field) {
+            if let Some(p) = point_from_field(doc, field) {
                 index.insert(id, p);
             }
         }
@@ -254,7 +255,7 @@ impl Collection {
             }
         }
         if let (Some(field), Some(index)) = (&self.geo_field, self.geo_index.as_mut()) {
-            if let Some(p) = point_of(&doc, field) {
+            if let Some(p) = point_from_field(&doc, field) {
                 index.insert(id, p);
             }
         }
@@ -399,7 +400,13 @@ impl Collection {
 
     /// The document with the given primary-key value.
     pub fn get_by_key(&self, key: &Value) -> Option<&Document> {
-        self.pk_index.get(key).and_then(|id| self.docs.get(id))
+        self.id_by_key(key).and_then(|id| self.docs.get(&id))
+    }
+
+    /// The internal id stored under a primary-key value (the key-index
+    /// probe behind the prefilter compiler's `Eq`/`In` on the key field).
+    pub(crate) fn id_by_key(&self, key: &Value) -> Option<DocId> {
+        self.pk_index.get(key).copied()
     }
 
     /// Deletes the document with the given primary-key value.
@@ -408,6 +415,7 @@ impl Collection {
     /// Fails if no such document exists.
     pub fn delete_by_key(&mut self, key: &Value) -> Result<(), StoreError> {
         let id = *self.pk_index.get(key).ok_or_else(|| StoreError::NotFound(format!("{key:?}")))?;
+        // lint:allow(panic) every mutation keeps `pk_index` and `docs` in step, so a keyed id always has its document
         let doc = self.docs.remove(&id).expect("pk index and docs are consistent");
         self.pk_index.remove(key);
         self.insertion_order.retain(|d| *d != id);
@@ -417,7 +425,7 @@ impl Collection {
             }
         }
         if let (Some(field), Some(index)) = (&self.geo_field, self.geo_index.as_mut()) {
-            if let Some(p) = point_of(&doc, field) {
+            if let Some(p) = point_from_field(&doc, field) {
                 index.remove(id, p);
             }
         }
@@ -439,81 +447,22 @@ impl Collection {
         self.insert(doc).map(|_| ())
     }
 
-    /// Runs a query, picking the best available index.
-    ///
-    /// Planner order (mirrors what MongoDB would do for these shapes):
-    /// 1. exact primary-key equality,
-    /// 2. geospatial predicate through the geo index,
-    /// 3. exact equality on an attribute index,
-    /// 4. full collection scan.
+    /// Runs a query through the store's one filter engine:
+    /// [`compile_prefilter`](Self::compile_prefilter) turns whatever the
+    /// indexes (primary key, attribute, geo) can decide into a candidate
+    /// bitmap, and the residual filter runs on the candidates in ascending
+    /// id order — over every document only when nothing compiled.
     pub fn find(&self, filter: &Filter) -> QueryResult {
-        // 1. Primary-key point lookup.
-        if let Some(key) = filter.exact_value_for(&self.primary_key) {
-            let mut ids = Vec::new();
-            let mut scanned = 0;
-            if let Some(&id) = self.pk_index.get(key) {
-                scanned = 1;
-                if filter.matches(&self.docs[&id]) {
-                    ids.push(id);
-                }
-            }
-            let matched = ids.len();
-            return QueryResult {
-                ids,
-                plan: QueryPlan { index_used: Some("pk".into()), scanned, matched },
-            };
-        }
-
-        // 2. Geo index.
-        if let (Some((field, shape)), Some(geo_field), Some(index)) =
-            (filter.geo_constraint(), self.geo_field.as_deref(), self.geo_index.as_ref())
-        {
-            if field == geo_field {
-                let (candidates, _cells) = index.candidates_in_shape(shape);
-                let scanned = candidates.len();
-                let ids: Vec<DocId> =
-                    candidates.into_iter().filter(|id| filter.matches(&self.docs[id])).collect();
-                let matched = ids.len();
-                return QueryResult {
-                    ids,
-                    plan: QueryPlan { index_used: Some(geo_field.to_string()), scanned, matched },
-                };
-            }
-        }
-
-        // 3. Attribute index on an exact equality.
-        for (field, index) in &self.attr_indexes {
-            if let Some(value) = filter.exact_value_for(field) {
-                let candidates = index.lookup(value);
-                let scanned = candidates.len();
-                let mut ids: Vec<DocId> =
-                    candidates.into_iter().filter(|id| filter.matches(&self.docs[id])).collect();
-                ids.sort_unstable();
-                let matched = ids.len();
-                return QueryResult {
-                    ids,
-                    plan: QueryPlan { index_used: Some(field.clone()), scanned, matched },
-                };
-            }
-        }
-
-        // 4. Full scan in insertion order.
-        let mut ids = Vec::new();
-        for &id in &self.insertion_order {
-            if filter.matches(&self.docs[&id]) {
-                ids.push(id);
-            }
-        }
+        let plan = self.compile_prefilter(filter);
+        let ids: Vec<DocId> = plan.matching(self).map(|(id, _)| id).collect();
+        let scanned = plan.cardinality().map_or(self.len(), |c| c as usize);
         let matched = ids.len();
-        QueryResult {
-            ids,
-            plan: QueryPlan { index_used: None, scanned: self.insertion_order.len(), matched },
-        }
+        QueryResult { ids, plan: QueryPlan { index_used: plan.index_used, scanned, matched } }
     }
 
     /// Like [`find`](Self::find) but returns document references.
     pub fn find_docs(&self, filter: &Filter) -> Vec<&Document> {
-        self.find(filter).ids.iter().map(|id| &self.docs[id]).collect()
+        self.compile_prefilter(filter).matching(self).map(|(_, doc)| doc).collect()
     }
 
     /// Number of documents matching a filter.
@@ -535,14 +484,6 @@ impl Collection {
             geo_index: self.geo_field.clone(),
         }
     }
-}
-
-fn point_of(doc: &Document, field: &str) -> Option<Point> {
-    let arr = doc.get(field)?.as_array()?;
-    if arr.len() != 2 {
-        return None;
-    }
-    Point::new(arr[0].as_float()?, arr[1].as_float()?).ok()
 }
 
 #[cfg(test)]
@@ -652,7 +593,31 @@ mod tests {
         let r = c.find(&f);
         // p1 (labels AB) and p4 (labels AD) match; p2/p3 have no 'A'.
         assert_eq!(r.ids.len(), 2);
+        // `labels` carries no index here: the geo cover alone bounds the
+        // candidates (all four points) and the label test is residual.
         assert_eq!(r.plan.index_used.as_deref(), Some("location"));
+        assert_eq!(r.plan.scanned, 4);
+        // An indexed attribute narrows the same cover and is named after it.
+        let r = c.find(&f.and(Filter::Eq("country".into(), "Portugal".into())));
+        assert_eq!(r.ids, vec![0]);
+        assert_eq!(r.plan.index_used.as_deref(), Some("location+country"));
+        assert_eq!(r.plan.scanned, 2);
+    }
+
+    #[test]
+    fn a_disjunction_with_an_unindexed_branch_is_a_full_scan() {
+        let c = sample_collection();
+        let f = Filter::Or(vec![
+            Filter::Eq("country".into(), "Austria".into()),
+            Filter::Eq("labels".into(), "AD".into()),
+        ]);
+        let r = c.find(&f);
+        assert_eq!(r.ids, vec![2, 3]);
+        assert_eq!(r.plan, QueryPlan { index_used: None, scanned: 4, matched: 2 });
+        // Several values of the key are still point lookups.
+        let r = c.find(&Filter::In("name".into(), vec!["p4".into(), "p2".into(), "nope".into()]));
+        assert_eq!(r.ids, vec![1, 3]);
+        assert_eq!(r.plan, QueryPlan { index_used: Some("pk".into()), scanned: 2, matched: 2 });
     }
 
     #[test]

@@ -107,28 +107,6 @@ impl Filter {
             }
         }
     }
-
-    /// If the filter constrains `field` to an exact value (possibly inside
-    /// an `And`), returns that value — used by the query planner to pick an
-    /// attribute index.
-    pub fn exact_value_for(&self, field: &str) -> Option<&Value> {
-        match self {
-            Filter::Eq(f, v) if f == field => Some(v),
-            Filter::And(fs) => fs.iter().find_map(|f| f.exact_value_for(field)),
-            _ => None,
-        }
-    }
-
-    /// If the filter contains a geospatial predicate (possibly inside an
-    /// `And`), returns its field and shape — used to route through the 2-D
-    /// geohash index.
-    pub fn geo_constraint(&self) -> Option<(&str, &GeoShape)> {
-        match self {
-            Filter::GeoWithin(field, shape) => Some((field, shape)),
-            Filter::And(fs) => fs.iter().find_map(|f| f.geo_constraint()),
-            _ => None,
-        }
-    }
 }
 
 fn cmp_field(doc: &Document, field: &str, v: &Value) -> Option<std::cmp::Ordering> {
@@ -211,7 +189,8 @@ fn count_in(values: &[Value], v: &Value) -> usize {
     values.iter().filter(|x| *x == v).count()
 }
 
-fn point_from_field(doc: &Document, field: &str) -> Option<Point> {
+/// The point a two-element `[lon, lat]` array field holds, if it is one.
+pub(crate) fn point_from_field(doc: &Document, field: &str) -> Option<Point> {
     let arr = doc.get(field)?.as_array()?;
     if arr.len() != 2 {
         return None;
@@ -354,19 +333,5 @@ mod tests {
         // A malformed location never matches.
         let bad = Document::new().with("location", Value::Array(vec![Value::Float(1.0)]));
         assert!(!Filter::GeoWithin("location".into(), miss).matches(&bad));
-    }
-
-    #[test]
-    fn planner_helpers_find_constraints_inside_and() {
-        let shape = GeoShape::Rect(BBox::new(0.0, 0.0, 1.0, 1.0).unwrap());
-        let f = Filter::Eq("country".into(), "Portugal".into())
-            .and(Filter::GeoWithin("location".into(), shape.clone()))
-            .and(Filter::Gt("date".into(), Value::Date(1)));
-        assert_eq!(f.exact_value_for("country"), Some(&Value::Str("Portugal".into())));
-        assert_eq!(f.exact_value_for("season"), None);
-        let (field, s) = f.geo_constraint().unwrap();
-        assert_eq!(field, "location");
-        assert_eq!(s, &shape);
-        assert!(Filter::All.geo_constraint().is_none());
     }
 }

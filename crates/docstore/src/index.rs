@@ -1,38 +1,29 @@
 //! Secondary indexes: ordered attribute indexes and the geohash 2-D index.
 //!
-//! Since the bitmap-prefilter work (experiment E13) every index posting is
-//! mirrored into a compressed [`Bitmap`]: per distinct attribute value, per
-//! distinct *element* of array/string values (the label codes), per geohash
-//! cell, and one `present` bitmap per attribute index.  The prefilter
-//! compiler ([`crate::prefilter`]) combines these with AND/OR/AND-NOT to
-//! turn a filter's indexable prefix into one candidate set without touching
-//! any document.
+//! Every posting is a compressed [`Bitmap`] of document ids: per distinct
+//! attribute value, per distinct *element* of array/string values (the
+//! label codes), per geohash cell, and one `present` bitmap per attribute
+//! index.  The prefilter compiler ([`crate::prefilter`]) — the store's one
+//! filter engine, behind [`Collection::find`](crate::Collection::find) and
+//! the filtered similarity searches alike — combines these with
+//! AND/OR/AND-NOT to turn a filter's indexable prefix into one candidate
+//! set without touching any document.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
-use eq_geo::{geohash, BBox, GeoShape, Point};
+use eq_geo::{geohash, GeoShape, Point};
 use eq_hashindex::Bitmap;
 
 use crate::value::Value;
 use crate::DocId;
 
-/// One attribute value's postings: the document list (ordered scans, the
-/// classic planner) and its bitmap mirror (the prefilter compiler).
-#[derive(Debug, Clone, Default)]
-struct PostingList {
-    docs: Vec<DocId>,
-    bitmap: Bitmap,
-}
-
 /// An ordered secondary index over one (dotted-path) attribute.
 ///
-/// Implemented as a B-tree from attribute value to posting list, which
-/// supports exact lookups and ordered range scans — the two access paths the
-/// classic query planner uses.  Three bitmap families ride along for the
-/// prefilter compiler:
+/// Implemented as a B-tree from attribute value to the bitmap of documents
+/// holding it, which supports exact lookups and ordered range unions.  Two
+/// more bitmap families ride along:
 ///
-/// * a per-value bitmap inside every posting list,
 /// * a per-element bitmap over the distinct elements of `Array` values and
 ///   the characters of `Str` values (as one-character strings — the ASCII
 ///   label encoding), powering the `Contains*` operators,
@@ -40,7 +31,7 @@ struct PostingList {
 ///   `Exists` and (with the collection's live-ids universe) `Ne`/`Not`.
 #[derive(Debug, Clone, Default)]
 pub struct AttributeIndex {
-    entries: BTreeMap<Value, PostingList>,
+    entries: BTreeMap<Value, Bitmap>,
     elements: BTreeMap<Value, Bitmap>,
     /// Exact-`==` postings for numeric scalar values, keyed by [`NumKey`]
     /// so `Int(2)` and `Float(2.0)` — which share one `entries` key under
@@ -79,6 +70,17 @@ fn num_key(v: &Value) -> Option<NumKey> {
     }
 }
 
+/// Removes `doc` from the posting under `key`, dropping the posting once it
+/// is empty; returns whether the document was posted there.
+fn unpost<K: Ord>(postings: &mut BTreeMap<K, Bitmap>, key: &K, doc: DocId) -> bool {
+    let Some(bitmap) = postings.get_mut(key) else { return false };
+    let removed = bitmap.remove(doc);
+    if bitmap.is_empty() {
+        postings.remove(key);
+    }
+    removed
+}
+
 impl AttributeIndex {
     /// Creates an empty index.
     pub fn new() -> Self {
@@ -112,70 +114,34 @@ impl AttributeIndex {
             self.numeric.entry(nk).or_default().insert(doc);
         }
         self.present.insert(doc);
-        let posting = self.entries.entry(key).or_default();
-        posting.docs.push(doc);
-        posting.bitmap.insert(doc);
-        self.len += 1;
+        if self.entries.entry(key).or_default().insert(doc) {
+            self.len += 1;
+        }
     }
 
     /// Removes a posting (if present).
     pub fn remove(&mut self, key: &Value, doc: DocId) {
-        if let Some(list) = self.entries.get_mut(key) {
-            if let Some(pos) = list.docs.iter().position(|d| *d == doc) {
-                list.docs.swap_remove(pos);
-                list.bitmap.remove(doc);
-                self.len -= 1;
-                self.present.remove(doc);
-                if let Some(nk) = num_key(key) {
-                    if let Some(bm) = self.numeric.get_mut(&nk) {
-                        bm.remove(doc);
-                        if bm.is_empty() {
-                            self.numeric.remove(&nk);
-                        }
-                    }
-                }
-                for_each_element(key, |element| {
-                    if let Some(nk) = num_key(&element) {
-                        if let Some(bm) = self.numeric_elements.get_mut(&nk) {
-                            bm.remove(doc);
-                            if bm.is_empty() {
-                                self.numeric_elements.remove(&nk);
-                            }
-                        }
-                    }
-                    if let Some(bm) = self.elements.get_mut(&element) {
-                        bm.remove(doc);
-                        if bm.is_empty() {
-                            self.elements.remove(&element);
-                        }
-                    }
-                });
-            }
-            if self.entries.get(key).is_some_and(|l| l.docs.is_empty()) {
-                self.entries.remove(key);
-            }
+        if !unpost(&mut self.entries, key, doc) {
+            return;
         }
-    }
-
-    /// Documents whose attribute equals `key`.
-    pub fn lookup(&self, key: &Value) -> Vec<DocId> {
-        self.entries.get(key).map(|l| l.docs.clone()).unwrap_or_default()
-    }
-
-    /// Documents whose attribute lies in `[lo, hi]` (inclusive).
-    pub fn range(&self, lo: &Value, hi: &Value) -> Vec<DocId> {
-        let mut out = Vec::new();
-        for (_, list) in self.entries.range(lo.clone()..=hi.clone()) {
-            out.extend_from_slice(&list.docs);
+        self.len -= 1;
+        self.present.remove(doc);
+        if let Some(nk) = num_key(key) {
+            unpost(&mut self.numeric, &nk, doc);
         }
-        out
+        for_each_element(key, |element| {
+            if let Some(nk) = num_key(&element) {
+                unpost(&mut self.numeric_elements, &nk, doc);
+            }
+            unpost(&mut self.elements, &element, doc);
+        });
     }
 
     /// The bitmap of documents whose attribute equals `key` — equality
     /// under the index's total [`Ord`], which the prefilter compiler only
     /// trusts for values where that coincides with `==`.
     pub fn value_bitmap(&self, key: &Value) -> Option<&Bitmap> {
-        self.entries.get(key).map(|l| &l.bitmap)
+        self.entries.get(key)
     }
 
     /// The union bitmap of every posting whose key lies in the given
@@ -185,8 +151,8 @@ impl AttributeIndex {
     /// sides).
     pub fn range_bitmap(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> Bitmap {
         let mut out = Bitmap::new();
-        for (_, list) in self.entries.range((lo, hi)) {
-            out = out.or(&list.bitmap);
+        for (_, bitmap) in self.entries.range((lo, hi)) {
+            out = out.or(bitmap);
         }
         out
     }
@@ -197,9 +163,9 @@ impl AttributeIndex {
     pub fn prefix_bitmap(&self, prefix: &str) -> Bitmap {
         let mut out = Bitmap::new();
         let start = Value::Str(prefix.to_string());
-        for (key, list) in self.entries.range(start..) {
+        for (key, bitmap) in self.entries.range(start..) {
             match key {
-                Value::Str(s) if s.starts_with(prefix) => out = out.or(&list.bitmap),
+                Value::Str(s) if s.starts_with(prefix) => out = out.or(bitmap),
                 _ => break,
             }
         }
@@ -279,16 +245,16 @@ pub const DEFAULT_GEOHASH_PRECISION: usize = 5;
 /// A geohash-based 2-D index over a point attribute, mirroring MongoDB's
 /// built-in geohashing index used by EarthQube (§3.2).
 ///
-/// Points are encoded to geohash strings stored in an ordered map; a
-/// rectangle query becomes a handful of prefix scans over covering cells,
-/// followed by exact point-in-shape verification by the caller.
+/// Points are encoded to geohash strings keying an ordered map of per-cell
+/// document bitmaps; a shape query becomes a handful of prefix scans over
+/// covering cells, followed by exact point-in-shape verification by the
+/// caller.
 #[derive(Debug, Clone)]
 pub struct GeoIndex {
     precision: usize,
-    entries: BTreeMap<String, Vec<(DocId, f64, f64)>>,
-    /// Per-cell document bitmaps, keyed like `entries`.  A cell's bitmap
-    /// holds every document hashed into it *without* point verification,
-    /// so unions over covering cells are supersets by construction.
+    /// Per-cell document bitmaps.  A cell's bitmap holds every document
+    /// hashed into it *without* point verification, so unions over covering
+    /// cells are supersets by construction.
     cells: BTreeMap<String, Bitmap>,
     len: usize,
 }
@@ -309,7 +275,7 @@ impl GeoIndex {
             (1..=geohash::MAX_PRECISION).contains(&precision),
             "geohash precision {precision} out of range"
         );
-        Self { precision, entries: BTreeMap::new(), cells: BTreeMap::new(), len: 0 }
+        Self { precision, cells: BTreeMap::new(), len: 0 }
     }
 
     /// The geohash precision in use.
@@ -327,124 +293,82 @@ impl GeoIndex {
         self.len == 0
     }
 
+    /// The cell a point hashes into.
+    fn cell_of(&self, point: Point) -> String {
+        // lint:allow(panic) `new` asserted the precision is in range, the only error `encode` has
+        geohash::encode(point, self.precision).expect("valid precision")
+    }
+
     /// Indexes a point.
     pub fn insert(&mut self, doc: DocId, point: Point) {
-        let hash = geohash::encode(point, self.precision).expect("valid precision");
-        self.cells.entry(hash.clone()).or_default().insert(doc);
-        self.entries.entry(hash).or_default().push((doc, point.lon, point.lat));
-        self.len += 1;
+        let cell = self.cell_of(point);
+        if self.cells.entry(cell).or_default().insert(doc) {
+            self.len += 1;
+        }
     }
 
     /// Removes a point (if present).
     pub fn remove(&mut self, doc: DocId, point: Point) {
-        let hash = geohash::encode(point, self.precision).expect("valid precision");
-        if let Some(list) = self.entries.get_mut(&hash) {
-            if let Some(pos) = list.iter().position(|(d, _, _)| *d == doc) {
-                list.swap_remove(pos);
-                self.len -= 1;
-                if let Some(bm) = self.cells.get_mut(&hash) {
-                    bm.remove(doc);
-                    if bm.is_empty() {
-                        self.cells.remove(&hash);
-                    }
-                }
-            }
-            if self.entries.get(&hash).is_some_and(|l| l.is_empty()) {
-                self.entries.remove(&hash);
-            }
+        let cell = self.cell_of(point);
+        if unpost(&mut self.cells, &cell, doc) {
+            self.len -= 1;
         }
-    }
-
-    /// Candidate documents whose point may lie inside `bbox`
-    /// (a superset: exact verification is the caller's job).
-    ///
-    /// Also returns the number of geohash cells scanned, which the query
-    /// planner surfaces in its execution report.
-    pub fn candidates_in_bbox(&self, bbox: &BBox) -> (Vec<DocId>, usize) {
-        let cover = geohash::cover_bbox(bbox, self.precision, 512).expect("valid precision");
-        let mut out = Vec::new();
-        let mut cells_scanned = 0usize;
-        for prefix in &cover {
-            // All stored hashes with this prefix form a contiguous range in
-            // the ordered map.
-            let end = prefix_upper_bound(prefix);
-            for (_, points) in self.entries.range(prefix.clone()..end) {
-                cells_scanned += 1;
-                for (doc, lon, lat) in points {
-                    if bbox.contains(Point::new_unchecked(*lon, *lat)) {
-                        out.push(*doc);
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        (out, cells_scanned.max(cover.len()))
-    }
-
-    /// Candidate documents for an arbitrary query shape (uses the shape's
-    /// bounding region for the index scan; exact shape verification is the
-    /// caller's job).  A shape crossing the antimeridian covers with two
-    /// boxes; each piece is scanned and the results merged.
-    pub fn candidates_in_shape(&self, shape: &GeoShape) -> (Vec<DocId>, usize) {
-        let cover = shape.bounding_box();
-        let mut out = Vec::new();
-        let mut cells = 0usize;
-        for piece in cover.boxes() {
-            let (mut ids, scanned) = self.candidates_in_bbox(piece);
-            out.append(&mut ids);
-            cells += scanned;
-        }
-        out.sort_unstable();
-        out.dedup();
-        (out, cells)
     }
 
     /// The union bitmap of every cell covering the query shape's bounding
     /// region — a **superset** of the documents inside the shape (cell
-    /// membership is never point-verified here, unlike
-    /// [`candidates_in_shape`](Self::candidates_in_shape)), so a
-    /// `GeoWithin` compiled through this bitmap always keeps the exact
-    /// predicate in the residual filter.  A shape crossing the
-    /// antimeridian covers with two boxes; both are unioned.
+    /// membership is never point-verified), so a `GeoWithin` compiled
+    /// through this bitmap always keeps the exact predicate in the
+    /// residual filter.  A shape crossing the antimeridian covers with two
+    /// boxes; both are unioned.
     ///
     /// Also returns the number of geohash cells inspected.
     pub fn bitmap_in_shape(&self, shape: &GeoShape) -> (Bitmap, usize) {
         let cover = shape.bounding_box();
-        let mut out = Bitmap::new();
+        let mut ids: Vec<DocId> = Vec::new();
         let mut cells_scanned = 0usize;
         for piece in cover.boxes() {
-            let piece_cover =
-                geohash::cover_bbox(piece, self.precision, 512).expect("valid precision");
-            cells_scanned += piece_cover.len();
-            for prefix in &piece_cover {
+            // lint:allow(panic) `new` asserted the precision is in range, the only error `cover_bbox` has
+            let cells = geohash::cover_bbox(piece, self.precision, 512).expect("valid precision");
+            cells_scanned += cells.len();
+            for prefix in &cells {
+                // All stored hashes with this prefix form a contiguous
+                // range in the ordered map.
                 let end = prefix_upper_bound(prefix);
                 for (_, bm) in self.cells.range(prefix.clone()..end) {
-                    out = out.or(bm);
+                    ids.extend(bm.iter());
                 }
             }
         }
-        (out, cells_scanned)
+        // One ascending bulk load: a union per cell would copy the growing
+        // result once for each of up to 512 cells.
+        ids.sort_unstable();
+        (ids.into_iter().collect(), cells_scanned)
     }
 }
 
 /// The smallest string strictly greater than every string with the given
 /// prefix (used to turn a prefix into a `BTreeMap` range bound).
 fn prefix_upper_bound(prefix: &str) -> String {
-    let mut bytes = prefix.as_bytes().to_vec();
-    // Geohash alphabet is ASCII; bumping the last byte is always valid here.
-    if let Some(last) = bytes.last_mut() {
-        *last += 1;
+    let mut end = prefix.to_string();
+    // Geohash alphabet is ASCII; bumping the last character is always valid here.
+    if let Some(last) = end.pop() {
+        end.push(char::from(last as u8 + 1));
     }
-    String::from_utf8(bytes).expect("ascii prefix")
+    end
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eq_geo::BBox;
+
+    fn ids(bitmap: &Bitmap) -> Vec<DocId> {
+        bitmap.iter().collect()
+    }
 
     #[test]
-    fn attribute_index_lookup_and_range() {
+    fn attribute_index_value_and_range_bitmaps() {
         let mut idx = AttributeIndex::new();
         idx.insert(Value::Str("Portugal".into()), 1);
         idx.insert(Value::Str("Portugal".into()), 2);
@@ -455,11 +379,11 @@ mod tests {
 
         assert_eq!(idx.len(), 6);
         assert_eq!(idx.distinct_keys(), 5);
-        assert_eq!(idx.lookup(&Value::Str("Portugal".into())), vec![1, 2]);
-        assert_eq!(idx.lookup(&Value::Str("Serbia".into())), Vec::<DocId>::new());
-        let mut r = idx.range(&Value::Date(100), &Value::Date(250));
-        r.sort_unstable();
-        assert_eq!(r, vec![4, 5]);
+        assert_eq!(idx.value_bitmap(&Value::Str("Portugal".into())).map(ids), Some(vec![1, 2]));
+        assert!(idx.value_bitmap(&Value::Str("Serbia".into())).is_none());
+        let range = idx
+            .range_bitmap(Bound::Included(&Value::Date(100)), Bound::Included(&Value::Date(250)));
+        assert_eq!(ids(&range), vec![4, 5]);
     }
 
     #[test]
@@ -468,7 +392,7 @@ mod tests {
         idx.insert(Value::Int(1), 10);
         idx.insert(Value::Int(1), 11);
         idx.remove(&Value::Int(1), 10);
-        assert_eq!(idx.lookup(&Value::Int(1)), vec![11]);
+        assert_eq!(idx.value_bitmap(&Value::Int(1)).map(ids), Some(vec![11]));
         idx.remove(&Value::Int(1), 11);
         assert!(idx.is_empty());
         assert_eq!(idx.distinct_keys(), 0);
@@ -529,7 +453,7 @@ mod tests {
     }
 
     #[test]
-    fn geo_index_finds_points_in_bbox() {
+    fn geo_index_covers_points_in_bbox() {
         let mut idx = GeoIndex::new(5);
         // Points around Lisbon and Berlin.
         idx.insert(1, Point::new(-9.14, 38.72).unwrap());
@@ -537,18 +461,16 @@ mod tests {
         idx.insert(3, Point::new(13.40, 52.52).unwrap());
         assert_eq!(idx.len(), 3);
 
-        let lisbon = BBox::new(-9.5, 38.5, -8.9, 38.9).unwrap();
-        let (hits, cells) = idx.candidates_in_bbox(&lisbon);
-        assert_eq!(hits, vec![1, 2]);
+        let lisbon = GeoShape::Rect(BBox::new(-9.5, 38.5, -8.9, 38.9).unwrap());
+        let (hits, cells) = idx.bitmap_in_shape(&lisbon);
+        assert_eq!(ids(&hits), vec![1, 2]);
         assert!(cells >= 1);
 
-        let berlin = BBox::new(13.0, 52.0, 14.0, 53.0).unwrap();
-        let (hits, _) = idx.candidates_in_bbox(&berlin);
-        assert_eq!(hits, vec![3]);
+        let berlin = GeoShape::Rect(BBox::new(13.0, 52.0, 14.0, 53.0).unwrap());
+        assert_eq!(ids(&idx.bitmap_in_shape(&berlin).0), vec![3]);
 
-        let atlantic = BBox::new(-40.0, 30.0, -30.0, 40.0).unwrap();
-        let (hits, _) = idx.candidates_in_bbox(&atlantic);
-        assert!(hits.is_empty());
+        let atlantic = GeoShape::Rect(BBox::new(-40.0, 30.0, -30.0, 40.0).unwrap());
+        assert!(idx.bitmap_in_shape(&atlantic).0.is_empty());
     }
 
     #[test]
@@ -559,14 +481,16 @@ mod tests {
         idx.insert(7, p);
         idx.remove(7, p);
         assert!(idx.is_empty());
+        // Removing a point that is not indexed is a no-op.
+        idx.remove(7, p);
+        assert!(idx.is_empty());
         idx.insert(8, p);
         let shape = GeoShape::Circle(eq_geo::Circle::new(p, 10.0).unwrap());
-        let (hits, _) = idx.candidates_in_shape(&shape);
-        assert_eq!(hits, vec![8]);
+        assert_eq!(ids(&idx.bitmap_in_shape(&shape).0), vec![8]);
     }
 
     #[test]
-    fn geo_index_candidates_do_not_miss_boundary_points() {
+    fn geo_index_covers_do_not_miss_boundary_points() {
         // Points near a cell boundary must still be found via covering cells.
         let mut idx = GeoIndex::new(5);
         let mut expected = Vec::new();
@@ -576,9 +500,8 @@ mod tests {
             idx.insert(i, Point::new(lon, lat).unwrap());
             expected.push(i);
         }
-        let bbox = BBox::new(11.9, 50.9, 12.6, 51.3).unwrap();
-        let (hits, _) = idx.candidates_in_bbox(&bbox);
-        assert_eq!(hits, expected);
+        let bbox = GeoShape::Rect(BBox::new(11.9, 50.9, 12.6, 51.3).unwrap());
+        assert_eq!(ids(&idx.bitmap_in_shape(&bbox).0), expected);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! * [`Filter`] — a query AST with comparison, logical, array and
 //!   geospatial predicates,
 //! * [`Collection`] — storage with a primary-key index, secondary B-tree
-//!   attribute indexes and a geohash-based 2-D index, plus a small query
-//!   planner that picks an index and reports an execution plan,
+//!   attribute indexes and a geohash-based 2-D index, queried through one
+//!   filter engine ([`prefilter`]) that compiles what the indexes can
+//!   decide into a candidate bitmap and reports an execution plan,
 //! * [`Database`] — a named set of collections,
 //! * [`wire`] — the checksummed binary snapshot encoding of values,
 //!   documents, collections and databases (the durable storage tier).

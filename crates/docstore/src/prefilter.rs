@@ -1,12 +1,15 @@
-//! Compiling a filter's indexable prefix into one candidate bitmap.
+//! The store's one filter engine: compiling a filter's indexable prefix
+//! into one candidate bitmap, then resolving it.
 //!
-//! A bitmap-prefiltered search wants to know, *before* touching any
-//! document or code, which documents can possibly match a filter.  The
-//! compiler walks the [`Filter`] AST against a collection's posting
-//! bitmaps (attribute values, array/label elements, geohash cells — see
-//! [`crate::index`]) and produces a [`PrefilterPlan`]: an optional
-//! candidate [`Bitmap`] plus the **residual** filter that must still be
-//! evaluated on the surviving documents.
+//! Every query — [`Collection::find`] behind the query panel as much as a
+//! bitmap-prefiltered similarity search — wants to know, *before* touching
+//! any document or code, which documents can possibly match a filter.  The
+//! compiler walks the [`Filter`] AST against a collection's indexes (the
+//! primary-key map and the posting bitmaps of attribute values,
+//! array/label elements and geohash cells — see [`crate::index`]) and
+//! produces a [`PrefilterPlan`]: an optional candidate [`Bitmap`] plus the
+//! **residual** filter that must still be evaluated on the surviving
+//! documents, which [`PrefilterPlan::matching`] does in ascending id order.
 //!
 //! The contract, pinned by the property suite in
 //! `tests/proptest_prefilter.rs`, is:
@@ -20,9 +23,11 @@
 //!
 //! * **Exact** (residual contribution `All`): `Eq`, `Ne`, `In`, `Exists`,
 //!   `StartsWith`, `Lt`/`Lte`/`Gt`/`Gte`, `ContainsAny` on an indexed
-//!   field.  `Ne` is `live \ value-postings`, which by construction
-//!   matches documents *missing* the field — exactly the evaluator's
-//!   documented semantics.
+//!   field, and `Eq`/`In` on the primary key (an at-most-one-id bitmap per
+//!   value straight from the key map, so a point lookup stays O(log n)).
+//!   `Ne` is `live \ value-postings`, which by construction matches
+//!   documents *missing* the field — exactly the evaluator's documented
+//!   semantics.
 //! * **Superset** (the leaf stays in the residual): `ContainsExactly`
 //!   (element postings bound membership but not multiset equality) and
 //!   `GeoWithin` (covering cells are never point-verified).
@@ -44,14 +49,15 @@
 //! both the evaluator and the B-tree use [`Value::cmp`], so ranges are
 //! exact for every type straight off the ordered map.
 
-use std::ops::Bound;
+use std::ops::Bound::{self, Excluded, Included, Unbounded};
 
 use eq_hashindex::Bitmap;
 
 use crate::collection::Collection;
 use crate::filter::Filter;
 use crate::index::AttributeIndex;
-use crate::value::Value;
+use crate::value::{Document, Value};
+use crate::DocId;
 
 /// The result of compiling a filter against a collection's posting
 /// bitmaps: an optional candidate set plus the filter that must still run
@@ -59,11 +65,15 @@ use crate::value::Value;
 #[derive(Debug, Clone)]
 pub struct PrefilterPlan {
     /// Every possibly-matching document — `None` when nothing in the
-    /// filter is indexable (the caller falls back to scan-then-filter).
+    /// filter is indexable (resolving the plan is then a full scan).
     pub bitmap: Option<Bitmap>,
     /// The part of the filter the bitmap does not decide; [`Filter::All`]
     /// when the bitmap alone is exact.
     pub residual: Filter,
+    /// The indexes the bitmap was built from, in filter order joined with
+    /// `+` (`"pk"` for the primary key, else the field name); `None`
+    /// exactly when `bitmap` is.
+    pub(crate) index_used: Option<String>,
 }
 
 impl PrefilterPlan {
@@ -76,32 +86,80 @@ impl PrefilterPlan {
     pub fn cardinality(&self) -> Option<u64> {
         self.bitmap.as_ref().map(Bitmap::len)
     }
+
+    /// Resolves the plan against the collection it was compiled for: walks
+    /// the candidates (every live document when nothing compiled) in
+    /// ascending id order and yields those the residual accepts — exactly
+    /// the documents matching the compiled filter.
+    pub fn matching<'a, 'c: 'a>(
+        &'a self,
+        coll: &'c Collection,
+    ) -> impl Iterator<Item = (DocId, &'c Document)> + 'a {
+        let candidates = self.bitmap.as_ref().unwrap_or(coll.live_bitmap());
+        candidates
+            .iter()
+            .filter_map(|id| Some((id, coll.get(id)?)))
+            .filter(|(_, doc)| self.residual.matches(doc))
+    }
 }
 
 impl Collection {
     /// Compiles a filter's indexable prefix into a candidate bitmap; see
     /// the [module docs](self) for the exactness contract.
     pub fn compile_prefilter(&self, filter: &Filter) -> PrefilterPlan {
-        let (bitmap, residual) = compile(self, filter);
-        PrefilterPlan { bitmap, residual }
+        let mut used = Vec::new();
+        let (bitmap, residual) = compile(self, filter, &mut used);
+        let index_used = bitmap.is_some().then(|| used.join("+"));
+        PrefilterPlan { bitmap, residual, index_used }
     }
 }
 
 /// Recursive compilation: returns `(bitmap, residual)` satisfying the
-/// module-level invariant for this sub-filter.
-fn compile(c: &Collection, filter: &Filter) -> (Option<Bitmap>, Filter) {
+/// module-level invariant for this sub-filter, and appends to `used` the
+/// indexes the bitmap was built from (nothing when there is no bitmap).
+fn compile<'f>(
+    c: &Collection,
+    filter: &'f Filter,
+    used: &mut Vec<&'f str>,
+) -> (Option<Bitmap>, Filter) {
+    let mark = used.len();
+    let compiled = compile_node(c, filter, used);
+    if compiled.0.is_none() {
+        used.truncate(mark);
+    }
+    compiled
+}
+
+/// Records an index as consulted, once.
+fn note<'f>(used: &mut Vec<&'f str>, index: &'f str) {
+    if !used.contains(&index) {
+        used.push(index);
+    }
+}
+
+/// The attribute index on `field`, recorded in `used` when there is one.
+fn consult<'c, 'f>(
+    c: &'c Collection,
+    field: &'f str,
+    used: &mut Vec<&'f str>,
+) -> Option<&'c AttributeIndex> {
+    let idx = c.attribute_index(field)?;
+    note(used, field);
+    Some(idx)
+}
+
+fn compile_node<'f>(
+    c: &Collection,
+    filter: &'f Filter,
+    used: &mut Vec<&'f str>,
+) -> (Option<Bitmap>, Filter) {
     match filter {
         Filter::All => (None, Filter::All),
 
-        Filter::Eq(field, v) => match c.attribute_index(field) {
-            Some(idx) => match exact_value_bitmap(idx, v) {
-                Some(bm) => (Some(bm), Filter::All),
-                None => uncompiled(filter),
-            },
-            None => uncompiled(filter),
-        },
+        Filter::Eq(field, v) => equality_leaf(c, field, std::slice::from_ref(v), filter, used),
+        Filter::In(field, values) => equality_leaf(c, field, values, filter, used),
 
-        Filter::Ne(field, v) => match c.attribute_index(field) {
+        Filter::Ne(field, v) => match consult(c, field, used) {
             Some(idx) => match exact_value_bitmap(idx, v) {
                 Some(matching) => (Some(c.live_bitmap().and_not(&matching)), Filter::All),
                 None => uncompiled(filter),
@@ -109,57 +167,52 @@ fn compile(c: &Collection, filter: &Filter) -> (Option<Bitmap>, Filter) {
             None => uncompiled(filter),
         },
 
-        Filter::Lt(field, v) => range_leaf(c, field, Bound::Unbounded, Bound::Excluded(v), filter),
-        Filter::Lte(field, v) => range_leaf(c, field, Bound::Unbounded, Bound::Included(v), filter),
-        Filter::Gt(field, v) => range_leaf(c, field, Bound::Excluded(v), Bound::Unbounded, filter),
-        Filter::Gte(field, v) => range_leaf(c, field, Bound::Included(v), Bound::Unbounded, filter),
+        Filter::Lt(field, v) => range_leaf(c, field, Unbounded, Excluded(v), filter, used),
+        Filter::Lte(field, v) => range_leaf(c, field, Unbounded, Included(v), filter, used),
+        Filter::Gt(field, v) => range_leaf(c, field, Excluded(v), Unbounded, filter, used),
+        Filter::Gte(field, v) => range_leaf(c, field, Included(v), Unbounded, filter, used),
 
-        Filter::In(field, values) => match c.attribute_index(field) {
-            Some(idx) => {
-                let mut out = Bitmap::new();
-                for v in values {
-                    let Some(bm) = exact_value_bitmap(idx, v) else {
-                        return uncompiled(filter);
-                    };
-                    out = out.or(&bm);
-                }
-                (Some(out), Filter::All)
-            }
-            None => uncompiled(filter),
-        },
-
-        Filter::Exists(field) => match c.attribute_index(field) {
+        Filter::Exists(field) => match consult(c, field, used) {
             Some(idx) => (Some(idx.present_bitmap().clone()), Filter::All),
             None => uncompiled(filter),
         },
 
-        Filter::StartsWith(field, prefix) => match c.attribute_index(field) {
+        Filter::StartsWith(field, prefix) => match consult(c, field, used) {
             Some(idx) => (Some(idx.prefix_bitmap(prefix)), Filter::All),
             None => uncompiled(filter),
         },
 
-        Filter::ContainsAll(field, values) => match c.attribute_index(field) {
-            // The vacuous `ContainsAll(field, [])` matches any document
-            // whose field is an array or string; `present` is a superset
-            // (it also holds scalar-valued documents), so the leaf stays.
-            Some(idx) if values.is_empty() => (Some(idx.present_bitmap().clone()), filter.clone()),
-            Some(idx) => {
-                let mut out: Option<Bitmap> = None;
-                for v in values {
-                    let Some(bm) = exact_element_bitmap(idx, v) else {
-                        return uncompiled(filter);
-                    };
-                    out = Some(match out {
-                        Some(acc) => acc.and(&bm),
-                        None => bm,
-                    });
+        Filter::ContainsAll(field, values) | Filter::ContainsExactly(field, values) => {
+            match consult(c, field, used) {
+                // The vacuous `[]` matches any array or string (`All`) or
+                // only empty ones (`Exactly`); `present` is a superset of
+                // both (it also holds scalar-valued documents), so the
+                // leaf stays.
+                Some(idx) if values.is_empty() => {
+                    (Some(idx.present_bitmap().clone()), filter.clone())
                 }
-                (out, Filter::All)
+                Some(idx) => {
+                    let mut out: Option<Bitmap> = None;
+                    for v in values {
+                        let Some(bm) = exact_element_bitmap(idx, v) else {
+                            return uncompiled(filter);
+                        };
+                        out = Some(match out {
+                            Some(acc) => acc.and(&bm),
+                            None => bm,
+                        });
+                    }
+                    // Element postings decide containment, but never the
+                    // multiset equality `ContainsExactly` also asks for:
+                    // that leaf is a superset and stays in the residual.
+                    let exact = matches!(filter, Filter::ContainsAll(..));
+                    (out, if exact { Filter::All } else { filter.clone() })
+                }
+                None => uncompiled(filter),
             }
-            None => uncompiled(filter),
-        },
+        }
 
-        Filter::ContainsAny(field, values) => match c.attribute_index(field) {
+        Filter::ContainsAny(field, values) => match consult(c, field, used) {
             // `any` over an empty list is false: the empty bitmap is exact.
             Some(_) if values.is_empty() => (Some(Bitmap::new()), Filter::All),
             Some(idx) => {
@@ -175,29 +228,10 @@ fn compile(c: &Collection, filter: &Filter) -> (Option<Bitmap>, Filter) {
             None => uncompiled(filter),
         },
 
-        Filter::ContainsExactly(field, values) => match c.attribute_index(field) {
-            // Supersets: element postings bound membership, but never the
-            // multiset equality — the leaf always stays in the residual.
-            Some(idx) if values.is_empty() => (Some(idx.present_bitmap().clone()), filter.clone()),
-            Some(idx) => {
-                let mut out: Option<Bitmap> = None;
-                for v in values {
-                    let Some(bm) = exact_element_bitmap(idx, v) else {
-                        return uncompiled(filter);
-                    };
-                    out = Some(match out {
-                        Some(acc) => acc.and(&bm),
-                        None => bm,
-                    });
-                }
-                (out, filter.clone())
-            }
-            None => uncompiled(filter),
-        },
-
         Filter::GeoWithin(field, shape) => match c.geo_index() {
             Some((geo_field, idx)) if geo_field == field => {
                 let (bm, _cells) = idx.bitmap_in_shape(shape);
+                note(used, field);
                 // Covering cells are a superset: exact point-in-shape
                 // verification stays in the residual.
                 (Some(bm), filter.clone())
@@ -209,7 +243,7 @@ fn compile(c: &Collection, filter: &Filter) -> (Option<Bitmap>, Filter) {
             let mut bitmap: Option<Bitmap> = None;
             let mut residuals = Vec::new();
             for f in fs {
-                let (b, r) = compile(c, f);
+                let (b, r) = compile(c, f, used);
                 if let Some(b) = b {
                     bitmap = Some(match bitmap {
                         Some(acc) => acc.and(&b),
@@ -234,7 +268,7 @@ fn compile(c: &Collection, filter: &Filter) -> (Option<Bitmap>, Filter) {
             let mut bitmap = Some(Bitmap::new());
             let mut all_exact = true;
             for f in fs {
-                let (b, r) = compile(c, f);
+                let (b, r) = compile(c, f, used);
                 match (&bitmap, b) {
                     (Some(acc), Some(b)) => bitmap = Some(acc.or(&b)),
                     _ => bitmap = None,
@@ -255,7 +289,7 @@ fn compile(c: &Collection, filter: &Filter) -> (Option<Bitmap>, Filter) {
         }
 
         Filter::Not(inner) => {
-            let (b, r) = compile(c, inner);
+            let (b, r) = compile(c, inner, used);
             match (b, r) {
                 // Only an *exact* inner bitmap can be complemented; a
                 // superset's complement would drop matching documents.
@@ -272,17 +306,47 @@ fn uncompiled(filter: &Filter) -> (Option<Bitmap>, Filter) {
 }
 
 /// Shared compilation of the four comparison operators.
-fn range_leaf(
+fn range_leaf<'f>(
     c: &Collection,
-    field: &str,
+    field: &'f str,
     lo: Bound<&Value>,
     hi: Bound<&Value>,
     filter: &Filter,
+    used: &mut Vec<&'f str>,
 ) -> (Option<Bitmap>, Filter) {
-    match c.attribute_index(field) {
+    match consult(c, field, used) {
         Some(idx) => (Some(idx.range_bitmap(lo, hi)), Filter::All),
         None => uncompiled(filter),
     }
+}
+
+/// Shared compilation of `Eq` (one value) and `In` (any of several): the
+/// union of the values' exact equality bitmaps.  On the primary-key field
+/// that is one key-index probe per value — a point lookup never touches a
+/// posting — for values whose key order agrees with `==` (see
+/// [`ord_eq_safe`]); any other field needs an attribute index.
+fn equality_leaf<'f>(
+    c: &Collection,
+    field: &'f str,
+    values: &[Value],
+    filter: &Filter,
+    used: &mut Vec<&'f str>,
+) -> (Option<Bitmap>, Filter) {
+    let mut out = Bitmap::new();
+    if field == c.primary_key() && values.iter().all(ord_eq_safe) {
+        out.extend(values.iter().filter_map(|v| c.id_by_key(v)));
+        note(used, "pk");
+    } else if let Some(idx) = consult(c, field, used) {
+        for v in values {
+            let Some(bm) = exact_value_bitmap(idx, v) else {
+                return uncompiled(filter);
+            };
+            out = out.or(&bm);
+        }
+    } else {
+        return uncompiled(filter);
+    }
+    (Some(out), Filter::All)
 }
 
 /// The **exact** `==` equality bitmap for one query value, when the index
@@ -395,6 +459,46 @@ mod tests {
         // Cardinalities drive the planner.
         let plan = c.compile_prefilter(&Filter::Eq("country".into(), "Austria".into()));
         assert_eq!(plan.cardinality(), Some(2));
+    }
+
+    #[test]
+    fn primary_key_equality_compiles_to_point_lookups() {
+        let c = sample();
+        for (f, hits) in [
+            (Filter::Eq("name".into(), "p3".into()), 1),
+            (Filter::Eq("name".into(), "ghost".into()), 0),
+            (Filter::In("name".into(), vec!["p0".into(), "ghost".into(), "p4".into()]), 2),
+        ] {
+            let plan = c.compile_prefilter(&f);
+            assert!(plan.is_exact(), "{f:?} should compile exactly, got {plan:?}");
+            assert_eq!(plan.cardinality(), Some(hits));
+            assert_eq!(plan.index_used.as_deref(), Some("pk"));
+            assert_invariant(&c, &f);
+        }
+        // Numeric keys order apart from how they compare (`0.0 == -0.0`), so
+        // they are left to the evaluator.
+        let mut numbered = Collection::new("t", "n");
+        numbered.insert(Document::new().with("n", Value::Float(-0.0))).unwrap();
+        let f = Filter::Eq("n".into(), Value::Float(0.0));
+        assert!(numbered.compile_prefilter(&f).bitmap.is_none());
+        assert_eq!(numbered.find(&f).ids, vec![0]);
+    }
+
+    #[test]
+    fn the_plan_names_the_indexes_its_bitmap_came_from() {
+        let c = sample();
+        let shape = GeoShape::Rect(BBox::new(13.9, 47.0, 14.25, 48.0).unwrap());
+        let dated = Filter::Gte("date".into(), Value::Date(100))
+            .and(Filter::GeoWithin("location".into(), shape))
+            .and(Filter::Lte("date".into(), Value::Date(300)));
+        assert_eq!(c.compile_prefilter(&dated).index_used.as_deref(), Some("date+location"));
+        // A branch that compiles to nothing takes its indexes with it …
+        let unindexed = Filter::Eq("unindexed".into(), "x".into());
+        let either = Filter::Or(vec![Filter::Eq("country".into(), "Austria".into()), unindexed]);
+        assert_eq!(c.compile_prefilter(&either).index_used, None);
+        // … also from inside a conjunction that still has a bitmap.
+        let both = Filter::Exists("labels".into()).and(either);
+        assert_eq!(c.compile_prefilter(&both).index_used.as_deref(), Some("labels"));
     }
 
     #[test]

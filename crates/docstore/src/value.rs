@@ -147,15 +147,17 @@ impl Ord for Value {
         match (self, other) {
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
-            (a, b) if a.as_float().is_some() && b.as_float().is_some() => {
-                a.as_float().unwrap().total_cmp(&b.as_float().unwrap())
-            }
             (Value::Date(a), Value::Date(b)) => a.cmp(b),
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
             (Value::Bytes(a), Value::Bytes(b)) => a.cmp(b),
             (Value::Array(a), Value::Array(b)) => a.cmp(b),
             (Value::Doc(a), Value::Doc(b)) => a.iter().cmp(b.iter()),
-            _ => Ordering::Equal,
+            // Equal rank and none of the above: the numeric rank, whose
+            // two variants compare by value.
+            (a, b) => match (a.as_float(), b.as_float()) {
+                (Some(x), Some(y)) => x.total_cmp(&y),
+                _ => Ordering::Equal,
+            },
         }
     }
 }

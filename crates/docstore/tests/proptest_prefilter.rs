@@ -15,6 +15,10 @@
 //! `==` diverge, so equality leaves must resolve through the canonical
 //! numeric postings to compile exactly) and multi-character element
 //! needles (which can never match the per-character string elements).
+//! Filters also land on the primary key (`Eq`/`In` there compile to point
+//! lookups), and the last property pins [`Collection::find`] — the same
+//! compiler, resolved — against the brute-force match list on corpora
+//! mutated by deletes and replacements.
 //!
 //! Filter ASTs are built from a drawn token stream by a small
 //! recursive-descent constructor (the vendored proptest stub has no
@@ -118,12 +122,14 @@ fn arb_toks() -> impl Strategy<Value = Vec<Tok>> {
 }
 
 fn token_value(kind: u8, num: i64) -> Value {
-    match kind % 5 {
+    match kind % 6 {
         0 => ["Portugal", "Austria", "Nowhere"][(num % 3) as usize].into(),
         1 => ["A", "B", "C", "AB", "Z"][(num % 5) as usize].into(),
         2 => Value::Date(num),
         3 => Value::Int(num % 4),
-        _ => Value::Float((num % 4) as f64),
+        4 => Value::Float((num % 4) as f64),
+        // Primary keys, a few of them past the largest corpus.
+        _ => format!("patch_{}", num % 36).into(),
     }
 }
 
@@ -133,7 +139,7 @@ fn build_filter(toks: &mut std::slice::Iter<'_, Tok>, depth: u32) -> Filter {
     let Some(&(op, field, kind, num, lon, lat)) = toks.next() else {
         return Filter::All;
     };
-    let field = ["country", "labels", "date", "score", "unindexed"][(field % 5) as usize];
+    let field = ["country", "labels", "date", "score", "unindexed", "name"][(field % 6) as usize];
     let value = token_value(kind, num);
     let list = |n: i64| -> Vec<Value> {
         (0..n % 3).map(|i| token_value(kind.wrapping_add(i as u8), num + i)).collect()
@@ -325,5 +331,47 @@ proptest! {
             coll.iter().filter(|(_, d)| filter.matches(d)).map(|(&id, _)| id).collect();
         naive.sort_unstable();
         prop_assert_eq!(resolved, naive);
+    }
+
+    #[test]
+    fn find_equals_the_brute_force_match_list_on_mutated_corpora(
+        records in arb_records(),
+        toks in arb_toks(),
+        stride in 2usize..5,
+    ) {
+        let mut coll = build_collection(&records);
+        // Delete every `stride`-th document and replace the ones after
+        // them (a replacement moves to a fresh id at the end, with another
+        // country and a numerically equal score of the other numeric type).
+        for (i, r) in records.iter().enumerate() {
+            let key = Value::Str(r.name.clone());
+            if i % stride == 0 {
+                coll.delete_by_key(&key).unwrap();
+            } else if i % stride == 1 {
+                let score = match &r.score {
+                    Some(Value::Int(n)) => Some(Value::Float(*n as f64)),
+                    Some(Value::Float(f)) => Some(Value::Int(*f as i64)),
+                    _ => Some(Value::Int(1)),
+                };
+                let moved = Record { country: Some("Serbia"), score, ..r.clone() };
+                coll.replace_by_key(&key, to_doc(&moved)).unwrap();
+            }
+        }
+        let mut it = toks.iter();
+        while it.len() > 0 {
+            let filter = build_filter(&mut it, 2);
+            let mut naive: Vec<u64> =
+                coll.iter().filter(|(_, d)| filter.matches(d)).map(|(&id, _)| id).collect();
+            naive.sort_unstable();
+            let found = coll.find(&filter);
+            prop_assert!(found.ids == naive, "{:?}: {:?} vs brute force {:?}", filter, found, naive);
+            prop_assert_eq!(found.plan.matched, found.ids.len());
+            prop_assert!(found.plan.scanned >= found.plan.matched);
+            prop_assert!(found.plan.scanned <= coll.len());
+            // `None` names a full scan, and only a full scan.
+            let compiled = coll.compile_prefilter(&filter).bitmap.is_some();
+            prop_assert_eq!(found.plan.index_used.is_some(), compiled);
+            prop_assert!(compiled || found.plan.scanned == coll.len());
+        }
     }
 }

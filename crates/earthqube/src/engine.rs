@@ -320,8 +320,8 @@ pub(crate) fn build_registry(config: &EarthQubeConfig) -> AssetRegistry {
 
 /// The query-panel search shared by the sequential engine and the
 /// concurrent [`QueryServer`](crate::serve::QueryServer): compiles the
-/// (already validated) query to a store filter, runs the planner and
-/// assembles panel, statistics and plan.
+/// (already validated) query to a store filter, resolves it with
+/// `Collection::find` and assembles panel, statistics and plan.
 pub(crate) fn metadata_search(
     database: &Database,
     query: &ImageQuery,
@@ -422,8 +422,13 @@ mod tests {
         assert_eq!(response.total(), expected);
         // Statistics only count retrieved images.
         assert_eq!(response.statistics.image_count(), expected);
-        // The country attribute index drove the query.
-        assert!(response.plan.is_some());
+        // Both attribute indexes bounded the scan, and exactly: every
+        // candidate matched.
+        let plan = response.plan.unwrap();
+        use crate::schema::fields;
+        let consulted = format!("{}+{}", fields::COUNTRY, fields::LABELS);
+        assert_eq!(plan.index_used, Some(consulted));
+        assert_eq!(plan.scanned, expected);
     }
 
     #[test]

@@ -4,13 +4,15 @@
 //!
 //! Two execution strategies produce byte-identical results:
 //!
-//! * **Bitmap prefilter** — compile the filter's indexable prefix against
-//!   the metadata collection's posting bitmaps
+//! * **Bitmap prefilter** — resolve the filter the way the query panel's
+//!   `find` does: compile its indexable prefix against the metadata
+//!   collection's posting bitmaps
 //!   ([`Collection::compile_prefilter`](eq_docstore::Collection::compile_prefilter)),
-//!   evaluate the residual filter only on the bitmap's survivors, and map
-//!   the matching documents to an [`IdMask`] over dense patch ids.  The
-//!   Hamming kernels then skip every masked-out row *before* paying for a
-//!   distance computation.
+//!   let the docstore evaluate the residual filter on the bitmap's
+//!   survivors ([`PrefilterPlan::matching`](eq_docstore::PrefilterPlan::matching)),
+//!   and map the matching documents to an [`IdMask`] over dense patch ids.
+//!   The Hamming kernels then skip every masked-out row *before* paying
+//!   for a distance computation.
 //! * **Scan-then-post-filter** — evaluate the full filter on every
 //!   metadata document (the pre-bitmap baseline), then run the same masked
 //!   kernels over the resulting mask.
@@ -28,7 +30,7 @@
 //! walk plus residual checks on the candidates, while a broad filter falls
 //! back to the full scan whose per-document cost needs no posting walk.
 
-use eq_docstore::{Collection, Filter, Value};
+use eq_docstore::{Collection, Document, Filter, Value};
 use eq_hashindex::{Bitmap, IdMask};
 
 use crate::engine::SearchResponse;
@@ -108,27 +110,15 @@ pub(crate) fn matching_item_mask(
     // spaces (document ids are never reused after a rollback), so matches
     // map through the metadata document's `patch_id` field.
     let mut items = Bitmap::new();
-    let mut push_item = |doc: &eq_docstore::Document| {
+    let mut push_item = |doc: &Document| {
         if let Some(item) = doc.get(fields::PATCH_ID).and_then(Value::as_int) {
             items.insert(item as u64);
         }
     };
     if use_bitmap {
-        if let Some(bitmap) = &plan.bitmap {
-            for doc_id in bitmap.iter() {
-                if let Some(doc) = coll.get(doc_id) {
-                    if plan.residual.matches(doc) {
-                        push_item(doc);
-                    }
-                }
-            }
-        }
+        plan.matching(coll).for_each(|(_, doc)| push_item(doc));
     } else {
-        for (_, doc) in coll.iter() {
-            if filter.matches(doc) {
-                push_item(doc);
-            }
-        }
+        coll.iter().filter(|(_, doc)| filter.matches(doc)).for_each(|(_, doc)| push_item(doc));
     }
 
     let report = FilteredPlan {

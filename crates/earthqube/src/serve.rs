@@ -394,7 +394,6 @@ struct Catalog {
     database: Database,
     metadata: Vec<PatchMetadata>,
     name_to_code: HashMap<String, BinaryCode>,
-    id_to_name: Vec<String>,
     feedback: FeedbackService,
 }
 
@@ -648,17 +647,19 @@ impl QueryServer {
     pub fn from_engine(engine: EarthQube, serve: ServeConfig) -> Result<Self, EarthQubeError> {
         let EarthQube { config, database, metadata, cbir, feedback, registry } = engine;
         let cbir = cbir.ok_or(EarthQubeError::CbirNotReady)?;
-        let (model, name_to_code, id_to_name) = cbir.into_parts();
+        // The service's id→name table repeats `metadata`, which is in
+        // dense-id order.
+        let (model, name_to_code, _) = cbir.into_parts();
         // Normalize the configuration once, so the value the server reports,
         // uses and *persists* is the value in effect (a raw `shards: 0`
         // would checkpoint fine but be rejected as corrupt on recovery).
         let serve = ServeConfig { shards: serve.shards.max(1), ..serve };
         let index = ShardedHashIndex::new(model.code_bits(), serve.shards);
-        for (id, name) in id_to_name.iter().enumerate() {
+        for (id, meta) in metadata.iter().enumerate() {
             let code = name_to_code
-                .get(name)
+                .get(&meta.name)
                 .cloned()
-                .ok_or_else(|| EarthQubeError::UnknownImage(name.clone()))?;
+                .ok_or_else(|| EarthQubeError::UnknownImage(meta.name.clone()))?;
             index.insert(id as u64, code);
         }
         Ok(Self {
@@ -667,7 +668,7 @@ impl QueryServer {
             model,
             index,
             catalog: RwLock::with_name(
-                Catalog { database, metadata, name_to_code, id_to_name, feedback },
+                Catalog { database, metadata, name_to_code, feedback },
                 "catalog",
             ),
             cache: ResultCache::new(serve.cache_capacity),
@@ -770,7 +771,7 @@ impl QueryServer {
                 let hits = self.index.knn_with(code, k + 1, &mut scratch.search);
                 scratch.neighbors.clear();
                 scratch.neighbors.extend(hits.iter().copied().filter(|n| {
-                    catalog.id_to_name.get(n.id as usize).map(String::as_str) != Some(name)
+                    catalog.metadata.get(n.id as usize).map(|m| m.name.as_str()) != Some(name)
                 }));
                 scratch.neighbors.truncate(k);
                 catalog.response_from_neighbors(&scratch.neighbors, page_size)
@@ -848,7 +849,7 @@ impl QueryServer {
                 let hits = self.index.knn_masked_with(code, k + 1, &mask, &mut scratch.search);
                 scratch.neighbors.clear();
                 scratch.neighbors.extend(hits.iter().copied().filter(|n| {
-                    catalog.id_to_name.get(n.id as usize).map(String::as_str) != Some(name)
+                    catalog.metadata.get(n.id as usize).map(|m| m.name.as_str()) != Some(name)
                 }));
                 scratch.neighbors.truncate(k);
                 catalog.response_from_neighbors(&scratch.neighbors, page_size)
@@ -887,7 +888,7 @@ impl QueryServer {
                 self.index.radius_search_masked_into(code, radius, &mask, &mut scratch.neighbors);
                 eq_hashindex::sort_neighbors(&mut scratch.neighbors);
                 scratch.neighbors.retain(|n| {
-                    catalog.id_to_name.get(n.id as usize).map(String::as_str) != Some(name)
+                    catalog.metadata.get(n.id as usize).map(|m| m.name.as_str()) != Some(name)
                 });
                 catalog.response_from_neighbors(&scratch.neighbors, page_size)
             })?;
@@ -1321,8 +1322,9 @@ impl QueryServer {
 
         let mut catalog = self.catalog.write();
         let mut wal = self.wal.lock();
-        let mut codes: Vec<&BinaryCode> = Vec::with_capacity(catalog.id_to_name.len());
-        for name in &catalog.id_to_name {
+        let mut codes: Vec<&BinaryCode> = Vec::with_capacity(catalog.metadata.len());
+        for meta in &catalog.metadata {
+            let name = &meta.name;
             codes.push(catalog.name_to_code.get(name).ok_or_else(|| {
                 EarthQubeError::Persist(format!(
                     "catalog is internally inconsistent: indexed image {name} has no stored code"
@@ -1614,10 +1616,8 @@ impl QueryServer {
 
         let mut metadata = Vec::with_capacity(state.images.len());
         let mut name_to_code = HashMap::with_capacity(state.images.len());
-        let mut id_to_name = Vec::with_capacity(state.images.len());
         for (meta, code) in state.images {
             name_to_code.insert(meta.name.clone(), code);
-            id_to_name.push(meta.name.clone());
             metadata.push(meta);
         }
         let registry = crate::engine::build_registry(&state.config);
@@ -1631,7 +1631,6 @@ impl QueryServer {
                     database: state.database,
                     metadata,
                     name_to_code,
-                    id_to_name,
                     feedback: FeedbackService::new(),
                 },
                 "catalog",
@@ -2245,7 +2244,6 @@ fn apply_ingest(
     insert_patch_docs(&mut catalog.database, &meta, image_doc, rendered_doc)?;
     index.insert(meta.id.0 as u64, code.clone());
     catalog.name_to_code.insert(meta.name.clone(), code);
-    catalog.id_to_name.push(meta.name.clone());
     catalog.metadata.push(meta);
     Ok(())
 }

@@ -3,6 +3,8 @@
 //! random `k`/radius, the bitmap-prefilter strategy, the post-filter scan
 //! and the cost-based `Auto` planner must return **byte-identical**
 //! responses, and every hit must satisfy the query's metadata filter.
+//! A last property pins the filtered searches to the query panel's own
+//! `search`: both count the same matches, on circle rims too.
 //!
 //! One engine is built once (via `OnceLock`) outside the proptest loop —
 //! the properties randomise the *queries*, not the corpus, which keeps the
@@ -17,22 +19,31 @@ use eq_bigearthnet::patch::{AcquisitionDate, Season};
 use eq_bigearthnet::{ArchiveGenerator, Country, GeneratorConfig};
 use eq_earthqube::{
     metadata_document, EarthQube, EarthQubeConfig, FilteredResponse, ImageQuery, LabelFilter,
-    LabelOperator, PrefilterMode,
+    LabelOperator, PrefilterMode, QueryServer, ServeConfig,
 };
-use eq_geo::{BBox, GeoShape};
+use eq_geo::{haversine_km, BBox, Circle, GeoShape, Point};
 use proptest::prelude::*;
 
 const PATCHES: usize = 48;
 
+fn build_engine() -> (EarthQube, Vec<String>) {
+    let archive = ArchiveGenerator::new(GeneratorConfig::tiny(PATCHES, 77)).unwrap().generate();
+    let mut cfg = EarthQubeConfig::fast(77);
+    cfg.train_model = false; // untrained codes are still deterministic
+    let names = archive.patches().iter().map(|p| p.meta.name.clone()).collect();
+    (EarthQube::build(&archive, cfg).unwrap(), names)
+}
+
 fn engine() -> &'static (EarthQube, Vec<String>) {
     static ENGINE: OnceLock<(EarthQube, Vec<String>)> = OnceLock::new();
-    ENGINE.get_or_init(|| {
-        let archive = ArchiveGenerator::new(GeneratorConfig::tiny(PATCHES, 77)).unwrap().generate();
-        let mut cfg = EarthQubeConfig::fast(77);
-        cfg.train_model = false; // untrained codes are still deterministic
-        let names = archive.patches().iter().map(|p| p.meta.name.clone()).collect();
-        (EarthQube::build(&archive, cfg).unwrap(), names)
-    })
+    ENGINE.get_or_init(build_engine)
+}
+
+/// The same archive behind the concurrent server.
+fn server() -> &'static QueryServer {
+    static SERVER: OnceLock<QueryServer> = OnceLock::new();
+    SERVER
+        .get_or_init(|| QueryServer::from_engine(build_engine().0, ServeConfig::default()).unwrap())
 }
 
 const COUNTRIES: [Country; 4] =
@@ -193,5 +204,43 @@ proptest! {
         let plain = eq.similar_to(name, k).unwrap();
         prop_assert!(got.response.panel.entries() == plain.panel.entries());
         prop_assert!(got.plan.matching == PATCHES);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Regression: the query panel and the filtered similarity searches
+    /// resolve a filter through one engine, so they count the same matches
+    /// — on a circle's rim too.  Half the circles here are drawn so that an
+    /// archive patch lies due east or west of the centre just inside the
+    /// radius, where `Circle::bounding_box` is a hair narrower than the
+    /// circle itself (the two use different kilometres per degree): the old
+    /// geo branch of `find` verified candidates against that box and lost
+    /// the patch, while the prefilter kept its whole cell.
+    #[test]
+    fn query_panel_and_filtered_search_count_the_same_circle_matches(
+        who in 0usize..PATCHES,
+        offset_deg in 0.05f64..0.4,
+        east in 0u8..2,
+        slack in prop_oneof![1.00005f64..1.001, 1.001f64..3.0],
+    ) {
+        let (eq, names) = engine();
+        let name = &names[who];
+        let patch = eq.metadata_of(name).unwrap().bbox.center();
+        let side = if east == 1 { offset_deg } else { -offset_deg };
+        let centre = Point::new(patch.lon + side, patch.lat).unwrap();
+        let circle = Circle::new(centre, haversine_km(centre, patch) * slack).unwrap();
+        let query = ImageQuery::all().with_shape(GeoShape::Circle(circle));
+        let bits = eq.cbir().unwrap().code_bits();
+
+        let panel = eq.search(&query).unwrap().plan.unwrap();
+        let filtered = eq.similar_within_filtered(name, bits, &query, PrefilterMode::Auto).unwrap();
+        prop_assert_eq!(panel.matched, filtered.plan.matching);
+
+        let panel = server().search(&query).unwrap().plan.unwrap();
+        let filtered =
+            server().similar_within_filtered(name, bits, &query, PrefilterMode::Auto).unwrap();
+        prop_assert_eq!(panel.matched, filtered.plan.matching);
     }
 }
