@@ -1,0 +1,313 @@
+//! The one query core: the state a query reads, and the single
+//! implementation of every query kind over it.
+//!
+//! A [`Catalog`] is the document store, the dense-id metadata table and
+//! the CBIR service (model, name→code table, Hamming index) as one value.
+//! Both façades are configurations of it: [`EarthQube`](crate::EarthQube)
+//! owns it bare (a one-shard index, one [`QueryScratch`], no cache), and
+//! [`QueryServer`](crate::QueryServer) owns it behind the `catalog` lock
+//! and adds only what is the server's: result cache, scratch pool,
+//! counters, durability, replication.  A query therefore answers the same
+//! bytes on either, whatever the shard count.
+//!
+//! The façades document each query's contract; they also validate the
+//! [`ImageQuery`] first, before any cache probe or lock.
+
+use eq_bigearthnet::patch::PatchMetadata;
+use eq_bigearthnet::Archive;
+use eq_docstore::{Database, DirtyLog, Document};
+use eq_hashindex::{BinaryCode, IdMask, Neighbor, SearchScratch, ShardedHashIndex};
+use eq_milan::Milan;
+
+use crate::cbir::CbirService;
+use crate::engine::{EarthQubeConfig, SearchResponse};
+use crate::feedback::FeedbackService;
+use crate::filtered::{matching_item_mask, FilteredPlan, FilteredResponse, PrefilterMode};
+use crate::ingest::{ingest_archive, insert_patch_docs};
+use crate::persist::WalRecord;
+use crate::query::ImageQuery;
+use crate::results::{ResultEntry, ResultPanel};
+use crate::schema::{collections, metadata_from_document};
+use crate::stats::LabelStatistics;
+use crate::EarthQubeError;
+
+/// Per-query scratch state for one CBIR query: the bounded top-k selection
+/// heap plus the (small, ≤ k+1) neighbour buffer the ranking is cut in.
+/// Both are reused across queries, so a steady-state k-NN query performs
+/// **zero search-path allocation** — the selection is a size-k heap, never
+/// a full candidate list.  The engine keeps one; the server pools them.
+#[derive(Debug, Default)]
+pub(crate) struct QueryScratch {
+    search: SearchScratch,
+    neighbors: Vec<Neighbor>,
+}
+
+/// Everything a query reads and the write path mutates, as one value, so
+/// every query sees a consistent snapshot of store, metadata, code table
+/// and index.
+#[derive(Debug)]
+pub(crate) struct Catalog {
+    pub(crate) database: Database,
+    /// Indexed by dense patch id.
+    pub(crate) metadata: Vec<PatchMetadata>,
+    pub(crate) cbir: CbirService,
+    pub(crate) page_size: usize,
+}
+
+impl Catalog {
+    /// Builds the core from an archive: ingests the four collections,
+    /// trains MiLaN and indexes every code once, into `shards` shards.
+    ///
+    /// # Errors
+    /// Propagates ingestion/model-configuration errors.
+    pub(crate) fn build(
+        archive: &Archive,
+        config: &EarthQubeConfig,
+        shards: usize,
+    ) -> Result<Self, EarthQubeError> {
+        let mut database = Database::new();
+        ingest_archive(&mut database, archive)?;
+
+        let mut model = Milan::new(config.milan.clone()).map_err(EarthQubeError::BadRequest)?;
+        if config.train_model {
+            model.train_on_archive(archive);
+        }
+        let cbir = CbirService::build(model, archive, config.cbir, shards);
+        Ok(Self { database, metadata: archive.metadata(), cbir, page_size: config.page_size })
+    }
+
+    /// Re-routes every code into an index of `shards` shards, unless the
+    /// index already has that many.  Fails if an indexed image has no code.
+    pub(crate) fn reshard(&mut self, shards: usize) -> Result<(), EarthQubeError> {
+        if self.cbir.index.shard_count() != shards {
+            let index = ShardedHashIndex::new(self.cbir.index.bits(), shards);
+            for (id, meta) in self.metadata.iter().enumerate() {
+                index.insert(id as u64, self.code_of(&meta.name)?.clone());
+            }
+            self.cbir.index = index;
+        }
+        Ok(())
+    }
+
+    /// Ingest's duplicate check.
+    pub(crate) fn ensure_new(&self, name: &str) -> Result<(), EarthQubeError> {
+        if self.cbir.code_of(name).is_some() {
+            return Err(EarthQubeError::BadRequest(format!(
+                "image {name} is already in the archive"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Applies one prepared patch, whose dense id the caller has assigned
+    /// (the next slot of `metadata`).  Live ingest, WAL replay and
+    /// replication all write through here, which is what makes a recovered
+    /// server or a replica byte-identical to the server that took the
+    /// writes.  On a store error nothing is applied.
+    pub(crate) fn apply_ingest(
+        &mut self,
+        meta: PatchMetadata,
+        code: BinaryCode,
+        image_doc: Document,
+        rendered_doc: Document,
+    ) -> Result<(), EarthQubeError> {
+        insert_patch_docs(&mut self.database, &meta, image_doc, rendered_doc)?;
+        self.cbir.insert(meta.id.0 as u64, &meta.name, code);
+        self.metadata.push(meta);
+        Ok(())
+    }
+
+    /// Applies one logged write, recovered or replicated, and says whether
+    /// it was an ingest.  A record that does not continue this state is an
+    /// [`EarthQubeError::Persist`], and nothing of it is applied.
+    pub(crate) fn apply_record(&mut self, record: WalRecord) -> Result<bool, EarthQubeError> {
+        let diverged = |e: EarthQubeError| {
+            EarthQubeError::Persist(format!("a logged write does not apply: {e}"))
+        };
+        match record {
+            WalRecord::Ingest { meta, code, image_doc, rendered_doc } => {
+                if meta.id.0 as usize != self.metadata.len() {
+                    return Err(EarthQubeError::Persist(format!(
+                        "the logged record for {} carries dense id {}, expected {}",
+                        meta.name,
+                        meta.id.0,
+                        self.metadata.len()
+                    )));
+                }
+                self.apply_ingest(meta, code, image_doc, rendered_doc).map_err(diverged)?;
+                Ok(true)
+            }
+            WalRecord::Feedback { text, category } => {
+                FeedbackService
+                    .submit(&mut self.database, &text, category.as_deref())
+                    .map_err(diverged)?;
+                Ok(false)
+            }
+        }
+    }
+
+    /// Each image from dense id `start` on with its stored code, in id
+    /// order: what a checkpoint's image chunk persists.
+    pub(crate) fn images_from(
+        &self,
+        start: usize,
+    ) -> Result<Vec<(&PatchMetadata, &BinaryCode)>, EarthQubeError> {
+        let tail = self.metadata.iter().skip(start);
+        tail.map(|meta| Ok((meta, self.code_of(&meta.name)?))).collect()
+    }
+
+    /// Puts back the dirty state a checkpoint cut drained, when the
+    /// checkpoint failed before publishing, so the next one retries it.
+    pub(crate) fn restore_dirty(&mut self, drained: Vec<(String, DirtyLog)>, shards: &[usize]) {
+        for (name, log) in drained {
+            if let Ok(collection) = self.database.collection_mut(&name) {
+                collection.restore_dirty(log);
+            }
+        }
+        self.cbir.index.mark_shards_dirty(shards);
+    }
+
+    /// The query-panel search: compiles the query to a store filter,
+    /// resolves it with `Collection::find` and assembles panel, statistics
+    /// and plan.
+    pub(crate) fn search(&self, query: &ImageQuery) -> Result<SearchResponse, EarthQubeError> {
+        let coll = self.database.collection(collections::METADATA)?;
+        let result = coll.find(&query.to_filter());
+        let metas: Vec<PatchMetadata> = result
+            .ids
+            .iter()
+            .filter_map(|id| coll.get(*id))
+            .filter_map(metadata_from_document)
+            .collect();
+        let entries: Vec<ResultEntry> =
+            metas.iter().map(|m| ResultEntry::from_metadata(m, None)).collect();
+        let statistics = LabelStatistics::from_label_sets(metas.iter().map(|m| m.labels));
+        Ok(SearchResponse {
+            panel: ResultPanel::new(entries, self.page_size),
+            statistics,
+            plan: Some(result.plan),
+        })
+    }
+
+    /// The `k` nearest neighbours of an archive image, itself excluded.
+    pub(crate) fn similar_to(
+        &self,
+        name: &str,
+        k: usize,
+        scratch: &mut QueryScratch,
+    ) -> Result<SearchResponse, EarthQubeError> {
+        self.nearest(self.code_of(name)?, k, Some(name), None, scratch)
+    }
+
+    /// The `k` archive images nearest to an arbitrary code: query by new
+    /// example, once the model has encoded the upload.
+    pub(crate) fn search_by_code(
+        &self,
+        code: &BinaryCode,
+        k: usize,
+        scratch: &mut QueryScratch,
+    ) -> Result<SearchResponse, EarthQubeError> {
+        self.nearest(code, k, None, None, scratch)
+    }
+
+    /// [`similar_to`](Self::similar_to) among the images matching the
+    /// query-panel filter only.
+    pub(crate) fn similar_to_filtered(
+        &self,
+        name: &str,
+        k: usize,
+        query: &ImageQuery,
+        mode: PrefilterMode,
+        scratch: &mut QueryScratch,
+    ) -> Result<FilteredResponse, EarthQubeError> {
+        let (mask, plan) = self.matching_mask(query, mode)?;
+        let response = self.nearest(self.code_of(name)?, k, Some(name), Some(&mask), scratch)?;
+        Ok(FilteredResponse { response, plan })
+    }
+
+    /// Every image within `radius` of an archive image's code that matches
+    /// the query-panel filter, itself excluded, by distance then id.
+    pub(crate) fn similar_within_filtered(
+        &self,
+        name: &str,
+        radius: u32,
+        query: &ImageQuery,
+        mode: PrefilterMode,
+        scratch: &mut QueryScratch,
+    ) -> Result<FilteredResponse, EarthQubeError> {
+        let (mask, plan) = self.matching_mask(query, mode)?;
+        let hits = &mut scratch.neighbors;
+        hits.clear();
+        self.cbir.index.radius_search_masked_into(self.code_of(name)?, radius, &mask, hits);
+        eq_hashindex::sort_neighbors(hits);
+        hits.retain(|hit| !self.is_image(hit, name));
+        let response = self.response_from_neighbors(hits)?;
+        Ok(FilteredResponse { response, plan })
+    }
+
+    fn code_of(&self, name: &str) -> Result<&BinaryCode, EarthQubeError> {
+        self.cbir.code_of(name).ok_or_else(|| EarthQubeError::UnknownImage(name.to_string()))
+    }
+
+    /// Resolves the filter to the exact dense-id mask *before* any distance
+    /// work, whatever the mode, so every mode ranks the same universe.
+    fn matching_mask(
+        &self,
+        query: &ImageQuery,
+        mode: PrefilterMode,
+    ) -> Result<(IdMask, FilteredPlan), EarthQubeError> {
+        let coll = self.database.collection(collections::METADATA)?;
+        Ok(matching_item_mask(coll, &query.to_filter(), mode))
+    }
+
+    fn is_image(&self, hit: &Neighbor, name: &str) -> bool {
+        self.metadata.get(hit.id as usize).is_some_and(|m| m.name == name)
+    }
+
+    /// The one k-NN entry: the `k` images nearest to `code`, among `mask`
+    /// when there is one, with the image named `exclude` dropped.
+    ///
+    /// The query image is itself indexed, so one extra hit is selected and
+    /// the image dropped from the ranking.  `k` is clamped to the archive
+    /// size first: no answer changes, and the selection never reserves more
+    /// than the archive could fill, whatever `k` a caller sends.
+    fn nearest(
+        &self,
+        code: &BinaryCode,
+        k: usize,
+        exclude: Option<&str>,
+        mask: Option<&IdMask>,
+        scratch: &mut QueryScratch,
+    ) -> Result<SearchResponse, EarthQubeError> {
+        let wanted = k.min(self.metadata.len()) + usize::from(exclude.is_some());
+        let hits = match mask {
+            Some(mask) => self.cbir.index.knn_masked_with(code, wanted, mask, &mut scratch.search),
+            None => self.cbir.index.knn_with(code, wanted, &mut scratch.search),
+        };
+        let kept = hits.iter().filter(|hit| !exclude.is_some_and(|name| self.is_image(hit, name)));
+        scratch.neighbors.clear();
+        scratch.neighbors.extend(kept.take(k));
+        self.response_from_neighbors(&scratch.neighbors)
+    }
+
+    /// Result-panel and label-statistics assembly for ranked index hits.
+    fn response_from_neighbors(
+        &self,
+        neighbors: &[Neighbor],
+    ) -> Result<SearchResponse, EarthQubeError> {
+        let mut entries = Vec::with_capacity(neighbors.len());
+        let mut label_sets = Vec::with_capacity(neighbors.len());
+        for hit in neighbors {
+            let meta = self.metadata.get(hit.id as usize).ok_or_else(|| {
+                EarthQubeError::UnknownImage(format!("dense patch id {}", hit.id))
+            })?;
+            entries.push(ResultEntry::from_metadata(meta, Some(hit.distance)));
+            label_sets.push(meta.labels);
+        }
+        Ok(SearchResponse {
+            panel: ResultPanel::new(entries, self.page_size),
+            statistics: LabelStatistics::from_label_sets(label_sets),
+            plan: None,
+        })
+    }
+}

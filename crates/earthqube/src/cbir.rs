@@ -4,18 +4,18 @@
 //! The service keeps an in-memory hash table mapping each image patch name
 //! to its code (query-by-archive-image path) and a Hamming hash index over
 //! all codes.  For external images the model produces a code on the fly
-//! (query-by-new-example path).  Retrieval returns all images within a
-//! small Hamming radius — or the k nearest — of the query code.
+//! (query-by-new-example path).
+//!
+//! This is the CBIR half of the one query core (the crate's `catalog`
+//! module): the service holds the state, the core ranks over it and
+//! assembles the responses.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use eq_bigearthnet::patch::{Patch, PatchId};
 use eq_bigearthnet::Archive;
-use eq_hashindex::{BinaryCode, HammingIndex, HashTableIndex, IdMask, Neighbor, SearchScratch};
+use eq_hashindex::{BinaryCode, ShardedHashIndex};
 use eq_milan::Milan;
-use parking_lot::Mutex;
-
-use crate::EarthQubeError;
 
 /// Configuration of the CBIR service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,73 +33,46 @@ impl Default for CbirConfig {
     }
 }
 
-/// One retrieved similar image.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SimilarImage {
-    /// The dense patch id.
-    pub id: PatchId,
-    /// The BigEarthNet patch name.
-    pub name: String,
-    /// Hamming distance from the query code.
-    pub distance: u32,
-}
-
-/// Interior scratch slot for the bounded top-k selection: the service's
-/// query methods take `&self`, so the reusable heap sits behind a `Mutex`
-/// (uncontended in the sequential engine; the concurrent server pools its
-/// own scratches instead).  Cloning a service starts with a fresh, empty
-/// scratch — the state is pure reusable buffer, never part of the results.
-struct ScratchSlot(Mutex<SearchScratch>);
-
-impl Clone for ScratchSlot {
-    fn clone(&self) -> Self {
-        ScratchSlot(Mutex::with_name(SearchScratch::new(), "cbir-scratch"))
-    }
-}
-
-impl std::fmt::Debug for ScratchSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("ScratchSlot")
-    }
-}
-
-/// The MiLaN-backed CBIR service.
-#[derive(Debug, Clone)]
+/// The MiLaN-backed CBIR service: the trained model, the name→code table
+/// and the Hamming index over the same codes.
+#[derive(Debug)]
 pub struct CbirService {
-    config: CbirConfig,
-    model: Milan,
-    index: HashTableIndex,
+    pub(crate) config: CbirConfig,
+    /// Immutable once built, so the server hashes uploads and ingest
+    /// batches through its own handle without taking the catalog lock.
+    pub(crate) model: Arc<Milan>,
+    pub(crate) index: ShardedHashIndex,
     /// In-memory hash table: image patch name → binary code (§3.3).
-    name_to_code: HashMap<String, BinaryCode>,
-    id_to_name: Vec<String>,
-    /// Reusable bounded top-k state for [`query_by_code`](Self::query_by_code).
-    scratch: ScratchSlot,
+    pub(crate) name_to_code: HashMap<String, BinaryCode>,
 }
 
 impl CbirService {
     /// Builds the service: infers a binary code for every archive image,
-    /// fills the name→code table and the Hamming index.
+    /// fills the name→code table and a Hamming index of `shards` shards
+    /// (at least one).
     ///
     /// The model should already be trained; an untrained model still works
     /// but retrieves poorly (that difference is experiment E2).
-    pub fn build(model: Milan, archive: &Archive, config: CbirConfig) -> Self {
+    pub(crate) fn build(
+        model: Milan,
+        archive: &Archive,
+        config: CbirConfig,
+        shards: usize,
+    ) -> Self {
         let codes = model.hash_archive(archive);
-        let mut index = HashTableIndex::new(model.code_bits());
-        let mut name_to_code = HashMap::with_capacity(codes.len());
-        let mut id_to_name = Vec::with_capacity(codes.len());
+        let index = ShardedHashIndex::new(model.code_bits(), shards.max(1));
+        let name_to_code = HashMap::with_capacity(codes.len());
+        let mut service = Self { config, model: Arc::new(model), index, name_to_code };
         for (patch, code) in archive.patches().iter().zip(codes) {
-            index.insert(patch.meta.id.0 as u64, code.clone());
-            name_to_code.insert(patch.meta.name.clone(), code);
-            id_to_name.push(patch.meta.name.clone());
+            service.insert(patch.meta.id.0 as u64, &patch.meta.name, code);
         }
-        Self {
-            config,
-            model,
-            index,
-            name_to_code,
-            id_to_name,
-            scratch: ScratchSlot(Mutex::with_name(SearchScratch::new(), "cbir-scratch")),
-        }
+        service
+    }
+
+    /// Adds one image to the table and the index, keeping the two in step.
+    pub(crate) fn insert(&mut self, id: u64, name: &str, code: BinaryCode) {
+        self.index.insert(id, code.clone());
+        self.name_to_code.insert(name.to_string(), code);
     }
 
     /// The service configuration.
@@ -127,121 +100,9 @@ impl CbirService {
         self.name_to_code.get(name)
     }
 
-    /// The k most similar archive images to an arbitrary query code.
-    ///
-    /// Runs the bounded top-k selection over the index's code arena through
-    /// the service's reusable scratch: at most `k` candidates are ever
-    /// held, and no full result list is materialised or sorted.
-    pub fn query_by_code(&self, code: &BinaryCode, k: usize) -> Vec<SimilarImage> {
-        let mut scratch = self.scratch.0.lock();
-        let neighbors = self.index.knn_with(code, k, &mut scratch);
-        self.to_similar(neighbors)
-    }
-
-    /// All archive images within the given Hamming radius of the query code.
-    pub fn radius_query_by_code(&self, code: &BinaryCode, radius: u32) -> Vec<SimilarImage> {
-        self.to_similar(&self.index.radius_search(code, radius))
-    }
-
-    /// Masked k-NN: the `k` most similar archive images **whose dense
-    /// patch id is in `mask`** (the bitmap-prefiltered search path, E13).
-    /// Rows outside the mask are skipped before any distance computation.
-    pub fn query_by_code_masked(
-        &self,
-        code: &BinaryCode,
-        k: usize,
-        mask: &IdMask,
-    ) -> Vec<SimilarImage> {
-        let mut scratch = self.scratch.0.lock();
-        let neighbors = self.index.knn_masked_with(code, k, mask, &mut scratch);
-        self.to_similar(neighbors)
-    }
-
-    /// Masked radius query: every archive image within `radius` of the
-    /// query code whose dense patch id is in `mask`, sorted by distance
-    /// then id — the same order as
-    /// [`radius_query_by_code`](Self::radius_query_by_code).
-    pub fn radius_query_by_code_masked(
-        &self,
-        code: &BinaryCode,
-        radius: u32,
-        mask: &IdMask,
-    ) -> Vec<SimilarImage> {
-        let mut out = Vec::new();
-        self.index.radius_search_masked_into(code, radius, mask, &mut out);
-        eq_hashindex::sort_neighbors(&mut out);
-        self.to_similar(&out)
-    }
-
-    /// Masked query by an existing archive image: like
-    /// [`query_by_archive_image`](Self::query_by_archive_image) but ranking
-    /// only the masked subset.
-    ///
-    /// # Errors
-    /// Fails if the name is not in the archive.
-    pub fn query_by_archive_image_masked(
-        &self,
-        name: &str,
-        k: usize,
-        mask: &IdMask,
-    ) -> Result<Vec<SimilarImage>, EarthQubeError> {
-        let code = self
-            .name_to_code
-            .get(name)
-            .ok_or_else(|| EarthQubeError::UnknownImage(name.to_string()))?;
-        // One extra hit in case the query image itself passes the filter.
-        let hits = self.query_by_code_masked(code, k + 1, mask);
-        Ok(hits.into_iter().filter(|h| h.name != name).take(k).collect())
-    }
-
-    /// Query by an existing archive image (§3.3): looks the image's code up
-    /// in the in-memory table and retrieves its neighbours, excluding the
-    /// query image itself.
-    ///
-    /// # Errors
-    /// Fails if the name is not in the archive.
-    pub fn query_by_archive_image(
-        &self,
-        name: &str,
-        k: usize,
-    ) -> Result<Vec<SimilarImage>, EarthQubeError> {
-        let code = self
-            .name_to_code
-            .get(name)
-            .ok_or_else(|| EarthQubeError::UnknownImage(name.to_string()))?;
-        // Ask for one extra hit because the query image itself is indexed.
-        let hits = self.query_by_code(code, k + 1);
-        Ok(hits.into_iter().filter(|h| h.name != name).take(k).collect())
-    }
-
-    /// Query by a new external image (§3.3): the model produces a code for
-    /// the uploaded patch on the fly.
-    pub fn query_by_new_example(&self, patch: &Patch, k: usize) -> Vec<SimilarImage> {
-        let code = self.model.hash_patch(patch);
-        self.query_by_code(&code, k)
-    }
-
     /// The underlying model (e.g. to hash external features directly).
     pub fn model(&self) -> &Milan {
         &self.model
-    }
-
-    /// Decomposes the service into the model, the name→code table and the
-    /// dense id→name map, in that order.  Used by the serving layer to
-    /// re-index the codes into a sharded concurrent index.
-    pub fn into_parts(self) -> (Milan, HashMap<String, BinaryCode>, Vec<String>) {
-        (self.model, self.name_to_code, self.id_to_name)
-    }
-
-    fn to_similar(&self, neighbors: &[Neighbor]) -> Vec<SimilarImage> {
-        neighbors
-            .iter()
-            .map(|n| SimilarImage {
-                id: PatchId(n.id as u32),
-                name: self.id_to_name[n.id as usize].clone(),
-                distance: n.distance,
-            })
-            .collect()
     }
 }
 
@@ -251,84 +112,28 @@ mod tests {
     use eq_bigearthnet::{ArchiveGenerator, GeneratorConfig};
     use eq_milan::MilanConfig;
 
-    fn service(n: usize, seed: u64, train: bool) -> (CbirService, Archive) {
+    fn service(n: usize, seed: u64, shards: usize) -> (CbirService, Archive) {
         let archive = ArchiveGenerator::new(GeneratorConfig::tiny(n, seed)).unwrap().generate();
-        let mut model = Milan::new(MilanConfig::fast(32, seed)).unwrap();
-        if train {
-            model.train_on_archive(&archive);
-        }
-        (CbirService::build(model, &archive, CbirConfig::default()), archive)
+        let model = Milan::new(MilanConfig::fast(32, seed)).unwrap();
+        (CbirService::build(model, &archive, CbirConfig::default(), shards), archive)
     }
 
     #[test]
     fn build_indexes_every_archive_image() {
-        let (svc, archive) = service(40, 31, false);
+        let (svc, archive) = service(40, 31, 1);
         assert_eq!(svc.len(), 40);
         assert!(!svc.is_empty());
         assert_eq!(svc.code_bits(), 32);
+        assert_eq!(svc.config(), CbirConfig::default());
         for p in archive.patches() {
-            assert!(svc.code_of(&p.meta.name).is_some());
+            assert_eq!(svc.code_of(&p.meta.name), Some(&svc.model().hash_patch(p)));
         }
         assert!(svc.code_of("nonexistent").is_none());
     }
 
     #[test]
-    fn query_by_archive_image_excludes_the_query_itself() {
-        let (svc, archive) = service(50, 32, true);
-        let name = &archive.patches()[3].meta.name;
-        let hits = svc.query_by_archive_image(name, 10).unwrap();
-        assert!(hits.len() <= 10);
-        assert!(!hits.is_empty());
-        assert!(hits.iter().all(|h| &h.name != name));
-        // Results are sorted by distance.
-        for w in hits.windows(2) {
-            assert!(w[0].distance <= w[1].distance);
-        }
-    }
-
-    #[test]
-    fn query_by_unknown_image_errors() {
-        let (svc, _) = service(10, 33, false);
-        assert!(matches!(
-            svc.query_by_archive_image("ghost", 5),
-            Err(EarthQubeError::UnknownImage(_))
-        ));
-    }
-
-    #[test]
-    fn query_by_new_example_returns_neighbours() {
-        let (svc, _) = service(60, 34, true);
-        // Generate a fresh, unseen patch with a different seed.
-        let external =
-            ArchiveGenerator::new(GeneratorConfig::tiny(1, 999)).unwrap().generate_patch(0);
-        let hits = svc.query_by_new_example(&external, 7);
-        assert_eq!(hits.len(), 7);
-        for w in hits.windows(2) {
-            assert!(w[0].distance <= w[1].distance);
-        }
-    }
-
-    #[test]
-    fn radius_query_returns_only_codes_within_radius() {
-        let (svc, archive) = service(80, 35, true);
-        let name = &archive.patches()[0].meta.name;
-        let code = svc.code_of(name).unwrap().clone();
-        for radius in [0u32, 2, 6, 12] {
-            let hits = svc.radius_query_by_code(&code, radius);
-            assert!(hits.iter().all(|h| h.distance <= radius));
-            // The query image itself (distance 0) is always included.
-            assert!(hits.iter().any(|h| &h.name == name));
-        }
-    }
-
-    #[test]
-    fn similar_images_map_ids_to_names_consistently() {
-        let (svc, archive) = service(30, 36, false);
-        let name = &archive.patches()[5].meta.name;
-        let code = svc.code_of(name).unwrap().clone();
-        let hits = svc.query_by_code(&code, 5);
-        for h in hits {
-            assert_eq!(archive.patches()[h.id.index()].meta.name, h.name);
-        }
+    fn a_zero_shard_request_builds_one_shard() {
+        let (svc, _) = service(5, 33, 0);
+        assert_eq!(svc.index.shard_count(), 1);
     }
 }

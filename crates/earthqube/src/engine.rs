@@ -6,15 +6,15 @@ use eq_agora::{asset, AssetKind, AssetRegistry};
 use eq_bigearthnet::patch::{Patch, PatchMetadata};
 use eq_bigearthnet::Archive;
 use eq_docstore::{Database, QueryPlan};
-use eq_milan::{Milan, MilanConfig};
+use eq_milan::MilanConfig;
+use parking_lot::Mutex;
 
+use crate::catalog::{Catalog, QueryScratch};
 use crate::cbir::{CbirConfig, CbirService};
-use crate::feedback::FeedbackService;
-use crate::filtered::{matching_item_mask, FilteredResponse, PrefilterMode};
-use crate::ingest::ingest_archive;
+use crate::feedback::{FeedbackEntry, FeedbackService};
+use crate::filtered::{FilteredResponse, PrefilterMode};
 use crate::query::ImageQuery;
-use crate::results::{ResultEntry, ResultPanel};
-use crate::schema::{collections, metadata_from_document};
+use crate::results::ResultPanel;
 use crate::stats::LabelStatistics;
 use crate::EarthQubeError;
 
@@ -68,20 +68,21 @@ impl SearchResponse {
     }
 }
 
-/// The EarthQube back-end.
+/// The EarthQube back-end: the crate's one query core in its bare
+/// configuration — a one-shard index, one scratch, no cache, no lock.
 ///
 /// All query methods take `&self`; the only `&mut self` entry point is
 /// [`submit_feedback`](Self::submit_feedback), which writes to the data
 /// tier.  For concurrent serving, hand the built engine to
 /// [`QueryServer::from_engine`](crate::serve::QueryServer::from_engine),
-/// which shares the read path across worker threads.
+/// which moves the same core behind the server's lock and cache.
 #[derive(Debug)]
 pub struct EarthQube {
     pub(crate) config: EarthQubeConfig,
-    pub(crate) database: Database,
-    pub(crate) metadata: Vec<PatchMetadata>,
-    pub(crate) cbir: Option<CbirService>,
-    pub(crate) feedback: FeedbackService,
+    pub(crate) catalog: Catalog,
+    /// The query methods take `&self`, so the one scratch sits behind a
+    /// mutex, uncontended unless callers share the engine across threads.
+    scratch: Mutex<QueryScratch>,
     pub(crate) registry: AssetRegistry,
 }
 
@@ -93,22 +94,12 @@ impl EarthQube {
     /// # Errors
     /// Propagates ingestion/model-configuration errors.
     pub fn build(archive: &Archive, config: EarthQubeConfig) -> Result<Self, EarthQubeError> {
-        let mut database = Database::new();
-        ingest_archive(&mut database, archive)?;
-
-        let mut model = Milan::new(config.milan.clone()).map_err(EarthQubeError::BadRequest)?;
-        if config.train_model {
-            model.train_on_archive(archive);
-        }
-        let cbir = CbirService::build(model, archive, config.cbir);
+        let catalog = Catalog::build(archive, &config, 1)?;
         let registry = build_registry(&config);
-
         Ok(Self {
             config,
-            database,
-            metadata: archive.metadata(),
-            cbir: Some(cbir),
-            feedback: FeedbackService::new(),
+            catalog,
+            scratch: Mutex::with_name(QueryScratch::default(), "engine-scratch"),
             registry,
         })
     }
@@ -120,7 +111,7 @@ impl EarthQube {
 
     /// The underlying document database.
     pub fn database(&self) -> &Database {
-        &self.database
+        &self.catalog.database
     }
 
     /// The AgoraEO asset registry this instance registered itself in.
@@ -131,19 +122,19 @@ impl EarthQube {
     /// The CBIR service.
     ///
     /// # Errors
-    /// Fails if the service was not built.
+    /// Never fails: every engine has one.  The `Result` predates that.
     pub fn cbir(&self) -> Result<&CbirService, EarthQubeError> {
-        self.cbir.as_ref().ok_or(EarthQubeError::CbirNotReady)
+        Ok(&self.catalog.cbir)
     }
 
     /// Number of images in the archive.
     pub fn archive_size(&self) -> usize {
-        self.metadata.len()
+        self.catalog.metadata.len()
     }
 
     /// The metadata of an archive image.
     pub fn metadata_of(&self, name: &str) -> Option<&PatchMetadata> {
-        self.metadata.iter().find(|m| m.name == name)
+        self.catalog.metadata.iter().find(|m| m.name == name)
     }
 
     /// Runs a query-panel search over the metadata collection (§3.1).
@@ -152,7 +143,7 @@ impl EarthQube {
     /// Fails on an invalid query or a store error.
     pub fn search(&self, query: &ImageQuery) -> Result<SearchResponse, EarthQubeError> {
         query.validate()?;
-        metadata_search(&self.database, query, self.config.page_size)
+        self.catalog.search(query)
     }
 
     /// "Retrieve similar images" for an existing archive image (§3.3 /
@@ -160,31 +151,28 @@ impl EarthQube {
     ///
     /// The underlying k-NN runs as a bounded top-k selection over the
     /// index's flat code arena (see `eq_hashindex::CodeArena`), so the
-    /// engine never materialises or sorts the full candidate set either —
-    /// the same hot path the concurrent [`QueryServer`](crate::QueryServer)
-    /// serves with pooled scratches.
+    /// engine never materialises or sorts the full candidate set — the
+    /// same code the concurrent [`QueryServer`](crate::QueryServer) runs
+    /// with pooled scratches.
     ///
     /// # Errors
-    /// Fails if the image is unknown or the CBIR service is missing.
+    /// Fails if the image is unknown.
     pub fn similar_to(&self, name: &str, k: usize) -> Result<SearchResponse, EarthQubeError> {
-        let cbir = self.cbir()?;
-        let hits = cbir.query_by_archive_image(name, k)?;
-        self.response_from_hits(hits)
+        self.catalog.similar_to(name, k, &mut self.scratch.lock())
     }
 
     /// Query-by-new-example (§4): encodes an external patch on the fly and
     /// retrieves its neighbours.
     ///
     /// # Errors
-    /// Fails if the CBIR service is missing.
+    /// Propagates result-assembly errors.
     pub fn search_by_new_example(
         &self,
         patch: &Patch,
         k: usize,
     ) -> Result<SearchResponse, EarthQubeError> {
-        let cbir = self.cbir()?;
-        let hits = cbir.query_by_new_example(patch, k);
-        self.response_from_hits(hits)
+        let code = self.catalog.cbir.model().hash_patch(patch);
+        self.catalog.search_by_code(&code, k, &mut self.scratch.lock())
     }
 
     /// Filtered "retrieve similar images" (E13): the `k` nearest
@@ -207,12 +195,7 @@ impl EarthQube {
         mode: PrefilterMode,
     ) -> Result<FilteredResponse, EarthQubeError> {
         query.validate()?;
-        let cbir = self.cbir()?;
-        let coll = self.database.collection(collections::METADATA)?;
-        let (mask, plan) = matching_item_mask(coll, &query.to_filter(), mode);
-        let hits = cbir.query_by_archive_image_masked(name, k, &mask)?;
-        let response = self.response_from_hits(hits)?;
-        Ok(FilteredResponse { response, plan })
+        self.catalog.similar_to_filtered(name, k, query, mode, &mut self.scratch.lock())
     }
 
     /// Filtered radius search (E13): every archive image within the given
@@ -229,18 +212,7 @@ impl EarthQube {
         mode: PrefilterMode,
     ) -> Result<FilteredResponse, EarthQubeError> {
         query.validate()?;
-        let cbir = self.cbir()?;
-        let coll = self.database.collection(collections::METADATA)?;
-        let (mask, plan) = matching_item_mask(coll, &query.to_filter(), mode);
-        let code =
-            cbir.code_of(name).ok_or_else(|| EarthQubeError::UnknownImage(name.to_string()))?;
-        let hits: Vec<crate::cbir::SimilarImage> = cbir
-            .radius_query_by_code_masked(code, radius, &mask)
-            .into_iter()
-            .filter(|h| h.name != name)
-            .collect();
-        let response = self.response_from_hits(hits)?;
-        Ok(FilteredResponse { response, plan })
+        self.catalog.similar_within_filtered(name, radius, query, mode, &mut self.scratch.lock())
     }
 
     /// Submits anonymous feedback.
@@ -252,23 +224,15 @@ impl EarthQube {
         text: &str,
         category: Option<&str>,
     ) -> Result<i64, EarthQubeError> {
-        self.feedback.submit(&mut self.database, text, category)
+        FeedbackService.submit(&mut self.catalog.database, text, category)
     }
 
     /// Lists all stored feedback.
     ///
     /// # Errors
     /// Fails if the feedback collection is missing.
-    pub fn list_feedback(&self) -> Result<Vec<crate::feedback::FeedbackEntry>, EarthQubeError> {
-        self.feedback.list(&self.database)
-    }
-
-    fn response_from_hits(
-        &self,
-        hits: Vec<crate::cbir::SimilarImage>,
-    ) -> Result<SearchResponse, EarthQubeError> {
-        let ranked: Vec<(usize, u32)> = hits.iter().map(|h| (h.id.index(), h.distance)).collect();
-        response_from_ranked(&self.metadata, &ranked, self.config.page_size)
+    pub fn list_feedback(&self) -> Result<Vec<FeedbackEntry>, EarthQubeError> {
+        FeedbackService.list(&self.catalog.database)
     }
 }
 
@@ -318,62 +282,11 @@ pub(crate) fn build_registry(config: &EarthQubeConfig) -> AssetRegistry {
     registry
 }
 
-/// The query-panel search shared by the sequential engine and the
-/// concurrent [`QueryServer`](crate::serve::QueryServer): compiles the
-/// (already validated) query to a store filter, resolves it with
-/// `Collection::find` and assembles panel, statistics and plan.
-pub(crate) fn metadata_search(
-    database: &Database,
-    query: &ImageQuery,
-    page_size: usize,
-) -> Result<SearchResponse, EarthQubeError> {
-    let coll = database.collection(collections::METADATA)?;
-    let result = coll.find(&query.to_filter());
-    let metas: Vec<PatchMetadata> = result
-        .ids
-        .iter()
-        .filter_map(|id| coll.get(*id))
-        .filter_map(metadata_from_document)
-        .collect();
-    let entries: Vec<ResultEntry> =
-        metas.iter().map(|m| ResultEntry::from_metadata(m, None)).collect();
-    let statistics = LabelStatistics::from_label_sets(metas.iter().map(|m| m.labels));
-    Ok(SearchResponse {
-        panel: ResultPanel::new(entries, page_size),
-        statistics,
-        plan: Some(result.plan),
-    })
-}
-
-/// CBIR result-panel assembly shared by the sequential engine and the
-/// concurrent server: maps ranked `(dense id, hamming distance)` hits to
-/// result entries and label statistics.  Both paths delegating here is
-/// what keeps the server byte-identical to the engine.
-pub(crate) fn response_from_ranked(
-    metadata: &[PatchMetadata],
-    ranked: &[(usize, u32)],
-    page_size: usize,
-) -> Result<SearchResponse, EarthQubeError> {
-    let mut entries = Vec::with_capacity(ranked.len());
-    let mut label_sets = Vec::with_capacity(ranked.len());
-    for &(id, distance) in ranked {
-        let meta = metadata
-            .get(id)
-            .ok_or_else(|| EarthQubeError::UnknownImage(format!("dense patch id {id}")))?;
-        entries.push(ResultEntry::from_metadata(meta, Some(distance)));
-        label_sets.push(meta.labels);
-    }
-    Ok(SearchResponse {
-        panel: ResultPanel::new(entries, page_size),
-        statistics: LabelStatistics::from_label_sets(label_sets),
-        plan: None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::query::{LabelFilter, LabelOperator};
+    use crate::schema::collections;
     use eq_bigearthnet::labels::Label;
     use eq_bigearthnet::patch::Season;
     use eq_bigearthnet::{ArchiveGenerator, Country, GeneratorConfig};
@@ -506,20 +419,20 @@ mod tests {
 
         let filtered =
             eq.similar_within_filtered(name, radius, &query, PrefilterMode::Auto).unwrap();
-        // Reference: unfiltered radius scan, then drop non-matching images.
-        let code = eq.cbir().unwrap().code_of(name).unwrap().clone();
-        let reference: Vec<String> = eq
-            .cbir()
-            .unwrap()
-            .radius_query_by_code(&code, radius)
-            .into_iter()
-            .filter(|h| &h.name != name)
-            .filter(|h| {
-                let meta = eq.metadata_of(&h.name).unwrap();
+        // Reference: the same radius search under the match-all filter,
+        // then drop non-matching images.
+        let unfiltered = eq
+            .similar_within_filtered(name, radius, &ImageQuery::all(), PrefilterMode::Auto)
+            .unwrap();
+        let reference: Vec<String> = (0..unfiltered.response.panel.page_count())
+            .flat_map(|p| unfiltered.response.panel.page(p).entries)
+            .map(|e| e.name.clone())
+            .filter(|n| {
+                let meta = eq.metadata_of(n).unwrap();
                 matches!(meta.country, Country::Austria | Country::Portugal)
             })
-            .map(|h| h.name)
             .collect();
+        assert!(!reference.contains(name));
         let got: Vec<String> = (0..filtered.response.panel.page_count())
             .flat_map(|p| filtered.response.panel.page(p).entries)
             .map(|e| e.name.clone())

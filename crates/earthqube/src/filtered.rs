@@ -90,8 +90,7 @@ pub struct FilteredResponse {
 
 /// Resolves a metadata filter to the exact set of matching dense patch
 /// ids, as an [`IdMask`] the masked Hamming kernels consume, plus the
-/// planning report.  Shared by the sequential engine and the concurrent
-/// server — both delegating here is what keeps them byte-identical.
+/// planning report, for the query core's filtered searches.
 pub(crate) fn matching_item_mask(
     coll: &Collection,
     filter: &Filter,

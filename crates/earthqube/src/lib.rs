@@ -10,19 +10,25 @@
 //! * [`query`] — the query-panel model of §3.1: geospatial shape, date
 //!   range, satellites, seasons, and label filtering with the `Some`,
 //!   `Exactly` and `At least & more` operators over the CLC hierarchy,
+//! * `catalog` (private) — the one query core: document store, dense-id
+//!   metadata table and CBIR service as one value, with the single
+//!   implementation of every query kind and of the ingest apply path; both
+//!   façades below are configurations of it,
 //! * [`cbir`] — the MiLaN-backed content-based image-retrieval service of
-//!   §3.3 (in-memory name→code table, Hamming-radius lookups, query by
-//!   archive image or by a new uploaded image),
+//!   §3.3, the core's CBIR half (the trained model, the in-memory
+//!   name→code table and the Hamming index over the same codes),
 //! * [`filtered`] — bitmap-prefiltered similarity search: query-panel
 //!   filters compiled to posting-bitmap candidate masks so the Hamming
 //!   kernels skip non-matching images before any distance work (E13),
 //! * [`stats`] — the label-statistics view of Figure 2-4,
 //! * [`results`] — the result panel: pagination, download cart, rendering,
 //! * [`feedback`] — anonymous user feedback storage,
-//! * [`engine`] — the [`EarthQube`] facade combining all services,
-//! * [`serve`] — the concurrent serving layer: a [`QueryServer`] sharing
-//!   the read path across worker threads, with a sharded CBIR index and an
-//!   LRU result cache invalidated on ingest,
+//! * [`engine`] — the [`EarthQube`] facade: the query core bare, with one
+//!   index shard, one search scratch and no cache,
+//! * [`serve`] — the concurrent serving layer: a [`QueryServer`] owning the
+//!   same core behind one lock and sharing it across worker threads, with
+//!   index shards, an LRU result cache invalidated on ingest, durability
+//!   and replication,
 //! * [`net`] — the network tier: a TCP [`NetServer`] speaking the
 //!   `eq_proto` binary RPC protocol, and the blocking [`EqClient`] whose
 //!   remote results are byte-identical to in-process calls,
@@ -33,8 +39,9 @@
 //!
 //! # Example
 //!
-//! Build the back-end over a (tiny) synthetic archive, wrap it in the
-//! concurrent server, and fan a small workload over two worker threads:
+//! Build the back-end over a (tiny) synthetic archive, move its query core
+//! into the concurrent server, and fan a small workload over two worker
+//! threads:
 //!
 //! ```
 //! use eq_bigearthnet::{ArchiveGenerator, GeneratorConfig};
@@ -46,24 +53,28 @@
 //! let mut config = EarthQubeConfig::fast(7);
 //! config.train_model = false; // keep the doc-test fast
 //!
-//! // Sequential facade: one query at a time.
-//! let engine = EarthQube::build(&archive, config.clone()).unwrap();
-//! let response = engine.search(&ImageQuery::all()).unwrap();
-//! assert_eq!(response.total(), 16);
+//! // The facade: the query core bare, one query at a time.
+//! let engine = EarthQube::build(&archive, config).unwrap();
+//! let name = &archive.patches()[0].meta.name;
+//! assert_eq!(engine.search(&ImageQuery::all()).unwrap().total(), 16);
+//! let similar = engine.similar_to(name, 3).unwrap();
 //!
-//! // Concurrent server: the same read path, shared across threads.
-//! let server = QueryServer::build(&archive, config, ServeConfig::default()).unwrap();
+//! // The server: the same core, moved behind a lock, eight index shards
+//! // and a result cache, shared across threads.
+//! let server = QueryServer::from_engine(engine, ServeConfig::default()).unwrap();
 //! let requests = vec![
 //!     QueryRequest::Metadata(ImageQuery::all()),
-//!     QueryRequest::SimilarTo { name: archive.patches()[0].meta.name.clone(), k: 3 },
+//!     QueryRequest::SimilarTo { name: name.clone(), k: 3 },
 //! ];
 //! let results = server.run_workload(&requests, 2);
 //! assert_eq!(results[0].as_ref().unwrap().total(), 16);
+//! assert_eq!(results[1].as_ref().unwrap(), &similar);
 //! assert!(server.stats().queries_served >= 2);
 //! ```
 
 #![deny(missing_docs)]
 
+mod catalog;
 pub mod cbir;
 pub mod engine;
 pub mod feedback;
@@ -78,7 +89,7 @@ pub mod schema;
 pub mod serve;
 pub mod stats;
 
-pub use cbir::{CbirConfig, CbirService, SimilarImage};
+pub use cbir::{CbirConfig, CbirService};
 pub use engine::{EarthQube, EarthQubeConfig, SearchResponse};
 pub use feedback::FeedbackService;
 pub use filtered::{FilterStrategy, FilteredPlan, FilteredResponse, PrefilterMode};

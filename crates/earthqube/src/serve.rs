@@ -1,22 +1,18 @@
-//! Concurrent query serving: the [`QueryServer`] wraps the EarthQube read
-//! path in shared state so many analyst sessions can search the archive in
-//! parallel while ingest traffic proceeds on an isolated write path.
+//! Concurrent query serving: the [`QueryServer`] puts the one query core
+//! (the crate's `catalog` module, which the [`EarthQube`] facade runs bare,
+//! one query at a time) behind shared state, so many analyst sessions can
+//! search the archive in parallel while ingest traffic proceeds on an
+//! isolated write path.  What the server adds to the core:
 //!
-//! The paper positions EarthQube as the query back-end of AgoraEO, serving
-//! interactive CBIR and metadata search to many users at once; the
-//! [`EarthQube`] facade by itself executes one query at a
-//! time.  This module adds the serving tier:
-//!
-//! * **Sharded CBIR index** — the Hamming codes live in an
-//!   [`eq_hashindex::ShardedHashIndex`]: N independently-locked shards with
-//!   fan-out/merge search, so similarity queries from different workers
-//!   never contend on a single index lock and an ingest write only blocks
-//!   the one shard it touches.
-//! * **Catalog lock** — the document store, the metadata table and the
-//!   name→code map sit behind one `parking_lot::RwLock`.  Queries take the
-//!   read side (shared, concurrent); ingest and feedback take the write
-//!   side.  Holding the read lock across a query gives every query a
-//!   consistent snapshot even while ingest is running.
+//! * **Catalog lock** — the whole core (document store, metadata table,
+//!   name→code map, Hamming index) sits behind one `parking_lot::RwLock`.
+//!   Queries take the read side (shared, concurrent); ingest and feedback
+//!   take the write side.  Holding the read lock across a query gives every
+//!   query a consistent snapshot even while ingest is running.
+//! * **Index shards** — [`ServeConfig::shards`] splits the core's
+//!   [`eq_hashindex::ShardedHashIndex`]; a search threads one bounded
+//!   selection across the shards, and an incremental checkpoint rewrites
+//!   only the shards an ingest touched.
 //! * **Result cache** — a bounded LRU keyed by a fingerprint of the query
 //!   (the full query is stored and compared, so a fingerprint collision is
 //!   a miss, never a wrong answer).  The cache is invalidated wholesale on
@@ -26,19 +22,18 @@
 //!   [`QueryRequest`]s over K scoped threads (`std::thread::scope`); all
 //!   query entry points take `&self`, so workers share the server by plain
 //!   reference.
-//! * **Pooled search scratch** — every k-NN query checks a
-//!   [`SearchScratch`] (bounded top-k heap + neighbour buffer) out of a
-//!   per-server pool and returns it afterwards, so no full candidate list
-//!   is ever materialised or sorted and steady-state serving does zero
-//!   search-path allocation ([`prewarm_scratch`](QueryServer::prewarm_scratch)
-//!   sizes the pool to the worker count; `NetServer` does this on bind).
+//! * **Pooled search scratch** — every CBIR query checks a scratch (bounded
+//!   top-k heap + neighbour buffer) out of a per-server pool and returns it
+//!   afterwards, so steady-state serving does zero search-path allocation
+//!   ([`prewarm_scratch`](QueryServer::prewarm_scratch) sizes the pool to
+//!   the worker count; `NetServer` does this on bind).
 //!
 //! Determinism: a workload executed through the server returns exactly the
-//! same [`SearchResponse`]s as the sequential engine, regardless of worker
-//! count (the sharded index merge is order-insensitive and the catalog
-//! snapshot is identical) — the umbrella crate's `concurrent_serving` test
-//! asserts byte-identical result panels.
+//! same [`SearchResponse`]s as the engine, regardless of worker and shard
+//! count — the umbrella crate's `concurrent_serving` test asserts
+//! byte-identical result panels.
 
+use std::any::Any;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -50,20 +45,21 @@ use std::time::{Duration, Instant};
 use eq_agora::AssetRegistry;
 use eq_bigearthnet::patch::{Patch, PatchId, PatchMetadata};
 use eq_bigearthnet::Archive;
-use eq_docstore::{Collection, CollectionDelta, Database, Document};
-use eq_hashindex::{BinaryCode, HashTableIndex, Neighbor, SearchScratch, ShardedHashIndex};
+use eq_docstore::{Collection, CollectionDelta, Document};
+use eq_hashindex::{BinaryCode, HashTableIndex};
 use eq_milan::Milan;
 use eq_wire::manifest::{ChunkEntry, Manifest};
 use parking_lot::{Mutex, RwLock};
 
-use crate::engine::{EarthQube, EarthQubeConfig, SearchResponse};
+use crate::catalog::{Catalog, QueryScratch};
+use crate::cbir::CbirService;
+use crate::engine::{build_registry, EarthQube, EarthQubeConfig, SearchResponse};
 use crate::feedback::{FeedbackEntry, FeedbackService};
-use crate::filtered::{matching_item_mask, FilteredResponse, PrefilterMode};
-use crate::ingest::{insert_patch_docs, prepare_patch_docs, IngestReport};
-use crate::persist::{self, ChainTail, DirLock, WalRecord, WalWriter};
+use crate::filtered::{FilteredResponse, PrefilterMode};
+use crate::ingest::{prepare_patch_docs, IngestReport};
+use crate::persist::{self, ChainTail, DirLock, WalWriter};
 use crate::query::ImageQuery;
 use crate::replicate::{ReplBatch, ReplState};
-use crate::schema::collections;
 use crate::EarthQubeError;
 
 /// Rotate the live WAL segment once it outgrows this many bytes
@@ -254,21 +250,15 @@ fn fingerprint(key: &CacheKey) -> u64 {
     h.finish()
 }
 
-/// What the cache stores: plain responses for the unfiltered paths, the
-/// full response-plus-plan for filtered queries (the plan is part of the
-/// response surface — `FilteredResponse` reports which strategy resolved
-/// the mask).  The `CacheKey` kinds map one-to-one onto the variants, so
-/// a lookup through the right key can only see its own shape.
-#[derive(Clone)]
-enum CachedResponse {
-    Plain(SearchResponse),
-    Filtered(FilteredResponse),
-}
-
+/// The cache never looks inside a response, so it holds one as `dyn Any`:
+/// a [`SearchResponse`] for the unfiltered paths, the full
+/// [`FilteredResponse`] for filtered queries (the plan is part of the
+/// response surface: a replayed hit reports the strategy that resolved
+/// the mask).
 struct CacheEntry {
     key: CacheKey,
     last_used: u64,
-    response: CachedResponse,
+    response: Box<dyn Any + Send + Sync>,
 }
 
 /// One independently-locked slice of the result cache: a bounded LRU map
@@ -284,17 +274,19 @@ impl CacheShard {
         Self { capacity, tick: 0, entries: HashMap::with_capacity(capacity.min(1024)) }
     }
 
-    fn get(&mut self, fp: u64, key: &CacheKey) -> Option<CachedResponse> {
+    fn get<R: Clone + 'static>(&mut self, fp: u64, key: &CacheKey) -> Option<R> {
         self.tick += 1;
         let entry = self.entries.get_mut(&fp)?;
         if entry.key != *key {
             return None;
         }
         entry.last_used = self.tick;
-        Some(entry.response.clone())
+        // `CacheKey` kinds map one-to-one onto response shapes, so equal
+        // keys imply the shape asked for; anything else would be a miss.
+        entry.response.downcast_ref::<R>().cloned()
     }
 
-    fn put(&mut self, fp: u64, key: CacheKey, response: CachedResponse) {
+    fn put(&mut self, fp: u64, key: CacheKey, response: Box<dyn Any + Send + Sync>) {
         if self.capacity == 0 {
             return;
         }
@@ -341,11 +333,11 @@ impl ResultCache {
         &self.shards[(fp % self.shards.len() as u64) as usize]
     }
 
-    fn get(&self, fp: u64, key: &CacheKey) -> Option<CachedResponse> {
+    fn get<R: Clone + 'static>(&self, fp: u64, key: &CacheKey) -> Option<R> {
         self.shard(fp).write().get(fp, key)
     }
 
-    fn put(&self, fp: u64, key: CacheKey, response: CachedResponse) {
+    fn put(&self, fp: u64, key: CacheKey, response: Box<dyn Any + Send + Sync>) {
         self.shard(fp).write().put(fp, key, response);
     }
 
@@ -376,51 +368,6 @@ struct QueryCounters {
     misses: u64,
 }
 
-/// Per-query scratch state checked out of the server's pool for the
-/// duration of one CBIR query: the bounded top-k selection heap plus the
-/// (small, ≤ k+1) neighbour buffer the post-filter writes into.  Both are
-/// reused across queries, so a steady-state k-NN query performs **zero
-/// search-path allocation** — the selection is a size-k heap, never a full
-/// candidate list, and the buffers come back warm from the pool.
-#[derive(Default)]
-struct QueryScratch {
-    search: SearchScratch,
-    neighbors: Vec<Neighbor>,
-}
-
-/// Everything the write path mutates, behind one lock so every query sees
-/// a consistent snapshot of store, metadata and code table.
-struct Catalog {
-    database: Database,
-    metadata: Vec<PatchMetadata>,
-    name_to_code: HashMap<String, BinaryCode>,
-    feedback: FeedbackService,
-}
-
-impl Catalog {
-    /// The query-panel search — delegates to the same function as
-    /// [`EarthQube::search`], which is what keeps the two byte-identical.
-    fn metadata_search(
-        &self,
-        query: &ImageQuery,
-        page_size: usize,
-    ) -> Result<SearchResponse, EarthQubeError> {
-        crate::engine::metadata_search(&self.database, query, page_size)
-    }
-
-    /// Result-panel/statistics assembly for a list of index hits —
-    /// delegates to the same function as the sequential CBIR response path.
-    fn response_from_neighbors(
-        &self,
-        neighbors: &[Neighbor],
-        page_size: usize,
-    ) -> Result<SearchResponse, EarthQubeError> {
-        let ranked: Vec<(usize, u32)> =
-            neighbors.iter().map(|n| (n.id as usize, n.distance)).collect();
-        crate::engine::response_from_ranked(&self.metadata, &ranked, page_size)
-    }
-}
-
 /// The concurrent EarthQube serving layer.
 ///
 /// Every query entry point takes `&self`, so a server shared by reference
@@ -433,9 +380,12 @@ impl Catalog {
 pub struct QueryServer {
     config: EarthQubeConfig,
     serve: ServeConfig,
-    model: Milan,
-    index: ShardedHashIndex,
+    /// The query core, whole, behind one lock: queries take the read side,
+    /// ingest and feedback the write side.
     catalog: RwLock<Catalog>,
+    /// The catalog's model, shared: it never changes once built, so uploads
+    /// and ingest batches are hashed without taking the catalog lock.
+    model: Arc<Milan>,
     cache: ResultCache,
     registry: AssetRegistry,
     counters: Mutex<QueryCounters>,
@@ -624,53 +574,51 @@ impl std::fmt::Debug for QueryServer {
 }
 
 impl QueryServer {
-    /// Builds the sequential engine over the archive, then converts it into
-    /// a server with [`from_engine`](Self::from_engine).
+    /// Builds the query core over the archive at this server's shard count,
+    /// so every code is indexed exactly once.
     ///
     /// # Errors
-    /// Propagates engine build errors.
+    /// Propagates ingestion/model-configuration errors.
     pub fn build(
         archive: &Archive,
         config: EarthQubeConfig,
         serve: ServeConfig,
     ) -> Result<Self, EarthQubeError> {
-        Self::from_engine(EarthQube::build(archive, config)?, serve)
+        let catalog = Catalog::build(archive, &config, serve.shards)?;
+        let registry = build_registry(&config);
+        Self::new(config, serve, catalog, registry)
     }
 
-    /// Converts a built [`EarthQube`] engine into a concurrent server,
-    /// re-indexing its CBIR codes into the sharded index.  The conversion
-    /// preserves the trained model and every code byte-for-byte, so server
-    /// responses are identical to the consumed engine's.
+    /// Converts a built [`EarthQube`] engine into a concurrent server by
+    /// moving its query core across as it is; the codes are re-routed only
+    /// when `serve` asks for a shard count other than the engine's one.
+    /// Server responses are identical to the consumed engine's.
     ///
     /// # Errors
-    /// Fails if the engine has no CBIR service.
+    /// Fails if an indexed image has no stored code.
     pub fn from_engine(engine: EarthQube, serve: ServeConfig) -> Result<Self, EarthQubeError> {
-        let EarthQube { config, database, metadata, cbir, feedback, registry } = engine;
-        let cbir = cbir.ok_or(EarthQubeError::CbirNotReady)?;
-        // The service's id→name table repeats `metadata`, which is in
-        // dense-id order.
-        let (model, name_to_code, _) = cbir.into_parts();
+        let EarthQube { config, catalog, registry, .. } = engine;
+        Self::new(config, serve, catalog, registry)
+    }
+
+    /// The one constructor: every server, built, converted or recovered,
+    /// starts detached, primary, with an empty cache and scratch pool.
+    fn new(
+        config: EarthQubeConfig,
+        serve: ServeConfig,
+        mut catalog: Catalog,
+        registry: AssetRegistry,
+    ) -> Result<Self, EarthQubeError> {
         // Normalize the configuration once, so the value the server reports,
         // uses and *persists* is the value in effect (a raw `shards: 0`
         // would checkpoint fine but be rejected as corrupt on recovery).
         let serve = ServeConfig { shards: serve.shards.max(1), ..serve };
-        let index = ShardedHashIndex::new(model.code_bits(), serve.shards);
-        for (id, meta) in metadata.iter().enumerate() {
-            let code = name_to_code
-                .get(&meta.name)
-                .cloned()
-                .ok_or_else(|| EarthQubeError::UnknownImage(meta.name.clone()))?;
-            index.insert(id as u64, code);
-        }
+        catalog.reshard(serve.shards)?;
         Ok(Self {
             config,
             serve,
-            model,
-            index,
-            catalog: RwLock::with_name(
-                Catalog { database, metadata, name_to_code, feedback },
-                "catalog",
-            ),
+            model: Arc::clone(&catalog.cbir.model),
+            catalog: RwLock::with_name(catalog, "catalog"),
             cache: ResultCache::new(serve.cache_capacity),
             registry,
             counters: Mutex::with_name(QueryCounters::default(), "counters"),
@@ -727,14 +675,18 @@ impl QueryServer {
             let counters = self.counters.lock();
             (counters.served, counters.hits, counters.misses)
         };
+        let (archive_size, shard_occupancy) = {
+            let catalog = self.catalog.read();
+            (catalog.metadata.len(), catalog.cbir.index.shard_occupancy())
+        };
         ServerStats {
             queries_served,
             cache_hits,
             cache_misses,
             cache_entries: self.cache.len(),
-            archive_size: self.archive_size(),
+            archive_size,
             ingested_images: self.ingested_images.load(Ordering::Relaxed),
-            shard_occupancy: self.index.shard_occupancy(),
+            shard_occupancy,
         }
     }
 
@@ -745,10 +697,7 @@ impl QueryServer {
     /// Fails on an invalid query or a store error.
     pub fn search(&self, query: &ImageQuery) -> Result<SearchResponse, EarthQubeError> {
         query.validate()?;
-        let page_size = self.config.page_size;
-        self.cached(CacheKey::Metadata(query.clone()), |catalog| {
-            catalog.metadata_search(query, page_size)
-        })
+        self.cached(CacheKey::Metadata(query.clone()), |catalog| catalog.search(query))
     }
 
     /// "Retrieve similar images" for an archive image (the concurrent
@@ -757,25 +706,8 @@ impl QueryServer {
     /// # Errors
     /// Fails if the image is unknown.
     pub fn similar_to(&self, name: &str, k: usize) -> Result<SearchResponse, EarthQubeError> {
-        let page_size = self.config.page_size;
         self.cached(CacheKey::Similar(name.to_string(), k), |catalog| {
-            let code = catalog
-                .name_to_code
-                .get(name)
-                .ok_or_else(|| EarthQubeError::UnknownImage(name.to_string()))?;
-            self.with_scratch(|scratch| {
-                // Ask for one extra hit because the query image itself is
-                // indexed, then drop it — same policy as the sequential
-                // CBIR service.  The bounded selection keeps at most k+1
-                // candidates; no full result list is built or sorted.
-                let hits = self.index.knn_with(code, k + 1, &mut scratch.search);
-                scratch.neighbors.clear();
-                scratch.neighbors.extend(hits.iter().copied().filter(|n| {
-                    catalog.metadata.get(n.id as usize).map(|m| m.name.as_str()) != Some(name)
-                }));
-                scratch.neighbors.truncate(k);
-                catalog.response_from_neighbors(&scratch.neighbors, page_size)
-            })
+            self.with_scratch(|scratch| catalog.similar_to(name, k, scratch))
         })
     }
 
@@ -803,12 +735,8 @@ impl QueryServer {
         code: &BinaryCode,
         k: usize,
     ) -> Result<SearchResponse, EarthQubeError> {
-        let page_size = self.config.page_size;
         self.cached(CacheKey::ByCode(code.clone(), k), |catalog| {
-            self.with_scratch(|scratch| {
-                let neighbors = self.index.knn_with(code, k, &mut scratch.search);
-                catalog.response_from_neighbors(neighbors, page_size)
-            })
+            self.with_scratch(|scratch| catalog.search_by_code(code, k, scratch))
         })
     }
 
@@ -816,12 +744,10 @@ impl QueryServer {
     /// [`EarthQube::similar_to_filtered`]): the `k` nearest neighbours
     /// among the images matching the query-panel filter.
     ///
-    /// The filter resolves to a dense-id mask under the catalog read lock
-    /// (bitmap prefilter or post-filter scan, per `mode`), then the masked
-    /// bounded top-k runs across the index shards.  Filtered responses —
-    /// plan included — go through the result cache like every other query:
-    /// the filter, the mode, the image and `k` are all part of the cache
-    /// key, and ingest invalidation covers them the same way.
+    /// Filtered responses — plan included — go through the result cache
+    /// like every other query: the filter, the mode, the image and `k` are
+    /// all part of the cache key, and ingest invalidation covers them the
+    /// same way.
     ///
     /// # Errors
     /// Fails on an invalid query, an unknown image or a store error.
@@ -833,28 +759,10 @@ impl QueryServer {
         mode: PrefilterMode,
     ) -> Result<FilteredResponse, EarthQubeError> {
         query.validate()?;
-        let page_size = self.config.page_size;
         let key =
             CacheKey::SimilarFiltered { name: name.to_string(), k, query: query.clone(), mode };
-        self.cached_filtered(key, |catalog| {
-            let coll = catalog.database.collection(collections::METADATA)?;
-            let (mask, plan) = matching_item_mask(coll, &query.to_filter(), mode);
-            let code = catalog
-                .name_to_code
-                .get(name)
-                .ok_or_else(|| EarthQubeError::UnknownImage(name.to_string()))?;
-            let response = self.with_scratch(|scratch| {
-                // One extra hit in case the query image itself passes the
-                // filter — same policy as the unfiltered path.
-                let hits = self.index.knn_masked_with(code, k + 1, &mask, &mut scratch.search);
-                scratch.neighbors.clear();
-                scratch.neighbors.extend(hits.iter().copied().filter(|n| {
-                    catalog.metadata.get(n.id as usize).map(|m| m.name.as_str()) != Some(name)
-                }));
-                scratch.neighbors.truncate(k);
-                catalog.response_from_neighbors(&scratch.neighbors, page_size)
-            })?;
-            Ok(FilteredResponse { response, plan })
+        self.cached(key, |catalog| {
+            self.with_scratch(|scratch| catalog.similar_to_filtered(name, k, query, mode, scratch))
         })
     }
 
@@ -873,26 +781,12 @@ impl QueryServer {
         mode: PrefilterMode,
     ) -> Result<FilteredResponse, EarthQubeError> {
         query.validate()?;
-        let page_size = self.config.page_size;
         let key =
             CacheKey::WithinFiltered { name: name.to_string(), radius, query: query.clone(), mode };
-        self.cached_filtered(key, |catalog| {
-            let coll = catalog.database.collection(collections::METADATA)?;
-            let (mask, plan) = matching_item_mask(coll, &query.to_filter(), mode);
-            let code = catalog
-                .name_to_code
-                .get(name)
-                .ok_or_else(|| EarthQubeError::UnknownImage(name.to_string()))?;
-            let response = self.with_scratch(|scratch| {
-                scratch.neighbors.clear();
-                self.index.radius_search_masked_into(code, radius, &mask, &mut scratch.neighbors);
-                eq_hashindex::sort_neighbors(&mut scratch.neighbors);
-                scratch.neighbors.retain(|n| {
-                    catalog.metadata.get(n.id as usize).map(|m| m.name.as_str()) != Some(name)
-                });
-                catalog.response_from_neighbors(&scratch.neighbors, page_size)
-            })?;
-            Ok(FilteredResponse { response, plan })
+        self.cached(key, |catalog| {
+            self.with_scratch(|scratch| {
+                catalog.similar_within_filtered(name, radius, query, mode, scratch)
+            })
         })
     }
 
@@ -1002,12 +896,7 @@ impl QueryServer {
         {
             let catalog = self.catalog.read();
             for patch in patches {
-                if catalog.name_to_code.contains_key(&patch.meta.name) {
-                    return Err(EarthQubeError::BadRequest(format!(
-                        "image {} is already in the archive",
-                        patch.meta.name
-                    )));
-                }
+                catalog.ensure_new(&patch.meta.name)?;
             }
         }
 
@@ -1024,16 +913,12 @@ impl QueryServer {
 
         // Cheap phase, under the catalog write lock.
         let mut catalog = self.catalog.write();
-        let catalog = &mut *catalog;
         let mut wal = self.wal.lock();
         let mut report = IngestReport { metadata_docs: 0, image_docs: 0, rendered_docs: 0 };
         let mut result = Ok(());
         for (patch, (code, image_doc, rendered_doc)) in patches.iter().zip(prepared) {
-            if catalog.name_to_code.contains_key(&patch.meta.name) {
-                result = Err(EarthQubeError::BadRequest(format!(
-                    "image {} is already in the archive",
-                    patch.meta.name
-                )));
+            if let Err(e) = catalog.ensure_new(&patch.meta.name) {
+                result = Err(e);
                 break;
             }
             // Re-assign the dense id: appended patches take the next slot.
@@ -1046,8 +931,7 @@ impl QueryServer {
             let wal_payload = wal
                 .as_ref()
                 .map(|_| persist::encode_ingest_record(&meta, &code, &image_doc, &rendered_doc));
-            if let Err(e) = apply_ingest(catalog, &self.index, meta, code, image_doc, rendered_doc)
-            {
+            if let Err(e) = catalog.apply_ingest(meta, code, image_doc, rendered_doc) {
                 result = Err(e);
                 break;
             }
@@ -1121,9 +1005,7 @@ impl QueryServer {
             ));
         }
         let mut catalog = self.catalog.write();
-        let catalog = &mut *catalog;
-        let feedback = catalog.feedback;
-        let id = feedback.submit(&mut catalog.database, text, category)?;
+        let id = FeedbackService.submit(&mut catalog.database, text, category)?;
         let mut wal = self.wal.lock();
         if let Some(att) = wal.as_mut() {
             let logged = att
@@ -1156,46 +1038,7 @@ impl QueryServer {
     /// Fails if the feedback collection is missing.
     pub fn list_feedback(&self) -> Result<Vec<FeedbackEntry>, EarthQubeError> {
         let catalog = self.catalog.read();
-        catalog.feedback.list(&catalog.database)
-    }
-
-    /// Cache-or-compute for the unfiltered query paths; see
-    /// [`cached_with`](Self::cached_with) for the locking contract.
-    fn cached<F>(&self, key: CacheKey, compute: F) -> Result<SearchResponse, EarthQubeError>
-    where
-        F: FnOnce(&Catalog) -> Result<SearchResponse, EarthQubeError>,
-    {
-        self.cached_with(
-            key,
-            CachedResponse::Plain,
-            |cached| match cached {
-                CachedResponse::Plain(r) => Some(r),
-                CachedResponse::Filtered(_) => None,
-            },
-            compute,
-        )
-    }
-
-    /// Cache-or-compute for the filtered query paths: the cache stores the
-    /// full [`FilteredResponse`] (response *and* plan — replaying a hit
-    /// reports the same strategy the original computation chose).
-    fn cached_filtered<F>(
-        &self,
-        key: CacheKey,
-        compute: F,
-    ) -> Result<FilteredResponse, EarthQubeError>
-    where
-        F: FnOnce(&Catalog) -> Result<FilteredResponse, EarthQubeError>,
-    {
-        self.cached_with(
-            key,
-            CachedResponse::Filtered,
-            |cached| match cached {
-                CachedResponse::Filtered(r) => Some(r),
-                CachedResponse::Plain(_) => None,
-            },
-            compute,
-        )
+        FeedbackService.list(&catalog.database)
     }
 
     /// Cache-or-compute: every cached query flows through here.
@@ -1205,25 +1048,15 @@ impl QueryServer {
     /// holding the catalog *write* lock, so any entry inserted here is
     /// either computed over the post-ingest catalog or cleared by the very
     /// ingest it predates — stale entries cannot survive.
-    ///
-    /// `unwrap` maps a stored [`CachedResponse`] back to this path's
-    /// response shape; `CacheKey` equality already guarantees the shapes
-    /// match, so the `None` arm (treated as a miss) is pure defence.
-    fn cached_with<R, F>(
-        &self,
-        key: CacheKey,
-        wrap: fn(R) -> CachedResponse,
-        unwrap: fn(CachedResponse) -> Option<R>,
-        compute: F,
-    ) -> Result<R, EarthQubeError>
+    fn cached<R, F>(&self, key: CacheKey, compute: F) -> Result<R, EarthQubeError>
     where
-        R: Clone,
+        R: Clone + Send + Sync + 'static,
         F: FnOnce(&Catalog) -> Result<R, EarthQubeError>,
     {
         let caching = self.serve.cache_capacity > 0;
         let fp = fingerprint(&key);
         if caching {
-            if let Some(hit) = self.cache.get(fp, &key).and_then(unwrap) {
+            if let Some(hit) = self.cache.get(fp, &key) {
                 let mut counters = self.counters.lock();
                 counters.served += 1;
                 counters.hits += 1;
@@ -1239,7 +1072,7 @@ impl QueryServer {
             // outcome updates all its counters under one lock acquisition,
             // which is what keeps `stats()` snapshots consistent.
             Ok(response) if caching => {
-                self.cache.put(fp, key, wrap(response.clone()));
+                self.cache.put(fp, key, Box::new(response.clone()));
                 let mut counters = self.counters.lock();
                 counters.served += 1;
                 counters.misses += 1;
@@ -1322,15 +1155,7 @@ impl QueryServer {
 
         let mut catalog = self.catalog.write();
         let mut wal = self.wal.lock();
-        let mut codes: Vec<&BinaryCode> = Vec::with_capacity(catalog.metadata.len());
-        for meta in &catalog.metadata {
-            let name = &meta.name;
-            codes.push(catalog.name_to_code.get(name).ok_or_else(|| {
-                EarthQubeError::Persist(format!(
-                    "catalog is internally inconsistent: indexed image {name} has no stored code"
-                ))
-            })?);
-        }
+        let images = catalog.images_from(0)?;
         let static_body = persist::encode_static_chunk(&self.config, self.serve, &self.model);
         let generation = persist::unique_generation(dir, &static_body);
         let first_segment = persist::next_free_segment_index(dir)?;
@@ -1343,11 +1168,9 @@ impl QueryServer {
                 &persist::encode_collection_chunk(collection),
             )?;
         }
-        let images: Vec<(&PatchMetadata, &BinaryCode)> =
-            catalog.metadata.iter().zip(codes.iter().copied()).collect();
         sink.push(&persist::kind_images(0), &persist::encode_images_chunk(0, &images))?;
         for shard in 0..self.serve.shards {
-            let table = self.index.clone_shard(shard);
+            let table = catalog.cbir.index.clone_shard(shard);
             sink.push(
                 &persist::kind_shard(shard as u32),
                 &persist::encode_shard_chunk(shard as u32, &table),
@@ -1365,7 +1188,7 @@ impl QueryServer {
 
         // Committed: the snapshot covers every dirty bit accumulated so far.
         catalog.database.clear_dirty();
-        let _ = self.index.take_dirty_shards();
+        let _ = catalog.cbir.index.take_dirty_shards();
         let persisted_images = catalog.metadata.len();
         let chunks_written = sink.chunks.len() as u64;
         let bytes_written = sink.bytes_written + manifest_bytes;
@@ -1405,7 +1228,6 @@ impl QueryServer {
         // ---- The cut: brief, under the catalog write + wal locks ----
         let cut = {
             let mut catalog = self.catalog.write();
-            let catalog = &mut *catalog;
             let mut wal = self.wal.lock();
             let Some(att) = wal.as_mut() else {
                 return Err(EarthQubeError::Persist(
@@ -1414,7 +1236,7 @@ impl QueryServer {
             };
             let n_images = catalog.metadata.len();
             if !catalog.database.is_dirty()
-                && self.index.dirty_shards().is_empty()
+                && catalog.cbir.index.dirty_shards().is_empty()
                 && att.persisted_images == n_images
             {
                 return Ok(CheckpointStats {
@@ -1428,16 +1250,11 @@ impl QueryServer {
             // fallible step, and it must run before any dirty state is
             // drained so an error here leaves nothing to restore.
             let images_start = att.persisted_images;
-            let mut images = Vec::with_capacity(n_images - images_start);
-            for meta in &catalog.metadata[images_start..] {
-                let code = catalog.name_to_code.get(&meta.name).cloned().ok_or_else(|| {
-                    EarthQubeError::Persist(format!(
-                        "catalog is internally inconsistent: indexed image {} has no stored code",
-                        meta.name
-                    ))
-                })?;
-                images.push((meta.clone(), code));
-            }
+            let images: Vec<(PatchMetadata, BinaryCode)> = catalog
+                .images_from(images_start)?
+                .into_iter()
+                .map(|(meta, code)| (meta.clone(), code.clone()))
+                .collect();
             let mut names: Vec<String> =
                 catalog.database.dirty_collection_names().iter().map(|s| s.to_string()).collect();
             names.sort_unstable();
@@ -1456,20 +1273,16 @@ impl QueryServer {
                 drained.push((name.clone(), log));
                 collections.push((name, plan));
             }
-            let shard_ids = self.index.take_dirty_shards();
+            let index = &catalog.cbir.index;
+            let shard_ids = index.take_dirty_shards();
             let shards: Vec<(u32, HashTableIndex)> =
-                shard_ids.iter().map(|&s| (s as u32, self.index.clone_shard(s))).collect();
+                shard_ids.iter().map(|&s| (s as u32, index.clone_shard(s))).collect();
             // Seal the live segment: records before the cut are covered by
             // the chunks drained above, records after it land in the fresh
             // segment the new manifest starts from.
             if let Err(e) = att.rotate() {
                 // Nothing was persisted; put the drained dirty state back.
-                for (name, log) in drained {
-                    if let Ok(c) = catalog.database.collection_mut(&name) {
-                        c.restore_dirty(log);
-                    }
-                }
-                self.index.mark_shards_dirty(&shard_ids);
+                catalog.restore_dirty(drained, &shard_ids);
                 return Err(e);
             }
             IncrementalCut {
@@ -1551,15 +1364,7 @@ impl QueryServer {
                 // manifest is derived from the old chunk list again, so
                 // its deltas apply over the old base either way).  Restore
                 // the drained dirty state for the retry.
-                {
-                    let mut catalog = self.catalog.write();
-                    for (name, log) in cut.drained {
-                        if let Ok(c) = catalog.database.collection_mut(&name) {
-                            c.restore_dirty(log);
-                        }
-                    }
-                }
-                self.index.mark_shards_dirty(&cut.shard_ids);
+                self.catalog.write().restore_dirty(cut.drained, &cut.shard_ids);
                 return Err(e);
             }
         };
@@ -1620,71 +1425,23 @@ impl QueryServer {
             name_to_code.insert(meta.name.clone(), code);
             metadata.push(meta);
         }
-        let registry = crate::engine::build_registry(&state.config);
-        let server = Self {
-            config: state.config,
-            serve: state.serve,
-            model: state.model,
+        let cbir = CbirService {
+            config: state.config.cbir,
+            model: Arc::new(state.model),
             index: state.index,
-            catalog: RwLock::with_name(
-                Catalog {
-                    database: state.database,
-                    metadata,
-                    name_to_code,
-                    feedback: FeedbackService::new(),
-                },
-                "catalog",
-            ),
-            cache: ResultCache::new(state.serve.cache_capacity),
-            registry,
-            counters: Mutex::with_name(QueryCounters::default(), "counters"),
-            ingested_images: AtomicU64::new(0),
-            scratch_pool: Mutex::with_name(Vec::new(), "scratch_pool"),
-            wal: Mutex::with_name(None, "wal"),
-            ckpt_serial: Mutex::with_name((), "ckpt-serial"),
-            checkpointer: Mutex::with_name(None, "checkpointer"),
-            segment_limit: AtomicU64::new(DEFAULT_SEGMENT_LIMIT),
-            ckpt_passes: AtomicU64::new(0),
-            ckpt_completed: AtomicU64::new(0),
-            ckpt_skipped: AtomicU64::new(0),
-            ckpt_failures: AtomicU64::new(0),
-            primary: AtomicBool::new(true),
-            repl_floor: Mutex::with_name(HashMap::new(), "repl-floor"),
+            name_to_code,
         };
+        let page_size = state.config.page_size;
+        let catalog = Catalog { database: state.database, metadata, cbir, page_size };
+        let registry = build_registry(&state.config);
+        let server = Self::new(state.config, state.serve, catalog, registry)?;
 
         let chain = persist::read_segment_chain(dir, manifest.generation, manifest.first_segment)?;
         {
             let mut catalog = server.catalog.write();
-            let catalog = &mut *catalog;
             for record in chain.records {
-                match record {
-                    WalRecord::Ingest { meta, code, image_doc, rendered_doc } => {
-                        if meta.id.0 as usize != catalog.metadata.len() {
-                            return Err(EarthQubeError::Persist(format!(
-                                "WAL record for {} carries dense id {}, expected {}",
-                                meta.name,
-                                meta.id.0,
-                                catalog.metadata.len()
-                            )));
-                        }
-                        apply_ingest(catalog, &server.index, meta, code, image_doc, rendered_doc)
-                            .map_err(|e| {
-                            EarthQubeError::Persist(format!(
-                                "WAL record does not apply to the snapshot state: {e}"
-                            ))
-                        })?;
-                        server.ingested_images.fetch_add(1, Ordering::Relaxed);
-                    }
-                    WalRecord::Feedback { text, category } => {
-                        let feedback = catalog.feedback;
-                        feedback
-                            .submit(&mut catalog.database, &text, category.as_deref())
-                            .map_err(|e| {
-                                EarthQubeError::Persist(format!(
-                                    "WAL feedback record does not apply: {e}"
-                                ))
-                            })?;
-                    }
+                if catalog.apply_record(record)? {
+                    server.ingested_images.fetch_add(1, Ordering::Relaxed);
                 }
             }
             // Replay re-marked the touched collections and shards dirty —
@@ -2084,45 +1841,20 @@ impl QueryServer {
             })?);
         }
         let mut catalog = self.catalog.write();
-        let catalog = &mut *catalog;
         let mut wal = self.wal.lock();
         let mut applied = 0u64;
         let mut ingested = false;
         let mut result = Ok(());
         for (payload, record) in entries.iter().zip(records) {
-            match record {
-                WalRecord::Ingest { meta, code, image_doc, rendered_doc } => {
-                    if meta.id.0 as usize != catalog.metadata.len() {
-                        result = Err(EarthQubeError::Persist(format!(
-                            "replicated record for {} carries dense id {}, expected {}",
-                            meta.name,
-                            meta.id.0,
-                            catalog.metadata.len()
-                        )));
-                        break;
-                    }
-                    let name = meta.name.clone();
-                    if let Err(e) =
-                        apply_ingest(catalog, &self.index, meta, code, image_doc, rendered_doc)
-                    {
-                        result = Err(EarthQubeError::Persist(format!(
-                            "replicated record for {name} does not apply: {e}"
-                        )));
-                        break;
-                    }
+            match catalog.apply_record(record) {
+                Ok(true) => {
                     self.ingested_images.fetch_add(1, Ordering::Relaxed);
                     ingested = true;
                 }
-                WalRecord::Feedback { text, category } => {
-                    let feedback = catalog.feedback;
-                    if let Err(e) =
-                        feedback.submit(&mut catalog.database, &text, category.as_deref())
-                    {
-                        result = Err(EarthQubeError::Persist(format!(
-                            "replicated feedback record does not apply: {e}"
-                        )));
-                        break;
-                    }
+                Ok(false) => {}
+                Err(e) => {
+                    result = Err(e);
+                    break;
                 }
             }
             let Some(att) = wal.as_mut() else {
@@ -2226,26 +1958,6 @@ impl Drop for QueryServer {
     fn drop(&mut self) {
         self.stop_checkpointer();
     }
-}
-
-/// Applies one prepared patch to the catalog and the CBIR index — the
-/// shared core of live [`QueryServer::ingest`] and WAL replay, which is
-/// what guarantees a recovered server is byte-identical to one that never
-/// crashed.  The caller must hold the catalog write lock and have assigned
-/// the dense id.
-fn apply_ingest(
-    catalog: &mut Catalog,
-    index: &ShardedHashIndex,
-    meta: PatchMetadata,
-    code: BinaryCode,
-    image_doc: Document,
-    rendered_doc: Document,
-) -> Result<(), EarthQubeError> {
-    insert_patch_docs(&mut catalog.database, &meta, image_doc, rendered_doc)?;
-    index.insert(meta.id.0 as u64, code.clone());
-    catalog.name_to_code.insert(meta.name.clone(), code);
-    catalog.metadata.push(meta);
-    Ok(())
 }
 
 #[cfg(test)]

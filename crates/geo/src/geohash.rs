@@ -192,15 +192,13 @@ pub fn cover_bbox(
             let mut lon = bbox.min_lon;
             while lon <= bbox.max_lon + cell.width() {
                 let p = Point::new_unchecked(lon.clamp(-180.0, 180.0), lat.clamp(-90.0, 90.0));
-                let h = encode(p, prec)?;
-                if !cells.contains(&h) {
-                    cells.push(h);
-                }
+                cells.push(encode(p, prec)?);
                 lon += cell.width();
             }
             lat += cell.height();
         }
         cells.sort();
+        cells.dedup();
         return Ok(cells);
     }
 }
@@ -312,6 +310,32 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn cover_of_a_many_cell_box_is_the_sorted_set_of_its_cells() {
+        // ~30 x 30 cells at precision 5, polar clamping included.
+        let bbox = BBox::new(10.0, 88.9, 11.3, 90.0).unwrap();
+        let cover = cover_bbox(&bbox, 5, 4096).unwrap();
+        assert!(cover.len() > 500, "only {} cells", cover.len());
+        assert!(cover.windows(2).all(|w| w[0] < w[1]), "not sorted and duplicate-free");
+
+        let cell = decode_bbox(&encode(bbox.center(), 5).unwrap()).unwrap();
+        let mut expected = std::collections::BTreeSet::new();
+        let mut samples = 0;
+        let mut lat = bbox.min_lat;
+        while lat <= bbox.max_lat + cell.height() {
+            let mut lon = bbox.min_lon;
+            while lon <= bbox.max_lon + cell.width() {
+                let point = Point::new_unchecked(lon.clamp(-180.0, 180.0), lat.clamp(-90.0, 90.0));
+                expected.insert(encode(point, 5).unwrap());
+                samples += 1;
+                lon += cell.width();
+            }
+            lat += cell.height();
+        }
+        assert!(expected.len() < samples, "the rows clamped to the pole must repeat cells");
+        assert_eq!(cover, expected.into_iter().collect::<Vec<_>>());
     }
 
     #[test]
