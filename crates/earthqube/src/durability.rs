@@ -1,0 +1,719 @@
+//! The durable tier's one owner.  A [`Durability`] is a server's connection
+//! to a persistence directory, and the only code that appends to the
+//! write-ahead log, cuts a checkpoint or moves the replication floor;
+//! [`QueryServer`] keeps the catalog side of every write and calls the
+//! verbs below.  File formats and file I/O are the crate's `persist` module.
+//!
+//! **The WAL policy** is [`WalBatch`]: records are appended per write and
+//! made durable by one `fdatasync` per batch; a failed append or sync
+//! *detaches* the log (the server keeps serving from memory until the next
+//! successful checkpoint), so nothing is ever written after a gap; the live
+//! segment is sealed only between synced batches, so a torn tail can only
+//! exist in the last segment of a chain.
+//!
+//! **The checkpoint protocol** is one sequence, [`Durability::checkpoint`]:
+//! *cut → write chunks → publish manifest → commit attachment → retire and
+//! sweep*.  A checkpoint into the attached directory continues the lineage
+//! and writes what is dirty over the published base.  A **new lineage**
+//! (detached server, foreign directory, promotion) is the same protocol
+//! with everything dirty: every collection in full, every shard, the image
+//! range from 0, the static chunk, an empty base chunk list, a fresh
+//! generation tag and a segment numbering above every file on disk.  The
+//! one difference is lock scope, explained where the paths part.  The
+//! atomic rename of the manifest is the commit point: a failure before it
+//! leaves the old manifest, the old attachment and the dirty state in
+//! force; after it, at worst retired segments and orphan chunks are left
+//! behind, which recovery ignores.
+
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use eq_bigearthnet::patch::PatchMetadata;
+use eq_docstore::{CollectionDelta, Database, DirtyLog};
+use eq_hashindex::{BinaryCode, HashTableIndex};
+use eq_wire::manifest::{ChunkEntry, Manifest};
+use parking_lot::{Mutex, MutexGuard, RwLock};
+
+use crate::catalog::Catalog;
+use crate::persist::{self, ChainTail, DirLock, Faults, WalWriter, SEGMENT_HEADER_LEN};
+use crate::replicate::ReplState;
+use crate::serve::QueryServer;
+use crate::EarthQubeError;
+
+/// Rotate the live WAL segment once it outgrows this many bytes
+/// (overridable per server with `QueryServer::set_segment_limit`).
+const DEFAULT_SEGMENT_LIMIT: u64 = 4 * 1024 * 1024;
+
+/// Rewrite a collection in full once this many delta chunks have stacked
+/// on top of its base — recovery cost stays bounded and superseded deltas
+/// get swept.
+const DELTA_COMPACT_THRESHOLD: usize = 8;
+
+/// How long a replica's last pull keeps its WAL segments from being
+/// retired by checkpoints.  A replica silent for longer is presumed dead;
+/// if it comes back it re-seeds from the snapshot instead.
+const REPL_RETENTION_TTL: Duration = Duration::from_secs(120);
+
+/// What kind of work a [`QueryServer::checkpoint`] call ended up doing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CheckpointKind {
+    /// A new lineage: every collection, every image, every index shard.
+    Full,
+    /// Only the state dirtied since the previous checkpoint was written.
+    Incremental,
+    /// Nothing was dirty; no bytes were written.
+    Skipped,
+}
+
+/// What a [`QueryServer::checkpoint`] call wrote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CheckpointStats {
+    /// Which lineage decision the checkpoint took.
+    pub kind: CheckpointKind,
+    /// Bytes written to chunk files plus the manifest.
+    pub bytes_written: u64,
+    /// Number of chunk files written.
+    pub chunks_written: u64,
+    /// WAL segments retired (deleted) because the new manifest no longer
+    /// needs them.
+    pub segments_retired: u64,
+}
+
+/// Counters of the background checkpointer (separate from `ServerStats`,
+/// whose shape is frozen into the wire protocol).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CheckpointerStats {
+    /// Wake-ups of the background thread.
+    pub passes: u64,
+    /// Passes that wrote a checkpoint (full or incremental).
+    pub completed: u64,
+    /// Passes that found nothing dirty (or no attachment) and skipped.
+    pub skipped: u64,
+    /// Passes whose checkpoint attempt failed.
+    pub failures: u64,
+}
+
+struct CheckpointerHandle {
+    stop: Arc<AtomicBool>,
+    thread: std::thread::JoinHandle<()>,
+}
+
+/// A live connection to a persistence directory: the exclusive directory
+/// lock, the published manifest (what the *next* checkpoint is derived
+/// from), the open tail segment of the WAL, and the pull positions of the
+/// replicas following this lineage.
+pub(crate) struct Attachment {
+    pub(crate) dir: PathBuf,
+    /// The manifest currently published in `dir`.
+    pub(crate) manifest: Manifest,
+    /// Index of the live (tail) segment `writer` appends to.
+    pub(crate) segment_index: u32,
+    /// Current byte length of the live segment (header included).
+    pub(crate) segment_bytes: u64,
+    writer: WalWriter,
+    /// How many images (dense-id prefix) the published chunks cover.
+    persisted_images: usize,
+    /// Segment each pulling replica last asked for, by replica id, with
+    /// the time it was seen.  The marks are about *this lineage's*
+    /// segments, so they die with it.
+    replica_marks: HashMap<u64, (u32, Instant)>,
+    lock: DirLock,
+}
+
+impl Attachment {
+    /// The one place an attachment is built: by recovery over the reopened
+    /// tail of a chain, by a new lineage over its first segment.
+    fn open(
+        dir: &Path,
+        lock: DirLock,
+        manifest: Manifest,
+        (segment_index, segment_bytes, writer): (u32, u64, WalWriter),
+        persisted_images: usize,
+    ) -> Self {
+        Attachment {
+            dir: dir.to_path_buf(),
+            manifest,
+            segment_index,
+            segment_bytes,
+            writer,
+            persisted_images,
+            replica_marks: HashMap::new(),
+            lock,
+        }
+    }
+
+    /// Seals the live segment and opens the next one.  The caller must
+    /// have synced the live segment first: rotation only ever happens at a
+    /// batch boundary, so sealed segments are always clean-ended.
+    fn rotate(&mut self, faults: &Faults) -> Result<(), EarthQubeError> {
+        let next = self.segment_index + 1;
+        let path = self.dir.join(persist::segment_file_name(next));
+        self.writer = WalWriter::create(&path, self.manifest.generation, next, faults)?;
+        self.segment_index = next;
+        self.segment_bytes = SEGMENT_HEADER_LEN;
+        Ok(())
+    }
+
+    /// Records the segment a replica pulled from, for the retention floor.
+    pub(crate) fn mark_replica(&mut self, replica_id: u64, segment: u32) {
+        self.replica_marks.insert(replica_id, (segment, Instant::now()));
+    }
+
+    /// The lowest segment a recently active replica still needs, or
+    /// `fallback` when none does.  Prunes marks older than
+    /// [`REPL_RETENTION_TTL`], so a dead replica cannot pin segments (and
+    /// thus disk) forever.
+    fn retention_floor(&mut self, fallback: u32) -> u32 {
+        let now = Instant::now();
+        self.replica_marks.retain(|_, (_, seen)| now.duration_since(*seen) <= REPL_RETENTION_TTL);
+        self.replica_marks
+            .values()
+            .map(|(segment, _)| *segment)
+            .min()
+            .map_or(fallback, |min| min.min(fallback))
+    }
+}
+
+/// When a committed batch seals the live segment.
+pub(crate) enum Seal {
+    /// A primary: once the segment outgrows the limit.  Best effort: on
+    /// failure the oversized segment stays live and the next batch retries.
+    AtLimit,
+    /// A replica: exactly where the primary did (`true`), nowhere else.
+    Mirror(bool),
+}
+
+/// The WAL for one write-lock section.  Taken *after* the catalog write
+/// lock and held to the end of the section, so a write is either applied
+/// and logged or neither.  On a detached server every verb is a no-op.
+pub(crate) struct WalBatch<'a> {
+    wal: MutexGuard<'a, Option<Attachment>>,
+    owner: &'a Durability,
+    appended: bool,
+}
+
+impl WalBatch<'_> {
+    /// Whether there is a log to write to (so callers can skip encoding).
+    pub(crate) fn attached(&self) -> bool {
+        self.wal.is_some()
+    }
+
+    /// Appends one record.  A failure detaches the log, so a later append
+    /// can never write after a gap.
+    pub(crate) fn append(&mut self, payload: &[u8]) -> Result<(), EarthQubeError> {
+        let Some(att) = self.wal.as_mut() else { return Ok(()) };
+        match att.writer.append(payload) {
+            Ok(bytes) => att.segment_bytes += bytes,
+            Err(e) => {
+                *self.wal = None;
+                return Err(e);
+            }
+        }
+        self.appended = true;
+        Ok(())
+    }
+
+    /// Makes the batch durable, then seals the segment if `seal` says so;
+    /// `batch` is the caller's own outcome, and the first error wins.  One
+    /// `fdatasync` covers every append (acknowledged means on stable
+    /// storage, which is why it runs inside the write-lock section, and it
+    /// runs for the applied prefix of a batch that stopped early too); a
+    /// failure detaches the log.  Rotation only ever follows a fully
+    /// applied, synced batch, so sealed segments are clean-ended.
+    pub(crate) fn commit<T>(
+        mut self,
+        seal: Seal,
+        batch: Result<T, EarthQubeError>,
+    ) -> Result<T, EarthQubeError> {
+        let Some(att) = self.wal.as_mut() else { return batch };
+        if self.appended {
+            if let Err(e) = att.writer.sync() {
+                *self.wal = None;
+                return batch.and(Err(e));
+            }
+        }
+        let limit = self.owner.segment_limit.load(Ordering::Relaxed);
+        match seal {
+            _ if batch.is_err() => {}
+            Seal::AtLimit if self.appended && att.segment_bytes >= limit => {
+                let _ = att.rotate(&self.owner.faults);
+            }
+            Seal::Mirror(true) => att.rotate(&self.owner.faults)?,
+            _ => {}
+        }
+        batch
+    }
+}
+
+/// What a new lineage carries from its cut to its commit.
+struct NewLineage {
+    /// Its first segment, created before the manifest names it.
+    writer: WalWriter,
+    static_body: Vec<u8>,
+    /// The target directory's lock; `None` when this component holds that
+    /// directory already (promotion) and the held lock is reused.
+    dir_lock: Option<DirLock>,
+}
+
+/// What one checkpoint cut decided, under both locks.
+struct Cut {
+    /// The manifest to publish; so far it lists the chunks inherited from
+    /// the published one (none for a new lineage).  Its `first_segment` is
+    /// the segment the cut opened, where post-cut records land.
+    manifest: Manifest,
+    fresh: Option<NewLineage>,
+    /// Collections to write: as a delta, or (`None`) in full.
+    collections: Vec<(String, Option<CollectionDelta>)>,
+    shards: Vec<usize>,
+    images: std::ops::Range<usize>,
+    /// The dirty state the cut drained, put back if nothing is published.
+    drained_logs: Vec<(String, DirtyLog)>,
+    drained_shards: Vec<usize>,
+}
+
+fn detached_mid_checkpoint() -> EarthQubeError {
+    EarthQubeError::Persist("the persistence attachment was detached mid-checkpoint".into())
+}
+
+/// The durable tier of one server: see the module docs.
+pub(crate) struct Durability {
+    /// The persistence attachment; `None` for a purely in-memory server.
+    /// Lock order: always after the catalog write lock, never before.
+    wal: Mutex<Option<Attachment>>,
+    /// Serialises whole checkpoints (manual calls and the background
+    /// checkpointer).  Lock order: before the catalog lock, never inside.
+    ckpt_serial: Mutex<()>,
+    /// The background checkpointer thread, if one is running.  Never held
+    /// while taking any other lock.
+    checkpointer: Mutex<Option<CheckpointerHandle>>,
+    checkpointer_stats: Mutex<CheckpointerStats>,
+    /// WAL segment rotation threshold in bytes.
+    segment_limit: AtomicU64,
+    faults: Faults,
+}
+
+impl Durability {
+    /// A detached component: nothing is logged until the first checkpoint
+    /// or [`attach`](Self::attach).
+    pub(crate) fn new() -> Self {
+        Durability {
+            wal: Mutex::with_name(None, "wal"),
+            ckpt_serial: Mutex::with_name((), "ckpt-serial"),
+            checkpointer: Mutex::with_name(None, "checkpointer"),
+            checkpointer_stats: Mutex::default(),
+            segment_limit: AtomicU64::new(DEFAULT_SEGMENT_LIMIT),
+            faults: Faults::default(),
+        }
+    }
+
+    /// Runs `f` on the attachment, for the replication serving methods:
+    /// the one place "detached" becomes their error.
+    pub(crate) fn serving<R>(
+        &self,
+        f: impl FnOnce(&mut Attachment) -> R,
+    ) -> Result<R, EarthQubeError> {
+        self.wal.lock().as_mut().map(f).ok_or_else(|| {
+            EarthQubeError::Persist("serving replication requires a persistence attachment".into())
+        })
+    }
+
+    /// The durable WAL position, as the replication handshake reports it.
+    pub(crate) fn repl_state(&self, primary: bool) -> ReplState {
+        let detached = ReplState { primary, ..ReplState::default() };
+        self.wal.lock().as_ref().map_or(detached, |att| ReplState {
+            primary,
+            attached: true,
+            generation: att.manifest.generation,
+            first_segment: att.manifest.first_segment,
+            segment: att.segment_index,
+            offset: att.segment_bytes,
+        })
+    }
+
+    /// Opens the WAL for one write-lock section.
+    pub(crate) fn begin(&self) -> WalBatch<'_> {
+        WalBatch { wal: self.wal.lock(), owner: self, appended: false }
+    }
+
+    /// Attaches a recovered directory: reopens (or creates) the tail
+    /// segment of its chain and resumes appending there.
+    pub(crate) fn attach(
+        &self,
+        dir: &Path,
+        lock: DirLock,
+        manifest: Manifest,
+        tail: ChainTail,
+        persisted_images: usize,
+    ) -> Result<(), EarthQubeError> {
+        let path = |index| dir.join(persist::segment_file_name(index));
+        let live = match tail {
+            ChainTail::Reopen { index, valid_len } => {
+                (index, valid_len, WalWriter::open_truncated(&path(index), valid_len)?)
+            }
+            ChainTail::Create { index } => {
+                let generation = manifest.generation;
+                let writer = WalWriter::create(&path(index), generation, index, &self.faults)?;
+                (index, SEGMENT_HEADER_LEN, writer)
+            }
+        };
+        *self.wal.lock() = Some(Attachment::open(dir, lock, manifest, live, persisted_images));
+        Ok(())
+    }
+
+    /// Checkpoints `catalog` into `dir` by the protocol of the module docs:
+    /// continues the lineage when attached there and `relineage` is false,
+    /// starts a new one otherwise.  `static_chunk` encodes configuration
+    /// and model, which only a new lineage writes.
+    pub(crate) fn checkpoint(
+        &self,
+        catalog: &RwLock<Catalog>,
+        dir: &Path,
+        relineage: bool,
+        static_chunk: impl FnOnce() -> Vec<u8>,
+    ) -> Result<CheckpointStats, EarthQubeError> {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| persist::io_error("creating the persistence directory", e))?;
+        let _serial = self.ckpt_serial.lock();
+        let held = self.wal.lock().as_ref().is_some_and(|att| att.dir == dir);
+        // Attaching needs the directory's exclusive lock; take it up front,
+        // so a directory another live instance serves is refused before any
+        // state is cut.  A directory this component already holds (reached
+        // through the same path spelling) keeps its lock.
+        let dir_lock = if held { None } else { Some(persist::lock_dir(dir)?) };
+
+        // ---- The cut: under the catalog write + wal locks ----
+        let mut core = catalog.write();
+        let mut wal = self.wal.lock();
+        let continuing = held && !relineage;
+        let Some(cut) =
+            self.cut(&mut core, wal.as_mut(), dir, continuing, dir_lock, static_chunk)?
+        else {
+            return Ok(CheckpointStats {
+                kind: CheckpointKind::Skipped,
+                bytes_written: 0,
+                chunks_written: 0,
+                segments_retired: 0,
+            });
+        };
+
+        // ---- Chunk I/O and manifest publish ----
+        let (published, guards) = if continuing {
+            // Post-cut writes land in the segment the cut opened, so copy
+            // what the cut names and release both locks before any I/O.
+            let images = core.images_from(cut.images.start).map(|tail| {
+                tail.into_iter()
+                    .map(|(meta, code)| (meta.clone(), code.clone()))
+                    .collect::<Vec<_>>()
+            });
+            let mut rewrites = Database::new();
+            for (name, _) in cut.collections.iter().filter(|(_, delta)| delta.is_none()) {
+                if let Ok(collection) = core.database.collection(name) {
+                    rewrites.insert_collection(collection.clone());
+                }
+            }
+            let index = &core.cbir.index;
+            let tables: Vec<_> = cut.shards.iter().map(|&s| (s, index.clone_shard(s))).collect();
+            drop(wal);
+            drop(core);
+            let tables = tables.iter().map(|(s, table)| (*s, Cow::Borrowed(table)));
+            let published = images.and_then(|images| {
+                let images: Vec<_> = images.iter().map(|(meta, code)| (meta, code)).collect();
+                self.publish(dir, &cut, &rewrites, &images, tables)
+            });
+            (published, None)
+        } else {
+            // A new lineage has no segment a post-cut write could land in
+            // until its manifest is committed: it keeps both guards until
+            // then, and so reads the catalog in place instead of copying it
+            // (one shard table at a time is the only copy).
+            let index = &core.cbir.index;
+            let tables = cut.shards.iter().map(|&s| (s, Cow::Owned(index.clone_shard(s))));
+            let images = core.images_from(cut.images.start);
+            let published =
+                images.and_then(|images| self.publish(dir, &cut, &core.database, &images, tables));
+            (published, Some((core, wal)))
+        };
+        let (bytes_written, chunks_written, manifest) = match published {
+            Ok(published) => published,
+            Err(e) => {
+                // Nothing was committed: the old attachment is in force,
+                // and even if the rename is what failed, the next manifest
+                // is derived from the old chunk list again.  Put the
+                // drained dirty state back for the retry.
+                let mut core = guards.map_or_else(|| catalog.write(), |(core, _)| core);
+                core.restore_dirty(cut.drained_logs, &cut.drained_shards);
+                return Err(e);
+            }
+        };
+
+        // ---- Committed: the attachment follows the new manifest ----
+        let mut wal = guards.map_or_else(|| self.wal.lock(), |(_, wal)| wal);
+        let kind = if continuing { CheckpointKind::Incremental } else { CheckpointKind::Full };
+        let floor = if let Some(NewLineage { writer, dir_lock, .. }) = cut.fresh {
+            // Replacing the attachment detaches from the old directory and
+            // releases its lock, unless that lock is the one reused.
+            let lock = match (dir_lock, wal.take()) {
+                (Some(lock), _) => lock,
+                (None, Some(old)) => old.lock,
+                (None, None) => return Err(detached_mid_checkpoint()),
+            };
+            let live = (manifest.first_segment, SEGMENT_HEADER_LEN, writer);
+            *wal = Some(Attachment::open(dir, lock, manifest.clone(), live, cut.images.end));
+            manifest.first_segment
+        } else if let Some(att) = wal.as_mut() {
+            att.manifest = manifest.clone();
+            att.persisted_images = cut.images.end;
+            // Segments a recently active replica still needs stay on disk
+            // even though recovery no longer does.
+            att.retention_floor(manifest.first_segment)
+        } else {
+            manifest.first_segment
+        };
+        drop(wal);
+
+        // ---- Post-publish GC: covered segments, earlier lineages' (they
+        // sort below a new lineage's first) and unreferenced chunks.
+        // Failures propagate but must NOT restore the dirty state. ----
+        let segments_retired = persist::retire_segments(dir, floor, &self.faults)?;
+        persist::sweep_orphan_chunks(dir, &manifest, &self.faults)?;
+        Ok(CheckpointStats { kind, bytes_written, chunks_written, segments_retired })
+    }
+
+    /// The state cut: decides the lineage, opens the segment post-cut
+    /// records land in, and drains the dirty state.  `None` when a
+    /// continuing lineage has nothing dirty.
+    fn cut(
+        &self,
+        core: &mut Catalog,
+        att: Option<&mut Attachment>,
+        dir: &Path,
+        continuing: bool,
+        dir_lock: Option<DirLock>,
+        static_chunk: impl FnOnce() -> Vec<u8>,
+    ) -> Result<Option<Cut>, EarthQubeError> {
+        let images_end = core.metadata.len();
+        let (manifest, images_start, fresh) = if continuing {
+            let att = att.ok_or_else(detached_mid_checkpoint)?;
+            if !core.database.is_dirty()
+                && !core.cbir.index.has_dirty_shards()
+                && att.persisted_images == images_end
+            {
+                return Ok(None);
+            }
+            // Seal the live segment: records before the cut are covered by
+            // the chunks about to be written, records after it land in the
+            // segment the new manifest starts from.
+            att.rotate(&self.faults)?;
+            let (seq, first_segment) = (att.manifest.seq + 1, att.segment_index);
+            (Manifest { seq, first_segment, ..att.manifest.clone() }, att.persisted_images, None)
+        } else {
+            if dir_lock.is_none() && att.is_none() {
+                return Err(detached_mid_checkpoint());
+            }
+            // Interrupted earlier lineages may have left segments behind; a
+            // unique generation *and* a numbering above every file on disk
+            // keep recovery from ever confusing their records with this
+            // lineage's.  The first segment exists before the manifest
+            // names it, so a published manifest always finds its chain.
+            let seq = persist::read_manifest(dir)?.map_or(1, |m| m.seq + 1);
+            let static_body = static_chunk();
+            let generation = persist::unique_generation(dir, &static_body);
+            let first_segment = persist::next_free_segment_index(dir)?;
+            let path = dir.join(persist::segment_file_name(first_segment));
+            let writer = WalWriter::create(&path, generation, first_segment, &self.faults)?;
+            let manifest = Manifest { seq, generation, first_segment, chunks: Vec::new() };
+            (manifest, 0, Some(NewLineage { writer, static_body, dir_lock }))
+        };
+        // Nothing below can fail, so a drained log is never dropped.
+        let names = match fresh {
+            Some(_) => core.database.collection_names(),
+            None => core.database.dirty_collection_names(),
+        };
+        let names: Vec<String> = names.into_iter().map(String::from).collect();
+        let mut collections = Vec::with_capacity(names.len());
+        let mut drained_logs = Vec::with_capacity(names.len());
+        for name in names {
+            let Ok(collection) = core.database.collection_mut(&name) else { continue };
+            let log = collection.take_dirty();
+            let delta_kind = persist::kind_delta(&name);
+            let stacked = manifest.chunks.iter().filter(|c| c.kind == delta_kind).count();
+            let as_delta =
+                fresh.is_none() && !log.schema_changed() && stacked < DELTA_COMPACT_THRESHOLD;
+            collections.push((name.clone(), as_delta.then(|| collection.capture_delta(&log))));
+            drained_logs.push((name, log));
+        }
+        let drained_shards = core.cbir.index.take_dirty_shards();
+        let shards = match fresh {
+            Some(_) => (0..core.cbir.index.shard_count()).collect(),
+            None => drained_shards.clone(),
+        };
+        let images = images_start..images_end;
+        Ok(Some(Cut { manifest, fresh, collections, shards, images, drained_logs, drained_shards }))
+    }
+
+    /// Writes the cut's chunks from one loop, then derives and publishes
+    /// the manifest.  Returns the bytes and chunks written, and the
+    /// manifest.
+    fn publish<'t>(
+        &self,
+        dir: &Path,
+        cut: &Cut,
+        database: &Database,
+        images: &[(&PatchMetadata, &BinaryCode)],
+        tables: impl Iterator<Item = (usize, Cow<'t, HashTableIndex>)>,
+    ) -> Result<(u64, u64, Manifest), EarthQubeError> {
+        type Piece<'p> = Result<(String, Cow<'p, [u8]>), EarthQubeError>;
+        // Every piece is encoded lazily: one chunk body in memory at a time.
+        let statics = cut.fresh.iter().map(|fresh| -> Piece<'_> {
+            Ok((persist::kind_static(), fresh.static_body.as_slice().into()))
+        });
+        let collections = cut.collections.iter().map(|(name, delta)| -> Piece<'_> {
+            Ok(match delta {
+                Some(delta) => {
+                    (persist::kind_delta(name), persist::encode_delta_chunk(delta).into())
+                }
+                None => {
+                    let body = persist::encode_collection_chunk(database.collection(name)?);
+                    (persist::kind_collection(name), body.into())
+                }
+            })
+        });
+        let start = cut.images.start as u64;
+        let image_range = (cut.fresh.is_some() || !images.is_empty()).then_some(());
+        let image_range = image_range.into_iter().map(|()| -> Piece<'_> {
+            Ok((persist::kind_images(start), persist::encode_images_chunk(start, images).into()))
+        });
+        let shards = tables.map(|(shard, table)| -> Piece<'_> {
+            let shard = shard as u32;
+            Ok((persist::kind_shard(shard), persist::encode_shard_chunk(shard, &table).into()))
+        });
+        let mut written: Vec<ChunkEntry> = Vec::new();
+        for piece in statics.chain(collections).chain(image_range).chain(shards) {
+            let (kind, body) = piece?;
+            let file = persist::chunk_file_name(cut.manifest.seq, written.len() as u32);
+            written.push(persist::write_chunk_file(dir, &file, &kind, &body, &self.faults)?);
+        }
+        // Derive the manifest from the published base: a full rewrite
+        // supersedes a collection's old base and deltas, a rewritten shard
+        // its old chunk; everything new is appended (order only matters
+        // within a collection: base before deltas).
+        let mut manifest = cut.manifest.clone();
+        for (name, _) in cut.collections.iter().filter(|(_, delta)| delta.is_none()) {
+            let (full, delta) = (persist::kind_collection(name), persist::kind_delta(name));
+            manifest.chunks.retain(|c| c.kind != full && c.kind != delta);
+        }
+        for &shard in &cut.shards {
+            let kind = persist::kind_shard(shard as u32);
+            manifest.chunks.retain(|c| c.kind != kind);
+        }
+        let (chunk_bytes, chunks) = (written.iter().map(|c| c.len).sum::<u64>(), written.len());
+        manifest.chunks.append(&mut written);
+        let manifest_bytes = persist::write_manifest_file(dir, &manifest, &self.faults)?;
+        Ok((chunk_bytes + manifest_bytes, chunks as u64, manifest))
+    }
+}
+
+/// The part of the server's public surface that is the component's alone.
+impl QueryServer {
+    /// The persistence directory this server is attached to, if any.
+    pub fn attached_dir(&self) -> Option<PathBuf> {
+        self.durability.wal.lock().as_ref().map(|att| att.dir.clone())
+    }
+
+    /// Overrides the WAL segment rotation threshold, in bytes (default
+    /// 4 MiB).  Smaller segments retire sooner after a checkpoint at the
+    /// cost of more files; mainly useful for tests and experiments.
+    pub fn set_segment_limit(&self, bytes: u64) {
+        self.durability.segment_limit.store(bytes.max(SEGMENT_HEADER_LEN + 1), Ordering::Relaxed);
+    }
+
+    /// This server's crash plan (test builds only): arm one of
+    /// [`failpoints::ALL_POINTS`](crate::failpoints::ALL_POINTS) and this
+    /// server's next checkpoint dies at that I/O boundary.
+    #[cfg(feature = "failpoints")]
+    pub fn failpoints(&self) -> &crate::failpoints::Plan {
+        &self.durability.faults.plan
+    }
+
+    /// Starts the background checkpointer: a thread that wakes every
+    /// `interval` (or immediately on [`trigger_checkpoint`](Self::trigger_checkpoint))
+    /// and runs [`checkpoint_if_dirty`](Self::checkpoint_if_dirty).  The
+    /// thread holds only a weak reference, so it never keeps a dropped
+    /// server alive; it exits when the server is dropped or
+    /// [`stop_checkpointer`](Self::stop_checkpointer) is called.
+    ///
+    /// # Errors
+    /// Fails if a checkpointer is already running or the thread cannot be
+    /// spawned.
+    pub fn start_checkpointer(self: &Arc<Self>, interval: Duration) -> Result<(), EarthQubeError> {
+        let stop = Arc::new(AtomicBool::new(false));
+        let (thread_stop, weak) = (Arc::clone(&stop), Arc::downgrade(self));
+        // The thread's body, which runs under none of this function's locks.
+        let body = move || loop {
+            std::thread::park_timeout(interval);
+            if thread_stop.load(Ordering::Acquire) {
+                break;
+            }
+            let Some(server) = weak.upgrade() else { break };
+            let outcome = server.checkpoint_if_dirty();
+            let mut stats = server.durability.checkpointer_stats.lock();
+            stats.passes += 1;
+            match outcome {
+                Ok(Some(_)) => stats.completed += 1,
+                Ok(None) => stats.skipped += 1,
+                Err(_) => stats.failures += 1,
+            }
+        };
+        let mut slot = self.durability.checkpointer.lock();
+        if slot.is_some() {
+            return Err(EarthQubeError::BadRequest(
+                "a background checkpointer is already running".into(),
+            ));
+        }
+        let thread =
+            std::thread::Builder::new().name("eq-checkpointer".into()).spawn(body).map_err(
+                |e| EarthQubeError::Persist(format!("spawning the checkpointer thread: {e}")),
+            )?;
+        *slot = Some(CheckpointerHandle { stop, thread });
+        Ok(())
+    }
+
+    /// Stops and joins the background checkpointer, if one is running.  An
+    /// in-flight checkpoint pass finishes first; no new pass starts.
+    pub fn stop_checkpointer(&self) {
+        let handle = self.durability.checkpointer.lock().take();
+        if let Some(CheckpointerHandle { stop, thread }) = handle {
+            stop.store(true, Ordering::Release);
+            thread.thread().unpark();
+            // The last `Arc` can die *inside* a checkpointer pass, in
+            // which case drop (and thus this method) runs on the
+            // checkpointer thread itself — joining would self-deadlock.
+            if thread.thread().id() != std::thread::current().id() {
+                let _ = thread.join();
+            }
+        }
+    }
+
+    /// Wakes the background checkpointer immediately instead of waiting
+    /// for its next interval tick.  A no-op if none is running.
+    pub fn trigger_checkpoint(&self) {
+        if let Some(handle) = self.durability.checkpointer.lock().as_ref() {
+            handle.thread.thread().unpark();
+        }
+    }
+
+    /// A snapshot of the background-checkpointer counters.
+    pub fn checkpointer_stats(&self) -> CheckpointerStats {
+        *self.durability.checkpointer_stats.lock()
+    }
+}
+
+impl Drop for QueryServer {
+    fn drop(&mut self) {
+        self.stop_checkpointer();
+    }
+}

@@ -27,8 +27,12 @@
 //!   index shard, one search scratch and no cache,
 //! * [`serve`] — the concurrent serving layer: a [`QueryServer`] owning the
 //!   same core behind one lock and sharing it across worker threads, with
-//!   index shards, an LRU result cache invalidated on ingest, durability
-//!   and replication,
+//!   index shards, an LRU result cache invalidated on ingest and the
+//!   primary/replica role,
+//! * `durability` / `persist` (private) — the durable tier: one component
+//!   owning a server's persistence attachment, the write-ahead log policy,
+//!   the one checkpoint protocol and the checkpointer; and the file
+//!   formats and file I/O under it,
 //! * [`net`] — the network tier: a TCP [`NetServer`] speaking the
 //!   `eq_proto` binary RPC protocol, and the blocking [`EqClient`] whose
 //!   remote results are byte-identical to in-process calls,
@@ -76,6 +80,7 @@
 
 mod catalog;
 pub mod cbir;
+mod durability;
 pub mod engine;
 pub mod feedback;
 pub mod filtered;

@@ -59,28 +59,19 @@
 //!   crashed server never wedges its directory.
 //!
 //! The `generation` tag names the checkpoint *lineage*: it is constant
-//! across incremental checkpoints and re-stamped only by a full one.  A
+//! across incremental checkpoints and re-stamped only by a new lineage.  A
 //! segment tagged with a foreign generation is debris from an interrupted
-//! full checkpoint; recovery ignores it when (and only when) it trails the
-//! live chain.  Appends are made durable with `fdatasync` (one per
-//! write-path lock section), and every chunk and the manifest are synced
-//! before the rename publishes them — `flush` alone would not survive a
-//! power loss.
+//! lineage switch; recovery ignores it when (and only when) it trails the
+//! live chain.  Appends are made durable with `fdatasync`, and every chunk
+//! and the manifest are synced before the rename publishes them — `flush`
+//! alone would not survive a power loss.
 //!
-//! Recovery = read the manifest, rebuild the state from its chunks (full
-//! collections first, then their deltas; image ranges must tile; every
-//! index shard exactly once), replay every intact record of the live
-//! segment chain through the same apply path live ingest uses, truncate
-//! the torn tail of the final segment.  Replaying is idempotent from the
-//! checkpoint base, so recovering a recovered directory yields the same
-//! state again.
-//!
-//! Crash-point injection: with the `failpoints` feature (test builds only;
-//! release builds of the library compile it out) the [`failpoints`] module
-//! can arm exactly one named point; the corresponding I/O helper then
-//! fails *before* its write/sync/rename, simulating a crash at that
-//! boundary.  The recovery test suite arms every declared point in turn
-//! and asserts byte-identical query responses after recovery.
+//! This module is formats and file I/O only.  Who writes what when — the
+//! WAL policy, the checkpoint protocol — is the crate's `durability`
+//! module; recovery is [`QueryServer::recover`].  With the `failpoints`
+//! feature (test builds only) every I/O helper that declares a crash point
+//! takes the server's `failpoints::Plan` and fails *before* its
+//! write/sync/rename when that point is armed.
 //!
 //! [`QueryServer::checkpoint`]: crate::serve::QueryServer::checkpoint
 //! [`QueryServer::recover`]: crate::serve::QueryServer::recover
@@ -134,11 +125,12 @@ const RECORD_FEEDBACK: u8 = 2;
 /// library (the `failpoints` cargo feature is only enabled by the
 /// workspace's dev-dependencies).
 ///
-/// At most one point is armed at a time; when the persistence code reaches
-/// it, the corresponding I/O helper returns an error *before* performing
-/// its write/sync/rename, leaving the directory in exactly the state a
-/// crash at that boundary would.  The recovery test suite arms every entry
-/// of [`ALL_POINTS`](failpoints::ALL_POINTS) in turn.
+/// Every server carries its own [`Plan`](failpoints::Plan), reached through
+/// `QueryServer::failpoints`, with at most one point armed at a time; when
+/// that server's persistence code reaches it, the I/O helper returns an
+/// error *before* performing its write/sync/rename, leaving the directory
+/// in exactly the state a crash at that boundary would.  The recovery test
+/// suite arms every entry of [`ALL_POINTS`](failpoints::ALL_POINTS) in turn.
 #[cfg(feature = "failpoints")]
 pub mod failpoints {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -159,62 +151,66 @@ pub mod failpoints {
         "chunk-gc",
     ];
 
-    /// `0` = disarmed; `i + 1` = `ALL_POINTS[i]` is armed.
-    static ARMED: AtomicUsize = AtomicUsize::new(0);
-    /// Number of times an armed point actually fired.
-    static FIRED: AtomicUsize = AtomicUsize::new(0);
+    /// One server's crash plan: which point is armed, and how often an
+    /// armed point fired.
+    #[derive(Debug, Default)]
+    pub struct Plan {
+        /// `0` = disarmed; `i + 1` = `ALL_POINTS[i]` is armed.
+        armed: AtomicUsize,
+        fired: AtomicUsize,
+    }
 
-    /// Arms the named point (disarming any other); returns whether the
-    /// name is a declared point.
-    pub fn arm(name: &str) -> bool {
-        match ALL_POINTS.iter().position(|p| *p == name) {
-            Some(i) => {
-                ARMED.store(i + 1, Ordering::Release);
-                true
+    impl Plan {
+        /// Arms the named point (disarming any other); returns whether the
+        /// name is a declared point.
+        pub fn arm(&self, name: &str) -> bool {
+            let index = ALL_POINTS.iter().position(|p| *p == name);
+            self.armed.store(index.map_or(0, |i| i + 1), Ordering::Release);
+            index.is_some()
+        }
+
+        /// Disarms whatever point is armed.
+        pub fn disarm(&self) {
+            self.armed.store(0, Ordering::Release);
+        }
+
+        /// How many times an armed point of this server has fired.
+        pub fn fired_count(&self) -> usize {
+            self.fired.load(Ordering::Acquire)
+        }
+
+        /// Whether the named point is armed (bumping the fired counter if so).
+        pub(crate) fn should_fail(&self, name: &str) -> bool {
+            let armed = self.armed.load(Ordering::Acquire);
+            let hit = armed > 0 && ALL_POINTS.get(armed - 1) == Some(&name);
+            if hit {
+                self.fired.fetch_add(1, Ordering::AcqRel);
             }
-            None => false,
+            hit
         }
-    }
-
-    /// Disarms whatever point is armed.
-    pub fn disarm() {
-        ARMED.store(0, Ordering::Release);
-    }
-
-    /// How many times an armed point has fired since the process started.
-    pub fn fired_count() -> usize {
-        FIRED.load(Ordering::Acquire)
-    }
-
-    /// Whether the named point is armed (bumping the fired counter if so).
-    /// Called by the `fail_point!` expansions inside the persistence code.
-    pub fn should_fail(name: &str) -> bool {
-        let armed = ARMED.load(Ordering::Acquire);
-        if armed == 0 {
-            return false;
-        }
-        if ALL_POINTS.get(armed - 1) == Some(&name) {
-            FIRED.fetch_add(1, Ordering::AcqRel);
-            return true;
-        }
-        false
     }
 }
 
-/// Injects a crash at a declared boundary when the `failpoints` feature is
-/// on and the named point is armed; expands to nothing otherwise.
-macro_rules! fail_point {
-    ($name:expr) => {
+/// The crash points of one server, handed to every I/O helper that declares
+/// one: a `failpoints::Plan` with the `failpoints` feature, and nothing at
+/// all (every check compiles out) without it.
+#[derive(Debug, Default)]
+pub(crate) struct Faults {
+    #[cfg(feature = "failpoints")]
+    pub(crate) plan: failpoints::Plan,
+}
+
+impl Faults {
+    /// Fails when `point` is armed: the caller's "crash" at that boundary.
+    fn check(&self, point: &str) -> Result<(), EarthQubeError> {
         #[cfg(feature = "failpoints")]
-        {
-            if crate::persist::failpoints::should_fail($name) {
-                return Err(crate::EarthQubeError::Persist(format!(
-                    "injected crash at failpoint `{}`",
-                    $name
-                )));
-            }
+        if self.plan.should_fail(point) {
+            return Err(EarthQubeError::Persist(format!("injected crash at failpoint `{point}`")));
         }
-    };
+        #[cfg(not(feature = "failpoints"))]
+        let _ = point;
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -460,8 +456,9 @@ pub(crate) fn write_chunk_file(
     file_name: &str,
     kind: &str,
     body: &[u8],
+    faults: &Faults,
 ) -> Result<ChunkEntry, EarthQubeError> {
-    fail_point!("chunk-write");
+    faults.check("chunk-write")?;
     let body_crc = crc32(body);
     let mut w = Writer::with_capacity(body.len() + 20);
     w.raw(CHUNK_MAGIC);
@@ -472,7 +469,7 @@ pub(crate) fn write_chunk_file(
     let path = dir.join(file_name);
     let mut file = File::create(&path).map_err(|e| io_error("creating a checkpoint chunk", e))?;
     file.write_all(&bytes).map_err(|e| io_error("writing a checkpoint chunk", e))?;
-    fail_point!("chunk-sync");
+    faults.check("chunk-sync")?;
     // Sync now: the manifest that will reference this chunk is itself
     // synced before its rename, so publication can never outrun content.
     file.sync_all().map_err(|e| io_error("syncing a checkpoint chunk", e))?;
@@ -564,21 +561,25 @@ pub(crate) fn read_manifest(dir: &Path) -> Result<Option<Manifest>, EarthQubeErr
 /// force, and the directory sync is part of the commit (without it the
 /// rename itself could be lost to a power cut).  Returns the manifest's
 /// encoded size.
-pub(crate) fn write_manifest_file(dir: &Path, manifest: &Manifest) -> Result<u64, EarthQubeError> {
-    fail_point!("manifest-write");
+pub(crate) fn write_manifest_file(
+    dir: &Path,
+    manifest: &Manifest,
+    faults: &Faults,
+) -> Result<u64, EarthQubeError> {
+    faults.check("manifest-write")?;
     let bytes = encode_manifest(manifest);
     let tmp = dir.join(MANIFEST_TMP_FILE);
     {
         let mut file =
             File::create(&tmp).map_err(|e| io_error("creating the manifest scratch file", e))?;
         file.write_all(&bytes).map_err(|e| io_error("writing the manifest", e))?;
-        fail_point!("manifest-sync");
+        faults.check("manifest-sync")?;
         file.sync_all().map_err(|e| io_error("syncing the manifest", e))?;
     }
-    fail_point!("manifest-rename");
+    faults.check("manifest-rename")?;
     std::fs::rename(&tmp, dir.join(MANIFEST_FILE))
         .map_err(|e| io_error("publishing the manifest", e))?;
-    fail_point!("manifest-dir-sync");
+    faults.check("manifest-dir-sync")?;
     sync_dir(dir)?;
     Ok(bytes.len() as u64)
 }
@@ -859,8 +860,13 @@ impl WalWriter {
     /// Exclusivity comes from the directory lock, not per-file locks —
     /// callers hold the attachment's [`DirLock`] (or are mid-recovery,
     /// which takes it first).
-    pub(crate) fn create(path: &Path, generation: u32, index: u32) -> Result<Self, EarthQubeError> {
-        fail_point!("segment-precreate");
+    pub(crate) fn create(
+        path: &Path,
+        generation: u32,
+        index: u32,
+        faults: &Faults,
+    ) -> Result<Self, EarthQubeError> {
+        faults.check("segment-precreate")?;
         let mut file = OpenOptions::new()
             .write(true)
             .create(true)
@@ -872,7 +878,7 @@ impl WalWriter {
         file.write_all(&generation.to_le_bytes())
             .map_err(|e| io_error("writing a segment generation tag", e))?;
         file.write_all(&index.to_le_bytes()).map_err(|e| io_error("writing a segment index", e))?;
-        fail_point!("segment-header-sync");
+        faults.check("segment-header-sync")?;
         file.sync_data().map_err(|e| io_error("syncing a segment header", e))?;
         Ok(Self { file })
     }
@@ -935,30 +941,36 @@ pub(crate) enum SegmentScan {
     },
 }
 
-/// Scans the record stream of a segment from `start` to the first torn or
-/// corrupt frame.
+/// The intact record frames of a segment's bytes in `start..end`, each with
+/// the offset just past it; stops at the first frame that is torn, fails
+/// its CRC or runs past `end`.
+fn frames(bytes: &[u8], start: usize, end: usize) -> impl Iterator<Item = (&[u8], u64)> {
+    let end = end.min(bytes.len());
+    let mut pos = start.min(end);
+    std::iter::from_fn(move || {
+        let header = bytes.get(pos..pos + 8).filter(|_| pos + 8 <= end)?;
+        let (len, stored_crc) = header.split_at(4);
+        let len = u32::from_le_bytes(len.try_into().ok()?) as usize;
+        let stored_crc = u32::from_le_bytes(stored_crc.try_into().ok()?);
+        let payload = bytes.get(pos + 8..pos + 8 + len).filter(|_| pos + 8 + len <= end)?;
+        if crc32(payload) != stored_crc {
+            return None; // torn or bit-flipped tail
+        }
+        pos += 8 + len;
+        Some((payload, pos as u64))
+    })
+}
+
+/// Decodes the record stream of a segment from `start` to the first torn,
+/// corrupt or undecodable frame (a CRC collides with corruption only
+/// astronomically rarely, but a framing bug must still fail safe).
 fn scan_records(bytes: &[u8], start: usize) -> (Vec<WalRecord>, u64) {
     let mut records = Vec::new();
-    let mut pos = start;
-    let mut valid_end = pos as u64;
-    while bytes.len() - pos >= 8 {
-        // lint:allow(panic) infallible: the loop condition guarantees 8 remaining bytes
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        // lint:allow(panic) infallible: the loop condition guarantees 8 remaining bytes
-        let stored_crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        let Some(payload) = bytes.get(pos + 8..pos + 8 + len) else {
-            break; // torn tail: the payload was never fully written
-        };
-        if crc32(payload) != stored_crc {
-            break; // torn or bit-flipped tail
-        }
-        let Ok(record) = decode_record(payload) else {
-            break; // CRC collides with corruption only astronomically rarely,
-                   // but a framing bug must still fail safe
-        };
+    let mut valid_end = start.min(bytes.len()) as u64;
+    for (payload, end) in frames(bytes, start, bytes.len()) {
+        let Ok(record) = decode_record(payload) else { break };
         records.push(record);
-        pos += 8 + len;
-        valid_end = pos as u64;
+        valid_end = end;
     }
     (records, valid_end)
 }
@@ -977,30 +989,17 @@ pub(crate) fn scan_record_payloads(
     end: u64,
     max_bytes: u64,
 ) -> (Vec<Vec<u8>>, u64) {
-    let end = (end.min(bytes.len() as u64)) as usize;
+    let end = end.min(bytes.len() as u64) as usize;
     let mut payloads: Vec<Vec<u8>> = Vec::new();
-    let mut pos = start.min(end as u64) as usize;
-    let mut valid_end = pos as u64;
+    let mut valid_end = start.min(end as u64);
     let mut total: u64 = 0;
-    while end - pos >= 8 {
-        // lint:allow(panic) infallible: the loop condition guarantees 8 remaining bytes
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        // lint:allow(panic) infallible: the loop condition guarantees 8 remaining bytes
-        let stored_crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        let Some(payload) = bytes.get(pos + 8..pos + 8 + len).filter(|_| pos + 8 + len <= end)
-        else {
-            break; // the frame continues past the synced boundary
-        };
-        if crc32(payload) != stored_crc {
-            break; // torn or bit-flipped tail
-        }
+    for (payload, frame_end) in frames(bytes, valid_end as usize, end) {
         if !payloads.is_empty() && total + payload.len() as u64 > max_bytes {
             break; // batch is full; the replica pulls the rest next round
         }
         total += payload.len() as u64;
         payloads.push(payload.to_vec());
-        pos += 8 + len;
-        valid_end = pos as u64;
+        valid_end = frame_end;
     }
     (payloads, valid_end)
 }
@@ -1141,8 +1140,12 @@ pub(crate) fn read_segment_chain(
 /// the just-published checkpoint.  Returns how many were deleted.  Runs
 /// strictly after the manifest rename: a crash before it merely leaves
 /// retired segments behind for the next checkpoint to sweep.
-pub(crate) fn retire_segments(dir: &Path, first_segment: u32) -> Result<u64, EarthQubeError> {
-    fail_point!("wal-retire");
+pub(crate) fn retire_segments(
+    dir: &Path,
+    first_segment: u32,
+    faults: &Faults,
+) -> Result<u64, EarthQubeError> {
+    faults.check("wal-retire")?;
     let mut retired = 0;
     for (index, path) in list_segment_files(dir)? {
         if index < first_segment {
@@ -1160,8 +1163,12 @@ pub(crate) fn retire_segments(dir: &Path, first_segment: u32) -> Result<u64, Ear
 /// Deletes every chunk file the published manifest does not reference —
 /// leftovers of superseded or crashed checkpoints.  Returns how many were
 /// deleted.
-pub(crate) fn sweep_orphan_chunks(dir: &Path, manifest: &Manifest) -> Result<u64, EarthQubeError> {
-    fail_point!("chunk-gc");
+pub(crate) fn sweep_orphan_chunks(
+    dir: &Path,
+    manifest: &Manifest,
+    faults: &Faults,
+) -> Result<u64, EarthQubeError> {
+    faults.check("chunk-gc")?;
     let mut swept = 0;
     let entries =
         std::fs::read_dir(dir).map_err(|e| io_error("listing the persistence directory", e))?;
@@ -1275,8 +1282,14 @@ mod tests {
     fn chunk_files_roundtrip_and_reject_corruption() {
         let dir = Scratch::new("chunk_roundtrip");
         let body = encode_images_chunk(0, &[]);
-        let entry =
-            write_chunk_file(dir.path(), "chunk-000001-000.eqc", "images:0", &body).unwrap();
+        let entry = write_chunk_file(
+            dir.path(),
+            "chunk-000001-000.eqc",
+            "images:0",
+            &body,
+            &Faults::default(),
+        )
+        .unwrap();
         assert_eq!(entry.file, "chunk-000001-000.eqc");
         assert_eq!(entry.kind, "images:0");
         match read_chunk_file(dir.path(), &entry).unwrap() {
@@ -1329,7 +1342,7 @@ mod tests {
                 crc: 1,
             }],
         };
-        let bytes = write_manifest_file(dir.path(), &manifest).unwrap();
+        let bytes = write_manifest_file(dir.path(), &manifest, &Faults::default()).unwrap();
         assert!(bytes > 0);
         let back = read_manifest(dir.path()).unwrap().unwrap();
         assert_eq!(back, manifest);
@@ -1339,7 +1352,7 @@ mod tests {
         );
         // Overwriting publishes the newer manifest.
         let newer = Manifest { seq: 4, ..manifest };
-        write_manifest_file(dir.path(), &newer).unwrap();
+        write_manifest_file(dir.path(), &newer, &Faults::default()).unwrap();
         assert_eq!(read_manifest(dir.path()).unwrap().unwrap().seq, 4);
     }
 
@@ -1347,7 +1360,7 @@ mod tests {
     fn segment_scan_classifies_crash_shapes() {
         let dir = Scratch::new("segment_scan");
         let path = dir.path().join(segment_file_name(0));
-        let mut writer = WalWriter::create(&path, 7, 0).unwrap();
+        let mut writer = WalWriter::create(&path, 7, 0, &Faults::default()).unwrap();
         writer.append(&encode_feedback_record("hello", None)).unwrap();
         writer.append(&encode_feedback_record("world", Some("cat"))).unwrap();
         writer.sync().unwrap();
@@ -1389,8 +1402,13 @@ mod tests {
     fn segment_chain_validates_contiguity() {
         let dir = Scratch::new("chain");
         for index in 0..3u32 {
-            let mut writer =
-                WalWriter::create(&dir.path().join(segment_file_name(index)), 9, index).unwrap();
+            let mut writer = WalWriter::create(
+                &dir.path().join(segment_file_name(index)),
+                9,
+                index,
+                &Faults::default(),
+            )
+            .unwrap();
             writer.append(&encode_feedback_record(&format!("seg{index}"), None)).unwrap();
             writer.sync().unwrap();
         }
@@ -1409,7 +1427,8 @@ mod tests {
         // A trailing stale-generation segment is checkpoint debris: ignored.
         let chain = read_segment_chain(dir.path(), 9, 2).unwrap();
         assert_eq!(chain.records.len(), 1);
-        WalWriter::create(&dir.path().join(segment_file_name(3)), 77, 3).unwrap();
+        WalWriter::create(&dir.path().join(segment_file_name(3)), 77, 3, &Faults::default())
+            .unwrap();
         let chain = read_segment_chain(dir.path(), 9, 2).unwrap();
         assert_eq!(chain.records.len(), 1);
         assert!(matches!(chain.tail, ChainTail::Reopen { index: 2, .. }));
@@ -1423,13 +1442,23 @@ mod tests {
     fn retirement_deletes_only_covered_segments() {
         let dir = Scratch::new("retire");
         for index in 0..4u32 {
-            WalWriter::create(&dir.path().join(segment_file_name(index)), 5, index).unwrap();
+            WalWriter::create(
+                &dir.path().join(segment_file_name(index)),
+                5,
+                index,
+                &Faults::default(),
+            )
+            .unwrap();
         }
-        assert_eq!(retire_segments(dir.path(), 2).unwrap(), 2);
+        assert_eq!(retire_segments(dir.path(), 2, &Faults::default()).unwrap(), 2);
         let left: Vec<u32> =
             list_segment_files(dir.path()).unwrap().into_iter().map(|(i, _)| i).collect();
         assert_eq!(left, vec![2, 3]);
-        assert_eq!(retire_segments(dir.path(), 2).unwrap(), 0, "retirement is idempotent");
+        assert_eq!(
+            retire_segments(dir.path(), 2, &Faults::default()).unwrap(),
+            0,
+            "retirement is idempotent"
+        );
         assert_eq!(next_free_segment_index(dir.path()).unwrap(), 4);
     }
 
@@ -1437,10 +1466,18 @@ mod tests {
     fn orphan_chunks_are_swept() {
         let dir = Scratch::new("sweep");
         let body = encode_images_chunk(0, &[]);
-        let keep = write_chunk_file(dir.path(), "chunk-000001-000.eqc", "images:0", &body).unwrap();
-        write_chunk_file(dir.path(), "chunk-000000-000.eqc", "images:0", &body).unwrap();
+        let keep = write_chunk_file(
+            dir.path(),
+            "chunk-000001-000.eqc",
+            "images:0",
+            &body,
+            &Faults::default(),
+        )
+        .unwrap();
+        write_chunk_file(dir.path(), "chunk-000000-000.eqc", "images:0", &body, &Faults::default())
+            .unwrap();
         let manifest = Manifest { seq: 1, generation: 1, first_segment: 0, chunks: vec![keep] };
-        assert_eq!(sweep_orphan_chunks(dir.path(), &manifest).unwrap(), 1);
+        assert_eq!(sweep_orphan_chunks(dir.path(), &manifest, &Faults::default()).unwrap(), 1);
         assert!(dir.path().join("chunk-000001-000.eqc").exists());
         assert!(!dir.path().join("chunk-000000-000.eqc").exists());
     }
@@ -1459,7 +1496,8 @@ mod tests {
         let dir = Scratch::new("gen");
         let seed = b"static chunk bytes";
         let first = unique_generation(dir.path(), seed);
-        WalWriter::create(&dir.path().join(segment_file_name(0)), first, 0).unwrap();
+        WalWriter::create(&dir.path().join(segment_file_name(0)), first, 0, &Faults::default())
+            .unwrap();
         let second = unique_generation(dir.path(), seed);
         assert_ne!(first, second, "a new lineage must not reuse a generation still on disk");
     }

@@ -36,6 +36,7 @@
 //!   after a write was sent is **not** retried: the write may have
 //!   applied, and replaying it could duplicate state.
 
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -48,7 +49,7 @@ use crate::engine::SearchResponse;
 use crate::filtered::{FilteredResponse, PrefilterMode};
 use crate::ingest::IngestReport;
 use crate::net::EqClient;
-use crate::persist;
+use crate::persist::{self, Faults};
 use crate::query::ImageQuery;
 use crate::serve::{QueryServer, ServerStats};
 use crate::EarthQubeError;
@@ -62,13 +63,21 @@ const REPL_PULL_BYTES: u64 = 4 * 1024 * 1024;
 /// Bytes a seeding replica asks for per chunk slice.
 const SEED_SLICE_BYTES: u64 = 4 * 1024 * 1024;
 
+/// Server-side cap on the summed record-payload bytes of one replication
+/// pull batch, regardless of what the replica asks for — comfortably
+/// under `eq_proto::MAX_FRAME_LEN` with framing overhead to spare.
+const REPL_MAX_BATCH_BYTES: u64 = 8 * 1024 * 1024;
+
+/// Server-side cap on one chunk-fetch slice, same rationale.
+const REPL_MAX_SLICE_BYTES: u64 = 8 * 1024 * 1024;
+
 // ---------------------------------------------------------------------------
 // Wire-adjacent data types
 // ---------------------------------------------------------------------------
 
 /// A server's replication role and durable WAL position — the payload of
 /// [`eq_proto::RequestBody::ReplState`], and the replication handshake.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReplState {
     /// Whether the server accepts writes.
     pub primary: bool,
@@ -87,7 +96,7 @@ pub struct ReplState {
 
 /// One replication pull's worth of WAL records — the payload of
 /// [`eq_proto::ResponseBody::ReplRecords`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ReplBatch {
     /// The primary cannot serve the requested position; the replica must
     /// discard its lineage and re-seed from a snapshot.  All other fields
@@ -108,6 +117,127 @@ pub struct ReplBatch {
     pub primary_segment: u32,
     /// The primary's durable live-segment length at reply time.
     pub primary_offset: u64,
+}
+
+// ---------------------------------------------------------------------------
+// Serving replication (the primary's side)
+// ---------------------------------------------------------------------------
+
+impl QueryServer {
+    /// The server's replication role and durable WAL position — the
+    /// replication handshake, and what a promoted replica reports to
+    /// clients probing for the primary.
+    pub fn repl_state(&self) -> ReplState {
+        self.durability.repl_state(self.is_primary())
+    }
+
+    /// The raw bytes of the published manifest, for shipping a snapshot to
+    /// a seeding replica.  The manifest is published by atomic rename, so
+    /// an unlocked read observes a complete old or new file, never a torn
+    /// one.
+    ///
+    /// # Errors
+    /// Fails with [`EarthQubeError::Persist`] when detached or on I/O.
+    pub fn repl_manifest_bytes(&self) -> Result<Vec<u8>, EarthQubeError> {
+        let dir = self.durability.serving(|att| att.dir.clone())?;
+        std::fs::read(dir.join(persist::MANIFEST_FILE))
+            .map_err(|e| persist::io_error("reading the manifest for replication", e))
+    }
+
+    /// One slice of a checkpoint chunk file, for snapshot seeding, with the
+    /// file's total length.  `file` must be a chunk the *current*
+    /// attachment's manifest references — which both confines the read to
+    /// real chunk files (no path traversal) and turns a mid-seed checkpoint
+    /// race into a clean error the seeder answers by refetching the
+    /// manifest.  Only the slice is read, never the whole file.
+    ///
+    /// # Errors
+    /// [`EarthQubeError::BadRequest`] for an unreferenced file name,
+    /// [`EarthQubeError::Persist`] when detached or on I/O.
+    pub fn repl_chunk_bytes(
+        &self,
+        file: &str,
+        offset: u64,
+        max_bytes: u64,
+    ) -> Result<(u64, Vec<u8>), EarthQubeError> {
+        let path = self.durability.serving(|att| {
+            att.manifest.chunks.iter().any(|c| c.file == file).then(|| att.dir.join(file))
+        })?;
+        let path = path.ok_or_else(|| {
+            EarthQubeError::BadRequest(format!("{file:?} is not a chunk of the current manifest"))
+        })?;
+        let io = |e| persist::io_error("reading a chunk for replication", e);
+        let mut chunk = std::fs::File::open(path).map_err(io)?;
+        let total = chunk.metadata().map_err(io)?.len();
+        let start = offset.min(total);
+        let len = max_bytes.min(REPL_MAX_SLICE_BYTES).min(total - start);
+        let mut slice = vec![0; len as usize];
+        chunk.seek(SeekFrom::Start(start)).map_err(io)?;
+        chunk.read_exact(&mut slice).map_err(io)?;
+        Ok((total, slice))
+    }
+
+    /// Serves one replication pull: WAL record payloads at and after the
+    /// replica's `(generation, segment, offset)` position.
+    ///
+    /// The attachment state is snapshotted under the wal lock, where a
+    /// servable position also renews the replica's retention mark (the
+    /// marks live in the attachment: they are about this lineage's
+    /// segments).  The segment file is then read **unlocked** — safe
+    /// because record bytes below the snapshotted length are fully written,
+    /// segments only grow, and every reply position is re-validated on the
+    /// next pull.  A position this primary cannot serve (foreign generation
+    /// after a failover, or a segment already retired) is answered with
+    /// `reseed` rather than an error: the verdict is authoritative.
+    ///
+    /// # Errors
+    /// Fails with [`EarthQubeError::Persist`] when detached or on I/O
+    /// reading a segment that should exist.
+    pub fn repl_pull(
+        &self,
+        replica_id: u64,
+        generation: u32,
+        segment: u32,
+        offset: u64,
+        max_bytes: u64,
+    ) -> Result<ReplBatch, EarthQubeError> {
+        let (dir, reseed, servable) = self.durability.serving(|att| {
+            let reseed = ReplBatch {
+                reseed: true,
+                generation: att.manifest.generation,
+                primary_segment: att.segment_index,
+                primary_offset: att.segment_bytes,
+                ..ReplBatch::default()
+            };
+            let servable = generation == att.manifest.generation
+                && (att.manifest.first_segment..=att.segment_index).contains(&segment)
+                && offset >= persist::SEGMENT_HEADER_LEN;
+            if servable {
+                att.mark_replica(replica_id, segment);
+            }
+            (att.dir.clone(), reseed, servable)
+        })?;
+        if !servable {
+            return Ok(reseed);
+        }
+        let bytes = match std::fs::read(dir.join(persist::segment_file_name(segment))) {
+            Ok(bytes) => bytes,
+            // Retired between the snapshot above and this read: a
+            // checkpoint raced us and the position is gone for good.
+            Err(_) => return Ok(reseed),
+        };
+        let sealed = segment < reseed.primary_segment;
+        let end = if sealed { bytes.len() as u64 } else { reseed.primary_offset };
+        if offset > end {
+            return Ok(reseed);
+        }
+        let (entries, valid_end) =
+            persist::scan_record_payloads(&bytes, offset, end, max_bytes.min(REPL_MAX_BATCH_BYTES));
+        let rotate = sealed && valid_end >= end;
+        let (next_segment, next_offset) =
+            if rotate { (segment + 1, persist::SEGMENT_HEADER_LEN) } else { (segment, valid_end) };
+        Ok(ReplBatch { reseed: false, entries, rotate, next_segment, next_offset, ..reseed })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -232,8 +362,9 @@ pub enum SyncStatus {
     ReseedRequired,
 }
 
-/// A read replica: a local [`QueryServer`] in replica mode plus the sync
-/// cursor following one primary.
+/// A read replica: a local [`QueryServer`] in replica mode plus the link
+/// to the primary it follows.  The sync cursor is not kept here: it *is*
+/// the server's durable WAL position.
 ///
 /// The replica's server serves reads (wrap it in a
 /// [`NetServer`](crate::net::NetServer) via [`server`](Self::server)) while
@@ -248,14 +379,9 @@ pub struct Replica {
     policy: RetryPolicy,
     rng: StdRng,
     client: Option<EqClient>,
-    generation: u32,
-    segment: u32,
-    offset: u64,
-    records_applied: u64,
-    batches: u64,
-    reseeds: u64,
-    primary_segment: u32,
-    primary_offset: u64,
+    /// Progress so far; its position fields are filled in on read, from
+    /// the server.
+    sync: ReplicaSync,
 }
 
 impl std::fmt::Debug for Replica {
@@ -263,9 +389,7 @@ impl std::fmt::Debug for Replica {
         f.debug_struct("Replica")
             .field("primary_addr", &self.primary_addr)
             .field("replica_id", &self.replica_id)
-            .field("generation", &self.generation)
-            .field("segment", &self.segment)
-            .field("offset", &self.offset)
+            .field("position", &self.server.repl_state())
             .finish_non_exhaustive()
     }
 }
@@ -296,7 +420,7 @@ impl Replica {
         let mut client = EqClient::connect_with_retry(primary_addr, &policy)?;
         // A usable local lineage spares the snapshot transfer entirely —
         // the common case for a replica restarting after a crash.
-        let mut server = match QueryServer::recover(dir) {
+        let server = match QueryServer::recover(dir) {
             Ok(server) => server,
             Err(_) => {
                 seed_dir(&mut client, dir, &policy, &mut rng)?;
@@ -304,61 +428,38 @@ impl Replica {
             }
         };
         server.set_replica_mode();
-        let mut state = server.repl_state();
-        let probe = client.repl_pull(
-            replica_id,
-            state.generation,
-            state.segment,
-            state.offset,
-            REPL_PULL_BYTES,
-        )?;
-        let mut reseeds = 0;
-        let (applied, batch) = if probe.reseed {
-            // The recovered lineage is foreign (failover happened) or its
-            // position was retired: discard it and seed afresh.  Dropping
-            // the server releases the directory lock the re-recover needs.
-            reseeds = 1;
-            drop(server);
-            seed_dir(&mut client, dir, &policy, &mut rng)?;
-            server = QueryServer::recover(dir)?;
-            server.set_replica_mode();
-            state = server.repl_state();
-            let batch = client.repl_pull(
-                replica_id,
-                state.generation,
-                state.segment,
-                state.offset,
-                REPL_PULL_BYTES,
-            )?;
-            if batch.reseed {
-                return Err(EarthQubeError::Persist(
-                    "the primary disowned a snapshot it just served; is it checkpointing \
-                     faster than this replica can seed?"
-                        .into(),
-                ));
-            }
-            let applied = server.apply_replicated(&batch.entries, batch.rotate)?;
-            (applied, batch)
-        } else {
-            let applied = server.apply_replicated(&probe.entries, probe.rotate)?;
-            (applied, probe)
-        };
-        Ok(Replica {
+        let mut replica = Replica {
             server: Arc::new(server),
             primary_addr: primary_addr.to_string(),
             replica_id,
             policy,
             rng,
             client: Some(client),
-            generation: batch.generation,
-            segment: batch.next_segment,
-            offset: batch.next_offset,
-            records_applied: applied,
-            batches: 1,
-            reseeds,
-            primary_segment: batch.primary_segment,
-            primary_offset: batch.primary_offset,
-        })
+            sync: ReplicaSync::default(),
+        };
+        if replica.sync_once()? == SyncStatus::ReseedRequired {
+            // The recovered lineage is foreign (failover happened) or its
+            // position was retired: discard it and seed afresh.  Dropping
+            // the server releases the directory lock the re-recover needs.
+            drop(replica.server);
+            let mut client = match replica.client.take() {
+                Some(client) => client,
+                None => EqClient::connect_with_retry(primary_addr, &replica.policy)?,
+            };
+            seed_dir(&mut client, dir, &replica.policy, &mut replica.rng)?;
+            replica.client = Some(client);
+            let server = QueryServer::recover(dir)?;
+            server.set_replica_mode();
+            replica.server = Arc::new(server);
+            if replica.sync_once()? == SyncStatus::ReseedRequired {
+                return Err(EarthQubeError::Persist(
+                    "the primary disowned a snapshot it just served; is it checkpointing \
+                     faster than this replica can seed?"
+                        .into(),
+                ));
+            }
+        }
+        Ok(replica)
     }
 
     /// The replica's query server — share it with a serving front end
@@ -375,16 +476,8 @@ impl Replica {
 
     /// The current sync progress snapshot.
     pub fn sync_state(&self) -> ReplicaSync {
-        ReplicaSync {
-            records_applied: self.records_applied,
-            batches: self.batches,
-            reseeds: self.reseeds,
-            generation: self.generation,
-            segment: self.segment,
-            offset: self.offset,
-            primary_segment: self.primary_segment,
-            primary_offset: self.primary_offset,
-        }
+        let ReplState { generation, segment, offset, .. } = self.server.repl_state();
+        ReplicaSync { generation, segment, offset, ..self.sync }
     }
 
     /// Runs `op` against the primary connection, reconnecting and retrying
@@ -432,26 +525,24 @@ impl Replica {
     /// [`EarthQubeError::Persist`] — the latter generally means the
     /// replica should be re-bootstrapped.
     pub fn sync_once(&mut self) -> Result<SyncStatus, EarthQubeError> {
-        let (id, generation, segment, offset) =
-            (self.replica_id, self.generation, self.segment, self.offset);
-        let batch =
-            self.with_client(|c| c.repl_pull(id, generation, segment, offset, REPL_PULL_BYTES))?;
-        self.batches += 1;
-        self.primary_segment = batch.primary_segment;
-        self.primary_offset = batch.primary_offset;
+        // The mirrored log is byte-identical to the primary's, so the
+        // server's durable WAL position is the position to pull from.
+        let (id, at) = (self.replica_id, self.server.repl_state());
+        let batch = self.with_client(|c| {
+            c.repl_pull(id, at.generation, at.segment, at.offset, REPL_PULL_BYTES)
+        })?;
+        self.sync.batches += 1;
+        self.sync.primary_segment = batch.primary_segment;
+        self.sync.primary_offset = batch.primary_offset;
         if batch.reseed {
-            self.reseeds += 1;
+            self.sync.reseeds += 1;
             return Ok(SyncStatus::ReseedRequired);
         }
         if batch.entries.is_empty() && !batch.rotate {
-            self.segment = batch.next_segment;
-            self.offset = batch.next_offset;
             return Ok(SyncStatus::CaughtUp);
         }
         let applied = self.server.apply_replicated(&batch.entries, batch.rotate)?;
-        self.records_applied += applied;
-        self.segment = batch.next_segment;
-        self.offset = batch.next_offset;
+        self.sync.records_applied += applied;
         Ok(SyncStatus::Applied(applied))
     }
 
@@ -508,7 +599,9 @@ impl Replica {
     ///
     /// # Errors
     /// Fails with [`EarthQubeError::Persist`] if the promotion checkpoint
-    /// fails; the server is then detached and **not** promoted.
+    /// fails; the server is then **not** promoted.  It stays attached to
+    /// the lineage it had, so [`QueryServer::promote`] can be retried on
+    /// the server a [`NetServer`](crate::net::NetServer) still shares.
     pub fn promote(self) -> Result<Arc<QueryServer>, EarthQubeError> {
         self.server.promote()?;
         Ok(self.server)
@@ -576,45 +669,41 @@ fn seed_dir_once(client: &mut EqClient, dir: &Path) -> Result<(), EarthQubeError
             .map_err(|e| persist::io_error("removing a superseded WAL segment", e))?;
     }
     for chunk in &manifest.chunks {
-        let mut bytes = Vec::new();
+        // Each slice is appended as it arrives (a chunk can be hundreds of
+        // megabytes) and the file is synced once, at the end.
+        let io = |e| persist::io_error("writing a seeded chunk", e);
+        let mut file = std::fs::File::create(dir.join(&chunk.file)).map_err(io)?;
+        let mut received = 0u64;
         loop {
-            let (total, part) =
-                client.repl_chunk(&chunk.file, bytes.len() as u64, SEED_SLICE_BYTES)?;
-            if part.is_empty() && (bytes.len() as u64) < total {
+            let (total, part) = client.repl_chunk(&chunk.file, received, SEED_SLICE_BYTES)?;
+            if part.is_empty() && received < total {
                 return Err(EarthQubeError::Net(format!(
-                    "chunk {} transfer stalled at {} of {total} bytes",
-                    chunk.file,
-                    bytes.len()
+                    "chunk {} transfer stalled at {received} of {total} bytes",
+                    chunk.file
                 )));
             }
-            bytes.extend_from_slice(&part);
-            if bytes.len() as u64 >= total {
+            file.write_all(&part).map_err(io)?;
+            received += part.len() as u64;
+            if received >= total {
                 break;
             }
         }
-        if bytes.len() as u64 != chunk.len {
+        if received != chunk.len {
             // The chunk changed size under us — the manifest was replaced
             // mid-transfer.  BadRequest triggers a re-fetch of the
             // manifest in the caller's retry loop.
             return Err(EarthQubeError::BadRequest(format!(
-                "chunk {} is {} bytes, the manifest promised {}",
-                chunk.file,
-                bytes.len(),
-                chunk.len
+                "chunk {} is {received} bytes, the manifest promised {}",
+                chunk.file, chunk.len
             )));
         }
-        let path = dir.join(&chunk.file);
-        std::fs::write(&path, &bytes)
-            .map_err(|e| persist::io_error("writing a seeded chunk", e))?;
-        let file = std::fs::File::open(&path)
-            .map_err(|e| persist::io_error("reopening a seeded chunk to sync", e))?;
         file.sync_all().map_err(|e| persist::io_error("syncing a seeded chunk", e))?;
     }
     // Publish last: recovery trusts any directory whose manifest exists,
     // so the manifest must only appear once every chunk it references is
     // durable.  (Chunk content integrity is CRC-checked at recovery.)
-    persist::write_manifest_file(dir, &manifest)?;
-    persist::sweep_orphan_chunks(dir, &manifest)?;
+    persist::write_manifest_file(dir, &manifest, &Faults::default())?;
+    persist::sweep_orphan_chunks(dir, &manifest, &Faults::default())?;
     Ok(())
 }
 
@@ -1030,6 +1119,49 @@ mod tests {
     fn cluster_client_rejects_empty_endpoint_list() {
         let err = ClusterClient::new(Vec::<String>::new(), RetryPolicy::default());
         assert!(matches!(err, Err(EarthQubeError::BadRequest(_))));
+    }
+
+    /// Snapshot seeding reads a chunk slice by slice: whatever the slicing,
+    /// the slices concatenate to the file and each reports the same total.
+    #[test]
+    fn chunk_slices_concatenate_to_the_file() {
+        use eq_bigearthnet::{ArchiveGenerator, GeneratorConfig};
+        let dir = std::env::temp_dir().join(format!("eq_repl_slices_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let archive = ArchiveGenerator::new(GeneratorConfig::tiny(6, 77)).unwrap().generate();
+        let mut config = crate::EarthQubeConfig::fast(77);
+        config.train_model = false;
+        let server = QueryServer::build(&archive, config, crate::ServeConfig::default()).unwrap();
+        server.checkpoint(&dir).unwrap();
+
+        let manifest =
+            eq_wire::manifest::decode_manifest(&server.repl_manifest_bytes().unwrap()).unwrap();
+        let chunk = manifest.chunks.iter().max_by_key(|c| c.len).unwrap();
+        let bytes = std::fs::read(dir.join(&chunk.file)).unwrap();
+        let total = bytes.len() as u64;
+        assert_eq!(total, chunk.len);
+        let step = total / 3 + 1; // two full slices and a short last one
+        assert!(step > 1 && step * 2 < total && step * 3 > total);
+
+        let mut seen = Vec::new();
+        for offset in [0, step, 2 * step] {
+            let (reported, slice) = server.repl_chunk_bytes(&chunk.file, offset, step).unwrap();
+            assert_eq!(reported, total);
+            assert_eq!(slice.len() as u64, step.min(total - offset));
+            seen.extend(slice);
+        }
+        assert_eq!(seen, bytes);
+        for offset in [total, total + 10] {
+            let (reported, slice) = server.repl_chunk_bytes(&chunk.file, offset, step).unwrap();
+            assert_eq!((reported, slice.len()), (total, 0), "at or past EOF");
+        }
+        // A name the manifest does not reference is refused, not read.
+        assert!(matches!(
+            server.repl_chunk_bytes("wal.lock", 0, step),
+            Err(EarthQubeError::BadRequest(_))
+        ));
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -27,6 +27,13 @@
 //!   afterwards, so steady-state serving does zero search-path allocation
 //!   ([`prewarm_scratch`](QueryServer::prewarm_scratch) sizes the pool to
 //!   the worker count; `NetServer` does this on bind).
+//! * **Durability** — one component (the crate's `durability` module) owns
+//!   the persistence attachment, the write-ahead log policy, the checkpoint
+//!   protocol and the checkpointer; this file keeps the catalog side of
+//!   each write ([`ingest`](QueryServer::ingest),
+//!   [`apply_replicated`](QueryServer::apply_replicated), recovery's
+//!   replay) and the primary/replica role flag.  What a server serves *to*
+//!   replicas is in [`crate::replicate`].
 //!
 //! Determinism: a workload executed through the server returns exactly the
 //! same [`SearchResponse`]s as the engine, regardless of worker and shard
@@ -37,60 +44,29 @@ use std::any::Any;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 use eq_agora::AssetRegistry;
 use eq_bigearthnet::patch::{Patch, PatchId, PatchMetadata};
 use eq_bigearthnet::Archive;
-use eq_docstore::{Collection, CollectionDelta, Document};
-use eq_hashindex::{BinaryCode, HashTableIndex};
+use eq_docstore::Document;
+use eq_hashindex::BinaryCode;
 use eq_milan::Milan;
-use eq_wire::manifest::{ChunkEntry, Manifest};
 use parking_lot::{Mutex, RwLock};
 
 use crate::catalog::{Catalog, QueryScratch};
 use crate::cbir::CbirService;
+pub use crate::durability::{CheckpointKind, CheckpointStats, CheckpointerStats};
+use crate::durability::{Durability, Seal};
 use crate::engine::{build_registry, EarthQube, EarthQubeConfig, SearchResponse};
 use crate::feedback::{FeedbackEntry, FeedbackService};
 use crate::filtered::{FilteredResponse, PrefilterMode};
 use crate::ingest::{prepare_patch_docs, IngestReport};
-use crate::persist::{self, ChainTail, DirLock, WalWriter};
+use crate::persist;
 use crate::query::ImageQuery;
-use crate::replicate::{ReplBatch, ReplState};
 use crate::EarthQubeError;
-
-/// Rotate the live WAL segment once it outgrows this many bytes
-/// (overridable per server with [`QueryServer::set_segment_limit`]).
-const DEFAULT_SEGMENT_LIMIT: u64 = 4 * 1024 * 1024;
-
-/// Rewrite a collection in full once this many delta chunks have stacked
-/// on top of its base — recovery cost stays bounded and superseded deltas
-/// get swept.
-const DELTA_COMPACT_THRESHOLD: usize = 8;
-
-/// Server-side cap on the summed record-payload bytes of one replication
-/// pull batch, regardless of what the replica asks for — comfortably
-/// under `eq_proto::MAX_FRAME_LEN` with framing overhead to spare.
-const REPL_MAX_BATCH_BYTES: u64 = 8 * 1024 * 1024;
-
-/// Server-side cap on one chunk-fetch slice, same rationale.
-const REPL_MAX_SLICE_BYTES: u64 = 8 * 1024 * 1024;
-
-/// How long a replica's last pull keeps its WAL segments from being
-/// retired by checkpoints.  A replica silent for longer is presumed dead;
-/// if it comes back it re-seeds from the snapshot instead.
-const REPL_RETENTION_TTL: Duration = Duration::from_secs(120);
-
-/// A pulling replica's last-acknowledged segment, with the time it was
-/// seen — the retention floor prunes entries older than
-/// [`REPL_RETENTION_TTL`].
-struct ReplicaMark {
-    segment: u32,
-    seen: Instant,
-}
 
 /// Configuration of the serving layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -397,171 +373,16 @@ pub struct QueryServer {
     /// one warm scratch per worker (see
     /// [`prewarm_scratch`](Self::prewarm_scratch)).
     scratch_pool: Mutex<Vec<QueryScratch>>,
-    /// The persistence attachment (manifest state + live WAL segment),
-    /// installed by [`checkpoint`](Self::checkpoint) / [`recover`](Self::recover);
-    /// `None` for a purely in-memory server.
-    /// Lock order: always after the catalog write lock, never before.
-    wal: Mutex<Option<Attachment>>,
-    /// Serialises whole checkpoints (manual calls and the background
-    /// checkpointer) without blocking queries or ingest: the catalog/wal
-    /// locks are only held for the brief state cut, not for the chunk I/O.
-    /// Lock order: before the catalog lock, never inside it.
-    ckpt_serial: Mutex<()>,
-    /// The background checkpointer thread, if one is running.  Never held
-    /// while taking any other server lock.
-    checkpointer: Mutex<Option<CheckpointerHandle>>,
-    /// WAL segment rotation threshold in bytes (see
-    /// [`set_segment_limit`](Self::set_segment_limit)).
-    segment_limit: AtomicU64,
-    ckpt_passes: AtomicU64,
-    ckpt_completed: AtomicU64,
-    ckpt_skipped: AtomicU64,
-    ckpt_failures: AtomicU64,
+    /// The durable tier: the persistence attachment (installed by
+    /// [`checkpoint`](Self::checkpoint) / [`recover`](Self::recover)), its
+    /// write-ahead log, the checkpoint protocol and the checkpointer.
+    pub(crate) durability: Durability,
     /// `true` while this server accepts writes.  Cleared by
     /// [`set_replica_mode`](Self::set_replica_mode), restored by
     /// [`promote`](Self::promote); the network tier rejects ingest and
     /// feedback with [`EarthQubeError::NotPrimary`] while it is `false`,
     /// so every durable record originates on exactly one primary.
     primary: AtomicBool,
-    /// Segments recently acknowledged by pulling replicas, keyed by
-    /// replica id.  Checkpoints clamp WAL segment retirement to the
-    /// minimum live mark so a briefly-lagging replica catches up from
-    /// retained segments instead of re-seeding.
-    /// Lock order: after `ckpt-serial` (the checkpoint paths consult the
-    /// floor); never held while taking any other server lock.
-    repl_floor: Mutex<HashMap<u64, ReplicaMark>>,
-}
-
-/// The server's live connection to a persistence directory: the exclusive
-/// directory lock, the manifest bookkeeping needed to cut the *next*
-/// incremental checkpoint, and the open tail segment of the WAL.
-struct Attachment {
-    dir: PathBuf,
-    /// Sequence number of the manifest currently published in `dir`.
-    seq: u64,
-    /// Generation tag stamped into every segment of this lineage.
-    generation: u32,
-    /// First WAL segment the published manifest still needs on recovery.
-    first_segment: u32,
-    /// Index of the live (tail) segment `writer` appends to.
-    segment_index: u32,
-    /// Current byte length of the live segment (header included).
-    segment_bytes: u64,
-    writer: WalWriter,
-    /// The chunk list of the published manifest — the base the next
-    /// incremental manifest is derived from.
-    chunks: Vec<ChunkEntry>,
-    /// How many images (dense-id prefix) the published chunks cover; the
-    /// next incremental checkpoint persists the tail from here.
-    persisted_images: usize,
-    _lock: DirLock,
-}
-
-impl Attachment {
-    /// Seals the live segment and opens the next one.  The caller must
-    /// have synced the live segment first: rotation only ever happens at a
-    /// batch boundary, so sealed segments are always clean-ended and a
-    /// torn tail can only exist in the final segment of the chain.
-    fn rotate(&mut self) -> Result<(), EarthQubeError> {
-        let next = self.segment_index + 1;
-        let writer = WalWriter::create(
-            &self.dir.join(persist::segment_file_name(next)),
-            self.generation,
-            next,
-        )?;
-        self.writer = writer;
-        self.segment_index = next;
-        self.segment_bytes = persist::SEGMENT_HEADER_LEN;
-        Ok(())
-    }
-}
-
-/// What kind of work a [`QueryServer::checkpoint`] call ended up doing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointKind {
-    /// A full snapshot: every collection, every image, every index shard.
-    Full,
-    /// Only the state dirtied since the previous checkpoint was written.
-    Incremental,
-    /// Nothing was dirty; no bytes were written.
-    Skipped,
-}
-
-/// What a [`QueryServer::checkpoint`] call wrote.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckpointStats {
-    /// Which checkpoint path ran.
-    pub kind: CheckpointKind,
-    /// Bytes written to chunk files plus the manifest.
-    pub bytes_written: u64,
-    /// Number of chunk files written.
-    pub chunks_written: u64,
-    /// WAL segments retired (deleted) because the new manifest no longer
-    /// needs them.
-    pub segments_retired: u64,
-}
-
-/// Counters of the background checkpointer (separate from [`ServerStats`],
-/// whose shape is frozen into the wire protocol).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CheckpointerStats {
-    /// Wake-ups of the background thread.
-    pub passes: u64,
-    /// Passes that wrote a checkpoint (full or incremental).
-    pub completed: u64,
-    /// Passes that found nothing dirty (or no attachment) and skipped.
-    pub skipped: u64,
-    /// Passes whose checkpoint attempt failed.
-    pub failures: u64,
-}
-
-struct CheckpointerHandle {
-    stop: Arc<AtomicBool>,
-    thread: std::thread::JoinHandle<()>,
-}
-
-/// Collects chunk files for one checkpoint: assigns ordinals, sums bytes.
-struct ChunkSink<'a> {
-    dir: &'a Path,
-    seq: u64,
-    ordinal: u32,
-    bytes_written: u64,
-    chunks: Vec<ChunkEntry>,
-}
-
-impl ChunkSink<'_> {
-    fn push(&mut self, kind: &str, body: &[u8]) -> Result<(), EarthQubeError> {
-        let name = persist::chunk_file_name(self.seq, self.ordinal);
-        let entry = persist::write_chunk_file(self.dir, &name, kind, body)?;
-        self.ordinal += 1;
-        self.bytes_written += entry.len;
-        self.chunks.push(entry);
-        Ok(())
-    }
-}
-
-/// How one dirty collection is persisted by an incremental checkpoint.
-enum CollectionPlan {
-    /// Rewrite the whole collection (schema changed, or too many stacked
-    /// deltas — see [`DELTA_COMPACT_THRESHOLD`]).
-    Full(Box<Collection>),
-    /// Append a delta chunk over the existing base.
-    Delta(CollectionDelta),
-}
-
-/// Everything an incremental checkpoint clones out of the brief locked
-/// cut, so chunk encoding and I/O can run without any server lock held.
-struct IncrementalCut {
-    seq: u64,
-    generation: u32,
-    first_segment: u32,
-    base_chunks: Vec<ChunkEntry>,
-    collections: Vec<(String, CollectionPlan)>,
-    drained: Vec<(String, eq_docstore::DirtyLog)>,
-    shard_ids: Vec<usize>,
-    shards: Vec<(u32, HashTableIndex)>,
-    images_start: usize,
-    images: Vec<(PatchMetadata, BinaryCode)>,
 }
 
 impl std::fmt::Debug for QueryServer {
@@ -624,16 +445,8 @@ impl QueryServer {
             counters: Mutex::with_name(QueryCounters::default(), "counters"),
             ingested_images: AtomicU64::new(0),
             scratch_pool: Mutex::with_name(Vec::new(), "scratch_pool"),
-            wal: Mutex::with_name(None, "wal"),
-            ckpt_serial: Mutex::with_name((), "ckpt-serial"),
-            checkpointer: Mutex::with_name(None, "checkpointer"),
-            segment_limit: AtomicU64::new(DEFAULT_SEGMENT_LIMIT),
-            ckpt_passes: AtomicU64::new(0),
-            ckpt_completed: AtomicU64::new(0),
-            ckpt_skipped: AtomicU64::new(0),
-            ckpt_failures: AtomicU64::new(0),
+            durability: Durability::new(),
             primary: AtomicBool::new(true),
-            repl_floor: Mutex::with_name(HashMap::new(), "repl-floor"),
         })
     }
 
@@ -913,7 +726,7 @@ impl QueryServer {
 
         // Cheap phase, under the catalog write lock.
         let mut catalog = self.catalog.write();
-        let mut wal = self.wal.lock();
+        let mut log = self.durability.begin();
         let mut report = IngestReport { metadata_docs: 0, image_docs: 0, rendered_docs: 0 };
         let mut result = Ok(());
         for (patch, (code, image_doc, rendered_doc)) in patches.iter().zip(prepared) {
@@ -928,9 +741,9 @@ impl QueryServer {
             // (applying consumes them); it is only written once the patch
             // has actually been applied, so a rolled-back patch never
             // reaches the log.
-            let wal_payload = wal
-                .as_ref()
-                .map(|_| persist::encode_ingest_record(&meta, &code, &image_doc, &rendered_doc));
+            let record = log
+                .attached()
+                .then(|| persist::encode_ingest_record(&meta, &code, &image_doc, &rendered_doc));
             if let Err(e) = catalog.apply_ingest(meta, code, image_doc, rendered_doc) {
                 result = Err(e);
                 break;
@@ -939,44 +752,17 @@ impl QueryServer {
             report.image_docs += 1;
             report.rendered_docs += 1;
             self.ingested_images.fetch_add(1, Ordering::Relaxed);
-            if let (Some(att), Some(payload)) = (wal.as_mut(), wal_payload) {
-                match att.writer.append(&payload) {
-                    Ok(bytes) => att.segment_bytes += bytes,
-                    Err(e) => {
-                        // The patch is applied in memory but could not be
-                        // made durable; detach the log so later appends
-                        // cannot write after a gap, and surface the failure.
-                        *wal = None;
-                        result = Err(e);
-                        break;
-                    }
-                }
+            // A failed append leaves the patch applied in memory but not
+            // durable: surface it and stop the batch.
+            if let Err(e) = record.map_or(Ok(()), |record| log.append(&record)) {
+                result = Err(e);
+                break;
             }
         }
-        // One fdatasync covers the whole batch: records are appended per
-        // patch above, but only this sync makes them crash-durable.  It
-        // runs even when the batch stopped early — the applied prefix
-        // "remains ingested" per the contract above, so its records must
-        // reach stable storage too.  A sync failure detaches the log; the
-        // original batch error (if any) stays the reported one.
-        if report.metadata_docs > 0 {
-            if let Some(att) = wal.as_mut() {
-                // lint:allow(lock) durability inside the write-lock section IS the ingest atomicity contract (see the method docs)
-                if let Err(e) = att.writer.sync() {
-                    *wal = None;
-                    if result.is_ok() {
-                        result = Err(e);
-                    }
-                } else if att.segment_bytes >= self.segment_limit.load(Ordering::Relaxed) {
-                    // Rotate only *between* synced batches, so a sealed
-                    // segment is always clean-ended (recovery treats a torn
-                    // tail in a non-final segment as corruption).  Rotation
-                    // here is best-effort: on failure the oversized segment
-                    // simply stays live and the next batch retries.
-                    let _ = att.rotate();
-                }
-            }
-        }
+        // The commit runs even when the batch stopped early: the applied
+        // prefix "remains ingested" per the contract above, so its records
+        // must reach stable storage too.
+        let result = log.commit(Seal::AtLimit, result);
         // Invalidate while still holding the catalog write lock: a reader
         // can only insert a cache entry while holding the read lock (see
         // `cached`), so no stale result can slip in after this clear.  A
@@ -1006,28 +792,17 @@ impl QueryServer {
         }
         let mut catalog = self.catalog.write();
         let id = FeedbackService.submit(&mut catalog.database, text, category)?;
-        let mut wal = self.wal.lock();
-        if let Some(att) = wal.as_mut() {
-            let logged = att
-                .writer
-                .append(&persist::encode_feedback_record(text, category))
-                .and_then(|bytes| {
-                    att.segment_bytes += bytes;
-                    // lint:allow(lock) feedback must be crash-durable before the lock drops, same contract as ingest
-                    att.writer.sync()
-                });
-            if let Err(e) = logged {
-                *wal = None;
-                // Unlike ingest (whose contract keeps the applied prefix),
-                // feedback failure means "not stored": roll the entry back
-                // so a retrying caller cannot store it twice.
-                if let Ok(coll) =
-                    catalog.database.collection_mut(crate::schema::collections::FEEDBACK)
-                {
-                    let _ = coll.delete_by_key(&eq_docstore::Value::Int(id));
-                }
-                return Err(e);
+        let mut log = self.durability.begin();
+        let logged = log.append(&persist::encode_feedback_record(text, category));
+        if let Err(e) = log.commit(Seal::AtLimit, logged) {
+            // Unlike ingest (whose contract keeps the applied prefix),
+            // feedback failure means "not stored": roll the entry back so a
+            // retrying caller cannot store it twice.
+            if let Ok(coll) = catalog.database.collection_mut(crate::schema::collections::FEEDBACK)
+            {
+                let _ = coll.delete_by_key(&eq_docstore::Value::Int(id));
             }
+            return Err(e);
         }
         Ok(id)
     }
@@ -1085,315 +860,44 @@ impl QueryServer {
 
     // -- durable storage tier ---------------------------------------------
 
+    fn static_chunk(&self) -> Vec<u8> {
+        persist::encode_static_chunk(&self.config, self.serve, &self.model)
+    }
+
     /// Checkpoints the serving state into `dir` and (re)attaches the server
     /// to it: every subsequent [`ingest`](Self::ingest) and
     /// [`submit_feedback`](Self::submit_feedback) is appended to the
     /// write-ahead log there, so [`recover`](Self::recover) restores
     /// exactly the pre-crash state.
     ///
-    /// The first checkpoint into a directory is **full**: every chunk is
-    /// written and a fresh manifest + WAL lineage is started.  Once
-    /// attached, later checkpoints into the same directory are
-    /// **incremental**: only collections, index shards and the image tail
-    /// dirtied since the previous checkpoint are written, the manifest is
-    /// atomically republished, and WAL segments the new manifest no longer
-    /// needs are retired (deleted).  A checkpoint with nothing dirty is
-    /// [`CheckpointKind::Skipped`] and writes no bytes.
-    ///
-    /// The catalog write lock is only held for the brief state *cut*
-    /// (draining dirty logs, cloning touched shards, sealing the live WAL
-    /// segment); all chunk encoding and file I/O happens after the locks
-    /// are released, so queries and ingest keep flowing while the
-    /// checkpoint writes — this is what the `e12_checkpoint_stall`
-    /// experiment measures.
-    ///
-    /// Crash safety: the atomic rename of the manifest is the commit
-    /// point.  A crash before it leaves the old manifest in force (the new
-    /// chunk files are unreferenced orphans, swept by the next successful
-    /// checkpoint); a crash after it leaves at worst retired-but-undeleted
-    /// segments and orphan chunks, which recovery ignores.
+    /// One protocol, two lineage decisions.  A checkpoint into a directory
+    /// the server is not attached to is **full**: a new lineage, with every
+    /// chunk written under a fresh manifest and WAL generation, and the
+    /// catalog write lock held until it is committed.  Later checkpoints
+    /// into the same directory are **incremental**: only collections, index
+    /// shards and the image tail dirtied since the previous one are
+    /// written, the manifest is atomically republished and the WAL segments
+    /// it no longer needs are retired; the write lock is held only for the
+    /// brief state *cut* (draining dirty logs, cloning touched shards,
+    /// sealing the live WAL segment), so queries and ingest keep flowing
+    /// during chunk encoding and file I/O.  With nothing dirty the
+    /// checkpoint is [`CheckpointKind::Skipped`] and writes no bytes.
     ///
     /// # Errors
     /// Fails with [`EarthQubeError::Persist`] on I/O errors.  A failure
-    /// before the manifest rename restores the drained dirty state, so the
+    /// before the manifest rename (the commit point) restores the drained
+    /// dirty state and leaves the server attached where it was, so the
     /// next checkpoint retries the same work over the old base.
     pub fn checkpoint(&self, dir: &Path) -> Result<CheckpointStats, EarthQubeError> {
-        // A replica never checkpoints: the incremental cut rotates the
-        // live segment, which would desynchronise the replica's mirrored
-        // WAL position from the primary's.  Promotion runs the one
-        // checkpoint a replica ever takes, through its own path.
+        // A replica never checkpoints: the cut rotates the live segment,
+        // which would desynchronise its mirrored WAL position from the
+        // primary's.  Promotion runs the one checkpoint a replica takes.
         if !self.is_primary() {
             return Err(EarthQubeError::NotPrimary(
                 "a read replica never checkpoints; promote it first".into(),
             ));
         }
-        std::fs::create_dir_all(dir)
-            .map_err(|e| persist::io_error("creating the persistence directory", e))?;
-        let _serial = self.ckpt_serial.lock();
-        let attached_here = self.wal.lock().as_ref().is_some_and(|att| att.dir == dir);
-        if attached_here {
-            self.checkpoint_incremental(dir)
-        } else {
-            self.checkpoint_full(dir)
-        }
-    }
-
-    /// The full-checkpoint path: writes every chunk under the catalog
-    /// write lock, starts a new WAL lineage (fresh generation tag), and
-    /// installs the attachment.  Interrupted earlier lineages may have
-    /// left segments behind; stamping a unique generation *and* starting
-    /// the segment numbering above every file on disk keeps recovery from
-    /// ever confusing their records with this lineage's.
-    fn checkpoint_full(&self, dir: &Path) -> Result<CheckpointStats, EarthQubeError> {
-        // Attaching needs the directory's exclusive lock; take it up front
-        // so a directory already served by another live instance is
-        // refused before any state is cut.  (If this server itself holds
-        // the directory under a different path spelling, this fails too —
-        // checkpoint into the attached directory via the same path.)
-        let lock = persist::lock_dir(dir)?;
-        let seq = persist::read_manifest(dir)?.map_or(1, |m| m.seq + 1);
-
-        let mut catalog = self.catalog.write();
-        let mut wal = self.wal.lock();
-        let images = catalog.images_from(0)?;
-        let static_body = persist::encode_static_chunk(&self.config, self.serve, &self.model);
-        let generation = persist::unique_generation(dir, &static_body);
-        let first_segment = persist::next_free_segment_index(dir)?;
-
-        let mut sink = ChunkSink { dir, seq, ordinal: 0, bytes_written: 0, chunks: Vec::new() };
-        sink.push(&persist::kind_static(), &static_body)?;
-        for collection in catalog.database.collections() {
-            sink.push(
-                &persist::kind_collection(collection.name()),
-                &persist::encode_collection_chunk(collection),
-            )?;
-        }
-        sink.push(&persist::kind_images(0), &persist::encode_images_chunk(0, &images))?;
-        for shard in 0..self.serve.shards {
-            let table = catalog.cbir.index.clone_shard(shard);
-            sink.push(
-                &persist::kind_shard(shard as u32),
-                &persist::encode_shard_chunk(shard as u32, &table),
-            )?;
-        }
-        // Create the lineage's first segment before the manifest names it,
-        // so a published manifest always finds its chain on disk.
-        let writer = WalWriter::create(
-            &dir.join(persist::segment_file_name(first_segment)),
-            generation,
-            first_segment,
-        )?;
-        let manifest = Manifest { seq, generation, first_segment, chunks: sink.chunks.clone() };
-        let manifest_bytes = persist::write_manifest_file(dir, &manifest)?;
-
-        // Committed: the snapshot covers every dirty bit accumulated so far.
-        catalog.database.clear_dirty();
-        let _ = catalog.cbir.index.take_dirty_shards();
-        let persisted_images = catalog.metadata.len();
-        let chunks_written = sink.chunks.len() as u64;
-        let bytes_written = sink.bytes_written + manifest_bytes;
-        // Replacing the attachment drops any previous one (detaching from
-        // its old directory and releasing that directory's lock).
-        *wal = Some(Attachment {
-            dir: dir.to_path_buf(),
-            seq,
-            generation,
-            first_segment,
-            segment_index: first_segment,
-            segment_bytes: persist::SEGMENT_HEADER_LEN,
-            writer,
-            chunks: sink.chunks,
-            persisted_images,
-            _lock: lock,
-        });
-        drop(wal);
-        drop(catalog);
-
-        // Post-publish GC: debris from earlier lineages (their segments
-        // sort below `first_segment`, their chunks are unreferenced).
-        let segments_retired = persist::retire_segments(dir, first_segment)?;
-        persist::sweep_orphan_chunks(dir, &manifest)?;
-        Ok(CheckpointStats {
-            kind: CheckpointKind::Full,
-            bytes_written,
-            chunks_written,
-            segments_retired,
-        })
-    }
-
-    /// The incremental path: cut the dirty state under the locks, write
-    /// delta/replacement chunks without them, republish the manifest, then
-    /// retire covered WAL segments and sweep superseded chunks.
-    fn checkpoint_incremental(&self, dir: &Path) -> Result<CheckpointStats, EarthQubeError> {
-        // ---- The cut: brief, under the catalog write + wal locks ----
-        let cut = {
-            let mut catalog = self.catalog.write();
-            let mut wal = self.wal.lock();
-            let Some(att) = wal.as_mut() else {
-                return Err(EarthQubeError::Persist(
-                    "the persistence attachment was detached mid-checkpoint".into(),
-                ));
-            };
-            let n_images = catalog.metadata.len();
-            if !catalog.database.is_dirty()
-                && catalog.cbir.index.dirty_shards().is_empty()
-                && att.persisted_images == n_images
-            {
-                return Ok(CheckpointStats {
-                    kind: CheckpointKind::Skipped,
-                    bytes_written: 0,
-                    chunks_written: 0,
-                    segments_retired: 0,
-                });
-            }
-            // Clone the unpersisted image tail first: it is the only
-            // fallible step, and it must run before any dirty state is
-            // drained so an error here leaves nothing to restore.
-            let images_start = att.persisted_images;
-            let images: Vec<(PatchMetadata, BinaryCode)> = catalog
-                .images_from(images_start)?
-                .into_iter()
-                .map(|(meta, code)| (meta.clone(), code.clone()))
-                .collect();
-            let mut names: Vec<String> =
-                catalog.database.dirty_collection_names().iter().map(|s| s.to_string()).collect();
-            names.sort_unstable();
-            let mut collections = Vec::with_capacity(names.len());
-            let mut drained = Vec::with_capacity(names.len());
-            for name in names {
-                let collection = catalog.database.collection_mut(&name)?;
-                let log = collection.take_dirty();
-                let stacked =
-                    att.chunks.iter().filter(|c| c.kind == persist::kind_delta(&name)).count();
-                let plan = if log.schema_changed() || stacked >= DELTA_COMPACT_THRESHOLD {
-                    CollectionPlan::Full(Box::new(collection.clone()))
-                } else {
-                    CollectionPlan::Delta(collection.capture_delta(&log))
-                };
-                drained.push((name.clone(), log));
-                collections.push((name, plan));
-            }
-            let index = &catalog.cbir.index;
-            let shard_ids = index.take_dirty_shards();
-            let shards: Vec<(u32, HashTableIndex)> =
-                shard_ids.iter().map(|&s| (s as u32, index.clone_shard(s))).collect();
-            // Seal the live segment: records before the cut are covered by
-            // the chunks drained above, records after it land in the fresh
-            // segment the new manifest starts from.
-            if let Err(e) = att.rotate() {
-                // Nothing was persisted; put the drained dirty state back.
-                catalog.restore_dirty(drained, &shard_ids);
-                return Err(e);
-            }
-            IncrementalCut {
-                seq: att.seq + 1,
-                generation: att.generation,
-                first_segment: att.segment_index,
-                base_chunks: att.chunks.clone(),
-                collections,
-                drained,
-                shard_ids,
-                shards,
-                images_start,
-                images,
-            }
-        };
-
-        // ---- Chunk I/O and manifest publish: no server lock held ----
-        let mut sink =
-            ChunkSink { dir, seq: cut.seq, ordinal: 0, bytes_written: 0, chunks: Vec::new() };
-        let published: Result<(Manifest, u64), EarthQubeError> = (|| {
-            for (name, plan) in &cut.collections {
-                match plan {
-                    CollectionPlan::Full(collection) => sink.push(
-                        &persist::kind_collection(name),
-                        &persist::encode_collection_chunk(collection),
-                    )?,
-                    CollectionPlan::Delta(delta) => {
-                        sink.push(&persist::kind_delta(name), &persist::encode_delta_chunk(delta))?
-                    }
-                }
-            }
-            for (shard, table) in &cut.shards {
-                sink.push(
-                    &persist::kind_shard(*shard),
-                    &persist::encode_shard_chunk(*shard, table),
-                )?;
-            }
-            if !cut.images.is_empty() {
-                let refs: Vec<(&PatchMetadata, &BinaryCode)> =
-                    cut.images.iter().map(|(m, c)| (m, c)).collect();
-                sink.push(
-                    &persist::kind_images(cut.images_start as u64),
-                    &persist::encode_images_chunk(cut.images_start as u64, &refs),
-                )?;
-            }
-            // Derive the new manifest from the published base: a full
-            // collection rewrite supersedes its old base and deltas, a
-            // rewritten shard supersedes its old chunk, everything new is
-            // appended (order only matters within one collection: base
-            // before deltas, which append-at-end preserves).
-            let mut chunks = cut.base_chunks.clone();
-            for (name, plan) in &cut.collections {
-                if matches!(plan, CollectionPlan::Full(_)) {
-                    let full_kind = persist::kind_collection(name);
-                    let delta_kind = persist::kind_delta(name);
-                    chunks.retain(|c| c.kind != full_kind && c.kind != delta_kind);
-                }
-            }
-            for (shard, _) in &cut.shards {
-                let kind = persist::kind_shard(*shard);
-                chunks.retain(|c| c.kind != kind);
-            }
-            chunks.extend(sink.chunks.iter().cloned());
-            let manifest = Manifest {
-                seq: cut.seq,
-                generation: cut.generation,
-                first_segment: cut.first_segment,
-                chunks,
-            };
-            let manifest_bytes = persist::write_manifest_file(dir, &manifest)?;
-            Ok((manifest, manifest_bytes))
-        })();
-
-        let (manifest, manifest_bytes) = match published {
-            Ok(ok) => ok,
-            Err(e) => {
-                // Pre-publish failure: the old manifest is still in force
-                // (even if the rename itself is what failed, the next
-                // manifest is derived from the old chunk list again, so
-                // its deltas apply over the old base either way).  Restore
-                // the drained dirty state for the retry.
-                self.catalog.write().restore_dirty(cut.drained, &cut.shard_ids);
-                return Err(e);
-            }
-        };
-
-        // Committed: advance the attachment to the new manifest.
-        {
-            let mut wal = self.wal.lock();
-            if let Some(att) = wal.as_mut() {
-                att.seq = cut.seq;
-                att.first_segment = cut.first_segment;
-                att.chunks = manifest.chunks.clone();
-                att.persisted_images = cut.images_start + cut.images.len();
-            }
-        }
-        // Post-publish GC.  Failures propagate but must NOT restore the
-        // dirty state: the manifest is committed, and restoring would
-        // re-apply the same deltas over the already-advanced base.
-        // Retirement is clamped to the replication floor: segments a
-        // recently-active replica still needs stay on disk even though
-        // the manifest no longer requires them for recovery.
-        let segments_retired =
-            persist::retire_segments(dir, self.replication_floor(cut.first_segment))?;
-        persist::sweep_orphan_chunks(dir, &manifest)?;
-        Ok(CheckpointStats {
-            kind: CheckpointKind::Incremental,
-            bytes_written: sink.bytes_written + manifest_bytes,
-            chunks_written: sink.chunks.len() as u64,
-            segments_retired,
-        })
+        self.durability.checkpoint(&self.catalog, dir, false, || self.static_chunk())
     }
 
     /// Restores a server from a persistence directory: reads the manifest,
@@ -1449,35 +953,7 @@ impl QueryServer {
             // segments, and the next incremental checkpoint folds them
             // into chunks (after which their segments retire).
         }
-        let (segment_index, segment_bytes, writer) = match chain.tail {
-            ChainTail::Reopen { index, valid_len } => {
-                let writer = WalWriter::open_truncated(
-                    &dir.join(persist::segment_file_name(index)),
-                    valid_len,
-                )?;
-                (index, valid_len, writer)
-            }
-            ChainTail::Create { index } => {
-                let writer = WalWriter::create(
-                    &dir.join(persist::segment_file_name(index)),
-                    manifest.generation,
-                    index,
-                )?;
-                (index, persist::SEGMENT_HEADER_LEN, writer)
-            }
-        };
-        *server.wal.lock() = Some(Attachment {
-            dir: dir.to_path_buf(),
-            seq: manifest.seq,
-            generation: manifest.generation,
-            first_segment: manifest.first_segment,
-            segment_index,
-            segment_bytes,
-            writer,
-            chunks: manifest.chunks,
-            persisted_images,
-            _lock: lock,
-        });
+        server.durability.attach(dir, lock, manifest, chain.tail, persisted_images)?;
         Ok(server)
     }
 
@@ -1511,87 +987,6 @@ impl QueryServer {
         }
     }
 
-    /// Overrides the WAL segment rotation threshold, in bytes (default
-    /// 4 MiB).  Smaller segments retire sooner after a checkpoint at the
-    /// cost of more files; mainly useful for tests and experiments.
-    pub fn set_segment_limit(&self, bytes: u64) {
-        self.segment_limit.store(bytes.max(persist::SEGMENT_HEADER_LEN + 1), Ordering::Relaxed);
-    }
-
-    // -- background checkpointer ------------------------------------------
-
-    /// Starts the background checkpointer: a thread that wakes every
-    /// `interval` (or immediately on [`trigger_checkpoint`](Self::trigger_checkpoint))
-    /// and runs [`checkpoint_if_dirty`](Self::checkpoint_if_dirty).  The
-    /// thread holds only a [`Weak`] reference, so it never keeps a dropped
-    /// server alive; it exits when the server is dropped or
-    /// [`stop_checkpointer`](Self::stop_checkpointer) is called.
-    ///
-    /// # Errors
-    /// Fails if a checkpointer is already running or the thread cannot be
-    /// spawned.
-    pub fn start_checkpointer(self: &Arc<Self>, interval: Duration) -> Result<(), EarthQubeError> {
-        let mut slot = self.checkpointer.lock();
-        if slot.is_some() {
-            return Err(EarthQubeError::BadRequest(
-                "a background checkpointer is already running".into(),
-            ));
-        }
-        let stop = Arc::new(AtomicBool::new(false));
-        let weak: Weak<Self> = Arc::downgrade(self);
-        let thread_stop = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
-            .name("eq-checkpointer".into())
-            .spawn(move || loop {
-                std::thread::park_timeout(interval);
-                if thread_stop.load(Ordering::Acquire) {
-                    break;
-                }
-                let Some(server) = weak.upgrade() else { break };
-                server.ckpt_passes.fetch_add(1, Ordering::Relaxed);
-                match server.checkpoint_if_dirty() {
-                    Ok(Some(_)) => {
-                        server.ckpt_completed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Ok(None) => {
-                        server.ckpt_skipped.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(_) => {
-                        server.ckpt_failures.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            })
-            .map_err(|e| {
-                EarthQubeError::Persist(format!("spawning the checkpointer thread: {e}"))
-            })?;
-        *slot = Some(CheckpointerHandle { stop, thread });
-        Ok(())
-    }
-
-    /// Stops and joins the background checkpointer, if one is running.  An
-    /// in-flight checkpoint pass finishes first; no new pass starts.
-    pub fn stop_checkpointer(&self) {
-        let handle = self.checkpointer.lock().take();
-        if let Some(CheckpointerHandle { stop, thread }) = handle {
-            stop.store(true, Ordering::Release);
-            thread.thread().unpark();
-            // The last `Arc` can die *inside* a checkpointer pass, in
-            // which case drop (and thus this method) runs on the
-            // checkpointer thread itself — joining would self-deadlock.
-            if thread.thread().id() != std::thread::current().id() {
-                let _ = thread.join();
-            }
-        }
-    }
-
-    /// Wakes the background checkpointer immediately instead of waiting
-    /// for its next interval tick.  A no-op if none is running.
-    pub fn trigger_checkpoint(&self) {
-        if let Some(handle) = self.checkpointer.lock().as_ref() {
-            handle.thread.thread().unpark();
-        }
-    }
-
     /// Checkpoints into the attached directory if (and only if) anything
     /// is dirty; returns `None` when the server is detached or clean.
     /// This is the body of one background-checkpointer pass, callable
@@ -1606,26 +1001,12 @@ impl QueryServer {
         if !self.is_primary() {
             return Ok(None);
         }
-        let attached_dir = self.wal.lock().as_ref().map(|att| att.dir.clone());
-        let Some(dir) = attached_dir else { return Ok(None) };
+        let Some(dir) = self.attached_dir() else { return Ok(None) };
         let stats = self.checkpoint(&dir)?;
-        Ok(match stats.kind {
-            CheckpointKind::Skipped => None,
-            _ => Some(stats),
-        })
+        Ok((stats.kind != CheckpointKind::Skipped).then_some(stats))
     }
 
-    /// A snapshot of the background-checkpointer counters.
-    pub fn checkpointer_stats(&self) -> CheckpointerStats {
-        CheckpointerStats {
-            passes: self.ckpt_passes.load(Ordering::Relaxed),
-            completed: self.ckpt_completed.load(Ordering::Relaxed),
-            skipped: self.ckpt_skipped.load(Ordering::Relaxed),
-            failures: self.ckpt_failures.load(Ordering::Relaxed),
-        }
-    }
-
-    // -- replication ------------------------------------------------------
+    // -- replication role (the serving side is in `replicate.rs`) ----------
 
     /// Whether this server accepts writes.  Every server starts as a
     /// primary; [`set_replica_mode`](Self::set_replica_mode) clears the
@@ -1640,172 +1021,6 @@ impl QueryServer {
     /// becomes the only write path.
     pub fn set_replica_mode(&self) {
         self.primary.store(false, Ordering::Release);
-    }
-
-    /// The persistence directory this server is attached to, if any.
-    pub fn attached_dir(&self) -> Option<PathBuf> {
-        self.wal.lock().as_ref().map(|att| att.dir.clone())
-    }
-
-    /// The server's replication role and durable WAL position — the
-    /// replication handshake, and what a promoted replica reports to
-    /// clients probing for the primary.
-    pub fn repl_state(&self) -> ReplState {
-        let wal = self.wal.lock();
-        match wal.as_ref() {
-            Some(att) => ReplState {
-                primary: self.is_primary(),
-                attached: true,
-                generation: att.generation,
-                first_segment: att.first_segment,
-                segment: att.segment_index,
-                offset: att.segment_bytes,
-            },
-            None => ReplState {
-                primary: self.is_primary(),
-                attached: false,
-                generation: 0,
-                first_segment: 0,
-                segment: 0,
-                offset: 0,
-            },
-        }
-    }
-
-    /// The raw bytes of the published manifest, for shipping a snapshot to
-    /// a seeding replica.  The manifest is published by atomic rename, so
-    /// an unlocked read observes a complete old or new file, never a torn
-    /// one.
-    ///
-    /// # Errors
-    /// Fails with [`EarthQubeError::Persist`] when detached or on I/O.
-    pub fn repl_manifest_bytes(&self) -> Result<Vec<u8>, EarthQubeError> {
-        let dir = self.attached_dir().ok_or_else(|| {
-            EarthQubeError::Persist("serving replication requires a persistence attachment".into())
-        })?;
-        std::fs::read(dir.join(persist::MANIFEST_FILE))
-            .map_err(|e| persist::io_error("reading the manifest for replication", e))
-    }
-
-    /// One slice of a checkpoint chunk file, for snapshot seeding.  `file`
-    /// must be a chunk the *current* attachment's manifest references —
-    /// which both confines the read to real chunk files (no path
-    /// traversal) and turns a mid-seed checkpoint race into a clean error
-    /// the seeder answers by refetching the manifest.
-    ///
-    /// # Errors
-    /// [`EarthQubeError::BadRequest`] for an unreferenced file name,
-    /// [`EarthQubeError::Persist`] when detached or on I/O.
-    pub fn repl_chunk_bytes(
-        &self,
-        file: &str,
-        offset: u64,
-        max_bytes: u64,
-    ) -> Result<(u64, Vec<u8>), EarthQubeError> {
-        let dir = {
-            let wal = self.wal.lock();
-            let Some(att) = wal.as_ref() else {
-                return Err(EarthQubeError::Persist(
-                    "serving replication requires a persistence attachment".into(),
-                ));
-            };
-            if !att.chunks.iter().any(|c| c.file == file) {
-                return Err(EarthQubeError::BadRequest(format!(
-                    "{file:?} is not a chunk of the current manifest"
-                )));
-            }
-            att.dir.clone()
-        };
-        let bytes = std::fs::read(dir.join(file))
-            .map_err(|e| persist::io_error("reading a chunk for replication", e))?;
-        let total = bytes.len() as u64;
-        let start = offset.min(total) as usize;
-        let end = offset.saturating_add(max_bytes.min(REPL_MAX_SLICE_BYTES)).min(total) as usize;
-        Ok((total, bytes[start..end].to_vec()))
-    }
-
-    /// Serves one replication pull: WAL record payloads at and after the
-    /// replica's `(generation, segment, offset)` position.
-    ///
-    /// The attachment state is snapshotted under the wal lock; the segment
-    /// file is then read **unlocked** — safe because record bytes below
-    /// the snapshotted length are fully written (appends happen inside the
-    /// lock), segments only grow, and every reply position is re-validated
-    /// on the next pull.  A position this primary cannot serve (foreign
-    /// generation after a failover, or a segment already retired) is
-    /// answered with `reseed` rather than an error: the verdict is
-    /// authoritative, the replica must discard its lineage and re-seed.
-    ///
-    /// # Errors
-    /// Fails with [`EarthQubeError::Persist`] when detached or on I/O
-    /// reading a segment that should exist.
-    pub fn repl_pull(
-        &self,
-        replica_id: u64,
-        generation: u32,
-        segment: u32,
-        offset: u64,
-        max_bytes: u64,
-    ) -> Result<ReplBatch, EarthQubeError> {
-        let (dir, att_generation, first_segment, live_segment, live_len) = {
-            let wal = self.wal.lock();
-            let Some(att) = wal.as_ref() else {
-                return Err(EarthQubeError::Persist(
-                    "serving replication requires a persistence attachment".into(),
-                ));
-            };
-            (
-                att.dir.clone(),
-                att.generation,
-                att.first_segment,
-                att.segment_index,
-                att.segment_bytes,
-            )
-        };
-        let reseed = ReplBatch {
-            reseed: true,
-            generation: att_generation,
-            entries: Vec::new(),
-            rotate: false,
-            next_segment: 0,
-            next_offset: 0,
-            primary_segment: live_segment,
-            primary_offset: live_len,
-        };
-        if generation != att_generation
-            || segment < first_segment
-            || segment > live_segment
-            || offset < persist::SEGMENT_HEADER_LEN
-        {
-            return Ok(reseed);
-        }
-        self.note_replica_position(replica_id, segment);
-        let bytes = match std::fs::read(dir.join(persist::segment_file_name(segment))) {
-            Ok(bytes) => bytes,
-            // Retired between the snapshot above and this read: a
-            // checkpoint raced us and the position is gone for good.
-            Err(_) => return Ok(reseed),
-        };
-        let sealed = segment < live_segment;
-        let end = if sealed { bytes.len() as u64 } else { live_len };
-        if offset > end {
-            return Ok(reseed);
-        }
-        let (entries, valid_end) =
-            persist::scan_record_payloads(&bytes, offset, end, max_bytes.min(REPL_MAX_BATCH_BYTES));
-        let rotate = sealed && valid_end >= end;
-        let (next_segment, next_offset) =
-            if rotate { (segment + 1, persist::SEGMENT_HEADER_LEN) } else { (segment, valid_end) };
-        Ok(ReplBatch {
-            reseed: false,
-            generation: att_generation,
-            entries,
-            rotate,
-            next_segment,
-            next_offset,
-            primary_segment: live_segment,
-            primary_offset: live_len,
-        })
     }
 
     /// Applies one pulled batch on a replica: every record runs through
@@ -1841,69 +1056,46 @@ impl QueryServer {
             })?);
         }
         let mut catalog = self.catalog.write();
-        let mut wal = self.wal.lock();
+        let mut log = self.durability.begin();
         let mut applied = 0u64;
         let mut ingested = false;
         let mut result = Ok(());
         for (payload, record) in entries.iter().zip(records) {
-            match catalog.apply_record(record) {
-                Ok(true) => {
+            let logged = catalog.apply_record(record).and_then(|was_ingest| {
+                if was_ingest {
                     self.ingested_images.fetch_add(1, Ordering::Relaxed);
                     ingested = true;
                 }
-                Ok(false) => {}
-                Err(e) => {
-                    result = Err(e);
-                    break;
+                if !log.attached() {
+                    return Err(EarthQubeError::Persist(
+                        "the replica lost its persistence attachment".into(),
+                    ));
                 }
-            }
-            let Some(att) = wal.as_mut() else {
-                result = Err(EarthQubeError::Persist(
-                    "the replica lost its persistence attachment".into(),
-                ));
+                log.append(payload)
+            });
+            if let Err(e) = logged {
+                result = Err(e);
                 break;
-            };
-            match att.writer.append(payload) {
-                Ok(bytes) => att.segment_bytes += bytes,
-                Err(e) => {
-                    *wal = None;
-                    result = Err(e);
-                    break;
-                }
             }
             applied += 1;
         }
-        if applied > 0 {
-            if let Some(att) = wal.as_mut() {
-                // lint:allow(lock) replicated records must be crash-durable before the pull is acknowledged, same contract as ingest
-                if let Err(e) = att.writer.sync() {
-                    *wal = None;
-                    if result.is_ok() {
-                        result = Err(e);
-                    }
-                }
-            }
-        }
-        // Rotate only after a fully-applied, synced batch — a partial
-        // batch stays on the live segment so the durable position matches
-        // exactly what was applied.
-        if result.is_ok() && rotate {
-            if let Some(att) = wal.as_mut() {
-                result = att.rotate();
-            }
-        }
+        // Replicated records must be crash-durable before the pull is
+        // acknowledged, same contract as ingest.  A partial batch stays on
+        // the live segment, so the durable position matches exactly what
+        // was applied.
+        let result = log.commit(Seal::Mirror(rotate), result);
         if ingested {
             self.cache.clear();
         }
-        result.map(|_| applied)
+        result.map(|()| applied)
     }
 
     /// Promotes a replica to primary.  The replica's applied state is cut
-    /// into a **full** checkpoint of its attached directory, which stamps
-    /// a *fresh* WAL generation and starts the segment numbering above
-    /// every file on disk — so a resurrected old primary (or a replica
-    /// still following it) presenting the old generation is fenced: its
-    /// pulls answer `reseed`, and its unreplicated suffix is discarded by
+    /// into a **full** checkpoint of its attached directory, a new lineage
+    /// there: a *fresh* WAL generation and a segment numbering above every
+    /// file on disk — so a resurrected old primary (or a replica still
+    /// following it) presenting the old generation is fenced: its pulls
+    /// answer `reseed`, and its unreplicated suffix is discarded by
     /// re-seeding.  Only then does the server start accepting writes.
     ///
     /// The caller must have stopped this replica's own pull loop first
@@ -1911,52 +1103,18 @@ impl QueryServer {
     ///
     /// # Errors
     /// Fails with [`EarthQubeError::Persist`] when detached or if the
-    /// promotion checkpoint fails — the server then stays a replica and
-    /// is left *detached*; durability requires a successful retry.
+    /// promotion checkpoint fails — the server then stays a replica,
+    /// attached to the lineage it had, and `promote` can be called again.
     pub fn promote(&self) -> Result<(), EarthQubeError> {
         if self.is_primary() {
             return Ok(());
         }
-        let _serial = self.ckpt_serial.lock();
-        // Drop the attachment first: the full checkpoint re-locks the
-        // directory and replaces the lineage wholesale.  The replica has
-        // no other writer (its pull loop is stopped, and ingest is still
-        // rejected until the flag flips below), so nothing can slip into
-        // the gap.
-        let dir = match self.wal.lock().take() {
-            Some(att) => att.dir.clone(),
-            None => {
-                return Err(EarthQubeError::Persist(
-                    "promotion requires a persistence attachment".into(),
-                ))
-            }
-        };
-        self.checkpoint_full(&dir)?;
+        let dir = self.attached_dir().ok_or_else(|| {
+            EarthQubeError::Persist("promotion requires a persistence attachment".into())
+        })?;
+        self.durability.checkpoint(&self.catalog, &dir, true, || self.static_chunk())?;
         self.primary.store(true, Ordering::Release);
         Ok(())
-    }
-
-    /// Records a replica's pull position for the retention floor.
-    fn note_replica_position(&self, replica_id: u64, segment: u32) {
-        let mut marks = self.repl_floor.lock();
-        marks.insert(replica_id, ReplicaMark { segment, seen: Instant::now() });
-    }
-
-    /// The lowest WAL segment a recently-active replica still needs, or
-    /// `fallback` when none are live.  Prunes marks older than
-    /// [`REPL_RETENTION_TTL`], so a dead replica cannot pin segments (and
-    /// thus disk) forever.
-    fn replication_floor(&self, fallback: u32) -> u32 {
-        let now = Instant::now();
-        let mut marks = self.repl_floor.lock();
-        marks.retain(|_, mark| now.duration_since(mark.seen) <= REPL_RETENTION_TTL);
-        marks.values().map(|mark| mark.segment).min().map_or(fallback, |min| min.min(fallback))
-    }
-}
-
-impl Drop for QueryServer {
-    fn drop(&mut self) {
-        self.stop_checkpointer();
     }
 }
 
@@ -1964,6 +1122,7 @@ impl Drop for QueryServer {
 mod tests {
     use super::*;
     use eq_bigearthnet::{ArchiveGenerator, GeneratorConfig};
+    use std::time::Duration;
 
     fn server(n: usize, seed: u64, serve: ServeConfig) -> (QueryServer, Archive) {
         let archive = ArchiveGenerator::new(GeneratorConfig::tiny(n, seed)).unwrap().generate();

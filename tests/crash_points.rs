@@ -2,11 +2,8 @@
 //! turn, the checkpoint is killed at exactly that I/O boundary, and the
 //! directory must recover to byte-identical query answers.
 //!
-//! The failpoint registry is process-global (one armed point at a time),
-//! so this suite lives in its own test binary, and its tests — which
-//! `cargo test` would run on parallel threads — take [`FAILPOINTS`] for
-//! their whole body: a point armed by one can never fire inside the
-//! other's checkpoint.
+//! A point is armed on the server under test (`QueryServer::failpoints`),
+//! so the tests of this binary run in parallel without seeing each other.
 
 use std::path::{Path, PathBuf};
 
@@ -19,14 +16,6 @@ use agoraeo::earthqube::{
 use agoraeo::geo::GeoShape;
 
 const SEED: u64 = 6161;
-
-/// Serialises the tests of this binary around the one global failpoint.
-static FAILPOINTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn failpoints_lock() -> std::sync::MutexGuard<'static, ()> {
-    // A test that failed while holding the lock must not fail the other.
-    FAILPOINTS.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 fn generate(n: usize, seed: u64) -> Archive {
     ArchiveGenerator::new(GeneratorConfig::tiny(n, seed)).unwrap().generate()
@@ -103,20 +92,35 @@ fn copy_dir(src: &Path, dst: &Path) {
     }
 }
 
+/// Kills `srv`'s checkpoint into `target` at `point`, asserting that the
+/// point is declared, aborts the checkpoint and was actually reached.
+fn kill_checkpoint_at(srv: &QueryServer, point: &str, target: &Path) {
+    let fired_before = srv.failpoints().fired_count();
+    assert!(srv.failpoints().arm(point), "`{point}` is not a declared failpoint");
+    let result = srv.checkpoint(target);
+    srv.failpoints().disarm();
+    assert!(result.is_err(), "failpoint `{point}` must abort the checkpoint");
+    assert!(
+        srv.failpoints().fired_count() > fired_before,
+        "failpoint `{point}` is declared but the checkpoint never reached it"
+    );
+}
+
 /// The tentpole acceptance scenario: for **every** declared crash point —
 /// segment pre-create, header sync, chunk write/sync, the four manifest
-/// publication steps, segment retirement and chunk GC — kill an
-/// incremental checkpoint exactly there, recover the directory, and
-/// demand byte-identical answers to an uncrashed reference.  Iterating
-/// `failpoints::ALL_POINTS` means a newly declared point can never be
-/// silently skipped by this suite.
+/// publication steps, segment retirement and chunk GC — kill a checkpoint
+/// exactly there, twice: an incremental one into the attached directory,
+/// and the lineage switch of a checkpoint into a fresh directory.  Either
+/// way the directories must recover to byte-identical answers to an
+/// uncrashed reference.  Iterating `failpoints::ALL_POINTS` means a newly
+/// declared point can never be silently skipped by this suite.
 #[test]
 fn every_declared_crash_point_recovers_byte_identically() {
-    let _serial = failpoints_lock();
     let dir = ScratchDir::new("matrix");
     let base = dir.path().join("base");
     let initial = generate(30, SEED);
-    let extra = generate(2, 888_888);
+    let extra = generate(3, 888_888);
+    let (extra, late) = extra.patches().split_at(2);
     let requests = workload(&initial);
 
     // One expensive build; every scenario below re-clones this checkpoint.
@@ -126,34 +130,28 @@ fn every_declared_crash_point_recovers_byte_identically() {
         srv.checkpoint(&base).unwrap();
     }
 
-    // The uncrashed reference: the same post-checkpoint ingest, no kill.
-    let expected = {
+    // The uncrashed reference: the same post-checkpoint ingests, no kill.
+    let (expected, expected_late) = {
         let refdir = dir.path().join("reference");
         copy_dir(&base, &refdir);
         let srv = QueryServer::recover(&refdir).unwrap();
-        for patch in extra.patches() {
+        for patch in extra {
             srv.ingest(std::slice::from_ref(patch)).unwrap();
         }
-        responses(&srv, &requests)
+        let expected = responses(&srv, &requests);
+        srv.ingest(late).unwrap();
+        (expected, responses(&srv, &requests))
     };
 
     for (i, point) in failpoints::ALL_POINTS.iter().enumerate() {
+        // ---- An incremental checkpoint dies at the point. ----
         let crash_dir = dir.path().join(format!("point_{i}"));
         copy_dir(&base, &crash_dir);
         let srv = QueryServer::recover(&crash_dir).unwrap();
-        for patch in extra.patches() {
+        for patch in extra {
             srv.ingest(std::slice::from_ref(patch)).unwrap();
         }
-
-        let fired_before = failpoints::fired_count();
-        assert!(failpoints::arm(point), "`{point}` is not a declared failpoint");
-        let result = srv.checkpoint(&crash_dir);
-        failpoints::disarm();
-        assert!(result.is_err(), "failpoint `{point}` must abort the checkpoint");
-        assert!(
-            failpoints::fired_count() > fired_before,
-            "failpoint `{point}` is declared but the checkpoint never reached it"
-        );
+        kill_checkpoint_at(&srv, point, &crash_dir);
         drop(srv); // the "kill": the directory is frozen at the crash boundary
 
         let recovered = QueryServer::recover(&crash_dir)
@@ -171,37 +169,82 @@ fn every_declared_crash_point_recovers_byte_identically() {
         drop(recovered);
         let again = QueryServer::recover(&crash_dir).unwrap();
         assert_eq!(responses(&again, &requests), expected, "post-crash checkpoint at `{point}`");
+        drop(again);
+
+        // ---- The lineage switch dies at the point: a checkpoint into a
+        // fresh directory while attached elsewhere. ----
+        let home = dir.path().join(format!("home_{i}"));
+        let target = dir.path().join(format!("target_{i}"));
+        copy_dir(&base, &home);
+        let srv = QueryServer::recover(&home).unwrap();
+        for patch in extra {
+            srv.ingest(std::slice::from_ref(patch)).unwrap();
+        }
+        kill_checkpoint_at(&srv, point, &target);
+        // The manifest rename is the commit point.  Before it the target
+        // holds no manifest; after it the target is a complete checkpoint
+        // of the state at the cut.  The server itself only moves once the
+        // attachment is committed, which the two GC points come after.
+        let renamed = ["manifest-dir-sync", "wal-retire", "chunk-gc"].contains(point);
+        let moved = ["wal-retire", "chunk-gc"].contains(point);
+        let attached = srv.attached_dir().expect("a failed switch never detaches");
+        assert_eq!(attached, if moved { target.clone() } else { home.clone() }, "at `{point}`");
+        let frozen = dir.path().join(format!("frozen_{i}"));
+        copy_dir(&target, &frozen);
+        match QueryServer::recover(&frozen) {
+            Ok(aborted) => {
+                assert!(renamed, "a crash at `{point}` must not publish a manifest");
+                assert_eq!(responses(&aborted, &requests), expected, "target after `{point}`");
+            }
+            Err(_) => assert!(!renamed, "the manifest renamed before `{point}` must recover"),
+        }
+        // The server's dirty state is intact: one more ingest and a
+        // checkpoint into the old directory, and that directory recovers
+        // byte-identically with the reference.
+        srv.ingest(late).unwrap();
+        srv.checkpoint(&home).unwrap();
+        assert_eq!(srv.attached_dir(), Some(home.clone()));
+        drop(srv);
+        let recovered = QueryServer::recover(&home).unwrap();
+        assert_eq!(recovered.archive_size(), 33, "switch killed at `{point}` lost images");
+        assert_eq!(responses(&recovered, &requests), expected_late, "home after `{point}`");
     }
 }
 
-/// A crash *during a full checkpoint into a fresh lineage* (simulated at
-/// the chunk-write boundary) leaves orphan chunks and possibly a
-/// foreign-generation segment behind; the original directory's state must
-/// be untouched by the failed attempt and keep recovering.
+/// A failed promotion is retryable: the replica keeps its attachment and
+/// its directory lock, so once the fault is gone `promote` succeeds on the
+/// same server, under a fresh generation and with nothing lost.
 #[test]
-fn crashed_full_checkpoint_leaves_the_old_lineage_recoverable() {
-    let _serial = failpoints_lock();
-    let dir = ScratchDir::new("full");
+fn failed_promotion_leaves_an_attached_replica_that_can_retry() {
+    let dir = ScratchDir::new("promote");
     let initial = generate(12, SEED + 1);
-    let srv =
-        QueryServer::build(&initial, engine_config(SEED + 1), ServeConfig::default()).unwrap();
-    srv.checkpoint(dir.path()).unwrap();
-    srv.ingest(generate(2, 777_111).patches()).unwrap();
     let requests = workload(&initial);
-    let expected = responses(&srv, &requests);
+    {
+        let srv =
+            QueryServer::build(&initial, engine_config(SEED + 1), ServeConfig::default()).unwrap();
+        srv.checkpoint(dir.path()).unwrap();
+        srv.ingest(generate(2, 777_111).patches()).unwrap();
+    }
+    let replica = QueryServer::recover(dir.path()).unwrap();
+    replica.set_replica_mode();
+    let old_generation = replica.repl_state().generation;
+    let size = replica.archive_size();
+    let expected = responses(&replica, &requests);
 
-    // A full checkpoint into a *different* directory dies at chunk-write.
-    let other = dir.path().join("other");
-    assert!(failpoints::arm("chunk-write"));
-    let result = srv.checkpoint(&other);
-    failpoints::disarm();
-    assert!(result.is_err());
-    drop(srv);
+    assert!(replica.failpoints().arm("manifest-rename"));
+    assert!(replica.promote().is_err());
+    replica.failpoints().disarm();
+    assert!(!replica.is_primary(), "a failed promotion must not start taking writes");
+    assert_eq!(replica.attached_dir().as_deref(), Some(dir.path()));
+    assert_eq!(replica.repl_state().generation, old_generation);
 
-    // The original directory never saw the failed attempt.
+    replica.promote().unwrap();
+    assert!(replica.is_primary());
+    assert_ne!(replica.repl_state().generation, old_generation, "promotion must fence");
+    assert_eq!(replica.archive_size(), size);
+    assert_eq!(responses(&replica, &requests), expected);
+    drop(replica);
     let recovered = QueryServer::recover(dir.path()).unwrap();
-    assert_eq!(recovered.archive_size(), 14);
+    assert_eq!(recovered.archive_size(), size);
     assert_eq!(responses(&recovered, &requests), expected);
-    // The aborted target holds no manifest, so recovering it is refused.
-    assert!(QueryServer::recover(&other).is_err());
 }

@@ -3,10 +3,6 @@
 //! crash-injected checkpoints must end up answering queries exactly like a
 //! reference server that saw the same ingests and then took one full
 //! checkpoint into a fresh lineage (a fresh generation tag).
-//!
-//! This binary holds a single test on purpose: the crash-point registry is
-//! process-global, and a second concurrently running checkpoint test would
-//! trip points armed here.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -208,9 +204,9 @@ proptest! {
                     // The checkpoint may abort at the point (dirty state is
                     // restored) or skip before reaching it (nothing dirty);
                     // either way the directory is a legal crash boundary.
-                    failpoints::arm(failpoints::ALL_POINTS[point]);
+                    srv.failpoints().arm(failpoints::ALL_POINTS[point]);
                     let _ = srv.checkpoint(&live);
-                    failpoints::disarm();
+                    srv.failpoints().disarm();
                     drop(srv);
                     srv = QueryServer::recover(&live).unwrap();
                     srv.set_segment_limit(1);
