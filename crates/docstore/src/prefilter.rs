@@ -87,6 +87,13 @@ impl PrefilterPlan {
         self.bitmap.as_ref().map(Bitmap::len)
     }
 
+    /// The indexes the bitmap was built from, as
+    /// [`QueryPlan::index_used`](crate::QueryPlan::index_used) names them;
+    /// `None` exactly when nothing compiled.
+    pub fn index_used(&self) -> Option<&str> {
+        self.index_used.as_deref()
+    }
+
     /// Resolves the plan against the collection it was compiled for: walks
     /// the candidates (every live document when nothing compiled) in
     /// ascending id order and yields those the residual accepts — exactly

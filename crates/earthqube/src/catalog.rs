@@ -6,28 +6,35 @@
 //! Both façades are configurations of it: [`EarthQube`](crate::EarthQube)
 //! owns it bare (a one-shard index, one [`QueryScratch`], no cache), and
 //! [`QueryServer`](crate::QueryServer) owns it behind the `catalog` lock
-//! and adds only what is the server's: result cache, scratch pool,
-//! counters, durability, replication.  A query therefore answers the same
-//! bytes on either, whatever the shard count.
+//! and adds only what is the server's: result and resolved-filter caches,
+//! scratch pool, counters, durability, replication.  A query therefore
+//! answers the same bytes on either, whatever the shard count.
+//!
+//! A filter-taking kind is two steps: [`Catalog::resolve`] turns the
+//! [`ImageQuery`] into a `ResolvedFilter` (the crate's one path to the
+//! store's prefilter compiler), and the kind consumes that value.  The
+//! split is where the server's cache goes: the engine resolves per query,
+//! the server reuses a resolution until the next write, and neither runs
+//! different query code.
 //!
 //! The façades document each query's contract; they also validate the
 //! [`ImageQuery`] first, before any cache probe or lock.
 
 use eq_bigearthnet::patch::PatchMetadata;
 use eq_bigearthnet::Archive;
-use eq_docstore::{Database, DirtyLog, Document};
-use eq_hashindex::{BinaryCode, IdMask, Neighbor, SearchScratch, ShardedHashIndex};
+use eq_docstore::{Database, DirtyLog, Document, QueryPlan};
+use eq_hashindex::{BinaryCode, Neighbor, SearchScratch, ShardedHashIndex};
 use eq_milan::Milan;
 
 use crate::cbir::CbirService;
 use crate::engine::{EarthQubeConfig, SearchResponse};
 use crate::feedback::FeedbackService;
-use crate::filtered::{matching_item_mask, FilteredPlan, FilteredResponse, PrefilterMode};
+use crate::filtered::{FilteredResponse, PrefilterMode, ResolvedFilter};
 use crate::ingest::{ingest_archive, insert_patch_docs};
 use crate::persist::WalRecord;
 use crate::query::ImageQuery;
 use crate::results::{ResultEntry, ResultPanel};
-use crate::schema::{collections, metadata_from_document};
+use crate::schema::collections;
 use crate::stats::LabelStatistics;
 use crate::EarthQubeError;
 
@@ -167,26 +174,34 @@ impl Catalog {
         self.cbir.index.mark_shards_dirty(shards);
     }
 
-    /// The query-panel search: compiles the query to a store filter,
-    /// resolves it with `Collection::find` and assembles panel, statistics
-    /// and plan.
-    pub(crate) fn search(&self, query: &ImageQuery) -> Result<SearchResponse, EarthQubeError> {
+    /// The mode the query panel resolves in: the compiled bitmap whenever
+    /// there is one, which is what `Collection::find` does.  (On a circle's
+    /// rim the bitmap's covering cells and a full scan can disagree, so the
+    /// panel must not let [`PrefilterMode::Auto`] pick.)
+    pub(crate) const PANEL_MODE: PrefilterMode = PrefilterMode::ForceBitmap;
+
+    /// The one resolver: turns a query-panel request into the exact set of
+    /// matching dense patch ids, *before* any distance work, whatever the
+    /// mode, so every mode ranks the same universe.  Every filter-taking
+    /// query kind below consumes its result; the bare engine calls it per
+    /// query, the server keeps what it returns in its resolved-filter cache.
+    pub(crate) fn resolve(
+        &self,
+        query: &ImageQuery,
+        mode: PrefilterMode,
+    ) -> Result<ResolvedFilter, EarthQubeError> {
         let coll = self.database.collection(collections::METADATA)?;
-        let result = coll.find(&query.to_filter());
-        let metas: Vec<PatchMetadata> = result
-            .ids
-            .iter()
-            .filter_map(|id| coll.get(*id))
-            .filter_map(metadata_from_document)
-            .collect();
-        let entries: Vec<ResultEntry> =
-            metas.iter().map(|m| ResultEntry::from_metadata(m, None)).collect();
-        let statistics = LabelStatistics::from_label_sets(metas.iter().map(|m| m.labels));
-        Ok(SearchResponse {
-            panel: ResultPanel::new(entries, self.page_size),
-            statistics,
-            plan: Some(result.plan),
-        })
+        Ok(ResolvedFilter::resolve(coll, &query.to_filter(), mode))
+    }
+
+    /// The query-panel search over a filter resolved in
+    /// [`PANEL_MODE`](Self::PANEL_MODE): the matching images in ascending
+    /// dense id — insertion order, as `Collection::find` lists them —
+    /// assembled from the dense metadata table, with the plan `find` would
+    /// report.
+    pub(crate) fn search(&self, filter: &ResolvedFilter) -> Result<SearchResponse, EarthQubeError> {
+        let hits = filter.mask.iter().map(|id| (id, None));
+        self.respond(filter.plan.matching, hits, Some(filter.query_plan.clone()))
     }
 
     /// The `k` nearest neighbours of an archive image, itself excluded.
@@ -211,61 +226,47 @@ impl Catalog {
     }
 
     /// [`similar_to`](Self::similar_to) among the images matching the
-    /// query-panel filter only.
+    /// resolved query-panel filter only.
     pub(crate) fn similar_to_filtered(
         &self,
         name: &str,
         k: usize,
-        query: &ImageQuery,
-        mode: PrefilterMode,
+        filter: &ResolvedFilter,
         scratch: &mut QueryScratch,
     ) -> Result<FilteredResponse, EarthQubeError> {
-        let (mask, plan) = self.matching_mask(query, mode)?;
-        let response = self.nearest(self.code_of(name)?, k, Some(name), Some(&mask), scratch)?;
-        Ok(FilteredResponse { response, plan })
+        let response = self.nearest(self.code_of(name)?, k, Some(name), Some(filter), scratch)?;
+        Ok(FilteredResponse { response, plan: filter.plan })
     }
 
     /// Every image within `radius` of an archive image's code that matches
-    /// the query-panel filter, itself excluded, by distance then id.
+    /// the resolved query-panel filter, itself excluded, by distance then id.
     pub(crate) fn similar_within_filtered(
         &self,
         name: &str,
         radius: u32,
-        query: &ImageQuery,
-        mode: PrefilterMode,
+        filter: &ResolvedFilter,
         scratch: &mut QueryScratch,
     ) -> Result<FilteredResponse, EarthQubeError> {
-        let (mask, plan) = self.matching_mask(query, mode)?;
         let hits = &mut scratch.neighbors;
         hits.clear();
-        self.cbir.index.radius_search_masked_into(self.code_of(name)?, radius, &mask, hits);
+        self.cbir.index.radius_search_masked_into(self.code_of(name)?, radius, &filter.mask, hits);
         eq_hashindex::sort_neighbors(hits);
         hits.retain(|hit| !self.is_image(hit, name));
         let response = self.response_from_neighbors(hits)?;
-        Ok(FilteredResponse { response, plan })
+        Ok(FilteredResponse { response, plan: filter.plan })
     }
 
     fn code_of(&self, name: &str) -> Result<&BinaryCode, EarthQubeError> {
         self.cbir.code_of(name).ok_or_else(|| EarthQubeError::UnknownImage(name.to_string()))
     }
 
-    /// Resolves the filter to the exact dense-id mask *before* any distance
-    /// work, whatever the mode, so every mode ranks the same universe.
-    fn matching_mask(
-        &self,
-        query: &ImageQuery,
-        mode: PrefilterMode,
-    ) -> Result<(IdMask, FilteredPlan), EarthQubeError> {
-        let coll = self.database.collection(collections::METADATA)?;
-        Ok(matching_item_mask(coll, &query.to_filter(), mode))
-    }
-
     fn is_image(&self, hit: &Neighbor, name: &str) -> bool {
         self.metadata.get(hit.id as usize).is_some_and(|m| m.name == name)
     }
 
-    /// The one k-NN entry: the `k` images nearest to `code`, among `mask`
-    /// when there is one, with the image named `exclude` dropped.
+    /// The one k-NN entry: the `k` images nearest to `code`, among those
+    /// matching `filter` when there is one, with the image named `exclude`
+    /// dropped.
     ///
     /// The query image is itself indexed, so one extra hit is selected and
     /// the image dropped from the ranking.  `k` is clamped to the archive
@@ -276,13 +277,14 @@ impl Catalog {
         code: &BinaryCode,
         k: usize,
         exclude: Option<&str>,
-        mask: Option<&IdMask>,
+        filter: Option<&ResolvedFilter>,
         scratch: &mut QueryScratch,
     ) -> Result<SearchResponse, EarthQubeError> {
         let wanted = k.min(self.metadata.len()) + usize::from(exclude.is_some());
-        let hits = match mask {
-            Some(mask) => self.cbir.index.knn_masked_with(code, wanted, mask, &mut scratch.search),
-            None => self.cbir.index.knn_with(code, wanted, &mut scratch.search),
+        let index = &self.cbir.index;
+        let hits = match filter {
+            Some(filter) => index.knn_masked_with(code, wanted, &filter.mask, &mut scratch.search),
+            None => index.knn_with(code, wanted, &mut scratch.search),
         };
         let kept = hits.iter().filter(|hit| !exclude.is_some_and(|name| self.is_image(hit, name)));
         scratch.neighbors.clear();
@@ -295,19 +297,33 @@ impl Catalog {
         &self,
         neighbors: &[Neighbor],
     ) -> Result<SearchResponse, EarthQubeError> {
-        let mut entries = Vec::with_capacity(neighbors.len());
-        let mut label_sets = Vec::with_capacity(neighbors.len());
-        for hit in neighbors {
-            let meta = self.metadata.get(hit.id as usize).ok_or_else(|| {
-                EarthQubeError::UnknownImage(format!("dense patch id {}", hit.id))
-            })?;
-            entries.push(ResultEntry::from_metadata(meta, Some(hit.distance)));
+        let hits = neighbors.iter().map(|hit| (hit.id, Some(hit.distance)));
+        self.respond(neighbors.len(), hits, None)
+    }
+
+    /// The one response assembly: panel entries and label statistics of
+    /// `count` images, in the order given, straight from the dense
+    /// metadata table.
+    fn respond(
+        &self,
+        count: usize,
+        hits: impl Iterator<Item = (u64, Option<u32>)>,
+        plan: Option<QueryPlan>,
+    ) -> Result<SearchResponse, EarthQubeError> {
+        let mut entries = Vec::with_capacity(count);
+        let mut label_sets = Vec::with_capacity(count);
+        for (id, distance) in hits {
+            let meta = self
+                .metadata
+                .get(id as usize)
+                .ok_or_else(|| EarthQubeError::UnknownImage(format!("dense patch id {id}")))?;
+            entries.push(ResultEntry::from_metadata(meta, distance));
             label_sets.push(meta.labels);
         }
         Ok(SearchResponse {
             panel: ResultPanel::new(entries, self.page_size),
             statistics: LabelStatistics::from_label_sets(label_sets),
-            plan: None,
+            plan,
         })
     }
 }

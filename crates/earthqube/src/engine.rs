@@ -143,7 +143,7 @@ impl EarthQube {
     /// Fails on an invalid query or a store error.
     pub fn search(&self, query: &ImageQuery) -> Result<SearchResponse, EarthQubeError> {
         query.validate()?;
-        self.catalog.search(query)
+        self.catalog.search(&self.catalog.resolve(query, Catalog::PANEL_MODE)?)
     }
 
     /// "Retrieve similar images" for an existing archive image (§3.3 /
@@ -195,7 +195,8 @@ impl EarthQube {
         mode: PrefilterMode,
     ) -> Result<FilteredResponse, EarthQubeError> {
         query.validate()?;
-        self.catalog.similar_to_filtered(name, k, query, mode, &mut self.scratch.lock())
+        let filter = self.catalog.resolve(query, mode)?;
+        self.catalog.similar_to_filtered(name, k, &filter, &mut self.scratch.lock())
     }
 
     /// Filtered radius search (E13): every archive image within the given
@@ -212,7 +213,8 @@ impl EarthQube {
         mode: PrefilterMode,
     ) -> Result<FilteredResponse, EarthQubeError> {
         query.validate()?;
-        self.catalog.similar_within_filtered(name, radius, query, mode, &mut self.scratch.lock())
+        let filter = self.catalog.resolve(query, mode)?;
+        self.catalog.similar_within_filtered(name, radius, &filter, &mut self.scratch.lock())
     }
 
     /// Submits anonymous feedback.

@@ -29,15 +29,23 @@
 //! a selective filter (candidates ≤ half the collection) pays one posting
 //! walk plus residual checks on the candidates, while a broad filter falls
 //! back to the full scan whose per-document cost needs no posting walk.
+//!
+//! Either way the outcome is a `ResolvedFilter`: the mask plus the plan
+//! facts, owning everything it holds.  It is the one value all three
+//! filter-taking query kinds consume — the query panel's `search` reads
+//! its mask in ascending order and rebuilds `find`'s `QueryPlan` from its
+//! facts — and, since a visitor re-issues the same panel filter with one
+//! query image after another, the value the server caches per
+//! (filter, mode) until the next write.
 
-use eq_docstore::{Collection, Document, Filter, Value};
+use eq_docstore::{Collection, Document, Filter, QueryPlan, Value};
 use eq_hashindex::{Bitmap, IdMask};
 
 use crate::engine::SearchResponse;
 use crate::schema::fields;
 
 /// How a filtered similarity search chooses its execution strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PrefilterMode {
     /// Cost-based choice: use the bitmap prefilter when the filter
     /// compiles to a candidate set no larger than half the collection,
@@ -45,7 +53,9 @@ pub enum PrefilterMode {
     #[default]
     Auto,
     /// Use the bitmap prefilter whenever the filter compiles to a bitmap
-    /// at all (benchmark / test knob).
+    /// at all: how the query panel's own `search` resolves (it is what
+    /// `Collection::find` does), and a benchmark / test knob for the
+    /// similarity searches.
     ForceBitmap,
     /// Always scan-then-post-filter (benchmark / test knob).
     ForcePostFilter,
@@ -88,49 +98,77 @@ pub struct FilteredResponse {
     pub plan: FilteredPlan,
 }
 
-/// Resolves a metadata filter to the exact set of matching dense patch
-/// ids, as an [`IdMask`] the masked Hamming kernels consume, plus the
-/// planning report, for the query core's filtered searches.
-pub(crate) fn matching_item_mask(
-    coll: &Collection,
-    filter: &Filter,
-    mode: PrefilterMode,
-) -> (IdMask, FilteredPlan) {
-    let plan = coll.compile_prefilter(filter);
-    let use_bitmap = match mode {
-        PrefilterMode::ForcePostFilter => false,
-        PrefilterMode::ForceBitmap => plan.bitmap.is_some(),
-        PrefilterMode::Auto => {
-            plan.cardinality().is_some_and(|c| c.saturating_mul(2) <= coll.len() as u64)
-        }
-    };
+/// A query-panel filter resolved against one catalog state: the one value
+/// every filter-taking query kind consumes, and what the server's
+/// resolved-filter cache holds.  Nothing in it borrows the catalog, so a
+/// cached one answers later requests without a `Filter`, a compile or a
+/// `Document` — until a write changes the catalog and the cache is cleared.
+#[derive(Debug)]
+pub(crate) struct ResolvedFilter {
+    /// The exact matching dense patch ids: what the masked Hamming kernels
+    /// test rows against, and, read ascending, the query panel's order.
+    pub(crate) mask: IdMask,
+    /// Strategy, candidate count, residual flag and match count.
+    pub(crate) plan: FilteredPlan,
+    /// The plan `Collection::find` reports for the same filter: which
+    /// indexes built the candidates, how many documents were examined (the
+    /// whole collection without candidates) and how many matched.
+    pub(crate) query_plan: QueryPlan,
+}
 
-    // The documents' ids and the archive's dense patch ids are different
-    // spaces (document ids are never reused after a rollback), so matches
-    // map through the metadata document's `patch_id` field.
-    let mut items = Bitmap::new();
-    let mut push_item = |doc: &Document| {
-        if let Some(item) = doc.get(fields::PATCH_ID).and_then(Value::as_int) {
-            items.insert(item as u64);
+impl ResolvedFilter {
+    /// Resolves `filter` over the metadata collection by the strategy
+    /// `mode` selects (see the module docs).
+    pub(crate) fn resolve(coll: &Collection, filter: &Filter, mode: PrefilterMode) -> Self {
+        let plan = coll.compile_prefilter(filter);
+        let use_bitmap = match mode {
+            PrefilterMode::ForcePostFilter => false,
+            PrefilterMode::ForceBitmap => plan.bitmap.is_some(),
+            PrefilterMode::Auto => {
+                plan.cardinality().is_some_and(|c| c.saturating_mul(2) <= coll.len() as u64)
+            }
+        };
+
+        // The documents' ids and the archive's dense patch ids are different
+        // spaces (document ids are never reused after a rollback), so matches
+        // map through the metadata document's `patch_id` field.
+        let mut items = Bitmap::new();
+        let mut push_item = |doc: &Document| {
+            if let Some(item) = doc.get(fields::PATCH_ID).and_then(Value::as_int) {
+                items.insert(item as u64);
+            }
+        };
+        if use_bitmap {
+            plan.matching(coll).for_each(|(_, doc)| push_item(doc));
+        } else {
+            coll.iter().filter(|(_, doc)| filter.matches(doc)).for_each(|(_, doc)| push_item(doc));
         }
-    };
-    if use_bitmap {
-        plan.matching(coll).for_each(|(_, doc)| push_item(doc));
-    } else {
-        coll.iter().filter(|(_, doc)| filter.matches(doc)).for_each(|(_, doc)| push_item(doc));
+
+        let report = FilteredPlan {
+            strategy: if use_bitmap {
+                FilterStrategy::BitmapPrefilter
+            } else {
+                FilterStrategy::PostFilter
+            },
+            candidates: plan.cardinality(),
+            residual: plan.residual != Filter::All,
+            matching: items.len() as usize,
+        };
+        let query_plan = QueryPlan {
+            index_used: plan.index_used().map(str::to_string),
+            scanned: plan.cardinality().map_or(coll.len(), |c| c as usize),
+            matched: report.matching,
+        };
+        Self { mask: IdMask::from_bitmap(&items), plan: report, query_plan }
     }
 
-    let report = FilteredPlan {
-        strategy: if use_bitmap {
-            FilterStrategy::BitmapPrefilter
-        } else {
-            FilterStrategy::PostFilter
-        },
-        candidates: plan.cardinality(),
-        residual: plan.residual != Filter::All,
-        matching: items.len() as usize,
-    };
-    (IdMask::from_bitmap(&items), report)
+    /// Approximate bytes this value keeps alive, mask first: what the
+    /// resolved-filter cache charges against its budget.
+    pub(crate) fn size_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.mask.size_bytes()
+            + self.query_plan.index_used.as_ref().map_or(0, String::len)
+    }
 }
 
 #[cfg(test)]
@@ -159,10 +197,10 @@ mod tests {
             .with_countries(vec![Country::Austria, Country::Finland])
             .with_seasons(vec![Season::Summer])
             .to_filter();
-        let (bitmap_mask, bitmap_plan) =
-            matching_item_mask(coll, &filter, PrefilterMode::ForceBitmap);
-        let (scan_mask, scan_plan) =
-            matching_item_mask(coll, &filter, PrefilterMode::ForcePostFilter);
+        let ResolvedFilter { mask: bitmap_mask, plan: bitmap_plan, .. } =
+            ResolvedFilter::resolve(coll, &filter, PrefilterMode::ForceBitmap);
+        let ResolvedFilter { mask: scan_mask, plan: scan_plan, .. } =
+            ResolvedFilter::resolve(coll, &filter, PrefilterMode::ForcePostFilter);
         assert_eq!(bitmap_plan.strategy, FilterStrategy::BitmapPrefilter);
         assert_eq!(scan_plan.strategy, FilterStrategy::PostFilter);
         assert_eq!(bitmap_plan.matching, scan_plan.matching);
@@ -180,14 +218,42 @@ mod tests {
         let coll = db.collection(collections::METADATA).unwrap();
         // One country out of ten is selective → bitmap.
         let selective = ImageQuery::all().with_countries(vec![Country::Austria]).to_filter();
-        let (_, plan) = matching_item_mask(coll, &selective, PrefilterMode::Auto);
+        let plan = ResolvedFilter::resolve(coll, &selective, PrefilterMode::Auto).plan;
         assert_eq!(plan.strategy, FilterStrategy::BitmapPrefilter);
         // An unrestricted query compiles to no bitmap → post-filter scan.
-        let (mask, plan) = matching_item_mask(coll, &Filter::All, PrefilterMode::Auto);
+        let ResolvedFilter { mask, plan, .. } =
+            ResolvedFilter::resolve(coll, &Filter::All, PrefilterMode::Auto);
         assert_eq!(plan.strategy, FilterStrategy::PostFilter);
         assert_eq!(plan.candidates, None);
         assert_eq!(plan.matching, 120);
         assert!((0..120u64).all(|id| mask.contains(id)));
+    }
+
+    /// Whatever the mode, a resolution reports the plan `find` reports:
+    /// the query panel reads it from here instead of running `find`.
+    #[test]
+    fn the_query_plan_is_the_one_find_reports() {
+        let db = metadata_db(90, 74);
+        let coll = db.collection(collections::METADATA).unwrap();
+        let queries = [
+            ImageQuery::all(),
+            ImageQuery::all().with_countries(vec![Country::Austria, Country::Serbia]),
+            ImageQuery::all().with_seasons(vec![Season::Winter]).with_shape(
+                eq_geo::GeoShape::Rect(eq_geo::BBox::new(-10.0, 36.0, 30.0, 70.0).unwrap()),
+            ),
+        ];
+        for query in queries {
+            let filter = query.to_filter();
+            let found = coll.find(&filter);
+            for mode in
+                [PrefilterMode::Auto, PrefilterMode::ForceBitmap, PrefilterMode::ForcePostFilter]
+            {
+                let resolved = ResolvedFilter::resolve(coll, &filter, mode);
+                assert_eq!(resolved.query_plan, found.plan, "{query:?} under {mode:?}");
+                assert_eq!(resolved.mask.len() as usize, found.ids.len());
+                assert!(resolved.size_bytes() >= resolved.mask.size_bytes());
+            }
+        }
     }
 
     #[test]
@@ -204,7 +270,7 @@ mod tests {
         let coll = db.collection(collections::METADATA).unwrap();
         let filter = Filter::Eq(fields::NAME.into(), name);
         for mode in [PrefilterMode::ForceBitmap, PrefilterMode::ForcePostFilter] {
-            let (mask, plan) = matching_item_mask(coll, &filter, mode);
+            let ResolvedFilter { mask, plan, .. } = ResolvedFilter::resolve(coll, &filter, mode);
             assert_eq!(plan.matching, 1);
             assert!(mask.contains(patch_id), "mask must be in patch-id space ({mode:?})");
         }

@@ -233,13 +233,19 @@ pub fn stats_to_payload(stats: &ServerStats) -> eq_proto::StatsPayload {
     }
 }
 
-/// Reassembles [`ServerStats`] from its wire payload.
+/// Reassembles [`ServerStats`] from its wire payload.  The payload predates
+/// the resolved-filter cache and its bytes are pinned, so those four
+/// counters read zero remotely; `metrics_text` carries them.
 pub fn payload_to_stats(payload: eq_proto::StatsPayload) -> ServerStats {
     ServerStats {
         queries_served: payload.queries_served,
         cache_hits: payload.cache_hits,
         cache_misses: payload.cache_misses,
         cache_entries: payload.cache_entries as usize,
+        filter_cache_hits: 0,
+        filter_cache_misses: 0,
+        filter_cache_entries: 0,
+        filter_cache_bytes: 0,
         archive_size: payload.archive_size as usize,
         ingested_images: payload.ingested_images,
         shard_occupancy: payload.shard_occupancy.iter().map(|&n| n as usize).collect(),
@@ -1426,6 +1432,10 @@ fn render_metrics(stats: &ServerStats, net: &NetTierStats) -> String {
     let _ = writeln!(out, "eq_cache_hits_total {}", stats.cache_hits);
     let _ = writeln!(out, "eq_cache_misses_total {}", stats.cache_misses);
     let _ = writeln!(out, "eq_cache_entries {}", stats.cache_entries);
+    let _ = writeln!(out, "eq_filter_cache_hits_total {}", stats.filter_cache_hits);
+    let _ = writeln!(out, "eq_filter_cache_misses_total {}", stats.filter_cache_misses);
+    let _ = writeln!(out, "eq_filter_cache_entries {}", stats.filter_cache_entries);
+    let _ = writeln!(out, "eq_filter_cache_bytes {}", stats.filter_cache_bytes);
     let _ = writeln!(out, "eq_archive_size {}", stats.archive_size);
     let _ = writeln!(out, "eq_ingested_images_total {}", stats.ingested_images);
     for (shard, occupancy) in stats.shard_occupancy.iter().enumerate() {
@@ -2285,6 +2295,14 @@ mod tests {
         assert_eq!(metric("eq_cache_hits_total"), stats.cache_hits);
         assert_eq!(metric("eq_cache_misses_total"), stats.cache_misses);
         assert_eq!(metric("eq_cache_entries"), stats.cache_entries as u64);
+        // The one computed search resolved its filter once; the repeat was
+        // a result-cache hit and resolved nothing.
+        assert_eq!((stats.filter_cache_hits, stats.filter_cache_misses), (0, 1));
+        assert_eq!(metric("eq_filter_cache_hits_total"), stats.filter_cache_hits);
+        assert_eq!(metric("eq_filter_cache_misses_total"), stats.filter_cache_misses);
+        assert_eq!(metric("eq_filter_cache_entries"), 1);
+        assert_eq!(metric("eq_filter_cache_bytes"), stats.filter_cache_bytes as u64);
+        assert!(stats.filter_cache_bytes > 0);
         assert_eq!(metric("eq_archive_size"), stats.archive_size as u64);
         assert_eq!(metric("eq_net_accepted_total"), 1, "one client connected");
         assert_eq!(metric("eq_net_rejected_overload_total"), 0);

@@ -4,16 +4,18 @@
 //! polygon), an acquisition-date range, satellites, seasons, and land-cover
 //! labels with three operators: `Some`, `Exactly` and `At least & more`.
 
+use std::hash::{Hash, Hasher};
+
 use eq_bigearthnet::labels::Label;
 use eq_bigearthnet::patch::{AcquisitionDate, Satellite, Season};
 use eq_docstore::{Filter, Value};
-use eq_geo::GeoShape;
+use eq_geo::{GeoShape, Point};
 
 use crate::schema::fields;
 use crate::EarthQubeError;
 
 /// The three label-filtering operators of the EarthQube query panel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LabelOperator {
     /// `Some`: the image has **at least one** of the selected labels.
     Some,
@@ -25,7 +27,7 @@ pub enum LabelOperator {
 }
 
 /// A label filter: an operator applied to a set of selected CLC labels.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LabelFilter {
     /// The operator.
     pub operator: LabelOperator,
@@ -82,6 +84,51 @@ pub struct ImageQuery {
     /// Label filter; `None` means the label switch is "on" (no filtering),
     /// as in the UI default.
     pub labels: Option<LabelFilter>,
+}
+
+/// A structural hash for cache keys: equal queries hash equal.  The shape
+/// is the one part that cannot derive it (floats), so its coordinates are
+/// hashed by bit pattern with `-0.0` folded into `0.0`, the one pair of
+/// distinct patterns `==` calls equal (`NaN` equals nothing, so it may
+/// hash anywhere).
+impl Hash for ImageQuery {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // Destructured in full, so a new field cannot be left out.
+        let ImageQuery { shape, date_range, satellites, seasons, countries, labels } = self;
+        let coordinate = |value: f64, state: &mut H| {
+            (if value == 0.0 { 0.0 } else { value }).to_bits().hash(state);
+        };
+        let point = |p: Point, state: &mut H| {
+            coordinate(p.lon, state);
+            coordinate(p.lat, state);
+        };
+        match shape {
+            None => 0u8.hash(state),
+            Some(GeoShape::Rect(b)) => {
+                1u8.hash(state);
+                for value in [b.min_lon, b.min_lat, b.max_lon, b.max_lat] {
+                    coordinate(value, state);
+                }
+            }
+            Some(GeoShape::Circle(c)) => {
+                2u8.hash(state);
+                point(c.center, state);
+                coordinate(c.radius_km, state);
+            }
+            Some(GeoShape::Polygon(polygon)) => {
+                3u8.hash(state);
+                polygon.vertices().len().hash(state);
+                for &vertex in polygon.vertices() {
+                    point(vertex, state);
+                }
+            }
+        }
+        date_range.hash(state);
+        satellites.hash(state);
+        seasons.hash(state);
+        countries.hash(state);
+        labels.hash(state);
+    }
 }
 
 impl ImageQuery {
@@ -250,6 +297,56 @@ mod tests {
             ImageQuery::all().with_labels(LabelFilter::new(LabelOperator::Some, vec![]));
         assert!(matches!(empty_labels.validate(), Err(EarthQubeError::BadRequest(_))));
         assert!(ImageQuery::all().validate().is_ok());
+    }
+
+    /// `Hash` agrees with `==`: equal queries hash equal (signed zeros
+    /// included), and every field takes part.
+    #[test]
+    fn equal_queries_hash_equal_and_every_field_counts() {
+        fn hash_of(q: &ImageQuery) -> u64 {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            q.hash(&mut h);
+            h.finish()
+        }
+        let rect = |min_lat: f64| {
+            ImageQuery::all().with_shape(GeoShape::Rect(BBox::new(1.0, min_lat, 9.0, 5.0).unwrap()))
+        };
+        assert_eq!(rect(0.0), rect(-0.0));
+        assert_eq!(hash_of(&rect(0.0)), hash_of(&rect(-0.0)));
+
+        let from = AcquisitionDate::new(2017, 6, 1).unwrap();
+        let to = AcquisitionDate::new(2018, 5, 31).unwrap();
+        let centre = Point::new(13.0, 52.0).unwrap();
+        let triangle = |lat: f64| {
+            let corners = [(0.0, 0.0), (4.0, 0.0), (2.0, lat)];
+            let ring = corners.iter().map(|&(lon, lat)| Point::new(lon, lat).unwrap()).collect();
+            GeoShape::Polygon(eq_geo::Polygon::new(ring).unwrap())
+        };
+        let variants = [
+            ImageQuery::all(),
+            rect(0.0),
+            rect(1.0),
+            ImageQuery::all()
+                .with_shape(GeoShape::Circle(eq_geo::Circle::new(centre, 5.0).unwrap())),
+            ImageQuery::all().with_shape(triangle(3.0)),
+            ImageQuery::all().with_shape(triangle(3.5)),
+            ImageQuery::all().with_date_range(from, to),
+            ImageQuery::all().with_date_range(from, from),
+            ImageQuery { satellites: vec![Satellite::Sentinel2], ..ImageQuery::all() },
+            ImageQuery::all().with_seasons(vec![Season::Summer]),
+            ImageQuery::all().with_countries(vec![Country::Portugal]),
+            ImageQuery::all()
+                .with_labels(LabelFilter::new(LabelOperator::Some, vec![Label::SeaAndOcean])),
+            ImageQuery::all()
+                .with_labels(LabelFilter::new(LabelOperator::Exactly, vec![Label::SeaAndOcean])),
+        ];
+        for (i, a) in variants.iter().enumerate() {
+            assert_eq!(hash_of(a), hash_of(&a.clone()));
+            for b in &variants[i + 1..] {
+                assert_ne!(a, b);
+                assert_ne!(hash_of(a), hash_of(b), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

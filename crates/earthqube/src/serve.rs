@@ -14,10 +14,18 @@
 //!   selection across the shards, and an incremental checkpoint rewrites
 //!   only the shards an ingest touched.
 //! * **Result cache** — a bounded LRU keyed by a fingerprint of the query
-//!   (the full query is stored and compared, so a fingerprint collision is
-//!   a miss, never a wrong answer).  The cache is invalidated wholesale on
-//!   every ingest, inside the catalog write section, so readers can never
-//!   re-insert a stale entry.
+//!   (a structural hash; the full query is stored and compared, so a
+//!   fingerprint collision is a miss, never a wrong answer).
+//! * **Resolved-filter cache** — a second instance of the same LRU, under
+//!   the first: what the core's resolver returned for a (filter, mode),
+//!   budgeted in bytes.  A filter-taking query that misses the result
+//!   cache (another query image, `k` or radius under the same panel
+//!   filter) finds its filter here and skips `to_filter`, the prefilter
+//!   compile, the candidate walk and the mask build.
+//!   Both caches are off at `cache_capacity: 0`, and both are cleared by
+//!   the one `invalidate`, which every write that changes the archive
+//!   calls inside the catalog write section — readers insert under the
+//!   read lock, so they can never re-insert a stale entry.
 //! * **Worker pool** — [`QueryServer::run_workload`] fans a batch of
 //!   [`QueryRequest`]s over K scoped threads (`std::thread::scope`); all
 //!   query entry points take `&self`, so workers share the server by plain
@@ -42,7 +50,7 @@
 
 use std::any::Any;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -62,7 +70,7 @@ pub use crate::durability::{CheckpointKind, CheckpointStats, CheckpointerStats};
 use crate::durability::{Durability, Seal};
 use crate::engine::{build_registry, EarthQube, EarthQubeConfig, SearchResponse};
 use crate::feedback::{FeedbackEntry, FeedbackService};
-use crate::filtered::{FilteredResponse, PrefilterMode};
+use crate::filtered::{FilteredResponse, PrefilterMode, ResolvedFilter};
 use crate::ingest::{prepare_patch_docs, IngestReport};
 use crate::persist;
 use crate::query::ImageQuery;
@@ -113,7 +121,13 @@ pub enum QueryRequest {
 }
 
 /// A point-in-time snapshot of the serving counters.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Two snapshots are equal when everything the wire's `StatsPayload`
+/// carries is equal, so a snapshot fetched by `EqClient::stats` equals the
+/// in-process one it was taken from.  The four `filter_cache_*` counters
+/// are younger than that pinned payload: they read zero in a remote
+/// snapshot (`metrics_text` carries them) and take no part in `==`.
+#[derive(Debug, Clone)]
 pub struct ServerStats {
     /// Total queries attempted (cache hits and failed queries included).
     pub queries_served: u64,
@@ -123,12 +137,47 @@ pub struct ServerStats {
     pub cache_misses: u64,
     /// Entries currently held by the result cache.
     pub cache_entries: usize,
+    /// Filter resolutions answered from the resolved-filter cache (a
+    /// result-cache hit resolves nothing and counts in neither of these).
+    pub filter_cache_hits: u64,
+    /// Filter resolutions that compiled and walked the filter.
+    pub filter_cache_misses: u64,
+    /// Resolved filters currently cached.
+    pub filter_cache_entries: usize,
+    /// Bytes the cached resolved filters hold, masks first.
+    pub filter_cache_bytes: usize,
     /// Images currently indexed (initial build plus live ingest).
     pub archive_size: usize,
     /// Images appended through [`QueryServer::ingest`].
     pub ingested_images: u64,
     /// Items per CBIR index shard, in shard order.
     pub shard_occupancy: Vec<usize>,
+}
+
+impl PartialEq for ServerStats {
+    fn eq(&self, other: &Self) -> bool {
+        // Destructured in full, so a new field has to choose a side.
+        let ServerStats {
+            queries_served,
+            cache_hits,
+            cache_misses,
+            cache_entries,
+            filter_cache_hits: _,
+            filter_cache_misses: _,
+            filter_cache_entries: _,
+            filter_cache_bytes: _,
+            archive_size,
+            ingested_images,
+            shard_occupancy,
+        } = self;
+        *queries_served == other.queries_served
+            && *cache_hits == other.cache_hits
+            && *cache_misses == other.cache_misses
+            && *cache_entries == other.cache_entries
+            && *archive_size == other.archive_size
+            && *ingested_images == other.ingested_images
+            && *shard_occupancy == other.shard_occupancy
+    }
 }
 
 impl ServerStats {
@@ -148,6 +197,7 @@ impl ServerStats {
         format!(
             "{} queries served ({} cache hits, {} misses, hit rate {:.0}%)\n\
              {} images indexed ({} ingested live), {} cached results\n\
+             {} filters resolved from cache, {} compiled; {} cached in {} bytes\n\
              shard occupancy: {:?}\n",
             self.queries_served,
             self.cache_hits,
@@ -156,15 +206,19 @@ impl ServerStats {
             self.archive_size,
             self.ingested_images,
             self.cache_entries,
+            self.filter_cache_hits,
+            self.filter_cache_misses,
+            self.filter_cache_entries,
+            self.filter_cache_bytes,
             self.shard_occupancy,
         )
     }
 }
 
-/// Cache key: the full request identity, stored alongside each entry and
-/// compared on lookup so a 64-bit fingerprint collision degrades to a
+/// Result-cache key: the full request identity, stored alongside each entry
+/// and compared on lookup so a 64-bit fingerprint collision degrades to a
 /// cache miss instead of returning the wrong result.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 enum CacheKey {
     Metadata(ImageQuery),
     Similar(String, usize),
@@ -188,145 +242,160 @@ enum CacheKey {
     },
 }
 
-fn fingerprint(key: &CacheKey) -> u64 {
+/// Resolved-filter-cache key: the filter and the mode that resolved it, so
+/// `ForceBitmap` and `ForcePostFilter` each keep executing, and reporting,
+/// their own strategy.
+type FilterKey = (ImageQuery, PrefilterMode);
+
+/// Where a key lives in either cache: a structural hash (an `ImageQuery`
+/// hashes its floats by bit pattern, see its `Hash`), no rendering.
+fn fingerprint<K: Hash + ?Sized>(key: &K) -> u64 {
     let mut h = DefaultHasher::new();
-    match key {
-        CacheKey::Metadata(query) => {
-            0u8.hash(&mut h);
-            // `ImageQuery` contains floats (shapes), so it cannot derive
-            // `Hash`; its `Debug` rendering round-trips every float exactly
-            // and is therefore a faithful fingerprint source.
-            format!("{query:?}").hash(&mut h);
-        }
-        CacheKey::Similar(name, k) => {
-            1u8.hash(&mut h);
-            name.hash(&mut h);
-            k.hash(&mut h);
-        }
-        CacheKey::ByCode(code, k) => {
-            2u8.hash(&mut h);
-            code.hash(&mut h);
-            k.hash(&mut h);
-        }
-        CacheKey::SimilarFiltered { name, k, query, mode } => {
-            3u8.hash(&mut h);
-            name.hash(&mut h);
-            k.hash(&mut h);
-            format!("{query:?}").hash(&mut h);
-            (*mode as u8).hash(&mut h);
-        }
-        CacheKey::WithinFiltered { name, radius, query, mode } => {
-            4u8.hash(&mut h);
-            name.hash(&mut h);
-            radius.hash(&mut h);
-            format!("{query:?}").hash(&mut h);
-            (*mode as u8).hash(&mut h);
-        }
-    }
+    key.hash(&mut h);
     h.finish()
 }
 
-/// The cache never looks inside a response, so it holds one as `dyn Any`:
-/// a [`SearchResponse`] for the unfiltered paths, the full
-/// [`FilteredResponse`] for filtered queries (the plan is part of the
-/// response surface: a replayed hit reports the strategy that resolved
-/// the mask).
-struct CacheEntry {
-    key: CacheKey,
+struct LruEntry<K, V> {
+    key: K,
+    value: V,
+    weight: usize,
     last_used: u64,
-    response: Box<dyn Any + Send + Sync>,
 }
 
-/// One independently-locked slice of the result cache: a bounded LRU map
-/// from query fingerprint to cached response.
-struct CacheShard {
-    capacity: usize,
+/// One independently-locked slice of a cache: a map from fingerprint to
+/// entry, bounded by the sum of the entries' weights, evicting strictly
+/// least-recently-used first.
+struct LruShard<K, V> {
+    budget: usize,
+    used: usize,
     tick: u64,
-    entries: HashMap<u64, CacheEntry>,
+    entries: HashMap<u64, LruEntry<K, V>>,
+    /// `last_used → fingerprint` of every entry (ticks are unique), so the
+    /// victim is the first pair: eviction is O(log n), not a scan.
+    recency: BTreeMap<u64, u64>,
 }
 
-impl CacheShard {
-    fn new(capacity: usize) -> Self {
-        Self { capacity, tick: 0, entries: HashMap::with_capacity(capacity.min(1024)) }
+impl<K, V: Clone> LruShard<K, V> {
+    fn new(budget: usize) -> Self {
+        Self { budget, used: 0, tick: 0, entries: HashMap::new(), recency: BTreeMap::new() }
     }
 
-    fn get<R: Clone + 'static>(&mut self, fp: u64, key: &CacheKey) -> Option<R> {
+    /// The value under `fp` if its key `is_key`, refreshed as most recent.
+    fn lookup(&mut self, fp: u64, is_key: impl FnOnce(&K) -> bool) -> Option<V> {
         self.tick += 1;
-        let entry = self.entries.get_mut(&fp)?;
-        if entry.key != *key {
-            return None;
-        }
+        let entry = self.entries.get_mut(&fp).filter(|entry| is_key(&entry.key))?;
+        self.recency.remove(&entry.last_used);
         entry.last_used = self.tick;
-        // `CacheKey` kinds map one-to-one onto response shapes, so equal
-        // keys imply the shape asked for; anything else would be a miss.
-        entry.response.downcast_ref::<R>().cloned()
+        self.recency.insert(self.tick, fp);
+        // lint:allow(hot-path) both caches hold `Arc`s: a reference-count increment
+        Some(entry.value.clone())
     }
 
-    fn put(&mut self, fp: u64, key: CacheKey, response: Box<dyn Any + Send + Sync>) {
-        if self.capacity == 0 {
+    fn remove(&mut self, fp: u64) {
+        if let Some(entry) = self.entries.remove(&fp) {
+            self.recency.remove(&entry.last_used);
+            self.used -= entry.weight;
+        }
+    }
+
+    /// Files `value`, evicting from the least recently used end until it
+    /// fits; a value heavier than the whole budget is not kept.
+    fn put(&mut self, fp: u64, key: K, value: V, weight: usize) {
+        if weight > self.budget {
             return;
         }
         self.tick += 1;
-        if !self.entries.contains_key(&fp) && self.entries.len() >= self.capacity {
-            if let Some((&victim, _)) = self.entries.iter().min_by_key(|(_, e)| e.last_used) {
-                self.entries.remove(&victim);
+        self.remove(fp);
+        while self.used + weight > self.budget {
+            let Some((_, victim)) = self.recency.pop_first() else { break };
+            if let Some(entry) = self.entries.remove(&victim) {
+                self.used -= entry.weight;
             }
         }
-        self.entries.insert(fp, CacheEntry { key, last_used: self.tick, response });
+        self.used += weight;
+        self.recency.insert(self.tick, fp);
+        self.entries.insert(fp, LruEntry { key, value, weight, last_used: self.tick });
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.recency.clear();
+        self.used = 0;
     }
 }
 
-/// The bounded LRU result cache, split into fingerprint-routed shards so a
-/// cache hit (which must touch the LRU recency stamp, i.e. write) only
-/// locks one slice of the cache instead of serialising every worker on a
-/// single lock.  Small caches stay single-sharded so eviction remains
-/// strict global LRU.
-struct ResultCache {
-    shards: Vec<RwLock<CacheShard>>,
+/// The one bounded LRU cache, split into fingerprint-routed shards so a
+/// cache hit (which must touch the recency order, i.e. write) only locks
+/// one slice of the cache instead of serialising every worker on a single
+/// lock.  The server keeps two: the result cache, budgeted in entries, and
+/// the resolved-filter cache, budgeted in bytes.
+struct Lru<K, V> {
+    shards: Vec<RwLock<LruShard<K, V>>>,
 }
 
-impl ResultCache {
-    /// Capacities at or above this are split over eight shards.
-    const SHARD_THRESHOLD: usize = 64;
-
-    fn new(capacity: usize) -> Self {
-        let n = if capacity >= Self::SHARD_THRESHOLD { 8 } else { 1 };
-        let base = capacity / n;
-        let remainder = capacity % n;
+impl<K, V: Clone> Lru<K, V> {
+    /// `budget` split evenly over `shards` slices whose locks carry `name`.
+    fn new(budget: usize, shards: usize, name: &'static str) -> Self {
+        let base = budget / shards;
+        let remainder = budget % shards;
         Self {
-            shards: (0..n)
-                .map(|i| {
-                    RwLock::with_name(
-                        CacheShard::new(base + usize::from(i < remainder)),
-                        "cache-shard",
-                    )
-                })
+            shards: (0..shards)
+                .map(|i| RwLock::with_name(LruShard::new(base + usize::from(i < remainder)), name))
                 .collect(),
         }
     }
 
-    fn shard(&self, fp: u64) -> &RwLock<CacheShard> {
+    fn shard(&self, fp: u64) -> &RwLock<LruShard<K, V>> {
         &self.shards[(fp % self.shards.len() as u64) as usize]
     }
 
-    fn get<R: Clone + 'static>(&self, fp: u64, key: &CacheKey) -> Option<R> {
-        self.shard(fp).write().get(fp, key)
+    /// The cache-hit path of both caches: one shard lock, one map probe,
+    /// one key comparison, one recency update.
+    fn lookup(&self, fp: u64, is_key: impl FnOnce(&K) -> bool) -> Option<V> {
+        self.shard(fp).write().lookup(fp, is_key)
     }
 
-    fn put(&self, fp: u64, key: CacheKey, response: Box<dyn Any + Send + Sync>) {
-        self.shard(fp).write().put(fp, key, response);
+    fn put(&self, fp: u64, key: K, value: V, weight: usize) {
+        self.shard(fp).write().put(fp, key, value, weight);
     }
 
     fn clear(&self) {
         for shard in &self.shards {
-            shard.write().entries.clear();
+            shard.write().clear();
         }
     }
 
     fn len(&self) -> usize {
         self.shards.iter().map(|s| s.read().entries.len()).sum()
     }
+
+    /// Total weight held.
+    fn used(&self) -> usize {
+        self.shards.iter().map(|s| s.read().used).sum()
+    }
 }
+
+/// The result cache never looks inside a response, so it holds one as
+/// `dyn Any`: a [`SearchResponse`] for the unfiltered paths, the full
+/// [`FilteredResponse`] for filtered queries (the plan is part of the
+/// response surface: a replayed hit reports the strategy that resolved
+/// the mask).  Every entry weighs one, so its budget is an entry count.
+type ResultCache = Lru<CacheKey, Arc<dyn Any + Send + Sync>>;
+
+/// Shards of a sharded cache.
+const CACHE_SHARDS: usize = 8;
+
+/// Result caches at or above this capacity are sharded; smaller ones stay
+/// single-sharded so eviction remains strict global LRU.
+const RESULT_CACHE_SHARD_THRESHOLD: usize = 64;
+
+/// The resolved-filter cache: what `Catalog::resolve` returned for a
+/// (filter, mode), weighed in bytes.
+type FilterCache = Lru<FilterKey, Arc<ResolvedFilter>>;
+
+/// The resolved-filter cache's budget, fixed in code: at 40k patches a mask
+/// is 5 KB, so this holds a 2 048-filter panel vocabulary in every mode.
+const FILTER_CACHE_BYTES: usize = 32 << 20;
 
 /// The query counters, kept together behind one lock so that
 /// [`QueryServer::stats`] can snapshot all three in a single pass.  Each
@@ -363,6 +432,11 @@ pub struct QueryServer {
     /// and ingest batches are hashed without taking the catalog lock.
     model: Arc<Milan>,
     cache: ResultCache,
+    /// What `Catalog::resolve` returned for each (filter, mode) since the
+    /// last write; off, like the result cache, when `cache_capacity` is 0.
+    filter_cache: FilterCache,
+    filter_cache_hits: AtomicU64,
+    filter_cache_misses: AtomicU64,
     registry: AssetRegistry,
     counters: Mutex<QueryCounters>,
     ingested_images: AtomicU64,
@@ -440,7 +514,14 @@ impl QueryServer {
             serve,
             model: Arc::clone(&catalog.cbir.model),
             catalog: RwLock::with_name(catalog, "catalog"),
-            cache: ResultCache::new(serve.cache_capacity),
+            cache: Lru::new(
+                serve.cache_capacity,
+                if serve.cache_capacity >= RESULT_CACHE_SHARD_THRESHOLD { CACHE_SHARDS } else { 1 },
+                "cache-shard",
+            ),
+            filter_cache: Lru::new(FILTER_CACHE_BYTES, CACHE_SHARDS, "filter-cache"),
+            filter_cache_hits: AtomicU64::new(0),
+            filter_cache_misses: AtomicU64::new(0),
             registry,
             counters: Mutex::with_name(QueryCounters::default(), "counters"),
             ingested_images: AtomicU64::new(0),
@@ -497,6 +578,10 @@ impl QueryServer {
             cache_hits,
             cache_misses,
             cache_entries: self.cache.len(),
+            filter_cache_hits: self.filter_cache_hits.load(Ordering::Relaxed),
+            filter_cache_misses: self.filter_cache_misses.load(Ordering::Relaxed),
+            filter_cache_entries: self.filter_cache.len(),
+            filter_cache_bytes: self.filter_cache.used(),
             archive_size,
             ingested_images: self.ingested_images.load(Ordering::Relaxed),
             shard_occupancy,
@@ -510,7 +595,9 @@ impl QueryServer {
     /// Fails on an invalid query or a store error.
     pub fn search(&self, query: &ImageQuery) -> Result<SearchResponse, EarthQubeError> {
         query.validate()?;
-        self.cached(CacheKey::Metadata(query.clone()), |catalog| catalog.search(query))
+        self.cached(CacheKey::Metadata(query.clone()), |catalog| {
+            catalog.search(&*self.resolved(catalog, query, Catalog::PANEL_MODE)?)
+        })
     }
 
     /// "Retrieve similar images" for an archive image (the concurrent
@@ -560,7 +647,9 @@ impl QueryServer {
     /// Filtered responses — plan included — go through the result cache
     /// like every other query: the filter, the mode, the image and `k` are
     /// all part of the cache key, and ingest invalidation covers them the
-    /// same way.
+    /// same way.  On a result-cache miss the filter itself comes from the
+    /// resolved-filter cache: the same panel filter re-issued with another
+    /// query image, `k` or radius is resolved once per catalog state.
     ///
     /// # Errors
     /// Fails on an invalid query, an unknown image or a store error.
@@ -575,7 +664,8 @@ impl QueryServer {
         let key =
             CacheKey::SimilarFiltered { name: name.to_string(), k, query: query.clone(), mode };
         self.cached(key, |catalog| {
-            self.with_scratch(|scratch| catalog.similar_to_filtered(name, k, query, mode, scratch))
+            let filter = self.resolved(catalog, query, mode)?;
+            self.with_scratch(|scratch| catalog.similar_to_filtered(name, k, &filter, scratch))
         })
     }
 
@@ -597,10 +687,40 @@ impl QueryServer {
         let key =
             CacheKey::WithinFiltered { name: name.to_string(), radius, query: query.clone(), mode };
         self.cached(key, |catalog| {
+            let filter = self.resolved(catalog, query, mode)?;
             self.with_scratch(|scratch| {
-                catalog.similar_within_filtered(name, radius, query, mode, scratch)
+                catalog.similar_within_filtered(name, radius, &filter, scratch)
             })
         })
+    }
+
+    /// Resolve-or-reuse: the filter of every filter-taking query comes
+    /// through here, on that query's result-cache miss.  A hit builds no
+    /// `Filter`, compiles nothing, touches no `Document` and allocates no
+    /// mask; it costs one hash of the query and one shard lock.
+    ///
+    /// `catalog` is the guard [`cached`](Self::cached) holds, so an entry
+    /// is inserted under the catalog read lock and the argument there
+    /// covers this cache too: writers clear it under the write lock.
+    fn resolved(
+        &self,
+        catalog: &Catalog,
+        query: &ImageQuery,
+        mode: PrefilterMode,
+    ) -> Result<Arc<ResolvedFilter>, EarthQubeError> {
+        if self.serve.cache_capacity == 0 {
+            return catalog.resolve(query, mode).map(Arc::new);
+        }
+        let fp = fingerprint(&(query, mode));
+        if let Some(hit) = self.filter_cache.lookup(fp, |key| key.1 == mode && key.0 == *query) {
+            self.filter_cache_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(hit);
+        }
+        let filter = Arc::new(catalog.resolve(query, mode)?);
+        let weight = filter.size_bytes();
+        self.filter_cache.put(fp, (query.clone(), mode), Arc::clone(&filter), weight);
+        self.filter_cache_misses.fetch_add(1, Ordering::Relaxed);
+        Ok(filter)
     }
 
     /// Checks a scratch out of the pool for the duration of `f`.  The pool
@@ -769,7 +889,7 @@ impl QueryServer {
         // no-op ingest (empty batch, duplicate rejected up front) changed
         // nothing, so it must not evict anyone's cached results either.
         if report.metadata_docs > 0 {
-            self.cache.clear();
+            self.invalidate();
         }
         result.map(|_| report)
     }
@@ -816,13 +936,24 @@ impl QueryServer {
         FeedbackService.list(&catalog.database)
     }
 
+    /// Drops everything derived from the catalog: both caches.  The two
+    /// writers that change what a query can see ([`ingest`](Self::ingest),
+    /// [`apply_replicated`](Self::apply_replicated)) call this while still
+    /// holding the catalog write lock.
+    fn invalidate(&self) {
+        self.cache.clear();
+        self.filter_cache.clear();
+    }
+
     /// Cache-or-compute: every cached query flows through here.
     ///
     /// The catalog read lock is held across both the computation *and* the
-    /// cache insert.  [`ingest`](Self::ingest) clears the cache while
-    /// holding the catalog *write* lock, so any entry inserted here is
-    /// either computed over the post-ingest catalog or cleared by the very
-    /// ingest it predates — stale entries cannot survive.
+    /// cache inserts (the result here, a resolved filter inside `compute`,
+    /// see [`resolved`](Self::resolved)).  Writers
+    /// [`invalidate`](Self::invalidate) while holding the catalog *write*
+    /// lock, so any entry inserted under the read lock is either computed
+    /// over the post-write catalog or cleared by the very write it
+    /// predates — stale entries cannot survive.
     fn cached<R, F>(&self, key: CacheKey, compute: F) -> Result<R, EarthQubeError>
     where
         R: Clone + Send + Sync + 'static,
@@ -831,11 +962,14 @@ impl QueryServer {
         let caching = self.serve.cache_capacity > 0;
         let fp = fingerprint(&key);
         if caching {
-            if let Some(hit) = self.cache.get(fp, &key) {
+            // `CacheKey` kinds map one-to-one onto response shapes, so an
+            // equal key holds the shape asked for.
+            let cached = self.cache.lookup(fp, |k| *k == key);
+            if let Some(hit) = cached.as_deref().and_then(|any| any.downcast_ref::<R>()) {
                 let mut counters = self.counters.lock();
                 counters.served += 1;
                 counters.hits += 1;
-                return Ok(hit);
+                return Ok(hit.clone());
             }
         }
         let catalog = self.catalog.read();
@@ -847,7 +981,7 @@ impl QueryServer {
             // outcome updates all its counters under one lock acquisition,
             // which is what keeps `stats()` snapshots consistent.
             Ok(response) if caching => {
-                self.cache.put(fp, key, Box::new(response.clone()));
+                self.cache.put(fp, key, Arc::new(response.clone()), 1);
                 let mut counters = self.counters.lock();
                 counters.served += 1;
                 counters.misses += 1;
@@ -1085,7 +1219,7 @@ impl QueryServer {
         // was applied.
         let result = log.commit(Seal::Mirror(rotate), result);
         if ingested {
-            self.cache.clear();
+            self.invalidate();
         }
         result.map(|()| applied)
     }
@@ -1708,5 +1842,209 @@ mod tests {
         assert_ne!(fingerprint(&a), fingerprint(&b));
         assert_ne!(fingerprint(&a), fingerprint(&c));
         assert_eq!(fingerprint(&a), fingerprint(&a.clone()));
+
+        // The query is hashed structurally: a shape is part of it, down to
+        // the last bit of a coordinate.
+        let circle = |radius_km: f64| {
+            let centre = eq_geo::Point::new(13.0, 52.0).unwrap();
+            let circle = eq_geo::Circle::new(centre, radius_km).unwrap();
+            ImageQuery::all().with_shape(eq_geo::GeoShape::Circle(circle))
+        };
+        let radius = 25.0f64;
+        let next_up = f64::from_bits(radius.to_bits() + 1);
+        assert_ne!(circle(radius), circle(next_up));
+        let metadata = |query: ImageQuery| fingerprint(&CacheKey::Metadata(query));
+        assert_ne!(metadata(ImageQuery::all()), metadata(circle(radius)));
+        assert_ne!(metadata(circle(radius)), metadata(circle(next_up)));
+        assert_eq!(metadata(circle(radius)), metadata(circle(radius)));
+
+        // Equal queries hash equal: `-0.0 == 0.0`, so the two must share a
+        // fingerprint (their `Debug` renderings differ).
+        let rect = |min_lon: f64| {
+            let bbox = eq_geo::BBox::new(min_lon, 40.0, 10.0, 50.0).unwrap();
+            ImageQuery::all().with_shape(eq_geo::GeoShape::Rect(bbox))
+        };
+        assert_eq!(rect(0.0), rect(-0.0));
+        assert_eq!(metadata(rect(0.0)), metadata(rect(-0.0)));
+
+        // The mode and the request kind are part of a filtered key, and of
+        // a resolved-filter key.
+        let filtered = |mode| CacheKey::SimilarFiltered {
+            name: "p".into(),
+            k: 5,
+            query: circle(radius),
+            mode,
+        };
+        let within = CacheKey::WithinFiltered {
+            name: "p".into(),
+            radius: 5,
+            query: circle(radius),
+            mode: PrefilterMode::Auto,
+        };
+        assert_ne!(
+            fingerprint(&filtered(PrefilterMode::Auto)),
+            fingerprint(&filtered(PrefilterMode::ForceBitmap))
+        );
+        assert_ne!(fingerprint(&filtered(PrefilterMode::Auto)), fingerprint(&within));
+        let query = circle(radius);
+        assert_ne!(
+            fingerprint(&(&query, PrefilterMode::ForceBitmap)),
+            fingerprint(&(&query, PrefilterMode::ForcePostFilter))
+        );
+        // Probing with borrowed parts finds what was filed under owned ones.
+        assert_eq!(
+            fingerprint(&(&query, PrefilterMode::Auto)),
+            fingerprint::<FilterKey>(&(query.clone(), PrefilterMode::Auto))
+        );
+    }
+
+    /// The resolved-filter cache: one entry per (filter, mode), shared by
+    /// all three filter-taking kinds, counted apart from the result cache,
+    /// cleared by ingest, and absent from an uncached server.
+    #[test]
+    fn resolved_filters_are_shared_across_kinds_and_cleared_by_ingest() {
+        let (srv, archive) = server(40, 102, ServeConfig::default());
+        let names: Vec<&String> = archive.patches().iter().map(|p| &p.meta.name).collect();
+        let filter = ImageQuery::all().with_seasons(vec![
+            eq_bigearthnet::patch::Season::Summer,
+            eq_bigearthnet::patch::Season::Winter,
+        ]);
+        let filter_stats = |srv: &QueryServer| {
+            let stats = srv.stats();
+            (stats.filter_cache_hits, stats.filter_cache_misses, stats.filter_cache_entries)
+        };
+
+        // One resolution serves a second query image, another k, and the
+        // radius kind: all result-cache misses, all but the first
+        // filter-cache hits.
+        let auto = PrefilterMode::Auto;
+        srv.similar_to_filtered(names[0], 5, &filter, auto).unwrap();
+        assert_eq!(filter_stats(&srv), (0, 1, 1));
+        srv.similar_to_filtered(names[1], 5, &filter, auto).unwrap();
+        srv.similar_to_filtered(names[0], 6, &filter, auto).unwrap();
+        srv.similar_within_filtered(names[2], 24, &filter, auto).unwrap();
+        assert_eq!(filter_stats(&srv), (3, 1, 1));
+        assert_eq!(srv.stats().cache_hits, 0, "every request above was a result-cache miss");
+        assert!(srv.stats().filter_cache_bytes >= 40 / 8);
+
+        // A result-cache hit resolves nothing.
+        srv.similar_to_filtered(names[0], 5, &filter, auto).unwrap();
+        assert_eq!(srv.stats().cache_hits, 1);
+        assert_eq!(filter_stats(&srv), (3, 1, 1));
+
+        // Each mode keeps its own entry and reports its own strategy, on
+        // the miss and on the hit alike.
+        for _ in 0..2 {
+            for (mode, strategy) in [
+                (PrefilterMode::ForceBitmap, crate::FilterStrategy::BitmapPrefilter),
+                (PrefilterMode::ForcePostFilter, crate::FilterStrategy::PostFilter),
+            ] {
+                let got = srv.similar_within_filtered(names[3], 24, &filter, mode).unwrap();
+                assert_eq!(got.plan.strategy, strategy, "{mode:?}");
+            }
+            // Make the second round a result-cache miss again.
+            srv.cache.clear();
+        }
+        assert_eq!(filter_stats(&srv), (5, 3, 3));
+
+        // The query panel resolves in its own mode: here the same entry as
+        // `ForceBitmap`.
+        srv.search(&filter).unwrap();
+        assert_eq!(filter_stats(&srv), (6, 3, 3));
+
+        // Ingest clears it with the result cache.
+        let extra = ArchiveGenerator::new(GeneratorConfig::tiny(3, 779)).unwrap().generate();
+        srv.ingest(extra.patches()).unwrap();
+        let stats = srv.stats();
+        assert_eq!((stats.filter_cache_entries, stats.filter_cache_bytes), (0, 0));
+        srv.similar_to_filtered(names[0], 5, &filter, auto).unwrap();
+        assert_eq!(filter_stats(&srv), (6, 4, 1));
+
+        // `cache_capacity: 0` turns this cache off too.
+        let (bare, archive) = server(20, 103, ServeConfig::uncached(2));
+        let name = &archive.patches()[0].meta.name;
+        bare.similar_to_filtered(name, 5, &filter, auto).unwrap();
+        bare.similar_to_filtered(name, 5, &filter, auto).unwrap();
+        assert_eq!(filter_stats(&bare), (0, 0, 0));
+        let text = srv.stats().render();
+        assert!(text.contains("6 filters resolved from cache, 4 compiled; 1 cached in"), "{text}");
+    }
+
+    /// A patch whose second insert fails is rolled back, but its metadata
+    /// document id stays burnt: document ids skip where dense patch ids do
+    /// not.  The query panel walks dense ids, `find` walks document ids;
+    /// both must list the archive in insertion order, with the same plan.
+    #[test]
+    fn search_lists_insertion_order_across_a_rolled_back_insert() {
+        use crate::schema::{collections, fields};
+        let (srv, archive) = server(12, 104, ServeConfig::default());
+        let extra = ArchiveGenerator::new(GeneratorConfig::tiny(4, 780)).unwrap().generate();
+        let squatted = extra.patches()[1].meta.name.clone();
+        {
+            let mut catalog = srv.catalog.write();
+            let images = catalog.database.collection_mut(collections::IMAGE_DATA).unwrap();
+            images.insert(Document::new().with(fields::NAME, squatted.as_str())).unwrap();
+        }
+        // Patch 0 lands, patch 1 rolls back and stops the batch.
+        assert!(matches!(srv.ingest(extra.patches()), Err(EarthQubeError::Store(_))));
+        srv.ingest(&extra.patches()[2..]).unwrap();
+        assert_eq!(srv.archive_size(), 15);
+
+        let mut expected: Vec<&str> =
+            archive.patches().iter().map(|p| p.meta.name.as_str()).collect();
+        expected.extend([0, 2, 3].map(|i| extra.patches()[i].meta.name.as_str()));
+        for query in [
+            ImageQuery::all(),
+            ImageQuery::all().with_seasons(eq_bigearthnet::patch::Season::ALL.to_vec()),
+        ] {
+            let found = {
+                let catalog = srv.catalog.read();
+                let coll = catalog.database.collection(collections::METADATA).unwrap();
+                let found = coll.find(&query.to_filter());
+                let last = *found.ids.last().unwrap();
+                assert!(last as usize >= coll.len(), "no document id was skipped");
+                found
+            };
+            for _ in 0..2 {
+                let response = srv.search(&query).unwrap();
+                let names: Vec<&str> =
+                    response.panel.entries().iter().map(|e| e.name.as_str()).collect();
+                assert_eq!(names, expected);
+                assert_eq!(response.plan.as_ref(), Some(&found.plan));
+                srv.cache.clear(); // again, from the resolved-filter cache
+            }
+        }
+    }
+
+    /// Budgeted by weight, evicting least recently used first, in
+    /// O(log n): the recency index and the entries never drift apart.
+    #[test]
+    fn the_lru_evicts_by_weight_in_recency_order() {
+        let mut shard: LruShard<&str, u32> = LruShard::new(10);
+        let is = |want: &'static str| move |key: &&str| *key == want;
+        shard.put(1, "a", 1, 4);
+        shard.put(2, "b", 2, 4);
+        assert_eq!(shard.lookup(1, is("a")), Some(1)); // refresh a
+        shard.put(3, "c", 3, 4); // 12 > 10: evicts b, the least recent
+        assert_eq!(shard.lookup(2, is("b")), None);
+        assert_eq!((shard.used, shard.entries.len(), shard.recency.len()), (8, 2, 2));
+        // A fingerprint collision is a miss, and does not refresh.
+        assert_eq!(shard.lookup(1, is("z")), None);
+        // Replacing an entry re-weighs it; a heavy one evicts several.
+        shard.put(3, "c", 33, 2);
+        assert_eq!(shard.used, 6);
+        shard.put(4, "d", 4, 9); // leaves room for nothing else
+        assert_eq!(shard.lookup(4, is("d")), Some(4));
+        assert_eq!((shard.used, shard.entries.len(), shard.recency.len()), (9, 1, 1));
+        // Heavier than the whole budget: not kept, nothing evicted for it.
+        shard.put(5, "e", 5, 11);
+        assert_eq!(shard.lookup(5, is("e")), None);
+        assert_eq!(shard.entries.len(), 1);
+        shard.clear();
+        assert_eq!((shard.used, shard.entries.len(), shard.recency.len()), (0, 0, 0));
+        // A zero budget keeps nothing (the disabled result cache).
+        let mut off: LruShard<&str, u32> = LruShard::new(0);
+        off.put(1, "a", 1, 1);
+        assert!(off.entries.is_empty());
     }
 }

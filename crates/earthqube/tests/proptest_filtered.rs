@@ -3,8 +3,11 @@
 //! random `k`/radius, the bitmap-prefilter strategy, the post-filter scan
 //! and the cost-based `Auto` planner must return **byte-identical**
 //! responses, and every hit must satisfy the query's metadata filter.
-//! A last property pins the filtered searches to the query panel's own
-//! `search`: both count the same matches, on circle rims too.
+//! Another property pins the filtered searches to the query panel's own
+//! `search`: both count the same matches, on circle rims too.  The last
+//! one interleaves ingest with all three filter-taking kinds on a caching
+//! server, whose resolved-filter and result caches must never answer from
+//! a catalog that has since changed.
 //!
 //! One engine is built once (via `OnceLock`) outside the proptest loop —
 //! the properties randomise the *queries*, not the corpus, which keeps the
@@ -15,8 +18,8 @@
 use std::sync::OnceLock;
 
 use eq_bigearthnet::labels::Label;
-use eq_bigearthnet::patch::{AcquisitionDate, Season};
-use eq_bigearthnet::{ArchiveGenerator, Country, GeneratorConfig};
+use eq_bigearthnet::patch::{AcquisitionDate, Patch, PatchId, Season};
+use eq_bigearthnet::{Archive, ArchiveGenerator, Country, GeneratorConfig};
 use eq_earthqube::{
     metadata_document, EarthQube, EarthQubeConfig, FilteredResponse, ImageQuery, LabelFilter,
     LabelOperator, PrefilterMode, QueryServer, ServeConfig,
@@ -242,5 +245,138 @@ proptest! {
         let filtered =
             server().similar_within_filtered(name, bits, &query, PrefilterMode::Auto).unwrap();
         prop_assert_eq!(panel.matched, filtered.plan.matching);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Staleness: ingest interleaved with cached filtered queries
+// ---------------------------------------------------------------------------
+
+/// Images the interleaving starts from.
+const BASE: usize = 14;
+
+fn untrained() -> EarthQubeConfig {
+    let mut cfg = EarthQubeConfig::fast(78);
+    cfg.train_model = false;
+    cfg
+}
+
+/// The bare engine over `patches`, dense ids reassigned in order — what a
+/// server that ingested them one batch after another holds.
+fn bare_engine(patches: &[Patch]) -> EarthQube {
+    let mut patches = patches.to_vec();
+    for (id, patch) in patches.iter_mut().enumerate() {
+        patch.meta.id = PatchId(id as u32);
+    }
+    EarthQube::build(&Archive::new(patches), untrained()).unwrap()
+}
+
+/// The panel filters the interleaving keeps re-issuing: attribute-only,
+/// label (exact bitmap), and geo (residual on the candidates).
+fn panel_filters() -> Vec<ImageQuery> {
+    vec![
+        ImageQuery::all().with_countries(vec![Country::Austria]).with_seasons(vec![Season::Summer]),
+        ImageQuery::all()
+            .with_labels(LabelFilter::new(LabelOperator::AtLeastAndMore, vec![Label::MixedForest])),
+        ImageQuery::all()
+            .with_shape(GeoShape::Rect(BBox::new(10.0, 46.5, 17.0, 49.0).unwrap()))
+            .with_seasons(vec![Season::Summer, Season::Autumn]),
+        ImageQuery::all(),
+    ]
+}
+
+/// Rewrites a patch so that every one of [`panel_filters`] matches it.
+fn matching_all_filters(mut patch: Patch, nth: usize) -> Patch {
+    patch.meta.country = Country::Austria;
+    patch.meta.date = AcquisitionDate::new(2017, 7, 1 + (nth % 28) as u8).unwrap();
+    patch.meta.labels.insert(Label::MixedForest);
+    let (lon, lat) = (11.0 + 0.1 * (nth % 50) as f64, 47.0 + 0.01 * (nth % 100) as f64);
+    patch.meta.bbox = BBox::new(lon, lat, lon + 0.01, lat + 0.01).unwrap();
+    patch
+}
+
+const MODES: [PrefilterMode; 3] =
+    [PrefilterMode::Auto, PrefilterMode::ForceBitmap, PrefilterMode::ForcePostFilter];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// After every step of a random interleaving of `ingest` (half the
+    /// patches built to match the filters already cached) with `search`,
+    /// `similar_to_filtered` and `similar_within_filtered`, the caching
+    /// server answers exactly what a `cache_capacity: 0` server and the
+    /// bare engine fed the same writes answer — `QueryPlan` and
+    /// `FilteredPlan` included.
+    #[test]
+    fn cached_filters_never_outlive_the_catalog_they_were_resolved_on(
+        steps in proptest::collection::vec((0u8..7, 0usize..64, 0usize..30, 0u8..3), 5..12),
+    ) {
+        let base = ArchiveGenerator::new(GeneratorConfig::tiny(BASE, 78)).unwrap().generate();
+        let fresh = ArchiveGenerator::new(GeneratorConfig::tiny(40, 4078)).unwrap();
+        let filters = panel_filters();
+
+        let mut patches: Vec<Patch> = base.patches().to_vec();
+        let mut bare = bare_engine(&patches);
+        let cached = QueryServer::build(&base, untrained(), ServeConfig::default()).unwrap();
+        let uncached = QueryServer::build(&base, untrained(), ServeConfig::uncached(3)).unwrap();
+
+        // Every filter is cached, in every mode, before the first write.
+        for filter in &filters {
+            cached.search(filter).unwrap();
+            for mode in MODES {
+                cached.similar_to_filtered(&patches[0].meta.name, 3, filter, mode).unwrap();
+            }
+        }
+        prop_assert!(cached.stats().filter_cache_entries >= filters.len());
+
+        let mut ingested = 0usize;
+        for (kind, a, b, m) in steps {
+            let filter = &filters[a % filters.len()];
+            let name = patches[a % patches.len()].meta.name.clone();
+            let mode = MODES[m as usize];
+            match kind {
+                // Ingest one or two patches; every other one matches the
+                // cached filters, so a stale mask would miss it.
+                0 | 1 => {
+                    let batch: Vec<Patch> = (0..1 + usize::from(kind))
+                        .map(|_| {
+                            let patch = fresh.generate_patch(ingested as u32);
+                            ingested += 1;
+                            if ingested % 2 == 1 {
+                                matching_all_filters(patch, ingested)
+                            } else {
+                                patch
+                            }
+                        })
+                        .collect();
+                    prop_assert!(cached.ingest(&batch) == uncached.ingest(&batch));
+                    patches.extend(batch);
+                    bare = bare_engine(&patches);
+                    prop_assert!(cached.stats().filter_cache_entries == 0);
+                }
+                2 | 3 => {
+                    let expected = bare.search(filter).unwrap();
+                    prop_assert!(expected.plan.is_some());
+                    prop_assert!(cached.search(filter).unwrap() == expected, "search, cached");
+                    prop_assert!(uncached.search(filter).unwrap() == expected, "search, uncached");
+                }
+                4 | 5 => {
+                    let expected = bare.similar_to_filtered(&name, b, filter, mode).unwrap();
+                    let got = cached.similar_to_filtered(&name, b, filter, mode).unwrap();
+                    prop_assert!(got == expected, "k-NN, cached: {:?} vs {:?}", got.plan, expected.plan);
+                    let got = uncached.similar_to_filtered(&name, b, filter, mode).unwrap();
+                    prop_assert!(got == expected, "k-NN, uncached");
+                }
+                _ => {
+                    let radius = b as u32 + 8;
+                    let expected = bare.similar_within_filtered(&name, radius, filter, mode).unwrap();
+                    let got = cached.similar_within_filtered(&name, radius, filter, mode).unwrap();
+                    prop_assert!(got == expected, "radius, cached: {:?} vs {:?}", got.plan, expected.plan);
+                    let got = uncached.similar_within_filtered(&name, radius, filter, mode).unwrap();
+                    prop_assert!(got == expected, "radius, uncached");
+                }
+            }
+        }
+        prop_assert!(uncached.stats().filter_cache_entries == 0);
     }
 }

@@ -170,13 +170,25 @@ fn similar_to_filtered_is_the_brute_force_ranking_of_the_matching_images() {
                     let engine = w.engine.similar_to_filtered(name, k, &query, mode).unwrap();
                     assert_eq!(hits(&engine.response), expected, "engine, k={k}, {mode:?}");
                     assert_eq!(engine.plan.matching, matching);
-                    let server = w.server.similar_to_filtered(name, k, &query, mode).unwrap();
-                    assert_eq!(hits(&server.response), expected, "server, k={k}, {mode:?}");
-                    assert_eq!(server.plan, engine.plan);
+                    // Twice: the repeat is answered from a cache (the
+                    // filter's from the second `k` on, the result's here).
+                    for pass in ["first", "repeat"] {
+                        let server = w.server.similar_to_filtered(name, k, &query, mode).unwrap();
+                        assert_eq!(hits(&server.response), expected, "{pass}, k={k}, {mode:?}");
+                        assert_eq!(server.plan, engine.plan, "{pass}, k={k}, {mode:?}");
+                    }
                 }
             }
         }
     }
+    assert_caches_answered(&w.server);
+}
+
+/// The suites above must not pass by never reaching a cache.
+fn assert_caches_answered(server: &QueryServer) {
+    let stats = server.stats();
+    assert!(stats.cache_hits > 0, "no result-cache hit: {stats:?}");
+    assert!(stats.filter_cache_hits > 0, "no resolved-filter-cache hit: {stats:?}");
 }
 
 #[test]
@@ -194,9 +206,16 @@ fn similar_within_filtered_is_the_brute_force_radius_list() {
                     let engine =
                         w.engine.similar_within_filtered(name, radius, &query, mode).unwrap();
                     assert_eq!(hits(&engine.response), expected, "engine, r={radius}, {mode:?}");
-                    let server =
-                        w.server.similar_within_filtered(name, radius, &query, mode).unwrap();
-                    assert_eq!(hits(&server.response), expected, "server, r={radius}, {mode:?}");
+                    for pass in ["first", "repeat"] {
+                        let server =
+                            w.server.similar_within_filtered(name, radius, &query, mode).unwrap();
+                        assert_eq!(
+                            hits(&server.response),
+                            expected,
+                            "{pass}, r={radius}, {mode:?}"
+                        );
+                        assert_eq!(server.plan, engine.plan, "{pass}, r={radius}, {mode:?}");
+                    }
                 }
             }
         }
@@ -209,6 +228,34 @@ fn similar_within_filtered_is_the_brute_force_radius_list() {
         PrefilterMode::Auto,
     );
     assert_eq!(all.unwrap().response.total(), PATCHES - 1);
+    assert_caches_answered(&w.server);
+}
+
+/// The query panel against a hand-written predicate: the matching images
+/// in archive order, on both façades, on the miss and on the repeat.
+#[test]
+fn search_lists_the_matching_images_in_archive_order() {
+    let w = world();
+    for (query, keep) in filters() {
+        let expected: Vec<&str> = w
+            .archive
+            .patches()
+            .iter()
+            .filter(|p| keep(&p.meta))
+            .map(|p| p.meta.name.as_str())
+            .collect();
+        let names = |response: &SearchResponse| -> Vec<String> {
+            assert!(response.panel.entries().iter().all(|e| e.distance.is_none()));
+            assert_eq!(response.plan.as_ref().unwrap().matched, expected.len());
+            assert_eq!(response.statistics.image_count(), expected.len());
+            response.panel.entries().iter().map(|e| e.name.clone()).collect()
+        };
+        let engine = w.engine.search(&query).unwrap();
+        assert_eq!(names(&engine), expected, "engine, {query:?}");
+        for pass in ["first", "repeat"] {
+            assert_eq!(w.server.search(&query).unwrap(), engine, "{pass}, {query:?}");
+        }
+    }
 }
 
 /// `k + 1` used to be computed unchecked and the selection reserved that

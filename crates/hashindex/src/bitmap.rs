@@ -591,6 +591,24 @@ impl IdMask {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
+
+    /// The ids in the mask, ascending: each word gives up its set bits
+    /// lowest first, so an empty word costs one comparison.
+    pub fn iter(&self) -> impl Iterator<Item = ItemId> + '_ {
+        self.words.iter().enumerate().flat_map(|(index, &word)| {
+            let base = (index as u64) << 6;
+            std::iter::successors((word != 0).then_some(word), |&rest| {
+                let rest = rest & (rest - 1);
+                (rest != 0).then_some(rest)
+            })
+            .map(move |rest| base + u64::from(rest.trailing_zeros()))
+        })
+    }
+
+    /// Heap bytes the mask holds (what a cache of masks budgets by).
+    pub fn size_bytes(&self) -> usize {
+        self.words.len() * std::mem::size_of::<u64>()
+    }
 }
 
 impl From<&Bitmap> for IdMask {
@@ -759,11 +777,19 @@ mod tests {
         for id in 0..100_000u64 {
             assert_eq!(mask.contains(id), bm.contains(id), "id {id}");
         }
+        // The set bits come back ascending, exactly the bitmap's ids —
+        // word boundaries (63, 64) and sparse stretches included.
+        assert!(mask.iter().eq(bm.iter()));
+        let edges: Bitmap = [0u64, 63, 64, 127, 128, 70_000].into_iter().collect();
+        let edge_mask = IdMask::from_bitmap(&edges);
+        assert_eq!(edge_mask.iter().collect::<Vec<_>>(), vec![0, 63, 64, 127, 128, 70_000]);
+        assert_eq!(edge_mask.size_bytes(), (70_000usize + 1).div_ceil(64) * 8);
         // Probes beyond the sized range are false, not a panic.
         assert!(!mask.contains(u64::MAX));
         let empty = IdMask::from_bitmap(&Bitmap::new());
         assert!(empty.is_empty());
         assert!(!empty.contains(0));
+        assert_eq!(empty.iter().next(), None);
         // The From impl is the same construction.
         assert!(IdMask::from(&bm).contains(bm.max().unwrap_or(0)));
     }

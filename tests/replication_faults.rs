@@ -149,6 +149,76 @@ fn replica_serves_byte_identical_reads_and_rejects_writes() {
     net.shutdown();
 }
 
+/// A replica's caches die with the catalog state they were computed on:
+/// filters it resolved and results it cached before a pull must not
+/// answer after `apply_replicated` has appended images that match them.
+/// Checked for all three filter-taking kinds against the primary (caching)
+/// and a `cache_capacity: 0` server fed the same writes.
+#[test]
+fn replicated_writes_invalidate_the_replica_s_resolved_filters() {
+    let dir_p = ScratchDir::new("stale_p");
+    let dir_r = ScratchDir::new("stale_r");
+    let archive = generate(16, SEED + 50);
+    let (server, net) = primary(&archive, SEED + 50, dir_p.path());
+    let addr = net.local_addr().to_string();
+    let mut replica = Replica::bootstrap(dir_r.path(), &addr, 3, fast_policy()).unwrap();
+    assert!(replica.catch_up().unwrap().caught_up());
+    let follower = Arc::clone(replica.server());
+
+    let mut config = EarthQubeConfig::fast(SEED + 50);
+    config.milan.epochs = 3;
+    let uncached = QueryServer::build(&archive, config, ServeConfig::uncached(8)).unwrap();
+
+    let filter = label_query();
+    let name = &archive.patches()[0].meta.name;
+    let modes = [PrefilterMode::Auto, PrefilterMode::ForceBitmap, PrefilterMode::ForcePostFilter];
+    let check = |what: &str| {
+        let expected = uncached.search(&filter).unwrap();
+        assert_byte_identical(&server.search(&filter).unwrap(), &expected, what);
+        assert_byte_identical(&follower.search(&filter).unwrap(), &expected, what);
+        for mode in modes {
+            let expected = uncached.similar_to_filtered(name, 6, &filter, mode).unwrap();
+            assert_eq!(server.similar_to_filtered(name, 6, &filter, mode).unwrap(), expected);
+            let got = follower.similar_to_filtered(name, 6, &filter, mode).unwrap();
+            assert_eq!(got, expected, "{what}: k-NN under {mode:?}");
+            let expected = uncached.similar_within_filtered(name, 30, &filter, mode).unwrap();
+            let got = follower.similar_within_filtered(name, 30, &filter, mode).unwrap();
+            assert_eq!(got, expected, "{what}: radius under {mode:?}");
+        }
+        expected.plan.unwrap().matched
+    };
+
+    // Fill both of the replica's caches.
+    let before = check("before the pull");
+    assert!(follower.stats().filter_cache_entries >= 3, "one entry per mode");
+    assert!(follower.stats().cache_entries > 0);
+
+    // Writes on the primary, every patch rewritten to match the filter.
+    let extra: Vec<Patch> = generate(4, SEED + 51)
+        .patches()
+        .iter()
+        .cloned()
+        .map(|mut patch| {
+            patch.meta.labels.insert(Label::Pastures);
+            patch
+        })
+        .collect();
+    server.ingest(&extra).unwrap();
+    uncached.ingest(&extra).unwrap();
+
+    // One pull is one `apply_replicated`: it clears both caches...
+    assert!(matches!(replica.sync_once().unwrap(), SyncStatus::Applied(4)));
+    let stats = follower.stats();
+    assert_eq!(
+        (stats.cache_entries, stats.filter_cache_entries, stats.filter_cache_bytes),
+        (0, 0, 0)
+    );
+    // ...so the replica answers over the new catalog, plans included.
+    assert_eq!(check("after the pull"), before + extra.len());
+
+    net.shutdown();
+}
+
 /// A replica that disconnects (here: its process restarts) resumes from
 /// its durable position — no re-seed, no re-applied records, and the
 /// mirrored WAL still tracks the primary through segment rotations.
