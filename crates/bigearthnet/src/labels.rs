@@ -280,7 +280,7 @@ impl Label {
 
     /// The dense index of the class in `0..43`.
     #[inline]
-    pub fn index(self) -> usize {
+    pub const fn index(self) -> usize {
         self as usize
     }
 
@@ -305,7 +305,7 @@ impl Label {
     }
 
     /// The full CLC class name, as displayed in the EarthQube UI.
-    pub fn name(self) -> &'static str {
+    pub const fn name(self) -> &'static str {
         const NAMES: [&str; Label::COUNT] = [
             "Continuous urban fabric",
             "Discontinuous urban fabric",
@@ -354,9 +354,43 @@ impl Label {
         NAMES[self.index()]
     }
 
-    /// Looks a class up by its full CLC name (exact match).
-    pub fn from_name(name: &str) -> Option<Label> {
-        Label::ALL.iter().copied().find(|l| l.name() == name)
+    /// Looks a class up by its full CLC name (exact match), given as text
+    /// or as undecoded bytes off the wire.  The 43 names have 25 distinct
+    /// lengths, at most four names each, so the lookup is an index by
+    /// length and at most four comparisons; nothing allocates.
+    pub fn from_name(name: impl AsRef<[u8]>) -> Option<Label> {
+        /// [`Label::ALL`] ordered by name length, sorted at compile time.
+        const BY_LENGTH: [Label; Label::COUNT] = {
+            let mut table = Label::ALL;
+            let mut sorted = 1;
+            while sorted < table.len() {
+                let mut at = sorted;
+                while at > 0 && table[at].name().len() < table[at - 1].name().len() {
+                    (table[at], table[at - 1]) = (table[at - 1], table[at]);
+                    at -= 1;
+                }
+                sorted += 1;
+            }
+            table
+        };
+        const LONGEST: usize = BY_LENGTH[Label::COUNT - 1].name().len();
+        /// `FIRST[len]` is where the names at least `len` long start in
+        /// `BY_LENGTH`, so those exactly `len` long end at `FIRST[len + 1]`.
+        const FIRST: [usize; LONGEST + 2] = {
+            let mut first = [0; LONGEST + 2];
+            let (mut len, mut at) = (0, 0);
+            while len < first.len() {
+                while at < BY_LENGTH.len() && BY_LENGTH[at].name().len() < len {
+                    at += 1;
+                }
+                first[len] = at;
+                len += 1;
+            }
+            first
+        };
+        let name = name.as_ref();
+        let same_length = &BY_LENGTH[*FIRST.get(name.len())?..*FIRST.get(name.len() + 1)?];
+        same_length.iter().copied().find(|label| label.name().as_bytes() == name)
     }
 
     /// The single printable-ASCII character EarthQube maps the class to in
@@ -591,9 +625,15 @@ impl LabelSet {
         (self.bits & other.bits).count_ones() as usize
     }
 
-    /// Iterates over the labels in dense-index order.
+    /// Iterates over the labels in dense-index order: one step per label
+    /// present (lowest set bit first), not one per class.
     pub fn iter(self) -> impl Iterator<Item = Label> {
-        Label::ALL.iter().copied().filter(move |l| self.contains(*l))
+        let mut bits = self.bits;
+        std::iter::from_fn(move || {
+            let lowest = Label::from_index(bits.trailing_zeros() as usize);
+            bits &= bits.wrapping_sub(1);
+            lowest
+        })
     }
 
     /// The ASCII-coded string representation used in the metadata store
@@ -661,7 +701,11 @@ mod tests {
         for l in Label::ALL {
             assert_eq!(Label::from_name(l.name()), Some(l));
         }
-        assert_eq!(Label::from_name("Lava fields"), None);
+        // Misses of every kind: a length no name has, a length some names
+        // have, either end of the order, another case.
+        for miss in ["", "Lava fields", "Sea and oceaN", "sea and ocean", "Pasture", "Pasturesx"] {
+            assert_eq!(Label::from_name(miss), None, "{miss:?}");
+        }
     }
 
     #[test]
@@ -788,6 +832,16 @@ mod tests {
     fn label_set_from_bits_masks_out_of_range() {
         let s = LabelSet::from_bits(u64::MAX);
         assert_eq!(s.len(), 43);
+    }
+
+    #[test]
+    fn label_set_iterates_its_members_in_dense_index_order() {
+        for bits in [0, 1, 1 << 42, u64::MAX, 0x0000_0155_5555_5555, 0x0000_0400_0080_0001] {
+            let set = LabelSet::from_bits(bits);
+            let members: Vec<Label> =
+                Label::ALL.iter().copied().filter(|l| set.contains(*l)).collect();
+            assert_eq!(set.iter().collect::<Vec<_>>(), members, "{bits:#x}");
+        }
     }
 
     #[test]

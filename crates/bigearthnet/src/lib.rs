@@ -34,5 +34,5 @@ pub use archive::{Archive, ArchiveStats, Split};
 pub use bands::{Band, BandData, Polarization, Resolution, SENTINEL2_BANDS};
 pub use countries::Country;
 pub use generator::{ArchiveGenerator, GeneratorConfig};
-pub use labels::{Label, LabelHierarchy, Level1, Level2};
+pub use labels::{Label, LabelHierarchy, LabelSet, Level1, Level2};
 pub use patch::{AcquisitionDate, Patch, PatchId, PatchMetadata, Season};

@@ -18,9 +18,10 @@ pub struct AcquisitionDate {
 }
 
 impl AcquisitionDate {
-    /// Creates a date, validating month and day ranges.
+    /// Creates a date, validating the year (at most four digits, so the
+    /// date has a `YYYY-MM-DD` form), month and day ranges.
     pub fn new(year: u16, month: u8, day: u8) -> Option<Self> {
-        if !(1..=12).contains(&month) || !(1..=31).contains(&day) {
+        if year > 9999 || !(1..=12).contains(&month) || !(1..=31).contains(&day) {
             return None;
         }
         Some(Self { year, month, day })
@@ -32,26 +33,39 @@ impl AcquisitionDate {
         self.year as i64 * 372 + (self.month as i64 - 1) * 31 + (self.day as i64 - 1)
     }
 
-    /// ISO-like `YYYY-MM-DD` formatting, as used in the metadata store.
-    pub fn to_iso(&self) -> String {
-        format!("{:04}-{:02}-{:02}", self.year, self.month, self.day)
+    /// The ten ASCII bytes of the ISO-like `YYYY-MM-DD` form, as used in
+    /// the metadata store and on the wire: the one date formatter, exact
+    /// for every date [`new`](Self::new) accepts and allocation-free.
+    pub fn iso_bytes(&self) -> [u8; 10] {
+        let digit = |n: u16| b'0' + (n % 10) as u8;
+        let (y, m, d) = (self.year, u16::from(self.month), u16::from(self.day));
+        let (y3, y2, y1) = (digit(y / 1000), digit(y / 100), digit(y / 10));
+        [y3, y2, y1, digit(y), b'-', digit(m / 10), digit(m), b'-', digit(d / 10), digit(d)]
     }
 
-    /// Parses a `YYYY-MM-DD` string.
-    pub fn from_iso(s: &str) -> Option<Self> {
-        let mut parts = s.split('-');
-        let year = parts.next()?.parse().ok()?;
-        let month = parts.next()?.parse().ok()?;
-        let day = parts.next()?.parse().ok()?;
-        if parts.next().is_some() {
+    /// `YYYY-MM-DD` as an owned string.
+    pub fn to_iso(&self) -> String {
+        self.to_string()
+    }
+
+    /// Parses exactly the fixed-width `YYYY-MM-DD` form
+    /// [`iso_bytes`](Self::iso_bytes) writes (`"2017-7-17"` is not a date),
+    /// given as text or as undecoded bytes, without allocating.
+    pub fn from_iso(s: impl AsRef<[u8]>) -> Option<Self> {
+        let b: &[u8; 10] = s.as_ref().try_into().ok()?;
+        let num = |digits: &[u8]| {
+            let digit = |n, d: &u8| d.is_ascii_digit().then(|| n * 10 + u16::from(d - b'0'));
+            digits.iter().try_fold(0u16, digit)
+        };
+        if b[4] != b'-' || b[7] != b'-' {
             return None;
         }
-        Self::new(year, month, day)
+        Self::new(num(&b[..4])?, num(&b[5..7])? as u8, num(&b[8..])? as u8)
     }
 
     /// Compact `YYYYMMDD` form used inside patch names.
     pub fn to_compact(&self) -> String {
-        format!("{:04}{:02}{:02}", self.year, self.month, self.day)
+        self.iso_bytes().iter().filter(|&&b| b != b'-').map(|&b| char::from(b)).collect()
     }
 
     /// The meteorological season of the date.
@@ -75,7 +89,8 @@ impl AcquisitionDate {
 
 impl std::fmt::Display for AcquisitionDate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.to_iso())
+        let iso = self.iso_bytes();
+        f.write_str(std::str::from_utf8(&iso).expect("ASCII digits and dashes"))
     }
 }
 
@@ -286,6 +301,26 @@ mod tests {
         assert_eq!(AcquisitionDate::from_iso("2017-07-17-00"), None);
         assert_eq!(AcquisitionDate::from_iso("garbage"), None);
         assert_eq!(d.to_compact(), "20170717");
+        assert_eq!(&d.iso_bytes(), b"2017-07-17");
+        assert_eq!(d.to_string(), "2017-07-17");
+    }
+
+    #[test]
+    fn the_iso_form_is_fixed_width_and_its_parser_accepts_nothing_else() {
+        // Four-digit years only: every accepted date has a ten-byte form.
+        assert!(AcquisitionDate::new(10_000, 1, 1).is_none());
+        let early = AcquisitionDate::new(7, 1, 2).unwrap();
+        assert_eq!(early.to_iso(), "0007-01-02");
+        assert_eq!(AcquisitionDate::from_iso("0007-01-02"), Some(early));
+        for bad in
+            ["2017-7-17", "2017-07-7", "+017-07-17", "2017/07/17", "2017-07-1x", "2017-13-01"]
+        {
+            assert_eq!(AcquisitionDate::from_iso(bad), None, "{bad}");
+        }
+        for (year, month, day) in [(0, 1, 1), (2018, 5, 31), (9999, 12, 31)] {
+            let d = AcquisitionDate::new(year, month, day).unwrap();
+            assert_eq!(AcquisitionDate::from_iso(d.to_iso()), Some(d));
+        }
     }
 
     #[test]

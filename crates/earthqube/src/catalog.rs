@@ -301,9 +301,9 @@ impl Catalog {
         self.respond(neighbors.len(), hits, None)
     }
 
-    /// The one response assembly: panel entries and label statistics of
-    /// `count` images, in the order given, straight from the dense
-    /// metadata table.
+    /// The one response assembly: panel entries of `count` images, in the
+    /// order given, straight from the dense metadata table, and the label
+    /// statistics counted from the label set each entry carries.
     fn respond(
         &self,
         count: usize,
@@ -311,19 +311,14 @@ impl Catalog {
         plan: Option<QueryPlan>,
     ) -> Result<SearchResponse, EarthQubeError> {
         let mut entries = Vec::with_capacity(count);
-        let mut label_sets = Vec::with_capacity(count);
         for (id, distance) in hits {
             let meta = self
                 .metadata
                 .get(id as usize)
                 .ok_or_else(|| EarthQubeError::UnknownImage(format!("dense patch id {id}")))?;
             entries.push(ResultEntry::from_metadata(meta, distance));
-            label_sets.push(meta.labels);
         }
-        Ok(SearchResponse {
-            panel: ResultPanel::new(entries, self.page_size),
-            statistics: LabelStatistics::from_label_sets(label_sets),
-            plan,
-        })
+        let statistics = LabelStatistics::from_label_sets(entries.iter().map(|e| e.labels));
+        Ok(SearchResponse { panel: ResultPanel::new(entries, self.page_size), statistics, plan })
     }
 }

@@ -356,7 +356,7 @@ mod tests {
         // Every hit really is in Portugal.
         for page in 0..response.panel.page_count() {
             for e in response.panel.page(page).entries {
-                assert_eq!(e.country, "Portugal");
+                assert_eq!(e.country, Country::Portugal);
             }
         }
     }

@@ -151,9 +151,9 @@ pub fn response_to_payload(response: &SearchResponse) -> eq_proto::SearchPayload
             .iter()
             .map(|e| eq_proto::ResultRow {
                 name: e.name.clone(),
-                country: e.country.clone(),
-                date: e.date.clone(),
-                labels: e.labels.clone(),
+                country: e.country,
+                date: e.date,
+                labels: e.labels,
                 distance: e.distance,
             })
             .collect(),

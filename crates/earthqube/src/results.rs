@@ -1,7 +1,13 @@
 //! The result panel: image-patch listing, pagination and the download cart
 //! (§3.1 "Result Panel" of the paper).
+//!
+//! A row carries the metadata table's `Copy` country, date and label set
+//! beside the patch name, never their display strings, so building, cloning
+//! (`page`, the result cache) or converting one is one allocation; only
+//! `eq_proto`'s encoder and [`ResultEntry::describe`] render names.
 
-use eq_bigearthnet::patch::PatchMetadata;
+use eq_bigearthnet::patch::{AcquisitionDate, PatchMetadata};
+use eq_bigearthnet::{Country, Label, LabelSet};
 
 /// Maximum number of images that can be rendered on the map at once
 /// (the paper's UI caps map rendering at 1000 images).
@@ -17,11 +23,11 @@ pub struct ResultEntry {
     /// Patch name.
     pub name: String,
     /// Country of acquisition.
-    pub country: String,
-    /// Acquisition date (ISO).
-    pub date: String,
-    /// Full label names.
-    pub labels: Vec<String>,
+    pub country: Country,
+    /// Acquisition date.
+    pub date: AcquisitionDate,
+    /// The patch's labels.
+    pub labels: LabelSet,
     /// Hamming distance to the query image (only for similarity searches).
     pub distance: Option<u32>,
 }
@@ -30,23 +36,23 @@ impl ResultEntry {
     /// Builds an entry from patch metadata.
     pub fn from_metadata(meta: &PatchMetadata, distance: Option<u32>) -> Self {
         Self {
+            // lint:allow(hot-path) the name is the row's one owned field; everything else is `Copy`
             name: meta.name.clone(),
-            country: meta.country.name().to_string(),
-            date: meta.date.to_iso(),
-            labels: meta.labels.iter().map(|l| l.name().to_string()).collect(),
+            country: meta.country,
+            date: meta.date,
+            labels: meta.labels,
             distance,
         }
     }
 
     /// A one-line description as displayed in the image-patches view.
     pub fn describe(&self) -> String {
-        let labels = self.labels.join(", ");
+        let labels: Vec<&str> = self.labels.iter().map(Label::name).collect();
+        let line =
+            format!("{} [{}] {} — {}", self.name, self.country, self.date, labels.join(", "));
         match self.distance {
-            Some(d) => format!(
-                "{} [{}] {} — {} (hamming {})",
-                self.name, self.country, self.date, labels, d
-            ),
-            None => format!("{} [{}] {} — {}", self.name, self.country, self.date, labels),
+            Some(d) => format!("{line} (hamming {d})"),
+            None => line,
         }
     }
 }
@@ -222,6 +228,35 @@ mod tests {
         let e = ResultEntry::from_metadata(&metas[0], None);
         assert!(!e.describe().contains("hamming"));
         assert!(!e.labels.is_empty());
+        assert_eq!(
+            (e.country, e.date, e.labels),
+            (metas[0].country, metas[0].date, metas[0].labels)
+        );
+    }
+
+    #[test]
+    fn the_rendered_text_is_pinned() {
+        let mut e = ResultEntry {
+            name: "S2A_MSIL2A_20170717T100031_T29SNC_3_4".to_string(),
+            country: Country::Portugal,
+            date: AcquisitionDate::new(2017, 7, 17).unwrap(),
+            labels: LabelSet::from_labels([Label::SeaAndOcean, Label::ConiferousForest]),
+            distance: Some(3),
+        };
+        assert_eq!(
+            e.describe(),
+            "S2A_MSIL2A_20170717T100031_T29SNC_3_4 [Portugal] 2017-07-17 — \
+             Coniferous forest, Sea and ocean (hamming 3)"
+        );
+        e.distance = None;
+        e.labels = LabelSet::EMPTY;
+        assert_eq!(e.describe(), "S2A_MSIL2A_20170717T100031_T29SNC_3_4 [Portugal] 2017-07-17 — ");
+        let panel = ResultPanel::new(vec![e], 10);
+        assert_eq!(
+            panel.render_page(0),
+            "1 image patches match the query (page 1/1)\n  \
+             1. S2A_MSIL2A_20170717T100031_T29SNC_3_4 [Portugal] 2017-07-17 — \n"
+        );
     }
 
     #[test]

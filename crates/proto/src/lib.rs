@@ -60,7 +60,8 @@
 //! The payload structs mirror the serving-layer types (`SearchResponse`,
 //! `ServerStats`, `IngestReport`) field for field, so the conversion in
 //! `eq_earthqube::net` is lossless — a remote client reconstructs results
-//! byte-identical to an in-process call.  Protocol drift is guarded by the
+//! byte-identical to an in-process call ([`ResultRow`] says how a typed row
+//! becomes strings on the wire and back).  Protocol drift is guarded by the
 //! golden-bytes conformance suite in `tests/golden_bytes.rs`: the encoding
 //! of every message type is pinned to committed fixture files.
 
@@ -70,7 +71,7 @@ use std::io::{Read, Write};
 
 use eq_bigearthnet::patch::{AcquisitionDate, Patch, Satellite, Season};
 use eq_bigearthnet::wire::{decode_patch, encode_patch};
-use eq_bigearthnet::{Country, Label};
+use eq_bigearthnet::{Country, Label, LabelSet};
 use eq_geo::{BBox, Circle, GeoShape, Point, Polygon};
 use eq_wire::frame::{begin_frame, end_frame, read_frame, write_frame, FrameError, HEADER_LEN};
 use eq_wire::{Reader, WireError, Writer};
@@ -830,20 +831,62 @@ fn decode_geo_shape(r: &mut Reader<'_>) -> Result<GeoShape, WireError> {
 // Result payloads
 // ---------------------------------------------------------------------------
 
-/// One row of the result panel as it crosses the wire, mirroring
-/// `eq_earthqube::ResultEntry`.
+/// One row of the result panel, mirroring `eq_earthqube::ResultEntry`: one
+/// allocation, the name.  Country, date and labels are `Copy` values that
+/// become display strings only on the wire, in the frame buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResultRow {
     /// Patch name.
     pub name: String,
-    /// Country of acquisition (display name).
-    pub country: String,
-    /// Acquisition date (ISO `YYYY-MM-DD`).
-    pub date: String,
-    /// Full label names.
-    pub labels: Vec<String>,
+    /// Country of acquisition (on the wire: `Country::name`).
+    pub country: Country,
+    /// Acquisition date (on the wire: ISO `YYYY-MM-DD`).
+    pub date: AcquisitionDate,
+    /// The labels (on the wire: `Label::name`s in `LabelSet::iter` order).
+    pub labels: LabelSet,
     /// Hamming distance to the query (similarity searches only).
     pub distance: Option<u32>,
+}
+
+/// The one place the serving path renders a country, date or label.
+fn encode_row(row: &ResultRow, w: &mut Writer) {
+    w.str(&row.name);
+    w.str(row.country.name());
+    w.bytes(&row.date.iso_bytes());
+    w.seq_len(row.labels.len());
+    for label in row.labels.iter() {
+        w.str(label.name());
+    }
+    w.bool(row.distance.is_some());
+    if let Some(d) = row.distance {
+        w.u32(d);
+    }
+}
+
+/// Accepts only what [`encode_row`] writes, matched byte for byte: an unknown
+/// country or label, a date that is not a valid fixed-width `YYYY-MM-DD` and
+/// labels not strictly ascending are corrupt.
+fn decode_row(r: &mut Reader<'_>) -> Result<ResultRow, WireError> {
+    let corrupt = |what: &str, bytes: &[u8]| {
+        WireError::Corrupt(format!("{what} {:?}", String::from_utf8_lossy(bytes)))
+    };
+    let name = r.str()?.to_string();
+    let country = r.bytes()?;
+    let country =
+        Country::from_exact_name(country).ok_or_else(|| corrupt("unknown country", country))?;
+    let date = r.bytes()?;
+    let date = AcquisitionDate::from_iso(date).ok_or_else(|| corrupt("invalid date", date))?;
+    let mut labels = LabelSet::EMPTY;
+    for _ in 0..r.seq_len(4)? {
+        let label = r.bytes()?;
+        let label = Label::from_name(label).ok_or_else(|| corrupt("unknown label", label))?;
+        if labels.bits() >> label.index() != 0 {
+            return Err(corrupt("label not in ascending order:", label.name().as_bytes()));
+        }
+        labels.insert(label);
+    }
+    let distance = r.bool()?.then(|| r.u32()).transpose()?;
+    Ok(ResultRow { name, country, date, labels, distance })
 }
 
 /// The planner report of a metadata search, mirroring
@@ -879,20 +922,7 @@ impl SearchPayload {
     pub fn encode(&self, w: &mut Writer) {
         w.seq_len(self.rows.len());
         for row in &self.rows {
-            w.str(&row.name);
-            w.str(&row.country);
-            w.str(&row.date);
-            w.seq_len(row.labels.len());
-            for label in &row.labels {
-                w.str(label);
-            }
-            match row.distance {
-                None => w.u8(0),
-                Some(d) => {
-                    w.u8(1);
-                    w.u32(d);
-                }
-            }
+            encode_row(row, w);
         }
         w.u64(self.page_size);
         w.seq_len(self.label_counts.len());
@@ -917,22 +947,7 @@ impl SearchPayload {
     /// Returns [`WireError`] on truncation or corrupt fields.
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let n = r.seq_len(14)?;
-        let rows = (0..n)
-            .map(|_| {
-                let name = r.str()?.to_string();
-                let country = r.str()?.to_string();
-                let date = r.str()?.to_string();
-                let n_labels = r.seq_len(4)?;
-                let labels = (0..n_labels)
-                    .map(|_| Ok(r.str()?.to_string()))
-                    .collect::<Result<Vec<_>, WireError>>()?;
-                let distance = match r.bool()? {
-                    false => None,
-                    true => Some(r.u32()?),
-                };
-                Ok(ResultRow { name, country, date, labels, distance })
-            })
-            .collect::<Result<Vec<_>, WireError>>()?;
+        let rows = (0..n).map(|_| decode_row(r)).collect::<Result<Vec<_>, _>>()?;
         let page_size = r.u64()?;
         let n = r.seq_len(8)?;
         let label_counts = (0..n).map(|_| r.u64()).collect::<Result<Vec<_>, _>>()?;
@@ -1623,16 +1638,16 @@ mod tests {
             rows: vec![
                 ResultRow {
                     name: "p0".into(),
-                    country: "Portugal".into(),
-                    date: "2017-07-17".into(),
-                    labels: vec!["Sea and ocean".into()],
+                    country: Country::Portugal,
+                    date: AcquisitionDate::new(2017, 7, 17).unwrap(),
+                    labels: LabelSet::from_labels([Label::SeaAndOcean]),
                     distance: Some(3),
                 },
                 ResultRow {
                     name: "p1".into(),
-                    country: "Finland".into(),
-                    date: "2018-01-02".into(),
-                    labels: vec![],
+                    country: Country::Finland,
+                    date: AcquisitionDate::new(2018, 1, 2).unwrap(),
+                    labels: LabelSet::EMPTY,
                     distance: None,
                 },
             ],

@@ -292,16 +292,21 @@ fn response_search() {
                 rows: vec![
                     ResultRow {
                         name: "patch_a".into(),
-                        country: "Portugal".into(),
-                        date: "2017-07-17".into(),
-                        labels: vec!["Sea and ocean".into(), "Coniferous forest".into()],
+                        country: Country::Portugal,
+                        date: AcquisitionDate::new(2017, 7, 17).unwrap(),
+                        // On the wire in `LabelSet::iter` order — ascending
+                        // label index — whatever order they are given in.
+                        labels: LabelSet::from_labels([
+                            Label::SeaAndOcean,
+                            Label::ConiferousForest,
+                        ]),
                         distance: Some(3),
                     },
                     ResultRow {
                         name: "patch_b".into(),
-                        country: "Finland".into(),
-                        date: "2018-01-02".into(),
-                        labels: vec!["Sea and ocean".into()],
+                        country: Country::Finland,
+                        date: AcquisitionDate::new(2018, 1, 2).unwrap(),
+                        labels: LabelSet::from_labels([Label::SeaAndOcean]),
                         distance: None,
                     },
                 ],
@@ -424,9 +429,9 @@ fn response_filtered() {
                 search: SearchPayload {
                     rows: vec![ResultRow {
                         name: "patch_a".into(),
-                        country: "Portugal".into(),
-                        date: "2017-07-17".into(),
-                        labels: vec!["Sea and ocean".into()],
+                        country: Country::Portugal,
+                        date: AcquisitionDate::new(2017, 7, 17).unwrap(),
+                        labels: LabelSet::from_labels([Label::SeaAndOcean]),
                         distance: Some(5),
                     }],
                     page_size: 50,

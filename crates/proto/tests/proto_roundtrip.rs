@@ -8,6 +8,12 @@
 //! same technique as the docstore wire proptests — which gives the
 //! vendored (non-recursive) proptest stub full coverage of the message
 //! grammar, including every request and response tag.
+//!
+//! Result rows are typed (country, date, label set) and cross the wire as
+//! their display strings.  Two more properties fence that: the typed
+//! encoder writes the bytes a string-rendering reference writes, and the
+//! decoder accepts only what the encoder writes — a corrupt row is a
+//! [`WireError`], and whatever decodes re-encodes to the bytes it came from.
 
 use eq_bigearthnet::bands::BandData;
 use eq_bigearthnet::labels::LabelSet;
@@ -18,6 +24,7 @@ use eq_proto::{
     ErrorCode, ErrorPayload, IngestPayload, LabelFilterSpec, LabelOp, PlanSpec, QuerySpec, Request,
     RequestBody, Response, ResponseBody, ResultRow, SearchPayload, StatsPayload,
 };
+use eq_wire::{WireError, Writer};
 use proptest::prelude::*;
 
 /// Consumes up to `n` bytes of the script as a big-endian integer; an
@@ -47,6 +54,87 @@ fn date_from_script(script: &mut &[u8]) -> AcquisitionDate {
         1 + (take(script, 1) % 28) as u8,
     )
     .expect("in-range date")
+}
+
+/// Any row the typed representation can hold: any country, any date
+/// `AcquisitionDate::new` accepts, any label set, any name.
+fn row_from_script(script: &mut &[u8]) -> ResultRow {
+    ResultRow {
+        name: string_from_script(script),
+        country: Country::ALL[(take(script, 1) as usize) % Country::ALL.len()],
+        date: AcquisitionDate::new(
+            (take(script, 2) % 10_000) as u16,
+            1 + (take(script, 1) % 12) as u8,
+            1 + (take(script, 1) % 31) as u8,
+        )
+        .expect("in-range date"),
+        labels: LabelSet::from_bits(take(script, 8) & ((1 << Label::COUNT) - 1)),
+        distance: (take(script, 1) % 2 == 1).then(|| take(script, 4) as u32),
+    }
+}
+
+fn search_from_script(script: &mut &[u8]) -> SearchPayload {
+    SearchPayload {
+        rows: (0..take(script, 1) % 5).map(|_| row_from_script(script)).collect(),
+        page_size: take(script, 1),
+        label_counts: (0..take(script, 1) % 50).map(|_| take(script, 2)).collect(),
+        image_count: take(script, 2),
+        plan: (take(script, 1) % 2 == 1).then(|| PlanSpec {
+            index_used: (take(script, 1) % 2 == 1).then(|| string_from_script(script)),
+            scanned: take(script, 3),
+            matched: take(script, 3),
+        }),
+    }
+}
+
+/// The search payload as every server before typed rows wrote it: each
+/// row's country, date and labels rendered into owned strings first, then
+/// written as strings.  Shares nothing with the encoder under test — not
+/// even the date formatter.
+fn reference_search_bytes(payload: &SearchPayload) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.seq_len(payload.rows.len());
+    for row in &payload.rows {
+        let country: String = row.country.name().to_string();
+        let date = format!("{:04}-{:02}-{:02}", row.date.year, row.date.month, row.date.day);
+        let labels: Vec<String> = row.labels.iter().map(|l| l.name().to_string()).collect();
+        w.str(&row.name);
+        w.str(&country);
+        w.str(&date);
+        w.seq_len(labels.len());
+        for label in &labels {
+            w.str(label);
+        }
+        match row.distance {
+            None => w.u8(0),
+            Some(d) => {
+                w.u8(1);
+                w.u32(d);
+            }
+        }
+    }
+    w.u64(payload.page_size);
+    w.seq_len(payload.label_counts.len());
+    for &count in &payload.label_counts {
+        w.u64(count);
+    }
+    w.u64(payload.image_count);
+    match &payload.plan {
+        None => w.u8(0),
+        Some(plan) => {
+            w.u8(1);
+            match &plan.index_used {
+                None => w.u8(0),
+                Some(index) => {
+                    w.u8(1);
+                    w.str(index);
+                }
+            }
+            w.u64(plan.scanned);
+            w.u64(plan.matched);
+        }
+    }
+    w.into_bytes()
 }
 
 fn shape_from_script(script: &mut &[u8]) -> GeoShape {
@@ -153,28 +241,7 @@ fn response_from_script(script: &mut &[u8]) -> Response {
     let id = take(script, 8);
     let body = match take(script, 1) % 6 {
         0 => ResponseBody::Pong,
-        1 => {
-            let rows = (0..take(script, 1) % 5)
-                .map(|_| ResultRow {
-                    name: string_from_script(script),
-                    country: string_from_script(script),
-                    date: string_from_script(script),
-                    labels: (0..take(script, 1) % 4).map(|_| string_from_script(script)).collect(),
-                    distance: (take(script, 1) % 2 == 1).then(|| take(script, 4) as u32),
-                })
-                .collect();
-            ResponseBody::Search(SearchPayload {
-                rows,
-                page_size: take(script, 1),
-                label_counts: (0..take(script, 1) % 50).map(|_| take(script, 2)).collect(),
-                image_count: take(script, 2),
-                plan: (take(script, 1) % 2 == 1).then(|| PlanSpec {
-                    index_used: (take(script, 1) % 2 == 1).then(|| string_from_script(script)),
-                    scanned: take(script, 3),
-                    matched: take(script, 3),
-                }),
-            })
-        }
+        1 => ResponseBody::Search(search_from_script(script)),
         2 => ResponseBody::Ingest(IngestPayload {
             metadata_docs: take(script, 2),
             image_docs: take(script, 2),
@@ -244,6 +311,37 @@ proptest! {
         prop_assert_eq!(response_frame(&back), frame);
     }
 
+    /// The wire did not move: the typed encoder's bytes are the bytes of the
+    /// string-rendering reference, for any rows.
+    #[test]
+    fn typed_rows_encode_to_the_reference_bytes(
+        script in proptest::collection::vec(0u8..=255u8, 0..160),
+    ) {
+        let payload = search_from_script(&mut script.as_slice());
+        let mut w = Writer::new();
+        payload.encode(&mut w);
+        prop_assert_eq!(w.into_bytes(), reference_search_bytes(&payload));
+    }
+
+    /// Overwriting any byte of a search response either fails to decode —
+    /// with an error, never a panic — or decodes to a message whose encoding
+    /// is exactly the overwritten bytes: the decoder accepts nothing the
+    /// encoder does not write.
+    #[test]
+    fn a_damaged_search_response_fails_or_decodes_to_its_own_bytes(
+        script in proptest::collection::vec(0u8..=255u8, 0..160),
+        at in 0usize..1 << 20,
+        byte in 0u8..=255u8,
+    ) {
+        let body = ResponseBody::Search(search_from_script(&mut script.as_slice()));
+        let mut bytes = Response { id: 7, body }.encode();
+        let at = at % bytes.len();
+        bytes[at] = byte;
+        if let Ok(back) = Response::decode(&bytes) {
+            prop_assert_eq!(back.encode(), bytes);
+        }
+    }
+
     /// Truncating a request frame anywhere past the empty prefix must fail
     /// cleanly; the empty prefix is a clean EOF (`Ok(None)`), never a
     /// message.
@@ -305,4 +403,52 @@ proptest! {
         let back = eq_proto::read_request(&mut cursor).unwrap().expect("second frame");
         prop_assert_eq!(back, request);
     }
+}
+
+/// A search response of one row whose wire strings have been edited in
+/// place: `edits` are same-length `(from, to)` substitutions, each applied
+/// to the first occurrence.
+fn decode_edited_row(edits: &[(&str, &str)]) -> Result<Response, WireError> {
+    let row = ResultRow {
+        name: "patch_a".into(),
+        country: Country::Portugal,
+        date: AcquisitionDate::new(2017, 7, 17).unwrap(),
+        labels: LabelSet::from_labels([Label::Pastures, Label::Peatbogs, Label::SeaAndOcean]),
+        distance: Some(3),
+    };
+    let payload = SearchPayload {
+        rows: vec![row],
+        page_size: 50,
+        label_counts: vec![0; Label::COUNT],
+        image_count: 1,
+        plan: None,
+    };
+    let mut bytes = Response { id: 1, body: ResponseBody::Search(payload) }.encode();
+    for (from, to) in edits {
+        assert_eq!(from.len(), to.len(), "an edit must keep every length prefix true");
+        let at = bytes.windows(from.len()).position(|w| w == from.as_bytes()).expect("present");
+        bytes[at..at + to.len()].copy_from_slice(to.as_bytes());
+    }
+    Response::decode(&bytes)
+}
+
+#[test]
+fn the_four_ways_a_row_is_corrupt_are_typed_errors() {
+    assert!(decode_edited_row(&[]).is_ok());
+    let corrupt = |edits: &[(&str, &str)], what: &str| match decode_edited_row(edits) {
+        Err(WireError::Corrupt(message)) => assert!(message.contains(what), "{message}"),
+        other => panic!("{edits:?} decoded to {other:?}"),
+    };
+    // Only the exact display names are names: no case folding on the wire.
+    corrupt(&[("Portugal", "portugal")], "unknown country");
+    corrupt(&[("Portugal", "Bulgaria")], "unknown country");
+    corrupt(&[("Sea and ocean", "sea and ocean")], "unknown label");
+    corrupt(&[("Sea and ocean", "Sea and 0cean")], "unknown label");
+    // Only the fixed-width form of a valid date is a date.
+    for bad in ["2017-7-017", "2017-13-17", "2017-07-00", "2017/07/17", "+017-07-17"] {
+        corrupt(&[("2017-07-17", bad)], "invalid date");
+    }
+    // Labels are a set in ascending label order: no duplicate, no other order.
+    corrupt(&[("Peatbogs", "Pastures")], "ascending");
+    corrupt(&[("Peatbogs", "Airports")], "ascending");
 }

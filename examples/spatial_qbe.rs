@@ -55,15 +55,15 @@ fn main() {
     println!("{}", similar.panel.render_page(0));
 
     // Count in how many different countries the similar images were found.
-    let mut countries: Vec<String> =
-        similar.panel.page(0).entries.iter().map(|e| e.country.clone()).collect();
+    let mut countries: Vec<Country> =
+        similar.panel.page(0).entries.iter().map(|e| e.country).collect();
     countries.sort();
     countries.dedup();
     println!(
         "Similar images span {} of the {} BigEarthNet countries: {}",
         countries.len(),
         Country::ALL.len(),
-        countries.join(", ")
+        countries.iter().map(|c| c.name()).collect::<Vec<_>>().join(", ")
     );
     println!("\n{}", similar.statistics.render_bar_chart(10, 30));
 }

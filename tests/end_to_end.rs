@@ -61,7 +61,7 @@ fn scenario_spatial_exploration_and_query_by_existing_example() {
         "spatial queries must go through the geohash index"
     );
     for entry in spatial.panel.page(0).entries {
-        assert_eq!(entry.country, "Portugal");
+        assert_eq!(entry.country, Country::Portugal);
     }
 
     // Query-by-existing-example from the first hit.
