@@ -7,8 +7,8 @@
 //! Note: these collections carry no attribute indexes, so both sides are
 //! measured as pure scans — the representation cost alone.  On an indexed
 //! collection the same label predicates compile to per-element posting
-//! bitmaps and skip the scan entirely; that path is priced by E13
-//! (`e13_filtered_search.rs`).
+//! bitmaps and skip the scan entirely; that path is priced by
+//! `bench_e2e --trace 1` (`eq_docstore.mask_resolve_us`, `filtered.*`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eq_bench::metadata;

@@ -12,7 +12,9 @@
 //! * **Index shards** — [`ServeConfig::shards`] splits the core's
 //!   [`eq_hashindex::ShardedHashIndex`]; a search threads one bounded
 //!   selection across the shards, and an incremental checkpoint rewrites
-//!   only the shards an ingest touched.
+//!   only the shards an ingest touched.  Shards are not a concurrency
+//!   boundary: the whole index sits behind the catalog lock, so an ingest
+//!   blocks every reader whatever shard it touches.
 //! * **Result cache** — a bounded LRU keyed by a fingerprint of the query
 //!   (a structural hash; the full query is stored and compared, so a
 //!   fingerprint collision is a miss, never a wrong answer).
@@ -79,7 +81,9 @@ use crate::EarthQubeError;
 /// Configuration of the serving layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Number of independently-locked shards of the CBIR index.
+    /// Number of shards of the CBIR index: the unit an incremental
+    /// checkpoint rewrites (the index as a whole sits behind the catalog
+    /// lock).
     pub shards: usize,
     /// Maximum number of cached query results; `0` disables the cache.
     pub cache_capacity: usize,

@@ -1,12 +1,21 @@
-//! A sharded Hamming index for concurrent query serving.
+//! A sharded Hamming index: the unit of incremental checkpointing.
 //!
 //! [`ShardedHashIndex`] splits one logical [`HashTableIndex`] into `N`
-//! independently-locked shards.  Every code is routed to a shard by a
-//! deterministic hash of its bit pattern, so identical codes always share a
-//! shard (and a bucket within it).  Searches fan out over all shards —
-//! each under its own read lock — and merge the per-shard hit lists, so
-//! many reader threads proceed in parallel and a writer only ever blocks
-//! the single shard it is inserting into, never the whole index.
+//! shards.  Every code is routed to a shard by a deterministic hash of its
+//! bit pattern, so identical codes always share a shard (and a bucket
+//! within it).  Searches fan out over all shards and merge the per-shard
+//! hit lists.
+//!
+//! What shards are for: each carries a dirty flag, so an incremental
+//! checkpoint rewrites only the shards an ingest touched; and they are the
+//! split a future parallel scan would fan out over (ROADMAP item 5).  They
+//! are *not* a concurrency boundary in the server: the whole index sits
+//! behind `eq_earthqube`'s one `catalog` lock, so a writer blocks every
+//! reader whatever shard it inserts into.  Each shard keeps
+//! its own `RwLock`, uncontended there, only because
+//! [`insert`](ShardedHashIndex::insert) takes `&self` — public API that
+//! `bench_e2e/src/layers.rs` calls on a non-`mut` binding — until ROADMAP
+//! item 3 replaces the locks with versioned shards.
 //!
 //! Determinism: the merged results are sorted with [`sort_neighbors`]
 //! (distance, then id), exactly like the unsharded index, so a sharded
@@ -18,9 +27,8 @@
 //! per-shard result lists, no merge-then-truncate.
 //!
 //! Memory layout: each shard owns its own arena (inside its
-//! [`HashTableIndex`]), so a fan-out search is `N` sequential streams —
-//! each under its own read lock — rather than one pointer chase over a
-//! shared `HashMap`.
+//! [`HashTableIndex`]), so a fan-out search is `N` sequential streams
+//! rather than one pointer chase over a shared `HashMap`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -34,12 +42,14 @@ use crate::{sort_neighbors, HammingIndex, ItemId, Neighbor};
 /// Default number of shards used by [`ShardedHashIndex::with_default_shards`].
 pub const DEFAULT_SHARDS: usize = 8;
 
-/// A concurrently searchable Hamming index: `N` independently-locked
-/// [`HashTableIndex`] shards with fan-out/merge search.
+/// A Hamming index split into `N` [`HashTableIndex`] shards with
+/// fan-out/merge search and per-shard dirty flags for incremental
+/// checkpoints.
 ///
-/// All operations — including [`insert`](Self::insert) — take `&self`, so
-/// the index can be shared across threads (`Arc<ShardedHashIndex>` or a
-/// plain borrow inside [`std::thread::scope`]) without an external lock.
+/// All operations — including [`insert`](Self::insert) — take `&self`
+/// through a per-shard lock (uncontended in the server; see the module
+/// docs for why it stays), so the index can be shared across threads
+/// without an external lock.
 #[derive(Debug)]
 pub struct ShardedHashIndex {
     bits: u32,
@@ -53,7 +63,7 @@ pub struct ShardedHashIndex {
 
 impl ShardedHashIndex {
     /// Creates an empty index for codes of the given width, split into
-    /// `shards` independently-locked shards.
+    /// `shards` shards.
     ///
     /// # Panics
     /// Panics if `bits == 0` or `shards == 0`.

@@ -117,6 +117,11 @@ fn remote_workload_is_byte_identical_to_in_process() {
     // agree with the in-process view of the remote server itself.
     assert_eq!(remote_after, remote.stats());
 
+    // One round trip per request (`EqClient::execute`) answers the same.
+    for (i, (request, local)) in requests.iter().zip(&local_results).enumerate() {
+        assert_eq!(&client.execute(request), local, "slot {i}: one-shot differs");
+    }
+
     net.shutdown();
 }
 

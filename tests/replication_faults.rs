@@ -426,9 +426,9 @@ fn cluster_client_fans_reads_and_follows_the_primary_across_failover() {
     let dir_r1 = ScratchDir::new("cluster_r1");
     let dir_r2 = ScratchDir::new("cluster_r2");
     let archive = generate(10, SEED + 40);
-    let extra = generate(6, SEED + 41);
-    let batch_a: Vec<Patch> = extra.patches()[..3].to_vec();
-    let batch_b: Vec<Patch> = extra.patches()[3..].to_vec();
+    let extra = generate(9, SEED + 41);
+    let batch_a: Vec<Patch> = extra.patches()[..6].to_vec();
+    let batch_b: Vec<Patch> = extra.patches()[6..].to_vec();
 
     let (server, net) = primary(&archive, SEED + 40, dir_p.path());
     let addr = net.local_addr().to_string();
@@ -446,11 +446,16 @@ fn cluster_client_fans_reads_and_follows_the_primary_across_failover() {
     .unwrap();
     assert_eq!(cluster.primary_addr().unwrap(), addr);
 
-    // A write routes to the primary even though reads rotate.
-    cluster.ingest(&batch_a).unwrap();
+    // Writes route to the primary even though reads rotate, and steady
+    // replication never re-seeds: both replicas catch up after each wave.
+    for wave in batch_a.chunks(3) {
+        cluster.ingest(wave).unwrap();
+        for replica in [&mut r1, &mut r2] {
+            let sync = replica.catch_up().unwrap();
+            assert!(sync.caught_up() && sync.reseeds == 0, "steady state re-seeded: {sync:?}");
+        }
+    }
     assert_eq!(server.archive_size(), archive.patches().len() + batch_a.len());
-    assert!(r1.catch_up().unwrap().caught_up());
-    assert!(r2.catch_up().unwrap().caught_up());
 
     // Reads fan out round-robin and every endpoint answers identically.
     let reference = server.search(&ImageQuery::all()).unwrap();

@@ -1,12 +1,13 @@
-//! A result row is one allocation.
+//! The query path's allocation budget.
 //!
 //! A row of the result panel carries its country, date and label set as the
 //! `Copy` values of the metadata table, so assembling a response, converting
 //! it for the wire, encoding it and decoding it on the client each cost one
-//! allocation per row — the name — or none.  This test counts them with a
-//! counting global allocator (its own test binary, so nothing else runs
-//! under it) and fails if a per-row `to_string()` / `format!` comes back
-//! anywhere on the path.
+//! allocation per row — the name — or none.  Under the rows, a warm Hamming
+//! scan costs none at all.  Both are counted with a counting global
+//! allocator (its own test binary, so nothing else runs under it); the tests
+//! fail if a per-row `to_string()` / `format!` comes back anywhere on the
+//! path, or if a scan entry point stops reusing its caller's buffers.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,6 +15,10 @@ use std::cell::Cell;
 use agoraeo::bigearthnet::{ArchiveGenerator, GeneratorConfig};
 use agoraeo::earthqube::net::{payload_to_response, response_to_payload};
 use agoraeo::earthqube::{EarthQube, EarthQubeConfig, ImageQuery};
+use agoraeo::hashindex::hashtable::Strategy;
+use agoraeo::hashindex::{
+    BinaryCode, Bitmap, HammingIndex, HashTableIndex, IdMask, SearchScratch, ShardedHashIndex,
+};
 use agoraeo::proto::{Response, ResponseBody};
 
 /// Counts the allocations of the thread that makes them, so the test
@@ -94,4 +99,68 @@ fn a_response_costs_one_allocation_per_row_at_every_step() {
     assert!(assemble + convert + encode <= 3 * N + FIXED);
     assert!(decode <= N + FIXED, "decoding {N} rows made {decode} allocations");
     assert!(rebuild <= FIXED, "moving {N} decoded rows into a response made {rebuild} allocations");
+}
+
+/// `n` 128-bit codes around 64 centroids, ~5 % of their bits flipped: the
+/// cluster structure of learned hash codes (splitmix64, so no `rand`).
+fn clustered_codes(n: usize) -> Vec<BinaryCode> {
+    let mut state = 11u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let centroids: Vec<Vec<u64>> = (0..64).map(|_| vec![next(), next()]).collect();
+    (0..n)
+        .map(|i| {
+            let mut code = BinaryCode::from_words(128, centroids[i % 64].clone());
+            for _ in 0..7 {
+                code.toggle_bit((next() % 128) as u32);
+            }
+            code
+        })
+        .collect()
+}
+
+/// A warm scan allocates nothing: the sharded index's k-NN, masked k-NN and
+/// masked radius search (what `Catalog::nearest` and
+/// `similar_within_filtered` call), and the flat table's k-NN and radius
+/// scan, each into a cleared, warm buffer.
+#[test]
+fn a_warm_scan_allocates_nothing() {
+    let codes = clustered_codes(4_000);
+    let sharded = ShardedHashIndex::new(128, 8);
+    let mut table = HashTableIndex::new(128);
+    let mut subset = Bitmap::new();
+    for (id, code) in (0u64..).zip(&codes) {
+        sharded.insert(id, code.clone());
+        table.insert(id, code.clone());
+        if id % 7 == 0 {
+            subset.insert(id);
+        }
+    }
+    // Enumeration clones the query per call; the scan is the hot path.
+    table.force_strategy(Some(Strategy::BucketScan));
+    let mask = IdMask::from_bitmap(&subset);
+    let query = &codes[2_000];
+    let (mut scratch, mut out) = (SearchScratch::new(), Vec::new());
+    let mut hits = [0; 5];
+    let mut scan = || {
+        hits[0] += sharded.knn_with(query, 10, &mut scratch).len();
+        hits[1] += sharded.knn_masked_with(query, 10, &mask, &mut scratch).len();
+        out.clear();
+        sharded.radius_search_masked_into(query, 12, &mask, &mut out);
+        hits[2] += out.len();
+        hits[3] += table.knn_with(query, 10, &mut scratch).len();
+        out.clear();
+        table.radius_search_into(query, 12, &mut out);
+        hits[4] += out.len();
+    };
+    // Warms the scratch heap, `out` and the per-thread stack of the
+    // debug-build lock-order tracker in `vendor/parking_lot`.
+    scan();
+    let ((), allocations) = counted(|| (0..200).for_each(|_| scan()));
+    assert!(hits.iter().all(|&h| h > 0), "a scan found nothing to rank: {hits:?}");
+    assert_eq!(allocations, 0, "200 warm scans made {allocations} allocations");
 }
