@@ -9,6 +9,7 @@
 //! search service) and where simple pipelines over assets can be recorded.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
 

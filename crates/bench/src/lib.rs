@@ -6,6 +6,7 @@
 //! files stay focused on what they measure.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use eq_bigearthnet::{Archive, ArchiveGenerator, GeneratorConfig};
 use eq_hashindex::BinaryCode;

@@ -20,6 +20,7 @@
 //! * an [`archive::Archive`] container with train/validation/test splits.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod archive;
 pub mod bands;

@@ -19,6 +19,7 @@
 //!   documents, collections and databases (the durable storage tier).
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod collection;
 pub mod database;

@@ -77,6 +77,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod catalog;
 pub mod cbir;

@@ -16,6 +16,7 @@
 //! `[-90, 90]`.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod bbox;
 pub mod distance;

@@ -7,13 +7,29 @@
 //! per candidate, which stalls the scan on a cache miss for almost every
 //! code it touches.  The arena stores all code words **word-striped and
 //! contiguous** (`row * words_per_code .. (row + 1) * words_per_code`
-//! inside one `Vec<u64>`) with a parallel `Vec<ItemId>`, so a radius scan
-//! is a linear walk the prefetcher can stream at memory bandwidth, and the
-//! distance kernel is specialised per code width (1/2/4 words cover 64,
-//! 128 and 256-bit codes — MiLaN uses 128) so the XOR/popcount loop fully
-//! unrolls.
+//! inside one `Vec<u64>`) with a parallel `Vec<ItemId>`, so a scan is a
+//! linear walk the prefetcher can stream at memory bandwidth.
 //!
-//! Layout invariants (relied on by the scan kernels and the property
+//! Every scan — bounded top-k, radius, all distances, masked or not — is
+//! one call of the block kernel [`CodeArena::scan`], run at the best
+//! [`KernelTier`] the CPU offers, detected once per process:
+//!
+//! * **`Avx512`** (`avx512f` + `avx512vpopcntdq`): eight rows per step —
+//!   XOR, `vpopcntq`, a pairwise add of each 128-bit row's two words (other
+//!   widths gather each word at the row stride), one unsigned compare of
+//!   all eight distances against the bound.  A mask's eight bits, probed in
+//!   one gather, are ANDed into that compare; a block with none of its rows
+//!   in the mask loads no code words.  The last `len % 8` rows run portable.
+//! * **`Popcnt`**: the portable loop compiled with the `popcnt` instruction.
+//! * **`Portable`**: `u64::count_ones` (a SWAR sequence on x86_64 without
+//!   `popcnt`) in 1/2/4-word arms that keep the query in registers.  The
+//!   fallback, the only tier off x86_64, and the tests' reference.
+//!
+//! The tiers are `#[target_feature]` functions, not a crate-wide
+//! `-C target-feature`, which would recompile every crate of the build and
+//! make a binary that faults on a CPU without the feature.
+//!
+//! Layout invariants (relied on by the scan kernel and the property
 //! tests):
 //!
 //! * `data.len() == ids.len() * words_per_code` at all times,
@@ -23,12 +39,14 @@
 //! * bits past the logical width of the last word are zero — guaranteed by
 //!   [`BinaryCode`]'s own invariant, which the arena copies verbatim.
 
+use std::sync::OnceLock;
+
 use crate::bitmap::IdMask;
 use crate::code::BinaryCode;
 use crate::{ItemId, Neighbor};
 
 /// A flat, append-only, structure-of-arrays store of `(id, code)` rows with
-/// width-specialised Hamming-distance scan kernels.
+/// one runtime-dispatched Hamming-distance scan kernel.
 #[derive(Debug, Clone, Default)]
 pub struct CodeArena {
     bits: u32,
@@ -38,6 +56,49 @@ pub struct CodeArena {
     data: Vec<u64>,
     /// `ids[i]` is the item stored in row `i`.
     ids: Vec<ItemId>,
+}
+
+/// An instruction-set tier of the scan kernel ([`CodeArena::scan`]), slowest
+/// first; every tier returns exactly what `Portable` returns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KernelTier {
+    /// Plain Rust for the compile target: the fallback, the only tier off
+    /// x86_64, and the tests' reference.
+    Portable,
+    /// The portable loop compiled with the `popcnt` instruction.
+    Popcnt,
+    /// `avx512f` + `avx512vpopcntdq`: eight rows per step, their distances
+    /// compared with the bound in one instruction.
+    Avx512,
+}
+
+impl KernelTier {
+    /// Whether this CPU can run the tier (`is_x86_feature_detected!`).
+    pub(crate) fn is_supported(self) -> bool {
+        match self {
+            KernelTier::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Popcnt => is_x86_feature_detected!("popcnt"),
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx512 => {
+                is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vpopcntdq")
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+
+    /// The tiers this CPU can run, slowest first (`Portable` always).
+    pub(crate) fn supported() -> impl Iterator<Item = KernelTier> {
+        [Self::Portable, Self::Popcnt, Self::Avx512].into_iter().filter(|t| t.is_supported())
+    }
+
+    /// The best tier this CPU can run: detected on first use, then fixed
+    /// for the life of the process.  [`CodeArena::scan`] runs at it.
+    pub fn detected() -> KernelTier {
+        static DETECTED: OnceLock<KernelTier> = OnceLock::new();
+        *DETECTED.get_or_init(|| Self::supported().last().unwrap_or(KernelTier::Portable))
+    }
 }
 
 impl CodeArena {
@@ -122,62 +183,14 @@ impl CodeArena {
         self.ids.push(id);
     }
 
-    /// Hamming distance between row `row` and `query` (already validated to
-    /// have `words_per_code` words).
-    #[inline]
-    pub fn distance(&self, row: usize, query: &[u64]) -> u32 {
-        debug_assert_eq!(query.len(), self.words_per_code);
-        hamming_words(self.code_words(row), query)
-    }
-
-    /// Streams the Hamming distance of every row to `query` through
-    /// `visit(row, distance)`, in row order.  **The one copy of the scan
-    /// kernel**: the width specialisation lives here and nowhere else —
-    /// [`distances_into`](Self::distances_into),
-    /// [`scan_radius_into`](Self::scan_radius_into) and the bounded top-k
-    /// selection (`SearchScratch::scan_arena`) are all thin visitors over
-    /// this loop, so every scan path gets the same specialised code and a
-    /// future kernel change (wider codes, SIMD) happens in one place.
-    ///
-    /// The 1/2/4-word arms (64, 128 and 256-bit codes — MiLaN uses 128)
-    /// are straight-line XOR/popcount with no inner loop: the compiler
-    /// keeps the query words in registers, `visit` is inlined per call
-    /// site, and the only memory traffic is the sequential arena stream.
+    /// Hamming distance between row `row` and `query`.
     ///
     /// # Panics
-    /// Panics if `query.len() != words_per_code()`.
+    /// Panics if `query.len() != words_per_code()` or `row >= len()`.
     #[inline]
-    pub fn for_each_distance(&self, query: &[u64], mut visit: impl FnMut(usize, u32)) {
+    pub fn distance(&self, row: usize, query: &[u64]) -> u32 {
         assert_eq!(query.len(), self.words_per_code, "query width does not match the arena");
-        match self.words_per_code {
-            1 => {
-                let q = query[0];
-                for (row, &w) in self.data.iter().enumerate() {
-                    visit(row, (w ^ q).count_ones());
-                }
-            }
-            2 => {
-                let (q0, q1) = (query[0], query[1]);
-                for (row, words) in self.data.chunks_exact(2).enumerate() {
-                    visit(row, (words[0] ^ q0).count_ones() + (words[1] ^ q1).count_ones());
-                }
-            }
-            4 => {
-                let (q0, q1, q2, q3) = (query[0], query[1], query[2], query[3]);
-                for (row, words) in self.data.chunks_exact(4).enumerate() {
-                    let d = (words[0] ^ q0).count_ones()
-                        + (words[1] ^ q1).count_ones()
-                        + (words[2] ^ q2).count_ones()
-                        + (words[3] ^ q3).count_ones();
-                    visit(row, d);
-                }
-            }
-            w => {
-                for (row, words) in self.data.chunks_exact(w).enumerate() {
-                    visit(row, hamming_words(words, query));
-                }
-            }
-        }
+        hamming_words(self.code_words(row), query)
     }
 
     /// Writes the Hamming distance of every row to `query` into `out`
@@ -189,8 +202,11 @@ impl CodeArena {
     pub fn distances_into(&self, query: &[u64], out: &mut Vec<u32>) {
         out.clear();
         out.reserve(self.ids.len());
-        // lint:allow(hot-path) the reserve() above makes every push land in capacity; the buffer is reused across queries
-        self.for_each_distance(query, |_, d| out.push(d));
+        self.scan(query, None, u32::MAX, |_, d| {
+            // lint:allow(hot-path) the reserve() above makes every push land in capacity; the buffer is reused across queries
+            out.push(d);
+            u32::MAX
+        });
     }
 
     /// Appends every row within Hamming distance `radius` of `query` to
@@ -202,80 +218,7 @@ impl CodeArena {
     /// # Panics
     /// Panics if `query.len() != words_per_code()`.
     pub fn scan_radius_into(&self, query: &[u64], radius: u32, out: &mut Vec<Neighbor>) {
-        self.for_each_distance(query, |row, d| {
-            if d <= radius {
-                // lint:allow(hot-path) the caller owns and reuses the buffer across queries; amortised like the bucket scan this replaced
-                out.push(Neighbor::new(self.ids[row], d));
-            }
-        });
-    }
-
-    /// The masked counterpart of
-    /// [`for_each_distance`](Self::for_each_distance): streams the Hamming
-    /// distance of every row **whose id is in `mask`** through
-    /// `visit(row, distance)`, in row order.  The mask probe runs *before*
-    /// the XOR/popcount, so on a selective prefilter the kernel's work is
-    /// one sequential id load plus a two-instruction bit test per skipped
-    /// row — the code words of rejected rows are never touched.
-    ///
-    /// Kept width-specialised like the unmasked kernel (the mask test
-    /// compiles to a register probe inside each arm) rather than layered
-    /// as a visitor over `for_each_distance`, which would pay the distance
-    /// computation for every rejected row.
-    ///
-    /// # Panics
-    /// Panics if `query.len() != words_per_code()`.
-    #[inline]
-    pub fn for_each_distance_masked(
-        &self,
-        query: &[u64],
-        mask: &IdMask,
-        mut visit: impl FnMut(usize, u32),
-    ) {
-        assert_eq!(query.len(), self.words_per_code, "query width does not match the arena");
-        match self.words_per_code {
-            1 => {
-                let q = query[0];
-                for (row, (&w, &id)) in self.data.iter().zip(self.ids.iter()).enumerate() {
-                    if mask.contains(id) {
-                        visit(row, (w ^ q).count_ones());
-                    }
-                }
-            }
-            2 => {
-                let (q0, q1) = (query[0], query[1]);
-                for (row, (words, &id)) in
-                    self.data.chunks_exact(2).zip(self.ids.iter()).enumerate()
-                {
-                    if mask.contains(id) {
-                        visit(row, (words[0] ^ q0).count_ones() + (words[1] ^ q1).count_ones());
-                    }
-                }
-            }
-            4 => {
-                let (q0, q1, q2, q3) = (query[0], query[1], query[2], query[3]);
-                for (row, (words, &id)) in
-                    self.data.chunks_exact(4).zip(self.ids.iter()).enumerate()
-                {
-                    if mask.contains(id) {
-                        let d = (words[0] ^ q0).count_ones()
-                            + (words[1] ^ q1).count_ones()
-                            + (words[2] ^ q2).count_ones()
-                            + (words[3] ^ q3).count_ones();
-                        visit(row, d);
-                    }
-                }
-            }
-            w => {
-                for (row, (words, &id)) in
-                    self.data.chunks_exact(w).zip(self.ids.iter()).enumerate()
-                {
-                    if mask.contains(id) {
-                        visit(row, hamming_words(words, query));
-                    }
-                }
-            }
-        }
+        self.radius_into(query, radius, None, out);
     }
 
     /// Masked radius scan: like [`scan_radius_into`](Self::scan_radius_into)
@@ -291,12 +234,265 @@ impl CodeArena {
         mask: &IdMask,
         out: &mut Vec<Neighbor>,
     ) {
-        self.for_each_distance_masked(query, mask, |row, d| {
-            if d <= radius {
-                // lint:allow(hot-path) the caller owns and reuses the buffer across queries, same amortisation as the unmasked scan
-                out.push(Neighbor::new(self.ids[row], d));
-            }
+        self.radius_into(query, radius, Some(mask), out);
+    }
+
+    fn radius_into(
+        &self,
+        query: &[u64],
+        radius: u32,
+        mask: Option<&IdMask>,
+        out: &mut Vec<Neighbor>,
+    ) {
+        self.scan(query, mask, radius, |row, d| {
+            // lint:allow(hot-path) the caller owns and reuses the buffer across queries; amortised like the bucket scan this replaced
+            out.push(Neighbor::new(self.ids[row], d));
+            radius
         });
+    }
+}
+
+/// The scan kernel: the one place in the crate allowed `unsafe`, for the
+/// calls into the `#[target_feature]` tiers and the AVX-512 loads.
+#[allow(unsafe_code)]
+impl CodeArena {
+    /// **The scan kernel**, at [`KernelTier::detected`]: streams every row
+    /// within Hamming distance `bound` of `query` — and, given a `mask`,
+    /// whose id is in it — through `visit(row, distance)`, in row order;
+    /// `visit` returns the bound for the rows after it.  Top-k passes its
+    /// heap's k-th distance (`u32::MAX` until the heap is full) and returns
+    /// the new one, a radius scan the radius, `distances_into` `u32::MAX`.
+    /// Rows outside the mask never have their distance computed.
+    ///
+    /// # Panics
+    /// Panics if `query.len() != words_per_code()`.
+    #[inline]
+    pub fn scan<V: FnMut(usize, u32) -> u32>(
+        &self,
+        query: &[u64],
+        mask: Option<&IdMask>,
+        bound: u32,
+        visit: V,
+    ) {
+        self.scan_tier(KernelTier::detected(), query, mask, bound, visit);
+    }
+
+    /// [`scan`](Self::scan) at a given tier: the same rows, distances and
+    /// order at every tier (what the tests pin, tier by tier).
+    ///
+    /// # Panics
+    /// Panics if `query.len() != words_per_code()` or this CPU cannot run
+    /// `tier`.
+    #[inline]
+    pub(crate) fn scan_tier<V: FnMut(usize, u32) -> u32>(
+        &self,
+        tier: KernelTier,
+        query: &[u64],
+        mask: Option<&IdMask>,
+        bound: u32,
+        mut visit: V,
+    ) {
+        assert_eq!(query.len(), self.words_per_code, "query width does not match the arena");
+        assert!(tier.is_supported(), "this CPU cannot run the {tier:?} scan kernel");
+        match tier {
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Popcnt => {
+                // SAFETY: `is_supported` confirmed `popcnt`, the one feature
+                // the tier enables (`is_x86_feature_detected!`).
+                unsafe { self.scan_popcnt(query, mask, bound, &mut visit) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx512 => {
+                // SAFETY: `is_supported` confirmed `avx512f` and
+                // `avx512vpopcntdq` (`is_x86_feature_detected!`).
+                unsafe { self.scan_avx512(query, mask, bound, &mut visit) }
+            }
+            _ => self.scan_portable(0, query, mask, bound, &mut visit),
+        };
+    }
+
+    /// The portable tier over rows `from..`; returns the final bound.
+    #[inline(always)]
+    fn scan_portable<V: FnMut(usize, u32) -> u32>(
+        &self,
+        from: usize,
+        query: &[u64],
+        mask: Option<&IdMask>,
+        bound: u32,
+        visit: &mut V,
+    ) -> u32 {
+        match self.words_per_code {
+            1 => {
+                let q = query[0];
+                self.rows(from, 1, mask, bound, visit, |c| (c[0] ^ q).count_ones())
+            }
+            2 => {
+                let (q0, q1) = (query[0], query[1]);
+                self.rows(from, 2, mask, bound, visit, |c| {
+                    (c[0] ^ q0).count_ones() + (c[1] ^ q1).count_ones()
+                })
+            }
+            4 => {
+                let (q0, q1, q2, q3) = (query[0], query[1], query[2], query[3]);
+                self.rows(from, 4, mask, bound, visit, |c| {
+                    (c[0] ^ q0).count_ones()
+                        + (c[1] ^ q1).count_ones()
+                        + (c[2] ^ q2).count_ones()
+                        + (c[3] ^ q3).count_ones()
+                })
+            }
+            w => self.rows(from, w, mask, bound, visit, |c| hamming_words(c, query)),
+        }
+    }
+
+    /// The portable loop at width `w` (a constant per arm): the mask probe
+    /// before the distance, the bound after it.
+    #[inline(always)]
+    fn rows<V: FnMut(usize, u32) -> u32>(
+        &self,
+        from: usize,
+        w: usize,
+        mask: Option<&IdMask>,
+        mut bound: u32,
+        visit: &mut V,
+        distance: impl Fn(&[u64]) -> u32,
+    ) -> u32 {
+        let codes = self.data[from * w..].chunks_exact(w);
+        for (row, (code, &id)) in codes.zip(&self.ids[from..]).enumerate() {
+            if mask.is_some_and(|m| !m.contains(id)) {
+                continue;
+            }
+            let d = distance(code);
+            if d <= bound {
+                bound = visit(from + row, d);
+            }
+        }
+        bound
+    }
+
+    /// The `popcnt` tier: the portable loop with `count_ones` as one instruction.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "popcnt")]
+    fn scan_popcnt<V: FnMut(usize, u32) -> u32>(
+        &self,
+        query: &[u64],
+        mask: Option<&IdMask>,
+        bound: u32,
+        visit: &mut V,
+    ) -> u32 {
+        self.scan_portable(0, query, mask, bound, visit)
+    }
+
+    /// The AVX-512 tier: 8-row blocks up to `len / 8 * 8`, the tail portable.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    fn scan_avx512<V: FnMut(usize, u32) -> u32>(
+        &self,
+        query: &[u64],
+        mask: Option<&IdMask>,
+        mut bound: u32,
+        visit: &mut V,
+    ) -> u32 {
+        use std::arch::x86_64::*;
+        let w = self.words_per_code;
+        let blocked = self.len() / 8 * 8;
+        // The query as the lanes of 4 two-word rows, or of 8 one-word rows.
+        let q = |j: usize| query.get(j.min(w.saturating_sub(1))).map_or(0, |&q| q as i64);
+        let pairs = _mm512_setr_epi64(q(0), q(1), q(0), q(1), q(0), q(1), q(0), q(1));
+        let evens = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
+        let odds = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
+        // Lane `r` of a strided gather reads word `r * w` past its base.
+        let s = w as i64;
+        let stride = _mm512_setr_epi64(0, s, 2 * s, 3 * s, 4 * s, 5 * s, 6 * s, 7 * s);
+        let mask_words = mask.map(IdMask::words);
+        let mask_len = _mm512_set1_epi64(mask_words.map_or(0, <[u64]>::len) as i64);
+        let (zero, one, low_six) =
+            (_mm512_setzero_si512(), _mm512_set1_epi64(1), _mm512_set1_epi64(63));
+        for base in (0..blocked).step_by(8) {
+            // Bit `r` set iff row `base + r`'s id is in the mask: the
+            // mask's words probed for all eight ids at once.
+            let keep = match mask_words {
+                None => 0xFF,
+                Some(words) => {
+                    let ids = &self.ids[base..base + 8];
+                    // SAFETY: avx512f is on; the load reads `ids[0..8]`, and
+                    // `ids.len() == 8`.
+                    let ids = unsafe { _mm512_loadu_epi64(ids.as_ptr().cast()) };
+                    let at = _mm512_srli_epi64::<6>(ids);
+                    let inside = _mm512_cmplt_epu64_mask(at, mask_len);
+                    // SAFETY: avx512f is on; only lanes in `inside` read, each
+                    // `words[at]` with `at < words.len()` (ids past it: clear).
+                    let probed = unsafe {
+                        _mm512_mask_i64gather_epi64::<8>(zero, inside, at, words.as_ptr().cast())
+                    };
+                    let bits = _mm512_srlv_epi64(probed, _mm512_and_si512(ids, low_six));
+                    _mm512_test_epi64_mask(bits, one)
+                }
+            };
+            if keep == 0 {
+                continue;
+            }
+            // Rows `base..base + 8` (`base + 8 <= blocked <= len`): the loads
+            // below stay inside this bounds-checked slice of `8 * w` words.
+            let block = &self.data[base * w..(base + 8) * w];
+            let distances = match w {
+                1 => {
+                    // SAFETY: avx512f is on; the load reads `block[0..8]`, and
+                    // `block.len() == 8`.
+                    let words = unsafe { _mm512_loadu_epi64(block.as_ptr().cast()) };
+                    _mm512_popcnt_epi64(_mm512_xor_si512(words, pairs))
+                }
+                2 => {
+                    // SAFETY: avx512f is on; the loads read `block[0..8]` and
+                    // `block[8..16]`, and `block.len() == 16`.
+                    let (lo, hi) = unsafe {
+                        (
+                            _mm512_loadu_epi64(block.as_ptr().cast()),
+                            _mm512_loadu_epi64(block[8..].as_ptr().cast()),
+                        )
+                    };
+                    let lo = _mm512_popcnt_epi64(_mm512_xor_si512(lo, pairs));
+                    let hi = _mm512_popcnt_epi64(_mm512_xor_si512(hi, pairs));
+                    _mm512_add_epi64(
+                        _mm512_permutex2var_epi64(lo, evens, hi),
+                        _mm512_permutex2var_epi64(lo, odds, hi),
+                    )
+                }
+                _ => {
+                    let mut sum = zero;
+                    for (j, &q) in query.iter().enumerate() {
+                        // SAFETY: avx512f is on; lane `r` reads `block[j + r * w]`,
+                        // at most `w - 1 + 7 * w < 8 * w == block.len()`.
+                        let words = unsafe {
+                            _mm512_i64gather_epi64::<8>(stride, block[j..].as_ptr().cast())
+                        };
+                        let q = _mm512_set1_epi64(q as i64);
+                        sum =
+                            _mm512_add_epi64(sum, _mm512_popcnt_epi64(_mm512_xor_si512(words, q)));
+                    }
+                    sum
+                }
+            };
+            let mut hits =
+                _mm512_cmple_epu64_mask(distances, _mm512_set1_epi64(i64::from(bound))) & keep;
+            if hits == 0 {
+                continue;
+            }
+            // SAFETY: `__m512i` and `[u64; 8]` are both 64 bytes and every
+            // bit pattern is a valid `u64`.
+            let lanes: [u64; 8] = unsafe { std::mem::transmute(distances) };
+            while hits != 0 {
+                let lane = hits.trailing_zeros() as usize;
+                hits &= hits - 1;
+                // Re-checked: an earlier row of this block may have lowered
+                // the bound since the compare.
+                let d = lanes[lane] as u32;
+                if d <= bound {
+                    bound = visit(base + lane, d);
+                }
+            }
+        }
+        self.scan_portable(blocked, query, mask, bound, visit)
     }
 }
 
@@ -422,6 +618,140 @@ mod tests {
             arena.scan_radius_masked_into(query.words(), bits, &empty, &mut out);
             assert!(out.is_empty());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match")]
+    fn distance_rejects_a_short_query_in_every_build() {
+        let mut arena = CodeArena::new(128);
+        arena.push(0, &rand_code(128, 1));
+        let _ = arena.distance(0, &[0u64]);
+    }
+
+    /// What `scan_tier` hands its visitor: with `falling`, the visitor
+    /// lowers the bound to each distance it is shown.
+    fn visits(
+        arena: &CodeArena,
+        tier: KernelTier,
+        query: &[u64],
+        mask: Option<&IdMask>,
+        bound: u32,
+        falling: bool,
+    ) -> Vec<(usize, u32)> {
+        let mut seen = Vec::new();
+        arena.scan_tier(tier, query, mask, bound, |row, d| {
+            seen.push((row, d));
+            if falling {
+                d
+            } else {
+                bound
+            }
+        });
+        seen
+    }
+
+    #[test]
+    fn every_tier_matches_the_portable_reference() {
+        use crate::bitmap::Bitmap;
+        let tiers: Vec<KernelTier> = KernelTier::supported().collect();
+        for bits in [7u32, 64, 100, 128, 192, 256, 320] {
+            for rows in 0..=19u64 {
+                // Row `r` holds id `7r + 1`, so ids pass 64 by row 10.
+                for low_entropy in [false, true] {
+                    let mut arena = CodeArena::new(bits);
+                    for r in 0..rows {
+                        let seed = if low_entropy { r % 3 } else { r + 100 * u64::from(bits) };
+                        arena.push(7 * r + 1, &rand_code(bits, seed));
+                    }
+                    let all: Bitmap = (0..rows).map(|r| 7 * r + 1).collect();
+                    let sparse: Bitmap = all.iter().filter(|id| id % 3 == 2).collect();
+                    // Sized to one word: rows 10.. hold ids past its end.
+                    let short: Bitmap = [1u64, 15, 29, 36].into_iter().collect();
+                    let masks =
+                        [Bitmap::new(), all, sparse, short].map(|b| IdMask::from_bitmap(&b));
+                    let query = rand_code(bits, 4242);
+                    let q = query.words();
+                    for mask in [None].into_iter().chain(masks.iter().map(Some)) {
+                        for bound in [0, bits / 4, bits, u32::MAX] {
+                            let reference =
+                                visits(&arena, KernelTier::Portable, q, mask, bound, false);
+                            let brute: Vec<(usize, u32)> = (0..arena.len())
+                                .filter(|&r| mask.is_none_or(|m| m.contains(arena.id(r))))
+                                .map(|r| (r, arena.code(r).hamming_distance(&query)))
+                                .filter(|&(_, d)| d <= bound)
+                                .collect();
+                            assert_eq!(reference, brute, "bits {bits}, rows {rows}, bound {bound}");
+                            for &tier in &tiers {
+                                let got = visits(&arena, tier, q, mask, bound, false);
+                                assert_eq!(
+                                    got, reference,
+                                    "{tier:?}, bits {bits}, rows {rows}, bound {bound}"
+                                );
+                            }
+                        }
+                        let reference =
+                            visits(&arena, KernelTier::Portable, q, mask, u32::MAX, true);
+                        for &tier in &tiers {
+                            let got = visits(&arena, tier, q, mask, u32::MAX, true);
+                            assert_eq!(
+                                got, reference,
+                                "{tier:?}, bits {bits}, rows {rows}, falling"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rows_of_one_block_beating_a_falling_bound_are_each_rechecked() {
+        // Eight rows at distances `block` from an all-zero query (row `r`
+        // sets its lowest `block[r]` bits), then a ninth in the tail.  A
+        // visitor that lowers the bound to what it sees must be shown
+        // exactly the running minima, even though all eight rows passed
+        // the block's compare against the bound the block started with.
+        let cases: [([u32; 9], &[usize]); 3] = [
+            ([8, 7, 6, 5, 4, 3, 2, 1, 0], &[0, 1, 2, 3, 4, 5, 6, 7, 8]),
+            ([5, 9, 4, 8, 3, 7, 2, 6, 2], &[0, 2, 4, 6, 8]),
+            ([3, 3, 4, 1, 1, 2, 0, 5, 9], &[0, 1, 3, 4, 6]),
+        ];
+        for bits in [64u32, 128, 192] {
+            for (distances, expected) in &cases {
+                let mut arena = CodeArena::new(bits);
+                for (r, &d) in distances.iter().enumerate() {
+                    let mut code = BinaryCode::zeros(bits);
+                    for bit in 0..d {
+                        code = code.with_flipped_bit(bit);
+                    }
+                    arena.push(r as u64, &code);
+                }
+                let query = BinaryCode::zeros(bits);
+                let want: Vec<(usize, u32)> = expected.iter().map(|&r| (r, distances[r])).collect();
+                for tier in KernelTier::supported() {
+                    let got = visits(&arena, tier, query.words(), None, u32::MAX, true);
+                    assert_eq!(got, want, "{tier:?}, bits {bits}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_detected_tier_is_the_best_the_cpu_reports() {
+        #[cfg(target_arch = "x86_64")]
+        let best =
+            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vpopcntdq") {
+                KernelTier::Avx512
+            } else if is_x86_feature_detected!("popcnt") {
+                KernelTier::Popcnt
+            } else {
+                KernelTier::Portable
+            };
+        #[cfg(not(target_arch = "x86_64"))]
+        let best = KernelTier::Portable;
+        assert_eq!(KernelTier::detected(), best);
+        assert_eq!(KernelTier::supported().last(), Some(best));
+        assert_eq!(KernelTier::supported().next(), Some(KernelTier::Portable));
     }
 
     #[test]

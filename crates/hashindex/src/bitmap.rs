@@ -576,10 +576,19 @@ impl IdMask {
         Self { words, len: bitmap.len() }
     }
 
-    /// Membership test (the per-row probe of the masked scan kernels).
+    /// Membership test (the per-row probe of the portable scan kernel).
     #[inline]
     pub fn contains(&self, id: ItemId) -> bool {
         self.words.get((id >> 6) as usize).is_some_and(|w| (w >> (id & 63)) & 1 == 1)
+    }
+
+    /// The bitset: bit `id % 64` of word `id / 64` is `contains(id)`, and
+    /// ids past the last word are absent (the AVX-512 kernel probes eight
+    /// ids at once against it).
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Number of ids in the mask.

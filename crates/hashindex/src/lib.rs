@@ -22,10 +22,10 @@
 //!   locked shards with fan-out/merge search, the building block of the
 //!   concurrent EarthQube serving layer (experiment E8),
 //! * [`CodeArena`] — the flat structure-of-arrays code store every scan
-//!   path runs over: contiguous word-striped code data with
-//!   width-specialised Hamming kernels, so a scan streams at memory
-//!   bandwidth instead of pointer-chasing per-code heap allocations
-//!   (experiment E11),
+//!   path runs over: contiguous word-striped code data and one Hamming
+//!   block kernel, dispatched to the best [`KernelTier`] the CPU offers
+//!   (`popcnt`, AVX-512), so a scan streams at memory bandwidth instead of
+//!   pointer-chasing per-code heap allocations (experiment E11),
 //! * [`SearchScratch`] — bounded top-k selection (size-`k` max-heap with a
 //!   running short-circuit bound), so k-NN never materialises or sorts the
 //!   full candidate set; pooled per worker by the serving tier,
@@ -35,6 +35,10 @@
 //!   substrate of bitmap-prefiltered filtered search (experiment E13).
 
 #![deny(missing_docs)]
+// `unsafe` is confined to the scan kernel in `arena`, the one item that
+// allows it; every block there says why it is sound.
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod arena;
 pub mod bitmap;
@@ -47,7 +51,7 @@ pub mod mih;
 pub mod sharded;
 pub mod topk;
 
-pub use arena::CodeArena;
+pub use arena::{CodeArena, KernelTier};
 pub use bitmap::{Bitmap, IdMask};
 pub use code::BinaryCode;
 pub use float_knn::{DistanceMetric, FloatKnnIndex};

@@ -11,7 +11,7 @@ use crate::{sort_neighbors, HammingIndex, ItemId, Neighbor};
 ///
 /// Although asymptotically the slowest option, the scan is branch-friendly
 /// and cache-friendly (code words are stored contiguously and word-striped
-/// in the arena, with width-specialised distance kernels), so it is a
+/// in the arena, scanned by the arena's block kernel), so it is a
 /// strong baseline on small archives — which is exactly the crossover
 /// experiment E1 measures.
 #[derive(Debug, Clone)]

@@ -5,8 +5,10 @@
 //! when the caller wants ten neighbours out of forty thousand codes.
 //! [`SearchScratch`] replaces that with a size-`k` max-heap threaded
 //! through the scan: a candidate only enters the heap if it beats the
-//! current k-th best, the running bound short-circuits every worse row
-//! with a single compare, and only the final `k` survivors are sorted.
+//! current k-th best, the running bound — the k-th distance, handed to the
+//! arena's scan kernel — rejects every worse row before it reaches the
+//! heap (eight rows per compare in the AVX-512 tier), and only the final
+//! `k` survivors are sorted.
 //!
 //! The scratch owns all its buffers and is reusable across queries, so a
 //! pooled scratch (see `QueryServer` in `eq_earthqube`) makes steady-state
@@ -18,7 +20,7 @@
 //! list, ties and all.  The property suite in
 //! `tests/proptest_arena.rs` pins this against full-sort-then-truncate.
 
-use crate::arena::CodeArena;
+use crate::arena::{CodeArena, KernelTier};
 use crate::bitmap::IdMask;
 use crate::{ItemId, Neighbor};
 
@@ -86,10 +88,11 @@ impl SearchScratch {
         }
     }
 
-    /// Scans an entire arena, offering every row.  Once the heap is full,
-    /// rows whose distance exceeds the running bound are rejected with a
-    /// single compare — no heap traffic — which is what keeps the scan at
-    /// memory bandwidth on well-separated codes.
+    /// Scans an entire arena, offering every row within the running bound.
+    /// The kernel compares each row's distance with the heap's k-th
+    /// distance (`u32::MAX` while the heap is not full) before the heap sees
+    /// it, so once the heap is full a worse row costs no heap traffic —
+    /// which is what keeps the scan at memory bandwidth.
     ///
     /// Callable repeatedly between [`begin`](Self::begin) and
     /// [`finish`](Self::finish): the sharded index fans one selection out
@@ -99,45 +102,46 @@ impl SearchScratch {
     /// # Panics
     /// Panics if the query width does not match the arena.
     pub fn scan_arena(&mut self, arena: &CodeArena, query: &[u64]) {
-        if self.k == 0 {
-            // Still validate the query width (for_each_distance would).
-            assert_eq!(query.len(), arena.words_per_code(), "query width does not match the arena");
-            return;
-        }
-        // Distances stream out of the arena's width-specialised kernel —
-        // the same straight-line XOR/popcount loop the radius scan uses.
-        arena.for_each_distance(query, |row, d| {
-            // Cheap distance-only rejection first: ids only break ties.
-            if let Some(bound) = self.bound() {
-                if d > bound.distance {
-                    return;
-                }
-            }
-            self.offer(arena.id(row), d);
-        });
+        self.select(KernelTier::detected(), arena, query, None);
     }
 
     /// The masked counterpart of [`scan_arena`](Self::scan_arena): offers
-    /// only rows whose id is in `mask`, via the arena's masked kernel —
-    /// rows outside the mask never reach the distance computation, let
-    /// alone the heap.  Same begin/scan/finish protocol, same exactness:
-    /// the survivors are the global top-k *of the masked subset*.
+    /// only rows whose id is in `mask` — rows outside it never reach the
+    /// distance computation, let alone the heap.  Same begin/scan/finish
+    /// protocol, same exactness: the survivors are the global top-k *of
+    /// the masked subset*.
     ///
     /// # Panics
     /// Panics if the query width does not match the arena.
     pub fn scan_arena_masked(&mut self, arena: &CodeArena, query: &[u64], mask: &IdMask) {
+        self.select(KernelTier::detected(), arena, query, Some(mask));
+    }
+
+    /// The one selection loop behind both scans, at a given kernel tier.
+    fn select(
+        &mut self,
+        tier: KernelTier,
+        arena: &CodeArena,
+        query: &[u64],
+        mask: Option<&IdMask>,
+    ) {
         if self.k == 0 {
+            // Nothing can be selected; still validate the query width.
             assert_eq!(query.len(), arena.words_per_code(), "query width does not match the arena");
             return;
         }
-        arena.for_each_distance_masked(query, mask, |row, d| {
-            if let Some(bound) = self.bound() {
-                if d > bound.distance {
-                    return;
-                }
-            }
+        let bound = self.kth_distance();
+        arena.scan_tier(tier, query, mask, bound, |row, d| {
             self.offer(arena.id(row), d);
+            self.kth_distance()
         });
+    }
+
+    /// The distance of the current bound, or `u32::MAX` while the heap is
+    /// not full (every row is admitted then).
+    #[inline]
+    fn kth_distance(&self) -> u32 {
+        self.bound().map_or(u32::MAX, |n| n.distance)
     }
 
     /// Ends the selection: sorts the (at most `k`) survivors by
@@ -314,6 +318,42 @@ mod tests {
             sort_neighbors(&mut all);
             all.truncate(k);
             assert_eq!(got, all, "k {k}");
+        }
+    }
+
+    #[test]
+    fn every_tier_selects_the_full_sort_topk() {
+        use crate::bitmap::{Bitmap, IdMask};
+        let mut scratch = SearchScratch::new();
+        for bits in [7u32, 64, 100, 128, 192, 256, 320] {
+            for rows in (0..=19u64).chain([300]) {
+                // Low-entropy codes (ties) and ids past the short mask's end.
+                let mut arena = CodeArena::new(bits);
+                for r in 0..rows {
+                    arena.push(7 * r + 1, &rand_code(bits, r / 3));
+                }
+                let all: Bitmap = arena.ids().iter().copied().collect();
+                let sparse: Bitmap = all.iter().filter(|id| id % 3 == 2).collect();
+                let short: Bitmap = [1u64, 15, 29, 36].into_iter().collect();
+                let masks = [Bitmap::new(), all, sparse, short].map(|b| IdMask::from_bitmap(&b));
+                let query = rand_code(bits, 77);
+                for mask in [None].into_iter().chain(masks.iter().map(Some)) {
+                    for k in [0usize, 1, 7, 21, rows as usize + 5] {
+                        let mut want: Vec<Neighbor> = (0..arena.len())
+                            .filter(|&r| mask.is_none_or(|m| m.contains(arena.id(r))))
+                            .map(|r| Neighbor::new(arena.id(r), arena.distance(r, query.words())))
+                            .collect();
+                        sort_neighbors(&mut want);
+                        want.truncate(k);
+                        for tier in KernelTier::supported() {
+                            scratch.begin(k);
+                            scratch.select(tier, &arena, query.words(), mask);
+                            let got = scratch.finish();
+                            assert_eq!(got, &want[..], "{tier:?}, bits {bits}, rows {rows}, k {k}");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -35,6 +35,7 @@
 //! gate in each serving crate.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::cell::Cell;
 use std::fmt;

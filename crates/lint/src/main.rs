@@ -10,6 +10,8 @@
 //! Exit status: 0 clean, 1 violations (or warnings under
 //! `--deny-warnings`), 2 usage or I/O/policy error.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -21,6 +21,7 @@
 //! "Substitutions"); the hashing head and its losses are faithful.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod dataset;
 pub mod features;

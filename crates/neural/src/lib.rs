@@ -17,6 +17,7 @@
 //! are small (feature dimension ≤ 256, batch size ≤ 256).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod layers;
 pub mod matrix;

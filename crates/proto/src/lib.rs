@@ -66,6 +66,7 @@
 //! of every message type is pinned to committed fixture files.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::io::{Read, Write};
 

@@ -26,6 +26,7 @@
 //! than a vendored serde stack.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 /// Errors produced while decoding wire-format bytes.
 ///

@@ -16,6 +16,7 @@
 //! See `examples/quickstart.rs` for an end-to-end tour.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use eq_agora as agora;
 pub use eq_bigearthnet as bigearthnet;
