@@ -44,48 +44,9 @@ use eq_hashindex::{Bitmap, IdMask};
 use crate::engine::SearchResponse;
 use crate::schema::fields;
 
-/// How a filtered similarity search chooses its execution strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PrefilterMode {
-    /// Cost-based choice: use the bitmap prefilter when the filter
-    /// compiles to a candidate set no larger than half the collection,
-    /// otherwise scan-then-post-filter.
-    #[default]
-    Auto,
-    /// Use the bitmap prefilter whenever the filter compiles to a bitmap
-    /// at all: how the query panel's own `search` resolves (it is what
-    /// `Collection::find` does), and a benchmark / test knob for the
-    /// similarity searches.
-    ForceBitmap,
-    /// Always scan-then-post-filter (benchmark / test knob).
-    ForcePostFilter,
-}
-
-/// The strategy a filtered similarity search actually executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FilterStrategy {
-    /// Posting-bitmap candidates, residual on survivors only.
-    BitmapPrefilter,
-    /// Full metadata scan with per-document filter evaluation.
-    PostFilter,
-}
-
-/// How a filtered similarity search was planned and executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FilteredPlan {
-    /// The strategy that ran.
-    pub strategy: FilterStrategy,
-    /// Cardinality of the compiled candidate bitmap (`None` when nothing
-    /// in the filter was indexable).  Reported for both strategies — it is
-    /// the number the planner based its decision on.
-    pub candidates: Option<u64>,
-    /// Whether a residual filter had to run on the candidates (`false`
-    /// means the bitmap alone was exact).
-    pub residual: bool,
-    /// Exact number of archive images matching the filter — the universe
-    /// the similarity search ranked.
-    pub matching: usize,
-}
+// Defined in `eq_proto` beside their codec: what a filtered search reports
+// in process is what the wire carries.
+pub use eq_proto::{FilterStrategy, FilteredPlan, PrefilterMode};
 
 /// A filtered similarity search response: the ordinary result panel plus
 /// the planning report.

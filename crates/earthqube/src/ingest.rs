@@ -7,16 +7,7 @@ use eq_docstore::{Database, Document, Value};
 use crate::schema::{collections, fields, metadata_document};
 use crate::EarthQubeError;
 
-/// Summary of an ingestion run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IngestReport {
-    /// Number of metadata documents written.
-    pub metadata_docs: usize,
-    /// Number of image-data documents written (0 for metadata-only ingest).
-    pub image_docs: usize,
-    /// Number of rendered-image documents written.
-    pub rendered_docs: usize,
-}
+pub use eq_proto::IngestReport;
 
 fn prepare_collections(db: &mut Database) {
     let metadata = db.create_collection(collections::METADATA, fields::NAME);

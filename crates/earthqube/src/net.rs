@@ -33,10 +33,16 @@
 //!
 //! # Remote equivalence
 //!
-//! The conversion functions in this module ([`response_to_payload`] /
-//! [`payload_to_response`] and friends) are lossless in both directions,
-//! so a [`SearchResponse`] received through [`EqClient`] is **equal to the
-//! in-process result, byte for byte** — the umbrella crate's
+//! A result row, an ingest report, a stats snapshot, a filtered plan and
+//! the replication state and batch are `eq_proto` types that this crate
+//! re-exports: the server encodes the value it computed and the client
+//! returns the value it decoded, with nothing converted in between.  What
+//! is still converted is lossless in both directions: a query
+//! ([`query_to_spec`] / [`spec_to_query`]), an error ([`error_to_payload`] /
+//! [`payload_to_error`]), and a response's panel, statistics and plan
+//! ([`response_to_payload`] / [`payload_to_response`]: the rows are copied
+//! out of a borrowed response and moved back whole).  So a [`SearchResponse`] received through [`EqClient`] is
+//! **equal to the in-process result, byte for byte** — the umbrella crate's
 //! `remote_equivalence` test drives the same workload through both paths
 //! and compares the `eq_proto` encodings.
 //!
@@ -84,11 +90,11 @@ use parking_lot::{Condvar, Mutex};
 use rand::SeedableRng as _;
 
 use crate::engine::SearchResponse;
-use crate::filtered::{FilterStrategy, FilteredPlan, FilteredResponse, PrefilterMode};
+use crate::filtered::{FilteredResponse, PrefilterMode};
 use crate::ingest::IngestReport;
 use crate::query::{ImageQuery, LabelFilter, LabelOperator};
 use crate::replicate::{ReplBatch, ReplState, RetryPolicy};
-use crate::results::{ResultEntry, ResultPanel};
+use crate::results::ResultPanel;
 use crate::serve::{QueryRequest, QueryServer, ServerStats};
 use crate::stats::LabelStatistics;
 use crate::EarthQubeError;
@@ -98,7 +104,7 @@ fn net_err(context: &str, e: impl std::fmt::Display) -> EarthQubeError {
 }
 
 // ---------------------------------------------------------------------------
-// Lossless conversions between serving types and protocol payloads
+// Lossless conversions between serving types and protocol mirrors
 // ---------------------------------------------------------------------------
 
 /// Translates an [`ImageQuery`] into its wire specification (lossless).
@@ -145,18 +151,7 @@ pub fn spec_to_query(spec: eq_proto::QuerySpec) -> ImageQuery {
 /// Serializes a [`SearchResponse`] into its wire payload (lossless).
 pub fn response_to_payload(response: &SearchResponse) -> eq_proto::SearchPayload {
     eq_proto::SearchPayload {
-        rows: response
-            .panel
-            .entries()
-            .iter()
-            .map(|e| eq_proto::ResultRow {
-                name: e.name.clone(),
-                country: e.country,
-                date: e.date,
-                labels: e.labels,
-                distance: e.distance,
-            })
-            .collect(),
+        rows: response.panel.entries().to_vec(),
         page_size: response.panel.page_size() as u64,
         label_counts: response.statistics.counts().iter().map(|&c| c as u64).collect(),
         image_count: response.statistics.image_count() as u64,
@@ -172,83 +167,15 @@ pub fn response_to_payload(response: &SearchResponse) -> eq_proto::SearchPayload
 /// inverse of [`response_to_payload`] — this is what makes remote results
 /// byte-identical to in-process ones).
 pub fn payload_to_response(payload: eq_proto::SearchPayload) -> SearchResponse {
-    let entries: Vec<ResultEntry> = payload
-        .rows
-        .into_iter()
-        .map(|row| ResultEntry {
-            name: row.name,
-            country: row.country,
-            date: row.date,
-            labels: row.labels,
-            distance: row.distance,
-        })
-        .collect();
-    // A short counts vector (hostile or version-skewed server) would make
-    // `LabelStatistics::ranked` index out of bounds on the client; pad to
-    // the canonical length.  Honest servers always send exactly
-    // `Label::COUNT` entries, so this is a no-op on the equivalence path.
-    let mut counts: Vec<usize> = payload.label_counts.into_iter().map(|c| c as usize).collect();
-    if counts.len() < eq_bigearthnet::Label::COUNT {
-        counts.resize(eq_bigearthnet::Label::COUNT, 0);
-    }
+    let counts = payload.label_counts.into_iter().map(|c| c as usize).collect();
     SearchResponse {
-        panel: ResultPanel::new(entries, payload.page_size as usize),
+        panel: ResultPanel::new(payload.rows, payload.page_size as usize),
         statistics: LabelStatistics::from_parts(counts, payload.image_count as usize),
         plan: payload.plan.map(|p| QueryPlan {
             index_used: p.index_used,
             scanned: p.scanned as usize,
             matched: p.matched as usize,
         }),
-    }
-}
-
-/// Serializes an [`IngestReport`] into its wire payload.
-pub fn report_to_payload(report: &IngestReport) -> eq_proto::IngestPayload {
-    eq_proto::IngestPayload {
-        metadata_docs: report.metadata_docs as u64,
-        image_docs: report.image_docs as u64,
-        rendered_docs: report.rendered_docs as u64,
-    }
-}
-
-/// Reassembles an [`IngestReport`] from its wire payload.
-pub fn payload_to_report(payload: eq_proto::IngestPayload) -> IngestReport {
-    IngestReport {
-        metadata_docs: payload.metadata_docs as usize,
-        image_docs: payload.image_docs as usize,
-        rendered_docs: payload.rendered_docs as usize,
-    }
-}
-
-/// Serializes [`ServerStats`] into its wire payload.
-pub fn stats_to_payload(stats: &ServerStats) -> eq_proto::StatsPayload {
-    eq_proto::StatsPayload {
-        queries_served: stats.queries_served,
-        cache_hits: stats.cache_hits,
-        cache_misses: stats.cache_misses,
-        cache_entries: stats.cache_entries as u64,
-        archive_size: stats.archive_size as u64,
-        ingested_images: stats.ingested_images,
-        shard_occupancy: stats.shard_occupancy.iter().map(|&n| n as u64).collect(),
-    }
-}
-
-/// Reassembles [`ServerStats`] from its wire payload.  The payload predates
-/// the resolved-filter cache and its bytes are pinned, so those four
-/// counters read zero remotely; `metrics_text` carries them.
-pub fn payload_to_stats(payload: eq_proto::StatsPayload) -> ServerStats {
-    ServerStats {
-        queries_served: payload.queries_served,
-        cache_hits: payload.cache_hits,
-        cache_misses: payload.cache_misses,
-        cache_entries: payload.cache_entries as usize,
-        filter_cache_hits: 0,
-        filter_cache_misses: 0,
-        filter_cache_entries: 0,
-        filter_cache_bytes: 0,
-        archive_size: payload.archive_size as usize,
-        ingested_images: payload.ingested_images,
-        shard_occupancy: payload.shard_occupancy.iter().map(|&n| n as usize).collect(),
     }
 }
 
@@ -282,22 +209,10 @@ pub fn payload_to_error(payload: eq_proto::ErrorPayload) -> EarthQubeError {
     }
 }
 
-/// Translates a wire prefilter-mode knob into the serving-tier enum.
-pub fn spec_to_mode(mode: eq_proto::PrefilterModeSpec) -> PrefilterMode {
-    match mode {
-        eq_proto::PrefilterModeSpec::Auto => PrefilterMode::Auto,
-        eq_proto::PrefilterModeSpec::ForceBitmap => PrefilterMode::ForceBitmap,
-        eq_proto::PrefilterModeSpec::ForcePostFilter => PrefilterMode::ForcePostFilter,
-    }
-}
-
-/// Translates a serving-tier prefilter mode onto the wire (lossless).
-pub fn mode_to_spec(mode: PrefilterMode) -> eq_proto::PrefilterModeSpec {
-    match mode {
-        PrefilterMode::Auto => eq_proto::PrefilterModeSpec::Auto,
-        PrefilterMode::ForceBitmap => eq_proto::PrefilterModeSpec::ForceBitmap,
-        PrefilterMode::ForcePostFilter => eq_proto::PrefilterModeSpec::ForcePostFilter,
-    }
+/// The identity: [`PrefilterMode`] is the wire type.  Kept only because
+/// `bench_e2e`, whose sources are frozen, imports it.
+pub fn mode_to_spec(mode: PrefilterMode) -> PrefilterMode {
+    mode
 }
 
 /// Translates a filtered search's response — result panel plus execution
@@ -305,84 +220,13 @@ pub fn mode_to_spec(mode: PrefilterMode) -> eq_proto::PrefilterModeSpec {
 pub fn filtered_to_payload(filtered: &FilteredResponse) -> eq_proto::FilteredPayload {
     eq_proto::FilteredPayload {
         search: response_to_payload(&filtered.response),
-        plan: eq_proto::FilteredPlanSpec {
-            strategy: match filtered.plan.strategy {
-                FilterStrategy::BitmapPrefilter => eq_proto::FilterStrategySpec::BitmapPrefilter,
-                FilterStrategy::PostFilter => eq_proto::FilterStrategySpec::PostFilter,
-            },
-            candidates: filtered.plan.candidates,
-            residual: filtered.plan.residual,
-            matching: filtered.plan.matching as u64,
-        },
+        plan: filtered.plan,
     }
 }
 
 /// Reconstructs the [`FilteredResponse`] a wire payload describes.
 pub fn payload_to_filtered(payload: eq_proto::FilteredPayload) -> FilteredResponse {
-    FilteredResponse {
-        response: payload_to_response(payload.search),
-        plan: FilteredPlan {
-            strategy: match payload.plan.strategy {
-                eq_proto::FilterStrategySpec::BitmapPrefilter => FilterStrategy::BitmapPrefilter,
-                eq_proto::FilterStrategySpec::PostFilter => FilterStrategy::PostFilter,
-            },
-            candidates: payload.plan.candidates,
-            residual: payload.plan.residual,
-            matching: payload.plan.matching as usize,
-        },
-    }
-}
-
-/// Translates a server's replication state onto the wire (lossless).
-pub fn repl_state_to_payload(state: &ReplState) -> eq_proto::ReplStatePayload {
-    eq_proto::ReplStatePayload {
-        primary: state.primary,
-        attached: state.attached,
-        generation: state.generation,
-        first_segment: state.first_segment,
-        segment: state.segment,
-        offset: state.offset,
-    }
-}
-
-/// Reconstructs the [`ReplState`] a wire payload describes.
-pub fn payload_to_repl_state(payload: eq_proto::ReplStatePayload) -> ReplState {
-    ReplState {
-        primary: payload.primary,
-        attached: payload.attached,
-        generation: payload.generation,
-        first_segment: payload.first_segment,
-        segment: payload.segment,
-        offset: payload.offset,
-    }
-}
-
-/// Translates a replication pull batch onto the wire (lossless).
-pub fn batch_to_payload(batch: ReplBatch) -> eq_proto::ReplRecordsPayload {
-    eq_proto::ReplRecordsPayload {
-        reseed: batch.reseed,
-        generation: batch.generation,
-        entries: batch.entries,
-        rotate: batch.rotate,
-        next_segment: batch.next_segment,
-        next_offset: batch.next_offset,
-        primary_segment: batch.primary_segment,
-        primary_offset: batch.primary_offset,
-    }
-}
-
-/// Reconstructs the [`ReplBatch`] a wire payload describes.
-pub fn payload_to_batch(payload: eq_proto::ReplRecordsPayload) -> ReplBatch {
-    ReplBatch {
-        reseed: payload.reseed,
-        generation: payload.generation,
-        entries: payload.entries,
-        rotate: payload.rotate,
-        next_segment: payload.next_segment,
-        next_offset: payload.next_offset,
-        primary_segment: payload.primary_segment,
-        primary_offset: payload.primary_offset,
-    }
+    FilteredResponse { response: payload_to_response(payload.search), plan: payload.plan }
 }
 
 // ---------------------------------------------------------------------------
@@ -1545,7 +1389,7 @@ fn dispatch(
                 .try_for_each(validate_wire_patch)
                 .and_then(|()| server.ingest(&patches))
             {
-                Ok(report) => ResponseBody::Ingest(report_to_payload(&report)),
+                Ok(report) => ResponseBody::Ingest(report),
                 Err(e) => ResponseBody::Error(error_to_payload(&e)),
             }
         }
@@ -1555,35 +1399,23 @@ fn dispatch(
                 Err(e) => ResponseBody::Error(error_to_payload(&e)),
             }
         }
-        RequestBody::Stats => ResponseBody::Stats(stats_to_payload(&server.stats())),
+        RequestBody::Stats => ResponseBody::Stats(server.stats()),
         RequestBody::MetricsText => {
             ResponseBody::MetricsText(render_metrics(&server.stats(), &net.snapshot()))
         }
         RequestBody::SimilarToFiltered { name, k, spec, mode } => {
-            match server.similar_to_filtered(
-                &name,
-                clamp_k(k),
-                &spec_to_query(spec),
-                spec_to_mode(mode),
-            ) {
+            match server.similar_to_filtered(&name, clamp_k(k), &spec_to_query(spec), mode) {
                 Ok(filtered) => ResponseBody::Filtered(filtered_to_payload(&filtered)),
                 Err(e) => ResponseBody::Error(error_to_payload(&e)),
             }
         }
         RequestBody::SimilarWithinFiltered { name, radius, spec, mode } => {
-            match server.similar_within_filtered(
-                &name,
-                radius,
-                &spec_to_query(spec),
-                spec_to_mode(mode),
-            ) {
+            match server.similar_within_filtered(&name, radius, &spec_to_query(spec), mode) {
                 Ok(filtered) => ResponseBody::Filtered(filtered_to_payload(&filtered)),
                 Err(e) => ResponseBody::Error(error_to_payload(&e)),
             }
         }
-        RequestBody::ReplState => {
-            ResponseBody::ReplState(repl_state_to_payload(&server.repl_state()))
-        }
+        RequestBody::ReplState => ResponseBody::ReplState(server.repl_state()),
         RequestBody::ReplManifest => match server.repl_manifest_bytes() {
             Ok(bytes) => ResponseBody::ReplManifest { bytes },
             Err(e) => ResponseBody::Error(error_to_payload(&e)),
@@ -1598,7 +1430,7 @@ fn dispatch(
         }
         RequestBody::ReplPull { replica_id, generation, segment, offset, max_bytes } => {
             match server.repl_pull(replica_id, generation, segment, offset, max_bytes) {
-                Ok(batch) => ResponseBody::ReplRecords(batch_to_payload(batch)),
+                Ok(batch) => ResponseBody::ReplRecords(batch),
                 Err(e) => ResponseBody::Error(error_to_payload(&e)),
             }
         }
@@ -1778,7 +1610,7 @@ impl EqClient {
         let id = self.send_with(|w, id| eq_proto::encode_ingest_request_into(w, id, patches))?;
         let body = self.receive(id)?;
         match body {
-            eq_proto::ResponseBody::Ingest(payload) => Ok(payload_to_report(payload)),
+            eq_proto::ResponseBody::Ingest(report) => Ok(report),
             other => Err(unexpected(other, "ingest")),
         }
     }
@@ -1808,7 +1640,7 @@ impl EqClient {
     /// Propagates the server-side error, or [`EarthQubeError::Net`].
     pub fn stats(&mut self) -> Result<ServerStats, EarthQubeError> {
         match self.call(eq_proto::RequestBody::Stats)? {
-            eq_proto::ResponseBody::Stats(payload) => Ok(payload_to_stats(payload)),
+            eq_proto::ResponseBody::Stats(stats) => Ok(stats),
             other => Err(unexpected(other, "stats")),
         }
     }
@@ -1848,7 +1680,7 @@ impl EqClient {
             name: name.to_string(),
             k: k as u64,
             spec: query_to_spec(query),
-            mode: mode_to_spec(mode),
+            mode,
         })?;
         Self::expect_filtered(body)
     }
@@ -1869,7 +1701,7 @@ impl EqClient {
             name: name.to_string(),
             radius,
             spec: query_to_spec(query),
-            mode: mode_to_spec(mode),
+            mode,
         })?;
         Self::expect_filtered(body)
     }
@@ -1882,7 +1714,7 @@ impl EqClient {
     /// Propagates the server-side error, or [`EarthQubeError::Net`].
     pub fn repl_state(&mut self) -> Result<ReplState, EarthQubeError> {
         match self.call(eq_proto::RequestBody::ReplState)? {
-            eq_proto::ResponseBody::ReplState(payload) => Ok(payload_to_repl_state(payload)),
+            eq_proto::ResponseBody::ReplState(state) => Ok(state),
             other => Err(unexpected(other, "repl_state")),
         }
     }
@@ -1944,7 +1776,7 @@ impl EqClient {
             max_bytes,
         })?;
         match body {
-            eq_proto::ResponseBody::ReplRecords(payload) => Ok(payload_to_batch(payload)),
+            eq_proto::ResponseBody::ReplRecords(batch) => Ok(batch),
             other => Err(unexpected(other, "repl_pull")),
         }
     }

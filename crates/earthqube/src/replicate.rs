@@ -75,49 +75,9 @@ const REPL_MAX_SLICE_BYTES: u64 = 8 * 1024 * 1024;
 // Wire-adjacent data types
 // ---------------------------------------------------------------------------
 
-/// A server's replication role and durable WAL position — the payload of
-/// [`eq_proto::RequestBody::ReplState`], and the replication handshake.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ReplState {
-    /// Whether the server accepts writes.
-    pub primary: bool,
-    /// Whether the server is attached to a persistence directory (a
-    /// detached server cannot serve or follow replication).
-    pub attached: bool,
-    /// The WAL generation of the current lineage (0 when detached).
-    pub generation: u32,
-    /// The first segment the published manifest still needs.
-    pub first_segment: u32,
-    /// The live (currently appended-to) segment.
-    pub segment: u32,
-    /// The durable byte length of the live segment.
-    pub offset: u64,
-}
-
-/// One replication pull's worth of WAL records — the payload of
-/// [`eq_proto::ResponseBody::ReplRecords`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ReplBatch {
-    /// The primary cannot serve the requested position; the replica must
-    /// discard its lineage and re-seed from a snapshot.  All other fields
-    /// except `generation` / `primary_*` are meaningless.
-    pub reseed: bool,
-    /// The primary's WAL generation.
-    pub generation: u32,
-    /// Raw record payloads, in log order (possibly empty when caught up).
-    pub entries: Vec<Vec<u8>>,
-    /// The batch reaches the end of a *sealed* segment: after applying,
-    /// the replica must rotate to `next_segment`.
-    pub rotate: bool,
-    /// The segment to pull from next.
-    pub next_segment: u32,
-    /// The offset to pull from next.
-    pub next_offset: u64,
-    /// The primary's live segment at reply time (for lag accounting).
-    pub primary_segment: u32,
-    /// The primary's durable live-segment length at reply time.
-    pub primary_offset: u64,
-}
+// The handshake state and the pull batch are defined in `eq_proto` beside
+// their codec: the wire carries them as they are.
+pub use eq_proto::{ReplBatch, ReplState};
 
 // ---------------------------------------------------------------------------
 // Serving replication (the primary's side)

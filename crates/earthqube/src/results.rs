@@ -1,13 +1,14 @@
 //! The result panel: image-patch listing, pagination and the download cart
 //! (§3.1 "Result Panel" of the paper).
 //!
-//! A row carries the metadata table's `Copy` country, date and label set
-//! beside the patch name, never their display strings, so building, cloning
-//! (`page`, the result cache) or converting one is one allocation; only
-//! `eq_proto`'s encoder and [`ResultEntry::describe`] render names.
+//! A row ([`ResultEntry`], defined in `eq_proto` beside its codec: the row
+//! a query returns is the row the wire carries) holds the metadata table's
+//! `Copy` country, date and label set beside the patch name, never their
+//! display strings, so building or cloning one (`page`, the result cache)
+//! is one allocation; only `eq_proto`'s encoder and
+//! [`ResultEntry::describe`] render names.
 
-use eq_bigearthnet::patch::{AcquisitionDate, PatchMetadata};
-use eq_bigearthnet::{Country, Label, LabelSet};
+pub use eq_proto::ResultEntry;
 
 /// Maximum number of images that can be rendered on the map at once
 /// (the paper's UI caps map rendering at 1000 images).
@@ -16,46 +17,6 @@ pub const MAX_RENDERED_IMAGES: usize = 1000;
 /// Maximum number of images that can be added to the cart per page action
 /// (the paper's UI adds "the current page range of images (up to 50)").
 pub const MAX_PAGE_SIZE: usize = 50;
-
-/// One row of the result panel.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResultEntry {
-    /// Patch name.
-    pub name: String,
-    /// Country of acquisition.
-    pub country: Country,
-    /// Acquisition date.
-    pub date: AcquisitionDate,
-    /// The patch's labels.
-    pub labels: LabelSet,
-    /// Hamming distance to the query image (only for similarity searches).
-    pub distance: Option<u32>,
-}
-
-impl ResultEntry {
-    /// Builds an entry from patch metadata.
-    pub fn from_metadata(meta: &PatchMetadata, distance: Option<u32>) -> Self {
-        Self {
-            // lint:allow(hot-path) the name is the row's one owned field; everything else is `Copy`
-            name: meta.name.clone(),
-            country: meta.country,
-            date: meta.date,
-            labels: meta.labels,
-            distance,
-        }
-    }
-
-    /// A one-line description as displayed in the image-patches view.
-    pub fn describe(&self) -> String {
-        let labels: Vec<&str> = self.labels.iter().map(Label::name).collect();
-        let line =
-            format!("{} [{}] {} — {}", self.name, self.country, self.date, labels.join(", "));
-        match self.distance {
-            Some(d) => format!("{line} (hamming {d})"),
-            None => line,
-        }
-    }
-}
 
 /// One page of results.
 #[derive(Debug, Clone, PartialEq)]
@@ -206,7 +167,8 @@ impl DownloadCart {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eq_bigearthnet::{ArchiveGenerator, GeneratorConfig};
+    use eq_bigearthnet::patch::AcquisitionDate;
+    use eq_bigearthnet::{ArchiveGenerator, Country, GeneratorConfig, Label, LabelSet};
 
     fn entries(n: usize) -> Vec<ResultEntry> {
         ArchiveGenerator::new(GeneratorConfig::tiny(n, 41))

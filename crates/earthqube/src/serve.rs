@@ -124,100 +124,9 @@ pub enum QueryRequest {
     },
 }
 
-/// A point-in-time snapshot of the serving counters.
-///
-/// Two snapshots are equal when everything the wire's `StatsPayload`
-/// carries is equal, so a snapshot fetched by `EqClient::stats` equals the
-/// in-process one it was taken from.  The four `filter_cache_*` counters
-/// are younger than that pinned payload: they read zero in a remote
-/// snapshot (`metrics_text` carries them) and take no part in `==`.
-#[derive(Debug, Clone)]
-pub struct ServerStats {
-    /// Total queries attempted (cache hits and failed queries included).
-    pub queries_served: u64,
-    /// Queries answered from the result cache.
-    pub cache_hits: u64,
-    /// Queries that missed the cache and were computed.
-    pub cache_misses: u64,
-    /// Entries currently held by the result cache.
-    pub cache_entries: usize,
-    /// Filter resolutions answered from the resolved-filter cache (a
-    /// result-cache hit resolves nothing and counts in neither of these).
-    pub filter_cache_hits: u64,
-    /// Filter resolutions that compiled and walked the filter.
-    pub filter_cache_misses: u64,
-    /// Resolved filters currently cached.
-    pub filter_cache_entries: usize,
-    /// Bytes the cached resolved filters hold, masks first.
-    pub filter_cache_bytes: usize,
-    /// Images currently indexed (initial build plus live ingest).
-    pub archive_size: usize,
-    /// Images appended through [`QueryServer::ingest`].
-    pub ingested_images: u64,
-    /// Items per CBIR index shard, in shard order.
-    pub shard_occupancy: Vec<usize>,
-}
-
-impl PartialEq for ServerStats {
-    fn eq(&self, other: &Self) -> bool {
-        // Destructured in full, so a new field has to choose a side.
-        let ServerStats {
-            queries_served,
-            cache_hits,
-            cache_misses,
-            cache_entries,
-            filter_cache_hits: _,
-            filter_cache_misses: _,
-            filter_cache_entries: _,
-            filter_cache_bytes: _,
-            archive_size,
-            ingested_images,
-            shard_occupancy,
-        } = self;
-        *queries_served == other.queries_served
-            && *cache_hits == other.cache_hits
-            && *cache_misses == other.cache_misses
-            && *cache_entries == other.cache_entries
-            && *archive_size == other.archive_size
-            && *ingested_images == other.ingested_images
-            && *shard_occupancy == other.shard_occupancy
-    }
-}
-
-impl ServerStats {
-    /// Fraction of queries answered from the cache (`0.0` when no query
-    /// has been served yet).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Renders the snapshot as a short text report (for the examples).
-    pub fn render(&self) -> String {
-        format!(
-            "{} queries served ({} cache hits, {} misses, hit rate {:.0}%)\n\
-             {} images indexed ({} ingested live), {} cached results\n\
-             {} filters resolved from cache, {} compiled; {} cached in {} bytes\n\
-             shard occupancy: {:?}\n",
-            self.queries_served,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_hit_rate() * 100.0,
-            self.archive_size,
-            self.ingested_images,
-            self.cache_entries,
-            self.filter_cache_hits,
-            self.filter_cache_misses,
-            self.filter_cache_entries,
-            self.filter_cache_bytes,
-            self.shard_occupancy,
-        )
-    }
-}
+// The serving-counter snapshot is defined in `eq_proto` beside its codec,
+// which carries all but the four `filter_cache_*` counters.
+pub use eq_proto::ServerStats;
 
 /// Result-cache key: the full request identity, stored alongside each entry
 /// and compared on lookup so a 64-bit fingerprint collision degrades to a

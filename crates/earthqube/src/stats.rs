@@ -58,7 +58,7 @@ impl LabelStatistics {
             .iter()
             .copied()
             .filter_map(|l| {
-                let c = self.counts[l.index()];
+                let c = self.count(l);
                 (c > 0).then_some((l, c))
             })
             .collect();
@@ -140,6 +140,22 @@ mod tests {
         assert!(stats.ranked().is_empty());
         assert!(stats.dominant().is_none());
         assert!(stats.render_bar_chart(10, 30).contains("no labels"));
+    }
+
+    /// `from_parts` takes counts of any length (a decoded response carries
+    /// whatever the server sent); a missing label reads as zero.
+    #[test]
+    fn short_count_vectors_read_as_zero() {
+        let empty = LabelStatistics::from_parts(vec![], 0);
+        assert!(empty.ranked().is_empty());
+        assert!(empty.dominant().is_none());
+        assert!(empty.render_bar_chart(10, 30).contains("no labels"));
+        let five = LabelStatistics::from_parts(vec![0, 4, 0, 9, 1], 12);
+        let ranked: Vec<(Label, usize)> =
+            [(3, 9), (1, 4), (4, 1)].map(|(i, c)| (Label::from_index(i).unwrap(), c)).to_vec();
+        assert_eq!(five.ranked(), ranked);
+        assert_eq!(five.dominant(), Some(ranked[0]));
+        assert!(five.render_bar_chart(10, 30).contains("12 images"));
     }
 
     #[test]

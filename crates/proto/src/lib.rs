@@ -39,16 +39,16 @@
 //! | `Search(QuerySpec)`              | `Search(SearchPayload)`          |
 //! | `SimilarTo { name, k }`          | `Search(SearchPayload)`          |
 //! | `SearchByNewExample { patch, k }`| `Search(SearchPayload)`          |
-//! | `Ingest { patches }`             | `Ingest(IngestPayload)`          |
+//! | `Ingest { patches }`             | `Ingest(IngestReport)`           |
 //! | `Feedback { text, category }`    | `Feedback { id }`                |
-//! | `Stats`                          | `Stats(StatsPayload)`            |
+//! | `Stats`                          | `Stats(ServerStats)`             |
 //! | `MetricsText`                    | `MetricsText(String)`            |
 //! | `SimilarToFiltered { .. }`       | `Filtered(FilteredPayload)`      |
 //! | `SimilarWithinFiltered { .. }`   | `Filtered(FilteredPayload)`      |
-//! | `ReplState`                      | `ReplState(ReplStatePayload)`    |
+//! | `ReplState`                      | `ReplState(ReplState)`           |
 //! | `ReplManifest`                   | `ReplManifest { bytes }`         |
 //! | `ReplChunk { file, .. }`         | `ReplChunk(ReplChunkPayload)`    |
-//! | `ReplPull { position, .. }`      | `ReplRecords(ReplRecordsPayload)`|
+//! | `ReplPull { position, .. }`      | `ReplRecords(ReplBatch)`         |
 //! | *(any, on failure)*              | `Error(ErrorPayload)`            |
 //!
 //! The `Repl*` kinds are the replication plane: a read replica pulls raw
@@ -57,20 +57,41 @@
 //! files when its position is too far behind the primary's retained
 //! segments (see `eq_earthqube::replicate`).
 //!
-//! The payload structs mirror the serving-layer types (`SearchResponse`,
-//! `ServerStats`, `IngestReport`) field for field, so the conversion in
-//! `eq_earthqube::net` is lossless — a remote client reconstructs results
-//! byte-identical to an in-process call ([`ResultRow`] says how a typed row
-//! becomes strings on the wire and back).  Protocol drift is guarded by the
-//! golden-bytes conformance suite in `tests/golden_bytes.rs`: the encoding
-//! of every message type is pinned to committed fixture files.
+//! # One type per concept
+//!
+//! A result row ([`ResultEntry`]), an [`IngestReport`], a [`ServerStats`]
+//! snapshot, the [`PrefilterMode`] knob, a [`FilteredPlan`] with its
+//! [`FilterStrategy`], and the replication plane's [`ReplState`] and
+//! [`ReplBatch`] are each defined once, here, with their codec beside them.
+//! `eq_earthqube` re-exports them as its serving types, so the value a
+//! query returns in process is the value the wire carries — there is no
+//! conversion to drift.  [`SearchPayload`] and [`FilteredPayload`] are the
+//! wire form of `eq_earthqube`'s `SearchResponse` / `FilteredResponse`
+//! (whose panel and statistics are that crate's types); they hold the rows
+//! and the plan themselves.  Four wire types still mirror another crate's
+//! type, each for a reason:
+//!
+//! * [`QuerySpec`] (with [`LabelFilterSpec`] / [`LabelOp`]) mirrors
+//!   `ImageQuery`, whose `to_filter` builds an `eq_docstore` filter.
+//! * [`PlanSpec`] mirrors `eq_docstore::QueryPlan`.  Neither it nor the
+//!   query can move here: this crate does not depend on `eq_docstore`, and
+//!   taking that edge would rewrite every dependent's lock file.
+//! * [`ErrorPayload`] is a codec of `EarthQubeError`, not a copy of it.
+//! * [`ReplChunkPayload`] is the wire form of the `(total length, bytes)`
+//!   pair a server returns for a chunk slice.
+//!
+//! A remote client therefore reconstructs results byte-identical to an
+//! in-process call ([`ResultEntry`] says how a typed row becomes strings on
+//! the wire and back).  Protocol drift is guarded by the golden-bytes
+//! conformance suite in `tests/golden_bytes.rs`: the encoding of every
+//! message type is pinned to committed fixture files.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 use std::io::{Read, Write};
 
-use eq_bigearthnet::patch::{AcquisitionDate, Patch, Satellite, Season};
+use eq_bigearthnet::patch::{AcquisitionDate, Patch, PatchMetadata, Satellite, Season};
 use eq_bigearthnet::wire::{decode_patch, encode_patch};
 use eq_bigearthnet::{Country, Label, LabelSet};
 use eq_geo::{BBox, Circle, GeoShape, Point, Polygon};
@@ -190,7 +211,7 @@ pub enum RequestBody {
         /// The metadata filter restricting the candidate set.
         spec: QuerySpec,
         /// Filter-execution strategy selection.
-        mode: PrefilterModeSpec,
+        mode: PrefilterMode,
     },
     /// All filtered matches within a Hamming radius of an archive image;
     /// answered with [`ResponseBody::Filtered`].
@@ -202,7 +223,7 @@ pub enum RequestBody {
         /// The metadata filter restricting the candidate set.
         spec: QuerySpec,
         /// Filter-execution strategy selection.
-        mode: PrefilterModeSpec,
+        mode: PrefilterMode,
     },
     /// Replication handshake: report the server's role and durable WAL
     /// position; answered with [`ResponseBody::ReplState`].
@@ -399,13 +420,13 @@ impl Request {
                 name: r.str()?.to_string(),
                 k: r.u64()?,
                 spec: QuerySpec::decode(&mut r)?,
-                mode: PrefilterModeSpec::decode(&mut r)?,
+                mode: PrefilterMode::decode(&mut r)?,
             },
             REQ_SIMILAR_WITHIN_FILTERED => RequestBody::SimilarWithinFiltered {
                 name: r.str()?.to_string(),
                 radius: r.u32()?,
                 spec: QuerySpec::decode(&mut r)?,
-                mode: PrefilterModeSpec::decode(&mut r)?,
+                mode: PrefilterMode::decode(&mut r)?,
             },
             REQ_REPL_STATE => RequestBody::ReplState,
             REQ_REPL_MANIFEST => RequestBody::ReplManifest,
@@ -449,14 +470,14 @@ pub enum ResponseBody {
     /// Answer to the three search request kinds.
     Search(SearchPayload),
     /// Answer to [`RequestBody::Ingest`].
-    Ingest(IngestPayload),
+    Ingest(IngestReport),
     /// Answer to [`RequestBody::Feedback`]: the stored entry's id.
     Feedback {
         /// Sequential feedback id assigned by the server.
         id: i64,
     },
     /// Answer to [`RequestBody::Stats`].
-    Stats(StatsPayload),
+    Stats(ServerStats),
     /// The request failed; carries the server-side error.
     Error(ErrorPayload),
     /// Answer to [`RequestBody::MetricsText`]: the scrape text, one
@@ -466,7 +487,7 @@ pub enum ResponseBody {
     /// plus the filter-execution plan report.
     Filtered(FilteredPayload),
     /// Answer to [`RequestBody::ReplState`].
-    ReplState(ReplStatePayload),
+    ReplState(ReplState),
     /// Answer to [`RequestBody::ReplManifest`]: the manifest file's raw
     /// bytes (decodable with `eq_wire::manifest::decode_manifest`).
     ReplManifest {
@@ -476,7 +497,7 @@ pub enum ResponseBody {
     /// Answer to [`RequestBody::ReplChunk`].
     ReplChunk(ReplChunkPayload),
     /// Answer to [`RequestBody::ReplPull`].
-    ReplRecords(ReplRecordsPayload),
+    ReplRecords(ReplBatch),
 }
 
 const RESP_PONG: u8 = 1;
@@ -563,16 +584,16 @@ impl Response {
         let body = match r.u8()? {
             RESP_PONG => ResponseBody::Pong,
             RESP_SEARCH => ResponseBody::Search(SearchPayload::decode(&mut r)?),
-            RESP_INGEST => ResponseBody::Ingest(IngestPayload::decode(&mut r)?),
+            RESP_INGEST => ResponseBody::Ingest(IngestReport::decode(&mut r)?),
             RESP_FEEDBACK => ResponseBody::Feedback { id: r.i64()? },
-            RESP_STATS => ResponseBody::Stats(StatsPayload::decode(&mut r)?),
+            RESP_STATS => ResponseBody::Stats(ServerStats::decode(&mut r)?),
             RESP_ERROR => ResponseBody::Error(ErrorPayload::decode(&mut r)?),
             RESP_METRICS_TEXT => ResponseBody::MetricsText(r.str()?.to_string()),
             RESP_FILTERED => ResponseBody::Filtered(FilteredPayload::decode(&mut r)?),
-            RESP_REPL_STATE => ResponseBody::ReplState(ReplStatePayload::decode(&mut r)?),
+            RESP_REPL_STATE => ResponseBody::ReplState(ReplState::decode(&mut r)?),
             RESP_REPL_MANIFEST => ResponseBody::ReplManifest { bytes: r.bytes()?.to_vec() },
             RESP_REPL_CHUNK => ResponseBody::ReplChunk(ReplChunkPayload::decode(&mut r)?),
-            RESP_REPL_RECORDS => ResponseBody::ReplRecords(ReplRecordsPayload::decode(&mut r)?),
+            RESP_REPL_RECORDS => ResponseBody::ReplRecords(ReplBatch::decode(&mut r)?),
             other => return Err(WireError::Corrupt(format!("unknown response tag {other}"))),
         };
         expect_empty(&r)?;
@@ -832,25 +853,52 @@ fn decode_geo_shape(r: &mut Reader<'_>) -> Result<GeoShape, WireError> {
 // Result payloads
 // ---------------------------------------------------------------------------
 
-/// One row of the result panel, mirroring `eq_earthqube::ResultEntry`: one
-/// allocation, the name.  Country, date and labels are `Copy` values that
-/// become display strings only on the wire, in the frame buffer.
+/// One row of the result panel: one allocation, the name.  Country, date
+/// and labels are the metadata table's `Copy` values; they become display
+/// strings only on the wire, in the frame buffer, and in
+/// [`describe`](Self::describe).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResultRow {
+pub struct ResultEntry {
     /// Patch name.
     pub name: String,
     /// Country of acquisition (on the wire: `Country::name`).
     pub country: Country,
     /// Acquisition date (on the wire: ISO `YYYY-MM-DD`).
     pub date: AcquisitionDate,
-    /// The labels (on the wire: `Label::name`s in `LabelSet::iter` order).
+    /// The patch's labels (on the wire: `Label::name`s in `LabelSet::iter`
+    /// order).
     pub labels: LabelSet,
-    /// Hamming distance to the query (similarity searches only).
+    /// Hamming distance to the query image (only for similarity searches).
     pub distance: Option<u32>,
 }
 
+impl ResultEntry {
+    /// Builds an entry from patch metadata.
+    pub fn from_metadata(meta: &PatchMetadata, distance: Option<u32>) -> Self {
+        Self {
+            // lint:allow(hot-path) the name is the row's one owned field; everything else is `Copy`
+            name: meta.name.clone(),
+            country: meta.country,
+            date: meta.date,
+            labels: meta.labels,
+            distance,
+        }
+    }
+
+    /// A one-line description as displayed in the image-patches view.
+    pub fn describe(&self) -> String {
+        let labels: Vec<&str> = self.labels.iter().map(Label::name).collect();
+        let line =
+            format!("{} [{}] {} — {}", self.name, self.country, self.date, labels.join(", "));
+        match self.distance {
+            Some(d) => format!("{line} (hamming {d})"),
+            None => line,
+        }
+    }
+}
+
 /// The one place the serving path renders a country, date or label.
-fn encode_row(row: &ResultRow, w: &mut Writer) {
+fn encode_row(row: &ResultEntry, w: &mut Writer) {
     w.str(&row.name);
     w.str(row.country.name());
     w.bytes(&row.date.iso_bytes());
@@ -867,7 +915,7 @@ fn encode_row(row: &ResultRow, w: &mut Writer) {
 /// Accepts only what [`encode_row`] writes, matched byte for byte: an unknown
 /// country or label, a date that is not a valid fixed-width `YYYY-MM-DD` and
 /// labels not strictly ascending are corrupt.
-fn decode_row(r: &mut Reader<'_>) -> Result<ResultRow, WireError> {
+fn decode_row(r: &mut Reader<'_>) -> Result<ResultEntry, WireError> {
     let corrupt = |what: &str, bytes: &[u8]| {
         WireError::Corrupt(format!("{what} {:?}", String::from_utf8_lossy(bytes)))
     };
@@ -887,7 +935,7 @@ fn decode_row(r: &mut Reader<'_>) -> Result<ResultRow, WireError> {
         labels.insert(label);
     }
     let distance = r.bool()?.then(|| r.u32()).transpose()?;
-    Ok(ResultRow { name, country, date, labels, distance })
+    Ok(ResultEntry { name, country, date, labels, distance })
 }
 
 /// The planner report of a metadata search, mirroring
@@ -902,12 +950,12 @@ pub struct PlanSpec {
     pub matched: u64,
 }
 
-/// A full search response as it crosses the wire, mirroring
-/// `eq_earthqube::SearchResponse` (result panel, label statistics, plan).
+/// A full search response as it crosses the wire: the rows, page size,
+/// label statistics and plan of `eq_earthqube::SearchResponse`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchPayload {
     /// All result rows, in rank order (the full panel, not one page).
-    pub rows: Vec<ResultRow>,
+    pub rows: Vec<ResultEntry>,
     /// The result panel's page size.
     pub page_size: u64,
     /// Per-label occurrence counts, indexed by `Label::index`.
@@ -965,71 +1013,145 @@ impl SearchPayload {
     }
 }
 
-/// An ingest summary as it crosses the wire, mirroring
-/// `eq_earthqube::IngestReport`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IngestPayload {
-    /// Metadata documents written.
-    pub metadata_docs: u64,
-    /// Image-data documents written.
-    pub image_docs: u64,
-    /// Rendered-image documents written.
-    pub rendered_docs: u64,
+/// Summary of an ingestion run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IngestReport {
+    /// Number of metadata documents written.
+    pub metadata_docs: usize,
+    /// Number of image-data documents written (0 for metadata-only ingest).
+    pub image_docs: usize,
+    /// Number of rendered-image documents written.
+    pub rendered_docs: usize,
 }
 
-impl IngestPayload {
-    /// Encodes the ingest payload.
+impl IngestReport {
+    /// Encodes the report.
     pub fn encode(&self, w: &mut Writer) {
-        w.u64(self.metadata_docs);
-        w.u64(self.image_docs);
-        w.u64(self.rendered_docs);
+        w.u64(self.metadata_docs as u64);
+        w.u64(self.image_docs as u64);
+        w.u64(self.rendered_docs as u64);
     }
 
-    /// Decodes an ingest payload.
+    /// Decodes a report.
     ///
     /// # Errors
     /// Returns [`WireError`] on truncation.
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Self { metadata_docs: r.u64()?, image_docs: r.u64()?, rendered_docs: r.u64()? })
+        let mut count = || r.u64().map(|n| n as usize);
+        Ok(Self { metadata_docs: count()?, image_docs: count()?, rendered_docs: count()? })
     }
 }
 
-/// A serving-counter snapshot as it crosses the wire, mirroring
-/// `eq_earthqube::ServerStats`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StatsPayload {
-    /// Total queries attempted.
+/// A point-in-time snapshot of the serving counters.
+///
+/// The wire carries every field but the four `filter_cache_*` counters,
+/// and two snapshots are equal when those carried fields are, so a
+/// snapshot fetched by `EqClient::stats` equals the in-process one it was
+/// taken from.  The four counters are younger than those pinned bytes:
+/// they are not encoded, read zero in a decoded snapshot (`metrics_text`
+/// carries them) and take no part in `==`.
+#[derive(Debug, Clone)]
+pub struct ServerStats {
+    /// Total queries attempted (cache hits and failed queries included).
     pub queries_served: u64,
     /// Queries answered from the result cache.
     pub cache_hits: u64,
-    /// Queries computed on a cache miss.
+    /// Queries that missed the cache and were computed.
     pub cache_misses: u64,
-    /// Entries currently cached.
-    pub cache_entries: u64,
-    /// Images currently indexed.
-    pub archive_size: u64,
-    /// Images appended through live ingest.
+    /// Entries currently held by the result cache.
+    pub cache_entries: usize,
+    /// Filter resolutions answered from the resolved-filter cache (a
+    /// result-cache hit resolves nothing and counts in neither of these).
+    pub filter_cache_hits: u64,
+    /// Filter resolutions that compiled and walked the filter.
+    pub filter_cache_misses: u64,
+    /// Resolved filters currently cached.
+    pub filter_cache_entries: usize,
+    /// Bytes the cached resolved filters hold, masks first.
+    pub filter_cache_bytes: usize,
+    /// Images currently indexed (initial build plus live ingest).
+    pub archive_size: usize,
+    /// Images appended through `QueryServer::ingest`.
     pub ingested_images: u64,
     /// Items per CBIR index shard, in shard order.
-    pub shard_occupancy: Vec<u64>,
+    pub shard_occupancy: Vec<usize>,
 }
 
-impl StatsPayload {
-    /// Encodes the stats payload.
+impl PartialEq for ServerStats {
+    fn eq(&self, other: &Self) -> bool {
+        // Destructured in full, so a new field has to choose a side.
+        let ServerStats {
+            queries_served,
+            cache_hits,
+            cache_misses,
+            cache_entries,
+            filter_cache_hits: _,
+            filter_cache_misses: _,
+            filter_cache_entries: _,
+            filter_cache_bytes: _,
+            archive_size,
+            ingested_images,
+            shard_occupancy,
+        } = self;
+        *queries_served == other.queries_served
+            && *cache_hits == other.cache_hits
+            && *cache_misses == other.cache_misses
+            && *cache_entries == other.cache_entries
+            && *archive_size == other.archive_size
+            && *ingested_images == other.ingested_images
+            && *shard_occupancy == other.shard_occupancy
+    }
+}
+
+impl ServerStats {
+    /// Fraction of queries answered from the cache (`0.0` when no query
+    /// has been served yet).
+    pub fn cache_hit_rate(&self) -> f64 {
+        let total = self.cache_hits + self.cache_misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.cache_hits as f64 / total as f64
+        }
+    }
+
+    /// Renders the snapshot as a short text report (for the examples).
+    pub fn render(&self) -> String {
+        format!(
+            "{} queries served ({} cache hits, {} misses, hit rate {:.0}%)\n\
+             {} images indexed ({} ingested live), {} cached results\n\
+             {} filters resolved from cache, {} compiled; {} cached in {} bytes\n\
+             shard occupancy: {:?}\n",
+            self.queries_served,
+            self.cache_hits,
+            self.cache_misses,
+            self.cache_hit_rate() * 100.0,
+            self.archive_size,
+            self.ingested_images,
+            self.cache_entries,
+            self.filter_cache_hits,
+            self.filter_cache_misses,
+            self.filter_cache_entries,
+            self.filter_cache_bytes,
+            self.shard_occupancy,
+        )
+    }
+
+    /// Encodes the seven wire fields of the snapshot.
     pub fn encode(&self, w: &mut Writer) {
         w.u64(self.queries_served);
         w.u64(self.cache_hits);
         w.u64(self.cache_misses);
-        w.u64(self.cache_entries);
-        w.u64(self.archive_size);
+        w.u64(self.cache_entries as u64);
+        w.u64(self.archive_size as u64);
         w.u64(self.ingested_images);
         w.seq_len(self.shard_occupancy.len());
         for &n in &self.shard_occupancy {
-            w.u64(n);
+            w.u64(n as u64);
         }
     }
 
-    /// Decodes a stats payload.
+    /// Decodes a snapshot; the `filter_cache_*` counters read zero.
     ///
     /// # Errors
     /// Returns [`WireError`] on truncation.
@@ -1037,16 +1159,20 @@ impl StatsPayload {
         let queries_served = r.u64()?;
         let cache_hits = r.u64()?;
         let cache_misses = r.u64()?;
-        let cache_entries = r.u64()?;
-        let archive_size = r.u64()?;
+        let cache_entries = r.u64()? as usize;
+        let archive_size = r.u64()? as usize;
         let ingested_images = r.u64()?;
         let n = r.seq_len(8)?;
-        let shard_occupancy = (0..n).map(|_| r.u64()).collect::<Result<Vec<_>, _>>()?;
+        let shard_occupancy = (0..n).map(|_| Ok(r.u64()? as usize)).collect::<Result<_, _>>()?;
         Ok(Self {
             queries_served,
             cache_hits,
             cache_misses,
             cache_entries,
+            filter_cache_hits: 0,
+            filter_cache_misses: 0,
+            filter_cache_entries: 0,
+            filter_cache_bytes: 0,
             archive_size,
             ingested_images,
             shard_occupancy,
@@ -1058,26 +1184,30 @@ impl StatsPayload {
 // Filtered similarity search
 // ---------------------------------------------------------------------------
 
-/// Filter-execution strategy selection, mirroring
-/// `eq_earthqube::PrefilterMode`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum PrefilterModeSpec {
-    /// Let the planner choose by filter selectivity.
+/// How a filtered similarity search chooses its execution strategy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum PrefilterMode {
+    /// Cost-based choice: use the bitmap prefilter when the filter
+    /// compiles to a candidate set no larger than half the collection,
+    /// otherwise scan-then-post-filter.
     #[default]
     Auto,
-    /// Always evaluate the filter first and scan only matching items.
+    /// Use the bitmap prefilter whenever the filter compiles to a bitmap
+    /// at all: how the query panel's own `search` resolves (it is what
+    /// `Collection::find` does), and a benchmark / test knob for the
+    /// similarity searches.
     ForceBitmap,
-    /// Always run plain CBIR and filter the ranked results afterwards.
+    /// Always scan-then-post-filter (benchmark / test knob).
     ForcePostFilter,
 }
 
-impl PrefilterModeSpec {
+impl PrefilterMode {
     /// Encodes the mode tag.
     pub fn encode(&self, w: &mut Writer) {
         w.u8(match self {
-            PrefilterModeSpec::Auto => 1,
-            PrefilterModeSpec::ForceBitmap => 2,
-            PrefilterModeSpec::ForcePostFilter => 3,
+            PrefilterMode::Auto => 1,
+            PrefilterMode::ForceBitmap => 2,
+            PrefilterMode::ForcePostFilter => 3,
         });
     }
 
@@ -1087,38 +1217,75 @@ impl PrefilterModeSpec {
     /// Returns [`WireError`] on truncation or an unknown tag.
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
-            1 => Ok(PrefilterModeSpec::Auto),
-            2 => Ok(PrefilterModeSpec::ForceBitmap),
-            3 => Ok(PrefilterModeSpec::ForcePostFilter),
+            1 => Ok(PrefilterMode::Auto),
+            2 => Ok(PrefilterMode::ForceBitmap),
+            3 => Ok(PrefilterMode::ForcePostFilter),
             other => Err(WireError::Corrupt(format!("unknown prefilter mode tag {other}"))),
         }
     }
 }
 
-/// The strategy a filtered search actually executed, mirroring
-/// `eq_earthqube::FilterStrategy`.
+/// The strategy a filtered similarity search actually executed.  Both
+/// resolve the exact matching set before any distance work; they differ
+/// only in how they find it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FilterStrategySpec {
-    /// The filter ran first; only matching items were scanned.
+pub enum FilterStrategy {
+    /// Posting-bitmap candidates, residual on survivors only.
     BitmapPrefilter,
-    /// Plain CBIR ran first; results were filtered afterwards.
+    /// Full metadata scan with per-document filter evaluation.
     PostFilter,
 }
 
-/// The filtered-search plan report as it crosses the wire, mirroring
-/// `eq_earthqube::FilteredPlan`.
+/// How a filtered similarity search was planned and executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FilteredPlanSpec {
-    /// The strategy that executed.
-    pub strategy: FilterStrategySpec,
-    /// Candidates scanned under the bitmap strategy (`None` for
-    /// post-filtering, which scans the whole index).
+pub struct FilteredPlan {
+    /// The strategy that ran.
+    pub strategy: FilterStrategy,
+    /// Cardinality of the compiled candidate bitmap (`None` when nothing
+    /// in the filter was indexable).  Reported for both strategies — it is
+    /// the number the planner based its decision on.
     pub candidates: Option<u64>,
-    /// Whether a post-filter residual pass still ran (bitmap strategy
-    /// falling back for unindexed predicates).
+    /// Whether a residual filter had to run on the candidates (`false`
+    /// means the bitmap alone was exact).
     pub residual: bool,
-    /// Archive items matching the metadata filter.
-    pub matching: u64,
+    /// Exact number of archive images matching the filter — the universe
+    /// the similarity search ranked.
+    pub matching: usize,
+}
+
+impl FilteredPlan {
+    /// Encodes the plan.
+    pub fn encode(&self, w: &mut Writer) {
+        w.u8(match self.strategy {
+            FilterStrategy::BitmapPrefilter => 1,
+            FilterStrategy::PostFilter => 2,
+        });
+        match self.candidates {
+            None => w.u8(0),
+            Some(n) => {
+                w.u8(1);
+                w.u64(n);
+            }
+        }
+        w.bool(self.residual);
+        w.u64(self.matching as u64);
+    }
+
+    /// Decodes a plan.
+    ///
+    /// # Errors
+    /// Returns [`WireError`] on truncation or an unknown strategy tag.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let strategy = match r.u8()? {
+            1 => FilterStrategy::BitmapPrefilter,
+            2 => FilterStrategy::PostFilter,
+            other => {
+                return Err(WireError::Corrupt(format!("unknown filter strategy tag {other}")))
+            }
+        };
+        let candidates = r.bool()?.then(|| r.u64()).transpose()?;
+        Ok(Self { strategy, candidates, residual: r.bool()?, matching: r.u64()? as usize })
+    }
 }
 
 /// A filtered similarity response: the result panel plus the plan.
@@ -1127,26 +1294,14 @@ pub struct FilteredPayload {
     /// The result panel, label statistics and (CBIR) distances.
     pub search: SearchPayload,
     /// How the filter was executed.
-    pub plan: FilteredPlanSpec,
+    pub plan: FilteredPlan,
 }
 
 impl FilteredPayload {
     /// Encodes the filtered payload.
     pub fn encode(&self, w: &mut Writer) {
         self.search.encode(w);
-        w.u8(match self.plan.strategy {
-            FilterStrategySpec::BitmapPrefilter => 1,
-            FilterStrategySpec::PostFilter => 2,
-        });
-        match self.plan.candidates {
-            None => w.u8(0),
-            Some(n) => {
-                w.u8(1);
-                w.u64(n);
-            }
-        }
-        w.bool(self.plan.residual);
-        w.u64(self.plan.matching);
+        self.plan.encode(w);
     }
 
     /// Decodes a filtered payload.
@@ -1154,21 +1309,7 @@ impl FilteredPayload {
     /// # Errors
     /// Returns [`WireError`] on truncation or corrupt fields.
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let search = SearchPayload::decode(r)?;
-        let strategy = match r.u8()? {
-            1 => FilterStrategySpec::BitmapPrefilter,
-            2 => FilterStrategySpec::PostFilter,
-            other => {
-                return Err(WireError::Corrupt(format!("unknown filter strategy tag {other}")))
-            }
-        };
-        let candidates = match r.bool()? {
-            false => None,
-            true => Some(r.u64()?),
-        };
-        let residual = r.bool()?;
-        let matching = r.u64()?;
-        Ok(Self { search, plan: FilteredPlanSpec { strategy, candidates, residual, matching } })
+        Ok(Self { search: SearchPayload::decode(r)?, plan: FilteredPlan::decode(r)? })
     }
 }
 
@@ -1176,27 +1317,29 @@ impl FilteredPayload {
 // Replication plane
 // ---------------------------------------------------------------------------
 
-/// A server's replication role and durable WAL position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplStatePayload {
-    /// Whether this server accepts writes.
+/// A server's replication role and durable WAL position — the answer to
+/// [`RequestBody::ReplState`], and the replication handshake.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ReplState {
+    /// Whether the server accepts writes.
     pub primary: bool,
-    /// Whether the server is attached to a durable directory (the
-    /// position fields are zero and meaningless when `false`).
+    /// Whether the server is attached to a persistence directory (a
+    /// detached server cannot serve or follow replication; the position
+    /// fields are then zero).
     pub attached: bool,
-    /// WAL generation of the current lineage.
+    /// The WAL generation of the current lineage (0 when detached).
     pub generation: u32,
-    /// First segment of the current lineage (older segments may already
-    /// be retired).
+    /// The first segment the published manifest still needs (older
+    /// segments may already be retired).
     pub first_segment: u32,
-    /// Segment currently appended to.
+    /// The live (currently appended-to) segment.
     pub segment: u32,
-    /// Byte length of that segment (header included).
+    /// The durable byte length of the live segment (header included).
     pub offset: u64,
 }
 
-impl ReplStatePayload {
-    /// Encodes the state payload.
+impl ReplState {
+    /// Encodes the state.
     pub fn encode(&self, w: &mut Writer) {
         w.bool(self.primary);
         w.bool(self.attached);
@@ -1206,7 +1349,7 @@ impl ReplStatePayload {
         w.u64(self.offset);
     }
 
-    /// Decodes a state payload.
+    /// Decodes a state.
     ///
     /// # Errors
     /// Returns [`WireError`] on truncation.
@@ -1248,38 +1391,39 @@ impl ReplChunkPayload {
     }
 }
 
-/// A batch of WAL records pulled from the primary.
+/// One replication pull's worth of WAL records — the answer to
+/// [`RequestBody::ReplPull`].
 ///
 /// `entries` holds raw record *payloads* (the bytes inside the WAL frame,
 /// exactly as `eq_earthqube` wrote them); the replica re-frames them into
 /// its own mirrored WAL, which keeps both logs byte-identical
 /// position-for-position.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplRecordsPayload {
-    /// The replica's position is unserviceable (wrong generation, or its
-    /// segment was already retired): it must discard local state and
-    /// re-seed from the primary's snapshot.  All other fields except
-    /// `generation` are zero/empty.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct ReplBatch {
+    /// The primary cannot serve the requested position (wrong generation,
+    /// or its segment was already retired); the replica must discard its
+    /// lineage and re-seed from a snapshot.  All other fields except
+    /// `generation` / `primary_*` are then zero and meaningless.
     pub reseed: bool,
-    /// The primary's current WAL generation.
+    /// The primary's WAL generation.
     pub generation: u32,
-    /// Raw WAL record payloads, in log order.
+    /// Raw record payloads, in log order (possibly empty when caught up).
     pub entries: Vec<Vec<u8>>,
-    /// The pulled segment is sealed and fully consumed by this batch: the
-    /// replica rotates to `next_segment` after applying.
+    /// The batch reaches the end of a *sealed* segment: after applying,
+    /// the replica must rotate to `next_segment`.
     pub rotate: bool,
-    /// Segment to pull from next.
+    /// The segment to pull from next.
     pub next_segment: u32,
-    /// Offset to pull from next.
+    /// The offset to pull from next.
     pub next_offset: u64,
-    /// The primary's live segment index, for lag measurement.
+    /// The primary's live segment at reply time (for lag accounting).
     pub primary_segment: u32,
-    /// The primary's live segment length, for lag measurement.
+    /// The primary's durable live-segment length at reply time.
     pub primary_offset: u64,
 }
 
-impl ReplRecordsPayload {
-    /// Encodes the records payload.
+impl ReplBatch {
+    /// Encodes the batch.
     pub fn encode(&self, w: &mut Writer) {
         w.bool(self.reseed);
         w.u32(self.generation);
@@ -1294,7 +1438,7 @@ impl ReplRecordsPayload {
         w.u64(self.primary_offset);
     }
 
-    /// Decodes a records payload.
+    /// Decodes a batch.
     ///
     /// # Errors
     /// Returns [`WireError`] on truncation.
@@ -1553,6 +1697,22 @@ mod tests {
         }
     }
 
+    fn sample_stats() -> ServerStats {
+        ServerStats {
+            queries_served: 100,
+            cache_hits: 40,
+            cache_misses: 60,
+            cache_entries: 12,
+            filter_cache_hits: 0,
+            filter_cache_misses: 0,
+            filter_cache_entries: 0,
+            filter_cache_bytes: 0,
+            archive_size: 500,
+            ingested_images: 20,
+            shard_occupancy: vec![63, 62, 63],
+        }
+    }
+
     fn roundtrip_request(request: &Request) {
         let mut buf = Vec::new();
         write_request(&mut buf, request).unwrap();
@@ -1595,7 +1755,7 @@ mod tests {
                     name: "patch_y".into(),
                     k: 12,
                     spec: sample_query(),
-                    mode: PrefilterModeSpec::Auto,
+                    mode: PrefilterMode::Auto,
                 },
             },
             Request {
@@ -1604,7 +1764,7 @@ mod tests {
                     name: "patch_z".into(),
                     radius: 6,
                     spec: QuerySpec::default(),
-                    mode: PrefilterModeSpec::ForcePostFilter,
+                    mode: PrefilterMode::ForcePostFilter,
                 },
             },
             Request { id: 11, body: RequestBody::ReplState },
@@ -1637,14 +1797,14 @@ mod tests {
     fn every_response_kind_roundtrips() {
         let search = SearchPayload {
             rows: vec![
-                ResultRow {
+                ResultEntry {
                     name: "p0".into(),
                     country: Country::Portugal,
                     date: AcquisitionDate::new(2017, 7, 17).unwrap(),
                     labels: LabelSet::from_labels([Label::SeaAndOcean]),
                     distance: Some(3),
                 },
-                ResultRow {
+                ResultEntry {
                     name: "p1".into(),
                     country: Country::Finland,
                     date: AcquisitionDate::new(2018, 1, 2).unwrap(),
@@ -1662,25 +1822,14 @@ mod tests {
             Response { id: 1, body: ResponseBody::Search(search) },
             Response {
                 id: 2,
-                body: ResponseBody::Ingest(IngestPayload {
+                body: ResponseBody::Ingest(IngestReport {
                     metadata_docs: 3,
                     image_docs: 3,
                     rendered_docs: 3,
                 }),
             },
             Response { id: 3, body: ResponseBody::Feedback { id: -7 } },
-            Response {
-                id: 4,
-                body: ResponseBody::Stats(StatsPayload {
-                    queries_served: 100,
-                    cache_hits: 40,
-                    cache_misses: 60,
-                    cache_entries: 12,
-                    archive_size: 500,
-                    ingested_images: 20,
-                    shard_occupancy: vec![63, 62, 63],
-                }),
-            },
+            Response { id: 4, body: ResponseBody::Stats(sample_stats()) },
             Response {
                 id: 5,
                 body: ResponseBody::Error(ErrorPayload {
@@ -1718,8 +1867,8 @@ mod tests {
                         image_count: 0,
                         plan: None,
                     },
-                    plan: FilteredPlanSpec {
-                        strategy: FilterStrategySpec::BitmapPrefilter,
+                    plan: FilteredPlan {
+                        strategy: FilterStrategy::BitmapPrefilter,
                         candidates: Some(42),
                         residual: true,
                         matching: 120,
@@ -1728,7 +1877,7 @@ mod tests {
             },
             Response {
                 id: 10,
-                body: ResponseBody::ReplState(ReplStatePayload {
+                body: ResponseBody::ReplState(ReplState {
                     primary: true,
                     attached: true,
                     generation: 9,
@@ -1747,7 +1896,7 @@ mod tests {
             },
             Response {
                 id: 13,
-                body: ResponseBody::ReplRecords(ReplRecordsPayload {
+                body: ResponseBody::ReplRecords(ReplBatch {
                     reseed: false,
                     generation: 9,
                     entries: vec![vec![7; 10], vec![8; 3]],
@@ -1760,7 +1909,7 @@ mod tests {
             },
             Response {
                 id: 14,
-                body: ResponseBody::ReplRecords(ReplRecordsPayload {
+                body: ResponseBody::ReplRecords(ReplBatch {
                     reseed: true,
                     generation: 11,
                     entries: vec![],
@@ -1775,6 +1924,42 @@ mod tests {
         for response in &responses {
             roundtrip_response(response);
         }
+    }
+
+    /// The stats wire rule: the four `filter_cache_*` counters are not
+    /// encoded, decode as zero, and take no part in `==`.
+    #[test]
+    fn filter_cache_counters_stay_off_the_wire() {
+        let zeroed = sample_stats();
+        let counted = ServerStats {
+            filter_cache_hits: 7,
+            filter_cache_misses: 3,
+            filter_cache_entries: 2,
+            filter_cache_bytes: 4096,
+            ..zeroed.clone()
+        };
+        let encode = |stats: &ServerStats| {
+            let mut w = Writer::new();
+            stats.encode(&mut w);
+            w.into_bytes()
+        };
+        let bytes = encode(&counted);
+        assert_eq!(bytes, encode(&zeroed));
+        let mut r = Reader::new(&bytes);
+        let decoded = ServerStats::decode(&mut r).unwrap();
+        assert!(r.is_empty());
+        let ServerStats {
+            filter_cache_hits,
+            filter_cache_misses,
+            filter_cache_entries,
+            filter_cache_bytes,
+            ..
+        } = decoded;
+        assert_eq!(
+            (filter_cache_hits, filter_cache_misses, filter_cache_entries, filter_cache_bytes),
+            (0, 0, 0, 0)
+        );
+        assert_eq!(decoded, counted);
     }
 
     #[test]

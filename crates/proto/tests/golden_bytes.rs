@@ -20,10 +20,10 @@ use eq_bigearthnet::patch::{AcquisitionDate, Patch, PatchId, PatchMetadata, Sate
 use eq_bigearthnet::{Country, Label};
 use eq_geo::{BBox, Circle, GeoShape, Point, Polygon};
 use eq_proto::{
-    ErrorCode, ErrorPayload, FilterStrategySpec, FilteredPayload, FilteredPlanSpec, IngestPayload,
-    LabelFilterSpec, LabelOp, PlanSpec, PrefilterModeSpec, QuerySpec, ReplChunkPayload,
-    ReplRecordsPayload, ReplStatePayload, Request, RequestBody, Response, ResponseBody, ResultRow,
-    SearchPayload, StatsPayload,
+    ErrorCode, ErrorPayload, FilterStrategy, FilteredPayload, FilteredPlan, IngestReport,
+    LabelFilterSpec, LabelOp, PlanSpec, PrefilterMode, QuerySpec, ReplBatch, ReplChunkPayload,
+    ReplState, Request, RequestBody, Response, ResponseBody, ResultEntry, SearchPayload,
+    ServerStats,
 };
 
 fn golden_dir() -> PathBuf {
@@ -210,7 +210,7 @@ fn request_similar_to_filtered() {
                 name: "patch_0".into(),
                 k: 10,
                 spec: sample_query(),
-                mode: PrefilterModeSpec::Auto,
+                mode: PrefilterMode::Auto,
             },
         },
     );
@@ -226,7 +226,7 @@ fn request_similar_within_filtered() {
                 name: "patch_0".into(),
                 radius: 8,
                 spec: QuerySpec::default(),
-                mode: PrefilterModeSpec::ForceBitmap,
+                mode: PrefilterMode::ForceBitmap,
             },
         },
     );
@@ -290,7 +290,7 @@ fn response_search() {
             id: 11,
             body: ResponseBody::Search(SearchPayload {
                 rows: vec![
-                    ResultRow {
+                    ResultEntry {
                         name: "patch_a".into(),
                         country: Country::Portugal,
                         date: AcquisitionDate::new(2017, 7, 17).unwrap(),
@@ -302,7 +302,7 @@ fn response_search() {
                         ]),
                         distance: Some(3),
                     },
-                    ResultRow {
+                    ResultEntry {
                         name: "patch_b".into(),
                         country: Country::Finland,
                         date: AcquisitionDate::new(2018, 1, 2).unwrap(),
@@ -346,7 +346,7 @@ fn response_ingest() {
         "response_ingest",
         &Response {
             id: 13,
-            body: ResponseBody::Ingest(IngestPayload {
+            body: ResponseBody::Ingest(IngestReport {
                 metadata_docs: 3,
                 image_docs: 3,
                 rendered_docs: 3,
@@ -369,11 +369,15 @@ fn response_stats() {
         "response_stats",
         &Response {
             id: 15,
-            body: ResponseBody::Stats(StatsPayload {
+            body: ResponseBody::Stats(ServerStats {
                 queries_served: 600,
                 cache_hits: 200,
                 cache_misses: 400,
                 cache_entries: 37,
+                filter_cache_hits: 0,
+                filter_cache_misses: 0,
+                filter_cache_entries: 0,
+                filter_cache_bytes: 0,
                 archive_size: 40_000,
                 ingested_images: 12,
                 shard_occupancy: vec![5000, 5000, 5001, 4999],
@@ -427,7 +431,7 @@ fn response_filtered() {
             id: 25,
             body: ResponseBody::Filtered(FilteredPayload {
                 search: SearchPayload {
-                    rows: vec![ResultRow {
+                    rows: vec![ResultEntry {
                         name: "patch_a".into(),
                         country: Country::Portugal,
                         date: AcquisitionDate::new(2017, 7, 17).unwrap(),
@@ -439,8 +443,8 @@ fn response_filtered() {
                     image_count: 1,
                     plan: None,
                 },
-                plan: FilteredPlanSpec {
-                    strategy: FilterStrategySpec::BitmapPrefilter,
+                plan: FilteredPlan {
+                    strategy: FilterStrategy::BitmapPrefilter,
                     candidates: Some(17),
                     residual: false,
                     matching: 17,
@@ -464,8 +468,8 @@ fn response_filtered_post_filter() {
                     image_count: 0,
                     plan: None,
                 },
-                plan: FilteredPlanSpec {
-                    strategy: FilterStrategySpec::PostFilter,
+                plan: FilteredPlan {
+                    strategy: FilterStrategy::PostFilter,
                     candidates: None,
                     residual: false,
                     matching: 3,
@@ -481,7 +485,7 @@ fn response_repl_state() {
         "response_repl_state",
         &Response {
             id: 27,
-            body: ResponseBody::ReplState(ReplStatePayload {
+            body: ResponseBody::ReplState(ReplState {
                 primary: true,
                 attached: true,
                 generation: 7,
@@ -524,7 +528,7 @@ fn response_repl_records() {
         "response_repl_records",
         &Response {
             id: 30,
-            body: ResponseBody::ReplRecords(ReplRecordsPayload {
+            body: ResponseBody::ReplRecords(ReplBatch {
                 reseed: false,
                 generation: 7,
                 entries: vec![vec![1, 2, 3, 4, 5], vec![6, 7]],
@@ -544,7 +548,7 @@ fn response_repl_records_reseed() {
         "response_repl_records_reseed",
         &Response {
             id: 31,
-            body: ResponseBody::ReplRecords(ReplRecordsPayload {
+            body: ResponseBody::ReplRecords(ReplBatch {
                 reseed: true,
                 generation: 9,
                 entries: vec![],

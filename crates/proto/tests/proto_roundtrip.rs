@@ -21,8 +21,8 @@ use eq_bigearthnet::patch::{AcquisitionDate, Patch, PatchId, PatchMetadata, Sate
 use eq_bigearthnet::{Country, Label};
 use eq_geo::{BBox, Circle, GeoShape, Point, Polygon};
 use eq_proto::{
-    ErrorCode, ErrorPayload, IngestPayload, LabelFilterSpec, LabelOp, PlanSpec, QuerySpec, Request,
-    RequestBody, Response, ResponseBody, ResultRow, SearchPayload, StatsPayload,
+    ErrorCode, ErrorPayload, IngestReport, LabelFilterSpec, LabelOp, PlanSpec, QuerySpec, Request,
+    RequestBody, Response, ResponseBody, ResultEntry, SearchPayload, ServerStats,
 };
 use eq_wire::{WireError, Writer};
 use proptest::prelude::*;
@@ -58,8 +58,8 @@ fn date_from_script(script: &mut &[u8]) -> AcquisitionDate {
 
 /// Any row the typed representation can hold: any country, any date
 /// `AcquisitionDate::new` accepts, any label set, any name.
-fn row_from_script(script: &mut &[u8]) -> ResultRow {
-    ResultRow {
+fn row_from_script(script: &mut &[u8]) -> ResultEntry {
+    ResultEntry {
         name: string_from_script(script),
         country: Country::ALL[(take(script, 1) as usize) % Country::ALL.len()],
         date: AcquisitionDate::new(
@@ -242,20 +242,24 @@ fn response_from_script(script: &mut &[u8]) -> Response {
     let body = match take(script, 1) % 6 {
         0 => ResponseBody::Pong,
         1 => ResponseBody::Search(search_from_script(script)),
-        2 => ResponseBody::Ingest(IngestPayload {
-            metadata_docs: take(script, 2),
-            image_docs: take(script, 2),
-            rendered_docs: take(script, 2),
+        2 => ResponseBody::Ingest(IngestReport {
+            metadata_docs: take(script, 2) as usize,
+            image_docs: take(script, 2) as usize,
+            rendered_docs: take(script, 2) as usize,
         }),
         3 => ResponseBody::Feedback { id: take(script, 8) as i64 },
-        4 => ResponseBody::Stats(StatsPayload {
+        4 => ResponseBody::Stats(ServerStats {
             queries_served: take(script, 4),
             cache_hits: take(script, 4),
             cache_misses: take(script, 4),
-            cache_entries: take(script, 2),
-            archive_size: take(script, 4),
+            cache_entries: take(script, 2) as usize,
+            filter_cache_hits: 0,
+            filter_cache_misses: 0,
+            filter_cache_entries: 0,
+            filter_cache_bytes: 0,
+            archive_size: take(script, 4) as usize,
             ingested_images: take(script, 2),
-            shard_occupancy: (0..take(script, 1) % 9).map(|_| take(script, 3)).collect(),
+            shard_occupancy: (0..take(script, 1) % 9).map(|_| take(script, 3) as usize).collect(),
         }),
         _ => ResponseBody::Error(ErrorPayload {
             code: [
@@ -409,7 +413,7 @@ proptest! {
 /// place: `edits` are same-length `(from, to)` substitutions, each applied
 /// to the first occurrence.
 fn decode_edited_row(edits: &[(&str, &str)]) -> Result<Response, WireError> {
-    let row = ResultRow {
+    let row = ResultEntry {
         name: "patch_a".into(),
         country: Country::Portugal,
         date: AcquisitionDate::new(2017, 7, 17).unwrap(),
