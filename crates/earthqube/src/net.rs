@@ -148,15 +148,24 @@ pub fn spec_to_query(spec: eq_proto::QuerySpec) -> ImageQuery {
     }
 }
 
-/// Serializes a [`SearchResponse`] into its wire payload (lossless).
+/// Serializes a [`SearchResponse`] into its wire payload (lossless): a
+/// copy of the response, moved into the payload.  The server owns its
+/// responses and moves them without the copy.
 pub fn response_to_payload(response: &SearchResponse) -> eq_proto::SearchPayload {
+    search_payload(response.clone())
+}
+
+/// The one response-to-wire conversion: the rows move into the payload,
+/// so no row's name is copied.
+fn search_payload(response: SearchResponse) -> eq_proto::SearchPayload {
+    let SearchResponse { panel, statistics, plan } = response;
     eq_proto::SearchPayload {
-        rows: response.panel.entries().to_vec(),
-        page_size: response.panel.page_size() as u64,
-        label_counts: response.statistics.counts().iter().map(|&c| c as u64).collect(),
-        image_count: response.statistics.image_count() as u64,
-        plan: response.plan.as_ref().map(|p| eq_proto::PlanSpec {
-            index_used: p.index_used.clone(),
+        page_size: panel.page_size() as u64,
+        rows: panel.into_entries(),
+        label_counts: statistics.counts().iter().map(|&c| c as u64).collect(),
+        image_count: statistics.image_count() as u64,
+        plan: plan.map(|p| eq_proto::PlanSpec {
+            index_used: p.index_used,
             scanned: p.scanned as u64,
             matched: p.matched as u64,
         }),
@@ -564,12 +573,21 @@ impl ConnIo {
             out.file(done.seq, done.frame, done.fatal);
         }
         while out.has_backlog() && !out.write_dead {
+            // Counted before the write, the unwritten part taken back after
+            // it: the write can wake the peer before this thread runs on,
+            // and a peer holding a reply must find its bytes in `bytes_out`.
+            let unsent = out.outbuf.len() - out.outpos;
+            stats.bytes_out.fetch_add(unsent as u64, Ordering::Relaxed);
             // lint:allow(lock) a non-blocking socket: the write returns WouldBlock instead of waiting, and the guard is what keeps two writers from interleaving frames
-            match (&self.stream).write(&out.outbuf[out.outpos..]) {
+            let written = (&self.stream).write(&out.outbuf[out.outpos..]);
+            let unwritten = unsent - written.as_ref().map_or(0, |&n| n);
+            if unwritten > 0 {
+                stats.bytes_out.fetch_sub(unwritten as u64, Ordering::Relaxed);
+            }
+            match written {
                 Ok(0) => out.write_dead = true,
                 Ok(n) => {
                     out.outpos += n;
-                    stats.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
                     if out.has_backlog() {
                         out.last_write_progress = Instant::now();
                     }
@@ -1372,7 +1390,16 @@ fn dispatch(
 ) -> eq_proto::Response {
     use eq_proto::{RequestBody, ResponseBody};
     let search_outcome = |result: Result<SearchResponse, EarthQubeError>| match result {
-        Ok(response) => ResponseBody::Search(response_to_payload(&response)),
+        Ok(response) => ResponseBody::Search(search_payload(response)),
+        Err(e) => ResponseBody::Error(error_to_payload(&e)),
+    };
+    let filtered_outcome = |result: Result<FilteredResponse, EarthQubeError>| match result {
+        Ok(FilteredResponse { response, plan }) => {
+            ResponseBody::Filtered(eq_proto::FilteredPayload {
+                search: search_payload(response),
+                plan,
+            })
+        }
         Err(e) => ResponseBody::Error(error_to_payload(&e)),
     };
     let body = match request.body {
@@ -1403,18 +1430,12 @@ fn dispatch(
         RequestBody::MetricsText => {
             ResponseBody::MetricsText(render_metrics(&server.stats(), &net.snapshot()))
         }
-        RequestBody::SimilarToFiltered { name, k, spec, mode } => {
-            match server.similar_to_filtered(&name, clamp_k(k), &spec_to_query(spec), mode) {
-                Ok(filtered) => ResponseBody::Filtered(filtered_to_payload(&filtered)),
-                Err(e) => ResponseBody::Error(error_to_payload(&e)),
-            }
-        }
-        RequestBody::SimilarWithinFiltered { name, radius, spec, mode } => {
-            match server.similar_within_filtered(&name, radius, &spec_to_query(spec), mode) {
-                Ok(filtered) => ResponseBody::Filtered(filtered_to_payload(&filtered)),
-                Err(e) => ResponseBody::Error(error_to_payload(&e)),
-            }
-        }
+        RequestBody::SimilarToFiltered { name, k, spec, mode } => filtered_outcome(
+            server.similar_to_filtered(&name, clamp_k(k), &spec_to_query(spec), mode),
+        ),
+        RequestBody::SimilarWithinFiltered { name, radius, spec, mode } => filtered_outcome(
+            server.similar_within_filtered(&name, radius, &spec_to_query(spec), mode),
+        ),
         RequestBody::ReplState => ResponseBody::ReplState(server.repl_state()),
         RequestBody::ReplManifest => match server.repl_manifest_bytes() {
             Ok(bytes) => ResponseBody::ReplManifest { bytes },
@@ -2225,5 +2246,32 @@ mod tests {
         for q in [query, with_satellites, ImageQuery::all()] {
             assert_eq!(spec_to_query(query_to_spec(&q)), q);
         }
+    }
+
+    #[test]
+    fn a_delivered_reply_is_already_counted_in_bytes_out() {
+        let (net, _server, _) = served(8, 306);
+        let mut client = EqClient::connect(net.local_addr()).unwrap();
+        let pong = eq_proto::Response { id: 0, body: eq_proto::ResponseBody::Pong }.encode();
+        let frame_len = (eq_wire::frame::HEADER_LEN + pong.len()) as u64;
+        for k in 1..=2_000 {
+            client.ping().unwrap();
+            assert_eq!(net.net_stats().bytes_out, k * frame_len, "after pong {k}");
+        }
+        net.shutdown();
+    }
+
+    #[test]
+    fn owned_responses_move_their_rows_onto_the_wire() {
+        let archive = ArchiveGenerator::new(GeneratorConfig::tiny(12, 305)).unwrap().generate();
+        let mut config = EarthQubeConfig::fast(305);
+        config.train_model = false;
+        let server = QueryServer::build(&archive, config, ServeConfig::default()).unwrap();
+        let response = server.search(&ImageQuery::all()).unwrap();
+        let copied = response_to_payload(&response);
+        let name = response.panel.entries()[0].name.as_ptr();
+        let moved = search_payload(response);
+        assert_eq!(moved.rows[0].name.as_ptr(), name, "the row was copied, not moved");
+        assert_eq!(moved, copied);
     }
 }

@@ -55,6 +55,11 @@ impl ResultPanel {
         &self.entries
     }
 
+    /// Gives up the entries: the network tier moves them onto the wire.
+    pub(crate) fn into_entries(self) -> Vec<ResultEntry> {
+        self.entries
+    }
+
     /// The configured page size.
     pub fn page_size(&self) -> usize {
         self.page_size

@@ -12,7 +12,10 @@
 //!   instead of panicking, so decoding attacker- or corruption-shaped bytes
 //!   is always safe,
 //! * [`crc32`] — the CRC-32 (IEEE 802.3) checksum guarding every snapshot
-//!   body and every WAL record.
+//!   body, WAL record, checkpoint chunk, manifest and network frame, at the
+//!   best [`CrcTier`] the CPU offers: carry-less-multiply folding (~15×
+//!   faster on large inputs) or slicing-by-8.  Both compute the remainder of
+//!   one polynomial division, so every checksum is the same on every CPU.
 //!
 //! The [`frame`] module adds the stream-level counterpart: magic-tagged,
 //! length-prefixed, CRC-guarded frames read from and written to arbitrary
@@ -26,7 +29,12 @@
 //! than a vendored serde stack.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+// `unsafe` is confined to the checksum kernel (`impl CrcTier`'s second
+// block), the one item that carries `#[allow(unsafe_code)]`.
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
+
+use std::sync::OnceLock;
 
 /// Errors produced while decoding wire-format bytes.
 ///
@@ -334,9 +342,10 @@ pub mod frame;
 pub mod manifest;
 
 /// The CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) lookup
-/// tables for slicing-by-8: `CRC32_TABLES[0]` is the classic bytewise table,
-/// and `CRC32_TABLES[k][b]` is the checksum state after byte `b` followed by
-/// `k` zero bytes, so eight table reads advance the state by eight bytes.
+/// tables for the portable tier's slicing-by-8: `CRC32_TABLES[0]` is the
+/// classic bytewise table, and `CRC32_TABLES[k][b]` is the checksum state
+/// after byte `b` followed by `k` zero bytes, so eight table reads advance
+/// the state by eight bytes.
 const CRC32_TABLES: [[u32; 256]; 8] = {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
@@ -363,12 +372,50 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// Computes the CRC-32 (IEEE 802.3) checksum of a byte slice — the same
-/// polynomial used by zip, PNG and Ethernet, so reference vectors are easy
-/// to verify.  Eight bytes per step (slicing-by-8); the tail goes bytewise.
-pub fn crc32(bytes: &[u8]) -> u32 {
+/// An instruction-set tier of [`crc32`], slowest first.  Every tier
+/// computes the same polynomial over the same bits, so every tier returns
+/// exactly what `Portable` returns, for every input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CrcTier {
+    /// Slicing-by-8 in plain Rust: the reference, the tier for inputs
+    /// under 64 bytes, and the only tier off x86_64.
+    Portable,
+    /// `pclmulqdq` + `sse4.1` carry-less-multiply folding, 64 bytes per
+    /// step; the last `len % 16` bytes run the portable loop.
+    Clmul,
+}
+
+impl CrcTier {
+    /// Whether this CPU can run the tier (`is_x86_feature_detected!`).
+    pub(crate) fn is_supported(self) -> bool {
+        match self {
+            CrcTier::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            CrcTier::Clmul => {
+                is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            CrcTier::Clmul => false,
+        }
+    }
+
+    /// The tiers this CPU can run, slowest first (`Portable` always).
+    pub fn supported() -> impl Iterator<Item = CrcTier> {
+        [Self::Portable, Self::Clmul].into_iter().filter(|t| t.is_supported())
+    }
+
+    /// The best tier this CPU can run: detected on first use, then fixed
+    /// for the life of the process.  [`crc32`] runs at it.
+    pub fn detected() -> CrcTier {
+        static DETECTED: OnceLock<CrcTier> = OnceLock::new();
+        *DETECTED.get_or_init(|| Self::supported().last().unwrap_or(CrcTier::Portable))
+    }
+}
+
+/// The portable tier on the raw (uninverted) register: eight bytes per step
+/// (slicing-by-8), the tail bytewise.
+fn portable_update(mut crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
         let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
@@ -384,7 +431,106 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
-    !crc
+    crc
+}
+
+/// The checksum kernel: the one place in the crate allowed `unsafe`, for
+/// the call into the `#[target_feature]` CLMUL tier and its 16-byte loads.
+#[allow(unsafe_code)]
+impl CrcTier {
+    /// The CRC-32 of `bytes` at this tier: the same value at every tier
+    /// (what the tests pin, tier by tier).
+    ///
+    /// # Panics
+    /// Panics if this CPU cannot run the tier.
+    #[inline]
+    pub fn checksum(self, bytes: &[u8]) -> u32 {
+        assert!(self.is_supported(), "this CPU cannot run the {self:?} CRC-32 tier");
+        !match self {
+            // SAFETY: `is_supported` confirmed `pclmulqdq` and `sse4.1`
+            // (`is_x86_feature_detected!`); the tier reads `bytes` only
+            // through `as_chunks`, so every load stays inside the slice.
+            #[cfg(target_arch = "x86_64")]
+            CrcTier::Clmul => unsafe { Self::clmul_update(!0, bytes) },
+            _ => portable_update(!0, bytes),
+        }
+    }
+
+    /// The CLMUL tier on the raw register: 64-byte groups fold into four
+    /// 128-bit lanes, the lanes and the remaining 16-byte blocks fold into
+    /// one, a Barrett reduction takes it to 32 bits, and the last
+    /// `len % 16` bytes run portable.  Inputs under 64 bytes run portable.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn clmul_update(crc: u32, bytes: &[u8]) -> u32 {
+        use std::arch::x86_64::*;
+        // `x^n mod P(x)` for each fold distance `n`, bit-reflected and
+        // shifted left by one (Gopal et al., "Fast CRC Computation for
+        // Generic Polynomials Using PCLMULQDQ", Intel, 2009): K1/K2 carry a
+        // lane's halves 64 bytes on (n = 4·128 ± 32), K3/K4 16 bytes on
+        // (n = 128 ± 32), K5 takes 96 bits to 64 (n = 64); P and
+        // μ = ⌊x^64 / P(x)⌋, reflected, are the Barrett reduction's.
+        const K1: i64 = 0x1_5444_2BD4;
+        const K2: i64 = 0x1_C6E4_1596;
+        const K3: i64 = 0x1_7519_97D0;
+        const K4: i64 = 0x0_CCAA_009E;
+        const K5: i64 = 0x1_63CD_6124;
+        const P: i64 = 0x1_DB71_0641;
+        const MU: i64 = 0x1_F701_1641;
+        let (blocks, tail) = bytes.as_chunks::<16>();
+        let (groups, singles) = blocks.as_chunks::<4>();
+        let Some((first, groups)) = groups.split_first() else {
+            return portable_update(crc, bytes);
+        };
+        // SAFETY: `pclmulqdq` and `sse4.1` are on (`is_supported`, SSE2 is
+        // x86_64's baseline); the load reads the 16 bytes of one `&[u8; 16]`.
+        let load = |block: &[u8; 16]| unsafe { _mm_loadu_si128(block.as_ptr().cast()) };
+        // `lane` carried forward by the distance `k` encodes, onto `next`.
+        let fold = |lane, next, k| {
+            let (lo, hi) =
+                (_mm_clmulepi64_si128::<0x00>(lane, k), _mm_clmulepi64_si128::<0x11>(lane, k));
+            _mm_xor_si128(next, _mm_xor_si128(lo, hi))
+        };
+        let mut lanes = first.each_ref().map(load);
+        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(crc as i32));
+        let by_four = _mm_set_epi64x(K2, K1);
+        for group in groups {
+            for (lane, block) in lanes.iter_mut().zip(group) {
+                *lane = fold(*lane, load(block), by_four);
+            }
+        }
+        let by_one = _mm_set_epi64x(K4, K3);
+        let mut x = lanes[0];
+        for &lane in &lanes[1..] {
+            x = fold(x, lane, by_one);
+        }
+        for block in singles {
+            x = fold(x, load(block), by_one);
+        }
+        // 128 bits to 96, 96 to 64, then Barrett: the reflected register
+        // is the upper half of the low 64 bits.
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        let x = _mm_xor_si128(_mm_clmulepi64_si128::<0x10>(x, by_one), _mm_srli_si128::<8>(x));
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5)),
+            _mm_srli_si128::<4>(x),
+        );
+        let barrett = _mm_set_epi64x(MU, P);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), barrett);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), barrett);
+        let crc = _mm_extract_epi32::<1>(_mm_xor_si128(x, t2)) as u32;
+        portable_update(crc, tail)
+    }
+}
+
+/// Computes the CRC-32 (IEEE 802.3) checksum of a byte slice — the same
+/// polynomial used by zip, PNG and Ethernet, so reference vectors are easy
+/// to verify — at [`CrcTier::detected`]: carry-less-multiply folding where
+/// the CPU has it, slicing-by-8 elsewhere and under 64 bytes.  Both tiers
+/// compute the same remainder of the same polynomial, so every frame, WAL
+/// record, chunk and manifest checksum is the same on every CPU.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    CrcTier::detected().checksum(bytes)
 }
 
 #[cfg(test)]
@@ -473,6 +619,103 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"abc"), crc32(b"abd"));
+    }
+
+    /// CRC-32 one bit at a time — no tables, no folding — of every prefix
+    /// of `data`: entry `n` is the checksum of `data[..n]`.
+    fn bitwise_prefixes(data: &[u8]) -> Vec<u32> {
+        let mut crc = !0u32;
+        let mut out = Vec::with_capacity(data.len() + 1);
+        out.push(!crc);
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 == 1 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            }
+            out.push(!crc);
+        }
+        out
+    }
+
+    fn random_bytes(len: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed | 1;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_crc_tier_matches_the_reference() {
+        // Every length up to 4 099 at every start offset mod 16: the
+        // portable tier's 8-byte stride and the CLMUL tier's 16-byte loads,
+        // 64-byte groups and `len % 16` tails land on every alignment.
+        let random = random_bytes(4099 + 16, 7);
+        for start in 0..16 {
+            let data = &random[start..];
+            let want = bitwise_prefixes(data);
+            for tier in CrcTier::supported() {
+                for len in 0..=4099 {
+                    assert_eq!(tier.checksum(&data[..len]), want[len], "{tier:?}, start {start}");
+                }
+            }
+        }
+        // Each fold boundary, a `panel` frame, 64 KiB and 1 MiB, on random,
+        // all-zero and all-0xFF bytes.
+        let lengths: Vec<usize> = (1..=20)
+            .flat_map(|k| [16 * k - 1, 16 * k, 16 * k + 1, 16 * k + 15])
+            .chain([16 << 10, 64 << 10, 1 << 20].into_iter().flat_map(|n| [n - 1, n, n + 15]))
+            .collect();
+        let big = (1 << 20) + 15;
+        for data in [random_bytes(big, 11), vec![0; big], vec![0xFF; big]] {
+            let want = bitwise_prefixes(&data);
+            for tier in CrcTier::supported() {
+                for &len in &lengths {
+                    assert_eq!(tier.checksum(&data[..len]), want[len], "{tier:?}, len {len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_detected_crc_tier_is_the_best_the_cpu_reports() {
+        #[cfg(target_arch = "x86_64")]
+        let best = if is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1") {
+            CrcTier::Clmul
+        } else {
+            CrcTier::Portable
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let best = CrcTier::Portable;
+        assert_eq!(CrcTier::detected(), best);
+        assert_eq!(CrcTier::supported().last(), Some(best));
+        assert_eq!(CrcTier::supported().next(), Some(CrcTier::Portable));
+        assert_eq!(crc32(b"123456789"), best.checksum(b"123456789"));
+    }
+
+    /// The micro-benchmark behind EXPERIMENTS.md's CRC table: ns per byte
+    /// of each tier at a small request, a k-NN answer, a `panel` answer and
+    /// 64 KiB.  `cargo test --release -p eq_wire -- --ignored --nocapture
+    /// crc_tier_throughput`.
+    #[test]
+    #[ignore = "timing, not a check; run in release"]
+    fn crc_tier_throughput() {
+        let data = random_bytes(64 << 10, 3);
+        for len in [80, 3_500, 16_500, 64 << 10] {
+            for tier in CrcTier::supported() {
+                let reps = (64 << 20) / len;
+                let start = std::time::Instant::now();
+                for _ in 0..reps {
+                    std::hint::black_box(tier.checksum(std::hint::black_box(&data[..len])));
+                }
+                let ns = start.elapsed().as_nanos() as f64 / (reps * len) as f64;
+                println!("{len:>6} B  {tier:?}: {ns:.3} ns/B");
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! The slicing-by-8 `crc32` against the textbook bytewise definition:
-//! every checksum this workspace stores (frames, WAL records, snapshots,
-//! manifests) goes through the one function, so it must equal the reference
-//! for every length and every alignment of the input.
+//! Every tier of `crc32` against the textbook bitwise definition: every
+//! checksum this workspace stores or sends (frames, WAL records, snapshots,
+//! chunks, manifests) goes through the one function, whichever tier the CPU
+//! picks, so each tier must equal the reference for every length and every
+//! alignment of the input — up to and past a 16 KB `panel` answer.
 
-use eq_wire::crc32;
+use eq_wire::{crc32, CrcTier};
 use proptest::prelude::*;
 
-/// CRC-32/ISO-HDLC one bit at a time — no tables to get wrong.
+/// CRC-32/ISO-HDLC one bit at a time — no tables, no folding to get wrong.
 fn crc32_reference(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
@@ -22,12 +23,15 @@ fn crc32_reference(bytes: &[u8]) -> u32 {
 fn check_value_and_every_short_length() {
     assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     assert_eq!(crc32_reference(b"123456789"), 0xCBF4_3926);
-    // Every length around the 8-byte stride, at every start offset.
-    let data: Vec<u8> = (0..64u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+    // Every length around the 8-byte stride and the 64-byte fold group, at
+    // every start offset.
+    let data: Vec<u8> = (0..160u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
     for start in 0..16 {
-        for len in 0..=40 {
+        for len in 0..=144 {
             let slice = &data[start..start + len];
-            assert_eq!(crc32(slice), crc32_reference(slice), "start {start}, len {len}");
+            for tier in CrcTier::supported() {
+                assert_eq!(tier.checksum(slice), crc32_reference(slice), "{tier:?}, {start}+{len}");
+            }
         }
     }
 }
@@ -36,13 +40,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn sliced_crc_equals_the_bytewise_reference(
+    fn every_tier_equals_the_bitwise_reference(
         seed in 0u64..=u64::MAX,
-        len in 0usize..=4099,
+        len in 0usize..=70_000,
         start in 0usize..=15,
     ) {
         // A cheap LCG fills the buffer; the slice starts at an arbitrary
-        // offset so the 8-byte chunks land on every alignment.
+        // offset so the 8-byte chunks and 16-byte loads land on every
+        // alignment.
         let mut state = seed | 1;
         let data: Vec<u8> = (0..start + len)
             .map(|_| {
@@ -51,6 +56,11 @@ proptest! {
             })
             .collect();
         let slice = &data[start..];
-        prop_assert_eq!(crc32(slice), crc32_reference(slice));
+        let want = crc32_reference(slice);
+        prop_assert_eq!(crc32(slice), want);
+        for tier in CrcTier::supported() {
+            let got = tier.checksum(slice);
+            prop_assert!(got == want, "{tier:?}: {got:08x} vs {want:08x}, len {len}");
+        }
     }
 }

@@ -180,11 +180,27 @@ fn over_quota_requests_are_rejected_with_typed_errors_not_stalled() {
     let addr = net.local_addr();
     let mut canary = EqClient::connect(addr).unwrap();
     canary.ping().unwrap();
+    let mut stream = TcpStream::connect(addr).unwrap();
+
+    // The only worker is kept busy first, by an ingest queued from another
+    // connection: otherwise it can answer (and retire) an admitted ping
+    // while the poller is still admitting the burst, and a burst fully
+    // admitted tests nothing.  Once `bytes_in` shows the ingest read, the
+    // poller queues it before it reads the burst.
+    let patches = ArchiveGenerator::new(GeneratorConfig::tiny(48, 4031)).unwrap().generate();
+    let mut ingest = Vec::new();
+    let body = proto::RequestBody::Ingest { patches: patches.patches().to_vec() };
+    proto::write_request(&mut ingest, &proto::Request { id: 1, body }).unwrap();
+    let mut busy = TcpStream::connect(addr).unwrap();
+    let read_before = net.net_stats().bytes_in;
+    busy.write_all(&ingest).unwrap();
+    while net.net_stats().bytes_in < read_before + ingest.len() as u64 {
+        std::thread::yield_now();
+    }
 
     // Twelve pings in ONE write: they arrive as one burst, so the poller
-    // admits at most the quota before any response can retire in-flight
+    // admits exactly the quota before any response can retire in-flight
     // slots.
-    let mut stream = TcpStream::connect(addr).unwrap();
     let mut burst = Vec::new();
     for id in 1..=12u64 {
         proto::write_request(&mut burst, &proto::Request { id, body: proto::RequestBody::Ping })
@@ -209,9 +225,11 @@ fn over_quota_requests_are_rejected_with_typed_errors_not_stalled() {
             other => panic!("unexpected response {other:?}"),
         }
     }
-    assert!(pongs >= 1, "requests within quota are served");
-    assert!(overloaded >= 1, "requests over quota are rejected, not stalled");
-    assert_eq!(pongs + overloaded, 12);
+    assert_eq!(pongs, 4, "requests within quota are served");
+    assert_eq!(overloaded, 8, "requests over quota are rejected, not stalled");
+    let _ = busy.set_read_timeout(Some(Duration::from_secs(30)));
+    let report = proto::read_response(&mut busy).unwrap().expect("the ingest is answered");
+    assert!(matches!(report.body, proto::ResponseBody::Ingest(_)), "{:?}", report.body);
 
     // The flooding connection survives rejection and is not a fault.
     stream.write_all(&ping_frame()).unwrap();
