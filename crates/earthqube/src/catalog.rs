@@ -141,6 +141,14 @@ impl Catalog {
                         self.metadata.len()
                     )));
                 }
+                if code.bits() != self.cbir.code_bits() {
+                    return Err(EarthQubeError::Persist(format!(
+                        "the logged record for {} carries a {}-bit code, expected {} bits",
+                        meta.name,
+                        code.bits(),
+                        self.cbir.code_bits()
+                    )));
+                }
                 self.apply_ingest(meta, code, image_doc, rendered_doc).map_err(diverged)?;
                 Ok(true)
             }
@@ -163,15 +171,14 @@ impl Catalog {
         tail.map(|meta| Ok((meta, self.code_of(&meta.name)?))).collect()
     }
 
-    /// Puts back the dirty state a checkpoint cut drained, when the
-    /// checkpoint failed before publishing, so the next one retries it.
-    pub(crate) fn restore_dirty(&mut self, drained: Vec<(String, DirtyLog)>, shards: &[usize]) {
+    /// Puts back the dirty logs a checkpoint cut drained, when the
+    /// checkpoint failed before publishing, so the next one retries them.
+    pub(crate) fn restore_dirty(&mut self, drained: Vec<(String, DirtyLog)>) {
         for (name, log) in drained {
             if let Ok(collection) = self.database.collection_mut(&name) {
                 collection.restore_dirty(log);
             }
         }
-        self.cbir.index.mark_shards_dirty(shards);
     }
 
     /// The mode the query panel resolves in: the compiled bitmap whenever

@@ -13,6 +13,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use eq_bigearthnet::patch::PatchMetadata;
 use eq_bigearthnet::Archive;
 use eq_hashindex::{BinaryCode, ShardedHashIndex};
 use eq_milan::Milan;
@@ -60,11 +61,24 @@ impl CbirService {
         shards: usize,
     ) -> Self {
         let codes = model.hash_archive(archive);
+        let images = archive.patches().iter().map(|patch| &patch.meta).zip(codes);
+        Self::from_codes(model, config, shards, images)
+    }
+
+    /// The service over already-inferred codes: each one goes through
+    /// [`insert`](Self::insert) in the order given, which is dense-id order
+    /// for both callers (build, and recovery from the image table).
+    pub(crate) fn from_codes<'m>(
+        model: Milan,
+        config: CbirConfig,
+        shards: usize,
+        images: impl ExactSizeIterator<Item = (&'m PatchMetadata, BinaryCode)>,
+    ) -> Self {
         let index = ShardedHashIndex::new(model.code_bits(), shards.max(1));
-        let name_to_code = HashMap::with_capacity(codes.len());
+        let name_to_code = HashMap::with_capacity(images.len());
         let mut service = Self { config, model: Arc::new(model), index, name_to_code };
-        for (patch, code) in archive.patches().iter().zip(codes) {
-            service.insert(patch.meta.id.0 as u64, &patch.meta.name, code);
+        for (meta, code) in images {
+            service.insert(meta.id.0 as u64, &meta.name, code);
         }
         service
     }

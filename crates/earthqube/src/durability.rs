@@ -16,10 +16,11 @@
 //! sweep*.  A checkpoint into the attached directory continues the lineage
 //! and writes what is dirty over the published base.  A **new lineage**
 //! (detached server, foreign directory, promotion) is the same protocol
-//! with everything dirty: every collection in full, every shard, the image
-//! range from 0, the static chunk, an empty base chunk list, a fresh
-//! generation tag and a segment numbering above every file on disk.  The
-//! one difference is lock scope, explained where the paths part.  The
+//! with everything dirty: every collection in full, the image range from
+//! 0, the static chunk, an empty base chunk list, a fresh generation tag
+//! and a segment numbering above every file on disk.  The one difference
+//! is lock scope, explained where the paths part.  The Hamming index is
+//! never written: recovery rebuilds it from the image chunks.  The
 //! atomic rename of the manifest is the commit point: a failure before it
 //! leaves the old manifest, the old attachment and the dirty state in
 //! force; after it, at worst retired segments and orphan chunks are left
@@ -34,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use eq_bigearthnet::patch::PatchMetadata;
 use eq_docstore::{CollectionDelta, Database, DirtyLog};
-use eq_hashindex::{BinaryCode, HashTableIndex};
+use eq_hashindex::BinaryCode;
 use eq_wire::manifest::{ChunkEntry, Manifest};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
@@ -49,9 +50,9 @@ use crate::EarthQubeError;
 const DEFAULT_SEGMENT_LIMIT: u64 = 4 * 1024 * 1024;
 
 /// Rewrite a collection in full once this many delta chunks have stacked
-/// on top of its base — recovery cost stays bounded and superseded deltas
-/// get swept.
-const DELTA_COMPACT_THRESHOLD: usize = 8;
+/// on top of its base, and the image table from 0 once this many ranges
+/// have — recovery cost stays bounded and superseded chunks get swept.
+pub(crate) const DELTA_COMPACT_THRESHOLD: usize = 8;
 
 /// How long a replica's last pull keeps its WAL segments from being
 /// retired by checkpoints.  A replica silent for longer is presumed dead;
@@ -61,7 +62,8 @@ const REPL_RETENTION_TTL: Duration = Duration::from_secs(120);
 /// What kind of work a [`QueryServer::checkpoint`] call ended up doing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointKind {
-    /// A new lineage: every collection, every image, every index shard.
+    /// A new lineage: every collection and every image (the index is
+    /// rebuilt from the images on recovery, never written).
     Full,
     /// Only the state dirtied since the previous checkpoint was written.
     Incremental,
@@ -268,11 +270,11 @@ struct Cut {
     fresh: Option<NewLineage>,
     /// Collections to write: as a delta, or (`None`) in full.
     collections: Vec<(String, Option<CollectionDelta>)>,
-    shards: Vec<usize>,
+    /// Dense ids of the image range to write; one that starts at 0
+    /// supersedes every published range.
     images: std::ops::Range<usize>,
-    /// The dirty state the cut drained, put back if nothing is published.
+    /// The dirty logs the cut drained, put back if nothing is published.
     drained_logs: Vec<(String, DirtyLog)>,
-    drained_shards: Vec<usize>,
 }
 
 fn detached_mid_checkpoint() -> EarthQubeError {
@@ -415,26 +417,20 @@ impl Durability {
                     rewrites.insert_collection(collection.clone());
                 }
             }
-            let index = &core.cbir.index;
-            let tables: Vec<_> = cut.shards.iter().map(|&s| (s, index.clone_shard(s))).collect();
             drop(wal);
             drop(core);
-            let tables = tables.iter().map(|(s, table)| (*s, Cow::Borrowed(table)));
             let published = images.and_then(|images| {
                 let images: Vec<_> = images.iter().map(|(meta, code)| (meta, code)).collect();
-                self.publish(dir, &cut, &rewrites, &images, tables)
+                self.publish(dir, &cut, &rewrites, &images)
             });
             (published, None)
         } else {
             // A new lineage has no segment a post-cut write could land in
             // until its manifest is committed: it keeps both guards until
-            // then, and so reads the catalog in place instead of copying it
-            // (one shard table at a time is the only copy).
-            let index = &core.cbir.index;
-            let tables = cut.shards.iter().map(|&s| (s, Cow::Owned(index.clone_shard(s))));
+            // then, and so reads the catalog in place instead of copying it.
             let images = core.images_from(cut.images.start);
             let published =
-                images.and_then(|images| self.publish(dir, &cut, &core.database, &images, tables));
+                images.and_then(|images| self.publish(dir, &cut, &core.database, &images));
             (published, Some((core, wal)))
         };
         let (bytes_written, chunks_written, manifest) = match published {
@@ -445,7 +441,7 @@ impl Durability {
                 // is derived from the old chunk list again.  Put the
                 // drained dirty state back for the retry.
                 let mut core = guards.map_or_else(|| catalog.write(), |(core, _)| core);
-                core.restore_dirty(cut.drained_logs, &cut.drained_shards);
+                core.restore_dirty(cut.drained_logs);
                 return Err(e);
             }
         };
@@ -498,10 +494,8 @@ impl Durability {
         let images_end = core.metadata.len();
         let (manifest, images_start, fresh) = if continuing {
             let att = att.ok_or_else(detached_mid_checkpoint)?;
-            if !core.database.is_dirty()
-                && !core.cbir.index.has_dirty_shards()
-                && att.persisted_images == images_end
-            {
+            let new_images = att.persisted_images < images_end;
+            if !core.database.is_dirty() && !new_images {
                 return Ok(None);
             }
             // Seal the live segment: records before the cut are covered by
@@ -509,7 +503,10 @@ impl Durability {
             // segment the new manifest starts from.
             att.rotate(&self.faults)?;
             let (seq, first_segment) = (att.manifest.seq + 1, att.segment_index);
-            (Manifest { seq, first_segment, ..att.manifest.clone() }, att.persisted_images, None)
+            let stacked = att.manifest.chunks.iter().filter(|c| persist::is_images_kind(&c.kind));
+            let compact = new_images && stacked.count() >= DELTA_COMPACT_THRESHOLD;
+            let images_start = if compact { 0 } else { att.persisted_images };
+            (Manifest { seq, first_segment, ..att.manifest.clone() }, images_start, None)
         } else {
             if dir_lock.is_none() && att.is_none() {
                 return Err(detached_mid_checkpoint());
@@ -546,25 +543,19 @@ impl Durability {
             collections.push((name.clone(), as_delta.then(|| collection.capture_delta(&log))));
             drained_logs.push((name, log));
         }
-        let drained_shards = core.cbir.index.take_dirty_shards();
-        let shards = match fresh {
-            Some(_) => (0..core.cbir.index.shard_count()).collect(),
-            None => drained_shards.clone(),
-        };
         let images = images_start..images_end;
-        Ok(Some(Cut { manifest, fresh, collections, shards, images, drained_logs, drained_shards }))
+        Ok(Some(Cut { manifest, fresh, collections, images, drained_logs }))
     }
 
     /// Writes the cut's chunks from one loop, then derives and publishes
     /// the manifest.  Returns the bytes and chunks written, and the
     /// manifest.
-    fn publish<'t>(
+    fn publish(
         &self,
         dir: &Path,
         cut: &Cut,
         database: &Database,
         images: &[(&PatchMetadata, &BinaryCode)],
-        tables: impl Iterator<Item = (usize, Cow<'t, HashTableIndex>)>,
     ) -> Result<(u64, u64, Manifest), EarthQubeError> {
         type Piece<'p> = Result<(String, Cow<'p, [u8]>), EarthQubeError>;
         // Every piece is encoded lazily: one chunk body in memory at a time.
@@ -583,33 +574,31 @@ impl Durability {
             })
         });
         let start = cut.images.start as u64;
-        let image_range = (cut.fresh.is_some() || !images.is_empty()).then_some(());
-        let image_range = image_range.into_iter().map(|()| -> Piece<'_> {
+        let images_written = cut.fresh.is_some() || !images.is_empty();
+        let image_range = images_written.then_some(()).into_iter().map(|()| -> Piece<'_> {
             Ok((persist::kind_images(start), persist::encode_images_chunk(start, images).into()))
         });
-        let shards = tables.map(|(shard, table)| -> Piece<'_> {
-            let shard = shard as u32;
-            Ok((persist::kind_shard(shard), persist::encode_shard_chunk(shard, &table).into()))
-        });
         let mut written: Vec<ChunkEntry> = Vec::new();
-        for piece in statics.chain(collections).chain(image_range).chain(shards) {
+        for piece in statics.chain(collections).chain(image_range) {
             let (kind, body) = piece?;
             let file = persist::chunk_file_name(cut.manifest.seq, written.len() as u32);
             written.push(persist::write_chunk_file(dir, &file, &kind, &body, &self.faults)?);
         }
         // Derive the manifest from the published base: a full rewrite
-        // supersedes a collection's old base and deltas, a rewritten shard
-        // its old chunk; everything new is appended (order only matters
-        // within a collection: base before deltas).
+        // supersedes a collection's old base and deltas, an image range
+        // from 0 every old range, and retired kinds go; everything new is
+        // appended (order only matters within a collection: base before
+        // deltas).
         let mut manifest = cut.manifest.clone();
         for (name, _) in cut.collections.iter().filter(|(_, delta)| delta.is_none()) {
             let (full, delta) = (persist::kind_collection(name), persist::kind_delta(name));
             manifest.chunks.retain(|c| c.kind != full && c.kind != delta);
         }
-        for &shard in &cut.shards {
-            let kind = persist::kind_shard(shard as u32);
-            manifest.chunks.retain(|c| c.kind != kind);
-        }
+        let images_rewritten = images_written && start == 0;
+        let superseded = |kind: &str| {
+            persist::is_retired_kind(kind) || (images_rewritten && persist::is_images_kind(kind))
+        };
+        manifest.chunks.retain(|c| !superseded(&c.kind));
         let (chunk_bytes, chunks) = (written.iter().map(|c| c.len).sum::<u64>(), written.len());
         manifest.chunks.append(&mut written);
         let manifest_bytes = persist::write_manifest_file(dir, &manifest, &self.faults)?;

@@ -22,11 +22,14 @@
 //! * **Chunks** (`chunk-SSSSSS-OOO.eqc`, magic `EQCHNK01`) — the snapshot
 //!   payload, split so that an incremental checkpoint only rewrites what
 //!   changed: the static part (configuration + trained model), one chunk
-//!   per docstore collection plus *delta* chunks layered on top of it, the
-//!   per-image metadata/code table in append-only ranges, and one chunk
-//!   per CBIR index shard.  A chunk file not named by the published
-//!   manifest is a harmless orphan (a crashed checkpoint) and is swept by
-//!   the next successful one.
+//!   per docstore collection plus *delta* chunks layered on top of it, and
+//!   the per-image metadata/code table in append-only ranges (rewritten
+//!   from 0 as one range once `DELTA_COMPACT_THRESHOLD` ranges are
+//!   stacked).  The CBIR index is not persisted: it is derived from the
+//!   codes of the image table, so recovery rebuilds it by inserting every
+//!   code in dense-id order, as the writer did.  A chunk file not named by
+//!   the published manifest is a harmless orphan (a crashed checkpoint) and
+//!   is swept by the next successful one.
 //!
 //!   ```text
 //!   chunk  := "EQCHNK01" body_len:u64 body crc32(body):u32
@@ -34,8 +37,12 @@
 //!           | 2 collection                                    (full collection)
 //!           | 3 collection_delta                              (delta)
 //!           | 4 start:u64 count (patch_metadata code)*        (image range)
-//!           | 5 shard:u32 hash_table                          (index shard)
 //!   ```
+//!
+//!   Tag 5 (manifest kind `shard:N`) held one index shard in directories
+//!   written before the index stopped being persisted.  It is retired and
+//!   must never be reused: recovery skips `shard:` entries unread, and the
+//!   next checkpoint drops them from the manifest, so their files are swept.
 //!
 //! * **WAL segments** (`wal.NNNN.eqw`, magic `EQWSEG01`) — the write-ahead
 //!   log, rotated into bounded segments instead of one endless file.  Each
@@ -83,7 +90,7 @@ use std::path::{Path, PathBuf};
 use eq_bigearthnet::patch::PatchMetadata;
 use eq_bigearthnet::wire::{decode_patch_metadata, encode_patch_metadata};
 use eq_docstore::{wire, Collection, CollectionDelta, Database, Document};
-use eq_hashindex::{BinaryCode, HashTableIndex, ShardedHashIndex};
+use eq_hashindex::BinaryCode;
 use eq_milan::persist::{
     decode_config as decode_milan_config, encode_config as encode_milan_config,
 };
@@ -112,7 +119,7 @@ const CHUNK_STATIC: u8 = 1;
 const CHUNK_COLLECTION: u8 = 2;
 const CHUNK_COLLECTION_DELTA: u8 = 3;
 const CHUNK_IMAGES: u8 = 4;
-const CHUNK_SHARD: u8 = 5;
+// Tag 5 is retired (index shards): never reuse it.
 
 const RECORD_INGEST: u8 = 1;
 const RECORD_FEEDBACK: u8 = 2;
@@ -293,9 +300,15 @@ pub(crate) fn kind_images(start: u64) -> String {
     format!("images:{start}")
 }
 
-/// Manifest kind string of an index-shard chunk.
-pub(crate) fn kind_shard(shard: u32) -> String {
-    format!("shard:{shard}")
+/// Whether a manifest kind names an image range.
+pub(crate) fn is_images_kind(kind: &str) -> bool {
+    kind.starts_with("images:")
+}
+
+/// Whether a manifest kind names a retired index-shard chunk, which older
+/// directories still list: read by nothing, dropped by the next manifest.
+pub(crate) fn is_retired_kind(kind: &str) -> bool {
+    kind.starts_with("shard:")
 }
 
 /// One decoded chunk body.
@@ -320,13 +333,6 @@ pub(crate) enum ChunkPayload {
         /// The metadata/code pairs, in dense-id order.
         images: Vec<(PatchMetadata, BinaryCode)>,
     },
-    /// One CBIR index shard, verbatim.
-    Shard {
-        /// The shard's position in the sharded index.
-        shard: u32,
-        /// The shard's hash table.
-        table: HashTableIndex,
-    },
 }
 
 impl ChunkPayload {
@@ -339,7 +345,6 @@ impl ChunkPayload {
             ChunkPayload::Collection(c) => kind_collection(c.name()),
             ChunkPayload::Delta(d) => kind_delta(&d.name),
             ChunkPayload::Images { start, .. } => kind_images(*start),
-            ChunkPayload::Shard { shard, .. } => kind_shard(*shard),
         }
     }
 }
@@ -387,15 +392,6 @@ pub(crate) fn encode_images_chunk(start: u64, images: &[(&PatchMetadata, &Binary
     w.into_bytes()
 }
 
-/// Encodes an index-shard chunk body.
-pub(crate) fn encode_shard_chunk(shard: u32, table: &HashTableIndex) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u8(CHUNK_SHARD);
-    w.u32(shard);
-    table.encode(&mut w);
-    w.into_bytes()
-}
-
 fn decode_chunk_body(body: &[u8]) -> Result<ChunkPayload, EarthQubeError> {
     let mut r = Reader::new(body);
     let payload = match r.u8().map_err(corrupt)? {
@@ -429,11 +425,6 @@ fn decode_chunk_body(body: &[u8]) -> Result<ChunkPayload, EarthQubeError> {
                 images.push((meta, code));
             }
             ChunkPayload::Images { start, images }
-        }
-        CHUNK_SHARD => {
-            let shard = r.u32().map_err(corrupt)?;
-            let table = HashTableIndex::decode(&mut r).map_err(corrupt)?;
-            ChunkPayload::Shard { shard, table }
         }
         other => {
             return Err(EarthQubeError::Persist(format!("unknown checkpoint chunk tag {other}")))
@@ -594,20 +585,19 @@ pub(crate) struct SnapshotState {
     pub serve: ServeConfig,
     pub model: Milan,
     pub database: Database,
-    /// Per-image metadata and binary code, in dense-id order.
+    /// Per-image metadata and binary code, in dense-id order: the source
+    /// the index is rebuilt from.
     pub images: Vec<(PatchMetadata, BinaryCode)>,
-    pub index: ShardedHashIndex,
 }
 
 /// Rebuilds the full serving state from a manifest's chunks.
 ///
 /// Validation: exactly one static chunk; deltas only apply over an
 /// already-restored base collection; image ranges must tile `0..n` in
-/// dense-id order; every index shard `0..serve.shards` appears exactly
-/// once with the model's code width; the index and image table must agree
-/// on the archive size.  Chunks are processed in manifest order, which is
-/// what makes "full collection replaces base and prior deltas" hold — a
-/// published manifest never lists a delta ahead of its base.
+/// dense-id order, every code as wide as the model's.  Retired `shard:`
+/// entries are skipped unread.  Chunks are processed in manifest order,
+/// which is what makes "full collection replaces base and prior deltas"
+/// hold — a published manifest never lists a delta ahead of its base.
 pub(crate) fn read_snapshot(
     dir: &Path,
     manifest: &Manifest,
@@ -615,8 +605,7 @@ pub(crate) fn read_snapshot(
     let mut static_part: Option<(EarthQubeConfig, ServeConfig, Milan)> = None;
     let mut database = Database::new();
     let mut ranges: Vec<(u64, Vec<(PatchMetadata, BinaryCode)>)> = Vec::new();
-    let mut shards_seen: Vec<(u32, HashTableIndex)> = Vec::new();
-    for entry in &manifest.chunks {
+    for entry in manifest.chunks.iter().filter(|entry| !is_retired_kind(&entry.kind)) {
         match read_chunk_file(dir, entry)? {
             ChunkPayload::Static { config, serve, model } => {
                 if static_part.is_some() {
@@ -631,7 +620,6 @@ pub(crate) fn read_snapshot(
                 EarthQubeError::Persist(format!("collection delta does not apply: {e}"))
             })?,
             ChunkPayload::Images { start, images } => ranges.push((start, images)),
-            ChunkPayload::Shard { shard, table } => shards_seen.push((shard, table)),
         }
     }
     let Some((config, serve, model)) = static_part else {
@@ -649,46 +637,17 @@ pub(crate) fn read_snapshot(
         }
         images.extend(range);
     }
-
-    let mut tables: Vec<Option<HashTableIndex>> = (0..serve.shards).map(|_| None).collect();
-    for (shard, table) in shards_seen {
-        let slot = tables.get_mut(shard as usize).ok_or_else(|| {
-            EarthQubeError::Persist(format!(
-                "manifest lists index shard {shard} but the configuration has {} shards",
-                serve.shards
-            ))
-        })?;
-        if slot.is_some() {
-            return Err(EarthQubeError::Persist(format!(
-                "manifest lists index shard {shard} twice"
-            )));
-        }
-        if table.bits() != model.code_bits() {
-            return Err(EarthQubeError::Persist(format!(
-                "index shard {shard} stores {}-bit codes but the model emits {} bits",
-                table.bits(),
-                model.code_bits()
-            )));
-        }
-        *slot = Some(table);
-    }
-    let mut assembled = Vec::with_capacity(tables.len());
-    for (i, table) in tables.into_iter().enumerate() {
-        assembled.push(table.ok_or_else(|| {
-            EarthQubeError::Persist(format!("manifest is missing index shard {i}"))
-        })?);
-    }
-    let index = ShardedHashIndex::from_shards(model.code_bits(), assembled);
-    if index.len() != images.len() {
+    if let Some((meta, code)) = images.iter().find(|(_, code)| code.bits() != model.code_bits()) {
         return Err(EarthQubeError::Persist(format!(
-            "index holds {} items but the checkpoint lists {} images",
-            index.len(),
-            images.len()
+            "image {} stores a {}-bit code but the model emits {} bits",
+            meta.name,
+            code.bits(),
+            model.code_bits()
         )));
     }
     // Everything just restored is, by construction, already persisted.
     database.clear_dirty();
-    Ok(SnapshotState { config, serve, model, database, images, index })
+    Ok(SnapshotState { config, serve, model, database, images })
 }
 
 // ---------------------------------------------------------------------------
@@ -1317,7 +1276,7 @@ mod tests {
             w.into_bytes()
         })
         .unwrap();
-        let mislabelled = ChunkEntry { kind: "shard:0".into(), ..entry.clone() };
+        let mislabelled = ChunkEntry { kind: "static".into(), ..entry.clone() };
         assert!(read_chunk_file(dir.path(), &mislabelled).is_err());
         // Truncations at every prefix are refused, never mis-decoded.
         let bytes = std::fs::read(&path).unwrap();

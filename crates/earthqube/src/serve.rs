@@ -11,10 +11,11 @@
 //!   query a consistent snapshot even while ingest is running.
 //! * **Index shards** — [`ServeConfig::shards`] splits the core's
 //!   [`eq_hashindex::ShardedHashIndex`]; a search threads one bounded
-//!   selection across the shards, and an incremental checkpoint rewrites
-//!   only the shards an ingest touched.  Shards are not a concurrency
-//!   boundary: the whole index sits behind the catalog lock, so an ingest
-//!   blocks every reader whatever shard it touches.
+//!   selection across the shards.  They are only the split a future
+//!   parallel scan would fan out over: checkpoints never write the index
+//!   (recovery rebuilds it from the image table), and shards are not a
+//!   concurrency boundary — the whole index sits behind the catalog lock,
+//!   so an ingest blocks every reader whatever shard it touches.
 //! * **Result cache** — a bounded LRU keyed by a fingerprint of the query
 //!   (a structural hash; the full query is stored and compared, so a
 //!   fingerprint collision is a miss, never a wrong answer).
@@ -81,9 +82,10 @@ use crate::EarthQubeError;
 /// Configuration of the serving layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Number of shards of the CBIR index: the unit an incremental
-    /// checkpoint rewrites (the index as a whole sits behind the catalog
-    /// lock).
+    /// Number of shards of the CBIR index: the split a future parallel scan
+    /// would fan out over.  Persisted with the configuration, so recovery
+    /// rebuilds the index at the same count; the index itself is never
+    /// written (and sits behind the catalog lock as a whole).
     pub shards: usize,
     /// Maximum number of cached query results; `0` disables the cache.
     pub cache_capacity: usize,
@@ -921,14 +923,17 @@ impl QueryServer {
     /// the server is not attached to is **full**: a new lineage, with every
     /// chunk written under a fresh manifest and WAL generation, and the
     /// catalog write lock held until it is committed.  Later checkpoints
-    /// into the same directory are **incremental**: only collections, index
-    /// shards and the image tail dirtied since the previous one are
-    /// written, the manifest is atomically republished and the WAL segments
-    /// it no longer needs are retired; the write lock is held only for the
-    /// brief state *cut* (draining dirty logs, cloning touched shards,
-    /// sealing the live WAL segment), so queries and ingest keep flowing
-    /// during chunk encoding and file I/O.  With nothing dirty the
-    /// checkpoint is [`CheckpointKind::Skipped`] and writes no bytes.
+    /// into the same directory are **incremental**: only collections and
+    /// the image tail dirtied since the previous one are written, the
+    /// manifest is atomically republished and the WAL segments it no longer
+    /// needs are retired; the write lock is held only for the brief state
+    /// *cut* (draining dirty logs, copying the new images and rewritten
+    /// collections, sealing the live WAL segment), so queries and ingest
+    /// keep flowing during chunk encoding and file I/O.  No checkpoint
+    /// writes the Hamming index: it is derived from the image table's
+    /// codes, and [`recover`](Self::recover) rebuilds it.  With nothing
+    /// dirty the checkpoint is [`CheckpointKind::Skipped`] and writes no
+    /// bytes.
     ///
     /// # Errors
     /// Fails with [`EarthQubeError::Persist`] on I/O errors.  A failure
@@ -948,10 +953,13 @@ impl QueryServer {
     }
 
     /// Restores a server from a persistence directory: reads the manifest,
-    /// loads its chunks (base collections, stacked deltas, image ranges,
-    /// index shards), replays every intact record of the manifest's WAL
-    /// segment chain through the same apply path live ingest uses,
-    /// truncates a torn tail in the final segment, and re-attaches.
+    /// loads its chunks (base collections, stacked deltas, image ranges),
+    /// rebuilds the Hamming index by inserting every image's code in
+    /// dense-id order at the persisted shard count, replays every intact
+    /// record of the manifest's WAL segment chain through the same apply
+    /// path live ingest uses, truncates a torn tail in the final segment,
+    /// and re-attaches.  `shard:` entries of older directories are skipped
+    /// unread.
     ///
     /// Recovery is idempotent: recovering the same directory again (with no
     /// writes in between) yields a byte-identically answering server.
@@ -970,18 +978,14 @@ impl QueryServer {
         let state = persist::read_snapshot(dir, &manifest)?;
         let persisted_images = state.images.len();
 
-        let mut metadata = Vec::with_capacity(state.images.len());
-        let mut name_to_code = HashMap::with_capacity(state.images.len());
-        for (meta, code) in state.images {
-            name_to_code.insert(meta.name.clone(), code);
-            metadata.push(meta);
-        }
-        let cbir = CbirService {
-            config: state.config.cbir,
-            model: Arc::new(state.model),
-            index: state.index,
-            name_to_code,
-        };
+        // The index is derived data: rebuilt from the image table through
+        // the one insert path, in dense-id order, at the persisted shard
+        // count — exactly as the writer built its own.
+        let (metadata, codes): (Vec<PatchMetadata>, Vec<BinaryCode>) =
+            state.images.into_iter().unzip();
+        let images = metadata.iter().zip(codes);
+        let cbir =
+            CbirService::from_codes(state.model, state.config.cbir, state.serve.shards, images);
         let page_size = state.config.page_size;
         let catalog = Catalog { database: state.database, metadata, cbir, page_size };
         let registry = build_registry(&state.config);
@@ -995,10 +999,11 @@ impl QueryServer {
                     server.ingested_images.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            // Replay re-marked the touched collections and shards dirty —
-            // deliberately so: the replayed records still live only in WAL
-            // segments, and the next incremental checkpoint folds them
-            // into chunks (after which their segments retire).
+            // Replay re-marked the touched collections dirty and grew the
+            // image table past `persisted_images` — deliberately so: the
+            // replayed records still live only in WAL segments, and the
+            // next incremental checkpoint folds them into chunks (after
+            // which their segments retire).
         }
         server.durability.attach(dir, lock, manifest, chain.tail, persisted_images)?;
         Ok(server)
@@ -1545,38 +1550,166 @@ mod tests {
     /// The incremental path: a second checkpoint after a small ingest
     /// writes deltas (a fraction of the full snapshot), retires the
     /// covered segment, and a third checkpoint with nothing dirty skips.
+    /// No checkpoint writes index data, and the index recovery rebuilds
+    /// answers like the writer's, at every shard count.
     #[test]
     fn incremental_checkpoints_write_deltas_and_skip_when_clean() {
-        let dir = ScratchDir::new("incremental");
-        let (srv, _) = server(30, 208, ServeConfig::default());
-        let full = srv.checkpoint(dir.path()).unwrap();
-        assert_eq!(full.kind, CheckpointKind::Full);
-        assert!(full.bytes_written > 0);
+        for shards in [ServeConfig::default().shards, 1, 3] {
+            let dir = ScratchDir::new(&format!("incremental_{shards}"));
+            let (srv, archive) = server(30, 208, ServeConfig { shards, cache_capacity: 0 });
+            let full = srv.checkpoint(dir.path()).unwrap();
+            assert_eq!(full.kind, CheckpointKind::Full);
+            assert!(full.bytes_written > 0);
+            assert_only_image_table_kinds(dir.path());
 
-        let extra = ArchiveGenerator::new(GeneratorConfig::tiny(1, 923)).unwrap().generate();
-        srv.ingest(extra.patches()).unwrap();
-        let incr = srv.checkpoint(dir.path()).unwrap();
-        assert_eq!(incr.kind, CheckpointKind::Incremental);
-        assert!(incr.bytes_written > 0);
-        assert!(
-            incr.bytes_written * 10 < full.bytes_written,
-            "a 1-patch incremental checkpoint ({} B) must write <10% of the full \
-             snapshot ({} B)",
-            incr.bytes_written,
-            full.bytes_written
-        );
-        assert!(incr.segments_retired >= 1);
+            let extra = ArchiveGenerator::new(GeneratorConfig::tiny(1, 923)).unwrap().generate();
+            srv.ingest(extra.patches()).unwrap();
+            let incr = srv.checkpoint(dir.path()).unwrap();
+            assert_eq!(incr.kind, CheckpointKind::Incremental);
+            assert!(incr.bytes_written > 0);
+            assert!(
+                incr.bytes_written * 10 < full.bytes_written,
+                "a 1-patch incremental checkpoint ({} B) must write <10% of the full \
+                 snapshot ({} B)",
+                incr.bytes_written,
+                full.bytes_written
+            );
+            assert!(incr.segments_retired >= 1);
+            assert_only_image_table_kinds(dir.path());
 
-        let skipped = srv.checkpoint(dir.path()).unwrap();
-        assert_eq!(skipped.kind, CheckpointKind::Skipped);
-        assert_eq!(skipped.bytes_written, 0);
+            let skipped = srv.checkpoint(dir.path()).unwrap();
+            assert_eq!(skipped.kind, CheckpointKind::Skipped);
+            assert_eq!(skipped.bytes_written, 0);
 
-        // The incremental chain recovers to the same answers.
-        let expected = srv.search(&ImageQuery::all()).unwrap();
+            // The incremental chain recovers to the same answers, the
+            // rebuilt index's included.
+            let names = [&archive.patches()[4].meta.name, &extra.patches()[0].meta.name];
+            let expected = index_answers(&srv, &names);
+            drop(srv);
+            let back = QueryServer::recover(dir.path()).unwrap();
+            assert_eq!(back.archive_size(), 31);
+            assert_eq!(index_answers(&back, &names), expected, "{shards} shards");
+        }
+    }
+
+    /// Asserts the published manifest lists only what the image table and
+    /// the docstore need: no index data.
+    fn assert_only_image_table_kinds(dir: &Path) {
+        let manifest = persist::read_manifest(dir).unwrap().unwrap();
+        for chunk in &manifest.chunks {
+            assert!(
+                ["static", "coll:", "delta:", "images:"].iter().any(|k| chunk.kind.starts_with(k)),
+                "unexpected chunk kind {}",
+                chunk.kind
+            );
+        }
+    }
+
+    /// Answers that read the Hamming index (k-NN, filtered radius) next to
+    /// the query panel's and the shard layout.
+    fn index_answers(
+        srv: &QueryServer,
+        names: &[&String],
+    ) -> (SearchResponse, Vec<SearchResponse>, Vec<FilteredResponse>, Vec<usize>) {
+        let filter = ImageQuery::all().with_seasons(vec![
+            eq_bigearthnet::patch::Season::Summer,
+            eq_bigearthnet::patch::Season::Winter,
+        ]);
+        let similar = names.iter().map(|name| srv.similar_to(name, 6).unwrap()).collect();
+        let within = names
+            .iter()
+            .map(|name| {
+                srv.similar_within_filtered(name, 24, &filter, PrefilterMode::Auto).unwrap()
+            })
+            .collect();
+        (srv.search(&ImageQuery::all()).unwrap(), similar, within, srv.stats().shard_occupancy)
+    }
+
+    /// Image ranges compact like collection deltas: once
+    /// `DELTA_COMPACT_THRESHOLD` ranges are stacked, the next checkpoint
+    /// writes the table from 0 in one chunk, and the old ranges' files are
+    /// swept.
+    #[test]
+    fn stacked_image_ranges_are_compacted() {
+        use crate::durability::DELTA_COMPACT_THRESHOLD;
+        let dir = ScratchDir::new("image_ranges");
+        let (srv, archive) = server(6, 213, ServeConfig::uncached(3));
+        srv.checkpoint(dir.path()).unwrap();
+        let ranges = |dir: &Path| {
+            let manifest = persist::read_manifest(dir).unwrap().unwrap();
+            manifest.chunks.iter().filter(|c| persist::is_images_kind(&c.kind)).count()
+        };
+        let mut counts = Vec::new();
+        for seed in 940..950u64 {
+            let extra = ArchiveGenerator::new(GeneratorConfig::tiny(1, seed)).unwrap().generate();
+            srv.ingest(extra.patches()).unwrap();
+            assert_eq!(srv.checkpoint(dir.path()).unwrap().kind, CheckpointKind::Incremental);
+            counts.push(ranges(dir.path()));
+        }
+        assert_eq!(counts.iter().max(), Some(&DELTA_COMPACT_THRESHOLD), "{counts:?}");
+        assert!(counts.contains(&1), "the ranges were never compacted: {counts:?}");
+        let manifest = persist::read_manifest(dir.path()).unwrap().unwrap();
+        let chunk_files = std::fs::read_dir(dir.path())
+            .unwrap()
+            .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().ends_with(".eqc"))
+            .count();
+        assert_eq!(chunk_files, manifest.chunks.len(), "superseded ranges must be swept");
+
+        let names = [&archive.patches()[1].meta.name];
+        let expected = index_answers(&srv, &names);
         drop(srv);
         let back = QueryServer::recover(dir.path()).unwrap();
-        assert_eq!(back.archive_size(), 31);
-        assert_eq!(back.search(&ImageQuery::all()).unwrap(), expected);
+        assert_eq!(back.archive_size(), 16);
+        assert_eq!(index_answers(&back, &names), expected);
+    }
+
+    /// Directories written while the index was still persisted list
+    /// retired `shard:N` chunks.  Recovery skips them unread, and the next
+    /// checkpoint drops them from the manifest, so the sweep deletes their
+    /// files.
+    #[test]
+    fn retired_shard_chunks_are_skipped_and_swept() {
+        let dir = ScratchDir::new("retired_shard");
+        let (srv, archive) = server(12, 214, ServeConfig::uncached(4));
+        srv.checkpoint(dir.path()).unwrap();
+        let names = [&archive.patches()[2].meta.name];
+        let expected = index_answers(&srv, &names);
+        drop(srv);
+
+        let faults = persist::Faults::default();
+        let mut manifest = persist::read_manifest(dir.path()).unwrap().unwrap();
+        let file = persist::chunk_file_name(manifest.seq, 99);
+        let garbage = persist::write_chunk_file(dir.path(), &file, "shard:0", b"\xFF", &faults);
+        manifest.chunks.push(garbage.unwrap());
+        persist::write_manifest_file(dir.path(), &manifest, &faults).unwrap();
+
+        let back = QueryServer::recover(dir.path()).unwrap();
+        assert_eq!(index_answers(&back, &names), expected);
+        let extra = ArchiveGenerator::new(GeneratorConfig::tiny(1, 951)).unwrap().generate();
+        back.ingest(extra.patches()).unwrap();
+        assert_eq!(back.checkpoint(dir.path()).unwrap().kind, CheckpointKind::Incremental);
+        assert!(!dir.path().join(&file).exists(), "the retired chunk must be swept");
+        assert_only_image_table_kinds(dir.path());
+    }
+
+    /// A logged ingest whose code is not the model's width is refused with
+    /// a typed error before anything is applied: no document lands, and no
+    /// index insert panics under the catalog write lock.
+    #[test]
+    fn a_replicated_ingest_of_the_wrong_code_width_is_refused_unapplied() {
+        let (srv, _) = server(10, 215, ServeConfig::uncached(8));
+        srv.set_replica_mode();
+        let before = srv.search(&ImageQuery::all()).unwrap();
+        let patch = ArchiveGenerator::new(GeneratorConfig::tiny(1, 952)).unwrap().generate_patch(0);
+        let mut meta = patch.meta.clone();
+        meta.id = PatchId(10);
+        let (image_doc, rendered_doc) = prepare_patch_docs(&patch, &meta.name);
+        let narrow = BinaryCode::zeros(32);
+        let record = persist::encode_ingest_record(&meta, &narrow, &image_doc, &rendered_doc);
+        let err = srv.apply_replicated(&[record], false).unwrap_err();
+        assert!(matches!(err, EarthQubeError::Persist(_)), "{err:?}");
+        assert_eq!(srv.archive_size(), 10);
+        assert_eq!(srv.search(&ImageQuery::all()).unwrap(), before);
     }
 
     /// Segment rotation: with a tiny limit every batch seals a segment,

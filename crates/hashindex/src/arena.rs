@@ -34,8 +34,8 @@
 //!
 //! * `data.len() == ids.len() * words_per_code` at all times,
 //! * row `i` of the arena is the code of `ids[i]`, in **insertion order**
-//!   (the arena is append-only; the durable snapshot format is unaffected
-//!   because the arena is rebuilt from the decoded buckets on restore),
+//!   (the arena is append-only and never persisted: a restored index
+//!   re-inserts its codes),
 //! * bits past the logical width of the last word are zero — guaranteed by
 //!   [`BinaryCode`]'s own invariant, which the arena copies verbatim.
 

@@ -28,10 +28,9 @@ use crate::{sort_neighbors, HammingIndex, ItemId, Neighbor};
 /// The bucket scan does **not** iterate the `HashMap` (a pointer chase per
 /// distinct code): every inserted `(id, code)` row is mirrored into a
 /// [`CodeArena`], a flat structure-of-arrays store the scan kernel streams
-/// through at memory bandwidth (experiment E11).  The bucket map remains
-/// the source of truth for exact lookups, enumeration probes and the
-/// durable encoding — whose byte format is unchanged, since the arena is
-/// rebuilt from the decoded buckets.
+/// through at memory bandwidth (experiment E11).  The bucket map serves
+/// exact lookups and enumeration probes.  Neither has a durable encoding:
+/// the table is derived from its codes, so a restore re-inserts them.
 #[derive(Debug, Clone)]
 pub struct HashTableIndex {
     bits: u32,
@@ -204,56 +203,6 @@ impl HashTableIndex {
         scratch.begin(k);
         scratch.scan_arena_masked(&self.arena, query.words(), mask);
         scratch.finish()
-    }
-
-    /// Serializes the bucket table: `bits:u32`, bucket count, then per
-    /// bucket its code and its item ids in insertion order.  Buckets are
-    /// written in code order (the in-memory `HashMap` iterates in an
-    /// unspecified order), so encoding the same logical table twice yields
-    /// byte-identical output.  The runtime `force_strategy` knob is
-    /// deliberately not persisted.
-    pub fn encode(&self, w: &mut eq_wire::Writer) {
-        w.u32(self.bits);
-        let mut buckets: Vec<(&BinaryCode, &Vec<ItemId>)> = self.buckets.iter().collect();
-        buckets.sort_unstable_by(|a, b| a.0.words().cmp(b.0.words()));
-        w.seq_len(buckets.len());
-        for (code, ids) in buckets {
-            code.encode(w);
-            w.seq_len(ids.len());
-            for &id in ids {
-                w.u64(id);
-            }
-        }
-    }
-
-    /// Decodes a table written by [`encode`](Self::encode), re-inserting
-    /// every item so the restored table answers searches identically.
-    ///
-    /// # Errors
-    /// Returns a [`eq_wire::WireError`] on truncation, a zero code width or
-    /// a code whose width disagrees with the table's; never panics.
-    pub fn decode(r: &mut eq_wire::Reader<'_>) -> Result<Self, eq_wire::WireError> {
-        let bits = r.u32()?;
-        if bits == 0 {
-            return Err(eq_wire::WireError::Corrupt("hash table of code width 0".into()));
-        }
-        let mut table = HashTableIndex::new(bits);
-        let n_buckets = r.seq_len(1)?;
-        for _ in 0..n_buckets {
-            let code = BinaryCode::decode(r)?;
-            if code.bits() != bits {
-                return Err(eq_wire::WireError::Corrupt(format!(
-                    "bucket code is {} bits wide in a {bits}-bit table",
-                    code.bits()
-                )));
-            }
-            let n_ids = r.seq_len(8)?;
-            for _ in 0..n_ids {
-                let id = r.u64()?;
-                table.insert(id, code.clone());
-            }
-        }
-        Ok(table)
     }
 }
 

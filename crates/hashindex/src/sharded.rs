@@ -1,4 +1,4 @@
-//! A sharded Hamming index: the unit of incremental checkpointing.
+//! A sharded Hamming index: one logical index split for a future fan-out.
 //!
 //! [`ShardedHashIndex`] splits one logical [`HashTableIndex`] into `N`
 //! shards.  Every code is routed to a shard by a deterministic hash of its
@@ -6,10 +6,12 @@
 //! within it).  Searches fan out over all shards and merge the per-shard
 //! hit lists.
 //!
-//! What shards are for: each carries a dirty flag, so an incremental
-//! checkpoint rewrites only the shards an ingest touched; and they are the
-//! split a future parallel scan would fan out over (ROADMAP item 5).  They
-//! are *not* a concurrency boundary in the server: the whole index sits
+//! What shards are for: they are the split a future parallel scan would
+//! fan out over (ROADMAP item 5).  They carry no dirty flags and have no
+//! durable encoding: the index is derived from the codes, which the
+//! checkpoint's image table already holds, so `eq_earthqube` rebuilds it on
+//! recovery by re-inserting every code in dense-id order.  Shards are *not*
+//! a concurrency boundary in the server: the whole index sits
 //! behind `eq_earthqube`'s one `catalog` lock, so a writer blocks every
 //! reader whatever shard it inserts into.  Each shard keeps
 //! its own `RwLock`, uncontended there, only because
@@ -30,8 +32,6 @@
 //! [`HashTableIndex`]), so a fan-out search is `N` sequential streams
 //! rather than one pointer chase over a shared `HashMap`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use parking_lot::RwLock;
 
 use crate::code::BinaryCode;
@@ -43,8 +43,7 @@ use crate::{sort_neighbors, HammingIndex, ItemId, Neighbor};
 pub const DEFAULT_SHARDS: usize = 8;
 
 /// A Hamming index split into `N` [`HashTableIndex`] shards with
-/// fan-out/merge search and per-shard dirty flags for incremental
-/// checkpoints.
+/// fan-out/merge search.
 ///
 /// All operations — including [`insert`](Self::insert) — take `&self`
 /// through a per-shard lock (uncontended in the server; see the module
@@ -54,11 +53,6 @@ pub const DEFAULT_SHARDS: usize = 8;
 pub struct ShardedHashIndex {
     bits: u32,
     shards: Vec<RwLock<HashTableIndex>>,
-    /// Per-shard dirty flags for incremental checkpointing: set by every
-    /// insert into the shard, drained at a checkpoint cut.  A `false`
-    /// flag certifies "this shard is byte-identical to its last persisted
-    /// chunk", so the checkpointer can skip it entirely.
-    dirty: Vec<AtomicBool>,
 }
 
 impl ShardedHashIndex {
@@ -74,7 +68,6 @@ impl ShardedHashIndex {
             shards: (0..shards)
                 .map(|_| RwLock::with_name(HashTableIndex::new(bits), "index-shard"))
                 .collect(),
-            dirty: (0..shards).map(|_| AtomicBool::new(false)).collect(),
         }
     }
 
@@ -112,69 +105,7 @@ impl ShardedHashIndex {
     /// Panics if the code width does not match the index.
     pub fn insert(&self, id: ItemId, code: BinaryCode) {
         assert_eq!(code.bits(), self.bits, "code width does not match the index");
-        let shard = self.shard_of(&code);
-        self.shards[shard].write().insert(id, code);
-        self.dirty[shard].store(true, Ordering::Release);
-    }
-
-    /// Indices of the shards touched since the last drain, in shard order
-    /// (without draining them).
-    pub fn dirty_shards(&self) -> Vec<usize> {
-        (0..self.dirty.len()).filter(|&i| self.dirty[i].load(Ordering::Acquire)).collect()
-    }
-
-    /// Whether any shard was touched since the last drain.
-    pub fn has_dirty_shards(&self) -> bool {
-        self.dirty.iter().any(|flag| flag.load(Ordering::Acquire))
-    }
-
-    /// Drains the dirty flags: returns the indices of the touched shards
-    /// and resets every flag — the checkpoint cut.
-    pub fn take_dirty_shards(&self) -> Vec<usize> {
-        (0..self.dirty.len()).filter(|&i| self.dirty[i].swap(false, Ordering::AcqRel)).collect()
-    }
-
-    /// Re-marks shards as dirty, so a failed checkpoint re-persists them
-    /// on its next attempt.
-    pub fn mark_shards_dirty(&self, shards: &[usize]) {
-        for &i in shards {
-            if let Some(flag) = self.dirty.get(i) {
-                flag.store(true, Ordering::Release);
-            }
-        }
-    }
-
-    /// A deep copy of one shard's table — what an incremental checkpoint
-    /// clones at the cut (under the brief lock) and encodes off-lock.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range.
-    pub fn clone_shard(&self, shard: usize) -> HashTableIndex {
-        self.shards[shard].read().clone()
-    }
-
-    /// Rebuilds an index from per-shard tables restored from chunk files.
-    /// The shard *layout* is taken verbatim — codes are not re-routed —
-    /// so the rebuilt index is item-for-item identical to the one whose
-    /// shards were persisted.  All dirty flags start clear.
-    ///
-    /// # Panics
-    /// Panics if `shards` is empty or any table's code width differs from
-    /// `bits`; callers decode and validate widths before assembling.
-    pub fn from_shards(bits: u32, shards: Vec<HashTableIndex>) -> Self {
-        assert!(!shards.is_empty(), "need at least one shard");
-        let n = shards.len();
-        Self {
-            bits,
-            shards: shards
-                .into_iter()
-                .inspect(|table| {
-                    assert_eq!(table.bits(), bits, "shard width does not match the index")
-                })
-                .map(|table| RwLock::with_name(table, "index-shard"))
-                .collect(),
-            dirty: (0..n).map(|_| AtomicBool::new(false)).collect(),
-        }
+        self.shards[self.shard_of(&code)].write().insert(id, code);
     }
 
     /// Returns all items within Hamming distance `radius` of `query`,
@@ -275,49 +206,6 @@ impl ShardedHashIndex {
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Serializes the index: `bits:u32`, shard count, then every shard's
-    /// bucket table in shard order.  The shard *layout* is persisted
-    /// verbatim — codes are not re-routed on restore — so a restored index
-    /// is item-for-item identical to the snapshotted one and keeps the
-    /// flat/sharded search equivalence.
-    pub fn encode(&self, w: &mut eq_wire::Writer) {
-        w.u32(self.bits);
-        w.seq_len(self.shards.len());
-        for shard in &self.shards {
-            shard.read().encode(w);
-        }
-    }
-
-    /// Decodes an index written by [`encode`](Self::encode).
-    ///
-    /// # Errors
-    /// Returns a [`eq_wire::WireError`] on truncation, a zero width or
-    /// shard count, or a shard whose code width disagrees with the index;
-    /// never panics.
-    pub fn decode(r: &mut eq_wire::Reader<'_>) -> Result<Self, eq_wire::WireError> {
-        let bits = r.u32()?;
-        if bits == 0 {
-            return Err(eq_wire::WireError::Corrupt("sharded index of code width 0".into()));
-        }
-        let n_shards = r.seq_len(1)?;
-        if n_shards == 0 {
-            return Err(eq_wire::WireError::Corrupt("sharded index with zero shards".into()));
-        }
-        let mut shards = Vec::with_capacity(n_shards);
-        for _ in 0..n_shards {
-            let table = HashTableIndex::decode(r)?;
-            if table.bits() != bits {
-                return Err(eq_wire::WireError::Corrupt(format!(
-                    "shard of {} -bit codes in a {bits}-bit index",
-                    table.bits()
-                )));
-            }
-            shards.push(RwLock::with_name(table, "index-shard"));
-        }
-        let dirty = (0..n_shards).map(|_| AtomicBool::new(false)).collect();
-        Ok(Self { bits, shards, dirty })
     }
 }
 
@@ -481,63 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn dirty_flags_track_only_touched_shards() {
-        let idx = ShardedHashIndex::new(16, 8);
-        assert!(!idx.has_dirty_shards());
-        assert!(idx.take_dirty_shards().is_empty());
-
-        // Two identical codes route to one shard: exactly one flag set.
-        let code = rand_code(16, 7);
-        idx.insert(1, code.clone());
-        idx.insert(2, code);
-        assert!(idx.has_dirty_shards());
-        let dirty = idx.dirty_shards();
-        assert_eq!(dirty.len(), 1, "identical codes share a shard: {dirty:?}");
-
-        // Draining resets; restoring re-marks.
-        let drained = idx.take_dirty_shards();
-        assert_eq!(drained, dirty);
-        assert!(!idx.has_dirty_shards());
-        idx.mark_shards_dirty(&drained);
-        assert_eq!(idx.dirty_shards(), drained);
-        // Out-of-range restore indices are ignored, not panicked on.
-        idx.mark_shards_dirty(&[999]);
-        assert_eq!(idx.dirty_shards(), drained);
-    }
-
-    #[test]
-    fn clone_shard_and_from_shards_rebuild_identically() {
-        let idx = ShardedHashIndex::new(64, 5);
-        for i in 0..200u64 {
-            idx.insert(i, rand_code(64, i / 2));
-        }
-        let tables: Vec<HashTableIndex> =
-            (0..idx.shard_count()).map(|s| idx.clone_shard(s)).collect();
-        let rebuilt = ShardedHashIndex::from_shards(64, tables);
-        assert!(!rebuilt.has_dirty_shards(), "a rebuilt index starts clean");
-        assert_eq!(rebuilt.shard_occupancy(), idx.shard_occupancy());
-        for q in 0..6u64 {
-            let query = rand_code(64, q);
-            assert_eq!(rebuilt.knn(&query, 9), idx.knn(&query, 9));
-            assert_eq!(rebuilt.radius_search(&query, 5), idx.radius_search(&query, 5));
-        }
-        // Encodings agree byte-for-byte, so persisted chunks are stable.
-        let (mut a, mut b) = (eq_wire::Writer::new(), eq_wire::Writer::new());
-        idx.encode(&mut a);
-        rebuilt.encode(&mut b);
-        assert_eq!(a.into_bytes(), b.into_bytes());
-    }
-
-    #[test]
-    #[should_panic(expected = "shard width does not match")]
-    fn from_shards_rejects_mismatched_widths() {
-        let _ = ShardedHashIndex::from_shards(
-            64,
-            vec![HashTableIndex::new(64), HashTableIndex::new(32)],
-        );
-    }
-
-    #[test]
     fn trait_object_usability() {
         let mut idx: Box<dyn HammingIndex> = Box::new(ShardedHashIndex::new(8, 2));
         idx.insert(1, BinaryCode::zeros(8));
@@ -560,49 +391,5 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_are_rejected() {
         let _ = ShardedHashIndex::new(8, 0);
-    }
-
-    #[test]
-    fn encode_decode_roundtrip_preserves_layout_and_results() {
-        let idx = ShardedHashIndex::new(64, 5);
-        for i in 0..300u64 {
-            idx.insert(i, rand_code(64, i / 2));
-        }
-        let mut w = eq_wire::Writer::new();
-        idx.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = eq_wire::Reader::new(&bytes);
-        let back = ShardedHashIndex::decode(&mut r).unwrap();
-        assert!(r.is_empty(), "index encoding is self-delimiting");
-        assert_eq!(back.bits(), idx.bits());
-        assert_eq!(back.shard_occupancy(), idx.shard_occupancy(), "layout must be verbatim");
-        for q in 0..6u64 {
-            let query = rand_code(64, q);
-            assert_eq!(back.knn(&query, 13), idx.knn(&query, 13));
-            assert_eq!(back.radius_search(&query, 6), idx.radius_search(&query, 6));
-        }
-        // Deterministic encoding: same logical state, same bytes.
-        let mut w2 = eq_wire::Writer::new();
-        back.encode(&mut w2);
-        assert_eq!(w2.into_bytes(), bytes);
-    }
-
-    #[test]
-    fn truncated_encodings_error_cleanly() {
-        let idx = ShardedHashIndex::new(32, 3);
-        for i in 0..40u64 {
-            idx.insert(i, rand_code(32, i));
-        }
-        let mut w = eq_wire::Writer::new();
-        idx.encode(&mut w);
-        let bytes = w.into_bytes();
-        for cut in 0..bytes.len() {
-            let mut r = eq_wire::Reader::new(&bytes[..cut]);
-            assert!(
-                ShardedHashIndex::decode(&mut r).is_err(),
-                "strict prefix of {cut}/{} bytes decoded",
-                bytes.len()
-            );
-        }
     }
 }

@@ -1,8 +1,7 @@
 //! Property tests: `ShardedHashIndex` must return results identical to the
 //! flat `HashTableIndex` under *arbitrary* interleavings of inserts, k-NN
 //! and radius queries — the generated-workload extension of the fixed-seed
-//! determinism tests — and the equivalence must survive a serialization
-//! round trip mid-workload.
+//! determinism tests.
 
 use eq_hashindex::{BinaryCode, HammingIndex, HashTableIndex, ShardedHashIndex};
 use proptest::prelude::*;
@@ -69,50 +68,5 @@ proptest! {
             }
         }
         prop_assert_eq!(sharded.len(), flat.len());
-    }
-
-    /// Serializing and restoring the sharded index mid-workload changes
-    /// nothing: the restored index keeps agreeing with the flat reference
-    /// for the remaining interleaving (layout is persisted verbatim).
-    #[test]
-    fn serialization_mid_workload_preserves_equivalence(
-        before in arb_ops(),
-        after in arb_ops(),
-        shards in 1usize..5,
-    ) {
-        let sharded = ShardedHashIndex::new(BITS, shards);
-        let mut flat = HashTableIndex::new(BITS);
-        let mut next_id: u64 = 0;
-        for (kind, seed, _) in &before {
-            if kind % 2 == 0 {
-                let code = code_from_seed(*seed);
-                sharded.insert(next_id, code.clone());
-                flat.insert(next_id, code);
-                next_id += 1;
-            }
-        }
-        let mut w = eq_wire::Writer::new();
-        sharded.encode(&mut w);
-        let bytes = w.into_bytes();
-        let restored = ShardedHashIndex::decode(&mut eq_wire::Reader::new(&bytes)).unwrap();
-        prop_assert_eq!(restored.shard_occupancy(), sharded.shard_occupancy());
-
-        for (kind, seed, param) in &after {
-            match kind % 2 {
-                0 => {
-                    let code = code_from_seed(*seed);
-                    restored.insert(next_id, code.clone());
-                    flat.insert(next_id, code);
-                    next_id += 1;
-                }
-                _ => {
-                    let query = code_from_seed(*seed);
-                    prop_assert_eq!(
-                        restored.knn(&query, *param as usize),
-                        flat.knn(&query, *param as usize)
-                    );
-                }
-            }
-        }
     }
 }

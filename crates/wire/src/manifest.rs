@@ -38,7 +38,7 @@ pub struct ChunkEntry {
     /// File name of the chunk, relative to the manifest's directory.
     pub file: String,
     /// What the chunk contains (e.g. `"static"`, `"coll:metadata"`,
-    /// `"shard:3"`) — an opaque label to this crate, interpreted by the
+    /// `"images:0"`) — an opaque label to this crate, interpreted by the
     /// persistence tier.
     pub kind: String,
     /// Expected total file length in bytes.

@@ -41,6 +41,10 @@ fn main() {
     }
     server.submit_feedback("the archive grew while persisted!", Some("reaction")).unwrap();
     let reference = server.search(&ImageQuery::all()).expect("search");
+    // A k-NN answer reads the Hamming index, which recovery rebuilds from
+    // the checkpoint's image table plus the WAL.
+    let probe = &fresh.patches()[5].meta.name;
+    let similar = server.similar_to(probe, 10).expect("similar");
     println!(
         "ingested {} live patches (WAL-logged); archive now {} images",
         fresh.patches().len(),
@@ -59,6 +63,8 @@ fn main() {
     let recover_time = start.elapsed();
     let after = recovered.search(&ImageQuery::all()).expect("search");
     assert_eq!(after, reference, "recovered responses must be byte-identical");
+    let similar_after = recovered.similar_to(probe, 10).expect("similar");
+    assert_eq!(similar_after, similar, "the rebuilt index must answer identically");
     println!(
         "recovered {} images + {} feedback entries in {:.2?} — responses byte-identical",
         recovered.archive_size(),

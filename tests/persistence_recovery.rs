@@ -330,8 +330,8 @@ fn chain_not_starting_at_first_segment_is_a_stale_manifest_error() {
 }
 
 /// Restoring a superseded manifest over an advanced directory must not
-/// quietly resurrect the old checkpoint: the chunks and segments it
-/// references were swept when its successor published.
+/// quietly resurrect the old checkpoint: the first WAL segment it starts
+/// from was retired when its successor published.
 #[test]
 fn restored_old_manifest_over_an_advanced_directory_is_refused() {
     let dir = ScratchDir::new("old_manifest");
@@ -341,7 +341,7 @@ fn restored_old_manifest_over_an_advanced_directory_is_refused() {
     srv.checkpoint(dir.path()).unwrap();
     let old_manifest = std::fs::read(dir.path().join("manifest.eqm")).unwrap();
     srv.ingest(generate(2, 555_444).patches()).unwrap();
-    srv.checkpoint(dir.path()).unwrap(); // supersedes: sweeps old shard chunks
+    srv.checkpoint(dir.path()).unwrap(); // supersedes: retires WAL segment 0
     drop(srv);
     std::fs::write(dir.path().join("manifest.eqm"), &old_manifest).unwrap();
     assert!(QueryServer::recover(dir.path()).is_err(), "resurrected manifest must be refused");
