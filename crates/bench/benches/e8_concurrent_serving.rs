@@ -1,7 +1,7 @@
-//! Experiment E8 — concurrent sharded query serving: throughput of a mixed
-//! query workload executed by the `QueryServer` at 1/2/4/8 worker threads,
+//! Experiment E8 — concurrent query serving: throughput of a mixed query
+//! workload executed by the `QueryServer` at 1/2/4/8 worker threads,
 //! against the sequential `EarthQube` engine as the baseline (the same query
-//! core with one index shard, no lock and no cache), plus the effect of the
+//! core with no lock and no cache), plus the effect of the
 //! LRU result cache on a repeating workload.
 //!
 //! The shape to look for (on a multi-core machine): the per-batch time of

@@ -2,13 +2,14 @@
 //! implementation of every query kind over it.
 //!
 //! A [`Catalog`] is the document store, the dense-id metadata table and
-//! the CBIR service (model, name→code table, Hamming index) as one value.
+//! the CBIR service (model, name→code table, code arena) as one value.
 //! Both façades are configurations of it: [`EarthQube`](crate::EarthQube)
-//! owns it bare (a one-shard index, one [`QueryScratch`], no cache), and
+//! owns it bare (one [`QueryScratch`], no cache), and
 //! [`QueryServer`](crate::QueryServer) owns it behind the `catalog` lock
 //! and adds only what is the server's: result and resolved-filter caches,
 //! scratch pool, counters, durability, replication.  A query therefore
-//! answers the same bytes on either, whatever the shard count.
+//! answers the same bytes on either.  Every CBIR kind scans the service's
+//! one code arena, whose row *r* is dense id *r*.
 //!
 //! A filter-taking kind is two steps: [`Catalog::resolve`] turns the
 //! [`ImageQuery`] into a `ResolvedFilter` (the crate's one path to the
@@ -23,7 +24,7 @@
 use eq_bigearthnet::patch::PatchMetadata;
 use eq_bigearthnet::Archive;
 use eq_docstore::{Database, DirtyLog, Document, QueryPlan};
-use eq_hashindex::{BinaryCode, Neighbor, SearchScratch, ShardedHashIndex};
+use eq_hashindex::{BinaryCode, Neighbor, SearchScratch};
 use eq_milan::Milan;
 
 use crate::cbir::CbirService;
@@ -51,7 +52,7 @@ pub(crate) struct QueryScratch {
 
 /// Everything a query reads and the write path mutates, as one value, so
 /// every query sees a consistent snapshot of store, metadata, code table
-/// and index.
+/// and arena.
 #[derive(Debug)]
 pub(crate) struct Catalog {
     pub(crate) database: Database,
@@ -63,14 +64,13 @@ pub(crate) struct Catalog {
 
 impl Catalog {
     /// Builds the core from an archive: ingests the four collections,
-    /// trains MiLaN and indexes every code once, into `shards` shards.
+    /// trains MiLaN and indexes every code once, in dense-id order.
     ///
     /// # Errors
     /// Propagates ingestion/model-configuration errors.
     pub(crate) fn build(
         archive: &Archive,
         config: &EarthQubeConfig,
-        shards: usize,
     ) -> Result<Self, EarthQubeError> {
         let mut database = Database::new();
         ingest_archive(&mut database, archive)?;
@@ -79,21 +79,8 @@ impl Catalog {
         if config.train_model {
             model.train_on_archive(archive);
         }
-        let cbir = CbirService::build(model, archive, config.cbir, shards);
+        let cbir = CbirService::build(model, archive, config.cbir);
         Ok(Self { database, metadata: archive.metadata(), cbir, page_size: config.page_size })
-    }
-
-    /// Re-routes every code into an index of `shards` shards, unless the
-    /// index already has that many.  Fails if an indexed image has no code.
-    pub(crate) fn reshard(&mut self, shards: usize) -> Result<(), EarthQubeError> {
-        if self.cbir.index.shard_count() != shards {
-            let index = ShardedHashIndex::new(self.cbir.index.bits(), shards);
-            for (id, meta) in self.metadata.iter().enumerate() {
-                index.insert(id as u64, self.code_of(&meta.name)?.clone());
-            }
-            self.cbir.index = index;
-        }
-        Ok(())
     }
 
     /// Ingest's duplicate check.
@@ -110,7 +97,9 @@ impl Catalog {
     /// (the next slot of `metadata`).  Live ingest, WAL replay and
     /// replication all write through here, which is what makes a recovered
     /// server or a replica byte-identical to the server that took the
-    /// writes.  On a store error nothing is applied.
+    /// writes.  On a store error nothing is applied: the arena row is
+    /// appended only once the documents landed, so row *r* stays dense id
+    /// *r*.
     pub(crate) fn apply_ingest(
         &mut self,
         meta: PatchMetadata,
@@ -254,9 +243,10 @@ impl Catalog {
         filter: &ResolvedFilter,
         scratch: &mut QueryScratch,
     ) -> Result<FilteredResponse, EarthQubeError> {
+        let query = self.code_of(name)?.words();
         let hits = &mut scratch.neighbors;
         hits.clear();
-        self.cbir.index.radius_search_masked_into(self.code_of(name)?, radius, &filter.mask, hits);
+        self.cbir.arena.scan_radius_masked_into(query, radius, &filter.mask, hits);
         eq_hashindex::sort_neighbors(hits);
         hits.retain(|hit| !self.is_image(hit, name));
         let response = self.response_from_neighbors(hits)?;
@@ -279,6 +269,9 @@ impl Catalog {
     /// the image dropped from the ranking.  `k` is clamped to the archive
     /// size first: no answer changes, and the selection never reserves more
     /// than the archive could fill, whatever `k` a caller sends.
+    ///
+    /// # Panics
+    /// Panics if `code` is not as wide as the archive's codes.
     fn nearest(
         &self,
         code: &BinaryCode,
@@ -288,11 +281,15 @@ impl Catalog {
         scratch: &mut QueryScratch,
     ) -> Result<SearchResponse, EarthQubeError> {
         let wanted = k.min(self.metadata.len()) + usize::from(exclude.is_some());
-        let index = &self.cbir.index;
-        let hits = match filter {
-            Some(filter) => index.knn_masked_with(code, wanted, &filter.mask, &mut scratch.search),
-            None => index.knn_with(code, wanted, &mut scratch.search),
-        };
+        let arena = &self.cbir.arena;
+        assert_eq!(code.bits(), arena.bits(), "query width does not match the index");
+        let search = &mut scratch.search;
+        search.begin(wanted);
+        match filter {
+            Some(filter) => search.scan_arena_masked(arena, code.words(), &filter.mask),
+            None => search.scan_arena(arena, code.words()),
+        }
+        let hits = search.finish();
         let kept = hits.iter().filter(|hit| !exclude.is_some_and(|name| self.is_image(hit, name)));
         scratch.neighbors.clear();
         scratch.neighbors.extend(kept.take(k));

@@ -69,7 +69,7 @@ impl SearchResponse {
 }
 
 /// The EarthQube back-end: the crate's one query core in its bare
-/// configuration — a one-shard index, one scratch, no cache, no lock.
+/// configuration — one scratch, no cache, no lock.
 ///
 /// All query methods take `&self`; the only `&mut self` entry point is
 /// [`submit_feedback`](Self::submit_feedback), which writes to the data
@@ -94,7 +94,7 @@ impl EarthQube {
     /// # Errors
     /// Propagates ingestion/model-configuration errors.
     pub fn build(archive: &Archive, config: EarthQubeConfig) -> Result<Self, EarthQubeError> {
-        let catalog = Catalog::build(archive, &config, 1)?;
+        let catalog = Catalog::build(archive, &config)?;
         let registry = build_registry(&config);
         Ok(Self {
             config,

@@ -16,7 +16,7 @@
 //!   façades below are configurations of it,
 //! * [`cbir`] — the MiLaN-backed content-based image-retrieval service of
 //!   §3.3, the core's CBIR half (the trained model, the in-memory
-//!   name→code table and the Hamming index over the same codes),
+//!   name→code table and the dense-id code arena every k-NN scans),
 //! * [`filtered`] — bitmap-prefiltered similarity search: query-panel
 //!   filters compiled to posting-bitmap candidate masks so the Hamming
 //!   kernels skip non-matching images before any distance work (E13),
@@ -24,11 +24,11 @@
 //! * [`results`] — the result panel: pagination, download cart, rendering,
 //! * [`feedback`] — anonymous user feedback storage,
 //! * [`engine`] — the [`EarthQube`] facade: the query core bare, with one
-//!   index shard, one search scratch and no cache,
+//!   search scratch and no cache,
 //! * [`serve`] — the concurrent serving layer: a [`QueryServer`] owning the
 //!   same core behind one lock and sharing it across worker threads, with
-//!   index shards, an LRU result cache invalidated on ingest and the
-//!   primary/replica role,
+//!   an LRU result cache invalidated on ingest and the primary/replica
+//!   role,
 //! * `durability` / `persist` (private) — the durable tier: one component
 //!   owning a server's persistence attachment, the write-ahead log policy,
 //!   the one checkpoint protocol and the checkpointer; and the file
@@ -63,8 +63,8 @@
 //! assert_eq!(engine.search(&ImageQuery::all()).unwrap().total(), 16);
 //! let similar = engine.similar_to(name, 3).unwrap();
 //!
-//! // The server: the same core, moved behind a lock, eight index shards
-//! // and a result cache, shared across threads.
+//! // The server: the same core, moved behind a lock and a result cache,
+//! // shared across threads.
 //! let server = QueryServer::from_engine(engine, ServeConfig::default()).unwrap();
 //! let requests = vec![
 //!     QueryRequest::Metadata(ImageQuery::all()),

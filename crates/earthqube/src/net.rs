@@ -71,7 +71,7 @@
 //! `ConnOut`, the worker writes one byte to the wake pipe, and the poller
 //! drains them on `POLLOUT` (or evicts the connection).  All workers share
 //! the *same* `QueryServer` by reference — the catalog read/write locking,
-//! the sharded CBIR index and the result cache behave exactly as they do
+//! the CBIR index and the result cache behave exactly as they do
 //! for in-process threads.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -1286,7 +1286,7 @@ impl Drop for NetServer {
 
 /// Renders the serving counters and the network-tier counters as
 /// Prometheus-style scrape text (one `name value` line per counter,
-/// shard occupancy with a `shard` label).
+/// index occupancy with a `shard` label, one series for the one arena).
 fn render_metrics(stats: &ServerStats, net: &NetTierStats) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();

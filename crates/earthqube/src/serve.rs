@@ -5,17 +5,15 @@
 //! isolated write path.  What the server adds to the core:
 //!
 //! * **Catalog lock** — the whole core (document store, metadata table,
-//!   name→code map, Hamming index) sits behind one `parking_lot::RwLock`.
+//!   name→code map, code arena) sits behind one `parking_lot::RwLock`.
 //!   Queries take the read side (shared, concurrent); ingest and feedback
 //!   take the write side.  Holding the read lock across a query gives every
 //!   query a consistent snapshot even while ingest is running.
-//! * **Index shards** — [`ServeConfig::shards`] splits the core's
-//!   [`eq_hashindex::ShardedHashIndex`]; a search threads one bounded
-//!   selection across the shards.  They are only the split a future
-//!   parallel scan would fan out over: checkpoints never write the index
-//!   (recovery rebuilds it from the image table), and shards are not a
-//!   concurrency boundary — the whole index sits behind the catalog lock,
-//!   so an ingest blocks every reader whatever shard it touches.
+//! * **One index** — the core scans one [`eq_hashindex::CodeArena`] whose
+//!   row *r* holds dense patch id *r*, whatever [`ServeConfig::shards`]
+//!   says.  Checkpoints never write it (recovery rebuilds it from the
+//!   image table), and it takes no lock of its own: it sits behind the
+//!   catalog lock with the rest of the core.
 //! * **Result cache** — a bounded LRU keyed by a fingerprint of the query
 //!   (a structural hash; the full query is stored and compared, so a
 //!   fingerprint collision is a miss, never a wrong answer).
@@ -47,8 +45,8 @@
 //!   replicas is in [`crate::replicate`].
 //!
 //! Determinism: a workload executed through the server returns exactly the
-//! same [`SearchResponse`]s as the engine, regardless of worker and shard
-//! count — the umbrella crate's `concurrent_serving` test asserts
+//! same [`SearchResponse`]s as the engine, regardless of worker count and
+//! configuration — the umbrella crate's `concurrent_serving` test asserts
 //! byte-identical result panels.
 
 use std::any::Any;
@@ -82,10 +80,10 @@ use crate::EarthQubeError;
 /// Configuration of the serving layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Number of shards of the CBIR index: the split a future parallel scan
-    /// would fan out over.  Persisted with the configuration, so recovery
-    /// rebuilds the index at the same count; the index itself is never
-    /// written (and sits behind the catalog lock as a whole).
+    /// No longer affects serving: the CBIR index is one arena, whatever
+    /// the value.  It stays because the static checkpoint chunk persists it
+    /// (normalised to at least 1, which recovery checks) and the benchmark
+    /// harness reads it; ROADMAP item 2 deletes it.
     pub shards: usize,
     /// Maximum number of cached query results; `0` disables the cache.
     pub cache_capacity: usize,
@@ -384,8 +382,7 @@ impl std::fmt::Debug for QueryServer {
 }
 
 impl QueryServer {
-    /// Builds the query core over the archive at this server's shard count,
-    /// so every code is indexed exactly once.
+    /// Builds the query core over the archive, every code indexed once.
     ///
     /// # Errors
     /// Propagates ingestion/model-configuration errors.
@@ -394,21 +391,20 @@ impl QueryServer {
         config: EarthQubeConfig,
         serve: ServeConfig,
     ) -> Result<Self, EarthQubeError> {
-        let catalog = Catalog::build(archive, &config, serve.shards)?;
+        let catalog = Catalog::build(archive, &config)?;
         let registry = build_registry(&config);
-        Self::new(config, serve, catalog, registry)
+        Ok(Self::new(config, serve, catalog, registry))
     }
 
     /// Converts a built [`EarthQube`] engine into a concurrent server by
-    /// moving its query core across as it is; the codes are re-routed only
-    /// when `serve` asks for a shard count other than the engine's one.
-    /// Server responses are identical to the consumed engine's.
+    /// moving its query core across as it is, index included.  Server
+    /// responses are identical to the consumed engine's.
     ///
     /// # Errors
-    /// Fails if an indexed image has no stored code.
+    /// Never fails; the `Result` stays for callers that propagate it.
     pub fn from_engine(engine: EarthQube, serve: ServeConfig) -> Result<Self, EarthQubeError> {
         let EarthQube { config, catalog, registry, .. } = engine;
-        Self::new(config, serve, catalog, registry)
+        Ok(Self::new(config, serve, catalog, registry))
     }
 
     /// The one constructor: every server, built, converted or recovered,
@@ -416,15 +412,14 @@ impl QueryServer {
     fn new(
         config: EarthQubeConfig,
         serve: ServeConfig,
-        mut catalog: Catalog,
+        catalog: Catalog,
         registry: AssetRegistry,
-    ) -> Result<Self, EarthQubeError> {
-        // Normalize the configuration once, so the value the server reports,
-        // uses and *persists* is the value in effect (a raw `shards: 0`
-        // would checkpoint fine but be rejected as corrupt on recovery).
+    ) -> Self {
+        // Normalize the configuration once, so the value the server reports
+        // and *persists* is one recovery accepts (a raw `shards: 0` would
+        // checkpoint fine but be rejected as corrupt on recovery).
         let serve = ServeConfig { shards: serve.shards.max(1), ..serve };
-        catalog.reshard(serve.shards)?;
-        Ok(Self {
+        Self {
             config,
             serve,
             model: Arc::clone(&catalog.cbir.model),
@@ -443,7 +438,7 @@ impl QueryServer {
             scratch_pool: Mutex::with_name(Vec::new(), "scratch_pool"),
             durability: Durability::new(),
             primary: AtomicBool::new(true),
-        })
+        }
     }
 
     /// The engine configuration the server was built with.
@@ -484,10 +479,8 @@ impl QueryServer {
             let counters = self.counters.lock();
             (counters.served, counters.hits, counters.misses)
         };
-        let (archive_size, shard_occupancy) = {
-            let catalog = self.catalog.read();
-            (catalog.metadata.len(), catalog.cbir.index.shard_occupancy())
-        };
+        // One arena, so one occupancy: the wire field keeps its shape.
+        let archive_size = self.catalog.read().metadata.len();
         ServerStats {
             queries_served,
             cache_hits,
@@ -499,7 +492,7 @@ impl QueryServer {
             filter_cache_bytes: self.filter_cache.used(),
             archive_size,
             ingested_images: self.ingested_images.load(Ordering::Relaxed),
-            shard_occupancy,
+            shard_occupancy: vec![archive_size],
         }
     }
 
@@ -954,8 +947,8 @@ impl QueryServer {
 
     /// Restores a server from a persistence directory: reads the manifest,
     /// loads its chunks (base collections, stacked deltas, image ranges),
-    /// rebuilds the Hamming index by inserting every image's code in
-    /// dense-id order at the persisted shard count, replays every intact
+    /// rebuilds the code arena by inserting every image's code in dense-id
+    /// order, replays every intact
     /// record of the manifest's WAL segment chain through the same apply
     /// path live ingest uses, truncates a torn tail in the final segment,
     /// and re-attaches.  `shard:` entries of older directories are skipped
@@ -979,17 +972,16 @@ impl QueryServer {
         let persisted_images = state.images.len();
 
         // The index is derived data: rebuilt from the image table through
-        // the one insert path, in dense-id order, at the persisted shard
-        // count — exactly as the writer built its own.
+        // the one insert path, in dense-id order — exactly as the writer
+        // built its own.
         let (metadata, codes): (Vec<PatchMetadata>, Vec<BinaryCode>) =
             state.images.into_iter().unzip();
         let images = metadata.iter().zip(codes);
-        let cbir =
-            CbirService::from_codes(state.model, state.config.cbir, state.serve.shards, images);
+        let cbir = CbirService::from_codes(state.model, state.config.cbir, images);
         let page_size = state.config.page_size;
         let catalog = Catalog { database: state.database, metadata, cbir, page_size };
         let registry = build_registry(&state.config);
-        let server = Self::new(state.config, state.serve, catalog, registry)?;
+        let server = Self::new(state.config, state.serve, catalog, registry);
 
         let chain = persist::read_segment_chain(dir, manifest.generation, manifest.first_segment)?;
         {
@@ -1551,7 +1543,8 @@ mod tests {
     /// writes deltas (a fraction of the full snapshot), retires the
     /// covered segment, and a third checkpoint with nothing dirty skips.
     /// No checkpoint writes index data, and the index recovery rebuilds
-    /// answers like the writer's, at every shard count.
+    /// answers like the writer's, whatever shard count is persisted: the
+    /// count no longer shapes the index.
     #[test]
     fn incremental_checkpoints_write_deltas_and_skip_when_clean() {
         for shards in [ServeConfig::default().shards, 1, 3] {
@@ -1606,7 +1599,7 @@ mod tests {
     }
 
     /// Answers that read the Hamming index (k-NN, filtered radius) next to
-    /// the query panel's and the shard layout.
+    /// the query panel's and the reported occupancy.
     fn index_answers(
         srv: &QueryServer,
         names: &[&String],
@@ -2060,6 +2053,61 @@ mod tests {
                 srv.cache.clear(); // again, from the resolved-filter cache
             }
         }
+    }
+
+    /// The serving index is one arena in dense-id order: as many rows as
+    /// the metadata table, row `r` holding dense id `r` and the code the
+    /// name→code table has for `metadata[r]`.
+    fn assert_dense_arena(srv: &QueryServer) {
+        let catalog = srv.catalog.read();
+        let arena = &catalog.cbir.arena;
+        assert_eq!(arena.len(), catalog.metadata.len());
+        for (row, meta) in catalog.metadata.iter().enumerate() {
+            assert_eq!(arena.id(row), row as u64);
+            let code = catalog.cbir.code_of(&meta.name).unwrap();
+            assert_eq!(arena.code_words(row), code.words(), "row {row}, {}", meta.name);
+        }
+    }
+
+    /// Every write path keeps the arena dense: build, live ingest, an
+    /// ingest rolled back mid-batch, WAL recovery and a replicated apply.
+    #[test]
+    fn every_write_path_keeps_the_arena_in_dense_id_order() {
+        use crate::schema::{collections, fields};
+        let dir = ScratchDir::new("dense_arena");
+        let (srv, _) = server(12, 216, ServeConfig::default());
+        assert_dense_arena(&srv);
+        srv.checkpoint(dir.path()).unwrap();
+        let extra = ArchiveGenerator::new(GeneratorConfig::tiny(4, 953)).unwrap().generate();
+        srv.ingest(&extra.patches()[..1]).unwrap();
+        assert_dense_arena(&srv);
+
+        // Patch 1 lands, patch 2 rolls back on its squatted name.
+        let squatted = extra.patches()[2].meta.name.as_str();
+        {
+            let mut catalog = srv.catalog.write();
+            let images = catalog.database.collection_mut(collections::IMAGE_DATA).unwrap();
+            images.insert(Document::new().with(fields::NAME, squatted)).unwrap();
+        }
+        assert!(matches!(srv.ingest(&extra.patches()[1..]), Err(EarthQubeError::Store(_))));
+        assert_eq!(srv.archive_size(), 14);
+        assert_dense_arena(&srv);
+        drop(srv);
+
+        let back = QueryServer::recover(dir.path()).unwrap();
+        assert_eq!(back.archive_size(), 14);
+        assert_dense_arena(&back);
+
+        back.set_replica_mode();
+        let patch = &extra.patches()[3];
+        let mut meta = patch.meta.clone();
+        meta.id = PatchId(14);
+        let (image_doc, rendered_doc) = prepare_patch_docs(patch, &meta.name);
+        let code = back.model.hash_patch(patch);
+        let record = persist::encode_ingest_record(&meta, &code, &image_doc, &rendered_doc);
+        assert_eq!(back.apply_replicated(&[record], false).unwrap(), 1);
+        assert_eq!(back.archive_size(), 15);
+        assert_dense_arena(&back);
     }
 
     /// Budgeted by weight, evicting least recently used first, in

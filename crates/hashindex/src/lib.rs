@@ -19,10 +19,11 @@
 //! * [`RandomHyperplaneHasher`] — untrained LSH codes (the "no learning"
 //!   baseline),
 //! * [`ShardedHashIndex`] — the hash-table index split into independently
-//!   locked shards with fan-out/merge search, the building block of the
-//!   concurrent EarthQube serving layer (experiment E8),
+//!   locked shards with fan-out/merge search, the benchmark harness's
+//!   replay index (EarthQube serves from one [`CodeArena`] instead),
 //! * [`CodeArena`] — the flat structure-of-arrays code store every scan
-//!   path runs over: contiguous word-striped code data and one Hamming
+//!   path runs over, and EarthQube's serving index, one row per patch in
+//!   dense-id order: contiguous word-striped code data and one Hamming
 //!   block kernel, dispatched to the best [`KernelTier`] the CPU offers
 //!   (`popcnt`, AVX-512), so a scan streams at memory bandwidth instead of
 //!   pointer-chasing per-code heap allocations (experiment E11),

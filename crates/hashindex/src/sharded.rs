@@ -1,4 +1,4 @@
-//! A sharded Hamming index: one logical index split for a future fan-out.
+//! A sharded Hamming index: the paper's hash table split `N` ways.
 //!
 //! [`ShardedHashIndex`] splits one logical [`HashTableIndex`] into `N`
 //! shards.  Every code is routed to a shard by a deterministic hash of its
@@ -6,18 +6,16 @@
 //! within it).  Searches fan out over all shards and merge the per-shard
 //! hit lists.
 //!
-//! What shards are for: they are the split a future parallel scan would
-//! fan out over (ROADMAP item 5).  They carry no dirty flags and have no
-//! durable encoding: the index is derived from the codes, which the
-//! checkpoint's image table already holds, so `eq_earthqube` rebuilds it on
-//! recovery by re-inserting every code in dense-id order.  Shards are *not*
-//! a concurrency boundary in the server: the whole index sits
-//! behind `eq_earthqube`'s one `catalog` lock, so a writer blocks every
-//! reader whatever shard it inserts into.  Each shard keeps
-//! its own `RwLock`, uncontended there, only because
-//! [`insert`](ShardedHashIndex::insert) takes `&self` — public API that
-//! `bench_e2e/src/layers.rs` calls on a non-`mut` binding — until ROADMAP
-//! item 3 replaces the locks with versioned shards.
+//! Who uses it: the benchmark harness's layer replays (`bench_e2e`), and
+//! the allocation tests that pin its scans.  The bucket table it splits is
+//! the one experiments E1–E3 measure.  It is *not* `eq_earthqube`'s
+//! serving index, which is one [`CodeArena`](crate::CodeArena) whose row
+//! *r* is dense patch id *r*; nor is hash routing how a scan would go
+//! parallel, which splits an arena's rows into contiguous ranges.  Each
+//! shard keeps its own `RwLock` only because
+//! [`insert`](ShardedHashIndex::insert) takes `&self`, the form the
+//! harness calls on a non-`mut` binding.  The index has no durable
+//! encoding: it is derived from its codes.
 //!
 //! Determinism: the merged results are sorted with [`sort_neighbors`]
 //! (distance, then id), exactly like the unsharded index, so a sharded
@@ -27,10 +25,6 @@
 //! [`CodeArena`](crate::CodeArena) in turn: the heap sees the union of all
 //! rows, so its `k` survivors are the global top-`k` by construction — no
 //! per-shard result lists, no merge-then-truncate.
-//!
-//! Memory layout: each shard owns its own arena (inside its
-//! [`HashTableIndex`]), so a fan-out search is `N` sequential streams
-//! rather than one pointer chase over a shared `HashMap`.
 
 use parking_lot::RwLock;
 
@@ -39,16 +33,12 @@ use crate::hashtable::HashTableIndex;
 use crate::topk::SearchScratch;
 use crate::{sort_neighbors, HammingIndex, ItemId, Neighbor};
 
-/// Default number of shards used by [`ShardedHashIndex::with_default_shards`].
-pub const DEFAULT_SHARDS: usize = 8;
-
 /// A Hamming index split into `N` [`HashTableIndex`] shards with
 /// fan-out/merge search.
 ///
 /// All operations — including [`insert`](Self::insert) — take `&self`
-/// through a per-shard lock (uncontended in the server; see the module
-/// docs for why it stays), so the index can be shared across threads
-/// without an external lock.
+/// through a per-shard lock (see the module docs for why it stays), so the
+/// index can be shared across threads without an external lock.
 #[derive(Debug)]
 pub struct ShardedHashIndex {
     bits: u32,
@@ -71,25 +61,9 @@ impl ShardedHashIndex {
         }
     }
 
-    /// Creates an index with [`DEFAULT_SHARDS`] shards.
-    pub fn with_default_shards(bits: u32) -> Self {
-        Self::new(bits, DEFAULT_SHARDS)
-    }
-
     /// Code width in bits.
     pub fn bits(&self) -> u32 {
         self.bits
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Number of items stored in each shard, in shard order (the per-shard
-    /// occupancy reported by `ServerStats` in `eq_earthqube`).
-    pub fn shard_occupancy(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.read().len()).collect()
     }
 
     /// The shard a code is routed to: an FNV-1a hash of the code words,
@@ -327,27 +301,16 @@ mod tests {
     }
 
     #[test]
-    fn items_are_spread_over_multiple_shards() {
-        let idx = ShardedHashIndex::new(32, 4);
-        for i in 0..256u64 {
-            idx.insert(i, rand_code(32, i));
-        }
-        let occupancy = idx.shard_occupancy();
-        assert_eq!(occupancy.len(), 4);
-        assert_eq!(occupancy.iter().sum::<usize>(), 256);
-        assert!(occupancy.iter().all(|&n| n > 0), "all shards should receive items: {occupancy:?}");
-    }
-
-    #[test]
-    fn identical_codes_land_in_the_same_shard() {
+    fn identical_codes_are_found_together_in_id_order() {
         let idx = ShardedHashIndex::new(16, 8);
         let code = rand_code(16, 7);
-        idx.insert(1, code.clone());
         idx.insert(2, code.clone());
-        let occupancy = idx.shard_occupancy();
-        assert_eq!(occupancy.iter().filter(|&&n| n > 0).count(), 1);
+        idx.insert(1, code.clone());
+        idx.insert(3, code.with_flipped_bit(0));
         let hits = idx.radius_search(&code, 0);
         assert_eq!(hits.iter().map(|n| n.id).collect::<Vec<_>>(), vec![1, 2]);
+        let nearest = idx.knn(&code, 2);
+        assert_eq!(nearest, vec![Neighbor::new(1, 0), Neighbor::new(2, 0)]);
     }
 
     #[test]

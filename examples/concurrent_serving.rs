@@ -11,7 +11,7 @@ use agoraeo::earthqube::{
 use agoraeo::geo::GeoShape;
 
 fn main() {
-    // 1. Build the server over a synthetic archive (engine + sharded index).
+    // 1. Build the server over a synthetic archive (engine + code arena).
     let archive =
         ArchiveGenerator::new(GeneratorConfig { num_patches: 400, seed: 21, ..Default::default() })
             .expect("valid generator configuration")
@@ -21,9 +21,8 @@ fn main() {
     let server =
         QueryServer::build(&archive, config, ServeConfig::default()).expect("server builds");
     println!(
-        "QueryServer ready: {} images across {} index shards, cache capacity {}",
+        "QueryServer ready: {} images indexed, cache capacity {}",
         server.archive_size(),
-        server.serve_config().shards,
         server.serve_config().cache_capacity,
     );
 
