@@ -4,12 +4,17 @@
 //! A [`Catalog`] is the document store, the dense-id metadata table and
 //! the CBIR service (model, name→code table, code arena) as one value.
 //! Both façades are configurations of it: [`EarthQube`](crate::EarthQube)
-//! owns it bare (one [`QueryScratch`], no cache), and
-//! [`QueryServer`](crate::QueryServer) owns it behind the `catalog` lock
-//! and adds only what is the server's: result and resolved-filter caches,
-//! scratch pool, counters, durability, replication.  A query therefore
-//! answers the same bytes on either.  Every CBIR kind scans the service's
-//! one code arena, whose row *r* is dense id *r*.
+//! owns it bare (no cache, no lock), and [`QueryServer`](crate::QueryServer)
+//! owns it behind the `catalog` lock and adds only what is the server's:
+//! result and resolved-filter caches, counters, durability, replication.
+//! A query therefore answers the same bytes on either.  Every CBIR kind
+//! scans the service's one code arena, whose row *r* is dense id *r*, with
+//! the calling thread's own [`QueryScratch`], so no query takes a lock for
+//! its scratch.
+//!
+//! Every write, on either façade's side, is a [`WalRecord`] applied by
+//! [`Catalog::apply_record`]: live ingest and feedback build the record,
+//! recovery and replication decode it.
 //!
 //! A filter-taking kind is two steps: [`Catalog::resolve`] turns the
 //! [`ImageQuery`] into a `ResolvedFilter` (the crate's one path to the
@@ -21,9 +26,11 @@
 //! The façades document each query's contract; they also validate the
 //! [`ImageQuery`] first, before any cache probe or lock.
 
+use std::cell::RefCell;
+
 use eq_bigearthnet::patch::PatchMetadata;
 use eq_bigearthnet::Archive;
-use eq_docstore::{Database, DirtyLog, Document, QueryPlan};
+use eq_docstore::{Database, DirtyLog, QueryPlan};
 use eq_hashindex::{BinaryCode, Neighbor, SearchScratch};
 use eq_milan::Milan;
 
@@ -43,11 +50,22 @@ use crate::EarthQubeError;
 /// heap plus the (small, ≤ k+1) neighbour buffer the ranking is cut in.
 /// Both are reused across queries, so a steady-state k-NN query performs
 /// **zero search-path allocation** — the selection is a size-k heap, never
-/// a full candidate list.  The engine keeps one; the server pools them.
+/// a full candidate list.  Each thread keeps one (see `with_thread_scratch`).
 #[derive(Debug, Default)]
-pub(crate) struct QueryScratch {
+struct QueryScratch {
     search: SearchScratch,
     neighbors: Vec<Neighbor>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<QueryScratch> = RefCell::default();
+}
+
+/// Runs `f` on this thread's scratch.  A thread runs one query at a time
+/// and no query re-enters another, so the scratch is never shared and
+/// never borrowed twice; it warms on a thread's first CBIR query.
+fn with_thread_scratch<R>(f: impl FnOnce(&mut QueryScratch) -> R) -> R {
+    SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
 }
 
 /// Everything a query reads and the write path mutates, as one value, so
@@ -79,7 +97,7 @@ impl Catalog {
         if config.train_model {
             model.train_on_archive(archive);
         }
-        let cbir = CbirService::build(model, archive, config.cbir);
+        let cbir = CbirService::build(model, archive);
         Ok(Self { database, metadata: archive.metadata(), cbir, page_size: config.page_size })
     }
 
@@ -93,33 +111,19 @@ impl Catalog {
         Ok(())
     }
 
-    /// Applies one prepared patch, whose dense id the caller has assigned
-    /// (the next slot of `metadata`).  Live ingest, WAL replay and
-    /// replication all write through here, which is what makes a recovered
-    /// server or a replica byte-identical to the server that took the
-    /// writes.  On a store error nothing is applied: the arena row is
-    /// appended only once the documents landed, so row *r* stays dense id
-    /// *r*.
-    pub(crate) fn apply_ingest(
-        &mut self,
-        meta: PatchMetadata,
-        code: BinaryCode,
-        image_doc: Document,
-        rendered_doc: Document,
-    ) -> Result<(), EarthQubeError> {
-        insert_patch_docs(&mut self.database, &meta, image_doc, rendered_doc)?;
-        self.cbir.insert(meta.id.0 as u64, &meta.name, code);
-        self.metadata.push(meta);
-        Ok(())
-    }
-
-    /// Applies one logged write, recovered or replicated, and says whether
-    /// it was an ingest.  A record that does not continue this state is an
-    /// [`EarthQubeError::Persist`], and nothing of it is applied.
-    pub(crate) fn apply_record(&mut self, record: WalRecord) -> Result<bool, EarthQubeError> {
-        let diverged = |e: EarthQubeError| {
-            EarthQubeError::Persist(format!("a logged write does not apply: {e}"))
-        };
+    /// Applies one write and returns the key it landed under: an ingest's
+    /// dense id, a feedback entry's id.  Live ingest and feedback, WAL
+    /// replay and replication all write through here, which is what makes
+    /// a recovered server or a replica byte-identical to the server that
+    /// took the writes.
+    ///
+    /// An ingest must carry the next dense id and a code of the model's
+    /// width, or it is an [`EarthQubeError::Persist`]; a name already
+    /// indexed is a [`EarthQubeError::BadRequest`], and a store refusal
+    /// keeps its own error.  Nothing of a refused record is applied: the
+    /// arena row is appended only once the documents landed, so row *r*
+    /// stays dense id *r*.
+    pub(crate) fn apply_record(&mut self, record: WalRecord) -> Result<i64, EarthQubeError> {
         match record {
             WalRecord::Ingest { meta, code, image_doc, rendered_doc } => {
                 if meta.id.0 as usize != self.metadata.len() {
@@ -138,14 +142,14 @@ impl Catalog {
                         self.cbir.code_bits()
                     )));
                 }
-                self.apply_ingest(meta, code, image_doc, rendered_doc).map_err(diverged)?;
-                Ok(true)
+                self.ensure_new(&meta.name)?;
+                insert_patch_docs(&mut self.database, &meta, image_doc, rendered_doc)?;
+                self.cbir.insert(meta.id.0 as u64, &meta.name, code);
+                self.metadata.push(meta);
+                Ok(self.metadata.len() as i64 - 1)
             }
             WalRecord::Feedback { text, category } => {
-                FeedbackService
-                    .submit(&mut self.database, &text, category.as_deref())
-                    .map_err(diverged)?;
-                Ok(false)
+                FeedbackService.submit(&mut self.database, &text, category.as_deref())
             }
         }
     }
@@ -205,9 +209,8 @@ impl Catalog {
         &self,
         name: &str,
         k: usize,
-        scratch: &mut QueryScratch,
     ) -> Result<SearchResponse, EarthQubeError> {
-        self.nearest(self.code_of(name)?, k, Some(name), None, scratch)
+        self.nearest(self.code_of(name)?, k, Some(name), None)
     }
 
     /// The `k` archive images nearest to an arbitrary code: query by new
@@ -216,9 +219,8 @@ impl Catalog {
         &self,
         code: &BinaryCode,
         k: usize,
-        scratch: &mut QueryScratch,
     ) -> Result<SearchResponse, EarthQubeError> {
-        self.nearest(code, k, None, None, scratch)
+        self.nearest(code, k, None, None)
     }
 
     /// [`similar_to`](Self::similar_to) among the images matching the
@@ -228,9 +230,8 @@ impl Catalog {
         name: &str,
         k: usize,
         filter: &ResolvedFilter,
-        scratch: &mut QueryScratch,
     ) -> Result<FilteredResponse, EarthQubeError> {
-        let response = self.nearest(self.code_of(name)?, k, Some(name), Some(filter), scratch)?;
+        let response = self.nearest(self.code_of(name)?, k, Some(name), Some(filter))?;
         Ok(FilteredResponse { response, plan: filter.plan })
     }
 
@@ -241,15 +242,16 @@ impl Catalog {
         name: &str,
         radius: u32,
         filter: &ResolvedFilter,
-        scratch: &mut QueryScratch,
     ) -> Result<FilteredResponse, EarthQubeError> {
         let query = self.code_of(name)?.words();
-        let hits = &mut scratch.neighbors;
-        hits.clear();
-        self.cbir.arena.scan_radius_masked_into(query, radius, &filter.mask, hits);
-        eq_hashindex::sort_neighbors(hits);
-        hits.retain(|hit| !self.is_image(hit, name));
-        let response = self.response_from_neighbors(hits)?;
+        let response = with_thread_scratch(|scratch| {
+            let hits = &mut scratch.neighbors;
+            hits.clear();
+            self.cbir.arena.scan_radius_masked_into(query, radius, &filter.mask, hits);
+            eq_hashindex::sort_neighbors(hits);
+            hits.retain(|hit| !self.is_image(hit, name));
+            self.response_from_neighbors(hits)
+        })?;
         Ok(FilteredResponse { response, plan: filter.plan })
     }
 
@@ -278,22 +280,23 @@ impl Catalog {
         k: usize,
         exclude: Option<&str>,
         filter: Option<&ResolvedFilter>,
-        scratch: &mut QueryScratch,
     ) -> Result<SearchResponse, EarthQubeError> {
         let wanted = k.min(self.metadata.len()) + usize::from(exclude.is_some());
         let arena = &self.cbir.arena;
         assert_eq!(code.bits(), arena.bits(), "query width does not match the index");
-        let search = &mut scratch.search;
-        search.begin(wanted);
-        match filter {
-            Some(filter) => search.scan_arena_masked(arena, code.words(), &filter.mask),
-            None => search.scan_arena(arena, code.words()),
-        }
-        let hits = search.finish();
-        let kept = hits.iter().filter(|hit| !exclude.is_some_and(|name| self.is_image(hit, name)));
-        scratch.neighbors.clear();
-        scratch.neighbors.extend(kept.take(k));
-        self.response_from_neighbors(&scratch.neighbors)
+        with_thread_scratch(|QueryScratch { search, neighbors }| {
+            search.begin(wanted);
+            match filter {
+                Some(filter) => search.scan_arena_masked(arena, code.words(), &filter.mask),
+                None => search.scan_arena(arena, code.words()),
+            }
+            let hits = search.finish();
+            let kept =
+                hits.iter().filter(|hit| !exclude.is_some_and(|name| self.is_image(hit, name)));
+            neighbors.clear();
+            neighbors.extend(kept.take(k));
+            self.response_from_neighbors(neighbors)
+        })
     }
 
     /// Result-panel and label-statistics assembly for ranked index hits.

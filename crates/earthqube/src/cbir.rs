@@ -22,27 +22,10 @@ use eq_bigearthnet::Archive;
 use eq_hashindex::{BinaryCode, CodeArena};
 use eq_milan::Milan;
 
-/// Configuration of the CBIR service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CbirConfig {
-    /// Default Hamming radius for radius queries ("a small hamming radius",
-    /// §2.2/§3.3).
-    pub default_radius: u32,
-    /// Default number of results for k-NN queries.
-    pub default_k: usize,
-}
-
-impl Default for CbirConfig {
-    fn default() -> Self {
-        Self { default_radius: 8, default_k: 20 }
-    }
-}
-
 /// The MiLaN-backed CBIR service: the trained model, the name→code table
 /// and the code arena over the same codes.
 #[derive(Debug)]
 pub struct CbirService {
-    pub(crate) config: CbirConfig,
     /// Immutable once built, so the server hashes uploads and ingest
     /// batches through its own handle without taking the catalog lock.
     pub(crate) model: Arc<Milan>,
@@ -59,10 +42,10 @@ impl CbirService {
     ///
     /// The model should already be trained; an untrained model still works
     /// but retrieves poorly (that difference is experiment E2).
-    pub(crate) fn build(model: Milan, archive: &Archive, config: CbirConfig) -> Self {
+    pub(crate) fn build(model: Milan, archive: &Archive) -> Self {
         let codes = model.hash_archive(archive);
         let images = archive.patches().iter().map(|patch| &patch.meta).zip(codes);
-        Self::from_codes(model, config, images)
+        Self::from_codes(model, images)
     }
 
     /// The service over already-inferred codes: each one goes through
@@ -70,12 +53,11 @@ impl CbirService {
     /// for both callers (build, and recovery from the image table).
     pub(crate) fn from_codes<'m>(
         model: Milan,
-        config: CbirConfig,
         images: impl ExactSizeIterator<Item = (&'m PatchMetadata, BinaryCode)>,
     ) -> Self {
         let arena = CodeArena::with_capacity(model.code_bits(), images.len());
         let name_to_code = HashMap::with_capacity(images.len());
-        let mut service = Self { config, model: Arc::new(model), arena, name_to_code };
+        let mut service = Self { model: Arc::new(model), arena, name_to_code };
         for (meta, code) in images {
             service.insert(meta.id.0 as u64, &meta.name, code);
         }
@@ -87,11 +69,6 @@ impl CbirService {
     pub(crate) fn insert(&mut self, id: u64, name: &str, code: BinaryCode) {
         self.arena.push(id, &code);
         self.name_to_code.insert(name.to_string(), code);
-    }
-
-    /// The service configuration.
-    pub fn config(&self) -> CbirConfig {
-        self.config
     }
 
     /// Number of indexed images.
@@ -129,7 +106,7 @@ mod tests {
     fn service(n: usize, seed: u64) -> (CbirService, Archive) {
         let archive = ArchiveGenerator::new(GeneratorConfig::tiny(n, seed)).unwrap().generate();
         let model = Milan::new(MilanConfig::fast(32, seed)).unwrap();
-        (CbirService::build(model, &archive, CbirConfig::default()), archive)
+        (CbirService::build(model, &archive), archive)
     }
 
     #[test]
@@ -138,7 +115,6 @@ mod tests {
         assert_eq!(svc.len(), 40);
         assert!(!svc.is_empty());
         assert_eq!(svc.code_bits(), 32);
-        assert_eq!(svc.config(), CbirConfig::default());
         for p in archive.patches() {
             assert_eq!(svc.code_of(&p.meta.name), Some(&svc.model().hash_patch(p)));
         }

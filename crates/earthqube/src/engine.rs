@@ -7,12 +7,12 @@ use eq_bigearthnet::patch::{Patch, PatchMetadata};
 use eq_bigearthnet::Archive;
 use eq_docstore::{Database, QueryPlan};
 use eq_milan::MilanConfig;
-use parking_lot::Mutex;
 
-use crate::catalog::{Catalog, QueryScratch};
-use crate::cbir::{CbirConfig, CbirService};
+use crate::catalog::Catalog;
+use crate::cbir::CbirService;
 use crate::feedback::{FeedbackEntry, FeedbackService};
 use crate::filtered::{FilteredResponse, PrefilterMode};
+use crate::persist::WalRecord;
 use crate::query::ImageQuery;
 use crate::results::ResultPanel;
 use crate::stats::LabelStatistics;
@@ -23,8 +23,6 @@ use crate::EarthQubeError;
 pub struct EarthQubeConfig {
     /// MiLaN model configuration.
     pub milan: MilanConfig,
-    /// CBIR service configuration.
-    pub cbir: CbirConfig,
     /// Result-panel page size.
     pub page_size: usize,
     /// Whether to train MiLaN during [`EarthQube::build`] (disable only in
@@ -34,12 +32,7 @@ pub struct EarthQubeConfig {
 
 impl Default for EarthQubeConfig {
     fn default() -> Self {
-        Self {
-            milan: MilanConfig::default(),
-            cbir: CbirConfig::default(),
-            page_size: 50,
-            train_model: true,
-        }
+        Self { milan: MilanConfig::default(), page_size: 50, train_model: true }
     }
 }
 
@@ -69,7 +62,7 @@ impl SearchResponse {
 }
 
 /// The EarthQube back-end: the crate's one query core in its bare
-/// configuration — one scratch, no cache, no lock.
+/// configuration — no cache, no lock.
 ///
 /// All query methods take `&self`; the only `&mut self` entry point is
 /// [`submit_feedback`](Self::submit_feedback), which writes to the data
@@ -80,9 +73,6 @@ impl SearchResponse {
 pub struct EarthQube {
     pub(crate) config: EarthQubeConfig,
     pub(crate) catalog: Catalog,
-    /// The query methods take `&self`, so the one scratch sits behind a
-    /// mutex, uncontended unless callers share the engine across threads.
-    scratch: Mutex<QueryScratch>,
     pub(crate) registry: AssetRegistry,
 }
 
@@ -96,12 +86,7 @@ impl EarthQube {
     pub fn build(archive: &Archive, config: EarthQubeConfig) -> Result<Self, EarthQubeError> {
         let catalog = Catalog::build(archive, &config)?;
         let registry = build_registry(&config);
-        Ok(Self {
-            config,
-            catalog,
-            scratch: Mutex::with_name(QueryScratch::default(), "engine-scratch"),
-            registry,
-        })
+        Ok(Self { config, catalog, registry })
     }
 
     /// The back-end configuration.
@@ -152,13 +137,12 @@ impl EarthQube {
     /// The underlying k-NN runs as a bounded top-k selection over the
     /// index's flat code arena (see `eq_hashindex::CodeArena`), so the
     /// engine never materialises or sorts the full candidate set — the
-    /// same code the concurrent [`QueryServer`](crate::QueryServer) runs
-    /// with pooled scratches.
+    /// same code the concurrent [`QueryServer`](crate::QueryServer) runs.
     ///
     /// # Errors
     /// Fails if the image is unknown.
     pub fn similar_to(&self, name: &str, k: usize) -> Result<SearchResponse, EarthQubeError> {
-        self.catalog.similar_to(name, k, &mut self.scratch.lock())
+        self.catalog.similar_to(name, k)
     }
 
     /// Query-by-new-example (§4): encodes an external patch on the fly and
@@ -172,7 +156,7 @@ impl EarthQube {
         k: usize,
     ) -> Result<SearchResponse, EarthQubeError> {
         let code = self.catalog.cbir.model().hash_patch(patch);
-        self.catalog.search_by_code(&code, k, &mut self.scratch.lock())
+        self.catalog.search_by_code(&code, k)
     }
 
     /// Filtered "retrieve similar images" (E13): the `k` nearest
@@ -196,7 +180,7 @@ impl EarthQube {
     ) -> Result<FilteredResponse, EarthQubeError> {
         query.validate()?;
         let filter = self.catalog.resolve(query, mode)?;
-        self.catalog.similar_to_filtered(name, k, &filter, &mut self.scratch.lock())
+        self.catalog.similar_to_filtered(name, k, &filter)
     }
 
     /// Filtered radius search (E13): every archive image within the given
@@ -214,7 +198,7 @@ impl EarthQube {
     ) -> Result<FilteredResponse, EarthQubeError> {
         query.validate()?;
         let filter = self.catalog.resolve(query, mode)?;
-        self.catalog.similar_within_filtered(name, radius, &filter, &mut self.scratch.lock())
+        self.catalog.similar_within_filtered(name, radius, &filter)
     }
 
     /// Submits anonymous feedback.
@@ -226,7 +210,8 @@ impl EarthQube {
         text: &str,
         category: Option<&str>,
     ) -> Result<i64, EarthQubeError> {
-        FeedbackService.submit(&mut self.catalog.database, text, category)
+        let (text, category) = (text.to_string(), category.map(String::from));
+        self.catalog.apply_record(WalRecord::Feedback { text, category })
     }
 
     /// Lists all stored feedback.

@@ -12,7 +12,7 @@
 //!   `Exactly` and `At least & more` operators over the CLC hierarchy,
 //! * `catalog` (private) — the one query core: document store, dense-id
 //!   metadata table and CBIR service as one value, with the single
-//!   implementation of every query kind and of the ingest apply path; both
+//!   implementation of every query kind and of the write apply path; both
 //!   façades below are configurations of it,
 //! * [`cbir`] — the MiLaN-backed content-based image-retrieval service of
 //!   §3.3, the core's CBIR half (the trained model, the in-memory
@@ -23,12 +23,12 @@
 //! * [`stats`] — the label-statistics view of Figure 2-4,
 //! * [`results`] — the result panel: pagination, download cart, rendering,
 //! * [`feedback`] — anonymous user feedback storage,
-//! * [`engine`] — the [`EarthQube`] facade: the query core bare, with one
-//!   search scratch and no cache,
+//! * [`engine`] — the [`EarthQube`] facade: the query core bare, with no
+//!   lock and no cache,
 //! * [`serve`] — the concurrent serving layer: a [`QueryServer`] owning the
 //!   same core behind one lock and sharing it across worker threads, with
-//!   an LRU result cache invalidated on ingest and the primary/replica
-//!   role,
+//!   one write section, LRU caches invalidated when the archive grows, and
+//!   the primary/replica role,
 //! * `durability` / `persist` (private) — the durable tier: one component
 //!   owning a server's persistence attachment, the write-ahead log policy,
 //!   the one checkpoint protocol and the checkpointer; and the file
@@ -95,7 +95,7 @@ pub mod schema;
 pub mod serve;
 pub mod stats;
 
-pub use cbir::{CbirConfig, CbirService};
+pub use cbir::CbirService;
 pub use engine::{EarthQube, EarthQubeConfig, SearchResponse};
 pub use feedback::FeedbackService;
 pub use filtered::{FilterStrategy, FilteredPlan, FilteredResponse, PrefilterMode};

@@ -1184,10 +1184,6 @@ impl NetServer {
             stats: NetStats::default(),
         });
         let pool = config.workers.max(1);
-        // One warm search scratch per pool worker: a query dispatched by
-        // this tier pops pooled top-k state instead of constructing it, so
-        // steady-state remote serving never allocates on the search path.
-        shared.server.prewarm_scratch(pool);
         let queue = Arc::new(JobQueue::new(config.queue_capacity.max(1)));
         // Built before the workers: should spawning one fail, dropping the
         // loop closes the queue and the workers already running stop.
@@ -1515,17 +1511,10 @@ impl EqClient {
         policy: &RetryPolicy,
     ) -> Result<Self, EarthQubeError> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(policy.jitter_seed);
-        let mut last: Option<EarthQubeError> = None;
-        for attempt in 0..policy.attempts.max(1) {
-            if attempt > 0 {
-                std::thread::sleep(policy.backoff_delay(attempt - 1, &mut rng));
-            }
-            match Self::connect(addr) {
-                Ok(client) => return Ok(client),
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(last.unwrap_or_else(|| EarthQubeError::Net("the retry budget is zero".into())))
+        policy.run(policy.attempts, &mut rng, || match Self::connect(addr) {
+            Ok(client) => std::ops::ControlFlow::Break(Ok(client)),
+            Err(e) => std::ops::ControlFlow::Continue(e),
+        })
     }
 
     fn send(&mut self, body: eq_proto::RequestBody) -> Result<u64, EarthQubeError> {

@@ -98,7 +98,6 @@ use eq_milan::Milan;
 use eq_wire::manifest::{decode_manifest, encode_manifest, ChunkEntry, Manifest};
 use eq_wire::{crc32, Reader, WireError, Writer};
 
-use crate::cbir::CbirConfig;
 use crate::engine::EarthQubeConfig;
 use crate::serve::ServeConfig;
 use crate::EarthQubeError;
@@ -241,20 +240,25 @@ pub(crate) fn io_error(context: &str, e: std::io::Error) -> EarthQubeError {
 // with the `eq_proto` network protocol); the chunk and WAL layouts import
 // it so both byte formats stay identical by construction.
 
+/// Two retired slots of the static chunk, a default radius and a default
+/// `k` that no query read: written as their last values, read and ignored.
+const RETIRED_RADIUS: u32 = 8;
+const RETIRED_K: u64 = 20;
+
 fn encode_engine_config(config: &EarthQubeConfig, w: &mut Writer) {
     encode_milan_config(&config.milan, w);
-    w.u32(config.cbir.default_radius);
-    w.u64(config.cbir.default_k as u64);
+    w.u32(RETIRED_RADIUS);
+    w.u64(RETIRED_K);
     w.u64(config.page_size as u64);
     w.bool(config.train_model);
 }
 
 fn decode_engine_config(r: &mut Reader<'_>) -> Result<EarthQubeConfig, WireError> {
     let milan = decode_milan_config(r)?;
-    let cbir = CbirConfig { default_radius: r.u32()?, default_k: r.u64()? as usize };
+    let (_retired_radius, _retired_k) = (r.u32()?, r.u64()?);
     let page_size = r.u64()? as usize;
     let train_model = r.bool()?;
-    Ok(EarthQubeConfig { milan, cbir, page_size, train_model })
+    Ok(EarthQubeConfig { milan, page_size, train_model })
 }
 
 fn encode_serve_config(serve: ServeConfig, w: &mut Writer) {
@@ -664,35 +668,32 @@ pub(crate) enum WalRecord {
     Feedback { text: String, category: Option<String> },
 }
 
-/// Encodes the payload of an ingest record.
-pub(crate) fn encode_ingest_record(
-    meta: &PatchMetadata,
-    code: &BinaryCode,
-    image_doc: &Document,
-    rendered_doc: &Document,
-) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u8(RECORD_INGEST);
-    encode_patch_metadata(meta, &mut w);
-    code.encode(&mut w);
-    wire::encode_document(image_doc, &mut w);
-    wire::encode_document(rendered_doc, &mut w);
-    w.into_bytes()
-}
-
-/// Encodes the payload of a feedback record.
-pub(crate) fn encode_feedback_record(text: &str, category: Option<&str>) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u8(RECORD_FEEDBACK);
-    w.str(text);
-    match category {
-        Some(c) => {
-            w.u8(1);
-            w.str(c);
+impl WalRecord {
+    /// The record's payload, as [`decode_record`] reads it back.
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        match self {
+            WalRecord::Ingest { meta, code, image_doc, rendered_doc } => {
+                w.u8(RECORD_INGEST);
+                encode_patch_metadata(meta, &mut w);
+                code.encode(&mut w);
+                wire::encode_document(image_doc, &mut w);
+                wire::encode_document(rendered_doc, &mut w);
+            }
+            WalRecord::Feedback { text, category } => {
+                w.u8(RECORD_FEEDBACK);
+                w.str(text);
+                match category {
+                    Some(c) => {
+                        w.u8(1);
+                        w.str(c);
+                    }
+                    None => w.u8(0),
+                }
+            }
         }
-        None => w.u8(0),
+        w.into_bytes()
     }
-    w.into_bytes()
 }
 
 pub(crate) fn decode_record(payload: &[u8]) -> Result<WalRecord, WireError> {
@@ -1315,13 +1316,18 @@ mod tests {
         assert_eq!(read_manifest(dir.path()).unwrap().unwrap().seq, 4);
     }
 
+    fn feedback_record(text: &str, category: Option<&str>) -> Vec<u8> {
+        let (text, category) = (text.to_string(), category.map(String::from));
+        WalRecord::Feedback { text, category }.encode()
+    }
+
     #[test]
     fn segment_scan_classifies_crash_shapes() {
         let dir = Scratch::new("segment_scan");
         let path = dir.path().join(segment_file_name(0));
         let mut writer = WalWriter::create(&path, 7, 0, &Faults::default()).unwrap();
-        writer.append(&encode_feedback_record("hello", None)).unwrap();
-        writer.append(&encode_feedback_record("world", Some("cat"))).unwrap();
+        writer.append(&feedback_record("hello", None)).unwrap();
+        writer.append(&feedback_record("world", Some("cat"))).unwrap();
         writer.sync().unwrap();
         drop(writer);
 
@@ -1368,7 +1374,7 @@ mod tests {
                 &Faults::default(),
             )
             .unwrap();
-            writer.append(&encode_feedback_record(&format!("seg{index}"), None)).unwrap();
+            writer.append(&feedback_record(&format!("seg{index}"), None)).unwrap();
             writer.sync().unwrap();
         }
         let chain = read_segment_chain(dir.path(), 9, 0).unwrap();

@@ -37,6 +37,7 @@
 //!   applied, and replaying it could duplicate state.
 
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
+use std::ops::ControlFlow;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -259,6 +260,29 @@ impl RetryPolicy {
     pub fn is_transient(error: &EarthQubeError) -> bool {
         matches!(error, EarthQubeError::Net(_) | EarthQubeError::Overloaded(_))
     }
+
+    /// The one retry loop: runs `attempt` up to `attempts` times (at least
+    /// once), sleeping [`backoff_delay`](Self::backoff_delay), drawn from
+    /// `rng`, before each retry.  Each try decides for itself: `Break`
+    /// ends the loop with its result, `Continue` asks for another try with
+    /// the error that ends the loop should the budget run out.
+    pub(crate) fn run<T>(
+        &self,
+        attempts: u32,
+        rng: &mut StdRng,
+        mut attempt: impl FnMut() -> ControlFlow<Result<T, EarthQubeError>, EarthQubeError>,
+    ) -> Result<T, EarthQubeError> {
+        let mut retry = 0;
+        loop {
+            match attempt() {
+                ControlFlow::Break(result) => return result,
+                ControlFlow::Continue(e) if retry + 1 >= attempts.max(1) => return Err(e),
+                ControlFlow::Continue(_) => {}
+            }
+            std::thread::sleep(self.backoff_delay(retry, rng));
+            retry += 1;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -447,33 +471,26 @@ impl Replica {
         &mut self,
         op: impl Fn(&mut EqClient) -> Result<T, EarthQubeError>,
     ) -> Result<T, EarthQubeError> {
-        let mut last: Option<EarthQubeError> = None;
-        for attempt in 0..self.policy.attempts.max(1) {
-            if attempt > 0 {
-                std::thread::sleep(self.policy.backoff_delay(attempt - 1, &mut self.rng));
-            }
-            if self.client.is_none() {
-                match EqClient::connect(self.primary_addr.as_str()) {
-                    Ok(client) => self.client = Some(client),
-                    Err(e) => {
-                        last = Some(e);
-                        continue;
-                    }
-                }
-            }
-            let Some(client) = self.client.as_mut() else { continue };
-            match op(client) {
-                Ok(value) => return Ok(value),
+        let (client, addr) = (&mut self.client, self.primary_addr.as_str());
+        self.policy.run(self.policy.attempts, &mut self.rng, || {
+            let connected = match client {
+                Some(connected) => connected,
+                None => match EqClient::connect(addr) {
+                    Ok(connected) => client.insert(connected),
+                    Err(e) => return ControlFlow::Continue(e),
+                },
+            };
+            match op(connected) {
+                Ok(value) => ControlFlow::Break(Ok(value)),
                 Err(e) if RetryPolicy::is_transient(&e) => {
                     // The connection state is suspect after any transport
                     // fault; reconnect on the next attempt.
-                    self.client = None;
-                    last = Some(e);
+                    *client = None;
+                    ControlFlow::Continue(e)
                 }
-                Err(e) => return Err(e),
+                Err(e) => ControlFlow::Break(Err(e)),
             }
-        }
-        Err(last.unwrap_or_else(|| EarthQubeError::Net("the retry budget is zero".into())))
+        })
     }
 
     /// One pull/apply round trip.
@@ -592,25 +609,16 @@ fn seed_dir(
     policy: &RetryPolicy,
     rng: &mut StdRng,
 ) -> Result<(), EarthQubeError> {
-    let mut last: Option<EarthQubeError> = None;
-    for attempt in 0..policy.attempts.max(1) {
-        if attempt > 0 {
-            std::thread::sleep(policy.backoff_delay(attempt - 1, rng));
+    policy.run(policy.attempts, rng, || match seed_dir_once(client, dir) {
+        Ok(()) => ControlFlow::Break(Ok(())),
+        // BadRequest: a chunk vanished mid-transfer (the primary
+        // checkpointed); transient faults: the transport hiccuped.  Both
+        // warrant a fresh attempt against the current manifest.
+        Err(e) if matches!(e, EarthQubeError::BadRequest(_)) || RetryPolicy::is_transient(&e) => {
+            ControlFlow::Continue(e)
         }
-        match seed_dir_once(client, dir) {
-            Ok(()) => return Ok(()),
-            // BadRequest: a chunk vanished mid-transfer (the primary
-            // checkpointed); transient faults: the transport hiccuped.
-            // Both warrant a fresh attempt against the current manifest.
-            Err(e)
-                if matches!(e, EarthQubeError::BadRequest(_)) || RetryPolicy::is_transient(&e) =>
-            {
-                last = Some(e);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Err(last.unwrap_or_else(|| EarthQubeError::Net("the retry budget is zero".into())))
+        Err(e) => ControlFlow::Break(Err(e)),
+    })
 }
 
 fn seed_dir_once(client: &mut EqClient, dir: &Path) -> Result<(), EarthQubeError> {
@@ -685,6 +693,47 @@ impl Endpoint {
     fn cooling(&self, now: Instant) -> bool {
         self.cooldown_until.is_some_and(|until| now < until)
     }
+
+    /// The endpoint's connection, opened first if there is none.
+    fn connect(&mut self) -> Result<&mut EqClient, EarthQubeError> {
+        let client = match self.client.take() {
+            Some(client) => client,
+            None => EqClient::connect(self.addr.as_str())?,
+        };
+        Ok(self.client.insert(client))
+    }
+
+    fn cool_down(&mut self) {
+        self.cooldown_until = Some(Instant::now() + ENDPOINT_COOLDOWN);
+    }
+}
+
+/// Probes every endpoint's replication state for the one that is primary.
+fn discover(endpoints: &mut [Endpoint]) -> Result<usize, EarthQubeError> {
+    for (i, endpoint) in endpoints.iter_mut().enumerate() {
+        let Ok(client) = endpoint.connect() else { continue };
+        match client.repl_state() {
+            Ok(state) if state.primary => return Ok(i),
+            Ok(_) => {}
+            Err(_) => endpoint.client = None,
+        }
+    }
+    Err(EarthQubeError::Net(format!(
+        "no reachable endpoint of {} reports itself primary",
+        endpoints.len()
+    )))
+}
+
+/// The next endpoint for a read: round-robin from `next`, preferring
+/// endpoints not on cooldown; when every endpoint is cooling, takes the
+/// next one anyway (refusing to even try would turn a blip into an outage).
+fn pick_read_endpoint(endpoints: &[Endpoint], next: &mut usize) -> usize {
+    let n = endpoints.len();
+    let now = Instant::now();
+    let i = (0..n).map(|step| (*next + step) % n).find(|&i| !endpoints[i].cooling(now));
+    let i = i.unwrap_or(*next % n);
+    *next = (i + 1) % n;
+    i
 }
 
 /// A cluster-aware blocking client over a primary and its replicas.
@@ -767,51 +816,9 @@ impl ClusterClient {
     /// Fails with [`EarthQubeError::Net`] when no reachable endpoint
     /// reports itself primary.
     pub fn discover_primary(&mut self) -> Result<usize, EarthQubeError> {
-        for i in 0..self.endpoints.len() {
-            if self.connect_endpoint(i).is_err() {
-                continue;
-            }
-            let Some(client) = self.endpoints[i].client.as_mut() else { continue };
-            match client.repl_state() {
-                Ok(state) if state.primary => {
-                    self.primary = Some(i);
-                    return Ok(i);
-                }
-                Ok(_) => {}
-                Err(_) => self.endpoints[i].client = None,
-            }
-        }
-        self.primary = None;
-        Err(EarthQubeError::Net(format!(
-            "no reachable endpoint of {} reports itself primary",
-            self.endpoints.len()
-        )))
-    }
-
-    fn connect_endpoint(&mut self, i: usize) -> Result<(), EarthQubeError> {
-        if self.endpoints[i].client.is_none() {
-            let client = EqClient::connect(self.endpoints[i].addr.as_str())?;
-            self.endpoints[i].client = Some(client);
-        }
-        Ok(())
-    }
-
-    /// The next endpoint for a read: round-robin, preferring endpoints not
-    /// on cooldown; when every endpoint is cooling, takes the next one
-    /// anyway (refusing to even try would turn a blip into an outage).
-    fn pick_read_endpoint(&mut self) -> usize {
-        let n = self.endpoints.len();
-        let now = Instant::now();
-        for step in 0..n {
-            let i = (self.next_read + step) % n;
-            if !self.endpoints[i].cooling(now) {
-                self.next_read = (i + 1) % n;
-                return i;
-            }
-        }
-        let i = self.next_read % n;
-        self.next_read = (i + 1) % n;
-        i
+        let found = discover(&mut self.endpoints);
+        self.primary = found.as_ref().ok().copied();
+        found
     }
 
     /// Runs an idempotent read, fanning across endpoints with bounded
@@ -822,40 +829,36 @@ impl ClusterClient {
         &mut self,
         mut op: impl FnMut(&mut EqClient) -> Result<T, EarthQubeError>,
     ) -> Result<T, EarthQubeError> {
-        let mut last: Option<EarthQubeError> = None;
         let attempts = self.policy.attempts.max(1).max(self.endpoints.len() as u32);
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                std::thread::sleep(self.policy.backoff_delay(attempt - 1, &mut self.rng));
-            }
-            let i = self.pick_read_endpoint();
-            if let Err(e) = self.connect_endpoint(i) {
-                self.endpoints[i].cooldown_until = Some(Instant::now() + ENDPOINT_COOLDOWN);
-                last = Some(e);
-                continue;
-            }
-            let Some(client) = self.endpoints[i].client.as_mut() else { continue };
+        let (endpoints, next_read) = (&mut self.endpoints, &mut self.next_read);
+        self.policy.run(attempts, &mut self.rng, || {
+            let i = pick_read_endpoint(endpoints, next_read);
+            let endpoint = &mut endpoints[i];
+            let client = match endpoint.connect() {
+                Ok(client) => client,
+                Err(e) => {
+                    endpoint.cool_down();
+                    return ControlFlow::Continue(e);
+                }
+            };
             match op(client) {
                 Ok(value) => {
-                    self.endpoints[i].cooldown_until = None;
-                    return Ok(value);
+                    endpoint.cooldown_until = None;
+                    ControlFlow::Break(Ok(value))
                 }
                 Err(e @ EarthQubeError::Net(_)) => {
                     // Reads are idempotent: retrying a torn read elsewhere
                     // is always safe.
-                    self.endpoints[i].client = None;
-                    self.endpoints[i].cooldown_until = Some(Instant::now() + ENDPOINT_COOLDOWN);
-                    last = Some(e);
+                    endpoint.client = None;
+                    endpoint.cool_down();
+                    ControlFlow::Continue(e)
                 }
-                Err(e @ EarthQubeError::Overloaded(_)) => {
-                    // The endpoint is healthy but shedding load; rotate
-                    // without benching it.
-                    last = Some(e);
-                }
-                Err(e) => return Err(e),
+                // The endpoint is healthy but shedding load; rotate
+                // without benching it.
+                Err(e @ EarthQubeError::Overloaded(_)) => ControlFlow::Continue(e),
+                Err(e) => ControlFlow::Break(Err(e)),
             }
-        }
-        Err(last.unwrap_or_else(|| EarthQubeError::Net("the retry budget is zero".into())))
+        })
     }
 
     /// Runs a write against the primary with the *narrow* retry rule:
@@ -867,51 +870,44 @@ impl ClusterClient {
         &mut self,
         mut op: impl FnMut(&mut EqClient) -> Result<T, EarthQubeError>,
     ) -> Result<T, EarthQubeError> {
-        let mut last: Option<EarthQubeError> = None;
-        for attempt in 0..self.policy.attempts.max(1) {
-            if attempt > 0 {
-                std::thread::sleep(self.policy.backoff_delay(attempt - 1, &mut self.rng));
-            }
-            let i = match self.primary {
+        let (endpoints, primary) = (&mut self.endpoints, &mut self.primary);
+        self.policy.run(self.policy.attempts, &mut self.rng, || {
+            let i = match *primary {
                 Some(i) => i,
-                None => match self.discover_primary() {
-                    Ok(i) => i,
-                    Err(e) => {
-                        last = Some(e);
-                        continue;
-                    }
+                None => match discover(endpoints) {
+                    Ok(i) => *primary.insert(i),
+                    Err(e) => return ControlFlow::Continue(e),
                 },
             };
-            if let Err(e) = self.connect_endpoint(i) {
-                // The believed primary is unreachable — it may have died;
-                // re-discover on the next attempt.
-                self.primary = None;
-                last = Some(e);
-                continue;
-            }
-            let Some(client) = self.endpoints[i].client.as_mut() else { continue };
+            let endpoint = &mut endpoints[i];
+            let client = match endpoint.connect() {
+                Ok(client) => client,
+                Err(e) => {
+                    // The believed primary is unreachable — it may have
+                    // died; re-discover on the next attempt.
+                    *primary = None;
+                    return ControlFlow::Continue(e);
+                }
+            };
             match op(client) {
-                Ok(value) => return Ok(value),
+                Ok(value) => ControlFlow::Break(Ok(value)),
                 Err(e @ EarthQubeError::NotPrimary(_)) => {
                     // The primary moved (failover); rediscover and retry —
                     // the write was typed-rejected, never executed.
-                    self.primary = None;
-                    last = Some(e);
+                    *primary = None;
+                    ControlFlow::Continue(e)
                 }
-                Err(e @ EarthQubeError::Overloaded(_)) => {
-                    last = Some(e);
-                }
+                Err(e @ EarthQubeError::Overloaded(_)) => ControlFlow::Continue(e),
                 Err(e @ EarthQubeError::Net(_)) => {
                     // Ambiguous: the request may have been executed before
                     // the transport died.  Surface it; the caller owns the
                     // dedup decision.
-                    self.endpoints[i].client = None;
-                    return Err(e);
+                    endpoint.client = None;
+                    ControlFlow::Break(Err(e))
                 }
-                Err(e) => return Err(e),
+                Err(e) => ControlFlow::Break(Err(e)),
             }
-        }
-        Err(last.unwrap_or_else(|| EarthQubeError::Net("the retry budget is zero".into())))
+        })
     }
 
     /// Cluster counterpart of [`EqClient::search`] (read fan-out).

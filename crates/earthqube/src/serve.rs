@@ -6,9 +6,14 @@
 //!
 //! * **Catalog lock** — the whole core (document store, metadata table,
 //!   name→code map, code arena) sits behind one `parking_lot::RwLock`.
-//!   Queries take the read side (shared, concurrent); ingest and feedback
-//!   take the write side.  Holding the read lock across a query gives every
-//!   query a consistent snapshot even while ingest is running.
+//!   Queries take the read side (shared, concurrent).  The write side is
+//!   taken in one place, the server's write section, which every writer
+//!   runs through — ingest, feedback, recovery's replay and a replicated
+//!   batch: it opens the WAL batch under the lock, applies each record
+//!   through the core's one apply path, lets the writer commit, and clears
+//!   both caches exactly when the archive grew.  Holding the read lock
+//!   across a query gives every query a consistent snapshot even while
+//!   ingest is running.
 //! * **One index** — the core scans one [`eq_hashindex::CodeArena`] whose
 //!   row *r* holds dense patch id *r*, whatever [`ServeConfig::shards`]
 //!   says.  Checkpoints never write it (recovery rebuilds it from the
@@ -24,25 +29,25 @@
 //!   filter) finds its filter here and skips `to_filter`, the prefilter
 //!   compile, the candidate walk and the mask build.
 //!   Both caches are off at `cache_capacity: 0`, and both are cleared by
-//!   the one `invalidate`, which every write that changes the archive
-//!   calls inside the catalog write section — readers insert under the
-//!   read lock, so they can never re-insert a stale entry.
+//!   the one `invalidate`, which the write section calls whenever a write
+//!   grew the archive, under the catalog write lock — readers insert under
+//!   the read lock, so they can never re-insert a stale entry.
 //! * **Worker pool** — [`QueryServer::run_workload`] fans a batch of
 //!   [`QueryRequest`]s over K scoped threads (`std::thread::scope`); all
 //!   query entry points take `&self`, so workers share the server by plain
 //!   reference.
-//! * **Pooled search scratch** — every CBIR query checks a scratch (bounded
-//!   top-k heap + neighbour buffer) out of a per-server pool and returns it
-//!   afterwards, so steady-state serving does zero search-path allocation
-//!   ([`prewarm_scratch`](QueryServer::prewarm_scratch) sizes the pool to
-//!   the worker count; `NetServer` does this on bind).
+//! * **Lock-free bookkeeping** — the query counters are three atomics
+//!   (hits, misses, failures; `queries_served` is their sum), the ingest
+//!   count is the archive's growth since construction, and the search
+//!   scratch (bounded top-k heap + neighbour buffer) is the core's, one per
+//!   thread, so steady-state serving does zero search-path allocation and
+//!   a CBIR cache miss takes the catalog read lock and one cache-shard
+//!   lock, nothing else.
 //! * **Durability** — one component (the crate's `durability` module) owns
 //!   the persistence attachment, the write-ahead log policy, the checkpoint
 //!   protocol and the checkpointer; this file keeps the catalog side of
-//!   each write ([`ingest`](QueryServer::ingest),
-//!   [`apply_replicated`](QueryServer::apply_replicated), recovery's
-//!   replay) and the primary/replica role flag.  What a server serves *to*
-//!   replicas is in [`crate::replicate`].
+//!   every write (the write section) and the primary/replica role flag.
+//!   What a server serves *to* replicas is in [`crate::replicate`].
 //!
 //! Determinism: a workload executed through the server returns exactly the
 //! same [`SearchResponse`]s as the engine, regardless of worker count and
@@ -63,17 +68,17 @@ use eq_bigearthnet::Archive;
 use eq_docstore::Document;
 use eq_hashindex::BinaryCode;
 use eq_milan::Milan;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
-use crate::catalog::{Catalog, QueryScratch};
+use crate::catalog::Catalog;
 use crate::cbir::CbirService;
 pub use crate::durability::{CheckpointKind, CheckpointStats, CheckpointerStats};
-use crate::durability::{Durability, Seal};
+use crate::durability::{Durability, Seal, WalBatch};
 use crate::engine::{build_registry, EarthQube, EarthQubeConfig, SearchResponse};
 use crate::feedback::{FeedbackEntry, FeedbackService};
 use crate::filtered::{FilteredResponse, PrefilterMode, ResolvedFilter};
 use crate::ingest::{prepare_patch_docs, IngestReport};
-use crate::persist;
+use crate::persist::{self, WalRecord};
 use crate::query::ImageQuery;
 use crate::EarthQubeError;
 
@@ -310,28 +315,13 @@ type FilterCache = Lru<FilterKey, Arc<ResolvedFilter>>;
 /// is 5 KB, so this holds a 2 048-filter panel vocabulary in every mode.
 const FILTER_CACHE_BYTES: usize = 32 << 20;
 
-/// The query counters, kept together behind one lock so that
-/// [`QueryServer::stats`] can snapshot all three in a single pass.  Each
-/// query updates them exactly once, *at its outcome*, so at every instant
-/// `queries_served == cache_hits + cache_misses + failed queries` — a
-/// snapshot can never observe a query that was counted as served but not
-/// yet classified.  (An earlier revision kept three independent atomics
-/// bumped at different points of the query; a mid-workload snapshot could
-/// then see a hit rate computed from counters belonging to different sets
-/// of queries.)
-#[derive(Debug, Default)]
-struct QueryCounters {
-    served: u64,
-    hits: u64,
-    misses: u64,
-}
-
 /// The concurrent EarthQube serving layer.
 ///
 /// Every query entry point takes `&self`, so a server shared by reference
 /// (or inside an `Arc`) serves many threads at once; [`ingest`] and
 /// [`submit_feedback`] are the write path and take the catalog write lock
-/// internally — they also only need `&self`.
+/// internally, in the server's one write section — they also only need
+/// `&self`.
 ///
 /// [`ingest`]: Self::ingest
 /// [`submit_feedback`]: Self::submit_feedback
@@ -339,7 +329,7 @@ pub struct QueryServer {
     config: EarthQubeConfig,
     serve: ServeConfig,
     /// The query core, whole, behind one lock: queries take the read side,
-    /// ingest and feedback the write side.
+    /// the write section the write side.
     catalog: RwLock<Catalog>,
     /// The catalog's model, shared: it never changes once built, so uploads
     /// and ingest batches are hashed without taking the catalog lock.
@@ -351,15 +341,17 @@ pub struct QueryServer {
     filter_cache_hits: AtomicU64,
     filter_cache_misses: AtomicU64,
     registry: AssetRegistry,
-    counters: Mutex<QueryCounters>,
-    ingested_images: AtomicU64,
-    /// Pool of per-query scratch state.  A query pops a scratch (or makes
-    /// one if the pool momentarily runs dry), searches without holding the
-    /// pool lock, and returns it — so concurrent workers never share a
-    /// scratch and steady-state serving stops allocating once the pool has
-    /// one warm scratch per worker (see
-    /// [`prewarm_scratch`](Self::prewarm_scratch)).
-    scratch_pool: Mutex<Vec<QueryScratch>>,
+    /// Each query bumps exactly one of these three, at its outcome: a
+    /// result-cache hit, a computed answer, or an error.  `queries_served`
+    /// is their sum, so a snapshot never counts a query as served but
+    /// unclassified.
+    cache_hits: AtomicU64,
+    cache_misses: AtomicU64,
+    failed_queries: AtomicU64,
+    /// The archive size the server was constructed with: everything past
+    /// it arrived through the write section (live ingest, recovery's replay
+    /// of the WAL tail, replication), and `ingested_images` reports it.
+    constructed_size: usize,
     /// The durable tier: the persistence attachment (installed by
     /// [`checkpoint`](Self::checkpoint) / [`recover`](Self::recover)), its
     /// write-ahead log, the checkpoint protocol and the checkpointer.
@@ -408,7 +400,7 @@ impl QueryServer {
     }
 
     /// The one constructor: every server, built, converted or recovered,
-    /// starts detached, primary, with an empty cache and scratch pool.
+    /// starts detached, primary, with empty caches and zeroed counters.
     fn new(
         config: EarthQubeConfig,
         serve: ServeConfig,
@@ -419,6 +411,7 @@ impl QueryServer {
         // and *persists* is one recovery accepts (a raw `shards: 0` would
         // checkpoint fine but be rejected as corrupt on recovery).
         let serve = ServeConfig { shards: serve.shards.max(1), ..serve };
+        let constructed_size = catalog.metadata.len();
         Self {
             config,
             serve,
@@ -433,9 +426,10 @@ impl QueryServer {
             filter_cache_hits: AtomicU64::new(0),
             filter_cache_misses: AtomicU64::new(0),
             registry,
-            counters: Mutex::with_name(QueryCounters::default(), "counters"),
-            ingested_images: AtomicU64::new(0),
-            scratch_pool: Mutex::with_name(Vec::new(), "scratch_pool"),
+            cache_hits: AtomicU64::new(0),
+            cache_misses: AtomicU64::new(0),
+            failed_queries: AtomicU64::new(0),
+            constructed_size,
             durability: Durability::new(),
             primary: AtomicBool::new(true),
         }
@@ -469,20 +463,17 @@ impl QueryServer {
 
     /// A snapshot of the serving counters.
     ///
-    /// The three query counters are read in one pass under their shared
-    /// lock, so the snapshot is internally consistent even mid-workload:
-    /// `queries_served` always equals `cache_hits + cache_misses` plus the
-    /// failed queries, and the derived hit rate never mixes counters from
-    /// different instants.
+    /// `queries_served` is summed from the three outcome counters read
+    /// here, so it always equals `cache_hits + cache_misses` plus the failed
+    /// queries, even mid-workload.
     pub fn stats(&self) -> ServerStats {
-        let (queries_served, cache_hits, cache_misses) = {
-            let counters = self.counters.lock();
-            (counters.served, counters.hits, counters.misses)
-        };
+        let cache_hits = self.cache_hits.load(Ordering::Relaxed);
+        let cache_misses = self.cache_misses.load(Ordering::Relaxed);
+        let failed = self.failed_queries.load(Ordering::Relaxed);
         // One arena, so one occupancy: the wire field keeps its shape.
         let archive_size = self.catalog.read().metadata.len();
         ServerStats {
-            queries_served,
+            queries_served: cache_hits + cache_misses + failed,
             cache_hits,
             cache_misses,
             cache_entries: self.cache.len(),
@@ -491,7 +482,7 @@ impl QueryServer {
             filter_cache_entries: self.filter_cache.len(),
             filter_cache_bytes: self.filter_cache.used(),
             archive_size,
-            ingested_images: self.ingested_images.load(Ordering::Relaxed),
+            ingested_images: (archive_size - self.constructed_size) as u64,
             shard_occupancy: vec![archive_size],
         }
     }
@@ -514,9 +505,7 @@ impl QueryServer {
     /// # Errors
     /// Fails if the image is unknown.
     pub fn similar_to(&self, name: &str, k: usize) -> Result<SearchResponse, EarthQubeError> {
-        self.cached(CacheKey::Similar(name.to_string(), k), |catalog| {
-            self.with_scratch(|scratch| catalog.similar_to(name, k, scratch))
-        })
+        self.cached(CacheKey::Similar(name.to_string(), k), |catalog| catalog.similar_to(name, k))
     }
 
     /// Query-by-new-example: encodes the external patch on the fly (the
@@ -543,9 +532,7 @@ impl QueryServer {
         code: &BinaryCode,
         k: usize,
     ) -> Result<SearchResponse, EarthQubeError> {
-        self.cached(CacheKey::ByCode(code.clone(), k), |catalog| {
-            self.with_scratch(|scratch| catalog.search_by_code(code, k, scratch))
-        })
+        self.cached(CacheKey::ByCode(code.clone(), k), |catalog| catalog.search_by_code(code, k))
     }
 
     /// Filtered "retrieve similar images" (the concurrent counterpart of
@@ -573,7 +560,7 @@ impl QueryServer {
             CacheKey::SimilarFiltered { name: name.to_string(), k, query: query.clone(), mode };
         self.cached(key, |catalog| {
             let filter = self.resolved(catalog, query, mode)?;
-            self.with_scratch(|scratch| catalog.similar_to_filtered(name, k, &filter, scratch))
+            catalog.similar_to_filtered(name, k, &filter)
         })
     }
 
@@ -596,9 +583,7 @@ impl QueryServer {
             CacheKey::WithinFiltered { name: name.to_string(), radius, query: query.clone(), mode };
         self.cached(key, |catalog| {
             let filter = self.resolved(catalog, query, mode)?;
-            self.with_scratch(|scratch| {
-                catalog.similar_within_filtered(name, radius, &filter, scratch)
-            })
+            catalog.similar_within_filtered(name, radius, &filter)
         })
     }
 
@@ -629,29 +614,6 @@ impl QueryServer {
         self.filter_cache.put(fp, (query.clone(), mode), Arc::clone(&filter), weight);
         self.filter_cache_misses.fetch_add(1, Ordering::Relaxed);
         Ok(filter)
-    }
-
-    /// Checks a scratch out of the pool for the duration of `f`.  The pool
-    /// lock is only held for the pop and the push, never across the search
-    /// itself, so workers contend for nanoseconds, not query time.
-    fn with_scratch<R>(&self, f: impl FnOnce(&mut QueryScratch) -> R) -> R {
-        let mut scratch = self.scratch_pool.lock().pop().unwrap_or_default();
-        let result = f(&mut scratch);
-        // lint:allow(hot-path) returns the scratch to a pool prewarmed to the worker count: steady-state pushes land in reserved capacity
-        self.scratch_pool.lock().push(scratch);
-        result
-    }
-
-    /// Pre-populates the scratch pool with `workers` entries, so a serving
-    /// tier that pins its worker count (e.g. `NetServer`) never constructs
-    /// a scratch on the query path — after each worker's first query the
-    /// pooled buffers are warm and steady-state serving is allocation-free
-    /// on the search path.
-    pub fn prewarm_scratch(&self, workers: usize) {
-        let mut pool = self.scratch_pool.lock();
-        while pool.len() < workers {
-            pool.push(QueryScratch::default());
-        }
     }
 
     /// Executes one workload request.
@@ -743,63 +705,41 @@ impl QueryServer {
 
         // Heavy phase, outside any lock: the model and the serialisation
         // code are immutable shared state.
-        let prepared: Vec<(BinaryCode, Document, Document)> = patches
+        let prepared: Vec<(BinaryCode, (Document, Document))> = patches
             .iter()
             .map(|patch| {
-                let code = self.model.hash_patch(patch);
-                let (image_doc, rendered_doc) = prepare_patch_docs(patch, &patch.meta.name);
-                (code, image_doc, rendered_doc)
+                (self.model.hash_patch(patch), prepare_patch_docs(patch, &patch.meta.name))
             })
             .collect();
 
-        // Cheap phase, under the catalog write lock.
-        let mut catalog = self.catalog.write();
-        let mut log = self.durability.begin();
-        let mut report = IngestReport { metadata_docs: 0, image_docs: 0, rendered_docs: 0 };
-        let mut result = Ok(());
-        for (patch, (code, image_doc, rendered_doc)) in patches.iter().zip(prepared) {
-            if let Err(e) = catalog.ensure_new(&patch.meta.name) {
-                result = Err(e);
-                break;
+        // Cheap phase, in the write section.
+        self.write(|catalog, mut log| {
+            let mut result = Ok(());
+            for (patch, (code, (image_doc, rendered_doc))) in patches.iter().zip(prepared) {
+                // Appended patches take the next dense id.
+                let id = PatchId(catalog.metadata.len() as u32);
+                let meta = PatchMetadata { id, ..patch.meta.clone() };
+                let record = WalRecord::Ingest { meta, code, image_doc, rendered_doc };
+                // Encoded while the record is still whole (applying consumes
+                // it), written only once it applied: a refused patch never
+                // reaches the log.  A failed append leaves the patch applied
+                // in memory but not durable: surface it and stop the batch.
+                let payload = log.attached().then(|| record.encode());
+                let applied = catalog
+                    .apply_record(record)
+                    .and_then(|_| payload.map_or(Ok(()), |payload| log.append(&payload)));
+                if let Err(e) = applied {
+                    result = Err(e);
+                    break;
+                }
             }
-            // Re-assign the dense id: appended patches take the next slot.
-            let mut meta = patch.meta.clone();
-            meta.id = PatchId(catalog.metadata.len() as u32);
-            // Encode the WAL record while the documents are still borrowable
-            // (applying consumes them); it is only written once the patch
-            // has actually been applied, so a rolled-back patch never
-            // reaches the log.
-            let record = log
-                .attached()
-                .then(|| persist::encode_ingest_record(&meta, &code, &image_doc, &rendered_doc));
-            if let Err(e) = catalog.apply_ingest(meta, code, image_doc, rendered_doc) {
-                result = Err(e);
-                break;
-            }
-            report.metadata_docs += 1;
-            report.image_docs += 1;
-            report.rendered_docs += 1;
-            self.ingested_images.fetch_add(1, Ordering::Relaxed);
-            // A failed append leaves the patch applied in memory but not
-            // durable: surface it and stop the batch.
-            if let Err(e) = record.map_or(Ok(()), |record| log.append(&record)) {
-                result = Err(e);
-                break;
-            }
-        }
-        // The commit runs even when the batch stopped early: the applied
-        // prefix "remains ingested" per the contract above, so its records
-        // must reach stable storage too.
-        let result = log.commit(Seal::AtLimit, result);
-        // Invalidate while still holding the catalog write lock: a reader
-        // can only insert a cache entry while holding the read lock (see
-        // `cached`), so no stale result can slip in after this clear.  A
-        // no-op ingest (empty batch, duplicate rejected up front) changed
-        // nothing, so it must not evict anyone's cached results either.
-        if report.metadata_docs > 0 {
-            self.invalidate();
-        }
-        result.map(|_| report)
+            // The commit runs even when the batch stopped early: the applied
+            // prefix "remains ingested" per the contract above, so its
+            // records must reach stable storage too.
+            log.commit(Seal::AtLimit, result)
+        })?;
+        let n = patches.len();
+        Ok(IngestReport { metadata_docs: n, image_docs: n, rendered_docs: n })
     }
 
     /// Submits anonymous feedback through the write path (logged to the
@@ -818,21 +758,25 @@ impl QueryServer {
                 "replicas only apply records replicated from the primary".into(),
             ));
         }
-        let mut catalog = self.catalog.write();
-        let id = FeedbackService.submit(&mut catalog.database, text, category)?;
-        let mut log = self.durability.begin();
-        let logged = log.append(&persist::encode_feedback_record(text, category));
-        if let Err(e) = log.commit(Seal::AtLimit, logged) {
-            // Unlike ingest (whose contract keeps the applied prefix),
-            // feedback failure means "not stored": roll the entry back so a
-            // retrying caller cannot store it twice.
-            if let Ok(coll) = catalog.database.collection_mut(crate::schema::collections::FEEDBACK)
-            {
-                let _ = coll.delete_by_key(&eq_docstore::Value::Int(id));
+        self.write(|catalog, mut log| {
+            let (text, category) = (text.to_string(), category.map(String::from));
+            let record = WalRecord::Feedback { text, category };
+            let payload = record.encode();
+            let id = catalog.apply_record(record)?;
+            let logged = log.append(&payload);
+            if let Err(e) = log.commit(Seal::AtLimit, logged) {
+                // Unlike ingest (whose contract keeps the applied prefix),
+                // feedback failure means "not stored": roll the entry back so
+                // a retrying caller cannot store it twice.
+                let feedback =
+                    catalog.database.collection_mut(crate::schema::collections::FEEDBACK);
+                if let Ok(coll) = feedback {
+                    let _ = coll.delete_by_key(&eq_docstore::Value::Int(id));
+                }
+                return Err(e);
             }
-            return Err(e);
-        }
-        Ok(id)
+            Ok(id)
+        })
     }
 
     /// Lists all stored feedback.
@@ -844,10 +788,33 @@ impl QueryServer {
         FeedbackService.list(&catalog.database)
     }
 
-    /// Drops everything derived from the catalog: both caches.  The two
-    /// writers that change what a query can see ([`ingest`](Self::ingest),
-    /// [`apply_replicated`](Self::apply_replicated)) call this while still
-    /// holding the catalog write lock.
+    /// The one write section: every change to the catalog — live
+    /// [`ingest`](Self::ingest) and [`submit_feedback`](Self::submit_feedback),
+    /// recovery's replay, [`apply_replicated`](Self::apply_replicated) —
+    /// runs here.  It takes the catalog write lock, then opens the WAL
+    /// batch (the documented lock order), and hands both to `body`, which
+    /// applies its records through [`Catalog::apply_record`], appends them,
+    /// and commits the batch with its own [`Seal`] and early-stop rule.
+    ///
+    /// Then, still under the write lock, both caches are cleared exactly
+    /// when the archive grew.  Feedback, a refused patch or an empty batch
+    /// changes no answer a cache holds, so it evicts nothing.  Readers
+    /// insert cache entries only under the read lock (see
+    /// [`cached`](Self::cached)), so no stale entry survives the clear.
+    fn write<T>(
+        &self,
+        body: impl FnOnce(&mut Catalog, WalBatch<'_>) -> Result<T, EarthQubeError>,
+    ) -> Result<T, EarthQubeError> {
+        let mut catalog = self.catalog.write();
+        let size = catalog.metadata.len();
+        let result = body(&mut catalog, self.durability.begin());
+        if catalog.metadata.len() > size {
+            self.invalidate();
+        }
+        result
+    }
+
+    /// Drops everything derived from the catalog: both caches.
     fn invalidate(&self) {
         self.cache.clear();
         self.filter_cache.clear();
@@ -857,11 +824,15 @@ impl QueryServer {
     ///
     /// The catalog read lock is held across both the computation *and* the
     /// cache inserts (the result here, a resolved filter inside `compute`,
-    /// see [`resolved`](Self::resolved)).  Writers
-    /// [`invalidate`](Self::invalidate) while holding the catalog *write*
+    /// see [`resolved`](Self::resolved)).  The write section
+    /// [`invalidate`](Self::invalidate)s while holding the catalog *write*
     /// lock, so any entry inserted under the read lock is either computed
     /// over the post-write catalog or cleared by the very write it
     /// predates — stale entries cannot survive.
+    ///
+    /// Each query bumps one outcome counter: a hit, a miss (an answer
+    /// computed, whether or not the cache is on) or a failure, which counts
+    /// as served but drags no hit rate down.
     fn cached<R, F>(&self, key: CacheKey, compute: F) -> Result<R, EarthQubeError>
     where
         R: Clone + Send + Sync + 'static,
@@ -874,29 +845,23 @@ impl QueryServer {
             // equal key holds the shape asked for.
             let cached = self.cache.lookup(fp, |k| *k == key);
             if let Some(hit) = cached.as_deref().and_then(|any| any.downcast_ref::<R>()) {
-                let mut counters = self.counters.lock();
-                counters.served += 1;
-                counters.hits += 1;
+                self.cache_hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(hit.clone());
             }
         }
         let catalog = self.catalog.read();
         let result = compute(&catalog);
-        match &result {
-            // A miss is only counted once something was actually computed,
-            // so error traffic (e.g. unknown image names) does not drag the
-            // reported hit rate down; errors bump `served` alone.  Each
-            // outcome updates all its counters under one lock acquisition,
-            // which is what keeps `stats()` snapshots consistent.
-            Ok(response) if caching => {
-                self.cache.put(fp, key, Arc::new(response.clone()), 1);
-                let mut counters = self.counters.lock();
-                counters.served += 1;
-                counters.misses += 1;
+        let outcome = match &result {
+            Ok(response) => {
+                if caching {
+                    self.cache.put(fp, key, Arc::new(response.clone()), 1);
+                }
+                &self.cache_misses
             }
-            _ => self.counters.lock().served += 1,
-        }
+            Err(_) => &self.failed_queries,
+        };
         drop(catalog);
+        outcome.fetch_add(1, Ordering::Relaxed);
         result
     }
 
@@ -977,26 +942,25 @@ impl QueryServer {
         let (metadata, codes): (Vec<PatchMetadata>, Vec<BinaryCode>) =
             state.images.into_iter().unzip();
         let images = metadata.iter().zip(codes);
-        let cbir = CbirService::from_codes(state.model, state.config.cbir, images);
+        let cbir = CbirService::from_codes(state.model, images);
         let page_size = state.config.page_size;
         let catalog = Catalog { database: state.database, metadata, cbir, page_size };
         let registry = build_registry(&state.config);
         let server = Self::new(state.config, state.serve, catalog, registry);
 
         let chain = persist::read_segment_chain(dir, manifest.generation, manifest.first_segment)?;
-        {
-            let mut catalog = server.catalog.write();
+        // Replay runs detached (nothing is attached yet, so nothing is
+        // re-logged).  It re-marks the touched collections dirty and grows
+        // the image table past `persisted_images` — deliberately so: the
+        // replayed records still live only in WAL segments, and the next
+        // incremental checkpoint folds them into chunks (after which their
+        // segments retire).
+        server.write(|catalog, _detached| {
             for record in chain.records {
-                if catalog.apply_record(record)? {
-                    server.ingested_images.fetch_add(1, Ordering::Relaxed);
-                }
+                catalog.apply_record(record).map_err(not_applied)?;
             }
-            // Replay re-marked the touched collections dirty and grew the
-            // image table past `persisted_images` — deliberately so: the
-            // replayed records still live only in WAL segments, and the
-            // next incremental checkpoint folds them into chunks (after
-            // which their segments retire).
-        }
+            Ok(())
+        })?;
         server.durability.attach(dir, lock, manifest, chain.tail, persisted_images)?;
         Ok(server)
     }
@@ -1099,39 +1063,30 @@ impl QueryServer {
                 EarthQubeError::Persist(format!("invalid replicated WAL record: {e}"))
             })?);
         }
-        let mut catalog = self.catalog.write();
-        let mut log = self.durability.begin();
-        let mut applied = 0u64;
-        let mut ingested = false;
-        let mut result = Ok(());
-        for (payload, record) in entries.iter().zip(records) {
-            let logged = catalog.apply_record(record).and_then(|was_ingest| {
-                if was_ingest {
-                    self.ingested_images.fetch_add(1, Ordering::Relaxed);
-                    ingested = true;
+        self.write(|catalog, mut log| {
+            let mut applied = 0u64;
+            let mut result = Ok(());
+            for (payload, record) in entries.iter().zip(records) {
+                let logged = catalog.apply_record(record).map_err(not_applied).and_then(|_| {
+                    if !log.attached() {
+                        return Err(EarthQubeError::Persist(
+                            "the replica lost its persistence attachment".into(),
+                        ));
+                    }
+                    log.append(payload)
+                });
+                if let Err(e) = logged {
+                    result = Err(e);
+                    break;
                 }
-                if !log.attached() {
-                    return Err(EarthQubeError::Persist(
-                        "the replica lost its persistence attachment".into(),
-                    ));
-                }
-                log.append(payload)
-            });
-            if let Err(e) = logged {
-                result = Err(e);
-                break;
+                applied += 1;
             }
-            applied += 1;
-        }
-        // Replicated records must be crash-durable before the pull is
-        // acknowledged, same contract as ingest.  A partial batch stays on
-        // the live segment, so the durable position matches exactly what
-        // was applied.
-        let result = log.commit(Seal::Mirror(rotate), result);
-        if ingested {
-            self.invalidate();
-        }
-        result.map(|()| applied)
+            // Replicated records must be crash-durable before the pull is
+            // acknowledged, same contract as ingest.  A partial batch stays
+            // on the live segment, so the durable position matches exactly
+            // what was applied.
+            log.commit(Seal::Mirror(rotate), result).map(|()| applied)
+        })
     }
 
     /// Promotes a replica to primary.  The replica's applied state is cut
@@ -1159,6 +1114,15 @@ impl QueryServer {
         self.durability.checkpoint(&self.catalog, &dir, true, || self.static_chunk())?;
         self.primary.store(true, Ordering::Release);
         Ok(())
+    }
+}
+
+/// A logged write, replayed or replicated, that does not continue the
+/// catalog: a [`EarthQubeError::Persist`], whatever refused it.
+fn not_applied(e: EarthQubeError) -> EarthQubeError {
+    match e {
+        EarthQubeError::Persist(_) => e,
+        e => EarthQubeError::Persist(format!("a logged write does not apply: {e}")),
     }
 }
 
@@ -1370,6 +1334,62 @@ mod tests {
         assert_eq!(srv.stats().cache_entries, 1);
     }
 
+    /// The write section's invalidation rule: both caches are cleared
+    /// exactly when a write grew the archive.  Feedback (live or
+    /// replicated) and an ingest whose only patch the store refuses keep
+    /// them warm; a live and a replicated ingest each clear them.
+    #[test]
+    fn only_a_write_that_grows_the_archive_clears_the_caches() {
+        use crate::schema::{collections, fields};
+        let dir = ScratchDir::new("invalidation");
+        let (srv, archive) = server(12, 105, ServeConfig::default());
+        let name = &archive.patches()[0].meta.name;
+        let filter = ImageQuery::all().with_seasons(vec![eq_bigearthnet::patch::Season::Summer]);
+        let warm = || {
+            srv.similar_to_filtered(name, 4, &filter, PrefilterMode::Auto).unwrap();
+            srv.search(&ImageQuery::all()).unwrap();
+            let stats = srv.stats();
+            (stats.cache_entries, stats.filter_cache_entries)
+        };
+        let entries = || {
+            let stats = srv.stats();
+            (stats.cache_entries, stats.filter_cache_entries)
+        };
+        let warmed = warm();
+        assert!(warmed.0 > 0 && warmed.1 > 0, "{warmed:?}");
+        let extra = ArchiveGenerator::new(GeneratorConfig::tiny(3, 781)).unwrap().generate();
+
+        srv.submit_feedback("keep the caches", None).unwrap();
+        assert_eq!(entries(), warmed, "feedback");
+        let squatted = extra.patches()[0].meta.name.as_str();
+        {
+            let mut catalog = srv.catalog.write();
+            let images = catalog.database.collection_mut(collections::IMAGE_DATA).unwrap();
+            images.insert(Document::new().with(fields::NAME, squatted)).unwrap();
+        }
+        let refused = srv.ingest(&extra.patches()[..1]).unwrap_err();
+        assert!(matches!(refused, EarthQubeError::Store(_)), "{refused:?}");
+        assert_eq!(entries(), warmed, "a refused ingest");
+        srv.ingest(&extra.patches()[1..2]).unwrap();
+        assert_eq!(entries(), (0, 0), "a live ingest");
+
+        // A replica needs an attachment to mirror its log into.
+        srv.checkpoint(dir.path()).unwrap();
+        srv.set_replica_mode();
+        assert_eq!(warm(), warmed);
+        let (text, category) = ("replicated".to_string(), None);
+        let feedback = WalRecord::Feedback { text, category }.encode();
+        assert_eq!(srv.apply_replicated(&[feedback], false).unwrap(), 1);
+        assert_eq!(entries(), warmed, "a replicated feedback batch");
+        let patch = &extra.patches()[2];
+        let meta = PatchMetadata { id: PatchId(srv.archive_size() as u32), ..patch.meta.clone() };
+        let (image_doc, rendered_doc) = prepare_patch_docs(patch, &meta.name);
+        let code = srv.model.hash_patch(patch);
+        let ingest = WalRecord::Ingest { meta, code, image_doc, rendered_doc }.encode();
+        assert_eq!(srv.apply_replicated(&[ingest], false).unwrap(), 1);
+        assert_eq!(entries(), (0, 0), "a replicated ingest");
+    }
+
     #[test]
     fn workload_runs_across_worker_counts() {
         let (srv, archive) = server(30, 97, ServeConfig::uncached(4));
@@ -1401,6 +1421,10 @@ mod tests {
         let results = srv.run_workload(&requests, 2);
         assert!(matches!(results[0], Err(EarthQubeError::UnknownImage(_))));
         assert_eq!(results[1].as_ref().unwrap().total(), 10);
+        // The failed request was served, but it neither hit nor missed.
+        let stats = srv.stats();
+        assert_eq!(stats.queries_served, 2);
+        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1));
     }
 
     #[test]
@@ -1697,8 +1721,8 @@ mod tests {
         let mut meta = patch.meta.clone();
         meta.id = PatchId(10);
         let (image_doc, rendered_doc) = prepare_patch_docs(&patch, &meta.name);
-        let narrow = BinaryCode::zeros(32);
-        let record = persist::encode_ingest_record(&meta, &narrow, &image_doc, &rendered_doc);
+        let code = BinaryCode::zeros(32);
+        let record = WalRecord::Ingest { meta, code, image_doc, rendered_doc }.encode();
         let err = srv.apply_replicated(&[record], false).unwrap_err();
         assert!(matches!(err, EarthQubeError::Persist(_)), "{err:?}");
         assert_eq!(srv.archive_size(), 10);
@@ -1832,13 +1856,14 @@ mod tests {
         assert_eq!(second.archive_size(), 13, "writes after recovery must be durable too");
     }
 
-    /// Regression test for the stats-snapshot race: counters are updated
-    /// once per query outcome under a single lock, so at *every* instant a
-    /// snapshot must satisfy `queries_served == cache_hits + cache_misses`
-    /// (the workload below has no failing queries).  The pre-fix code
-    /// bumped `queries_served` at query entry and the hit/miss counter at
-    /// the outcome, so a concurrent snapshot could observe in-flight
-    /// queries as served-but-unclassified and report a skewed hit rate.
+    /// Regression test for the stats-snapshot race: each query bumps one
+    /// outcome counter and `queries_served` is their sum, so at *every*
+    /// instant a snapshot must satisfy `queries_served == cache_hits +
+    /// cache_misses` (the workload below has no failing queries).  An
+    /// earlier revision bumped `queries_served` at query entry and the
+    /// hit/miss counter at the outcome, so a concurrent snapshot could
+    /// observe in-flight queries as served-but-unclassified and report a
+    /// skewed hit rate.
     #[test]
     fn stats_snapshots_are_consistent_mid_workload() {
         let (srv, archive) = server(16, 204, ServeConfig::default());
@@ -2071,16 +2096,24 @@ mod tests {
 
     /// Every write path keeps the arena dense: build, live ingest, an
     /// ingest rolled back mid-batch, WAL recovery and a replicated apply.
+    /// And each counts what it grew the archive by, past the 12 built (and
+    /// checkpointed) images, as ingested: recovery's replay of the WAL
+    /// tail included.
     #[test]
     fn every_write_path_keeps_the_arena_in_dense_id_order() {
         use crate::schema::{collections, fields};
         let dir = ScratchDir::new("dense_arena");
         let (srv, _) = server(12, 216, ServeConfig::default());
-        assert_dense_arena(&srv);
+        let assert_dense_and_counted = |srv: &QueryServer| {
+            assert_dense_arena(srv);
+            let stats = srv.stats();
+            assert_eq!(stats.ingested_images, stats.archive_size as u64 - 12);
+        };
+        assert_dense_and_counted(&srv);
         srv.checkpoint(dir.path()).unwrap();
         let extra = ArchiveGenerator::new(GeneratorConfig::tiny(4, 953)).unwrap().generate();
         srv.ingest(&extra.patches()[..1]).unwrap();
-        assert_dense_arena(&srv);
+        assert_dense_and_counted(&srv);
 
         // Patch 1 lands, patch 2 rolls back on its squatted name.
         let squatted = extra.patches()[2].meta.name.as_str();
@@ -2091,12 +2124,12 @@ mod tests {
         }
         assert!(matches!(srv.ingest(&extra.patches()[1..]), Err(EarthQubeError::Store(_))));
         assert_eq!(srv.archive_size(), 14);
-        assert_dense_arena(&srv);
+        assert_dense_and_counted(&srv);
         drop(srv);
 
         let back = QueryServer::recover(dir.path()).unwrap();
         assert_eq!(back.archive_size(), 14);
-        assert_dense_arena(&back);
+        assert_dense_and_counted(&back);
 
         back.set_replica_mode();
         let patch = &extra.patches()[3];
@@ -2104,10 +2137,10 @@ mod tests {
         meta.id = PatchId(14);
         let (image_doc, rendered_doc) = prepare_patch_docs(patch, &meta.name);
         let code = back.model.hash_patch(patch);
-        let record = persist::encode_ingest_record(&meta, &code, &image_doc, &rendered_doc);
+        let record = WalRecord::Ingest { meta, code, image_doc, rendered_doc }.encode();
         assert_eq!(back.apply_replicated(&[record], false).unwrap(), 1);
         assert_eq!(back.archive_size(), 15);
-        assert_dense_arena(&back);
+        assert_dense_and_counted(&back);
     }
 
     /// Budgeted by weight, evicting least recently used first, in

@@ -186,8 +186,9 @@ pub fn cover_bbox(
         }
         let mut cells = Vec::new();
         let mut lat = bbox.min_lat;
-        // Step through the box one cell at a time, starting half a cell in so
-        // that we sample cell centres.
+        // Step through the box one cell at a time from its south-west
+        // corner, one step past the north and east edges, so that every
+        // cell the box touches gets a sample point (deduplicated below).
         while lat <= bbox.max_lat + cell.height() {
             let mut lon = bbox.min_lon;
             while lon <= bbox.max_lon + cell.width() {

@@ -11,8 +11,8 @@
 //! `k` survivors are sorted.
 //!
 //! The scratch owns all its buffers and is reusable across queries, so a
-//! pooled scratch (see `QueryServer` in `eq_earthqube`) makes steady-state
-//! k-NN serving allocation-free.
+//! scratch kept per thread (see the query core in `eq_earthqube`) makes
+//! steady-state k-NN serving allocation-free.
 //!
 //! Exactness: the heap orders candidates by `(distance, id)` — the same
 //! total order [`sort_neighbors`](crate::sort_neighbors) uses — so the

@@ -274,7 +274,7 @@ mod tests {
     #[test]
     fn chained_temporary_is_not_a_guard_binding() {
         // The classic false positive: the pool guard dies at the `;`.
-        let src = "fn f(&self) {\n    let buf = self.scratch_pool.lock().pop().unwrap_or_default();\n    let catalog = self.catalog.write();\n}";
+        let src = "fn f(&self) {\n    let buf = self.buffer_pool.lock().pop().unwrap_or_default();\n    let catalog = self.catalog.write();\n}";
         assert!(run_on(src, ORDERED).violations.is_empty());
     }
 

@@ -17,7 +17,8 @@ use agoraeo::earthqube::net::{payload_to_response, response_to_payload};
 use agoraeo::earthqube::{EarthQube, EarthQubeConfig, ImageQuery};
 use agoraeo::hashindex::hashtable::Strategy;
 use agoraeo::hashindex::{
-    BinaryCode, Bitmap, HammingIndex, HashTableIndex, IdMask, SearchScratch, ShardedHashIndex,
+    BinaryCode, Bitmap, CodeArena, HammingIndex, HashTableIndex, IdMask, SearchScratch,
+    ShardedHashIndex,
 };
 use agoraeo::proto::{Response, ResponseBody};
 
@@ -123,17 +124,21 @@ fn clustered_codes(n: usize) -> Vec<BinaryCode> {
         .collect()
 }
 
-/// A warm scan allocates nothing: the sharded index's k-NN, masked k-NN and
-/// masked radius search (what `Catalog::nearest` and
-/// `similar_within_filtered` call), and the flat table's k-NN and radius
-/// scan, each into a cleared, warm buffer.
+/// A warm scan allocates nothing: the serving scan over one dense-id arena
+/// (`SearchScratch::scan_arena` and `scan_arena_masked`, and
+/// `CodeArena::scan_radius_masked_into`: what `Catalog::nearest` and
+/// `similar_within_filtered` call), the sharded index's k-NN, masked k-NN
+/// and masked radius search (which the benchmark harness replays), and the
+/// flat table's k-NN and radius scan, each into a cleared, warm buffer.
 #[test]
 fn a_warm_scan_allocates_nothing() {
     let codes = clustered_codes(4_000);
+    let mut arena = CodeArena::new(128);
     let sharded = ShardedHashIndex::new(128, 8);
     let mut table = HashTableIndex::new(128);
     let mut subset = Bitmap::new();
     for (id, code) in (0u64..).zip(&codes) {
+        arena.push(id, code);
         sharded.insert(id, code.clone());
         table.insert(id, code.clone());
         if id % 7 == 0 {
@@ -145,7 +150,7 @@ fn a_warm_scan_allocates_nothing() {
     let mask = IdMask::from_bitmap(&subset);
     let query = &codes[2_000];
     let (mut scratch, mut out) = (SearchScratch::new(), Vec::new());
-    let mut hits = [0; 5];
+    let mut hits = [0; 8];
     let mut scan = || {
         hits[0] += sharded.knn_with(query, 10, &mut scratch).len();
         hits[1] += sharded.knn_masked_with(query, 10, &mask, &mut scratch).len();
@@ -156,6 +161,15 @@ fn a_warm_scan_allocates_nothing() {
         out.clear();
         table.radius_search_into(query, 12, &mut out);
         hits[4] += out.len();
+        scratch.begin(10);
+        scratch.scan_arena(&arena, query.words());
+        hits[5] += scratch.finish().len();
+        scratch.begin(10);
+        scratch.scan_arena_masked(&arena, query.words(), &mask);
+        hits[6] += scratch.finish().len();
+        out.clear();
+        arena.scan_radius_masked_into(query.words(), 12, &mask, &mut out);
+        hits[7] += out.len();
     };
     // Warms the scratch heap, `out` and the per-thread stack of the
     // debug-build lock-order tracker in `vendor/parking_lot`.
