@@ -1,6 +1,6 @@
 //! Collections: document storage, indexes and query execution.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 use eq_hashindex::Bitmap;
 
@@ -47,45 +47,8 @@ pub struct CollectionStats {
     pub geo_index: Option<String>,
 }
 
-/// What changed in a collection since its dirty log was last drained.
-///
-/// Maintained automatically by every mutating operation.  The persistence
-/// tier drains it at a checkpoint cut ([`Collection::take_dirty`]) and
-/// turns the drained log into a [`CollectionDelta`]
-/// ([`Collection::capture_delta`]); if persisting fails, the drained log
-/// is merged back with [`Collection::restore_dirty`] so no change is ever
-/// dropped.
-#[derive(Debug, Clone, Default)]
-pub struct DirtyLog {
-    touched: BTreeSet<DocId>,
-    deleted: BTreeSet<Value>,
-    schema_changed: bool,
-}
-
-impl DirtyLog {
-    /// Whether nothing changed since the last drain.
-    pub fn is_empty(&self) -> bool {
-        !self.schema_changed && self.touched.is_empty() && self.deleted.is_empty()
-    }
-
-    /// Whether an index was created or re-created since the last drain.
-    /// Deltas cannot express schema changes, so a schema-dirty collection
-    /// needs a full rewrite instead of a delta chunk.
-    pub fn schema_changed(&self) -> bool {
-        self.schema_changed
-    }
-
-    /// Merges another drained log into this one (set union, flags OR-ed) —
-    /// the restore path of a failed checkpoint.
-    pub fn merge(&mut self, other: DirtyLog) {
-        self.touched.extend(other.touched);
-        self.deleted.extend(other.deleted);
-        self.schema_changed |= other.schema_changed;
-    }
-}
-
 /// The documents that changed in one collection since a base snapshot —
-/// the payload of an incremental-checkpoint delta chunk.
+/// the payload of the delta chunks older checkpoint directories hold.
 ///
 /// Deltas are applied deletes-first: a delete of a key the base never held
 /// is tolerated (the document was created and deleted entirely within the
@@ -120,7 +83,6 @@ pub struct Collection {
     /// compiler negates against (`Ne`, `Not`), maintained by every insert
     /// and delete.
     live: Bitmap,
-    dirty: DirtyLog,
 }
 
 impl Collection {
@@ -138,7 +100,6 @@ impl Collection {
             geo_field: None,
             geo_index: None,
             live: Bitmap::new(),
-            dirty: DirtyLog::default(),
         }
     }
 
@@ -172,7 +133,6 @@ impl Collection {
             }
         }
         self.attr_indexes.insert(field.to_string(), index);
-        self.dirty.schema_changed = true;
     }
 
     /// Declares a geohash 2-D index on a point attribute (a `[lon, lat]`
@@ -197,7 +157,6 @@ impl Collection {
         }
         self.geo_field = Some(field.to_string());
         self.geo_index = Some(index);
-        self.dirty.schema_changed = true;
         Ok(())
     }
 
@@ -263,7 +222,6 @@ impl Collection {
         self.docs.insert(id, doc);
         self.insertion_order.push(id);
         self.live.insert(id);
-        self.dirty.touched.insert(id);
         Ok(())
     }
 
@@ -305,47 +263,7 @@ impl Collection {
             collection.insert_at(id, doc)?;
         }
         collection.next_id = next_id;
-        // A freshly restored collection is byte-for-byte what the snapshot
-        // holds: nothing is pending persistence.
-        collection.dirty = DirtyLog::default();
         Ok(collection)
-    }
-
-    /// Whether any change since the last dirty-log drain is pending.
-    pub fn is_dirty(&self) -> bool {
-        !self.dirty.is_empty()
-    }
-
-    /// Read access to the pending dirty log.
-    pub fn dirty(&self) -> &DirtyLog {
-        &self.dirty
-    }
-
-    /// Drains the dirty log, leaving it empty — the checkpoint cut.
-    pub fn take_dirty(&mut self) -> DirtyLog {
-        std::mem::take(&mut self.dirty)
-    }
-
-    /// Merges a previously drained log back into the pending one, so a
-    /// failed checkpoint re-persists everything on its next attempt.
-    pub fn restore_dirty(&mut self, log: DirtyLog) {
-        self.dirty.merge(log);
-    }
-
-    /// Captures the delta a drained dirty log describes against the
-    /// current contents: every still-present touched document becomes an
-    /// upsert, every recorded key a delete.
-    pub fn capture_delta(&self, dirty: &DirtyLog) -> CollectionDelta {
-        CollectionDelta {
-            name: self.name.clone(),
-            next_id: self.next_id,
-            deletes: dirty.deleted.iter().cloned().collect(),
-            upserts: dirty
-                .touched
-                .iter()
-                .filter_map(|id| self.docs.get(id).map(|doc| (*id, doc.clone())))
-                .collect(),
-        }
     }
 
     /// Applies a decoded delta on top of the current contents: deletes
@@ -430,8 +348,6 @@ impl Collection {
             }
         }
         self.live.remove(id);
-        self.dirty.touched.remove(&id);
-        self.dirty.deleted.insert(key.clone());
         Ok(())
     }
 
@@ -679,55 +595,21 @@ mod tests {
     }
 
     #[test]
-    fn dirty_log_tracks_inserts_deletes_and_schema_changes() {
-        let mut c = sample_collection();
-        assert!(c.is_dirty(), "fresh inserts and index creation are dirty");
-        let drained = c.take_dirty();
-        assert!(!c.is_dirty());
-        assert!(drained.schema_changed());
-
-        // Mutations after the drain accumulate in a fresh log.
-        c.insert(patch_doc("p5", "Serbia", 20.0, 44.0, "B", 500)).unwrap();
-        c.delete_by_key(&"p1".into()).unwrap();
-        assert!(c.is_dirty());
-        let log = c.take_dirty();
-        assert!(!log.schema_changed());
-        let delta = c.capture_delta(&log);
-        assert_eq!(delta.deletes, vec![Value::from("p1")]);
-        assert_eq!(delta.upserts.len(), 1);
-        assert_eq!(delta.upserts[0].0, 4, "p5 got the next dense id");
-
-        // A document created and deleted inside one window yields only a
-        // (tolerated) delete, not an upsert.
-        c.insert(patch_doc("ghost", "Nowhere", 0.0, 0.0, "X", 1)).unwrap();
-        c.delete_by_key(&"ghost".into()).unwrap();
-        let log = c.take_dirty();
-        let delta = c.capture_delta(&log);
-        assert!(delta.upserts.is_empty());
-        assert_eq!(delta.deletes, vec![Value::from("ghost")]);
-    }
-
-    #[test]
-    fn restore_dirty_merges_a_failed_drain_back() {
-        let mut c = sample_collection();
-        let first = c.take_dirty();
-        c.insert(patch_doc("p5", "Serbia", 20.0, 44.0, "B", 500)).unwrap();
-        c.restore_dirty(first);
-        let merged = c.take_dirty();
-        assert!(merged.schema_changed());
-        let delta = c.capture_delta(&merged);
-        assert_eq!(delta.upserts.len(), 5, "both windows' documents survive the merge");
-    }
-
-    #[test]
     fn apply_delta_reproduces_the_source_collection() {
         let mut base = sample_collection();
-        base.take_dirty();
         let mut live = base.clone();
         live.delete_by_key(&"p2".into()).unwrap();
-        live.insert(patch_doc("p5", "Serbia", 20.0, 44.0, "B", 500)).unwrap();
-        let log = live.take_dirty();
-        let delta = live.capture_delta(&log);
+        let p5 = patch_doc("p5", "Serbia", 20.0, 44.0, "B", 500);
+        let id = live.insert(p5.clone()).unwrap();
+        // What a delta of that window holds: the deleted key, the new
+        // document under its id, and the delete of a document created and
+        // deleted inside the window, which the base never held.
+        let delta = CollectionDelta {
+            name: "metadata".into(),
+            next_id: live.next_id(),
+            deletes: vec![Value::from("ghost"), Value::from("p2")],
+            upserts: vec![(id, p5)],
+        };
 
         base.apply_delta(delta).unwrap();
         assert_eq!(base.len(), live.len());
@@ -741,7 +623,6 @@ mod tests {
     #[test]
     fn apply_delta_rejects_stale_and_disordered_ids() {
         let mut c = sample_collection();
-        c.take_dirty();
         let stale = CollectionDelta {
             name: "metadata".into(),
             next_id: 10,

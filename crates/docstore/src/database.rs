@@ -67,8 +67,8 @@ impl Database {
     }
 
     /// Installs a fully decoded collection, replacing any existing one
-    /// with the same name — how a full collection chunk is applied during
-    /// incremental-checkpoint recovery.
+    /// with the same name — how an older checkpoint's full collection
+    /// chunk is applied during recovery.
     pub fn insert_collection(&mut self, collection: Collection) {
         self.collections.insert(collection.name().to_string(), collection);
     }
@@ -82,24 +82,6 @@ impl Database {
     /// inconsistency from [`Collection::apply_delta`].
     pub fn apply_delta(&mut self, delta: CollectionDelta) -> Result<(), StoreError> {
         self.collection_mut(&delta.name)?.apply_delta(delta)
-    }
-
-    /// Names of the collections with pending dirty state, in name order.
-    pub fn dirty_collection_names(&self) -> Vec<&str> {
-        self.collections.values().filter(|c| c.is_dirty()).map(Collection::name).collect()
-    }
-
-    /// Whether any collection has pending dirty state.
-    pub fn is_dirty(&self) -> bool {
-        self.collections.values().any(Collection::is_dirty)
-    }
-
-    /// Drains every collection's dirty log — after recovery has finished
-    /// rebuilding state that is, by construction, already persisted.
-    pub fn clear_dirty(&mut self) {
-        for collection in self.collections.values_mut() {
-            collection.take_dirty();
-        }
     }
 }
 

@@ -29,9 +29,7 @@ pub mod prefilter;
 pub mod value;
 pub mod wire;
 
-pub use collection::{
-    Collection, CollectionDelta, CollectionStats, DirtyLog, QueryPlan, QueryResult,
-};
+pub use collection::{Collection, CollectionDelta, CollectionStats, QueryPlan, QueryResult};
 pub use database::Database;
 pub use filter::Filter;
 pub use index::{AttributeIndex, GeoIndex};

@@ -227,7 +227,7 @@ pub fn decode_collection(r: &mut Reader<'_>) -> Result<Collection, WireError> {
 }
 
 /// Encodes a collection delta: the documents that changed since a base
-/// snapshot, as captured by [`Collection::capture_delta`].
+/// snapshot.
 ///
 /// Layout: `name next_id:u64 deletes:u32 value* upserts:u32 (doc_id:u64
 /// document)*` — deletes in key order, upserts in ascending id order.
@@ -440,13 +440,16 @@ mod tests {
         for i in 0..4 {
             base.insert(sample_doc(&format!("p{i}"))).unwrap();
         }
-        base.take_dirty();
         let mut live = base.clone();
         live.delete_by_key(&"p1".into()).unwrap();
-        live.insert(sample_doc("p4")).unwrap();
-        live.insert(sample_doc("p5")).unwrap();
-        let log = live.take_dirty();
-        let delta = live.capture_delta(&log);
+        let upserts =
+            ["p4", "p5"].map(|name| (live.insert(sample_doc(name)).unwrap(), sample_doc(name)));
+        let delta = CollectionDelta {
+            name: "metadata".into(),
+            next_id: live.next_id(),
+            deletes: vec![Value::from("p1")],
+            upserts: upserts.to_vec(),
+        };
 
         let bytes = encode_to_vec(&delta, encode_collection_delta);
         let mut r = Reader::new(&bytes);

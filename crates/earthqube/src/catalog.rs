@@ -30,7 +30,7 @@ use std::cell::RefCell;
 
 use eq_bigearthnet::patch::PatchMetadata;
 use eq_bigearthnet::Archive;
-use eq_docstore::{Database, DirtyLog, QueryPlan};
+use eq_docstore::{Database, QueryPlan, Value};
 use eq_hashindex::{BinaryCode, Neighbor, SearchScratch};
 use eq_milan::Milan;
 
@@ -38,8 +38,8 @@ use crate::cbir::CbirService;
 use crate::engine::{EarthQubeConfig, SearchResponse};
 use crate::feedback::FeedbackService;
 use crate::filtered::{FilteredResponse, PrefilterMode, ResolvedFilter};
-use crate::ingest::{ingest_archive, insert_patch_docs};
-use crate::persist::WalRecord;
+use crate::ingest::{ingest_archive, insert_patch_docs, prepare_collections};
+use crate::persist::{self, Sequence, WalRecord};
 use crate::query::ImageQuery;
 use crate::results::{ResultEntry, ResultPanel};
 use crate::schema::collections;
@@ -101,6 +101,16 @@ impl Catalog {
         Ok(Self { database, metadata: archive.metadata(), cbir, page_size: config.page_size })
     }
 
+    /// An empty core over a trained model, with room for `images`: the four
+    /// collections with their indexes, no image and no feedback — what
+    /// recovery applies a checkpoint's records to.
+    pub(crate) fn empty(model: Milan, page_size: usize, images: usize) -> Self {
+        let mut database = Database::new();
+        prepare_collections(&mut database);
+        let cbir = CbirService::new(model, images);
+        Self { database, metadata: Vec::with_capacity(images), cbir, page_size }
+    }
+
     /// Ingest's duplicate check.
     pub(crate) fn ensure_new(&self, name: &str) -> Result<(), EarthQubeError> {
         if self.cbir.code_of(name).is_some() {
@@ -154,24 +164,49 @@ impl Catalog {
         }
     }
 
-    /// Each image from dense id `start` on with its stored code, in id
-    /// order: what a checkpoint's image chunk persists.
-    pub(crate) fn images_from(
-        &self,
-        start: usize,
-    ) -> Result<Vec<(&PatchMetadata, &BinaryCode)>, EarthQubeError> {
-        let tail = self.metadata.iter().skip(start);
-        tail.map(|meta| Ok((meta, self.code_of(&meta.name)?))).collect()
-    }
-
-    /// Puts back the dirty logs a checkpoint cut drained, when the
-    /// checkpoint failed before publishing, so the next one retries them.
-    pub(crate) fn restore_dirty(&mut self, drained: Vec<(String, DirtyLog)>) {
-        for (name, log) in drained {
-            if let Ok(collection) = self.database.collection_mut(&name) {
-                collection.restore_dirty(log);
+    /// How many records of a sequence the catalog holds: images by dense
+    /// id, feedback entries by id.  Each sequence only grows (a rolled
+    /// back entry never outlives its failed write), so a count is a
+    /// position in it.
+    pub(crate) fn record_count(&self, sequence: Sequence) -> usize {
+        match sequence {
+            Sequence::Ingest => self.metadata.len(),
+            Sequence::Feedback => {
+                self.database.collection(collections::FEEDBACK).map_or(0, |c| c.len())
             }
         }
+    }
+
+    /// The records chunk body of a sequence from `start` on: each record
+    /// encoded as its write logged it, from the catalog's own parts —
+    /// metadata, stored code and stored documents — so no document is
+    /// cloned.
+    pub(crate) fn encode_records(
+        &self,
+        sequence: Sequence,
+        start: usize,
+    ) -> Result<Vec<u8>, EarthQubeError> {
+        let mut chunk = persist::records_chunk(start);
+        match sequence {
+            Sequence::Ingest => {
+                let images = self.database.collection(collections::IMAGE_DATA)?;
+                let rendered = self.database.collection(collections::RENDERED)?;
+                for meta in self.metadata.iter().skip(start) {
+                    let key = Value::Str(meta.name.clone());
+                    let missing = || EarthQubeError::UnknownImage(meta.name.clone());
+                    let image_doc = images.get_by_key(&key).ok_or_else(missing)?;
+                    let rendered_doc = rendered.get_by_key(&key).ok_or_else(missing)?;
+                    let code = self.code_of(&meta.name)?;
+                    persist::encode_ingest(meta, code, image_doc, rendered_doc, &mut chunk);
+                }
+            }
+            Sequence::Feedback => {
+                for entry in FeedbackService.list(&self.database)?.iter().skip(start) {
+                    persist::encode_feedback(&entry.text, entry.category.as_deref(), &mut chunk);
+                }
+            }
+        }
+        Ok(chunk.into_bytes())
     }
 
     /// The mode the query panel resolves in: the compiled bitmap whenever

@@ -17,7 +17,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use eq_bigearthnet::patch::PatchMetadata;
 use eq_bigearthnet::Archive;
 use eq_hashindex::{BinaryCode, CodeArena};
 use eq_milan::Milan;
@@ -37,29 +36,22 @@ pub struct CbirService {
 }
 
 impl CbirService {
+    /// The service over a model, with no image yet and room for `images`.
+    pub(crate) fn new(model: Milan, images: usize) -> Self {
+        let arena = CodeArena::with_capacity(model.code_bits(), images);
+        Self { model: Arc::new(model), arena, name_to_code: HashMap::with_capacity(images) }
+    }
+
     /// Builds the service: infers a binary code for every archive image and
-    /// fills the name→code table and the arena.
+    /// fills the name→code table and the arena, in dense-id order.
     ///
     /// The model should already be trained; an untrained model still works
     /// but retrieves poorly (that difference is experiment E2).
     pub(crate) fn build(model: Milan, archive: &Archive) -> Self {
         let codes = model.hash_archive(archive);
-        let images = archive.patches().iter().map(|patch| &patch.meta).zip(codes);
-        Self::from_codes(model, images)
-    }
-
-    /// The service over already-inferred codes: each one goes through
-    /// [`insert`](Self::insert) in the order given, which is dense-id order
-    /// for both callers (build, and recovery from the image table).
-    pub(crate) fn from_codes<'m>(
-        model: Milan,
-        images: impl ExactSizeIterator<Item = (&'m PatchMetadata, BinaryCode)>,
-    ) -> Self {
-        let arena = CodeArena::with_capacity(model.code_bits(), images.len());
-        let name_to_code = HashMap::with_capacity(images.len());
-        let mut service = Self { model: Arc::new(model), arena, name_to_code };
-        for (meta, code) in images {
-            service.insert(meta.id.0 as u64, &meta.name, code);
+        let mut service = Self::new(model, codes.len());
+        for (patch, code) in archive.patches().iter().zip(codes) {
+            service.insert(patch.meta.id.0 as u64, &patch.meta.name, code);
         }
         service
     }

@@ -13,34 +13,39 @@
 //!
 //! **The checkpoint protocol** is one sequence, [`Durability::checkpoint`]:
 //! *cut → write chunks → publish manifest → commit attachment → retire and
-//! sweep*.  A checkpoint into the attached directory continues the lineage
-//! and writes what is dirty over the published base.  A **new lineage**
-//! (detached server, foreign directory, promotion) is the same protocol
-//! with everything dirty: every collection in full, the image range from
-//! 0, the static chunk, an empty base chunk list, a fresh generation tag
-//! and a segment numbering above every file on disk.  The one difference
-//! is lock scope, explained where the paths part.  The Hamming index is
-//! never written: recovery rebuilds it from the image chunks.  The
-//! atomic rename of the manifest is the commit point: a failure before it
-//! leaves the old manifest, the old attachment and the dirty state in
-//! force; after it, at worst retired segments and orphan chunks are left
-//! behind, which recovery ignores.
+//! sweep*.  A checkpoint is the static chunk plus the log, compacted: each
+//! of the two record sequences (ingest records by dense id, feedback
+//! records by feedback id) is persisted as append-only runs of records
+//! chunks, and the attachment counts how many records of each the
+//! published chunks hold.  A checkpoint into the attached directory
+//! continues the lineage and writes each sequence's records past its
+//! count, or the whole sequence from 0 once `RUN_COMPACT_THRESHOLD` runs
+//! are stacked.  A **new lineage** (detached server, foreign directory,
+//! promotion, or a directory recovered from the legacy chunk format) is the
+//! same protocol from 0: the static chunk, both sequences in full, an empty
+//! base chunk list, a fresh generation tag and a segment numbering above
+//! every file on disk.  The one difference is lock scope, explained where
+//! the paths part.  Nothing derived is written: recovery applies the
+//! records to an empty catalog, which rebuilds the arena, the metadata
+//! collection and its indexes as live writes built them.  The atomic
+//! rename of the manifest is the commit point: a failure before it leaves
+//! the old manifest, the old attachment and both counts in force, so there
+//! is nothing to restore; after it, at worst retired segments and orphan
+//! chunks are left behind, which recovery ignores.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use eq_bigearthnet::patch::PatchMetadata;
-use eq_docstore::{CollectionDelta, Database, DirtyLog};
-use eq_hashindex::BinaryCode;
 use eq_wire::manifest::{ChunkEntry, Manifest};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use crate::catalog::Catalog;
-use crate::persist::{self, ChainTail, DirLock, Faults, WalWriter, SEGMENT_HEADER_LEN};
+use crate::persist::{self, ChainTail, DirLock, Faults, Sequence, WalWriter, SEGMENT_HEADER_LEN};
 use crate::replicate::ReplState;
 use crate::serve::QueryServer;
 use crate::EarthQubeError;
@@ -49,10 +54,10 @@ use crate::EarthQubeError;
 /// (overridable per server with `QueryServer::set_segment_limit`).
 const DEFAULT_SEGMENT_LIMIT: u64 = 4 * 1024 * 1024;
 
-/// Rewrite a collection in full once this many delta chunks have stacked
-/// on top of its base, and the image table from 0 once this many ranges
-/// have — recovery cost stays bounded and superseded chunks get swept.
-pub(crate) const DELTA_COMPACT_THRESHOLD: usize = 8;
+/// Rewrite a record sequence from 0 as one run once this many of its runs
+/// are stacked — recovery cost stays bounded and superseded chunks get
+/// swept.
+pub(crate) const RUN_COMPACT_THRESHOLD: usize = 8;
 
 /// How long a replica's last pull keeps its WAL segments from being
 /// retired by checkpoints.  A replica silent for longer is presumed dead;
@@ -62,12 +67,13 @@ const REPL_RETENTION_TTL: Duration = Duration::from_secs(120);
 /// What kind of work a [`QueryServer::checkpoint`] call ended up doing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointKind {
-    /// A new lineage: every collection and every image (the index is
-    /// rebuilt from the images on recovery, never written).
+    /// A new lineage: the static chunk and every record (the index and
+    /// the metadata collection are rebuilt from them on recovery, never
+    /// written).
     Full,
-    /// Only the state dirtied since the previous checkpoint was written.
+    /// Only the records past the previous checkpoint were written.
     Incremental,
-    /// Nothing was dirty; no bytes were written.
+    /// No record was new; no bytes were written.
     Skipped,
 }
 
@@ -117,8 +123,8 @@ pub(crate) struct Attachment {
     /// Current byte length of the live segment (header included).
     pub(crate) segment_bytes: u64,
     writer: WalWriter,
-    /// How many images (dense-id prefix) the published chunks cover.
-    persisted_images: usize,
+    /// How many records of each [`Sequence`] the published chunks hold.
+    persisted: [usize; 2],
     /// Segment each pulling replica last asked for, by replica id, with
     /// the time it was seen.  The marks are about *this lineage's*
     /// segments, so they die with it.
@@ -134,7 +140,7 @@ impl Attachment {
         lock: DirLock,
         manifest: Manifest,
         (segment_index, segment_bytes, writer): (u32, u64, WalWriter),
-        persisted_images: usize,
+        persisted: [usize; 2],
     ) -> Self {
         Attachment {
             dir: dir.to_path_buf(),
@@ -142,7 +148,7 @@ impl Attachment {
             segment_index,
             segment_bytes,
             writer,
-            persisted_images,
+            persisted,
             replica_marks: HashMap::new(),
             lock,
         }
@@ -158,6 +164,12 @@ impl Attachment {
         self.segment_index = next;
         self.segment_bytes = SEGMENT_HEADER_LEN;
         Ok(())
+    }
+
+    /// Whether the published manifest lists legacy chunks, which the next
+    /// checkpoint replaces with a new lineage in place.
+    fn is_legacy(&self) -> bool {
+        self.manifest.chunks.iter().any(|c| persist::is_legacy_kind(&c.kind))
     }
 
     /// Records the segment a replica pulled from, for the retention floor.
@@ -268,13 +280,17 @@ struct Cut {
     /// the segment the cut opened, where post-cut records land.
     manifest: Manifest,
     fresh: Option<NewLineage>,
-    /// Collections to write: as a delta, or (`None`) in full.
-    collections: Vec<(String, Option<CollectionDelta>)>,
-    /// Dense ids of the image range to write; one that starts at 0
-    /// supersedes every published range.
-    images: std::ops::Range<usize>,
-    /// The dirty logs the cut drained, put back if nothing is published.
-    drained_logs: Vec<(String, DirtyLog)>,
+    /// The records of each [`Sequence`] to write; a run that starts at 0
+    /// supersedes every published chunk of its sequence.
+    runs: [Range<usize>; 2],
+}
+
+impl Cut {
+    /// Each sequence with records to write, and where its run starts.
+    fn runs(&self) -> impl Iterator<Item = (Sequence, usize)> + '_ {
+        let runs = Sequence::ALL.into_iter().zip(&self.runs);
+        runs.filter(|(_, run)| !run.is_empty()).map(|(seq, run)| (seq, run.start))
+    }
 }
 
 fn detached_mid_checkpoint() -> EarthQubeError {
@@ -349,7 +365,7 @@ impl Durability {
         lock: DirLock,
         manifest: Manifest,
         tail: ChainTail,
-        persisted_images: usize,
+        persisted: [usize; 2],
     ) -> Result<(), EarthQubeError> {
         let path = |index| dir.join(persist::segment_file_name(index));
         let live = match tail {
@@ -362,7 +378,7 @@ impl Durability {
                 (index, SEGMENT_HEADER_LEN, writer)
             }
         };
-        *self.wal.lock() = Some(Attachment::open(dir, lock, manifest, live, persisted_images));
+        *self.wal.lock() = Some(Attachment::open(dir, lock, manifest, live, persisted));
         Ok(())
     }
 
@@ -388,11 +404,10 @@ impl Durability {
         let dir_lock = if held { None } else { Some(persist::lock_dir(dir)?) };
 
         // ---- The cut: under the catalog write + wal locks ----
-        let mut core = catalog.write();
+        let core = catalog.write();
         let mut wal = self.wal.lock();
-        let continuing = held && !relineage;
-        let Some(cut) =
-            self.cut(&mut core, wal.as_mut(), dir, continuing, dir_lock, static_chunk)?
+        let continuing = held && !relineage && !wal.as_ref().is_some_and(Attachment::is_legacy);
+        let Some(cut) = self.cut(&core, wal.as_mut(), dir, continuing, dir_lock, static_chunk)?
         else {
             return Ok(CheckpointStats {
                 kind: CheckpointKind::Skipped,
@@ -403,52 +418,34 @@ impl Durability {
         };
 
         // ---- Chunk I/O and manifest publish ----
+        let runs = cut.runs().map(|(seq, start)| -> Piece<'_> {
+            Ok((seq.kind(start), core.encode_records(seq, start)?.into()))
+        });
         let (published, guards) = if continuing {
             // Post-cut writes land in the segment the cut opened, so copy
-            // what the cut names and release both locks before any I/O.
-            let images = core.images_from(cut.images.start).map(|tail| {
-                tail.into_iter()
-                    .map(|(meta, code)| (meta.clone(), code.clone()))
-                    .collect::<Vec<_>>()
-            });
-            let mut rewrites = Database::new();
-            for (name, _) in cut.collections.iter().filter(|(_, delta)| delta.is_none()) {
-                if let Ok(collection) = core.database.collection(name) {
-                    rewrites.insert_collection(collection.clone());
-                }
-            }
+            // the record tail and release both locks before any I/O.
+            let tail: Result<Vec<_>, _> = runs.collect();
             drop(wal);
             drop(core);
-            let published = images.and_then(|images| {
-                let images: Vec<_> = images.iter().map(|(meta, code)| (meta, code)).collect();
-                self.publish(dir, &cut, &rewrites, &images)
-            });
-            (published, None)
+            (tail.and_then(|tail| self.publish(dir, &cut, tail.into_iter().map(Ok))), None)
         } else {
             // A new lineage has no segment a post-cut write could land in
             // until its manifest is committed: it keeps both guards until
-            // then, and so reads the catalog in place instead of copying it.
-            let images = core.images_from(cut.images.start);
-            let published =
-                images.and_then(|images| self.publish(dir, &cut, &core.database, &images));
-            (published, Some((core, wal)))
+            // then, and so encodes from the catalog in place, one chunk
+            // body at a time, instead of copying it.
+            let statics = cut.fresh.iter().map(|fresh| -> Piece<'_> {
+                Ok((persist::kind_static(), fresh.static_body.as_slice().into()))
+            });
+            (self.publish(dir, &cut, statics.chain(runs)), Some((core, wal)))
         };
-        let (bytes_written, chunks_written, manifest) = match published {
-            Ok(published) => published,
-            Err(e) => {
-                // Nothing was committed: the old attachment is in force,
-                // and even if the rename is what failed, the next manifest
-                // is derived from the old chunk list again.  Put the
-                // drained dirty state back for the retry.
-                let mut core = guards.map_or_else(|| catalog.write(), |(core, _)| core);
-                core.restore_dirty(cut.drained_logs);
-                return Err(e);
-            }
-        };
+        // A failure leaves the old manifest, attachment and counts in
+        // force: the next checkpoint retries the same work.
+        let (bytes_written, chunks_written, manifest) = published?;
 
         // ---- Committed: the attachment follows the new manifest ----
         let mut wal = guards.map_or_else(|| self.wal.lock(), |(_, wal)| wal);
         let kind = if continuing { CheckpointKind::Incremental } else { CheckpointKind::Full };
+        let persisted = cut.runs.clone().map(|run| run.end);
         let floor = if let Some(NewLineage { writer, dir_lock, .. }) = cut.fresh {
             // Replacing the attachment detaches from the old directory and
             // releases its lock, unless that lock is the one reused.
@@ -458,11 +455,11 @@ impl Durability {
                 (None, None) => return Err(detached_mid_checkpoint()),
             };
             let live = (manifest.first_segment, SEGMENT_HEADER_LEN, writer);
-            *wal = Some(Attachment::open(dir, lock, manifest.clone(), live, cut.images.end));
+            *wal = Some(Attachment::open(dir, lock, manifest.clone(), live, persisted));
             manifest.first_segment
         } else if let Some(att) = wal.as_mut() {
             att.manifest = manifest.clone();
-            att.persisted_images = cut.images.end;
+            att.persisted = persisted;
             // Segments a recently active replica still needs stay on disk
             // even though recovery no longer does.
             att.retention_floor(manifest.first_segment)
@@ -472,30 +469,29 @@ impl Durability {
         drop(wal);
 
         // ---- Post-publish GC: covered segments, earlier lineages' (they
-        // sort below a new lineage's first) and unreferenced chunks.
-        // Failures propagate but must NOT restore the dirty state. ----
+        // sort below a new lineage's first) and unreferenced chunks. ----
         let segments_retired = persist::retire_segments(dir, floor, &self.faults)?;
         persist::sweep_orphan_chunks(dir, &manifest, &self.faults)?;
         Ok(CheckpointStats { kind, bytes_written, chunks_written, segments_retired })
     }
 
     /// The state cut: decides the lineage, opens the segment post-cut
-    /// records land in, and drains the dirty state.  `None` when a
-    /// continuing lineage has nothing dirty.
+    /// records land in, and picks each sequence's run: from its persisted
+    /// count, or from 0 when compacting or starting a lineage.  `None`
+    /// when a continuing lineage has no new record.
     fn cut(
         &self,
-        core: &mut Catalog,
+        core: &Catalog,
         att: Option<&mut Attachment>,
         dir: &Path,
         continuing: bool,
         dir_lock: Option<DirLock>,
         static_chunk: impl FnOnce() -> Vec<u8>,
     ) -> Result<Option<Cut>, EarthQubeError> {
-        let images_end = core.metadata.len();
-        let (manifest, images_start, fresh) = if continuing {
+        let ends = Sequence::ALL.map(|seq| core.record_count(seq));
+        let (manifest, starts, fresh) = if continuing {
             let att = att.ok_or_else(detached_mid_checkpoint)?;
-            let new_images = att.persisted_images < images_end;
-            if !core.database.is_dirty() && !new_images {
+            if att.persisted.iter().zip(ends).all(|(&persisted, end)| persisted >= end) {
                 return Ok(None);
             }
             // Seal the live segment: records before the cut are covered by
@@ -503,10 +499,18 @@ impl Durability {
             // segment the new manifest starts from.
             att.rotate(&self.faults)?;
             let (seq, first_segment) = (att.manifest.seq + 1, att.segment_index);
-            let stacked = att.manifest.chunks.iter().filter(|c| persist::is_images_kind(&c.kind));
-            let compact = new_images && stacked.count() >= DELTA_COMPACT_THRESHOLD;
-            let images_start = if compact { 0 } else { att.persisted_images };
-            (Manifest { seq, first_segment, ..att.manifest.clone() }, images_start, None)
+            let starts = Sequence::ALL.map(|sequence| {
+                let persisted = att.persisted[sequence as usize];
+                let stacked = att.manifest.chunks.iter().filter(|c| sequence.files(&c.kind));
+                let compact =
+                    persisted < ends[sequence as usize] && stacked.count() >= RUN_COMPACT_THRESHOLD;
+                if compact {
+                    0
+                } else {
+                    persisted
+                }
+            });
+            (Manifest { seq, first_segment, ..att.manifest.clone() }, starts, None)
         } else {
             if dir_lock.is_none() && att.is_none() {
                 return Err(detached_mid_checkpoint());
@@ -523,80 +527,35 @@ impl Durability {
             let path = dir.join(persist::segment_file_name(first_segment));
             let writer = WalWriter::create(&path, generation, first_segment, &self.faults)?;
             let manifest = Manifest { seq, generation, first_segment, chunks: Vec::new() };
-            (manifest, 0, Some(NewLineage { writer, static_body, dir_lock }))
+            (manifest, [0, 0], Some(NewLineage { writer, static_body, dir_lock }))
         };
-        // Nothing below can fail, so a drained log is never dropped.
-        let names = match fresh {
-            Some(_) => core.database.collection_names(),
-            None => core.database.dirty_collection_names(),
-        };
-        let names: Vec<String> = names.into_iter().map(String::from).collect();
-        let mut collections = Vec::with_capacity(names.len());
-        let mut drained_logs = Vec::with_capacity(names.len());
-        for name in names {
-            let Ok(collection) = core.database.collection_mut(&name) else { continue };
-            let log = collection.take_dirty();
-            let delta_kind = persist::kind_delta(&name);
-            let stacked = manifest.chunks.iter().filter(|c| c.kind == delta_kind).count();
-            let as_delta =
-                fresh.is_none() && !log.schema_changed() && stacked < DELTA_COMPACT_THRESHOLD;
-            collections.push((name.clone(), as_delta.then(|| collection.capture_delta(&log))));
-            drained_logs.push((name, log));
-        }
-        let images = images_start..images_end;
-        Ok(Some(Cut { manifest, fresh, collections, images, drained_logs }))
+        let runs = [0, 1].map(|i| starts[i]..ends[i]);
+        Ok(Some(Cut { manifest, fresh, runs }))
     }
 
-    /// Writes the cut's chunks from one loop, then derives and publishes
-    /// the manifest.  Returns the bytes and chunks written, and the
-    /// manifest.
-    fn publish(
+    /// Writes the chunks `pieces` yields, one body in memory at a time,
+    /// then derives and publishes the manifest.  Returns the bytes and
+    /// chunks written, and the manifest.
+    fn publish<'p>(
         &self,
         dir: &Path,
         cut: &Cut,
-        database: &Database,
-        images: &[(&PatchMetadata, &BinaryCode)],
+        pieces: impl Iterator<Item = Piece<'p>>,
     ) -> Result<(u64, u64, Manifest), EarthQubeError> {
-        type Piece<'p> = Result<(String, Cow<'p, [u8]>), EarthQubeError>;
-        // Every piece is encoded lazily: one chunk body in memory at a time.
-        let statics = cut.fresh.iter().map(|fresh| -> Piece<'_> {
-            Ok((persist::kind_static(), fresh.static_body.as_slice().into()))
-        });
-        let collections = cut.collections.iter().map(|(name, delta)| -> Piece<'_> {
-            Ok(match delta {
-                Some(delta) => {
-                    (persist::kind_delta(name), persist::encode_delta_chunk(delta).into())
-                }
-                None => {
-                    let body = persist::encode_collection_chunk(database.collection(name)?);
-                    (persist::kind_collection(name), body.into())
-                }
-            })
-        });
-        let start = cut.images.start as u64;
-        let images_written = cut.fresh.is_some() || !images.is_empty();
-        let image_range = images_written.then_some(()).into_iter().map(|()| -> Piece<'_> {
-            Ok((persist::kind_images(start), persist::encode_images_chunk(start, images).into()))
-        });
         let mut written: Vec<ChunkEntry> = Vec::new();
-        for piece in statics.chain(collections).chain(image_range) {
+        for piece in pieces {
             let (kind, body) = piece?;
             let file = persist::chunk_file_name(cut.manifest.seq, written.len() as u32);
             written.push(persist::write_chunk_file(dir, &file, &kind, &body, &self.faults)?);
         }
-        // Derive the manifest from the published base: a full rewrite
-        // supersedes a collection's old base and deltas, an image range
-        // from 0 every old range, and retired kinds go; everything new is
-        // appended (order only matters within a collection: base before
-        // deltas).
+        // Derive the manifest from the published base: a run from 0
+        // supersedes every chunk of its sequence, and retired kinds go;
+        // everything new is appended, so each sequence's chunks stay in
+        // ascending start order.
         let mut manifest = cut.manifest.clone();
-        for (name, _) in cut.collections.iter().filter(|(_, delta)| delta.is_none()) {
-            let (full, delta) = (persist::kind_collection(name), persist::kind_delta(name));
-            manifest.chunks.retain(|c| c.kind != full && c.kind != delta);
-        }
-        let images_rewritten = images_written && start == 0;
         let superseded = |kind: &str| {
-            persist::is_retired_kind(kind) || (images_rewritten && persist::is_images_kind(kind))
+            persist::is_retired_kind(kind)
+                || cut.runs().any(|(seq, start)| start == 0 && seq.files(kind))
         };
         manifest.chunks.retain(|c| !superseded(&c.kind));
         let (chunk_bytes, chunks) = (written.iter().map(|c| c.len).sum::<u64>(), written.len());
@@ -605,6 +564,9 @@ impl Durability {
         Ok((chunk_bytes + manifest_bytes, chunks as u64, manifest))
     }
 }
+
+/// One chunk to write: its manifest kind and its body.
+type Piece<'p> = Result<(String, Cow<'p, [u8]>), EarthQubeError>;
 
 /// The part of the server's public surface that is the component's alone.
 impl QueryServer {

@@ -9,7 +9,9 @@ use crate::EarthQubeError;
 
 pub use eq_proto::IngestReport;
 
-fn prepare_collections(db: &mut Database) {
+/// Creates the four collections and the metadata collection's indexes
+/// (a no-op for those that exist).
+pub(crate) fn prepare_collections(db: &mut Database) {
     let metadata = db.create_collection(collections::METADATA, fields::NAME);
     if !metadata.has_attribute_index(fields::COUNTRY) {
         metadata.create_attribute_index(fields::COUNTRY);

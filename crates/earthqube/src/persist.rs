@@ -1,14 +1,14 @@
-//! The durable storage tier: incremental checkpoints and a segmented
-//! write-ahead log.
+//! The durable storage tier: checkpoints and a segmented write-ahead log.
 //!
 //! EarthQube in the paper serves a continuously growing archive; losing the
 //! docstore, the CBIR index and the trained MiLaN codes on every restart
-//! would mean re-ingesting and re-encoding from scratch.  Earlier revisions
-//! wrote one monolithic snapshot file per checkpoint; this module replaces
-//! that with an *incremental* design, so a checkpoint after a small ingest
-//! writes a small delta instead of re-serialising the whole archive.  A
-//! persistence directory now holds four kinds of files (the public entry
-//! points are [`QueryServer::checkpoint`], [`QueryServer::recover`] and
+//! would mean re-ingesting and re-encoding from scratch.  Every write is
+//! one WAL record, and a checkpoint is the log, compacted: the static part
+//! (configuration and trained model) plus the records themselves, in
+//! append-only runs, so a checkpoint after a small ingest writes only the
+//! new records.  A persistence directory holds four kinds of files (the
+//! public entry points are [`QueryServer::checkpoint`],
+//! [`QueryServer::recover`] and
 //! [`QueryServer::open`](crate::serve::QueryServer::open)):
 //!
 //! * **Manifest** (`manifest.eqm`) — the commit point.  A small CRC-framed
@@ -19,30 +19,37 @@
 //!   and atomically renamed into place: a checkpoint is published when the
 //!   rename lands, and never half-published.
 //!
-//! * **Chunks** (`chunk-SSSSSS-OOO.eqc`, magic `EQCHNK01`) — the snapshot
-//!   payload, split so that an incremental checkpoint only rewrites what
-//!   changed: the static part (configuration + trained model), one chunk
-//!   per docstore collection plus *delta* chunks layered on top of it, and
-//!   the per-image metadata/code table in append-only ranges (rewritten
-//!   from 0 as one range once `DELTA_COMPACT_THRESHOLD` ranges are
-//!   stacked).  The CBIR index is not persisted: it is derived from the
-//!   codes of the image table, so recovery rebuilds it by inserting every
-//!   code in dense-id order, as the writer did.  A chunk file not named by
-//!   the published manifest is a harmless orphan (a crashed checkpoint) and
-//!   is swept by the next successful one.
+//! * **Chunks** (`chunk-SSSSSS-OOO.eqc`, magic `EQCHNK01`) — the checkpoint
+//!   payload: one static chunk, and records chunks, each a run of WAL record
+//!   payloads in the WAL's own encoding after the run's start position.
+//!   The records form two sequences, each tiled from 0 by its own chunks in
+//!   manifest order: ingest records by dense id (manifest kind
+//!   `ingest:START`) and feedback records by feedback id (`feedback:START`).
+//!   A checkpoint appends one run per sequence that grew, and rewrites a
+//!   sequence from 0 as one run once `RUN_COMPACT_THRESHOLD` runs are
+//!   stacked.  Nothing derived is persisted: recovery applies the records
+//!   to an empty catalog, which rebuilds the metadata collection, its
+//!   indexes, the name→code table and the code arena as the writer built
+//!   them.  A chunk file not named by the published manifest is a harmless
+//!   orphan (a crashed checkpoint) and is swept by the next successful one.
 //!
 //!   ```text
 //!   chunk  := "EQCHNK01" body_len:u64 body crc32(body):u32
 //!   body   := 1 engine_config serve_config milan_model        (static)
-//!           | 2 collection                                    (full collection)
-//!           | 3 collection_delta                              (delta)
-//!           | 4 start:u64 count (patch_metadata code)*        (image range)
+//!           | 6 start:u64 payload*                           (records)
 //!   ```
 //!
-//!   Tag 5 (manifest kind `shard:N`) held one index shard in directories
-//!   written before the index stopped being persisted.  It is retired and
-//!   must never be reused: recovery skips `shard:` entries unread, and the
-//!   next checkpoint drops them from the manifest, so their files are swept.
+//!   A payload is a WAL record's, byte for byte (grammar below); records
+//!   are self-delimiting, so a run holds them back to back.
+//!
+//!   Tags 2–4 are the legacy format, read only by the legacy reader: a
+//!   full collection (`coll:NAME`), a collection delta (`delta:NAME`) and a
+//!   dense-id range of patch metadata and codes (`images:START`).  Recovery
+//!   turns them into the same record runs, and the next checkpoint starts a
+//!   new lineage in place, so no manifest mixes the two formats.  Tag 5
+//!   (manifest kind `shard:N`) held one index shard; it is retired and must
+//!   never be reused: recovery skips `shard:` entries unread, and the next
+//!   checkpoint drops them from the manifest, so their files are swept.
 //!
 //! * **WAL segments** (`wal.NNNN.eqw`, magic `EQWSEG01`) — the write-ahead
 //!   log, rotated into bounded segments instead of one endless file.  Each
@@ -89,7 +96,7 @@ use std::path::{Path, PathBuf};
 
 use eq_bigearthnet::patch::PatchMetadata;
 use eq_bigearthnet::wire::{decode_patch_metadata, encode_patch_metadata};
-use eq_docstore::{wire, Collection, CollectionDelta, Database, Document};
+use eq_docstore::{wire, Collection, CollectionDelta, Database, Document, Value};
 use eq_hashindex::BinaryCode;
 use eq_milan::persist::{
     decode_config as decode_milan_config, encode_config as encode_milan_config,
@@ -99,6 +106,8 @@ use eq_wire::manifest::{decode_manifest, encode_manifest, ChunkEntry, Manifest};
 use eq_wire::{crc32, Reader, WireError, Writer};
 
 use crate::engine::EarthQubeConfig;
+use crate::feedback::FeedbackService;
+use crate::schema::collections;
 use crate::serve::ServeConfig;
 use crate::EarthQubeError;
 
@@ -115,10 +124,12 @@ const SEGMENT_MAGIC: &[u8; 8] = b"EQWSEG01";
 pub(crate) const SEGMENT_HEADER_LEN: u64 = 16;
 
 const CHUNK_STATIC: u8 = 1;
+// Tags 2–4 are read only by the legacy reader (`Legacy`).
 const CHUNK_COLLECTION: u8 = 2;
 const CHUNK_COLLECTION_DELTA: u8 = 3;
 const CHUNK_IMAGES: u8 = 4;
 // Tag 5 is retired (index shards): never reuse it.
+const CHUNK_RECORDS: u8 = 6;
 
 const RECORD_INGEST: u8 = 1;
 const RECORD_FEEDBACK: u8 = 2;
@@ -289,30 +300,51 @@ pub(crate) fn kind_static() -> String {
     "static".to_string()
 }
 
-/// Manifest kind string of a full collection chunk.
-pub(crate) fn kind_collection(name: &str) -> String {
-    format!("coll:{name}")
-}
-
-/// Manifest kind string of a collection delta chunk.
-pub(crate) fn kind_delta(name: &str) -> String {
-    format!("delta:{name}")
-}
-
-/// Manifest kind string of an image-range chunk.
-pub(crate) fn kind_images(start: u64) -> String {
-    format!("images:{start}")
-}
-
-/// Whether a manifest kind names an image range.
-pub(crate) fn is_images_kind(kind: &str) -> bool {
-    kind.starts_with("images:")
+/// Whether a manifest kind names a chunk of the legacy format (a full
+/// collection, a collection delta or an image range): read, never written.
+pub(crate) fn is_legacy_kind(kind: &str) -> bool {
+    ["coll:", "delta:", "images:"].iter().any(|prefix| kind.starts_with(prefix))
 }
 
 /// Whether a manifest kind names a retired index-shard chunk, which older
 /// directories still list: read by nothing, dropped by the next manifest.
 pub(crate) fn is_retired_kind(kind: &str) -> bool {
     kind.starts_with("shard:")
+}
+
+/// The two record sequences a checkpoint persists, each in records chunks
+/// of its own that tile it from 0: ingest records by dense id, feedback
+/// records by feedback id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Sequence {
+    Ingest = 0,
+    Feedback = 1,
+}
+
+impl Sequence {
+    pub(crate) const ALL: [Sequence; 2] = [Sequence::Ingest, Sequence::Feedback];
+
+    fn prefix(self) -> &'static str {
+        ["ingest:", "feedback:"][self as usize]
+    }
+
+    /// Manifest kind string of this sequence's records chunk from `start`.
+    pub(crate) fn kind(self, start: usize) -> String {
+        format!("{}{start}", self.prefix())
+    }
+
+    /// Whether a manifest kind names one of this sequence's chunks.
+    pub(crate) fn files(self, kind: &str) -> bool {
+        kind.starts_with(self.prefix())
+    }
+
+    /// The sequence a record belongs to.
+    fn of(record: &WalRecord) -> Sequence {
+        match record {
+            WalRecord::Ingest { .. } => Sequence::Ingest,
+            WalRecord::Feedback { .. } => Sequence::Feedback,
+        }
+    }
 }
 
 /// One decoded chunk body.
@@ -326,11 +358,19 @@ pub(crate) enum ChunkPayload {
         /// The trained MiLaN model.
         model: Milan,
     },
-    /// A full docstore collection (replaces the base and any prior deltas).
+    /// A run of one sequence's WAL records.
+    Records {
+        /// Position of the first record in its sequence.
+        start: u64,
+        /// The records, in sequence order.
+        records: Vec<WalRecord>,
+    },
+    /// Legacy: a full docstore collection (replaces the base and any prior
+    /// deltas).
     Collection(Collection),
-    /// A delta layered on top of the collection's current base.
+    /// Legacy: a delta layered on top of the collection's current base.
     Delta(CollectionDelta),
-    /// A dense-id range of per-image metadata and binary codes.
+    /// Legacy: a dense-id range of per-image metadata and binary codes.
     Images {
         /// First dense id of the range.
         start: u64,
@@ -340,16 +380,23 @@ pub(crate) enum ChunkPayload {
 }
 
 impl ChunkPayload {
-    /// The manifest kind string this payload must be filed under — recovery
-    /// cross-checks it so a mislabelled manifest entry cannot be silently
-    /// accepted.
-    fn expected_kind(&self) -> String {
-        match self {
+    /// Whether the payload may be filed under the manifest kind `kind` —
+    /// recovery cross-checks it so a mislabelled manifest entry cannot be
+    /// silently accepted.
+    fn is_filed_under(&self, kind: &str) -> bool {
+        let expected = match self {
             ChunkPayload::Static { .. } => kind_static(),
-            ChunkPayload::Collection(c) => kind_collection(c.name()),
-            ChunkPayload::Delta(d) => kind_delta(&d.name),
-            ChunkPayload::Images { start, .. } => kind_images(*start),
-        }
+            ChunkPayload::Records { start, records } => {
+                return Sequence::ALL.into_iter().any(|seq| {
+                    seq.kind(*start as usize) == kind
+                        && records.iter().all(|record| Sequence::of(record) == seq)
+                });
+            }
+            ChunkPayload::Collection(c) => format!("coll:{}", c.name()),
+            ChunkPayload::Delta(d) => format!("delta:{}", d.name),
+            ChunkPayload::Images { start, .. } => format!("images:{start}"),
+        };
+        expected == kind
     }
 }
 
@@ -367,33 +414,14 @@ pub(crate) fn encode_static_chunk(
     w.into_bytes()
 }
 
-/// Encodes a full-collection chunk body.
-pub(crate) fn encode_collection_chunk(collection: &Collection) -> Vec<u8> {
+/// Starts a records chunk body whose first record is at `start` in its
+/// sequence; each record is then written behind it, as
+/// [`WalRecord::encode`] writes it.
+pub(crate) fn records_chunk(start: usize) -> Writer {
     let mut w = Writer::new();
-    w.u8(CHUNK_COLLECTION);
-    wire::encode_collection(collection, &mut w);
-    w.into_bytes()
-}
-
-/// Encodes a collection-delta chunk body.
-pub(crate) fn encode_delta_chunk(delta: &CollectionDelta) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u8(CHUNK_COLLECTION_DELTA);
-    wire::encode_collection_delta(delta, &mut w);
-    w.into_bytes()
-}
-
-/// Encodes an image-range chunk body (`start` is the first dense id).
-pub(crate) fn encode_images_chunk(start: u64, images: &[(&PatchMetadata, &BinaryCode)]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u8(CHUNK_IMAGES);
-    w.u64(start);
-    w.seq_len(images.len());
-    for (meta, code) in images {
-        encode_patch_metadata(meta, &mut w);
-        code.encode(&mut w);
-    }
-    w.into_bytes()
+    w.u8(CHUNK_RECORDS);
+    w.u64(start as u64);
+    w
 }
 
 fn decode_chunk_body(body: &[u8]) -> Result<ChunkPayload, EarthQubeError> {
@@ -405,6 +433,14 @@ fn decode_chunk_body(body: &[u8]) -> Result<ChunkPayload, EarthQubeError> {
             let model = Milan::decode(&mut r).map_err(corrupt)?;
             ChunkPayload::Static { config, serve, model }
         }
+        CHUNK_RECORDS => {
+            let start = r.u64().map_err(corrupt)?;
+            let mut records = Vec::new();
+            while !r.is_empty() {
+                records.push(read_record(&mut r).map_err(corrupt)?);
+            }
+            ChunkPayload::Records { start, records }
+        }
         CHUNK_COLLECTION => {
             ChunkPayload::Collection(wire::decode_collection(&mut r).map_err(corrupt)?)
         }
@@ -415,18 +451,9 @@ fn decode_chunk_body(body: &[u8]) -> Result<ChunkPayload, EarthQubeError> {
             let start = r.u64().map_err(corrupt)?;
             let count = r.seq_len(8).map_err(corrupt)?;
             let mut images = Vec::with_capacity(count);
-            for i in 0..count {
+            for _ in 0..count {
                 let meta = decode_patch_metadata(&mut r).map_err(corrupt)?;
-                let expected = start + i as u64;
-                if u64::from(meta.id.0) != expected {
-                    return Err(EarthQubeError::Persist(format!(
-                        "image chunk entry {i} carries dense id {} but the range starts at \
-                         {start} (chunks must be id-ordered)",
-                        meta.id.0
-                    )));
-                }
-                let code = BinaryCode::decode(&mut r).map_err(corrupt)?;
-                images.push((meta, code));
+                images.push((meta, BinaryCode::decode(&mut r).map_err(corrupt)?));
             }
             ChunkPayload::Images { start, images }
         }
@@ -525,12 +552,10 @@ pub(crate) fn read_chunk_file(
         )));
     }
     let payload = decode_chunk_body(body)?;
-    if payload.expected_kind() != entry.kind {
+    if !payload.is_filed_under(&entry.kind) {
         return Err(EarthQubeError::Persist(format!(
-            "chunk {} decodes as `{}` but the manifest files it under `{}`",
-            entry.file,
-            payload.expected_kind(),
-            entry.kind
+            "chunk {} does not decode as the `{}` the manifest files it under",
+            entry.file, entry.kind
         )));
     }
     Ok(payload)
@@ -588,27 +613,28 @@ pub(crate) struct SnapshotState {
     pub config: EarthQubeConfig,
     pub serve: ServeConfig,
     pub model: Milan,
-    pub database: Database,
-    /// Per-image metadata and binary code, in dense-id order: the source
-    /// the index is rebuilt from.
-    pub images: Vec<(PatchMetadata, BinaryCode)>,
+    /// Every write the checkpoint covers: the ingest records in dense-id
+    /// order, then the feedback records in id order.  Recovery applies
+    /// them to an empty catalog, as the writer applied them live.
+    pub records: Vec<WalRecord>,
 }
 
-/// Rebuilds the full serving state from a manifest's chunks.
+/// Reads a manifest's chunks back into the records they persist.
 ///
-/// Validation: exactly one static chunk; deltas only apply over an
-/// already-restored base collection; image ranges must tile `0..n` in
-/// dense-id order, every code as wide as the model's.  Retired `shard:`
-/// entries are skipped unread.  Chunks are processed in manifest order,
-/// which is what makes "full collection replaces base and prior deltas"
-/// hold — a published manifest never lists a delta ahead of its base.
+/// Validation: exactly one static chunk; each sequence's records chunks
+/// tile it from 0 in manifest order (a published manifest lists a
+/// sequence's chunks in ascending start order).  A directory of the
+/// legacy format is read by `Legacy` into the same records, and may not
+/// mix in records chunks.  Retired `shard:` entries are skipped unread.
+/// What the records carry (dense ids, code widths, duplicates) is checked
+/// where they are applied.
 pub(crate) fn read_snapshot(
     dir: &Path,
     manifest: &Manifest,
 ) -> Result<SnapshotState, EarthQubeError> {
     let mut static_part: Option<(EarthQubeConfig, ServeConfig, Milan)> = None;
-    let mut database = Database::new();
-    let mut ranges: Vec<(u64, Vec<(PatchMetadata, BinaryCode)>)> = Vec::new();
+    let mut runs: [Vec<WalRecord>; 2] = Default::default();
+    let mut legacy = Legacy::default();
     for entry in manifest.chunks.iter().filter(|entry| !is_retired_kind(&entry.kind)) {
         match read_chunk_file(dir, entry)? {
             ChunkPayload::Static { config, serve, model } => {
@@ -619,39 +645,78 @@ pub(crate) fn read_snapshot(
                 }
                 static_part = Some((config, serve, model));
             }
-            ChunkPayload::Collection(collection) => database.insert_collection(collection),
-            ChunkPayload::Delta(delta) => database.apply_delta(delta).map_err(|e| {
+            ChunkPayload::Records { start, records } => {
+                let Some(first) = records.first() else { continue };
+                let run = &mut runs[Sequence::of(first) as usize];
+                if start != run.len() as u64 {
+                    return Err(EarthQubeError::Persist(format!(
+                        "records chunks do not tile: `{}` follows {} records",
+                        entry.kind,
+                        run.len()
+                    )));
+                }
+                run.extend(records);
+            }
+            ChunkPayload::Collection(collection) => legacy.database.insert_collection(collection),
+            ChunkPayload::Delta(delta) => legacy.database.apply_delta(delta).map_err(|e| {
                 EarthQubeError::Persist(format!("collection delta does not apply: {e}"))
             })?,
-            ChunkPayload::Images { start, images } => ranges.push((start, images)),
+            ChunkPayload::Images { start, images } => legacy.ranges.push((start, images)),
         }
     }
     let Some((config, serve, model)) = static_part else {
         return Err(EarthQubeError::Persist("manifest lists no static chunk".into()));
     };
-
-    ranges.sort_by_key(|(start, _)| *start);
-    let mut images: Vec<(PatchMetadata, BinaryCode)> = Vec::new();
-    for (start, range) in ranges {
-        if start != images.len() as u64 {
-            return Err(EarthQubeError::Persist(format!(
-                "image chunks do not tile: a range starts at {start} but {} images are restored",
-                images.len()
-            )));
+    let [mut records, feedback] = runs;
+    records.extend(feedback);
+    if !legacy.database.is_empty() || !legacy.ranges.is_empty() {
+        if !records.is_empty() {
+            return Err(EarthQubeError::Persist(
+                "manifest mixes legacy chunks and records chunks".into(),
+            ));
         }
-        images.extend(range);
+        records = legacy.into_records()?;
     }
-    if let Some((meta, code)) = images.iter().find(|(_, code)| code.bits() != model.code_bits()) {
-        return Err(EarthQubeError::Persist(format!(
-            "image {} stores a {}-bit code but the model emits {} bits",
-            meta.name,
-            code.bits(),
-            model.code_bits()
-        )));
+    Ok(SnapshotState { config, serve, model, records })
+}
+
+/// The legacy reader's state: directories written before records chunks
+/// hold full collections and deltas layered on them (tags 2 and 3, applied
+/// in manifest order, so a full collection replaces its base and the
+/// deltas before it) and the image table in dense-id ranges (tag 4).
+#[derive(Default)]
+struct Legacy {
+    database: Database,
+    ranges: Vec<(u64, Vec<(PatchMetadata, BinaryCode)>)>,
+}
+
+impl Legacy {
+    /// The records the same writes would have logged: one ingest record
+    /// per image, in dense-id order, with its stored documents, then one
+    /// feedback record per stored entry.  Applying them checks that the
+    /// ranges tile.
+    fn into_records(mut self) -> Result<Vec<WalRecord>, EarthQubeError> {
+        self.ranges.sort_by_key(|(start, _)| *start);
+        let stored = |name: &str, key: &Value| {
+            let doc = self.database.collection(name).ok().and_then(|c| c.get_by_key(key));
+            doc.cloned().ok_or_else(|| {
+                EarthQubeError::Persist(format!("the legacy {name} collection lacks {key:?}"))
+            })
+        };
+        let mut records = Vec::new();
+        for (meta, code) in self.ranges.into_iter().flat_map(|(_, range)| range) {
+            let key = Value::Str(meta.name.clone());
+            let image_doc = stored(collections::IMAGE_DATA, &key)?;
+            let rendered_doc = stored(collections::RENDERED, &key)?;
+            records.push(WalRecord::Ingest { meta, code, image_doc, rendered_doc });
+        }
+        if self.database.collection(collections::FEEDBACK).is_ok() {
+            for entry in FeedbackService.list(&self.database)? {
+                records.push(WalRecord::Feedback { text: entry.text, category: entry.category });
+            }
+        }
+        Ok(records)
     }
-    // Everything just restored is, by construction, already persisted.
-    database.clear_dirty();
-    Ok(SnapshotState { config, serve, model, database, images })
 }
 
 // ---------------------------------------------------------------------------
@@ -674,36 +739,66 @@ impl WalRecord {
         let mut w = Writer::new();
         match self {
             WalRecord::Ingest { meta, code, image_doc, rendered_doc } => {
-                w.u8(RECORD_INGEST);
-                encode_patch_metadata(meta, &mut w);
-                code.encode(&mut w);
-                wire::encode_document(image_doc, &mut w);
-                wire::encode_document(rendered_doc, &mut w);
+                encode_ingest(meta, code, image_doc, rendered_doc, &mut w)
             }
             WalRecord::Feedback { text, category } => {
-                w.u8(RECORD_FEEDBACK);
-                w.str(text);
-                match category {
-                    Some(c) => {
-                        w.u8(1);
-                        w.str(c);
-                    }
-                    None => w.u8(0),
-                }
+                encode_feedback(text, category.as_deref(), &mut w)
             }
         }
         w.into_bytes()
     }
 }
 
+/// Writes an ingest record's payload from borrowed parts.
+pub(crate) fn encode_ingest(
+    meta: &PatchMetadata,
+    code: &BinaryCode,
+    image_doc: &Document,
+    rendered_doc: &Document,
+    w: &mut Writer,
+) {
+    w.u8(RECORD_INGEST);
+    encode_patch_metadata(meta, w);
+    code.encode(w);
+    wire::encode_document(image_doc, w);
+    wire::encode_document(rendered_doc, w);
+}
+
+/// Writes a feedback record's payload from borrowed parts.
+pub(crate) fn encode_feedback(text: &str, category: Option<&str>, w: &mut Writer) {
+    w.u8(RECORD_FEEDBACK);
+    w.str(text);
+    match category {
+        Some(c) => {
+            w.u8(1);
+            w.str(c);
+        }
+        None => w.u8(0),
+    }
+}
+
+/// Decodes one WAL payload, which must hold exactly one record.
 pub(crate) fn decode_record(payload: &[u8]) -> Result<WalRecord, WireError> {
     let mut r = Reader::new(payload);
-    let record = match r.u8()? {
+    let record = read_record(&mut r)?;
+    if !r.is_empty() {
+        return Err(WireError::Corrupt(format!(
+            "{} trailing bytes inside a WAL record",
+            r.remaining()
+        )));
+    }
+    Ok(record)
+}
+
+/// Reads one record: the records are self-delimiting, so a records chunk
+/// holds them back to back.
+fn read_record(r: &mut Reader<'_>) -> Result<WalRecord, WireError> {
+    Ok(match r.u8()? {
         RECORD_INGEST => WalRecord::Ingest {
-            meta: decode_patch_metadata(&mut r)?,
-            code: BinaryCode::decode(&mut r)?,
-            image_doc: wire::decode_document(&mut r)?,
-            rendered_doc: wire::decode_document(&mut r)?,
+            meta: decode_patch_metadata(r)?,
+            code: BinaryCode::decode(r)?,
+            image_doc: wire::decode_document(r)?,
+            rendered_doc: wire::decode_document(r)?,
         },
         RECORD_FEEDBACK => {
             let text = r.str()?.to_string();
@@ -715,14 +810,7 @@ pub(crate) fn decode_record(payload: &[u8]) -> Result<WalRecord, WireError> {
             WalRecord::Feedback { text, category }
         }
         other => return Err(WireError::Corrupt(format!("unknown WAL record type {other}"))),
-    };
-    if !r.is_empty() {
-        return Err(WireError::Corrupt(format!(
-            "{} trailing bytes inside a WAL record",
-            r.remaining()
-        )));
-    }
-    Ok(record)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1238,24 +1326,32 @@ mod tests {
         assert_eq!(parse_segment_file_name("chunk-000001-000.eqc"), None);
     }
 
+    fn records_body(start: usize, payloads: &[Vec<u8>]) -> Vec<u8> {
+        let mut w = records_chunk(start);
+        payloads.iter().for_each(|payload| w.raw(payload));
+        w.into_bytes()
+    }
+
     #[test]
     fn chunk_files_roundtrip_and_reject_corruption() {
         let dir = Scratch::new("chunk_roundtrip");
-        let body = encode_images_chunk(0, &[]);
+        let payloads = vec![feedback_record("a", None), feedback_record("b", Some("c"))];
+        let body = records_body(3, &payloads);
         let entry = write_chunk_file(
             dir.path(),
             "chunk-000001-000.eqc",
-            "images:0",
+            "feedback:3",
             &body,
             &Faults::default(),
         )
         .unwrap();
         assert_eq!(entry.file, "chunk-000001-000.eqc");
-        assert_eq!(entry.kind, "images:0");
+        assert_eq!(entry.kind, "feedback:3");
         match read_chunk_file(dir.path(), &entry).unwrap() {
-            ChunkPayload::Images { start, images } => {
-                assert_eq!(start, 0);
-                assert!(images.is_empty());
+            ChunkPayload::Records { start, records } => {
+                assert_eq!(start, 3);
+                let back: Vec<Vec<u8>> = records.iter().map(WalRecord::encode).collect();
+                assert_eq!(back, payloads, "a run holds the WAL's payloads back to back");
             }
             _ => panic!("decoded the wrong payload kind"),
         }
@@ -1266,9 +1362,9 @@ mod tests {
         bytes[mid] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         assert!(read_chunk_file(dir.path(), &entry).is_err());
-        // A manifest entry whose kind disagrees with the payload is refused.
+        // A manifest entry whose kind disagrees with the payload is refused:
+        // another tag, another start, or no sequence at all.
         std::fs::write(&path, {
-            let body = encode_images_chunk(0, &[]);
             let mut w = Writer::new();
             w.raw(CHUNK_MAGIC);
             w.u64(body.len() as u64);
@@ -1277,8 +1373,10 @@ mod tests {
             w.into_bytes()
         })
         .unwrap();
-        let mislabelled = ChunkEntry { kind: "static".into(), ..entry.clone() };
-        assert!(read_chunk_file(dir.path(), &mislabelled).is_err());
+        for kind in ["static", "feedback:0", "ingest:3", "images:3", "3"] {
+            let mislabelled = ChunkEntry { kind: kind.into(), ..entry.clone() };
+            assert!(read_chunk_file(dir.path(), &mislabelled).is_err(), "filed under {kind}");
+        }
         // Truncations at every prefix are refused, never mis-decoded.
         let bytes = std::fs::read(&path).unwrap();
         for cut in 0..bytes.len() {
@@ -1430,16 +1528,16 @@ mod tests {
     #[test]
     fn orphan_chunks_are_swept() {
         let dir = Scratch::new("sweep");
-        let body = encode_images_chunk(0, &[]);
+        let body = records_body(0, &[]);
         let keep = write_chunk_file(
             dir.path(),
             "chunk-000001-000.eqc",
-            "images:0",
+            "ingest:0",
             &body,
             &Faults::default(),
         )
         .unwrap();
-        write_chunk_file(dir.path(), "chunk-000000-000.eqc", "images:0", &body, &Faults::default())
+        write_chunk_file(dir.path(), "chunk-000000-000.eqc", "ingest:0", &body, &Faults::default())
             .unwrap();
         let manifest = Manifest { seq: 1, generation: 1, first_segment: 0, chunks: vec![keep] };
         assert_eq!(sweep_orphan_chunks(dir.path(), &manifest, &Faults::default()).unwrap(), 1);

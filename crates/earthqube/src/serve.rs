@@ -17,8 +17,8 @@
 //! * **One index** — the core scans one [`eq_hashindex::CodeArena`] whose
 //!   row *r* holds dense patch id *r*, whatever [`ServeConfig::shards`]
 //!   says.  Checkpoints never write it (recovery rebuilds it from the
-//!   image table), and it takes no lock of its own: it sits behind the
-//!   catalog lock with the rest of the core.
+//!   checkpointed records), and it takes no lock of its own: it sits
+//!   behind the catalog lock with the rest of the core.
 //! * **Result cache** — a bounded LRU keyed by a fingerprint of the query
 //!   (a structural hash; the full query is stored and compared, so a
 //!   fingerprint collision is a miss, never a wrong answer).
@@ -71,14 +71,13 @@ use eq_milan::Milan;
 use parking_lot::RwLock;
 
 use crate::catalog::Catalog;
-use crate::cbir::CbirService;
 pub use crate::durability::{CheckpointKind, CheckpointStats, CheckpointerStats};
 use crate::durability::{Durability, Seal, WalBatch};
 use crate::engine::{build_registry, EarthQube, EarthQubeConfig, SearchResponse};
 use crate::feedback::{FeedbackEntry, FeedbackService};
 use crate::filtered::{FilteredResponse, PrefilterMode, ResolvedFilter};
 use crate::ingest::{prepare_patch_docs, IngestReport};
-use crate::persist::{self, WalRecord};
+use crate::persist::{self, Sequence, WalRecord};
 use crate::query::ImageQuery;
 use crate::EarthQubeError;
 
@@ -877,27 +876,31 @@ impl QueryServer {
     /// write-ahead log there, so [`recover`](Self::recover) restores
     /// exactly the pre-crash state.
     ///
-    /// One protocol, two lineage decisions.  A checkpoint into a directory
-    /// the server is not attached to is **full**: a new lineage, with every
-    /// chunk written under a fresh manifest and WAL generation, and the
-    /// catalog write lock held until it is committed.  Later checkpoints
-    /// into the same directory are **incremental**: only collections and
-    /// the image tail dirtied since the previous one are written, the
-    /// manifest is atomically republished and the WAL segments it no longer
-    /// needs are retired; the write lock is held only for the brief state
-    /// *cut* (draining dirty logs, copying the new images and rewritten
-    /// collections, sealing the live WAL segment), so queries and ingest
-    /// keep flowing during chunk encoding and file I/O.  No checkpoint
-    /// writes the Hamming index: it is derived from the image table's
-    /// codes, and [`recover`](Self::recover) rebuilds it.  With nothing
-    /// dirty the checkpoint is [`CheckpointKind::Skipped`] and writes no
-    /// bytes.
+    /// A checkpoint is the log, compacted: the static chunk (configuration
+    /// and model) plus every ingest and feedback record, as the WAL encodes
+    /// them, in append-only runs of records chunks.  One protocol, two
+    /// lineage decisions.  A checkpoint into a directory the server is not
+    /// attached to is **full**: a new lineage, with every chunk written
+    /// under a fresh manifest and WAL generation, and the catalog write
+    /// lock held until it is committed.  So is the first checkpoint after
+    /// recovering a directory of the legacy chunk format: it starts a new
+    /// lineage in place.  Later checkpoints into the same directory are
+    /// **incremental**: only the records past the previous checkpoint are
+    /// written (a sequence is rewritten from 0 once enough runs of it are
+    /// stacked), the manifest is atomically republished and the WAL
+    /// segments it no longer needs are retired; the write lock is held only
+    /// for the brief state *cut* (encoding the new records, sealing the
+    /// live WAL segment), so queries and ingest keep flowing during file
+    /// I/O.  No checkpoint writes derived state — the Hamming index, the
+    /// metadata collection and its indexes — which [`recover`](Self::recover)
+    /// rebuilds from the records.  With no new record the checkpoint is
+    /// [`CheckpointKind::Skipped`] and writes no bytes.
     ///
     /// # Errors
     /// Fails with [`EarthQubeError::Persist`] on I/O errors.  A failure
-    /// before the manifest rename (the commit point) restores the drained
-    /// dirty state and leaves the server attached where it was, so the
-    /// next checkpoint retries the same work over the old base.
+    /// before the manifest rename (the commit point) leaves the server
+    /// attached where it was, with the old manifest and its record counts
+    /// in force, so the next checkpoint retries the same work.
     pub fn checkpoint(&self, dir: &Path) -> Result<CheckpointStats, EarthQubeError> {
         // A replica never checkpoints: the cut rotates the live segment,
         // which would desynchronise its mirrored WAL position from the
@@ -910,14 +913,17 @@ impl QueryServer {
         self.durability.checkpoint(&self.catalog, dir, false, || self.static_chunk())
     }
 
-    /// Restores a server from a persistence directory: reads the manifest,
-    /// loads its chunks (base collections, stacked deltas, image ranges),
-    /// rebuilds the code arena by inserting every image's code in dense-id
-    /// order, replays every intact
-    /// record of the manifest's WAL segment chain through the same apply
-    /// path live ingest uses, truncates a torn tail in the final segment,
-    /// and re-attaches.  `shard:` entries of older directories are skipped
-    /// unread.
+    /// Restores a server from a persistence directory: reads the manifest
+    /// and its static chunk, applies every record of its records chunks to
+    /// an empty catalog through the one apply path live writes use — which
+    /// rebuilds the documents, the metadata collection's indexes and the
+    /// code arena — then replays every intact record of the manifest's WAL
+    /// segment chain through the write section, truncates a torn tail in
+    /// the final segment, and re-attaches.  A directory of the legacy chunk
+    /// format (full collections, deltas, image ranges) is read into the
+    /// same records; `shard:` entries of older directories are skipped
+    /// unread.  Only the replayed WAL tail counts in
+    /// `stats().ingested_images`.
     ///
     /// Recovery is idempotent: recovering the same directory again (with no
     /// writes in between) yields a byte-identically answering server.
@@ -933,26 +939,26 @@ impl QueryServer {
         let manifest = persist::read_manifest(dir)?.ok_or_else(|| {
             EarthQubeError::Persist(format!("{} holds no checkpoint manifest", dir.display()))
         })?;
-        let state = persist::read_snapshot(dir, &manifest)?;
-        let persisted_images = state.images.len();
+        let snapshot = persist::read_snapshot(dir, &manifest)?;
 
-        // The index is derived data: rebuilt from the image table through
-        // the one insert path, in dense-id order — exactly as the writer
-        // built its own.
-        let (metadata, codes): (Vec<PatchMetadata>, Vec<BinaryCode>) =
-            state.images.into_iter().unzip();
-        let images = metadata.iter().zip(codes);
-        let cbir = CbirService::from_codes(state.model, images);
-        let page_size = state.config.page_size;
-        let catalog = Catalog { database: state.database, metadata, cbir, page_size };
-        let registry = build_registry(&state.config);
-        let server = Self::new(state.config, state.serve, catalog, registry);
+        // Everything but the static chunk is derived from the records:
+        // applied to an empty catalog through the one apply path, they
+        // rebuild the documents, the metadata collection's indexes, the
+        // name→code table and the arena exactly as the writer built its own.
+        let room = snapshot.records.len();
+        let mut catalog = Catalog::empty(snapshot.model, snapshot.config.page_size, room);
+        for record in snapshot.records {
+            catalog.apply_record(record).map_err(not_applied)?;
+        }
+        let persisted = Sequence::ALL.map(|seq| catalog.record_count(seq));
+        let registry = build_registry(&snapshot.config);
+        let server = Self::new(snapshot.config, snapshot.serve, catalog, registry);
 
         let chain = persist::read_segment_chain(dir, manifest.generation, manifest.first_segment)?;
         // Replay runs detached (nothing is attached yet, so nothing is
-        // re-logged).  It re-marks the touched collections dirty and grows
-        // the image table past `persisted_images` — deliberately so: the
-        // replayed records still live only in WAL segments, and the next
+        // re-logged), through the write section like any write: the
+        // replayed records grow the catalog past `persisted` and count as
+        // ingested.  They still live only in WAL segments, and the next
         // incremental checkpoint folds them into chunks (after which their
         // segments retire).
         server.write(|catalog, _detached| {
@@ -961,7 +967,7 @@ impl QueryServer {
             }
             Ok(())
         })?;
-        server.durability.attach(dir, lock, manifest, chain.tail, persisted_images)?;
+        server.durability.attach(dir, lock, manifest, chain.tail, persisted)?;
         Ok(server)
     }
 
@@ -995,8 +1001,9 @@ impl QueryServer {
         }
     }
 
-    /// Checkpoints into the attached directory if (and only if) anything
-    /// is dirty; returns `None` when the server is detached or clean.
+    /// Checkpoints into the attached directory if (and only if) a record
+    /// is not checkpointed yet; returns `None` when the server is detached
+    /// or clean.
     /// This is the body of one background-checkpointer pass, callable
     /// directly for a final synchronous flush (e.g. on server shutdown).
     ///
@@ -1564,20 +1571,20 @@ mod tests {
     }
 
     /// The incremental path: a second checkpoint after a small ingest
-    /// writes deltas (a fraction of the full snapshot), retires the
-    /// covered segment, and a third checkpoint with nothing dirty skips.
-    /// No checkpoint writes index data, and the index recovery rebuilds
-    /// answers like the writer's, whatever shard count is persisted: the
-    /// count no longer shapes the index.
+    /// writes the new record (a fraction of the full snapshot), retires
+    /// the covered segment, and a third checkpoint with no new record
+    /// skips.  No checkpoint writes index data, and the index recovery
+    /// rebuilds answers like the writer's, whatever shard count is
+    /// persisted: the count no longer shapes the index.
     #[test]
-    fn incremental_checkpoints_write_deltas_and_skip_when_clean() {
+    fn incremental_checkpoints_write_a_fraction_and_skip_when_clean() {
         for shards in [ServeConfig::default().shards, 1, 3] {
             let dir = ScratchDir::new(&format!("incremental_{shards}"));
             let (srv, archive) = server(30, 208, ServeConfig { shards, cache_capacity: 0 });
             let full = srv.checkpoint(dir.path()).unwrap();
             assert_eq!(full.kind, CheckpointKind::Full);
             assert!(full.bytes_written > 0);
-            assert_only_image_table_kinds(dir.path());
+            assert_only_static_and_records_kinds(dir.path());
 
             let extra = ArchiveGenerator::new(GeneratorConfig::tiny(1, 923)).unwrap().generate();
             srv.ingest(extra.patches()).unwrap();
@@ -1592,7 +1599,7 @@ mod tests {
                 full.bytes_written
             );
             assert!(incr.segments_retired >= 1);
-            assert_only_image_table_kinds(dir.path());
+            assert_only_static_and_records_kinds(dir.path());
 
             let skipped = srv.checkpoint(dir.path()).unwrap();
             assert_eq!(skipped.kind, CheckpointKind::Skipped);
@@ -1609,13 +1616,13 @@ mod tests {
         }
     }
 
-    /// Asserts the published manifest lists only what the image table and
-    /// the docstore need: no index data.
-    fn assert_only_image_table_kinds(dir: &Path) {
+    /// Asserts the published manifest lists only the static chunk and the
+    /// records chunks: no index data, no document store.
+    fn assert_only_static_and_records_kinds(dir: &Path) {
         let manifest = persist::read_manifest(dir).unwrap().unwrap();
         for chunk in &manifest.chunks {
             assert!(
-                ["static", "coll:", "delta:", "images:"].iter().any(|k| chunk.kind.starts_with(k)),
+                chunk.kind == "static" || Sequence::ALL.iter().any(|seq| seq.files(&chunk.kind)),
                 "unexpected chunk kind {}",
                 chunk.kind
             );
@@ -1642,42 +1649,132 @@ mod tests {
         (srv.search(&ImageQuery::all()).unwrap(), similar, within, srv.stats().shard_occupancy)
     }
 
-    /// Image ranges compact like collection deltas: once
-    /// `DELTA_COMPACT_THRESHOLD` ranges are stacked, the next checkpoint
-    /// writes the table from 0 in one chunk, and the old ranges' files are
-    /// swept.
+    /// Each record sequence compacts on its own: once
+    /// `RUN_COMPACT_THRESHOLD` runs of it are stacked, the next checkpoint
+    /// with new records of it writes the sequence from 0 in one chunk, and
+    /// the old runs' files are swept.
     #[test]
-    fn stacked_image_ranges_are_compacted() {
-        use crate::durability::DELTA_COMPACT_THRESHOLD;
-        let dir = ScratchDir::new("image_ranges");
+    fn stacked_record_runs_are_compacted() {
+        use crate::durability::RUN_COMPACT_THRESHOLD;
+        let dir = ScratchDir::new("record_runs");
         let (srv, archive) = server(6, 213, ServeConfig::uncached(3));
         srv.checkpoint(dir.path()).unwrap();
-        let ranges = |dir: &Path| {
+        let runs = |dir: &Path, seq: Sequence| {
             let manifest = persist::read_manifest(dir).unwrap().unwrap();
-            manifest.chunks.iter().filter(|c| persist::is_images_kind(&c.kind)).count()
+            manifest.chunks.iter().filter(|c| seq.files(&c.kind)).count()
         };
-        let mut counts = Vec::new();
+        let (mut ingest_runs, mut feedback_runs) = (Vec::new(), Vec::new());
         for seed in 940..950u64 {
             let extra = ArchiveGenerator::new(GeneratorConfig::tiny(1, seed)).unwrap().generate();
             srv.ingest(extra.patches()).unwrap();
+            // Feedback every other round: its runs stack at their own pace.
+            if seed.is_multiple_of(2) {
+                srv.submit_feedback(&format!("round {seed}"), None).unwrap();
+            }
             assert_eq!(srv.checkpoint(dir.path()).unwrap().kind, CheckpointKind::Incremental);
-            counts.push(ranges(dir.path()));
+            ingest_runs.push(runs(dir.path(), Sequence::Ingest));
+            feedback_runs.push(runs(dir.path(), Sequence::Feedback));
         }
-        assert_eq!(counts.iter().max(), Some(&DELTA_COMPACT_THRESHOLD), "{counts:?}");
-        assert!(counts.contains(&1), "the ranges were never compacted: {counts:?}");
+        assert_eq!(ingest_runs.iter().max(), Some(&RUN_COMPACT_THRESHOLD), "{ingest_runs:?}");
+        assert!(ingest_runs.contains(&1), "the ingest runs were never compacted: {ingest_runs:?}");
+        assert_eq!(feedback_runs, [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]);
         let manifest = persist::read_manifest(dir.path()).unwrap().unwrap();
         let chunk_files = std::fs::read_dir(dir.path())
             .unwrap()
             .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().ends_with(".eqc"))
             .count();
-        assert_eq!(chunk_files, manifest.chunks.len(), "superseded ranges must be swept");
+        assert_eq!(chunk_files, manifest.chunks.len(), "superseded runs must be swept");
 
         let names = [&archive.patches()[1].meta.name];
-        let expected = index_answers(&srv, &names);
+        let expected = (index_answers(&srv, &names), srv.list_feedback().unwrap());
         drop(srv);
         let back = QueryServer::recover(dir.path()).unwrap();
         assert_eq!(back.archive_size(), 16);
-        assert_eq!(index_answers(&back, &names), expected);
+        assert_eq!((index_answers(&back, &names), back.list_feedback().unwrap()), expected);
+    }
+
+    /// Each records chunk the published manifest lists: its file, its
+    /// sequence, its start and its body, which `persist`'s reader must
+    /// decode as records of that sequence.
+    fn records_chunks(dir: &Path) -> Vec<(String, Sequence, usize, Vec<u8>)> {
+        let manifest = persist::read_manifest(dir).unwrap().unwrap();
+        let records = manifest.chunks.iter().filter(|entry| entry.kind != "static");
+        records
+            .map(|entry| {
+                let seq = *Sequence::ALL.iter().find(|seq| seq.files(&entry.kind)).unwrap();
+                let persist::ChunkPayload::Records { start, .. } =
+                    persist::read_chunk_file(dir, entry).unwrap()
+                else {
+                    panic!("{} is not a records chunk", entry.file)
+                };
+                // The frame: magic, body length, body, CRC-32.
+                let file = std::fs::read(dir.join(&entry.file)).unwrap();
+                let body = file[16..file.len() - 4].to_vec();
+                (entry.file.clone(), seq, start as usize, body)
+            })
+            .collect()
+    }
+
+    /// A records chunk body as `persist` starts one, then `payloads`.
+    fn run_of(start: usize, payloads: &[&Vec<u8>]) -> Vec<u8> {
+        let mut w = persist::records_chunk(start);
+        payloads.iter().for_each(|payload| w.raw(payload));
+        w.into_bytes()
+    }
+
+    /// A checkpoint is the log, compacted.  A new lineage of a built server
+    /// writes each patch as the very record its ingest would log; an
+    /// incremental checkpoint writes exactly the payloads of the WAL
+    /// segment its cut sealed, each sequence in order, byte for byte.
+    #[test]
+    fn the_checkpoint_is_the_log_byte_for_byte() {
+        let dir = ScratchDir::new("log_bytes");
+        let (srv, archive) = server(10, 217, ServeConfig::default());
+        srv.checkpoint(dir.path()).unwrap();
+        let built: Vec<Vec<u8>> = archive
+            .patches()
+            .iter()
+            .map(|patch| {
+                let (image_doc, rendered_doc) = prepare_patch_docs(patch, &patch.meta.name);
+                let (meta, code) = (patch.meta.clone(), srv.model.hash_patch(patch));
+                WalRecord::Ingest { meta, code, image_doc, rendered_doc }.encode()
+            })
+            .collect();
+        let full = records_chunks(dir.path());
+        assert_eq!(full.len(), 1, "no feedback yet, so one ingest run");
+        let (_, seq, start, body) = &full[0];
+        assert_eq!((*seq, *start), (Sequence::Ingest, 0));
+        assert!(*body == run_of(0, &built.iter().collect::<Vec<_>>()), "the built patches");
+
+        let extra = ArchiveGenerator::new(GeneratorConfig::tiny(3, 960)).unwrap().generate();
+        srv.ingest(&extra.patches()[..2]).unwrap();
+        srv.submit_feedback("more coastline, please", Some("request")).unwrap();
+        srv.ingest(&extra.patches()[2..]).unwrap();
+        srv.submit_feedback("loads quickly", None).unwrap();
+        let live = persist::read_manifest(dir.path()).unwrap().unwrap().first_segment;
+        let sealed = std::fs::read(dir.path().join(persist::segment_file_name(live))).unwrap();
+        let incremental = srv.checkpoint(dir.path()).unwrap();
+        assert_eq!(incremental.kind, CheckpointKind::Incremental);
+        assert!(!dir.path().join(persist::segment_file_name(live)).exists(), "it was sealed");
+
+        let header = persist::SEGMENT_HEADER_LEN;
+        let (logged, _) = persist::scan_record_payloads(&sealed, header, u64::MAX, u64::MAX);
+        assert_eq!(logged.len(), 5);
+        let written: Vec<_> = records_chunks(dir.path())
+            .into_iter()
+            .filter(|(file, ..)| full.iter().all(|(old, ..)| old != file))
+            .collect();
+        assert_eq!(written.len(), 2, "one run per sequence");
+        for (_, seq, start, body) in written {
+            let is_ingest = |payload: &&Vec<u8>| {
+                matches!(persist::decode_record(payload).unwrap(), WalRecord::Ingest { .. })
+            };
+            let logged: Vec<&Vec<u8>> =
+                logged.iter().filter(|p| is_ingest(p) == (seq == Sequence::Ingest)).collect();
+            let persisted = if seq == Sequence::Ingest { 10 } else { 0 };
+            assert_eq!(start, persisted, "{seq:?} starts at its persisted count");
+            assert!(body == run_of(start, &logged), "{seq:?} holds the sealed segment's records");
+        }
     }
 
     /// Directories written while the index was still persisted list
@@ -1706,7 +1803,7 @@ mod tests {
         back.ingest(extra.patches()).unwrap();
         assert_eq!(back.checkpoint(dir.path()).unwrap().kind, CheckpointKind::Incremental);
         assert!(!dir.path().join(&file).exists(), "the retired chunk must be swept");
-        assert_only_image_table_kinds(dir.path());
+        assert_only_static_and_records_kinds(dir.path());
     }
 
     /// A logged ingest whose code is not the model's width is refused with

@@ -37,8 +37,8 @@ pub const MANIFEST_VERSION: u16 = 1;
 pub struct ChunkEntry {
     /// File name of the chunk, relative to the manifest's directory.
     pub file: String,
-    /// What the chunk contains (e.g. `"static"`, `"coll:metadata"`,
-    /// `"images:0"`) — an opaque label to this crate, interpreted by the
+    /// What the chunk contains (e.g. `"static"`, `"ingest:0"`,
+    /// `"feedback:12"`) — an opaque label to this crate, interpreted by the
     /// persistence tier.
     pub kind: String,
     /// Expected total file length in bytes.

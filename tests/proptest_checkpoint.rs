@@ -1,8 +1,9 @@
 //! Property-based convergence: an arbitrary interleaving of ingest batches,
-//! incremental checkpoints, clean crashes, torn-tail crashes and
-//! crash-injected checkpoints must end up answering queries exactly like a
-//! reference server that saw the same ingests and then took one full
-//! checkpoint into a fresh lineage (a fresh generation tag).
+//! feedback entries, incremental checkpoints, clean crashes, torn-tail
+//! crashes and crash-injected checkpoints must end up answering queries
+//! and listing feedback exactly like a reference server that saw the same
+//! writes and then took one full checkpoint into a fresh lineage (a fresh
+//! generation tag).
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -26,6 +27,8 @@ const POOL: usize = 24;
 enum Op {
     /// Ingest the next `n` patches from the fixed pool.
     Ingest(usize),
+    /// Submit the next feedback entry: every other one has a category.
+    Feedback,
     /// Incremental checkpoint into the attached directory (may skip).
     Checkpoint,
     /// Drop the server and recover from disk.
@@ -44,6 +47,7 @@ fn decode(raw: &[(usize, usize)]) -> Vec<Op> {
             2 => Op::Checkpoint,
             3 => Op::Crash,
             4 => Op::CrashTorn,
+            5 => Op::Feedback,
             _ => Op::CrashAtPoint(param % failpoints::ALL_POINTS.len()),
         })
         .collect()
@@ -88,6 +92,19 @@ fn workload(archive: &Archive) -> Vec<QueryRequest> {
 
 fn responses(server: &QueryServer, requests: &[QueryRequest]) -> Vec<SearchResponse> {
     requests.iter().map(|r| server.execute(r).unwrap()).collect()
+}
+
+/// Submits the `i`-th feedback entry of a case.
+fn submit_feedback(server: &QueryServer, i: usize) {
+    let category = i.is_multiple_of(2).then_some("reaction");
+    server.submit_feedback(&format!("feedback {i}"), category).unwrap();
+}
+
+/// A write the subject took, which the reference repeats in order.
+#[derive(Debug, Clone, Copy)]
+enum Write {
+    Ingest(usize),
+    Feedback(usize),
 }
 
 struct ScratchDir(PathBuf);
@@ -144,13 +161,13 @@ fn scribble_torn_tail(dir: &Path) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The convergence property from the issue: whatever the interleaving,
-    /// the final recovered state answers the fixed workload exactly like a
-    /// reference that ingested the same batches and took a single full
-    /// checkpoint (fresh generation, fresh segment lineage, no deltas).
+    /// The convergence property: whatever the interleaving, the final
+    /// recovered state answers the fixed workload and lists feedback
+    /// exactly like a reference that took the same writes and a single
+    /// full checkpoint (fresh generation, fresh segment lineage).
     #[test]
     fn interleavings_converge_to_a_single_full_checkpoint(
-        raw in proptest::collection::vec((0usize..6, 0usize..24), 1..9),
+        raw in proptest::collection::vec((0usize..7, 0usize..24), 1..9),
     ) {
         let ops = decode(&raw);
         let initial = generate(INITIAL, SEED);
@@ -173,8 +190,9 @@ proptest! {
         // Small segments so rotation, retirement and orphan segments all
         // actually occur inside an 8-op interleaving.
         srv.set_segment_limit(1);
-        let mut batches: Vec<usize> = Vec::new();
+        let mut writes: Vec<Write> = Vec::new();
         let mut cursor = 0usize;
+        let mut feedback = 0usize;
         for op in &ops {
             match *op {
                 Op::Ingest(n) => {
@@ -184,7 +202,12 @@ proptest! {
                     }
                     srv.ingest(&pool.patches()[cursor..cursor + n]).unwrap();
                     cursor += n;
-                    batches.push(n);
+                    writes.push(Write::Ingest(n));
+                }
+                Op::Feedback => {
+                    submit_feedback(&srv, feedback);
+                    writes.push(Write::Feedback(feedback));
+                    feedback += 1;
                 }
                 Op::Checkpoint => {
                     srv.checkpoint(&live).unwrap();
@@ -213,19 +236,25 @@ proptest! {
                 }
             }
             prop_assert_eq!(srv.archive_size(), INITIAL + cursor);
+            prop_assert_eq!(srv.list_feedback().unwrap().len(), feedback);
         }
         drop(srv);
         let subject = QueryServer::recover(&live).unwrap();
         prop_assert_eq!(subject.archive_size(), INITIAL + cursor);
 
-        // --- Reference: same batches, one full checkpoint. ------------
+        // --- Reference: same writes, one full checkpoint. -------------
         let refdir = dir.path().join("reference");
         copy_dir(&base, &refdir);
         let reference = QueryServer::recover(&refdir).unwrap();
         let mut at = 0usize;
-        for &n in &batches {
-            reference.ingest(&pool.patches()[at..at + n]).unwrap();
-            at += n;
+        for &write in &writes {
+            match write {
+                Write::Ingest(n) => {
+                    reference.ingest(&pool.patches()[at..at + n]).unwrap();
+                    at += n;
+                }
+                Write::Feedback(i) => submit_feedback(&reference, i),
+            }
         }
         // Checkpointing into a directory the server is not attached to
         // always writes a full snapshot under a fresh generation tag.
@@ -235,5 +264,6 @@ proptest! {
         let oracle = QueryServer::recover(&full).unwrap();
 
         prop_assert_eq!(responses(&subject, &requests), responses(&oracle, &requests));
+        prop_assert_eq!(subject.list_feedback().unwrap(), oracle.list_feedback().unwrap());
     }
 }
