@@ -31,7 +31,7 @@ use std::cell::RefCell;
 use eq_bigearthnet::patch::PatchMetadata;
 use eq_bigearthnet::Archive;
 use eq_docstore::{Database, QueryPlan, Value};
-use eq_hashindex::{BinaryCode, Neighbor, SearchScratch};
+use eq_hashindex::{BinaryCode, CountingTopK, Neighbor};
 use eq_milan::Milan;
 
 use crate::cbir::CbirService;
@@ -46,14 +46,16 @@ use crate::schema::collections;
 use crate::stats::LabelStatistics;
 use crate::EarthQubeError;
 
-/// Per-query scratch state for one CBIR query: the bounded top-k selection
-/// heap plus the (small, ≤ k+1) neighbour buffer the ranking is cut in.
-/// Both are reused across queries, so a steady-state k-NN query performs
-/// **zero search-path allocation** — the selection is a size-k heap, never
-/// a full candidate list.  Each thread keeps one (see `with_thread_scratch`).
+/// Per-query scratch state for one CBIR query: the counting selection over
+/// the dense-id arena (per-distance counters and the rows that passed the
+/// falling bound, never a full candidate list) plus the neighbour buffer
+/// the ranking is cut in, the query image dropped.  Both are reused across
+/// queries, so a steady-state k-NN or radius query performs **zero
+/// search-path allocation**.  Each thread keeps one (see
+/// `with_thread_scratch`).
 #[derive(Debug, Default)]
 struct QueryScratch {
-    search: SearchScratch,
+    topk: CountingTopK,
     neighbors: Vec<Neighbor>,
 }
 
@@ -272,6 +274,7 @@ impl Catalog {
 
     /// Every image within `radius` of an archive image's code that matches
     /// the resolved query-panel filter, itself excluded, by distance then id.
+    /// A radius past the code width is the width.
     pub(crate) fn similar_within_filtered(
         &self,
         name: &str,
@@ -279,13 +282,11 @@ impl Catalog {
         filter: &ResolvedFilter,
     ) -> Result<FilteredResponse, EarthQubeError> {
         let query = self.code_of(name)?.words();
-        let response = with_thread_scratch(|scratch| {
-            let hits = &mut scratch.neighbors;
-            hits.clear();
-            self.cbir.arena.scan_radius_masked_into(query, radius, &filter.mask, hits);
-            eq_hashindex::sort_neighbors(hits);
-            hits.retain(|hit| !self.is_image(hit, name));
-            self.response_from_neighbors(hits)
+        let response = with_thread_scratch(|QueryScratch { topk, neighbors }| {
+            let hits = topk.within(&self.cbir.arena, query, radius, Some(&filter.mask));
+            neighbors.clear();
+            neighbors.extend(hits.iter().filter(|hit| !self.is_image(hit, name)));
+            self.response_from_neighbors(neighbors)
         })?;
         Ok(FilteredResponse { response, plan: filter.plan })
     }
@@ -304,8 +305,9 @@ impl Catalog {
     ///
     /// The query image is itself indexed, so one extra hit is selected and
     /// the image dropped from the ranking.  `k` is clamped to the archive
-    /// size first: no answer changes, and the selection never reserves more
-    /// than the archive could fill, whatever `k` a caller sends.
+    /// size first, so the extra hit cannot overflow whatever `k` a caller
+    /// sends.  Row *r* of the arena is dense id *r*, so the counting
+    /// selection's (distance, row) order is (distance, id) order.
     ///
     /// # Panics
     /// Panics if `code` is not as wide as the archive's codes.
@@ -319,13 +321,8 @@ impl Catalog {
         let wanted = k.min(self.metadata.len()) + usize::from(exclude.is_some());
         let arena = &self.cbir.arena;
         assert_eq!(code.bits(), arena.bits(), "query width does not match the index");
-        with_thread_scratch(|QueryScratch { search, neighbors }| {
-            search.begin(wanted);
-            match filter {
-                Some(filter) => search.scan_arena_masked(arena, code.words(), &filter.mask),
-                None => search.scan_arena(arena, code.words()),
-            }
-            let hits = search.finish();
+        with_thread_scratch(|QueryScratch { topk, neighbors }| {
+            let hits = topk.knn(arena, code.words(), wanted, filter.map(|f| &f.mask));
             let kept =
                 hits.iter().filter(|hit| !exclude.is_some_and(|name| self.is_image(hit, name)));
             neighbors.clear();

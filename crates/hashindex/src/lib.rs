@@ -27,9 +27,13 @@
 //!   block kernel, dispatched to the best [`KernelTier`] the CPU offers
 //!   (`popcnt`, AVX-512), so a scan streams at memory bandwidth instead of
 //!   pointer-chasing per-code heap allocations (experiment E11),
+//! * [`CountingTopK`] — EarthQube's k-NN and radius ranking over one
+//!   arena scan in row order: a counter per distance and a bound that falls
+//!   as the counts fill, then one counting sort, so no row is compared with
+//!   another; kept per thread by the serving tier,
 //! * [`SearchScratch`] — bounded top-k selection (size-`k` max-heap with a
-//!   running short-circuit bound), so k-NN never materialises or sorts the
-//!   full candidate set; pooled per worker by the serving tier,
+//!   running short-circuit bound) for any arrival order: the id-keyed
+//!   indexes' k-NN and the reference the counting selection must equal,
 //! * [`Bitmap`] / [`IdMask`] — roaring-style compressed id sets with
 //!   AND/OR/AND-NOT algebra, and the dense scan-time mask that lets the
 //!   arena kernels skip rows outside a precompiled candidate set — the
@@ -61,7 +65,7 @@ pub use linear::LinearScanIndex;
 pub use lsh::RandomHyperplaneHasher;
 pub use mih::MultiIndexHashing;
 pub use sharded::ShardedHashIndex;
-pub use topk::SearchScratch;
+pub use topk::{CountingTopK, SearchScratch};
 
 /// Identifier of an indexed item (a patch id in EarthQube).
 pub type ItemId = u64;

@@ -1,24 +1,36 @@
-//! Bounded top-k selection over arena scans.
+//! Top-k selection over arena scans: a counting selection for one scan in
+//! row order, and a bounded heap for any arrival order.
 //!
 //! A k-NN query used to materialise *every* match, sort the full list and
 //! truncate to `k` — O(n log n) work and an O(n) allocation per query even
-//! when the caller wants ten neighbours out of forty thousand codes.
-//! [`SearchScratch`] replaces that with a size-`k` max-heap threaded
-//! through the scan: a candidate only enters the heap if it beats the
-//! current k-th best, the running bound — the k-th distance, handed to the
-//! arena's scan kernel — rejects every worse row before it reaches the
-//! heap (eight rows per compare in the AVX-512 tier), and only the final
-//! `k` survivors are sorted.
+//! when the caller wants ten neighbours out of forty thousand codes.  Both
+//! selections here thread a running bound through the arena's scan kernel
+//! instead, so a row worse than the current k-th best is rejected eight
+//! rows per compare (AVX-512 tier) before the selection sees it.
 //!
-//! The scratch owns all its buffers and is reusable across queries, so a
-//! scratch kept per thread (see the query core in `eq_earthqube`) makes
+//! * [`CountingTopK`] serves: `eq_earthqube`'s k-NN and radius queries over
+//!   its one dense-id arena.  Hamming distances are integers in `0..=bits`
+//!   and rows arrive in ascending row order, so one counter per distance
+//!   and the accepted rows in arrival order rank by (distance, row) with
+//!   one counting sort at the end: no row is compared with another and no
+//!   tie needs handling (faiss's `hammings_knn_mc` is the model).
+//! * [`SearchScratch`] is a size-`k` max-heap on `(distance, id)`, exact
+//!   for any arrival order: the id-keyed indexes (`ShardedHashIndex`,
+//!   `HashTableIndex`, `LinearScanIndex`) select with it, across shards
+//!   and bucket layouts, and the tests take it as the reference the
+//!   counting selection must equal.
+//!
+//! Both own their buffers and are reusable across queries, so a selection
+//! kept per thread (see the query core in `eq_earthqube`) makes
 //! steady-state k-NN serving allocation-free.
 //!
 //! Exactness: the heap orders candidates by `(distance, id)` — the same
 //! total order [`sort_neighbors`](crate::sort_neighbors) uses — so the
 //! surviving `k` are exactly the first `k` elements of the full sorted
-//! list, ties and all.  The property suite in
-//! `tests/proptest_arena.rs` pins this against full-sort-then-truncate.
+//! list, ties and all; the counting selection's (distance, row) order is
+//! the same order wherever ids ascend with rows.  `tests/proptest_arena.rs`
+//! and `tests/proptest_counting.rs` pin both against
+//! full-sort-then-truncate.
 
 use crate::arena::{CodeArena, KernelTier};
 use crate::bitmap::IdMask;
@@ -186,6 +198,164 @@ impl SearchScratch {
     }
 }
 
+/// Reusable counting selection over one [`CodeArena`] scan: the `k` rows
+/// nearest a query by (distance, row), or every row within a radius.
+///
+/// The scan kernel hands rows over in ascending row order.  The selection
+/// keeps one counter per distance in `0..=bits` and the accepted rows in
+/// arrival order.  Once count(≤ d) reaches `k`, the bound it returns to the
+/// kernel falls to d − 1: a later row at distance d ties the k-th row and
+/// comes after it, so it always loses.  The end is one stable counting
+/// sort of the accepted rows by distance, which cuts distance d at the
+/// rows it still needs.  The result is exact in (distance, row) order —
+/// (distance, id) order wherever ids ascend with rows, as in a dense-id
+/// arena — and equals [`SearchScratch`]'s there.
+#[derive(Debug, Default)]
+pub struct CountingTopK {
+    /// `counts[d]`: accepted rows at distance `d`, for `d` in
+    /// `0..=bits + 1`.  No row is accepted at `bits + 1`, so the finish
+    /// reads the slot at `limit` whatever the limit.
+    counts: Vec<usize>,
+    /// The accepted rows in arrival order, each with its id and distance.
+    hits: Vec<Neighbor>,
+    /// Requested result size (`usize::MAX` for a radius query).
+    k: usize,
+    /// Accepted rows with a distance below `limit`; less than `k`.
+    kept: usize,
+    /// A row is accepted iff its distance is below this.  It starts one
+    /// past the radius (or the width) and falls each time `kept` reaches
+    /// `k`; the distance it falls to is the one the finish cuts.
+    limit: u32,
+    /// The ranking of the last selection.
+    out: Vec<Neighbor>,
+}
+
+impl CountingTopK {
+    /// Creates an empty selection.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The `k` rows of `arena` nearest `query` — among those whose id is
+    /// in `mask`, given one — by (distance, row).  The slice borrows the
+    /// selection: copy it out before the next query.
+    ///
+    /// # Panics
+    /// Panics if the query width does not match the arena.
+    pub fn knn(
+        &mut self,
+        arena: &CodeArena,
+        query: &[u64],
+        k: usize,
+        mask: Option<&IdMask>,
+    ) -> &[Neighbor] {
+        self.rank(KernelTier::detected(), arena, query, mask, k, arena.bits() + 1)
+    }
+
+    /// Every row of `arena` within Hamming distance `radius` of `query` —
+    /// among those whose id is in `mask`, given one — by (distance, row).
+    /// A radius past the code width (`u32::MAX` included) is the width.
+    ///
+    /// # Panics
+    /// Panics if the query width does not match the arena.
+    pub fn within(
+        &mut self,
+        arena: &CodeArena,
+        query: &[u64],
+        radius: u32,
+        mask: Option<&IdMask>,
+    ) -> &[Neighbor] {
+        let limit = radius.min(arena.bits()) + 1;
+        self.rank(KernelTier::detected(), arena, query, mask, usize::MAX, limit)
+    }
+
+    /// One selection at a given kernel tier: at most `k` rows, each below
+    /// distance `limit`.
+    fn rank(
+        &mut self,
+        tier: KernelTier,
+        arena: &CodeArena,
+        query: &[u64],
+        mask: Option<&IdMask>,
+        k: usize,
+        limit: u32,
+    ) -> &[Neighbor] {
+        self.counts.clear();
+        self.counts.resize(arena.bits() as usize + 2, 0);
+        self.hits.clear();
+        self.k = k;
+        self.kept = 0;
+        self.limit = if k == 0 { 0 } else { limit };
+        self.count_scan(tier, arena, query, mask);
+        self.count_sort()
+    }
+
+    /// The scan: every row the kernel shows is accepted or rejected by its
+    /// distance alone.
+    fn count_scan(
+        &mut self,
+        tier: KernelTier,
+        arena: &CodeArena,
+        query: &[u64],
+        mask: Option<&IdMask>,
+    ) {
+        if self.limit == 0 {
+            // Nothing can be selected; still validate the query width.
+            assert_eq!(query.len(), arena.words_per_code(), "query width does not match the arena");
+            return;
+        }
+        arena.scan_tier(tier, query, mask, self.limit - 1, |row, d| self.accept(arena.id(row), d));
+    }
+
+    /// Accepts a row below the limit and returns the kernel's bound for the
+    /// rows after it.  (At limit 0 the kernel still shows distance-0 rows,
+    /// which land here and are rejected.)
+    #[inline]
+    fn accept(&mut self, id: ItemId, distance: u32) -> u32 {
+        if distance < self.limit {
+            self.counts[distance as usize] += 1;
+            // lint:allow(hot-path) the buffer is reused across queries; warm, it holds a scan's accepted rows without growing
+            self.hits.push(Neighbor::new(id, distance));
+            self.kept += 1;
+            if self.kept == self.k {
+                // The k-th row's distance: the largest one below the limit
+                // with a row (the row just accepted is one).
+                let mut top = self.limit - 1;
+                while self.counts[top as usize] == 0 {
+                    top -= 1;
+                }
+                self.kept -= self.counts[top as usize];
+                self.limit = top;
+            }
+        }
+        self.limit.saturating_sub(1)
+    }
+
+    /// The finish: a stable counting sort of the accepted rows by distance.
+    /// Every row below the limit is kept; rows at the limit fill the
+    /// remaining `k - kept` slots in arrival order; stale rows above it,
+    /// accepted before the bound fell, are dropped.
+    fn count_sort(&mut self) -> &[Neighbor] {
+        let limit = self.limit as usize;
+        let len = self.kept + self.counts[limit].min(self.k - self.kept);
+        // Each distance's counter becomes its first output slot.
+        let mut start = 0;
+        for slot in &mut self.counts[..=limit] {
+            start += std::mem::replace(slot, start);
+        }
+        self.out.clear();
+        self.out.resize(len, Neighbor::new(0, 0));
+        for hit in &self.hits {
+            let d = hit.distance as usize;
+            if d <= limit && self.counts[d] < len {
+                self.out[self.counts[d]] = *hit;
+                self.counts[d] += 1;
+            }
+        }
+        &self.out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,13 +491,16 @@ mod tests {
         }
     }
 
+    /// Both selections, at every tier, against full-sort-then-truncate,
+    /// and the counting selection's radius mode against the radius scan.
     #[test]
     fn every_tier_selects_the_full_sort_topk() {
         use crate::bitmap::{Bitmap, IdMask};
-        let mut scratch = SearchScratch::new();
+        let (mut heap, mut counting) = (SearchScratch::new(), CountingTopK::new());
         for bits in [7u32, 64, 100, 128, 192, 256, 320] {
             for rows in (0..=19u64).chain([300]) {
-                // Low-entropy codes (ties) and ids past the short mask's end.
+                // Low-entropy codes (ties) and ids past the short mask's end;
+                // ids ascend with rows, so (distance, row) is (distance, id).
                 let mut arena = CodeArena::new(bits);
                 for r in 0..rows {
                     arena.push(7 * r + 1, &rand_code(bits, r / 3));
@@ -337,19 +510,38 @@ mod tests {
                 let short: Bitmap = [1u64, 15, 29, 36].into_iter().collect();
                 let masks = [Bitmap::new(), all, sparse, short].map(|b| IdMask::from_bitmap(&b));
                 let query = rand_code(bits, 77);
+                let q = query.words();
                 for mask in [None].into_iter().chain(masks.iter().map(Some)) {
-                    for k in [0usize, 1, 7, 21, rows as usize + 5] {
-                        let mut want: Vec<Neighbor> = (0..arena.len())
-                            .filter(|&r| mask.is_none_or(|m| m.contains(arena.id(r))))
-                            .map(|r| Neighbor::new(arena.id(r), arena.distance(r, query.words())))
-                            .collect();
-                        sort_neighbors(&mut want);
-                        want.truncate(k);
+                    let mut sorted: Vec<Neighbor> = (0..arena.len())
+                        .filter(|&r| mask.is_none_or(|m| m.contains(arena.id(r))))
+                        .map(|r| Neighbor::new(arena.id(r), arena.distance(r, q)))
+                        .collect();
+                    sort_neighbors(&mut sorted);
+                    for k in [0usize, 1, 7, 21, rows as usize, rows as usize + 5] {
+                        let want = &sorted[..k.min(sorted.len())];
                         for tier in KernelTier::supported() {
-                            scratch.begin(k);
-                            scratch.select(tier, &arena, query.words(), mask);
-                            let got = scratch.finish();
-                            assert_eq!(got, &want[..], "{tier:?}, bits {bits}, rows {rows}, k {k}");
+                            heap.begin(k);
+                            heap.select(tier, &arena, q, mask);
+                            assert_eq!(heap.finish(), want, "heap {tier:?}, bits {bits}, k {k}");
+                            let got = counting.rank(tier, &arena, q, mask, k, bits + 1);
+                            assert_eq!(got, want, "{tier:?}, bits {bits}, rows {rows}, k {k}");
+                        }
+                        let got = counting.knn(&arena, q, k, mask);
+                        assert_eq!(got, want, "knn, bits {bits}, rows {rows}, k {k}");
+                    }
+                    for radius in [0, bits / 4, bits, bits + 1, u32::MAX] {
+                        let mut want = Vec::new();
+                        match mask {
+                            Some(mask) => arena.scan_radius_masked_into(q, radius, mask, &mut want),
+                            None => arena.scan_radius_into(q, radius, &mut want),
+                        }
+                        sort_neighbors(&mut want);
+                        let got = counting.within(&arena, q, radius, mask);
+                        assert_eq!(got, want, "bits {bits}, rows {rows}, radius {radius}");
+                        let limit = radius.min(bits) + 1;
+                        for tier in KernelTier::supported() {
+                            let got = counting.rank(tier, &arena, q, mask, usize::MAX, limit);
+                            assert_eq!(got, want, "{tier:?}, bits {bits}, radius {radius}");
                         }
                     }
                 }

@@ -3,9 +3,12 @@
 //! MiLaN training → CBIR → query panel → result panel / statistics).
 
 use agoraeo::bigearthnet::{ArchiveGenerator, Country, GeneratorConfig, Label};
+use std::sync::Arc;
+
+use agoraeo::earthqube::net::{response_to_payload, EqClient, NetServer};
 use agoraeo::earthqube::{
-    DownloadCart, EarthQube, EarthQubeConfig, EarthQubeError, ImageQuery, LabelFilter,
-    LabelOperator,
+    DownloadCart, EarthQube, EarthQubeConfig, EarthQubeError, FilteredResponse, ImageQuery,
+    LabelFilter, LabelOperator, PrefilterMode, QueryServer, ServeConfig,
 };
 use agoraeo::geo::{BBox, GeoShape};
 
@@ -138,6 +141,43 @@ fn error_paths_are_reported_not_panicked() {
     // Valid feedback still works afterwards.
     eq.submit_feedback("works end to end", Some("reaction")).unwrap();
     assert_eq!(eq.list_feedback().unwrap().len(), 1);
+}
+
+/// A radius arrives from the wire unvalidated: past the code width, up to
+/// `u32::MAX`, it must answer what the width answers — byte for byte, with
+/// no overflow — on the bare engine, on the server and through the client.
+#[test]
+fn a_radius_past_the_code_width_answers_as_the_width_on_every_facade() {
+    let (eq, archive) = build_earthqube(60, 107);
+    let mut config = EarthQubeConfig::fast(107);
+    config.milan.epochs = 8;
+    let server = Arc::new(QueryServer::build(&archive, config, ServeConfig::default()).unwrap());
+    let net = NetServer::bind(Arc::clone(&server), "127.0.0.1:0", 2).unwrap();
+    let mut client = EqClient::connect(net.local_addr()).unwrap();
+    let bits = eq.cbir().unwrap().code_bits();
+    let name = &archive.patches()[3].meta.name;
+    let query = ImageQuery::all();
+    let bytes = |answer: &FilteredResponse| {
+        let mut out = agoraeo::wire::Writer::new();
+        response_to_payload(&answer.response).encode(&mut out);
+        out.as_bytes().to_vec()
+    };
+    let mode = PrefilterMode::Auto;
+    let width = eq.similar_within_filtered(name, bits, &query, mode).unwrap();
+    // Every other image is within the width.
+    assert_eq!(width.response.total(), archive.len() - 1);
+    for radius in [bits, bits + 1, u32::MAX] {
+        let answers = [
+            eq.similar_within_filtered(name, radius, &query, mode).unwrap(),
+            server.similar_within_filtered(name, radius, &query, mode).unwrap(),
+            client.similar_within_filtered(name, radius, &query, mode).unwrap(),
+        ];
+        for (facade, answer) in ["engine", "server", "client"].iter().zip(&answers) {
+            assert_eq!(answer, &width, "{facade} at radius {radius}");
+            assert_eq!(bytes(answer), bytes(&width), "{facade} bytes at radius {radius}");
+        }
+    }
+    net.shutdown();
 }
 
 #[test]

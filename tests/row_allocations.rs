@@ -17,8 +17,8 @@ use agoraeo::earthqube::net::{payload_to_response, response_to_payload};
 use agoraeo::earthqube::{EarthQube, EarthQubeConfig, ImageQuery};
 use agoraeo::hashindex::hashtable::Strategy;
 use agoraeo::hashindex::{
-    BinaryCode, Bitmap, CodeArena, HammingIndex, HashTableIndex, IdMask, SearchScratch,
-    ShardedHashIndex,
+    BinaryCode, Bitmap, CodeArena, CountingTopK, HammingIndex, HashTableIndex, IdMask,
+    SearchScratch, ShardedHashIndex,
 };
 use agoraeo::proto::{Response, ResponseBody};
 
@@ -124,11 +124,11 @@ fn clustered_codes(n: usize) -> Vec<BinaryCode> {
         .collect()
 }
 
-/// A warm scan allocates nothing: the serving scan over one dense-id arena
-/// (`SearchScratch::scan_arena` and `scan_arena_masked`, and
-/// `CodeArena::scan_radius_masked_into`: what `Catalog::nearest` and
-/// `similar_within_filtered` call), the sharded index's k-NN, masked k-NN
-/// and masked radius search (which the benchmark harness replays), and the
+/// A warm scan allocates nothing: the serving selection over one dense-id
+/// arena (`CountingTopK::knn`, unmasked and masked, and `CountingTopK::within`
+/// masked: what `Catalog::nearest` and `similar_within_filtered` call), the
+/// sharded index's k-NN, masked k-NN and masked radius search (the heap and
+/// the masked radius scan; the benchmark harness replays them), and the
 /// flat table's k-NN and radius scan, each into a cleared, warm buffer.
 #[test]
 fn a_warm_scan_allocates_nothing() {
@@ -149,7 +149,8 @@ fn a_warm_scan_allocates_nothing() {
     table.force_strategy(Some(Strategy::BucketScan));
     let mask = IdMask::from_bitmap(&subset);
     let query = &codes[2_000];
-    let (mut scratch, mut out) = (SearchScratch::new(), Vec::new());
+    let (mut scratch, mut counting, mut out) =
+        (SearchScratch::new(), CountingTopK::new(), Vec::new());
     let mut hits = [0; 8];
     let mut scan = || {
         hits[0] += sharded.knn_with(query, 10, &mut scratch).len();
@@ -161,18 +162,13 @@ fn a_warm_scan_allocates_nothing() {
         out.clear();
         table.radius_search_into(query, 12, &mut out);
         hits[4] += out.len();
-        scratch.begin(10);
-        scratch.scan_arena(&arena, query.words());
-        hits[5] += scratch.finish().len();
-        scratch.begin(10);
-        scratch.scan_arena_masked(&arena, query.words(), &mask);
-        hits[6] += scratch.finish().len();
-        out.clear();
-        arena.scan_radius_masked_into(query.words(), 12, &mask, &mut out);
-        hits[7] += out.len();
+        hits[5] += counting.knn(&arena, query.words(), 10, None).len();
+        hits[6] += counting.knn(&arena, query.words(), 10, Some(&mask)).len();
+        hits[7] += counting.within(&arena, query.words(), 12, Some(&mask)).len();
     };
-    // Warms the scratch heap, `out` and the per-thread stack of the
-    // debug-build lock-order tracker in `vendor/parking_lot`.
+    // Warms the scratch heap, the counting selection, `out` and the
+    // per-thread stack of the debug-build lock-order tracker in
+    // `vendor/parking_lot`.
     scan();
     let ((), allocations) = counted(|| (0..200).for_each(|_| scan()));
     assert!(hits.iter().all(|&h| h > 0), "a scan found nothing to rank: {hits:?}");
