@@ -73,7 +73,8 @@ pub struct Collection {
     name: String,
     primary_key: String,
     docs: HashMap<DocId, Document>,
-    insertion_order: Vec<DocId>,
+    /// Ids are handed out in ascending order and never reused, so
+    /// ascending id order is insertion order.
     next_id: DocId,
     pk_index: BTreeMap<Value, DocId>,
     attr_indexes: BTreeMap<String, AttributeIndex>,
@@ -93,7 +94,6 @@ impl Collection {
             name: name.to_string(),
             primary_key: primary_key.to_string(),
             docs: HashMap::new(),
-            insertion_order: Vec::new(),
             next_id: 0,
             pk_index: BTreeMap::new(),
             attr_indexes: BTreeMap::new(),
@@ -200,13 +200,7 @@ impl Collection {
     /// [`insert`](Self::insert) and snapshot restoration, which must
     /// reproduce historical ids exactly — including gaps left by deletes).
     fn insert_at(&mut self, id: DocId, doc: Document) -> Result<(), StoreError> {
-        let key = doc
-            .get(&self.primary_key)
-            .cloned()
-            .ok_or_else(|| StoreError::MissingPrimaryKey(self.primary_key.clone()))?;
-        if self.pk_index.contains_key(&key) {
-            return Err(StoreError::DuplicateKey(format!("{key:?}")));
-        }
+        let key = self.check_insert(&doc)?;
         // Update secondary indexes.
         for (field, index) in self.attr_indexes.iter_mut() {
             if let Some(v) = doc.get(field) {
@@ -220,14 +214,30 @@ impl Collection {
         }
         self.pk_index.insert(key, id);
         self.docs.insert(id, doc);
-        self.insertion_order.push(id);
         self.live.insert(id);
         Ok(())
     }
 
+    /// The primary key `doc` would be stored under, checked as
+    /// [`insert`](Self::insert) checks it: so a write spanning several
+    /// collections can be validated before it changes any of them.
+    ///
+    /// # Errors
+    /// Fails if the primary-key field is missing or already present.
+    pub fn check_insert(&self, doc: &Document) -> Result<Value, StoreError> {
+        let key = doc
+            .get(&self.primary_key)
+            .cloned()
+            .ok_or_else(|| StoreError::MissingPrimaryKey(self.primary_key.clone()))?;
+        if self.pk_index.contains_key(&key) {
+            return Err(StoreError::DuplicateKey(format!("{key:?}")));
+        }
+        Ok(key)
+    }
+
     /// The id the next inserted document will receive (serialized into
     /// snapshots so restored collections keep allocating fresh ids).
-    pub(crate) fn next_id(&self) -> DocId {
+    pub fn next_id(&self) -> DocId {
         self.next_id
     }
 
@@ -336,7 +346,6 @@ impl Collection {
         // lint:allow(panic) every mutation keeps `pk_index` and `docs` in step, so a keyed id always has its document
         let doc = self.docs.remove(&id).expect("pk index and docs are consistent");
         self.pk_index.remove(key);
-        self.insertion_order.retain(|d| *d != id);
         for (field, index) in self.attr_indexes.iter_mut() {
             if let Some(v) = doc.get(field) {
                 index.remove(v, id);
@@ -386,9 +395,10 @@ impl Collection {
         self.find(filter).plan.matched
     }
 
-    /// Iterates over all documents in insertion order.
+    /// Iterates over all documents in insertion order, which is ascending
+    /// id order.
     pub fn iter(&self) -> impl Iterator<Item = (&DocId, &Document)> {
-        self.insertion_order.iter().map(move |id| (id, &self.docs[id]))
+        self.live.iter().filter_map(move |id| self.docs.get_key_value(&id))
     }
 
     /// Collection statistics.

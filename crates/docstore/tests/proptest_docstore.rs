@@ -144,3 +144,45 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Ids are handed out ascending and never reused, so iteration, which
+    /// is insertion order, is ascending live-id order: across random
+    /// inserts, deletes and replacements (a replacement moves its key to
+    /// the end).
+    #[test]
+    fn iteration_is_insertion_order_and_ascending_live_ids(
+        records in arb_records(),
+        ops in proptest::collection::vec((0u8..3, 0usize..40), 1..60),
+    ) {
+        let (mut coll, _) = build_collections(&[]);
+        let mut order: Vec<String> = Vec::new();
+        for (op, nth) in ops {
+            let record = &records[nth % records.len()];
+            let key = Value::Str(record.name.clone());
+            let present = order.contains(&record.name);
+            match (op, present) {
+                (_, false) => {
+                    coll.insert(to_doc(record)).unwrap();
+                    order.push(record.name.clone());
+                }
+                (0, true) => {
+                    coll.delete_by_key(&key).unwrap();
+                    order.retain(|name| *name != record.name);
+                }
+                _ => {
+                    coll.replace_by_key(&key, to_doc(record)).unwrap();
+                    order.retain(|name| *name != record.name);
+                    order.push(record.name.clone());
+                }
+            }
+            let ids: Vec<u64> = coll.iter().map(|(&id, _)| id).collect();
+            prop_assert_eq!(&ids, &coll.live_bitmap().iter().collect::<Vec<_>>());
+            let names: Vec<&str> =
+                coll.iter().map(|(_, doc)| doc.get("name").unwrap().as_str().unwrap()).collect();
+            prop_assert_eq!(names, order.iter().map(String::as_str).collect::<Vec<_>>());
+        }
+    }
+}

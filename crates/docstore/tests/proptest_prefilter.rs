@@ -26,7 +26,7 @@
 //! fields and nested `And`/`Or`/`Not` — gets exercised.
 
 use eq_docstore::{Collection, Document, Filter, Value};
-use eq_geo::{BBox, GeoShape};
+use eq_geo::{haversine_km, BBox, Circle, GeoShape, Point};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -373,5 +373,49 @@ proptest! {
             prop_assert_eq!(found.plan.index_used.is_some(), compiled);
             prop_assert!(compiled || found.plan.scanned == coll.len());
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `find` over a circle equals the brute-force haversine list, not
+    /// merely the other engine: the geo index's cover of the circle's box
+    /// loses no document on the rim.  Half the radii put a drawn document
+    /// within 1e-4 of the rim, inside or out.  With `edge`, that document
+    /// first moves a hair west of a geohash column boundary (every
+    /// 1.406 25°, a boundary at every precision the index covers with) and
+    /// the centre east of it, so its cell is covered only if the circle's
+    /// box reaches it.
+    #[test]
+    fn find_within_a_circle_equals_the_brute_force_haversine_list(
+        records in arb_records(),
+        who in 0usize..32,
+        dlon in -3.0f64..3.0,
+        dlat in -2.0f64..2.0,
+        scale in prop_oneof![0.999_9f64..1.000_1, 0.1f64..3.0],
+        edge in 0u8..2,
+    ) {
+        let mut records = records;
+        let nth = who % records.len();
+        let (mut dlon, mut dlat) = (dlon, dlat);
+        if edge == 1 {
+            const COLUMN: f64 = 360.0 / 256.0;
+            let target = &mut records[nth];
+            target.lon = ((target.lon + 180.0) / COLUMN).round() * COLUMN - 180.0 - 1e-6;
+            (dlon, dlat) = (dlon.abs() / 4.0 + 0.01, dlat / 100.0);
+        }
+        let coll = build_collection(&records);
+        let at = |r: &Record| Point::new(r.lon, r.lat).unwrap();
+        let target = &records[nth];
+        let centre = Point::new(target.lon + dlon, target.lat + dlat).unwrap();
+        let radius_km = haversine_km(centre, at(target)) * scale;
+        prop_assume!(radius_km > 0.0);
+        let circle = Circle::new(centre, radius_km).unwrap();
+        let found = coll.find(&Filter::GeoWithin("location".into(), GeoShape::Circle(circle)));
+        let naive: Vec<u64> = (0..records.len() as u64)
+            .filter(|&id| haversine_km(centre, at(&records[id as usize])) <= radius_km)
+            .collect();
+        prop_assert!(found.ids == naive, "{:?}: {:?} vs brute force {:?}", circle, found, naive);
     }
 }

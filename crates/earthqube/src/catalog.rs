@@ -12,9 +12,11 @@
 //! the calling thread's own [`QueryScratch`], so no query takes a lock for
 //! its scratch.
 //!
-//! Every write, on either façade's side, is a [`WalRecord`] applied by
-//! [`Catalog::apply_record`]: live ingest and feedback build the record,
-//! recovery and replication decode it.
+//! Every write, on either façade's side and the build included, is a
+//! [`WalRecord`] applied by [`Catalog::apply_record`]: build, live ingest
+//! and feedback make the record, recovery and replication decode it.  So
+//! one id space holds: arena row *r*, metadata entry *r* and metadata
+//! document *r* are all dense patch id *r*.
 //!
 //! A filter-taking kind is two steps: [`Catalog::resolve`] turns the
 //! [`ImageQuery`] into a `ResolvedFilter` (the crate's one path to the
@@ -38,7 +40,7 @@ use crate::cbir::CbirService;
 use crate::engine::{EarthQubeConfig, SearchResponse};
 use crate::feedback::FeedbackService;
 use crate::filtered::{FilteredResponse, PrefilterMode, ResolvedFilter};
-use crate::ingest::{ingest_archive, insert_patch_docs, prepare_collections};
+use crate::ingest::{insert_patch_docs, prepare_collections, prepare_patch_docs};
 use crate::persist::{self, Sequence, WalRecord};
 use crate::query::ImageQuery;
 use crate::results::{ResultEntry, ResultPanel};
@@ -83,24 +85,34 @@ pub(crate) struct Catalog {
 }
 
 impl Catalog {
-    /// Builds the core from an archive: ingests the four collections,
-    /// trains MiLaN and indexes every code once, in dense-id order.
+    /// Builds the core from an archive: trains MiLaN, hashes the archive
+    /// once and applies one ingest record per patch to the
+    /// [`empty`](Self::empty) core, through the same
+    /// [`apply_record`](Self::apply_record) every later write takes.
     ///
     /// # Errors
-    /// Propagates ingestion/model-configuration errors.
+    /// Propagates model-configuration errors, and refuses an archive whose
+    /// patches are not in dense-id order or repeat a name.
     pub(crate) fn build(
         archive: &Archive,
         config: &EarthQubeConfig,
     ) -> Result<Self, EarthQubeError> {
-        let mut database = Database::new();
-        ingest_archive(&mut database, archive)?;
-
         let mut model = Milan::new(config.milan.clone()).map_err(EarthQubeError::BadRequest)?;
         if config.train_model {
             model.train_on_archive(archive);
         }
-        let cbir = CbirService::build(model, archive);
-        Ok(Self { database, metadata: archive.metadata(), cbir, page_size: config.page_size })
+        let codes = model.hash_archive(archive);
+        let mut catalog = Self::empty(model, config.page_size, archive.len());
+        // Every record is built before the first is applied, so what the
+        // queries read (the metadata names, the name→code keys) is
+        // allocated together, not each piece between two patches' rasters.
+        let metas = archive.metadata();
+        let docs: Vec<_> =
+            archive.patches().iter().map(|p| prepare_patch_docs(p, &p.meta.name)).collect();
+        for ((meta, (image_doc, rendered_doc)), code) in metas.into_iter().zip(docs).zip(codes) {
+            catalog.apply_record(WalRecord::Ingest { meta, code, image_doc, rendered_doc })?;
+        }
+        Ok(catalog)
     }
 
     /// An empty core over a trained model, with room for `images`: the four
@@ -124,23 +136,25 @@ impl Catalog {
     }
 
     /// Applies one write and returns the key it landed under: an ingest's
-    /// dense id, a feedback entry's id.  Live ingest and feedback, WAL
-    /// replay and replication all write through here, which is what makes
-    /// a recovered server or a replica byte-identical to the server that
-    /// took the writes.
+    /// dense id, a feedback entry's id.  Build, live ingest and feedback,
+    /// WAL replay and replication all write through here, which is what
+    /// makes a recovered server or a replica byte-identical to the server
+    /// that took the writes.
     ///
-    /// An ingest must carry the next dense id and a code of the model's
-    /// width, or it is an [`EarthQubeError::Persist`]; a name already
-    /// indexed is a [`EarthQubeError::BadRequest`], and a store refusal
-    /// keeps its own error.  Nothing of a refused record is applied: the
-    /// arena row is appended only once the documents landed, so row *r*
-    /// stays dense id *r*.
+    /// An ingest is checked whole before anything changes: it must carry
+    /// the next dense id, a code of the model's width and documents keyed
+    /// by its name, and its metadata document must take the dense id as
+    /// its document id, or it is an [`EarthQubeError::Persist`]; a name
+    /// already indexed is a [`EarthQubeError::BadRequest`], and a name
+    /// already stored keeps the store's error.  So a refused record applies
+    /// nothing and burns no id: arena row *r*, metadata entry *r* and
+    /// metadata document *r* all stay dense id *r*.
     pub(crate) fn apply_record(&mut self, record: WalRecord) -> Result<i64, EarthQubeError> {
         match record {
             WalRecord::Ingest { meta, code, image_doc, rendered_doc } => {
                 if meta.id.0 as usize != self.metadata.len() {
                     return Err(EarthQubeError::Persist(format!(
-                        "the logged record for {} carries dense id {}, expected {}",
+                        "the record for {} carries dense id {}, expected {}",
                         meta.name,
                         meta.id.0,
                         self.metadata.len()
@@ -148,7 +162,7 @@ impl Catalog {
                 }
                 if code.bits() != self.cbir.code_bits() {
                     return Err(EarthQubeError::Persist(format!(
-                        "the logged record for {} carries a {}-bit code, expected {} bits",
+                        "the record for {} carries a {}-bit code, expected {} bits",
                         meta.name,
                         code.bits(),
                         self.cbir.code_bits()
@@ -211,12 +225,6 @@ impl Catalog {
         Ok(chunk.into_bytes())
     }
 
-    /// The mode the query panel resolves in: the compiled bitmap whenever
-    /// there is one, which is what `Collection::find` does.  (On a circle's
-    /// rim the bitmap's covering cells and a full scan can disagree, so the
-    /// panel must not let [`PrefilterMode::Auto`] pick.)
-    pub(crate) const PANEL_MODE: PrefilterMode = PrefilterMode::ForceBitmap;
-
     /// The one resolver: turns a query-panel request into the exact set of
     /// matching dense patch ids, *before* any distance work, whatever the
     /// mode, so every mode ranks the same universe.  Every filter-taking
@@ -231,11 +239,10 @@ impl Catalog {
         Ok(ResolvedFilter::resolve(coll, &query.to_filter(), mode))
     }
 
-    /// The query-panel search over a filter resolved in
-    /// [`PANEL_MODE`](Self::PANEL_MODE): the matching images in ascending
-    /// dense id — insertion order, as `Collection::find` lists them —
-    /// assembled from the dense metadata table, with the plan `find` would
-    /// report.
+    /// The query-panel search over a resolved filter: the matching images
+    /// in ascending dense id — insertion order, as `Collection::find` lists
+    /// them — assembled from the dense metadata table, with the plan `find`
+    /// would report.
     pub(crate) fn search(&self, filter: &ResolvedFilter) -> Result<SearchResponse, EarthQubeError> {
         let hits = filter.mask.iter().map(|id| (id, None));
         self.respond(filter.plan.matching, hits, Some(filter.query_plan.clone()))

@@ -17,7 +17,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use eq_bigearthnet::Archive;
 use eq_hashindex::{BinaryCode, CodeArena};
 use eq_milan::Milan;
 
@@ -40,20 +39,6 @@ impl CbirService {
     pub(crate) fn new(model: Milan, images: usize) -> Self {
         let arena = CodeArena::with_capacity(model.code_bits(), images);
         Self { model: Arc::new(model), arena, name_to_code: HashMap::with_capacity(images) }
-    }
-
-    /// Builds the service: infers a binary code for every archive image and
-    /// fills the name→code table and the arena, in dense-id order.
-    ///
-    /// The model should already be trained; an untrained model still works
-    /// but retrieves poorly (that difference is experiment E2).
-    pub(crate) fn build(model: Milan, archive: &Archive) -> Self {
-        let codes = model.hash_archive(archive);
-        let mut service = Self::new(model, codes.len());
-        for (patch, code) in archive.patches().iter().zip(codes) {
-            service.insert(patch.meta.id.0 as u64, &patch.meta.name, code);
-        }
-        service
     }
 
     /// Adds one image to the table and the arena, keeping the two in step.
@@ -91,19 +76,18 @@ impl CbirService {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::catalog::Catalog;
+    use crate::EarthQubeConfig;
     use eq_bigearthnet::{ArchiveGenerator, GeneratorConfig};
     use eq_milan::MilanConfig;
 
-    fn service(n: usize, seed: u64) -> (CbirService, Archive) {
-        let archive = ArchiveGenerator::new(GeneratorConfig::tiny(n, seed)).unwrap().generate();
-        let model = Milan::new(MilanConfig::fast(32, seed)).unwrap();
-        (CbirService::build(model, &archive), archive)
-    }
-
     #[test]
     fn build_indexes_every_archive_image() {
-        let (svc, archive) = service(40, 31);
+        let archive = ArchiveGenerator::new(GeneratorConfig::tiny(40, 31)).unwrap().generate();
+        let mut config = EarthQubeConfig::fast(31);
+        config.train_model = false;
+        config.milan = MilanConfig::fast(32, 31);
+        let svc = Catalog::build(&archive, &config).unwrap().cbir;
         assert_eq!(svc.len(), 40);
         assert!(!svc.is_empty());
         assert_eq!(svc.code_bits(), 32);

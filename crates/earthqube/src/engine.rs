@@ -77,12 +77,13 @@ pub struct EarthQube {
 }
 
 impl EarthQube {
-    /// Builds the full back-end from an archive: ingests the four
-    /// collections, trains MiLaN, builds the CBIR index and registers the
-    /// assets in the AgoraEO registry.
+    /// Builds the full back-end from an archive: trains MiLaN, ingests
+    /// every patch into the four collections and the CBIR index, and
+    /// registers the assets in the AgoraEO registry.
     ///
     /// # Errors
-    /// Propagates ingestion/model-configuration errors.
+    /// Propagates ingestion/model-configuration errors: the patches must be
+    /// in dense-id order, with distinct names.
     pub fn build(archive: &Archive, config: EarthQubeConfig) -> Result<Self, EarthQubeError> {
         let catalog = Catalog::build(archive, &config)?;
         let registry = build_registry(&config);
@@ -128,7 +129,7 @@ impl EarthQube {
     /// Fails on an invalid query or a store error.
     pub fn search(&self, query: &ImageQuery) -> Result<SearchResponse, EarthQubeError> {
         query.validate()?;
-        self.catalog.search(&self.catalog.resolve(query, Catalog::PANEL_MODE)?)
+        self.catalog.search(&self.catalog.resolve(query, PrefilterMode::Auto)?)
     }
 
     /// "Retrieve similar images" for an existing archive image (§3.3 /

@@ -10,9 +10,11 @@
 //!   ([`Collection::compile_prefilter`](eq_docstore::Collection::compile_prefilter)),
 //!   let the docstore evaluate the residual filter on the bitmap's
 //!   survivors ([`PrefilterPlan::matching`](eq_docstore::PrefilterPlan::matching)),
-//!   and map the matching documents to an [`IdMask`] over dense patch ids.
-//!   The Hamming kernels then skip every masked-out row *before* paying
-//!   for a distance computation.
+//!   and take the matching document ids as an [`IdMask`].  A metadata
+//!   document's id is its dense patch id, so the ids need no mapping, and
+//!   an exact plan's compiled bitmap is the mask without touching a
+//!   document.  The Hamming kernels then skip every masked-out row
+//!   *before* paying for a distance computation.
 //! * **Scan-then-post-filter** — evaluate the full filter on every
 //!   metadata document (the pre-bitmap baseline), then run the same masked
 //!   kernels over the resulting mask.
@@ -32,17 +34,16 @@
 //!
 //! Either way the outcome is a `ResolvedFilter`: the mask plus the plan
 //! facts, owning everything it holds.  It is the one value all three
-//! filter-taking query kinds consume — the query panel's `search` reads
-//! its mask in ascending order and rebuilds `find`'s `QueryPlan` from its
-//! facts — and, since a visitor re-issues the same panel filter with one
-//! query image after another, the value the server caches per
-//! (filter, mode) until the next write.
+//! filter-taking query kinds consume — the query panel's `search` resolves
+//! in [`PrefilterMode::Auto`] like them, reads its mask in ascending order
+//! and rebuilds `find`'s `QueryPlan` from its facts — and, since a visitor
+//! re-issues the same panel filter with one query image after another, the
+//! value the server caches per (filter, mode) until the next write.
 
-use eq_docstore::{Collection, Document, Filter, QueryPlan, Value};
+use eq_docstore::{Collection, Filter, QueryPlan};
 use eq_hashindex::{Bitmap, IdMask};
 
 use crate::engine::SearchResponse;
-use crate::schema::fields;
 
 // Defined in `eq_proto` beside their codec: what a filtered search reports
 // in process is what the wire carries.
@@ -90,20 +91,18 @@ impl ResolvedFilter {
             }
         };
 
-        // The documents' ids and the archive's dense patch ids are different
-        // spaces (document ids are never reused after a rollback), so matches
-        // map through the metadata document's `patch_id` field.
-        let mut items = Bitmap::new();
-        let mut push_item = |doc: &Document| {
-            if let Some(item) = doc.get(fields::PATCH_ID).and_then(Value::as_int) {
-                items.insert(item as u64);
+        // A metadata document's id is its dense patch id, so the matching
+        // document ids are the mask: an exact plan's bitmap as compiled, else
+        // the ids the residual (or, scanning, the whole filter) accepts.
+        let mask = match &plan.bitmap {
+            Some(bitmap) if use_bitmap && plan.is_exact() => IdMask::from_bitmap(bitmap),
+            _ if use_bitmap => {
+                IdMask::from_bitmap(&plan.matching(coll).map(|(id, _)| id).collect::<Bitmap>())
             }
+            _ => IdMask::from_bitmap(
+                &coll.iter().filter(|(_, doc)| filter.matches(doc)).map(|(id, _)| *id).collect(),
+            ),
         };
-        if use_bitmap {
-            plan.matching(coll).for_each(|(_, doc)| push_item(doc));
-        } else {
-            coll.iter().filter(|(_, doc)| filter.matches(doc)).for_each(|(_, doc)| push_item(doc));
-        }
 
         let report = FilteredPlan {
             strategy: if use_bitmap {
@@ -113,14 +112,14 @@ impl ResolvedFilter {
             },
             candidates: plan.cardinality(),
             residual: plan.residual != Filter::All,
-            matching: items.len() as usize,
+            matching: mask.len() as usize,
         };
         let query_plan = QueryPlan {
             index_used: plan.index_used().map(str::to_string),
             scanned: plan.cardinality().map_or(coll.len(), |c| c as usize),
             matched: report.matching,
         };
-        Self { mask: IdMask::from_bitmap(&items), plan: report, query_plan }
+        Self { mask, plan: report, query_plan }
     }
 
     /// Approximate bytes this value keeps alive, mask first: what the
@@ -138,7 +137,7 @@ mod tests {
     use crate::ingest::ingest_metadata;
     use crate::query::ImageQuery;
     use crate::schema::collections;
-    use eq_bigearthnet::patch::Season;
+    use eq_bigearthnet::patch::{PatchId, PatchMetadata, Season};
     use eq_bigearthnet::{ArchiveGenerator, Country, GeneratorConfig};
     use eq_docstore::Database;
 
@@ -217,23 +216,51 @@ mod tests {
         }
     }
 
+    /// The mask is the matching document ids, which are dense patch ids:
+    /// a refused ingest burns no document id, so metadata document `r`
+    /// stays `metadata[r]` and a patch ingested after the refusal is found
+    /// under its dense id in every mode.
     #[test]
-    fn mask_is_over_patch_ids_not_document_ids() {
-        let mut db = metadata_db(30, 73);
-        // Delete and re-ingest a patch: its document id moves past 30 while
-        // its dense patch id stays put.
-        let coll = db.collection_mut(collections::METADATA).unwrap();
-        let doc = coll.iter().map(|(_, d)| d.clone()).next().unwrap();
-        let name = doc.get(fields::NAME).unwrap().clone();
-        let patch_id = doc.get(fields::PATCH_ID).unwrap().as_int().unwrap() as u64;
-        coll.delete_by_key(&name).unwrap();
-        coll.insert(doc).unwrap();
-        let coll = db.collection(collections::METADATA).unwrap();
-        let filter = Filter::Eq(fields::NAME.into(), name);
-        for mode in [PrefilterMode::ForceBitmap, PrefilterMode::ForcePostFilter] {
+    fn document_ids_are_dense_patch_ids_across_a_refused_ingest() {
+        use crate::catalog::Catalog;
+        use crate::persist::WalRecord;
+        use crate::schema::fields;
+        use crate::EarthQubeConfig;
+        use eq_bigearthnet::Archive;
+        use eq_docstore::{Document, Value};
+
+        let patches = ArchiveGenerator::new(GeneratorConfig::tiny(6, 73)).unwrap().generate();
+        let patches = patches.patches();
+        let mut config = EarthQubeConfig::fast(73);
+        config.train_model = false;
+        let mut catalog = Catalog::build(&Archive::new(patches[..4].to_vec()), &config).unwrap();
+        let record = |catalog: &Catalog, nth: usize| {
+            let patch = &patches[nth];
+            let meta =
+                PatchMetadata { id: PatchId(catalog.metadata.len() as u32), ..patch.meta.clone() };
+            let code = catalog.cbir.model().hash_patch(patch);
+            let (image_doc, rendered_doc) = crate::ingest::prepare_patch_docs(patch, &meta.name);
+            WalRecord::Ingest { meta, code, image_doc, rendered_doc }
+        };
+        let squatter = Document::new().with(fields::NAME, patches[4].meta.name.as_str());
+        let rendered = catalog.database.collection_mut(collections::RENDERED).unwrap();
+        rendered.insert(squatter).unwrap();
+        assert!(catalog.apply_record(record(&catalog, 4)).is_err());
+        assert_eq!(catalog.apply_record(record(&catalog, 5)).unwrap(), 4);
+
+        let coll = catalog.database.collection(collections::METADATA).unwrap();
+        assert_eq!(coll.next_id(), 5);
+        for (id, meta) in catalog.metadata.iter().enumerate() {
+            let name = coll.get(id as u64).and_then(|doc| doc.get(fields::NAME));
+            assert_eq!(name.and_then(Value::as_str), Some(meta.name.as_str()), "document {id}");
+        }
+        let filter = Filter::Eq(fields::NAME.into(), patches[5].meta.name.as_str().into());
+        for mode in
+            [PrefilterMode::Auto, PrefilterMode::ForceBitmap, PrefilterMode::ForcePostFilter]
+        {
             let ResolvedFilter { mask, plan, .. } = ResolvedFilter::resolve(coll, &filter, mode);
             assert_eq!(plan.matching, 1);
-            assert!(mask.contains(patch_id), "mask must be in patch-id space ({mode:?})");
+            assert_eq!(mask.iter().collect::<Vec<_>>(), [4], "{mode:?}");
         }
     }
 }

@@ -1,7 +1,6 @@
 //! Archive ingestion into the document-store collections.
 
 use eq_bigearthnet::patch::{Patch, PatchMetadata};
-use eq_bigearthnet::Archive;
 use eq_docstore::{Database, Document, Value};
 
 use crate::schema::{collections, fields, metadata_document};
@@ -16,7 +15,6 @@ pub(crate) fn prepare_collections(db: &mut Database) {
     if !metadata.has_attribute_index(fields::COUNTRY) {
         metadata.create_attribute_index(fields::COUNTRY);
         metadata.create_attribute_index(fields::SEASON);
-        metadata.create_attribute_index(fields::PATCH_ID);
         // Element postings over the ASCII label codes and value postings
         // over the acquisition date feed the bitmap prefilter (E13): label
         // and date predicates compile to posting-bitmap candidates instead
@@ -50,30 +48,10 @@ pub fn ingest_metadata(
     Ok(IngestReport { metadata_docs: metadata.len(), image_docs: 0, rendered_docs: 0 })
 }
 
-/// Ingests one patch into the metadata, image-data and rendered collections
-/// (which must exist — see [`ingest_archive`] for the bulk path).
-///
-/// The metadata document is written from `meta` rather than `patch.meta` so
-/// that callers appending to a live archive (the `QueryServer` write path)
-/// can re-assign the dense patch id to the next free slot.
-///
-/// # Errors
-/// Propagates document-store errors (e.g. duplicate patch names).  The
-/// patch is ingested atomically: on any error, documents already written
-/// for it are rolled back, so the three collections never hold a torn
-/// patch.
-pub fn ingest_patch(
-    db: &mut Database,
-    patch: &Patch,
-    meta: &PatchMetadata,
-) -> Result<(), EarthQubeError> {
-    let (image_doc, rendered_doc) = prepare_patch_docs(patch, &meta.name);
-    insert_patch_docs(db, meta, image_doc, rendered_doc)
-}
-
-/// Serialises a patch into its image-data and rendered documents — the
-/// CPU-heavy half of [`ingest_patch`], needing no database access so the
-/// concurrent write path can run it before taking the catalog write lock.
+/// Serialises a patch into its image-data and rendered documents, keyed by
+/// `name` — the CPU-heavy half of an ingest, needing no database access so
+/// the concurrent write path can run it before taking the catalog write
+/// lock.
 pub(crate) fn prepare_patch_docs(patch: &Patch, name: &str) -> (Document, Document) {
     // Image-data document: one bytes field per Sentinel-2 band plus the
     // two Sentinel-1 polarisations, exactly the layout §3.2 describes.
@@ -107,74 +85,59 @@ pub(crate) fn prepare_patch_docs(patch: &Patch, name: &str) -> (Document, Docume
     (image_doc, rendered_doc)
 }
 
-/// Inserts a patch's three documents (the metadata document is built here
-/// from `meta`, so the caller can assign the dense id at insert time),
-/// rolling back on failure — the cheap half of [`ingest_patch`].
+/// Inserts a patch's three documents: the metadata document built from
+/// `meta`, which must take the dense patch id `meta.id` as its document id,
+/// and the image-data and rendered documents, which must be keyed by
+/// `meta.name`.  Every check runs before the first insert, so a refused
+/// patch changes nothing and the inserts cannot fail.
+///
+/// # Errors
+/// A document keyed by another name, or a metadata document id that is not
+/// the dense id, is an [`EarthQubeError::Persist`]; a name one of the three
+/// collections already stores keeps the store's error.
 pub(crate) fn insert_patch_docs(
     db: &mut Database,
     meta: &PatchMetadata,
     image_doc: Document,
     rendered_doc: Document,
 ) -> Result<(), EarthQubeError> {
-    db.collection_mut(collections::METADATA)?.insert(metadata_document(meta))?;
-
-    // From here on, roll back the documents *this call* inserted if a later
-    // insert fails, so the three collections never disagree about a patch.
-    // Only freshly inserted documents are deleted — a failure caused by a
-    // pre-existing duplicate must not take that duplicate down with it.
     let key = Value::Str(meta.name.clone());
-    let rollback = |db: &mut Database, inserted: &[&str]| {
-        for coll in inserted {
-            if let Ok(c) = db.collection_mut(coll) {
-                let _ = c.delete_by_key(&key);
-            }
+    for (kind, doc) in [("image", &image_doc), ("rendered", &rendered_doc)] {
+        if doc.get(fields::NAME) != Some(&key) {
+            return Err(EarthQubeError::Persist(format!(
+                "the {kind} document of {} is keyed by another name",
+                meta.name
+            )));
         }
-    };
-
-    let inserted = match db.collection_mut(collections::IMAGE_DATA) {
-        Ok(c) => c.insert(image_doc).map(|_| ()).map_err(EarthQubeError::from),
-        Err(e) => Err(e.into()),
-    };
-    if let Err(e) = inserted {
-        rollback(db, &[collections::METADATA]);
-        return Err(e);
     }
-
-    let inserted = match db.collection_mut(collections::RENDERED) {
-        Ok(c) => c.insert(rendered_doc).map(|_| ()).map_err(EarthQubeError::from),
-        Err(e) => Err(e.into()),
-    };
-    if let Err(e) = inserted {
-        rollback(db, &[collections::METADATA, collections::IMAGE_DATA]);
-        return Err(e);
+    let docs = [
+        (collections::METADATA, metadata_document(meta)),
+        (collections::IMAGE_DATA, image_doc),
+        (collections::RENDERED, rendered_doc),
+    ];
+    for (coll, doc) in &docs {
+        db.collection(coll)?.check_insert(doc)?;
+    }
+    let next = db.collection(collections::METADATA)?.next_id();
+    if next != u64::from(meta.id.0) {
+        return Err(EarthQubeError::Persist(format!(
+            "the metadata document of {} would take document id {next}, not its dense id {}",
+            meta.name, meta.id.0
+        )));
+    }
+    for (coll, doc) in docs {
+        db.collection_mut(coll)?.insert(doc)?;
     }
     Ok(())
-}
-
-/// Ingests a full archive: metadata, raw band data and rendered RGB images,
-/// populating the paper's four collections.
-///
-/// # Errors
-/// Propagates document-store errors (e.g. duplicate patch names).
-pub fn ingest_archive(
-    db: &mut Database,
-    archive: &Archive,
-) -> Result<IngestReport, EarthQubeError> {
-    prepare_collections(db);
-    let mut report = IngestReport { metadata_docs: 0, image_docs: 0, rendered_docs: 0 };
-    for patch in archive.patches() {
-        ingest_patch(db, patch, &patch.meta)?;
-        report.metadata_docs += 1;
-        report.image_docs += 1;
-        report.rendered_docs += 1;
-    }
-    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eq_bigearthnet::{ArchiveGenerator, GeneratorConfig};
+    use crate::catalog::Catalog;
+    use crate::persist::WalRecord;
+    use crate::EarthQubeConfig;
+    use eq_bigearthnet::{Archive, ArchiveGenerator, GeneratorConfig};
     use eq_docstore::Filter;
 
     #[test]
@@ -194,16 +157,21 @@ mod tests {
         assert_eq!(db.collection_names().len(), 4);
     }
 
+    fn untrained(seed: u64) -> EarthQubeConfig {
+        let mut config = EarthQubeConfig::fast(seed);
+        config.train_model = false;
+        config
+    }
+
     #[test]
     fn full_ingest_populates_all_four_collections() {
         let archive = ArchiveGenerator::new(GeneratorConfig::tiny(8, 14)).unwrap().generate();
-        let mut db = Database::new();
-        let report = ingest_archive(&mut db, &archive).unwrap();
-        assert_eq!(report.metadata_docs, 8);
-        assert_eq!(report.image_docs, 8);
-        assert_eq!(report.rendered_docs, 8);
-        assert_eq!(db.collection(collections::IMAGE_DATA).unwrap().len(), 8);
-        assert_eq!(db.collection(collections::RENDERED).unwrap().len(), 8);
+        let catalog = Catalog::build(&archive, &untrained(14)).unwrap();
+        let db = &catalog.database;
+        for coll in [collections::METADATA, collections::IMAGE_DATA, collections::RENDERED] {
+            assert_eq!(db.collection(coll).unwrap().len(), 8, "collection {coll}");
+        }
+        assert_eq!(db.collection_names().len(), 4);
 
         // The image-data document stores all 12 band buffers.
         let name = archive.patches()[0].meta.name.clone();
@@ -233,30 +201,46 @@ mod tests {
     }
 
     #[test]
-    fn failed_patch_ingest_rolls_back_without_touching_existing_docs() {
+    fn a_refused_patch_ingest_leaves_existing_docs_untouched() {
         let archive = ArchiveGenerator::new(GeneratorConfig::tiny(1, 17)).unwrap().generate();
         let patch = &archive.patches()[0];
-        let mut db = Database::new();
-        ingest_metadata(&mut db, &[]).unwrap(); // creates the collections
-                                                // A pre-existing image-data document under the patch's name makes
-                                                // the second of the three inserts fail.
+        let mut catalog = Catalog::build(&Archive::default(), &untrained(17)).unwrap();
+        let code = catalog.cbir.model().hash_patch(patch);
+        let record = || {
+            let (image_doc, rendered_doc) = prepare_patch_docs(patch, &patch.meta.name);
+            WalRecord::Ingest {
+                meta: patch.meta.clone(),
+                code: code.clone(),
+                image_doc,
+                rendered_doc,
+            }
+        };
+        // A pre-existing image-data document under the patch's name makes
+        // the record refused before any of its three inserts.
         let squatter = Document::new().with(fields::NAME, patch.meta.name.as_str());
-        db.collection_mut(collections::IMAGE_DATA).unwrap().insert(squatter).unwrap();
+        let images = catalog.database.collection_mut(collections::IMAGE_DATA).unwrap();
+        images.insert(squatter).unwrap();
 
-        let err = ingest_patch(&mut db, patch, &patch.meta).unwrap_err();
+        let err = catalog.apply_record(record()).unwrap_err();
         assert!(matches!(err, EarthQubeError::Store(_)));
-        // The metadata insert was rolled back; the squatter survived.
-        assert_eq!(db.collection(collections::METADATA).unwrap().len(), 0);
-        assert_eq!(db.collection(collections::IMAGE_DATA).unwrap().len(), 1);
-        assert_eq!(db.collection(collections::RENDERED).unwrap().len(), 0);
+        // Nothing was inserted; the squatter survived.
+        let len = |catalog: &Catalog, coll| catalog.database.collection(coll).unwrap().len();
+        assert_eq!(len(&catalog, collections::METADATA), 0);
+        assert_eq!(len(&catalog, collections::IMAGE_DATA), 1);
+        assert_eq!(len(&catalog, collections::RENDERED), 0);
+        assert!(catalog.metadata.is_empty() && catalog.cbir.is_empty());
 
-        // With the conflict removed, the same patch ingests cleanly.
+        // With the conflict removed, the same patch ingests cleanly, as
+        // dense id 0 and metadata document 0.
         let key = Value::Str(patch.meta.name.clone());
-        db.collection_mut(collections::IMAGE_DATA).unwrap().delete_by_key(&key).unwrap();
-        ingest_patch(&mut db, patch, &patch.meta).unwrap();
+        let images = catalog.database.collection_mut(collections::IMAGE_DATA).unwrap();
+        images.delete_by_key(&key).unwrap();
+        assert_eq!(catalog.apply_record(record()).unwrap(), 0);
         for coll in [collections::METADATA, collections::IMAGE_DATA, collections::RENDERED] {
-            assert_eq!(db.collection(coll).unwrap().len(), 1, "collection {coll}");
+            assert_eq!(len(&catalog, coll), 1, "collection {coll}");
         }
+        let metadata = catalog.database.collection(collections::METADATA).unwrap();
+        assert_eq!(metadata.get(0).unwrap().get(fields::NAME), Some(&key));
     }
 
     #[test]

@@ -99,7 +99,7 @@ pub use cbir::CbirService;
 pub use engine::{EarthQube, EarthQubeConfig, SearchResponse};
 pub use feedback::FeedbackService;
 pub use filtered::{FilterStrategy, FilteredPlan, FilteredResponse, PrefilterMode};
-pub use ingest::{ingest_archive, ingest_metadata, ingest_patch, IngestReport};
+pub use ingest::{ingest_metadata, IngestReport};
 pub use net::{EqClient, NetServer};
 pub use query::{ImageQuery, LabelFilter, LabelOperator};
 pub use replicate::{ClusterClient, Replica, ReplicaSync, RetryPolicy, SyncStatus};

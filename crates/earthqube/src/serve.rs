@@ -494,7 +494,7 @@ impl QueryServer {
     pub fn search(&self, query: &ImageQuery) -> Result<SearchResponse, EarthQubeError> {
         query.validate()?;
         self.cached(CacheKey::Metadata(query.clone()), |catalog| {
-            catalog.search(&*self.resolved(catalog, query, Catalog::PANEL_MODE)?)
+            catalog.search(&*self.resolved(catalog, query, PrefilterMode::Auto)?)
         })
     }
 
@@ -674,9 +674,10 @@ impl QueryServer {
     /// When the server is attached to a persistence directory (via
     /// [`checkpoint`](Self::checkpoint), [`recover`](Self::recover) or
     /// [`open`](Self::open)), every applied patch is appended to the
-    /// write-ahead log *inside the same write-lock section*, so the
-    /// per-patch rollback atomicity carries over to disk: a patch is either
-    /// fully applied and fully logged, or neither.
+    /// write-ahead log *inside the same write-lock section*, so per-patch
+    /// atomicity carries over to disk: a patch is either fully applied and
+    /// fully logged, or neither (`Catalog::apply_record` checks a patch
+    /// whole before it changes anything).
     ///
     /// # Errors
     /// A batch naming an already-indexed image is rejected up front, before
@@ -1826,6 +1827,42 @@ mod tests {
         assert_eq!(srv.search(&ImageQuery::all()).unwrap(), before);
     }
 
+    /// A logged ingest whose image or rendered document is keyed by another
+    /// name is refused with a typed error before anything is applied.  Had
+    /// it applied, no later checkpoint could encode the record again (its
+    /// documents are not under its name), so the replica could never be
+    /// promoted.
+    #[test]
+    fn a_replicated_ingest_with_a_misnamed_document_is_refused_unapplied() {
+        let dir = ScratchDir::new("misnamed");
+        let (srv, _) = server(10, 217, ServeConfig::uncached(8));
+        srv.checkpoint(dir.path()).unwrap();
+        srv.set_replica_mode();
+        let before = srv.search(&ImageQuery::all()).unwrap();
+        let patch = ArchiveGenerator::new(GeneratorConfig::tiny(1, 954)).unwrap().generate_patch(0);
+        let meta = PatchMetadata { id: PatchId(10), ..patch.meta.clone() };
+        let code = srv.model.hash_patch(&patch);
+        let (image_doc, rendered_doc) = prepare_patch_docs(&patch, &meta.name);
+        let (other_image, other_rendered) = prepare_patch_docs(&patch, "someone-else");
+        for (image_doc, rendered_doc) in
+            [(other_image, rendered_doc.clone()), (image_doc.clone(), other_rendered)]
+        {
+            let meta = meta.clone();
+            let record = WalRecord::Ingest { meta, code: code.clone(), image_doc, rendered_doc };
+            let err = srv.apply_replicated(&[record.encode()], false).unwrap_err();
+            assert!(matches!(err, EarthQubeError::Persist(_)), "{err:?}");
+            assert_eq!(srv.archive_size(), 10);
+            assert_eq!(srv.search(&ImageQuery::all()).unwrap(), before);
+        }
+        // The record keyed right applies as dense id 10, and the replica's
+        // whole state encodes into the promotion checkpoint.
+        let record = WalRecord::Ingest { meta, code, image_doc, rendered_doc };
+        assert_eq!(srv.apply_replicated(&[record.encode()], false).unwrap(), 1);
+        assert_eq!(srv.archive_size(), 11);
+        srv.promote().unwrap();
+        assert!(srv.is_primary());
+    }
+
     /// Segment rotation: with a tiny limit every batch seals a segment,
     /// the files stack up, recovery replays the whole chain, and the next
     /// checkpoint retires all of them.
@@ -2108,8 +2145,8 @@ mod tests {
         }
         assert_eq!(filter_stats(&srv), (5, 3, 3));
 
-        // The query panel resolves in its own mode: here the same entry as
-        // `ForceBitmap`.
+        // The query panel resolves in `Auto`, like the first queries: the
+        // same entry.
         srv.search(&filter).unwrap();
         assert_eq!(filter_stats(&srv), (6, 3, 3));
 
@@ -2131,12 +2168,13 @@ mod tests {
         assert!(text.contains("6 filters resolved from cache, 4 compiled; 1 cached in"), "{text}");
     }
 
-    /// A patch whose second insert fails is rolled back, but its metadata
-    /// document id stays burnt: document ids skip where dense patch ids do
-    /// not.  The query panel walks dense ids, `find` walks document ids;
-    /// both must list the archive in insertion order, with the same plan.
+    /// A patch whose image name is squatted is refused before any insert,
+    /// so it burns no metadata document id: document ids stay the dense
+    /// patch ids.  The query panel walks dense ids, `find` walks document
+    /// ids; both must list the archive in insertion order, with the same
+    /// plan.
     #[test]
-    fn search_lists_insertion_order_across_a_rolled_back_insert() {
+    fn search_lists_insertion_order_across_a_refused_insert() {
         use crate::schema::{collections, fields};
         let (srv, archive) = server(12, 104, ServeConfig::default());
         let extra = ArchiveGenerator::new(GeneratorConfig::tiny(4, 780)).unwrap().generate();
@@ -2146,7 +2184,7 @@ mod tests {
             let images = catalog.database.collection_mut(collections::IMAGE_DATA).unwrap();
             images.insert(Document::new().with(fields::NAME, squatted.as_str())).unwrap();
         }
-        // Patch 0 lands, patch 1 rolls back and stops the batch.
+        // Patch 0 lands, patch 1 is refused and stops the batch.
         assert!(matches!(srv.ingest(extra.patches()), Err(EarthQubeError::Store(_))));
         srv.ingest(&extra.patches()[2..]).unwrap();
         assert_eq!(srv.archive_size(), 15);
@@ -2163,7 +2201,7 @@ mod tests {
                 let coll = catalog.database.collection(collections::METADATA).unwrap();
                 let found = coll.find(&query.to_filter());
                 let last = *found.ids.last().unwrap();
-                assert!(last as usize >= coll.len(), "no document id was skipped");
+                assert_eq!(last as usize, coll.len() - 1, "no document id was skipped");
                 found
             };
             for _ in 0..2 {
@@ -2177,22 +2215,30 @@ mod tests {
         }
     }
 
-    /// The serving index is one arena in dense-id order: as many rows as
-    /// the metadata table, row `r` holding dense id `r` and the code the
-    /// name→code table has for `metadata[r]`.
+    /// One id space: the serving index is one arena in dense-id order, as
+    /// many rows as the metadata table, row `r` holding dense id `r` and
+    /// the code the name→code table has for `metadata[r]`; and the
+    /// metadata collection holds exactly `metadata[r]`'s document under
+    /// document id `r`.
     fn assert_dense_arena(srv: &QueryServer) {
+        use crate::schema::{collections, fields};
         let catalog = srv.catalog.read();
         let arena = &catalog.cbir.arena;
+        let docs = catalog.database.collection(collections::METADATA).unwrap();
         assert_eq!(arena.len(), catalog.metadata.len());
+        assert_eq!((docs.len(), docs.next_id() as usize), (arena.len(), arena.len()));
         for (row, meta) in catalog.metadata.iter().enumerate() {
             assert_eq!(arena.id(row), row as u64);
             let code = catalog.cbir.code_of(&meta.name).unwrap();
             assert_eq!(arena.code_words(row), code.words(), "row {row}, {}", meta.name);
+            let name = docs.get(row as u64).and_then(|doc| doc.get(fields::NAME));
+            assert_eq!(name.and_then(|n| n.as_str()), Some(meta.name.as_str()), "document {row}");
         }
     }
 
-    /// Every write path keeps the arena dense: build, live ingest, an
-    /// ingest rolled back mid-batch, WAL recovery and a replicated apply.
+    /// Every write path keeps the arena and the metadata document ids
+    /// dense: build, live ingest, an ingest refused mid-batch, WAL
+    /// recovery and a replicated apply.
     /// And each counts what it grew the archive by, past the 12 built (and
     /// checkpointed) images, as ingested: recovery's replay of the WAL
     /// tail included.
@@ -2212,7 +2258,7 @@ mod tests {
         srv.ingest(&extra.patches()[..1]).unwrap();
         assert_dense_and_counted(&srv);
 
-        // Patch 1 lands, patch 2 rolls back on its squatted name.
+        // Patch 1 lands, patch 2 is refused on its squatted name.
         let squatted = extra.patches()[2].meta.name.as_str();
         {
             let mut catalog = srv.catalog.write();

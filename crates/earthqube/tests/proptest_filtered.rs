@@ -248,6 +248,72 @@ proptest! {
     }
 }
 
+/// The same kind of archive with every patch moved a hair west of a
+/// geohash column boundary (every 1.406 25° of longitude, a boundary at
+/// every precision the geo index covers with): a circle reaching a patch
+/// from the east covers the patch's cell only if the circle's box reaches
+/// the patch.
+fn rim_engine() -> &'static (EarthQube, Vec<String>) {
+    static ENGINE: OnceLock<(EarthQube, Vec<String>)> = OnceLock::new();
+    ENGINE.get_or_init(|| {
+        const COLUMN: f64 = 360.0 / 256.0;
+        let archive = ArchiveGenerator::new(GeneratorConfig::tiny(PATCHES, 79)).unwrap().generate();
+        let mut patches = archive.patches().to_vec();
+        for patch in &mut patches {
+            let centre = patch.meta.bbox.center();
+            let lon = ((centre.lon + 180.0) / COLUMN).round() * COLUMN - 180.0 - 1e-6;
+            let (lat, half) = (centre.lat, 0.005);
+            patch.meta.bbox = BBox::new(lon - half, lat - half, lon + half, lat + half).unwrap();
+        }
+        let names = patches.iter().map(|p| p.meta.name.clone()).collect();
+        let mut cfg = EarthQubeConfig::fast(79);
+        cfg.train_model = false;
+        (EarthQube::build(&Archive::new(patches), cfg).unwrap(), names)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Rim cases: for a circle whose radius is a patch's haversine distance
+    /// from the centre × (1 ± 1e-4), `Auto`, `ForceBitmap` and
+    /// `ForcePostFilter` resolve the same mask — the bitmap's geohash cover
+    /// loses no match the scan keeps — which is the brute-force haversine
+    /// match set, and the query panel counts the same.  Half the centres
+    /// lie nearly due east or west of the patch, where a box narrower than
+    /// its circle would miss the rim.
+    #[test]
+    fn every_mode_resolves_the_same_mask_on_a_circle_s_rim(
+        who in 0usize..PATCHES,
+        dlon in -0.5f64..0.5,
+        tilt in prop_oneof![-0.02f64..0.02, -2.0f64..2.0],
+        inside in 0u8..2,
+        on_boundary in 0u8..2,
+    ) {
+        let (eq, names) = if on_boundary == 1 { rim_engine() } else { engine() };
+        let name = &names[who];
+        let patch = eq.metadata_of(name).unwrap().bbox.center();
+        let centre = Point::new(patch.lon + dlon, patch.lat + dlon.abs() * tilt).unwrap();
+        let slack = if inside == 1 { 1.0 + 1e-4 } else { 1.0 - 1e-4 };
+        let radius_km = haversine_km(centre, patch) * slack;
+        prop_assume!(radius_km > 0.0);
+        let circle = Circle::new(centre, radius_km).unwrap();
+        let query = ImageQuery::all().with_shape(GeoShape::Circle(circle));
+        let bits = eq.cbir().unwrap().code_bits();
+
+        // Every other matching image is within the code width, so the
+        // radius search lists the whole mask but the query image.
+        let got = identical_across_modes(|mode| {
+            eq.similar_within_filtered(name, bits, &query, mode).unwrap()
+        })?;
+        let centres = names.iter().map(|n| eq.metadata_of(n).unwrap().bbox.center());
+        let expected = centres.filter(|&c| haversine_km(centre, c) <= radius_km).count();
+        prop_assert_eq!(got.plan.matching, expected);
+        prop_assert_eq!(got.response.total(), expected - usize::from(inside == 1));
+        prop_assert_eq!(eq.search(&query).unwrap().total(), expected);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Staleness: ingest interleaved with cached filtered queries
 // ---------------------------------------------------------------------------

@@ -43,7 +43,12 @@ impl BBox {
     /// Creates a square box of `side_km` kilometres centred at `center`.
     ///
     /// This is how synthetic BigEarthNet patch footprints are derived: a
-    /// 120 × 120 px patch at 10 m resolution covers 1.2 × 1.2 km.
+    /// 120 × 120 px patch at 10 m resolution covers 1.2 × 1.2 km.  It is the
+    /// generator's footprint convention (the ellipsoidal kilometres per
+    /// degree of [`km_to_lat_degrees`](crate::distance::km_to_lat_degrees)
+    /// and [`km_to_lon_degrees`](crate::distance::km_to_lon_degrees)), not a
+    /// bound on a query shape: a circle's box is
+    /// [`Circle::bounding_box`](crate::Circle::bounding_box).
     ///
     /// A box whose longitude span crosses the antimeridian **wraps** into
     /// two disjoint boxes (see [`SplitBBox`]) instead of being clamped to

@@ -19,13 +19,17 @@ pub fn haversine_km(a: Point, b: Point) -> f64 {
 
 /// Approximate degrees of longitude spanned by `km` kilometres at latitude `lat`.
 ///
-/// Used to turn circle radii into bounding boxes for index pre-filtering.
+/// The synthetic archive's footprint convention (see
+/// [`BBox::square_around`](crate::BBox::square_around)): its kilometres per
+/// degree are the ellipsoid's, not those of the sphere [`haversine_km`]
+/// measures on, so it bounds no query shape.
 pub fn km_to_lon_degrees(km: f64, lat: f64) -> f64 {
     let cos_lat = lat.to_radians().cos().max(1e-9);
     km / (111.319_49 * cos_lat)
 }
 
-/// Approximate degrees of latitude spanned by `km` kilometres.
+/// Approximate degrees of latitude spanned by `km` kilometres: like
+/// [`km_to_lon_degrees`], the synthetic archive's footprint convention.
 pub fn km_to_lat_degrees(km: f64) -> f64 {
     km / 110.574
 }

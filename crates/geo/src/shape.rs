@@ -1,8 +1,15 @@
 //! Query shapes supported by the EarthQube query panel: rectangle, circle
 //! and free-form polygon (§3.1 of the paper).
 
+use std::f64::consts::FRAC_PI_2;
+
 use crate::bbox::SplitBBox;
 use crate::{distance, BBox, GeoError, Point};
+
+/// Relative slack on a circle's angular radius: far above the rounding
+/// error of the bound and of `haversine_km` (~1e-15), far below any
+/// distance that matters (1e-9 of 2 000 km is 2 mm).
+const OUTWARD: f64 = 1e-9;
 
 /// A circle defined by a centre and a radius in kilometres.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,11 +35,31 @@ impl Circle {
         distance::haversine_km(self.center, p) <= self.radius_km
     }
 
-    /// A bounding region that encloses the circle; used for index
-    /// pre-filtering.  A circle near the antimeridian wraps into two boxes
-    /// (see [`SplitBBox`]) so the far side of the date line is not lost.
+    /// A bounding region that contains every point [`contains`](Self::contains)
+    /// accepts; used for index pre-filtering.
+    ///
+    /// The circle is a spherical cap of angular radius δ = r / R on the
+    /// sphere [`haversine_km`](distance::haversine_km) measures on, so its
+    /// exact extent is latitude φ ± δ and longitude λ ± asin(sin δ / cos φ)
+    /// (<http://janmatuschek.de/LatitudeLongitudeBoundingCoordinates>).  δ
+    /// is rounded outward first, so float error can only widen the box.  A
+    /// cap that reaches a pole spans every longitude, and one across the
+    /// antimeridian wraps into two boxes (see [`SplitBBox`]).
     pub fn bounding_box(&self) -> SplitBBox {
-        BBox::square_around(self.center, self.radius_km * 2.0)
+        let delta = self.radius_km / distance::EARTH_RADIUS_KM * (1.0 + OUTWARD);
+        let lat = self.center.lat.to_radians();
+        let (south, north) = (lat - delta, lat + delta);
+        if south <= -FRAC_PI_2 || north >= FRAC_PI_2 {
+            let (min_lat, max_lat) = (south.to_degrees().max(-90.0), north.to_degrees().min(90.0));
+            return SplitBBox::One(BBox { min_lon: -180.0, min_lat, max_lon: 180.0, max_lat });
+        }
+        let half_lon = (delta.sin() / lat.cos()).asin().to_degrees();
+        SplitBBox::from_lon_span(
+            self.center.lon - half_lon,
+            self.center.lon + half_lon,
+            south.to_degrees(),
+            north.to_degrees(),
+        )
     }
 }
 
@@ -202,11 +229,22 @@ mod tests {
     fn circle_bounding_box_encloses_circle_boundary() {
         let c = Circle::new(p(13.0, 52.0), 10.0).unwrap();
         let bb = c.bounding_box();
-        // Points 10 km due north/south/east/west must be inside the box.
-        let north = p(13.0, 52.0 + distance::km_to_lat_degrees(10.0) * 0.999);
-        let east = p(13.0 + distance::km_to_lon_degrees(10.0, 52.0) * 0.999, 52.0);
-        assert!(bb.contains(north));
-        assert!(bb.contains(east));
+        // Points just inside 10 km due north and east must be inside the box.
+        let degrees = (10.0 / distance::EARTH_RADIUS_KM).to_degrees() * 0.999;
+        let north = p(13.0, 52.0 + degrees);
+        let east = p(13.0 + degrees / 52f64.to_radians().cos(), 52.0);
+        for point in [north, east] {
+            assert!(c.contains(point), "{point}");
+            assert!(bb.contains(point), "{point}");
+        }
+        // The generator's footprint convention is a narrower box.
+        let square = BBox::square_around(c.center, 20.0);
+        let rim = p(
+            13.0 + (10.0 / distance::EARTH_RADIUS_KM).to_degrees() / 52f64.to_radians().cos()
+                * 0.9999,
+            52.0,
+        );
+        assert!(c.contains(rim) && bb.contains(rim) && !square.contains(rim));
     }
 
     #[test]
