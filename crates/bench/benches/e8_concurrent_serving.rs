@@ -15,9 +15,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eq_bench::archive;
 use eq_bigearthnet::{Country, Label};
+use eq_earthqube::net::{payload_to_response, query_to_spec, spec_to_query};
 use eq_earthqube::{
-    EarthQube, EarthQubeConfig, ImageQuery, LabelFilter, LabelOperator, QueryRequest, QueryServer,
-    ServeConfig,
+    EarthQube, EarthQubeConfig, ImageQuery, LabelFilter, LabelOperator, QueryServer, RequestBody,
+    ResponseBody, SearchResponse, ServeConfig,
 };
 use eq_geo::GeoShape;
 use std::hint::black_box;
@@ -25,30 +26,42 @@ use std::time::Instant;
 
 const N: usize = 1_000;
 const BATCH: usize = 64;
-const K: usize = 20;
+const K: u64 = 20;
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// A mixed workload: CBIR queries over a rotating set of archive images,
 /// interleaved with label and spatial metadata searches.  Every request is
 /// distinct, so the uncached benchmarks measure real query execution.
-fn workload(archive: &eq_bigearthnet::Archive) -> Vec<QueryRequest> {
+fn workload(archive: &eq_bigearthnet::Archive) -> Vec<RequestBody> {
     let mut requests = Vec::with_capacity(BATCH);
     for i in 0..BATCH {
         requests.push(match i % 4 {
-            0 | 1 => QueryRequest::SimilarTo {
+            0 | 1 => RequestBody::SimilarTo {
                 name: archive.patches()[(i * 13) % archive.len()].meta.name.clone(),
                 k: K,
             },
-            2 => QueryRequest::Metadata(ImageQuery::all().with_labels(LabelFilter::new(
-                LabelOperator::Some,
-                vec![Label::ALL[(i * 7) % Label::ALL.len()]],
+            2 => RequestBody::Search(query_to_spec(&ImageQuery::all().with_labels(
+                LabelFilter::new(LabelOperator::Some, vec![Label::ALL[(i * 7) % Label::ALL.len()]]),
             ))),
-            _ => QueryRequest::Metadata(ImageQuery::all().with_shape(GeoShape::Rect(
+            _ => RequestBody::Search(query_to_spec(&ImageQuery::all().with_shape(GeoShape::Rect(
                 Country::ALL[(i / 4) % Country::ALL.len()].bounding_box(),
-            ))),
+            )))),
         });
     }
     requests
+}
+
+/// One workload request run on the sequential engine.
+fn on_engine(engine: &EarthQube, request: &RequestBody) -> SearchResponse {
+    match request {
+        RequestBody::Search(spec) => engine.search(&spec_to_query(spec)),
+        RequestBody::SimilarTo { name, k } => engine.similar_to(name, *k as usize),
+        RequestBody::SearchByNewExample { patch, k } => {
+            engine.search_by_new_example(patch, *k as usize)
+        }
+        other => panic!("not in the workload: {other:?}"),
+    }
+    .unwrap()
 }
 
 fn bench_concurrent_serving(c: &mut Criterion) {
@@ -65,14 +78,8 @@ fn bench_concurrent_serving(c: &mut Criterion) {
 
     // Sanity: the concurrent server agrees with the sequential engine.
     for request in &requests {
-        let sequential = match request {
-            QueryRequest::Metadata(q) => engine.search(q).unwrap(),
-            QueryRequest::SimilarTo { name, k } => engine.similar_to(name, *k).unwrap(),
-            QueryRequest::NewExample { patch, k } => {
-                engine.search_by_new_example(patch, *k).unwrap()
-            }
-        };
-        assert_eq!(uncached.execute(request).unwrap(), sequential);
+        let ResponseBody::Search(answer) = uncached.call(request) else { panic!("{request:?}") };
+        assert_eq!(payload_to_response(answer), on_engine(&engine, request));
     }
 
     let mut group = c.benchmark_group("e8_concurrent_serving");
@@ -83,17 +90,7 @@ fn bench_concurrent_serving(c: &mut Criterion) {
     group.bench_function("sequential_engine", |b| {
         b.iter(|| {
             for request in &requests {
-                match request {
-                    QueryRequest::Metadata(q) => {
-                        black_box(engine.search(q).unwrap());
-                    }
-                    QueryRequest::SimilarTo { name, k } => {
-                        black_box(engine.similar_to(name, *k).unwrap());
-                    }
-                    QueryRequest::NewExample { patch, k } => {
-                        black_box(engine.search_by_new_example(patch, *k).unwrap());
-                    }
-                }
+                black_box(on_engine(&engine, request));
             }
         })
     });
@@ -121,7 +118,7 @@ fn bench_concurrent_serving(c: &mut Criterion) {
     };
     let base = time(&mut || {
         for request in &requests {
-            black_box(uncached.execute(request).unwrap());
+            black_box(uncached.call(request));
         }
     });
     println!(

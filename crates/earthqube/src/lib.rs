@@ -44,13 +44,14 @@
 //! # Example
 //!
 //! Build the back-end over a (tiny) synthetic archive, move its query core
-//! into the concurrent server, and fan a small workload over two worker
-//! threads:
+//! into the concurrent server, and fan a small workload of wire requests
+//! over two worker threads:
 //!
 //! ```
 //! use eq_bigearthnet::{ArchiveGenerator, GeneratorConfig};
+//! use eq_earthqube::net::{query_to_spec, response_to_payload};
 //! use eq_earthqube::{
-//!     EarthQube, EarthQubeConfig, ImageQuery, QueryRequest, QueryServer, ServeConfig,
+//!     EarthQube, EarthQubeConfig, ImageQuery, QueryServer, RequestBody, ResponseBody, ServeConfig,
 //! };
 //!
 //! let archive = ArchiveGenerator::new(GeneratorConfig::tiny(16, 7)).unwrap().generate();
@@ -67,12 +68,12 @@
 //! // shared across threads.
 //! let server = QueryServer::from_engine(engine, ServeConfig::default()).unwrap();
 //! let requests = vec![
-//!     QueryRequest::Metadata(ImageQuery::all()),
-//!     QueryRequest::SimilarTo { name: name.clone(), k: 3 },
+//!     RequestBody::Search(query_to_spec(&ImageQuery::all())),
+//!     RequestBody::SimilarTo { name: name.clone(), k: 3 },
 //! ];
 //! let results = server.run_workload(&requests, 2);
-//! assert_eq!(results[0].as_ref().unwrap().total(), 16);
-//! assert_eq!(results[1].as_ref().unwrap(), &similar);
+//! assert!(matches!(&results[0], ResponseBody::Search(answer) if answer.rows.len() == 16));
+//! assert_eq!(results[1], ResponseBody::Search(response_to_payload(&similar)));
 //! assert!(server.stats().queries_served >= 2);
 //! ```
 
@@ -106,8 +107,8 @@ pub use replicate::{ClusterClient, Replica, ReplicaSync, RetryPolicy, SyncStatus
 pub use results::{DownloadCart, ResultEntry, ResultPage, ResultPanel};
 pub use schema::{collections, metadata_document, metadata_from_document};
 pub use serve::{
-    CheckpointKind, CheckpointStats, CheckpointerStats, QueryRequest, QueryServer, ServeConfig,
-    ServerStats,
+    CheckpointKind, CheckpointStats, CheckpointerStats, QueryServer, RequestBody, ResponseBody,
+    ServeConfig, ServerStats,
 };
 pub use stats::LabelStatistics;
 

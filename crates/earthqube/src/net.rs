@@ -6,8 +6,8 @@
 //!
 //! * [`NetServer`] — a **readiness-driven event loop** multiplexing every
 //!   accepted connection over one poller thread (a vendored `poll(2)`
-//!   shim), plus a **bounded worker pool** that executes decoded requests
-//!   against the shared `&self` read path of the wrapped [`QueryServer`].
+//!   shim), plus a **bounded worker pool** that hands each decoded request
+//!   to [`QueryServer::call`] on the shared `&self` server.
 //!   One process serves thousands of idle-or-slow sockets over K workers;
 //!   a connection no longer pins a thread for its lifetime.  Faults are
 //!   isolated per connection: a malformed frame (garbage preamble, torn
@@ -21,11 +21,12 @@
 //!   [`eq_proto::ErrorCode::Overloaded`] error frame instead of stalling
 //!   the connection; clients that stop draining their responses (slow
 //!   loris) are evicted on a write timeout or when their output backlog
-//!   exceeds a cap.  The [`eq_proto::RequestBody::MetricsText`] endpoint
+//!   exceeds a cap.  The [`RequestBody::MetricsText`] endpoint
 //!   renders the serving counters plus the net-tier counters
 //!   ([`NetTierStats`]) as Prometheus-style scrape text.
-//! * [`EqClient`] — a blocking client over one reused connection, with
-//!   one-shot calls mirroring the [`QueryServer`] API and a **pipelined**
+//! * [`EqClient`] — a blocking client over one reused connection: one
+//!   [`call`](EqClient::call) sending any [`RequestBody`], typed
+//!   calls mirroring the [`QueryServer`] API, and a **pipelined**
 //!   [`run_batch`](EqClient::run_batch) that streams a whole workload of
 //!   request frames (from a scoped writer thread) while reading the
 //!   responses, amortising round-trip latency without ever risking a
@@ -86,6 +87,7 @@ use std::time::{Duration, Instant};
 
 use eq_bigearthnet::patch::Patch;
 use eq_docstore::QueryPlan;
+use eq_proto::{RequestBody, ResponseBody};
 use parking_lot::{Condvar, Mutex};
 use rand::SeedableRng as _;
 
@@ -95,7 +97,7 @@ use crate::ingest::IngestReport;
 use crate::query::{ImageQuery, LabelFilter, LabelOperator};
 use crate::replicate::{ReplBatch, ReplState, RetryPolicy};
 use crate::results::ResultPanel;
-use crate::serve::{QueryRequest, QueryServer, ServerStats};
+use crate::serve::{QueryServer, ServerStats};
 use crate::stats::LabelStatistics;
 use crate::EarthQubeError;
 
@@ -128,21 +130,21 @@ pub fn query_to_spec(query: &ImageQuery) -> eq_proto::QuerySpec {
 
 /// Translates a wire specification back into an [`ImageQuery`] (the exact
 /// inverse of [`query_to_spec`]).
-pub fn spec_to_query(spec: eq_proto::QuerySpec) -> ImageQuery {
+pub fn spec_to_query(spec: &eq_proto::QuerySpec) -> ImageQuery {
     ImageQuery {
-        shape: spec.shape,
+        shape: spec.shape.clone(),
         date_range: spec.date_range,
-        satellites: spec.satellites,
-        seasons: spec.seasons,
-        countries: spec.countries,
-        labels: spec.labels.map(|filter| {
+        satellites: spec.satellites.clone(),
+        seasons: spec.seasons.clone(),
+        countries: spec.countries.clone(),
+        labels: spec.labels.as_ref().map(|filter| {
             LabelFilter::new(
                 match filter.op {
                     eq_proto::LabelOp::Some => LabelOperator::Some,
                     eq_proto::LabelOp::Exactly => LabelOperator::Exactly,
                     eq_proto::LabelOp::AtLeastAndMore => LabelOperator::AtLeastAndMore,
                 },
-                filter.labels,
+                filter.labels.clone(),
             )
         }),
     }
@@ -157,7 +159,7 @@ pub fn response_to_payload(response: &SearchResponse) -> eq_proto::SearchPayload
 
 /// The one response-to-wire conversion: the rows move into the payload,
 /// so no row's name is copied.
-fn search_payload(response: SearchResponse) -> eq_proto::SearchPayload {
+pub(crate) fn search_payload(response: SearchResponse) -> eq_proto::SearchPayload {
     let SearchResponse { panel, statistics, plan } = response;
     eq_proto::SearchPayload {
         page_size: panel.page_size() as u64,
@@ -1084,14 +1086,16 @@ fn process_job(shared: &Shared, payload: &[u8]) -> (Vec<u8>, bool) {
     let response = if shared.poisoned.load(Ordering::SeqCst) {
         poisoned_response(id)
     } else {
-        let mutating = matches!(
-            request.body,
-            eq_proto::RequestBody::Ingest { .. } | eq_proto::RequestBody::Feedback { .. }
-        );
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            dispatch(&shared.server, &shared.stats, request)
+        // The one kind that reads this tier's counters is answered here;
+        // every other goes to the server's one request entry.
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &request.body {
+            RequestBody::MetricsText => ResponseBody::MetricsText(render_metrics(
+                &shared.server.stats(),
+                &shared.stats.snapshot(),
+            )),
+            body => shared.server.call(body),
         })) {
-            Ok(response) => response,
+            Ok(body) => eq_proto::Response { id, body },
             Err(_) => {
                 // A panic in a *read-only* request mutated nothing (the
                 // engine read path takes only shared locks); report it
@@ -1099,7 +1103,7 @@ fn process_job(shared: &Shared, payload: &[u8]) -> (Vec<u8>, bool) {
                 // have left a half-applied write behind — these locks
                 // do not poison — so latch the server-wide poison flag:
                 // wrong answers forever are worse than refusing work.
-                if mutating {
+                if request.body.is_write() {
                     shared.poisoned.store(true, Ordering::SeqCst);
                     poisoned_response(id)
                 } else {
@@ -1283,7 +1287,7 @@ impl Drop for NetServer {
 /// Renders the serving counters and the network-tier counters as
 /// Prometheus-style scrape text (one `name value` line per counter,
 /// index occupancy with a `shard` label, one series for the one arena).
-fn render_metrics(stats: &ServerStats, net: &NetTierStats) -> String {
+pub(crate) fn render_metrics(stats: &ServerStats, net: &NetTierStats) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(out, "eq_queries_served_total {}", stats.queries_served);
@@ -1324,135 +1328,7 @@ fn poisoned_response(id: u64) -> eq_proto::Response {
 /// A typed error answer to request `id` (0: no request can be named).
 fn error_response(id: u64, code: eq_proto::ErrorCode, message: &str) -> eq_proto::Response {
     let payload = eq_proto::ErrorPayload { code, message: message.to_string() };
-    eq_proto::Response { id, body: eq_proto::ResponseBody::Error(payload) }
-}
-
-/// Cap on the neighbour count a remote client may request: far above any
-/// UI use, far below values whose `k + 1` arithmetic could overflow in
-/// the engine.
-const MAX_REMOTE_K: u64 = 1 << 20;
-
-fn clamp_k(k: u64) -> usize {
-    k.min(MAX_REMOTE_K) as usize
-}
-
-/// Structural validation of a patch decoded off the wire.  `decode_patch`
-/// restores whatever band layout the bytes declare; the engine, however,
-/// indexes the canonical layout unconditionally (12 Sentinel-2 rasters,
-/// 2 polarisations, non-empty pixels), so a short band list from a
-/// hostile client must be rejected *here* — reaching the engine with one
-/// would panic the serving worker.
-fn validate_wire_patch(patch: &Patch) -> Result<(), EarthQubeError> {
-    let bad = |message: String| {
-        EarthQubeError::BadRequest(format!("invalid patch {:?}: {message}", patch.meta.name))
-    };
-    if patch.s2_bands.len() != eq_bigearthnet::Band::COUNT {
-        return Err(bad(format!(
-            "expected {} Sentinel-2 bands, got {}",
-            eq_bigearthnet::Band::COUNT,
-            patch.s2_bands.len()
-        )));
-    }
-    if patch.s1_bands.len() != 2 {
-        return Err(bad(format!(
-            "expected 2 Sentinel-1 polarisations, got {}",
-            patch.s1_bands.len()
-        )));
-    }
-    if let Some(empty) =
-        patch.s2_bands.iter().chain(&patch.s1_bands).position(|b| b.pixels().is_empty())
-    {
-        return Err(bad(format!("raster {empty} has no pixels")));
-    }
-    // `Patch::render_rgb` (the ingest path) writes one output buffer sized
-    // by B04 from the pixels of all three RGB bands, so their sizes must
-    // agree.  (Other engine paths use per-band statistics only, and the
-    // canonical per-resolution sizes are deliberately *not* required:
-    // uniformly scaled-down archives are legitimate.)
-    let rgb = [eq_bigearthnet::Band::B02, eq_bigearthnet::Band::B03, eq_bigearthnet::Band::B04];
-    let sizes: Vec<usize> = rgb.iter().map(|&b| patch.band(b).size()).collect();
-    if sizes[0] != sizes[2] || sizes[1] != sizes[2] {
-        return Err(bad(format!("RGB band sizes {sizes:?} disagree")));
-    }
-    Ok(())
-}
-
-/// Executes one decoded request against the query server, mapping the
-/// outcome (including errors) onto the response body.
-fn dispatch(
-    server: &QueryServer,
-    net: &NetStats,
-    request: eq_proto::Request,
-) -> eq_proto::Response {
-    use eq_proto::{RequestBody, ResponseBody};
-    let search_outcome = |result: Result<SearchResponse, EarthQubeError>| match result {
-        Ok(response) => ResponseBody::Search(search_payload(response)),
-        Err(e) => ResponseBody::Error(error_to_payload(&e)),
-    };
-    let filtered_outcome = |result: Result<FilteredResponse, EarthQubeError>| match result {
-        Ok(FilteredResponse { response, plan }) => {
-            ResponseBody::Filtered(eq_proto::FilteredPayload {
-                search: search_payload(response),
-                plan,
-            })
-        }
-        Err(e) => ResponseBody::Error(error_to_payload(&e)),
-    };
-    let body = match request.body {
-        RequestBody::Ping => ResponseBody::Pong,
-        RequestBody::Search(spec) => search_outcome(server.search(&spec_to_query(spec))),
-        RequestBody::SimilarTo { name, k } => search_outcome(server.similar_to(&name, clamp_k(k))),
-        RequestBody::SearchByNewExample { patch, k } => search_outcome(
-            validate_wire_patch(&patch)
-                .and_then(|()| server.search_by_new_example(&patch, clamp_k(k))),
-        ),
-        RequestBody::Ingest { patches } => {
-            match patches
-                .iter()
-                .try_for_each(validate_wire_patch)
-                .and_then(|()| server.ingest(&patches))
-            {
-                Ok(report) => ResponseBody::Ingest(report),
-                Err(e) => ResponseBody::Error(error_to_payload(&e)),
-            }
-        }
-        RequestBody::Feedback { text, category } => {
-            match server.submit_feedback(&text, category.as_deref()) {
-                Ok(id) => ResponseBody::Feedback { id },
-                Err(e) => ResponseBody::Error(error_to_payload(&e)),
-            }
-        }
-        RequestBody::Stats => ResponseBody::Stats(server.stats()),
-        RequestBody::MetricsText => {
-            ResponseBody::MetricsText(render_metrics(&server.stats(), &net.snapshot()))
-        }
-        RequestBody::SimilarToFiltered { name, k, spec, mode } => filtered_outcome(
-            server.similar_to_filtered(&name, clamp_k(k), &spec_to_query(spec), mode),
-        ),
-        RequestBody::SimilarWithinFiltered { name, radius, spec, mode } => filtered_outcome(
-            server.similar_within_filtered(&name, radius, &spec_to_query(spec), mode),
-        ),
-        RequestBody::ReplState => ResponseBody::ReplState(server.repl_state()),
-        RequestBody::ReplManifest => match server.repl_manifest_bytes() {
-            Ok(bytes) => ResponseBody::ReplManifest { bytes },
-            Err(e) => ResponseBody::Error(error_to_payload(&e)),
-        },
-        RequestBody::ReplChunk { file, offset, max_bytes } => {
-            match server.repl_chunk_bytes(&file, offset, max_bytes) {
-                Ok((total_len, bytes)) => {
-                    ResponseBody::ReplChunk(eq_proto::ReplChunkPayload { total_len, bytes })
-                }
-                Err(e) => ResponseBody::Error(error_to_payload(&e)),
-            }
-        }
-        RequestBody::ReplPull { replica_id, generation, segment, offset, max_bytes } => {
-            match server.repl_pull(replica_id, generation, segment, offset, max_bytes) {
-                Ok(batch) => ResponseBody::ReplRecords(batch),
-                Err(e) => ResponseBody::Error(error_to_payload(&e)),
-            }
-        }
-    };
-    eq_proto::Response { id: request.id, body }
+    eq_proto::Response { id, body: ResponseBody::Error(payload) }
 }
 
 // ---------------------------------------------------------------------------
@@ -1517,10 +1393,6 @@ impl EqClient {
         })
     }
 
-    fn send(&mut self, body: eq_proto::RequestBody) -> Result<u64, EarthQubeError> {
-        self.send_with(|w, id| eq_proto::Request { id, body }.encode_into(w))
-    }
-
     /// Sends one request frame whose payload `encode` writes in place —
     /// for the borrowed encoders (`encode_ingest_request_into` & co.) this
     /// also avoids cloning raster data into an owned request body.
@@ -1537,7 +1409,7 @@ impl EqClient {
         sent.map(|()| id)
     }
 
-    fn receive(&mut self, expected_id: u64) -> Result<eq_proto::ResponseBody, EarthQubeError> {
+    fn receive(&mut self, expected_id: u64) -> Result<ResponseBody, EarthQubeError> {
         let response = eq_proto::read_response(&mut self.reader)
             .map_err(|e| net_err("reading the response", e))?
             .ok_or_else(|| EarthQubeError::Net("the server closed the connection".to_string()))?;
@@ -1550,19 +1422,15 @@ impl EqClient {
         Ok(response.body)
     }
 
-    fn call(
-        &mut self,
-        body: eq_proto::RequestBody,
-    ) -> Result<eq_proto::ResponseBody, EarthQubeError> {
-        let id = self.send(body)?;
+    /// Sends any request and returns the server's answer as it arrived: a
+    /// server-side failure is a [`ResponseBody::Error`], so only transport
+    /// failures are errors here.  The body is encoded where it lies.
+    ///
+    /// # Errors
+    /// Fails with [`EarthQubeError::Net`] on transport faults.
+    pub fn call(&mut self, body: &RequestBody) -> Result<ResponseBody, EarthQubeError> {
+        let id = self.send_with(|w, id| body.encode_into(w, id))?;
         self.receive(id)
-    }
-
-    fn expect_search(body: eq_proto::ResponseBody) -> Result<SearchResponse, EarthQubeError> {
-        match body {
-            eq_proto::ResponseBody::Search(payload) => Ok(payload_to_response(payload)),
-            other => Err(unexpected(other, "a search request")),
-        }
     }
 
     /// Liveness probe.
@@ -1570,8 +1438,8 @@ impl EqClient {
     /// # Errors
     /// Fails with [`EarthQubeError::Net`] on transport faults.
     pub fn ping(&mut self) -> Result<(), EarthQubeError> {
-        match self.call(eq_proto::RequestBody::Ping)? {
-            eq_proto::ResponseBody::Pong => Ok(()),
+        match self.call(&RequestBody::Ping)? {
+            ResponseBody::Pong => Ok(()),
             other => Err(unexpected(other, "ping")),
         }
     }
@@ -1581,8 +1449,8 @@ impl EqClient {
     /// # Errors
     /// Propagates the server-side error, or [`EarthQubeError::Net`].
     pub fn search(&mut self, query: &ImageQuery) -> Result<SearchResponse, EarthQubeError> {
-        let body = self.call(eq_proto::RequestBody::Search(query_to_spec(query)))?;
-        Self::expect_search(body)
+        let body = self.call(&RequestBody::Search(query_to_spec(query)))?;
+        expect_search(body)
     }
 
     /// Remote counterpart of [`QueryServer::similar_to`].
@@ -1590,9 +1458,8 @@ impl EqClient {
     /// # Errors
     /// Propagates the server-side error, or [`EarthQubeError::Net`].
     pub fn similar_to(&mut self, name: &str, k: usize) -> Result<SearchResponse, EarthQubeError> {
-        let body =
-            self.call(eq_proto::RequestBody::SimilarTo { name: name.to_string(), k: k as u64 })?;
-        Self::expect_search(body)
+        let body = self.call(&RequestBody::SimilarTo { name: name.to_string(), k: k as u64 })?;
+        expect_search(body)
     }
 
     /// Remote counterpart of [`QueryServer::search_by_new_example`]: the
@@ -1608,7 +1475,7 @@ impl EqClient {
         // The borrowed encoder spares a deep copy of the raster data.
         let id = self
             .send_with(|w, id| eq_proto::encode_new_example_request_into(w, id, patch, k as u64))?;
-        Self::expect_search(self.receive(id)?)
+        expect_search(self.receive(id)?)
     }
 
     /// Remote counterpart of [`QueryServer::ingest`].
@@ -1620,7 +1487,7 @@ impl EqClient {
         let id = self.send_with(|w, id| eq_proto::encode_ingest_request_into(w, id, patches))?;
         let body = self.receive(id)?;
         match body {
-            eq_proto::ResponseBody::Ingest(report) => Ok(report),
+            ResponseBody::Ingest(report) => Ok(report),
             other => Err(unexpected(other, "ingest")),
         }
     }
@@ -1634,12 +1501,12 @@ impl EqClient {
         text: &str,
         category: Option<&str>,
     ) -> Result<i64, EarthQubeError> {
-        let body = self.call(eq_proto::RequestBody::Feedback {
+        let body = self.call(&RequestBody::Feedback {
             text: text.to_string(),
             category: category.map(str::to_string),
         })?;
         match body {
-            eq_proto::ResponseBody::Feedback { id } => Ok(id),
+            ResponseBody::Feedback { id } => Ok(id),
             other => Err(unexpected(other, "feedback")),
         }
     }
@@ -1649,8 +1516,8 @@ impl EqClient {
     /// # Errors
     /// Propagates the server-side error, or [`EarthQubeError::Net`].
     pub fn stats(&mut self) -> Result<ServerStats, EarthQubeError> {
-        match self.call(eq_proto::RequestBody::Stats)? {
-            eq_proto::ResponseBody::Stats(stats) => Ok(stats),
+        match self.call(&RequestBody::Stats)? {
+            ResponseBody::Stats(stats) => Ok(stats),
             other => Err(unexpected(other, "stats")),
         }
     }
@@ -1661,16 +1528,9 @@ impl EqClient {
     /// # Errors
     /// Propagates the server-side error, or [`EarthQubeError::Net`].
     pub fn metrics_text(&mut self) -> Result<String, EarthQubeError> {
-        match self.call(eq_proto::RequestBody::MetricsText)? {
-            eq_proto::ResponseBody::MetricsText(text) => Ok(text),
+        match self.call(&RequestBody::MetricsText)? {
+            ResponseBody::MetricsText(text) => Ok(text),
             other => Err(unexpected(other, "metrics")),
-        }
-    }
-
-    fn expect_filtered(body: eq_proto::ResponseBody) -> Result<FilteredResponse, EarthQubeError> {
-        match body {
-            eq_proto::ResponseBody::Filtered(payload) => Ok(payload_to_filtered(payload)),
-            other => Err(unexpected(other, "a filtered search")),
         }
     }
 
@@ -1686,13 +1546,13 @@ impl EqClient {
         query: &ImageQuery,
         mode: PrefilterMode,
     ) -> Result<FilteredResponse, EarthQubeError> {
-        let body = self.call(eq_proto::RequestBody::SimilarToFiltered {
+        let body = self.call(&RequestBody::SimilarToFiltered {
             name: name.to_string(),
             k: k as u64,
             spec: query_to_spec(query),
             mode,
         })?;
-        Self::expect_filtered(body)
+        expect_filtered(body)
     }
 
     /// Remote counterpart of [`QueryServer::similar_within_filtered`]: the
@@ -1707,13 +1567,13 @@ impl EqClient {
         query: &ImageQuery,
         mode: PrefilterMode,
     ) -> Result<FilteredResponse, EarthQubeError> {
-        let body = self.call(eq_proto::RequestBody::SimilarWithinFiltered {
+        let body = self.call(&RequestBody::SimilarWithinFiltered {
             name: name.to_string(),
             radius,
             spec: query_to_spec(query),
             mode,
         })?;
-        Self::expect_filtered(body)
+        expect_filtered(body)
     }
 
     /// Fetches the server's replication role and durable WAL position —
@@ -1723,8 +1583,8 @@ impl EqClient {
     /// # Errors
     /// Propagates the server-side error, or [`EarthQubeError::Net`].
     pub fn repl_state(&mut self) -> Result<ReplState, EarthQubeError> {
-        match self.call(eq_proto::RequestBody::ReplState)? {
-            eq_proto::ResponseBody::ReplState(state) => Ok(state),
+        match self.call(&RequestBody::ReplState)? {
+            ResponseBody::ReplState(state) => Ok(state),
             other => Err(unexpected(other, "repl_state")),
         }
     }
@@ -1735,8 +1595,8 @@ impl EqClient {
     /// # Errors
     /// Propagates the server-side error, or [`EarthQubeError::Net`].
     pub fn repl_manifest(&mut self) -> Result<Vec<u8>, EarthQubeError> {
-        match self.call(eq_proto::RequestBody::ReplManifest)? {
-            eq_proto::ResponseBody::ReplManifest { bytes } => Ok(bytes),
+        match self.call(&RequestBody::ReplManifest)? {
+            ResponseBody::ReplManifest { bytes } => Ok(bytes),
             other => Err(unexpected(other, "repl_manifest")),
         }
     }
@@ -1753,13 +1613,10 @@ impl EqClient {
         offset: u64,
         max_bytes: u64,
     ) -> Result<(u64, Vec<u8>), EarthQubeError> {
-        let body = self.call(eq_proto::RequestBody::ReplChunk {
-            file: file.to_string(),
-            offset,
-            max_bytes,
-        })?;
+        let body =
+            self.call(&RequestBody::ReplChunk { file: file.to_string(), offset, max_bytes })?;
         match body {
-            eq_proto::ResponseBody::ReplChunk(payload) => Ok((payload.total_len, payload.bytes)),
+            ResponseBody::ReplChunk(payload) => Ok((payload.total_len, payload.bytes)),
             other => Err(unexpected(other, "repl_chunk")),
         }
     }
@@ -1778,7 +1635,7 @@ impl EqClient {
         offset: u64,
         max_bytes: u64,
     ) -> Result<ReplBatch, EarthQubeError> {
-        let body = self.call(eq_proto::RequestBody::ReplPull {
+        let body = self.call(&RequestBody::ReplPull {
             replica_id,
             generation,
             segment,
@@ -1786,25 +1643,15 @@ impl EqClient {
             max_bytes,
         })?;
         match body {
-            eq_proto::ResponseBody::ReplRecords(batch) => Ok(batch),
+            ResponseBody::ReplRecords(batch) => Ok(batch),
             other => Err(unexpected(other, "repl_pull")),
         }
     }
 
-    /// Executes one workload request remotely — the wire counterpart of
-    /// [`QueryServer::execute`].
-    ///
-    /// # Errors
-    /// Propagates the server-side error, or [`EarthQubeError::Net`].
-    pub fn execute(&mut self, request: &QueryRequest) -> Result<SearchResponse, EarthQubeError> {
-        let id = self.send_with(|w, id| encode_workload_request(w, id, request))?;
-        Self::expect_search(self.receive(id)?)
-    }
-
-    /// Executes a batch of workload requests **pipelined**: request frames
-    /// are written by a scoped writer thread while this thread reads the
+    /// Executes a batch of requests **pipelined**: request frames are
+    /// written by a scoped writer thread while this thread reads the
     /// responses, so the whole batch pays one network round trip instead
-    /// of one per request.  Results come back in request order, with
+    /// of one per request.  Responses come back in request order, with
     /// per-request server-side errors in their slots — the remote
     /// counterpart of [`QueryServer::run_workload`].
     ///
@@ -1818,8 +1665,8 @@ impl EqClient {
     /// not).
     pub fn run_batch(
         &mut self,
-        requests: &[QueryRequest],
-    ) -> Result<Vec<Result<SearchResponse, EarthQubeError>>, EarthQubeError> {
+        requests: &[RequestBody],
+    ) -> Result<Vec<ResponseBody>, EarthQubeError> {
         let first_id = self.next_id;
         self.next_id += requests.len() as u64;
         let mut writer = self
@@ -1831,7 +1678,7 @@ impl EqClient {
                 let mut frame = Vec::new();
                 for (i, request) in requests.iter().enumerate() {
                     let id = first_id + i as u64;
-                    let encode = |w: &mut eq_wire::Writer| encode_workload_request(w, id, request);
+                    let encode = |w: &mut eq_wire::Writer| request.encode_into(w, id);
                     if let Err(e) = send_frame(&mut writer, &mut frame, encode) {
                         // The failure may be purely local (e.g. a payload
                         // over the frame cap, rejected before any byte hit
@@ -1849,7 +1696,7 @@ impl EqClient {
             let mut receive_error = None;
             for i in 0..requests.len() {
                 match self.receive(first_id + i as u64) {
-                    Ok(body) => results.push(Self::expect_search(body)),
+                    Ok(body) => results.push(body),
                     Err(e) => {
                         // Abort the batch: shut the socket down so the
                         // writer thread (possibly blocked mid-write) fails
@@ -1877,11 +1724,27 @@ impl EqClient {
     }
 }
 
+/// A search answer as the typed call returns it.
+pub(crate) fn expect_search(body: ResponseBody) -> Result<SearchResponse, EarthQubeError> {
+    match body {
+        ResponseBody::Search(payload) => Ok(payload_to_response(payload)),
+        other => Err(unexpected(other, "a search request")),
+    }
+}
+
+/// A filtered-search answer as the typed call returns it.
+pub(crate) fn expect_filtered(body: ResponseBody) -> Result<FilteredResponse, EarthQubeError> {
+    match body {
+        ResponseBody::Filtered(payload) => Ok(payload_to_filtered(payload)),
+        other => Err(unexpected(other, "a filtered search")),
+    }
+}
+
 /// The error for a response that is not the kind the request calls for: the
 /// server's own typed error, reconstructed, or a transport-level complaint.
-fn unexpected(body: eq_proto::ResponseBody, request: &str) -> EarthQubeError {
+pub(crate) fn unexpected(body: ResponseBody, request: &str) -> EarthQubeError {
     match body {
-        eq_proto::ResponseBody::Error(e) => payload_to_error(e),
+        ResponseBody::Error(e) => payload_to_error(e),
         other => EarthQubeError::Net(format!("unexpected response {other:?} to {request}")),
     }
 }
@@ -1901,25 +1764,6 @@ fn send_frame(
     frame.clear();
     eq_proto::frame_request_with(frame, encode).map_err(|e| net_err("sending the request", e))?;
     stream.write_all(frame).map_err(|e| net_err("sending the request", e))
-}
-
-/// Encodes a [`QueryRequest`] as protocol payload bytes, borrowing the
-/// request's data (no raster copies for `NewExample`).
-fn encode_workload_request(w: &mut eq_wire::Writer, id: u64, request: &QueryRequest) {
-    match request {
-        QueryRequest::Metadata(query) => {
-            eq_proto::Request { id, body: eq_proto::RequestBody::Search(query_to_spec(query)) }
-                .encode_into(w)
-        }
-        QueryRequest::SimilarTo { name, k } => eq_proto::Request {
-            id,
-            body: eq_proto::RequestBody::SimilarTo { name: name.clone(), k: *k as u64 },
-        }
-        .encode_into(w),
-        QueryRequest::NewExample { patch, k } => {
-            eq_proto::encode_new_example_request_into(w, id, patch, *k as u64)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1986,24 +1830,20 @@ mod tests {
     #[test]
     fn pipelined_batch_matches_one_shot_execution() {
         let (net, server, archive) = served(20, 303);
-        let mut requests: Vec<QueryRequest> = archive
+        let mut requests: Vec<RequestBody> = archive
             .patches()
             .iter()
             .take(6)
-            .map(|p| QueryRequest::SimilarTo { name: p.meta.name.clone(), k: 4 })
+            .map(|p| RequestBody::SimilarTo { name: p.meta.name.clone(), k: 4 })
             .collect();
-        requests.push(QueryRequest::Metadata(ImageQuery::all()));
-        requests.push(QueryRequest::SimilarTo { name: "ghost".into(), k: 2 });
+        requests.push(RequestBody::Search(query_to_spec(&ImageQuery::all())));
+        requests.push(RequestBody::SimilarTo { name: "ghost".into(), k: 2 });
 
         let mut client = EqClient::connect(net.local_addr()).unwrap();
         let batched = client.run_batch(&requests).unwrap();
         assert_eq!(batched.len(), requests.len());
         for (got, request) in batched.iter().zip(&requests) {
-            match (got, server.execute(request)) {
-                (Ok(a), Ok(b)) => assert_eq!(a, &b),
-                (Err(a), Err(b)) => assert_eq!(a, &b),
-                (a, b) => panic!("batched {a:?} disagrees with in-process {b:?}"),
-            }
+            assert_eq!(got, &server.call(request), "batched disagrees with in-process");
         }
         net.shutdown();
     }
@@ -2105,7 +1945,7 @@ mod tests {
         let mut huge =
             ArchiveGenerator::new(GeneratorConfig::tiny(1, 3)).unwrap().generate_patch(0);
         huge.s2_bands[0] = eq_bigearthnet::BandData::zeros(5800);
-        let requests = vec![QueryRequest::NewExample { patch: Box::new(huge), k: 3 }];
+        let requests = vec![RequestBody::SearchByNewExample { patch: Box::new(huge), k: 3 }];
         assert!(matches!(client.run_batch(&requests), Err(EarthQubeError::Net(_))));
         net.shutdown();
     }
@@ -2233,7 +2073,7 @@ mod tests {
         let mut with_satellites = query.clone();
         with_satellites.satellites = vec![Satellite::Sentinel1, Satellite::Sentinel2];
         for q in [query, with_satellites, ImageQuery::all()] {
-            assert_eq!(spec_to_query(query_to_spec(&q)), q);
+            assert_eq!(spec_to_query(&query_to_spec(&q)), q);
         }
     }
 

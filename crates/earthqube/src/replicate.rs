@@ -49,13 +49,14 @@ use rand::{Rng as _, SeedableRng as _};
 use crate::engine::SearchResponse;
 use crate::filtered::{FilteredResponse, PrefilterMode};
 use crate::ingest::IngestReport;
-use crate::net::EqClient;
+use crate::net::{expect_filtered, expect_search, query_to_spec, unexpected, EqClient};
 use crate::persist::{self, Faults};
 use crate::query::ImageQuery;
-use crate::serve::{QueryServer, ServerStats};
+use crate::serve::{QueryServer, RequestBody, ResponseBody};
 use crate::EarthQubeError;
 
 use eq_bigearthnet::patch::Patch;
+use eq_proto::{ErrorCode, ErrorPayload};
 
 /// Bytes a replica asks for per pull (the primary additionally caps the
 /// reply server-side).
@@ -821,60 +822,33 @@ impl ClusterClient {
         found
     }
 
-    /// Runs an idempotent read, fanning across endpoints with bounded
-    /// retries.  Server-side answers — including typed errors like
-    /// [`EarthQubeError::UnknownImage`] — return immediately; only
-    /// transport faults and admission rejections rotate/retry.
-    fn read_call<T>(
-        &mut self,
-        mut op: impl FnMut(&mut EqClient) -> Result<T, EarthQubeError>,
-    ) -> Result<T, EarthQubeError> {
-        let attempts = self.policy.attempts.max(1).max(self.endpoints.len() as u32);
-        let (endpoints, next_read) = (&mut self.endpoints, &mut self.next_read);
+    /// Sends one request to the cluster: a read fans across the endpoints,
+    /// a write ([`RequestBody::is_write`]) goes to the primary.  A server's
+    /// answer returns as it arrived, typed errors like `UnknownImage`
+    /// included.  What retries under the [`RetryPolicy`] cannot have
+    /// executed, or is safe to repeat: a failed connection, an `Overloaded`
+    /// answer, a write's `NotPrimary` answer (the primary moved, so it is
+    /// rediscovered), and a read's transport fault (the endpoint cools down
+    /// and the read goes elsewhere).  A write's transport fault after
+    /// sending is returned as-is: the write may have applied.
+    ///
+    /// # Errors
+    /// [`EarthQubeError::Net`] on a write's transport fault, or the last
+    /// retried failure once the budget is spent.
+    pub fn call(&mut self, body: &RequestBody) -> Result<ResponseBody, EarthQubeError> {
+        let write = body.is_write();
+        let attempts = if write {
+            self.policy.attempts
+        } else {
+            self.policy.attempts.max(1).max(self.endpoints.len() as u32)
+        };
+        let (endpoints, primary, next_read) =
+            (&mut self.endpoints, &mut self.primary, &mut self.next_read);
         self.policy.run(attempts, &mut self.rng, || {
-            let i = pick_read_endpoint(endpoints, next_read);
-            let endpoint = &mut endpoints[i];
-            let client = match endpoint.connect() {
-                Ok(client) => client,
-                Err(e) => {
-                    endpoint.cool_down();
-                    return ControlFlow::Continue(e);
-                }
-            };
-            match op(client) {
-                Ok(value) => {
-                    endpoint.cooldown_until = None;
-                    ControlFlow::Break(Ok(value))
-                }
-                Err(e @ EarthQubeError::Net(_)) => {
-                    // Reads are idempotent: retrying a torn read elsewhere
-                    // is always safe.
-                    endpoint.client = None;
-                    endpoint.cool_down();
-                    ControlFlow::Continue(e)
-                }
-                // The endpoint is healthy but shedding load; rotate
-                // without benching it.
-                Err(e @ EarthQubeError::Overloaded(_)) => ControlFlow::Continue(e),
-                Err(e) => ControlFlow::Break(Err(e)),
-            }
-        })
-    }
-
-    /// Runs a write against the primary with the *narrow* retry rule:
-    /// connection establishment failures, [`EarthQubeError::Overloaded`]
-    /// and [`EarthQubeError::NotPrimary`] (all guaranteed not to have
-    /// executed) retry; a transport error after the request was sent does
-    /// not — the write may have applied.
-    fn write_call<T>(
-        &mut self,
-        mut op: impl FnMut(&mut EqClient) -> Result<T, EarthQubeError>,
-    ) -> Result<T, EarthQubeError> {
-        let (endpoints, primary) = (&mut self.endpoints, &mut self.primary);
-        self.policy.run(self.policy.attempts, &mut self.rng, || {
-            let i = match *primary {
-                Some(i) => i,
-                None => match discover(endpoints) {
+            let i = match (write, *primary) {
+                (false, _) => pick_read_endpoint(endpoints, next_read),
+                (true, Some(i)) => i,
+                (true, None) => match discover(endpoints) {
                     Ok(i) => *primary.insert(i),
                     Err(e) => return ControlFlow::Continue(e),
                 },
@@ -883,29 +857,38 @@ impl ClusterClient {
             let client = match endpoint.connect() {
                 Ok(client) => client,
                 Err(e) => {
-                    // The believed primary is unreachable — it may have
-                    // died; re-discover on the next attempt.
-                    *primary = None;
+                    // An unreachable primary may have died: rediscover.
+                    if write {
+                        *primary = None;
+                    } else {
+                        endpoint.cool_down();
+                    }
                     return ControlFlow::Continue(e);
                 }
             };
-            match op(client) {
-                Ok(value) => ControlFlow::Break(Ok(value)),
-                Err(e @ EarthQubeError::NotPrimary(_)) => {
-                    // The primary moved (failover); rediscover and retry —
-                    // the write was typed-rejected, never executed.
+            match client.call(body) {
+                // Healthy but shedding load: rotate without benching it.
+                Ok(ResponseBody::Error(ErrorPayload { code: ErrorCode::Overloaded, message })) => {
+                    ControlFlow::Continue(EarthQubeError::Overloaded(message))
+                }
+                Ok(ResponseBody::Error(ErrorPayload { code: ErrorCode::NotPrimary, message }))
+                    if write =>
+                {
                     *primary = None;
+                    ControlFlow::Continue(EarthQubeError::NotPrimary(message))
+                }
+                Ok(answer) => {
+                    endpoint.cooldown_until = None;
+                    ControlFlow::Break(Ok(answer))
+                }
+                Err(e) => {
+                    endpoint.client = None;
+                    if write {
+                        return ControlFlow::Break(Err(e));
+                    }
+                    endpoint.cool_down();
                     ControlFlow::Continue(e)
                 }
-                Err(e @ EarthQubeError::Overloaded(_)) => ControlFlow::Continue(e),
-                Err(e @ EarthQubeError::Net(_)) => {
-                    // Ambiguous: the request may have been executed before
-                    // the transport died.  Surface it; the caller owns the
-                    // dedup decision.
-                    endpoint.client = None;
-                    ControlFlow::Break(Err(e))
-                }
-                Err(e) => ControlFlow::Break(Err(e)),
             }
         })
     }
@@ -915,15 +898,7 @@ impl ClusterClient {
     /// # Errors
     /// The server-side error, or [`EarthQubeError::Net`] past the budget.
     pub fn search(&mut self, query: &ImageQuery) -> Result<SearchResponse, EarthQubeError> {
-        self.read_call(|c| c.search(query))
-    }
-
-    /// Cluster counterpart of [`EqClient::similar_to`] (read fan-out).
-    ///
-    /// # Errors
-    /// The server-side error, or [`EarthQubeError::Net`] past the budget.
-    pub fn similar_to(&mut self, name: &str, k: usize) -> Result<SearchResponse, EarthQubeError> {
-        self.read_call(|c| c.similar_to(name, k))
+        expect_search(self.call(&RequestBody::Search(query_to_spec(query)))?)
     }
 
     /// Cluster counterpart of [`EqClient::similar_to_filtered`] (read
@@ -938,35 +913,13 @@ impl ClusterClient {
         query: &ImageQuery,
         mode: PrefilterMode,
     ) -> Result<FilteredResponse, EarthQubeError> {
-        self.read_call(|c| c.similar_to_filtered(name, k, query, mode))
-    }
-
-    /// Cluster counterpart of [`EqClient::similar_within_filtered`] (read
-    /// fan-out).
-    ///
-    /// # Errors
-    /// The server-side error, or [`EarthQubeError::Net`] past the budget.
-    pub fn similar_within_filtered(
-        &mut self,
-        name: &str,
-        radius: u32,
-        query: &ImageQuery,
-        mode: PrefilterMode,
-    ) -> Result<FilteredResponse, EarthQubeError> {
-        self.read_call(|c| c.similar_within_filtered(name, radius, query, mode))
-    }
-
-    /// Cluster counterpart of [`EqClient::stats`] (read fan-out — note the
-    /// counters are the *answering endpoint's*, not cluster-wide).
-    ///
-    /// # Errors
-    /// The server-side error, or [`EarthQubeError::Net`] past the budget.
-    pub fn stats(&mut self) -> Result<ServerStats, EarthQubeError> {
-        self.read_call(|c| c.stats())
+        let spec = query_to_spec(query);
+        let body = RequestBody::SimilarToFiltered { name: name.into(), k: k as u64, spec, mode };
+        expect_filtered(self.call(&body)?)
     }
 
     /// Cluster counterpart of [`EqClient::ingest`]: routed to the primary
-    /// with failover-aware retry.
+    /// with failover-aware retry.  The request owns a copy of the patches.
     ///
     /// # Errors
     /// The server-side error; [`EarthQubeError::Net`] when the primary
@@ -974,20 +927,10 @@ impl ClusterClient {
     /// after the request was sent (the write may have applied — do not
     /// blindly replay).
     pub fn ingest(&mut self, patches: &[Patch]) -> Result<IngestReport, EarthQubeError> {
-        self.write_call(|c| c.ingest(patches))
-    }
-
-    /// Cluster counterpart of [`EqClient::submit_feedback`]: routed to the
-    /// primary with failover-aware retry.
-    ///
-    /// # Errors
-    /// As for [`ingest`](Self::ingest).
-    pub fn submit_feedback(
-        &mut self,
-        text: &str,
-        category: Option<&str>,
-    ) -> Result<i64, EarthQubeError> {
-        self.write_call(|c| c.submit_feedback(text, category))
+        match self.call(&RequestBody::Ingest { patches: patches.to_vec() })? {
+            ResponseBody::Ingest(report) => Ok(report),
+            other => Err(unexpected(other, "ingest")),
+        }
     }
 }
 

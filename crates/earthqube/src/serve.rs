@@ -32,17 +32,23 @@
 //!   the one `invalidate`, which the write section calls whenever a write
 //!   grew the archive, under the catalog write lock — readers insert under
 //!   the read lock, so they can never re-insert a stale entry.
+//! * **One request entry** — [`QueryServer::call`] answers any
+//!   [`RequestBody`] with the [`ResponseBody`] the network tier sends, by
+//!   running the typed method the request names.  The typed methods borrow
+//!   names and patches, so in-process ingest and uploads copy no raster,
+//!   and they validate every patch themselves (before ingest's role
+//!   check), so every caller gets the same `BadRequest` for a bad one.
 //! * **Worker pool** — [`QueryServer::run_workload`] fans a batch of
-//!   [`QueryRequest`]s over K scoped threads (`std::thread::scope`); all
+//!   [`RequestBody`]s over K scoped threads (`std::thread::scope`); all
 //!   query entry points take `&self`, so workers share the server by plain
 //!   reference.
 //! * **Lock-free bookkeeping** — the query counters are three atomics
 //!   (hits, misses, failures; `queries_served` is their sum), the ingest
 //!   count is the archive's growth since construction, and the search
-//!   scratch (bounded top-k heap + neighbour buffer) is the core's, one per
-//!   thread, so steady-state serving does zero search-path allocation and
-//!   a CBIR cache miss takes the catalog read lock and one cache-shard
-//!   lock, nothing else.
+//!   scratch (a counting top-k selection + neighbour buffer) is the core's,
+//!   one per thread, so steady-state serving does zero search-path
+//!   allocation and a CBIR cache miss takes the catalog read lock and one
+//!   cache-shard lock, nothing else.
 //! * **Durability** — one component (the crate's `durability` module) owns
 //!   the persistence attachment, the write-ahead log policy, the checkpoint
 //!   protocol and the checkpointer; this file keeps the catalog side of
@@ -52,7 +58,8 @@
 //! Determinism: a workload executed through the server returns exactly the
 //! same [`SearchResponse`]s as the engine, regardless of worker count and
 //! configuration — the umbrella crate's `concurrent_serving` test asserts
-//! byte-identical result panels.
+//! byte-identical result panels, and its `proptest_call` test that a typed
+//! method, [`QueryServer::call`] and a remote call answer alike.
 
 use std::any::Any;
 use std::collections::hash_map::DefaultHasher;
@@ -77,6 +84,7 @@ use crate::engine::{build_registry, EarthQube, EarthQubeConfig, SearchResponse};
 use crate::feedback::{FeedbackEntry, FeedbackService};
 use crate::filtered::{FilteredResponse, PrefilterMode, ResolvedFilter};
 use crate::ingest::{prepare_patch_docs, IngestReport};
+use crate::net::{error_to_payload, render_metrics, search_payload, spec_to_query, NetTierStats};
 use crate::persist::{self, Sequence, WalRecord};
 use crate::query::ImageQuery;
 use crate::EarthQubeError;
@@ -107,30 +115,20 @@ impl ServeConfig {
     }
 }
 
-/// One request of a batched query workload.
-#[derive(Debug, Clone)]
-pub enum QueryRequest {
-    /// A query-panel metadata search (§3.1).
-    Metadata(ImageQuery),
-    /// "Retrieve similar images" for an archive image (§3.3).
-    SimilarTo {
-        /// The query image's patch name.
-        name: String,
-        /// Number of neighbours to retrieve.
-        k: usize,
-    },
-    /// Query-by-new-example: an external patch encoded on the fly (§4).
-    NewExample {
-        /// The uploaded patch.
-        patch: Box<Patch>,
-        /// Number of neighbours to retrieve.
-        k: usize,
-    },
-}
-
 // The serving-counter snapshot is defined in `eq_proto` beside its codec,
 // which carries all but the four `filter_cache_*` counters.
 pub use eq_proto::ServerStats;
+// A request and its answer are the wire's values, in process too.
+pub use eq_proto::{RequestBody, ResponseBody};
+
+/// Cap on the neighbour count a request may ask for: far above any UI use,
+/// far below values whose `k + 1` arithmetic could overflow in the engine.
+const MAX_REQUEST_K: u64 = 1 << 20;
+
+/// A request's `u64` neighbour count as the engine's `usize`.
+fn clamp_k(k: u64) -> usize {
+    k.min(MAX_REQUEST_K) as usize
+}
 
 /// Result-cache key: the full request identity, stored alongside each entry
 /// and compared on lookup so a 64-bit fingerprint collision degrades to a
@@ -511,12 +509,14 @@ impl QueryServer {
     /// concurrent counterpart of [`EarthQube::search_by_new_example`]).
     ///
     /// # Errors
-    /// Propagates store errors from result assembly.
+    /// Fails with [`EarthQubeError::BadRequest`] on a patch out of the
+    /// canonical band layout; propagates store errors from result assembly.
     pub fn search_by_new_example(
         &self,
         patch: &Patch,
         k: usize,
     ) -> Result<SearchResponse, EarthQubeError> {
+        validate_patch(patch)?;
         // Encoding needs no lock: the model is immutable shared state.
         let code = self.model.hash_patch(patch);
         self.search_by_code(&code, k)
@@ -615,43 +615,84 @@ impl QueryServer {
         Ok(filter)
     }
 
-    /// Executes one workload request.
-    ///
-    /// # Errors
-    /// Propagates the underlying query error.
-    pub fn execute(&self, request: &QueryRequest) -> Result<SearchResponse, EarthQubeError> {
-        match request {
-            QueryRequest::Metadata(query) => self.search(query),
-            QueryRequest::SimilarTo { name, k } => self.similar_to(name, *k),
-            QueryRequest::NewExample { patch, k } => self.search_by_new_example(patch, *k),
+    /// The server's one request entry: answers `body` with the response
+    /// the network tier sends for it, errors included, by running the typed
+    /// method it names.  A request's `u64` neighbour count is clamped here,
+    /// where it meets `usize`.  [`RequestBody::MetricsText`] renders zero
+    /// network-tier counters: a server in process has no network tier, and
+    /// [`NetServer`](crate::NetServer) answers that kind itself.
+    pub fn call(&self, body: &RequestBody) -> ResponseBody {
+        let search = |result: Result<SearchResponse, EarthQubeError>| {
+            reply(result.map(|response| ResponseBody::Search(search_payload(response))))
+        };
+        let filtered = |result: Result<FilteredResponse, EarthQubeError>| {
+            reply(result.map(|FilteredResponse { response, plan }| {
+                ResponseBody::Filtered(eq_proto::FilteredPayload {
+                    search: search_payload(response),
+                    plan,
+                })
+            }))
+        };
+        match body {
+            RequestBody::Ping => ResponseBody::Pong,
+            RequestBody::Search(spec) => search(self.search(&spec_to_query(spec))),
+            RequestBody::SimilarTo { name, k } => search(self.similar_to(name, clamp_k(*k))),
+            RequestBody::SearchByNewExample { patch, k } => {
+                search(self.search_by_new_example(patch, clamp_k(*k)))
+            }
+            RequestBody::Ingest { patches } => {
+                reply(self.ingest(patches).map(ResponseBody::Ingest))
+            }
+            RequestBody::Feedback { text, category } => reply(
+                self.submit_feedback(text, category.as_deref())
+                    .map(|id| ResponseBody::Feedback { id }),
+            ),
+            RequestBody::Stats => ResponseBody::Stats(self.stats()),
+            RequestBody::MetricsText => {
+                ResponseBody::MetricsText(render_metrics(&self.stats(), &NetTierStats::default()))
+            }
+            RequestBody::SimilarToFiltered { name, k, spec, mode } => {
+                filtered(self.similar_to_filtered(name, clamp_k(*k), &spec_to_query(spec), *mode))
+            }
+            RequestBody::SimilarWithinFiltered { name, radius, spec, mode } => {
+                filtered(self.similar_within_filtered(name, *radius, &spec_to_query(spec), *mode))
+            }
+            RequestBody::ReplState => ResponseBody::ReplState(self.repl_state()),
+            RequestBody::ReplManifest => {
+                reply(self.repl_manifest_bytes().map(|bytes| ResponseBody::ReplManifest { bytes }))
+            }
+            RequestBody::ReplChunk { file, offset, max_bytes } => {
+                reply(self.repl_chunk_bytes(file, *offset, *max_bytes).map(|(total_len, bytes)| {
+                    ResponseBody::ReplChunk(eq_proto::ReplChunkPayload { total_len, bytes })
+                }))
+            }
+            RequestBody::ReplPull { replica_id, generation, segment, offset, max_bytes } => reply(
+                self.repl_pull(*replica_id, *generation, *segment, *offset, *max_bytes)
+                    .map(ResponseBody::ReplRecords),
+            ),
         }
     }
 
-    /// Executes a batch of requests on `workers` scoped threads, returning
-    /// the per-request results in request order.
+    /// Answers a batch of requests on `workers` scoped threads through
+    /// [`call`](Self::call), returning the responses in request order.
     ///
     /// The batch is split into contiguous chunks, one per worker; each
     /// worker shares the server by reference (`std::thread::scope`), so
     /// queries proceed concurrently against the shared read path while any
     /// concurrent [`ingest`](Self::ingest) serialises through the catalog
     /// write lock.
-    pub fn run_workload(
-        &self,
-        requests: &[QueryRequest],
-        workers: usize,
-    ) -> Vec<Result<SearchResponse, EarthQubeError>> {
+    pub fn run_workload(&self, requests: &[RequestBody], workers: usize) -> Vec<ResponseBody> {
         if requests.is_empty() {
             return Vec::new();
         }
         let workers = workers.clamp(1, requests.len());
         let chunk = requests.len().div_ceil(workers);
-        let mut results: Vec<Option<Result<SearchResponse, EarthQubeError>>> =
-            (0..requests.len()).map(|_| None).collect();
+        let mut results: Vec<Option<ResponseBody>> = (0..requests.len()).map(|_| None).collect();
         std::thread::scope(|scope| {
             for (reqs, outs) in requests.chunks(chunk).zip(results.chunks_mut(chunk)) {
                 scope.spawn(move || {
                     for (request, out) in reqs.iter().zip(outs.iter_mut()) {
-                        *out = Some(self.execute(request));
+                        *out = Some(self.call(request));
                     }
                 });
             }
@@ -680,14 +721,16 @@ impl QueryServer {
     /// whole before it changes anything).
     ///
     /// # Errors
-    /// A batch naming an already-indexed image is rejected up front, before
-    /// any work.  On a mid-batch store error, patches preceding the failure
+    /// A batch holding a patch out of the canonical band layout
+    /// ([`EarthQubeError::BadRequest`]) or naming an already-indexed image
+    /// is rejected up front, before any work.  On a mid-batch store error, patches preceding the failure
     /// remain ingested (each patch is applied atomically, and the cache is
     /// invalidated whenever at least one patch was applied).  A WAL I/O
     /// failure surfaces as [`EarthQubeError::Persist`] and detaches the
     /// log: the server keeps serving from memory, but durability is lost
     /// until the next successful [`checkpoint`](Self::checkpoint).
     pub fn ingest(&self, patches: &[Patch]) -> Result<IngestReport, EarthQubeError> {
+        patches.iter().try_for_each(validate_patch)?;
         if !self.is_primary() {
             return Err(EarthQubeError::NotPrimary(
                 "replicas only apply records replicated from the primary".into(),
@@ -1125,6 +1168,52 @@ impl QueryServer {
     }
 }
 
+/// An error as the response that carries it.
+fn reply(result: Result<ResponseBody, EarthQubeError>) -> ResponseBody {
+    result.unwrap_or_else(|e| ResponseBody::Error(error_to_payload(&e)))
+}
+
+/// Structural validation of a patch from outside the archive, an upload or
+/// an ingest.  `decode_patch` restores whatever band layout the bytes
+/// declare; the engine, however, indexes the canonical layout
+/// unconditionally (12 Sentinel-2 rasters, 2 polarisations, non-empty
+/// pixels), so a short band list must be rejected here — reaching the
+/// engine with one would panic on `Patch::band`'s index.
+fn validate_patch(patch: &Patch) -> Result<(), EarthQubeError> {
+    let bad = |message: String| {
+        EarthQubeError::BadRequest(format!("invalid patch {:?}: {message}", patch.meta.name))
+    };
+    if patch.s2_bands.len() != eq_bigearthnet::Band::COUNT {
+        return Err(bad(format!(
+            "expected {} Sentinel-2 bands, got {}",
+            eq_bigearthnet::Band::COUNT,
+            patch.s2_bands.len()
+        )));
+    }
+    if patch.s1_bands.len() != 2 {
+        return Err(bad(format!(
+            "expected 2 Sentinel-1 polarisations, got {}",
+            patch.s1_bands.len()
+        )));
+    }
+    if let Some(empty) =
+        patch.s2_bands.iter().chain(&patch.s1_bands).position(|b| b.pixels().is_empty())
+    {
+        return Err(bad(format!("raster {empty} has no pixels")));
+    }
+    // `Patch::render_rgb` (the ingest path) writes one output buffer sized
+    // by B04 from the pixels of all three RGB bands, so their sizes must
+    // agree.  (Other engine paths use per-band statistics only, and the
+    // canonical per-resolution sizes are deliberately *not* required:
+    // uniformly scaled-down archives are legitimate.)
+    let rgb = [eq_bigearthnet::Band::B02, eq_bigearthnet::Band::B03, eq_bigearthnet::Band::B04];
+    let sizes = rgb.map(|b| patch.band(b).size());
+    if sizes[0] != sizes[2] || sizes[1] != sizes[2] {
+        return Err(bad(format!("RGB band sizes {sizes:?} disagree")));
+    }
+    Ok(())
+}
+
 /// A logged write, replayed or replicated, that does not continue the
 /// catalog: a [`EarthQubeError::Persist`], whatever refused it.
 fn not_applied(e: EarthQubeError) -> EarthQubeError {
@@ -1401,19 +1490,20 @@ mod tests {
     #[test]
     fn workload_runs_across_worker_counts() {
         let (srv, archive) = server(30, 97, ServeConfig::uncached(4));
-        let mut requests: Vec<QueryRequest> = archive
+        let mut requests: Vec<RequestBody> = archive
             .patches()
             .iter()
             .take(9)
-            .map(|p| QueryRequest::SimilarTo { name: p.meta.name.clone(), k: 5 })
+            .map(|p| RequestBody::SimilarTo { name: p.meta.name.clone(), k: 5 })
             .collect();
-        requests.push(QueryRequest::Metadata(ImageQuery::all()));
-        let sequential: Vec<_> = requests.iter().map(|r| srv.execute(r).unwrap()).collect();
+        requests.push(RequestBody::Search(crate::net::query_to_spec(&ImageQuery::all())));
+        let sequential: Vec<_> = requests.iter().map(|r| srv.call(r)).collect();
+        assert!(sequential.iter().all(|r| matches!(r, ResponseBody::Search(_))), "{sequential:?}");
         for workers in [1, 2, 4, 32] {
             let results = srv.run_workload(&requests, workers);
             assert_eq!(results.len(), requests.len());
             for (got, want) in results.into_iter().zip(&sequential) {
-                assert_eq!(&got.unwrap(), want, "workload results must not depend on workers");
+                assert_eq!(&got, want, "workload results must not depend on workers");
             }
         }
         assert!(srv.run_workload(&[], 4).is_empty());
@@ -1423,16 +1513,35 @@ mod tests {
     fn workload_surfaces_per_request_errors() {
         let (srv, _) = server(10, 98, ServeConfig::default());
         let requests = vec![
-            QueryRequest::SimilarTo { name: "ghost".into(), k: 3 },
-            QueryRequest::Metadata(ImageQuery::all()),
+            RequestBody::SimilarTo { name: "ghost".into(), k: 3 },
+            RequestBody::Search(crate::net::query_to_spec(&ImageQuery::all())),
         ];
         let results = srv.run_workload(&requests, 2);
-        assert!(matches!(results[0], Err(EarthQubeError::UnknownImage(_))));
-        assert_eq!(results[1].as_ref().unwrap().total(), 10);
+        let unknown = |e: &eq_proto::ErrorPayload| e.code == eq_proto::ErrorCode::UnknownImage;
+        assert!(matches!(&results[0], ResponseBody::Error(e) if unknown(e)));
+        assert!(matches!(&results[1], ResponseBody::Search(answer) if answer.rows.len() == 10));
         // The failed request was served, but it neither hit nor missed.
         let stats = srv.stats();
         assert_eq!(stats.queries_served, 2);
         assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1));
+    }
+
+    /// A patch out of the canonical band layout is refused on every path,
+    /// in process too, before it reaches the engine's band index.
+    #[test]
+    fn a_short_band_list_is_a_bad_request_in_process() {
+        let (srv, _) = server(8, 99, ServeConfig::default());
+        let mut short =
+            ArchiveGenerator::new(GeneratorConfig::tiny(1, 556)).unwrap().generate_patch(0);
+        short.s2_bands.pop();
+        assert_eq!(short.s2_bands.len(), 11);
+        let (size, stats) = (srv.archive_size(), srv.stats());
+        let ingested = srv.ingest(std::slice::from_ref(&short));
+        assert!(matches!(ingested, Err(EarthQubeError::BadRequest(_))), "{ingested:?}");
+        let uploaded = srv.search_by_new_example(&short, 3);
+        assert!(matches!(uploaded, Err(EarthQubeError::BadRequest(_))), "{uploaded:?}");
+        assert_eq!(srv.archive_size(), size);
+        assert_eq!(srv.stats(), stats);
     }
 
     #[test]

@@ -321,19 +321,20 @@ pub fn encode_ingest_request_into(w: &mut Writer, id: u64, patches: &[Patch]) {
     encode_ingest_body(w, patches);
 }
 
-impl Request {
-    /// Serializes the request into frame-payload bytes (version, id, tag,
-    /// body — everything but the frame header).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode_into(&mut w);
-        w.into_bytes()
+impl RequestBody {
+    /// Whether the request changes the archive or the feedback store: the
+    /// writes a replica refuses, a cluster client routes to the primary and
+    /// a panic mid-request poisons the server for.  Every other kind,
+    /// replication's included, is a read.
+    pub fn is_write(&self) -> bool {
+        matches!(self, RequestBody::Ingest { .. } | RequestBody::Feedback { .. })
     }
 
-    /// [`encode`](Self::encode) appending to a caller's writer.
-    pub fn encode_into(&self, w: &mut Writer) {
-        encode_envelope(w, self.id);
-        match &self.body {
+    /// Appends the request to `w` under `id`, borrowing every field: the
+    /// payload bytes [`Request::encode`] writes for `Request { id, body }`.
+    pub fn encode_into(&self, w: &mut Writer, id: u64) {
+        encode_envelope(w, id);
+        match self {
             RequestBody::Ping => w.u8(REQ_PING),
             RequestBody::Search(spec) => {
                 w.u8(REQ_SEARCH);
@@ -384,6 +385,21 @@ impl Request {
                 w.u64(*max_bytes);
             }
         }
+    }
+}
+
+impl Request {
+    /// Serializes the request into frame-payload bytes (version, id, tag,
+    /// body — everything but the frame header).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        self.encode_into(&mut w);
+        w.into_bytes()
+    }
+
+    /// [`encode`](Self::encode) appending to a caller's writer.
+    pub fn encode_into(&self, w: &mut Writer) {
+        self.body.encode_into(w, self.id);
     }
 
     /// Decodes frame-payload bytes into a request.

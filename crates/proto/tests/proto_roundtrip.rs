@@ -456,3 +456,47 @@ fn the_four_ways_a_row_is_corrupt_are_typed_errors() {
     corrupt(&[("Peatbogs", "Pastures")], "ascending");
     corrupt(&[("Peatbogs", "Airports")], "ascending");
 }
+
+/// `RequestBody::is_write` is pinned kind by kind: ingest and feedback are
+/// the writes, and every other kind, replication's included, is a read.
+/// The match below has no wildcard, so a new kind has to be classified.
+#[test]
+fn only_ingest_and_feedback_are_writes() {
+    let patch = patch_from_script(&mut [0u8; 0].as_slice());
+    let spec = query_from_script(&mut [0u8; 0].as_slice());
+    let mode = eq_proto::PrefilterMode::Auto;
+    let every_kind = [
+        RequestBody::Ping,
+        RequestBody::Search(spec.clone()),
+        RequestBody::SimilarTo { name: "a".into(), k: 1 },
+        RequestBody::SearchByNewExample { patch: Box::new(patch.clone()), k: 1 },
+        RequestBody::Ingest { patches: vec![patch] },
+        RequestBody::Feedback { text: "t".into(), category: None },
+        RequestBody::Stats,
+        RequestBody::MetricsText,
+        RequestBody::SimilarToFiltered { name: "a".into(), k: 1, spec: spec.clone(), mode },
+        RequestBody::SimilarWithinFiltered { name: "a".into(), radius: 1, spec, mode },
+        RequestBody::ReplState,
+        RequestBody::ReplManifest,
+        RequestBody::ReplChunk { file: "f".into(), offset: 0, max_bytes: 1 },
+        RequestBody::ReplPull { replica_id: 1, generation: 1, segment: 0, offset: 0, max_bytes: 1 },
+    ];
+    for body in &every_kind {
+        let write = match body {
+            RequestBody::Ingest { .. } | RequestBody::Feedback { .. } => true,
+            RequestBody::Ping
+            | RequestBody::Search(_)
+            | RequestBody::SimilarTo { .. }
+            | RequestBody::SearchByNewExample { .. }
+            | RequestBody::Stats
+            | RequestBody::MetricsText
+            | RequestBody::SimilarToFiltered { .. }
+            | RequestBody::SimilarWithinFiltered { .. }
+            | RequestBody::ReplState
+            | RequestBody::ReplManifest
+            | RequestBody::ReplChunk { .. }
+            | RequestBody::ReplPull { .. } => false,
+        };
+        assert_eq!(body.is_write(), write, "{body:?}");
+    }
+}

@@ -5,8 +5,10 @@
 //! Run with: `cargo run --release --example concurrent_serving`
 
 use agoraeo::bigearthnet::{ArchiveGenerator, Country, GeneratorConfig, Label};
+use agoraeo::earthqube::net::query_to_spec;
 use agoraeo::earthqube::{
-    EarthQubeConfig, ImageQuery, LabelFilter, LabelOperator, QueryRequest, QueryServer, ServeConfig,
+    EarthQubeConfig, ImageQuery, LabelFilter, LabelOperator, QueryServer, RequestBody,
+    ResponseBody, ServeConfig,
 };
 use agoraeo::geo::GeoShape;
 
@@ -30,15 +32,14 @@ fn main() {
     let mut requests = Vec::new();
     for (i, patch) in archive.patches().iter().enumerate().take(48) {
         requests.push(match i % 3 {
-            0 => QueryRequest::SimilarTo { name: patch.meta.name.clone(), k: 10 },
-            1 => QueryRequest::Metadata(ImageQuery::all().with_labels(LabelFilter::new(
-                LabelOperator::Some,
-                vec![Label::ALL[(i * 5) % Label::ALL.len()]],
+            0 => RequestBody::SimilarTo { name: patch.meta.name.clone(), k: 10 },
+            1 => RequestBody::Search(query_to_spec(&ImageQuery::all().with_labels(
+                LabelFilter::new(LabelOperator::Some, vec![Label::ALL[(i * 5) % Label::ALL.len()]]),
             ))),
             _ => {
-                QueryRequest::Metadata(ImageQuery::all().with_shape(GeoShape::Rect(
+                RequestBody::Search(query_to_spec(&ImageQuery::all().with_shape(GeoShape::Rect(
                     Country::ALL[i % Country::ALL.len()].bounding_box(),
-                )))
+                ))))
             }
         });
     }
@@ -49,7 +50,7 @@ fn main() {
     std::thread::scope(|scope| {
         let ingest = scope.spawn(|| server.ingest(fresh.patches()).expect("ingest succeeds"));
         let results = server.run_workload(&requests, 4);
-        let answered = results.iter().filter(|r| r.is_ok()).count();
+        let answered = results.iter().filter(|r| !matches!(r, ResponseBody::Error(_))).count();
         println!("Workload pass 1: {answered}/{} queries answered", requests.len());
         ingest.join().expect("ingest thread");
     });
@@ -57,7 +58,7 @@ fn main() {
 
     // 4. Repeat the workload: the LRU result cache now answers most of it.
     let results = server.run_workload(&requests, 4);
-    let answered = results.iter().filter(|r| r.is_ok()).count();
+    let answered = results.iter().filter(|r| !matches!(r, ResponseBody::Error(_))).count();
     println!("Workload pass 2: {answered}/{} queries answered\n", requests.len());
 
     // 5. The serving statistics snapshot.

@@ -8,7 +8,9 @@ use std::sync::Arc;
 
 use agoraeo::bigearthnet::{ArchiveGenerator, GeneratorConfig};
 use agoraeo::earthqube::net::{EqClient, NetServer};
-use agoraeo::earthqube::{EarthQubeConfig, ImageQuery, QueryRequest, QueryServer, ServeConfig};
+use agoraeo::earthqube::{
+    EarthQubeConfig, ImageQuery, QueryServer, RequestBody, ResponseBody, ServeConfig,
+};
 
 fn main() {
     // 1. Build the query server and put it on the wire (ephemeral port).
@@ -42,14 +44,14 @@ fn main() {
     println!("remote responses are byte-identical to in-process calls");
 
     // 4. A pipelined batch: N requests, one round trip.
-    let requests: Vec<QueryRequest> = archive
+    let requests: Vec<RequestBody> = archive
         .patches()
         .iter()
         .take(24)
-        .map(|p| QueryRequest::SimilarTo { name: p.meta.name.clone(), k: 6 })
+        .map(|p| RequestBody::SimilarTo { name: p.meta.name.clone(), k: 6 })
         .collect();
     let batched = client.run_batch(&requests).expect("batch");
-    let answered = batched.iter().filter(|r| r.is_ok()).count();
+    let answered = batched.iter().filter(|r| !matches!(r, ResponseBody::Error(_))).count();
     println!("pipelined batch: {answered}/{} requests answered", requests.len());
 
     // 5. Concurrent clients from several threads, while one ingests.
@@ -66,7 +68,7 @@ fn main() {
             scope.spawn(move || {
                 let mut reader = EqClient::connect(addr).expect("reader connects");
                 let results = reader.run_batch(requests).expect("reader batch");
-                assert!(results.iter().all(Result::is_ok));
+                assert!(results.iter().all(|r| matches!(r, ResponseBody::Search(_))));
             });
         }
     });

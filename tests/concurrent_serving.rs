@@ -5,9 +5,10 @@
 
 use agoraeo::bigearthnet::{Archive, ArchiveGenerator, GeneratorConfig};
 use agoraeo::bigearthnet::{Country, Label};
+use agoraeo::earthqube::net::{payload_to_response, query_to_spec, spec_to_query};
 use agoraeo::earthqube::{
-    EarthQube, EarthQubeConfig, ImageQuery, LabelFilter, LabelOperator, QueryRequest, QueryServer,
-    ServeConfig,
+    EarthQube, EarthQubeConfig, ImageQuery, LabelFilter, LabelOperator, QueryServer, RequestBody,
+    ResponseBody, SearchResponse, ServeConfig,
 };
 use agoraeo::geo::GeoShape;
 
@@ -24,23 +25,30 @@ fn engine_config(seed: u64) -> EarthQubeConfig {
 }
 
 /// A mixed workload over the archive: CBIR + label + spatial queries.
-fn workload(archive: &Archive) -> Vec<QueryRequest> {
+fn workload(archive: &Archive) -> Vec<RequestBody> {
     let mut requests = Vec::new();
     for (i, patch) in archive.patches().iter().enumerate().take(24) {
         requests.push(match i % 3 {
-            0 => QueryRequest::SimilarTo { name: patch.meta.name.clone(), k: 8 },
-            1 => QueryRequest::Metadata(ImageQuery::all().with_labels(LabelFilter::new(
-                LabelOperator::Some,
-                vec![Label::ALL[(i * 5) % Label::ALL.len()]],
+            0 => RequestBody::SimilarTo { name: patch.meta.name.clone(), k: 8 },
+            1 => RequestBody::Search(query_to_spec(&ImageQuery::all().with_labels(
+                LabelFilter::new(LabelOperator::Some, vec![Label::ALL[(i * 5) % Label::ALL.len()]]),
             ))),
             _ => {
-                QueryRequest::Metadata(ImageQuery::all().with_shape(GeoShape::Rect(
+                RequestBody::Search(query_to_spec(&ImageQuery::all().with_shape(GeoShape::Rect(
                     Country::ALL[i % Country::ALL.len()].bounding_box(),
-                )))
+                ))))
             }
         });
     }
     requests
+}
+
+/// A search request's answer, which must be one.
+fn search(response: ResponseBody) -> SearchResponse {
+    match response {
+        ResponseBody::Search(payload) => payload_to_response(payload),
+        other => panic!("not a search answer: {other:?}"),
+    }
 }
 
 /// The concurrent server returns byte-identical `ResultPanel`s (and
@@ -56,11 +64,12 @@ fn concurrent_results_are_identical_to_the_sequential_engine() {
     let sequential: Vec<_> = requests
         .iter()
         .map(|request| match request {
-            QueryRequest::Metadata(q) => engine.search(q).unwrap(),
-            QueryRequest::SimilarTo { name, k } => engine.similar_to(name, *k).unwrap(),
-            QueryRequest::NewExample { patch, k } => {
-                engine.search_by_new_example(patch, *k).unwrap()
+            RequestBody::Search(spec) => engine.search(&spec_to_query(spec)).unwrap(),
+            RequestBody::SimilarTo { name, k } => engine.similar_to(name, *k as usize).unwrap(),
+            RequestBody::SearchByNewExample { patch, k } => {
+                engine.search_by_new_example(patch, *k as usize).unwrap()
             }
+            other => panic!("not in the workload: {other:?}"),
         })
         .collect();
 
@@ -68,7 +77,7 @@ fn concurrent_results_are_identical_to_the_sequential_engine() {
         let concurrent = server.run_workload(&requests, workers);
         assert_eq!(concurrent.len(), sequential.len());
         for (got, want) in concurrent.into_iter().zip(&sequential) {
-            let got = got.unwrap();
+            let got = search(got);
             assert_eq!(got.panel, want.panel, "panels must be byte-identical at {workers} workers");
             assert_eq!(got.statistics, want.statistics);
             assert_eq!(got.plan, want.plan);
@@ -106,7 +115,7 @@ fn mixed_query_and_ingest_traffic_matches_sequential_execution() {
             let requests = &requests;
             scope.spawn(move || {
                 for request in requests {
-                    let response = server.execute(request).unwrap();
+                    let response = search(server.call(request));
                     // Internal consistency even while ingest is running:
                     // distances sorted ascending, no duplicate names.
                     let page = response.panel.page(0);
@@ -139,12 +148,12 @@ fn mixed_query_and_ingest_traffic_matches_sequential_execution() {
     let mut post_requests = workload(&initial);
     // Also query the live-ingested images.
     for patch in extra.patches().iter().take(6) {
-        post_requests.push(QueryRequest::SimilarTo { name: patch.meta.name.clone(), k: 6 });
+        post_requests.push(RequestBody::SimilarTo { name: patch.meta.name.clone(), k: 6 });
     }
     let got = server.run_workload(&post_requests, 4);
     let want = reference.run_workload(&post_requests, 1);
     for (g, w) in got.into_iter().zip(want) {
-        assert_eq!(g.unwrap(), w.unwrap(), "concurrent ingest must converge to sequential state");
+        assert_eq!(search(g), search(w), "concurrent ingest must converge to sequential state");
     }
 }
 
@@ -185,7 +194,7 @@ fn server_stats_track_the_workload() {
     // query and must be answered from it entirely.
     for _ in 0..2 {
         let results = server.run_workload(&requests, 4);
-        assert!(results.iter().all(Result::is_ok));
+        assert!(results.iter().all(|r| matches!(r, ResponseBody::Search(_))));
     }
 
     let stats = server.stats();

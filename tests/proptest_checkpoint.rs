@@ -11,9 +11,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use agoraeo::bigearthnet::{Archive, ArchiveGenerator, Country, GeneratorConfig, Label};
 use agoraeo::earthqube::failpoints;
+use agoraeo::earthqube::net::{payload_to_response, query_to_spec};
 use agoraeo::earthqube::{
-    EarthQubeConfig, ImageQuery, LabelFilter, LabelOperator, QueryRequest, QueryServer,
-    SearchResponse, ServeConfig,
+    EarthQubeConfig, ImageQuery, LabelFilter, LabelOperator, QueryServer, RequestBody,
+    ResponseBody, SearchResponse, ServeConfig,
 };
 use agoraeo::geo::GeoShape;
 use proptest::prelude::*;
@@ -63,21 +64,20 @@ fn engine_config(seed: u64) -> EarthQubeConfig {
     config
 }
 
-fn workload(archive: &Archive) -> Vec<QueryRequest> {
+fn workload(archive: &Archive) -> Vec<RequestBody> {
     let mut requests = Vec::new();
     for (i, patch) in archive.patches().iter().enumerate().take(12) {
         requests.push(match i % 4 {
-            0 => QueryRequest::SimilarTo { name: patch.meta.name.clone(), k: 8 },
-            1 => QueryRequest::Metadata(ImageQuery::all().with_labels(LabelFilter::new(
-                LabelOperator::Some,
-                vec![Label::ALL[(i * 5) % Label::ALL.len()]],
+            0 => RequestBody::SimilarTo { name: patch.meta.name.clone(), k: 8 },
+            1 => RequestBody::Search(query_to_spec(&ImageQuery::all().with_labels(
+                LabelFilter::new(LabelOperator::Some, vec![Label::ALL[(i * 5) % Label::ALL.len()]]),
             ))),
             2 => {
-                QueryRequest::Metadata(ImageQuery::all().with_shape(GeoShape::Rect(
+                RequestBody::Search(query_to_spec(&ImageQuery::all().with_shape(GeoShape::Rect(
                     Country::ALL[i % Country::ALL.len()].bounding_box(),
-                )))
+                ))))
             }
-            _ => QueryRequest::NewExample {
+            _ => RequestBody::SearchByNewExample {
                 patch: Box::new(
                     ArchiveGenerator::new(GeneratorConfig::tiny(1, 90_000 + i as u64))
                         .unwrap()
@@ -90,8 +90,12 @@ fn workload(archive: &Archive) -> Vec<QueryRequest> {
     requests
 }
 
-fn responses(server: &QueryServer, requests: &[QueryRequest]) -> Vec<SearchResponse> {
-    requests.iter().map(|r| server.execute(r).unwrap()).collect()
+fn responses(server: &QueryServer, requests: &[RequestBody]) -> Vec<SearchResponse> {
+    let search = |r| match server.call(r) {
+        ResponseBody::Search(payload) => payload_to_response(payload),
+        other => panic!("{r:?} answered {other:?}"),
+    };
+    requests.iter().map(search).collect()
 }
 
 /// Submits the `i`-th feedback entry of a case.

@@ -8,10 +8,10 @@
 use std::sync::Arc;
 
 use agoraeo::bigearthnet::{Archive, ArchiveGenerator, GeneratorConfig, Label};
-use agoraeo::earthqube::net::{response_to_payload, EqClient, NetConfig, NetServer};
+use agoraeo::earthqube::net::{query_to_spec, response_to_payload, EqClient, NetConfig, NetServer};
 use agoraeo::earthqube::{
-    EarthQubeConfig, ImageQuery, LabelFilter, LabelOperator, PrefilterMode, QueryRequest,
-    QueryServer, SearchResponse, ServeConfig,
+    EarthQubeConfig, ImageQuery, LabelFilter, LabelOperator, PrefilterMode, QueryServer,
+    RequestBody, ResponseBody, SearchResponse, ServeConfig,
 };
 use agoraeo::geo::GeoShape;
 
@@ -23,24 +23,24 @@ fn build_server(archive: &Archive, seed: u64) -> QueryServer {
 
 /// The shared workload: metadata searches (filtered and unfiltered),
 /// CBIR neighbour queries, query-by-new-example, and one failing request.
-fn workload(archive: &Archive) -> Vec<QueryRequest> {
+fn workload(archive: &Archive) -> Vec<RequestBody> {
     let mut requests = vec![
-        QueryRequest::Metadata(ImageQuery::all()),
-        QueryRequest::Metadata(ImageQuery::all().with_labels(LabelFilter::new(
+        RequestBody::Search(query_to_spec(&ImageQuery::all())),
+        RequestBody::Search(query_to_spec(&ImageQuery::all().with_labels(LabelFilter::new(
             LabelOperator::Some,
             vec![Label::MixedForest, Label::SeaAndOcean],
-        ))),
-        QueryRequest::Metadata(
-            ImageQuery::all()
+        )))),
+        RequestBody::Search(query_to_spec(
+            &ImageQuery::all()
                 .with_shape(GeoShape::Rect(agoraeo::bigearthnet::Country::Portugal.bounding_box())),
-        ),
+        )),
     ];
     for patch in archive.patches().iter().take(6) {
-        requests.push(QueryRequest::SimilarTo { name: patch.meta.name.clone(), k: 7 });
+        requests.push(RequestBody::SimilarTo { name: patch.meta.name.clone(), k: 7 });
     }
     let external = ArchiveGenerator::new(GeneratorConfig::tiny(1, 4242)).unwrap().generate_patch(0);
-    requests.push(QueryRequest::NewExample { patch: Box::new(external), k: 5 });
-    requests.push(QueryRequest::SimilarTo { name: "ghost".into(), k: 3 });
+    requests.push(RequestBody::SearchByNewExample { patch: Box::new(external), k: 5 });
+    requests.push(RequestBody::SimilarTo { name: "ghost".into(), k: 3 });
     requests
 }
 
@@ -59,6 +59,15 @@ fn assert_byte_identical(local: &SearchResponse, remote: &SearchResponse, what: 
     );
 }
 
+/// [`assert_byte_identical`] for a whole response body, typed errors
+/// included.
+fn assert_same_body(local: &ResponseBody, remote: &ResponseBody, what: &str) {
+    assert_eq!(remote, local, "{what}: remote response differs from in-process");
+    let bytes =
+        |body: &ResponseBody| agoraeo::proto::Response { id: 0, body: body.clone() }.encode();
+    assert_eq!(bytes(local), bytes(remote), "{what}: remote response encodes to different bytes");
+}
+
 #[test]
 fn remote_workload_is_byte_identical_to_in_process() {
     let archive = ArchiveGenerator::new(GeneratorConfig::tiny(40, 501)).unwrap().generate();
@@ -69,7 +78,7 @@ fn remote_workload_is_byte_identical_to_in_process() {
     let local = build_server(&archive, 501);
     let local_before = local.stats();
     let local_ingest = local.ingest(extra.patches()).unwrap();
-    let local_results: Vec<_> = requests.iter().map(|r| local.execute(r)).collect();
+    let local_results: Vec<_> = requests.iter().map(|r| local.call(r)).collect();
     let local_after = local.stats();
 
     // Path (b): the identical server driven through the wire.
@@ -90,13 +99,7 @@ fn remote_workload_is_byte_identical_to_in_process() {
     assert_eq!(remote_results.len(), local_results.len());
     for (i, (remote_result, local_result)) in remote_results.iter().zip(&local_results).enumerate()
     {
-        match (remote_result, local_result) {
-            (Ok(remote), Ok(local)) => assert_byte_identical(local, remote, &format!("slot {i}")),
-            (Err(remote), Err(local)) => {
-                assert_eq!(remote, local, "slot {i}: error variants differ")
-            }
-            (r, l) => panic!("slot {i}: remote {r:?} vs in-process {l:?}"),
-        }
+        assert_same_body(local_result, remote_result, &format!("slot {i}"));
     }
 
     // Stats deltas agree: the wire adds no phantom queries and loses none.
@@ -117,9 +120,9 @@ fn remote_workload_is_byte_identical_to_in_process() {
     // agree with the in-process view of the remote server itself.
     assert_eq!(remote_after, remote.stats());
 
-    // One round trip per request (`EqClient::execute`) answers the same.
+    // One round trip per request (`EqClient::call`) answers the same.
     for (i, (request, local)) in requests.iter().zip(&local_results).enumerate() {
-        assert_eq!(&client.execute(request), local, "slot {i}: one-shot differs");
+        assert_eq!(&client.call(request).unwrap(), local, "slot {i}: one-shot differs");
     }
 
     net.shutdown();
@@ -216,22 +219,18 @@ fn out_of_order_completions_leave_in_submission_order() {
     let mut requests = Vec::new();
     for round in 0..12usize {
         let upload = external.patches()[round % 3].clone();
-        requests.push(QueryRequest::NewExample { patch: Box::new(upload), k: 9 });
+        requests.push(RequestBody::SearchByNewExample { patch: Box::new(upload), k: 9 });
         for patch in archive.patches().iter().skip(round).step_by(7) {
-            requests.push(QueryRequest::SimilarTo { name: patch.meta.name.clone(), k: 5 });
+            requests.push(RequestBody::SimilarTo { name: patch.meta.name.clone(), k: 5 });
         }
-        requests.push(QueryRequest::Metadata(ImageQuery::all()));
-        requests.push(QueryRequest::SimilarTo { name: format!("ghost-{round}"), k: 2 });
+        requests.push(RequestBody::Search(query_to_spec(&ImageQuery::all())));
+        requests.push(RequestBody::SimilarTo { name: format!("ghost-{round}"), k: 2 });
     }
 
     let remote = client.run_batch(&requests).unwrap();
     assert_eq!(remote.len(), requests.len());
     for (i, (remote_result, request)) in remote.iter().zip(&requests).enumerate() {
-        match (remote_result, server.execute(request)) {
-            (Ok(remote), Ok(local)) => assert_byte_identical(&local, remote, &format!("slot {i}")),
-            (Err(remote), Err(local)) => assert_eq!(remote, &local, "slot {i}: errors differ"),
-            (r, l) => panic!("slot {i}: remote {r:?} vs in-process {l:?}"),
-        }
+        assert_same_body(&server.call(request), remote_result, &format!("slot {i}"));
     }
     assert_eq!(net.connections_failed(), 0);
     net.shutdown();
