@@ -6,8 +6,10 @@
 //!
 //! * [`NetServer`] — a **readiness-driven event loop** multiplexing every
 //!   accepted connection over one poller thread (a vendored `poll(2)`
-//!   shim), plus a **bounded worker pool** that hands each decoded request
-//!   to [`QueryServer::call`] on the shared `&self` server.
+//!   shim), which answers reads the result cache holds itself, plus a
+//!   **bounded worker pool** that hands every other request to the
+//!   server's one request entry ([`QueryServer::call`]'s work) on the
+//!   shared `&self` server.
 //!   One process serves thousands of idle-or-slow sockets over K workers;
 //!   a connection no longer pins a thread for its lifetime.  Faults are
 //!   isolated per connection: a malformed frame (garbage preamble, torn
@@ -20,8 +22,8 @@
 //!   while the queue is full, is answered immediately with a typed
 //!   [`eq_proto::ErrorCode::Overloaded`] error frame instead of stalling
 //!   the connection; clients that stop draining their responses (slow
-//!   loris) are evicted on a write timeout or when their output backlog
-//!   exceeds a cap.  The [`RequestBody::MetricsText`] endpoint
+//!   loris) are evicted on a write timeout or when the answers they hold,
+//!   unsent or waiting their turn, exceed a cap.  The [`RequestBody::MetricsText`] endpoint
 //!   renders the serving counters plus the net-tier counters
 //!   ([`NetTierStats`]) as Prometheus-style scrape text.
 //! * [`EqClient`] — a blocking client over one reused connection: one
@@ -50,30 +52,39 @@
 //! # Threading model
 //!
 //! ```text
-//!            ┌──────────── poller thread ────────────┐
-//! sockets ──▶ poll(2) → read → FrameDecoder → admission ──▶ job queue ──▶ worker 0..K ──▶ QueryServer (&self)
-//!    ▲       └──▲──────────────────────────────────┘                         │
-//!    │          └ wake pipe: only a backlog (POLLOUT) or a close ◀───────────┤
-//!    └────────── ordered, non-blocking write under the `conn-out` lock ◀──────┘
+//!            ┌──────────────────── poller thread ─────────────────────┐
+//! sockets ──▶ poll(2) → read → FrameDecoder → admission → query? → cache ──miss──▶ job queue ──▶ worker 0..K ──▶ QueryServer (&self)
+//!    ▲       └──▲───────────────────────────────────────────────│────┘                              │
+//!    │          │                                           hit: frame                              │
+//!    │          └ wake pipe: only a worker's backlog (POLLOUT) or close ◀────────────────────────────┤
+//!    └────────── ordered, non-blocking write under the `conn-out` lock ◀─────────────────────────────┘
 //! ```
 //!
 //! The poller owns the listener, the connection table and every socket's
 //! *read* half (no locks there).  A connection's *write* half — reorder
 //! buffer, unsent bytes, in-flight quota — is a `ConnOut` behind the
 //! connection's `conn-out` mutex and travels with each job: the worker that
-//! executed a request writes the response itself, so a request costs one
-//! poller wake-up (its bytes arriving), one worker wake-up and one
-//! `write(2)`.  Each complete request frame takes a per-connection sequence
-//! number at decode time and responses leave **strictly in that order** —
-//! a pipelining client ([`EqClient::run_batch`]) observes exactly the
-//! blocking server's ordering even though requests of one connection may
-//! execute on different workers.  The sockets are non-blocking, so a worker
-//! never parks on a peer: bytes the socket would not take stay in the
-//! `ConnOut`, the worker writes one byte to the wake pipe, and the poller
-//! drains them on `POLLOUT` (or evicts the connection).  All workers share
-//! the *same* `QueryServer` by reference — the catalog read/write locking,
-//! the CBIR index and the result cache behave exactly as they do
-//! for in-process threads.
+//! executed a request writes the response itself, so a request a worker
+//! answers costs one poller wake-up (its bytes arriving), one worker
+//! wake-up and one `write(2)`.  A read the result cache holds costs less:
+//! the poller decodes the four cache-keyed kinds (`Search`, `SimilarTo`,
+//! `SimilarToFiltered`, `SimilarWithinFiltered`; it peeks the tag, and
+//! every other kind goes to the queue undecoded), probes the cache and, on
+//! a hit, writes a fresh envelope, the cached body bytes and their CRC
+//! itself ([`QueryServer::cached_frame`]) — one poller wake-up and one
+//! `write(2)`, no hand-off and no per-row work.  A miss travels to a worker
+//! decoded and fingerprinted.  Each complete request frame takes a
+//! per-connection sequence number at decode time and responses leave
+//! **strictly in that order**, whoever wrote them — a pipelining client
+//! ([`EqClient::run_batch`]) observes exactly the blocking server's
+//! ordering even though the requests of one connection may be answered by
+//! the poller and by different workers.  The sockets are non-blocking, so
+//! nobody parks on a peer: bytes the socket would not take stay in the
+//! `ConnOut`, a worker writes one byte to the wake pipe (the poller knows
+//! its own), and the poller drains them on `POLLOUT` (or evicts the
+//! connection).  The poller and all workers share the *same* `QueryServer`
+//! by reference — the catalog read/write locking, the CBIR index and the
+//! result cache behave exactly as they do for in-process threads.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufReader, Read as _, Write as _};
@@ -97,7 +108,7 @@ use crate::ingest::IngestReport;
 use crate::query::{ImageQuery, LabelFilter, LabelOperator};
 use crate::replicate::{ReplBatch, ReplState, RetryPolicy};
 use crate::results::ResultPanel;
-use crate::serve::{QueryServer, ServerStats};
+use crate::serve::{QueryServer, Reply, ServerStats};
 use crate::stats::LabelStatistics;
 use crate::EarthQubeError;
 
@@ -265,8 +276,10 @@ pub struct NetConfig {
     /// A connection whose output backlog makes no write progress for
     /// this long is evicted (slow-loris defence).
     pub write_timeout: Duration,
-    /// A connection whose unsent output backlog exceeds this many bytes
-    /// is evicted regardless of progress, bounding per-connection memory.
+    /// A connection holding more than this many bytes of answers — unsent
+    /// output plus frames waiting in its reorder buffer behind a slower
+    /// request — is evicted regardless of progress, bounding
+    /// per-connection memory.
     pub write_buffer_cap: usize,
 }
 
@@ -298,6 +311,7 @@ struct NetStats {
     connections_failed: AtomicU64,
     responses_direct: AtomicU64,
     responses_deferred: AtomicU64,
+    answered_on_loop: AtomicU64,
     poller_wakeups: AtomicU64,
 }
 
@@ -323,12 +337,17 @@ pub struct NetTierStats {
     pub acceptor_fatal: u64,
     /// Connections that ended with a protocol or transport fault.
     pub connections_failed: u64,
-    /// Worker-executed responses whose worker left nothing on the
-    /// connection for the poller to write.
+    /// Answers to admitted requests — written by the worker that executed
+    /// the request, or by the event loop for a result-cache hit — after
+    /// which nothing was left on the connection for `POLLOUT` to write.
     pub responses_direct: u64,
-    /// Worker-executed responses after which the socket would not take the
-    /// whole backlog: the rest waits for the poller's `POLLOUT`.
+    /// Answers to admitted requests, whoever wrote them, after which the
+    /// socket would not take the whole backlog: the rest waits for the
+    /// poller's `POLLOUT`.
     pub responses_deferred: u64,
+    /// Requests the event loop answered from the result cache itself,
+    /// with no worker hand-off (each also counts as a server cache hit).
+    pub answered_on_loop: u64,
     /// Returns of the poller's `poll(2)` with at least one ready
     /// descriptor (idle ticks are not counted).
     pub poller_wakeups: u64,
@@ -348,6 +367,7 @@ impl NetStats {
             connections_failed: self.connections_failed.load(Ordering::Relaxed),
             responses_direct: self.responses_direct.load(Ordering::Relaxed),
             responses_deferred: self.responses_deferred.load(Ordering::Relaxed),
+            answered_on_loop: self.answered_on_loop.load(Ordering::Relaxed),
             poller_wakeups: self.poller_wakeups.load(Ordering::Relaxed),
         }
     }
@@ -369,14 +389,35 @@ struct Shared {
     stats: NetStats,
 }
 
-/// One decoded request frame on its way to the worker pool.
+/// One request frame on its way to the worker pool.
 struct Job {
     /// The connection to answer: the worker writes the response itself.
     conn: Arc<ConnIo>,
     /// Per-connection sequence number; responses leave in this order so
     /// pipelined clients see the blocking server's ordering.
     seq: u64,
-    payload: Vec<u8>,
+    work: Work,
+}
+
+/// What a worker gets to answer.
+enum Work {
+    /// A frame payload the event loop did not decode: every kind but the
+    /// four cache-keyed reads, and a read payload that does not decode.
+    Raw(Vec<u8>),
+    /// A cache-keyed read the result cache did not hold: decoded and
+    /// fingerprinted once, on the event loop (boxed: a queued job stays a
+    /// few words).
+    Read(Box<eq_proto::Request>, Option<u64>),
+}
+
+impl Work {
+    /// The request id an admission refusal answers under.
+    fn request_id(&self) -> u64 {
+        match self {
+            Work::Raw(payload) => peek_request_id(payload),
+            Work::Read(request, _) => request.id,
+        }
+    }
 }
 
 /// The bounded poller→worker hand-off.  One mutex and one condition
@@ -489,8 +530,37 @@ struct ConnOut {
 }
 
 impl ConnOut {
+    fn new() -> Self {
+        Self {
+            outbuf: Vec::new(),
+            outpos: 0,
+            next_to_send: 0,
+            pending: BTreeMap::new(),
+            inflight: 0,
+            fatal: false,
+            write_dead: false,
+            last_write_progress: Instant::now(),
+        }
+    }
+
     fn has_backlog(&self) -> bool {
         self.outpos < self.outbuf.len()
+    }
+
+    /// Response bytes the connection holds: the unsent output and the
+    /// frames in the reorder buffer, waiting behind a slower request.
+    fn buffered_bytes(&self) -> usize {
+        let pending: usize = self.pending.values().map(|p| p.frame.len()).sum();
+        self.outbuf.len() - self.outpos + pending
+    }
+
+    /// The sweep's eviction test: the unsent output made no progress for
+    /// `write_timeout`, or the connection holds more than
+    /// `write_buffer_cap` bytes of answers, unsent or waiting their turn.
+    fn should_evict(&self, now: Instant, write_timeout: Duration, write_buffer_cap: usize) -> bool {
+        let stalled =
+            self.has_backlog() && now.duration_since(self.last_write_progress) >= write_timeout;
+        stalled || self.buffered_bytes() > write_buffer_cap
     }
 
     /// Files a finished frame at its slot and releases every frame that is
@@ -530,22 +600,7 @@ impl ConnOut {
 
 impl ConnIo {
     fn new(stream: TcpStream) -> Self {
-        Self {
-            stream,
-            conn_out: Mutex::with_name(
-                ConnOut {
-                    outbuf: Vec::new(),
-                    outpos: 0,
-                    next_to_send: 0,
-                    pending: BTreeMap::new(),
-                    inflight: 0,
-                    fatal: false,
-                    write_dead: false,
-                    last_write_progress: Instant::now(),
-                },
-                "conn-out",
-            ),
-        }
+        Self { stream, conn_out: Mutex::with_name(ConnOut::new(), "conn-out") }
     }
 
     /// Takes one slot of the connection's in-flight quota, if there is one.
@@ -908,14 +963,11 @@ impl EventLoop {
             }
             let close = if out.write_dead {
                 true
+            } else if out.should_evict(now, config.write_timeout, config.write_buffer_cap) {
+                stats.evicted_slow.fetch_add(1, Ordering::Relaxed);
+                true
             } else if out.has_backlog() {
-                let backlog = out.outbuf.len() - out.outpos;
-                let stalled = now.duration_since(out.last_write_progress) >= config.write_timeout;
-                let evict = stalled || backlog > config.write_buffer_cap;
-                if evict {
-                    stats.evicted_slow.fetch_add(1, Ordering::Relaxed);
-                }
-                evict
+                false
             } else {
                 let drained = out.pending.is_empty() && out.inflight == 0;
                 (conn.closing || conn.read_closed) && drained
@@ -961,13 +1013,17 @@ fn fault_conn(stats: &NetStats, conn: &mut Conn, message: &str) {
 
 /// Decodes every complete frame buffered on the connection and runs
 /// admission control on each: poisoned server → typed internal error;
-/// over quota or full queue → typed `Overloaded`; otherwise hand the
-/// payload to the worker pool.  The refusals of one burst are filed
-/// together and leave in one write, so a flood costs the poller one
-/// `write(2)` per read, not one per request.
+/// over quota or full queue → typed `Overloaded`.  An admitted read of one
+/// of the four cache-keyed kinds is decoded here and, when the result cache
+/// holds its answer, answered here ([`answer_on_loop`]); every other
+/// request, and a read the cache missed, goes to the worker pool.  The
+/// refusals and cache answers of one burst are filed together and leave in
+/// one write, so a flood costs the poller one `write(2)` per read, not one
+/// per request.
 fn pump_decoder(shared: &Shared, config: &NetConfig, queue: &JobQueue, conn: &mut Conn) {
     let stats = &shared.stats;
-    let mut refused = Vec::new();
+    let mut filed = Vec::new();
+    let mut answered = 0u64;
     while !conn.closing {
         match conn.decoder.next_frame() {
             Ok(Some(payload)) => {
@@ -976,7 +1032,7 @@ fn pump_decoder(shared: &Shared, config: &NetConfig, queue: &JobQueue, conn: &mu
                 if shared.poisoned.load(Ordering::SeqCst) {
                     let response = poisoned_response(peek_request_id(&payload));
                     let frame = encode_response_frame(&response);
-                    refused.push(Done { seq, frame, fatal: false, retire: false });
+                    filed.push(Done { seq, frame, fatal: false, retire: false });
                     continue;
                 }
                 if !conn.io.admit(config.max_inflight_per_conn) {
@@ -985,18 +1041,31 @@ fn pump_decoder(shared: &Shared, config: &NetConfig, queue: &JobQueue, conn: &mu
                          read responses before sending more requests",
                         config.max_inflight_per_conn
                     );
-                    refused.push(overloaded(stats, seq, &payload, &message, false));
+                    let id = peek_request_id(&payload);
+                    filed.push(overloaded(stats, seq, id, &message, false));
                     continue;
                 }
+                let work = if eq_proto::is_query_payload(&payload) {
+                    match answer_on_loop(shared, payload) {
+                        Ok(frame) => {
+                            filed.push(Done { seq, frame, fatal: false, retire: true });
+                            answered += 1;
+                            continue;
+                        }
+                        Err(work) => work,
+                    }
+                } else {
+                    Work::Raw(payload)
+                };
                 // Count the queue slot *before* the push: the worker's
                 // decrement happens-after its pop, so the depth gauge can
                 // never underflow.
                 let depth = stats.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
                 stats.queue_depth_hwm.fetch_max(depth, Ordering::Relaxed);
-                if let Err(job) = queue.try_push(Job { conn: Arc::clone(&conn.io), seq, payload }) {
+                if let Err(job) = queue.try_push(Job { conn: Arc::clone(&conn.io), seq, work }) {
                     stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
                     let message = "the server's request queue is full; retry later";
-                    refused.push(overloaded(stats, seq, &job.payload, message, true));
+                    filed.push(overloaded(stats, seq, job.work.request_id(), message, true));
                 }
             }
             Ok(None) => break,
@@ -1005,8 +1074,49 @@ fn pump_decoder(shared: &Shared, config: &NetConfig, queue: &JobQueue, conn: &mu
             Err(e) => fault_conn(stats, conn, &format!("malformed frame: {e}")),
         }
     }
-    if !refused.is_empty() {
-        conn.want_out = conn.io.advance(stats, refused);
+    if !filed.is_empty() {
+        conn.want_out = conn.io.advance(stats, filed);
+        if answered > 0 {
+            let counter =
+                if conn.want_out { &stats.responses_deferred } else { &stats.responses_direct };
+            counter.fetch_add(answered, Ordering::Relaxed);
+        }
+    }
+}
+
+/// The event loop's turn at an admitted read of a cache-keyed kind: decode
+/// it, fingerprint it and probe the result cache.  A hit is the complete
+/// response frame, for the caller to file at the request's own slot; a miss
+/// goes to a worker decoded and fingerprinted, and a payload that does not
+/// decode goes to a worker raw, whose decode answers it with the protocol
+/// fault's fatal frame.  A panic here (a bug the decoder's checks missed)
+/// is the request's internal error, as on a worker: a read mutated nothing,
+/// and the poller lives on.
+fn answer_on_loop(shared: &Shared, payload: Vec<u8>) -> Result<Vec<u8>, Work> {
+    let server = &shared.server;
+    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let request = eq_proto::Request::decode(&payload).ok()?;
+        let fingerprint = server.cache_fingerprint(&request.body);
+        Some(match fingerprint.and_then(|fp| server.cached_frame(&request, fp)) {
+            Some(frame) => Ok(frame),
+            None => Err((request, fingerprint)),
+        })
+    }));
+    match attempt {
+        Ok(Some(Ok(frame))) => {
+            // Counted before the write, like the server's hit: a peer
+            // holding the answer finds it counted.
+            shared.stats.answered_on_loop.fetch_add(1, Ordering::Relaxed);
+            Ok(frame)
+        }
+        Ok(Some(Err((request, fingerprint)))) => Err(Work::Read(Box::new(request), fingerprint)),
+        Ok(None) => Err(Work::Raw(payload)),
+        Err(_) => {
+            let message = "internal panic while serving the request";
+            let response =
+                error_response(peek_request_id(&payload), eq_proto::ErrorCode::Internal, message);
+            Ok(encode_response_frame(&response))
+        }
     }
 }
 
@@ -1014,10 +1124,9 @@ fn pump_decoder(shared: &Shared, config: &NetConfig, queue: &JobQueue, conn: &mu
 /// client gets a definite answer instead of a stalled connection.
 /// `retire` gives back the quota slot of a request that was admitted and
 /// then found the queue full.
-fn overloaded(stats: &NetStats, seq: u64, payload: &[u8], message: &str, retire: bool) -> Done {
+fn overloaded(stats: &NetStats, seq: u64, id: u64, message: &str, retire: bool) -> Done {
     stats.rejected_overload.fetch_add(1, Ordering::Relaxed);
-    let response =
-        error_response(peek_request_id(payload), eq_proto::ErrorCode::Overloaded, message);
+    let response = error_response(id, eq_proto::ErrorCode::Overloaded, message);
     Done { seq, frame: encode_response_frame(&response), fatal: false, retire }
 }
 
@@ -1028,14 +1137,37 @@ fn overloaded(stats: &NetStats, seq: u64, payload: &[u8], message: &str, retire:
 /// being served.
 fn encode_response_frame(response: &eq_proto::Response) -> Vec<u8> {
     let mut frame = Vec::new();
-    if let Err(e) = eq_proto::frame_response(&mut frame, response) {
-        let message = format!(
-            "the response cannot be sent ({e}); narrow the query or ingest in smaller batches"
-        );
-        let error = error_response(response.id, eq_proto::ErrorCode::BadRequest, &message);
-        // A short error message is far below the frame cap.
-        let _ = eq_proto::frame_response(&mut frame, &error);
+    match eq_proto::frame_response(&mut frame, response) {
+        Ok(()) => frame,
+        Err(e) => unsendable(response.id, &e),
     }
+}
+
+/// [`encode_response_frame`] for a server reply: a body already encoded
+/// (a result-cache entry) is framed behind a fresh envelope, not decoded.
+fn encode_reply_frame(id: u64, reply: Reply) -> Vec<u8> {
+    match reply {
+        Reply::Body(body) => encode_response_frame(&eq_proto::Response { id, body }),
+        Reply::Encoded(bytes) => {
+            let mut frame = Vec::new();
+            match eq_proto::frame_encoded_response(&mut frame, id, &bytes) {
+                Ok(()) => frame,
+                Err(e) => unsendable(id, &e),
+            }
+        }
+    }
+}
+
+/// The typed error frame that replaces a response over the frame cap.
+fn unsendable(id: u64, e: &eq_proto::ProtoError) -> Vec<u8> {
+    let message =
+        format!("the response cannot be sent ({e}); narrow the query or ingest in smaller batches");
+    let mut frame = Vec::new();
+    // A short error message is far below the frame cap.
+    let _ = eq_proto::frame_response(
+        &mut frame,
+        &error_response(id, eq_proto::ErrorCode::BadRequest, &message),
+    );
     frame
 }
 
@@ -1051,7 +1183,7 @@ fn worker_loop(shared: Arc<Shared>, queue: Arc<JobQueue>, wake: UnixStream) {
         if shared.stop.load(Ordering::SeqCst) {
             continue; // draining during shutdown: drop unserved
         }
-        let (frame, fatal) = process_job(&shared, &job.payload);
+        let (frame, fatal) = process_job(&shared, job.work);
         let done = Done { seq: job.seq, frame, fatal, retire: true };
         let backlog = job.conn.advance(stats, Some(done));
         let counter = if backlog { &stats.responses_deferred } else { &stats.responses_direct };
@@ -1064,56 +1196,60 @@ fn worker_loop(shared: Arc<Shared>, queue: Arc<JobQueue>, wake: UnixStream) {
     }
 }
 
-/// Decodes and dispatches one request payload, isolating panics.
+/// Decodes (unless the event loop did) and dispatches one request,
+/// isolating panics.
 ///
 /// A panic provoked by one connection's input (a bug this layer's input
 /// validation missed) fails that request instead of killing the pool
 /// worker — otherwise a hostile client could drain the whole pool one
 /// panic at a time.
-fn process_job(shared: &Shared, payload: &[u8]) -> (Vec<u8>, bool) {
-    let request = match eq_proto::Request::decode(payload) {
-        Ok(request) => request,
-        Err(e) => {
-            // The frame was well-formed but the payload is not a request
-            // (wrong version, unknown tag, corrupt fields): a protocol
-            // fault — best-effort error frame under id 0, then close.
-            let message = format!("malformed request: {e}");
-            let response = error_response(0, eq_proto::ErrorCode::BadRequest, &message);
-            return (encode_response_frame(&response), true);
-        }
+fn process_job(shared: &Shared, work: Work) -> (Vec<u8>, bool) {
+    let (request, fingerprint) = match work {
+        Work::Read(request, fingerprint) => (*request, fingerprint),
+        Work::Raw(payload) => match eq_proto::Request::decode(&payload) {
+            Ok(request) => (request, None),
+            Err(e) => {
+                // The frame was well-formed but the payload is not a request
+                // (wrong version, unknown tag, corrupt fields): a protocol
+                // fault — best-effort error frame under id 0, then close.
+                let message = format!("malformed request: {e}");
+                let response = error_response(0, eq_proto::ErrorCode::BadRequest, &message);
+                return (encode_response_frame(&response), true);
+            }
+        },
     };
     let id = request.id;
-    let response = if shared.poisoned.load(Ordering::SeqCst) {
-        poisoned_response(id)
-    } else {
-        // The one kind that reads this tier's counters is answered here;
-        // every other goes to the server's one request entry.
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &request.body {
-            RequestBody::MetricsText => ResponseBody::MetricsText(render_metrics(
-                &shared.server.stats(),
-                &shared.stats.snapshot(),
-            )),
-            body => shared.server.call(body),
-        })) {
-            Ok(body) => eq_proto::Response { id, body },
-            Err(_) => {
-                // A panic in a *read-only* request mutated nothing (the
-                // engine read path takes only shared locks); report it
-                // and keep serving.  A panic in a mutating request may
-                // have left a half-applied write behind — these locks
-                // do not poison — so latch the server-wide poison flag:
-                // wrong answers forever are worse than refusing work.
-                if request.body.is_write() {
-                    shared.poisoned.store(true, Ordering::SeqCst);
-                    poisoned_response(id)
-                } else {
-                    let message = "internal panic while serving the request";
-                    error_response(id, eq_proto::ErrorCode::Internal, message)
-                }
-            }
+    if shared.poisoned.load(Ordering::SeqCst) {
+        return (encode_response_frame(&poisoned_response(id)), false);
+    }
+    // The one kind that reads this tier's counters is answered here;
+    // every other goes to the server's one request entry.
+    let reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &request.body {
+        RequestBody::MetricsText => Reply::Body(ResponseBody::MetricsText(render_metrics(
+            &shared.server.stats(),
+            &shared.stats.snapshot(),
+        ))),
+        body => shared.server.respond(body, fingerprint),
+    }));
+    match reply {
+        Ok(reply) => (encode_reply_frame(id, reply), false),
+        Err(_) => {
+            // A panic in a *read-only* request mutated nothing (the
+            // engine read path takes only shared locks); report it
+            // and keep serving.  A panic in a mutating request may
+            // have left a half-applied write behind — these locks
+            // do not poison — so latch the server-wide poison flag:
+            // wrong answers forever are worse than refusing work.
+            let response = if request.body.is_write() {
+                shared.poisoned.store(true, Ordering::SeqCst);
+                poisoned_response(id)
+            } else {
+                let message = "internal panic while serving the request";
+                error_response(id, eq_proto::ErrorCode::Internal, message)
+            };
+            (encode_response_frame(&response), false)
         }
-    };
-    (encode_response_frame(&response), false)
+    }
 }
 
 /// The TCP serving tier: an event-loop poller thread multiplexing every
@@ -1314,6 +1450,7 @@ pub(crate) fn render_metrics(stats: &ServerStats, net: &NetTierStats) -> String 
     let _ = writeln!(out, "eq_net_acceptor_fatal_total {}", net.acceptor_fatal);
     let _ = writeln!(out, "eq_net_responses_direct_total {}", net.responses_direct);
     let _ = writeln!(out, "eq_net_responses_deferred_total {}", net.responses_deferred);
+    let _ = writeln!(out, "eq_net_answered_on_loop_total {}", net.answered_on_loop);
     let _ = writeln!(out, "eq_net_poller_wakeups_total {}", net.poller_wakeups);
     out
 }
@@ -2088,6 +2225,159 @@ mod tests {
             assert_eq!(net.net_stats().bytes_out, k * frame_len, "after pong {k}");
         }
         net.shutdown();
+    }
+
+    /// After one miss (answered by a worker, the only job ever queued),
+    /// every repeat of the request on the connection is answered by the
+    /// event loop from the result cache: counted as a loop answer and a
+    /// server cache hit, rendered by the metrics text, and never queued.
+    #[test]
+    fn repeats_of_a_cached_read_are_answered_on_the_event_loop() {
+        let (net, server, archive) = served(20, 309);
+        let mut client = EqClient::connect(net.local_addr()).unwrap();
+        let request = RequestBody::SimilarTo { name: archive.patches()[3].meta.name.clone(), k: 5 };
+        let first = client.call(&request).unwrap();
+        assert_eq!(net.net_stats().answered_on_loop, 0, "the first call is a miss");
+        const N: u64 = 25;
+        for _ in 0..N {
+            assert_eq!(client.call(&request).unwrap(), first);
+        }
+        let stats = net.net_stats();
+        assert_eq!(stats.answered_on_loop, N);
+        assert_eq!(stats.queue_depth_high_water, 1, "no repeat reached the job queue");
+        assert_eq!((server.stats().cache_hits, server.stats().cache_misses), (N, 1));
+
+        // Every answer counts once as direct or deferred, whoever wrote it
+        // (a worker counts its own after the write, so wait for the miss's).
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let answers = |s: &NetTierStats| s.responses_direct + s.responses_deferred;
+        while answers(&net.net_stats()) < N + 1 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(answers(&net.net_stats()), N + 1);
+
+        let text = client.metrics_text().unwrap();
+        assert!(text.contains(&format!("eq_net_answered_on_loop_total {N}\n")), "{text}");
+        assert_eq!(net.net_stats().queue_depth_high_water, 1);
+        net.shutdown();
+    }
+
+    /// A cached answer is admitted like any request: the event loop answers
+    /// a hit only after the poison check and the connection's quota.
+    #[test]
+    fn a_cache_hit_passes_the_poison_check_and_the_quota() {
+        let archive = ArchiveGenerator::new(GeneratorConfig::tiny(12, 310)).unwrap().generate();
+        let mut config = EarthQubeConfig::fast(310);
+        config.train_model = false;
+        let server =
+            Arc::new(QueryServer::build(&archive, config, ServeConfig::default()).unwrap());
+        let request = RequestBody::Search(query_to_spec(&ImageQuery::all()));
+        let cached = server.call(&request);
+        assert_eq!(server.stats().cache_entries, 1);
+        let error_code = |body: ResponseBody| match body {
+            ResponseBody::Error(e) => Some(e.code),
+            _ => None,
+        };
+
+        // No quota at all: the hit is refused, not answered.
+        let config = NetConfig { workers: 1, max_inflight_per_conn: 0, ..NetConfig::default() };
+        let net = NetServer::bind_with(Arc::clone(&server), "127.0.0.1:0", config).unwrap();
+        let mut client = EqClient::connect(net.local_addr()).unwrap();
+        let refused = client.call(&request).unwrap();
+        assert_eq!(error_code(refused), Some(eq_proto::ErrorCode::Overloaded));
+        assert_eq!((net.net_stats().answered_on_loop, net.net_stats().rejected_overload), (0, 1));
+        net.shutdown();
+
+        // A poisoned server answers nothing from its cache either.
+        let net = NetServer::bind(Arc::clone(&server), "127.0.0.1:0", 1).unwrap();
+        let mut client = EqClient::connect(net.local_addr()).unwrap();
+        assert_eq!(client.call(&request).unwrap(), cached);
+        assert_eq!(net.net_stats().answered_on_loop, 1);
+        net.shared.poisoned.store(true, Ordering::SeqCst);
+        let refused = client.call(&request).unwrap();
+        assert_eq!(error_code(refused), Some(eq_proto::ErrorCode::Internal));
+        assert_eq!(net.net_stats().answered_on_loop, 1);
+        net.shutdown();
+    }
+
+    /// A frame whose payload carries a query kind's tag but does not
+    /// decode is a protocol fault, answered as it was before the event
+    /// loop decoded queries: the answers to the requests ahead of it (here
+    /// a loop hit and a worker's miss), then the fatal `BadRequest` frame
+    /// under id 0, byte for byte, then the close.
+    #[test]
+    fn an_undecodable_query_payload_gets_the_fatal_frame() {
+        let (net, server, archive) = served(12, 311);
+        let cached = RequestBody::Search(query_to_spec(&ImageQuery::all()));
+        server.call(&cached);
+        let miss = RequestBody::SimilarTo { name: archive.patches()[1].meta.name.clone(), k: 3 };
+        let similar = RequestBody::SimilarTo { name: "p".into(), k: 3 };
+        let mut bad = eq_proto::Request { id: 9, body: similar }.encode();
+        bad.push(0); // the tag says `SimilarTo`; the decoder refuses the trailing byte
+        assert!(eq_proto::is_query_payload(&bad));
+        let error = eq_proto::Request::decode(&bad).unwrap_err();
+        let message = format!("malformed request: {error}");
+        let fatal =
+            encode_response_frame(&error_response(0, eq_proto::ErrorCode::BadRequest, &message));
+
+        let mut burst = Vec::new();
+        for (id, body) in [(1, &cached), (2, &miss)] {
+            let request = eq_proto::Request { id, body: body.clone() };
+            eq_proto::write_request(&mut burst, &request).unwrap();
+        }
+        eq_proto::write_request_payload(&mut burst, &bad).unwrap();
+        let mut stream = TcpStream::connect(net.local_addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream.write_all(&burst).unwrap();
+        let mut bytes = Vec::new();
+        stream.read_to_end(&mut bytes).expect("the server closes the connection");
+
+        let mut rest = &bytes[..];
+        for (id, body) in [(1, &cached), (2, &miss)] {
+            let response = eq_proto::read_response(&mut rest).unwrap().unwrap();
+            assert_eq!(response, eq_proto::Response { id, body: server.call(body) });
+        }
+        assert_eq!(rest, &fatal[..], "the fatal frame, byte for byte, and nothing after it");
+        assert_eq!(net.net_stats().answered_on_loop, 1);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while net.connections_failed() == 0 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(net.connections_failed(), 1);
+        net.shutdown();
+    }
+
+    /// The sweep's eviction test sees every byte of answers a connection
+    /// holds: the frames waiting in the reorder buffer behind a slower
+    /// request count toward the buffer cap, though only unsent output that
+    /// makes no progress counts as stalled.
+    #[test]
+    fn eviction_counts_the_frames_waiting_in_the_reorder_buffer() {
+        let mut out = ConnOut::new();
+        let now = out.last_write_progress;
+        let timeout = Duration::from_secs(30);
+        // Slot 0 is still at a worker; slots 1 and 2 wait behind it.
+        out.file(1, vec![0; 600], false);
+        out.file(2, vec![0; 500], false);
+        assert!(!out.has_backlog());
+        assert_eq!(out.buffered_bytes(), 1_100);
+        assert!(out.should_evict(now, timeout, 1_099));
+        assert!(!out.should_evict(now, timeout, 1_100));
+        // Waiting behind a slow request is no stall, however long it lasts.
+        assert!(!out.should_evict(now + 2 * timeout, timeout, 1_100));
+
+        // Slot 0 arrives: all three are released, in order, to be sent.
+        out.file(0, vec![0; 100], false);
+        assert!(out.pending.is_empty());
+        assert_eq!((out.next_to_send, out.buffered_bytes()), (3, 1_200));
+        assert!(out.should_evict(now, timeout, 1_199));
+        let since = out.last_write_progress;
+        assert!(!out.should_evict(since + timeout - Duration::from_millis(1), timeout, 1_200));
+        assert!(out.should_evict(since + timeout, timeout, 1_200), "stalled output");
+        // Bytes already sent no longer count.
+        out.outpos = 1_000;
+        assert_eq!(out.buffered_bytes(), 200);
+        assert!(!out.should_evict(since, timeout, 200));
     }
 
     #[test]

@@ -4,12 +4,10 @@
 //! polygon), an acquisition-date range, satellites, seasons, and land-cover
 //! labels with three operators: `Some`, `Exactly` and `At least & more`.
 
-use std::hash::{Hash, Hasher};
-
 use eq_bigearthnet::labels::Label;
 use eq_bigearthnet::patch::{AcquisitionDate, Satellite, Season};
 use eq_docstore::{Filter, Value};
-use eq_geo::{GeoShape, Point};
+use eq_geo::GeoShape;
 
 use crate::schema::fields;
 use crate::EarthQubeError;
@@ -66,8 +64,10 @@ impl LabelFilter {
 }
 
 /// A query-panel request: every field is optional and all present fields
-/// must hold simultaneously.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// must hold simultaneously.  It hashes structurally (the shape's `Hash`
+/// folds `-0.0` into `0.0`), so equal queries hash equal: the resolved-filter
+/// cache keys on it.
+#[derive(Debug, Clone, Default, PartialEq, Hash)]
 pub struct ImageQuery {
     /// Geospatial restriction (rectangle, circle or polygon drawn on the map).
     pub shape: Option<GeoShape>,
@@ -84,51 +84,6 @@ pub struct ImageQuery {
     /// Label filter; `None` means the label switch is "on" (no filtering),
     /// as in the UI default.
     pub labels: Option<LabelFilter>,
-}
-
-/// A structural hash for cache keys: equal queries hash equal.  The shape
-/// is the one part that cannot derive it (floats), so its coordinates are
-/// hashed by bit pattern with `-0.0` folded into `0.0`, the one pair of
-/// distinct patterns `==` calls equal (`NaN` equals nothing, so it may
-/// hash anywhere).
-impl Hash for ImageQuery {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        // Destructured in full, so a new field cannot be left out.
-        let ImageQuery { shape, date_range, satellites, seasons, countries, labels } = self;
-        let coordinate = |value: f64, state: &mut H| {
-            (if value == 0.0 { 0.0 } else { value }).to_bits().hash(state);
-        };
-        let point = |p: Point, state: &mut H| {
-            coordinate(p.lon, state);
-            coordinate(p.lat, state);
-        };
-        match shape {
-            None => 0u8.hash(state),
-            Some(GeoShape::Rect(b)) => {
-                1u8.hash(state);
-                for value in [b.min_lon, b.min_lat, b.max_lon, b.max_lat] {
-                    coordinate(value, state);
-                }
-            }
-            Some(GeoShape::Circle(c)) => {
-                2u8.hash(state);
-                point(c.center, state);
-                coordinate(c.radius_km, state);
-            }
-            Some(GeoShape::Polygon(polygon)) => {
-                3u8.hash(state);
-                polygon.vertices().len().hash(state);
-                for &vertex in polygon.vertices() {
-                    point(vertex, state);
-                }
-            }
-        }
-        date_range.hash(state);
-        satellites.hash(state);
-        seasons.hash(state);
-        countries.hash(state);
-        labels.hash(state);
-    }
 }
 
 impl ImageQuery {
@@ -223,7 +178,8 @@ mod tests {
     use crate::schema::metadata_document;
     use eq_bigearthnet::labels::LabelSet;
     use eq_bigearthnet::{ArchiveGenerator, Country, GeneratorConfig};
-    use eq_geo::BBox;
+    use eq_geo::{BBox, Point};
+    use std::hash::{Hash, Hasher};
 
     #[test]
     fn label_operator_semantics_match_the_paper() {

@@ -19,9 +19,18 @@
 //!   says.  Checkpoints never write it (recovery rebuilds it from the
 //!   checkpointed records), and it takes no lock of its own: it sits
 //!   behind the catalog lock with the rest of the core.
-//! * **Result cache** — a bounded LRU keyed by a fingerprint of the query
-//!   (a structural hash; the full query is stored and compared, so a
-//!   fingerprint collision is a miss, never a wrong answer).
+//! * **Result cache** — a bounded LRU of answers held as the wire encodes
+//!   them: each value is a [`ResponseBody`]'s bytes (`Arc<[u8]>`, no
+//!   envelope).  The four query kinds (`Search`, `SimilarTo`,
+//!   `SimilarToFiltered`, `SimilarWithinFiltered`) are keyed on the request
+//!   itself, an upload on its code and `k` (no request carries the code).
+//!   Entries live under a structural hash of the key; the full key is
+//!   stored and compared, so a fingerprint collision is a miss, never a
+//!   wrong answer.  A miss encodes its answer once and files those bytes;
+//!   a hit hands them out — the network tier's event loop frames them
+//!   behind a fresh envelope ([`QueryServer::cached_frame`]), and
+//!   [`QueryServer::call`] decodes them, so an in-process hit returns the
+//!   very bytes a remote client receives.
 //! * **Resolved-filter cache** — a second instance of the same LRU, under
 //!   the first: what the core's resolver returned for a (filter, mode),
 //!   budgeted in bytes.  A filter-taking query that misses the result
@@ -33,11 +42,13 @@
 //!   grew the archive, under the catalog write lock — readers insert under
 //!   the read lock, so they can never re-insert a stale entry.
 //! * **One request entry** — [`QueryServer::call`] answers any
-//!   [`RequestBody`] with the [`ResponseBody`] the network tier sends, by
-//!   running the typed method the request names.  The typed methods borrow
-//!   names and patches, so in-process ingest and uploads copy no raster,
-//!   and they validate every patch themselves (before ingest's role
-//!   check), so every caller gets the same `BadRequest` for a bad one.
+//!   [`RequestBody`] with the [`ResponseBody`] the network tier sends.  The
+//!   four query kinds run there, through the result cache, and their typed
+//!   methods are `call` with the request they name; every other kind runs
+//!   its typed method.  Those borrow names and patches, so in-process
+//!   ingest and uploads copy no raster, and they validate every patch
+//!   themselves (before ingest's role check), so every caller gets the
+//!   same `BadRequest` for a bad one.
 //! * **Worker pool** — [`QueryServer::run_workload`] fans a batch of
 //!   [`RequestBody`]s over K scoped threads (`std::thread::scope`); all
 //!   query entry points take `&self`, so workers share the server by plain
@@ -61,7 +72,6 @@
 //! byte-identical result panels, and its `proptest_call` test that a typed
 //! method, [`QueryServer::call`] and a remote call answer alike.
 
-use std::any::Any;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
@@ -84,7 +94,10 @@ use crate::engine::{build_registry, EarthQube, EarthQubeConfig, SearchResponse};
 use crate::feedback::{FeedbackEntry, FeedbackService};
 use crate::filtered::{FilteredResponse, PrefilterMode, ResolvedFilter};
 use crate::ingest::{prepare_patch_docs, IngestReport};
-use crate::net::{error_to_payload, render_metrics, search_payload, spec_to_query, NetTierStats};
+use crate::net::{
+    error_to_payload, expect_filtered, expect_search, query_to_spec, render_metrics,
+    search_payload, spec_to_query, NetTierStats,
+};
 use crate::persist::{self, Sequence, WalRecord};
 use crate::query::ImageQuery;
 use crate::EarthQubeError;
@@ -119,7 +132,7 @@ impl ServeConfig {
 // which carries all but the four `filter_cache_*` counters.
 pub use eq_proto::ServerStats;
 // A request and its answer are the wire's values, in process too.
-pub use eq_proto::{RequestBody, ResponseBody};
+pub use eq_proto::{Request, RequestBody, ResponseBody};
 
 /// Cap on the neighbour count a request may ask for: far above any UI use,
 /// far below values whose `k + 1` arithmetic could overflow in the engine.
@@ -133,28 +146,69 @@ fn clamp_k(k: u64) -> usize {
 /// Result-cache key: the full request identity, stored alongside each entry
 /// and compared on lookup so a 64-bit fingerprint collision degrades to a
 /// cache miss instead of returning the wrong result.
-#[derive(Debug, Clone, PartialEq, Hash)]
+#[derive(Debug, Clone, PartialEq)]
 enum CacheKey {
-    Metadata(ImageQuery),
-    Similar(String, usize),
+    /// `Search`, `SimilarTo`, `SimilarToFiltered` and
+    /// `SimilarWithinFiltered`: the request itself, as it arrived.  The
+    /// filtered kinds' filter and prefilter mode are part of it — two modes
+    /// may resolve the same mask through different plans, and the cached
+    /// answer carries that plan.
+    Request(RequestBody),
+    /// An upload, by its code and `k`: no request carries the code, and
+    /// keying on the patch would hash its rasters.
     ByCode(BinaryCode, usize),
-    /// Filtered k-NN: the query-panel filter (as the full `ImageQuery`)
-    /// and the prefilter mode are part of the request identity — two
-    /// modes may resolve the same mask through different plans, and the
-    /// cached response carries that plan.
-    SimilarFiltered {
-        name: String,
-        k: usize,
-        query: ImageQuery,
-        mode: PrefilterMode,
-    },
-    /// Filtered radius search; same identity rules as `SimilarFiltered`.
-    WithinFiltered {
-        name: String,
-        radius: u32,
-        query: ImageQuery,
-        mode: PrefilterMode,
-    },
+}
+
+/// A [`CacheKey`] borrowed: what a probe compares and hashes, so a request
+/// is looked up where it lies and copied only when its answer is filed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum KeyRef<'a> {
+    Request(&'a RequestBody),
+    ByCode(&'a BinaryCode, usize),
+}
+
+impl CacheKey {
+    fn as_ref(&self) -> KeyRef<'_> {
+        match self {
+            CacheKey::Request(body) => KeyRef::Request(body),
+            CacheKey::ByCode(code, k) => KeyRef::ByCode(code, *k),
+        }
+    }
+}
+
+impl KeyRef<'_> {
+    fn to_owned(self) -> CacheKey {
+        match self {
+            KeyRef::Request(body) => CacheKey::Request(body.clone()),
+            KeyRef::ByCode(code, k) => CacheKey::ByCode(code.clone(), k),
+        }
+    }
+}
+
+/// The key's fields, hashed structurally.  Other request kinds are never
+/// keys and hash to their kind alone.
+impl Hash for KeyRef<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match *self {
+            KeyRef::ByCode(code, k) => (0u8, code, k).hash(state),
+            KeyRef::Request(RequestBody::Search(spec)) => (1u8, spec).hash(state),
+            KeyRef::Request(RequestBody::SimilarTo { name, k }) => (2u8, name, k).hash(state),
+            KeyRef::Request(RequestBody::SimilarToFiltered { name, k, spec, mode }) => {
+                (3u8, name, k, spec, mode).hash(state);
+            }
+            KeyRef::Request(RequestBody::SimilarWithinFiltered { name, radius, spec, mode }) => {
+                (4u8, name, radius, spec, mode).hash(state);
+            }
+            KeyRef::Request(_) => 5u8.hash(state),
+        }
+    }
+}
+
+/// An owned key hashes as its borrowed probe, so both find one entry.
+impl Hash for CacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_ref().hash(state);
+    }
 }
 
 /// Resolved-filter-cache key: the filter and the mode that resolved it, so
@@ -162,8 +216,8 @@ enum CacheKey {
 /// their own strategy.
 type FilterKey = (ImageQuery, PrefilterMode);
 
-/// Where a key lives in either cache: a structural hash (an `ImageQuery`
-/// hashes its floats by bit pattern, see its `Hash`), no rendering.
+/// Where a key lives in either cache: a structural hash (a query hashes its
+/// shape's floats by bit pattern, see `GeoShape`'s `Hash`), no rendering.
 fn fingerprint<K: Hash + ?Sized>(key: &K) -> u64 {
     let mut h = DefaultHasher::new();
     key.hash(&mut h);
@@ -290,12 +344,12 @@ impl<K, V: Clone> Lru<K, V> {
     }
 }
 
-/// The result cache never looks inside a response, so it holds one as
-/// `dyn Any`: a [`SearchResponse`] for the unfiltered paths, the full
-/// [`FilteredResponse`] for filtered queries (the plan is part of the
-/// response surface: a replayed hit reports the strategy that resolved
-/// the mask).  Every entry weighs one, so its budget is an entry count.
-type ResultCache = Lru<CacheKey, Arc<dyn Any + Send + Sync>>;
+/// The result cache holds every answer as the wire encodes it: the
+/// [`ResponseBody`]'s bytes, without the envelope (version and request id),
+/// which each reply adds fresh.  A filtered answer's plan is part of those
+/// bytes, so a replayed hit reports the strategy that resolved the mask.
+/// Every entry weighs one, so its budget is an entry count.
+type ResultCache = Lru<CacheKey, Arc<[u8]>>;
 
 /// Shards of a sharded cache.
 const CACHE_SHARDS: usize = 8;
@@ -485,24 +539,23 @@ impl QueryServer {
     }
 
     /// Runs a query-panel metadata search (the concurrent counterpart of
-    /// [`EarthQube::search`]).
+    /// [`EarthQube::search`]): [`call`](Self::call) with the request it
+    /// names, so a hit decodes the bytes a remote client receives.
     ///
     /// # Errors
     /// Fails on an invalid query or a store error.
     pub fn search(&self, query: &ImageQuery) -> Result<SearchResponse, EarthQubeError> {
-        query.validate()?;
-        self.cached(CacheKey::Metadata(query.clone()), |catalog| {
-            catalog.search(&*self.resolved(catalog, query, PrefilterMode::Auto)?)
-        })
+        expect_search(self.call(&RequestBody::Search(query_to_spec(query))))
     }
 
     /// "Retrieve similar images" for an archive image (the concurrent
-    /// counterpart of [`EarthQube::similar_to`]).
+    /// counterpart of [`EarthQube::similar_to`]), through
+    /// [`call`](Self::call).
     ///
     /// # Errors
     /// Fails if the image is unknown.
     pub fn similar_to(&self, name: &str, k: usize) -> Result<SearchResponse, EarthQubeError> {
-        self.cached(CacheKey::Similar(name.to_string(), k), |catalog| catalog.similar_to(name, k))
+        expect_search(self.call(&RequestBody::SimilarTo { name: name.to_string(), k: k as u64 }))
     }
 
     /// Query-by-new-example: encodes the external patch on the fly (the
@@ -516,10 +569,7 @@ impl QueryServer {
         patch: &Patch,
         k: usize,
     ) -> Result<SearchResponse, EarthQubeError> {
-        validate_patch(patch)?;
-        // Encoding needs no lock: the model is immutable shared state.
-        let code = self.model.hash_patch(patch);
-        self.search_by_code(&code, k)
+        expect_search(self.upload(patch, k).into_body())
     }
 
     /// The k most similar archive images to an arbitrary binary code.
@@ -531,7 +581,22 @@ impl QueryServer {
         code: &BinaryCode,
         k: usize,
     ) -> Result<SearchResponse, EarthQubeError> {
-        self.cached(CacheKey::ByCode(code.clone(), k), |catalog| catalog.search_by_code(code, k))
+        expect_search(self.by_code(code, k).into_body())
+    }
+
+    /// An upload's answer: the patch checked, then hashed (no lock: the
+    /// model is immutable shared state), then answered by its code.
+    fn upload(&self, patch: &Patch, k: usize) -> Reply {
+        match validate_patch(patch) {
+            Ok(()) => self.by_code(&self.model.hash_patch(patch), k),
+            Err(e) => Reply::error(&e),
+        }
+    }
+
+    fn by_code(&self, code: &BinaryCode, k: usize) -> Reply {
+        self.cached(KeyRef::ByCode(code, k), None, |catalog| {
+            catalog.search_by_code(code, k).map(search_body)
+        })
     }
 
     /// Filtered "retrieve similar images" (the concurrent counterpart of
@@ -540,10 +605,11 @@ impl QueryServer {
     ///
     /// Filtered responses — plan included — go through the result cache
     /// like every other query: the filter, the mode, the image and `k` are
-    /// all part of the cache key, and ingest invalidation covers them the
-    /// same way.  On a result-cache miss the filter itself comes from the
-    /// resolved-filter cache: the same panel filter re-issued with another
-    /// query image, `k` or radius is resolved once per catalog state.
+    /// all part of the request the cache is keyed on, and ingest
+    /// invalidation covers them the same way.  On a result-cache miss the
+    /// filter itself comes from the resolved-filter cache: the same panel
+    /// filter re-issued with another query image, `k` or radius is resolved
+    /// once per catalog state.
     ///
     /// # Errors
     /// Fails on an invalid query, an unknown image or a store error.
@@ -554,13 +620,8 @@ impl QueryServer {
         query: &ImageQuery,
         mode: PrefilterMode,
     ) -> Result<FilteredResponse, EarthQubeError> {
-        query.validate()?;
-        let key =
-            CacheKey::SimilarFiltered { name: name.to_string(), k, query: query.clone(), mode };
-        self.cached(key, |catalog| {
-            let filter = self.resolved(catalog, query, mode)?;
-            catalog.similar_to_filtered(name, k, &filter)
-        })
+        let (name, k, spec) = (name.to_string(), k as u64, query_to_spec(query));
+        expect_filtered(self.call(&RequestBody::SimilarToFiltered { name, k, spec, mode }))
     }
 
     /// Filtered radius search (the concurrent counterpart of
@@ -577,13 +638,8 @@ impl QueryServer {
         query: &ImageQuery,
         mode: PrefilterMode,
     ) -> Result<FilteredResponse, EarthQubeError> {
-        query.validate()?;
-        let key =
-            CacheKey::WithinFiltered { name: name.to_string(), radius, query: query.clone(), mode };
-        self.cached(key, |catalog| {
-            let filter = self.resolved(catalog, query, mode)?;
-            catalog.similar_within_filtered(name, radius, &filter)
-        })
+        let (name, spec) = (name.to_string(), query_to_spec(query));
+        expect_filtered(self.call(&RequestBody::SimilarWithinFiltered { name, radius, spec, mode }))
     }
 
     /// Resolve-or-reuse: the filter of every filter-taking query comes
@@ -616,30 +672,56 @@ impl QueryServer {
     }
 
     /// The server's one request entry: answers `body` with the response
-    /// the network tier sends for it, errors included, by running the typed
-    /// method it names.  A request's `u64` neighbour count is clamped here,
-    /// where it meets `usize`.  [`RequestBody::MetricsText`] renders zero
-    /// network-tier counters: a server in process has no network tier, and
-    /// [`NetServer`](crate::NetServer) answers that kind itself.
+    /// the network tier sends for it, errors included.  A request's `u64`
+    /// neighbour count is clamped here, where it meets `usize`.
+    /// [`RequestBody::MetricsText`] renders zero network-tier counters: a
+    /// server in process has no network tier, and
+    /// [`NetServer`](crate::NetServer) answers that kind itself.  An
+    /// answer the result cache holds is decoded from the bytes it holds.
     pub fn call(&self, body: &RequestBody) -> ResponseBody {
-        let search = |result: Result<SearchResponse, EarthQubeError>| {
-            reply(result.map(|response| ResponseBody::Search(search_payload(response))))
-        };
-        let filtered = |result: Result<FilteredResponse, EarthQubeError>| {
-            reply(result.map(|FilteredResponse { response, plan }| {
-                ResponseBody::Filtered(eq_proto::FilteredPayload {
-                    search: search_payload(response),
-                    plan,
-                })
-            }))
+        self.respond(body, None).into_body()
+    }
+
+    /// [`call`](Self::call)'s work, answered as the network tier frames it:
+    /// the four request-keyed read kinds and uploads go through the result
+    /// cache and come back encoded (while the cache is on); every other
+    /// kind runs the typed method it names.  `fingerprint` is the one
+    /// [`cache_fingerprint`](Self::cache_fingerprint) gave the event loop,
+    /// so a request it probed is not hashed twice.
+    pub(crate) fn respond(&self, body: &RequestBody, fingerprint: Option<u64>) -> Reply {
+        let key = KeyRef::Request(body);
+        let reply = |result: Result<ResponseBody, EarthQubeError>| {
+            Reply::Body(result.unwrap_or_else(|e| ResponseBody::Error(error_to_payload(&e))))
         };
         match body {
-            RequestBody::Ping => ResponseBody::Pong,
-            RequestBody::Search(spec) => search(self.search(&spec_to_query(spec))),
-            RequestBody::SimilarTo { name, k } => search(self.similar_to(name, clamp_k(*k))),
-            RequestBody::SearchByNewExample { patch, k } => {
-                search(self.search_by_new_example(patch, clamp_k(*k)))
+            RequestBody::Search(spec) => self.cached(key, fingerprint, |catalog| {
+                let query = spec_to_query(spec);
+                query.validate()?;
+                catalog
+                    .search(&*self.resolved(catalog, &query, PrefilterMode::Auto)?)
+                    .map(search_body)
+            }),
+            RequestBody::SimilarTo { name, k } => self.cached(key, fingerprint, |catalog| {
+                catalog.similar_to(name, clamp_k(*k)).map(search_body)
+            }),
+            RequestBody::SimilarToFiltered { name, k, spec, mode } => {
+                self.cached(key, fingerprint, |catalog| {
+                    let query = spec_to_query(spec);
+                    query.validate()?;
+                    let filter = self.resolved(catalog, &query, *mode)?;
+                    catalog.similar_to_filtered(name, clamp_k(*k), &filter).map(filtered_body)
+                })
             }
+            RequestBody::SimilarWithinFiltered { name, radius, spec, mode } => {
+                self.cached(key, fingerprint, |catalog| {
+                    let query = spec_to_query(spec);
+                    query.validate()?;
+                    let filter = self.resolved(catalog, &query, *mode)?;
+                    catalog.similar_within_filtered(name, *radius, &filter).map(filtered_body)
+                })
+            }
+            RequestBody::SearchByNewExample { patch, k } => self.upload(patch, clamp_k(*k)),
+            RequestBody::Ping => Reply::Body(ResponseBody::Pong),
             RequestBody::Ingest { patches } => {
                 reply(self.ingest(patches).map(ResponseBody::Ingest))
             }
@@ -647,17 +729,12 @@ impl QueryServer {
                 self.submit_feedback(text, category.as_deref())
                     .map(|id| ResponseBody::Feedback { id }),
             ),
-            RequestBody::Stats => ResponseBody::Stats(self.stats()),
-            RequestBody::MetricsText => {
-                ResponseBody::MetricsText(render_metrics(&self.stats(), &NetTierStats::default()))
-            }
-            RequestBody::SimilarToFiltered { name, k, spec, mode } => {
-                filtered(self.similar_to_filtered(name, clamp_k(*k), &spec_to_query(spec), *mode))
-            }
-            RequestBody::SimilarWithinFiltered { name, radius, spec, mode } => {
-                filtered(self.similar_within_filtered(name, *radius, &spec_to_query(spec), *mode))
-            }
-            RequestBody::ReplState => ResponseBody::ReplState(self.repl_state()),
+            RequestBody::Stats => Reply::Body(ResponseBody::Stats(self.stats())),
+            RequestBody::MetricsText => Reply::Body(ResponseBody::MetricsText(render_metrics(
+                &self.stats(),
+                &NetTierStats::default(),
+            ))),
+            RequestBody::ReplState => Reply::Body(ResponseBody::ReplState(self.repl_state())),
             RequestBody::ReplManifest => {
                 reply(self.repl_manifest_bytes().map(|bytes| ResponseBody::ReplManifest { bytes }))
             }
@@ -671,6 +748,36 @@ impl QueryServer {
                     .map(ResponseBody::ReplRecords),
             ),
         }
+    }
+
+    /// The result-cache fingerprint of a request the cache is keyed on by
+    /// the request itself — `Search`, `SimilarTo`, `SimilarToFiltered`,
+    /// `SimilarWithinFiltered` — or `None` for every other kind and while
+    /// the cache is off.  The event loop computes it once per request and
+    /// hands it to [`cached_frame`](Self::cached_frame) and, on a miss, to
+    /// the worker.
+    pub fn cache_fingerprint(&self, body: &RequestBody) -> Option<u64> {
+        (self.serve.cache_capacity > 0 && body.is_query())
+            .then(|| fingerprint(&KeyRef::Request(body)))
+    }
+
+    /// The complete response frame answering `request` from the result
+    /// cache — a fresh envelope under `request.id`, the cached body bytes,
+    /// their CRC — counted as a cache hit; `None` on a miss, which counts
+    /// nothing.  `fingerprint` is `request`'s
+    /// [`cache_fingerprint`](Self::cache_fingerprint).  This is the event
+    /// loop's whole hit path: one probe, one allocation, one copy and one
+    /// CRC of the answer, however many rows it holds.
+    pub fn cached_frame(&self, request: &Request, fingerprint: u64) -> Option<Vec<u8>> {
+        let key = KeyRef::Request(&request.body);
+        let body = self.cache.lookup(fingerprint, |k| k.as_ref() == key)?;
+        // lint:allow(hot-path) the frame buffer: empty here, grown once by the framing to the frame's exact size
+        let mut frame = Vec::new();
+        // A body too large for a frame goes to a worker, whose framing
+        // replaces it with a typed error.
+        eq_proto::frame_encoded_response(&mut frame, request.id, &body).ok()?;
+        self.cache_hits.fetch_add(1, Ordering::Relaxed);
+        Some(frame)
     }
 
     /// Answers a batch of requests on `workers` scoped threads through
@@ -863,7 +970,10 @@ impl QueryServer {
         self.filter_cache.clear();
     }
 
-    /// Cache-or-compute: every cached query flows through here.
+    /// Cache-or-compute: every cached query flows through here, and its
+    /// answer comes back encoded while the cache is on — a hit as the bytes
+    /// the cache holds, a computed answer encoded once and filed as those
+    /// same bytes, nothing cloned.  An error is never cached.
     ///
     /// The catalog read lock is held across both the computation *and* the
     /// cache inserts (the result here, a resolved filter inside `compute`,
@@ -876,36 +986,35 @@ impl QueryServer {
     /// Each query bumps one outcome counter: a hit, a miss (an answer
     /// computed, whether or not the cache is on) or a failure, which counts
     /// as served but drags no hit rate down.
-    fn cached<R, F>(&self, key: CacheKey, compute: F) -> Result<R, EarthQubeError>
-    where
-        R: Clone + Send + Sync + 'static,
-        F: FnOnce(&Catalog) -> Result<R, EarthQubeError>,
-    {
+    fn cached(
+        &self,
+        key: KeyRef<'_>,
+        fingerprint: Option<u64>,
+        compute: impl FnOnce(&Catalog) -> Result<ResponseBody, EarthQubeError>,
+    ) -> Reply {
         let caching = self.serve.cache_capacity > 0;
-        let fp = fingerprint(&key);
+        let fp = if caching { fingerprint.unwrap_or_else(|| self::fingerprint(&key)) } else { 0 };
         if caching {
-            // `CacheKey` kinds map one-to-one onto response shapes, so an
-            // equal key holds the shape asked for.
-            let cached = self.cache.lookup(fp, |k| *k == key);
-            if let Some(hit) = cached.as_deref().and_then(|any| any.downcast_ref::<R>()) {
+            if let Some(hit) = self.cache.lookup(fp, |k| k.as_ref() == key) {
                 self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(hit.clone());
+                return Reply::Encoded(hit);
             }
         }
         let catalog = self.catalog.read();
-        let result = compute(&catalog);
-        let outcome = match &result {
-            Ok(response) => {
-                if caching {
-                    self.cache.put(fp, key, Arc::new(response.clone()), 1);
-                }
-                &self.cache_misses
+        let (reply, outcome) = match compute(&catalog) {
+            Ok(body) if caching => {
+                let mut w = eq_wire::Writer::new();
+                body.encode_into(&mut w);
+                let bytes: Arc<[u8]> = Arc::from(w.into_bytes());
+                self.cache.put(fp, key.to_owned(), Arc::clone(&bytes), 1);
+                (Reply::Encoded(bytes), &self.cache_misses)
             }
-            Err(_) => &self.failed_queries,
+            Ok(body) => (Reply::Body(body), &self.cache_misses),
+            Err(e) => (Reply::error(&e), &self.failed_queries),
         };
         drop(catalog);
         outcome.fetch_add(1, Ordering::Relaxed);
-        result
+        reply
     }
 
     // -- durable storage tier ---------------------------------------------
@@ -1168,9 +1277,45 @@ impl QueryServer {
     }
 }
 
-/// An error as the response that carries it.
-fn reply(result: Result<ResponseBody, EarthQubeError>) -> ResponseBody {
-    result.unwrap_or_else(|e| ResponseBody::Error(error_to_payload(&e)))
+/// An answer as the server hands it to the network tier.
+#[derive(Debug)]
+pub(crate) enum Reply {
+    /// A body to encode.
+    Body(ResponseBody),
+    /// A body already encoded (without the envelope): what the result cache
+    /// holds, shared with it.
+    Encoded(Arc<[u8]>),
+}
+
+impl Reply {
+    fn error(e: &EarthQubeError) -> Self {
+        Reply::Body(ResponseBody::Error(error_to_payload(e)))
+    }
+
+    /// The body, decoded if it came encoded.  The bytes are the server's
+    /// own encoding, so the decode cannot fail short of a bug, which is
+    /// answered as an internal error rather than a panic.
+    pub(crate) fn into_body(self) -> ResponseBody {
+        match self {
+            Reply::Body(body) => body,
+            Reply::Encoded(bytes) => ResponseBody::decode(&bytes).unwrap_or_else(|e| {
+                ResponseBody::Error(eq_proto::ErrorPayload {
+                    code: eq_proto::ErrorCode::Internal,
+                    message: format!("a cached answer does not decode: {e}"),
+                })
+            }),
+        }
+    }
+}
+
+/// A search answer as the wire carries it.
+fn search_body(response: SearchResponse) -> ResponseBody {
+    ResponseBody::Search(search_payload(response))
+}
+
+/// A filtered answer as the wire carries it, plan included.
+fn filtered_body(FilteredResponse { response, plan }: FilteredResponse) -> ResponseBody {
+    ResponseBody::Filtered(eq_proto::FilteredPayload { search: search_payload(response), plan })
 }
 
 /// Structural validation of a patch from outside the archive, an upload or
@@ -2143,12 +2288,20 @@ mod tests {
 
     #[test]
     fn fingerprints_distinguish_request_kinds() {
-        let a = CacheKey::Similar("p".into(), 5);
-        let b = CacheKey::Similar("p".into(), 6);
-        let c = CacheKey::Metadata(ImageQuery::all());
+        let similar = |k| CacheKey::Request(RequestBody::SimilarTo { name: "p".into(), k });
+        let a = similar(5);
+        let b = similar(6);
+        let c = CacheKey::Request(RequestBody::Search(query_to_spec(&ImageQuery::all())));
         assert_ne!(fingerprint(&a), fingerprint(&b));
         assert_ne!(fingerprint(&a), fingerprint(&c));
         assert_eq!(fingerprint(&a), fingerprint(&a.clone()));
+        // An upload's code key is a kind of its own.
+        let code = BinaryCode::zeros(64);
+        assert_ne!(fingerprint(&CacheKey::ByCode(code.clone(), 5)), fingerprint(&a));
+        assert_ne!(
+            fingerprint(&CacheKey::ByCode(code.clone(), 5)),
+            fingerprint(&CacheKey::ByCode(code, 6))
+        );
 
         // The query is hashed structurally: a shape is part of it, down to
         // the last bit of a coordinate.
@@ -2160,7 +2313,9 @@ mod tests {
         let radius = 25.0f64;
         let next_up = f64::from_bits(radius.to_bits() + 1);
         assert_ne!(circle(radius), circle(next_up));
-        let metadata = |query: ImageQuery| fingerprint(&CacheKey::Metadata(query));
+        let metadata = |query: ImageQuery| {
+            fingerprint(&CacheKey::Request(RequestBody::Search(query_to_spec(&query))))
+        };
         assert_ne!(metadata(ImageQuery::all()), metadata(circle(radius)));
         assert_ne!(metadata(circle(radius)), metadata(circle(next_up)));
         assert_eq!(metadata(circle(radius)), metadata(circle(radius)));
@@ -2176,18 +2331,20 @@ mod tests {
 
         // The mode and the request kind are part of a filtered key, and of
         // a resolved-filter key.
-        let filtered = |mode| CacheKey::SimilarFiltered {
-            name: "p".into(),
-            k: 5,
-            query: circle(radius),
-            mode,
+        let filtered = |mode| {
+            CacheKey::Request(RequestBody::SimilarToFiltered {
+                name: "p".into(),
+                k: 5,
+                spec: query_to_spec(&circle(radius)),
+                mode,
+            })
         };
-        let within = CacheKey::WithinFiltered {
+        let within = CacheKey::Request(RequestBody::SimilarWithinFiltered {
             name: "p".into(),
             radius: 5,
-            query: circle(radius),
+            spec: query_to_spec(&circle(radius)),
             mode: PrefilterMode::Auto,
-        };
+        });
         assert_ne!(
             fingerprint(&filtered(PrefilterMode::Auto)),
             fingerprint(&filtered(PrefilterMode::ForceBitmap))
@@ -2198,11 +2355,15 @@ mod tests {
             fingerprint(&(&query, PrefilterMode::ForceBitmap)),
             fingerprint(&(&query, PrefilterMode::ForcePostFilter))
         );
-        // Probing with borrowed parts finds what was filed under owned ones.
+        // Probing with borrowed parts finds what was filed under owned ones:
+        // a resolved filter, and a request the event loop probes in place.
         assert_eq!(
             fingerprint(&(&query, PrefilterMode::Auto)),
             fingerprint::<FilterKey>(&(query.clone(), PrefilterMode::Auto))
         );
+        let CacheKey::Request(body) = &within else { unreachable!() };
+        assert_eq!(fingerprint(&KeyRef::Request(body)), fingerprint(&within));
+        assert_eq!(fingerprint(&within.as_ref().to_owned()), fingerprint(&within));
     }
 
     /// The resolved-filter cache: one entry per (filter, mode), shared by

@@ -2,6 +2,7 @@
 //! and free-form polygon (§3.1 of the paper).
 
 use std::f64::consts::FRAC_PI_2;
+use std::hash::{Hash, Hasher};
 
 use crate::bbox::SplitBBox;
 use crate::{distance, BBox, GeoError, Point};
@@ -150,6 +151,42 @@ pub enum GeoShape {
     Circle(Circle),
     /// A free-form polygon.
     Polygon(Polygon),
+}
+
+/// A structural hash for cache keys: equal shapes hash equal.  Floats
+/// cannot derive it, so every coordinate is hashed by bit pattern with
+/// `-0.0` folded into `0.0`, the one pair of distinct patterns `==` calls
+/// equal (`NaN` equals nothing, so it may hash anywhere).
+impl Hash for GeoShape {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let coordinate = |value: f64, state: &mut H| {
+            (if value == 0.0 { 0.0 } else { value }).to_bits().hash(state);
+        };
+        let point = |p: Point, state: &mut H| {
+            coordinate(p.lon, state);
+            coordinate(p.lat, state);
+        };
+        match self {
+            GeoShape::Rect(b) => {
+                1u8.hash(state);
+                for value in [b.min_lon, b.min_lat, b.max_lon, b.max_lat] {
+                    coordinate(value, state);
+                }
+            }
+            GeoShape::Circle(c) => {
+                2u8.hash(state);
+                point(c.center, state);
+                coordinate(c.radius_km, state);
+            }
+            GeoShape::Polygon(polygon) => {
+                3u8.hash(state);
+                polygon.vertices.len().hash(state);
+                for &vertex in &polygon.vertices {
+                    point(vertex, state);
+                }
+            }
+        }
+    }
 }
 
 impl GeoShape {

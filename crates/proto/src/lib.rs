@@ -272,6 +272,10 @@ const REQ_REPL_MANIFEST: u8 = 12;
 const REQ_REPL_CHUNK: u8 = 13;
 const REQ_REPL_PULL: u8 = 14;
 
+/// Bytes of the envelope every message starts with: the protocol version
+/// (`u16`) and the request id (`u64`).
+pub const ENVELOPE_LEN: usize = 10;
+
 fn encode_envelope(w: &mut Writer, id: u64) {
     w.u16(PROTOCOL_VERSION);
     w.u64(id);
@@ -321,6 +325,18 @@ pub fn encode_ingest_request_into(w: &mut Writer, id: u64, patches: &[Patch]) {
     encode_ingest_body(w, patches);
 }
 
+/// [`RequestBody::is_query`] of the request a payload holds, read off its
+/// tag alone, nothing decoded.  `false` for a payload too short to carry a
+/// tag.
+pub fn is_query_payload(payload: &[u8]) -> bool {
+    matches!(
+        payload.get(ENVELOPE_LEN),
+        Some(
+            &(REQ_SEARCH | REQ_SIMILAR_TO | REQ_SIMILAR_TO_FILTERED | REQ_SIMILAR_WITHIN_FILTERED)
+        )
+    )
+}
+
 impl RequestBody {
     /// Whether the request changes the archive or the feedback store: the
     /// writes a replica refuses, a cluster client routes to the primary and
@@ -328,6 +344,20 @@ impl RequestBody {
     /// replication's included, is a read.
     pub fn is_write(&self) -> bool {
         matches!(self, RequestBody::Ingest { .. } | RequestBody::Feedback { .. })
+    }
+
+    /// Whether the request is a `Search`, `SimilarTo`, `SimilarToFiltered`
+    /// or `SimilarWithinFiltered`: the read kinds whose fields are a name,
+    /// numbers and a query, cheap to decode and to hash — what a server's
+    /// result cache keys on the request itself.
+    pub fn is_query(&self) -> bool {
+        matches!(
+            self,
+            RequestBody::Search(_)
+                | RequestBody::SimilarTo { .. }
+                | RequestBody::SimilarToFiltered { .. }
+                | RequestBody::SimilarWithinFiltered { .. }
+        )
     }
 
     /// Appends the request to `w` under `id`, borrowing every field: the
@@ -540,7 +570,28 @@ impl Response {
     /// [`encode`](Self::encode) appending to a caller's writer.
     pub fn encode_into(&self, w: &mut Writer) {
         encode_envelope(w, self.id);
-        match &self.body {
+        self.body.encode_into(w);
+    }
+
+    /// Decodes frame-payload bytes into a response.
+    ///
+    /// # Errors
+    /// Returns [`WireError`] on a version mismatch, an unknown tag, corrupt
+    /// fields or trailing bytes.
+    pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
+        let mut r = Reader::new(bytes);
+        let id = decode_envelope(&mut r)?;
+        let body = ResponseBody::decode_from(&mut r)?;
+        expect_empty(&r)?;
+        Ok(Self { id, body })
+    }
+}
+
+impl ResponseBody {
+    /// Appends the body — tag and fields, no envelope — to `w`: the bytes
+    /// [`Response::encode`] writes after the version and the id.
+    pub fn encode_into(&self, w: &mut Writer) {
+        match self {
             ResponseBody::Pong => w.u8(RESP_PONG),
             ResponseBody::Search(payload) => {
                 w.u8(RESP_SEARCH);
@@ -589,31 +640,35 @@ impl Response {
         }
     }
 
-    /// Decodes frame-payload bytes into a response.
+    /// Decodes a body [`encode_into`](Self::encode_into) wrote, and nothing
+    /// after it.
     ///
     /// # Errors
-    /// Returns [`WireError`] on a version mismatch, an unknown tag, corrupt
-    /// fields or trailing bytes.
+    /// Returns [`WireError`] on an unknown tag, corrupt fields or trailing
+    /// bytes.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(bytes);
-        let id = decode_envelope(&mut r)?;
-        let body = match r.u8()? {
-            RESP_PONG => ResponseBody::Pong,
-            RESP_SEARCH => ResponseBody::Search(SearchPayload::decode(&mut r)?),
-            RESP_INGEST => ResponseBody::Ingest(IngestReport::decode(&mut r)?),
-            RESP_FEEDBACK => ResponseBody::Feedback { id: r.i64()? },
-            RESP_STATS => ResponseBody::Stats(ServerStats::decode(&mut r)?),
-            RESP_ERROR => ResponseBody::Error(ErrorPayload::decode(&mut r)?),
-            RESP_METRICS_TEXT => ResponseBody::MetricsText(r.str()?.to_string()),
-            RESP_FILTERED => ResponseBody::Filtered(FilteredPayload::decode(&mut r)?),
-            RESP_REPL_STATE => ResponseBody::ReplState(ReplState::decode(&mut r)?),
-            RESP_REPL_MANIFEST => ResponseBody::ReplManifest { bytes: r.bytes()?.to_vec() },
-            RESP_REPL_CHUNK => ResponseBody::ReplChunk(ReplChunkPayload::decode(&mut r)?),
-            RESP_REPL_RECORDS => ResponseBody::ReplRecords(ReplBatch::decode(&mut r)?),
-            other => return Err(WireError::Corrupt(format!("unknown response tag {other}"))),
-        };
+        let body = Self::decode_from(&mut r)?;
         expect_empty(&r)?;
-        Ok(Self { id, body })
+        Ok(body)
+    }
+
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(match r.u8()? {
+            RESP_PONG => ResponseBody::Pong,
+            RESP_SEARCH => ResponseBody::Search(SearchPayload::decode(r)?),
+            RESP_INGEST => ResponseBody::Ingest(IngestReport::decode(r)?),
+            RESP_FEEDBACK => ResponseBody::Feedback { id: r.i64()? },
+            RESP_STATS => ResponseBody::Stats(ServerStats::decode(r)?),
+            RESP_ERROR => ResponseBody::Error(ErrorPayload::decode(r)?),
+            RESP_METRICS_TEXT => ResponseBody::MetricsText(r.str()?.to_string()),
+            RESP_FILTERED => ResponseBody::Filtered(FilteredPayload::decode(r)?),
+            RESP_REPL_STATE => ResponseBody::ReplState(ReplState::decode(r)?),
+            RESP_REPL_MANIFEST => ResponseBody::ReplManifest { bytes: r.bytes()?.to_vec() },
+            RESP_REPL_CHUNK => ResponseBody::ReplChunk(ReplChunkPayload::decode(r)?),
+            RESP_REPL_RECORDS => ResponseBody::ReplRecords(ReplBatch::decode(r)?),
+            other => return Err(WireError::Corrupt(format!("unknown response tag {other}"))),
+        })
     }
 }
 
@@ -641,7 +696,7 @@ fn expect_empty(r: &Reader<'_>) -> Result<(), WireError> {
 // ---------------------------------------------------------------------------
 
 /// The label-filter operators, mirroring `eq_earthqube::LabelOperator`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LabelOp {
     /// At least one of the selected labels.
     Some,
@@ -652,7 +707,7 @@ pub enum LabelOp {
 }
 
 /// A label filter: operator plus selected CLC Level-3 labels.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LabelFilterSpec {
     /// The operator.
     pub op: LabelOp,
@@ -661,8 +716,9 @@ pub struct LabelFilterSpec {
 }
 
 /// The query-panel request as it crosses the wire, mirroring
-/// `eq_earthqube::ImageQuery` field for field.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// `eq_earthqube::ImageQuery` field for field, its structural `Hash`
+/// included (equal specs hash equal, `-0.0` and `0.0` alike).
+#[derive(Debug, Clone, Default, PartialEq, Hash)]
 pub struct QuerySpec {
     /// Geospatial restriction.
     pub shape: Option<GeoShape>,
@@ -1630,6 +1686,23 @@ pub fn frame_response(buf: &mut Vec<u8>, response: &Response) -> Result<(), Prot
     frame_with(buf, &RESPONSE_MAGIC, |w| response.encode_into(w))
 }
 
+/// Appends one complete response frame to `buf` from a body already
+/// encoded by [`ResponseBody::encode_into`]: a fresh envelope under `id`,
+/// the body's bytes, the CRC over both.  `buf` grows once, to exactly the
+/// frame's size; the bytes are those [`frame_response`] writes for the
+/// decoded body.
+///
+/// # Errors
+/// Returns [`ProtoError::Frame`] for a message exceeding [`MAX_FRAME_LEN`];
+/// `buf` is then unchanged.
+pub fn frame_encoded_response(buf: &mut Vec<u8>, id: u64, body: &[u8]) -> Result<(), ProtoError> {
+    buf.reserve_exact(HEADER_LEN + ENVELOPE_LEN + body.len());
+    frame_with(buf, &RESPONSE_MAGIC, |w| {
+        encode_envelope(w, id);
+        w.raw(body);
+    })
+}
+
 /// Writes one request frame to the stream, in one `write_all`.
 ///
 /// # Errors
@@ -1741,8 +1814,56 @@ mod tests {
     fn roundtrip_response(response: &Response) {
         let mut buf = Vec::new();
         write_response(&mut buf, response).unwrap();
-        let back = read_response(&mut std::io::Cursor::new(buf)).unwrap().unwrap();
+        let back = read_response(&mut std::io::Cursor::new(&buf)).unwrap().unwrap();
         assert_eq!(&back, response);
+
+        // The body alone: what a server caches.  It is the message minus
+        // the envelope, decodes back, and frames under a fresh envelope to
+        // the very bytes `frame_response` writes, in one allocation.
+        let mut w = Writer::new();
+        response.body.encode_into(&mut w);
+        let body = w.into_bytes();
+        assert_eq!(&response.encode()[ENVELOPE_LEN..], &body[..]);
+        assert_eq!(ResponseBody::decode(&body).unwrap(), response.body);
+        let mut framed = Vec::new();
+        frame_encoded_response(&mut framed, response.id, &body).unwrap();
+        assert_eq!(framed, buf);
+        assert_eq!(framed.capacity(), framed.len());
+        let mut trailing = body.clone();
+        trailing.push(0);
+        assert!(ResponseBody::decode(&trailing).is_err(), "trailing bytes are refused");
+    }
+
+    /// The tag peek agrees with `is_query`, reading nothing but the tag.
+    #[test]
+    fn the_tag_peek_names_the_query_kinds() {
+        let spec = sample_query();
+        let name = || "p".to_string();
+        let mode = PrefilterMode::Auto;
+        let queries = [
+            RequestBody::Search(spec.clone()),
+            RequestBody::SimilarTo { name: name(), k: 3 },
+            RequestBody::SimilarToFiltered { name: name(), k: 3, spec: spec.clone(), mode },
+            RequestBody::SimilarWithinFiltered { name: name(), radius: 3, spec, mode },
+        ];
+        let others = [
+            RequestBody::Ping,
+            RequestBody::Stats,
+            RequestBody::MetricsText,
+            RequestBody::Feedback { text: name(), category: None },
+            RequestBody::ReplState,
+            RequestBody::ReplManifest,
+        ];
+        for (body, query) in
+            queries.into_iter().map(|b| (b, true)).chain(others.map(|b| (b, false)))
+        {
+            assert_eq!(body.is_query(), query, "{body:?}");
+            assert_eq!(is_query_payload(&Request { id: 9, body }.encode()), query);
+        }
+        let payload =
+            Request { id: 9, body: RequestBody::SimilarTo { name: name(), k: 3 } }.encode();
+        assert!(is_query_payload(&payload[..=ENVELOPE_LEN]), "the tag alone decides");
+        assert!(!is_query_payload(&payload[..ENVELOPE_LEN]), "no tag, no query");
     }
 
     #[test]

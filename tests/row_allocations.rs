@@ -13,14 +13,16 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use agoraeo::bigearthnet::{ArchiveGenerator, GeneratorConfig};
-use agoraeo::earthqube::net::{payload_to_response, response_to_payload};
-use agoraeo::earthqube::{EarthQube, EarthQubeConfig, ImageQuery};
+use agoraeo::earthqube::net::{payload_to_response, query_to_spec, response_to_payload};
+use agoraeo::earthqube::{
+    EarthQube, EarthQubeConfig, ImageQuery, QueryServer, RequestBody, ServeConfig,
+};
 use agoraeo::hashindex::hashtable::Strategy;
 use agoraeo::hashindex::{
     BinaryCode, Bitmap, CodeArena, CountingTopK, HammingIndex, HashTableIndex, IdMask,
     SearchScratch, ShardedHashIndex,
 };
-use agoraeo::proto::{Response, ResponseBody};
+use agoraeo::proto::{read_response, Request, Response, ResponseBody};
 
 /// Counts the allocations of the thread that makes them, so the test
 /// harness's own threads cannot disturb the count.
@@ -173,4 +175,41 @@ fn a_warm_scan_allocates_nothing() {
     let ((), allocations) = counted(|| (0..200).for_each(|_| scan()));
     assert!(hits.iter().all(|&h| h > 0), "a scan found nothing to rank: {hits:?}");
     assert_eq!(allocations, 0, "200 warm scans made {allocations} allocations");
+}
+
+/// Rows of the large cached answer the event loop frames.
+const CACHED_ROWS: usize = 4_000;
+
+/// The event loop's cache-hit path (`QueryServer::cached_frame`) frames a
+/// cached answer behind a fresh envelope: one probe, one frame buffer, one
+/// copy and one CRC of the body, so its allocations do not grow with the
+/// rows — a 20-row answer and a 4 000-row answer cost the same.
+#[test]
+fn framing_a_cached_answer_allocates_the_same_at_any_row_count() {
+    let archive = ArchiveGenerator::new(GeneratorConfig::tiny(CACHED_ROWS, 23)).unwrap().generate();
+    let mut config = EarthQubeConfig::fast(23);
+    config.train_model = false;
+    let server = QueryServer::build(&archive, config, ServeConfig::default()).unwrap();
+    let name = archive.patches()[7].meta.name.clone();
+    let small = Request { id: 6, body: RequestBody::SimilarTo { name, k: 20 } };
+    let large = Request { id: 7, body: RequestBody::Search(query_to_spec(&ImageQuery::all())) };
+
+    let mut allocations = Vec::new();
+    for (request, rows) in [(&small, 20), (&large, CACHED_ROWS)] {
+        let answer = server.call(&request.body); // the miss that fills the cache
+        let fingerprint = server.cache_fingerprint(&request.body).expect("a cache-keyed read");
+        let (frame, made) = counted(|| server.cached_frame(request, fingerprint));
+        let frame = frame.expect("the answer is cached");
+        let response = read_response(&mut &frame[..]).unwrap().expect("one frame");
+        let ResponseBody::Search(payload) = &response.body else { panic!("{:?}", response.body) };
+        assert_eq!(payload.rows.len(), rows);
+        assert_eq!(response, Response { id: request.id, body: answer });
+        allocations.push(made);
+    }
+    println!(
+        "framing a cached answer: 20 rows {}, {CACHED_ROWS} rows {}",
+        allocations[0], allocations[1]
+    );
+    assert_eq!(allocations[0], allocations[1], "the allocations grew with the rows");
+    assert_eq!(allocations[1], 1, "the frame buffer is the hit path's one allocation");
 }
