@@ -13,10 +13,10 @@
 //! its scratch.
 //!
 //! Every write, on either façade's side and the build included, is a
-//! [`WalRecord`] applied by [`Catalog::apply_record`]: build, live ingest
-//! and feedback make the record, recovery and replication decode it.  So
-//! one id space holds: arena row *r*, metadata entry *r* and metadata
-//! document *r* are all dense patch id *r*.
+//! [`WalRecord`] checked by [`Catalog::check_records`] and applied by
+//! [`Catalog::apply`]: build, live ingest and feedback make the record,
+//! recovery and replication decode it.  So one id space holds: arena row
+//! *r*, metadata entry *r* and metadata document *r* are dense patch id *r*.
 //!
 //! A filter-taking kind is two steps: [`Catalog::resolve`] turns the
 //! [`ImageQuery`] into a `ResolvedFilter` (the crate's one path to the
@@ -29,6 +29,7 @@
 //! [`ImageQuery`] first, before any cache probe or lock.
 
 use std::cell::RefCell;
+use std::collections::HashSet;
 
 use eq_bigearthnet::patch::PatchMetadata;
 use eq_bigearthnet::Archive;
@@ -38,13 +39,13 @@ use eq_milan::Milan;
 
 use crate::cbir::CbirService;
 use crate::engine::{EarthQubeConfig, SearchResponse};
-use crate::feedback::FeedbackService;
+use crate::feedback::{self, FeedbackService};
 use crate::filtered::{FilteredResponse, PrefilterMode, ResolvedFilter};
 use crate::ingest::{insert_patch_docs, prepare_collections, prepare_patch_docs};
 use crate::persist::{self, Sequence, WalRecord};
 use crate::query::ImageQuery;
 use crate::results::{ResultEntry, ResultPanel};
-use crate::schema::collections;
+use crate::schema::{collections, fields};
 use crate::stats::LabelStatistics;
 use crate::EarthQubeError;
 
@@ -87,8 +88,8 @@ pub(crate) struct Catalog {
 impl Catalog {
     /// Builds the core from an archive: trains MiLaN, hashes the archive
     /// once and applies one ingest record per patch to the
-    /// [`empty`](Self::empty) core, through the same
-    /// [`apply_record`](Self::apply_record) every later write takes.
+    /// [`empty`](Self::empty) core, through the same check and
+    /// [`apply`](Self::apply) every later write takes.
     ///
     /// # Errors
     /// Propagates model-configuration errors, and refuses an archive whose
@@ -135,55 +136,106 @@ impl Catalog {
         Ok(())
     }
 
-    /// Applies one write and returns the key it landed under: an ingest's
-    /// dense id, a feedback entry's id.  Build, live ingest and feedback,
-    /// WAL replay and replication all write through here, which is what
-    /// makes a recovered server or a replica byte-identical to the server
-    /// that took the writes.
-    ///
-    /// An ingest is checked whole before anything changes: it must carry
-    /// the next dense id, a code of the model's width and documents keyed
-    /// by its name, and its metadata document must take the dense id as
-    /// its document id, or it is an [`EarthQubeError::Persist`]; a name
-    /// already indexed is a [`EarthQubeError::BadRequest`], and a name
-    /// already stored keeps the store's error.  So a refused record applies
-    /// nothing and burns no id: arena row *r*, metadata entry *r* and
-    /// metadata document *r* all stay dense id *r*.
-    pub(crate) fn apply_record(&mut self, record: WalRecord) -> Result<i64, EarthQubeError> {
+    /// Checks a batch of writes in order, each against the catalog as the
+    /// records before it leave it: how many lead the batch before the first
+    /// refusal, and that refusal.  [`apply`](Self::apply) cannot fail them.
+    pub(crate) fn check_records(
+        &self,
+        records: &[WalRecord],
+    ) -> (usize, Result<(), EarthQubeError>) {
+        // The names the batch's earlier ingest records take, one per id.
+        let mut ahead = HashSet::new();
+        for (i, record) in records.iter().enumerate() {
+            if let Err(e) = self.check_record(record, &ahead) {
+                return (i, Err(e));
+            }
+            if let WalRecord::Ingest { meta, .. } = record {
+                ahead.insert(meta.name.as_str());
+            }
+        }
+        (records.len(), Ok(()))
+    }
+
+    /// One record's check, behind the `ahead` names.  Feedback must hold
+    /// text.  An ingest must carry the next dense id (its metadata document's
+    /// id too), a code of the model's width and documents keyed by its name,
+    /// or it is an [`EarthQubeError::Persist`]; a name already indexed is a
+    /// [`EarthQubeError::BadRequest`], one already stored a store error.
+    fn check_record(
+        &self,
+        record: &WalRecord,
+        ahead: &HashSet<&str>,
+    ) -> Result<(), EarthQubeError> {
+        let (meta, code, image_doc, rendered_doc) = match record {
+            WalRecord::Ingest { meta, code, image_doc, rendered_doc } => {
+                (meta, code, image_doc, rendered_doc)
+            }
+            WalRecord::Feedback { text, .. } => return feedback::trimmed(text).map(drop),
+        };
+        let next = self.metadata.len() + ahead.len();
+        let next_doc = self.database.collection(collections::METADATA)?.next_id() as usize;
+        let bits = self.cbir.code_bits();
+        if (meta.id.0 as usize, next_doc + ahead.len(), code.bits()) != (next, next, bits) {
+            return Err(EarthQubeError::Persist(format!(
+                "the record for {} carries dense id {} and a {}-bit code, expected id {next} \
+                 (next document id {next_doc}) and {bits} bits",
+                meta.name,
+                meta.id.0,
+                code.bits()
+            )));
+        }
+        let name = &meta.name;
+        if ahead.contains(name.as_str()) {
+            return Err(EarthQubeError::BadRequest(format!("image {name} is twice in the batch")));
+        }
+        self.ensure_new(name)?;
+        let key = Value::Str(name.clone());
+        if [image_doc, rendered_doc].iter().any(|doc| doc.get(fields::NAME) != Some(&key)) {
+            return Err(EarthQubeError::Persist(format!("a document of {name} has another key")));
+        }
+        // All three collections are keyed by name, so the image document
+        // stands in for the metadata document built at apply.
+        use collections::{IMAGE_DATA, METADATA, RENDERED};
+        for (coll, doc) in
+            [(METADATA, image_doc), (IMAGE_DATA, image_doc), (RENDERED, rendered_doc)]
+        {
+            self.database.collection(coll)?.check_insert(doc)?;
+        }
+        Ok(())
+    }
+
+    /// Applies one write [`check_records`](Self::check_records) passed and
+    /// returns its key: an ingest's dense id, a feedback entry's id.  Every
+    /// write applies here, so a recovered server or a replica is
+    /// byte-identical to the server that took the writes, and arena row
+    /// *r*, metadata entry *r* and metadata document *r* are dense id *r*.
+    pub(crate) fn apply(&mut self, record: WalRecord) -> i64 {
         match record {
             WalRecord::Ingest { meta, code, image_doc, rendered_doc } => {
-                if meta.id.0 as usize != self.metadata.len() {
-                    return Err(EarthQubeError::Persist(format!(
-                        "the record for {} carries dense id {}, expected {}",
-                        meta.name,
-                        meta.id.0,
-                        self.metadata.len()
-                    )));
-                }
-                if code.bits() != self.cbir.code_bits() {
-                    return Err(EarthQubeError::Persist(format!(
-                        "the record for {} carries a {}-bit code, expected {} bits",
-                        meta.name,
-                        code.bits(),
-                        self.cbir.code_bits()
-                    )));
-                }
-                self.ensure_new(&meta.name)?;
-                insert_patch_docs(&mut self.database, &meta, image_doc, rendered_doc)?;
+                insert_patch_docs(&mut self.database, &meta, image_doc, rendered_doc);
                 self.cbir.insert(meta.id.0 as u64, &meta.name, code);
                 self.metadata.push(meta);
-                Ok(self.metadata.len() as i64 - 1)
+                self.metadata.len() as i64 - 1
             }
             WalRecord::Feedback { text, category } => {
-                FeedbackService.submit(&mut self.database, &text, category.as_deref())
+                let stored = FeedbackService.submit(&mut self.database, &text, category.as_deref());
+                // lint:allow(panic) check_records refused an empty text, and feedback ids are 0..len (nothing deletes feedback), so `len` is free
+                stored.expect("checked feedback is stored")
             }
         }
     }
 
+    /// One write on its own, checked then applied: the bare engine's and
+    /// the build's, and recovery's from a checkpoint's records.
+    pub(crate) fn apply_record(&mut self, record: WalRecord) -> Result<i64, EarthQubeError> {
+        self.check_records(std::slice::from_ref(&record)).1?;
+        Ok(self.apply(record))
+    }
+
     /// How many records of a sequence the catalog holds: images by dense
-    /// id, feedback entries by id.  Each sequence only grows (a rolled
-    /// back entry never outlives its failed write), so a count is a
-    /// position in it.
+    /// id, feedback entries by id.  Each sequence only grows (a write
+    /// applies only what its log holds, and nothing is ever taken back), so
+    /// a count is a position in it.
     pub(crate) fn record_count(&self, sequence: Sequence) -> usize {
         match sequence {
             Sequence::Ingest => self.metadata.len(),

@@ -4,12 +4,13 @@
 //! [`QueryServer`] keeps the catalog side of every write and calls the
 //! verbs below.  File formats and file I/O are the crate's `persist` module.
 //!
-//! **The WAL policy** is [`WalBatch`]: records are appended per write and
-//! made durable by one `fdatasync` per batch; a failed append or sync
-//! *detaches* the log (the server keeps serving from memory until the next
-//! successful checkpoint), so nothing is ever written after a gap; the live
-//! segment is sealed only between synced batches, so a torn tail can only
-//! exist in the last segment of a chain.
+//! **The WAL policy** is [`WalBatch`], which a write holds throughout: its
+//! records are appended and made durable by one `fdatasync` before any of
+//! them is applied; a failed append or sync applies nothing and *detaches*
+//! the log (the server keeps serving from memory until the next successful
+//! checkpoint), so nothing is ever written after a gap; the live segment is
+//! sealed only between synced writes, so a torn tail can only exist in the
+//! last segment of a chain.
 //!
 //! **The checkpoint protocol** is one sequence, [`Durability::checkpoint`]:
 //! *cut → write chunks → publish manifest → commit attachment → retire and
@@ -192,74 +193,64 @@ impl Attachment {
     }
 }
 
-/// When a committed batch seals the live segment.
+/// When a write seals the live segment.
 pub(crate) enum Seal {
     /// A primary: once the segment outgrows the limit.  Best effort: on
-    /// failure the oversized segment stays live and the next batch retries.
+    /// failure the oversized segment stays live and the next write retries.
     AtLimit,
     /// A replica: exactly where the primary did (`true`), nowhere else.
+    /// Only an attached log mirrors, so a detached one refuses the write.
     Mirror(bool),
 }
 
-/// The WAL for one write-lock section.  Taken *after* the catalog write
-/// lock and held to the end of the section, so a write is either applied
-/// and logged or neither.  On a detached server every verb is a no-op.
+/// The WAL for one write.  Taken first and held to the end of the write,
+/// so writers serialise here and take the catalog lock inside it.  On a
+/// detached server every verb is a no-op.
 pub(crate) struct WalBatch<'a> {
     wal: MutexGuard<'a, Option<Attachment>>,
     owner: &'a Durability,
-    appended: bool,
+    seal: Seal,
 }
 
 impl WalBatch<'_> {
-    /// Whether there is a log to write to (so callers can skip encoding).
-    pub(crate) fn attached(&self) -> bool {
-        self.wal.is_some()
+    /// Appends every payload and makes them durable with one `fdatasync`,
+    /// which a write awaits before it applies any.  A failed append or sync
+    /// detaches the log, so nothing is ever written after a gap.
+    pub(crate) fn log<P: AsRef<[u8]>>(
+        &mut self,
+        payloads: impl IntoIterator<Item = P>,
+    ) -> Result<(), EarthQubeError> {
+        let (Some(att), faults) = (self.wal.as_mut(), &self.owner.faults) else { return Ok(()) };
+        let mut appended = false;
+        let mut logged = payloads.into_iter().try_for_each(|payload| {
+            faults.check("wal-append")?;
+            att.segment_bytes += att.writer.append(payload.as_ref())?;
+            appended = true;
+            Ok(())
+        });
+        if appended && logged.is_ok() {
+            logged = faults.check("wal-sync").and_then(|()| att.writer.sync());
+        }
+        if logged.is_err() {
+            *self.wal = None;
+        }
+        logged
     }
 
-    /// Appends one record.  A failure detaches the log, so a later append
-    /// can never write after a gap.
-    pub(crate) fn append(&mut self, payload: &[u8]) -> Result<(), EarthQubeError> {
+    /// Seals the live segment if the write's [`Seal`] says so, once every
+    /// record of it is synced; rotation only ever follows a whole, synced
+    /// write, so sealed segments are clean-ended.
+    pub(crate) fn seal(&mut self) -> Result<(), EarthQubeError> {
         let Some(att) = self.wal.as_mut() else { return Ok(()) };
-        match att.writer.append(payload) {
-            Ok(bytes) => att.segment_bytes += bytes,
-            Err(e) => {
-                *self.wal = None;
-                return Err(e);
-            }
-        }
-        self.appended = true;
-        Ok(())
-    }
-
-    /// Makes the batch durable, then seals the segment if `seal` says so;
-    /// `batch` is the caller's own outcome, and the first error wins.  One
-    /// `fdatasync` covers every append (acknowledged means on stable
-    /// storage, which is why it runs inside the write-lock section, and it
-    /// runs for the applied prefix of a batch that stopped early too); a
-    /// failure detaches the log.  Rotation only ever follows a fully
-    /// applied, synced batch, so sealed segments are clean-ended.
-    pub(crate) fn commit<T>(
-        mut self,
-        seal: Seal,
-        batch: Result<T, EarthQubeError>,
-    ) -> Result<T, EarthQubeError> {
-        let Some(att) = self.wal.as_mut() else { return batch };
-        if self.appended {
-            if let Err(e) = att.writer.sync() {
-                *self.wal = None;
-                return batch.and(Err(e));
-            }
-        }
         let limit = self.owner.segment_limit.load(Ordering::Relaxed);
-        match seal {
-            _ if batch.is_err() => {}
-            Seal::AtLimit if self.appended && att.segment_bytes >= limit => {
+        match self.seal {
+            Seal::AtLimit if att.segment_bytes >= limit => {
                 let _ = att.rotate(&self.owner.faults);
             }
             Seal::Mirror(true) => att.rotate(&self.owner.faults)?,
             _ => {}
         }
-        batch
+        Ok(())
     }
 }
 
@@ -300,10 +291,11 @@ fn detached_mid_checkpoint() -> EarthQubeError {
 /// The durable tier of one server: see the module docs.
 pub(crate) struct Durability {
     /// The persistence attachment; `None` for a purely in-memory server.
-    /// Lock order: always after the catalog write lock, never before.
+    /// Lock order: before the catalog lock (a write, the checkpoint cut),
+    /// never inside it.
     wal: Mutex<Option<Attachment>>,
     /// Serialises whole checkpoints (manual calls and the background
-    /// checkpointer).  Lock order: before the catalog lock, never inside.
+    /// checkpointer).  Lock order: before `wal` and the catalog lock.
     ckpt_serial: Mutex<()>,
     /// The background checkpointer thread, if one is running.  Never held
     /// while taking any other lock.
@@ -352,9 +344,16 @@ impl Durability {
         })
     }
 
-    /// Opens the WAL for one write-lock section.
-    pub(crate) fn begin(&self) -> WalBatch<'_> {
-        WalBatch { wal: self.wal.lock(), owner: self, appended: false }
+    /// Opens the WAL for one write, sealed by `seal`; a [`Seal::Mirror`]
+    /// write on a detached log is refused here, before anything.
+    pub(crate) fn begin(&self, seal: Seal) -> Result<WalBatch<'_>, EarthQubeError> {
+        let wal = self.wal.lock();
+        if matches!(seal, Seal::Mirror(_)) && wal.is_none() {
+            return Err(EarthQubeError::Persist(
+                "the replica has no persistence attachment".into(),
+            ));
+        }
+        Ok(WalBatch { wal, owner: self, seal })
     }
 
     /// Attaches a recovered directory: reopens (or creates) the tail
@@ -403,9 +402,9 @@ impl Durability {
         // through the same path spelling) keeps its lock.
         let dir_lock = if held { None } else { Some(persist::lock_dir(dir)?) };
 
-        // ---- The cut: under the catalog write + wal locks ----
-        let core = catalog.write();
+        // ---- The cut: under the wal lock and a catalog read guard ----
         let mut wal = self.wal.lock();
+        let core = catalog.read();
         let continuing = held && !relineage && !wal.as_ref().is_some_and(Attachment::is_legacy);
         let Some(cut) = self.cut(&core, wal.as_mut(), dir, continuing, dir_lock, static_chunk)?
         else {
@@ -425,14 +424,15 @@ impl Durability {
             // Post-cut writes land in the segment the cut opened, so copy
             // the record tail and release both locks before any I/O.
             let tail: Result<Vec<_>, _> = runs.collect();
-            drop(wal);
             drop(core);
+            drop(wal);
             (tail.and_then(|tail| self.publish(dir, &cut, tail.into_iter().map(Ok))), None)
         } else {
             // A new lineage has no segment a post-cut write could land in
             // until its manifest is committed: it keeps both guards until
-            // then, and so encodes from the catalog in place, one chunk
-            // body at a time, instead of copying it.
+            // then (writers wait on the wal lock, readers keep running),
+            // and so encodes from the catalog in place, one chunk body at a
+            // time, instead of copying it.
             let statics = cut.fresh.iter().map(|fresh| -> Piece<'_> {
                 Ok((persist::kind_static(), fresh.static_body.as_slice().into()))
             });

@@ -18,6 +18,15 @@ pub struct FeedbackEntry {
     pub category: Option<String>,
 }
 
+/// A comment as it is stored: trimmed, and refused when nothing is left.
+pub(crate) fn trimmed(text: &str) -> Result<&str, EarthQubeError> {
+    let trimmed = text.trim();
+    if trimmed.is_empty() {
+        return Err(EarthQubeError::BadRequest("feedback text is empty".into()));
+    }
+    Ok(trimmed)
+}
+
 /// Stores and lists anonymous feedback in the `feedback` collection.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct FeedbackService;
@@ -38,10 +47,7 @@ impl FeedbackService {
         text: &str,
         category: Option<&str>,
     ) -> Result<i64, EarthQubeError> {
-        let trimmed = text.trim();
-        if trimmed.is_empty() {
-            return Err(EarthQubeError::BadRequest("feedback text is empty".into()));
-        }
+        let trimmed = trimmed(text)?;
         db.create_collection(collections::FEEDBACK, "id");
         let coll = db.collection_mut(collections::FEEDBACK)?;
         let id = coll.len() as i64;

@@ -85,50 +85,25 @@ pub(crate) fn prepare_patch_docs(patch: &Patch, name: &str) -> (Document, Docume
     (image_doc, rendered_doc)
 }
 
-/// Inserts a patch's three documents: the metadata document built from
-/// `meta`, which must take the dense patch id `meta.id` as its document id,
-/// and the image-data and rendered documents, which must be keyed by
-/// `meta.name`.  Every check runs before the first insert, so a refused
-/// patch changes nothing and the inserts cannot fail.
-///
-/// # Errors
-/// A document keyed by another name, or a metadata document id that is not
-/// the dense id, is an [`EarthQubeError::Persist`]; a name one of the three
-/// collections already stores keeps the store's error.
+/// Inserts a patch's three documents, which `Catalog::check_records`
+/// passed: the metadata document built from `meta`, and the image-data and
+/// rendered documents.
 pub(crate) fn insert_patch_docs(
     db: &mut Database,
     meta: &PatchMetadata,
     image_doc: Document,
     rendered_doc: Document,
-) -> Result<(), EarthQubeError> {
-    let key = Value::Str(meta.name.clone());
-    for (kind, doc) in [("image", &image_doc), ("rendered", &rendered_doc)] {
-        if doc.get(fields::NAME) != Some(&key) {
-            return Err(EarthQubeError::Persist(format!(
-                "the {kind} document of {} is keyed by another name",
-                meta.name
-            )));
-        }
-    }
+) {
     let docs = [
         (collections::METADATA, metadata_document(meta)),
         (collections::IMAGE_DATA, image_doc),
         (collections::RENDERED, rendered_doc),
     ];
-    for (coll, doc) in &docs {
-        db.collection(coll)?.check_insert(doc)?;
-    }
-    let next = db.collection(collections::METADATA)?.next_id();
-    if next != u64::from(meta.id.0) {
-        return Err(EarthQubeError::Persist(format!(
-            "the metadata document of {} would take document id {next}, not its dense id {}",
-            meta.name, meta.id.0
-        )));
-    }
     for (coll, doc) in docs {
-        db.collection_mut(coll)?.insert(doc)?;
+        let inserted = db.collection_mut(coll).and_then(|c| c.insert(doc));
+        // lint:allow(panic) Catalog::check_records found each collection and none holding the name
+        inserted.expect("a checked patch inserts");
     }
-    Ok(())
 }
 
 #[cfg(test)]

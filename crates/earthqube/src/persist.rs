@@ -146,15 +146,16 @@ const RECORD_FEEDBACK: u8 = 2;
 /// `QueryServer::failpoints`, with at most one point armed at a time; when
 /// that server's persistence code reaches it, the I/O helper returns an
 /// error *before* performing its write/sync/rename, leaving the directory
-/// in exactly the state a crash at that boundary would.  The recovery test
-/// suite arms every entry of [`ALL_POINTS`](failpoints::ALL_POINTS) in turn.
+/// in exactly the state a crash at that boundary would.  The test suites arm
+/// each of [`ALL_POINTS`](failpoints::ALL_POINTS) and `WRITE_POINTS` in turn.
 #[cfg(feature = "failpoints")]
 pub mod failpoints {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// Every declared crash-injection point, in the order the helpers
-    /// declare them.  Tests iterate this list so a newly added point can
-    /// never be silently skipped.
+    /// The checkpoint matrix: every crash point a checkpoint, or the segment
+    /// creation it shares with rotation, can reach, in the order the helpers
+    /// declare them.  The crash-point suite iterates this list so a newly
+    /// added point can never be silently skipped.
     pub const ALL_POINTS: &[&str] = &[
         "segment-precreate",
         "segment-header-sync",
@@ -168,11 +169,15 @@ pub mod failpoints {
         "chunk-gc",
     ];
 
+    /// The write path's points: before a write's WAL append, before its
+    /// sync.  [`Plan::arm`] takes them like the checkpoint matrix's.
+    pub const WRITE_POINTS: &[&str] = &["wal-append", "wal-sync"];
+
     /// One server's crash plan: which point is armed, and how often an
     /// armed point fired.
     #[derive(Debug, Default)]
     pub struct Plan {
-        /// `0` = disarmed; `i + 1` = `ALL_POINTS[i]` is armed.
+        /// `0` = disarmed; `i + 1` = point `i` of `ALL_POINTS`, then `WRITE_POINTS`.
         armed: AtomicUsize,
         fired: AtomicUsize,
     }
@@ -181,7 +186,7 @@ pub mod failpoints {
         /// Arms the named point (disarming any other); returns whether the
         /// name is a declared point.
         pub fn arm(&self, name: &str) -> bool {
-            let index = ALL_POINTS.iter().position(|p| *p == name);
+            let index = ALL_POINTS.iter().chain(WRITE_POINTS).position(|p| *p == name);
             self.armed.store(index.map_or(0, |i| i + 1), Ordering::Release);
             index.is_some()
         }
@@ -199,7 +204,8 @@ pub mod failpoints {
         /// Whether the named point is armed (bumping the fired counter if so).
         pub(crate) fn should_fail(&self, name: &str) -> bool {
             let armed = self.armed.load(Ordering::Acquire);
-            let hit = armed > 0 && ALL_POINTS.get(armed - 1) == Some(&name);
+            let hit =
+                armed > 0 && ALL_POINTS.iter().chain(WRITE_POINTS).nth(armed - 1) == Some(&name);
             if hit {
                 self.fired.fetch_add(1, Ordering::AcqRel);
             }
@@ -219,7 +225,7 @@ pub(crate) struct Faults {
 
 impl Faults {
     /// Fails when `point` is armed: the caller's "crash" at that boundary.
-    fn check(&self, point: &str) -> Result<(), EarthQubeError> {
+    pub(crate) fn check(&self, point: &str) -> Result<(), EarthQubeError> {
         #[cfg(feature = "failpoints")]
         if self.plan.should_fail(point) {
             return Err(EarthQubeError::Persist(format!("injected crash at failpoint `{point}`")));
@@ -947,9 +953,8 @@ impl WalWriter {
 
     /// Appends one framed record (length, CRC-32, payload), returning the
     /// number of bytes appended so the caller can track the segment size
-    /// for rotation.  The bytes are written but not yet synced — callers
-    /// finish their lock section with one [`sync`](Self::sync), so a
-    /// multi-patch ingest pays one disk flush, not one per patch.
+    /// for rotation.  The bytes are not yet synced: a write syncs all of
+    /// its records with one [`sync`](Self::sync), one flush per batch.
     pub(crate) fn append(&mut self, payload: &[u8]) -> Result<u64, EarthQubeError> {
         let mut frame = Vec::with_capacity(payload.len() + 8);
         frame.extend_from_slice(

@@ -9,11 +9,10 @@
 //!   Queries take the read side (shared, concurrent).  The write side is
 //!   taken in one place, the server's write section, which every writer
 //!   runs through — ingest, feedback, recovery's replay and a replicated
-//!   batch: it opens the WAL batch under the lock, applies each record
-//!   through the core's one apply path, lets the writer commit, and clears
+//!   batch — inside the WAL lock, and only once the write's records are
+//!   checked (under the read side) and synced: it applies them and clears
 //!   both caches exactly when the archive grew.  Holding the read lock
-//!   across a query gives every query a consistent snapshot even while
-//!   ingest is running.
+//!   across a query gives every query a consistent snapshot.
 //! * **One index** — the core scans one [`eq_hashindex::CodeArena`] whose
 //!   row *r* holds dense patch id *r*, whatever [`ServeConfig::shards`]
 //!   says.  Checkpoints never write it (recovery rebuilds it from the
@@ -82,14 +81,13 @@ use std::sync::Arc;
 use eq_agora::AssetRegistry;
 use eq_bigearthnet::patch::{Patch, PatchId, PatchMetadata};
 use eq_bigearthnet::Archive;
-use eq_docstore::Document;
 use eq_hashindex::BinaryCode;
 use eq_milan::Milan;
 use parking_lot::RwLock;
 
 use crate::catalog::Catalog;
 pub use crate::durability::{CheckpointKind, CheckpointStats, CheckpointerStats};
-use crate::durability::{Durability, Seal, WalBatch};
+use crate::durability::{Durability, Seal};
 use crate::engine::{build_registry, EarthQube, EarthQubeConfig, SearchResponse};
 use crate::feedback::{FeedbackEntry, FeedbackService};
 use crate::filtered::{FilteredResponse, PrefilterMode, ResolvedFilter};
@@ -370,9 +368,8 @@ const FILTER_CACHE_BYTES: usize = 32 << 20;
 ///
 /// Every query entry point takes `&self`, so a server shared by reference
 /// (or inside an `Arc`) serves many threads at once; [`ingest`] and
-/// [`submit_feedback`] are the write path and take the catalog write lock
-/// internally, in the server's one write section — they also only need
-/// `&self`.
+/// [`submit_feedback`] are the write path, through the server's one write
+/// section — they also only need `&self`.
 ///
 /// [`ingest`]: Self::ingest
 /// [`submit_feedback`]: Self::submit_feedback
@@ -786,8 +783,8 @@ impl QueryServer {
     /// The batch is split into contiguous chunks, one per worker; each
     /// worker shares the server by reference (`std::thread::scope`), so
     /// queries proceed concurrently against the shared read path while any
-    /// concurrent [`ingest`](Self::ingest) serialises through the catalog
-    /// write lock.
+    /// concurrent [`ingest`](Self::ingest) serialises through the write
+    /// section.
     pub fn run_workload(&self, requests: &[RequestBody], workers: usize) -> Vec<ResponseBody> {
         if requests.is_empty() {
             return Vec::new();
@@ -814,38 +811,29 @@ impl QueryServer {
     /// Appends patches to the live archive: the write path.
     ///
     /// The expensive per-patch work — encoding with the model, serialising
-    /// band data, rendering RGB — happens *before* the catalog write lock
-    /// is taken, so concurrent queries are only blocked for the cheap
-    /// bookkeeping: the duplicate check, the three document inserts, the
-    /// index insert and the cache invalidation.
-    ///
+    /// band data, rendering RGB — happens under no lock; the write section
+    /// then checks, logs and applies the records, so concurrent queries
+    /// are only blocked for the in-memory apply and the cache invalidation.
     /// When the server is attached to a persistence directory (via
     /// [`checkpoint`](Self::checkpoint), [`recover`](Self::recover) or
-    /// [`open`](Self::open)), every applied patch is appended to the
-    /// write-ahead log *inside the same write-lock section*, so per-patch
-    /// atomicity carries over to disk: a patch is either fully applied and
-    /// fully logged, or neither (`Catalog::apply_record` checks a patch
-    /// whole before it changes anything).
+    /// [`open`](Self::open)), a patch is searchable only once the log holds
+    /// it on stable storage.
     ///
     /// # Errors
     /// A batch holding a patch out of the canonical band layout
     /// ([`EarthQubeError::BadRequest`]) or naming an already-indexed image
-    /// is rejected up front, before any work.  On a mid-batch store error, patches preceding the failure
-    /// remain ingested (each patch is applied atomically, and the cache is
-    /// invalidated whenever at least one patch was applied).  A WAL I/O
-    /// failure surfaces as [`EarthQubeError::Persist`] and detaches the
-    /// log: the server keeps serving from memory, but durability is lost
-    /// until the next successful [`checkpoint`](Self::checkpoint).
+    /// is rejected up front, before any work.  A patch refused mid-batch (a
+    /// name the store already holds, one repeated in the batch) stops the
+    /// batch there: the patches preceding it are logged and ingested, the
+    /// rest are not.  A WAL I/O failure surfaces as
+    /// [`EarthQubeError::Persist`], ingests nothing and detaches the log:
+    /// the server keeps serving from memory, but durability is lost until
+    /// the next successful [`checkpoint`](Self::checkpoint).
     pub fn ingest(&self, patches: &[Patch]) -> Result<IngestReport, EarthQubeError> {
         patches.iter().try_for_each(validate_patch)?;
-        if !self.is_primary() {
-            return Err(EarthQubeError::NotPrimary(
-                "replicas only apply records replicated from the primary".into(),
-            ));
-        }
-        // Cheap pre-screen under a short read lock, so a doomed batch does
-        // not pay the heavy phase below.  The check under the write lock
-        // stays authoritative (an ingest racing in between is still caught).
+        self.ensure_primary()?;
+        // A cheap pre-screen, so a doomed batch skips the heavy phase; the
+        // write section's check stays authoritative against racing writes.
         {
             let catalog = self.catalog.read();
             for patch in patches {
@@ -855,39 +843,24 @@ impl QueryServer {
 
         // Heavy phase, outside any lock: the model and the serialisation
         // code are immutable shared state.
-        let prepared: Vec<(BinaryCode, (Document, Document))> = patches
+        let mut records: Vec<WalRecord> = patches
             .iter()
             .map(|patch| {
-                (self.model.hash_patch(patch), prepare_patch_docs(patch, &patch.meta.name))
+                let (meta, code) = (patch.meta.clone(), self.model.hash_patch(patch));
+                let (image_doc, rendered_doc) = prepare_patch_docs(patch, &meta.name);
+                WalRecord::Ingest { meta, code, image_doc, rendered_doc }
             })
             .collect();
-
-        // Cheap phase, in the write section.
-        self.write(|catalog, mut log| {
-            let mut result = Ok(());
-            for (patch, (code, (image_doc, rendered_doc))) in patches.iter().zip(prepared) {
-                // Appended patches take the next dense id.
-                let id = PatchId(catalog.metadata.len() as u32);
-                let meta = PatchMetadata { id, ..patch.meta.clone() };
-                let record = WalRecord::Ingest { meta, code, image_doc, rendered_doc };
-                // Encoded while the record is still whole (applying consumes
-                // it), written only once it applied: a refused patch never
-                // reaches the log.  A failed append leaves the patch applied
-                // in memory but not durable: surface it and stop the batch.
-                let payload = log.attached().then(|| record.encode());
-                let applied = catalog
-                    .apply_record(record)
-                    .and_then(|_| payload.map_or(Ok(()), |payload| log.append(&payload)));
-                if let Err(e) = applied {
-                    result = Err(e);
-                    break;
+        // Appended patches take the next dense ids.
+        let stamped = |catalog: &Catalog| {
+            for (id, record) in (catalog.metadata.len()..).zip(&mut records) {
+                if let WalRecord::Ingest { meta, .. } = record {
+                    meta.id = PatchId(id as u32);
                 }
             }
-            // The commit runs even when the batch stopped early: the applied
-            // prefix "remains ingested" per the contract above, so its
-            // records must reach stable storage too.
-            log.commit(Seal::AtLimit, result)
-        })?;
+            records
+        };
+        self.write(stamped, None, Seal::AtLimit)?;
         let n = patches.len();
         Ok(IngestReport { metadata_docs: n, image_docs: n, rendered_docs: n })
     }
@@ -897,36 +870,28 @@ impl QueryServer {
     ///
     /// # Errors
     /// Fails if the text is empty, or with [`EarthQubeError::Persist`] if
-    /// the WAL append fails (the log detaches, see [`ingest`](Self::ingest)).
+    /// the WAL append or sync fails: the feedback is then not stored, and
+    /// the log detaches (see [`ingest`](Self::ingest)).
     pub fn submit_feedback(
         &self,
         text: &str,
         category: Option<&str>,
     ) -> Result<i64, EarthQubeError> {
+        self.ensure_primary()?;
+        let (text, category) = (text.to_string(), category.map(String::from));
+        let record = WalRecord::Feedback { text, category };
+        // One record checked and applied lands under one key.
+        Ok(self.write(|_| vec![record], None, Seal::AtLimit)?.unwrap_or_default())
+    }
+
+    /// Live writes are a primary's: a replica applies only what it pulls.
+    fn ensure_primary(&self) -> Result<(), EarthQubeError> {
         if !self.is_primary() {
             return Err(EarthQubeError::NotPrimary(
                 "replicas only apply records replicated from the primary".into(),
             ));
         }
-        self.write(|catalog, mut log| {
-            let (text, category) = (text.to_string(), category.map(String::from));
-            let record = WalRecord::Feedback { text, category };
-            let payload = record.encode();
-            let id = catalog.apply_record(record)?;
-            let logged = log.append(&payload);
-            if let Err(e) = log.commit(Seal::AtLimit, logged) {
-                // Unlike ingest (whose contract keeps the applied prefix),
-                // feedback failure means "not stored": roll the entry back so
-                // a retrying caller cannot store it twice.
-                let feedback =
-                    catalog.database.collection_mut(crate::schema::collections::FEEDBACK);
-                if let Ok(coll) = feedback {
-                    let _ = coll.delete_by_key(&eq_docstore::Value::Int(id));
-                }
-                return Err(e);
-            }
-            Ok(id)
-        })
+        Ok(())
     }
 
     /// Lists all stored feedback.
@@ -941,27 +906,50 @@ impl QueryServer {
     /// The one write section: every change to the catalog — live
     /// [`ingest`](Self::ingest) and [`submit_feedback`](Self::submit_feedback),
     /// recovery's replay, [`apply_replicated`](Self::apply_replicated) —
-    /// runs here.  It takes the catalog write lock, then opens the WAL
-    /// batch (the documented lock order), and hands both to `body`, which
-    /// applies its records through [`Catalog::apply_record`], appends them,
-    /// and commits the batch with its own [`Seal`] and early-stop rule.
+    /// hands its records here, with its [`Seal`] (and a replica the
+    /// payloads it mirrors).  Durable before visible, all under the WAL
+    /// lock, where writers serialise: the records are built and checked in
+    /// order under a catalog read guard, so readers keep running, up to the
+    /// first refusal; those before it are appended and synced (a failure
+    /// applies nothing); a whole batch is sealed; and what was synced is
+    /// applied under the catalog write lock, even when the seal failed.
     ///
-    /// Then, still under the write lock, both caches are cleared exactly
-    /// when the archive grew.  Feedback, a refused patch or an empty batch
-    /// changes no answer a cache holds, so it evicts nothing.  Readers
-    /// insert cache entries only under the read lock (see
+    /// Still under the write lock, both caches are cleared exactly when the
+    /// archive grew: feedback, a refused patch or an empty batch evicts
+    /// nothing.  Readers insert cache entries only under the read lock (see
     /// [`cached`](Self::cached)), so no stale entry survives the clear.
-    fn write<T>(
+    /// Returns the key the last record landed under, or the refusal, else
+    /// the seal's error.
+    fn write(
         &self,
-        body: impl FnOnce(&mut Catalog, WalBatch<'_>) -> Result<T, EarthQubeError>,
-    ) -> Result<T, EarthQubeError> {
-        let mut catalog = self.catalog.write();
-        let size = catalog.metadata.len();
-        let result = body(&mut catalog, self.durability.begin());
-        if catalog.metadata.len() > size {
-            self.invalidate();
+        records: impl FnOnce(&Catalog) -> Vec<WalRecord>,
+        mirrored: Option<&[Vec<u8>]>,
+        seal: Seal,
+    ) -> Result<Option<i64>, EarthQubeError> {
+        let mut log = self.durability.begin(seal)?;
+        let (records, (valid, refused)) = {
+            let catalog = self.catalog.read();
+            let records = records(&catalog);
+            let checked = catalog.check_records(&records);
+            (records, checked)
+        };
+        match mirrored {
+            Some(payloads) => log.log(payloads.iter().take(valid))?,
+            None => log.log(records.iter().take(valid).map(WalRecord::encode))?,
         }
-        result
+        let sealed = refused.and_then(|()| log.seal());
+        let mut last = None;
+        if valid > 0 {
+            let mut catalog = self.catalog.write();
+            let size = catalog.metadata.len();
+            for record in records.into_iter().take(valid) {
+                last = Some(catalog.apply(record));
+            }
+            if catalog.metadata.len() > size {
+                self.invalidate();
+            }
+        }
+        sealed.map(|()| last)
     }
 
     /// Drops everything derived from the catalog: both caches.
@@ -1034,17 +1022,16 @@ impl QueryServer {
     /// them, in append-only runs of records chunks.  One protocol, two
     /// lineage decisions.  A checkpoint into a directory the server is not
     /// attached to is **full**: a new lineage, with every chunk written
-    /// under a fresh manifest and WAL generation, and the catalog write
-    /// lock held until it is committed.  So is the first checkpoint after
+    /// under a fresh manifest and WAL generation, and writes held off (the
+    /// WAL lock) until it is committed; queries keep running.  So is the first checkpoint after
     /// recovering a directory of the legacy chunk format: it starts a new
     /// lineage in place.  Later checkpoints into the same directory are
     /// **incremental**: only the records past the previous checkpoint are
     /// written (a sequence is rewritten from 0 once enough runs of it are
     /// stacked), the manifest is atomically republished and the WAL
-    /// segments it no longer needs are retired; the write lock is held only
+    /// segments it no longer needs are retired; writes are held off only
     /// for the brief state *cut* (encoding the new records, sealing the
-    /// live WAL segment), so queries and ingest keep flowing during file
-    /// I/O.  No checkpoint writes derived state — the Hamming index, the
+    /// live WAL segment), so ingest keeps flowing during file I/O.  No checkpoint writes derived state — the Hamming index, the
     /// metadata collection and its indexes — which [`recover`](Self::recover)
     /// rebuilds from the records.  With no new record the checkpoint is
     /// [`CheckpointKind::Skipped`] and writes no bytes.
@@ -1108,18 +1095,11 @@ impl QueryServer {
         let server = Self::new(snapshot.config, snapshot.serve, catalog, registry);
 
         let chain = persist::read_segment_chain(dir, manifest.generation, manifest.first_segment)?;
-        // Replay runs detached (nothing is attached yet, so nothing is
-        // re-logged), through the write section like any write: the
-        // replayed records grow the catalog past `persisted` and count as
-        // ingested.  They still live only in WAL segments, and the next
-        // incremental checkpoint folds them into chunks (after which their
-        // segments retire).
-        server.write(|catalog, _detached| {
-            for record in chain.records {
-                catalog.apply_record(record).map_err(not_applied)?;
-            }
-            Ok(())
-        })?;
+        // Replay runs detached (nothing is re-logged), through the write
+        // section like any write: the replayed records grow the catalog
+        // past `persisted` and count as ingested.  The next incremental
+        // checkpoint folds them into chunks, and their segments retire.
+        server.write(|_| chain.records, None, Seal::AtLimit).map_err(not_applied)?;
         server.durability.attach(dir, lock, manifest, chain.tail, persisted)?;
         Ok(server)
     }
@@ -1191,20 +1171,21 @@ impl QueryServer {
         self.primary.store(false, Ordering::Release);
     }
 
-    /// Applies one pulled batch on a replica: every record runs through
-    /// the same apply path as recovery, then its raw payload is appended
-    /// to the replica's own WAL — re-framed deterministically, so the
-    /// mirrored log is byte-identical to the primary's and the replica's
-    /// durable position *is* its replication position (crash-resume needs
-    /// no extra bookkeeping).  With `rotate`, the live segment is sealed
-    /// and the next one opened after the batch, mirroring the primary's
-    /// rotation point exactly.
+    /// Applies one pulled batch on a replica through the write section, so
+    /// a replica serves only what its own log holds: each record's raw
+    /// payload is appended to the replica's WAL and synced before it
+    /// applies — re-framed deterministically, so the mirrored log is
+    /// byte-identical to the primary's and the replica's durable position
+    /// *is* its replication position.  With `rotate`, the live segment is
+    /// sealed after the batch, mirroring the primary's rotation point.
     ///
     /// # Errors
-    /// [`EarthQubeError::BadRequest`] on a primary (replicas only),
-    /// [`EarthQubeError::Persist`] on an undecodable or diverging record
-    /// (the caller should re-seed) or on WAL I/O failure (the attachment
-    /// detaches, same contract as [`ingest`](Self::ingest)).
+    /// [`EarthQubeError::BadRequest`] on a primary (replicas only);
+    /// [`EarthQubeError::Persist`] with no persistence attachment or on an
+    /// undecodable batch (nothing applies), on a diverging record (the
+    /// records before it apply; the caller should re-seed), and on WAL I/O
+    /// failure: a failed append or sync applies nothing and detaches the
+    /// log, a failed rotation still applies the synced batch.
     pub fn apply_replicated(
         &self,
         entries: &[Vec<u8>],
@@ -1223,30 +1204,8 @@ impl QueryServer {
                 EarthQubeError::Persist(format!("invalid replicated WAL record: {e}"))
             })?);
         }
-        self.write(|catalog, mut log| {
-            let mut applied = 0u64;
-            let mut result = Ok(());
-            for (payload, record) in entries.iter().zip(records) {
-                let logged = catalog.apply_record(record).map_err(not_applied).and_then(|_| {
-                    if !log.attached() {
-                        return Err(EarthQubeError::Persist(
-                            "the replica lost its persistence attachment".into(),
-                        ));
-                    }
-                    log.append(payload)
-                });
-                if let Err(e) = logged {
-                    result = Err(e);
-                    break;
-                }
-                applied += 1;
-            }
-            // Replicated records must be crash-durable before the pull is
-            // acknowledged, same contract as ingest.  A partial batch stays
-            // on the live segment, so the durable position matches exactly
-            // what was applied.
-            log.commit(Seal::Mirror(rotate), result).map(|()| applied)
-        })
+        self.write(|_| records, Some(entries), Seal::Mirror(rotate)).map_err(not_applied)?;
+        Ok(entries.len() as u64)
     }
 
     /// Promotes a replica to primary.  The replica's applied state is cut
@@ -1372,6 +1331,7 @@ fn not_applied(e: EarthQubeError) -> EarthQubeError {
 mod tests {
     use super::*;
     use eq_bigearthnet::{ArchiveGenerator, GeneratorConfig};
+    use eq_docstore::Document;
     use std::time::Duration;
 
     fn server(n: usize, seed: u64, serve: ServeConfig) -> (QueryServer, Archive) {
@@ -2059,6 +2019,25 @@ mod tests {
         assert_eq!(back.checkpoint(dir.path()).unwrap().kind, CheckpointKind::Incremental);
         assert!(!dir.path().join(&file).exists(), "the retired chunk must be swept");
         assert_only_static_and_records_kinds(dir.path());
+    }
+
+    /// A replica serves only what its own log holds, so one with no log
+    /// refuses even a valid batch before applying any of it: nothing is
+    /// served or counted that no log holds.
+    #[test]
+    fn a_replica_without_a_log_applies_nothing() {
+        let (srv, _) = server(10, 218, ServeConfig::default());
+        srv.set_replica_mode();
+        let patch = ArchiveGenerator::new(GeneratorConfig::tiny(1, 955)).unwrap().generate_patch(0);
+        let meta = PatchMetadata { id: PatchId(10), ..patch.meta.clone() };
+        let (image_doc, rendered_doc) = prepare_patch_docs(&patch, &meta.name);
+        let code = srv.model.hash_patch(&patch);
+        let record = WalRecord::Ingest { meta, code, image_doc, rendered_doc }.encode();
+        let err = srv.apply_replicated(&[record], false).unwrap_err();
+        assert!(matches!(err, EarthQubeError::Persist(_)), "{err:?}");
+        assert_eq!((srv.archive_size(), srv.stats().ingested_images), (10, 0));
+        let unknown = srv.similar_to(&patch.meta.name, 3).unwrap_err();
+        assert!(matches!(unknown, EarthQubeError::UnknownImage(_)), "{unknown:?}");
     }
 
     /// A logged ingest whose code is not the model's width is refused with
