@@ -4,26 +4,26 @@
 //! module can only be driven in-process.  This module puts the
 //! [`QueryServer`] behind a wire boundary:
 //!
-//! * [`NetServer`] — a **readiness-driven event loop** multiplexing every
-//!   accepted connection over one poller thread (a vendored `poll(2)`
-//!   shim), which answers reads the result cache holds itself, plus a
-//!   **bounded worker pool** that hands every other request to the
+//! * [`NetServer`] — K **readiness-driven event loops**, one thread each
+//!   (a vendored `poll(2)` shim).  Every accepted connection belongs to
+//!   one loop, which reads its requests, answers them — a read the result
+//!   cache holds from the cached bytes, every other request through the
 //!   server's one request entry ([`QueryServer::call`]'s work) on the
-//!   shared `&self` server.
-//!   One process serves thousands of idle-or-slow sockets over K workers;
+//!   shared `&self` server — and writes the answers itself.
+//!   One process serves thousands of idle-or-slow sockets over K loops;
 //!   a connection no longer pins a thread for its lifetime.  Faults are
 //!   isolated per connection: a malformed frame (garbage preamble, torn
 //!   payload, checksum mismatch, hostile length prefix) errors *that*
 //!   connection — a best-effort error frame, then close — and every other
-//!   connection keeps being served.  [`NetServer::shutdown`] stops the
-//!   poller, closes live connections and joins every thread.
-//! * **Admission control** — per-connection in-flight quotas and a
-//!   bounded dispatch queue.  An over-quota request, or one arriving
-//!   while the queue is full, is answered immediately with a typed
+//!   connection keeps being served.  [`NetServer::shutdown`] wakes every
+//!   loop, closes live connections and joins every thread.
+//! * **Admission control** — a per-connection quota and a bound on the
+//!   requests waiting on a loop.  An over-quota request, or one arriving
+//!   while its loop is at the bound, is answered immediately with a typed
 //!   [`eq_proto::ErrorCode::Overloaded`] error frame instead of stalling
 //!   the connection; clients that stop draining their responses (slow
-//!   loris) are evicted on a write timeout or when the answers they hold,
-//!   unsent or waiting their turn, exceed a cap.  The [`RequestBody::MetricsText`] endpoint
+//!   loris) are evicted on a write timeout or when their unsent answers
+//!   exceed a cap.  The [`RequestBody::MetricsText`] endpoint
 //!   renders the serving counters plus the net-tier counters
 //!   ([`NetTierStats`]) as Prometheus-style scrape text.
 //! * [`EqClient`] — a blocking client over one reused connection: one
@@ -52,54 +52,54 @@
 //! # Threading model
 //!
 //! ```text
-//!            ┌──────────────────── poller thread ─────────────────────┐
-//! sockets ──▶ poll(2) → read → FrameDecoder → admission → query? → cache ──miss──▶ job queue ──▶ worker 0..K ──▶ QueryServer (&self)
-//!    ▲       └──▲───────────────────────────────────────────────│────┘                              │
-//!    │          │                                           hit: frame                              │
-//!    │          └ wake pipe: only a worker's backlog (POLLOUT) or close ◀────────────────────────────┤
-//!    └────────── ordered, non-blocking write under the `conn-out` lock ◀─────────────────────────────┘
+//!               ┌───────────────────────── event loop i of K ─────────────────────────┐
+//! listener ────▶│ loop 0 only: accept → loop (n mod K)'s inbox + wake byte            │
+//! sockets ─────▶│ poll(2) → read → FrameDecoder → admit the whole burst → answer each: │
+//!               │   cache-keyed read the cache holds → cached frame                   │
+//!               │   anything else → QueryServer (&self), behind catch_unwind          │
+//!     ◀─────────│ the burst's answers in one non-blocking write; POLLOUT drains rest  │
+//!               └─────────────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! The poller owns the listener, the connection table and every socket's
-//! *read* half (no locks there).  A connection's *write* half — reorder
-//! buffer, unsent bytes, in-flight quota — is a `ConnOut` behind the
-//! connection's `conn-out` mutex and travels with each job: the worker that
-//! executed a request writes the response itself, so a request a worker
-//! answers costs one poller wake-up (its bytes arriving), one worker
-//! wake-up and one `write(2)`.  A read the result cache holds costs less:
-//! the poller decodes the four cache-keyed kinds (`Search`, `SimilarTo`,
-//! `SimilarToFiltered`, `SimilarWithinFiltered`; it peeks the tag, and
-//! every other kind goes to the queue undecoded), probes the cache and, on
-//! a hit, writes a fresh envelope, the cached body bytes and their CRC
-//! itself ([`QueryServer::cached_frame`]) — one poller wake-up and one
-//! `write(2)`, no hand-off and no per-row work.  A miss travels to a worker
-//! decoded and fingerprinted.  Each complete request frame takes a
-//! per-connection sequence number at decode time and responses leave
-//! **strictly in that order**, whoever wrote them — a pipelining client
+//! Each loop owns its connections outright — socket, frame decoder,
+//! unsent answers — so nothing on the request path takes a lock.  Loop 0
+//! also owns the listener and hands each accepted socket to loop
+//! *n* mod *K* (*n* counts accepts) through that loop's inbox and wake
+//! pipe.  A loop reads a connection once per readiness, decodes every
+//! frame of that burst and admits them all — poison check, per-connection
+//! quota, the loop's `queue_capacity` — before it answers any.  It then answers them in request order on its
+//! own thread: a read of one of the four cache-keyed kinds (`Search`,
+//! `SimilarTo`, `SimilarToFiltered`, `SimilarWithinFiltered`) that the
+//! result cache holds is a fresh envelope, the cached body bytes and their
+//! CRC ([`QueryServer::cached_frame`]), and every other request runs to
+//! completion on the server.  The burst's answers leave in one
+//! `write(2)`.  So a request costs one loop wake-up and one `write(2)`,
+//! hit or miss, with no hand-off between threads, and answers leave in
+//! request order by construction — a pipelining client
 //! ([`EqClient::run_batch`]) observes exactly the blocking server's
-//! ordering even though the requests of one connection may be answered by
-//! the poller and by different workers.  The sockets are non-blocking, so
-//! nobody parks on a peer: bytes the socket would not take stay in the
-//! `ConnOut`, a worker writes one byte to the wake pipe (the poller knows
-//! its own), and the poller drains them on `POLLOUT` (or evicts the
-//! connection).  The poller and all workers share the *same* `QueryServer`
-//! by reference — the catalog read/write locking, the CBIR index and the
-//! result cache behave exactly as they do for in-process threads.
+//! ordering.  The sockets are non-blocking, so a loop never parks on a
+//! peer: bytes the socket would not take wait for `POLLOUT` (or the
+//! eviction sweep).  The trade-off is head-of-line blocking within a loop:
+//! a long request (an ingest's fsync, a large panel) delays the other
+//! connections of its own loop, never another loop's, and a pipelining
+//! connection runs at most one read's admitted requests before the
+//! loop's other ready connections get their turn.  All loops share
+//! the *same* `QueryServer` by reference — the catalog read/write locking,
+//! the CBIR index and the result cache behave exactly as they do for
+//! in-process threads.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufReader, Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd as _;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use eq_bigearthnet::patch::Patch;
 use eq_docstore::QueryPlan;
 use eq_proto::{RequestBody, ResponseBody};
-use parking_lot::{Condvar, Mutex};
 use rand::SeedableRng as _;
 
 use crate::engine::SearchResponse;
@@ -257,29 +257,29 @@ pub fn payload_to_filtered(payload: eq_proto::FilteredPayload) -> FilteredRespon
 
 /// Tuning knobs of the event-driven serving tier.
 ///
-/// [`NetServer::bind`] uses [`NetConfig::default`] with only the worker
-/// count overridden; [`NetServer::bind_with`] takes the full set.
+/// [`NetServer::bind`] uses [`NetConfig::default`] with only the loop
+/// count (`workers`) overridden; [`NetServer::bind_with`] takes the full
+/// set.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Dispatch pool size (at least one).  Workers execute requests; the
-    /// poller thread owns all sockets, so this bounds CPU concurrency,
-    /// not connection count.
+    /// Event loops (at least one).  Each is a thread that owns the
+    /// connections assigned to it and runs their requests to completion,
+    /// so this bounds CPU concurrency, not connection count.
     pub workers: usize,
-    /// Per-connection cap on requests concurrently at the dispatch tier.
-    /// A request arriving over quota is answered immediately with a
-    /// typed [`eq_proto::ErrorCode::Overloaded`] error.
+    /// Per-connection cap on the requests of one read burst a loop
+    /// admits.  A request arriving over quota is answered immediately
+    /// with a typed [`eq_proto::ErrorCode::Overloaded`] error.
     pub max_inflight_per_conn: usize,
-    /// Bound of the poller→worker hand-off queue.  A request arriving
-    /// while the queue is full is rejected with `Overloaded` instead of
-    /// stalling the poller.
+    /// Bound on the admitted requests waiting to run on one loop, which
+    /// are those of the one read burst it is serving.  A request over the
+    /// bound is rejected with `Overloaded`.  It bounds the same count as
+    /// `max_inflight_per_conn`, so it only applies when set below it.
     pub queue_capacity: usize,
     /// A connection whose output backlog makes no write progress for
     /// this long is evicted (slow-loris defence).
     pub write_timeout: Duration,
-    /// A connection holding more than this many bytes of answers — unsent
-    /// output plus frames waiting in its reorder buffer behind a slower
-    /// request — is evicted regardless of progress, bounding
-    /// per-connection memory.
+    /// A connection holding more than this many bytes of unsent answers
+    /// is evicted regardless of progress, bounding per-connection memory.
     pub write_buffer_cap: usize,
 }
 
@@ -313,6 +313,8 @@ struct NetStats {
     responses_deferred: AtomicU64,
     answered_on_loop: AtomicU64,
     poller_wakeups: AtomicU64,
+    /// One gauge per loop, written only by that loop.
+    loop_connections: Vec<AtomicU64>,
 }
 
 /// A snapshot of the network-tier counters ([`NetServer::net_stats`]);
@@ -321,7 +323,7 @@ struct NetStats {
 pub struct NetTierStats {
     /// Connections accepted since bind.
     pub accepted: u64,
-    /// Requests rejected with `Overloaded` (quota or full queue).
+    /// Requests rejected with `Overloaded` (quota or a loop at its bound).
     pub rejected_overload: u64,
     /// Connections evicted for not draining their responses.
     pub evicted_slow: u64,
@@ -329,31 +331,39 @@ pub struct NetTierStats {
     pub bytes_in: u64,
     /// Bytes written to sockets.
     pub bytes_out: u64,
-    /// Requests currently queued for the worker pool.
+    /// Admitted requests currently waiting to run, over all loops.
     pub queue_depth: u64,
-    /// High-water mark of the dispatch queue depth.
+    /// High-water mark of [`queue_depth`](Self::queue_depth).
     pub queue_depth_high_water: u64,
     /// Fatal listener errors (the acceptor stopped; connections live on).
     pub acceptor_fatal: u64,
     /// Connections that ended with a protocol or transport fault.
     pub connections_failed: u64,
-    /// Answers to admitted requests — written by the worker that executed
-    /// the request, or by the event loop for a result-cache hit — after
-    /// which nothing was left on the connection for `POLLOUT` to write.
+    /// Answers to admitted requests, result-cache hits included, after
+    /// whose loop's write nothing was left on the connection for
+    /// `POLLOUT` to write.
     pub responses_direct: u64,
-    /// Answers to admitted requests, whoever wrote them, after which the
-    /// socket would not take the whole backlog: the rest waits for the
-    /// poller's `POLLOUT`.
+    /// Answers to admitted requests after whose loop's write the socket
+    /// would not take the whole backlog: the rest waits for `POLLOUT`.
     pub responses_deferred: u64,
-    /// Requests the event loop answered from the result cache itself,
-    /// with no worker hand-off (each also counts as a server cache hit).
+    /// Requests a loop answered from the result cache's encoded bytes
+    /// (each also counts as a server cache hit).
     pub answered_on_loop: u64,
-    /// Returns of the poller's `poll(2)` with at least one ready
-    /// descriptor (idle ticks are not counted).
+    /// Returns of any loop's `poll(2)` with at least one ready descriptor
+    /// (idle ticks are not counted), summed over the loops.
     pub poller_wakeups: u64,
+    /// Connections each event loop owns now, indexed by loop.
+    pub loop_connections: Vec<u64>,
 }
 
 impl NetStats {
+    fn new(loops: usize) -> Self {
+        Self {
+            loop_connections: (0..loops).map(|_| AtomicU64::new(0)).collect(),
+            ..Self::default()
+        }
+    }
+
     fn snapshot(&self) -> NetTierStats {
         NetTierStats {
             accepted: self.accepted.load(Ordering::Relaxed),
@@ -369,17 +379,20 @@ impl NetStats {
             responses_deferred: self.responses_deferred.load(Ordering::Relaxed),
             answered_on_loop: self.answered_on_loop.load(Ordering::Relaxed),
             poller_wakeups: self.poller_wakeups.load(Ordering::Relaxed),
+            loop_connections: self
+                .loop_connections
+                .iter()
+                .map(|gauge| gauge.load(Ordering::Relaxed))
+                .collect(),
         }
     }
 }
 
-/// State shared between the poller, the workers and the [`NetServer`]
-/// handle.  The connection table is *not* here: the poller thread owns it
-/// exclusively; a connection's write half ([`ConnOut`]) travels with its
-/// jobs instead.
+/// State shared by the event loops and the [`NetServer`] handle.  The
+/// connections are not here: each belongs to the one loop that serves it.
 struct Shared {
     server: Arc<QueryServer>,
-    /// Set once by shutdown; checked by the poller and the workers.
+    /// Set once by shutdown; checked by every loop after each wake-up.
     stop: AtomicBool,
     /// Latched when a *mutating* request (ingest, feedback) panicked
     /// mid-dispatch: the write may be half-applied (locks here do not
@@ -387,159 +400,61 @@ struct Shared {
     /// possibly corrupt state.
     poisoned: AtomicBool,
     stats: NetStats,
+    /// Each loop's door, by loop index.
+    doors: Vec<Door>,
 }
 
-/// One request frame on its way to the worker pool.
-struct Job {
-    /// The connection to answer: the worker writes the response itself.
-    conn: Arc<ConnIo>,
-    /// Per-connection sequence number; responses leave in this order so
-    /// pipelined clients see the blocking server's ordering.
-    seq: u64,
-    work: Work,
+/// How a loop is reached from outside its thread: loop 0 leaves the
+/// sockets it accepted for the loop in its inbox, and shutdown only wakes
+/// it.  Either way a byte on the loop's wake pipe gets it out of `poll(2)`.
+struct Door {
+    inbox: mpsc::Sender<TcpStream>,
+    wake: UnixStream,
 }
 
-/// What a worker gets to answer.
-enum Work {
-    /// A frame payload the event loop did not decode: every kind but the
-    /// four cache-keyed reads, and a read payload that does not decode.
-    Raw(Vec<u8>),
-    /// A cache-keyed read the result cache did not hold: decoded and
-    /// fingerprinted once, on the event loop (boxed: a queued job stays a
-    /// few words).
-    Read(Box<eq_proto::Request>, Option<u64>),
-}
-
-impl Work {
-    /// The request id an admission refusal answers under.
-    fn request_id(&self) -> u64 {
-        match self {
-            Work::Raw(payload) => peek_request_id(payload),
-            Work::Read(request, _) => request.id,
-        }
+impl Door {
+    /// Writes one wake byte.  The pipe is non-blocking, and a full pipe
+    /// already wakes the loop, so a `WouldBlock` here loses nothing.
+    fn wake(&self) {
+        let _ = (&self.wake).write(&[1]);
     }
 }
 
-/// The bounded poller→worker hand-off.  One mutex and one condition
-/// variable: a push wakes exactly one parked worker (`notify_one`), where a
-/// `Mutex<mpsc::Receiver>` woke the worker in `recv` *and* the next one
-/// queued on the mutex.  The bound is the backpressure boundary: when the
-/// queue is full the poller rejects with `Overloaded` instead of queueing
-/// unboundedly, so a request flood cannot exhaust memory.
-struct JobQueue {
-    capacity: usize,
-    queue: Mutex<QueueState>,
-    ready: Condvar,
-}
-
-struct QueueState {
-    jobs: VecDeque<Job>,
-    /// The poller is gone: workers drain what is queued and stop.
-    closed: bool,
-}
-
-impl JobQueue {
-    fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            queue: Mutex::with_name(
-                QueueState { jobs: VecDeque::new(), closed: false },
-                "job-queue",
-            ),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Queues a job, or hands it back when the queue is full.
-    fn try_push(&self, job: Job) -> Result<(), Job> {
-        let mut state = self.queue.lock();
-        if state.jobs.len() >= self.capacity {
-            return Err(job);
-        }
-        state.jobs.push_back(job);
-        drop(state);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Blocks for the next job; `None` once the queue is closed and empty.
-    fn pop(&self) -> Option<Job> {
-        let mut state = self.queue.lock();
-        loop {
-            if let Some(job) = state.jobs.pop_front() {
-                return Some(job);
-            }
-            if state.closed {
-                return None;
-            }
-            self.ready.wait(&mut state);
-        }
-    }
-
-    fn close(&self) {
-        self.queue.lock().closed = true;
-        self.ready.notify_all();
-    }
-}
-
-/// A response waiting in a connection's reorder buffer.
-struct PendingResponse {
-    frame: Vec<u8>,
-    fatal: bool,
-}
-
-/// A finished response frame for [`ConnIo::advance`] to file.
-struct Done {
-    seq: u64,
-    /// The fully framed response bytes, ready for the socket.
-    frame: Vec<u8>,
-    /// The connection must close after this frame (a protocol fault).
-    fatal: bool,
-    /// The frame answers an admitted request: release its quota slot.
-    retire: bool,
-}
-
-/// What the poller and the workers share of one connection: the socket
-/// and, behind the `conn-out` lock, its write half.  The poller reads the
-/// socket without any lock.
-struct ConnIo {
+/// One connection, owned by the event loop it was assigned to: the
+/// socket, its frame decoder and the answers the socket has not taken yet.
+struct Conn {
     stream: TcpStream,
-    conn_out: Mutex<ConnOut>,
-}
-
-/// A connection's write half: the reorder buffer, the unsent bytes and the
-/// admission quota.
-struct ConnOut {
+    decoder: eq_wire::frame::FrameDecoder,
     /// Unsent response bytes; `outpos` marks the consumed prefix.
     outbuf: Vec<u8>,
     outpos: usize,
-    /// Sequence number whose response goes out next.
-    next_to_send: u64,
-    /// Out-of-order completions waiting for `next_to_send` to catch up.
-    pending: BTreeMap<u64, PendingResponse>,
-    /// Requests of this connection currently at the dispatch tier: taken
-    /// at admission, released when the answer is filed.
-    inflight: usize,
-    /// A fatal frame was released: nothing may follow it.
-    fatal: bool,
-    /// The write side errored or the connection was closed: frames filed
-    /// from here on are dropped.
-    write_dead: bool,
     /// When the current backlog began, or last shrank.
     last_write_progress: Instant,
+    /// Peer closed its write half (clean EOF observed).
+    read_closed: bool,
+    /// The write side errored: the next sweep closes the connection.
+    write_dead: bool,
+    /// This connection was counted in `connections_failed`.
+    failed: bool,
+    /// Stop reading; close once the output backlog drains.
+    closing: bool,
 }
 
-impl ConnOut {
-    fn new() -> Self {
+impl Conn {
+    fn new(stream: TcpStream) -> Self {
         Self {
+            stream,
+            decoder: eq_wire::frame::FrameDecoder::new(
+                eq_proto::REQUEST_MAGIC,
+                eq_proto::MAX_FRAME_LEN,
+            ),
             outbuf: Vec::new(),
             outpos: 0,
-            next_to_send: 0,
-            pending: BTreeMap::new(),
-            inflight: 0,
-            fatal: false,
-            write_dead: false,
             last_write_progress: Instant::now(),
+            read_closed: false,
+            write_dead: false,
+            failed: false,
+            closing: false,
         }
     }
 
@@ -547,41 +462,20 @@ impl ConnOut {
         self.outpos < self.outbuf.len()
     }
 
-    /// Response bytes the connection holds: the unsent output and the
-    /// frames in the reorder buffer, waiting behind a slower request.
-    fn buffered_bytes(&self) -> usize {
-        let pending: usize = self.pending.values().map(|p| p.frame.len()).sum();
-        self.outbuf.len() - self.outpos + pending
-    }
-
     /// The sweep's eviction test: the unsent output made no progress for
-    /// `write_timeout`, or the connection holds more than
-    /// `write_buffer_cap` bytes of answers, unsent or waiting their turn.
+    /// `write_timeout`, or it is more than `write_buffer_cap` bytes.
+    /// Bytes the socket already took count for neither.
     fn should_evict(&self, now: Instant, write_timeout: Duration, write_buffer_cap: usize) -> bool {
-        let stalled =
-            self.has_backlog() && now.duration_since(self.last_write_progress) >= write_timeout;
-        stalled || self.buffered_bytes() > write_buffer_cap
+        let unsent = self.outbuf.len() - self.outpos;
+        let stalled = unsent > 0 && now.duration_since(self.last_write_progress) >= write_timeout;
+        stalled || unsent > write_buffer_cap
     }
 
-    /// Files a finished frame at its slot and releases every frame that is
-    /// next in the connection's order into the output buffer.  A fatal
-    /// frame is the last: later slots are dropped.
-    fn file(&mut self, seq: u64, frame: Vec<u8>, fatal: bool) {
-        if self.fatal || self.write_dead {
+    /// Queues an answer behind the unsent ones.
+    fn push(&mut self, frame: Vec<u8>) {
+        if self.write_dead {
             return;
         }
-        if seq != self.next_to_send {
-            self.pending.insert(seq, PendingResponse { frame, fatal });
-            return;
-        }
-        self.release(frame, fatal);
-        while !self.fatal {
-            let Some(next) = self.pending.remove(&self.next_to_send) else { break };
-            self.release(next.frame, next.fatal);
-        }
-    }
-
-    fn release(&mut self, frame: Vec<u8>, fatal: bool) {
         if self.has_backlog() {
             self.outbuf.extend_from_slice(&frame);
         } else {
@@ -590,114 +484,44 @@ impl ConnOut {
             self.outbuf = frame;
             self.outpos = 0;
         }
-        self.next_to_send += 1;
-        if fatal {
-            self.fatal = true;
-            self.pending.clear();
-        }
-    }
-}
-
-impl ConnIo {
-    fn new(stream: TcpStream) -> Self {
-        Self { stream, conn_out: Mutex::with_name(ConnOut::new(), "conn-out") }
     }
 
-    /// Takes one slot of the connection's in-flight quota, if there is one.
-    fn admit(&self, quota: usize) -> bool {
-        let mut out = self.conn_out.lock();
-        let admitted = out.inflight < quota;
-        if admitted {
-            out.inflight += 1;
-        }
-        admitted
-    }
-
-    /// The one way bytes reach a peer: files the `done` frames at their
-    /// slots, then writes as much of the in-order backlog as the socket
-    /// accepts right now.  Workers call it with their answer, the poller
-    /// with its own frames (a burst's rejections, a fault frame) and,
-    /// frameless, on `POLLOUT`.
-    /// The socket is non-blocking, so nobody ever parks on a peer: the
-    /// return value says whether unsent bytes remain, which only the
-    /// poller's `POLLOUT` (or the eviction sweep) can deal with.
-    fn advance(&self, stats: &NetStats, done: impl IntoIterator<Item = Done>) -> bool {
-        let mut out = self.conn_out.lock();
-        for done in done {
-            if done.retire {
-                out.inflight = out.inflight.saturating_sub(1);
-            }
-            out.file(done.seq, done.frame, done.fatal);
-        }
-        while out.has_backlog() && !out.write_dead {
+    /// Writes as much of the backlog as the non-blocking socket accepts
+    /// right now.  Returns whether unsent bytes remain, which only
+    /// `POLLOUT` (or the eviction sweep) can deal with.
+    fn flush(&mut self, stats: &NetStats) -> bool {
+        while self.has_backlog() && !self.write_dead {
             // Counted before the write, the unwritten part taken back after
             // it: the write can wake the peer before this thread runs on,
             // and a peer holding a reply must find its bytes in `bytes_out`.
-            let unsent = out.outbuf.len() - out.outpos;
+            let unsent = self.outbuf.len() - self.outpos;
             stats.bytes_out.fetch_add(unsent as u64, Ordering::Relaxed);
-            // lint:allow(lock) a non-blocking socket: the write returns WouldBlock instead of waiting, and the guard is what keeps two writers from interleaving frames
-            let written = (&self.stream).write(&out.outbuf[out.outpos..]);
+            let written = (&self.stream).write(&self.outbuf[self.outpos..]);
             let unwritten = unsent - written.as_ref().map_or(0, |&n| n);
             if unwritten > 0 {
                 stats.bytes_out.fetch_sub(unwritten as u64, Ordering::Relaxed);
             }
             match written {
-                Ok(0) => out.write_dead = true,
+                Ok(0) => self.write_dead = true,
                 Ok(n) => {
-                    out.outpos += n;
-                    if out.has_backlog() {
-                        out.last_write_progress = Instant::now();
+                    self.outpos += n;
+                    if self.has_backlog() {
+                        self.last_write_progress = Instant::now();
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => out.write_dead = true,
+                Err(_) => self.write_dead = true,
             }
         }
-        if !out.has_backlog() {
-            out.outbuf.clear();
-            out.outpos = 0;
-        } else if out.outpos > OUTBUF_COMPACT {
-            let sent = out.outpos;
-            out.outbuf.drain(..sent);
-            out.outpos = 0;
+        if !self.has_backlog() {
+            self.outbuf.clear();
+            self.outpos = 0;
+        } else if self.outpos > OUTBUF_COMPACT {
+            self.outbuf.drain(..self.outpos);
+            self.outpos = 0;
         }
-        out.has_backlog() && !out.write_dead
-    }
-}
-
-/// The poller's per-connection state; the write half lives in `io`.
-struct Conn {
-    io: Arc<ConnIo>,
-    decoder: eq_wire::frame::FrameDecoder,
-    /// Sequence number assigned to the next decoded request.
-    next_seq: u64,
-    /// Peer closed its write half (clean EOF observed).
-    read_closed: bool,
-    /// This connection was counted in `connections_failed`.
-    failed: bool,
-    /// Stop reading; close once the output backlog drains.
-    closing: bool,
-    /// The poller's last view of "there is a backlog to drain": refreshed
-    /// by its own `advance` calls and by every sweep (a worker that leaves
-    /// a backlog wakes the poller, and a wake-up sweeps).
-    want_out: bool,
-}
-
-impl Conn {
-    fn new(stream: TcpStream) -> Self {
-        Self {
-            io: Arc::new(ConnIo::new(stream)),
-            decoder: eq_wire::frame::FrameDecoder::new(
-                eq_proto::REQUEST_MAGIC,
-                eq_proto::MAX_FRAME_LEN,
-            ),
-            next_seq: 0,
-            read_closed: false,
-            failed: false,
-            closing: false,
-            want_out: false,
-        }
+        self.has_backlog() && !self.write_dead
     }
 }
 
@@ -708,7 +532,7 @@ fn want_events(conn: &Conn) -> i16 {
     if !conn.closing && !conn.read_closed {
         events |= polling::POLLIN;
     }
-    if conn.want_out {
+    if conn.has_backlog() && !conn.write_dead {
         events |= polling::POLLOUT;
     }
     events
@@ -716,8 +540,8 @@ fn want_events(conn: &Conn) -> i16 {
 
 /// Reads the request id out of raw frame-payload bytes (version `u16`,
 /// then id `u64`, little-endian) without a full decode — admission-control
-/// rejections need the id for the error frame before any worker sees the
-/// payload.  Returns 0 (the reserved "unknown request" id) for payloads
+/// rejections need the id for the error frame before the payload is
+/// decoded.  Returns 0 (the reserved "unknown request" id) for payloads
 /// too short to carry an envelope.
 fn peek_request_id(payload: &[u8]) -> u64 {
     match payload.get(2..10) {
@@ -753,46 +577,56 @@ fn accept_error_is_fatal(error: &std::io::Error) -> bool {
     !matches!(error.raw_os_error(), Some(12) | Some(23) | Some(24) | Some(105))
 }
 
-/// The poll-loop tick: how often the eviction sweep runs when nothing
-/// else asks for one, and the fallback wake-up should a wake byte ever be
-/// lost.
+/// The sweep tick of a loop that holds a backlog: how often the eviction
+/// sweep runs when nothing else asks for one.  A loop with no backlog
+/// waits in `poll(2)` without a timeout.
 const POLL_TICK: Duration = Duration::from_millis(25);
 
 /// Consumed-prefix threshold past which a connection's output buffer is
 /// compacted instead of growing unboundedly.
 const OUTBUF_COMPACT: usize = 64 * 1024;
 
-/// The event loop: owns the listener, the wake pipe's read end and the
-/// whole connection table; runs on the dedicated poller thread.  Dropping
-/// it (return or unwind) closes the job queue, which is what stops the
-/// workers.
+/// The most bytes one read of a connection takes in: what a loop serves
+/// of one connection before it turns to the next.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// One decoded frame of a read burst, after admission.
+enum Slot {
+    /// An admitted request's payload, answered in turn.
+    Admitted(Vec<u8>),
+    /// A refusal (poisoned server, over quota, loop at its bound), framed.
+    Refused(Vec<u8>),
+}
+
+/// One event loop: its connections, its wake pipe's read end and its
+/// inbox; loop 0 also owns the listener.  Runs on a thread of its own.
 struct EventLoop {
     shared: Arc<Shared>,
     config: NetConfig,
+    /// This loop's index: its door and its `loop_connections` gauge.
+    index: usize,
     listener: Option<TcpListener>,
+    /// Sockets this loop accepted so far: accept *n* goes to loop
+    /// *n* mod *K*.
+    accepted: usize,
     wake_rx: UnixStream,
-    queue: Arc<JobQueue>,
-    conns: HashMap<u64, Conn>,
-    next_conn_id: u64,
-    /// Reused poll set and its parallel connection-id map.
+    inbox: mpsc::Receiver<TcpStream>,
+    conns: Vec<Conn>,
+    /// Reused poll set: the wake pipe, the listener if any, then one entry
+    /// per connection in `conns` order.
     fds: Vec<polling::PollFd>,
-    fd_conns: Vec<u64>,
     readbuf: Vec<u8>,
-}
-
-impl Drop for EventLoop {
-    fn drop(&mut self) {
-        self.queue.close();
-    }
+    /// Reused by every read burst.
+    burst: Vec<Slot>,
 }
 
 impl EventLoop {
     fn run(mut self) {
-        self.readbuf.resize(64 * 1024, 0);
+        self.readbuf.resize(READ_CHUNK, 0);
         let mut next_sweep = Instant::now() + POLL_TICK;
         while !self.shared.stop.load(Ordering::SeqCst) {
-            self.build_poll_set();
-            match polling::poll_fds(&mut self.fds, POLL_TICK.as_millis() as i32) {
+            let timeout = if self.build_poll_set() { POLL_TICK.as_millis() as i32 } else { -1 };
+            match polling::poll_fds(&mut self.fds, timeout) {
                 Ok(0) => {}
                 Ok(_) => {
                     self.shared.stats.poller_wakeups.fetch_add(1, Ordering::Relaxed);
@@ -807,16 +641,14 @@ impl EventLoop {
             if self.shared.stop.load(Ordering::SeqCst) {
                 break;
             }
-            // A request that is read, admitted and answered by a worker
-            // changes no connection's lifecycle, so the steady state never
-            // sweeps outside the tick.  A wake byte (a worker left a
-            // backlog or sent a fatal frame), a POLLOUT drain and an EOF or
-            // fault all can, and ask for a sweep right away.
-            let mut sweep_due = false;
             if self.fds[0].readable_or_closed() {
                 self.drain_wake();
-                sweep_due = true;
+                self.adopt_inbox();
             }
+            // A request that is read and answered changes no connection's
+            // lifecycle, so the steady state never sweeps outside the tick.
+            // A POLLOUT drain and an EOF or fault can, and sweep at once.
+            let mut sweep_due = false;
             let conn_base = match &self.listener {
                 Some(_) => {
                     if self.fds[1].readable_or_closed() {
@@ -828,15 +660,12 @@ impl EventLoop {
             };
             for i in conn_base..self.fds.len() {
                 let fd = self.fds[i];
-                let id = self.fd_conns[i - conn_base];
                 if fd.has(polling::POLLOUT) {
-                    if let Some(conn) = self.conns.get_mut(&id) {
-                        conn.want_out = conn.io.advance(&self.shared.stats, None);
-                        sweep_due = true;
-                    }
+                    self.conns[i - conn_base].flush(&self.shared.stats);
+                    sweep_due = true;
                 }
                 if fd.readable_or_closed() {
-                    sweep_due |= self.read_ready(id);
+                    sweep_due |= self.read_ready(i - conn_base);
                 }
             }
             let now = Instant::now();
@@ -845,23 +674,31 @@ impl EventLoop {
                 next_sweep = now + POLL_TICK;
             }
         }
-        // Shutdown: close every socket so blocked clients observe EOF.
-        for (_, conn) in self.conns.drain() {
-            let _ = conn.io.stream.shutdown(Shutdown::Both);
+        // Shutdown: close every socket so blocked clients observe EOF,
+        // those still waiting in the inbox too.
+        for conn in self.conns.drain(..) {
+            let _ = conn.stream.shutdown(Shutdown::Both);
+        }
+        while let Ok(stream) = self.inbox.try_recv() {
+            let _ = stream.shutdown(Shutdown::Both);
         }
     }
 
-    fn build_poll_set(&mut self) {
+    /// Rebuilds the poll set; returns whether any connection holds a
+    /// backlog (only a backlog needs the sweep tick).
+    fn build_poll_set(&mut self) -> bool {
         self.fds.clear();
-        self.fd_conns.clear();
         self.fds.push(polling::PollFd::new(self.wake_rx.as_raw_fd(), polling::POLLIN));
         if let Some(listener) = &self.listener {
             self.fds.push(polling::PollFd::new(listener.as_raw_fd(), polling::POLLIN));
         }
-        for (&id, conn) in &self.conns {
-            self.fds.push(polling::PollFd::new(conn.io.stream.as_raw_fd(), want_events(conn)));
-            self.fd_conns.push(id);
+        let mut backlog = false;
+        for conn in &self.conns {
+            let events = want_events(conn);
+            backlog |= events & polling::POLLOUT != 0;
+            self.fds.push(polling::PollFd::new(conn.stream.as_raw_fd(), events));
         }
+        backlog
     }
 
     fn drain_wake(&mut self) {
@@ -876,11 +713,26 @@ impl EventLoop {
         }
     }
 
-    /// Accepts a bounded burst of pending connections.  Transient errors
-    /// are skipped; a fatal listener error stops the acceptor for good
-    /// (existing connections keep being served) and is surfaced through
-    /// the `acceptor_fatal` counter — retrying a broken listener forever
-    /// would turn the event loop into a busy spin.
+    /// Takes over the sockets loop 0 left in this loop's inbox.
+    fn adopt_inbox(&mut self) {
+        while let Ok(stream) = self.inbox.try_recv() {
+            self.conns.push(Conn::new(stream));
+        }
+        self.publish_connections();
+    }
+
+    fn publish_connections(&self) {
+        let gauge = &self.shared.stats.loop_connections[self.index];
+        gauge.store(self.conns.len() as u64, Ordering::Relaxed);
+    }
+
+    /// Accepts a bounded burst of pending connections and deals them out
+    /// round-robin in accept order: this loop's share joins its table, any
+    /// other loop's goes to that loop's inbox with a wake byte.  Transient
+    /// errors are skipped; a fatal listener error stops the acceptor for
+    /// good (existing connections keep being served) and is surfaced
+    /// through the `acceptor_fatal` counter — retrying a broken listener
+    /// forever would turn the event loop into a busy spin.
     fn accept_ready(&mut self) {
         for _ in 0..128 {
             let Some(listener) = &self.listener else { return };
@@ -891,9 +743,19 @@ impl EventLoop {
                     }
                     let _ = stream.set_nodelay(true);
                     self.shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                    let id = self.next_conn_id;
-                    self.next_conn_id += 1;
-                    self.conns.insert(id, Conn::new(stream));
+                    let target = self.accepted % self.shared.doors.len();
+                    self.accepted += 1;
+                    if target == self.index {
+                        self.conns.push(Conn::new(stream));
+                        self.publish_connections();
+                    } else {
+                        let door = &self.shared.doors[target];
+                        // A loop that has stopped hands the socket back,
+                        // and dropping it closes it.
+                        if door.inbox.send(stream).is_ok() {
+                            door.wake();
+                        }
+                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if !accept_error_is_fatal(&e) => continue,
@@ -906,85 +768,67 @@ impl EventLoop {
         }
     }
 
-    /// Drains a readable connection: reads a bounded burst, feeds the
-    /// frame decoder, and admits every completed request frame.  Returns
-    /// whether the connection stopped reading (EOF or fault) and so may be
-    /// ready to close.
-    fn read_ready(&mut self, conn_id: u64) -> bool {
-        let Some(conn) = self.conns.get_mut(&conn_id) else { return false };
+    /// Serves a readable connection: one read, and the complete frames it
+    /// brings in ([`serve_burst`]).  One read per readiness bounds what a
+    /// pipelining connection runs before the loop's other connections get
+    /// their turn; level-triggered `poll(2)` signals the bytes left behind
+    /// again.  Returns whether the connection stopped reading or writing
+    /// (EOF, fault, dead write side) and so may be ready to close.
+    fn read_ready(&mut self, index: usize) -> bool {
+        let stats = &self.shared.stats;
+        let conn = &mut self.conns[index];
         if conn.closing {
             return false;
         }
-        // Bound the burst so one firehose connection cannot starve the
-        // rest of the poll set; level-triggered poll re-signals leftovers.
-        for _ in 0..16 {
-            match (&conn.io.stream).read(&mut self.readbuf) {
-                Ok(0) => {
-                    conn.read_closed = true;
-                    if conn.decoder.has_partial_frame() {
-                        // Torn frame: the peer died mid-request.
-                        fault_conn(&self.shared.stats, conn, "connection closed mid-frame");
-                    }
-                    break;
-                }
-                Ok(n) => {
-                    self.shared.stats.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
-                    conn.decoder.extend(&self.readbuf[..n]);
-                    pump_decoder(&self.shared, &self.config, &self.queue, conn);
-                    if conn.closing || n < self.readbuf.len() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+        let read = loop {
+            match (&conn.stream).read(&mut self.readbuf) {
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    // Transport fault (reset mid-stream): count and close.
-                    conn.read_closed = true;
-                    fault_conn(&self.shared.stats, conn, "transport error reading the connection");
-                    break;
+                read => break read,
+            }
+        };
+        match read {
+            Ok(0) => {
+                conn.read_closed = true;
+                if conn.decoder.has_partial_frame() {
+                    // Torn frame: the peer died mid-request.
+                    fault_conn(stats, conn, "connection closed mid-frame");
                 }
             }
+            Ok(n) => {
+                stats.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
+                conn.decoder.extend(&self.readbuf[..n]);
+                serve_burst(&self.shared, &self.config, conn, &mut self.burst);
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+            Err(_) => {
+                // Transport fault (reset mid-stream): count and close.
+                conn.read_closed = true;
+                fault_conn(stats, conn, "transport error reading the connection");
+            }
         }
-        conn.closing || conn.read_closed
+        conn.closing || conn.read_closed || conn.write_dead
     }
 
-    /// Evicts connections that stopped draining their responses, closes
-    /// connections that finished (cleanly or after a fault), and refreshes
-    /// the poller's view of who has a backlog.
+    /// Evicts connections that stopped draining their responses and
+    /// closes connections that finished (cleanly or after a fault).
     fn sweep(&mut self, now: Instant) {
         let stats = &self.shared.stats;
         let config = &self.config;
-        self.conns.retain(|_, conn| {
-            let mut out = conn.io.conn_out.lock();
-            if out.fatal && !conn.closing {
-                // A worker found the payload undecodable: a protocol fault.
-                mark_failed(stats, &mut conn.failed);
-                conn.closing = true;
-            }
-            let close = if out.write_dead {
+        self.conns.retain(|conn| {
+            let close = if conn.write_dead {
                 true
-            } else if out.should_evict(now, config.write_timeout, config.write_buffer_cap) {
+            } else if conn.should_evict(now, config.write_timeout, config.write_buffer_cap) {
                 stats.evicted_slow.fetch_add(1, Ordering::Relaxed);
                 true
-            } else if out.has_backlog() {
-                false
             } else {
-                let drained = out.pending.is_empty() && out.inflight == 0;
-                (conn.closing || conn.read_closed) && drained
+                !conn.has_backlog() && (conn.closing || conn.read_closed)
             };
             if close {
-                // Answers still in flight for this connection are dropped
-                // when their workers file them.
-                out.write_dead = true;
-                out.pending.clear();
-                out.outbuf = Vec::new();
-                out.outpos = 0;
-                let _ = conn.io.stream.shutdown(Shutdown::Both);
-                return false;
+                let _ = conn.stream.shutdown(Shutdown::Both);
             }
-            conn.want_out = out.has_backlog();
-            true
+            !close
         });
+        self.publish_connections();
     }
 }
 
@@ -997,137 +841,169 @@ fn mark_failed(stats: &NetStats, failed: &mut bool) {
     }
 }
 
-/// Fails a connection on a protocol or transport fault: counts it, queues
-/// a best-effort `BadRequest` error frame at the connection's next
-/// response slot (so responses to earlier pipelined requests still go out
+/// Fails a connection on a protocol or transport fault: counts it, sends
+/// a best-effort `BadRequest` error frame behind the answers already
+/// queued (so responses to earlier pipelined requests still go out
 /// first), and stops reading.
 fn fault_conn(stats: &NetStats, conn: &mut Conn, message: &str) {
     mark_failed(stats, &mut conn.failed);
     conn.closing = true;
-    let response = error_response(0, eq_proto::ErrorCode::BadRequest, message);
-    let seq = conn.next_seq;
-    conn.next_seq += 1;
-    let done = Done { seq, frame: encode_response_frame(&response), fatal: true, retire: false };
-    conn.want_out = conn.io.advance(stats, Some(done));
+    conn.push(encode_response_frame(&error_response(0, eq_proto::ErrorCode::BadRequest, message)));
+    conn.flush(stats);
 }
 
-/// Decodes every complete frame buffered on the connection and runs
-/// admission control on each: poisoned server → typed internal error;
-/// over quota or full queue → typed `Overloaded`.  An admitted read of one
-/// of the four cache-keyed kinds is decoded here and, when the result cache
-/// holds its answer, answered here ([`answer_on_loop`]); every other
-/// request, and a read the cache missed, goes to the worker pool.  The
-/// refusals and cache answers of one burst are filed together and leave in
-/// one write, so a flood costs the poller one `write(2)` per read, not one
-/// per request.
-fn pump_decoder(shared: &Shared, config: &NetConfig, queue: &JobQueue, conn: &mut Conn) {
+/// Serves what one read brought in.  Every complete frame is decoded and
+/// admitted first — poisoned server → typed internal error; over the
+/// connection's quota or the loop's `queue_capacity` → typed `Overloaded`
+/// — so no request of the burst runs, and gives its slot back, before
+/// the rest are admitted.  The admitted ones are then answered in request
+/// order ([`answer`]) and the burst's answers, refusals included, leave in
+/// one write, so a flood costs one `write(2)` per read, not one per
+/// request.  A malformed frame faults the connection behind the answers
+/// to the frames ahead of it; a fatal answer ends the burst.
+fn serve_burst(shared: &Shared, config: &NetConfig, conn: &mut Conn, burst: &mut Vec<Slot>) {
     let stats = &shared.stats;
-    let mut filed = Vec::new();
-    let mut answered = 0u64;
-    while !conn.closing {
+    let mut admitted = 0;
+    let mut fault = None;
+    loop {
         match conn.decoder.next_frame() {
             Ok(Some(payload)) => {
-                let seq = conn.next_seq;
-                conn.next_seq += 1;
-                if shared.poisoned.load(Ordering::SeqCst) {
-                    let response = poisoned_response(peek_request_id(&payload));
-                    let frame = encode_response_frame(&response);
-                    filed.push(Done { seq, frame, fatal: false, retire: false });
-                    continue;
-                }
-                if !conn.io.admit(config.max_inflight_per_conn) {
+                let id = || peek_request_id(&payload);
+                let refusal = if shared.poisoned.load(Ordering::SeqCst) {
+                    Some(poisoned_response(id()))
+                } else if admitted >= config.max_inflight_per_conn {
                     let message = format!(
                         "per-connection in-flight quota of {} exceeded; \
                          read responses before sending more requests",
                         config.max_inflight_per_conn
                     );
-                    let id = peek_request_id(&payload);
-                    filed.push(overloaded(stats, seq, id, &message, false));
-                    continue;
-                }
-                let work = if eq_proto::is_query_payload(&payload) {
-                    match answer_on_loop(shared, payload) {
-                        Ok(frame) => {
-                            filed.push(Done { seq, frame, fatal: false, retire: true });
-                            answered += 1;
-                            continue;
-                        }
-                        Err(work) => work,
-                    }
-                } else {
-                    Work::Raw(payload)
-                };
-                // Count the queue slot *before* the push: the worker's
-                // decrement happens-after its pop, so the depth gauge can
-                // never underflow.
-                let depth = stats.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-                stats.queue_depth_hwm.fetch_max(depth, Ordering::Relaxed);
-                if let Err(job) = queue.try_push(Job { conn: Arc::clone(&conn.io), seq, work }) {
-                    stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                    Some(overloaded(stats, id(), &message))
+                } else if admitted >= config.queue_capacity.max(1) {
                     let message = "the server's request queue is full; retry later";
-                    filed.push(overloaded(stats, seq, job.work.request_id(), message, true));
-                }
+                    Some(overloaded(stats, id(), message))
+                } else {
+                    None
+                };
+                burst.push(match refusal {
+                    Some(response) => Slot::Refused(encode_response_frame(&response)),
+                    None => {
+                        admitted += 1;
+                        Slot::Admitted(payload)
+                    }
+                });
             }
             Ok(None) => break,
             // The decoder state is unspecified after an error: fault the
-            // connection (which ends this loop) and never feed it again.
-            Err(e) => fault_conn(stats, conn, &format!("malformed frame: {e}")),
+            // connection once the frames ahead are answered, and never
+            // feed it again.
+            Err(e) => {
+                fault = Some(format!("malformed frame: {e}"));
+                break;
+            }
         }
     }
-    if !filed.is_empty() {
-        conn.want_out = conn.io.advance(stats, filed);
-        if answered > 0 {
-            let counter =
-                if conn.want_out { &stats.responses_deferred } else { &stats.responses_direct };
-            counter.fetch_add(answered, Ordering::Relaxed);
+    let depth = stats.queue_depth.fetch_add(admitted as u64, Ordering::Relaxed) + admitted as u64;
+    stats.queue_depth_hwm.fetch_max(depth, Ordering::Relaxed);
+    let mut answered = 0u64;
+    for slot in burst.drain(..) {
+        match slot {
+            // A fatal answer ended the connection: the rest goes unserved.
+            Slot::Refused(_) if conn.closing => {}
+            Slot::Refused(frame) => conn.push(frame),
+            Slot::Admitted(payload) => {
+                stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                if conn.closing {
+                    continue;
+                }
+                let (frame, fatal) = answer(shared, &payload);
+                conn.push(frame);
+                answered += 1;
+                if fatal {
+                    mark_failed(stats, &mut conn.failed);
+                    conn.closing = true;
+                }
+            }
         }
+    }
+    match fault {
+        Some(message) if !conn.closing => fault_conn(stats, conn, &message),
+        _ => {}
+    }
+    let backlog = conn.flush(stats);
+    if answered > 0 {
+        let counter = if backlog { &stats.responses_deferred } else { &stats.responses_direct };
+        counter.fetch_add(answered, Ordering::Relaxed);
     }
 }
 
-/// The event loop's turn at an admitted read of a cache-keyed kind: decode
-/// it, fingerprint it and probe the result cache.  A hit is the complete
-/// response frame, for the caller to file at the request's own slot; a miss
-/// goes to a worker decoded and fingerprinted, and a payload that does not
-/// decode goes to a worker raw, whose decode answers it with the protocol
-/// fault's fatal frame.  A panic here (a bug the decoder's checks missed)
-/// is the request's internal error, as on a worker: a read mutated nothing,
-/// and the poller lives on.
-fn answer_on_loop(shared: &Shared, payload: Vec<u8>) -> Result<Vec<u8>, Work> {
+/// Answers one admitted request on the loop that read it: decodes it and
+/// answers a read of one of the four cache-keyed kinds the result cache
+/// holds from the cached bytes ([`QueryServer::cached_frame`]),
+/// `MetricsText` — the one kind that reads this tier's counters — here,
+/// and every other request, a read the cache missed included, through the
+/// server's one request entry.  Returns the response frame and whether it
+/// is fatal: a payload that is not a request is a protocol fault.
+///
+/// A panic provoked by one connection's input (a bug this layer's input
+/// validation missed) fails that request instead of killing the loop and
+/// every connection on it.
+fn answer(shared: &Shared, payload: &[u8]) -> (Vec<u8>, bool) {
     let server = &shared.server;
+    let mut write = false;
     let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let request = eq_proto::Request::decode(&payload).ok()?;
+        let request = match eq_proto::Request::decode(payload) {
+            Ok(request) => request,
+            Err(e) => {
+                // The frame was well-formed but the payload is not a request
+                // (wrong version, unknown tag, corrupt fields): a protocol
+                // fault — best-effort error frame under id 0, then close.
+                let message = format!("malformed request: {e}");
+                let response = error_response(0, eq_proto::ErrorCode::BadRequest, &message);
+                return (encode_response_frame(&response), true);
+            }
+        };
+        let id = request.id;
+        // An earlier request of the same burst may have poisoned the server.
+        if shared.poisoned.load(Ordering::SeqCst) {
+            return (encode_response_frame(&poisoned_response(id)), false);
+        }
+        write = request.body.is_write();
+        if let RequestBody::MetricsText = request.body {
+            let text = render_metrics(&server.stats(), &shared.stats.snapshot());
+            return (encode_reply_frame(id, Reply::Body(ResponseBody::MetricsText(text))), false);
+        }
         let fingerprint = server.cache_fingerprint(&request.body);
-        Some(match fingerprint.and_then(|fp| server.cached_frame(&request, fp)) {
-            Some(frame) => Ok(frame),
-            None => Err((request, fingerprint)),
-        })
-    }));
-    match attempt {
-        Ok(Some(Ok(frame))) => {
+        if let Some(frame) = fingerprint.and_then(|fp| server.cached_frame(&request, fp)) {
             // Counted before the write, like the server's hit: a peer
             // holding the answer finds it counted.
             shared.stats.answered_on_loop.fetch_add(1, Ordering::Relaxed);
-            Ok(frame)
+            return (frame, false);
         }
-        Ok(Some(Err((request, fingerprint)))) => Err(Work::Read(Box::new(request), fingerprint)),
-        Ok(None) => Err(Work::Raw(payload)),
-        Err(_) => {
+        (encode_reply_frame(id, server.respond(&request.body, fingerprint)), false)
+    }));
+    attempt.unwrap_or_else(|_| {
+        // A panic in a *read-only* request mutated nothing (the engine read
+        // path takes only shared locks); report it and keep serving.  A
+        // panic in a mutating request may have left a half-applied write
+        // behind — these locks do not poison — so latch the server-wide
+        // poison flag: wrong answers forever are worse than refusing work.
+        let id = peek_request_id(payload);
+        let response = if write {
+            shared.poisoned.store(true, Ordering::SeqCst);
+            poisoned_response(id)
+        } else {
             let message = "internal panic while serving the request";
-            let response =
-                error_response(peek_request_id(&payload), eq_proto::ErrorCode::Internal, message);
-            Ok(encode_response_frame(&response))
-        }
-    }
+            error_response(id, eq_proto::ErrorCode::Internal, message)
+        };
+        (encode_response_frame(&response), false)
+    })
 }
 
-/// A typed `Overloaded` rejection for a request's response slot — the
-/// client gets a definite answer instead of a stalled connection.
-/// `retire` gives back the quota slot of a request that was admitted and
-/// then found the queue full.
-fn overloaded(stats: &NetStats, seq: u64, id: u64, message: &str, retire: bool) -> Done {
+/// A typed `Overloaded` refusal — the client gets a definite answer
+/// instead of a stalled connection.
+fn overloaded(stats: &NetStats, id: u64, message: &str) -> eq_proto::Response {
     stats.rejected_overload.fetch_add(1, Ordering::Relaxed);
-    let response = error_response(id, eq_proto::ErrorCode::Overloaded, message);
-    Done { seq, frame: encode_response_frame(&response), fatal: false, retire }
+    error_response(id, eq_proto::ErrorCode::Overloaded, message)
 }
 
 /// Encodes a response as complete frame bytes, in place behind the frame
@@ -1171,115 +1047,31 @@ fn unsendable(id: u64, e: &eq_proto::ProtoError) -> Vec<u8> {
     frame
 }
 
-/// The worker-pool thread body: take jobs, execute them against the
-/// shared [`QueryServer`], and write the framed response to the
-/// connection.  The poller is woken only when it has something to do: a
-/// backlog the socket would not take, or a faulted connection to close (a
-/// write side that died is found by the next tick's sweep).
-fn worker_loop(shared: Arc<Shared>, queue: Arc<JobQueue>, wake: UnixStream) {
-    let stats = &shared.stats;
-    while let Some(job) = queue.pop() {
-        stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        if shared.stop.load(Ordering::SeqCst) {
-            continue; // draining during shutdown: drop unserved
-        }
-        let (frame, fatal) = process_job(&shared, job.work);
-        let done = Done { seq: job.seq, frame, fatal, retire: true };
-        let backlog = job.conn.advance(stats, Some(done));
-        let counter = if backlog { &stats.responses_deferred } else { &stats.responses_direct };
-        counter.fetch_add(1, Ordering::Relaxed);
-        if backlog || fatal {
-            // Nonblocking one-byte wake; a full pipe already wakes the
-            // poller, so a WouldBlock here loses nothing.
-            let _ = (&wake).write(&[1]);
-        }
-    }
-}
-
-/// Decodes (unless the event loop did) and dispatches one request,
-/// isolating panics.
-///
-/// A panic provoked by one connection's input (a bug this layer's input
-/// validation missed) fails that request instead of killing the pool
-/// worker — otherwise a hostile client could drain the whole pool one
-/// panic at a time.
-fn process_job(shared: &Shared, work: Work) -> (Vec<u8>, bool) {
-    let (request, fingerprint) = match work {
-        Work::Read(request, fingerprint) => (*request, fingerprint),
-        Work::Raw(payload) => match eq_proto::Request::decode(&payload) {
-            Ok(request) => (request, None),
-            Err(e) => {
-                // The frame was well-formed but the payload is not a request
-                // (wrong version, unknown tag, corrupt fields): a protocol
-                // fault — best-effort error frame under id 0, then close.
-                let message = format!("malformed request: {e}");
-                let response = error_response(0, eq_proto::ErrorCode::BadRequest, &message);
-                return (encode_response_frame(&response), true);
-            }
-        },
-    };
-    let id = request.id;
-    if shared.poisoned.load(Ordering::SeqCst) {
-        return (encode_response_frame(&poisoned_response(id)), false);
-    }
-    // The one kind that reads this tier's counters is answered here;
-    // every other goes to the server's one request entry.
-    let reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &request.body {
-        RequestBody::MetricsText => Reply::Body(ResponseBody::MetricsText(render_metrics(
-            &shared.server.stats(),
-            &shared.stats.snapshot(),
-        ))),
-        body => shared.server.respond(body, fingerprint),
-    }));
-    match reply {
-        Ok(reply) => (encode_reply_frame(id, reply), false),
-        Err(_) => {
-            // A panic in a *read-only* request mutated nothing (the
-            // engine read path takes only shared locks); report it
-            // and keep serving.  A panic in a mutating request may
-            // have left a half-applied write behind — these locks
-            // do not poison — so latch the server-wide poison flag:
-            // wrong answers forever are worse than refusing work.
-            let response = if request.body.is_write() {
-                shared.poisoned.store(true, Ordering::SeqCst);
-                poisoned_response(id)
-            } else {
-                let message = "internal panic while serving the request";
-                error_response(id, eq_proto::ErrorCode::Internal, message)
-            };
-            (encode_response_frame(&response), false)
-        }
-    }
-}
-
-/// The TCP serving tier: an event-loop poller thread multiplexing every
-/// connection, plus a bounded worker pool dispatching `eq_proto` requests
-/// onto a shared [`QueryServer`].
+/// The TCP serving tier: K event-loop threads, each multiplexing its share
+/// of the connections and answering their `eq_proto` requests on a shared
+/// [`QueryServer`].
 ///
 /// Dropping the server performs the same graceful shutdown as
 /// [`shutdown`](Self::shutdown).
 pub struct NetServer {
     shared: Arc<Shared>,
     addr: SocketAddr,
-    /// Write end of the poller's wake pipe (shutdown signalling).
-    wake: UnixStream,
-    poller: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    loops: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for NetServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetServer")
             .field("addr", &self.addr)
-            .field("workers", &self.workers.len())
+            .field("loops", &self.loops.len())
             .finish_non_exhaustive()
     }
 }
 
 impl NetServer {
-    /// Binds a listener and starts serving `server` on a pool of
-    /// `workers` threads (at least one), with every other knob at its
-    /// [`NetConfig`] default.
+    /// Binds a listener and starts serving `server` on `workers` event
+    /// loops (at least one), with every other knob at its [`NetConfig`]
+    /// default.
     ///
     /// Bind to port 0 for an ephemeral port; [`local_addr`](Self::local_addr)
     /// reports the actual address.
@@ -1298,8 +1090,8 @@ impl NetServer {
     /// admission-control and eviction settings.
     ///
     /// # Errors
-    /// Fails with [`EarthQubeError::Net`] if the address cannot be bound
-    /// or the event loop's wake pipe cannot be created.
+    /// Fails with [`EarthQubeError::Net`] if the address cannot be bound,
+    /// a loop's wake pipe cannot be created or its thread not spawned.
     pub fn bind_with(
         server: Arc<QueryServer>,
         addr: impl ToSocketAddrs,
@@ -1310,48 +1102,55 @@ impl NetServer {
             .set_nonblocking(true)
             .map_err(|e| net_err("switching the listener to nonblocking", e))?;
         let addr = listener.local_addr().map_err(|e| net_err("resolving the bound address", e))?;
-        let (wake_tx, wake_rx) =
-            UnixStream::pair().map_err(|e| net_err("creating the wake pipe", e))?;
-        wake_rx
-            .set_nonblocking(true)
-            .map_err(|e| net_err("switching the wake pipe to nonblocking", e))?;
-        let _ = wake_tx.set_nonblocking(true);
-
+        let loops = config.workers.max(1);
+        let mut doors = Vec::with_capacity(loops);
+        let mut ends = Vec::with_capacity(loops);
+        for _ in 0..loops {
+            let (wake, wake_rx) =
+                UnixStream::pair().map_err(|e| net_err("creating a wake pipe", e))?;
+            wake_rx
+                .set_nonblocking(true)
+                .map_err(|e| net_err("switching a wake pipe to nonblocking", e))?;
+            let _ = wake.set_nonblocking(true);
+            let (inbox, inbox_rx) = mpsc::channel();
+            doors.push(Door { inbox, wake });
+            ends.push((wake_rx, inbox_rx));
+        }
         let shared = Arc::new(Shared {
             server,
             stop: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
-            stats: NetStats::default(),
+            stats: NetStats::new(loops),
+            doors,
         });
-        let pool = config.workers.max(1);
-        let queue = Arc::new(JobQueue::new(config.queue_capacity.max(1)));
-        // Built before the workers: should spawning one fail, dropping the
-        // loop closes the queue and the workers already running stop.
-        let event_loop = EventLoop {
-            shared: Arc::clone(&shared),
-            config,
-            listener: Some(listener),
-            wake_rx,
-            queue: Arc::clone(&queue),
-            conns: HashMap::new(),
-            next_conn_id: 0,
-            fds: Vec::new(),
-            fd_conns: Vec::new(),
-            readbuf: Vec::new(),
-        };
-        let workers = (0..pool)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                let queue = Arc::clone(&queue);
-                let wake = wake_tx
-                    .try_clone()
-                    .map_err(|e| net_err("cloning the wake pipe for a worker", e))?;
-                Ok(std::thread::spawn(move || worker_loop(shared, queue, wake)))
-            })
-            .collect::<Result<Vec<_>, EarthQubeError>>()?;
-        let poller = std::thread::spawn(move || event_loop.run());
-
-        Ok(Self { shared, addr, wake: wake_tx, poller: Some(poller), workers })
+        let mut net = Self { shared, addr, loops: Vec::with_capacity(loops) };
+        let mut listener = Some(listener);
+        for (index, (wake_rx, inbox)) in ends.into_iter().enumerate() {
+            let event_loop = EventLoop {
+                shared: Arc::clone(&net.shared),
+                config: config.clone(),
+                index,
+                listener: listener.take(),
+                accepted: 0,
+                wake_rx,
+                inbox,
+                conns: Vec::new(),
+                fds: Vec::new(),
+                readbuf: Vec::new(),
+                burst: Vec::new(),
+            };
+            let spawned = std::thread::Builder::new()
+                .name(format!("eq-net-loop-{index}"))
+                .spawn(move || event_loop.run());
+            match spawned {
+                Ok(handle) => net.loops.push(handle),
+                Err(e) => {
+                    net.stop_loops();
+                    return Err(net_err("spawning an event loop", e));
+                }
+            }
+        }
+        Ok(net)
     }
 
     /// The address the server is listening on.
@@ -1381,36 +1180,40 @@ impl NetServer {
         self.shared.poisoned.load(Ordering::SeqCst)
     }
 
-    /// Gracefully shuts down: stops the poller (closing the listener and
-    /// every live connection) and joins every serving thread.  In-flight
-    /// requests that already reached dispatch complete; their connections
-    /// are then closed.
+    /// Gracefully shuts down: stops every event loop (closing the listener
+    /// and every live connection) and joins its thread.  A request a loop
+    /// is running completes first; its connection is then closed.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
-        if self.shared.stop.swap(true, Ordering::SeqCst) {
+        if !self.stop_loops() {
             return; // already shut down
         }
-        // Wake the poller; if the pipe write fails the poll tick still
-        // observes the stop flag within one interval.
-        let _ = (&self.wake).write(&[1]);
-        if let Some(handle) = self.poller.take() {
-            let _ = handle.join();
-        }
-        // The poller closed the job queue on exit; workers drain it
-        // (dropping unserved jobs now that the stop flag is set) and stop.
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-        // With every serving thread joined, no more writes can arrive:
-        // stop the background checkpointer and flush whatever the last
-        // requests dirtied, so a graceful shutdown never loses the final
-        // WAL-only state to a subsequent unclean stop.  Best-effort — a
-        // flush failure leaves the WAL segments, which recovery replays.
+        // With every loop joined, no more writes can arrive: stop the
+        // background checkpointer and flush whatever the last requests
+        // dirtied, so a graceful shutdown never loses the final WAL-only
+        // state to a subsequent unclean stop.  Best-effort — a flush
+        // failure leaves the WAL segments, which recovery replays.
         self.shared.server.stop_checkpointer();
         let _ = self.shared.server.checkpoint_if_dirty();
+    }
+
+    /// Sets the stop flag, wakes every loop through its own pipe (an idle
+    /// loop waits in `poll(2)` without a timeout, so nothing else would)
+    /// and joins them all.  `false` if the loops were already stopped.
+    fn stop_loops(&mut self) -> bool {
+        if self.shared.stop.swap(true, Ordering::SeqCst) {
+            return false;
+        }
+        for door in &self.shared.doors {
+            door.wake();
+        }
+        for handle in self.loops.drain(..) {
+            let _ = handle.join();
+        }
+        true
     }
 }
 
@@ -1422,7 +1225,8 @@ impl Drop for NetServer {
 
 /// Renders the serving counters and the network-tier counters as
 /// Prometheus-style scrape text (one `name value` line per counter,
-/// index occupancy with a `shard` label, one series for the one arena).
+/// index occupancy with a `shard` label, one series for the one arena,
+/// and one connection gauge per event loop with a `loop` label).
 pub(crate) fn render_metrics(stats: &ServerStats, net: &NetTierStats) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -1452,6 +1256,9 @@ pub(crate) fn render_metrics(stats: &ServerStats, net: &NetTierStats) -> String 
     let _ = writeln!(out, "eq_net_responses_deferred_total {}", net.responses_deferred);
     let _ = writeln!(out, "eq_net_answered_on_loop_total {}", net.answered_on_loop);
     let _ = writeln!(out, "eq_net_poller_wakeups_total {}", net.poller_wakeups);
+    for (index, connections) in net.loop_connections.iter().enumerate() {
+        let _ = writeln!(out, "eq_net_loop_connections{{loop=\"{index}\"}} {connections}");
+    }
     out
 }
 
@@ -1892,7 +1699,7 @@ const FRAME_BUF_KEEP: usize = 1 << 20;
 
 /// Builds one request frame in `frame` (cleared first) and sends it with
 /// one `write_all`: header and payload leave in one `write(2)`, so the
-/// server's poller wakes once per request and never decodes half a frame.
+/// server's event loop wakes once per request and never decodes half a frame.
 fn send_frame(
     stream: &mut TcpStream,
     frame: &mut Vec<u8>,
@@ -2011,7 +1818,7 @@ mod tests {
         let addr = net.local_addr();
         let mut client = EqClient::connect(addr).unwrap();
         client.ping().unwrap();
-        net.shutdown(); // joins acceptor and workers; kicks the client
+        net.shutdown(); // joins every event loop; kicks the client
         assert!(client.ping().is_err(), "a kicked client observes the close");
         assert!(EqClient::connect(addr).and_then(|mut c| c.ping()).is_err());
         // A second server on a fresh port serves the same QueryServer.
@@ -2023,9 +1830,9 @@ mod tests {
 
     /// A structurally invalid patch (decodable bytes, non-canonical band
     /// layout) must be rejected with `BadRequest` — never reach the
-    /// engine's unconditional band indexing — and the worker must keep
-    /// serving.  Guards the panic-drain hole: one hostile frame per
-    /// worker would otherwise kill the whole pool.
+    /// engine's unconditional band indexing — and the event loop must keep
+    /// serving.  Guards the panic-drain hole: one hostile frame per loop
+    /// would otherwise kill every loop and its connections.
     #[test]
     fn malformed_patches_are_rejected_not_panicking() {
         let (net, server, _) = served(10, 306);
@@ -2065,7 +1872,7 @@ mod tests {
             Err(EarthQubeError::UnknownImage(_))
         ));
 
-        // The same connection — hence the same pool worker — still serves.
+        // The same connection — hence the same event loop — still serves.
         client.ping().unwrap();
         assert!(client.search(&ImageQuery::all()).is_ok());
         net.shutdown();
@@ -2301,9 +2108,8 @@ mod tests {
     }
 
     /// A frame whose payload carries a query kind's tag but does not
-    /// decode is a protocol fault, answered as it was before the event
-    /// loop decoded queries: the answers to the requests ahead of it (here
-    /// a loop hit and a worker's miss), then the fatal `BadRequest` frame
+    /// decode is a protocol fault: the answers to the requests ahead of it
+    /// (here a cache hit and a miss), then the fatal `BadRequest` frame
     /// under id 0, byte for byte, then the close.
     #[test]
     fn an_undecodable_query_payload_gets_the_fatal_frame() {
@@ -2347,37 +2153,210 @@ mod tests {
         net.shutdown();
     }
 
-    /// The sweep's eviction test sees every byte of answers a connection
-    /// holds: the frames waiting in the reorder buffer behind a slower
-    /// request count toward the buffer cap, though only unsent output that
-    /// makes no progress counts as stalled.
-    #[test]
-    fn eviction_counts_the_frames_waiting_in_the_reorder_buffer() {
-        let mut out = ConnOut::new();
-        let now = out.last_write_progress;
-        let timeout = Duration::from_secs(30);
-        // Slot 0 is still at a worker; slots 1 and 2 wait behind it.
-        out.file(1, vec![0; 600], false);
-        out.file(2, vec![0; 500], false);
-        assert!(!out.has_backlog());
-        assert_eq!(out.buffered_bytes(), 1_100);
-        assert!(out.should_evict(now, timeout, 1_099));
-        assert!(!out.should_evict(now, timeout, 1_100));
-        // Waiting behind a slow request is no stall, however long it lasts.
-        assert!(!out.should_evict(now + 2 * timeout, timeout, 1_100));
+    /// A loopback pair: the accepted side as a loop's connection, and the
+    /// peer, which reads nothing unless the test says so.
+    fn conn_pair() -> (Conn, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        (Conn::new(stream), peer)
+    }
 
-        // Slot 0 arrives: all three are released, in order, to be sent.
-        out.file(0, vec![0; 100], false);
-        assert!(out.pending.is_empty());
-        assert_eq!((out.next_to_send, out.buffered_bytes()), (3, 1_200));
-        assert!(out.should_evict(now, timeout, 1_199));
-        let since = out.last_write_progress;
-        assert!(!out.should_evict(since + timeout - Duration::from_millis(1), timeout, 1_200));
-        assert!(out.should_evict(since + timeout, timeout, 1_200), "stalled output");
-        // Bytes already sent no longer count.
-        out.outpos = 1_000;
-        assert_eq!(out.buffered_bytes(), 200);
-        assert!(!out.should_evict(since, timeout, 200));
+    /// The sweep's eviction test sees the answers a connection holds and
+    /// has not sent: what the socket took counts neither toward the buffer
+    /// cap nor as a stall, and a backlog is stalled only once it made no
+    /// write progress for the whole write timeout.
+    #[test]
+    fn eviction_counts_only_the_unsent_answers() {
+        const FRAME: usize = 8 << 20;
+        let stats = NetStats::new(1);
+        let timeout = Duration::from_secs(30);
+        let (mut conn, mut peer) = conn_pair();
+        let start = Instant::now();
+        assert!(!conn.should_evict(start + 2 * timeout, timeout, 0), "nothing held");
+
+        // Two answers far beyond what the loopback buffers take: the peer
+        // reads nothing, so the write stops short.
+        conn.push(vec![7; FRAME]);
+        conn.push(vec![7; FRAME]);
+        assert!(conn.flush(&stats), "the unread socket leaves a backlog");
+        let sent = stats.bytes_out.load(Ordering::Relaxed) as usize;
+        let unsent = 2 * FRAME - sent;
+        assert!(sent > 0 && conn.outbuf.len() - conn.outpos == unsent);
+        assert!(!conn.should_evict(start, timeout, unsent));
+        assert!(conn.should_evict(start, timeout, unsent - 1));
+        let progress = conn.last_write_progress;
+        assert!(!conn.should_evict(progress + timeout - Duration::from_millis(1), timeout, unsent));
+        assert!(conn.should_evict(progress + timeout, timeout, unsent), "stalled output");
+
+        // Bytes the socket took but the buffer still holds, below the
+        // compaction threshold, count for nothing.
+        conn.outpos += 1_000;
+        assert!(!conn.should_evict(start, timeout, unsent - 1_000));
+        conn.outpos -= 1_000;
+
+        // The peer reads a little: the next write makes progress, which
+        // restarts the stall clock.
+        let mut chunk = vec![0; 1 << 20];
+        peer.read_exact(&mut chunk).unwrap();
+        std::thread::sleep(Duration::from_millis(2));
+        assert!(conn.flush(&stats));
+        assert!(conn.last_write_progress > progress);
+        assert!(
+            !conn.should_evict(progress + timeout, timeout, usize::MAX),
+            "progress is no stall"
+        );
+
+        // The peer drains it all: nothing unsent, nothing to evict.
+        let reader = std::thread::spawn(move || {
+            let mut rest = vec![0; 2 * FRAME - chunk.len()];
+            peer.read_exact(&mut rest).unwrap();
+        });
+        while conn.flush(&stats) {
+            std::thread::yield_now();
+        }
+        reader.join().unwrap();
+        assert_eq!(stats.bytes_out.load(Ordering::Relaxed) as usize, 2 * FRAME);
+        assert!(!conn.has_backlog());
+        assert!(!conn.should_evict(progress + 2 * timeout, timeout, 0));
+    }
+
+    /// Loop 0 deals accepted connections out round-robin in accept order,
+    /// and each loop's gauge counts the connections it owns now.
+    #[test]
+    fn connections_are_dealt_round_robin_over_the_loops() {
+        let (net, _server, _) = served(8, 312);
+        let mut clients: Vec<EqClient> = (0..4)
+            .map(|_| {
+                let mut client = EqClient::connect(net.local_addr()).unwrap();
+                client.ping().unwrap();
+                client
+            })
+            .collect();
+        assert_eq!(net.net_stats().loop_connections, vec![2, 2]);
+        let text = clients[0].metrics_text().unwrap();
+        for index in 0..2 {
+            let line = format!("eq_net_loop_connections{{loop=\"{index}\"}} 2\n");
+            assert!(text.contains(&line), "{text}");
+        }
+        drop(clients);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while net.net_stats().loop_connections != [0, 0] && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(net.net_stats().loop_connections, vec![0, 0], "closed connections leave");
+        net.shutdown();
+    }
+
+    /// A loop serves one read of a connection per readiness, so a
+    /// connection flooding its loop with pipelined requests holds back a
+    /// request on another connection of the same loop by at most two
+    /// reads' worth of answers, however deep the flood.
+    #[test]
+    fn a_pipelining_connection_does_not_hold_its_loop() {
+        let archive = ArchiveGenerator::new(GeneratorConfig::tiny(8, 314)).unwrap().generate();
+        let mut config = EarthQubeConfig::fast(314);
+        config.train_model = false;
+        let server =
+            Arc::new(QueryServer::build(&archive, config, ServeConfig::default()).unwrap());
+        // No quota below what one read holds: only the read bounds a turn.
+        let config = NetConfig {
+            workers: 1,
+            max_inflight_per_conn: usize::MAX,
+            queue_capacity: usize::MAX,
+            ..NetConfig::default()
+        };
+        let net = NetServer::bind_with(server, "127.0.0.1:0", config).unwrap();
+        const FLOOD: usize = 200_000;
+        let mut flood = Vec::new();
+        for id in 0..FLOOD as u64 {
+            let ping = eq_proto::Request { id, body: RequestBody::Ping };
+            eq_proto::write_request(&mut flood, &ping).unwrap();
+        }
+        let frame_len = flood.len() / FLOOD;
+        assert_eq!(flood.len(), FLOOD * frame_len, "every ping frame is the same length");
+        let per_read = (READ_CHUNK / frame_len + 1) as u64;
+
+        // A ping on each puts both connections in the loop's table, the
+        // flooder first, so it is read first in every round.
+        let mut flooder = TcpStream::connect(net.local_addr()).unwrap();
+        let mut other = TcpStream::connect(net.local_addr()).unwrap();
+        for stream in [&mut flooder, &mut other] {
+            let ping = eq_proto::Request { id: 0, body: RequestBody::Ping };
+            eq_proto::write_request(stream, &ping).unwrap();
+            assert_eq!(eq_proto::read_response(stream).unwrap().unwrap().body, ResponseBody::Pong);
+        }
+        let mut drain = flooder.try_clone().unwrap();
+        let writer = std::thread::spawn(move || flooder.write_all(&flood));
+        let reader = std::thread::spawn(move || std::io::copy(&mut drain, &mut std::io::sink()));
+        let answers = |s: &NetTierStats| s.responses_direct + s.responses_deferred;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while answers(&net.net_stats()) <= 2 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+
+        // The loop renders the scrape text when it serves the request, so
+        // its answer counters say how many answers went out before it.
+        let scrape = eq_proto::Request { id: 1, body: RequestBody::MetricsText };
+        eq_proto::write_request(&mut other, &scrape).unwrap();
+        let before = answers(&net.net_stats());
+        let text = match eq_proto::read_response(&mut other).unwrap().unwrap().body {
+            ResponseBody::MetricsText(text) => text,
+            other => panic!("not a scrape: {other:?}"),
+        };
+        let counter = |name: &str| -> u64 {
+            let line = text.lines().find(|line| line.starts_with(name)).unwrap();
+            line.rsplit(' ').next().unwrap().parse().unwrap()
+        };
+        let served =
+            counter("eq_net_responses_direct_total ") + counter("eq_net_responses_deferred_total ");
+        assert!(served < FLOOD as u64, "the flood was still running: {served}");
+        let overtaking = served.saturating_sub(before);
+        assert!(overtaking <= 2 * per_read, "{overtaking} answers overtook the scrape");
+
+        net.shutdown();
+        let _ = writer.join().unwrap();
+        let _ = reader.join().unwrap();
+    }
+
+    /// Shutdown wakes every loop through its own pipe and joins it: an idle
+    /// loop waits in `poll(2)` without a timeout, so a loop left unwoken
+    /// would neither close its connections nor return.
+    #[test]
+    fn dropping_the_server_wakes_and_joins_every_loop() {
+        let archive = ArchiveGenerator::new(GeneratorConfig::tiny(8, 313)).unwrap().generate();
+        let mut config = EarthQubeConfig::fast(313);
+        config.train_model = false;
+        let server =
+            Arc::new(QueryServer::build(&archive, config, ServeConfig::default()).unwrap());
+        let net = NetServer::bind(server, "127.0.0.1:0", 4).unwrap();
+        let mut ping = Vec::new();
+        eq_proto::write_request(&mut ping, &eq_proto::Request { id: 1, body: RequestBody::Ping })
+            .unwrap();
+        let mut clients: Vec<TcpStream> = (0..4)
+            .map(|_| {
+                let mut stream = TcpStream::connect(net.local_addr()).unwrap();
+                stream.write_all(&ping).unwrap();
+                let pong = eq_proto::read_response(&mut stream).unwrap().unwrap();
+                assert_eq!(pong.body, ResponseBody::Pong);
+                stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                stream
+            })
+            .collect();
+        assert_eq!(net.net_stats().loop_connections, vec![1; 4], "one idle connection per loop");
+
+        // Dropped on a thread of its own: a loop never woken hangs the join.
+        let (joined, dropped) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            drop(net);
+            let _ = joined.send(());
+        });
+        for (index, stream) in clients.iter_mut().enumerate() {
+            let mut byte = [0u8; 1];
+            assert_eq!(stream.read(&mut byte).ok(), Some(0), "client {index} reads EOF");
+        }
+        dropped.recv_timeout(Duration::from_secs(10)).expect("every loop is joined");
     }
 
     #[test]

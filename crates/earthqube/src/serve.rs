@@ -752,7 +752,7 @@ impl QueryServer {
     /// `SimilarWithinFiltered` — or `None` for every other kind and while
     /// the cache is off.  The event loop computes it once per request and
     /// hands it to [`cached_frame`](Self::cached_frame) and, on a miss, to
-    /// the worker.
+    /// [`call`](Self::call)'s work.
     pub fn cache_fingerprint(&self, body: &RequestBody) -> Option<u64> {
         (self.serve.cache_capacity > 0 && body.is_query())
             .then(|| fingerprint(&KeyRef::Request(body)))
@@ -770,8 +770,8 @@ impl QueryServer {
         let body = self.cache.lookup(fingerprint, |k| k.as_ref() == key)?;
         // lint:allow(hot-path) the frame buffer: empty here, grown once by the framing to the frame's exact size
         let mut frame = Vec::new();
-        // A body too large for a frame goes to a worker, whose framing
-        // replaces it with a typed error.
+        // A body too large for a frame is answered the long way, whose
+        // framing replaces it with a typed error.
         eq_proto::frame_encoded_response(&mut frame, request.id, &body).ok()?;
         self.cache_hits.fetch_add(1, Ordering::Relaxed);
         Some(frame)
