@@ -19,7 +19,7 @@ pub enum Country {
 }
 
 impl Country {
-    /// All ten countries, alphabetically.
+    /// All ten countries, alphabetically, in declaration order.
     pub const ALL: [Country; 10] = [
         Country::Austria,
         Country::Belgium,
@@ -52,13 +52,6 @@ impl Country {
     /// Parses a country from its English name (case-insensitive).
     pub fn from_name(name: &str) -> Option<Country> {
         Country::ALL.iter().copied().find(|c| c.name().eq_ignore_ascii_case(name))
-    }
-
-    /// The country whose [`name`](Self::name) is exactly `name`, given as
-    /// text or as undecoded bytes: the inverse the wire decoder uses, so
-    /// `"portugal"` is no country.
-    pub fn from_exact_name(name: impl AsRef<[u8]>) -> Option<Country> {
-        Country::ALL.iter().copied().find(|c| c.name().as_bytes() == name.as_ref())
     }
 
     /// An approximate land bounding box (continental territory) used by the
@@ -141,15 +134,6 @@ mod tests {
             assert_eq!(Country::from_name(&c.name().to_uppercase()), Some(c));
         }
         assert_eq!(Country::from_name("Germany"), None);
-    }
-
-    #[test]
-    fn exact_names_roundtrip_and_nothing_else_parses() {
-        for c in Country::ALL {
-            assert_eq!(Country::from_exact_name(c.name()), Some(c));
-            assert_eq!(Country::from_exact_name(c.name().to_lowercase()), None);
-        }
-        assert_eq!(Country::from_exact_name(""), None);
     }
 
     #[test]

@@ -354,45 +354,6 @@ impl Label {
         NAMES[self.index()]
     }
 
-    /// Looks a class up by its full CLC name (exact match), given as text
-    /// or as undecoded bytes off the wire.  The 43 names have 25 distinct
-    /// lengths, at most four names each, so the lookup is an index by
-    /// length and at most four comparisons; nothing allocates.
-    pub fn from_name(name: impl AsRef<[u8]>) -> Option<Label> {
-        /// [`Label::ALL`] ordered by name length, sorted at compile time.
-        const BY_LENGTH: [Label; Label::COUNT] = {
-            let mut table = Label::ALL;
-            let mut sorted = 1;
-            while sorted < table.len() {
-                let mut at = sorted;
-                while at > 0 && table[at].name().len() < table[at - 1].name().len() {
-                    (table[at], table[at - 1]) = (table[at - 1], table[at]);
-                    at -= 1;
-                }
-                sorted += 1;
-            }
-            table
-        };
-        const LONGEST: usize = BY_LENGTH[Label::COUNT - 1].name().len();
-        /// `FIRST[len]` is where the names at least `len` long start in
-        /// `BY_LENGTH`, so those exactly `len` long end at `FIRST[len + 1]`.
-        const FIRST: [usize; LONGEST + 2] = {
-            let mut first = [0; LONGEST + 2];
-            let (mut len, mut at) = (0, 0);
-            while len < first.len() {
-                while at < BY_LENGTH.len() && BY_LENGTH[at].name().len() < len {
-                    at += 1;
-                }
-                first[len] = at;
-                len += 1;
-            }
-            first
-        };
-        let name = name.as_ref();
-        let same_length = &BY_LENGTH[*FIRST.get(name.len())?..*FIRST.get(name.len() + 1)?];
-        same_length.iter().copied().find(|label| label.name().as_bytes() == name)
-    }
-
     /// The single printable-ASCII character EarthQube maps the class to in
     /// the metadata store, "avoiding the manipulation of long strings"
     /// (§3.2 of the paper).  Characters start at `'A'`.
@@ -693,19 +654,11 @@ mod tests {
     }
 
     #[test]
-    fn names_are_unique_and_roundtrip() {
+    fn names_are_unique() {
         let mut names: Vec<&str> = Label::ALL.iter().map(|l| l.name()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 43);
-        for l in Label::ALL {
-            assert_eq!(Label::from_name(l.name()), Some(l));
-        }
-        // Misses of every kind: a length no name has, a length some names
-        // have, either end of the order, another case.
-        for miss in ["", "Lava fields", "Sea and oceaN", "sea and ocean", "Pasture", "Pasturesx"] {
-            assert_eq!(Label::from_name(miss), None, "{miss:?}");
-        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ impl AcquisitionDate {
     }
 
     /// The ten ASCII bytes of the ISO-like `YYYY-MM-DD` form, as used in
-    /// the metadata store and on the wire: the one date formatter, exact
+    /// the metadata store and by `Display`: the one date formatter, exact
     /// for every date [`new`](Self::new) accepts and allocation-free.
     pub fn iso_bytes(&self) -> [u8; 10] {
         let digit = |n: u16| b'0' + (n % 10) as u8;

@@ -5,8 +5,9 @@
 //! a query returns is the row the wire carries) holds the metadata table's
 //! `Copy` country, date and label set beside the patch name, never their
 //! display strings, so building or cloning one (`page`, the result cache)
-//! is one allocation; only `eq_proto`'s encoder and
-//! [`ResultEntry::describe`] render names.
+//! is one allocation.  The wire carries those typed fields too (a country
+//! tag, the date's numbers, the label bits); only
+//! [`ResultEntry::describe`] renders names.
 
 pub use eq_proto::ResultEntry;
 

@@ -81,8 +81,10 @@
 //!   pair a server returns for a chunk slice.
 //!
 //! A remote client therefore reconstructs results byte-identical to an
-//! in-process call ([`ResultEntry`] says how a typed row becomes strings on
-//! the wire and back).  Protocol drift is guarded by the golden-bytes
+//! in-process call ([`ResultEntry`] says how each typed field of a row
+//! crosses the wire).  Every enum the protocol carries crosses as a `u8`
+//! tag, a date as `u16` year, `u8` month, `u8` day, and a label set as its
+//! `u64` bits.  Protocol drift is guarded by the golden-bytes
 //! conformance suite in `tests/golden_bytes.rs`: the encoding of every
 //! message type is pinned to committed fixture files.
 
@@ -100,7 +102,7 @@ use eq_wire::{Reader, WireError, Writer};
 
 /// Protocol version; bumped on any byte-layout change.  Decoders reject
 /// frames carrying any other version.
-pub const PROTOCOL_VERSION: u16 = 1;
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Frame magic of client→server frames.
 pub const REQUEST_MAGIC: [u8; 4] = *b"EQRQ";
@@ -769,8 +771,8 @@ impl QuerySpec {
             });
         }
         w.seq_len(self.countries.len());
-        for country in &self.countries {
-            w.str(country.name());
+        for &country in &self.countries {
+            encode_country(country, w);
         }
         match &self.labels {
             None => w.u8(0),
@@ -820,14 +822,8 @@ impl QuerySpec {
                 other => Err(WireError::Corrupt(format!("unknown season tag {other}"))),
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let n = r.seq_len(4)?;
-        let countries = (0..n)
-            .map(|_| {
-                let name = r.str()?;
-                Country::from_name(name)
-                    .ok_or_else(|| WireError::Corrupt(format!("unknown country {name:?}")))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let n = r.seq_len(1)?;
+        let countries = (0..n).map(|_| decode_country(r)).collect::<Result<Vec<_>, _>>()?;
         let labels = match r.bool()? {
             false => None,
             true => {
@@ -867,6 +863,20 @@ fn decode_date(r: &mut Reader<'_>) -> Result<AcquisitionDate, WireError> {
     let (year, month, day) = (r.u16()?, r.u8()?, r.u8()?);
     AcquisitionDate::new(year, month, day)
         .ok_or_else(|| WireError::Corrupt(format!("invalid date {year}-{month}-{day}")))
+}
+
+/// A country's tag is its position in `Country::ALL`, which lists the
+/// variants in declaration order.
+fn encode_country(country: Country, w: &mut Writer) {
+    w.u8(country as u8);
+}
+
+fn decode_country(r: &mut Reader<'_>) -> Result<Country, WireError> {
+    let tag = r.u8()?;
+    Country::ALL
+        .get(usize::from(tag))
+        .copied()
+        .ok_or_else(|| WireError::Corrupt(format!("unknown country tag {tag}")))
 }
 
 const SHAPE_RECT: u8 = 1;
@@ -926,19 +936,19 @@ fn decode_geo_shape(r: &mut Reader<'_>) -> Result<GeoShape, WireError> {
 // ---------------------------------------------------------------------------
 
 /// One row of the result panel: one allocation, the name.  Country, date
-/// and labels are the metadata table's `Copy` values; they become display
-/// strings only on the wire, in the frame buffer, and in
-/// [`describe`](Self::describe).
+/// and labels are the metadata table's `Copy` values and cross the wire as
+/// such; they become display strings only in [`describe`](Self::describe).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResultEntry {
     /// Patch name.
     pub name: String,
-    /// Country of acquisition (on the wire: `Country::name`).
+    /// Country of acquisition (on the wire: a `u8` tag, its position in
+    /// `Country::ALL`).
     pub country: Country,
-    /// Acquisition date (on the wire: ISO `YYYY-MM-DD`).
+    /// Acquisition date (on the wire: `u16` year, `u8` month, `u8` day, as
+    /// in a query's date range).
     pub date: AcquisitionDate,
-    /// The patch's labels (on the wire: `Label::name`s in `LabelSet::iter`
-    /// order).
+    /// The patch's labels (on the wire: `LabelSet::bits`, a `u64`).
     pub labels: LabelSet,
     /// Hamming distance to the query image (only for similarity searches).
     pub distance: Option<u32>,
@@ -969,45 +979,37 @@ impl ResultEntry {
     }
 }
 
-/// The one place the serving path renders a country, date or label.
+/// A row is its typed fields: the name, the country's tag, the date, the
+/// label set's bits and the optional distance.
 fn encode_row(row: &ResultEntry, w: &mut Writer) {
     w.str(&row.name);
-    w.str(row.country.name());
-    w.bytes(&row.date.iso_bytes());
-    w.seq_len(row.labels.len());
-    for label in row.labels.iter() {
-        w.str(label.name());
-    }
+    encode_country(row.country, w);
+    encode_date(row.date, w);
+    w.u64(row.labels.bits());
     w.bool(row.distance.is_some());
     if let Some(d) = row.distance {
         w.u32(d);
     }
 }
 
-/// Accepts only what [`encode_row`] writes, matched byte for byte: an unknown
-/// country or label, a date that is not a valid fixed-width `YYYY-MM-DD` and
-/// labels not strictly ascending are corrupt.
+/// The fewest bytes [`encode_row`] writes: an empty name's length prefix,
+/// the country tag, the date, the label bits and the distance flag.
+const MIN_ROW_LEN: usize = 4 + 1 + 4 + 8 + 1;
+
+/// Accepts only what [`encode_row`] writes: an unknown country tag, a label
+/// bit at or past `Label::COUNT` and an invalid date are corrupt, so
+/// whatever decodes re-encodes to the bytes it came from.
 fn decode_row(r: &mut Reader<'_>) -> Result<ResultEntry, WireError> {
-    let corrupt = |what: &str, bytes: &[u8]| {
-        WireError::Corrupt(format!("{what} {:?}", String::from_utf8_lossy(bytes)))
-    };
     let name = r.str()?.to_string();
-    let country = r.bytes()?;
-    let country =
-        Country::from_exact_name(country).ok_or_else(|| corrupt("unknown country", country))?;
-    let date = r.bytes()?;
-    let date = AcquisitionDate::from_iso(date).ok_or_else(|| corrupt("invalid date", date))?;
-    let mut labels = LabelSet::EMPTY;
-    for _ in 0..r.seq_len(4)? {
-        let label = r.bytes()?;
-        let label = Label::from_name(label).ok_or_else(|| corrupt("unknown label", label))?;
-        if labels.bits() >> label.index() != 0 {
-            return Err(corrupt("label not in ascending order:", label.name().as_bytes()));
-        }
-        labels.insert(label);
+    let country = decode_country(r)?;
+    let date = decode_date(r)?;
+    let bits = r.u64()?;
+    if bits >> Label::COUNT != 0 {
+        let bit = 63 - bits.leading_zeros();
+        return Err(WireError::Corrupt(format!("label bit {bit} out of range")));
     }
     let distance = r.bool()?.then(|| r.u32()).transpose()?;
-    Ok(ResultEntry { name, country, date, labels, distance })
+    Ok(ResultEntry { name, country, date, labels: LabelSet::from_bits(bits), distance })
 }
 
 /// The planner report of a metadata search, mirroring
@@ -1067,7 +1069,7 @@ impl SearchPayload {
     /// # Errors
     /// Returns [`WireError`] on truncation or corrupt fields.
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let n = r.seq_len(14)?;
+        let n = r.seq_len(MIN_ROW_LEN)?;
         let rows = (0..n).map(|_| decode_row(r)).collect::<Result<Vec<_>, _>>()?;
         let page_size = r.u64()?;
         let n = r.seq_len(8)?;
@@ -2104,6 +2106,36 @@ mod tests {
         let mut bytes = Request { id: 1, body: RequestBody::Ping }.encode();
         bytes[0] = 99; // version low byte
         assert!(matches!(Request::decode(&bytes), Err(WireError::Corrupt(_))));
+    }
+
+    /// A version 1 peer wrote rows as strings; its frames are refused by the
+    /// envelope, before a row is read, so no v1 row is ever read as v2.
+    #[test]
+    fn a_version_1_frame_is_refused_not_misread() {
+        let mut frame = Vec::new();
+        frame_with(&mut frame, &RESPONSE_MAGIC, |w| {
+            w.u16(1);
+            w.u64(3);
+            w.u8(RESP_SEARCH);
+            w.seq_len(1);
+            for field in ["p", "Portugal", "2017-07-17"] {
+                w.str(field);
+            }
+            w.seq_len(1);
+            w.str("Sea and ocean");
+            w.bool(false);
+            w.u64(50);
+            w.seq_len(0);
+            w.u64(1);
+            w.u8(0);
+        })
+        .unwrap();
+        match read_response(&mut std::io::Cursor::new(frame)) {
+            Err(ProtoError::Message(WireError::Corrupt(message))) => {
+                assert!(message.starts_with("protocol version 1 "), "{message}")
+            }
+            other => panic!("a version 1 frame read as {other:?}"),
+        }
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! grammar, including every request and response tag.
 //!
 //! Result rows are typed (country, date, label set) and cross the wire as
-//! their display strings.  Two more properties fence that: the typed
-//! encoder writes the bytes a string-rendering reference writes, and the
-//! decoder accepts only what the encoder writes — a corrupt row is a
-//! [`WireError`], and whatever decodes re-encodes to the bytes it came from.
+//! those typed fields: a country tag, the date's year, month and day, and
+//! the label set's bits.  Two more properties fence that: the encoder
+//! writes the bytes a field-by-field reference writes, and the decoder
+//! accepts only what the encoder writes — a corrupt row is a [`WireError`],
+//! and whatever decodes re-encodes to the bytes it came from.
 
 use eq_bigearthnet::bands::BandData;
 use eq_bigearthnet::labels::LabelSet;
@@ -24,7 +25,7 @@ use eq_proto::{
     ErrorCode, ErrorPayload, IngestReport, LabelFilterSpec, LabelOp, PlanSpec, QuerySpec, Request,
     RequestBody, Response, ResponseBody, ResultEntry, SearchPayload, ServerStats,
 };
-use eq_wire::{WireError, Writer};
+use eq_wire::{Reader, WireError, Writer};
 use proptest::prelude::*;
 
 /// Consumes up to `n` bytes of the script as a big-endian integer; an
@@ -87,31 +88,43 @@ fn search_from_script(script: &mut &[u8]) -> SearchPayload {
     }
 }
 
-/// The search payload as every server before typed rows wrote it: each
-/// row's country, date and labels rendered into owned strings first, then
-/// written as strings.  Shares nothing with the encoder under test — not
-/// even the date formatter.
+/// One row as the protocol lays it out, written field by field from raw
+/// values: the name, the country tag, the date's year, month and day, the
+/// label bits and the optional distance.
+fn reference_row(
+    w: &mut Writer,
+    name: &str,
+    country_tag: u8,
+    (year, month, day): (u16, u8, u8),
+    label_bits: u64,
+    distance: Option<u32>,
+) {
+    w.str(name);
+    w.u8(country_tag);
+    w.u16(year);
+    w.u8(month);
+    w.u8(day);
+    w.u64(label_bits);
+    match distance {
+        None => w.u8(0),
+        Some(d) => {
+            w.u8(1);
+            w.u32(d);
+        }
+    }
+}
+
+/// The search payload, every field written by hand.  Shares nothing with
+/// the encoder under test: the country tag is found by searching
+/// `Country::ALL`, the label bits are summed from the labels' indexes.
 fn reference_search_bytes(payload: &SearchPayload) -> Vec<u8> {
     let mut w = Writer::new();
     w.seq_len(payload.rows.len());
     for row in &payload.rows {
-        let country: String = row.country.name().to_string();
-        let date = format!("{:04}-{:02}-{:02}", row.date.year, row.date.month, row.date.day);
-        let labels: Vec<String> = row.labels.iter().map(|l| l.name().to_string()).collect();
-        w.str(&row.name);
-        w.str(&country);
-        w.str(&date);
-        w.seq_len(labels.len());
-        for label in &labels {
-            w.str(label);
-        }
-        match row.distance {
-            None => w.u8(0),
-            Some(d) => {
-                w.u8(1);
-                w.u32(d);
-            }
-        }
+        let country_tag = Country::ALL.iter().position(|&c| c == row.country).unwrap() as u8;
+        let label_bits = row.labels.iter().fold(0u64, |bits, l| bits | 1 << l.index());
+        let date = (row.date.year, row.date.month, row.date.day);
+        reference_row(&mut w, &row.name, country_tag, date, label_bits, row.distance);
     }
     w.u64(payload.page_size);
     w.seq_len(payload.label_counts.len());
@@ -315,8 +328,8 @@ proptest! {
         prop_assert_eq!(response_frame(&back), frame);
     }
 
-    /// The wire did not move: the typed encoder's bytes are the bytes of the
-    /// string-rendering reference, for any rows.
+    /// The encoder's bytes are the bytes of the field-by-field reference,
+    /// for any rows.
     #[test]
     fn typed_rows_encode_to_the_reference_bytes(
         script in proptest::collection::vec(0u8..=255u8, 0..160),
@@ -409,52 +422,50 @@ proptest! {
     }
 }
 
-/// A search response of one row whose wire strings have been edited in
-/// place: `edits` are same-length `(from, to)` substitutions, each applied
-/// to the first occurrence.
-fn decode_edited_row(edits: &[(&str, &str)]) -> Result<Response, WireError> {
-    let row = ResultEntry {
-        name: "patch_a".into(),
-        country: Country::Portugal,
-        date: AcquisitionDate::new(2017, 7, 17).unwrap(),
-        labels: LabelSet::from_labels([Label::Pastures, Label::Peatbogs, Label::SeaAndOcean]),
-        distance: Some(3),
-    };
-    let payload = SearchPayload {
-        rows: vec![row],
-        page_size: 50,
-        label_counts: vec![0; Label::COUNT],
-        image_count: 1,
-        plan: None,
-    };
-    let mut bytes = Response { id: 1, body: ResponseBody::Search(payload) }.encode();
-    for (from, to) in edits {
-        assert_eq!(from.len(), to.len(), "an edit must keep every length prefix true");
-        let at = bytes.windows(from.len()).position(|w| w == from.as_bytes()).expect("present");
-        bytes[at..at + to.len()].copy_from_slice(to.as_bytes());
-    }
-    Response::decode(&bytes)
+/// A search payload of one row whose country tag, date and label bits are
+/// written raw, as a damaged or hostile peer could send them.
+fn decode_raw_row(
+    country_tag: u8,
+    date: (u16, u8, u8),
+    label_bits: u64,
+) -> Result<SearchPayload, WireError> {
+    let mut w = Writer::new();
+    w.seq_len(1);
+    reference_row(&mut w, "patch_a", country_tag, date, label_bits, Some(3));
+    w.u64(50);
+    w.seq_len(0);
+    w.u64(1);
+    w.u8(0);
+    let bytes = w.into_bytes();
+    let mut r = Reader::new(&bytes);
+    let payload = SearchPayload::decode(&mut r)?;
+    assert!(r.is_empty(), "the payload decoded short");
+    Ok(payload)
 }
 
 #[test]
-fn the_four_ways_a_row_is_corrupt_are_typed_errors() {
-    assert!(decode_edited_row(&[]).is_ok());
-    let corrupt = |edits: &[(&str, &str)], what: &str| match decode_edited_row(edits) {
+fn the_three_ways_a_row_is_corrupt_are_typed_errors() {
+    let (portugal, date, labels) = (7, (2017, 7, 17), 1 | 1 << 42);
+    let row = decode_raw_row(portugal, date, labels).unwrap().rows.remove(0);
+    assert_eq!(row.country, Country::Portugal);
+    assert_eq!(row.date, AcquisitionDate::new(2017, 7, 17).unwrap());
+    assert_eq!(row.labels, LabelSet::from_labels([Label::ALL[0], Label::ALL[42]]));
+    let corrupt = |decoded: Result<SearchPayload, WireError>, what: &str| match decoded {
         Err(WireError::Corrupt(message)) => assert!(message.contains(what), "{message}"),
-        other => panic!("{edits:?} decoded to {other:?}"),
+        other => panic!("expected {what:?}, decoded {other:?}"),
     };
-    // Only the exact display names are names: no case folding on the wire.
-    corrupt(&[("Portugal", "portugal")], "unknown country");
-    corrupt(&[("Portugal", "Bulgaria")], "unknown country");
-    corrupt(&[("Sea and ocean", "sea and ocean")], "unknown label");
-    corrupt(&[("Sea and ocean", "Sea and 0cean")], "unknown label");
-    // Only the fixed-width form of a valid date is a date.
-    for bad in ["2017-7-017", "2017-13-17", "2017-07-00", "2017/07/17", "+017-07-17"] {
-        corrupt(&[("2017-07-17", bad)], "invalid date");
+    // A country tag past `Country::ALL` is no country: not wrapped round.
+    for tag in [10, 255] {
+        corrupt(decode_raw_row(tag, date, labels), &format!("unknown country tag {tag}"));
     }
-    // Labels are a set in ascending label order: no duplicate, no other order.
-    corrupt(&[("Peatbogs", "Pastures")], "ascending");
-    corrupt(&[("Peatbogs", "Airports")], "ascending");
+    // A label bit at or past `Label::COUNT` is refused, not masked away.
+    for bit in [43, 63] {
+        corrupt(decode_raw_row(portugal, date, labels | 1 << bit), &format!("label bit {bit} "));
+    }
+    // Only a date `AcquisitionDate::new` accepts is a date.
+    for (month, day) in [(0, 17), (13, 17), (7, 0), (7, 32)] {
+        corrupt(decode_raw_row(portugal, (2017, month, day), labels), "invalid date");
+    }
 }
 
 /// `RequestBody::is_write` is pinned kind by kind: ingest and feedback are

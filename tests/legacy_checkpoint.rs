@@ -7,7 +7,9 @@
 //! lists `coll:`, `delta:` and `images:` chunks), then one more ingest and
 //! one more feedback entry left in the WAL.  Beside the directory it holds
 //! that revision's answers to a fixed query set (`answers.bin`) and its
-//! `list_feedback` (`feedback.bin`), encoded as below.  Recovering the
+//! `list_feedback` (`feedback.bin`), encoded as below: the answers in the
+//! row layout of protocol version 1, which that revision spoke, so the
+//! committed bytes outlive the protocol.  Recovering the
 //! directory must reproduce both byte for byte; the first checkpoint
 //! afterwards starts a new lineage in place, in records chunks only.
 
@@ -19,6 +21,7 @@ use agoraeo::earthqube::net::{filtered_to_payload, response_to_payload};
 use agoraeo::earthqube::{
     CheckpointKind, ImageQuery, LabelFilter, LabelOperator, PrefilterMode, QueryServer,
 };
+use agoraeo::proto::SearchPayload;
 use agoraeo::wire::manifest::decode_manifest;
 use agoraeo::wire::{crc32, Writer};
 
@@ -69,7 +72,42 @@ impl Drop for ScratchDir {
     }
 }
 
-/// The fixed query set, `eq_proto`-encoded: the query panel under three
+/// A search payload as protocol version 1 wrote it: each row's country,
+/// ISO date and label names as strings, then the page size, the label
+/// counts, the image count and the plan.
+fn encode_v1_search(payload: &SearchPayload, w: &mut Writer) {
+    w.seq_len(payload.rows.len());
+    for row in &payload.rows {
+        w.str(&row.name);
+        w.str(row.country.name());
+        w.str(&row.date.to_iso());
+        w.seq_len(row.labels.len());
+        for label in row.labels.iter() {
+            w.str(label.name());
+        }
+        w.bool(row.distance.is_some());
+        if let Some(d) = row.distance {
+            w.u32(d);
+        }
+    }
+    w.u64(payload.page_size);
+    w.seq_len(payload.label_counts.len());
+    for &count in &payload.label_counts {
+        w.u64(count);
+    }
+    w.u64(payload.image_count);
+    w.bool(payload.plan.is_some());
+    if let Some(plan) = &payload.plan {
+        w.bool(plan.index_used.is_some());
+        if let Some(index) = &plan.index_used {
+            w.str(index);
+        }
+        w.u64(plan.scanned);
+        w.u64(plan.matched);
+    }
+}
+
+/// The fixed query set, encoded in version 1's layout: the query panel under three
 /// filters, then `similar_to` and a filtered radius search from four
 /// images — two built, one folded in by the incremental checkpoint, one
 /// replayed from the WAL.
@@ -83,14 +121,16 @@ fn answers(srv: &QueryServer) -> Vec<u8> {
         .with_labels(LabelFilter::new(LabelOperator::Some, vec![Label::ALL[0], Label::ALL[7]]));
     let mut w = Writer::new();
     for query in [&ImageQuery::all(), &seasons, &labels] {
-        response_to_payload(&srv.search(query).unwrap()).encode(&mut w);
+        encode_v1_search(&response_to_payload(&srv.search(query).unwrap()), &mut w);
     }
     for &i in &picks {
-        response_to_payload(&srv.similar_to(&names[i], 6).unwrap()).encode(&mut w);
+        encode_v1_search(&response_to_payload(&srv.similar_to(&names[i], 6).unwrap()), &mut w);
     }
     for &i in &picks {
         let within = srv.similar_within_filtered(&names[i], 24, &seasons, PrefilterMode::Auto);
-        filtered_to_payload(&within.unwrap()).encode(&mut w);
+        let within = filtered_to_payload(&within.unwrap());
+        encode_v1_search(&within.search, &mut w);
+        within.plan.encode(&mut w);
     }
     w.into_bytes()
 }
