@@ -30,6 +30,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashSet;
+use std::ops::Range;
 
 use eq_bigearthnet::patch::PatchMetadata;
 use eq_bigearthnet::Archive;
@@ -245,36 +246,74 @@ impl Catalog {
         }
     }
 
-    /// The records chunk body of a sequence from `start` on: each record
-    /// encoded as its write logged it, from the catalog's own parts —
-    /// metadata, stored code and stored documents — so no document is
-    /// cloned.
+    /// The records chunk body of a sequence from `start` on, with at most
+    /// `budget` bytes of records (see [`append_records`](Self::append_records)).
     pub(crate) fn encode_records(
         &self,
         sequence: Sequence,
         start: usize,
+        budget: Option<usize>,
     ) -> Result<Vec<u8>, EarthQubeError> {
         let mut chunk = persist::records_chunk(start);
+        self.append_records(sequence, start..usize::MAX, budget, &mut chunk)?;
+        Ok(chunk.into_bytes())
+    }
+
+    /// Appends a sequence's records at the positions `records` (those the
+    /// catalog holds) to a records chunk body, and returns how many: each
+    /// record encoded as its write logged it, from the catalog's own parts
+    /// — metadata, stored code and stored documents — so no document is
+    /// cloned, and each record is found by its position, so none before
+    /// the range is visited.  With a `budget`, it stops before the first
+    /// record past it once the appended records hold that many bytes: it
+    /// appends at least one record when any is pending.
+    pub(crate) fn append_records(
+        &self,
+        sequence: Sequence,
+        records: Range<usize>,
+        budget: Option<usize>,
+        chunk: &mut eq_wire::Writer,
+    ) -> Result<usize, EarthQubeError> {
+        let base = chunk.len();
+        let full = |chunk: &eq_wire::Writer| chunk.len() - base >= budget.unwrap_or(usize::MAX);
+        let end = records.end.min(self.record_count(sequence));
+        let mut appended = 0;
         match sequence {
             Sequence::Ingest => {
                 let images = self.database.collection(collections::IMAGE_DATA)?;
                 let rendered = self.database.collection(collections::RENDERED)?;
-                for meta in self.metadata.iter().skip(start) {
+                for meta in self.metadata.get(records.start..end).unwrap_or_default() {
+                    if full(chunk) {
+                        break;
+                    }
                     let key = Value::Str(meta.name.clone());
                     let missing = || EarthQubeError::UnknownImage(meta.name.clone());
                     let image_doc = images.get_by_key(&key).ok_or_else(missing)?;
                     let rendered_doc = rendered.get_by_key(&key).ok_or_else(missing)?;
                     let code = self.code_of(&meta.name)?;
-                    persist::encode_ingest(meta, code, image_doc, rendered_doc, &mut chunk);
+                    persist::encode_ingest(meta, code, image_doc, rendered_doc, chunk);
+                    appended += 1;
                 }
             }
             Sequence::Feedback => {
-                for entry in FeedbackService.list(&self.database)?.iter().skip(start) {
-                    persist::encode_feedback(&entry.text, entry.category.as_deref(), &mut chunk);
+                let feedback = self.database.collection(collections::FEEDBACK)?;
+                for id in records.start..end {
+                    if full(chunk) {
+                        break;
+                    }
+                    // Feedback ids are positions: nothing deletes feedback.
+                    let doc = feedback.get_by_key(&Value::Int(id as i64));
+                    let text = doc.and_then(|doc| doc.get("text")?.as_str());
+                    let text = text.ok_or_else(|| {
+                        EarthQubeError::Persist(format!("feedback entry {id} holds no text"))
+                    })?;
+                    let category = doc.and_then(|doc| doc.get("category")?.as_str());
+                    persist::encode_feedback(text, category, chunk);
+                    appended += 1;
                 }
             }
         }
-        Ok(chunk.into_bytes())
+        Ok(appended)
     }
 
     /// The one resolver: turns a query-panel request into the exact set of

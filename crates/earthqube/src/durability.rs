@@ -1,6 +1,6 @@
 //! The durable tier's one owner.  A [`Durability`] is a server's connection
 //! to a persistence directory, and the only code that appends to the
-//! write-ahead log, cuts a checkpoint or moves the replication floor;
+//! write-ahead log or cuts a checkpoint;
 //! [`QueryServer`] keeps the catalog side of every write and calls the
 //! verbs below.  File formats and file I/O are the crate's `persist` module.
 //!
@@ -22,32 +22,31 @@
 //! continues the lineage and writes each sequence's records past its
 //! count, or the whole sequence from 0 once `RUN_COMPACT_THRESHOLD` runs
 //! are stacked.  A **new lineage** (detached server, foreign directory,
-//! promotion, or a directory recovered from the legacy chunk format) is the
-//! same protocol from 0: the static chunk, both sequences in full, an empty
-//! base chunk list, a fresh generation tag and a segment numbering above
-//! every file on disk.  The one difference is lock scope, explained where
-//! the paths part.  Nothing derived is written: recovery applies the
-//! records to an empty catalog, which rebuilds the arena, the metadata
-//! collection and its indexes as live writes built them.  The atomic
+//! promotion, a replica seeding, or a directory recovered from the legacy
+//! chunk format) is the same protocol from 0: the static chunk, both
+//! sequences in full, an empty base chunk list, a generation tag (a fresh
+//! one, or the followed primary's, see [`Lineage`]) and a segment
+//! numbering above every file on disk.  The one difference is lock scope,
+//! explained where the paths part.  Nothing derived is written: recovery
+//! applies the records to an empty catalog, which rebuilds the arena, the
+//! metadata collection and its indexes as live writes built them.  The atomic
 //! rename of the manifest is the commit point: a failure before it leaves
 //! the old manifest, the old attachment and both counts in force, so there
 //! is nothing to restore; after it, at worst retired segments and orphan
 //! chunks are left behind, which recovery ignores.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use eq_wire::manifest::{ChunkEntry, Manifest};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use crate::catalog::Catalog;
 use crate::persist::{self, ChainTail, DirLock, Faults, Sequence, WalWriter, SEGMENT_HEADER_LEN};
-use crate::replicate::ReplState;
 use crate::serve::QueryServer;
 use crate::EarthQubeError;
 
@@ -59,11 +58,6 @@ const DEFAULT_SEGMENT_LIMIT: u64 = 4 * 1024 * 1024;
 /// are stacked — recovery cost stays bounded and superseded chunks get
 /// swept.
 pub(crate) const RUN_COMPACT_THRESHOLD: usize = 8;
-
-/// How long a replica's last pull keeps its WAL segments from being
-/// retired by checkpoints.  A replica silent for longer is presumed dead;
-/// if it comes back it re-seeds from the snapshot instead.
-const REPL_RETENTION_TTL: Duration = Duration::from_secs(120);
 
 /// What kind of work a [`QueryServer::checkpoint`] call ended up doing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,23 +107,18 @@ struct CheckpointerHandle {
 
 /// A live connection to a persistence directory: the exclusive directory
 /// lock, the published manifest (what the *next* checkpoint is derived
-/// from), the open tail segment of the WAL, and the pull positions of the
-/// replicas following this lineage.
-pub(crate) struct Attachment {
-    pub(crate) dir: PathBuf,
+/// from) and the open tail segment of the WAL.
+struct Attachment {
+    dir: PathBuf,
     /// The manifest currently published in `dir`.
-    pub(crate) manifest: Manifest,
+    manifest: Manifest,
     /// Index of the live (tail) segment `writer` appends to.
-    pub(crate) segment_index: u32,
+    segment_index: u32,
     /// Current byte length of the live segment (header included).
-    pub(crate) segment_bytes: u64,
+    segment_bytes: u64,
     writer: WalWriter,
     /// How many records of each [`Sequence`] the published chunks hold.
     persisted: [usize; 2],
-    /// Segment each pulling replica last asked for, by replica id, with
-    /// the time it was seen.  The marks are about *this lineage's*
-    /// segments, so they die with it.
-    replica_marks: HashMap<u64, (u32, Instant)>,
     lock: DirLock,
 }
 
@@ -150,7 +139,6 @@ impl Attachment {
             segment_bytes,
             writer,
             persisted,
-            replica_marks: HashMap::new(),
             lock,
         }
     }
@@ -172,35 +160,20 @@ impl Attachment {
     fn is_legacy(&self) -> bool {
         self.manifest.chunks.iter().any(|c| persist::is_legacy_kind(&c.kind))
     }
-
-    /// Records the segment a replica pulled from, for the retention floor.
-    pub(crate) fn mark_replica(&mut self, replica_id: u64, segment: u32) {
-        self.replica_marks.insert(replica_id, (segment, Instant::now()));
-    }
-
-    /// The lowest segment a recently active replica still needs, or
-    /// `fallback` when none does.  Prunes marks older than
-    /// [`REPL_RETENTION_TTL`], so a dead replica cannot pin segments (and
-    /// thus disk) forever.
-    fn retention_floor(&mut self, fallback: u32) -> u32 {
-        let now = Instant::now();
-        self.replica_marks.retain(|_, (_, seen)| now.duration_since(*seen) <= REPL_RETENTION_TTL);
-        self.replica_marks
-            .values()
-            .map(|(segment, _)| *segment)
-            .min()
-            .map_or(fallback, |min| min.min(fallback))
-    }
 }
 
-/// When a write seals the live segment.
-pub(crate) enum Seal {
-    /// A primary: once the segment outgrows the limit.  Best effort: on
-    /// failure the oversized segment stays live and the next write retries.
-    AtLimit,
-    /// A replica: exactly where the primary did (`true`), nowhere else.
-    /// Only an attached log mirrors, so a detached one refuses the write.
-    Mirror(bool),
+/// Which lineage a checkpoint writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Lineage {
+    /// The attached one, when the checkpoint goes to its directory; a new
+    /// one under a fresh generation anywhere else.
+    Continue,
+    /// A new one under a fresh generation, which fences the old one off:
+    /// a promotion.
+    Fresh,
+    /// A new one under the given generation: a replica seeding from its
+    /// primary, whose lineage it follows.
+    Follow(u32),
 }
 
 /// The WAL for one write.  Taken first and held to the end of the write,
@@ -209,22 +182,21 @@ pub(crate) enum Seal {
 pub(crate) struct WalBatch<'a> {
     wal: MutexGuard<'a, Option<Attachment>>,
     owner: &'a Durability,
-    seal: Seal,
 }
 
 impl WalBatch<'_> {
     /// Appends every payload and makes them durable with one `fdatasync`,
     /// which a write awaits before it applies any.  A failed append or sync
     /// detaches the log, so nothing is ever written after a gap.
-    pub(crate) fn log<P: AsRef<[u8]>>(
+    pub(crate) fn log(
         &mut self,
-        payloads: impl IntoIterator<Item = P>,
+        payloads: impl IntoIterator<Item = Vec<u8>>,
     ) -> Result<(), EarthQubeError> {
         let (Some(att), faults) = (self.wal.as_mut(), &self.owner.faults) else { return Ok(()) };
         let mut appended = false;
         let mut logged = payloads.into_iter().try_for_each(|payload| {
             faults.check("wal-append")?;
-            att.segment_bytes += att.writer.append(payload.as_ref())?;
+            att.segment_bytes += att.writer.append(&payload)?;
             appended = true;
             Ok(())
         });
@@ -237,20 +209,14 @@ impl WalBatch<'_> {
         logged
     }
 
-    /// Seals the live segment if the write's [`Seal`] says so, once every
-    /// record of it is synced; rotation only ever follows a whole, synced
-    /// write, so sealed segments are clean-ended.
-    pub(crate) fn seal(&mut self) -> Result<(), EarthQubeError> {
-        let Some(att) = self.wal.as_mut() else { return Ok(()) };
-        let limit = self.owner.segment_limit.load(Ordering::Relaxed);
-        match self.seal {
-            Seal::AtLimit if att.segment_bytes >= limit => {
-                let _ = att.rotate(&self.owner.faults);
-            }
-            Seal::Mirror(true) => att.rotate(&self.owner.faults)?,
-            _ => {}
+    /// Seals the live segment once it outgrows the limit, after a whole
+    /// synced write, so sealed segments are clean-ended.  Best effort: on
+    /// failure the oversized segment stays live and the next write retries.
+    pub(crate) fn seal(&mut self) {
+        let Some(att) = self.wal.as_mut() else { return };
+        if att.segment_bytes >= self.owner.segment_limit.load(Ordering::Relaxed) {
+            let _ = att.rotate(&self.owner.faults);
         }
-        Ok(())
     }
 }
 
@@ -320,40 +286,29 @@ impl Durability {
         }
     }
 
-    /// Runs `f` on the attachment, for the replication serving methods:
-    /// the one place "detached" becomes their error.
-    pub(crate) fn serving<R>(
-        &self,
-        f: impl FnOnce(&mut Attachment) -> R,
-    ) -> Result<R, EarthQubeError> {
-        self.wal.lock().as_mut().map(f).ok_or_else(|| {
-            EarthQubeError::Persist("serving replication requires a persistence attachment".into())
-        })
-    }
-
-    /// The durable WAL position, as the replication handshake reports it.
-    pub(crate) fn repl_state(&self, primary: bool) -> ReplState {
-        let detached = ReplState { primary, ..ReplState::default() };
-        self.wal.lock().as_ref().map_or(detached, |att| ReplState {
-            primary,
-            attached: true,
-            generation: att.manifest.generation,
-            first_segment: att.manifest.first_segment,
-            segment: att.segment_index,
-            offset: att.segment_bytes,
-        })
-    }
-
-    /// Opens the WAL for one write, sealed by `seal`; a [`Seal::Mirror`]
-    /// write on a detached log is refused here, before anything.
-    pub(crate) fn begin(&self, seal: Seal) -> Result<WalBatch<'_>, EarthQubeError> {
+    /// The attachment's generation, with what `f` computes under the WAL
+    /// lock — a catalog read guard taken there shows only what the log
+    /// holds — for the replication serving methods: the one place
+    /// "detached" becomes their error.
+    pub(crate) fn serving<R>(&self, f: impl FnOnce() -> R) -> Result<(u32, R), EarthQubeError> {
         let wal = self.wal.lock();
-        if matches!(seal, Seal::Mirror(_)) && wal.is_none() {
+        let att = wal.as_ref().ok_or_else(|| {
+            EarthQubeError::Persist("serving replication requires a persistence attachment".into())
+        })?;
+        Ok((att.manifest.generation, f()))
+    }
+
+    /// Opens the WAL for one write.  A replica's write on a detached log is
+    /// refused here, before anything: a replica serves only what its own
+    /// log holds.
+    pub(crate) fn begin(&self, replica: bool) -> Result<WalBatch<'_>, EarthQubeError> {
+        let wal = self.wal.lock();
+        if replica && wal.is_none() {
             return Err(EarthQubeError::Persist(
                 "the replica has no persistence attachment".into(),
             ));
         }
-        Ok(WalBatch { wal, owner: self, seal })
+        Ok(WalBatch { wal, owner: self })
     }
 
     /// Attaches a recovered directory: reopens (or creates) the tail
@@ -381,15 +336,14 @@ impl Durability {
         Ok(())
     }
 
-    /// Checkpoints `catalog` into `dir` by the protocol of the module docs:
-    /// continues the lineage when attached there and `relineage` is false,
-    /// starts a new one otherwise.  `static_chunk` encodes configuration
+    /// Checkpoints `catalog` into `dir` by the protocol of the module docs,
+    /// in the [`Lineage`] asked for.  `static_chunk` encodes configuration
     /// and model, which only a new lineage writes.
     pub(crate) fn checkpoint(
         &self,
         catalog: &RwLock<Catalog>,
         dir: &Path,
-        relineage: bool,
+        lineage: Lineage,
         static_chunk: impl FnOnce() -> Vec<u8>,
     ) -> Result<CheckpointStats, EarthQubeError> {
         std::fs::create_dir_all(dir)
@@ -405,9 +359,11 @@ impl Durability {
         // ---- The cut: under the wal lock and a catalog read guard ----
         let mut wal = self.wal.lock();
         let core = catalog.read();
-        let continuing = held && !relineage && !wal.as_ref().is_some_and(Attachment::is_legacy);
-        let Some(cut) = self.cut(&core, wal.as_mut(), dir, continuing, dir_lock, static_chunk)?
-        else {
+        let continuing = held
+            && lineage == Lineage::Continue
+            && !wal.as_ref().is_some_and(Attachment::is_legacy);
+        let new = (!continuing).then_some(lineage);
+        let Some(cut) = self.cut(&core, wal.as_mut(), dir, new, dir_lock, static_chunk)? else {
             return Ok(CheckpointStats {
                 kind: CheckpointKind::Skipped,
                 bytes_written: 0,
@@ -418,7 +374,7 @@ impl Durability {
 
         // ---- Chunk I/O and manifest publish ----
         let runs = cut.runs().map(|(seq, start)| -> Piece<'_> {
-            Ok((seq.kind(start), core.encode_records(seq, start)?.into()))
+            Ok((seq.kind(start), core.encode_records(seq, start, None)?.into()))
         });
         let (published, guards) = if continuing {
             // Post-cut writes land in the segment the cut opened, so copy
@@ -446,7 +402,7 @@ impl Durability {
         let mut wal = guards.map_or_else(|| self.wal.lock(), |(_, wal)| wal);
         let kind = if continuing { CheckpointKind::Incremental } else { CheckpointKind::Full };
         let persisted = cut.runs.clone().map(|run| run.end);
-        let floor = if let Some(NewLineage { writer, dir_lock, .. }) = cut.fresh {
+        if let Some(NewLineage { writer, dir_lock, .. }) = cut.fresh {
             // Replacing the attachment detaches from the old directory and
             // releases its lock, unless that lock is the one reused.
             let lock = match (dir_lock, wal.take()) {
@@ -456,40 +412,55 @@ impl Durability {
             };
             let live = (manifest.first_segment, SEGMENT_HEADER_LEN, writer);
             *wal = Some(Attachment::open(dir, lock, manifest.clone(), live, persisted));
-            manifest.first_segment
         } else if let Some(att) = wal.as_mut() {
             att.manifest = manifest.clone();
             att.persisted = persisted;
-            // Segments a recently active replica still needs stay on disk
-            // even though recovery no longer does.
-            att.retention_floor(manifest.first_segment)
-        } else {
-            manifest.first_segment
-        };
+        }
         drop(wal);
 
         // ---- Post-publish GC: covered segments, earlier lineages' (they
         // sort below a new lineage's first) and unreferenced chunks. ----
-        let segments_retired = persist::retire_segments(dir, floor, &self.faults)?;
+        let segments_retired = persist::retire_segments(dir, manifest.first_segment, &self.faults)?;
         persist::sweep_orphan_chunks(dir, &manifest, &self.faults)?;
         Ok(CheckpointStats { kind, bytes_written, chunks_written, segments_retired })
     }
 
-    /// The state cut: decides the lineage, opens the segment post-cut
-    /// records land in, and picks each sequence's run: from its persisted
-    /// count, or from 0 when compacting or starting a lineage.  `None`
-    /// when a continuing lineage has no new record.
+    /// The state cut: opens the segment post-cut records land in, and
+    /// picks each sequence's run: from its persisted count, or from 0 when
+    /// compacting or starting the `new` lineage.  `None` when a continuing
+    /// lineage has no new record.
     fn cut(
         &self,
         core: &Catalog,
         att: Option<&mut Attachment>,
         dir: &Path,
-        continuing: bool,
+        new: Option<Lineage>,
         dir_lock: Option<DirLock>,
         static_chunk: impl FnOnce() -> Vec<u8>,
     ) -> Result<Option<Cut>, EarthQubeError> {
         let ends = Sequence::ALL.map(|seq| core.record_count(seq));
-        let (manifest, starts, fresh) = if continuing {
+        let (manifest, starts, fresh) = if let Some(lineage) = new {
+            if dir_lock.is_none() && att.is_none() {
+                return Err(detached_mid_checkpoint());
+            }
+            // Interrupted earlier lineages may have left segments behind; a
+            // unique generation (or the followed primary's) *and* a
+            // numbering above every file on disk keep recovery from ever
+            // confusing their records with this lineage's.  The first
+            // segment exists before the manifest names it, so a published
+            // manifest always finds its chain.
+            let seq = persist::read_manifest(dir)?.map_or(1, |m| m.seq + 1);
+            let static_body = static_chunk();
+            let generation = match lineage {
+                Lineage::Follow(generation) => generation,
+                _ => persist::unique_generation(dir, persist::generation_nonce()),
+            };
+            let first_segment = persist::next_free_segment_index(dir)?;
+            let path = dir.join(persist::segment_file_name(first_segment));
+            let writer = WalWriter::create(&path, generation, first_segment, &self.faults)?;
+            let manifest = Manifest { seq, generation, first_segment, chunks: Vec::new() };
+            (manifest, [0, 0], Some(NewLineage { writer, static_body, dir_lock }))
+        } else {
             let att = att.ok_or_else(detached_mid_checkpoint)?;
             if att.persisted.iter().zip(ends).all(|(&persisted, end)| persisted >= end) {
                 return Ok(None);
@@ -511,23 +482,6 @@ impl Durability {
                 }
             });
             (Manifest { seq, first_segment, ..att.manifest.clone() }, starts, None)
-        } else {
-            if dir_lock.is_none() && att.is_none() {
-                return Err(detached_mid_checkpoint());
-            }
-            // Interrupted earlier lineages may have left segments behind; a
-            // unique generation *and* a numbering above every file on disk
-            // keep recovery from ever confusing their records with this
-            // lineage's.  The first segment exists before the manifest
-            // names it, so a published manifest always finds its chain.
-            let seq = persist::read_manifest(dir)?.map_or(1, |m| m.seq + 1);
-            let static_body = static_chunk();
-            let generation = persist::unique_generation(dir, &static_body);
-            let first_segment = persist::next_free_segment_index(dir)?;
-            let path = dir.join(persist::segment_file_name(first_segment));
-            let writer = WalWriter::create(&path, generation, first_segment, &self.faults)?;
-            let manifest = Manifest { seq, generation, first_segment, chunks: Vec::new() };
-            (manifest, [0, 0], Some(NewLineage { writer, static_body, dir_lock }))
         };
         let runs = [0, 1].map(|i| starts[i]..ends[i]);
         Ok(Some(Cut { manifest, fresh, runs }))

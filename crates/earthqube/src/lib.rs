@@ -37,8 +37,9 @@
 //!   `eq_proto` binary RPC protocol, and the blocking [`EqClient`] whose
 //!   remote results are byte-identical to in-process calls,
 //! * [`replicate`] — the replication tier: read replicas pulling the
-//!   primary's WAL over the same RPC protocol, snapshot seeding,
-//!   promotion/fencing on failover, and a retrying [`ClusterClient`]
+//!   records past their own two record counts over the same RPC protocol
+//!   (seeding is a pull from nothing), promotion/fencing on failover, and
+//!   a retrying [`ClusterClient`]
 //!   fanning reads across replicas while routing writes to the primary.
 //!
 //! # Example
@@ -134,8 +135,8 @@ pub enum EarthQubeError {
     Net(String),
     /// The server applied admission control: the request was rejected
     /// (never stalled, never executed) because the client exceeded its
-    /// in-flight quota or the dispatch queue is full.  Retry after
-    /// draining responses, or back off.
+    /// per-connection in-flight quota.  Retry after draining responses, or
+    /// back off.
     Overloaded(String),
     /// A write reached a read replica.  Replicas apply only records
     /// replicated from the primary; the client should re-discover the

@@ -67,7 +67,7 @@
 //! *n* mod *K* (*n* counts accepts) through that loop's inbox and wake
 //! pipe.  A loop reads a connection once per readiness, decodes every
 //! frame of that burst and admits them all — poison check, per-connection
-//! quota, the loop's `queue_capacity` — before it answers any.  It then answers them in request order on its
+//! quota — before it answers any.  It then answers them in request order on its
 //! own thread: a read of one of the four cache-keyed kinds (`Search`,
 //! `SimilarTo`, `SimilarToFiltered`, `SimilarWithinFiltered`) that the
 //! result cache holds is a fresh envelope, the cached body bytes and their
@@ -270,11 +270,6 @@ pub struct NetConfig {
     /// admits.  A request arriving over quota is answered immediately
     /// with a typed [`eq_proto::ErrorCode::Overloaded`] error.
     pub max_inflight_per_conn: usize,
-    /// Bound on the admitted requests waiting to run on one loop, which
-    /// are those of the one read burst it is serving.  A request over the
-    /// bound is rejected with `Overloaded`.  It bounds the same count as
-    /// `max_inflight_per_conn`, so it only applies when set below it.
-    pub queue_capacity: usize,
     /// A connection whose output backlog makes no write progress for
     /// this long is evicted (slow-loris defence).
     pub write_timeout: Duration,
@@ -288,7 +283,6 @@ impl Default for NetConfig {
         Self {
             workers: 2,
             max_inflight_per_conn: 64,
-            queue_capacity: 256,
             write_timeout: Duration::from_secs(30),
             // Above the 64 MiB frame cap: a single legitimate maximum-size
             // response must never trip the eviction sweep.
@@ -854,8 +848,7 @@ fn fault_conn(stats: &NetStats, conn: &mut Conn, message: &str) {
 
 /// Serves what one read brought in.  Every complete frame is decoded and
 /// admitted first — poisoned server → typed internal error; over the
-/// connection's quota or the loop's `queue_capacity` → typed `Overloaded`
-/// — so no request of the burst runs, and gives its slot back, before
+/// connection's quota → typed `Overloaded` — so no request of the burst runs, and gives its slot back, before
 /// the rest are admitted.  The admitted ones are then answered in request
 /// order ([`answer`]) and the burst's answers, refusals included, leave in
 /// one write, so a flood costs one `write(2)` per read, not one per
@@ -878,9 +871,6 @@ fn serve_burst(shared: &Shared, config: &NetConfig, conn: &mut Conn, burst: &mut
                         config.max_inflight_per_conn
                     );
                     Some(overloaded(stats, id(), &message))
-                } else if admitted >= config.queue_capacity.max(1) {
-                    let message = "the server's request queue is full; retry later";
-                    Some(overloaded(stats, id(), message))
                 } else {
                     None
                 };
@@ -1520,7 +1510,7 @@ impl EqClient {
         expect_filtered(body)
     }
 
-    /// Fetches the server's replication role and durable WAL position —
+    /// Fetches the server's replication role, lineage and record counts —
     /// the replication handshake, and how a cluster client discovers the
     /// primary.
     ///
@@ -1533,60 +1523,22 @@ impl EqClient {
         }
     }
 
-    /// Fetches the raw bytes of the server's published manifest, for
-    /// snapshot seeding.
-    ///
-    /// # Errors
-    /// Propagates the server-side error, or [`EarthQubeError::Net`].
-    pub fn repl_manifest(&mut self) -> Result<Vec<u8>, EarthQubeError> {
-        match self.call(&RequestBody::ReplManifest)? {
-            ResponseBody::ReplManifest { bytes } => Ok(bytes),
-            other => Err(unexpected(other, "repl_manifest")),
-        }
-    }
-
-    /// Fetches one slice of a checkpoint chunk file: `(total file length,
-    /// bytes at `offset`)`.  The server caps the slice length, so loop
-    /// until the accumulated bytes reach the total.
-    ///
-    /// # Errors
-    /// Propagates the server-side error, or [`EarthQubeError::Net`].
-    pub fn repl_chunk(
-        &mut self,
-        file: &str,
-        offset: u64,
-        max_bytes: u64,
-    ) -> Result<(u64, Vec<u8>), EarthQubeError> {
-        let body =
-            self.call(&RequestBody::ReplChunk { file: file.to_string(), offset, max_bytes })?;
-        match body {
-            ResponseBody::ReplChunk(payload) => Ok((payload.total_len, payload.bytes)),
-            other => Err(unexpected(other, "repl_chunk")),
-        }
-    }
-
-    /// Pulls WAL records at and after `(generation, segment, offset)` —
-    /// the replication transport primitive [`crate::replicate::Replica`]
-    /// is built on.
+    /// Pulls the records past `(ingested, feedback)` under `generation`,
+    /// whose last records have the CRC-32s `tails` — the replication
+    /// transport primitive [`crate::replicate::Replica`] is built on.
     ///
     /// # Errors
     /// Propagates the server-side error, or [`EarthQubeError::Net`].
     pub fn repl_pull(
         &mut self,
-        replica_id: u64,
         generation: u32,
-        segment: u32,
-        offset: u64,
+        ingested: u64,
+        feedback: u64,
+        tails: [u32; 2],
         max_bytes: u64,
     ) -> Result<ReplBatch, EarthQubeError> {
-        let body = self.call(&RequestBody::ReplPull {
-            replica_id,
-            generation,
-            segment,
-            offset,
-            max_bytes,
-        })?;
-        match body {
+        let body = RequestBody::ReplPull { generation, ingested, feedback, tails, max_bytes };
+        match self.call(&body)? {
             ResponseBody::ReplRecords(batch) => Ok(batch),
             other => Err(unexpected(other, "repl_pull")),
         }
@@ -2261,12 +2213,8 @@ mod tests {
         let server =
             Arc::new(QueryServer::build(&archive, config, ServeConfig::default()).unwrap());
         // No quota below what one read holds: only the read bounds a turn.
-        let config = NetConfig {
-            workers: 1,
-            max_inflight_per_conn: usize::MAX,
-            queue_capacity: usize::MAX,
-            ..NetConfig::default()
-        };
+        let config =
+            NetConfig { workers: 1, max_inflight_per_conn: usize::MAX, ..NetConfig::default() };
         let net = NetServer::bind_with(server, "127.0.0.1:0", config).unwrap();
         const FLOOD: usize = 200_000;
         let mut flood = Vec::new();

@@ -345,7 +345,7 @@ impl Sequence {
     }
 
     /// The sequence a record belongs to.
-    fn of(record: &WalRecord) -> Sequence {
+    pub(crate) fn of(record: &WalRecord) -> Sequence {
         match record {
             WalRecord::Ingest { .. } => Sequence::Ingest,
             WalRecord::Feedback { .. } => Sequence::Feedback,
@@ -430,7 +430,9 @@ pub(crate) fn records_chunk(start: usize) -> Writer {
     w
 }
 
-fn decode_chunk_body(body: &[u8]) -> Result<ChunkPayload, EarthQubeError> {
+/// Decodes a chunk body: one read from a chunk file, or one a replication
+/// pull carries (the primary's static chunk, a records run).
+pub(crate) fn decode_chunk_body(body: &[u8]) -> Result<ChunkPayload, EarthQubeError> {
     let mut r = Reader::new(body);
     let payload = match r.u8().map_err(corrupt)? {
         CHUNK_STATIC => {
@@ -874,12 +876,14 @@ fn segment_generation(path: &Path) -> Option<u32> {
     Some(u32::from_le_bytes([buf[8], buf[9], buf[10], buf[11]]))
 }
 
-/// Picks a generation tag for a new full checkpoint: the CRC-32 of the
-/// static chunk, nudged until it collides with no generation already on
-/// disk (the published manifest's or any leftover segment's).  Uniqueness
-/// is belt-and-braces — correctness against stale segments rests on the
-/// `first_segment` index, which always sorts above every older file.
-pub(crate) fn unique_generation(dir: &Path, seed: &[u8]) -> u32 {
+/// Picks a generation tag for a new full checkpoint: `candidate` (a
+/// [`generation_nonce`] outside tests), nudged until it collides with no
+/// generation already on disk (the published manifest's or any leftover
+/// segment's) and is not 0, which a replication pull sends for "no lineage
+/// yet".  Uniqueness on disk is belt-and-braces — correctness against
+/// stale segments rests on the `first_segment` index, which always sorts
+/// above every older file.
+pub(crate) fn unique_generation(dir: &Path, candidate: u32) -> u32 {
     let mut existing: Vec<u32> = Vec::new();
     if let Ok(Some(manifest)) = read_manifest(dir) {
         existing.push(manifest.generation);
@@ -891,11 +895,24 @@ pub(crate) fn unique_generation(dir: &Path, seed: &[u8]) -> u32 {
             }
         }
     }
-    let mut generation = crc32(seed);
-    while existing.contains(&generation) {
+    let mut generation = candidate;
+    while generation == 0 || existing.contains(&generation) {
         generation = generation.wrapping_add(0x9E37_79B9);
     }
     generation
+}
+
+/// A fresh generation candidate: the process's randomly keyed hasher over
+/// the clock, so two lineages built from one configuration and model — in
+/// two directories, or two processes — start under different generations,
+/// and a replica never takes one lineage's records for another's.
+pub(crate) fn generation_nonce() -> u32 {
+    use std::hash::{BuildHasher as _, Hasher as _};
+    let mut hasher = std::collections::hash_map::RandomState::new().build_hasher();
+    let now = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH);
+    hasher.write_u128(now.map_or(0, |since| since.as_nanos()));
+    let hash = hasher.finish();
+    (hash ^ (hash >> 32)) as u32
 }
 
 /// The append handle of a live WAL segment.
@@ -994,67 +1011,25 @@ pub(crate) enum SegmentScan {
     },
 }
 
-/// The intact record frames of a segment's bytes in `start..end`, each with
-/// the offset just past it; stops at the first frame that is torn, fails
-/// its CRC or runs past `end`.
-fn frames(bytes: &[u8], start: usize, end: usize) -> impl Iterator<Item = (&[u8], u64)> {
-    let end = end.min(bytes.len());
-    let mut pos = start.min(end);
-    std::iter::from_fn(move || {
-        let header = bytes.get(pos..pos + 8).filter(|_| pos + 8 <= end)?;
-        let (len, stored_crc) = header.split_at(4);
-        let len = u32::from_le_bytes(len.try_into().ok()?) as usize;
-        let stored_crc = u32::from_le_bytes(stored_crc.try_into().ok()?);
-        let payload = bytes.get(pos + 8..pos + 8 + len).filter(|_| pos + 8 + len <= end)?;
-        if crc32(payload) != stored_crc {
-            return None; // torn or bit-flipped tail
-        }
-        pos += 8 + len;
-        Some((payload, pos as u64))
-    })
-}
-
 /// Decodes the record stream of a segment from `start` to the first torn,
-/// corrupt or undecodable frame (a CRC collides with corruption only
-/// astronomically rarely, but a framing bug must still fail safe).
+/// CRC-failing or undecodable frame (a CRC collides with corruption only
+/// astronomically rarely, but a framing bug must still fail safe): the
+/// records and the offset just past the last one.
 fn scan_records(bytes: &[u8], start: usize) -> (Vec<WalRecord>, u64) {
+    let word = |at: usize| bytes.get(at..at + 4)?.try_into().ok().map(u32::from_le_bytes);
     let mut records = Vec::new();
-    let mut valid_end = start.min(bytes.len()) as u64;
-    for (payload, end) in frames(bytes, start, bytes.len()) {
+    let mut pos = start.min(bytes.len());
+    while let (Some(len), Some(stored_crc)) = (word(pos), word(pos + 4)) {
+        let len = len as usize;
+        let Some(payload) = bytes.get(pos + 8..pos + 8 + len) else { break };
+        if crc32(payload) != stored_crc {
+            break; // torn or bit-flipped tail
+        }
         let Ok(record) = decode_record(payload) else { break };
         records.push(record);
-        valid_end = end;
+        pos += 8 + len;
     }
-    (records, valid_end)
-}
-
-/// Scans the record stream of a segment from `start`, returning the raw
-/// record *payloads* (without the 8-byte frame) instead of decoding them —
-/// the replication pull path ships these bytes verbatim so the replica's
-/// mirrored WAL stays byte-identical to the primary's.  Stops at the
-/// first torn/corrupt frame, at `end` (the primary's synced length — a
-/// concurrent append may have written bytes past it), or once the summed
-/// payload bytes exceed `max_bytes` (always returning at least one intact
-/// record).  Returns the payloads and the end offset of the last one.
-pub(crate) fn scan_record_payloads(
-    bytes: &[u8],
-    start: u64,
-    end: u64,
-    max_bytes: u64,
-) -> (Vec<Vec<u8>>, u64) {
-    let end = end.min(bytes.len() as u64) as usize;
-    let mut payloads: Vec<Vec<u8>> = Vec::new();
-    let mut valid_end = start.min(end as u64);
-    let mut total: u64 = 0;
-    for (payload, frame_end) in frames(bytes, valid_end as usize, end) {
-        if !payloads.is_empty() && total + payload.len() as u64 > max_bytes {
-            break; // batch is full; the replica pulls the rest next round
-        }
-        total += payload.len() as u64;
-        payloads.push(payload.to_vec());
-        valid_end = frame_end;
-    }
-    (payloads, valid_end)
+    (records, pos as u64)
 }
 
 /// Reads one segment file, validating its header against the expected
@@ -1562,11 +1537,14 @@ mod tests {
     #[test]
     fn generations_avoid_everything_on_disk() {
         let dir = Scratch::new("gen");
-        let seed = b"static chunk bytes";
-        let first = unique_generation(dir.path(), seed);
+        let candidate = crc32(b"static chunk bytes");
+        let first = unique_generation(dir.path(), candidate);
         WalWriter::create(&dir.path().join(segment_file_name(0)), first, 0, &Faults::default())
             .unwrap();
-        let second = unique_generation(dir.path(), seed);
+        let second = unique_generation(dir.path(), candidate);
         assert_ne!(first, second, "a new lineage must not reuse a generation still on disk");
+        assert_ne!(unique_generation(dir.path(), 0), 0, "0 means no lineage");
+        let nonces: std::collections::HashSet<u32> = (0..64).map(|_| generation_nonce()).collect();
+        assert!(nonces.len() > 60, "lineages built alike draw distinct generations");
     }
 }

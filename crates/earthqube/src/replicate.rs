@@ -1,23 +1,26 @@
 //! Replication & failover: read replicas over the `eq_proto` wire.
 //!
-//! One **primary** [`QueryServer`] streams its write-ahead log to N
-//! replicas over the same framed RPC transport the query tier already
-//! speaks — replication needs no second port, no second protocol, and no
-//! second durability format:
+//! One **primary** [`QueryServer`] streams its records to N replicas over
+//! the same framed RPC transport the query tier already speaks —
+//! replication needs no second port, no second protocol, and no second
+//! durability format:
 //!
-//! * **Pull-based log shipping.**  A [`Replica`] pulls raw WAL record
-//!   payloads from the primary by `(generation, segment, offset)` position
-//!   ([`eq_proto::RequestBody::ReplPull`]), applies them through the same
-//!   code path recovery uses, and appends them to its *own* WAL at the
-//!   same positions — the mirrored log is byte-identical, so the replica's
-//!   durable WAL position *is* its replication cursor and crash-resume
-//!   needs no extra bookkeeping.
-//! * **Snapshot seeding.**  A replica whose position the primary can no
-//!   longer serve (fresh directory, retired segments, or a foreign
-//!   generation after failover) ships the primary's checkpoint instead:
-//!   manifest bytes plus chunk files over
-//!   [`eq_proto::RequestBody::ReplChunk`], then recovers locally and
-//!   resumes pulling from the manifest's first segment.
+//! * **One logical stream.**  A [`Replica`]'s cursor is the lineage
+//!   generation it follows plus its two record counts (ingest, feedback):
+//!   a count is a position, since each sequence only grows.  It pulls the
+//!   records past its counts ([`eq_proto::RequestBody::ReplPull`]), naming
+//!   the CRC-32 of its last record in each; the primary encodes them from
+//!   memory, as its checkpoints do, and ships only what it holds durably.  The replica applies them through the
+//!   write section into its *own* WAL and checkpoints its lineage like any
+//!   server, so its segments retire and a restart replays only its tail.
+//! * **Seeding is a pull from nothing.**  A replica with no lineage, a
+//!   foreign generation (after a failover), counts above the primary's or
+//!   a last record the primary does not hold there (a history that
+//!   diverged under one generation) is answered `reseed`, with the
+//!   primary's static chunk and the records from 0: one answer both seeds
+//!   and catches up.  The replica starts a new lineage in its directory
+//!   under the *primary's* generation.  The primary keeps nothing per
+//!   replica.
 //! * **Read service, write fencing.**  Replicas serve every read
 //!   (search / similar / filtered / stats) with byte-identical responses;
 //!   writes are rejected with the typed
@@ -36,7 +39,6 @@
 //!   after a write was sent is **not** retried: the write may have
 //!   applied, and replaying it could duplicate state.
 
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::ops::ControlFlow;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -50,7 +52,7 @@ use crate::engine::SearchResponse;
 use crate::filtered::{FilteredResponse, PrefilterMode};
 use crate::ingest::IngestReport;
 use crate::net::{expect_filtered, expect_search, query_to_spec, unexpected, EqClient};
-use crate::persist::{self, Faults};
+use crate::persist::{self, Sequence};
 use crate::query::ImageQuery;
 use crate::serve::{QueryServer, RequestBody, ResponseBody};
 use crate::EarthQubeError;
@@ -58,20 +60,17 @@ use crate::EarthQubeError;
 use eq_bigearthnet::patch::Patch;
 use eq_proto::{ErrorCode, ErrorPayload};
 
-/// Bytes a replica asks for per pull (the primary additionally caps the
-/// reply server-side).
+/// Record bytes a replica asks for per pull.
 const REPL_PULL_BYTES: u64 = 4 * 1024 * 1024;
 
-/// Bytes a seeding replica asks for per chunk slice.
-const SEED_SLICE_BYTES: u64 = 4 * 1024 * 1024;
-
-/// Server-side cap on the summed record-payload bytes of one replication
-/// pull batch, regardless of what the replica asks for — comfortably
-/// under `eq_proto::MAX_FRAME_LEN` with framing overhead to spare.
+/// Server-side cap on the record bytes of one pull, regardless of what the
+/// replica asks for — comfortably under `eq_proto::MAX_FRAME_LEN` with
+/// framing (and a reseed's static chunk) to spare.
 const REPL_MAX_BATCH_BYTES: u64 = 8 * 1024 * 1024;
 
-/// Server-side cap on one chunk-fetch slice, same rationale.
-const REPL_MAX_SLICE_BYTES: u64 = 8 * 1024 * 1024;
+/// Record bytes a pull encodes under one catalog read guard (about 0.3 ms
+/// of encoding), so a concurrent write waits for one slice at most.
+const REPL_SLICE_BYTES: usize = 256 * 1024;
 
 // ---------------------------------------------------------------------------
 // Wire-adjacent data types
@@ -86,120 +85,128 @@ pub use eq_proto::{ReplBatch, ReplState};
 // ---------------------------------------------------------------------------
 
 impl QueryServer {
-    /// The server's replication role and durable WAL position — the
+    /// The server's replication role, lineage and record counts — the
     /// replication handshake, and what a promoted replica reports to
-    /// clients probing for the primary.
+    /// clients probing for the primary.  A detached server reports its
+    /// role only.
     pub fn repl_state(&self) -> ReplState {
-        self.durability.repl_state(self.is_primary())
+        let primary = self.is_primary();
+        let held = self.durability.serving(|| counts(&self.catalog.read()));
+        let Ok((generation, [ingested, feedback])) = held else {
+            return ReplState { primary, ..ReplState::default() };
+        };
+        ReplState { primary, attached: true, generation, ingested, feedback }
     }
 
-    /// The raw bytes of the published manifest, for shipping a snapshot to
-    /// a seeding replica.  The manifest is published by atomic rename, so
-    /// an unlocked read observes a complete old or new file, never a torn
-    /// one.
+    /// Serves one replication pull: the records past the replica's counts
+    /// under `generation`, encoded from memory.
+    ///
+    /// The counts are read under a catalog read guard taken while the WAL
+    /// lock shows an attachment: no write is then between its sync and its
+    /// apply, and everything an attached server's catalog holds is on its
+    /// log, so only durable records are shipped.  The records below those
+    /// counts are encoded in slices of `REPL_SLICE_BYTES`, each under a
+    /// read guard of its own, so no write waits for a whole batch.  The
+    /// answer carries at least one
+    /// pending record, whatever `max_bytes` says, so every pull makes
+    /// progress.  A foreign generation (0 included: a replica with no
+    /// lineage yet), counts above this server's, or `tails` (the CRC-32 of
+    /// the replica's last record in each sequence) that differ from this
+    /// server's records at those positions, is answered with `reseed`, the
+    /// static chunk and the records from 0, rather than an error: the
+    /// verdict is authoritative.
     ///
     /// # Errors
-    /// Fails with [`EarthQubeError::Persist`] when detached or on I/O.
-    pub fn repl_manifest_bytes(&self) -> Result<Vec<u8>, EarthQubeError> {
-        let dir = self.durability.serving(|att| att.dir.clone())?;
-        std::fs::read(dir.join(persist::MANIFEST_FILE))
-            .map_err(|e| persist::io_error("reading the manifest for replication", e))
-    }
-
-    /// One slice of a checkpoint chunk file, for snapshot seeding, with the
-    /// file's total length.  `file` must be a chunk the *current*
-    /// attachment's manifest references — which both confines the read to
-    /// real chunk files (no path traversal) and turns a mid-seed checkpoint
-    /// race into a clean error the seeder answers by refetching the
-    /// manifest.  Only the slice is read, never the whole file.
-    ///
-    /// # Errors
-    /// [`EarthQubeError::BadRequest`] for an unreferenced file name,
-    /// [`EarthQubeError::Persist`] when detached or on I/O.
-    pub fn repl_chunk_bytes(
-        &self,
-        file: &str,
-        offset: u64,
-        max_bytes: u64,
-    ) -> Result<(u64, Vec<u8>), EarthQubeError> {
-        let path = self.durability.serving(|att| {
-            att.manifest.chunks.iter().any(|c| c.file == file).then(|| att.dir.join(file))
-        })?;
-        let path = path.ok_or_else(|| {
-            EarthQubeError::BadRequest(format!("{file:?} is not a chunk of the current manifest"))
-        })?;
-        let io = |e| persist::io_error("reading a chunk for replication", e);
-        let mut chunk = std::fs::File::open(path).map_err(io)?;
-        let total = chunk.metadata().map_err(io)?.len();
-        let start = offset.min(total);
-        let len = max_bytes.min(REPL_MAX_SLICE_BYTES).min(total - start);
-        let mut slice = vec![0; len as usize];
-        chunk.seek(SeekFrom::Start(start)).map_err(io)?;
-        chunk.read_exact(&mut slice).map_err(io)?;
-        Ok((total, slice))
-    }
-
-    /// Serves one replication pull: WAL record payloads at and after the
-    /// replica's `(generation, segment, offset)` position.
-    ///
-    /// The attachment state is snapshotted under the wal lock, where a
-    /// servable position also renews the replica's retention mark (the
-    /// marks live in the attachment: they are about this lineage's
-    /// segments).  The segment file is then read **unlocked** — safe
-    /// because record bytes below the snapshotted length are fully written,
-    /// segments only grow, and every reply position is re-validated on the
-    /// next pull.  A position this primary cannot serve (foreign generation
-    /// after a failover, or a segment already retired) is answered with
-    /// `reseed` rather than an error: the verdict is authoritative.
-    ///
-    /// # Errors
-    /// Fails with [`EarthQubeError::Persist`] when detached or on I/O
-    /// reading a segment that should exist.
+    /// Fails with [`EarthQubeError::Persist`] when detached.
     pub fn repl_pull(
         &self,
-        replica_id: u64,
         generation: u32,
-        segment: u32,
-        offset: u64,
+        ingested: u64,
+        feedback: u64,
+        tails: [u32; 2],
         max_bytes: u64,
     ) -> Result<ReplBatch, EarthQubeError> {
-        let (dir, reseed, servable) = self.durability.serving(|att| {
-            let reseed = ReplBatch {
-                reseed: true,
-                generation: att.manifest.generation,
-                primary_segment: att.segment_index,
-                primary_offset: att.segment_bytes,
-                ..ReplBatch::default()
-            };
-            let servable = generation == att.manifest.generation
-                && (att.manifest.first_segment..=att.segment_index).contains(&segment)
-                && offset >= persist::SEGMENT_HEADER_LEN;
-            if servable {
-                att.mark_replica(replica_id, segment);
+        let (lineage, core) = self.durability.serving(|| self.catalog.read())?;
+        let held = counts(&core);
+        let reseed = generation != lineage
+            || ingested > held[0]
+            || feedback > held[1]
+            || self::tails(&core, [ingested, feedback])? != tails;
+        drop(core);
+        let from = if reseed { [0, 0] } else { [ingested, feedback] };
+        let mut budget = max_bytes.min(REPL_MAX_BATCH_BYTES) as usize;
+        let mut runs = Vec::new();
+        for seq in Sequence::ALL {
+            let (mut at, end) = (from[seq as usize] as usize, held[seq as usize] as usize);
+            // Once the budget is spent, a run only goes out as the first.
+            if at >= end || (budget == 0 && !runs.is_empty()) {
+                continue;
             }
-            (att.dir.clone(), reseed, servable)
-        })?;
-        if !servable {
-            return Ok(reseed);
+            let mut run = persist::records_chunk(at);
+            let header = run.len();
+            // A slice per catalog read guard: a writer waiting for the
+            // write lock, and the readers queued behind it, wait for one
+            // slice, not the batch.  Every record below `end` was durable
+            // at the guard above, and a record's encoding never changes.
+            loop {
+                let slice = budget.saturating_sub(run.len() - header).clamp(1, REPL_SLICE_BYTES);
+                let core = self.catalog.read();
+                let appended = core.append_records(seq, at..end, Some(slice), &mut run)?;
+                drop(core);
+                at += appended;
+                if appended == 0 || at >= end || run.len() - header >= budget {
+                    break;
+                }
+            }
+            budget = budget.saturating_sub(run.len() - header);
+            runs.push(run.into_bytes());
         }
-        let bytes = match std::fs::read(dir.join(persist::segment_file_name(segment))) {
-            Ok(bytes) => bytes,
-            // Retired between the snapshot above and this read: a
-            // checkpoint raced us and the position is gone for good.
-            Err(_) => return Ok(reseed),
-        };
-        let sealed = segment < reseed.primary_segment;
-        let end = if sealed { bytes.len() as u64 } else { reseed.primary_offset };
-        if offset > end {
-            return Ok(reseed);
-        }
-        let (entries, valid_end) =
-            persist::scan_record_payloads(&bytes, offset, end, max_bytes.min(REPL_MAX_BATCH_BYTES));
-        let rotate = sealed && valid_end >= end;
-        let (next_segment, next_offset) =
-            if rotate { (segment + 1, persist::SEGMENT_HEADER_LEN) } else { (segment, valid_end) };
-        Ok(ReplBatch { reseed: false, entries, rotate, next_segment, next_offset, ..reseed })
+        let static_chunk = if reseed { self.static_chunk() } else { Vec::new() };
+        let [ingested, feedback] = held;
+        Ok(ReplBatch { reseed, generation: lineage, ingested, feedback, static_chunk, runs })
     }
+
+    /// Where this server resumes as a replica: its lineage generation,
+    /// record counts and their [`tails`] — all zero when detached.
+    fn repl_cursor(&self) -> Result<Cursor, EarthQubeError> {
+        let held = self.durability.serving(|| {
+            let core = self.catalog.read();
+            let counts = counts(&core);
+            tails(&core, counts).map(|tails| (counts, tails))
+        });
+        let Ok((generation, cursor)) = held else { return Ok(Cursor::default()) };
+        let (counts, tails) = cursor?;
+        Ok(Cursor { generation, counts, tails })
+    }
+}
+
+/// The catalog's two record counts, the replication cursor's unit.
+fn counts(core: &crate::catalog::Catalog) -> [u64; 2] {
+    Sequence::ALL.map(|seq| core.record_count(seq) as u64)
+}
+
+/// The CRC-32 of each sequence's record just below `counts`, as a pulled
+/// run carries it (0 for an empty sequence).  A replica sends its own with
+/// every pull, so a history that diverged under one generation — a primary
+/// restored from an older copy of its directory, then written again — is
+/// re-seeded rather than resumed.
+fn tails(core: &crate::catalog::Catalog, counts: [u64; 2]) -> Result<[u32; 2], EarthQubeError> {
+    let mut tails = [0; 2];
+    for seq in Sequence::ALL {
+        if let Some(last) = counts[seq as usize].checked_sub(1) {
+            let record = core.encode_records(seq, last as usize, Some(1))?;
+            tails[seq as usize] = eq_wire::crc32(&record);
+        }
+    }
+    Ok(tails)
+}
+
+/// A replica's replication cursor: what one pull asks from.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cursor {
+    generation: u32,
+    counts: [u64; 2],
+    tails: [u32; 2],
 }
 
 // ---------------------------------------------------------------------------
@@ -293,87 +300,112 @@ impl RetryPolicy {
 /// A replica's sync progress snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReplicaSync {
-    /// WAL records applied over this replica's lifetime.
+    /// Records applied over this replica's lifetime.
     pub records_applied: u64,
     /// Pull round trips made.
     pub batches: u64,
-    /// Times the primary answered `reseed`.
+    /// Times the primary answered `reseed` to a replica holding a lineage.
     pub reseeds: u64,
     /// The lineage generation being followed.
     pub generation: u32,
-    /// The replica's durable segment position.
-    pub segment: u32,
-    /// The replica's durable offset within `segment`.
-    pub offset: u64,
-    /// The primary's live segment at the last pull.
-    pub primary_segment: u32,
-    /// The primary's durable live-segment length at the last pull.
-    pub primary_offset: u64,
+    /// Ingest records the replica holds.
+    pub ingested: u64,
+    /// Feedback records the replica holds.
+    pub feedback: u64,
+    /// Ingest records the primary held at the last pull.
+    pub primary_ingested: u64,
+    /// Feedback records the primary held at the last pull.
+    pub primary_feedback: u64,
 }
 
 impl ReplicaSync {
-    /// Whether the replica had fully caught up with the primary's durable
-    /// position as of the last pull.
+    /// Whether the replica had caught up with the primary's records as of
+    /// the last pull.
     pub fn caught_up(&self) -> bool {
-        self.segment == self.primary_segment && self.offset >= self.primary_offset
+        self.ingested >= self.primary_ingested && self.feedback >= self.primary_feedback
     }
 
-    /// Whole segments the replica is behind the primary's live segment.
-    pub fn lag_segments(&self) -> u32 {
-        self.primary_segment.saturating_sub(self.segment)
-    }
-
-    /// Bytes behind within the live segment — exact only when
-    /// [`lag_segments`](Self::lag_segments) is zero.
-    pub fn lag_bytes(&self) -> u64 {
-        if self.segment == self.primary_segment {
-            self.primary_offset.saturating_sub(self.offset)
-        } else {
-            self.primary_offset
-        }
+    /// Records the replica was behind the primary as of the last pull.
+    pub fn lag_records(&self) -> u64 {
+        self.primary_ingested.saturating_sub(self.ingested)
+            + self.primary_feedback.saturating_sub(self.feedback)
     }
 }
 
 /// The outcome of one [`Replica::sync_once`] pull/apply round trip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncStatus {
-    /// Applied this many records (and possibly rotated).
+    /// Applied this many records.
     Applied(u64),
-    /// Nothing new: the replica is at the primary's durable position.
+    /// Nothing new: the replica holds every record the primary does.
     CaughtUp,
-    /// The primary can no longer serve this replica's position (retired
-    /// segments, or a foreign generation after failover).  Re-bootstrap
-    /// the replica — [`Replica::bootstrap`] re-seeds from a snapshot.
+    /// The primary does not continue this replica's lineage (a foreign
+    /// generation after failover, or a diverged history).  Re-bootstrap
+    /// the replica — [`Replica::bootstrap`] re-seeds it.
     ReseedRequired,
+}
+
+/// The link to the primary: one connection, reopened after a transport
+/// fault, under the retry policy.
+struct Link {
+    addr: String,
+    policy: RetryPolicy,
+    rng: StdRng,
+    client: Option<EqClient>,
+}
+
+impl Link {
+    /// Pulls the records past `cursor`, reconnecting and retrying
+    /// transient failures under the policy: a pull is idempotent, so the
+    /// broad transient test applies.
+    fn pull(&mut self, cursor: Cursor, max_bytes: u64) -> Result<ReplBatch, EarthQubeError> {
+        let Cursor { generation, counts: [ingested, feedback], tails } = cursor;
+        let (client, addr) = (&mut self.client, self.addr.as_str());
+        self.policy.run(self.policy.attempts, &mut self.rng, || {
+            let connected = match client {
+                Some(connected) => connected,
+                None => match EqClient::connect(addr) {
+                    Ok(connected) => client.insert(connected),
+                    Err(e) => return ControlFlow::Continue(e),
+                },
+            };
+            match connected.repl_pull(generation, ingested, feedback, tails, max_bytes) {
+                Ok(batch) => ControlFlow::Break(Ok(batch)),
+                Err(e) if RetryPolicy::is_transient(&e) => {
+                    // The connection state is suspect after any transport
+                    // fault; reconnect on the next attempt.
+                    *client = None;
+                    ControlFlow::Continue(e)
+                }
+                Err(e) => ControlFlow::Break(Err(e)),
+            }
+        })
+    }
 }
 
 /// A read replica: a local [`QueryServer`] in replica mode plus the link
 /// to the primary it follows.  The sync cursor is not kept here: it *is*
-/// the server's durable WAL position.
+/// the server's lineage generation and record counts.
 ///
 /// The replica's server serves reads (wrap it in a
 /// [`NetServer`](crate::net::NetServer) via [`server`](Self::server)) while
 /// the owner drives [`sync_once`](Self::sync_once) /
-/// [`run`](Self::run) — typically from a dedicated thread.  On failover,
+/// [`run`](Self::run) — typically from a dedicated thread — and may run
+/// its checkpointer ([`QueryServer::start_checkpointer`]).  On failover,
 /// [`promote`](Self::promote) consumes the replica (ending its sync by
 /// construction) and turns the server into a fenced-off new primary.
 pub struct Replica {
     server: Arc<QueryServer>,
-    primary_addr: String,
-    replica_id: u64,
-    policy: RetryPolicy,
-    rng: StdRng,
-    client: Option<EqClient>,
-    /// Progress so far; its position fields are filled in on read, from
-    /// the server.
+    link: Link,
+    /// Progress so far; its cursor fields are filled in on read, from the
+    /// server.
     sync: ReplicaSync,
 }
 
 impl std::fmt::Debug for Replica {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Replica")
-            .field("primary_addr", &self.primary_addr)
-            .field("replica_id", &self.replica_id)
+            .field("primary_addr", &self.link.addr)
             .field("position", &self.server.repl_state())
             .finish_non_exhaustive()
     }
@@ -381,18 +413,18 @@ impl std::fmt::Debug for Replica {
 
 impl Replica {
     /// Builds a replica of the primary at `primary_addr` over the local
-    /// directory `dir`: recovers locally when the directory already holds
-    /// a usable lineage, seeds a snapshot from the primary otherwise (or
-    /// when the primary disowns the recovered position), switches the
-    /// server to replica mode and applies a first catch-up batch.
+    /// directory `dir`: recovers the lineage the directory holds, if any,
+    /// and pulls past its counts; when there is none, or the primary does
+    /// not continue it, seeds a new lineage there from the primary's
+    /// answer.  Either way the first batch is applied.
     ///
-    /// `replica_id` identifies this replica to the primary's WAL-retention
-    /// floor; give each replica of one primary a distinct id.
+    /// `replica_id` seeds the jitter of this replica's retries; give each
+    /// replica of one primary a distinct id.
     ///
     /// # Errors
     /// Fails with the connection error when the primary stays unreachable
     /// past the retry budget, or with [`EarthQubeError::Persist`] when
-    /// neither local recovery nor snapshot seeding produces a server.
+    /// neither local recovery nor seeding produces a server.
     pub fn bootstrap(
         dir: &Path,
         primary_addr: &str,
@@ -401,49 +433,34 @@ impl Replica {
     ) -> Result<Self, EarthQubeError> {
         std::fs::create_dir_all(dir)
             .map_err(|e| persist::io_error("creating the replica directory", e))?;
-        let mut rng = StdRng::seed_from_u64(policy.jitter_seed ^ replica_id);
-        let mut client = EqClient::connect_with_retry(primary_addr, &policy)?;
-        // A usable local lineage spares the snapshot transfer entirely —
-        // the common case for a replica restarting after a crash.
-        let server = match QueryServer::recover(dir) {
-            Ok(server) => server,
-            Err(_) => {
-                seed_dir(&mut client, dir, &policy, &mut rng)?;
-                QueryServer::recover(dir)?
+        let rng = StdRng::seed_from_u64(policy.jitter_seed ^ replica_id);
+        let client = Some(EqClient::connect_with_retry(primary_addr, &policy)?);
+        let mut link = Link { addr: primary_addr.to_string(), policy, rng, client };
+        // A usable local lineage resumes by its counts — the common case
+        // for a replica restarting after a crash.
+        let recovered = QueryServer::recover(dir).ok();
+        let cursor = recovered.as_ref().map_or(Ok(Cursor::default()), QueryServer::repl_cursor)?;
+        let batch = link.pull(cursor, REPL_PULL_BYTES)?;
+        let mut sync = ReplicaSync::default();
+        let server = match recovered {
+            Some(server) if !batch.reseed => server,
+            recovered => {
+                // No lineage, or one the primary disowns (failover
+                // happened): seed afresh.  Dropping the recovered server
+                // releases the directory lock the new lineage needs.
+                sync.reseeds += u64::from(recovered.is_some());
+                drop(recovered);
+                if !batch.reseed {
+                    return Err(EarthQubeError::Persist(
+                        "the primary served records to a replica with no lineage".into(),
+                    ));
+                }
+                QueryServer::seed(dir, &batch.static_chunk, batch.generation)?
             }
         };
         server.set_replica_mode();
-        let mut replica = Replica {
-            server: Arc::new(server),
-            primary_addr: primary_addr.to_string(),
-            replica_id,
-            policy,
-            rng,
-            client: Some(client),
-            sync: ReplicaSync::default(),
-        };
-        if replica.sync_once()? == SyncStatus::ReseedRequired {
-            // The recovered lineage is foreign (failover happened) or its
-            // position was retired: discard it and seed afresh.  Dropping
-            // the server releases the directory lock the re-recover needs.
-            drop(replica.server);
-            let mut client = match replica.client.take() {
-                Some(client) => client,
-                None => EqClient::connect_with_retry(primary_addr, &replica.policy)?,
-            };
-            seed_dir(&mut client, dir, &replica.policy, &mut replica.rng)?;
-            replica.client = Some(client);
-            let server = QueryServer::recover(dir)?;
-            server.set_replica_mode();
-            replica.server = Arc::new(server);
-            if replica.sync_once()? == SyncStatus::ReseedRequired {
-                return Err(EarthQubeError::Persist(
-                    "the primary disowned a snapshot it just served; is it checkpointing \
-                     faster than this replica can seed?"
-                        .into(),
-                ));
-            }
-        }
+        let mut replica = Replica { server: Arc::new(server), link, sync };
+        replica.apply(&batch)?;
         Ok(replica)
     }
 
@@ -454,44 +471,23 @@ impl Replica {
         &self.server
     }
 
-    /// This replica's id on the primary's retention floor.
-    pub fn replica_id(&self) -> u64 {
-        self.replica_id
-    }
-
     /// The current sync progress snapshot.
     pub fn sync_state(&self) -> ReplicaSync {
-        let ReplState { generation, segment, offset, .. } = self.server.repl_state();
-        ReplicaSync { generation, segment, offset, ..self.sync }
+        let ReplState { generation, ingested, feedback, .. } = self.server.repl_state();
+        ReplicaSync { generation, ingested, feedback, ..self.sync }
     }
 
-    /// Runs `op` against the primary connection, reconnecting and retrying
-    /// transient failures under the policy.  Pulls are idempotent, so the
-    /// broad transient test applies.
-    fn with_client<T>(
-        &mut self,
-        op: impl Fn(&mut EqClient) -> Result<T, EarthQubeError>,
-    ) -> Result<T, EarthQubeError> {
-        let (client, addr) = (&mut self.client, self.primary_addr.as_str());
-        self.policy.run(self.policy.attempts, &mut self.rng, || {
-            let connected = match client {
-                Some(connected) => connected,
-                None => match EqClient::connect(addr) {
-                    Ok(connected) => client.insert(connected),
-                    Err(e) => return ControlFlow::Continue(e),
-                },
-            };
-            match op(connected) {
-                Ok(value) => ControlFlow::Break(Ok(value)),
-                Err(e) if RetryPolicy::is_transient(&e) => {
-                    // The connection state is suspect after any transport
-                    // fault; reconnect on the next attempt.
-                    *client = None;
-                    ControlFlow::Continue(e)
-                }
-                Err(e) => ControlFlow::Break(Err(e)),
-            }
-        })
+    /// Applies a batch the primary continued this replica's lineage with.
+    fn apply(&mut self, batch: &ReplBatch) -> Result<SyncStatus, EarthQubeError> {
+        self.sync.batches += 1;
+        self.sync.primary_ingested = batch.ingested;
+        self.sync.primary_feedback = batch.feedback;
+        if batch.runs.is_empty() {
+            return Ok(SyncStatus::CaughtUp);
+        }
+        let applied = self.server.apply_runs(&batch.runs)?;
+        self.sync.records_applied += applied;
+        Ok(SyncStatus::Applied(applied))
     }
 
     /// One pull/apply round trip.
@@ -503,28 +499,26 @@ impl Replica {
     /// [`EarthQubeError::Persist`] — the latter generally means the
     /// replica should be re-bootstrapped.
     pub fn sync_once(&mut self) -> Result<SyncStatus, EarthQubeError> {
-        // The mirrored log is byte-identical to the primary's, so the
-        // server's durable WAL position is the position to pull from.
-        let (id, at) = (self.replica_id, self.server.repl_state());
-        let batch = self.with_client(|c| {
-            c.repl_pull(id, at.generation, at.segment, at.offset, REPL_PULL_BYTES)
-        })?;
-        self.sync.batches += 1;
-        self.sync.primary_segment = batch.primary_segment;
-        self.sync.primary_offset = batch.primary_offset;
+        self.sync_within(REPL_PULL_BYTES)
+    }
+
+    /// [`sync_once`](Self::sync_once) asking for at most `max_bytes` of
+    /// records, which the primary exceeds only to carry one: a pull always
+    /// makes progress.
+    ///
+    /// # Errors
+    /// Like [`sync_once`](Self::sync_once).
+    pub fn sync_within(&mut self, max_bytes: u64) -> Result<SyncStatus, EarthQubeError> {
+        let batch = self.link.pull(self.server.repl_cursor()?, max_bytes)?;
         if batch.reseed {
+            self.sync.batches += 1;
             self.sync.reseeds += 1;
             return Ok(SyncStatus::ReseedRequired);
         }
-        if batch.entries.is_empty() && !batch.rotate {
-            return Ok(SyncStatus::CaughtUp);
-        }
-        let applied = self.server.apply_replicated(&batch.entries, batch.rotate)?;
-        self.sync.records_applied += applied;
-        Ok(SyncStatus::Applied(applied))
+        self.apply(&batch)
     }
 
-    /// Pulls until the replica reaches the primary's durable position.
+    /// Pulls until the replica holds every record the primary does.
     ///
     /// # Errors
     /// Like [`sync_once`](Self::sync_once); a `reseed` verdict surfaces as
@@ -588,92 +582,10 @@ impl Replica {
 
 fn reseed_error() -> EarthQubeError {
     EarthQubeError::Persist(
-        "the primary can no longer serve this replica's position; re-bootstrap the replica \
-         to seed a fresh snapshot"
+        "the primary does not continue this replica's lineage; re-bootstrap the replica to \
+         seed it afresh"
             .into(),
     )
-}
-
-/// Ships the primary's current checkpoint into `dir`: every chunk file the
-/// manifest references, then the manifest itself (tmp + rename, so a crash
-/// mid-seed never leaves a manifest pointing at missing chunks).  Existing
-/// WAL segments and the old manifest are removed first — the snapshot
-/// replaces the lineage wholesale.
-///
-/// A checkpoint completing on the primary mid-transfer invalidates chunk
-/// names we are still fetching; the primary answers those with
-/// `BadRequest`, and the whole transfer restarts against the new manifest
-/// (bounded by the retry budget).
-fn seed_dir(
-    client: &mut EqClient,
-    dir: &Path,
-    policy: &RetryPolicy,
-    rng: &mut StdRng,
-) -> Result<(), EarthQubeError> {
-    policy.run(policy.attempts, rng, || match seed_dir_once(client, dir) {
-        Ok(()) => ControlFlow::Break(Ok(())),
-        // BadRequest: a chunk vanished mid-transfer (the primary
-        // checkpointed); transient faults: the transport hiccuped.  Both
-        // warrant a fresh attempt against the current manifest.
-        Err(e) if matches!(e, EarthQubeError::BadRequest(_)) || RetryPolicy::is_transient(&e) => {
-            ControlFlow::Continue(e)
-        }
-        Err(e) => ControlFlow::Break(Err(e)),
-    })
-}
-
-fn seed_dir_once(client: &mut EqClient, dir: &Path) -> Result<(), EarthQubeError> {
-    let manifest_bytes = client.repl_manifest()?;
-    let manifest = eq_wire::manifest::decode_manifest(&manifest_bytes).map_err(persist::corrupt)?;
-    // Invalidate the old lineage before touching its files: removing the
-    // manifest first means a crash at any later point leaves a directory
-    // that simply seeds from scratch again.
-    let old_manifest = dir.join(persist::MANIFEST_FILE);
-    if old_manifest.exists() {
-        std::fs::remove_file(&old_manifest)
-            .map_err(|e| persist::io_error("removing the superseded manifest", e))?;
-    }
-    for (_, path) in persist::list_segment_files(dir)? {
-        std::fs::remove_file(&path)
-            .map_err(|e| persist::io_error("removing a superseded WAL segment", e))?;
-    }
-    for chunk in &manifest.chunks {
-        // Each slice is appended as it arrives (a chunk can be hundreds of
-        // megabytes) and the file is synced once, at the end.
-        let io = |e| persist::io_error("writing a seeded chunk", e);
-        let mut file = std::fs::File::create(dir.join(&chunk.file)).map_err(io)?;
-        let mut received = 0u64;
-        loop {
-            let (total, part) = client.repl_chunk(&chunk.file, received, SEED_SLICE_BYTES)?;
-            if part.is_empty() && received < total {
-                return Err(EarthQubeError::Net(format!(
-                    "chunk {} transfer stalled at {received} of {total} bytes",
-                    chunk.file
-                )));
-            }
-            file.write_all(&part).map_err(io)?;
-            received += part.len() as u64;
-            if received >= total {
-                break;
-            }
-        }
-        if received != chunk.len {
-            // The chunk changed size under us — the manifest was replaced
-            // mid-transfer.  BadRequest triggers a re-fetch of the
-            // manifest in the caller's retry loop.
-            return Err(EarthQubeError::BadRequest(format!(
-                "chunk {} is {received} bytes, the manifest promised {}",
-                chunk.file, chunk.len
-            )));
-        }
-        file.sync_all().map_err(|e| persist::io_error("syncing a seeded chunk", e))?;
-    }
-    // Publish last: recovery trusts any directory whose manifest exists,
-    // so the manifest must only appear once every chunk it references is
-    // durable.  (Chunk content integrity is CRC-checked at recovery.)
-    persist::write_manifest_file(dir, &manifest, &Faults::default())?;
-    persist::sweep_orphan_chunks(dir, &manifest, &Faults::default())?;
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -983,35 +895,21 @@ mod tests {
     #[test]
     fn replica_sync_lag_accounting() {
         let caught_up = ReplicaSync {
-            segment: 3,
-            offset: 400,
-            primary_segment: 3,
-            primary_offset: 400,
+            ingested: 40,
+            feedback: 3,
+            primary_ingested: 40,
+            primary_feedback: 3,
             ..ReplicaSync::default()
         };
         assert!(caught_up.caught_up());
-        assert_eq!(caught_up.lag_segments(), 0);
-        assert_eq!(caught_up.lag_bytes(), 0);
+        assert_eq!(caught_up.lag_records(), 0);
 
-        let behind = ReplicaSync {
-            segment: 2,
-            offset: 900,
-            primary_segment: 3,
-            primary_offset: 250,
-            ..ReplicaSync::default()
-        };
+        let behind = ReplicaSync { primary_ingested: 45, primary_feedback: 5, ..caught_up };
         assert!(!behind.caught_up());
-        assert_eq!(behind.lag_segments(), 1);
-        assert_eq!(behind.lag_bytes(), 250);
-
-        let same_segment = ReplicaSync {
-            segment: 3,
-            offset: 100,
-            primary_segment: 3,
-            primary_offset: 250,
-            ..ReplicaSync::default()
-        };
-        assert_eq!(same_segment.lag_bytes(), 150);
+        assert_eq!(behind.lag_records(), 7);
+        let feedback_behind = ReplicaSync { primary_feedback: 4, ..caught_up };
+        assert!(!feedback_behind.caught_up());
+        assert_eq!(feedback_behind.lag_records(), 1);
     }
 
     #[test]
@@ -1020,45 +918,67 @@ mod tests {
         assert!(matches!(err, Err(EarthQubeError::BadRequest(_))));
     }
 
-    /// Snapshot seeding reads a chunk slice by slice: whatever the slicing,
-    /// the slices concatenate to the file and each reports the same total.
+    /// A pull encodes from memory past the asked counts, and whatever the
+    /// budget, even one byte, carries at least one pending record: pulling
+    /// one record at a time walks both sequences, ingest's first, and the
+    /// runs concatenate to what a whole-tail pull carries.  A record's tail
+    /// digest is the CRC-32 of its one-record run.  A foreign generation,
+    /// counts above the server's, or a tail digest the server's record
+    /// there does not have, reseeds from 0 with the static chunk.
     #[test]
-    fn chunk_slices_concatenate_to_the_file() {
+    fn pulls_walk_the_counts_under_any_budget() {
         use eq_bigearthnet::{ArchiveGenerator, GeneratorConfig};
-        let dir = std::env::temp_dir().join(format!("eq_repl_slices_{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("eq_repl_pulls_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let archive = ArchiveGenerator::new(GeneratorConfig::tiny(6, 77)).unwrap().generate();
         let mut config = crate::EarthQubeConfig::fast(77);
         config.train_model = false;
         let server = QueryServer::build(&archive, config, crate::ServeConfig::default()).unwrap();
+        server.submit_feedback("one", None).unwrap();
         server.checkpoint(&dir).unwrap();
+        server.submit_feedback("two", Some("c")).unwrap();
+        let ReplState { generation, ingested, feedback, .. } = server.repl_state();
+        assert_eq!((ingested, feedback), (6, 2));
 
-        let manifest =
-            eq_wire::manifest::decode_manifest(&server.repl_manifest_bytes().unwrap()).unwrap();
-        let chunk = manifest.chunks.iter().max_by_key(|c| c.len).unwrap();
-        let bytes = std::fs::read(dir.join(&chunk.file)).unwrap();
-        let total = bytes.len() as u64;
-        assert_eq!(total, chunk.len);
-        let step = total / 3 + 1; // two full slices and a short last one
-        assert!(step > 1 && step * 2 < total && step * 3 > total);
+        let tails_at = |counts| tails(&server.catalog.read(), counts).unwrap();
+        let whole = server.repl_pull(generation, 2, 0, tails_at([2, 0]), u64::MAX).unwrap();
+        assert!(!whole.reseed && whole.static_chunk.is_empty());
+        assert_eq!((whole.ingested, whole.feedback, whole.runs.len()), (6, 2, 2));
+        let (mut at, mut singles) = ([2, 0], Vec::new());
+        while at != [ingested, feedback] {
+            let batch = server.repl_pull(generation, at[0], at[1], tails_at(at), 1).unwrap();
+            let [run] = &batch.runs[..] else { panic!("one record per 1-byte pull: {at:?}") };
+            let records = run.len() - 9;
+            singles.push(run.clone());
+            let seq = usize::from(at[0] == ingested);
+            at[seq] += 1;
+            assert!(records > 0);
+            assert_eq!(tails_at(at)[seq], eq_wire::crc32(run));
+        }
+        assert_eq!(singles.len(), 6);
+        for (runs, whole) in [(&singles[..4], &whole.runs[0]), (&singles[4..], &whole.runs[1])] {
+            let tail: Vec<u8> = runs.iter().flat_map(|run| run[9..].to_vec()).collect();
+            assert_eq!(tail, whole[9..], "single-record runs concatenate to the whole tail");
+        }
+        let held = tails_at([ingested, feedback]);
+        let caught_up = server.repl_pull(generation, ingested, feedback, held, 1).unwrap();
+        assert!(!caught_up.reseed && caught_up.runs.is_empty());
 
-        let mut seen = Vec::new();
-        for offset in [0, step, 2 * step] {
-            let (reported, slice) = server.repl_chunk_bytes(&chunk.file, offset, step).unwrap();
-            assert_eq!(reported, total);
-            assert_eq!(slice.len() as u64, step.min(total - offset));
-            seen.extend(slice);
+        let diverged = [[held[0] ^ 1, held[1]], [held[0], held[1] ^ 1]];
+        let reseeds = [
+            (generation ^ 1, [6, 2], held),
+            (0, [0, 0], [0, 0]),
+            (generation, [7, 0], held),
+            (generation, [6, 2], diverged[0]),
+            (generation, [6, 2], diverged[1]),
+            (generation, [0, 0], [1, 0]),
+        ];
+        for (asked, counts, tails) in reseeds {
+            let batch = server.repl_pull(asked, counts[0], counts[1], tails, u64::MAX).unwrap();
+            assert!(batch.reseed && batch.generation == generation, "{asked} {counts:?} {tails:?}");
+            assert_eq!(batch.static_chunk, server.static_chunk());
+            assert_eq!(batch.runs.len(), 2);
         }
-        assert_eq!(seen, bytes);
-        for offset in [total, total + 10] {
-            let (reported, slice) = server.repl_chunk_bytes(&chunk.file, offset, step).unwrap();
-            assert_eq!((reported, slice.len()), (total, 0), "at or past EOF");
-        }
-        // A name the manifest does not reference is refused, not read.
-        assert!(matches!(
-            server.repl_chunk_bytes("wal.lock", 0, step),
-            Err(EarthQubeError::BadRequest(_))
-        ));
         drop(server);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -87,7 +87,7 @@ use parking_lot::RwLock;
 
 use crate::catalog::Catalog;
 pub use crate::durability::{CheckpointKind, CheckpointStats, CheckpointerStats};
-use crate::durability::{Durability, Seal};
+use crate::durability::{Durability, Lineage};
 use crate::engine::{build_registry, EarthQube, EarthQubeConfig, SearchResponse};
 use crate::feedback::{FeedbackEntry, FeedbackService};
 use crate::filtered::{FilteredResponse, PrefilterMode, ResolvedFilter};
@@ -378,7 +378,7 @@ pub struct QueryServer {
     serve: ServeConfig,
     /// The query core, whole, behind one lock: queries take the read side,
     /// the write section the write side.
-    catalog: RwLock<Catalog>,
+    pub(crate) catalog: RwLock<Catalog>,
     /// The catalog's model, shared: it never changes once built, so uploads
     /// and ingest batches are hashed without taking the catalog lock.
     model: Arc<Milan>,
@@ -732,16 +732,8 @@ impl QueryServer {
                 &NetTierStats::default(),
             ))),
             RequestBody::ReplState => Reply::Body(ResponseBody::ReplState(self.repl_state())),
-            RequestBody::ReplManifest => {
-                reply(self.repl_manifest_bytes().map(|bytes| ResponseBody::ReplManifest { bytes }))
-            }
-            RequestBody::ReplChunk { file, offset, max_bytes } => {
-                reply(self.repl_chunk_bytes(file, *offset, *max_bytes).map(|(total_len, bytes)| {
-                    ResponseBody::ReplChunk(eq_proto::ReplChunkPayload { total_len, bytes })
-                }))
-            }
-            RequestBody::ReplPull { replica_id, generation, segment, offset, max_bytes } => reply(
-                self.repl_pull(*replica_id, *generation, *segment, *offset, *max_bytes)
+            RequestBody::ReplPull { generation, ingested, feedback, tails, max_bytes } => reply(
+                self.repl_pull(*generation, *ingested, *feedback, *tails, *max_bytes)
                     .map(ResponseBody::ReplRecords),
             ),
         }
@@ -858,9 +850,9 @@ impl QueryServer {
                     meta.id = PatchId(id as u32);
                 }
             }
-            records
+            Ok(records)
         };
-        self.write(stamped, None, Seal::AtLimit)?;
+        self.write(stamped)?;
         let n = patches.len();
         Ok(IngestReport { metadata_docs: n, image_docs: n, rendered_docs: n })
     }
@@ -881,7 +873,7 @@ impl QueryServer {
         let (text, category) = (text.to_string(), category.map(String::from));
         let record = WalRecord::Feedback { text, category };
         // One record checked and applied lands under one key.
-        Ok(self.write(|_| vec![record], None, Seal::AtLimit)?.unwrap_or_default())
+        Ok(self.write(|_| Ok(vec![record]))?.unwrap_or_default())
     }
 
     /// Live writes are a primary's: a replica applies only what it pulls.
@@ -905,39 +897,34 @@ impl QueryServer {
 
     /// The one write section: every change to the catalog — live
     /// [`ingest`](Self::ingest) and [`submit_feedback`](Self::submit_feedback),
-    /// recovery's replay, [`apply_replicated`](Self::apply_replicated) —
-    /// hands its records here, with its [`Seal`] (and a replica the
-    /// payloads it mirrors).  Durable before visible, all under the WAL
-    /// lock, where writers serialise: the records are built and checked in
-    /// order under a catalog read guard, so readers keep running, up to the
-    /// first refusal; those before it are appended and synced (a failure
-    /// applies nothing); a whole batch is sealed; and what was synced is
-    /// applied under the catalog write lock, even when the seal failed.
+    /// recovery's replay, a replica's pulled records — hands its records
+    /// here.  Durable before visible, all under the WAL lock, where writers
+    /// serialise (a replica's write needs a log, see
+    /// [`Durability::begin`]): the records are built and checked in order
+    /// under a catalog read guard, so readers keep running, up to the first
+    /// refusal (a refused build applies nothing); those before it are
+    /// appended and synced (a failure applies nothing); the live segment is
+    /// sealed once it outgrows its limit; and what was synced is applied
+    /// under the catalog write lock.
     ///
     /// Still under the write lock, both caches are cleared exactly when the
     /// archive grew: feedback, a refused patch or an empty batch evicts
     /// nothing.  Readers insert cache entries only under the read lock (see
     /// [`cached`](Self::cached)), so no stale entry survives the clear.
-    /// Returns the key the last record landed under, or the refusal, else
-    /// the seal's error.
+    /// Returns the key the last record landed under, or the refusal.
     fn write(
         &self,
-        records: impl FnOnce(&Catalog) -> Vec<WalRecord>,
-        mirrored: Option<&[Vec<u8>]>,
-        seal: Seal,
+        records: impl FnOnce(&Catalog) -> Result<Vec<WalRecord>, EarthQubeError>,
     ) -> Result<Option<i64>, EarthQubeError> {
-        let mut log = self.durability.begin(seal)?;
+        let mut log = self.durability.begin(!self.is_primary())?;
         let (records, (valid, refused)) = {
             let catalog = self.catalog.read();
-            let records = records(&catalog);
+            let records = records(&catalog)?;
             let checked = catalog.check_records(&records);
             (records, checked)
         };
-        match mirrored {
-            Some(payloads) => log.log(payloads.iter().take(valid))?,
-            None => log.log(records.iter().take(valid).map(WalRecord::encode))?,
-        }
-        let sealed = refused.and_then(|()| log.seal());
+        log.log(records.iter().take(valid).map(WalRecord::encode))?;
+        log.seal();
         let mut last = None;
         if valid > 0 {
             let mut catalog = self.catalog.write();
@@ -949,7 +936,7 @@ impl QueryServer {
                 self.invalidate();
             }
         }
-        sealed.map(|()| last)
+        refused.map(|()| last)
     }
 
     /// Drops everything derived from the catalog: both caches.
@@ -1007,7 +994,7 @@ impl QueryServer {
 
     // -- durable storage tier ---------------------------------------------
 
-    fn static_chunk(&self) -> Vec<u8> {
+    pub(crate) fn static_chunk(&self) -> Vec<u8> {
         persist::encode_static_chunk(&self.config, self.serve, &self.model)
     }
 
@@ -1042,15 +1029,16 @@ impl QueryServer {
     /// attached where it was, with the old manifest and its record counts
     /// in force, so the next checkpoint retries the same work.
     pub fn checkpoint(&self, dir: &Path) -> Result<CheckpointStats, EarthQubeError> {
-        // A replica never checkpoints: the cut rotates the live segment,
-        // which would desynchronise its mirrored WAL position from the
-        // primary's.  Promotion runs the one checkpoint a replica takes.
-        if !self.is_primary() {
+        // A replica checkpoints the lineage it follows, like any server;
+        // anywhere else it would start a lineage of its own.
+        if !self.is_primary() && self.attached_dir().as_deref() != Some(dir) {
             return Err(EarthQubeError::NotPrimary(
-                "a read replica never checkpoints; promote it first".into(),
+                "a read replica checkpoints only the directory it replicates into; promote it \
+                 first"
+                    .into(),
             ));
         }
-        self.durability.checkpoint(&self.catalog, dir, false, || self.static_chunk())
+        self.durability.checkpoint(&self.catalog, dir, Lineage::Continue, || self.static_chunk())
     }
 
     /// Restores a server from a persistence directory: reads the manifest
@@ -1099,8 +1087,37 @@ impl QueryServer {
         // section like any write: the replayed records grow the catalog
         // past `persisted` and count as ingested.  The next incremental
         // checkpoint folds them into chunks, and their segments retire.
-        server.write(|_| chain.records, None, Seal::AtLimit).map_err(not_applied)?;
+        server.write(|_| Ok(chain.records)).map_err(not_applied)?;
         server.durability.attach(dir, lock, manifest, chain.tail, persisted)?;
+        Ok(server)
+    }
+
+    /// A read replica's new lineage in `dir`, from its primary's static
+    /// chunk (configuration and model) and under the primary's
+    /// `generation`: an empty catalog, checkpointed there as a full
+    /// checkpoint, whose commit replaces whatever lineage `dir` held.  The
+    /// primary's records then arrive as pulled ones, through the write
+    /// section.
+    ///
+    /// # Errors
+    /// [`EarthQubeError::Persist`] on a static chunk that does not decode,
+    /// on I/O, or when another live instance holds `dir`.
+    pub(crate) fn seed(
+        dir: &Path,
+        static_chunk: &[u8],
+        generation: u32,
+    ) -> Result<Self, EarthQubeError> {
+        let persist::ChunkPayload::Static { config, serve, model } =
+            persist::decode_chunk_body(static_chunk)?
+        else {
+            return Err(EarthQubeError::Persist("a reseed answer without a static chunk".into()));
+        };
+        let catalog = Catalog::empty(model, config.page_size, 0);
+        let registry = build_registry(&config);
+        let server = Self::new(config, serve, catalog, registry);
+        server.set_replica_mode();
+        let lineage = Lineage::Follow(generation);
+        server.durability.checkpoint(&server.catalog, dir, lineage, || static_chunk.to_vec())?;
         Ok(server)
     }
 
@@ -1143,12 +1160,6 @@ impl QueryServer {
     /// # Errors
     /// Propagates [`checkpoint`](Self::checkpoint) errors.
     pub fn checkpoint_if_dirty(&self) -> Result<Option<CheckpointStats>, EarthQubeError> {
-        // Replicas are always "dirty" (their state runs ahead of the
-        // seeded snapshot by design) but must never checkpoint — their
-        // durability is the mirrored WAL itself.
-        if !self.is_primary() {
-            return Ok(None);
-        }
         let Some(dir) = self.attached_dir() else { return Ok(None) };
         let stats = self.checkpoint(&dir)?;
         Ok((stats.kind != CheckpointKind::Skipped).then_some(stats))
@@ -1164,48 +1175,74 @@ impl QueryServer {
     }
 
     /// Turns the server into a read replica: the network tier rejects
-    /// ingest and feedback with [`EarthQubeError::NotPrimary`], checkpoints
-    /// are refused, and [`apply_replicated`](Self::apply_replicated)
-    /// becomes the only write path.
+    /// ingest and feedback with [`EarthQubeError::NotPrimary`], a
+    /// checkpoint anywhere but the attached directory is refused, and
+    /// records pulled from the primary become the only writes.
     pub fn set_replica_mode(&self) {
         self.primary.store(false, Ordering::Release);
     }
 
-    /// Applies one pulled batch on a replica through the write section, so
-    /// a replica serves only what its own log holds: each record's raw
-    /// payload is appended to the replica's WAL and synced before it
-    /// applies — re-framed deterministically, so the mirrored log is
-    /// byte-identical to the primary's and the replica's durable position
-    /// *is* its replication position.  With `rotate`, the live segment is
-    /// sealed after the batch, mirroring the primary's rotation point.
+    /// Applies pulled records runs (records chunk bodies, see
+    /// [`eq_proto::ReplBatch`]) on a replica through the write section, so
+    /// a replica serves only what its own log holds: they are logged,
+    /// synced and sealed as any write, then applied.  A run that does not
+    /// start where this replica's count of its sequence ends is refused
+    /// before anything.
     ///
     /// # Errors
     /// [`EarthQubeError::BadRequest`] on a primary (replicas only);
-    /// [`EarthQubeError::Persist`] with no persistence attachment or on an
-    /// undecodable batch (nothing applies), on a diverging record (the
-    /// records before it apply; the caller should re-seed), and on WAL I/O
-    /// failure: a failed append or sync applies nothing and detaches the
-    /// log, a failed rotation still applies the synced batch.
-    pub fn apply_replicated(
+    /// [`EarthQubeError::Persist`] with no persistence attachment, on an
+    /// undecodable or misplaced run (nothing applies), on a diverging
+    /// record (the records before it apply; the caller should re-seed), and
+    /// on WAL I/O failure: a failed append or sync applies nothing and
+    /// detaches the log.
+    pub(crate) fn apply_runs(&self, runs: &[Vec<u8>]) -> Result<u64, EarthQubeError> {
+        let mut decoded = Vec::with_capacity(runs.len());
+        for run in runs {
+            match persist::decode_chunk_body(run)? {
+                persist::ChunkPayload::Records { start, records } => decoded.push((start, records)),
+                _ => return Err(EarthQubeError::Persist("a pulled run holds no records".into())),
+            }
+        }
+        self.replicate(|catalog| {
+            let mut held = Sequence::ALL.map(|seq| catalog.record_count(seq) as u64);
+            let mut records = Vec::new();
+            for (start, run) in decoded {
+                let Some(seq) = run.first().map(Sequence::of) else { continue };
+                let at = &mut held[seq as usize];
+                if start != *at || run.iter().any(|record| Sequence::of(record) != seq) {
+                    return Err(EarthQubeError::Persist(format!(
+                        "a pulled {seq:?} run starts at record {start}, this replica holds {at}"
+                    )));
+                }
+                *at += run.len() as u64;
+                records.extend(run);
+            }
+            Ok(records)
+        })
+    }
+
+    /// A replica's write of records from its primary: refused on a
+    /// primary, and whatever refuses a record is an
+    /// [`EarthQubeError::Persist`] (the records no longer continue this
+    /// replica's state).  Returns how many records applied.
+    fn replicate(
         &self,
-        entries: &[Vec<u8>],
-        rotate: bool,
+        records: impl FnOnce(&Catalog) -> Result<Vec<WalRecord>, EarthQubeError>,
     ) -> Result<u64, EarthQubeError> {
         if self.is_primary() {
             return Err(EarthQubeError::BadRequest(
-                "apply_replicated is only legal in replica mode".into(),
+                "replicated records apply only in replica mode".into(),
             ));
         }
-        // Decode before taking any lock: a corrupt batch is rejected
-        // whole, so the applied state and the mirrored WAL never diverge.
-        let mut records = Vec::with_capacity(entries.len());
-        for payload in entries {
-            records.push(persist::decode_record(payload).map_err(|e| {
-                EarthQubeError::Persist(format!("invalid replicated WAL record: {e}"))
-            })?);
-        }
-        self.write(|_| records, Some(entries), Seal::Mirror(rotate)).map_err(not_applied)?;
-        Ok(entries.len() as u64)
+        let mut applied = 0;
+        let counted = |catalog: &Catalog| {
+            let records = records(catalog)?;
+            applied = records.len() as u64;
+            Ok(records)
+        };
+        self.write(counted).map_err(not_applied)?;
+        Ok(applied)
     }
 
     /// Promotes a replica to primary.  The replica's applied state is cut
@@ -1230,7 +1267,7 @@ impl QueryServer {
         let dir = self.attached_dir().ok_or_else(|| {
             EarthQubeError::Persist("promotion requires a persistence attachment".into())
         })?;
-        self.durability.checkpoint(&self.catalog, &dir, true, || self.static_chunk())?;
+        self.durability.checkpoint(&self.catalog, &dir, Lineage::Fresh, || self.static_chunk())?;
         self.primary.store(true, Ordering::Release);
         Ok(())
     }
@@ -1333,6 +1370,18 @@ mod tests {
     use eq_bigearthnet::{ArchiveGenerator, GeneratorConfig};
     use eq_docstore::Document;
     use std::time::Duration;
+
+    impl QueryServer {
+        /// A replicated write of single WAL record payloads: what a pulled
+        /// run carries, without the run framing.
+        fn apply_replicated(&self, entries: &[Vec<u8>]) -> Result<u64, EarthQubeError> {
+            let records = entries.iter().map(|payload| persist::decode_record(payload));
+            let records = records.collect::<Result<Vec<_>, _>>().map_err(|e| {
+                EarthQubeError::Persist(format!("invalid replicated WAL record: {e}"))
+            })?;
+            self.replicate(|_| Ok(records))
+        }
+    }
 
     fn server(n: usize, seed: u64, serve: ServeConfig) -> (QueryServer, Archive) {
         let archive = ArchiveGenerator::new(GeneratorConfig::tiny(n, seed)).unwrap().generate();
@@ -1575,20 +1624,20 @@ mod tests {
         srv.ingest(&extra.patches()[1..2]).unwrap();
         assert_eq!(entries(), (0, 0), "a live ingest");
 
-        // A replica needs an attachment to mirror its log into.
+        // A replica needs an attachment to log what it pulls.
         srv.checkpoint(dir.path()).unwrap();
         srv.set_replica_mode();
         assert_eq!(warm(), warmed);
         let (text, category) = ("replicated".to_string(), None);
         let feedback = WalRecord::Feedback { text, category }.encode();
-        assert_eq!(srv.apply_replicated(&[feedback], false).unwrap(), 1);
+        assert_eq!(srv.apply_replicated(&[feedback]).unwrap(), 1);
         assert_eq!(entries(), warmed, "a replicated feedback batch");
         let patch = &extra.patches()[2];
         let meta = PatchMetadata { id: PatchId(srv.archive_size() as u32), ..patch.meta.clone() };
         let (image_doc, rendered_doc) = prepare_patch_docs(patch, &meta.name);
         let code = srv.model.hash_patch(patch);
         let ingest = WalRecord::Ingest { meta, code, image_doc, rendered_doc }.encode();
-        assert_eq!(srv.apply_replicated(&[ingest], false).unwrap(), 1);
+        assert_eq!(srv.apply_replicated(&[ingest]).unwrap(), 1);
         assert_eq!(entries(), (0, 0), "a replicated ingest");
     }
 
@@ -1972,8 +2021,14 @@ mod tests {
         assert_eq!(incremental.kind, CheckpointKind::Incremental);
         assert!(!dir.path().join(persist::segment_file_name(live)).exists(), "it was sealed");
 
-        let header = persist::SEGMENT_HEADER_LEN;
-        let (logged, _) = persist::scan_record_payloads(&sealed, header, u64::MAX, u64::MAX);
+        // The sealed segment's record payloads, as framed on disk.
+        let mut logged = Vec::new();
+        let mut rest = &sealed[persist::SEGMENT_HEADER_LEN as usize..];
+        while let Some((frame, tail)) = rest.split_first_chunk::<8>() {
+            let len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
+            logged.push(tail[..len].to_vec());
+            rest = &tail[len..];
+        }
         assert_eq!(logged.len(), 5);
         let written: Vec<_> = records_chunks(dir.path())
             .into_iter()
@@ -2033,7 +2088,7 @@ mod tests {
         let (image_doc, rendered_doc) = prepare_patch_docs(&patch, &meta.name);
         let code = srv.model.hash_patch(&patch);
         let record = WalRecord::Ingest { meta, code, image_doc, rendered_doc }.encode();
-        let err = srv.apply_replicated(&[record], false).unwrap_err();
+        let err = srv.apply_replicated(&[record]).unwrap_err();
         assert!(matches!(err, EarthQubeError::Persist(_)), "{err:?}");
         assert_eq!((srv.archive_size(), srv.stats().ingested_images), (10, 0));
         let unknown = srv.similar_to(&patch.meta.name, 3).unwrap_err();
@@ -2054,7 +2109,7 @@ mod tests {
         let (image_doc, rendered_doc) = prepare_patch_docs(&patch, &meta.name);
         let code = BinaryCode::zeros(32);
         let record = WalRecord::Ingest { meta, code, image_doc, rendered_doc }.encode();
-        let err = srv.apply_replicated(&[record], false).unwrap_err();
+        let err = srv.apply_replicated(&[record]).unwrap_err();
         assert!(matches!(err, EarthQubeError::Persist(_)), "{err:?}");
         assert_eq!(srv.archive_size(), 10);
         assert_eq!(srv.search(&ImageQuery::all()).unwrap(), before);
@@ -2082,7 +2137,7 @@ mod tests {
         {
             let meta = meta.clone();
             let record = WalRecord::Ingest { meta, code: code.clone(), image_doc, rendered_doc };
-            let err = srv.apply_replicated(&[record.encode()], false).unwrap_err();
+            let err = srv.apply_replicated(&[record.encode()]).unwrap_err();
             assert!(matches!(err, EarthQubeError::Persist(_)), "{err:?}");
             assert_eq!(srv.archive_size(), 10);
             assert_eq!(srv.search(&ImageQuery::all()).unwrap(), before);
@@ -2090,7 +2145,7 @@ mod tests {
         // The record keyed right applies as dense id 10, and the replica's
         // whole state encodes into the promotion checkpoint.
         let record = WalRecord::Ingest { meta, code, image_doc, rendered_doc };
-        assert_eq!(srv.apply_replicated(&[record.encode()], false).unwrap(), 1);
+        assert_eq!(srv.apply_replicated(&[record.encode()]).unwrap(), 1);
         assert_eq!(srv.archive_size(), 11);
         srv.promote().unwrap();
         assert!(srv.is_primary());
@@ -2530,7 +2585,7 @@ mod tests {
         let (image_doc, rendered_doc) = prepare_patch_docs(patch, &meta.name);
         let code = back.model.hash_patch(patch);
         let record = WalRecord::Ingest { meta, code, image_doc, rendered_doc }.encode();
-        assert_eq!(back.apply_replicated(&[record], false).unwrap(), 1);
+        assert_eq!(back.apply_replicated(&[record]).unwrap(), 1);
         assert_eq!(back.archive_size(), 15);
         assert_dense_and_counted(&back);
     }

@@ -46,16 +46,19 @@
 //! | `SimilarToFiltered { .. }`       | `Filtered(FilteredPayload)`      |
 //! | `SimilarWithinFiltered { .. }`   | `Filtered(FilteredPayload)`      |
 //! | `ReplState`                      | `ReplState(ReplState)`           |
-//! | `ReplManifest`                   | `ReplManifest { bytes }`         |
-//! | `ReplChunk { file, .. }`         | `ReplChunk(ReplChunkPayload)`    |
-//! | `ReplPull { position, .. }`      | `ReplRecords(ReplBatch)`         |
+//! | `ReplPull { generation, .. }`    | `ReplRecords(ReplBatch)`         |
 //! | *(any, on failure)*              | `Error(ErrorPayload)`            |
 //!
-//! The `Repl*` kinds are the replication plane: a read replica pulls raw
-//! WAL record payloads from the primary by `(generation, segment,
-//! offset)` position, seeding itself from the shipped manifest + chunk
-//! files when its position is too far behind the primary's retained
-//! segments (see `eq_earthqube::replicate`).
+//! The `Repl*` kinds are the replication plane: a read replica pulls the
+//! records past its own two record counts (ingest, feedback) under the
+//! lineage generation it follows, with the CRC-32 of its last record in
+//! each; a replica with no lineage, a foreign generation, counts above the
+//! primary's or a last record the primary does not hold there is answered
+//! `reseed`, with the primary's static chunk and the records from 0, so one
+//! pull both seeds and catches up (see `eq_earthqube::replicate`).  Request
+//! tags 12 and 13
+//! and response tags 10 and 11 carried protocol v2's snapshot shipping
+//! (`ReplManifest`, `ReplChunk`); they are retired and never reused.
 //!
 //! # One type per concept
 //!
@@ -68,7 +71,7 @@
 //! conversion to drift.  [`SearchPayload`] and [`FilteredPayload`] are the
 //! wire form of `eq_earthqube`'s `SearchResponse` / `FilteredResponse`
 //! (whose panel and statistics are that crate's types); they hold the rows
-//! and the plan themselves.  Four wire types still mirror another crate's
+//! and the plan themselves.  Three wire types still mirror another crate's
 //! type, each for a reason:
 //!
 //! * [`QuerySpec`] (with [`LabelFilterSpec`] / [`LabelOp`]) mirrors
@@ -77,14 +80,12 @@
 //!   query can move here: this crate does not depend on `eq_docstore`, and
 //!   taking that edge would rewrite every dependent's lock file.
 //! * [`ErrorPayload`] is a codec of `EarthQubeError`, not a copy of it.
-//! * [`ReplChunkPayload`] is the wire form of the `(total length, bytes)`
-//!   pair a server returns for a chunk slice.
 //!
 //! A remote client therefore reconstructs results byte-identical to an
 //! in-process call ([`ResultEntry`] says how each typed field of a row
 //! crosses the wire).  Every enum the protocol carries crosses as a `u8`
-//! tag, a date as `u16` year, `u8` month, `u8` day, and a label set as its
-//! `u64` bits.  Protocol drift is guarded by the golden-bytes
+//! tag, a date as `u16` year, `u8` month, `u8` day, a label set as its
+//! `u64` bits, and a label count as a `u32`.  Protocol drift is guarded by the golden-bytes
 //! conformance suite in `tests/golden_bytes.rs`: the encoding of every
 //! message type is pinned to committed fixture files.
 
@@ -102,7 +103,7 @@ use eq_wire::{Reader, WireError, Writer};
 
 /// Protocol version; bumped on any byte-layout change.  Decoders reject
 /// frames carrying any other version.
-pub const PROTOCOL_VERSION: u16 = 2;
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Frame magic of client→server frames.
 pub const REQUEST_MAGIC: [u8; 4] = *b"EQRQ";
@@ -227,34 +228,25 @@ pub enum RequestBody {
         /// Filter-execution strategy selection.
         mode: PrefilterMode,
     },
-    /// Replication handshake: report the server's role and durable WAL
-    /// position; answered with [`ResponseBody::ReplState`].
+    /// Replication handshake: report the server's role, lineage and
+    /// record counts; answered with [`ResponseBody::ReplState`].
     ReplState,
-    /// Fetch the primary's current checkpoint manifest (raw file bytes);
-    /// answered with [`ResponseBody::ReplManifest`].
-    ReplManifest,
-    /// Fetch a slice of a checkpoint chunk file named by the manifest;
-    /// answered with [`ResponseBody::ReplChunk`].
-    ReplChunk {
-        /// Chunk file name, exactly as listed in the manifest.
-        file: String,
-        /// Byte offset into the chunk file.
-        offset: u64,
-        /// Maximum bytes to return in one response.
-        max_bytes: u64,
-    },
-    /// Pull WAL records at and after a replica's durable position;
-    /// answered with [`ResponseBody::ReplRecords`].
+    /// Pull the records past a replica's counts; answered with
+    /// [`ResponseBody::ReplRecords`].
     ReplPull {
-        /// Stable id of the pulling replica, for retention tracking.
-        replica_id: u64,
-        /// WAL generation the replica is following.
+        /// The lineage generation the replica follows (0: none yet).
         generation: u32,
-        /// Segment index the replica wants records from.
-        segment: u32,
-        /// Byte offset into that segment (first byte not yet applied).
-        offset: u64,
-        /// Soft cap on the summed record payload bytes in the response.
+        /// Ingest records the replica holds.
+        ingested: u64,
+        /// Feedback records the replica holds.
+        feedback: u64,
+        /// The CRC-32 of the replica's last record in each sequence,
+        /// ingest's first (0 for an empty sequence): the primary answers
+        /// `reseed` when its own record at that position differs, so a
+        /// history that diverged under the same generation is not resumed.
+        tails: [u32; 2],
+        /// Soft cap on the record bytes of the answer, which carries at
+        /// least one pending record whatever the cap.
         max_bytes: u64,
     },
 }
@@ -270,8 +262,7 @@ const REQ_METRICS_TEXT: u8 = 8;
 const REQ_SIMILAR_TO_FILTERED: u8 = 9;
 const REQ_SIMILAR_WITHIN_FILTERED: u8 = 10;
 const REQ_REPL_STATE: u8 = 11;
-const REQ_REPL_MANIFEST: u8 = 12;
-const REQ_REPL_CHUNK: u8 = 13;
+// 12 and 13 are retired (v2's `ReplManifest`, `ReplChunk`): never reuse.
 const REQ_REPL_PULL: u8 = 14;
 
 /// Bytes of the envelope every message starts with: the protocol version
@@ -401,19 +392,12 @@ impl RequestBody {
                 mode.encode(w);
             }
             RequestBody::ReplState => w.u8(REQ_REPL_STATE),
-            RequestBody::ReplManifest => w.u8(REQ_REPL_MANIFEST),
-            RequestBody::ReplChunk { file, offset, max_bytes } => {
-                w.u8(REQ_REPL_CHUNK);
-                w.str(file);
-                w.u64(*offset);
-                w.u64(*max_bytes);
-            }
-            RequestBody::ReplPull { replica_id, generation, segment, offset, max_bytes } => {
+            RequestBody::ReplPull { generation, ingested, feedback, tails, max_bytes } => {
                 w.u8(REQ_REPL_PULL);
-                w.u64(*replica_id);
                 w.u32(*generation);
-                w.u32(*segment);
-                w.u64(*offset);
+                w.u64(*ingested);
+                w.u64(*feedback);
+                tails.iter().for_each(|&tail| w.u32(tail));
                 w.u64(*max_bytes);
             }
         }
@@ -477,17 +461,11 @@ impl Request {
                 mode: PrefilterMode::decode(&mut r)?,
             },
             REQ_REPL_STATE => RequestBody::ReplState,
-            REQ_REPL_MANIFEST => RequestBody::ReplManifest,
-            REQ_REPL_CHUNK => RequestBody::ReplChunk {
-                file: r.str()?.to_string(),
-                offset: r.u64()?,
-                max_bytes: r.u64()?,
-            },
             REQ_REPL_PULL => RequestBody::ReplPull {
-                replica_id: r.u64()?,
                 generation: r.u32()?,
-                segment: r.u32()?,
-                offset: r.u64()?,
+                ingested: r.u64()?,
+                feedback: r.u64()?,
+                tails: [r.u32()?, r.u32()?],
                 max_bytes: r.u64()?,
             },
             other => return Err(WireError::Corrupt(format!("unknown request tag {other}"))),
@@ -536,14 +514,6 @@ pub enum ResponseBody {
     Filtered(FilteredPayload),
     /// Answer to [`RequestBody::ReplState`].
     ReplState(ReplState),
-    /// Answer to [`RequestBody::ReplManifest`]: the manifest file's raw
-    /// bytes (decodable with `eq_wire::manifest::decode_manifest`).
-    ReplManifest {
-        /// The manifest file bytes.
-        bytes: Vec<u8>,
-    },
-    /// Answer to [`RequestBody::ReplChunk`].
-    ReplChunk(ReplChunkPayload),
     /// Answer to [`RequestBody::ReplPull`].
     ReplRecords(ReplBatch),
 }
@@ -557,8 +527,7 @@ const RESP_ERROR: u8 = 6;
 const RESP_METRICS_TEXT: u8 = 7;
 const RESP_FILTERED: u8 = 8;
 const RESP_REPL_STATE: u8 = 9;
-const RESP_REPL_MANIFEST: u8 = 10;
-const RESP_REPL_CHUNK: u8 = 11;
+// 10 and 11 are retired (v2's `ReplManifest`, `ReplChunk`): never reuse.
 const RESP_REPL_RECORDS: u8 = 12;
 
 impl Response {
@@ -627,14 +596,6 @@ impl ResponseBody {
                 w.u8(RESP_REPL_STATE);
                 payload.encode(w);
             }
-            ResponseBody::ReplManifest { bytes } => {
-                w.u8(RESP_REPL_MANIFEST);
-                w.bytes(bytes);
-            }
-            ResponseBody::ReplChunk(payload) => {
-                w.u8(RESP_REPL_CHUNK);
-                payload.encode(w);
-            }
             ResponseBody::ReplRecords(payload) => {
                 w.u8(RESP_REPL_RECORDS);
                 payload.encode(w);
@@ -666,8 +627,6 @@ impl ResponseBody {
             RESP_METRICS_TEXT => ResponseBody::MetricsText(r.str()?.to_string()),
             RESP_FILTERED => ResponseBody::Filtered(FilteredPayload::decode(r)?),
             RESP_REPL_STATE => ResponseBody::ReplState(ReplState::decode(r)?),
-            RESP_REPL_MANIFEST => ResponseBody::ReplManifest { bytes: r.bytes()?.to_vec() },
-            RESP_REPL_CHUNK => ResponseBody::ReplChunk(ReplChunkPayload::decode(r)?),
             RESP_REPL_RECORDS => ResponseBody::ReplRecords(ReplBatch::decode(r)?),
             other => return Err(WireError::Corrupt(format!("unknown response tag {other}"))),
         })
@@ -1032,7 +991,9 @@ pub struct SearchPayload {
     pub rows: Vec<ResultEntry>,
     /// The result panel's page size.
     pub page_size: u64,
-    /// Per-label occurrence counts, indexed by `Label::index`.
+    /// Per-label occurrence counts, indexed by `Label::index`.  Each
+    /// crosses the wire as a `u32`: a count never exceeds the rows of an
+    /// answer, and rows are dense ids, which are `u32`.
     pub label_counts: Vec<u64>,
     /// Number of images the statistics cover.
     pub image_count: u64,
@@ -1050,7 +1011,9 @@ impl SearchPayload {
         w.u64(self.page_size);
         w.seq_len(self.label_counts.len());
         for &count in &self.label_counts {
-            w.u64(count);
+            // Checked, not truncated: a count past `u32::MAX` (which no
+            // answer holds) saturates.
+            w.u32(u32::try_from(count).unwrap_or(u32::MAX));
         }
         w.u64(self.image_count);
         match &self.plan {
@@ -1072,8 +1035,8 @@ impl SearchPayload {
         let n = r.seq_len(MIN_ROW_LEN)?;
         let rows = (0..n).map(|_| decode_row(r)).collect::<Result<Vec<_>, _>>()?;
         let page_size = r.u64()?;
-        let n = r.seq_len(8)?;
-        let label_counts = (0..n).map(|_| r.u64()).collect::<Result<Vec<_>, _>>()?;
+        let n = r.seq_len(4)?;
+        let label_counts = (0..n).map(|_| r.u32().map(u64::from)).collect::<Result<_, _>>()?;
         let image_count = r.u64()?;
         let plan = match r.bool()? {
             false => None,
@@ -1391,25 +1354,22 @@ impl FilteredPayload {
 // Replication plane
 // ---------------------------------------------------------------------------
 
-/// A server's replication role and durable WAL position — the answer to
+/// A server's replication role, lineage and record counts — the answer to
 /// [`RequestBody::ReplState`], and the replication handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReplState {
     /// Whether the server accepts writes.
     pub primary: bool,
     /// Whether the server is attached to a persistence directory (a
-    /// detached server cannot serve or follow replication; the position
+    /// detached server cannot serve or follow replication; the other
     /// fields are then zero).
     pub attached: bool,
     /// The WAL generation of the current lineage (0 when detached).
     pub generation: u32,
-    /// The first segment the published manifest still needs (older
-    /// segments may already be retired).
-    pub first_segment: u32,
-    /// The live (currently appended-to) segment.
-    pub segment: u32,
-    /// The durable byte length of the live segment (header included).
-    pub offset: u64,
+    /// Ingest records the server holds, all of them durable.
+    pub ingested: u64,
+    /// Feedback records the server holds, all of them durable.
+    pub feedback: u64,
 }
 
 impl ReplState {
@@ -1418,9 +1378,8 @@ impl ReplState {
         w.bool(self.primary);
         w.bool(self.attached);
         w.u32(self.generation);
-        w.u32(self.first_segment);
-        w.u32(self.segment);
-        w.u64(self.offset);
+        w.u64(self.ingested);
+        w.u64(self.feedback);
     }
 
     /// Decodes a state.
@@ -1432,68 +1391,37 @@ impl ReplState {
             primary: r.bool()?,
             attached: r.bool()?,
             generation: r.u32()?,
-            first_segment: r.u32()?,
-            segment: r.u32()?,
-            offset: r.u64()?,
+            ingested: r.u64()?,
+            feedback: r.u64()?,
         })
     }
 }
 
-/// One slice of a checkpoint chunk file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplChunkPayload {
-    /// Total size of the chunk file, so the fetcher knows when it has
-    /// everything.
-    pub total_len: u64,
-    /// The bytes at the requested offset (may be shorter than asked).
-    pub bytes: Vec<u8>,
-}
-
-impl ReplChunkPayload {
-    /// Encodes the chunk payload.
-    pub fn encode(&self, w: &mut Writer) {
-        w.u64(self.total_len);
-        w.bytes(&self.bytes);
-    }
-
-    /// Decodes a chunk payload.
-    ///
-    /// # Errors
-    /// Returns [`WireError`] on truncation.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Self { total_len: r.u64()?, bytes: r.bytes()?.to_vec() })
-    }
-}
-
-/// One replication pull's worth of WAL records — the answer to
+/// One replication pull's worth of records — the answer to
 /// [`RequestBody::ReplPull`].
 ///
-/// `entries` holds raw record *payloads* (the bytes inside the WAL frame,
-/// exactly as `eq_earthqube` wrote them); the replica re-frames them into
-/// its own mirrored WAL, which keeps both logs byte-identical
-/// position-for-position.
+/// `runs` holds records chunk bodies exactly as `eq_earthqube` checkpoints
+/// them (a tag, the run's start in its sequence, the WAL record payloads
+/// back to back): at most one per sequence, ingest's first, each starting
+/// at the count the replica asked from (from 0 with `reseed`).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ReplBatch {
-    /// The primary cannot serve the requested position (wrong generation,
-    /// or its segment was already retired); the replica must discard its
-    /// lineage and re-seed from a snapshot.  All other fields except
-    /// `generation` / `primary_*` are then zero and meaningless.
+    /// The primary does not continue the replica's lineage (none yet, a
+    /// foreign generation, counts above its own, or a last record it does
+    /// not hold at that position): the replica must
+    /// start over from `static_chunk` and the runs, under `generation`.
     pub reseed: bool,
-    /// The primary's WAL generation.
+    /// The primary's lineage generation.
     pub generation: u32,
-    /// Raw record payloads, in log order (possibly empty when caught up).
-    pub entries: Vec<Vec<u8>>,
-    /// The batch reaches the end of a *sealed* segment: after applying,
-    /// the replica must rotate to `next_segment`.
-    pub rotate: bool,
-    /// The segment to pull from next.
-    pub next_segment: u32,
-    /// The offset to pull from next.
-    pub next_offset: u64,
-    /// The primary's live segment at reply time (for lag accounting).
-    pub primary_segment: u32,
-    /// The primary's durable live-segment length at reply time.
-    pub primary_offset: u64,
+    /// Ingest records the primary held at reply time (for lag accounting).
+    pub ingested: u64,
+    /// Feedback records the primary held at reply time.
+    pub feedback: u64,
+    /// With `reseed`, the primary's static chunk body (configuration and
+    /// model); empty otherwise.
+    pub static_chunk: Vec<u8>,
+    /// The records, as records chunk bodies (possibly none when caught up).
+    pub runs: Vec<Vec<u8>>,
 }
 
 impl ReplBatch {
@@ -1501,15 +1429,13 @@ impl ReplBatch {
     pub fn encode(&self, w: &mut Writer) {
         w.bool(self.reseed);
         w.u32(self.generation);
-        w.seq_len(self.entries.len());
-        for entry in &self.entries {
-            w.bytes(entry);
+        w.u64(self.ingested);
+        w.u64(self.feedback);
+        w.bytes(&self.static_chunk);
+        w.seq_len(self.runs.len());
+        for run in &self.runs {
+            w.bytes(run);
         }
-        w.bool(self.rotate);
-        w.u32(self.next_segment);
-        w.u64(self.next_offset);
-        w.u32(self.primary_segment);
-        w.u64(self.primary_offset);
     }
 
     /// Decodes a batch.
@@ -1517,21 +1443,11 @@ impl ReplBatch {
     /// # Errors
     /// Returns [`WireError`] on truncation.
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let reseed = r.bool()?;
-        let generation = r.u32()?;
+        let (reseed, generation, ingested, feedback) = (r.bool()?, r.u32()?, r.u64()?, r.u64()?);
+        let static_chunk = r.bytes()?.to_vec();
         let n = r.seq_len(4)?;
-        let entries =
-            (0..n).map(|_| Ok(r.bytes()?.to_vec())).collect::<Result<Vec<_>, WireError>>()?;
-        Ok(Self {
-            reseed,
-            generation,
-            entries,
-            rotate: r.bool()?,
-            next_segment: r.u32()?,
-            next_offset: r.u64()?,
-            primary_segment: r.u32()?,
-            primary_offset: r.u64()?,
-        })
+        let runs = (0..n).map(|_| Ok(r.bytes()?.to_vec())).collect::<Result<_, WireError>>()?;
+        Ok(Self { reseed, generation, ingested, feedback, static_chunk, runs })
     }
 }
 
@@ -1854,7 +1770,13 @@ mod tests {
             RequestBody::MetricsText,
             RequestBody::Feedback { text: name(), category: None },
             RequestBody::ReplState,
-            RequestBody::ReplManifest,
+            RequestBody::ReplPull {
+                generation: 1,
+                ingested: 2,
+                feedback: 3,
+                tails: [5, 6],
+                max_bytes: 4,
+            },
         ];
         for (body, query) in
             queries.into_iter().map(|b| (b, true)).chain(others.map(|b| (b, false)))
@@ -1907,22 +1829,13 @@ mod tests {
                 },
             },
             Request { id: 11, body: RequestBody::ReplState },
-            Request { id: 12, body: RequestBody::ReplManifest },
-            Request {
-                id: 13,
-                body: RequestBody::ReplChunk {
-                    file: "chunk.0001.static.eqc".into(),
-                    offset: 4096,
-                    max_bytes: 1 << 22,
-                },
-            },
             Request {
                 id: 14,
                 body: RequestBody::ReplPull {
-                    replica_id: 0xDEAD_BEEF,
                     generation: 17,
-                    segment: 3,
-                    offset: 16,
+                    ingested: 3,
+                    feedback: 16,
+                    tails: [0xDEAD_BEEF, 7],
                     max_bytes: 1 << 20,
                 },
             },
@@ -2020,17 +1933,8 @@ mod tests {
                     primary: true,
                     attached: true,
                     generation: 9,
-                    first_segment: 2,
-                    segment: 5,
-                    offset: 8192,
-                }),
-            },
-            Response { id: 11, body: ResponseBody::ReplManifest { bytes: vec![1, 2, 3, 4] } },
-            Response {
-                id: 12,
-                body: ResponseBody::ReplChunk(ReplChunkPayload {
-                    total_len: 1 << 20,
-                    bytes: vec![0xAB; 64],
+                    ingested: 5,
+                    feedback: 8192,
                 }),
             },
             Response {
@@ -2038,12 +1942,10 @@ mod tests {
                 body: ResponseBody::ReplRecords(ReplBatch {
                     reseed: false,
                     generation: 9,
-                    entries: vec![vec![7; 10], vec![8; 3]],
-                    rotate: true,
-                    next_segment: 6,
-                    next_offset: 16,
-                    primary_segment: 6,
-                    primary_offset: 16,
+                    ingested: 6,
+                    feedback: 16,
+                    static_chunk: vec![],
+                    runs: vec![vec![7; 10], vec![8; 3]],
                 }),
             },
             Response {
@@ -2051,12 +1953,8 @@ mod tests {
                 body: ResponseBody::ReplRecords(ReplBatch {
                     reseed: true,
                     generation: 11,
-                    entries: vec![],
-                    rotate: false,
-                    next_segment: 0,
-                    next_offset: 0,
-                    primary_segment: 0,
-                    primary_offset: 0,
+                    static_chunk: vec![1, 2, 3],
+                    ..ReplBatch::default()
                 }),
             },
         ];
@@ -2135,6 +2033,48 @@ mod tests {
                 assert!(message.starts_with("protocol version 1 "), "{message}")
             }
             other => panic!("a version 1 frame read as {other:?}"),
+        }
+    }
+
+    /// A version 2 peer wrote label counts as `u64`s and knew the snapshot
+    /// shipping kinds; its frames are refused by the envelope, before a
+    /// count is read, so no v2 answer is ever read as v3.
+    #[test]
+    fn a_version_2_frame_is_refused_not_misread() {
+        let mut frame = Vec::new();
+        frame_with(&mut frame, &RESPONSE_MAGIC, |w| {
+            w.u16(2);
+            w.u64(3);
+            w.u8(RESP_SEARCH);
+            w.seq_len(0);
+            w.u64(50);
+            w.seq_len(1);
+            w.u64(1);
+            w.u64(1);
+            w.u8(0);
+        })
+        .unwrap();
+        match read_response(&mut std::io::Cursor::new(frame)) {
+            Err(ProtoError::Message(WireError::Corrupt(message))) => {
+                assert!(message.starts_with("protocol version 2 "), "{message}")
+            }
+            other => panic!("a version 2 frame read as {other:?}"),
+        }
+    }
+
+    /// The snapshot shipping tags of version 2 are retired: a v3 frame
+    /// carrying one is an unknown tag, never another kind.
+    #[test]
+    fn retired_replication_tags_are_unknown() {
+        for tag in [12, 13] {
+            let mut w = Writer::new();
+            w.u16(PROTOCOL_VERSION);
+            w.u64(1);
+            w.u8(tag);
+            assert!(Request::decode(w.as_bytes()).is_err(), "request tag {tag}");
+        }
+        for tag in [10, 11] {
+            assert!(ResponseBody::decode(&[tag, 0, 0, 0, 0]).is_err(), "response tag {tag}");
         }
     }
 

@@ -21,9 +21,8 @@ use eq_bigearthnet::{Country, Label};
 use eq_geo::{BBox, Circle, GeoShape, Point, Polygon};
 use eq_proto::{
     ErrorCode, ErrorPayload, FilterStrategy, FilteredPayload, FilteredPlan, IngestReport,
-    LabelFilterSpec, LabelOp, PlanSpec, PrefilterMode, QuerySpec, ReplBatch, ReplChunkPayload,
-    ReplState, Request, RequestBody, Response, ResponseBody, ResultEntry, SearchPayload,
-    ServerStats,
+    LabelFilterSpec, LabelOp, PlanSpec, PrefilterMode, QuerySpec, ReplBatch, ReplState, Request,
+    RequestBody, Response, ResponseBody, ResultEntry, SearchPayload, ServerStats,
 };
 
 fn golden_dir() -> PathBuf {
@@ -238,36 +237,16 @@ fn request_repl_state() {
 }
 
 #[test]
-fn request_repl_manifest() {
-    check_request("request_repl_manifest", &Request { id: 22, body: RequestBody::ReplManifest });
-}
-
-#[test]
-fn request_repl_chunk() {
-    check_request(
-        "request_repl_chunk",
-        &Request {
-            id: 23,
-            body: RequestBody::ReplChunk {
-                file: "chunk.000000002.images.eqc".into(),
-                offset: 8_388_608,
-                max_bytes: 8_388_608,
-            },
-        },
-    );
-}
-
-#[test]
 fn request_repl_pull() {
     check_request(
         "request_repl_pull",
         &Request {
             id: 24,
             body: RequestBody::ReplPull {
-                replica_id: 0x00C0_FFEE,
                 generation: 3,
-                segment: 2,
-                offset: 16,
+                ingested: 120,
+                feedback: 2,
+                tails: [0x1234_5678, 0x9ABC_DEF0],
                 max_bytes: 1_048_576,
             },
         },
@@ -489,34 +468,8 @@ fn response_repl_state() {
                 primary: true,
                 attached: true,
                 generation: 7,
-                first_segment: 2,
-                segment: 4,
-                offset: 2048,
-            }),
-        },
-    );
-}
-
-#[test]
-fn response_repl_manifest() {
-    check_response(
-        "response_repl_manifest",
-        &Response {
-            id: 28,
-            body: ResponseBody::ReplManifest { bytes: vec![0x45, 0x51, 0x4D, 0x41, 0x4E, 0x49] },
-        },
-    );
-}
-
-#[test]
-fn response_repl_chunk() {
-    check_response(
-        "response_repl_chunk",
-        &Response {
-            id: 29,
-            body: ResponseBody::ReplChunk(ReplChunkPayload {
-                total_len: 1_048_576,
-                bytes: vec![0x5A; 32],
+                ingested: 2048,
+                feedback: 4,
             }),
         },
     );
@@ -531,12 +484,10 @@ fn response_repl_records() {
             body: ResponseBody::ReplRecords(ReplBatch {
                 reseed: false,
                 generation: 7,
-                entries: vec![vec![1, 2, 3, 4, 5], vec![6, 7]],
-                rotate: true,
-                next_segment: 5,
-                next_offset: 16,
-                primary_segment: 5,
-                primary_offset: 16,
+                ingested: 12,
+                feedback: 3,
+                static_chunk: vec![],
+                runs: vec![vec![6, 0, 0, 0, 0, 0, 0, 0, 10, 1, 2], vec![6, 1, 0, 0, 0, 0, 0, 0, 0]],
             }),
         },
     );
@@ -551,12 +502,10 @@ fn response_repl_records_reseed() {
             body: ResponseBody::ReplRecords(ReplBatch {
                 reseed: true,
                 generation: 9,
-                entries: vec![],
-                rotate: false,
-                next_segment: 0,
-                next_offset: 0,
-                primary_segment: 0,
-                primary_offset: 0,
+                ingested: 1,
+                feedback: 0,
+                static_chunk: vec![1, 0xE5, 0x51],
+                runs: vec![vec![6, 0, 0, 0, 0, 0, 0, 0, 0, 1]],
             }),
         },
     );

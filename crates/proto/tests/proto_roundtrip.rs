@@ -78,7 +78,7 @@ fn search_from_script(script: &mut &[u8]) -> SearchPayload {
     SearchPayload {
         rows: (0..take(script, 1) % 5).map(|_| row_from_script(script)).collect(),
         page_size: take(script, 1),
-        label_counts: (0..take(script, 1) % 50).map(|_| take(script, 2)).collect(),
+        label_counts: (0..take(script, 1) % 50).map(|_| take(script, 4)).collect(),
         image_count: take(script, 2),
         plan: (take(script, 1) % 2 == 1).then(|| PlanSpec {
             index_used: (take(script, 1) % 2 == 1).then(|| string_from_script(script)),
@@ -129,7 +129,7 @@ fn reference_search_bytes(payload: &SearchPayload) -> Vec<u8> {
     w.u64(payload.page_size);
     w.seq_len(payload.label_counts.len());
     for &count in &payload.label_counts {
-        w.u64(count);
+        w.u32(u32::try_from(count).unwrap());
     }
     w.u64(payload.image_count);
     match &payload.plan {
@@ -488,9 +488,13 @@ fn only_ingest_and_feedback_are_writes() {
         RequestBody::SimilarToFiltered { name: "a".into(), k: 1, spec: spec.clone(), mode },
         RequestBody::SimilarWithinFiltered { name: "a".into(), radius: 1, spec, mode },
         RequestBody::ReplState,
-        RequestBody::ReplManifest,
-        RequestBody::ReplChunk { file: "f".into(), offset: 0, max_bytes: 1 },
-        RequestBody::ReplPull { replica_id: 1, generation: 1, segment: 0, offset: 0, max_bytes: 1 },
+        RequestBody::ReplPull {
+            generation: 1,
+            ingested: 0,
+            feedback: 0,
+            tails: [0, 0],
+            max_bytes: 1,
+        },
     ];
     for body in &every_kind {
         let write = match body {
@@ -504,8 +508,6 @@ fn only_ingest_and_feedback_are_writes() {
             | RequestBody::SimilarToFiltered { .. }
             | RequestBody::SimilarWithinFiltered { .. }
             | RequestBody::ReplState
-            | RequestBody::ReplManifest
-            | RequestBody::ReplChunk { .. }
             | RequestBody::ReplPull { .. } => false,
         };
         assert_eq!(body.is_write(), write, "{body:?}");

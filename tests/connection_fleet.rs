@@ -49,7 +49,7 @@ fn a_1200_connection_fleet_is_answered_in_bounded_memory() {
     let net = NetServer::bind_with(
         server,
         "127.0.0.1:0",
-        NetConfig { workers: 2, queue_capacity: 2 * CONNS, ..NetConfig::default() },
+        NetConfig { workers: 2, ..NetConfig::default() },
     )
     .unwrap();
     let addr = net.local_addr();

@@ -256,7 +256,6 @@ fn slow_readers_are_evicted_and_service_continues() {
         NetConfig {
             workers: 2,
             max_inflight_per_conn: 512,
-            queue_capacity: 1024,
             write_timeout: Duration::from_millis(250),
             write_buffer_cap: 64 * 1024,
         },

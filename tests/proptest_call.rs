@@ -29,7 +29,7 @@ use agoraeo::earthqube::{
     QueryServer, RequestBody, ResponseBody, ServeConfig,
 };
 use agoraeo::geo::GeoShape;
-use agoraeo::proto::{QuerySpec, ReplChunkPayload, Response};
+use agoraeo::proto::{QuerySpec, Response};
 use proptest::prelude::*;
 
 const SEED: u64 = 31_031;
@@ -130,17 +130,13 @@ impl Pools {
             },
             7 => RequestBody::Stats,
             8 => RequestBody::Ping,
-            _ => match b % 4 {
-                0 => RequestBody::ReplState,
-                1 => RequestBody::ReplManifest,
-                2 => RequestBody::ReplChunk { file: name, offset: a as u64, max_bytes: 64 },
-                _ => RequestBody::ReplPull {
-                    replica_id: a as u64,
-                    generation: 1,
-                    segment: 0,
-                    offset: 0,
-                    max_bytes: 64,
-                },
+            _ if b.is_multiple_of(2) => RequestBody::ReplState,
+            _ => RequestBody::ReplPull {
+                generation: a as u32,
+                ingested: b as u64,
+                feedback: 0,
+                tails: [a as u32 ^ b as u32, 0],
+                max_bytes: 64,
             },
         }
     }
@@ -185,16 +181,8 @@ fn typed(server: &QueryServer, body: &RequestBody) -> ResponseBody {
         RequestBody::Stats => ResponseBody::Stats(server.stats()),
         RequestBody::Ping => ResponseBody::Pong,
         RequestBody::ReplState => ResponseBody::ReplState(server.repl_state()),
-        RequestBody::ReplManifest => {
-            reply(server.repl_manifest_bytes(), |bytes| ResponseBody::ReplManifest { bytes })
-        }
-        RequestBody::ReplChunk { file, offset, max_bytes } => {
-            reply(server.repl_chunk_bytes(file, *offset, *max_bytes), |(total_len, bytes)| {
-                ResponseBody::ReplChunk(ReplChunkPayload { total_len, bytes })
-            })
-        }
-        RequestBody::ReplPull { replica_id, generation, segment, offset, max_bytes } => reply(
-            server.repl_pull(*replica_id, *generation, *segment, *offset, *max_bytes),
+        RequestBody::ReplPull { generation, ingested, feedback, tails, max_bytes } => reply(
+            server.repl_pull(*generation, *ingested, *feedback, *tails, *max_bytes),
             ResponseBody::ReplRecords,
         ),
         RequestBody::MetricsText => unreachable!("not drawn: its net-tier counters differ"),

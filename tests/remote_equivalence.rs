@@ -205,13 +205,8 @@ fn cached_responses_cross_the_wire_unchanged() {
 fn out_of_order_completions_leave_in_submission_order() {
     let archive = ArchiveGenerator::new(GeneratorConfig::tiny(40, 504)).unwrap().generate();
     let server = Arc::new(build_server(&archive, 504));
-    // Quota and queue above the batch size: nothing may be rejected here.
-    let config = NetConfig {
-        workers: 4,
-        max_inflight_per_conn: 1024,
-        queue_capacity: 1024,
-        ..NetConfig::default()
-    };
+    // A quota above the batch size: nothing may be rejected here.
+    let config = NetConfig { workers: 4, max_inflight_per_conn: 1024, ..NetConfig::default() };
     let net = NetServer::bind_with(Arc::clone(&server), "127.0.0.1:0", config).unwrap();
     let mut client = EqClient::connect(net.local_addr()).unwrap();
 

@@ -1,9 +1,10 @@
 //! Replication & failover faults: replicas must serve byte-identical
-//! reads while rejecting writes, resume from their durable (acked)
-//! position across restarts, survive hostile replication frames on
-//! neighbouring connections, and — the acceptance scenario — promote with
-//! zero acknowledged-write loss while the fenced old generation's
-//! unreplicated suffix can never re-enter the new lineage.
+//! reads while rejecting writes, resume from their durable record counts
+//! across their own and the primary's restarts, checkpoint their own
+//! lineage, survive hostile replication frames on neighbouring
+//! connections, and — the acceptance scenario — promote with zero
+//! acknowledged-write loss while the fenced old generation's unreplicated
+//! suffix can never re-enter the new lineage.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -13,8 +14,8 @@ use agoraeo::bigearthnet::{Archive, ArchiveGenerator, GeneratorConfig, Label, Pa
 use agoraeo::earthqube::net::{response_to_payload, EqClient, NetServer};
 use agoraeo::earthqube::replicate::SyncStatus;
 use agoraeo::earthqube::{
-    ClusterClient, EarthQubeConfig, EarthQubeError, ImageQuery, LabelFilter, LabelOperator,
-    PrefilterMode, QueryServer, Replica, RetryPolicy, SearchResponse, ServeConfig,
+    CheckpointKind, ClusterClient, EarthQubeConfig, EarthQubeError, ImageQuery, LabelFilter,
+    LabelOperator, PrefilterMode, QueryServer, Replica, RetryPolicy, SearchResponse, ServeConfig,
 };
 
 const SEED: u64 = 15_012;
@@ -86,6 +87,7 @@ fn assert_byte_identical(a: &SearchResponse, b: &SearchResponse, what: &str) {
 fn replica_serves_byte_identical_reads_and_rejects_writes() {
     let dir_p = ScratchDir::new("base_p");
     let dir_r = ScratchDir::new("base_r");
+    let elsewhere = ScratchDir::new("base_elsewhere");
     let archive = generate(14, SEED);
     let extra = generate(5, SEED + 1);
     let (server, net) = primary(&archive, SEED, dir_p.path());
@@ -127,7 +129,8 @@ fn replica_serves_byte_identical_reads_and_rejects_writes() {
     // Writes bounce with the typed error, in-process and over the wire.
     assert!(matches!(follower.ingest(&extra.patches()[..1]), Err(EarthQubeError::NotPrimary(_))));
     assert!(matches!(follower.submit_feedback("no", None), Err(EarthQubeError::NotPrimary(_))));
-    assert!(matches!(follower.checkpoint(dir_r.path()), Err(EarthQubeError::NotPrimary(_))));
+    assert!(matches!(follower.checkpoint(elsewhere.path()), Err(EarthQubeError::NotPrimary(_))));
+    assert!(!elsewhere.path().exists(), "a refused checkpoint writes nothing");
     let replica_net = NetServer::bind(Arc::clone(&follower), "127.0.0.1:0", 1).unwrap();
     let mut replica_client = EqClient::connect(replica_net.local_addr()).unwrap();
     assert!(matches!(
@@ -151,7 +154,7 @@ fn replica_serves_byte_identical_reads_and_rejects_writes() {
 
 /// A replica's caches die with the catalog state they were computed on:
 /// filters it resolved and results it cached before a pull must not
-/// answer after `apply_replicated` has appended images that match them.
+/// answer after a pull has appended images that match them.
 /// Checked for all three filter-taking kinds against the primary (caching)
 /// and a `cache_capacity: 0` server fed the same writes.
 #[test]
@@ -206,7 +209,7 @@ fn replicated_writes_invalidate_the_replica_s_resolved_filters() {
     server.ingest(&extra).unwrap();
     uncached.ingest(&extra).unwrap();
 
-    // One pull is one `apply_replicated`: it clears both caches...
+    // One pull is one write on the replica: it clears both caches...
     assert!(matches!(replica.sync_once().unwrap(), SyncStatus::Applied(4)));
     let stats = follower.stats();
     assert_eq!(
@@ -220,8 +223,8 @@ fn replicated_writes_invalidate_the_replica_s_resolved_filters() {
 }
 
 /// A replica that disconnects (here: its process restarts) resumes from
-/// its durable position — no re-seed, no re-applied records, and the
-/// mirrored WAL still tracks the primary through segment rotations.
+/// its durable record counts — no re-seed, no re-applied records — while
+/// both sides rotate their WAL segments on their own.
 #[test]
 fn replica_restart_resumes_from_acked_position_without_reseed() {
     let dir_p = ScratchDir::new("resume_p");
@@ -229,8 +232,8 @@ fn replica_restart_resumes_from_acked_position_without_reseed() {
     let archive = generate(10, SEED + 10);
     let extra = generate(8, SEED + 11);
     let (server, net) = primary(&archive, SEED + 10, dir_p.path());
-    // Tiny segments force rotations mid-stream, so resume must also cope
-    // with a position in a later segment.
+    // Tiny segments force rotations mid-stream on the primary, and on the
+    // restarted replica's recovered log too.
     server.set_segment_limit(2048);
     let addr = net.local_addr().to_string();
 
@@ -268,10 +271,13 @@ fn replica_restart_resumes_from_acked_position_without_reseed() {
         &follower.search(&ImageQuery::all()).unwrap(),
         "post-resume metadata search",
     );
-    // The mirrored WAL sits at the same (generation, segment, offset).
-    assert_eq!(follower.repl_state().segment, server.repl_state().segment);
-    assert_eq!(follower.repl_state().offset, server.repl_state().offset);
-    assert!(server.repl_state().segment > server.repl_state().first_segment.saturating_sub(1));
+    // The replica holds the primary's lineage and record counts.
+    let (ours, theirs) = (follower.repl_state(), server.repl_state());
+    assert_eq!(
+        (ours.generation, ours.ingested, ours.feedback),
+        (theirs.generation, theirs.ingested, theirs.feedback)
+    );
+    assert_eq!((theirs.ingested, theirs.feedback), (18, 1));
 
     net.shutdown();
 }
@@ -289,8 +295,7 @@ fn torn_replication_frame_kills_only_that_stream() {
     let state = server.repl_state();
 
     let mut healthy = EqClient::connect(net.local_addr()).unwrap();
-    let batch =
-        healthy.repl_pull(1, state.generation, state.segment, state.offset, 1 << 20).unwrap();
+    let batch = healthy.repl_pull(state.generation, 0, 0, [0, 0], 1 << 20).unwrap();
     assert!(!batch.reseed);
 
     // A frame with a valid preamble but corrupt checksum: the server must
@@ -309,8 +314,7 @@ fn torn_replication_frame_kills_only_that_stream() {
     let _ = hostile.read_to_end(&mut sink);
 
     // The healthy replication stream and the query path keep working.
-    let batch =
-        healthy.repl_pull(1, state.generation, state.segment, state.offset, 1 << 20).unwrap();
+    let batch = healthy.repl_pull(state.generation, 0, 0, [0, 0], 1 << 20).unwrap();
     assert!(!batch.reseed);
     healthy.ping().unwrap();
     assert_eq!(
@@ -376,10 +380,10 @@ fn failover_promotes_with_zero_acked_loss_and_fences_the_old_generation() {
     new_client.ingest(&batch_c).unwrap();
 
     // (c) Fencing: a follower of the old lineage presenting the old
-    // generation is told to reseed, whatever position it claims.
+    // generation is told to reseed, whatever counts it claims.
     let old_state = old_primary.repl_state();
     let verdict = new_client
-        .repl_pull(99, old_state.generation, old_state.segment, old_state.offset, 1 << 20)
+        .repl_pull(old_state.generation, old_state.ingested, old_state.feedback, [0, 0], 1 << 20)
         .unwrap();
     assert!(verdict.reseed, "an old-generation position must be disowned, not served");
 
@@ -546,4 +550,260 @@ fn caught_up_replica_pulls_are_empty() {
     assert_eq!(after.batches, before.batches + 1);
 
     net.shutdown();
+}
+
+/// The WAL segment files of a persistence directory.
+fn segment_files(dir: &Path) -> usize {
+    let entries = std::fs::read_dir(dir).unwrap();
+    entries.filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().ends_with(".eqw")).count()
+}
+
+/// Every answer a replica must give as the primary does: the query panel
+/// and a k-NN search from each named image.
+fn assert_same_answers(primary: &QueryServer, replica: &QueryServer, names: &[&str], what: &str) {
+    let all = ImageQuery::all();
+    assert_byte_identical(&primary.search(&all).unwrap(), &replica.search(&all).unwrap(), what);
+    for name in names {
+        let ours = primary.similar_to(name, 4).unwrap();
+        assert_byte_identical(&ours, &replica.similar_to(name, 4).unwrap(), what);
+    }
+    assert_eq!(primary.list_feedback().unwrap(), replica.list_feedback().unwrap(), "{what}");
+}
+
+/// A replica that was down while its primary restarted and checkpointed
+/// resumes by its record counts: the primary keeps nothing per replica, so
+/// neither its lost memory nor its retired segments can force a re-seed,
+/// and only the records past the replica's counts are pulled.
+#[test]
+fn a_replica_resumes_by_counts_across_a_primary_restart_and_checkpoint() {
+    let dir_p = ScratchDir::new("restart_p");
+    let dir_r = ScratchDir::new("restart_r");
+    let archive = generate(10, SEED + 60);
+    let extra = generate(8, SEED + 61);
+    let (server, net) = primary(&archive, SEED + 60, dir_p.path());
+    server.set_segment_limit(2048);
+    server.ingest(&extra.patches()[..3]).unwrap();
+    {
+        let addr = net.local_addr().to_string();
+        let mut replica = Replica::bootstrap(dir_r.path(), &addr, 8, fast_policy()).unwrap();
+        assert!(replica.catch_up().unwrap().caught_up());
+    }
+
+    // While the replica is down: more writes, then the primary restarts
+    // and checkpoints (a graceful stop checkpoints too), retiring every
+    // segment those writes were logged in.
+    server.ingest(&extra.patches()[3..6]).unwrap();
+    server.submit_feedback("across the restart", None).unwrap();
+    assert!(segment_files(dir_p.path()) > 1);
+    net.shutdown();
+    drop(server);
+    let server = Arc::new(QueryServer::recover(dir_p.path()).unwrap());
+    server.checkpoint(dir_p.path()).unwrap();
+    server.ingest(&extra.patches()[6..]).unwrap();
+    let net = NetServer::bind(Arc::clone(&server), "127.0.0.1:0", 2).unwrap();
+
+    let addr = net.local_addr().to_string();
+    let mut replica = Replica::bootstrap(dir_r.path(), &addr, 8, fast_policy()).unwrap();
+    let sync = replica.catch_up().unwrap();
+    assert_eq!(sync.reseeds, 0, "the counts survive the primary's restart: {sync:?}");
+    assert_eq!(sync.records_applied, 6, "only the records past the counts: {sync:?}");
+    assert_eq!((sync.ingested, sync.feedback), (18, 1));
+    let names: Vec<&str> = extra.patches().iter().map(|p| p.meta.name.as_str()).collect();
+    assert_same_answers(&server, replica.server(), &names, "after the primary's restart");
+    assert_eq!(segment_files(dir_p.path()), 1, "the primary kept no segment for the replica");
+
+    net.shutdown();
+}
+
+/// A replica checkpoints the lineage it follows like any server: its own
+/// log's segments retire, its directory recovers to byte-identical
+/// answers, and the recovered replica resumes by its counts.
+#[test]
+fn a_replica_checkpoints_its_own_lineage_and_recovers_byte_identically() {
+    let dir_p = ScratchDir::new("own_ckpt_p");
+    let dir_r = ScratchDir::new("own_ckpt_r");
+    let archive = generate(10, SEED + 70);
+    let extra = generate(8, SEED + 71);
+    let (server, net) = primary(&archive, SEED + 70, dir_p.path());
+    let addr = net.local_addr().to_string();
+    server.ingest(&extra.patches()[..2]).unwrap();
+
+    let mut replica = Replica::bootstrap(dir_r.path(), &addr, 9, fast_policy()).unwrap();
+    let follower = Arc::clone(replica.server());
+    follower.set_segment_limit(2048);
+    for patch in &extra.patches()[2..] {
+        server.ingest(std::slice::from_ref(patch)).unwrap();
+        replica.catch_up().unwrap();
+    }
+    server.submit_feedback("checkpoint me", Some("replica")).unwrap();
+    replica.catch_up().unwrap();
+    let logged = segment_files(dir_r.path());
+    assert!(logged > 2, "tiny segments rotate on the replica's own log: {logged}");
+
+    let checkpoint = follower.checkpoint(dir_r.path()).unwrap();
+    assert_eq!(checkpoint.kind, CheckpointKind::Incremental);
+    assert_eq!(checkpoint.segments_retired as usize, logged, "{checkpoint:?}");
+    assert_eq!(segment_files(dir_r.path()), 1);
+    assert_eq!(follower.checkpoint_if_dirty().unwrap(), None, "nothing left to fold");
+
+    drop((replica, follower));
+    let back = QueryServer::recover(dir_r.path()).unwrap();
+    let names: Vec<&str> = extra.patches().iter().map(|p| p.meta.name.as_str()).collect();
+    assert_same_answers(&server, &back, &names, "the replica's recovered directory");
+    drop(back);
+
+    server.ingest(&generate(1, SEED + 72).patches()[..1]).unwrap();
+    let mut replica = Replica::bootstrap(dir_r.path(), &addr, 9, fast_policy()).unwrap();
+    let sync = replica.catch_up().unwrap();
+    assert_eq!((sync.reseeds, sync.records_applied), (0, 1), "{sync:?}");
+    assert_same_answers(&server, replica.server(), &names, "the resumed replica");
+
+    net.shutdown();
+}
+
+/// Copies a persistence directory, the directory lock aside.
+fn copy_dir(src: &Path, dst: &Path) {
+    std::fs::create_dir_all(dst).unwrap();
+    for entry in std::fs::read_dir(src).unwrap() {
+        let entry = entry.unwrap();
+        if entry.file_name() != "wal.lock" {
+            std::fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
+        }
+    }
+}
+
+/// A replica holding more records than its primary (here: the primary
+/// came back from a copy of its directory taken before its last writes)
+/// is re-seeded, and under the *primary's* generation, over the lineage
+/// its own directory held: it then follows the primary by counts, with no
+/// further re-seed.
+#[test]
+fn a_replica_ahead_of_its_primary_reseeds_under_the_primary_s_generation() {
+    let dir_p = ScratchDir::new("ahead_p");
+    let dir_r = ScratchDir::new("ahead_r");
+    let copy = ScratchDir::new("ahead_copy");
+    let archive = generate(10, SEED + 80);
+    let extra = generate(6, SEED + 81);
+    let (server, net) = primary(&archive, SEED + 80, dir_p.path());
+    let generation = server.repl_state().generation;
+    server.ingest(&extra.patches()[..2]).unwrap();
+    net.shutdown();
+    drop(server);
+    copy_dir(dir_p.path(), copy.path());
+
+    let server = Arc::new(QueryServer::recover(dir_p.path()).unwrap());
+    server.ingest(&extra.patches()[2..4]).unwrap();
+    let net = NetServer::bind(Arc::clone(&server), "127.0.0.1:0", 2).unwrap();
+    let mut replica =
+        Replica::bootstrap(dir_r.path(), &net.local_addr().to_string(), 10, fast_policy()).unwrap();
+    assert_eq!(replica.catch_up().unwrap().ingested, 14);
+    drop(replica);
+    net.shutdown();
+    drop(server);
+
+    // The primary returns from the copy: same lineage, two records fewer.
+    let server = Arc::new(QueryServer::recover(copy.path()).unwrap());
+    let net = NetServer::bind(Arc::clone(&server), "127.0.0.1:0", 2).unwrap();
+    let addr = net.local_addr().to_string();
+    let mut replica = Replica::bootstrap(dir_r.path(), &addr, 10, fast_policy()).unwrap();
+    server.ingest(&extra.patches()[4..]).unwrap();
+    let sync = replica.catch_up().unwrap();
+    assert_eq!(sync.reseeds, 1, "counts above the primary's re-seed: {sync:?}");
+    assert_eq!((sync.generation, sync.ingested), (generation, 14), "{sync:?}");
+    let names: Vec<&str> = extra.patches().iter().map(|p| p.meta.name.as_str()).collect();
+    let kept: Vec<&str> =
+        names.iter().copied().filter(|&n| n != names[2] && n != names[3]).collect();
+    assert_same_answers(&server, replica.server(), &kept, "after re-seeding");
+
+    server.submit_feedback("and on it goes", None).unwrap();
+    assert!(matches!(replica.sync_once().unwrap(), SyncStatus::Applied(1)));
+    assert_eq!(replica.sync_state().reseeds, 1, "followed by counts, not re-seeded again");
+    net.shutdown();
+}
+
+/// A primary that came back from an older copy of its directory keeps its
+/// generation, and once written again it can reach the counts of a replica
+/// that followed the history the copy lost.  The replica's pull names its
+/// last record in each sequence, which the primary no longer holds there,
+/// so the replica re-seeds instead of reporting itself caught up with
+/// other patches at those dense ids.
+#[test]
+fn a_replica_reseeds_when_its_primary_s_history_diverged_under_one_generation() {
+    let dir_p = ScratchDir::new("diverged_p");
+    let dir_r = ScratchDir::new("diverged_r");
+    let copy = ScratchDir::new("diverged_copy");
+    let archive = generate(10, SEED + 90);
+    let extra = generate(6, SEED + 91);
+    let (server, net) = primary(&archive, SEED + 90, dir_p.path());
+    let generation = server.repl_state().generation;
+    server.ingest(&extra.patches()[..2]).unwrap();
+    server.submit_feedback("kept", None).unwrap();
+    net.shutdown();
+    drop(server);
+    copy_dir(dir_p.path(), copy.path());
+
+    let server = Arc::new(QueryServer::recover(dir_p.path()).unwrap());
+    server.ingest(&extra.patches()[2..4]).unwrap();
+    server.submit_feedback("lost", None).unwrap();
+    let net = NetServer::bind(Arc::clone(&server), "127.0.0.1:0", 2).unwrap();
+    let mut replica =
+        Replica::bootstrap(dir_r.path(), &net.local_addr().to_string(), 11, fast_policy()).unwrap();
+    assert_eq!(replica.catch_up().unwrap().ingested, 14);
+    drop(replica);
+    net.shutdown();
+    drop(server);
+
+    // The primary returns from the copy and takes other writes up to the
+    // replica's counts: same generation, same counts, different records.
+    let server = Arc::new(QueryServer::recover(copy.path()).unwrap());
+    server.ingest(&extra.patches()[4..]).unwrap();
+    server.submit_feedback("written after the restore", Some("other")).unwrap();
+    let held = server.repl_state();
+    assert_eq!((held.generation, held.ingested, held.feedback), (generation, 14, 2));
+    let net = NetServer::bind(Arc::clone(&server), "127.0.0.1:0", 2).unwrap();
+    let addr = net.local_addr().to_string();
+    let mut replica = Replica::bootstrap(dir_r.path(), &addr, 11, fast_policy()).unwrap();
+    let sync = replica.catch_up().unwrap();
+    assert_eq!(sync.reseeds, 1, "a diverged history re-seeds: {sync:?}");
+    assert_eq!((sync.generation, sync.ingested, sync.feedback), (generation, 14, 2), "{sync:?}");
+    let names: Vec<&str> = extra.patches().iter().map(|p| p.meta.name.as_str()).collect();
+    let kept: Vec<&str> =
+        names.iter().copied().filter(|&n| n != names[2] && n != names[3]).collect();
+    assert_same_answers(&server, replica.server(), &kept, "after the diverged history");
+    for lost in &names[2..4] {
+        assert!(replica.server().similar_to(lost, 4).is_err(), "{lost} is not the primary's");
+    }
+    net.shutdown();
+}
+
+/// Two lineages built alike — the same archive, configuration and model in
+/// two directories — start under different generations, so a replica of
+/// one is re-seeded by the other, written differently since, rather than
+/// resumed on a history that only begins like its own.
+#[test]
+fn lineages_built_alike_start_under_distinct_generations() {
+    let (dir_a, dir_b, dir_r) =
+        (ScratchDir::new("alike_a"), ScratchDir::new("alike_b"), ScratchDir::new("alike_r"));
+    let archive = generate(10, SEED + 95);
+    let extra = generate(2, SEED + 96);
+    let (a, net_a) = primary(&archive, SEED + 95, dir_a.path());
+    let (b, net_b) = primary(&archive, SEED + 95, dir_b.path());
+    assert_ne!(a.repl_state().generation, b.repl_state().generation);
+    assert_same_answers(&a, &b, &[], "built alike");
+    a.ingest(&extra.patches()[..1]).unwrap();
+    b.ingest(&extra.patches()[1..]).unwrap();
+
+    let addr_a = net_a.local_addr().to_string();
+    let mut replica = Replica::bootstrap(dir_r.path(), &addr_a, 12, fast_policy()).unwrap();
+    assert_eq!(replica.catch_up().unwrap().reseeds, 0);
+    drop(replica);
+    let addr_b = net_b.local_addr().to_string();
+    let mut replica = Replica::bootstrap(dir_r.path(), &addr_b, 12, fast_policy()).unwrap();
+    let sync = replica.catch_up().unwrap();
+    assert_eq!(sync.reseeds, 1, "another lineage is not resumed: {sync:?}");
+    assert_eq!(sync.generation, b.repl_state().generation);
+    let names: Vec<&str> = archive.patches().iter().map(|p| p.meta.name.as_str()).collect();
+    assert_same_answers(&b, replica.server(), &names, "following the other lineage");
+    net_a.shutdown();
+    net_b.shutdown();
 }

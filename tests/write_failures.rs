@@ -2,20 +2,24 @@
 //! or sync fails applies nothing — it is neither searchable nor counted,
 //! and no cache is cleared — and detaches the log.  After the next
 //! checkpoint the same write lands under the same key, and the directory
-//! recovers to the answers of a server that never failed.  A replicated
-//! batch whose rotation fails after a good sync still applies.
+//! recovers to the answers of a server that never failed.  A replica's
+//! pulled batch whose segment rotation fails after a good sync still
+//! applies, and the next write seals the segment.
 //!
 //! Points are armed on the server under test (`QueryServer::failpoints`),
 //! so the tests of this binary run in parallel without seeing each other.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use agoraeo::bigearthnet::patch::Patch;
 use agoraeo::bigearthnet::{Archive, ArchiveGenerator, GeneratorConfig};
 use agoraeo::earthqube::feedback::FeedbackEntry;
-use agoraeo::earthqube::net::query_to_spec;
+use agoraeo::earthqube::net::{query_to_spec, NetServer};
+use agoraeo::earthqube::replicate::SyncStatus;
 use agoraeo::earthqube::{
-    failpoints, EarthQubeConfig, EarthQubeError, ImageQuery, QueryServer, RequestBody, ServeConfig,
+    failpoints, EarthQubeConfig, EarthQubeError, ImageQuery, QueryServer, Replica, RequestBody,
+    RetryPolicy, ServeConfig,
 };
 use agoraeo::proto::Response;
 
@@ -150,42 +154,51 @@ fn a_failed_append_or_sync_applies_nothing_and_the_retry_takes_the_same_key() {
     }
 }
 
-/// A replicated batch whose rotation fails after a good sync still
-/// applies what was synced: the records are on the replica's log, so the
-/// replica serves them.  The next pull's rotation seals the segment.
+/// The WAL segment files of a persistence directory.
+fn segment_files(dir: &Path) -> usize {
+    let entries = std::fs::read_dir(dir).unwrap();
+    entries.filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().ends_with(".eqw")).count()
+}
+
+/// A replica's pulled batch whose segment rotation fails after a good sync
+/// still applies what was synced: the records are on the replica's log,
+/// so the replica serves them, and the pull succeeds — sealing is best
+/// effort.  The next pull's write seals the oversized segment.
 #[test]
 fn a_failed_rotation_still_applies_the_synced_batch() {
     let archive = generate(10, SEED + 1);
     let (primary_dir, replica_dir) = (ScratchDir::new("primary"), ScratchDir::new("replica"));
-    let primary = build(&archive);
+    let primary = Arc::new(build(&archive));
     primary.checkpoint(primary_dir.path()).unwrap();
-    let replica = build(&archive);
-    replica.checkpoint(replica_dir.path()).unwrap();
-    replica.set_replica_mode();
+    let net = NetServer::bind(Arc::clone(&primary), "127.0.0.1:0", 1).unwrap();
+    let addr = net.local_addr().to_string();
+    let mut replica =
+        Replica::bootstrap(replica_dir.path(), &addr, 1, RetryPolicy::no_retries()).unwrap();
+    let follower = Arc::clone(replica.server());
+    follower.set_segment_limit(1);
+    let logged = segment_files(replica_dir.path());
 
-    let at = primary.repl_state();
     let extra = generate(2, 7_474);
     primary.ingest(extra.patches()).unwrap();
-    let batch = primary.repl_pull(1, at.generation, at.segment, at.offset, u64::MAX).unwrap();
-    assert_eq!(batch.entries.len(), 2);
-
-    let logged = replica.repl_state();
-    assert!(replica.failpoints().arm("segment-precreate"));
-    let err = replica.apply_replicated(&batch.entries, true).unwrap_err();
-    replica.failpoints().disarm();
-    assert!(matches!(err, EarthQubeError::Persist(_)), "{err:?}");
-    assert_eq!(replica.archive_size(), 12, "the synced records are applied");
+    assert!(follower.failpoints().arm("segment-precreate"));
+    let status = replica.sync_once();
+    follower.failpoints().disarm();
+    assert_eq!(status.unwrap(), SyncStatus::Applied(2), "a failed seal fails no pull");
+    assert_eq!(follower.archive_size(), 12, "the synced records are applied");
     for patch in extra.patches() {
         assert_eq!(
-            replica.similar_to(&patch.meta.name, 4).unwrap(),
+            follower.similar_to(&patch.meta.name, 4).unwrap(),
             primary.similar_to(&patch.meta.name, 4).unwrap()
         );
     }
-    let synced = replica.repl_state();
-    assert_eq!(synced.segment, logged.segment, "the live segment was not sealed");
-    assert!(synced.offset > logged.offset, "the records are on the replica's log");
+    assert_eq!(segment_files(replica_dir.path()), logged, "the live segment was not sealed");
 
-    assert_eq!(replica.apply_replicated(&[], true).unwrap(), 0);
-    assert_eq!(replica.repl_state().segment, logged.segment + 1, "the retry seals it");
-    assert_eq!(replica.archive_size(), 12);
+    primary.submit_feedback("after the failed seal", None).unwrap();
+    assert_eq!(replica.sync_once().unwrap(), SyncStatus::Applied(1));
+    assert_eq!(segment_files(replica_dir.path()), logged + 1, "the next write seals it");
+    assert_eq!(primary.list_feedback().unwrap(), follower.list_feedback().unwrap());
+    drop((replica, follower));
+    let back = QueryServer::recover(replica_dir.path()).unwrap();
+    assert_eq!(back.archive_size(), 12, "the records are on the replica's log");
+    net.shutdown();
 }
