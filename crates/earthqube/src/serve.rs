@@ -684,7 +684,9 @@ impl QueryServer {
     /// cache and come back encoded (while the cache is on); every other
     /// kind runs the typed method it names.  `fingerprint` is the one
     /// [`cache_fingerprint`](Self::cache_fingerprint) gave the event loop,
-    /// so a request it probed is not hashed twice.
+    /// whose [`cached_frame`](Self::cached_frame) probe with it just missed:
+    /// a request it names is neither hashed nor probed again.  With `None`
+    /// (what [`call`](Self::call) passes) the result cache is probed here.
     pub(crate) fn respond(&self, body: &RequestBody, fingerprint: Option<u64>) -> Reply {
         let key = KeyRef::Request(body);
         let reply = |result: Result<ResponseBody, EarthQubeError>| {
@@ -762,8 +764,8 @@ impl QueryServer {
         let body = self.cache.lookup(fingerprint, |k| k.as_ref() == key)?;
         // lint:allow(hot-path) the frame buffer: empty here, grown once by the framing to the frame's exact size
         let mut frame = Vec::new();
-        // A body too large for a frame is answered the long way, whose
-        // framing replaces it with a typed error.
+        // A body too large for a frame is answered the long way (computed
+        // again), whose framing replaces it with a typed error.
         eq_proto::frame_encoded_response(&mut frame, request.id, &body).ok()?;
         self.cache_hits.fetch_add(1, Ordering::Relaxed);
         Some(frame)
@@ -961,6 +963,12 @@ impl QueryServer {
     /// Each query bumps one outcome counter: a hit, a miss (an answer
     /// computed, whether or not the cache is on) or a failure, which counts
     /// as served but drags no hit rate down.
+    ///
+    /// A `fingerprint` given is the event loop's, whose probe missed, so the
+    /// cache is not probed again: a second probe would take the shard's
+    /// lock and bump the entry's recency for an answer the loop just failed
+    /// to find.  (An entry another thread filed since is computed again and
+    /// filed over; the answer is the same.)
     fn cached(
         &self,
         key: KeyRef<'_>,
@@ -969,7 +977,7 @@ impl QueryServer {
     ) -> Reply {
         let caching = self.serve.cache_capacity > 0;
         let fp = if caching { fingerprint.unwrap_or_else(|| self::fingerprint(&key)) } else { 0 };
-        if caching {
+        if caching && fingerprint.is_none() {
             if let Some(hit) = self.cache.lookup(fp, |k| k.as_ref() == key) {
                 self.cache_hits.fetch_add(1, Ordering::Relaxed);
                 return Reply::Encoded(hit);
@@ -1388,6 +1396,23 @@ mod tests {
         let mut config = EarthQubeConfig::fast(seed);
         config.train_model = false;
         (QueryServer::build(&archive, config, serve).unwrap(), archive)
+    }
+
+    #[test]
+    fn a_loop_fingerprint_means_the_cache_was_already_probed() {
+        let (srv, archive) = server(30, 97, ServeConfig::default());
+        let body = RequestBody::SimilarTo { name: archive.patches()[3].meta.name.clone(), k: 5 };
+        let fp = srv.cache_fingerprint(&body).expect("a cache-keyed read");
+        let first = srv.call(&body);
+        assert_eq!((srv.stats().cache_hits, srv.stats().cache_misses), (0, 1));
+        // `call` probes once and hits.
+        assert_eq!(srv.call(&body), first);
+        assert_eq!((srv.stats().cache_hits, srv.stats().cache_misses), (1, 1));
+        // The loop's miss hands its fingerprint over: no second probe, so
+        // the answer is computed (and filed over) even though it is cached.
+        assert_eq!(srv.respond(&body, Some(fp)).into_body(), first);
+        assert_eq!((srv.stats().cache_hits, srv.stats().cache_misses), (1, 2));
+        assert_eq!(srv.stats().cache_entries, 1);
     }
 
     #[test]

@@ -17,17 +17,39 @@
 //! * **`Avx512`** (`avx512f` + `avx512vpopcntdq`): eight rows per step —
 //!   XOR, `vpopcntq`, a pairwise add of each 128-bit row's two words (other
 //!   widths gather each word at the row stride), one unsigned compare of
-//!   all eight distances against the bound.  A mask's eight bits, probed in
-//!   one gather, are ANDed into that compare; a block with none of its rows
-//!   in the mask loads no code words.  The last `len % 8` rows run portable.
+//!   all eight distances against the bound, with the block's keep bits
+//!   ANDed in.  The last `len % 8` rows run portable.
 //! * **`Popcnt`**: the portable loop compiled with the `popcnt` instruction.
 //! * **`Portable`**: `u64::count_ones` (a SWAR sequence on x86_64 without
 //!   `popcnt`) in 1/2/4-word arms that keep the query in registers.  The
 //!   fallback, the only tier off x86_64, and the tests' reference.
 //!
+//! A masked scan reads the mask one of two ways:
+//!
+//! * **By position**, on a *dense* arena — one whose every row's id is its
+//!   row, as the serving arena is by construction (row *r* = dense id *r*;
+//!   [`is_dense`](CodeArena::is_dense), kept by one compare per
+//!   [`push`](CodeArena::push)).  Bit *r* of the mask is then row *r*'s
+//!   keep bit, so the scan walks the mask's words, not the rows: a zero
+//!   word skips 64 rows without touching them.  At `Avx512` each nonzero
+//!   byte is one 8-row block and the byte is that block's keep bits (no id
+//!   is loaded, no mask word gathered); the portable tiers visit the set
+//!   bits one by one.  A filtered query whose mask holds a fraction of a
+//!   percent of the rows pays for those rows and the mask's words only.
+//! * **By id**, on any other arena (a [`HashTableIndex`] or a
+//!   [`ShardedHashIndex`] shard, whose ids are not rows): every row's id
+//!   is probed in the mask — at `Avx512` eight at once, in one gather of
+//!   the mask's words — and a block with none of its rows in the mask
+//!   loads no code words.
+//!
+//! Both ways show the visitor the same rows in ascending row order.
+//!
 //! The tiers are `#[target_feature]` functions, not a crate-wide
 //! `-C target-feature`, which would recompile every crate of the build and
 //! make a binary that faults on a CPU without the feature.
+//!
+//! [`HashTableIndex`]: crate::HashTableIndex
+//! [`ShardedHashIndex`]: crate::ShardedHashIndex
 //!
 //! Layout invariants (relied on by the scan kernel and the property
 //! tests):
@@ -56,6 +78,13 @@ pub struct CodeArena {
     data: Vec<u64>,
     /// `ids[i]` is the item stored in row `i`.
     ids: Vec<ItemId>,
+    /// Whether some row's id differs from its row number.  While it is
+    /// false the arena is dense and a masked scan reads the mask by
+    /// position.
+    scattered: bool,
+    /// The tier [`scan`](Self::scan) runs at, when pinned
+    /// ([`pin_tier`](Self::pin_tier)); [`KernelTier::detected`] otherwise.
+    pinned: Option<KernelTier>,
 }
 
 /// An instruction-set tier of the scan kernel ([`CodeArena::scan`]), slowest
@@ -89,7 +118,7 @@ impl KernelTier {
     }
 
     /// The tiers this CPU can run, slowest first (`Portable` always).
-    pub(crate) fn supported() -> impl Iterator<Item = KernelTier> {
+    pub fn supported() -> impl Iterator<Item = KernelTier> {
         [Self::Portable, Self::Popcnt, Self::Avx512].into_iter().filter(|t| t.is_supported())
     }
 
@@ -108,7 +137,14 @@ impl CodeArena {
     /// Panics if `bits == 0`.
     pub fn new(bits: u32) -> Self {
         assert!(bits > 0, "code width must be positive");
-        Self { bits, words_per_code: bits.div_ceil(64) as usize, data: Vec::new(), ids: Vec::new() }
+        Self {
+            bits,
+            words_per_code: bits.div_ceil(64) as usize,
+            data: Vec::new(),
+            ids: Vec::new(),
+            scattered: false,
+            pinned: None,
+        }
     }
 
     /// Creates an empty arena with row capacity pre-reserved.
@@ -149,6 +185,32 @@ impl CodeArena {
         &self.ids
     }
 
+    /// Whether every row's id is its row number (`ids()[r] == r`), as in
+    /// the serving arena.  A masked scan of a dense arena walks the mask's
+    /// words instead of every row.
+    #[inline]
+    pub fn is_dense(&self) -> bool {
+        !self.scattered
+    }
+
+    /// The tier every scan of this arena runs at: [`KernelTier::detected`]
+    /// unless [`pin_tier`](Self::pin_tier) pinned another.
+    #[inline]
+    pub(crate) fn tier(&self) -> KernelTier {
+        self.pinned.unwrap_or_else(KernelTier::detected)
+    }
+
+    /// Runs every later scan of this arena at `tier`, so tests and benches
+    /// can compare the tiers through the public selections.  Every tier
+    /// returns the same rows in the same order.
+    ///
+    /// # Panics
+    /// Panics if this CPU cannot run `tier`.
+    pub fn pin_tier(&mut self, tier: KernelTier) {
+        assert!(tier.is_supported(), "this CPU cannot run the {tier:?} scan kernel");
+        self.pinned = Some(tier);
+    }
+
     /// The id stored in a row.
     ///
     /// # Panics
@@ -180,6 +242,7 @@ impl CodeArena {
     pub fn push(&mut self, id: ItemId, code: &BinaryCode) {
         assert_eq!(code.bits(), self.bits, "code width does not match the arena");
         self.data.extend_from_slice(code.words());
+        self.scattered |= id != self.ids.len() as ItemId;
         self.ids.push(id);
     }
 
@@ -256,13 +319,15 @@ impl CodeArena {
 /// calls into the `#[target_feature]` tiers and the AVX-512 loads.
 #[allow(unsafe_code)]
 impl CodeArena {
-    /// **The scan kernel**, at [`KernelTier::detected`]: streams every row
+    /// **The scan kernel**, at [`KernelTier::detected`] or the tier
+    /// [`pin_tier`](Self::pin_tier) pinned: streams every row
     /// within Hamming distance `bound` of `query` — and, given a `mask`,
     /// whose id is in it — through `visit(row, distance)`, in row order;
     /// `visit` returns the bound for the rows after it.  Top-k passes its
     /// heap's k-th distance (`u32::MAX` until the heap is full) and returns
     /// the new one, a radius scan the radius, `distances_into` `u32::MAX`.
-    /// Rows outside the mask never have their distance computed.
+    /// Rows outside the mask never have their distance computed; on a
+    /// dense arena the mask is read by position (see the module docs).
     ///
     /// # Panics
     /// Panics if `query.len() != words_per_code()`.
@@ -274,7 +339,7 @@ impl CodeArena {
         bound: u32,
         visit: V,
     ) {
-        self.scan_tier(KernelTier::detected(), query, mask, bound, visit);
+        self.scan_tier(self.tier(), query, mask, bound, visit);
     }
 
     /// [`scan`](Self::scan) at a given tier: the same rows, distances and
@@ -346,7 +411,8 @@ impl CodeArena {
     }
 
     /// The portable loop at width `w` (a constant per arm): the mask probe
-    /// before the distance, the bound after it.
+    /// before the distance, the bound after it.  A dense arena's mask is
+    /// walked instead ([`mask_rows`](Self::mask_rows)).
     #[inline(always)]
     fn rows<V: FnMut(usize, u32) -> u32>(
         &self,
@@ -357,6 +423,9 @@ impl CodeArena {
         visit: &mut V,
         distance: impl Fn(&[u64]) -> u32,
     ) -> u32 {
+        if let Some(mask) = mask.filter(|_| self.is_dense()) {
+            return self.mask_rows(from, w, mask.words(), bound, visit, distance);
+        }
         let codes = self.data[from * w..].chunks_exact(w);
         for (row, (code, &id)) in codes.zip(&self.ids[from..]).enumerate() {
             if mask.is_some_and(|m| !m.contains(id)) {
@@ -365,6 +434,41 @@ impl CodeArena {
             let d = distance(code);
             if d <= bound {
                 bound = visit(from + row, d);
+            }
+        }
+        bound
+    }
+
+    /// The portable walk of a dense arena's mask over rows `from..`: bit
+    /// *r* of `words` is row *r*'s keep bit, so each set bit is one row to
+    /// measure and a zero word skips 64 rows.  Bits past the last row are
+    /// ignored.
+    #[inline(always)]
+    fn mask_rows<V: FnMut(usize, u32) -> u32>(
+        &self,
+        from: usize,
+        w: usize,
+        words: &[u64],
+        mut bound: u32,
+        visit: &mut V,
+        distance: impl Fn(&[u64]) -> u32,
+    ) -> u32 {
+        let len = self.len();
+        let live = &words[..words.len().min(len.div_ceil(64))];
+        for (i, &word) in live.iter().enumerate().skip(from / 64) {
+            let at = i * 64;
+            // Only rows `from..len` of this word's 64.
+            let mut bits = word & (u64::MAX << from.saturating_sub(at));
+            if len - at < 64 {
+                bits &= (1 << (len - at)) - 1;
+            }
+            while bits != 0 {
+                let row = at + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let d = distance(&self.data[row * w..(row + 1) * w]);
+                if d <= bound {
+                    bound = visit(row, d);
+                }
             }
         }
         bound
@@ -383,18 +487,53 @@ impl CodeArena {
         self.scan_portable(0, query, mask, bound, visit)
     }
 
-    /// The AVX-512 tier: 8-row blocks up to `len / 8 * 8`, the tail portable.
+    /// The AVX-512 tier: 8-row blocks up to `len / 8 * 8`, the tail
+    /// portable.  One instance per code-width arm (one word, two words, any
+    /// other width: `W` = 1, 2, 0) and way of reading the mask, so no block
+    /// tests either.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
     fn scan_avx512<V: FnMut(usize, u32) -> u32>(
         &self,
         query: &[u64],
         mask: Option<&IdMask>,
+        bound: u32,
+        visit: &mut V,
+    ) -> u32 {
+        let words = mask.map_or(&[][..], IdMask::words);
+        let (q, b, v) = (query, bound, &mut *visit);
+        let bound = match (self.words_per_code, mask.map(|_| self.is_dense())) {
+            (1, None) => self.blocks_avx512::<1, EVERY_ROW, V>(q, words, b, v),
+            (1, Some(true)) => self.blocks_avx512::<1, BY_ROW, V>(q, words, b, v),
+            (1, Some(false)) => self.blocks_avx512::<1, BY_ID, V>(q, words, b, v),
+            (2, None) => self.blocks_avx512::<2, EVERY_ROW, V>(q, words, b, v),
+            (2, Some(true)) => self.blocks_avx512::<2, BY_ROW, V>(q, words, b, v),
+            (2, Some(false)) => self.blocks_avx512::<2, BY_ID, V>(q, words, b, v),
+            (_, None) => self.blocks_avx512::<0, EVERY_ROW, V>(q, words, b, v),
+            (_, Some(true)) => self.blocks_avx512::<0, BY_ROW, V>(q, words, b, v),
+            (_, Some(false)) => self.blocks_avx512::<0, BY_ID, V>(q, words, b, v),
+        };
+        self.scan_portable(self.len() / 8 * 8, query, mask, bound, visit)
+    }
+
+    /// The blocks of rows `..len / 8 * 8` whose keep bits `M` reads from the
+    /// mask's `words`: every block ([`EVERY_ROW`], no mask); a dense arena's
+    /// nonzero mask bytes, each one block's keep bits ([`BY_ROW`]); or each
+    /// block's eight ids probed in one gather ([`BY_ID`]).  Kept out of line
+    /// so each instance's one loop keeps its block step to itself.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    #[inline(never)]
+    fn blocks_avx512<const W: usize, const M: u8, V: FnMut(usize, u32) -> u32>(
+        &self,
+        query: &[u64],
+        words: &[u64],
         mut bound: u32,
         visit: &mut V,
     ) -> u32 {
         use std::arch::x86_64::*;
-        let w = self.words_per_code;
+        // The width, a constant in the one- and two-word instances.
+        let w = if W == 0 { self.words_per_code } else { W };
         let blocked = self.len() / 8 * 8;
         // The query as the lanes of 4 two-word rows, or of 8 one-word rows.
         let q = |j: usize| query.get(j.min(w.saturating_sub(1))).map_or(0, |&q| q as i64);
@@ -404,41 +543,18 @@ impl CodeArena {
         // Lane `r` of a strided gather reads word `r * w` past its base.
         let s = w as i64;
         let stride = _mm512_setr_epi64(0, s, 2 * s, 3 * s, 4 * s, 5 * s, 6 * s, 7 * s);
-        let mask_words = mask.map(IdMask::words);
-        let mask_len = _mm512_set1_epi64(mask_words.map_or(0, <[u64]>::len) as i64);
-        let (zero, one, low_six) =
-            (_mm512_setzero_si512(), _mm512_set1_epi64(1), _mm512_set1_epi64(63));
-        for base in (0..blocked).step_by(8) {
-            // Bit `r` set iff row `base + r`'s id is in the mask: the
-            // mask's words probed for all eight ids at once.
-            let keep = match mask_words {
-                None => 0xFF,
-                Some(words) => {
-                    let ids = &self.ids[base..base + 8];
-                    // SAFETY: avx512f is on; the load reads `ids[0..8]`, and
-                    // `ids.len() == 8`.
-                    let ids = unsafe { _mm512_loadu_epi64(ids.as_ptr().cast()) };
-                    let at = _mm512_srli_epi64::<6>(ids);
-                    let inside = _mm512_cmplt_epu64_mask(at, mask_len);
-                    // SAFETY: avx512f is on; only lanes in `inside` read, each
-                    // `words[at]` with `at < words.len()` (ids past it: clear).
-                    let probed = unsafe {
-                        _mm512_mask_i64gather_epi64::<8>(zero, inside, at, words.as_ptr().cast())
-                    };
-                    let bits = _mm512_srlv_epi64(probed, _mm512_and_si512(ids, low_six));
-                    _mm512_test_epi64_mask(bits, one)
-                }
-            };
-            if keep == 0 {
-                continue;
-            }
-            // Rows `base..base + 8` (`base + 8 <= blocked <= len`): the loads
-            // below stay inside this bounds-checked slice of `8 * w` words.
+        let zero = _mm512_setzero_si512();
+        // One step: the distances of rows `base..base + 8` (all in the
+        // arena), compared with the bound; the rows of `keep` that pass are
+        // shown to `visit` in row order.
+        let mut block = |base: usize, keep: u8, mut bound: u32| -> u32 {
+            // Rows `base..base + 8`: the loads below stay inside this
+            // bounds-checked slice of `8 * w` words.
             let block = &self.data[base * w..(base + 8) * w];
-            let distances = match w {
+            let distances = match W {
                 1 => {
-                    // SAFETY: avx512f is on; the load reads `block[0..8]`, and
-                    // `block.len() == 8`.
+                    // SAFETY: avx512f is on; the load reads `block[0..8]`,
+                    // and `block.len() == 8`.
                     let words = unsafe { _mm512_loadu_epi64(block.as_ptr().cast()) };
                     _mm512_popcnt_epi64(_mm512_xor_si512(words, pairs))
                 }
@@ -461,8 +577,8 @@ impl CodeArena {
                 _ => {
                     let mut sum = zero;
                     for (j, &q) in query.iter().enumerate() {
-                        // SAFETY: avx512f is on; lane `r` reads `block[j + r * w]`,
-                        // at most `w - 1 + 7 * w < 8 * w == block.len()`.
+                        // SAFETY: avx512f is on; lane `r` reads `block[j + r *
+                        // w]`, at most `w - 1 + 7 * w < 8 * w == block.len()`.
                         let words = unsafe {
                             _mm512_i64gather_epi64::<8>(stride, block[j..].as_ptr().cast())
                         };
@@ -476,7 +592,7 @@ impl CodeArena {
             let mut hits =
                 _mm512_cmple_epu64_mask(distances, _mm512_set1_epi64(i64::from(bound))) & keep;
             if hits == 0 {
-                continue;
+                return bound;
             }
             // SAFETY: `__m512i` and `[u64; 8]` are both 64 bytes and every
             // bit pattern is a valid `u64`.
@@ -491,10 +607,70 @@ impl CodeArena {
                     bound = visit(base + lane, d);
                 }
             }
+            bound
+        };
+        match M {
+            EVERY_ROW => {
+                for base in (0..blocked).step_by(8) {
+                    bound = block(base, 0xFF, bound);
+                }
+            }
+            BY_ROW => {
+                // Bit `r` of the mask is row `r`'s keep bit: each nonzero
+                // byte of a word is one block, the byte its keep bits.
+                for (i, &word) in words[..words.len().min(blocked.div_ceil(64))].iter().enumerate()
+                {
+                    let at = i * 64;
+                    // Only the whole blocks of this word's 64 rows.
+                    let mut bits = word;
+                    if blocked - at < 64 {
+                        bits &= (1 << (blocked - at)) - 1;
+                    }
+                    while bits != 0 {
+                        let byte = bits.trailing_zeros() / 8 * 8;
+                        bits &= !(0xFF << byte);
+                        bound = block(at + byte as usize, (word >> byte) as u8, bound);
+                    }
+                }
+            }
+            _ => {
+                let mask_len = _mm512_set1_epi64(words.len() as i64);
+                let (one, low_six) = (_mm512_set1_epi64(1), _mm512_set1_epi64(63));
+                for base in (0..blocked).step_by(8) {
+                    // Bit `r` set iff row `base + r`'s id is in the mask:
+                    // the mask's words probed for all eight ids at once.
+                    let ids = &self.ids[base..base + 8];
+                    // SAFETY: avx512f is on; the load reads `ids[0..8]`, and
+                    // `ids.len() == 8`.
+                    let ids = unsafe { _mm512_loadu_epi64(ids.as_ptr().cast()) };
+                    let at = _mm512_srli_epi64::<6>(ids);
+                    let inside = _mm512_cmplt_epu64_mask(at, mask_len);
+                    // SAFETY: avx512f is on; only lanes in `inside` read, each
+                    // `words[at]` with `at < words.len()` (ids past it: clear).
+                    let probed = unsafe {
+                        _mm512_mask_i64gather_epi64::<8>(zero, inside, at, words.as_ptr().cast())
+                    };
+                    let bits = _mm512_srlv_epi64(probed, _mm512_and_si512(ids, low_six));
+                    let keep = _mm512_test_epi64_mask(bits, one);
+                    if keep != 0 {
+                        bound = block(base, keep, bound);
+                    }
+                }
+            }
         }
-        self.scan_portable(blocked, query, mask, bound, visit)
+        bound
     }
 }
+
+/// How [`CodeArena::blocks_avx512`] reads a block's keep bits: all set (no
+/// mask), the dense arena's mask byte at the block's position, or its ids
+/// probed in the mask.
+#[cfg(target_arch = "x86_64")]
+const EVERY_ROW: u8 = 0;
+#[cfg(target_arch = "x86_64")]
+const BY_ROW: u8 = 1;
+#[cfg(target_arch = "x86_64")]
+const BY_ID: u8 = 2;
 
 /// Word-wise Hamming distance of two equal-length word slices.
 #[inline]

@@ -583,9 +583,9 @@ impl IdMask {
     }
 
     /// The bitset: bit `id % 64` of word `id / 64` is `contains(id)`, and
-    /// ids past the last word are absent (the AVX-512 kernel probes eight
-    /// ids at once against it).
-    #[cfg(target_arch = "x86_64")]
+    /// ids past the last word are absent.  The AVX-512 kernel probes eight
+    /// ids at once against it, and a dense arena's scan walks it by
+    /// position.
     #[inline]
     pub(crate) fn words(&self) -> &[u64] {
         &self.words

@@ -114,7 +114,7 @@ impl SearchScratch {
     /// # Panics
     /// Panics if the query width does not match the arena.
     pub fn scan_arena(&mut self, arena: &CodeArena, query: &[u64]) {
-        self.select(KernelTier::detected(), arena, query, None);
+        self.select(arena.tier(), arena, query, None);
     }
 
     /// The masked counterpart of [`scan_arena`](Self::scan_arena): offers
@@ -126,7 +126,7 @@ impl SearchScratch {
     /// # Panics
     /// Panics if the query width does not match the arena.
     pub fn scan_arena_masked(&mut self, arena: &CodeArena, query: &[u64], mask: &IdMask) {
-        self.select(KernelTier::detected(), arena, query, Some(mask));
+        self.select(arena.tier(), arena, query, Some(mask));
     }
 
     /// The one selection loop behind both scans, at a given kernel tier.
@@ -249,7 +249,7 @@ impl CountingTopK {
         k: usize,
         mask: Option<&IdMask>,
     ) -> &[Neighbor] {
-        self.rank(KernelTier::detected(), arena, query, mask, k, arena.bits() + 1)
+        self.rank(arena.tier(), arena, query, mask, k, arena.bits() + 1)
     }
 
     /// Every row of `arena` within Hamming distance `radius` of `query` —
@@ -266,7 +266,7 @@ impl CountingTopK {
         mask: Option<&IdMask>,
     ) -> &[Neighbor] {
         let limit = radius.min(arena.bits()) + 1;
-        self.rank(KernelTier::detected(), arena, query, mask, usize::MAX, limit)
+        self.rank(arena.tier(), arena, query, mask, usize::MAX, limit)
     }
 
     /// One selection at a given kernel tier: at most `k` rows, each below
