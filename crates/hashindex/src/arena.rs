@@ -82,9 +82,6 @@ pub struct CodeArena {
     /// false the arena is dense and a masked scan reads the mask by
     /// position.
     scattered: bool,
-    /// The tier [`scan`](Self::scan) runs at, when pinned
-    /// ([`pin_tier`](Self::pin_tier)); [`KernelTier::detected`] otherwise.
-    pinned: Option<KernelTier>,
 }
 
 /// An instruction-set tier of the scan kernel ([`CodeArena::scan`]), slowest
@@ -118,7 +115,7 @@ impl KernelTier {
     }
 
     /// The tiers this CPU can run, slowest first (`Portable` always).
-    pub fn supported() -> impl Iterator<Item = KernelTier> {
+    pub(crate) fn supported() -> impl Iterator<Item = KernelTier> {
         [Self::Portable, Self::Popcnt, Self::Avx512].into_iter().filter(|t| t.is_supported())
     }
 
@@ -143,7 +140,6 @@ impl CodeArena {
             data: Vec::new(),
             ids: Vec::new(),
             scattered: false,
-            pinned: None,
         }
     }
 
@@ -191,24 +187,6 @@ impl CodeArena {
     #[inline]
     pub fn is_dense(&self) -> bool {
         !self.scattered
-    }
-
-    /// The tier every scan of this arena runs at: [`KernelTier::detected`]
-    /// unless [`pin_tier`](Self::pin_tier) pinned another.
-    #[inline]
-    pub(crate) fn tier(&self) -> KernelTier {
-        self.pinned.unwrap_or_else(KernelTier::detected)
-    }
-
-    /// Runs every later scan of this arena at `tier`, so tests and benches
-    /// can compare the tiers through the public selections.  Every tier
-    /// returns the same rows in the same order.
-    ///
-    /// # Panics
-    /// Panics if this CPU cannot run `tier`.
-    pub fn pin_tier(&mut self, tier: KernelTier) {
-        assert!(tier.is_supported(), "this CPU cannot run the {tier:?} scan kernel");
-        self.pinned = Some(tier);
     }
 
     /// The id stored in a row.
@@ -315,12 +293,87 @@ impl CodeArena {
     }
 }
 
+/// One AVX-512 step of [`CodeArena::scan_avx512`] and
+/// [`CodeArena::walk_avx512`], inside the caller's loop: the distances of
+/// rows `$base..$base + 8` (`$base + 8 <= len`), compared with `$bound`;
+/// the rows of `$keep` that pass are shown to `$visit` in row order, and
+/// `$bound` becomes what it returns.  `continue`s the loop when none pass.
+/// A macro, not a function: each loop then keeps the query lanes in
+/// registers, where an `#[inline(always)]` step shared by both made LLVM
+/// reload them every block.  Its `unsafe` compiles only where it expands,
+/// in the scan kernel's `#[allow(unsafe_code)]` impl (the crate denies
+/// `unsafe_code` everywhere else).
+#[cfg(target_arch = "x86_64")]
+macro_rules! block_avx512 {
+    (
+        $arena:ident, $query:ident, $w:ident, $pairs:ident, $evens:ident, $odds:ident,
+        $stride:ident, $base:ident, $keep:ident, $bound:ident, $visit:ident
+    ) => {
+        // Rows `base..base + 8` (`base + 8 <= blocked <= len`): the loads
+        // below stay inside this bounds-checked slice of `8 * w` words.
+        let block = &$arena.data[$base * $w..($base + 8) * $w];
+        let distances = match $w {
+            1 => {
+                // SAFETY: avx512f is on; the load reads `block[0..8]`, and
+                // `block.len() == 8`.
+                let words = unsafe { _mm512_loadu_epi64(block.as_ptr().cast()) };
+                _mm512_popcnt_epi64(_mm512_xor_si512(words, $pairs))
+            }
+            2 => {
+                // SAFETY: avx512f is on; the loads read `block[0..8]` and
+                // `block[8..16]`, and `block.len() == 16`.
+                let (lo, hi) = unsafe {
+                    (
+                        _mm512_loadu_epi64(block.as_ptr().cast()),
+                        _mm512_loadu_epi64(block[8..].as_ptr().cast()),
+                    )
+                };
+                let lo = _mm512_popcnt_epi64(_mm512_xor_si512(lo, $pairs));
+                let hi = _mm512_popcnt_epi64(_mm512_xor_si512(hi, $pairs));
+                _mm512_add_epi64(
+                    _mm512_permutex2var_epi64(lo, $evens, hi),
+                    _mm512_permutex2var_epi64(lo, $odds, hi),
+                )
+            }
+            _ => {
+                let mut sum = _mm512_setzero_si512();
+                for (j, &q) in $query.iter().enumerate() {
+                    let column = block[j..].as_ptr().cast();
+                    // SAFETY: avx512f is on; lane `r` reads `block[j + r * w]`,
+                    // at most `w - 1 + 7 * w < 8 * w == block.len()`.
+                    let words = unsafe { _mm512_i64gather_epi64::<8>($stride, column) };
+                    let q = _mm512_set1_epi64(q as i64);
+                    sum = _mm512_add_epi64(sum, _mm512_popcnt_epi64(_mm512_xor_si512(words, q)));
+                }
+                sum
+            }
+        };
+        let mut hits =
+            _mm512_cmple_epu64_mask(distances, _mm512_set1_epi64(i64::from($bound))) & $keep;
+        if hits == 0 {
+            continue;
+        }
+        // SAFETY: `__m512i` and `[u64; 8]` are both 64 bytes and every
+        // bit pattern is a valid `u64`.
+        let lanes: [u64; 8] = unsafe { std::mem::transmute(distances) };
+        while hits != 0 {
+            let lane = hits.trailing_zeros() as usize;
+            hits &= hits - 1;
+            // Re-checked: an earlier row of this block may have lowered
+            // the bound since the compare.
+            let d = lanes[lane] as u32;
+            if d <= $bound {
+                $bound = $visit($base + lane, d);
+            }
+        }
+    };
+}
+
 /// The scan kernel: the one place in the crate allowed `unsafe`, for the
 /// calls into the `#[target_feature]` tiers and the AVX-512 loads.
 #[allow(unsafe_code)]
 impl CodeArena {
-    /// **The scan kernel**, at [`KernelTier::detected`] or the tier
-    /// [`pin_tier`](Self::pin_tier) pinned: streams every row
+    /// **The scan kernel**, at [`KernelTier::detected`]: streams every row
     /// within Hamming distance `bound` of `query` — and, given a `mask`,
     /// whose id is in it — through `visit(row, distance)`, in row order;
     /// `visit` returns the bound for the rows after it.  Top-k passes its
@@ -339,7 +392,7 @@ impl CodeArena {
         bound: u32,
         visit: V,
     ) {
-        self.scan_tier(self.tier(), query, mask, bound, visit);
+        self.scan_tier(KernelTier::detected(), query, mask, bound, visit);
     }
 
     /// [`scan`](Self::scan) at a given tier: the same rows, distances and
@@ -359,20 +412,31 @@ impl CodeArena {
     ) {
         assert_eq!(query.len(), self.words_per_code, "query width does not match the arena");
         assert!(tier.is_supported(), "this CPU cannot run the {tier:?} scan kernel");
+        let keep = match mask {
+            None => Keep::All,
+            Some(mask) if self.is_dense() => Keep::ByRow(mask),
+            Some(mask) => Keep::ById(mask),
+        };
         match tier {
             #[cfg(target_arch = "x86_64")]
             KernelTier::Popcnt => {
                 // SAFETY: `is_supported` confirmed `popcnt`, the one feature
                 // the tier enables (`is_x86_feature_detected!`).
-                unsafe { self.scan_popcnt(query, mask, bound, &mut visit) }
+                unsafe { self.scan_popcnt(query, keep, bound, &mut visit) }
             }
             #[cfg(target_arch = "x86_64")]
             KernelTier::Avx512 => {
                 // SAFETY: `is_supported` confirmed `avx512f` and
-                // `avx512vpopcntdq` (`is_x86_feature_detected!`).
-                unsafe { self.scan_avx512(query, mask, bound, &mut visit) }
+                // `avx512vpopcntdq` (`is_x86_feature_detected!`), the
+                // features both functions enable.
+                unsafe {
+                    match keep {
+                        Keep::ByRow(mask) => self.walk_avx512(query, mask, bound, &mut visit),
+                        _ => self.scan_avx512(query, mask, bound, &mut visit),
+                    }
+                }
             }
-            _ => self.scan_portable(0, query, mask, bound, &mut visit),
+            _ => self.scan_portable(0, query, keep, bound, &mut visit),
         };
     }
 
@@ -382,31 +446,31 @@ impl CodeArena {
         &self,
         from: usize,
         query: &[u64],
-        mask: Option<&IdMask>,
+        keep: Keep<'_>,
         bound: u32,
         visit: &mut V,
     ) -> u32 {
         match self.words_per_code {
             1 => {
                 let q = query[0];
-                self.rows(from, 1, mask, bound, visit, |c| (c[0] ^ q).count_ones())
+                self.rows(from, 1, keep, bound, visit, |c| (c[0] ^ q).count_ones())
             }
             2 => {
                 let (q0, q1) = (query[0], query[1]);
-                self.rows(from, 2, mask, bound, visit, |c| {
+                self.rows(from, 2, keep, bound, visit, |c| {
                     (c[0] ^ q0).count_ones() + (c[1] ^ q1).count_ones()
                 })
             }
             4 => {
                 let (q0, q1, q2, q3) = (query[0], query[1], query[2], query[3]);
-                self.rows(from, 4, mask, bound, visit, |c| {
+                self.rows(from, 4, keep, bound, visit, |c| {
                     (c[0] ^ q0).count_ones()
                         + (c[1] ^ q1).count_ones()
                         + (c[2] ^ q2).count_ones()
                         + (c[3] ^ q3).count_ones()
                 })
             }
-            w => self.rows(from, w, mask, bound, visit, |c| hamming_words(c, query)),
+            w => self.rows(from, w, keep, bound, visit, |c| hamming_words(c, query)),
         }
     }
 
@@ -418,14 +482,18 @@ impl CodeArena {
         &self,
         from: usize,
         w: usize,
-        mask: Option<&IdMask>,
+        keep: Keep<'_>,
         mut bound: u32,
         visit: &mut V,
         distance: impl Fn(&[u64]) -> u32,
     ) -> u32 {
-        if let Some(mask) = mask.filter(|_| self.is_dense()) {
-            return self.mask_rows(from, w, mask.words(), bound, visit, distance);
-        }
+        let mask = match keep {
+            Keep::All => None,
+            Keep::ById(mask) => Some(mask),
+            Keep::ByRow(mask) => {
+                return self.mask_rows(from, w, mask.words(), bound, visit, distance)
+            }
+        };
         let codes = self.data[from * w..].chunks_exact(w);
         for (row, (code, &id)) in codes.zip(&self.ids[from..]).enumerate() {
             if mask.is_some_and(|m| !m.contains(id)) {
@@ -480,60 +548,28 @@ impl CodeArena {
     fn scan_popcnt<V: FnMut(usize, u32) -> u32>(
         &self,
         query: &[u64],
-        mask: Option<&IdMask>,
+        keep: Keep<'_>,
         bound: u32,
         visit: &mut V,
     ) -> u32 {
-        self.scan_portable(0, query, mask, bound, visit)
+        self.scan_portable(0, query, keep, bound, visit)
     }
 
     /// The AVX-512 tier: 8-row blocks up to `len / 8 * 8`, the tail
-    /// portable.  One instance per code-width arm (one word, two words, any
-    /// other width: `W` = 1, 2, 0) and way of reading the mask, so no block
-    /// tests either.
+    /// portable; a mask is probed for each block's eight ids in one gather.
+    /// A dense arena's mask is walked instead
+    /// ([`walk_avx512`](Self::walk_avx512)).
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
     fn scan_avx512<V: FnMut(usize, u32) -> u32>(
         &self,
         query: &[u64],
         mask: Option<&IdMask>,
-        bound: u32,
-        visit: &mut V,
-    ) -> u32 {
-        let words = mask.map_or(&[][..], IdMask::words);
-        let (q, b, v) = (query, bound, &mut *visit);
-        let bound = match (self.words_per_code, mask.map(|_| self.is_dense())) {
-            (1, None) => self.blocks_avx512::<1, EVERY_ROW, V>(q, words, b, v),
-            (1, Some(true)) => self.blocks_avx512::<1, BY_ROW, V>(q, words, b, v),
-            (1, Some(false)) => self.blocks_avx512::<1, BY_ID, V>(q, words, b, v),
-            (2, None) => self.blocks_avx512::<2, EVERY_ROW, V>(q, words, b, v),
-            (2, Some(true)) => self.blocks_avx512::<2, BY_ROW, V>(q, words, b, v),
-            (2, Some(false)) => self.blocks_avx512::<2, BY_ID, V>(q, words, b, v),
-            (_, None) => self.blocks_avx512::<0, EVERY_ROW, V>(q, words, b, v),
-            (_, Some(true)) => self.blocks_avx512::<0, BY_ROW, V>(q, words, b, v),
-            (_, Some(false)) => self.blocks_avx512::<0, BY_ID, V>(q, words, b, v),
-        };
-        self.scan_portable(self.len() / 8 * 8, query, mask, bound, visit)
-    }
-
-    /// The blocks of rows `..len / 8 * 8` whose keep bits `M` reads from the
-    /// mask's `words`: every block ([`EVERY_ROW`], no mask); a dense arena's
-    /// nonzero mask bytes, each one block's keep bits ([`BY_ROW`]); or each
-    /// block's eight ids probed in one gather ([`BY_ID`]).  Kept out of line
-    /// so each instance's one loop keeps its block step to itself.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    #[inline(never)]
-    fn blocks_avx512<const W: usize, const M: u8, V: FnMut(usize, u32) -> u32>(
-        &self,
-        query: &[u64],
-        words: &[u64],
         mut bound: u32,
         visit: &mut V,
     ) -> u32 {
         use std::arch::x86_64::*;
-        // The width, a constant in the one- and two-word instances.
-        let w = if W == 0 { self.words_per_code } else { W };
+        let w = self.words_per_code;
         let blocked = self.len() / 8 * 8;
         // The query as the lanes of 4 two-word rows, or of 8 one-word rows.
         let q = |j: usize| query.get(j.min(w.saturating_sub(1))).map_or(0, |&q| q as i64);
@@ -543,102 +579,16 @@ impl CodeArena {
         // Lane `r` of a strided gather reads word `r * w` past its base.
         let s = w as i64;
         let stride = _mm512_setr_epi64(0, s, 2 * s, 3 * s, 4 * s, 5 * s, 6 * s, 7 * s);
-        let zero = _mm512_setzero_si512();
-        // One step: the distances of rows `base..base + 8` (all in the
-        // arena), compared with the bound; the rows of `keep` that pass are
-        // shown to `visit` in row order.
-        let mut block = |base: usize, keep: u8, mut bound: u32| -> u32 {
-            // Rows `base..base + 8`: the loads below stay inside this
-            // bounds-checked slice of `8 * w` words.
-            let block = &self.data[base * w..(base + 8) * w];
-            let distances = match W {
-                1 => {
-                    // SAFETY: avx512f is on; the load reads `block[0..8]`,
-                    // and `block.len() == 8`.
-                    let words = unsafe { _mm512_loadu_epi64(block.as_ptr().cast()) };
-                    _mm512_popcnt_epi64(_mm512_xor_si512(words, pairs))
-                }
-                2 => {
-                    // SAFETY: avx512f is on; the loads read `block[0..8]` and
-                    // `block[8..16]`, and `block.len() == 16`.
-                    let (lo, hi) = unsafe {
-                        (
-                            _mm512_loadu_epi64(block.as_ptr().cast()),
-                            _mm512_loadu_epi64(block[8..].as_ptr().cast()),
-                        )
-                    };
-                    let lo = _mm512_popcnt_epi64(_mm512_xor_si512(lo, pairs));
-                    let hi = _mm512_popcnt_epi64(_mm512_xor_si512(hi, pairs));
-                    _mm512_add_epi64(
-                        _mm512_permutex2var_epi64(lo, evens, hi),
-                        _mm512_permutex2var_epi64(lo, odds, hi),
-                    )
-                }
-                _ => {
-                    let mut sum = zero;
-                    for (j, &q) in query.iter().enumerate() {
-                        // SAFETY: avx512f is on; lane `r` reads `block[j + r *
-                        // w]`, at most `w - 1 + 7 * w < 8 * w == block.len()`.
-                        let words = unsafe {
-                            _mm512_i64gather_epi64::<8>(stride, block[j..].as_ptr().cast())
-                        };
-                        let q = _mm512_set1_epi64(q as i64);
-                        sum =
-                            _mm512_add_epi64(sum, _mm512_popcnt_epi64(_mm512_xor_si512(words, q)));
-                    }
-                    sum
-                }
-            };
-            let mut hits =
-                _mm512_cmple_epu64_mask(distances, _mm512_set1_epi64(i64::from(bound))) & keep;
-            if hits == 0 {
-                return bound;
-            }
-            // SAFETY: `__m512i` and `[u64; 8]` are both 64 bytes and every
-            // bit pattern is a valid `u64`.
-            let lanes: [u64; 8] = unsafe { std::mem::transmute(distances) };
-            while hits != 0 {
-                let lane = hits.trailing_zeros() as usize;
-                hits &= hits - 1;
-                // Re-checked: an earlier row of this block may have lowered
-                // the bound since the compare.
-                let d = lanes[lane] as u32;
-                if d <= bound {
-                    bound = visit(base + lane, d);
-                }
-            }
-            bound
-        };
-        match M {
-            EVERY_ROW => {
-                for base in (0..blocked).step_by(8) {
-                    bound = block(base, 0xFF, bound);
-                }
-            }
-            BY_ROW => {
-                // Bit `r` of the mask is row `r`'s keep bit: each nonzero
-                // byte of a word is one block, the byte its keep bits.
-                for (i, &word) in words[..words.len().min(blocked.div_ceil(64))].iter().enumerate()
-                {
-                    let at = i * 64;
-                    // Only the whole blocks of this word's 64 rows.
-                    let mut bits = word;
-                    if blocked - at < 64 {
-                        bits &= (1 << (blocked - at)) - 1;
-                    }
-                    while bits != 0 {
-                        let byte = bits.trailing_zeros() / 8 * 8;
-                        bits &= !(0xFF << byte);
-                        bound = block(at + byte as usize, (word >> byte) as u8, bound);
-                    }
-                }
-            }
-            _ => {
-                let mask_len = _mm512_set1_epi64(words.len() as i64);
-                let (one, low_six) = (_mm512_set1_epi64(1), _mm512_set1_epi64(63));
-                for base in (0..blocked).step_by(8) {
-                    // Bit `r` set iff row `base + r`'s id is in the mask:
-                    // the mask's words probed for all eight ids at once.
+        let mask_words = mask.map(IdMask::words);
+        let mask_len = _mm512_set1_epi64(mask_words.map_or(0, <[u64]>::len) as i64);
+        let (zero, one, low_six) =
+            (_mm512_setzero_si512(), _mm512_set1_epi64(1), _mm512_set1_epi64(63));
+        for base in (0..blocked).step_by(8) {
+            // Bit `r` set iff row `base + r`'s id is in the mask: the
+            // mask's words probed for all eight ids at once.
+            let keep = match mask_words {
+                None => 0xFF,
+                Some(words) => {
                     let ids = &self.ids[base..base + 8];
                     // SAFETY: avx512f is on; the load reads `ids[0..8]`, and
                     // `ids.len() == 8`.
@@ -651,26 +601,69 @@ impl CodeArena {
                         _mm512_mask_i64gather_epi64::<8>(zero, inside, at, words.as_ptr().cast())
                     };
                     let bits = _mm512_srlv_epi64(probed, _mm512_and_si512(ids, low_six));
-                    let keep = _mm512_test_epi64_mask(bits, one);
-                    if keep != 0 {
-                        bound = block(base, keep, bound);
-                    }
+                    _mm512_test_epi64_mask(bits, one)
                 }
+            };
+            if keep == 0 {
+                continue;
+            }
+            block_avx512!(self, query, w, pairs, evens, odds, stride, base, keep, bound, visit);
+        }
+        self.scan_portable(blocked, query, mask.map_or(Keep::All, Keep::ById), bound, visit)
+    }
+
+    /// The AVX-512 tier on a dense arena's mask: bit `r` of the mask is
+    /// row `r`'s keep bit, so each nonzero byte of a word is one block of
+    /// rows `..len / 8 * 8` and the byte its keep bits, and a zero word
+    /// skips 64 rows.  The tail runs portable.  Its own function, so the
+    /// unmasked loop of [`scan_avx512`](Self::scan_avx512) compiles as if
+    /// the walk were not there.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    fn walk_avx512<V: FnMut(usize, u32) -> u32>(
+        &self,
+        query: &[u64],
+        mask: &IdMask,
+        mut bound: u32,
+        visit: &mut V,
+    ) -> u32 {
+        use std::arch::x86_64::*;
+        let w = self.words_per_code;
+        let blocked = self.len() / 8 * 8;
+        // The lanes of `scan_avx512`.
+        let q = |j: usize| query.get(j.min(w.saturating_sub(1))).map_or(0, |&q| q as i64);
+        let pairs = _mm512_setr_epi64(q(0), q(1), q(0), q(1), q(0), q(1), q(0), q(1));
+        let evens = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
+        let odds = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
+        let s = w as i64;
+        let stride = _mm512_setr_epi64(0, s, 2 * s, 3 * s, 4 * s, 5 * s, 6 * s, 7 * s);
+        let words = mask.words();
+        for (i, &word) in words[..words.len().min(blocked.div_ceil(64))].iter().enumerate() {
+            let at = i * 64;
+            // Only the whole blocks of this word's 64 rows.
+            let mut bits = word;
+            if blocked - at < 64 {
+                bits &= (1 << (blocked - at)) - 1;
+            }
+            while bits != 0 {
+                let byte = bits.trailing_zeros() / 8 * 8;
+                bits &= !(0xFF << byte);
+                let (base, keep) = (at + byte as usize, (word >> byte) as u8);
+                block_avx512!(self, query, w, pairs, evens, odds, stride, base, keep, bound, visit);
             }
         }
-        bound
+        self.scan_portable(blocked, query, Keep::ByRow(mask), bound, visit)
     }
 }
 
-/// How [`CodeArena::blocks_avx512`] reads a block's keep bits: all set (no
-/// mask), the dense arena's mask byte at the block's position, or its ids
-/// probed in the mask.
-#[cfg(target_arch = "x86_64")]
-const EVERY_ROW: u8 = 0;
-#[cfg(target_arch = "x86_64")]
-const BY_ROW: u8 = 1;
-#[cfg(target_arch = "x86_64")]
-const BY_ID: u8 = 2;
+/// How a scan reads its mask (see the module docs): no mask, each row's
+/// id probed in it, or a dense arena's mask bit `r` as row `r`'s keep bit.
+#[derive(Clone, Copy)]
+enum Keep<'m> {
+    All,
+    ById(&'m IdMask),
+    ByRow(&'m IdMask),
+}
 
 /// Word-wise Hamming distance of two equal-length word slices.
 #[inline]

@@ -1,35 +1,41 @@
 //! Property suite for the positional mask walk.  On a dense arena — row
 //! `r` holds id `r`, as the serving arena does — a masked scan reads mask
 //! bit `r` as row `r`'s keep bit and walks the mask's words instead of
-//! every row.  At every kernel tier the CPU reports, over 64-, 128- and
-//! 192-bit codes, lengths that are not a multiple of 8, empty, sparse, half
+//! every row.  At every kernel tier the CPU reports, over 64-, 100-, 128-,
+//! 192- and 256-bit codes (every width arm of every tier, and a padded
+//! last word), lengths that are not a multiple of 8, empty, sparse, half
 //! and full masks and mask bits past the last row:
 //!
-//! * `CountingTopK::knn` and `SearchScratch::scan_arena_masked` must equal
-//!   the masked rows' full sort, truncated to `k`;
-//! * `CountingTopK::within` must equal the full sort cut at the radius;
-//! * the masked radius scan and a visitor that lowers the bound to each
+//! * the counting selection behind `CountingTopK::knn` and the heap behind
+//!   `SearchScratch::scan_arena_masked` must equal the masked rows' full
+//!   sort, truncated to `k`;
+//! * the counting selection behind `CountingTopK::within` must equal the
+//!   full sort cut at the radius;
+//! * a radius visitor and a visitor that lowers the bound to each
 //!   distance it is shown must see exactly the rows a row-by-row walk
 //!   shows, in row order.
 //!
-//! One more push whose id is not its row makes the arena non-dense, and
-//! every check above must then read the mask by id again.
+//! The public entry points, at the detected tier, must give the same
+//! answers.  One more push whose id is not its row makes the arena
+//! non-dense, and every check above must then read the mask by id again.
 
-use eq_hashindex::{
+use proptest::prelude::*;
+
+use crate::{
     sort_neighbors, BinaryCode, Bitmap, CodeArena, CountingTopK, IdMask, ItemId, KernelTier,
     Neighbor, SearchScratch,
 };
-use proptest::prelude::*;
 
 fn arb_code(bits: u32) -> impl Strategy<Value = BinaryCode> {
     proptest::collection::vec(any::<bool>(), bits as usize)
         .prop_map(|bools| BinaryCode::from_bools(&bools))
 }
 
-/// The kernel's one-word arm, the two-word (MiLaN) arm, and the gathered
-/// widths past it.
+/// The one-word arm, the two-word (MiLaN) arm and a two-word width with a
+/// padded last word, a three-word width (gathered at AVX-512, the generic
+/// portable arm) and the portable four-word arm.
 fn arb_bits() -> impl Strategy<Value = u32> {
-    prop_oneof![Just(64u32), Just(128), Just(192)]
+    prop_oneof![Just(64u32), Just(100), Just(128), Just(192), Just(256)]
 }
 
 /// Rows per 1 000 in the mask: empty, a fraction of a percent (most bytes
@@ -124,9 +130,9 @@ proptest! {
     fn masked_selections_equal_the_full_sort_at_every_tier(
         case in arb_case(),
         k in prop_oneof![0usize..24, 0usize..400],
-        radius in 0u32..200,
+        radius in 0u32..300,
     ) {
-        let (mut arena, mask) = build(&case);
+        let (arena, mask) = build(&case);
         prop_assert_eq!(arena.is_dense(), case.scatter.is_none());
         let q = case.query.words();
         let rows = masked_rows(&arena, q, &mask);
@@ -148,24 +154,37 @@ proptest! {
             }
         }
         let (mut counting, mut heap) = (CountingTopK::new(), SearchScratch::new());
+        let (knn_limit, within_limit) = (case.bits + 1, radius.min(case.bits) + 1);
         for tier in KernelTier::supported() {
-            arena.pin_tier(tier);
+            let m = Some(&mask);
             // Each answer beside its tier, so a failure names the tier.
-            prop_assert_eq!((tier, counting.knn(&arena, q, k, Some(&mask))), (tier, nearest));
-            let within = counting.within(&arena, q, radius, Some(&mask));
+            let knn = counting.rank(tier, &arena, q, m, k, knn_limit);
+            prop_assert_eq!((tier, knn), (tier, nearest));
+            let within = counting.rank(tier, &arena, q, m, usize::MAX, within_limit);
             prop_assert_eq!((tier, within), (tier, &near[..]));
             heap.begin(k);
-            heap.scan_arena_masked(&arena, q, &mask);
+            heap.select(tier, &arena, q, m);
             prop_assert_eq!((tier, heap.finish()), (tier, nearest));
             let mut got = Vec::new();
-            arena.scan_radius_masked_into(q, radius, &mask, &mut got);
+            arena.scan_tier(tier, q, m, radius, |r, d| {
+                got.push(Neighbor::new(arena.id(r), d));
+                radius
+            });
             prop_assert_eq!((tier, &got), (tier, &near_rows));
             let mut seen = Vec::new();
-            arena.scan(q, Some(&mask), u32::MAX, |r, d| {
+            arena.scan_tier(tier, q, m, u32::MAX, |r, d| {
                 seen.push((r, d));
                 d
             });
             prop_assert_eq!((tier, &seen), (tier, &minima));
         }
+        prop_assert_eq!(counting.knn(&arena, q, k, Some(&mask)), nearest);
+        prop_assert_eq!(counting.within(&arena, q, radius, Some(&mask)), &near[..]);
+        heap.begin(k);
+        heap.scan_arena_masked(&arena, q, &mask);
+        prop_assert_eq!(heap.finish(), nearest);
+        let mut got = Vec::new();
+        arena.scan_radius_masked_into(q, radius, &mask, &mut got);
+        prop_assert_eq!(got, near_rows);
     }
 }

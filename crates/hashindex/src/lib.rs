@@ -115,6 +115,9 @@ pub trait HammingIndex {
 }
 
 #[cfg(test)]
+mod dense_mask_tests;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

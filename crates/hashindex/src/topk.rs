@@ -114,7 +114,7 @@ impl SearchScratch {
     /// # Panics
     /// Panics if the query width does not match the arena.
     pub fn scan_arena(&mut self, arena: &CodeArena, query: &[u64]) {
-        self.select(arena.tier(), arena, query, None);
+        self.select(KernelTier::detected(), arena, query, None);
     }
 
     /// The masked counterpart of [`scan_arena`](Self::scan_arena): offers
@@ -126,11 +126,11 @@ impl SearchScratch {
     /// # Panics
     /// Panics if the query width does not match the arena.
     pub fn scan_arena_masked(&mut self, arena: &CodeArena, query: &[u64], mask: &IdMask) {
-        self.select(arena.tier(), arena, query, Some(mask));
+        self.select(KernelTier::detected(), arena, query, Some(mask));
     }
 
     /// The one selection loop behind both scans, at a given kernel tier.
-    fn select(
+    pub(crate) fn select(
         &mut self,
         tier: KernelTier,
         arena: &CodeArena,
@@ -249,7 +249,7 @@ impl CountingTopK {
         k: usize,
         mask: Option<&IdMask>,
     ) -> &[Neighbor] {
-        self.rank(arena.tier(), arena, query, mask, k, arena.bits() + 1)
+        self.rank(KernelTier::detected(), arena, query, mask, k, arena.bits() + 1)
     }
 
     /// Every row of `arena` within Hamming distance `radius` of `query` —
@@ -266,12 +266,12 @@ impl CountingTopK {
         mask: Option<&IdMask>,
     ) -> &[Neighbor] {
         let limit = radius.min(arena.bits()) + 1;
-        self.rank(arena.tier(), arena, query, mask, usize::MAX, limit)
+        self.rank(KernelTier::detected(), arena, query, mask, usize::MAX, limit)
     }
 
     /// One selection at a given kernel tier: at most `k` rows, each below
     /// distance `limit`.
-    fn rank(
+    pub(crate) fn rank(
         &mut self,
         tier: KernelTier,
         arena: &CodeArena,
