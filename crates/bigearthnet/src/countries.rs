@@ -49,6 +49,18 @@ impl Country {
         }
     }
 
+    /// The country's one-byte tag: its position in [`Country::ALL`], which
+    /// lists the variants in declaration order.  Every binary codec that
+    /// carries a country (a result row, a query's country list) writes it.
+    pub const fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// The country a [`tag`](Self::tag) names, or `None` past the last one.
+    pub fn from_tag(tag: u8) -> Option<Country> {
+        Country::ALL.get(usize::from(tag)).copied()
+    }
+
     /// Parses a country from its English name (case-insensitive).
     pub fn from_name(name: &str) -> Option<Country> {
         Country::ALL.iter().copied().find(|c| c.name().eq_ignore_ascii_case(name))
@@ -134,6 +146,16 @@ mod tests {
             assert_eq!(Country::from_name(&c.name().to_uppercase()), Some(c));
         }
         assert_eq!(Country::from_name("Germany"), None);
+    }
+
+    #[test]
+    fn tags_are_positions_in_all_and_roundtrip() {
+        for (i, c) in Country::ALL.into_iter().enumerate() {
+            assert_eq!(usize::from(c.tag()), i);
+            assert_eq!(Country::from_tag(c.tag()), Some(c));
+        }
+        assert_eq!(Country::from_tag(Country::ALL.len() as u8), None);
+        assert_eq!(Country::from_tag(u8::MAX), None);
     }
 
     #[test]

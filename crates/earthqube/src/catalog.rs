@@ -9,8 +9,8 @@
 //! result and resolved-filter caches, counters, durability, replication.
 //! A query therefore answers the same bytes on either.  Every CBIR kind
 //! scans the service's one code arena, whose row *r* is dense id *r*, with
-//! the calling thread's own [`QueryScratch`], so no query takes a lock for
-//! its scratch.
+//! the calling thread's own counting selection, so no query takes a lock
+//! for its scratch.
 //!
 //! Every write, on either façade's side and the build included, is a
 //! [`WalRecord`] checked by [`Catalog::check_records`] and applied by
@@ -25,6 +25,15 @@
 //! the server reuses a resolution until the next write, and neither runs
 //! different query code.
 //!
+//! Every query kind writes its answer straight into a caller's buffer, as
+//! the `ResponseBody` bytes the wire carries and the server's result cache
+//! files: the core keeps a row table, each patch's result-row prefix (name,
+//! country tag, date, label bits) encoded once when the patch is applied,
+//! and an answer copies one prefix per hit, writes the distance after it
+//! and counts the statistics from the prefix's label bits.  Typed values
+//! (`SearchResponse`, `FilteredResponse`) are decoded from those bytes, on
+//! either façade as on a remote client.
+//!
 //! The façades document each query's contract; they also validate the
 //! [`ImageQuery`] first, before any cache probe or lock.
 
@@ -34,44 +43,89 @@ use std::ops::Range;
 
 use eq_bigearthnet::patch::PatchMetadata;
 use eq_bigearthnet::Archive;
-use eq_docstore::{Database, QueryPlan, Value};
+use eq_docstore::{Database, Value};
 use eq_hashindex::{BinaryCode, CountingTopK, Neighbor};
 use eq_milan::Milan;
+use eq_proto::{AnswerPlan, AnswerWriter};
+use eq_wire::Writer;
 
 use crate::cbir::CbirService;
-use crate::engine::{EarthQubeConfig, SearchResponse};
+use crate::engine::EarthQubeConfig;
 use crate::feedback::{self, FeedbackService};
-use crate::filtered::{FilteredResponse, PrefilterMode, ResolvedFilter};
+use crate::filtered::{PrefilterMode, ResolvedFilter};
 use crate::ingest::{insert_patch_docs, prepare_collections, prepare_patch_docs};
+use crate::net::plan_spec;
 use crate::persist::{self, Sequence, WalRecord};
 use crate::query::ImageQuery;
-use crate::results::{ResultEntry, ResultPanel};
 use crate::schema::{collections, fields};
-use crate::stats::LabelStatistics;
 use crate::EarthQubeError;
 
-/// Per-query scratch state for one CBIR query: the counting selection over
-/// the dense-id arena (per-distance counters and the rows that passed the
-/// falling bound, never a full candidate list) plus the neighbour buffer
-/// the ranking is cut in, the query image dropped.  Both are reused across
-/// queries, so a steady-state k-NN or radius query performs **zero
-/// search-path allocation**.  Each thread keeps one (see
-/// `with_thread_scratch`).
-#[derive(Debug, Default)]
-struct QueryScratch {
-    topk: CountingTopK,
-    neighbors: Vec<Neighbor>,
-}
-
 thread_local! {
-    static SCRATCH: RefCell<QueryScratch> = RefCell::default();
+    /// Each thread's CBIR scratch: the counting selection over the
+    /// dense-id arena (per-distance counters and the rows that passed the
+    /// falling bound, never a full candidate list), reused across queries,
+    /// so a steady-state k-NN or radius query performs **zero search-path
+    /// allocation**.
+    static SCRATCH: RefCell<CountingTopK> = RefCell::default();
 }
 
 /// Runs `f` on this thread's scratch.  A thread runs one query at a time
 /// and no query re-enters another, so the scratch is never shared and
 /// never borrowed twice; it warms on a thread's first CBIR query.
-fn with_thread_scratch<R>(f: impl FnOnce(&mut QueryScratch) -> R) -> R {
+fn with_thread_scratch<R>(f: impl FnOnce(&mut CountingTopK) -> R) -> R {
     SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
+}
+
+/// The most bytes a row writes after its prefix: the distance flag and the
+/// distance.
+const DISTANCE_BYTES: usize = 5;
+
+/// Room an answer buffer reserves past its rows: the body's tag, row count,
+/// page size, label counts, image count and a short plan.
+const ANSWER_TAIL_BYTES: usize = 256;
+
+/// Each patch's result-row prefix ([`eq_proto::encode_row_prefix`]: name,
+/// country tag, date, label bits), encoded back to back and indexed by
+/// dense id.  [`Catalog::apply`] appends a patch's prefix beside its
+/// metadata, so every write path fills it; it is never persisted (recovery
+/// rebuilds it as it rebuilds the arena).
+#[derive(Debug, Default)]
+pub(crate) struct RowTable {
+    bytes: Vec<u8>,
+    /// `ends[r]` is where row *r*'s prefix ends; it starts where row
+    /// *r* − 1's ends.
+    ends: Vec<usize>,
+}
+
+impl RowTable {
+    /// Room for exactly `rows` more rows holding `bytes` more prefix bytes.
+    fn reserve_exact(&mut self, rows: usize, bytes: usize) {
+        self.ends.reserve_exact(rows);
+        self.bytes.reserve_exact(bytes);
+    }
+
+    /// Appends the next dense id's prefix.
+    fn push(&mut self, meta: &PatchMetadata) {
+        let mut w = Writer::appending_to(std::mem::take(&mut self.bytes));
+        eq_proto::encode_row_prefix(&meta.name, meta.country, meta.date, meta.labels, &mut w);
+        self.bytes = w.into_bytes();
+        self.ends.push(self.bytes.len());
+    }
+
+    /// Dense id `id`'s prefix.
+    fn prefix(&self, id: u64) -> Option<&[u8]> {
+        let row = usize::try_from(id).ok()?;
+        let start = match row.checked_sub(1) {
+            Some(before) => *self.ends.get(before)?,
+            None => 0,
+        };
+        self.bytes.get(start..*self.ends.get(row)?)
+    }
+
+    /// The mean prefix length: what an answer reserves per row.
+    fn mean_len(&self) -> usize {
+        self.bytes.len().checked_div(self.ends.len()).unwrap_or_default()
+    }
 }
 
 /// Everything a query reads and the write path mutates, as one value, so
@@ -82,6 +136,8 @@ pub(crate) struct Catalog {
     pub(crate) database: Database,
     /// Indexed by dense patch id.
     pub(crate) metadata: Vec<PatchMetadata>,
+    /// Indexed by dense patch id, filled beside `metadata`.
+    pub(crate) rows: RowTable,
     pub(crate) cbir: CbirService,
     pub(crate) page_size: usize,
 }
@@ -109,6 +165,9 @@ impl Catalog {
         // queries read (the metadata names, the name→code keys) is
         // allocated together, not each piece between two patches' rasters.
         let metas = archive.metadata();
+        // The row table is sized exactly, once, before the first record.
+        let prefix_bytes = metas.iter().map(|m| eq_proto::row_prefix_len(&m.name)).sum();
+        catalog.rows.reserve_exact(metas.len(), prefix_bytes);
         let docs: Vec<_> =
             archive.patches().iter().map(|p| prepare_patch_docs(p, &p.meta.name)).collect();
         for ((meta, (image_doc, rendered_doc)), code) in metas.into_iter().zip(docs).zip(codes) {
@@ -124,7 +183,8 @@ impl Catalog {
         let mut database = Database::new();
         prepare_collections(&mut database);
         let cbir = CbirService::new(model, images);
-        Self { database, metadata: Vec::with_capacity(images), cbir, page_size }
+        let metadata = Vec::with_capacity(images);
+        Self { database, metadata, rows: RowTable::default(), cbir, page_size }
     }
 
     /// Ingest's duplicate check.
@@ -215,6 +275,7 @@ impl Catalog {
             WalRecord::Ingest { meta, code, image_doc, rendered_doc } => {
                 insert_patch_docs(&mut self.database, &meta, image_doc, rendered_doc);
                 self.cbir.insert(meta.id.0 as u64, &meta.name, code);
+                self.rows.push(&meta);
                 self.metadata.push(meta);
                 self.metadata.len() as i64 - 1
             }
@@ -330,13 +391,17 @@ impl Catalog {
         Ok(ResolvedFilter::resolve(coll, &query.to_filter(), mode))
     }
 
-    /// The query-panel search over a resolved filter: the matching images
-    /// in ascending dense id — insertion order, as `Collection::find` lists
-    /// them — assembled from the dense metadata table, with the plan `find`
-    /// would report.
-    pub(crate) fn search(&self, filter: &ResolvedFilter) -> Result<SearchResponse, EarthQubeError> {
+    /// The query-panel search over a resolved filter, written into `w`:
+    /// the matching images in ascending dense id — insertion order, as
+    /// `Collection::find` lists them — with the plan `find` would report.
+    pub(crate) fn search(
+        &self,
+        filter: &ResolvedFilter,
+        w: &mut Writer,
+    ) -> Result<(), EarthQubeError> {
         let hits = filter.mask.iter().map(|id| (id, None));
-        self.respond(filter.plan.matching, hits, Some(filter.query_plan.clone()))
+        let plan = plan_spec(&filter.query_plan);
+        self.answer(AnswerPlan::Search(Some(&plan)), filter.plan.matching, hits, w)
     }
 
     /// The `k` nearest neighbours of an archive image, itself excluded.
@@ -344,8 +409,9 @@ impl Catalog {
         &self,
         name: &str,
         k: usize,
-    ) -> Result<SearchResponse, EarthQubeError> {
-        self.nearest(self.code_of(name)?, k, Some(name), None)
+        w: &mut Writer,
+    ) -> Result<(), EarthQubeError> {
+        self.nearest(self.code_of(name)?, k, Some(name), None, w)
     }
 
     /// The `k` archive images nearest to an arbitrary code: query by new
@@ -354,8 +420,9 @@ impl Catalog {
         &self,
         code: &BinaryCode,
         k: usize,
-    ) -> Result<SearchResponse, EarthQubeError> {
-        self.nearest(code, k, None, None)
+        w: &mut Writer,
+    ) -> Result<(), EarthQubeError> {
+        self.nearest(code, k, None, None, w)
     }
 
     /// [`similar_to`](Self::similar_to) among the images matching the
@@ -365,9 +432,9 @@ impl Catalog {
         name: &str,
         k: usize,
         filter: &ResolvedFilter,
-    ) -> Result<FilteredResponse, EarthQubeError> {
-        let response = self.nearest(self.code_of(name)?, k, Some(name), Some(filter))?;
-        Ok(FilteredResponse { response, plan: filter.plan })
+        w: &mut Writer,
+    ) -> Result<(), EarthQubeError> {
+        self.nearest(self.code_of(name)?, k, Some(name), Some(filter), w)
     }
 
     /// Every image within `radius` of an archive image's code that matches
@@ -378,15 +445,15 @@ impl Catalog {
         name: &str,
         radius: u32,
         filter: &ResolvedFilter,
-    ) -> Result<FilteredResponse, EarthQubeError> {
+        w: &mut Writer,
+    ) -> Result<(), EarthQubeError> {
         let query = self.code_of(name)?.words();
-        let response = with_thread_scratch(|QueryScratch { topk, neighbors }| {
+        with_thread_scratch(|topk| {
             let hits = topk.within(&self.cbir.arena, query, radius, Some(&filter.mask));
-            neighbors.clear();
-            neighbors.extend(hits.iter().filter(|hit| !self.is_image(hit, name)));
-            self.response_from_neighbors(neighbors)
-        })?;
-        Ok(FilteredResponse { response, plan: filter.plan })
+            let kept = hits.iter().filter(|hit| !self.is_image(hit, name));
+            let kept = kept.map(|hit| (hit.id, Some(hit.distance)));
+            self.answer(AnswerPlan::Filtered(filter.plan), hits.len(), kept, w)
+        })
     }
 
     fn code_of(&self, name: &str) -> Result<&BinaryCode, EarthQubeError> {
@@ -399,7 +466,8 @@ impl Catalog {
 
     /// The one k-NN entry: the `k` images nearest to `code`, among those
     /// matching `filter` when there is one, with the image named `exclude`
-    /// dropped.
+    /// dropped, written into `w`: a search answer, or with a `filter` a
+    /// filtered one ending with the filter's plan.
     ///
     /// The query image is itself indexed, so one extra hit is selected and
     /// the image dropped from the ranking.  `k` is clamped to the archive
@@ -415,47 +483,84 @@ impl Catalog {
         k: usize,
         exclude: Option<&str>,
         filter: Option<&ResolvedFilter>,
-    ) -> Result<SearchResponse, EarthQubeError> {
+        w: &mut Writer,
+    ) -> Result<(), EarthQubeError> {
         let wanted = k.min(self.metadata.len()) + usize::from(exclude.is_some());
         let arena = &self.cbir.arena;
         assert_eq!(code.bits(), arena.bits(), "query width does not match the index");
-        with_thread_scratch(|QueryScratch { topk, neighbors }| {
+        let plan = filter.map_or(AnswerPlan::Search(None), |f| AnswerPlan::Filtered(f.plan));
+        with_thread_scratch(|topk| {
             let hits = topk.knn(arena, code.words(), wanted, filter.map(|f| &f.mask));
             let kept =
                 hits.iter().filter(|hit| !exclude.is_some_and(|name| self.is_image(hit, name)));
-            neighbors.clear();
-            neighbors.extend(kept.take(k));
-            self.response_from_neighbors(neighbors)
+            let kept = kept.take(k).map(|hit| (hit.id, Some(hit.distance)));
+            self.answer(plan, hits.len().min(k), kept, w)
         })
     }
 
-    /// Result-panel and label-statistics assembly for ranked index hits.
-    fn response_from_neighbors(
+    /// The row-copy loop, the one answer assembly: writes into `w` the
+    /// response body of `hits` (dense id, distance), in the order given —
+    /// each hit's row-table prefix copied, its distance written after it,
+    /// the label statistics counted from the prefixes — then the page size
+    /// and `plan`.  `expected` rows are reserved for; the body counts the
+    /// rows it wrote.  An id past the table is an error, and leaves `w`
+    /// holding a torn body.
+    pub(crate) fn answer(
         &self,
-        neighbors: &[Neighbor],
-    ) -> Result<SearchResponse, EarthQubeError> {
-        let hits = neighbors.iter().map(|hit| (hit.id, Some(hit.distance)));
-        self.respond(neighbors.len(), hits, None)
+        plan: AnswerPlan<'_>,
+        expected: usize,
+        hits: impl Iterator<Item = (u64, Option<u32>)>,
+        w: &mut Writer,
+    ) -> Result<(), EarthQubeError> {
+        let row_bytes = self.rows.mean_len() + DISTANCE_BYTES;
+        w.reserve(expected.saturating_mul(row_bytes).saturating_add(ANSWER_TAIL_BYTES));
+        let mut answer = AnswerWriter::new(w, plan);
+        for (id, distance) in hits {
+            answer.row(self.rows.prefix(id).ok_or_else(|| unknown_row(id))?, distance);
+        }
+        answer.finish(self.page_size);
+        Ok(())
+    }
+}
+
+/// A hit whose dense id the catalog does not hold.
+fn unknown_row(id: u64) -> EarthQubeError {
+    EarthQubeError::UnknownImage(format!("dense patch id {id}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eq_bigearthnet::{ArchiveGenerator, GeneratorConfig};
+
+    fn prefix_of(meta: &PatchMetadata) -> Vec<u8> {
+        let mut w = Writer::new();
+        eq_proto::encode_row_prefix(&meta.name, meta.country, meta.date, meta.labels, &mut w);
+        w.into_bytes()
     }
 
-    /// The one response assembly: panel entries of `count` images, in the
-    /// order given, straight from the dense metadata table, and the label
-    /// statistics counted from the label set each entry carries.
-    fn respond(
-        &self,
-        count: usize,
-        hits: impl Iterator<Item = (u64, Option<u32>)>,
-        plan: Option<QueryPlan>,
-    ) -> Result<SearchResponse, EarthQubeError> {
-        let mut entries = Vec::with_capacity(count);
-        for (id, distance) in hits {
-            let meta = self
-                .metadata
-                .get(id as usize)
-                .ok_or_else(|| EarthQubeError::UnknownImage(format!("dense patch id {id}")))?;
-            entries.push(ResultEntry::from_metadata(meta, distance));
+    /// The build sizes the row table once, exactly: one allocation each
+    /// for the prefixes and the offsets, no doubling slack, so the table
+    /// is one block allocated before any record.  A later write grows it,
+    /// and every row is the prefix of the metadata entry of its dense id.
+    #[test]
+    fn the_build_sizes_the_row_table_exactly() {
+        let archive = ArchiveGenerator::new(GeneratorConfig::tiny(30, 81)).unwrap().generate();
+        let mut config = EarthQubeConfig::fast(81);
+        config.train_model = false;
+        let patches = archive.patches();
+        let mut catalog = Catalog::build(&Archive::new(patches[..29].to_vec()), &config).unwrap();
+        let rows = &catalog.rows;
+        assert_eq!((rows.bytes.capacity(), rows.ends.capacity()), (rows.bytes.len(), 29));
+        let mut meta = patches[29].meta.clone();
+        meta.id = eq_bigearthnet::patch::PatchId(29);
+        let code = catalog.cbir.model().hash_patch(&patches[29]);
+        let (image_doc, rendered_doc) = prepare_patch_docs(&patches[29], &meta.name);
+        catalog.apply_record(WalRecord::Ingest { meta, code, image_doc, rendered_doc }).unwrap();
+        for (id, meta) in catalog.metadata.iter().enumerate() {
+            assert_eq!(catalog.rows.prefix(id as u64), Some(&prefix_of(meta)[..]), "row {id}");
         }
-        let statistics = LabelStatistics::from_label_sets(entries.iter().map(|e| e.labels));
-        Ok(SearchResponse { panel: ResultPanel::new(entries, self.page_size), statistics, plan })
+        assert_eq!(catalog.rows.prefix(30), None);
+        assert_eq!(catalog.rows.prefix(u64::MAX), None);
     }
 }

@@ -1,6 +1,9 @@
 //! The content-based image retrieval (CBIR) service (§3.3 of the paper).
 //!
-//! For every archive image a 128-bit binary code is inferred with MiLaN.
+//! For every archive image a binary code is inferred with MiLaN, as wide as
+//! the model is configured (`MilanConfig::code_bits`: the paper's codes are
+//! 128 bits; `EarthQubeConfig::fast`, which the end-to-end benchmark runs,
+//! uses 64).
 //! The service keeps an in-memory hash table mapping each image patch name
 //! to its code (query-by-archive-image path) and one [`CodeArena`] over the
 //! same codes, whose row *r* holds dense patch id *r*: every k-NN and

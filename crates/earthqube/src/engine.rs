@@ -7,14 +7,17 @@ use eq_bigearthnet::patch::{Patch, PatchMetadata};
 use eq_bigearthnet::Archive;
 use eq_docstore::{Database, QueryPlan};
 use eq_milan::MilanConfig;
+use eq_proto::ResponseBody;
 
 use crate::catalog::Catalog;
 use crate::cbir::CbirService;
 use crate::feedback::{FeedbackEntry, FeedbackService};
 use crate::filtered::{FilteredResponse, PrefilterMode};
+use crate::net::{expect_filtered, expect_search};
 use crate::persist::WalRecord;
 use crate::query::ImageQuery;
 use crate::results::ResultPanel;
+use crate::serve::decode_answer;
 use crate::stats::LabelStatistics;
 use crate::EarthQubeError;
 
@@ -62,7 +65,8 @@ impl SearchResponse {
 }
 
 /// The EarthQube back-end: the crate's one query core in its bare
-/// configuration — no cache, no lock.
+/// configuration — no cache, no lock.  A query's answer is decoded from the
+/// bytes the core writes, as a remote client decodes them.
 ///
 /// All query methods take `&self`; the only `&mut self` entry point is
 /// [`submit_feedback`](Self::submit_feedback), which writes to the data
@@ -129,7 +133,8 @@ impl EarthQube {
     /// Fails on an invalid query or a store error.
     pub fn search(&self, query: &ImageQuery) -> Result<SearchResponse, EarthQubeError> {
         query.validate()?;
-        self.catalog.search(&self.catalog.resolve(query, PrefilterMode::Auto)?)
+        let filter = self.catalog.resolve(query, PrefilterMode::Auto)?;
+        expect_search(decoded(|w| self.catalog.search(&filter, w))?)
     }
 
     /// "Retrieve similar images" for an existing archive image (§3.3 /
@@ -143,7 +148,7 @@ impl EarthQube {
     /// # Errors
     /// Fails if the image is unknown.
     pub fn similar_to(&self, name: &str, k: usize) -> Result<SearchResponse, EarthQubeError> {
-        self.catalog.similar_to(name, k)
+        expect_search(decoded(|w| self.catalog.similar_to(name, k, w))?)
     }
 
     /// Query-by-new-example (§4): encodes an external patch on the fly and
@@ -157,7 +162,7 @@ impl EarthQube {
         k: usize,
     ) -> Result<SearchResponse, EarthQubeError> {
         let code = self.catalog.cbir.model().hash_patch(patch);
-        self.catalog.search_by_code(&code, k)
+        expect_search(decoded(|w| self.catalog.search_by_code(&code, k, w))?)
     }
 
     /// Filtered "retrieve similar images" (E13): the `k` nearest
@@ -181,7 +186,7 @@ impl EarthQube {
     ) -> Result<FilteredResponse, EarthQubeError> {
         query.validate()?;
         let filter = self.catalog.resolve(query, mode)?;
-        self.catalog.similar_to_filtered(name, k, &filter)
+        expect_filtered(decoded(|w| self.catalog.similar_to_filtered(name, k, &filter, w))?)
     }
 
     /// Filtered radius search (E13): every archive image within the given
@@ -199,7 +204,9 @@ impl EarthQube {
     ) -> Result<FilteredResponse, EarthQubeError> {
         query.validate()?;
         let filter = self.catalog.resolve(query, mode)?;
-        self.catalog.similar_within_filtered(name, radius, &filter)
+        expect_filtered(decoded(|w| {
+            self.catalog.similar_within_filtered(name, radius, &filter, w)
+        })?)
     }
 
     /// Submits anonymous feedback.
@@ -222,6 +229,15 @@ impl EarthQube {
     pub fn list_feedback(&self) -> Result<Vec<FeedbackEntry>, EarthQubeError> {
         FeedbackService.list(&self.catalog.database)
     }
+}
+
+/// The answer a query kind of the core writes, decoded.
+fn decoded(
+    write: impl FnOnce(&mut eq_wire::Writer) -> Result<(), EarthQubeError>,
+) -> Result<ResponseBody, EarthQubeError> {
+    let mut w = eq_wire::Writer::new();
+    write(&mut w)?;
+    Ok(decode_answer(w.as_bytes()))
 }
 
 /// Builds the AgoraEO asset registry an EarthQube instance announces

@@ -36,18 +36,23 @@
 //!
 //! # Remote equivalence
 //!
+//! The server never builds a typed answer: the query core writes a search
+//! or filtered answer's bytes itself, one pre-encoded row prefix per hit
+//! (see the crate's `catalog` module), and those bytes are what the result
+//! cache files and the event loop frames.  Typed values are decoded from
+//! them — by [`EqClient`], by [`QueryServer::call`] and by the bare
+//! [`EarthQube`](crate::EarthQube) façade alike — so a [`SearchResponse`]
+//! received through [`EqClient`] is **equal to the in-process result, byte
+//! for byte**; the umbrella crate's `remote_equivalence` test drives the
+//! same workload through both paths and compares the `eq_proto` encodings.
 //! A result row, an ingest report, a stats snapshot, a filtered plan and
 //! the replication state and batch are `eq_proto` types that this crate
-//! re-exports: the server encodes the value it computed and the client
-//! returns the value it decoded, with nothing converted in between.  What
-//! is still converted is lossless in both directions: a query
-//! ([`query_to_spec`] / [`spec_to_query`]), an error ([`error_to_payload`] /
-//! [`payload_to_error`]), and a response's panel, statistics and plan
-//! ([`response_to_payload`] / [`payload_to_response`]: the rows are copied
-//! out of a borrowed response and moved back whole).  So a [`SearchResponse`] received through [`EqClient`] is
-//! **equal to the in-process result, byte for byte** — the umbrella crate's
-//! `remote_equivalence` test drives the same workload through both paths
-//! and compares the `eq_proto` encodings.
+//! re-exports.  What is still converted is lossless in both directions: a
+//! query ([`query_to_spec`] / [`spec_to_query`]), an error
+//! ([`error_to_payload`] / [`payload_to_error`]), and a decoded payload's
+//! panel, statistics and plan ([`payload_to_response`], which moves the
+//! rows whole; [`response_to_payload`] copies them back out of a borrowed
+//! response).
 //!
 //! # Threading model
 //!
@@ -161,27 +166,26 @@ pub fn spec_to_query(spec: &eq_proto::QuerySpec) -> ImageQuery {
     }
 }
 
-/// Serializes a [`SearchResponse`] into its wire payload (lossless): a
-/// copy of the response, moved into the payload.  The server owns its
-/// responses and moves them without the copy.
+/// Serializes a [`SearchResponse`] into its wire payload (lossless), the
+/// rows copied.  The server never converts: its query core writes an
+/// answer's bytes directly.
 pub fn response_to_payload(response: &SearchResponse) -> eq_proto::SearchPayload {
-    search_payload(response.clone())
-}
-
-/// The one response-to-wire conversion: the rows move into the payload,
-/// so no row's name is copied.
-pub(crate) fn search_payload(response: SearchResponse) -> eq_proto::SearchPayload {
     let SearchResponse { panel, statistics, plan } = response;
     eq_proto::SearchPayload {
+        rows: panel.entries().to_vec(),
         page_size: panel.page_size() as u64,
-        rows: panel.into_entries(),
         label_counts: statistics.counts().iter().map(|&c| c as u64).collect(),
         image_count: statistics.image_count() as u64,
-        plan: plan.map(|p| eq_proto::PlanSpec {
-            index_used: p.index_used,
-            scanned: p.scanned as u64,
-            matched: p.matched as u64,
-        }),
+        plan: plan.as_ref().map(plan_spec),
+    }
+}
+
+/// A metadata search's plan as the wire carries it.
+pub(crate) fn plan_spec(plan: &QueryPlan) -> eq_proto::PlanSpec {
+    eq_proto::PlanSpec {
+        index_used: plan.index_used.clone(),
+        scanned: plan.scanned as u64,
+        matched: plan.matched as u64,
     }
 }
 
@@ -2305,19 +2309,5 @@ mod tests {
             assert_eq!(stream.read(&mut byte).ok(), Some(0), "client {index} reads EOF");
         }
         dropped.recv_timeout(Duration::from_secs(10)).expect("every loop is joined");
-    }
-
-    #[test]
-    fn owned_responses_move_their_rows_onto_the_wire() {
-        let archive = ArchiveGenerator::new(GeneratorConfig::tiny(12, 305)).unwrap().generate();
-        let mut config = EarthQubeConfig::fast(305);
-        config.train_model = false;
-        let server = QueryServer::build(&archive, config, ServeConfig::default()).unwrap();
-        let response = server.search(&ImageQuery::all()).unwrap();
-        let copied = response_to_payload(&response);
-        let name = response.panel.entries()[0].name.as_ptr();
-        let moved = search_payload(response);
-        assert_eq!(moved.rows[0].name.as_ptr(), name, "the row was copied, not moved");
-        assert_eq!(moved, copied);
     }
 }

@@ -10,14 +10,12 @@
 //! [`ResultEntry::describe`] renders names.
 
 pub use eq_proto::ResultEntry;
+// The page cap, and the clamp the panel and the answer writer share.
+pub use eq_proto::MAX_PAGE_SIZE;
 
 /// Maximum number of images that can be rendered on the map at once
 /// (the paper's UI caps map rendering at 1000 images).
 pub const MAX_RENDERED_IMAGES: usize = 1000;
-
-/// Maximum number of images that can be added to the cart per page action
-/// (the paper's UI adds "the current page range of images (up to 50)").
-pub const MAX_PAGE_SIZE: usize = 50;
 
 /// One page of results.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,7 +39,7 @@ impl ResultPanel {
     /// Creates a panel over a result list with the given page size
     /// (clamped to 1..=[`MAX_PAGE_SIZE`]).
     pub fn new(entries: Vec<ResultEntry>, page_size: usize) -> Self {
-        Self { entries, page_size: page_size.clamp(1, MAX_PAGE_SIZE) }
+        Self { entries, page_size: eq_proto::panel_page_size(page_size) }
     }
 
     /// Total number of matching images ("the total number of image patches
@@ -54,11 +52,6 @@ impl ResultPanel {
     /// list — what the network tier serializes).
     pub fn entries(&self) -> &[ResultEntry] {
         &self.entries
-    }
-
-    /// Gives up the entries: the network tier moves them onto the wire.
-    pub(crate) fn into_entries(self) -> Vec<ResultEntry> {
-        self.entries
     }
 
     /// The configured page size.

@@ -25,7 +25,8 @@
 //!   itself, an upload on its code and `k` (no request carries the code).
 //!   Entries live under a structural hash of the key; the full key is
 //!   stored and compared, so a fingerprint collision is a miss, never a
-//!   wrong answer.  A miss encodes its answer once and files those bytes;
+//!   wrong answer.  A miss files the bytes the query core wrote from its
+//!   row table (every answer arrives encoded, cache on or off);
 //!   a hit hands them out — the network tier's event loop frames them
 //!   behind a fresh envelope ([`QueryServer::cached_frame`]), and
 //!   [`QueryServer::call`] decodes them, so an in-process hit returns the
@@ -55,7 +56,7 @@
 //! * **Lock-free bookkeeping** — the query counters are three atomics
 //!   (hits, misses, failures; `queries_served` is their sum), the ingest
 //!   count is the archive's growth since construction, and the search
-//!   scratch (a counting top-k selection + neighbour buffer) is the core's,
+//!   scratch (a counting top-k selection) is the core's,
 //!   one per thread, so steady-state serving does zero search-path
 //!   allocation and a CBIR cache miss takes the catalog read lock and one
 //!   cache-shard lock, nothing else.
@@ -93,8 +94,8 @@ use crate::feedback::{FeedbackEntry, FeedbackService};
 use crate::filtered::{FilteredResponse, PrefilterMode, ResolvedFilter};
 use crate::ingest::{prepare_patch_docs, IngestReport};
 use crate::net::{
-    error_to_payload, expect_filtered, expect_search, query_to_spec, render_metrics,
-    search_payload, spec_to_query, NetTierStats,
+    error_to_payload, expect_filtered, expect_search, query_to_spec, render_metrics, spec_to_query,
+    NetTierStats,
 };
 use crate::persist::{self, Sequence, WalRecord};
 use crate::query::ImageQuery;
@@ -591,9 +592,7 @@ impl QueryServer {
     }
 
     fn by_code(&self, code: &BinaryCode, k: usize) -> Reply {
-        self.cached(KeyRef::ByCode(code, k), None, |catalog| {
-            catalog.search_by_code(code, k).map(search_body)
-        })
+        self.cached(KeyRef::ByCode(code, k), None, |catalog, w| catalog.search_by_code(code, k, w))
     }
 
     /// Filtered "retrieve similar images" (the concurrent counterpart of
@@ -679,6 +678,23 @@ impl QueryServer {
         self.respond(body, None).into_body()
     }
 
+    /// The response body the query core writes for an explicit hit list
+    /// (dense id, distance), in the order given, ended by `plan` — the
+    /// assembly every search and filtered answer runs, without a ranking in
+    /// front of it.  An id past the archive is
+    /// [`EarthQubeError::UnknownImage`].  The answer property suite drives
+    /// it against the typed reference; it is not a serving entry.
+    #[doc(hidden)]
+    pub fn answer_body(
+        &self,
+        hits: &[(u64, Option<u32>)],
+        plan: eq_proto::AnswerPlan<'_>,
+    ) -> Result<Vec<u8>, EarthQubeError> {
+        let mut w = eq_wire::Writer::new();
+        self.catalog.read().answer(plan, hits.len(), hits.iter().copied(), &mut w)?;
+        Ok(w.into_bytes())
+    }
+
     /// [`call`](Self::call)'s work, answered as the network tier frames it:
     /// the four request-keyed read kinds and uploads go through the result
     /// cache and come back encoded (while the cache is on); every other
@@ -693,30 +709,28 @@ impl QueryServer {
             Reply::Body(result.unwrap_or_else(|e| ResponseBody::Error(error_to_payload(&e))))
         };
         match body {
-            RequestBody::Search(spec) => self.cached(key, fingerprint, |catalog| {
+            RequestBody::Search(spec) => self.cached(key, fingerprint, |catalog, w| {
                 let query = spec_to_query(spec);
                 query.validate()?;
-                catalog
-                    .search(&*self.resolved(catalog, &query, PrefilterMode::Auto)?)
-                    .map(search_body)
+                catalog.search(&*self.resolved(catalog, &query, PrefilterMode::Auto)?, w)
             }),
-            RequestBody::SimilarTo { name, k } => self.cached(key, fingerprint, |catalog| {
-                catalog.similar_to(name, clamp_k(*k)).map(search_body)
-            }),
+            RequestBody::SimilarTo { name, k } => {
+                self.cached(key, fingerprint, |catalog, w| catalog.similar_to(name, clamp_k(*k), w))
+            }
             RequestBody::SimilarToFiltered { name, k, spec, mode } => {
-                self.cached(key, fingerprint, |catalog| {
+                self.cached(key, fingerprint, |catalog, w| {
                     let query = spec_to_query(spec);
                     query.validate()?;
                     let filter = self.resolved(catalog, &query, *mode)?;
-                    catalog.similar_to_filtered(name, clamp_k(*k), &filter).map(filtered_body)
+                    catalog.similar_to_filtered(name, clamp_k(*k), &filter, w)
                 })
             }
             RequestBody::SimilarWithinFiltered { name, radius, spec, mode } => {
-                self.cached(key, fingerprint, |catalog| {
+                self.cached(key, fingerprint, |catalog, w| {
                     let query = spec_to_query(spec);
                     query.validate()?;
                     let filter = self.resolved(catalog, &query, *mode)?;
-                    catalog.similar_within_filtered(name, *radius, &filter).map(filtered_body)
+                    catalog.similar_within_filtered(name, *radius, &filter, w)
                 })
             }
             RequestBody::SearchByNewExample { patch, k } => self.upload(patch, clamp_k(*k)),
@@ -948,9 +962,10 @@ impl QueryServer {
     }
 
     /// Cache-or-compute: every cached query flows through here, and its
-    /// answer comes back encoded while the cache is on — a hit as the bytes
-    /// the cache holds, a computed answer encoded once and filed as those
-    /// same bytes, nothing cloned.  An error is never cached.
+    /// answer comes back encoded — a hit as the bytes the cache holds, a
+    /// computed answer as the bytes `compute` wrote (the query core writes
+    /// them straight from its row table), filed while the cache is on.  An
+    /// error is never cached.
     ///
     /// The catalog read lock is held across both the computation *and* the
     /// cache inserts (the result here, a resolved filter inside `compute`,
@@ -973,7 +988,7 @@ impl QueryServer {
         &self,
         key: KeyRef<'_>,
         fingerprint: Option<u64>,
-        compute: impl FnOnce(&Catalog) -> Result<ResponseBody, EarthQubeError>,
+        compute: impl FnOnce(&Catalog, &mut eq_wire::Writer) -> Result<(), EarthQubeError>,
     ) -> Reply {
         let caching = self.serve.cache_capacity > 0;
         let fp = if caching { fingerprint.unwrap_or_else(|| self::fingerprint(&key)) } else { 0 };
@@ -984,15 +999,15 @@ impl QueryServer {
             }
         }
         let catalog = self.catalog.read();
-        let (reply, outcome) = match compute(&catalog) {
-            Ok(body) if caching => {
-                let mut w = eq_wire::Writer::new();
-                body.encode_into(&mut w);
+        let mut w = eq_wire::Writer::new();
+        let (reply, outcome) = match compute(&catalog, &mut w) {
+            Ok(()) => {
                 let bytes: Arc<[u8]> = Arc::from(w.into_bytes());
-                self.cache.put(fp, key.to_owned(), Arc::clone(&bytes), 1);
+                if caching {
+                    self.cache.put(fp, key.to_owned(), Arc::clone(&bytes), 1);
+                }
                 (Reply::Encoded(bytes), &self.cache_misses)
             }
-            Ok(body) => (Reply::Body(body), &self.cache_misses),
             Err(e) => (Reply::error(&e), &self.failed_queries),
         };
         drop(catalog);
@@ -1296,30 +1311,25 @@ impl Reply {
         Reply::Body(ResponseBody::Error(error_to_payload(e)))
     }
 
-    /// The body, decoded if it came encoded.  The bytes are the server's
-    /// own encoding, so the decode cannot fail short of a bug, which is
-    /// answered as an internal error rather than a panic.
+    /// The body, decoded if it came encoded.
     pub(crate) fn into_body(self) -> ResponseBody {
         match self {
             Reply::Body(body) => body,
-            Reply::Encoded(bytes) => ResponseBody::decode(&bytes).unwrap_or_else(|e| {
-                ResponseBody::Error(eq_proto::ErrorPayload {
-                    code: eq_proto::ErrorCode::Internal,
-                    message: format!("a cached answer does not decode: {e}"),
-                })
-            }),
+            Reply::Encoded(bytes) => decode_answer(&bytes),
         }
     }
 }
 
-/// A search answer as the wire carries it.
-fn search_body(response: SearchResponse) -> ResponseBody {
-    ResponseBody::Search(search_payload(response))
-}
-
-/// A filtered answer as the wire carries it, plan included.
-fn filtered_body(FilteredResponse { response, plan }: FilteredResponse) -> ResponseBody {
-    ResponseBody::Filtered(eq_proto::FilteredPayload { search: search_payload(response), plan })
+/// Decodes an answer the query core wrote.  The bytes are the server's own
+/// encoding, so the decode cannot fail short of a bug, which is answered
+/// as an internal error rather than a panic.
+pub(crate) fn decode_answer(bytes: &[u8]) -> ResponseBody {
+    ResponseBody::decode(bytes).unwrap_or_else(|e| {
+        ResponseBody::Error(eq_proto::ErrorPayload {
+            code: eq_proto::ErrorCode::Internal,
+            message: format!("an answer does not decode: {e}"),
+        })
+    })
 }
 
 /// Structural validation of a patch from outside the archive, an upload or

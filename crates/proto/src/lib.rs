@@ -731,7 +731,7 @@ impl QuerySpec {
         }
         w.seq_len(self.countries.len());
         for &country in &self.countries {
-            encode_country(country, w);
+            w.u8(country.tag());
         }
         match &self.labels {
             None => w.u8(0),
@@ -782,7 +782,7 @@ impl QuerySpec {
             })
             .collect::<Result<Vec<_>, _>>()?;
         let n = r.seq_len(1)?;
-        let countries = (0..n).map(|_| decode_country(r)).collect::<Result<Vec<_>, _>>()?;
+        let countries = (0..n).map(|_| read_country(r)).collect::<Result<Vec<_>, _>>()?;
         let labels = match r.bool()? {
             false => None,
             true => {
@@ -824,18 +824,11 @@ fn decode_date(r: &mut Reader<'_>) -> Result<AcquisitionDate, WireError> {
         .ok_or_else(|| WireError::Corrupt(format!("invalid date {year}-{month}-{day}")))
 }
 
-/// A country's tag is its position in `Country::ALL`, which lists the
-/// variants in declaration order.
-fn encode_country(country: Country, w: &mut Writer) {
-    w.u8(country as u8);
-}
-
-fn decode_country(r: &mut Reader<'_>) -> Result<Country, WireError> {
+/// Reads a country's tag (`Country::tag`; `Country::from_tag` owns the
+/// mapping): a tag no country has is corrupt.
+fn read_country(r: &mut Reader<'_>) -> Result<Country, WireError> {
     let tag = r.u8()?;
-    Country::ALL
-        .get(usize::from(tag))
-        .copied()
-        .ok_or_else(|| WireError::Corrupt(format!("unknown country tag {tag}")))
+    Country::from_tag(tag).ok_or_else(|| WireError::Corrupt(format!("unknown country tag {tag}")))
 }
 
 const SHAPE_RECT: u8 = 1;
@@ -938,29 +931,61 @@ impl ResultEntry {
     }
 }
 
-/// A row is its typed fields: the name, the country's tag, the date, the
-/// label set's bits and the optional distance.
+/// A row is its typed fields: a prefix ([`encode_row_prefix`]) and the
+/// optional distance.
 fn encode_row(row: &ResultEntry, w: &mut Writer) {
-    w.str(&row.name);
-    encode_country(row.country, w);
-    encode_date(row.date, w);
-    w.u64(row.labels.bits());
-    w.bool(row.distance.is_some());
-    if let Some(d) = row.distance {
+    encode_row_prefix(&row.name, row.country, row.date, row.labels, w);
+    encode_row_distance(row.distance, w);
+}
+
+/// A row's prefix, every field but the distance: the name, the country's
+/// tag, the date and, last, the label set's bits.  The query core encodes
+/// each patch's prefix once, when the patch is applied, and copies it into
+/// every answer that returns the patch ([`AnswerWriter::row`]).
+pub fn encode_row_prefix(
+    name: &str,
+    country: Country,
+    date: AcquisitionDate,
+    labels: LabelSet,
+    w: &mut Writer,
+) {
+    w.str(name);
+    w.u8(country.tag());
+    encode_date(date, w);
+    w.u64(labels.bits());
+}
+
+/// The bytes [`encode_row_prefix`] writes for a row named `name`: the
+/// name's length prefix and bytes, the country tag, the date and the label
+/// bits.
+pub const fn row_prefix_len(name: &str) -> usize {
+    4 + name.len() + 1 + 4 + 8
+}
+
+/// A row's suffix: the distance flag, then the distance when there is one.
+fn encode_row_distance(distance: Option<u32>, w: &mut Writer) {
+    w.bool(distance.is_some());
+    if let Some(d) = distance {
         w.u32(d);
     }
 }
 
-/// The fewest bytes [`encode_row`] writes: an empty name's length prefix,
-/// the country tag, the date, the label bits and the distance flag.
-const MIN_ROW_LEN: usize = 4 + 1 + 4 + 8 + 1;
+/// The label bits a row prefix ends with (0 for a prefix too short to hold
+/// them, which [`encode_row_prefix`] never writes).
+fn prefix_label_bits(prefix: &[u8]) -> u64 {
+    prefix.last_chunk::<8>().map_or(0, |bits| u64::from_le_bytes(*bits))
+}
+
+/// The fewest bytes [`encode_row`] writes: an empty name's prefix and the
+/// distance flag.
+const MIN_ROW_LEN: usize = row_prefix_len("") + 1;
 
 /// Accepts only what [`encode_row`] writes: an unknown country tag, a label
 /// bit at or past `Label::COUNT` and an invalid date are corrupt, so
 /// whatever decodes re-encodes to the bytes it came from.
 fn decode_row(r: &mut Reader<'_>) -> Result<ResultEntry, WireError> {
     let name = r.str()?.to_string();
-    let country = decode_country(r)?;
+    let country = read_country(r)?;
     let date = decode_date(r)?;
     let bits = r.u64()?;
     if bits >> Label::COUNT != 0 {
@@ -1016,15 +1041,7 @@ impl SearchPayload {
             w.u32(u32::try_from(count).unwrap_or(u32::MAX));
         }
         w.u64(self.image_count);
-        match &self.plan {
-            None => w.u8(0),
-            Some(plan) => {
-                w.u8(1);
-                encode_option_str(plan.index_used.as_deref(), w);
-                w.u64(plan.scanned);
-                w.u64(plan.matched);
-            }
-        }
+        encode_plan(self.plan.as_ref(), w);
     }
 
     /// Decodes a search payload.
@@ -1032,8 +1049,13 @@ impl SearchPayload {
     /// # Errors
     /// Returns [`WireError`] on truncation or corrupt fields.
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        // `seq_len` bounds `n` by the bytes left (`MIN_ROW_LEN` a row), so
+        // the reservation is a small multiple of the frame, whatever it claims.
         let n = r.seq_len(MIN_ROW_LEN)?;
-        let rows = (0..n).map(|_| decode_row(r)).collect::<Result<Vec<_>, _>>()?;
+        let mut rows = Vec::with_capacity(n);
+        for _ in 0..n {
+            rows.push(decode_row(r)?);
+        }
         let page_size = r.u64()?;
         let n = r.seq_len(4)?;
         let label_counts = (0..n).map(|_| r.u32().map(u64::from)).collect::<Result<_, _>>()?;
@@ -1047,6 +1069,106 @@ impl SearchPayload {
             }),
         };
         Ok(Self { rows, page_size, label_counts, image_count, plan })
+    }
+}
+
+fn encode_plan(plan: Option<&PlanSpec>, w: &mut Writer) {
+    match plan {
+        None => w.u8(0),
+        Some(plan) => {
+            w.u8(1);
+            encode_option_str(plan.index_used.as_deref(), w);
+            w.u64(plan.scanned);
+            w.u64(plan.matched);
+        }
+    }
+}
+
+/// The most rows a page of the result panel holds (the paper's UI adds
+/// "the current page range of images (up to 50)" to the cart).
+pub const MAX_PAGE_SIZE: usize = 50;
+
+/// The page size a result panel keeps for a requested one: clamped to
+/// 1..=[`MAX_PAGE_SIZE`].  The panel and the answer writer both clamp here.
+pub fn panel_page_size(page_size: usize) -> usize {
+    page_size.clamp(1, MAX_PAGE_SIZE)
+}
+
+/// Which body an [`AnswerWriter`] writes, and the plan it ends with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AnswerPlan<'p> {
+    /// A [`ResponseBody::Search`] body, with the planner report of a
+    /// metadata search (`None` for a similarity search).
+    Search(Option<&'p PlanSpec>),
+    /// A [`ResponseBody::Filtered`] body: no planner report, then the
+    /// filter's plan.
+    Filtered(FilteredPlan),
+}
+
+/// Writes a [`ResponseBody::Search`] or [`ResponseBody::Filtered`] body one
+/// row at a time, from row prefixes encoded ahead of time
+/// ([`encode_row_prefix`]): the bytes [`ResponseBody::encode_into`] writes
+/// for the payload whose rows those are, with label statistics counted from
+/// the rows' own label bits.  The row count is the rows written, set into a
+/// `u32` reserved before them; the page size is clamped as the result panel
+/// clamps it ([`panel_page_size`]); each label count is a `u32`, as on the
+/// wire.  Dropped before [`finish`](Self::finish), it leaves a torn body.
+#[derive(Debug)]
+pub struct AnswerWriter<'w, 'p> {
+    w: &'w mut Writer,
+    plan: AnswerPlan<'p>,
+    /// Where the reserved row count sits in `w`.
+    rows_at: usize,
+    rows: u32,
+    label_counts: [u32; Label::COUNT],
+}
+
+impl<'w, 'p> AnswerWriter<'w, 'p> {
+    /// Starts a body in `w`: its tag and the reserved row count.
+    pub fn new(w: &'w mut Writer, plan: AnswerPlan<'p>) -> Self {
+        w.u8(match plan {
+            AnswerPlan::Search(_) => RESP_SEARCH,
+            AnswerPlan::Filtered(_) => RESP_FILTERED,
+        });
+        let rows_at = w.len();
+        w.u32(0);
+        Self { w, plan, rows_at, rows: 0, label_counts: [0; Label::COUNT] }
+    }
+
+    /// Appends one row, its prefix copied and its distance written after
+    /// it, and counts the labels the prefix ends with.
+    pub fn row(&mut self, prefix: &[u8], distance: Option<u32>) {
+        self.w.raw(prefix);
+        encode_row_distance(distance, self.w);
+        let mut bits = prefix_label_bits(prefix);
+        while bits != 0 {
+            // A prefix holds a `LabelSet`'s bits, all below `Label::COUNT`.
+            if let Some(count) = self.label_counts.get_mut(bits.trailing_zeros() as usize) {
+                *count += 1;
+            }
+            bits &= bits - 1;
+        }
+        self.rows += 1;
+    }
+
+    /// Ends the body: sets the row count, then writes the page size, the
+    /// label statistics over the rows and the plan.
+    pub fn finish(self, page_size: usize) {
+        let Self { w, plan, rows_at, rows, label_counts } = self;
+        w.set_u32(rows_at, rows);
+        w.u64(panel_page_size(page_size) as u64);
+        w.seq_len(label_counts.len());
+        for count in label_counts {
+            w.u32(count);
+        }
+        w.u64(u64::from(rows));
+        match plan {
+            AnswerPlan::Search(plan) => encode_plan(plan, w),
+            AnswerPlan::Filtered(plan) => {
+                encode_plan(None, w);
+                plan.encode(w);
+            }
+        }
     }
 }
 

@@ -112,6 +112,20 @@ impl Writer {
         self.buf
     }
 
+    /// Reserves room for at least `additional` more bytes.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
+    /// Overwrites the `u32` written at byte offset `at` (a length reserved
+    /// before the elements it counts were written).  An offset without four
+    /// written bytes behind it changes nothing.
+    pub fn set_u32(&mut self, at: usize, v: u32) {
+        if let Some(slot) = self.buf.get_mut(at..).and_then(|tail| tail.get_mut(..4)) {
+            slot.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+
     /// Appends raw bytes with no length prefix (headers, magic numbers).
     pub fn raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
@@ -569,6 +583,20 @@ mod tests {
         assert_eq!(r.seq_len(1).unwrap(), 5);
         assert_eq!(r.take(5).unwrap(), &[9; 5]);
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn a_reserved_u32_is_overwritten_in_place() {
+        let mut w = Writer::new();
+        w.u8(1);
+        w.u32(0);
+        w.u8(2);
+        w.set_u32(1, 0xDEAD_BEEF);
+        assert_eq!(w.as_bytes(), &[1, 0xEF, 0xBE, 0xAD, 0xDE, 2]);
+        // An offset without four written bytes behind it changes nothing.
+        w.set_u32(3, 7);
+        w.set_u32(usize::MAX, 7);
+        assert_eq!(w.as_bytes(), &[1, 0xEF, 0xBE, 0xAD, 0xDE, 2]);
     }
 
     #[test]

@@ -213,3 +213,23 @@ fn framing_a_cached_answer_allocates_the_same_at_any_row_count() {
     assert_eq!(allocations[0], allocations[1], "the allocations grew with the rows");
     assert_eq!(allocations[1], 1, "the frame buffer is the hit path's one allocation");
 }
+
+/// A result-cache miss on `QueryServer::call` writes the answer's bytes
+/// straight from the catalog's row table and decodes them once: the decode's
+/// one allocation per row (the name) is the only one that scales with the
+/// rows.
+#[test]
+fn a_result_cache_miss_costs_the_decode_s_one_allocation_per_row() {
+    let archive = ArchiveGenerator::new(GeneratorConfig::tiny(N as usize, 29)).unwrap().generate();
+    let mut config = EarthQubeConfig::fast(29);
+    config.train_model = false;
+    let server = QueryServer::build(&archive, config, ServeConfig::default()).unwrap();
+    let request = RequestBody::Search(query_to_spec(&ImageQuery::all()));
+
+    let (answer, made) = counted(|| server.call(&request));
+    let ResponseBody::Search(payload) = &answer else { panic!("{answer:?}") };
+    assert_eq!(payload.rows.len() as u64, N);
+    assert_eq!(server.stats().cache_misses, 1, "the measured call was a miss");
+    println!("a {N}-row result-cache miss: {made} allocations");
+    assert!(made <= N + FIXED, "a {N}-row miss made {made} allocations");
+}
