@@ -44,7 +44,7 @@ use std::ops::Range;
 use eq_bigearthnet::patch::PatchMetadata;
 use eq_bigearthnet::Archive;
 use eq_docstore::{Database, Value};
-use eq_hashindex::{BinaryCode, CountingTopK, Neighbor};
+use eq_hashindex::{BinaryCode, CountingTopK};
 use eq_milan::Milan;
 use eq_proto::{AnswerPlan, AnswerWriter};
 use eq_wire::Writer;
@@ -351,7 +351,7 @@ impl Catalog {
                     let missing = || EarthQubeError::UnknownImage(meta.name.clone());
                     let image_doc = images.get_by_key(&key).ok_or_else(missing)?;
                     let rendered_doc = rendered.get_by_key(&key).ok_or_else(missing)?;
-                    let code = self.code_of(&meta.name)?;
+                    let (_, code) = self.image(&meta.name)?;
                     persist::encode_ingest(meta, code, image_doc, rendered_doc, chunk);
                     appended += 1;
                 }
@@ -411,7 +411,8 @@ impl Catalog {
         k: usize,
         w: &mut Writer,
     ) -> Result<(), EarthQubeError> {
-        self.nearest(self.code_of(name)?, k, Some(name), None, w)
+        let (id, code) = self.image(name)?;
+        self.nearest(code, k, Some(id), None, w)
     }
 
     /// The `k` archive images nearest to an arbitrary code: query by new
@@ -434,7 +435,8 @@ impl Catalog {
         filter: &ResolvedFilter,
         w: &mut Writer,
     ) -> Result<(), EarthQubeError> {
-        self.nearest(self.code_of(name)?, k, Some(name), Some(filter), w)
+        let (id, code) = self.image(name)?;
+        self.nearest(code, k, Some(id), Some(filter), w)
     }
 
     /// Every image within `radius` of an archive image's code that matches
@@ -447,25 +449,27 @@ impl Catalog {
         filter: &ResolvedFilter,
         w: &mut Writer,
     ) -> Result<(), EarthQubeError> {
-        let query = self.code_of(name)?.words();
+        let (id, code) = self.image(name)?;
         with_thread_scratch(|topk| {
-            let hits = topk.within(&self.cbir.arena, query, radius, Some(&filter.mask));
-            let kept = hits.iter().filter(|hit| !self.is_image(hit, name));
+            let hits = topk.within(&self.cbir.arena, code.words(), radius, Some(&filter.mask));
+            let kept = hits.iter().filter(|hit| hit.id != id);
             let kept = kept.map(|hit| (hit.id, Some(hit.distance)));
             self.answer(AnswerPlan::Filtered(filter.plan), hits.len(), kept, w)
         })
     }
 
-    fn code_of(&self, name: &str) -> Result<&BinaryCode, EarthQubeError> {
-        self.cbir.code_of(name).ok_or_else(|| EarthQubeError::UnknownImage(name.to_string()))
+    /// An archive image's dense id and code.
+    fn image(&self, name: &str) -> Result<(u64, &BinaryCode), EarthQubeError> {
+        self.cbir.image(name).ok_or_else(|| EarthQubeError::UnknownImage(name.to_string()))
     }
 
-    fn is_image(&self, hit: &Neighbor, name: &str) -> bool {
-        self.metadata.get(hit.id as usize).is_some_and(|m| m.name == name)
+    /// The metadata of an archive image, found by its dense id.
+    pub(crate) fn metadata_of(&self, name: &str) -> Option<&PatchMetadata> {
+        self.metadata.get(self.cbir.image(name)?.0 as usize)
     }
 
     /// The one k-NN entry: the `k` images nearest to `code`, among those
-    /// matching `filter` when there is one, with the image named `exclude`
+    /// matching `filter` when there is one, with the dense id `exclude`
     /// dropped, written into `w`: a search answer, or with a `filter` a
     /// filtered one ending with the filter's plan.
     ///
@@ -481,7 +485,7 @@ impl Catalog {
         &self,
         code: &BinaryCode,
         k: usize,
-        exclude: Option<&str>,
+        exclude: Option<u64>,
         filter: Option<&ResolvedFilter>,
         w: &mut Writer,
     ) -> Result<(), EarthQubeError> {
@@ -491,8 +495,7 @@ impl Catalog {
         let plan = filter.map_or(AnswerPlan::Search(None), |f| AnswerPlan::Filtered(f.plan));
         with_thread_scratch(|topk| {
             let hits = topk.knn(arena, code.words(), wanted, filter.map(|f| &f.mask));
-            let kept =
-                hits.iter().filter(|hit| !exclude.is_some_and(|name| self.is_image(hit, name)));
+            let kept = hits.iter().filter(|hit| exclude != Some(hit.id));
             let kept = kept.take(k).map(|hit| (hit.id, Some(hit.distance)));
             self.answer(plan, hits.len().min(k), kept, w)
         })

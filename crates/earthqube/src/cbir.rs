@@ -5,9 +5,10 @@
 //! 128 bits; `EarthQubeConfig::fast`, which the end-to-end benchmark runs,
 //! uses 64).
 //! The service keeps an in-memory hash table mapping each image patch name
-//! to its code (query-by-archive-image path) and one [`CodeArena`] over the
-//! same codes, whose row *r* holds dense patch id *r*: every k-NN and
-//! radius query scans it, the layout of faiss's flat binary index.  (The
+//! to its dense id and code (query-by-archive-image path) and one
+//! [`CodeArena`] over the same codes, whose row *r* holds dense patch id
+//! *r*: every k-NN and radius query scans it, the layout of faiss's flat
+//! binary index.  (The
 //! paper probes a hash table keyed by the codes; `eq_hashindex` keeps that
 //! bucket table for the experiments, but no query here probes buckets.)
 //! For external images the model produces a code on the fly
@@ -23,8 +24,8 @@ use std::sync::Arc;
 use eq_hashindex::{BinaryCode, CodeArena};
 use eq_milan::Milan;
 
-/// The MiLaN-backed CBIR service: the trained model, the name→code table
-/// and the code arena over the same codes.
+/// The MiLaN-backed CBIR service: the trained model, the name→(id, code)
+/// table and the code arena over the same codes.
 #[derive(Debug)]
 pub struct CbirService {
     /// Immutable once built, so the server hashes uploads and ingest
@@ -33,22 +34,23 @@ pub struct CbirService {
     /// The serving index: row *r* holds the code of dense patch id *r*,
     /// appended in dense-id order by [`insert`](Self::insert).
     pub(crate) arena: CodeArena,
-    /// In-memory hash table: image patch name → binary code (§3.3).
-    pub(crate) name_to_code: HashMap<String, BinaryCode>,
+    /// In-memory hash table: image patch name → dense id and binary code
+    /// (§3.3).
+    names: HashMap<String, (u64, BinaryCode)>,
 }
 
 impl CbirService {
     /// The service over a model, with no image yet and room for `images`.
     pub(crate) fn new(model: Milan, images: usize) -> Self {
         let arena = CodeArena::with_capacity(model.code_bits(), images);
-        Self { model: Arc::new(model), arena, name_to_code: HashMap::with_capacity(images) }
+        Self { model: Arc::new(model), arena, names: HashMap::with_capacity(images) }
     }
 
     /// Adds one image to the table and the arena, keeping the two in step.
     /// Callers insert in dense-id order, so `id` lands in row `id`.
     pub(crate) fn insert(&mut self, id: u64, name: &str, code: BinaryCode) {
         self.arena.push(id, &code);
-        self.name_to_code.insert(name.to_string(), code);
+        self.names.insert(name.to_string(), (id, code));
     }
 
     /// Number of indexed images.
@@ -68,7 +70,12 @@ impl CbirService {
 
     /// The stored binary code of an archive image.
     pub fn code_of(&self, name: &str) -> Option<&BinaryCode> {
-        self.name_to_code.get(name)
+        self.image(name).map(|(_, code)| code)
+    }
+
+    /// An archive image's dense id and stored code.
+    pub(crate) fn image(&self, name: &str) -> Option<(u64, &BinaryCode)> {
+        self.names.get(name).map(|(id, code)| (*id, code))
     }
 
     /// The underlying model (e.g. to hash external features directly).

@@ -13,6 +13,7 @@ use crate::catalog::Catalog;
 use crate::cbir::CbirService;
 use crate::feedback::{FeedbackEntry, FeedbackService};
 use crate::filtered::{FilteredResponse, PrefilterMode};
+use crate::ingest::validate_patch;
 use crate::net::{expect_filtered, expect_search};
 use crate::persist::WalRecord;
 use crate::query::ImageQuery;
@@ -124,7 +125,7 @@ impl EarthQube {
 
     /// The metadata of an archive image.
     pub fn metadata_of(&self, name: &str) -> Option<&PatchMetadata> {
-        self.catalog.metadata.iter().find(|m| m.name == name)
+        self.catalog.metadata_of(name)
     }
 
     /// Runs a query-panel search over the metadata collection (§3.1).
@@ -155,12 +156,14 @@ impl EarthQube {
     /// retrieves its neighbours.
     ///
     /// # Errors
-    /// Propagates result-assembly errors.
+    /// Fails with [`EarthQubeError::BadRequest`] on a patch out of the
+    /// canonical band layout; propagates result-assembly errors.
     pub fn search_by_new_example(
         &self,
         patch: &Patch,
         k: usize,
     ) -> Result<SearchResponse, EarthQubeError> {
+        validate_patch(patch)?;
         let code = self.catalog.cbir.model().hash_patch(patch);
         expect_search(decoded(|w| self.catalog.search_by_code(&code, k, w))?)
     }
@@ -314,6 +317,20 @@ mod tests {
         assert!(eq.registry().pipeline("earthqube-cbir").is_some());
         assert!(eq.metadata_of(&archive.patches()[0].meta.name).is_some());
         assert!(eq.metadata_of("ghost").is_none());
+    }
+
+    /// The engine checks an upload as the server does: a patch with 11
+    /// Sentinel-2 bands is a `BadRequest`, not a panic in the extractor.
+    #[test]
+    fn a_short_band_list_is_a_bad_request_in_process() {
+        let (eq, _) = build(8, 99);
+        let mut short =
+            ArchiveGenerator::new(GeneratorConfig::tiny(1, 556)).unwrap().generate_patch(0);
+        short.s2_bands.pop();
+        assert_eq!(short.s2_bands.len(), 11);
+        let uploaded = eq.search_by_new_example(&short, 3);
+        assert!(matches!(uploaded, Err(EarthQubeError::BadRequest(_))), "{uploaded:?}");
+        assert_eq!(eq.archive_size(), 8);
     }
 
     #[test]

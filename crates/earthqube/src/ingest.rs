@@ -48,6 +48,47 @@ pub fn ingest_metadata(
     Ok(IngestReport { metadata_docs: metadata.len(), image_docs: 0, rendered_docs: 0 })
 }
 
+/// Structural validation of a patch from outside the archive, an upload or
+/// an ingest, on either façade.  `decode_patch` restores whatever band
+/// layout the bytes declare; the engine, however, indexes the canonical
+/// layout unconditionally (12 Sentinel-2 rasters, 2 polarisations,
+/// non-empty pixels), so a short band list must be rejected here —
+/// reaching the engine with one would panic on `Patch::band`'s index.
+pub(crate) fn validate_patch(patch: &Patch) -> Result<(), EarthQubeError> {
+    let bad = |message: String| {
+        EarthQubeError::BadRequest(format!("invalid patch {:?}: {message}", patch.meta.name))
+    };
+    if patch.s2_bands.len() != eq_bigearthnet::Band::COUNT {
+        return Err(bad(format!(
+            "expected {} Sentinel-2 bands, got {}",
+            eq_bigearthnet::Band::COUNT,
+            patch.s2_bands.len()
+        )));
+    }
+    if patch.s1_bands.len() != 2 {
+        return Err(bad(format!(
+            "expected 2 Sentinel-1 polarisations, got {}",
+            patch.s1_bands.len()
+        )));
+    }
+    if let Some(empty) =
+        patch.s2_bands.iter().chain(&patch.s1_bands).position(|b| b.pixels().is_empty())
+    {
+        return Err(bad(format!("raster {empty} has no pixels")));
+    }
+    // `Patch::render_rgb` (the ingest path) writes one output buffer sized
+    // by B04 from the pixels of all three RGB bands, so their sizes must
+    // agree.  (Other engine paths use per-band statistics only, and the
+    // canonical per-resolution sizes are deliberately *not* required:
+    // uniformly scaled-down archives are legitimate.)
+    let rgb = [eq_bigearthnet::Band::B02, eq_bigearthnet::Band::B03, eq_bigearthnet::Band::B04];
+    let sizes = rgb.map(|b| patch.band(b).size());
+    if sizes[0] != sizes[2] || sizes[1] != sizes[2] {
+        return Err(bad(format!("RGB band sizes {sizes:?} disagree")));
+    }
+    Ok(())
+}
+
 /// Serialises a patch into its image-data and rendered documents, keyed by
 /// `name` — the CPU-heavy half of an ingest, needing no database access so
 /// the concurrent write path can run it before taking the catalog write

@@ -6,10 +6,9 @@
 //!
 //! * [`NetServer`] — K **readiness-driven event loops**, one thread each
 //!   (a vendored `poll(2)` shim).  Every accepted connection belongs to
-//!   one loop, which reads its requests, answers them — a read the result
-//!   cache holds from the cached bytes, every other request through the
-//!   server's one request entry ([`QueryServer::call`]'s work) on the
-//!   shared `&self` server — and writes the answers itself.
+//!   one loop, which reads its requests, answers each through the
+//!   server's one wire entry ([`QueryServer::frame`]) on the shared
+//!   `&self` server, and writes the answers itself.
 //!   One process serves thousands of idle-or-slow sockets over K loops;
 //!   a connection no longer pins a thread for its lifetime.  Faults are
 //!   isolated per connection: a malformed frame (garbage preamble, torn
@@ -39,8 +38,8 @@
 //! The server never builds a typed answer: the query core writes a search
 //! or filtered answer's bytes itself, one pre-encoded row prefix per hit
 //! (see the crate's `catalog` module), and those bytes are what the result
-//! cache files and the event loop frames.  Typed values are decoded from
-//! them — by [`EqClient`], by [`QueryServer::call`] and by the bare
+//! cache files and [`QueryServer::frame`] frames.  Typed values are
+//! decoded from them — by [`EqClient`], by [`QueryServer::call`] and by the bare
 //! [`EarthQube`](crate::EarthQube) façade alike — so a [`SearchResponse`]
 //! received through [`EqClient`] is **equal to the in-process result, byte
 //! for byte**; the umbrella crate's `remote_equivalence` test drives the
@@ -60,8 +59,7 @@
 //!               ┌───────────────────────── event loop i of K ─────────────────────────┐
 //! listener ────▶│ loop 0 only: accept → loop (n mod K)'s inbox + wake byte            │
 //! sockets ─────▶│ poll(2) → read → FrameDecoder → admit the whole burst → answer each: │
-//!               │   cache-keyed read the cache holds → cached frame                   │
-//!               │   anything else → QueryServer (&self), behind catch_unwind          │
+//!               │   QueryServer::frame (&self), behind catch_unwind: hit or miss      │
 //!     ◀─────────│ the burst's answers in one non-blocking write; POLLOUT drains rest  │
 //!               └─────────────────────────────────────────────────────────────────────┘
 //! ```
@@ -72,15 +70,14 @@
 //! *n* mod *K* (*n* counts accepts) through that loop's inbox and wake
 //! pipe.  A loop reads a connection once per readiness, decodes every
 //! frame of that burst and admits them all — poison check, per-connection
-//! quota — before it answers any.  It then answers them in request order on its
-//! own thread: a read of one of the four cache-keyed kinds (`Search`,
-//! `SimilarTo`, `SimilarToFiltered`, `SimilarWithinFiltered`) that the
-//! result cache holds is a fresh envelope, the cached body bytes and their
-//! CRC ([`QueryServer::cached_frame`]), and every other request runs to
-//! completion on the server.  The burst's answers leave in one
-//! `write(2)`.  So a request costs one loop wake-up and one `write(2)`,
-//! hit or miss, with no hand-off between threads, and answers leave in
-//! request order by construction — a pipelining client
+//! quota — before it answers any.  It then answers them in request order
+//! on its own thread, each run to completion by [`QueryServer::frame`]: a
+//! result-cache hit is a fresh envelope, the cached body bytes and their
+//! CRC, a miss the same around the bytes the query core just wrote.  The
+//! burst's answers leave in one `write(2)`.  So a request costs one loop
+//! wake-up and one `write(2)`, hit or miss, with no hand-off between
+//! threads, and answers leave in request order by construction — a
+//! pipelining client
 //! ([`EqClient::run_batch`]) observes exactly the blocking server's
 //! ordering.  The sockets are non-blocking, so a loop never parks on a
 //! peer: bytes the socket would not take wait for `POLLOUT` (or the
@@ -113,7 +110,7 @@ use crate::ingest::IngestReport;
 use crate::query::{ImageQuery, LabelFilter, LabelOperator};
 use crate::replicate::{ReplBatch, ReplState, RetryPolicy};
 use crate::results::ResultPanel;
-use crate::serve::{QueryServer, Reply, ServerStats};
+use crate::serve::{QueryServer, ServerStats};
 use crate::stats::LabelStatistics;
 use crate::EarthQubeError;
 
@@ -309,7 +306,6 @@ struct NetStats {
     connections_failed: AtomicU64,
     responses_direct: AtomicU64,
     responses_deferred: AtomicU64,
-    answered_on_loop: AtomicU64,
     poller_wakeups: AtomicU64,
     /// One gauge per loop, written only by that loop.
     loop_connections: Vec<AtomicU64>,
@@ -344,9 +340,6 @@ pub struct NetTierStats {
     /// Answers to admitted requests after whose loop's write the socket
     /// would not take the whole backlog: the rest waits for `POLLOUT`.
     pub responses_deferred: u64,
-    /// Requests a loop answered from the result cache's encoded bytes
-    /// (each also counts as a server cache hit).
-    pub answered_on_loop: u64,
     /// Returns of any loop's `poll(2)` with at least one ready descriptor
     /// (idle ticks are not counted), summed over the loops.
     pub poller_wakeups: u64,
@@ -375,7 +368,6 @@ impl NetStats {
             connections_failed: self.connections_failed.load(Ordering::Relaxed),
             responses_direct: self.responses_direct.load(Ordering::Relaxed),
             responses_deferred: self.responses_deferred.load(Ordering::Relaxed),
-            answered_on_loop: self.answered_on_loop.load(Ordering::Relaxed),
             poller_wakeups: self.poller_wakeups.load(Ordering::Relaxed),
             loop_connections: self
                 .loop_connections
@@ -930,13 +922,12 @@ fn serve_burst(shared: &Shared, config: &NetConfig, conn: &mut Conn, burst: &mut
     }
 }
 
-/// Answers one admitted request on the loop that read it: decodes it and
-/// answers a read of one of the four cache-keyed kinds the result cache
-/// holds from the cached bytes ([`QueryServer::cached_frame`]),
-/// `MetricsText` — the one kind that reads this tier's counters — here,
-/// and every other request, a read the cache missed included, through the
-/// server's one request entry.  Returns the response frame and whether it
-/// is fatal: a payload that is not a request is a protocol fault.
+/// Answers one admitted request on the loop that read it: decodes it,
+/// answers `MetricsText` — the one kind that reads this tier's counters —
+/// here, and every other request, hit or miss, through the server's one
+/// wire entry ([`QueryServer::frame`]).  Returns the response frame and
+/// whether it is fatal: a payload that is not a request is a protocol
+/// fault.
 ///
 /// A panic provoked by one connection's input (a bug this layer's input
 /// validation missed) fails that request instead of killing the loop and
@@ -964,16 +955,10 @@ fn answer(shared: &Shared, payload: &[u8]) -> (Vec<u8>, bool) {
         write = request.body.is_write();
         if let RequestBody::MetricsText = request.body {
             let text = render_metrics(&server.stats(), &shared.stats.snapshot());
-            return (encode_reply_frame(id, Reply::Body(ResponseBody::MetricsText(text))), false);
+            let body = ResponseBody::MetricsText(text);
+            return (encode_response_frame(&eq_proto::Response { id, body }), false);
         }
-        let fingerprint = server.cache_fingerprint(&request.body);
-        if let Some(frame) = fingerprint.and_then(|fp| server.cached_frame(&request, fp)) {
-            // Counted before the write, like the server's hit: a peer
-            // holding the answer finds it counted.
-            shared.stats.answered_on_loop.fetch_add(1, Ordering::Relaxed);
-            return (frame, false);
-        }
-        (encode_reply_frame(id, server.respond(&request.body, fingerprint)), false)
+        (server.frame(&request), false)
     }));
     attempt.unwrap_or_else(|_| {
         // A panic in a *read-only* request mutated nothing (the engine read
@@ -1005,7 +990,7 @@ fn overloaded(stats: &NetStats, id: u64, message: &str) -> eq_proto::Response {
 /// set bigger than any reader accepts), not a dead connection: it is
 /// replaced by a typed error under the same id, so the connection keeps
 /// being served.
-fn encode_response_frame(response: &eq_proto::Response) -> Vec<u8> {
+pub(crate) fn encode_response_frame(response: &eq_proto::Response) -> Vec<u8> {
     let mut frame = Vec::new();
     match eq_proto::frame_response(&mut frame, response) {
         Ok(()) => frame,
@@ -1013,23 +998,8 @@ fn encode_response_frame(response: &eq_proto::Response) -> Vec<u8> {
     }
 }
 
-/// [`encode_response_frame`] for a server reply: a body already encoded
-/// (a result-cache entry) is framed behind a fresh envelope, not decoded.
-fn encode_reply_frame(id: u64, reply: Reply) -> Vec<u8> {
-    match reply {
-        Reply::Body(body) => encode_response_frame(&eq_proto::Response { id, body }),
-        Reply::Encoded(bytes) => {
-            let mut frame = Vec::new();
-            match eq_proto::frame_encoded_response(&mut frame, id, &bytes) {
-                Ok(()) => frame,
-                Err(e) => unsendable(id, &e),
-            }
-        }
-    }
-}
-
 /// The typed error frame that replaces a response over the frame cap.
-fn unsendable(id: u64, e: &eq_proto::ProtoError) -> Vec<u8> {
+pub(crate) fn unsendable(id: u64, e: &eq_proto::ProtoError) -> Vec<u8> {
     let message =
         format!("the response cannot be sent ({e}); narrow the query or ingest in smaller batches");
     let mut frame = Vec::new();
@@ -1248,7 +1218,6 @@ pub(crate) fn render_metrics(stats: &ServerStats, net: &NetTierStats) -> String 
     let _ = writeln!(out, "eq_net_acceptor_fatal_total {}", net.acceptor_fatal);
     let _ = writeln!(out, "eq_net_responses_direct_total {}", net.responses_direct);
     let _ = writeln!(out, "eq_net_responses_deferred_total {}", net.responses_deferred);
-    let _ = writeln!(out, "eq_net_answered_on_loop_total {}", net.answered_on_loop);
     let _ = writeln!(out, "eq_net_poller_wakeups_total {}", net.poller_wakeups);
     for (index, connections) in net.loop_connections.iter().enumerate() {
         let _ = writeln!(out, "eq_net_loop_connections{{loop=\"{index}\"}} {connections}");
@@ -1990,28 +1959,28 @@ mod tests {
         net.shutdown();
     }
 
-    /// After one miss (answered by a worker, the only job ever queued),
-    /// every repeat of the request on the connection is answered by the
-    /// event loop from the result cache: counted as a loop answer and a
-    /// server cache hit, rendered by the metrics text, and never queued.
+    /// After one miss, every repeat of the request on the connection is
+    /// answered by its event loop from the result cache: counted as a
+    /// server cache hit, rendered by the metrics text, and never queued
+    /// behind another request.
     #[test]
     fn repeats_of_a_cached_read_are_answered_on_the_event_loop() {
         let (net, server, archive) = served(20, 309);
         let mut client = EqClient::connect(net.local_addr()).unwrap();
         let request = RequestBody::SimilarTo { name: archive.patches()[3].meta.name.clone(), k: 5 };
         let first = client.call(&request).unwrap();
-        assert_eq!(net.net_stats().answered_on_loop, 0, "the first call is a miss");
+        assert_eq!(server.stats().cache_hits, 0, "the first call is a miss");
         const N: u64 = 25;
         for _ in 0..N {
             assert_eq!(client.call(&request).unwrap(), first);
         }
         let stats = net.net_stats();
-        assert_eq!(stats.answered_on_loop, N);
-        assert_eq!(stats.queue_depth_high_water, 1, "no repeat reached the job queue");
+        assert_eq!(server.stats().cache_hits, N);
+        assert_eq!(stats.queue_depth_high_water, 1, "no repeat waited behind another request");
         assert_eq!((server.stats().cache_hits, server.stats().cache_misses), (N, 1));
 
-        // Every answer counts once as direct or deferred, whoever wrote it
-        // (a worker counts its own after the write, so wait for the miss's).
+        // Every answer counts once as direct or deferred (a loop counts a
+        // burst's answers after its write, so wait for the last one's).
         let deadline = Instant::now() + Duration::from_secs(10);
         let answers = |s: &NetTierStats| s.responses_direct + s.responses_deferred;
         while answers(&net.net_stats()) < N + 1 && Instant::now() < deadline {
@@ -2020,7 +1989,7 @@ mod tests {
         assert_eq!(answers(&net.net_stats()), N + 1);
 
         let text = client.metrics_text().unwrap();
-        assert!(text.contains(&format!("eq_net_answered_on_loop_total {N}\n")), "{text}");
+        assert!(text.contains(&format!("eq_cache_hits_total {N}\n")), "{text}");
         assert_eq!(net.net_stats().queue_depth_high_water, 1);
         net.shutdown();
     }
@@ -2048,18 +2017,18 @@ mod tests {
         let mut client = EqClient::connect(net.local_addr()).unwrap();
         let refused = client.call(&request).unwrap();
         assert_eq!(error_code(refused), Some(eq_proto::ErrorCode::Overloaded));
-        assert_eq!((net.net_stats().answered_on_loop, net.net_stats().rejected_overload), (0, 1));
+        assert_eq!((server.stats().cache_hits, net.net_stats().rejected_overload), (0, 1));
         net.shutdown();
 
         // A poisoned server answers nothing from its cache either.
         let net = NetServer::bind(Arc::clone(&server), "127.0.0.1:0", 1).unwrap();
         let mut client = EqClient::connect(net.local_addr()).unwrap();
         assert_eq!(client.call(&request).unwrap(), cached);
-        assert_eq!(net.net_stats().answered_on_loop, 1);
+        assert_eq!(server.stats().cache_hits, 1);
         net.shared.poisoned.store(true, Ordering::SeqCst);
         let refused = client.call(&request).unwrap();
         assert_eq!(error_code(refused), Some(eq_proto::ErrorCode::Internal));
-        assert_eq!(net.net_stats().answered_on_loop, 1);
+        assert_eq!(server.stats().cache_hits, 1);
         net.shutdown();
     }
 
@@ -2076,7 +2045,6 @@ mod tests {
         let similar = RequestBody::SimilarTo { name: "p".into(), k: 3 };
         let mut bad = eq_proto::Request { id: 9, body: similar }.encode();
         bad.push(0); // the tag says `SimilarTo`; the decoder refuses the trailing byte
-        assert!(eq_proto::is_query_payload(&bad));
         let error = eq_proto::Request::decode(&bad).unwrap_err();
         let message = format!("malformed request: {error}");
         let fatal =
@@ -2093,6 +2061,7 @@ mod tests {
         stream.write_all(&burst).unwrap();
         let mut bytes = Vec::new();
         stream.read_to_end(&mut bytes).expect("the server closes the connection");
+        assert_eq!(server.stats().cache_hits, 1, "the first request's answer was the hit");
 
         let mut rest = &bytes[..];
         for (id, body) in [(1, &cached), (2, &miss)] {
@@ -2100,7 +2069,6 @@ mod tests {
             assert_eq!(response, eq_proto::Response { id, body: server.call(body) });
         }
         assert_eq!(rest, &fatal[..], "the fatal frame, byte for byte, and nothing after it");
-        assert_eq!(net.net_stats().answered_on_loop, 1);
         let deadline = Instant::now() + Duration::from_secs(10);
         while net.connections_failed() == 0 && Instant::now() < deadline {
             std::thread::yield_now();

@@ -19,18 +19,17 @@
 //!   checkpointed records), and it takes no lock of its own: it sits
 //!   behind the catalog lock with the rest of the core.
 //! * **Result cache** — a bounded LRU of answers held as the wire encodes
-//!   them: each value is a [`ResponseBody`]'s bytes (`Arc<[u8]>`, no
+//!   them: each value is a [`ResponseBody`]'s bytes (`Arc<Vec<u8>>`, no
 //!   envelope).  The four query kinds (`Search`, `SimilarTo`,
 //!   `SimilarToFiltered`, `SimilarWithinFiltered`) are keyed on the request
 //!   itself, an upload on its code and `k` (no request carries the code).
 //!   Entries live under a structural hash of the key; the full key is
 //!   stored and compared, so a fingerprint collision is a miss, never a
-//!   wrong answer.  A miss files the bytes the query core wrote from its
-//!   row table (every answer arrives encoded, cache on or off);
-//!   a hit hands them out — the network tier's event loop frames them
-//!   behind a fresh envelope ([`QueryServer::cached_frame`]), and
-//!   [`QueryServer::call`] decodes them, so an in-process hit returns the
-//!   very bytes a remote client receives.
+//!   wrong answer.  A miss files the very buffer the query core wrote from
+//!   its row table (every answer arrives encoded, cache on or off); a hit
+//!   hands it out — [`QueryServer::frame`] puts it behind a fresh envelope
+//!   for the network tier, and [`QueryServer::call`] decodes it, so an
+//!   in-process hit returns the very bytes a remote client receives.
 //! * **Resolved-filter cache** — a second instance of the same LRU, under
 //!   the first: what the core's resolver returned for a (filter, mode),
 //!   budgeted in bytes.  A filter-taking query that misses the result
@@ -42,7 +41,9 @@
 //!   grew the archive, under the catalog write lock — readers insert under
 //!   the read lock, so they can never re-insert a stale entry.
 //! * **One request entry** — [`QueryServer::call`] answers any
-//!   [`RequestBody`] with the [`ResponseBody`] the network tier sends.  The
+//!   [`RequestBody`] with the [`ResponseBody`] the network tier sends, and
+//!   [`QueryServer::frame`] answers a [`Request`] with that body's frame,
+//!   hit or miss, which is what the event loops write.  The
 //!   four query kinds run there, through the result cache, and their typed
 //!   methods are `call` with the request they name; every other kind runs
 //!   its typed method.  Those borrow names and patches, so in-process
@@ -92,10 +93,10 @@ use crate::durability::{Durability, Lineage};
 use crate::engine::{build_registry, EarthQube, EarthQubeConfig, SearchResponse};
 use crate::feedback::{FeedbackEntry, FeedbackService};
 use crate::filtered::{FilteredResponse, PrefilterMode, ResolvedFilter};
-use crate::ingest::{prepare_patch_docs, IngestReport};
+use crate::ingest::{prepare_patch_docs, validate_patch, IngestReport};
 use crate::net::{
-    error_to_payload, expect_filtered, expect_search, query_to_spec, render_metrics, spec_to_query,
-    NetTierStats,
+    encode_response_frame, error_to_payload, expect_filtered, expect_search, query_to_spec,
+    render_metrics, spec_to_query, unsendable, NetTierStats,
 };
 use crate::persist::{self, Sequence, WalRecord};
 use crate::query::ImageQuery;
@@ -348,7 +349,7 @@ impl<K, V: Clone> Lru<K, V> {
 /// which each reply adds fresh.  A filtered answer's plan is part of those
 /// bytes, so a replayed hit reports the strategy that resolved the mask.
 /// Every entry weighs one, so its budget is an entry count.
-type ResultCache = Lru<CacheKey, Arc<[u8]>>;
+type ResultCache = Lru<CacheKey, Arc<Vec<u8>>>;
 
 /// Shards of a sharded cache.
 const CACHE_SHARDS: usize = 8;
@@ -507,7 +508,7 @@ impl QueryServer {
 
     /// The metadata of an indexed image (cloned out of the catalog lock).
     pub fn metadata_of(&self, name: &str) -> Option<PatchMetadata> {
-        self.catalog.read().metadata.iter().find(|m| m.name == name).cloned()
+        self.catalog.read().metadata_of(name).cloned()
     }
 
     /// A snapshot of the serving counters.
@@ -592,7 +593,7 @@ impl QueryServer {
     }
 
     fn by_code(&self, code: &BinaryCode, k: usize) -> Reply {
-        self.cached(KeyRef::ByCode(code, k), None, |catalog, w| catalog.search_by_code(code, k, w))
+        self.cached(KeyRef::ByCode(code, k), |catalog, w| catalog.search_by_code(code, k, w))
     }
 
     /// Filtered "retrieve similar images" (the concurrent counterpart of
@@ -675,7 +676,29 @@ impl QueryServer {
     /// [`NetServer`](crate::NetServer) answers that kind itself.  An
     /// answer the result cache holds is decoded from the bytes it holds.
     pub fn call(&self, body: &RequestBody) -> ResponseBody {
-        self.respond(body, None).into_body()
+        self.respond(body).into_body()
+    }
+
+    /// The complete response frame answering `request`: [`call`](Self::call)'s
+    /// work, framed under `request.id` — what the network tier's event
+    /// loops write for every request but `MetricsText`.  An encoded answer,
+    /// a result-cache hit or a body the core just wrote, is framed from its
+    /// bytes: one allocation, one copy and one CRC, however many rows it
+    /// holds.  A body over the frame cap is replaced by a typed
+    /// `BadRequest` under the same id, so the connection keeps being served.
+    pub fn frame(&self, request: &Request) -> Vec<u8> {
+        let id = request.id;
+        match self.respond(&request.body) {
+            Reply::Body(body) => encode_response_frame(&eq_proto::Response { id, body }),
+            Reply::Encoded(bytes) => {
+                // lint:allow(hot-path) the frame buffer: empty here, grown once by the framing to the frame's exact size
+                let mut frame = Vec::new();
+                match eq_proto::frame_encoded_response(&mut frame, id, &bytes) {
+                    Ok(()) => frame,
+                    Err(e) => unsendable(id, &e),
+                }
+            }
+        }
     }
 
     /// The response body the query core writes for an explicit hit list
@@ -695,30 +718,25 @@ impl QueryServer {
         Ok(w.into_bytes())
     }
 
-    /// [`call`](Self::call)'s work, answered as the network tier frames it:
-    /// the four request-keyed read kinds and uploads go through the result
-    /// cache and come back encoded (while the cache is on); every other
-    /// kind runs the typed method it names.  `fingerprint` is the one
-    /// [`cache_fingerprint`](Self::cache_fingerprint) gave the event loop,
-    /// whose [`cached_frame`](Self::cached_frame) probe with it just missed:
-    /// a request it names is neither hashed nor probed again.  With `None`
-    /// (what [`call`](Self::call) passes) the result cache is probed here.
-    pub(crate) fn respond(&self, body: &RequestBody, fingerprint: Option<u64>) -> Reply {
+    /// [`call`](Self::call)'s and [`frame`](Self::frame)'s work: the four
+    /// request-keyed read kinds and uploads go through the result cache and
+    /// come back encoded; every other kind runs the typed method it names.
+    fn respond(&self, body: &RequestBody) -> Reply {
         let key = KeyRef::Request(body);
         let reply = |result: Result<ResponseBody, EarthQubeError>| {
             Reply::Body(result.unwrap_or_else(|e| ResponseBody::Error(error_to_payload(&e))))
         };
         match body {
-            RequestBody::Search(spec) => self.cached(key, fingerprint, |catalog, w| {
+            RequestBody::Search(spec) => self.cached(key, |catalog, w| {
                 let query = spec_to_query(spec);
                 query.validate()?;
                 catalog.search(&*self.resolved(catalog, &query, PrefilterMode::Auto)?, w)
             }),
             RequestBody::SimilarTo { name, k } => {
-                self.cached(key, fingerprint, |catalog, w| catalog.similar_to(name, clamp_k(*k), w))
+                self.cached(key, |catalog, w| catalog.similar_to(name, clamp_k(*k), w))
             }
             RequestBody::SimilarToFiltered { name, k, spec, mode } => {
-                self.cached(key, fingerprint, |catalog, w| {
+                self.cached(key, |catalog, w| {
                     let query = spec_to_query(spec);
                     query.validate()?;
                     let filter = self.resolved(catalog, &query, *mode)?;
@@ -726,7 +744,7 @@ impl QueryServer {
                 })
             }
             RequestBody::SimilarWithinFiltered { name, radius, spec, mode } => {
-                self.cached(key, fingerprint, |catalog, w| {
+                self.cached(key, |catalog, w| {
                     let query = spec_to_query(spec);
                     query.validate()?;
                     let filter = self.resolved(catalog, &query, *mode)?;
@@ -753,36 +771,6 @@ impl QueryServer {
                     .map(ResponseBody::ReplRecords),
             ),
         }
-    }
-
-    /// The result-cache fingerprint of a request the cache is keyed on by
-    /// the request itself — `Search`, `SimilarTo`, `SimilarToFiltered`,
-    /// `SimilarWithinFiltered` — or `None` for every other kind and while
-    /// the cache is off.  The event loop computes it once per request and
-    /// hands it to [`cached_frame`](Self::cached_frame) and, on a miss, to
-    /// [`call`](Self::call)'s work.
-    pub fn cache_fingerprint(&self, body: &RequestBody) -> Option<u64> {
-        (self.serve.cache_capacity > 0 && body.is_query())
-            .then(|| fingerprint(&KeyRef::Request(body)))
-    }
-
-    /// The complete response frame answering `request` from the result
-    /// cache — a fresh envelope under `request.id`, the cached body bytes,
-    /// their CRC — counted as a cache hit; `None` on a miss, which counts
-    /// nothing.  `fingerprint` is `request`'s
-    /// [`cache_fingerprint`](Self::cache_fingerprint).  This is the event
-    /// loop's whole hit path: one probe, one allocation, one copy and one
-    /// CRC of the answer, however many rows it holds.
-    pub fn cached_frame(&self, request: &Request, fingerprint: u64) -> Option<Vec<u8>> {
-        let key = KeyRef::Request(&request.body);
-        let body = self.cache.lookup(fingerprint, |k| k.as_ref() == key)?;
-        // lint:allow(hot-path) the frame buffer: empty here, grown once by the framing to the frame's exact size
-        let mut frame = Vec::new();
-        // A body too large for a frame is answered the long way (computed
-        // again), whose framing replaces it with a typed error.
-        eq_proto::frame_encoded_response(&mut frame, request.id, &body).ok()?;
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        Some(frame)
     }
 
     /// Answers a batch of requests on `workers` scoped threads through
@@ -963,9 +951,9 @@ impl QueryServer {
 
     /// Cache-or-compute: every cached query flows through here, and its
     /// answer comes back encoded — a hit as the bytes the cache holds, a
-    /// computed answer as the bytes `compute` wrote (the query core writes
-    /// them straight from its row table), filed while the cache is on.  An
-    /// error is never cached.
+    /// computed answer as the very buffer `compute` wrote (the query core
+    /// writes it straight from its row table), filed as it is while the
+    /// cache is on.  An error is never cached.
     ///
     /// The catalog read lock is held across both the computation *and* the
     /// cache inserts (the result here, a resolved filter inside `compute`,
@@ -975,24 +963,18 @@ impl QueryServer {
     /// over the post-write catalog or cleared by the very write it
     /// predates — stale entries cannot survive.
     ///
-    /// Each query bumps one outcome counter: a hit, a miss (an answer
-    /// computed, whether or not the cache is on) or a failure, which counts
-    /// as served but drags no hit rate down.
-    ///
-    /// A `fingerprint` given is the event loop's, whose probe missed, so the
-    /// cache is not probed again: a second probe would take the shard's
-    /// lock and bump the entry's recency for an answer the loop just failed
-    /// to find.  (An entry another thread filed since is computed again and
-    /// filed over; the answer is the same.)
+    /// Each query bumps one outcome counter: a hit (before its answer is
+    /// framed, so a peer holding the answer finds it counted), a miss (an
+    /// answer computed, whether or not the cache is on) or a failure, which
+    /// counts as served but drags no hit rate down.
     fn cached(
         &self,
         key: KeyRef<'_>,
-        fingerprint: Option<u64>,
         compute: impl FnOnce(&Catalog, &mut eq_wire::Writer) -> Result<(), EarthQubeError>,
     ) -> Reply {
         let caching = self.serve.cache_capacity > 0;
-        let fp = if caching { fingerprint.unwrap_or_else(|| self::fingerprint(&key)) } else { 0 };
-        if caching && fingerprint.is_none() {
+        let fp = if caching { fingerprint(&key) } else { 0 };
+        if caching {
             if let Some(hit) = self.cache.lookup(fp, |k| k.as_ref() == key) {
                 self.cache_hits.fetch_add(1, Ordering::Relaxed);
                 return Reply::Encoded(hit);
@@ -1002,7 +984,8 @@ impl QueryServer {
         let mut w = eq_wire::Writer::new();
         let (reply, outcome) = match compute(&catalog, &mut w) {
             Ok(()) => {
-                let bytes: Arc<[u8]> = Arc::from(w.into_bytes());
+                // The buffer the core wrote, filed as it is: no copy.
+                let bytes = Arc::new(w.into_bytes());
                 if caching {
                     self.cache.put(fp, key.to_owned(), Arc::clone(&bytes), 1);
                 }
@@ -1296,14 +1279,14 @@ impl QueryServer {
     }
 }
 
-/// An answer as the server hands it to the network tier.
+/// An answer as [`QueryServer::frame`] and [`QueryServer::call`] take it.
 #[derive(Debug)]
-pub(crate) enum Reply {
+enum Reply {
     /// A body to encode.
     Body(ResponseBody),
-    /// A body already encoded (without the envelope): what the result cache
-    /// holds, shared with it.
-    Encoded(Arc<[u8]>),
+    /// A body already encoded (without the envelope): the buffer the query
+    /// core wrote, shared with the result cache.
+    Encoded(Arc<Vec<u8>>),
 }
 
 impl Reply {
@@ -1312,7 +1295,7 @@ impl Reply {
     }
 
     /// The body, decoded if it came encoded.
-    pub(crate) fn into_body(self) -> ResponseBody {
+    fn into_body(self) -> ResponseBody {
         match self {
             Reply::Body(body) => body,
             Reply::Encoded(bytes) => decode_answer(&bytes),
@@ -1330,47 +1313,6 @@ pub(crate) fn decode_answer(bytes: &[u8]) -> ResponseBody {
             message: format!("an answer does not decode: {e}"),
         })
     })
-}
-
-/// Structural validation of a patch from outside the archive, an upload or
-/// an ingest.  `decode_patch` restores whatever band layout the bytes
-/// declare; the engine, however, indexes the canonical layout
-/// unconditionally (12 Sentinel-2 rasters, 2 polarisations, non-empty
-/// pixels), so a short band list must be rejected here — reaching the
-/// engine with one would panic on `Patch::band`'s index.
-fn validate_patch(patch: &Patch) -> Result<(), EarthQubeError> {
-    let bad = |message: String| {
-        EarthQubeError::BadRequest(format!("invalid patch {:?}: {message}", patch.meta.name))
-    };
-    if patch.s2_bands.len() != eq_bigearthnet::Band::COUNT {
-        return Err(bad(format!(
-            "expected {} Sentinel-2 bands, got {}",
-            eq_bigearthnet::Band::COUNT,
-            patch.s2_bands.len()
-        )));
-    }
-    if patch.s1_bands.len() != 2 {
-        return Err(bad(format!(
-            "expected 2 Sentinel-1 polarisations, got {}",
-            patch.s1_bands.len()
-        )));
-    }
-    if let Some(empty) =
-        patch.s2_bands.iter().chain(&patch.s1_bands).position(|b| b.pixels().is_empty())
-    {
-        return Err(bad(format!("raster {empty} has no pixels")));
-    }
-    // `Patch::render_rgb` (the ingest path) writes one output buffer sized
-    // by B04 from the pixels of all three RGB bands, so their sizes must
-    // agree.  (Other engine paths use per-band statistics only, and the
-    // canonical per-resolution sizes are deliberately *not* required:
-    // uniformly scaled-down archives are legitimate.)
-    let rgb = [eq_bigearthnet::Band::B02, eq_bigearthnet::Band::B03, eq_bigearthnet::Band::B04];
-    let sizes = rgb.map(|b| patch.band(b).size());
-    if sizes[0] != sizes[2] || sizes[1] != sizes[2] {
-        return Err(bad(format!("RGB band sizes {sizes:?} disagree")));
-    }
-    Ok(())
 }
 
 /// A logged write, replayed or replicated, that does not continue the
@@ -1408,21 +1350,56 @@ mod tests {
         (QueryServer::build(&archive, config, serve).unwrap(), archive)
     }
 
+    /// A computed answer is the very buffer the query core wrote, cache on
+    /// or off: the reply holds it, and with the cache on, so does the entry
+    /// a repeat hands out.
     #[test]
-    fn a_loop_fingerprint_means_the_cache_was_already_probed() {
-        let (srv, archive) = server(30, 97, ServeConfig::default());
-        let body = RequestBody::SimilarTo { name: archive.patches()[3].meta.name.clone(), k: 5 };
-        let fp = srv.cache_fingerprint(&body).expect("a cache-keyed read");
-        let first = srv.call(&body);
-        assert_eq!((srv.stats().cache_hits, srv.stats().cache_misses), (0, 1));
-        // `call` probes once and hits.
-        assert_eq!(srv.call(&body), first);
-        assert_eq!((srv.stats().cache_hits, srv.stats().cache_misses), (1, 1));
-        // The loop's miss hands its fingerprint over: no second probe, so
-        // the answer is computed (and filed over) even though it is cached.
-        assert_eq!(srv.respond(&body, Some(fp)).into_body(), first);
-        assert_eq!((srv.stats().cache_hits, srv.stats().cache_misses), (1, 2));
-        assert_eq!(srv.stats().cache_entries, 1);
+    fn a_computed_answer_is_the_buffer_the_core_wrote() {
+        for serve in [ServeConfig::default(), ServeConfig::uncached(1)] {
+            let (srv, archive) = server(20, 98, serve);
+            let name = &archive.patches()[2].meta.name;
+            let body = RequestBody::SimilarTo { name: name.clone(), k: 5 };
+            let mut written = std::ptr::null();
+            let reply = srv.cached(KeyRef::Request(&body), |catalog, w| {
+                catalog.similar_to(name, 5, w)?;
+                written = w.as_bytes().as_ptr();
+                Ok(())
+            });
+            let Reply::Encoded(bytes) = reply else { panic!("{reply:?}") };
+            assert_eq!(bytes.as_ptr(), written, "{serve:?}");
+            assert_eq!(decode_answer(&bytes), srv.call(&body));
+            if serve.cache_capacity > 0 {
+                let Reply::Encoded(hit) = srv.respond(&body) else { panic!("a hit is encoded") };
+                assert!(Arc::ptr_eq(&hit, &bytes));
+            }
+        }
+    }
+
+    /// Both façades find a name's metadata through its dense id: the
+    /// metadata table's entry of every patch, an ingested one included, and
+    /// nothing for an unknown name.
+    #[test]
+    fn metadata_of_is_the_table_entry_on_both_facades() {
+        let archive = ArchiveGenerator::new(GeneratorConfig::tiny(30, 93)).unwrap().generate();
+        let mut config = EarthQubeConfig::fast(93);
+        config.train_model = false;
+        let engine = EarthQube::build(&archive, config.clone()).unwrap();
+        let srv = QueryServer::build(&archive, config, ServeConfig::default()).unwrap();
+        let extra = ArchiveGenerator::new(GeneratorConfig::tiny(1, 931)).unwrap().generate();
+        srv.ingest(extra.patches()).unwrap();
+        assert_eq!(engine.catalog.metadata.len(), 30);
+        for meta in &engine.catalog.metadata {
+            assert_eq!(engine.metadata_of(&meta.name), Some(meta));
+        }
+        let table = srv.catalog.read().metadata.clone();
+        assert_eq!(table.len(), 31);
+        for meta in &table {
+            assert_eq!(srv.metadata_of(&meta.name).as_ref(), Some(meta));
+        }
+        for unknown in ["ghost", ""] {
+            assert_eq!(engine.metadata_of(unknown), None);
+            assert_eq!(srv.metadata_of(unknown), None);
+        }
     }
 
     #[test]

@@ -318,18 +318,6 @@ pub fn encode_ingest_request_into(w: &mut Writer, id: u64, patches: &[Patch]) {
     encode_ingest_body(w, patches);
 }
 
-/// [`RequestBody::is_query`] of the request a payload holds, read off its
-/// tag alone, nothing decoded.  `false` for a payload too short to carry a
-/// tag.
-pub fn is_query_payload(payload: &[u8]) -> bool {
-    matches!(
-        payload.get(ENVELOPE_LEN),
-        Some(
-            &(REQ_SEARCH | REQ_SIMILAR_TO | REQ_SIMILAR_TO_FILTERED | REQ_SIMILAR_WITHIN_FILTERED)
-        )
-    )
-}
-
 impl RequestBody {
     /// Whether the request changes the archive or the feedback store: the
     /// writes a replica refuses, a cluster client routes to the primary and
@@ -337,20 +325,6 @@ impl RequestBody {
     /// replication's included, is a read.
     pub fn is_write(&self) -> bool {
         matches!(self, RequestBody::Ingest { .. } | RequestBody::Feedback { .. })
-    }
-
-    /// Whether the request is a `Search`, `SimilarTo`, `SimilarToFiltered`
-    /// or `SimilarWithinFiltered`: the read kinds whose fields are a name,
-    /// numbers and a query, cheap to decode and to hash — what a server's
-    /// result cache keys on the request itself.
-    pub fn is_query(&self) -> bool {
-        matches!(
-            self,
-            RequestBody::Search(_)
-                | RequestBody::SimilarTo { .. }
-                | RequestBody::SimilarToFiltered { .. }
-                | RequestBody::SimilarWithinFiltered { .. }
-        )
     }
 
     /// Appends the request to `w` under `id`, borrowing every field: the
@@ -1872,44 +1846,6 @@ mod tests {
         let mut trailing = body.clone();
         trailing.push(0);
         assert!(ResponseBody::decode(&trailing).is_err(), "trailing bytes are refused");
-    }
-
-    /// The tag peek agrees with `is_query`, reading nothing but the tag.
-    #[test]
-    fn the_tag_peek_names_the_query_kinds() {
-        let spec = sample_query();
-        let name = || "p".to_string();
-        let mode = PrefilterMode::Auto;
-        let queries = [
-            RequestBody::Search(spec.clone()),
-            RequestBody::SimilarTo { name: name(), k: 3 },
-            RequestBody::SimilarToFiltered { name: name(), k: 3, spec: spec.clone(), mode },
-            RequestBody::SimilarWithinFiltered { name: name(), radius: 3, spec, mode },
-        ];
-        let others = [
-            RequestBody::Ping,
-            RequestBody::Stats,
-            RequestBody::MetricsText,
-            RequestBody::Feedback { text: name(), category: None },
-            RequestBody::ReplState,
-            RequestBody::ReplPull {
-                generation: 1,
-                ingested: 2,
-                feedback: 3,
-                tails: [5, 6],
-                max_bytes: 4,
-            },
-        ];
-        for (body, query) in
-            queries.into_iter().map(|b| (b, true)).chain(others.map(|b| (b, false)))
-        {
-            assert_eq!(body.is_query(), query, "{body:?}");
-            assert_eq!(is_query_payload(&Request { id: 9, body }.encode()), query);
-        }
-        let payload =
-            Request { id: 9, body: RequestBody::SimilarTo { name: name(), k: 3 } }.encode();
-        assert!(is_query_payload(&payload[..=ENVELOPE_LEN]), "the tag alone decides");
-        assert!(!is_query_payload(&payload[..ENVELOPE_LEN]), "no tag, no query");
     }
 
     #[test]

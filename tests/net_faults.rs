@@ -182,11 +182,10 @@ fn over_quota_requests_are_rejected_with_typed_errors_not_stalled() {
     canary.ping().unwrap();
     let mut stream = TcpStream::connect(addr).unwrap();
 
-    // The only worker is kept busy first, by an ingest queued from another
-    // connection: otherwise it can answer (and retire) an admitted ping
-    // while the poller is still admitting the burst, and a burst fully
-    // admitted tests nothing.  Once `bytes_in` shows the ingest read, the
-    // poller queues it before it reads the burst.
+    // The only event loop is kept busy first, by an ingest from another
+    // connection: once `bytes_in` shows the ingest read, the loop is
+    // running it, so the pings below are all in the socket by the time the
+    // loop reads it again, and a burst split over two reads tests nothing.
     let patches = ArchiveGenerator::new(GeneratorConfig::tiny(48, 4031)).unwrap().generate();
     let mut ingest = Vec::new();
     let body = proto::RequestBody::Ingest { patches: patches.patches().to_vec() };
@@ -198,9 +197,9 @@ fn over_quota_requests_are_rejected_with_typed_errors_not_stalled() {
         std::thread::yield_now();
     }
 
-    // Twelve pings in ONE write: they arrive as one burst, so the poller
-    // admits exactly the quota before any response can retire in-flight
-    // slots.
+    // Twelve pings in ONE write: they arrive as one burst, and a loop
+    // admits a whole burst before it answers any of it, so exactly the
+    // quota is admitted before any response can retire in-flight slots.
     let mut burst = Vec::new();
     for id in 1..=12u64 {
         proto::write_request(&mut burst, &proto::Request { id, body: proto::RequestBody::Ping })
@@ -302,9 +301,9 @@ fn slow_readers_are_evicted_and_service_continues() {
     net.shutdown();
 }
 
-/// Workers write responses themselves, so a worker must never park on a
-/// peer: with ONE worker and one connection whose backlog is stuck (the
-/// peer never reads, the write timeout is seconds away), a canary is still
+/// An event loop writes its answers itself, so it must never park on a
+/// peer: with ONE loop and one connection whose backlog is stuck (the peer
+/// never reads, the write timeout is seconds away), a canary is still
 /// served at once — and the stuck connection is evicted when its time is up.
 #[test]
 fn a_stuck_backlog_never_parks_the_only_worker() {
@@ -322,7 +321,7 @@ fn a_stuck_backlog_never_parks_the_only_worker() {
     let mut canary = EqClient::connect(addr).unwrap();
     let expected = server.search(&ImageQuery::all()).unwrap();
 
-    // Flood without reading until a worker's write stops short: the socket
+    // Flood without reading until the loop's write stops short: the socket
     // took what its buffers hold and the rest is a backlog left to POLLOUT.
     let mut stuck = TcpStream::connect(addr).unwrap();
     let _ = stuck.set_write_timeout(Some(Duration::from_secs(2)));
@@ -342,8 +341,8 @@ fn a_stuck_backlog_never_parks_the_only_worker() {
     let stats = net.net_stats();
     assert!(stats.responses_deferred >= 1, "the unread socket must fill up: {stats:?}");
 
-    // The backlog is stuck and its connection still open; the one worker
-    // is free all the same.
+    // The backlog is stuck and its connection still open; the one loop is
+    // free all the same.
     assert_eq!(canary.search(&ImageQuery::all()).unwrap(), expected);
     canary.ping().unwrap();
     assert_eq!(net.net_stats().evicted_slow, 0, "served while the backlog was still stuck");

@@ -1,9 +1,10 @@
-//! Answers leave in request order, whoever writes them.  The event loop
-//! answers a read the result cache holds itself and files it at its
-//! request's slot, while a read the cache missed is still at a worker; so a
-//! pipelined stream of reads with repeats mixes loop answers and worker
-//! answers on one connection.  For a random such stream, sent through
-//! `EqClient::run_batch` at 1 and 4 workers, every slot's `eq_proto`
+//! Answers leave in request order, hit or miss.  An event loop answers
+//! every request of its connections itself, in order, through
+//! `QueryServer::frame`: a read the result cache holds from the cached
+//! bytes, a read it misses by running the query core; so a pipelined
+//! stream of reads with repeats mixes hits and misses on one connection.
+//! For a random such stream, sent through `EqClient::run_batch` at 1 and 4
+//! event loops (`NetConfig::workers`), every slot's `eq_proto`
 //! encoding must equal in-process `QueryServer::call`'s on a twin server,
 //! in order.  Part of the pool is cached before the batch, so hits and
 //! misses interleave from the first request on.

@@ -180,10 +180,11 @@ fn a_warm_scan_allocates_nothing() {
 /// Rows of the large cached answer the event loop frames.
 const CACHED_ROWS: usize = 4_000;
 
-/// The event loop's cache-hit path (`QueryServer::cached_frame`) frames a
-/// cached answer behind a fresh envelope: one probe, one frame buffer, one
-/// copy and one CRC of the body, so its allocations do not grow with the
-/// rows — a 20-row answer and a 4 000-row answer cost the same.
+/// A result-cache hit through `QueryServer::frame`, what the event loop
+/// writes, frames the cached answer behind a fresh envelope: one probe, one
+/// frame buffer, one copy and one CRC of the body, so its allocations do
+/// not grow with the rows — a 20-row answer and a 4 000-row answer cost the
+/// same.
 #[test]
 fn framing_a_cached_answer_allocates_the_same_at_any_row_count() {
     let archive = ArchiveGenerator::new(GeneratorConfig::tiny(CACHED_ROWS, 23)).unwrap().generate();
@@ -197,9 +198,9 @@ fn framing_a_cached_answer_allocates_the_same_at_any_row_count() {
     let mut allocations = Vec::new();
     for (request, rows) in [(&small, 20), (&large, CACHED_ROWS)] {
         let answer = server.call(&request.body); // the miss that fills the cache
-        let fingerprint = server.cache_fingerprint(&request.body).expect("a cache-keyed read");
-        let (frame, made) = counted(|| server.cached_frame(request, fingerprint));
-        let frame = frame.expect("the answer is cached");
+        let hits = server.stats().cache_hits;
+        let (frame, made) = counted(|| server.frame(request));
+        assert_eq!(server.stats().cache_hits, hits + 1, "the answer is cached");
         let response = read_response(&mut &frame[..]).unwrap().expect("one frame");
         let ResponseBody::Search(payload) = &response.body else { panic!("{:?}", response.body) };
         assert_eq!(payload.rows.len(), rows);

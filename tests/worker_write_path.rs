@@ -1,9 +1,9 @@
-//! A worker's side of the write path: its non-blocking write, the backlog
-//! it leaves for the poller's `POLLOUT`, and the eviction of a connection
+//! The write path of computed answers: an event loop's non-blocking write,
+//! the backlog it leaves for `POLLOUT`, and the eviction of a connection
 //! that stops draining.  `tests/net_faults.rs` floods with a cached
-//! `Search(all)`, which the event loop answers from the result cache; these
-//! twins of its two slow-reader tests serve an uncached server, so every
-//! answer is executed and written by a worker.
+//! `Search(all)`, whose answers are result-cache hits; these twins of its
+//! two slow-reader tests serve an uncached server, so every answer is
+//! computed by the query core before the loop writes it.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -36,8 +36,8 @@ fn search_burst(count: u64) -> Vec<u8> {
 }
 
 /// A client that floods queries and never reads its responses is evicted
-/// once the backlog its workers left trips the write cap (or stalls past
-/// the write timeout), while a healthy client keeps being served.
+/// once the backlog its loop left trips the write cap (or stalls past the
+/// write timeout), while a healthy client keeps being served.
 #[test]
 fn slow_readers_of_worker_answers_are_evicted_and_service_continues() {
     let (net, server) = serve_uncached(
@@ -75,15 +75,15 @@ fn slow_readers_of_worker_answers_are_evicted_and_service_continues() {
 
     assert_eq!(canary.search(&ImageQuery::all()).unwrap(), expected);
     canary.ping().unwrap();
-    assert_eq!(net.net_stats().answered_on_loop, 0, "every answer was a worker's");
+    assert_eq!(server.stats().cache_hits, 0, "every answer was computed");
     drop(loris);
     net.shutdown();
 }
 
-/// A worker never parks on a peer: with ONE worker and one connection
+/// An event loop never parks on a peer: with ONE loop and one connection
 /// whose backlog is stuck (the peer never reads, the write timeout is
-/// seconds away), a canary is still served at once by that worker — and
-/// the stuck connection is evicted when its time is up.
+/// seconds away), a canary is still served at once by that loop — and the
+/// stuck connection is evicted when its time is up.
 #[test]
 fn a_stuck_worker_backlog_never_parks_the_only_worker() {
     let (net, server) = serve_uncached(
@@ -100,7 +100,7 @@ fn a_stuck_worker_backlog_never_parks_the_only_worker() {
     let mut canary = EqClient::connect(addr).unwrap();
     let expected = server.search(&ImageQuery::all()).unwrap();
 
-    // Flood without reading until the worker's write stops short: the
+    // Flood without reading until the loop's write stops short: the
     // socket took what its buffers hold and the rest is left to POLLOUT.
     let mut stuck = TcpStream::connect(addr).unwrap();
     let _ = stuck.set_write_timeout(Some(Duration::from_secs(2)));
@@ -122,7 +122,7 @@ fn a_stuck_worker_backlog_never_parks_the_only_worker() {
     }
     assert_eq!(net.net_stats().evicted_slow, 1, "the stuck connection times out");
     assert_eq!(net.connections_failed(), 0, "eviction is not a protocol fault");
-    assert_eq!(net.net_stats().answered_on_loop, 0, "every answer was a worker's");
+    assert_eq!(server.stats().cache_hits, 0, "every answer was computed");
     canary.ping().unwrap();
     drop(stuck);
     net.shutdown();
