@@ -139,8 +139,8 @@ fn bench_concurrent_serving(c: &mut Criterion) {
     }
     let stats = uncached.stats();
     println!(
-        "[E8] server stats: {} queries served, shard occupancy {:?}",
-        stats.queries_served, stats.shard_occupancy
+        "[E8] server stats: {} queries served, {} images indexed",
+        stats.queries_served, stats.archive_size
     );
 }
 

@@ -61,9 +61,9 @@ impl Country {
         Country::ALL.get(usize::from(tag)).copied()
     }
 
-    /// Parses a country from its English name (case-insensitive).
+    /// The country whose [`name`](Self::name) is exactly `name`.
     pub fn from_name(name: &str) -> Option<Country> {
-        Country::ALL.iter().copied().find(|c| c.name().eq_ignore_ascii_case(name))
+        Country::ALL.into_iter().find(|c| c.name() == name)
     }
 
     /// An approximate land bounding box (continental territory) used by the
@@ -140,10 +140,10 @@ mod tests {
     }
 
     #[test]
-    fn names_roundtrip_case_insensitively() {
+    fn names_roundtrip_exactly() {
         for c in Country::ALL {
             assert_eq!(Country::from_name(c.name()), Some(c));
-            assert_eq!(Country::from_name(&c.name().to_uppercase()), Some(c));
+            assert_eq!(Country::from_name(&c.name().to_uppercase()), None);
         }
         assert_eq!(Country::from_name("Germany"), None);
     }

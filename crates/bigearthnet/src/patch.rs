@@ -117,11 +117,6 @@ impl Season {
             Season::Winter => "Winter",
         }
     }
-
-    /// Parses a season name (case-insensitive).
-    pub fn from_name(s: &str) -> Option<Season> {
-        Season::ALL.iter().copied().find(|x| x.name().eq_ignore_ascii_case(s))
-    }
 }
 
 impl std::fmt::Display for Season {
@@ -339,8 +334,6 @@ mod tests {
         assert_eq!(AcquisitionDate::new(2017, 10, 15).unwrap().season(), Season::Autumn);
         assert_eq!(AcquisitionDate::new(2018, 1, 15).unwrap().season(), Season::Winter);
         assert_eq!(AcquisitionDate::new(2018, 4, 15).unwrap().season(), Season::Spring);
-        assert_eq!(Season::from_name("spring"), Some(Season::Spring));
-        assert_eq!(Season::from_name("monsoon"), None);
     }
 
     #[test]

@@ -4,55 +4,109 @@
 //! workspace: the durable storage tier (snapshots and the write-ahead log
 //! in `eq_earthqube`) and the `eq_proto` network RPC protocol (query-by-new-
 //! example uploads, remote ingest).  Both must agree on the byte layout, so
-//! the codec lives here, next to the types it serializes.
+//! the codec lives here, next to the types it serializes.  So do the codecs
+//! of the fields the protocol carries on their own: a date ([`encode_date`],
+//! in a result row and a query's date range), a bounding box
+//! ([`encode_bbox`], a query's rectangle) and a label set
+//! ([`encode_labels`], in a result row).
 //!
-//! Every decoder is checked: truncation, an unknown country, an invalid
-//! date or a raster whose pixel buffer disagrees with its declared size all
-//! surface as [`WireError`]s, never as panics — these bytes arrive from
-//! disk *and* from the network.
+//! Every decoder is checked and strict: it accepts only what its encoder
+//! writes, so whatever decodes re-encodes to the bytes it came from.
+//! Truncation, an unknown country, a label bit past [`Label::COUNT`], an
+//! invalid date or bounding box, or a raster whose pixel buffer disagrees
+//! with its declared size all surface as [`WireError`]s, never as panics —
+//! these bytes arrive from disk *and* from the network.
 
 use eq_geo::BBox;
 use eq_wire::{Reader, WireError, Writer};
 
 use crate::bands::BandData;
 use crate::countries::Country;
-use crate::labels::LabelSet;
+use crate::labels::{Label, LabelSet};
 use crate::patch::{AcquisitionDate, Patch, PatchId, PatchMetadata};
+
+/// Encodes a date: `u16` year, `u8` month, `u8` day.
+pub fn encode_date(date: AcquisitionDate, w: &mut Writer) {
+    w.u16(date.year);
+    w.u8(date.month);
+    w.u8(date.day);
+}
+
+/// Decodes a date written by [`encode_date`].
+///
+/// # Errors
+/// Returns [`WireError`] on truncation or a date [`AcquisitionDate::new`]
+/// refuses.
+pub fn decode_date(r: &mut Reader<'_>) -> Result<AcquisitionDate, WireError> {
+    let (year, month, day) = (r.u16()?, r.u8()?, r.u8()?);
+    AcquisitionDate::new(year, month, day)
+        .ok_or_else(|| WireError::Corrupt(format!("invalid date {year}-{month}-{day}")))
+}
+
+/// Encodes a bounding box: `min_lon`, `min_lat`, `max_lon`, `max_lat` as
+/// `f64`s.
+pub fn encode_bbox(bbox: &BBox, w: &mut Writer) {
+    w.f64(bbox.min_lon);
+    w.f64(bbox.min_lat);
+    w.f64(bbox.max_lon);
+    w.f64(bbox.max_lat);
+}
+
+/// Decodes a bounding box written by [`encode_bbox`].
+///
+/// # Errors
+/// Returns [`WireError`] on truncation or a box [`BBox::new`] refuses.
+pub fn decode_bbox(r: &mut Reader<'_>) -> Result<BBox, WireError> {
+    let (min_lon, min_lat, max_lon, max_lat) = (r.f64()?, r.f64()?, r.f64()?, r.f64()?);
+    BBox::new(min_lon, min_lat, max_lon, max_lat)
+        .map_err(|e| WireError::Corrupt(format!("invalid bbox: {e}")))
+}
+
+/// Encodes a label set as its `u64` bits.
+pub fn encode_labels(labels: LabelSet, w: &mut Writer) {
+    w.u64(labels.bits());
+}
+
+/// Decodes a label set written by [`encode_labels`]: a bit at or past
+/// [`Label::COUNT`] is corrupt, not masked away.
+///
+/// # Errors
+/// Returns [`WireError`] on truncation or an out-of-range bit.
+pub fn decode_labels(r: &mut Reader<'_>) -> Result<LabelSet, WireError> {
+    let bits = r.u64()?;
+    if bits >> Label::COUNT != 0 {
+        let bit = 63 - bits.leading_zeros();
+        return Err(WireError::Corrupt(format!("label bit {bit} out of range")));
+    }
+    Ok(LabelSet::from_bits(bits))
+}
 
 /// Encodes patch metadata: dense id, name, bbox, label bits, country name,
 /// and the acquisition date.
 pub fn encode_patch_metadata(meta: &PatchMetadata, w: &mut Writer) {
     w.u32(meta.id.0);
     w.str(&meta.name);
-    w.f64(meta.bbox.min_lon);
-    w.f64(meta.bbox.min_lat);
-    w.f64(meta.bbox.max_lon);
-    w.f64(meta.bbox.max_lat);
-    w.u64(meta.labels.bits());
+    encode_bbox(&meta.bbox, w);
+    encode_labels(meta.labels, w);
     w.str(meta.country.name());
-    w.u16(meta.date.year);
-    w.u8(meta.date.month);
-    w.u8(meta.date.day);
+    encode_date(meta.date, w);
 }
 
-/// Decodes patch metadata written by [`encode_patch_metadata`].
+/// Decodes patch metadata written by [`encode_patch_metadata`]; the
+/// country is its exact [`Country::name`].
 ///
 /// # Errors
-/// Returns [`WireError`] on truncation, an invalid bounding box, an unknown
-/// country or an out-of-range date.
+/// Returns [`WireError`] on truncation, an invalid bounding box, a label
+/// bit out of range, an unknown country or an invalid date.
 pub fn decode_patch_metadata(r: &mut Reader<'_>) -> Result<PatchMetadata, WireError> {
     let id = PatchId(r.u32()?);
     let name = r.str()?.to_string();
-    let (min_lon, min_lat, max_lon, max_lat) = (r.f64()?, r.f64()?, r.f64()?, r.f64()?);
-    let bbox = BBox::new(min_lon, min_lat, max_lon, max_lat)
-        .map_err(|e| WireError::Corrupt(format!("invalid bbox for patch {name:?}: {e}")))?;
-    let labels = LabelSet::from_bits(r.u64()?);
-    let country_name = r.str()?.to_string();
-    let country = Country::from_name(&country_name)
+    let bbox = decode_bbox(r)?;
+    let labels = decode_labels(r)?;
+    let country_name = r.str()?;
+    let country = Country::from_name(country_name)
         .ok_or_else(|| WireError::Corrupt(format!("unknown country {country_name:?}")))?;
-    let (year, month, day) = (r.u16()?, r.u8()?, r.u8()?);
-    let date = AcquisitionDate::new(year, month, day)
-        .ok_or_else(|| WireError::Corrupt(format!("invalid date {year}-{month}-{day}")))?;
+    let date = decode_date(r)?;
     Ok(PatchMetadata { id, name, bbox, labels, country, date })
 }
 
@@ -196,6 +250,26 @@ mod tests {
         w.u8(1);
         let mut r = Reader::new(w.as_bytes());
         assert!(matches!(decode_patch_metadata(&mut r), Err(WireError::Corrupt(_))));
+
+        // A country name is matched exactly, not case-folded.
+        let mut bytes = encoded(|w| encode_patch_metadata(&meta, w));
+        let name = meta.country.name();
+        let at = bytes.windows(name.len()).position(|win| win == name.as_bytes()).unwrap();
+        bytes[at..at + name.len()].make_ascii_uppercase();
+        assert!(matches!(
+            decode_patch_metadata(&mut Reader::new(&bytes)),
+            Err(WireError::Corrupt(message)) if message.contains("unknown country")
+        ));
+
+        // A label bit at or past `Label::COUNT` is refused, not masked.
+        for bit in [Label::COUNT as u32, 63] {
+            let mut w = Writer::new();
+            w.u64(meta.labels.bits() | 1 << bit);
+            assert!(matches!(
+                decode_labels(&mut Reader::new(w.as_bytes())),
+                Err(WireError::Corrupt(message)) if message.contains(&format!("label bit {bit} "))
+            ));
+        }
 
         // Invalid date (month 13).
         let mut bytes = encoded(|w| encode_patch_metadata(&meta, w));

@@ -61,11 +61,6 @@ impl Database {
         self.collections.values()
     }
 
-    /// Rebuilds a database from decoded collections (snapshot restoration).
-    pub(crate) fn from_collections(collections: Vec<Collection>) -> Self {
-        Self { collections: collections.into_iter().map(|c| (c.name().to_string(), c)).collect() }
-    }
-
     /// Installs a fully decoded collection, replacing any existing one
     /// with the same name — how an older checkpoint's full collection
     /// chunk is applied during recovery.

@@ -35,9 +35,7 @@ pub use filter::Filter;
 pub use index::{AttributeIndex, GeoIndex};
 pub use prefilter::PrefilterPlan;
 pub use value::{Document, Value};
-pub use wire::{
-    decode_database, decode_document, decode_value, encode_database, encode_document, encode_value,
-};
+pub use wire::{decode_document, decode_value, encode_document, encode_value};
 
 /// Internal identifier of a stored document.
 pub type DocId = u64;

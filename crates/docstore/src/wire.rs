@@ -1,5 +1,5 @@
-//! Binary wire format for the document store: values, documents,
-//! collections and whole databases.
+//! Binary wire format for the document store: values, documents and
+//! collections.
 //!
 //! This is the docstore's half of the durable snapshot format (see the
 //! repository's `ARCHITECTURE.md`, "Durability"): little-endian, length
@@ -19,18 +19,22 @@
 //!                attrs:u32 string*                (attribute-index fields)
 //!                geo:u8 [string]                  (optional geo-index field)
 //!                docs:u32 (doc_id:u64 document)*  (in insertion order)
-//! database    := n:u32 collection*n               (in name order)
 //! ```
+//!
+//! A document and a `Doc` value hold their fields in strictly ascending key
+//! order, which is the only order the encoder writes: a decoder refuses any
+//! other, so whatever decodes re-encodes to the bytes it came from.
+//! Collections (and their deltas) are read only from the legacy checkpoint
+//! chunks; their encoders stay as the reference the tests write them with.
 //!
 //! Only *storage* state is serialized; query filters are runtime values and
 //! are deliberately not part of the format.  Encoding is deterministic
 //! (documents iterate their `BTreeMap` fields in key order, collections in
-//! insertion order, databases in name order), so encoding the same logical
-//! state twice yields byte-identical output — which is what lets the
-//! property suite assert encode→decode→encode fixpoints.
+//! insertion order), so encoding the same logical state twice yields
+//! byte-identical output — which is what lets the property suite assert
+//! encode→decode→encode fixpoints.
 
 use crate::collection::{Collection, CollectionDelta};
-use crate::database::Database;
 use crate::value::{Document, Value};
 use crate::DocId;
 use eq_wire::{Reader, WireError, Writer};
@@ -123,18 +127,7 @@ fn decode_value_at(r: &mut Reader<'_>, depth: usize) -> Result<Value, WireError>
             }
             Ok(Value::Array(items))
         }
-        TAG_DOC => {
-            let n = r.seq_len(1)?;
-            let mut fields = std::collections::BTreeMap::new();
-            for _ in 0..n {
-                let key = r.str()?.to_string();
-                let val = decode_value_at(r, depth + 1)?;
-                if fields.insert(key.clone(), val).is_some() {
-                    return Err(WireError::Corrupt(format!("duplicate document key {key:?}")));
-                }
-            }
-            Ok(Value::Doc(fields))
-        }
+        TAG_DOC => Ok(Value::Doc(decode_fields(r, depth + 1)?.into_iter().collect())),
         TAG_BYTES => Ok(Value::Bytes(r.bytes()?.to_vec())),
         TAG_DATE => Ok(Value::Date(r.i64()?)),
         other => Err(WireError::Corrupt(format!("unknown value tag {other:#04x}"))),
@@ -155,19 +148,22 @@ pub fn encode_document(doc: &Document, w: &mut Writer) {
 /// # Errors
 /// Returns a [`WireError`] on any structural problem; never panics.
 pub fn decode_document(r: &mut Reader<'_>) -> Result<Document, WireError> {
+    Ok(decode_fields(r, 1)?.into_iter().collect())
+}
+
+/// The fields of a document or a `Doc` value whose values sit at `depth`:
+/// keys strictly ascending, as the encoder writes them.
+fn decode_fields(r: &mut Reader<'_>, depth: usize) -> Result<Vec<(String, Value)>, WireError> {
     let n = r.seq_len(1)?;
-    let mut fields = Vec::with_capacity(n);
-    let mut last_key: Option<String> = None;
+    let mut fields: Vec<(String, Value)> = Vec::with_capacity(n);
     for _ in 0..n {
-        let key = r.str()?.to_string();
-        if last_key.as_deref().is_some_and(|prev| prev >= key.as_str()) {
+        let key = r.str()?;
+        if fields.last().is_some_and(|(prev, _)| prev.as_str() >= key) {
             return Err(WireError::Corrupt(format!("document keys out of order at {key:?}")));
         }
-        let value = decode_value_at(r, 1)?;
-        last_key = Some(key.clone());
-        fields.push((key, value));
+        fields.push((key.to_string(), decode_value_at(r, depth)?));
     }
-    Ok(fields.into_iter().collect())
+    Ok(fields)
 }
 
 /// Encodes a collection: schema (name, primary key, declared indexes) plus
@@ -275,27 +271,6 @@ pub fn decode_collection_delta(r: &mut Reader<'_>) -> Result<CollectionDelta, Wi
     Ok(CollectionDelta { name, next_id, deletes, upserts })
 }
 
-/// Encodes a database (collections in name order).
-pub fn encode_database(db: &Database, w: &mut Writer) {
-    w.seq_len(db.len());
-    for collection in db.collections() {
-        encode_collection(collection, w);
-    }
-}
-
-/// Decodes a database.
-///
-/// # Errors
-/// Returns a [`WireError`] on any structural problem; never panics.
-pub fn decode_database(r: &mut Reader<'_>) -> Result<Database, WireError> {
-    let n = r.seq_len(1)?;
-    let mut collections = Vec::with_capacity(n);
-    for _ in 0..n {
-        collections.push(decode_collection(r)?);
-    }
-    Ok(Database::from_collections(collections))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,6 +317,23 @@ mod tests {
         assert!(matches!(decode_value(&mut r), Err(WireError::Corrupt(_))));
     }
 
+    /// A `Doc` value's keys, like a document's, must be strictly
+    /// ascending: out of order or repeated, they are corrupt.
+    #[test]
+    fn nested_keys_out_of_order_are_corrupt() {
+        for keys in [["b", "a"], ["a", "a"]] {
+            let mut w = Writer::new();
+            w.u8(TAG_DOC);
+            w.seq_len(2);
+            for key in keys {
+                w.str(key);
+                encode_value(&Value::Null, &mut w);
+            }
+            let mut r = Reader::new(w.as_bytes());
+            assert!(matches!(decode_value(&mut r), Err(WireError::Corrupt(_))), "{keys:?}");
+        }
+    }
+
     #[test]
     fn nesting_depth_is_bounded() {
         // A tower of one-element arrays deeper than the limit.
@@ -380,20 +372,6 @@ mod tests {
         let mut back = back;
         let new_id = back.insert(sample_doc("fresh")).unwrap();
         assert_eq!(new_id, c.next_id());
-    }
-
-    #[test]
-    fn database_roundtrip() {
-        let mut db = Database::new();
-        db.create_collection("metadata", "name").insert(sample_doc("p")).unwrap();
-        db.create_collection("feedback", "id")
-            .insert(Document::new().with("id", 0i64).with("text", "hi"))
-            .unwrap();
-        let bytes = encode_to_vec(&db, encode_database);
-        let back = decode_database(&mut Reader::new(&bytes)).unwrap();
-        assert_eq!(back.collection_names(), db.collection_names());
-        assert_eq!(back.collection("metadata").unwrap().len(), 1);
-        assert_eq!(encode_to_vec(&back, encode_database), bytes);
     }
 
     #[test]
@@ -488,13 +466,13 @@ mod tests {
     }
 
     #[test]
-    fn truncated_database_prefixes_error_cleanly() {
-        let mut db = Database::new();
-        db.create_collection("metadata", "name").insert(sample_doc("p")).unwrap();
-        let bytes = encode_to_vec(&db, encode_database);
+    fn truncated_collection_prefixes_error_cleanly() {
+        let mut c = Collection::new("metadata", "name");
+        c.insert(sample_doc("p")).unwrap();
+        let bytes = encode_to_vec(&c, encode_collection);
         for cut in 0..bytes.len() {
             assert!(
-                decode_database(&mut Reader::new(&bytes[..cut])).is_err(),
+                decode_collection(&mut Reader::new(&bytes[..cut])).is_err(),
                 "strict prefix of {cut}/{} bytes decoded",
                 bytes.len()
             );

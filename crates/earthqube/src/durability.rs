@@ -148,8 +148,7 @@ impl Attachment {
     /// batch boundary, so sealed segments are always clean-ended.
     fn rotate(&mut self, faults: &Faults) -> Result<(), EarthQubeError> {
         let next = self.segment_index + 1;
-        let path = self.dir.join(persist::segment_file_name(next));
-        self.writer = WalWriter::create(&path, self.manifest.generation, next, faults)?;
+        self.writer = WalWriter::create(&self.dir, self.manifest.generation, next, faults)?;
         self.segment_index = next;
         self.segment_bytes = SEGMENT_HEADER_LEN;
         Ok(())
@@ -321,14 +320,14 @@ impl Durability {
         tail: ChainTail,
         persisted: [usize; 2],
     ) -> Result<(), EarthQubeError> {
-        let path = |index| dir.join(persist::segment_file_name(index));
         let live = match tail {
             ChainTail::Reopen { index, valid_len } => {
-                (index, valid_len, WalWriter::open_truncated(&path(index), valid_len)?)
+                let path = dir.join(persist::segment_file_name(index));
+                (index, valid_len, WalWriter::open_truncated(&path, valid_len)?)
             }
             ChainTail::Create { index } => {
                 let generation = manifest.generation;
-                let writer = WalWriter::create(&path(index), generation, index, &self.faults)?;
+                let writer = WalWriter::create(dir, generation, index, &self.faults)?;
                 (index, SEGMENT_HEADER_LEN, writer)
             }
         };
@@ -456,8 +455,7 @@ impl Durability {
                 _ => persist::unique_generation(dir, persist::generation_nonce()),
             };
             let first_segment = persist::next_free_segment_index(dir)?;
-            let path = dir.join(persist::segment_file_name(first_segment));
-            let writer = WalWriter::create(&path, generation, first_segment, &self.faults)?;
+            let writer = WalWriter::create(dir, generation, first_segment, &self.faults)?;
             let manifest = Manifest { seq, generation, first_segment, chunks: Vec::new() };
             (manifest, [0, 0], Some(NewLineage { writer, static_body, dir_lock }))
         } else {

@@ -1188,9 +1188,8 @@ impl Drop for NetServer {
 }
 
 /// Renders the serving counters and the network-tier counters as
-/// Prometheus-style scrape text (one `name value` line per counter,
-/// index occupancy with a `shard` label, one series for the one arena,
-/// and one connection gauge per event loop with a `loop` label).
+/// Prometheus-style scrape text (one `name value` line per counter, and
+/// one connection gauge per event loop with a `loop` label).
 pub(crate) fn render_metrics(stats: &ServerStats, net: &NetTierStats) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -1204,9 +1203,6 @@ pub(crate) fn render_metrics(stats: &ServerStats, net: &NetTierStats) -> String 
     let _ = writeln!(out, "eq_filter_cache_bytes {}", stats.filter_cache_bytes);
     let _ = writeln!(out, "eq_archive_size {}", stats.archive_size);
     let _ = writeln!(out, "eq_ingested_images_total {}", stats.ingested_images);
-    for (shard, occupancy) in stats.shard_occupancy.iter().enumerate() {
-        let _ = writeln!(out, "eq_shard_occupancy{{shard=\"{shard}\"}} {occupancy}");
-    }
     let _ = writeln!(out, "eq_net_accepted_total {}", net.accepted);
     let _ = writeln!(out, "eq_net_rejected_overload_total {}", net.rejected_overload);
     let _ = writeln!(out, "eq_net_evicted_slow_total {}", net.evicted_slow);
@@ -1860,10 +1856,6 @@ mod tests {
         assert_eq!(metric("eq_net_evicted_slow_total"), 0);
         assert!(metric("eq_net_bytes_in_total") > 0);
         assert!(metric("eq_net_bytes_out_total") > 0);
-        for (shard, &occupancy) in stats.shard_occupancy.iter().enumerate() {
-            let label = format!("eq_shard_occupancy{{shard=\"{shard}\"}}");
-            assert_eq!(metric(&label), occupancy as u64);
-        }
         // A closed loop of small answers: every response is flushed by the
         // worker that produced it (counted right after its write, so the
         // third may still be uncounted here), and each of the four requests

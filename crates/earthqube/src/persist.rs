@@ -159,6 +159,7 @@ pub mod failpoints {
     pub const ALL_POINTS: &[&str] = &[
         "segment-precreate",
         "segment-header-sync",
+        "segment-dir-sync",
         "chunk-write",
         "chunk-sync",
         "manifest-write",
@@ -776,13 +777,7 @@ pub(crate) fn encode_ingest(
 pub(crate) fn encode_feedback(text: &str, category: Option<&str>, w: &mut Writer) {
     w.u8(RECORD_FEEDBACK);
     w.str(text);
-    match category {
-        Some(c) => {
-            w.u8(1);
-            w.str(c);
-        }
-        None => w.u8(0),
-    }
+    w.opt_str(category);
 }
 
 /// Decodes one WAL payload, which must hold exactly one record.
@@ -808,15 +803,10 @@ fn read_record(r: &mut Reader<'_>) -> Result<WalRecord, WireError> {
             image_doc: wire::decode_document(r)?,
             rendered_doc: wire::decode_document(r)?,
         },
-        RECORD_FEEDBACK => {
-            let text = r.str()?.to_string();
-            let category = match r.u8()? {
-                0 => None,
-                1 => Some(r.str()?.to_string()),
-                other => return Err(WireError::Corrupt(format!("invalid category flag {other}"))),
-            };
-            WalRecord::Feedback { text, category }
-        }
+        RECORD_FEEDBACK => WalRecord::Feedback {
+            text: r.str()?.to_string(),
+            category: r.opt_str()?.map(str::to_string),
+        },
         other => return Err(WireError::Corrupt(format!("unknown WAL record type {other}"))),
     })
 }
@@ -927,12 +917,14 @@ impl std::fmt::Debug for WalWriter {
 }
 
 impl WalWriter {
-    /// Creates (or resets) a segment file, writing and syncing its header.
+    /// Creates (or resets) segment `index` of `dir`, writing and syncing
+    /// its header, then syncs `dir`, so the segment's directory entry is as
+    /// durable as the records about to be acknowledged from it.
     /// Exclusivity comes from the directory lock, not per-file locks —
     /// callers hold the attachment's [`DirLock`] (or are mid-recovery,
     /// which takes it first).
     pub(crate) fn create(
-        path: &Path,
+        dir: &Path,
         generation: u32,
         index: u32,
         faults: &Faults,
@@ -942,7 +934,7 @@ impl WalWriter {
             .write(true)
             .create(true)
             .truncate(false)
-            .open(path)
+            .open(dir.join(segment_file_name(index)))
             .map_err(|e| io_error("creating a WAL segment", e))?;
         file.set_len(0).map_err(|e| io_error("resetting a WAL segment", e))?;
         file.write_all(SEGMENT_MAGIC).map_err(|e| io_error("writing a segment header", e))?;
@@ -951,6 +943,8 @@ impl WalWriter {
         file.write_all(&index.to_le_bytes()).map_err(|e| io_error("writing a segment index", e))?;
         faults.check("segment-header-sync")?;
         file.sync_data().map_err(|e| io_error("syncing a segment header", e))?;
+        faults.check("segment-dir-sync")?;
+        sync_dir(dir)?;
         Ok(Self { file })
     }
 
@@ -1403,7 +1397,7 @@ mod tests {
     fn segment_scan_classifies_crash_shapes() {
         let dir = Scratch::new("segment_scan");
         let path = dir.path().join(segment_file_name(0));
-        let mut writer = WalWriter::create(&path, 7, 0, &Faults::default()).unwrap();
+        let mut writer = WalWriter::create(dir.path(), 7, 0, &Faults::default()).unwrap();
         writer.append(&feedback_record("hello", None)).unwrap();
         writer.append(&feedback_record("world", Some("cat"))).unwrap();
         writer.sync().unwrap();
@@ -1445,13 +1439,7 @@ mod tests {
     fn segment_chain_validates_contiguity() {
         let dir = Scratch::new("chain");
         for index in 0..3u32 {
-            let mut writer = WalWriter::create(
-                &dir.path().join(segment_file_name(index)),
-                9,
-                index,
-                &Faults::default(),
-            )
-            .unwrap();
+            let mut writer = WalWriter::create(dir.path(), 9, index, &Faults::default()).unwrap();
             writer.append(&feedback_record(&format!("seg{index}"), None)).unwrap();
             writer.sync().unwrap();
         }
@@ -1470,8 +1458,7 @@ mod tests {
         // A trailing stale-generation segment is checkpoint debris: ignored.
         let chain = read_segment_chain(dir.path(), 9, 2).unwrap();
         assert_eq!(chain.records.len(), 1);
-        WalWriter::create(&dir.path().join(segment_file_name(3)), 77, 3, &Faults::default())
-            .unwrap();
+        WalWriter::create(dir.path(), 77, 3, &Faults::default()).unwrap();
         let chain = read_segment_chain(dir.path(), 9, 2).unwrap();
         assert_eq!(chain.records.len(), 1);
         assert!(matches!(chain.tail, ChainTail::Reopen { index: 2, .. }));
@@ -1485,13 +1472,7 @@ mod tests {
     fn retirement_deletes_only_covered_segments() {
         let dir = Scratch::new("retire");
         for index in 0..4u32 {
-            WalWriter::create(
-                &dir.path().join(segment_file_name(index)),
-                5,
-                index,
-                &Faults::default(),
-            )
-            .unwrap();
+            WalWriter::create(dir.path(), 5, index, &Faults::default()).unwrap();
         }
         assert_eq!(retire_segments(dir.path(), 2, &Faults::default()).unwrap(), 2);
         let left: Vec<u32> =
@@ -1539,12 +1520,153 @@ mod tests {
         let dir = Scratch::new("gen");
         let candidate = crc32(b"static chunk bytes");
         let first = unique_generation(dir.path(), candidate);
-        WalWriter::create(&dir.path().join(segment_file_name(0)), first, 0, &Faults::default())
-            .unwrap();
+        WalWriter::create(dir.path(), first, 0, &Faults::default()).unwrap();
         let second = unique_generation(dir.path(), candidate);
         assert_ne!(first, second, "a new lineage must not reuse a generation still on disk");
         assert_ne!(unique_generation(dir.path(), 0), 0, "0 means no lineage");
         let nonces: std::collections::HashSet<u32> = (0..64).map(|_| generation_nonce()).collect();
         assert!(nonces.len() > 60, "lineages built alike draw distinct generations");
+    }
+
+    /// The durable tier's half of the codec property (the public codecs'
+    /// half is `tests/proptest_codecs.rs`): a random WAL record, and a
+    /// records chunk body of random records, re-encode to their own bytes,
+    /// and the same bytes with one byte overwritten or one bit flipped
+    /// either fail to decode or re-encode to the damaged bytes.
+    mod codec_property {
+        use super::*;
+        use eq_bigearthnet::patch::{AcquisitionDate, PatchId};
+        use eq_bigearthnet::{Country, Label, LabelSet};
+        use eq_geo::BBox;
+        use proptest::prelude::*;
+
+        /// Draws from a byte script; an exhausted script reads as zeros.
+        fn take(script: &mut &[u8], n: usize) -> u64 {
+            (0..n).fold(0, |out, _| {
+                let (byte, rest) = script.split_first().map_or((0, *script), |(b, r)| (*b, r));
+                *script = rest;
+                out << 8 | u64::from(byte)
+            })
+        }
+
+        fn string(script: &mut &[u8]) -> String {
+            let len = take(script, 1) % 7;
+            (0..len)
+                .map(|_| char::from_u32(take(script, 2) as u32 % 0xD7FF).unwrap_or('ø'))
+                .collect()
+        }
+
+        fn value(script: &mut &[u8], depth: u32) -> Value {
+            match take(script, 1) % if depth == 0 { 5 } else { 7 } {
+                0 => Value::Null,
+                1 => Value::Int(take(script, 8) as i64),
+                2 => Value::Float(take(script, 2) as i16 as f64 / 8.0),
+                3 => Value::Str(string(script)),
+                4 => {
+                    Value::Bytes((0..take(script, 1) % 5).map(|_| take(script, 1) as u8).collect())
+                }
+                5 => Value::Array(
+                    (0..take(script, 1) % 3).map(|_| value(script, depth - 1)).collect(),
+                ),
+                _ => Value::Doc(
+                    (0..take(script, 1) % 3)
+                        .map(|_| (string(script), value(script, depth - 1)))
+                        .collect(),
+                ),
+            }
+        }
+
+        fn document(script: &mut &[u8]) -> Document {
+            (0..take(script, 1) % 4).map(|_| (string(script), value(script, 2))).collect()
+        }
+
+        fn record(script: &mut &[u8]) -> WalRecord {
+            if take(script, 1) % 2 == 1 {
+                let text = string(script);
+                let category = (take(script, 1) % 2 == 1).then(|| string(script));
+                return WalRecord::Feedback { text, category };
+            }
+            let (lon, lat) = (take(script, 1) as f64 / 4.0 - 30.0, take(script, 1) as f64 / 4.0);
+            let meta = PatchMetadata {
+                id: PatchId(take(script, 4) as u32),
+                name: string(script),
+                bbox: BBox::new(lon, lat, lon + 0.5, lat + 0.5).expect("ordered bbox"),
+                labels: LabelSet::from_bits(take(script, 8) & ((1 << Label::COUNT) - 1)),
+                country: Country::ALL[take(script, 1) as usize % Country::ALL.len()],
+                date: AcquisitionDate::new(2017, 1 + take(script, 1) as u8 % 12, 1).expect("date"),
+            };
+            let bits = 1 + take(script, 1) as u32 % 128;
+            let words = (0..bits.div_ceil(64)).map(|_| take(script, 8)).collect();
+            let code = BinaryCode::from_words(bits, words);
+            WalRecord::Ingest {
+                meta,
+                code,
+                image_doc: document(script),
+                rendered_doc: document(script),
+            }
+        }
+
+        /// The records chunk body `records` make, from `start`.
+        fn chunk_bytes(start: usize, records: &[WalRecord]) -> Vec<u8> {
+            let mut w = records_chunk(start);
+            records.iter().for_each(|record| w.raw(&record.encode()));
+            w.into_bytes()
+        }
+
+        /// A decoded body re-encoded, or `None` for any kind but records.
+        fn reencoded_chunk(body: &[u8]) -> Option<Result<Vec<u8>, EarthQubeError>> {
+            match decode_chunk_body(body) {
+                Ok(ChunkPayload::Records { start, records }) => {
+                    Some(Ok(chunk_bytes(start as usize, &records)))
+                }
+                Ok(_) => None,
+                Err(e) => Some(Err(e)),
+            }
+        }
+
+        fn damaged(mut bytes: Vec<u8>, (at, byte, flip): (usize, u8, bool)) -> Vec<u8> {
+            let at = at % bytes.len();
+            if flip {
+                bytes[at] ^= 1 << (byte % 8);
+            } else {
+                bytes[at] = byte;
+            }
+            bytes
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn wal_records_accept_only_what_they_write(
+                script in proptest::collection::vec(0u8..=255u8, 0..160),
+                damage in (0usize..1 << 20, 0u8..=255u8, any::<bool>()),
+            ) {
+                let bytes = record(&mut script.as_slice()).encode();
+                prop_assert_eq!(decode_record(&bytes).map(|back| back.encode()), Ok(bytes.clone()));
+                let bytes = damaged(bytes, damage);
+                if let Ok(back) = decode_record(&bytes) {
+                    prop_assert!(back.encode() == bytes, "a damaged record re-encodes otherwise");
+                }
+            }
+
+            #[test]
+            fn records_chunks_accept_only_what_they_write(
+                script in proptest::collection::vec(0u8..=255u8, 0..240),
+                damage in (0usize..1 << 20, 0u8..=255u8, any::<bool>()),
+            ) {
+                let mut script = script.as_slice();
+                let start = take(&mut script, 2) as usize;
+                let records: Vec<_> = (0..take(&mut script, 1) % 4).map(|_| record(&mut script)).collect();
+                let bytes = chunk_bytes(start, &records);
+                prop_assert!(matches!(reencoded_chunk(&bytes), Some(Ok(back)) if back == bytes));
+                let bytes = damaged(bytes, damage);
+                match reencoded_chunk(&bytes) {
+                    Some(Ok(back)) => prop_assert!(back == bytes, "a damaged chunk re-encodes otherwise"),
+                    Some(Err(_)) => {}
+                    None => prop_assert!(false, "a damaged records chunk decoded as another kind"),
+                }
+            }
+        }
     }
 }

@@ -107,8 +107,8 @@ use crate::EarthQubeError;
 pub struct ServeConfig {
     /// No longer affects serving: the CBIR index is one arena, whatever
     /// the value.  It stays because the static checkpoint chunk persists it
-    /// (normalised to at least 1, which recovery checks) and the benchmark
-    /// harness reads it; ROADMAP item 2 deletes it.
+    /// (normalised to at least 1, which recovery checks) and the frozen
+    /// benchmark harness sets it; ROADMAP item 2 (iv) deletes it.
     pub shards: usize,
     /// Maximum number of cached query results; `0` disables the cache.
     pub cache_capacity: usize,
@@ -520,7 +520,6 @@ impl QueryServer {
         let cache_hits = self.cache_hits.load(Ordering::Relaxed);
         let cache_misses = self.cache_misses.load(Ordering::Relaxed);
         let failed = self.failed_queries.load(Ordering::Relaxed);
-        // One arena, so one occupancy: the wire field keeps its shape.
         let archive_size = self.catalog.read().metadata.len();
         ServerStats {
             queries_served: cache_hits + cache_misses + failed,
@@ -533,7 +532,6 @@ impl QueryServer {
             filter_cache_bytes: self.filter_cache.used(),
             archive_size,
             ingested_images: (archive_size - self.constructed_size) as u64,
-            shard_occupancy: vec![archive_size],
         }
     }
 
@@ -1726,7 +1724,7 @@ mod tests {
         let text = srv.stats().render();
         assert!(text.contains("1 queries served"));
         assert!(text.contains("12 images indexed"));
-        assert!(text.contains("shard occupancy"));
+        assert!(text.contains("filters resolved from cache"));
         assert!(!format!("{srv:?}").is_empty());
     }
 
@@ -1773,7 +1771,6 @@ mod tests {
             ArchiveGenerator::new(GeneratorConfig::tiny(1, 3131)).unwrap().generate_patch(0);
         let expected_size = srv.archive_size();
         let expected_feedback = srv.list_feedback().unwrap();
-        let expected_occupancy = srv.stats().shard_occupancy;
         let expected_all = srv.search(&ImageQuery::all()).unwrap();
         let expected_similar = srv.similar_to(name, 6).unwrap();
         let expected_new_example = srv.search_by_new_example(&external, 5).unwrap();
@@ -1783,7 +1780,7 @@ mod tests {
         assert_eq!(back.archive_size(), expected_size);
         assert_eq!(back.stats().ingested_images, 4, "WAL replay counts as live ingest");
         assert_eq!(back.list_feedback().unwrap(), expected_feedback);
-        assert_eq!(back.stats().shard_occupancy, expected_occupancy);
+        assert_eq!(back.stats().archive_size, expected_size);
 
         // Byte-identical responses, including the model-dependent
         // query-by-new-example path (the model weights round-tripped).
@@ -1906,11 +1903,11 @@ mod tests {
     }
 
     /// Answers that read the Hamming index (k-NN, filtered radius) next to
-    /// the query panel's and the reported occupancy.
+    /// the query panel's and the reported archive size.
     fn index_answers(
         srv: &QueryServer,
         names: &[&String],
-    ) -> (SearchResponse, Vec<SearchResponse>, Vec<FilteredResponse>, Vec<usize>) {
+    ) -> (SearchResponse, Vec<SearchResponse>, Vec<FilteredResponse>, usize) {
         let filter = ImageQuery::all().with_seasons(vec![
             eq_bigearthnet::patch::Season::Summer,
             eq_bigearthnet::patch::Season::Winter,
@@ -1922,7 +1919,7 @@ mod tests {
                 srv.similar_within_filtered(name, 24, &filter, PrefilterMode::Auto).unwrap()
             })
             .collect();
-        (srv.search(&ImageQuery::all()).unwrap(), similar, within, srv.stats().shard_occupancy)
+        (srv.search(&ImageQuery::all()).unwrap(), similar, within, srv.stats().archive_size)
     }
 
     /// Each record sequence compacts on its own: once

@@ -43,7 +43,7 @@ fn build_world() -> World {
     config.milan.epochs = 3;
     let engine = EarthQube::build(&archive, config.clone()).unwrap();
     let server = QueryServer::build(&archive, config, ServeConfig::default()).unwrap();
-    assert_eq!(server.stats().shard_occupancy, [PATCHES], "the server indexes every patch once");
+    assert_eq!(server.stats().archive_size, PATCHES, "the server indexes every patch once");
     let cbir = engine.cbir().unwrap();
     let codes = archive.patches().iter().map(|p| cbir.code_of(&p.meta.name).unwrap().clone());
     World { codes: codes.collect(), archive, engine, server }

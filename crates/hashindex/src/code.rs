@@ -202,11 +202,13 @@ impl BinaryCode {
     }
 
     /// Decodes a code written by [`encode`](Self::encode), validating the
-    /// width against the remaining input before allocating.
+    /// width against the remaining input before allocating.  The last
+    /// word's bits past the width are zero in every encoded code, and a set
+    /// one is refused, not masked away.
     ///
     /// # Errors
-    /// Returns a [`eq_wire::WireError`] on truncation or a zero width;
-    /// never panics.
+    /// Returns a [`eq_wire::WireError`] on truncation, a zero width or a
+    /// set bit past the width; never panics.
     pub fn decode(r: &mut eq_wire::Reader<'_>) -> Result<Self, eq_wire::WireError> {
         let bits = r.u32()?;
         if bits == 0 {
@@ -223,6 +225,12 @@ impl BinaryCode {
         let mut words = Vec::with_capacity(n_words);
         for _ in 0..n_words {
             words.push(r.u64()?);
+        }
+        let rem = bits % 64;
+        if rem != 0 && words.last().is_some_and(|&last| last >> rem != 0) {
+            return Err(eq_wire::WireError::Corrupt(format!(
+                "code of {bits} bits has bits past it"
+            )));
         }
         Ok(Self::from_words(bits, words))
     }
@@ -435,5 +443,23 @@ mod tests {
         let c = BinaryCode::zeros(128);
         let s = format!("{c}");
         assert!(s.contains("128"));
+    }
+
+    /// A code round-trips exactly, and a set bit past its width (which no
+    /// encoder writes) is refused rather than masked away.
+    #[test]
+    fn decode_accepts_only_what_encode_writes() {
+        let code = BinaryCode::from_words(48, vec![0xABCD_1234_5678]);
+        let mut w = eq_wire::Writer::new();
+        code.encode(&mut w);
+        let mut bytes = w.into_bytes();
+        let mut r = eq_wire::Reader::new(&bytes);
+        assert_eq!(BinaryCode::decode(&mut r).unwrap(), code);
+        assert!(r.is_empty());
+        *bytes.last_mut().unwrap() = 0x80;
+        assert!(matches!(
+            BinaryCode::decode(&mut eq_wire::Reader::new(&bytes)),
+            Err(eq_wire::WireError::Corrupt(_))
+        ));
     }
 }

@@ -84,10 +84,15 @@
 //! A remote client therefore reconstructs results byte-identical to an
 //! in-process call ([`ResultEntry`] says how each typed field of a row
 //! crosses the wire).  Every enum the protocol carries crosses as a `u8`
-//! tag, a date as `u16` year, `u8` month, `u8` day, a label set as its
-//! `u64` bits, and a label count as a `u32`.  Protocol drift is guarded by the golden-bytes
-//! conformance suite in `tests/golden_bytes.rs`: the encoding of every
-//! message type is pinned to committed fixture files.
+//! tag and a label count as a `u32`.  The patch fields have one codec
+//! each, in `eq_bigearthnet::wire`, which the patch codec of uploads, WAL
+//! records and checkpoints shares: a date (`u16` year, `u8` month, `u8`
+//! day), a bounding box (four `f64`s, also a query's rectangle) and a label
+//! set (its `u64` bits).  Every decoder accepts only what its encoder
+//! writes, so whatever decodes re-encodes to the bytes it came from.
+//! Protocol drift is guarded by the golden-bytes conformance suite in
+//! `tests/golden_bytes.rs`: the encoding of every message type is pinned
+//! to committed fixture files.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -95,15 +100,18 @@
 use std::io::{Read, Write};
 
 use eq_bigearthnet::patch::{AcquisitionDate, Patch, PatchMetadata, Satellite, Season};
-use eq_bigearthnet::wire::{decode_patch, encode_patch};
+use eq_bigearthnet::wire::{
+    decode_bbox, decode_date, decode_labels, decode_patch, encode_bbox, encode_date, encode_labels,
+    encode_patch,
+};
 use eq_bigearthnet::{Country, Label, LabelSet};
-use eq_geo::{BBox, Circle, GeoShape, Point, Polygon};
+use eq_geo::{Circle, GeoShape, Point, Polygon};
 use eq_wire::frame::{begin_frame, end_frame, read_frame, write_frame, FrameError, HEADER_LEN};
 use eq_wire::{Reader, WireError, Writer};
 
 /// Protocol version; bumped on any byte-layout change.  Decoders reject
 /// frames carrying any other version.
-pub const PROTOCOL_VERSION: u16 = 3;
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Frame magic of client→server frames.
 pub const REQUEST_MAGIC: [u8; 4] = *b"EQRQ";
@@ -347,7 +355,7 @@ impl RequestBody {
             RequestBody::Feedback { text, category } => {
                 w.u8(REQ_FEEDBACK);
                 w.str(text);
-                encode_option_str(category.as_deref(), w);
+                w.opt_str(category.as_deref());
             }
             RequestBody::Stats => w.u8(REQ_STATS),
             RequestBody::MetricsText => w.u8(REQ_METRICS_TEXT),
@@ -418,7 +426,7 @@ impl Request {
             }
             REQ_FEEDBACK => RequestBody::Feedback {
                 text: r.str()?.to_string(),
-                category: decode_option_str(&mut r)?,
+                category: r.opt_str()?.map(str::to_string),
             },
             REQ_STATS => RequestBody::Stats,
             REQ_METRICS_TEXT => RequestBody::MetricsText,
@@ -786,18 +794,6 @@ impl QuerySpec {
     }
 }
 
-fn encode_date(date: AcquisitionDate, w: &mut Writer) {
-    w.u16(date.year);
-    w.u8(date.month);
-    w.u8(date.day);
-}
-
-fn decode_date(r: &mut Reader<'_>) -> Result<AcquisitionDate, WireError> {
-    let (year, month, day) = (r.u16()?, r.u8()?, r.u8()?);
-    AcquisitionDate::new(year, month, day)
-        .ok_or_else(|| WireError::Corrupt(format!("invalid date {year}-{month}-{day}")))
-}
-
 /// Reads a country's tag (`Country::tag`; `Country::from_tag` owns the
 /// mapping): a tag no country has is corrupt.
 fn read_country(r: &mut Reader<'_>) -> Result<Country, WireError> {
@@ -813,10 +809,7 @@ fn encode_geo_shape(shape: &GeoShape, w: &mut Writer) {
     match shape {
         GeoShape::Rect(bbox) => {
             w.u8(SHAPE_RECT);
-            w.f64(bbox.min_lon);
-            w.f64(bbox.min_lat);
-            w.f64(bbox.max_lon);
-            w.f64(bbox.max_lat);
+            encode_bbox(bbox, w);
         }
         GeoShape::Circle(circle) => {
             w.u8(SHAPE_CIRCLE);
@@ -838,10 +831,7 @@ fn encode_geo_shape(shape: &GeoShape, w: &mut Writer) {
 fn decode_geo_shape(r: &mut Reader<'_>) -> Result<GeoShape, WireError> {
     let geo = |e: eq_geo::GeoError| WireError::Corrupt(format!("invalid query shape: {e}"));
     match r.u8()? {
-        SHAPE_RECT => {
-            let (min_lon, min_lat, max_lon, max_lat) = (r.f64()?, r.f64()?, r.f64()?, r.f64()?);
-            Ok(GeoShape::Rect(BBox::new(min_lon, min_lat, max_lon, max_lat).map_err(geo)?))
-        }
+        SHAPE_RECT => Ok(GeoShape::Rect(decode_bbox(r)?)),
         SHAPE_CIRCLE => {
             let center = Point::new(r.f64()?, r.f64()?).map_err(geo)?;
             Ok(GeoShape::Circle(Circle::new(center, r.f64()?).map_err(geo)?))
@@ -851,7 +841,12 @@ fn decode_geo_shape(r: &mut Reader<'_>) -> Result<GeoShape, WireError> {
             let vertices = (0..n)
                 .map(|_| Point::new(r.f64()?, r.f64()?).map_err(geo))
                 .collect::<Result<Vec<_>, _>>()?;
-            Ok(GeoShape::Polygon(Polygon::new(vertices).map_err(geo)?))
+            let polygon = Polygon::new(vertices).map_err(geo)?;
+            // The encoder never writes a closing vertex, which `new` drops.
+            if polygon.vertices().len() != n {
+                return Err(WireError::Corrupt("polygon with a closing vertex".into()));
+            }
+            Ok(GeoShape::Polygon(polygon))
         }
         other => Err(WireError::Corrupt(format!("unknown shape tag {other}"))),
     }
@@ -926,7 +921,7 @@ pub fn encode_row_prefix(
     w.str(name);
     w.u8(country.tag());
     encode_date(date, w);
-    w.u64(labels.bits());
+    encode_labels(labels, w);
 }
 
 /// The bytes [`encode_row_prefix`] writes for a row named `name`: the
@@ -961,13 +956,9 @@ fn decode_row(r: &mut Reader<'_>) -> Result<ResultEntry, WireError> {
     let name = r.str()?.to_string();
     let country = read_country(r)?;
     let date = decode_date(r)?;
-    let bits = r.u64()?;
-    if bits >> Label::COUNT != 0 {
-        let bit = 63 - bits.leading_zeros();
-        return Err(WireError::Corrupt(format!("label bit {bit} out of range")));
-    }
+    let labels = decode_labels(r)?;
     let distance = r.bool()?.then(|| r.u32()).transpose()?;
-    Ok(ResultEntry { name, country, date, labels: LabelSet::from_bits(bits), distance })
+    Ok(ResultEntry { name, country, date, labels, distance })
 }
 
 /// The planner report of a metadata search, mirroring
@@ -1037,7 +1028,7 @@ impl SearchPayload {
         let plan = match r.bool()? {
             false => None,
             true => Some(PlanSpec {
-                index_used: decode_option_str(r)?,
+                index_used: r.opt_str()?.map(str::to_string),
                 scanned: r.u64()?,
                 matched: r.u64()?,
             }),
@@ -1051,7 +1042,7 @@ fn encode_plan(plan: Option<&PlanSpec>, w: &mut Writer) {
         None => w.u8(0),
         Some(plan) => {
             w.u8(1);
-            encode_option_str(plan.index_used.as_deref(), w);
+            w.opt_str(plan.index_used.as_deref());
             w.u64(plan.scanned);
             w.u64(plan.matched);
         }
@@ -1175,15 +1166,10 @@ impl IngestReport {
     }
 }
 
-/// A point-in-time snapshot of the serving counters.
-///
-/// The wire carries every field but the four `filter_cache_*` counters,
-/// and two snapshots are equal when those carried fields are, so a
-/// snapshot fetched by `EqClient::stats` equals the in-process one it was
-/// taken from.  The four counters are younger than those pinned bytes:
-/// they are not encoded, read zero in a decoded snapshot (`metrics_text`
-/// carries them) and take no part in `==`.
-#[derive(Debug, Clone)]
+/// A point-in-time snapshot of the serving counters.  Every counter
+/// crosses the wire, so a snapshot fetched by `EqClient::stats` equals the
+/// in-process one it was taken from.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerStats {
     /// Total queries attempted (cache hits and failed queries included).
     pub queries_served: u64,
@@ -1206,34 +1192,6 @@ pub struct ServerStats {
     pub archive_size: usize,
     /// Images appended through `QueryServer::ingest`.
     pub ingested_images: u64,
-    /// Items per CBIR index shard, in shard order.
-    pub shard_occupancy: Vec<usize>,
-}
-
-impl PartialEq for ServerStats {
-    fn eq(&self, other: &Self) -> bool {
-        // Destructured in full, so a new field has to choose a side.
-        let ServerStats {
-            queries_served,
-            cache_hits,
-            cache_misses,
-            cache_entries,
-            filter_cache_hits: _,
-            filter_cache_misses: _,
-            filter_cache_entries: _,
-            filter_cache_bytes: _,
-            archive_size,
-            ingested_images,
-            shard_occupancy,
-        } = self;
-        *queries_served == other.queries_served
-            && *cache_hits == other.cache_hits
-            && *cache_misses == other.cache_misses
-            && *cache_entries == other.cache_entries
-            && *archive_size == other.archive_size
-            && *ingested_images == other.ingested_images
-            && *shard_occupancy == other.shard_occupancy
-    }
 }
 
 impl ServerStats {
@@ -1253,8 +1211,7 @@ impl ServerStats {
         format!(
             "{} queries served ({} cache hits, {} misses, hit rate {:.0}%)\n\
              {} images indexed ({} ingested live), {} cached results\n\
-             {} filters resolved from cache, {} compiled; {} cached in {} bytes\n\
-             shard occupancy: {:?}\n",
+             {} filters resolved from cache, {} compiled; {} cached in {} bytes\n",
             self.queries_served,
             self.cache_hits,
             self.cache_misses,
@@ -1266,49 +1223,39 @@ impl ServerStats {
             self.filter_cache_misses,
             self.filter_cache_entries,
             self.filter_cache_bytes,
-            self.shard_occupancy,
         )
     }
 
-    /// Encodes the seven wire fields of the snapshot.
+    /// Encodes the snapshot: its ten counters as `u64`s, in field order.
     pub fn encode(&self, w: &mut Writer) {
         w.u64(self.queries_served);
         w.u64(self.cache_hits);
         w.u64(self.cache_misses);
         w.u64(self.cache_entries as u64);
+        w.u64(self.filter_cache_hits);
+        w.u64(self.filter_cache_misses);
+        w.u64(self.filter_cache_entries as u64);
+        w.u64(self.filter_cache_bytes as u64);
         w.u64(self.archive_size as u64);
         w.u64(self.ingested_images);
-        w.seq_len(self.shard_occupancy.len());
-        for &n in &self.shard_occupancy {
-            w.u64(n as u64);
-        }
     }
 
-    /// Decodes a snapshot; the `filter_cache_*` counters read zero.
+    /// Decodes a snapshot written by [`encode`](Self::encode).
     ///
     /// # Errors
     /// Returns [`WireError`] on truncation.
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let queries_served = r.u64()?;
-        let cache_hits = r.u64()?;
-        let cache_misses = r.u64()?;
-        let cache_entries = r.u64()? as usize;
-        let archive_size = r.u64()? as usize;
-        let ingested_images = r.u64()?;
-        let n = r.seq_len(8)?;
-        let shard_occupancy = (0..n).map(|_| Ok(r.u64()? as usize)).collect::<Result<_, _>>()?;
         Ok(Self {
-            queries_served,
-            cache_hits,
-            cache_misses,
-            cache_entries,
-            filter_cache_hits: 0,
-            filter_cache_misses: 0,
-            filter_cache_entries: 0,
-            filter_cache_bytes: 0,
-            archive_size,
-            ingested_images,
-            shard_occupancy,
+            queries_served: r.u64()?,
+            cache_hits: r.u64()?,
+            cache_misses: r.u64()?,
+            cache_entries: r.u64()? as usize,
+            filter_cache_hits: r.u64()?,
+            filter_cache_misses: r.u64()?,
+            filter_cache_entries: r.u64()? as usize,
+            filter_cache_bytes: r.u64()? as usize,
+            archive_size: r.u64()? as usize,
+            ingested_images: r.u64()?,
         })
     }
 }
@@ -1621,23 +1568,6 @@ impl ErrorPayload {
     }
 }
 
-fn encode_option_str(value: Option<&str>, w: &mut Writer) {
-    match value {
-        None => w.u8(0),
-        Some(s) => {
-            w.u8(1);
-            w.str(s);
-        }
-    }
-}
-
-fn decode_option_str(r: &mut Reader<'_>) -> Result<Option<String>, WireError> {
-    Ok(match r.bool()? {
-        false => None,
-        true => Some(r.str()?.to_string()),
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Stream I/O
 // ---------------------------------------------------------------------------
@@ -1782,6 +1712,7 @@ pub fn read_response<R: Read>(r: &mut R) -> Result<Option<Response>, ProtoError>
 mod tests {
     use super::*;
     use eq_bigearthnet::{ArchiveGenerator, GeneratorConfig};
+    use eq_geo::BBox;
 
     fn sample_query() -> QuerySpec {
         QuerySpec {
@@ -1806,13 +1737,12 @@ mod tests {
             cache_hits: 40,
             cache_misses: 60,
             cache_entries: 12,
-            filter_cache_hits: 0,
-            filter_cache_misses: 0,
-            filter_cache_entries: 0,
-            filter_cache_bytes: 0,
+            filter_cache_hits: 7,
+            filter_cache_misses: 3,
+            filter_cache_entries: 2,
+            filter_cache_bytes: 4096,
             archive_size: 500,
             ingested_images: 20,
-            shard_occupancy: vec![63, 62, 63],
         }
     }
 
@@ -2021,42 +1951,6 @@ mod tests {
         }
     }
 
-    /// The stats wire rule: the four `filter_cache_*` counters are not
-    /// encoded, decode as zero, and take no part in `==`.
-    #[test]
-    fn filter_cache_counters_stay_off_the_wire() {
-        let zeroed = sample_stats();
-        let counted = ServerStats {
-            filter_cache_hits: 7,
-            filter_cache_misses: 3,
-            filter_cache_entries: 2,
-            filter_cache_bytes: 4096,
-            ..zeroed.clone()
-        };
-        let encode = |stats: &ServerStats| {
-            let mut w = Writer::new();
-            stats.encode(&mut w);
-            w.into_bytes()
-        };
-        let bytes = encode(&counted);
-        assert_eq!(bytes, encode(&zeroed));
-        let mut r = Reader::new(&bytes);
-        let decoded = ServerStats::decode(&mut r).unwrap();
-        assert!(r.is_empty());
-        let ServerStats {
-            filter_cache_hits,
-            filter_cache_misses,
-            filter_cache_entries,
-            filter_cache_bytes,
-            ..
-        } = decoded;
-        assert_eq!(
-            (filter_cache_hits, filter_cache_misses, filter_cache_entries, filter_cache_bytes),
-            (0, 0, 0, 0)
-        );
-        assert_eq!(decoded, counted);
-    }
-
     #[test]
     fn version_mismatch_is_rejected() {
         let mut bytes = Request { id: 1, body: RequestBody::Ping }.encode();
@@ -2095,14 +1989,31 @@ mod tests {
     }
 
     /// A version 2 peer wrote label counts as `u64`s and knew the snapshot
-    /// shipping kinds; its frames are refused by the envelope, before a
-    /// count is read, so no v2 answer is ever read as v3.
+    /// shipping kinds; a version 3 peer wrote a stats snapshot as seven
+    /// fields (no filter-cache counters, a shard occupancy list).  Their
+    /// frames are refused by the envelope, before a field is read, so no
+    /// older answer is ever read as a v4 one.
     #[test]
-    fn a_version_2_frame_is_refused_not_misread() {
-        let mut frame = Vec::new();
-        frame_with(&mut frame, &RESPONSE_MAGIC, |w| {
-            w.u16(2);
-            w.u64(3);
+    fn version_2_and_3_frames_are_refused_not_misread() {
+        let refused = |version: u16, body: &dyn Fn(&mut Writer)| {
+            let mut frame = Vec::new();
+            frame_with(&mut frame, &RESPONSE_MAGIC, |w| {
+                w.u16(version);
+                w.u64(3);
+                body(w);
+            })
+            .unwrap();
+            match read_response(&mut std::io::Cursor::new(frame)) {
+                Err(ProtoError::Message(WireError::Corrupt(message))) => {
+                    assert!(
+                        message.starts_with(&format!("protocol version {version} ")),
+                        "{message}"
+                    )
+                }
+                other => panic!("a version {version} frame read as {other:?}"),
+            }
+        };
+        refused(2, &|w| {
             w.u8(RESP_SEARCH);
             w.seq_len(0);
             w.u64(50);
@@ -2110,17 +2021,18 @@ mod tests {
             w.u64(1);
             w.u64(1);
             w.u8(0);
-        })
-        .unwrap();
-        match read_response(&mut std::io::Cursor::new(frame)) {
-            Err(ProtoError::Message(WireError::Corrupt(message))) => {
-                assert!(message.starts_with("protocol version 2 "), "{message}")
+        });
+        refused(3, &|w| {
+            w.u8(RESP_STATS);
+            for counter in [100, 40, 60, 12, 500, 20] {
+                w.u64(counter);
             }
-            other => panic!("a version 2 frame read as {other:?}"),
-        }
+            w.seq_len(1);
+            w.u64(500);
+        });
     }
 
-    /// The snapshot shipping tags of version 2 are retired: a v3 frame
+    /// The snapshot shipping tags of version 2 are retired: a v3 or v4 frame
     /// carrying one is an unknown tag, never another kind.
     #[test]
     fn retired_replication_tags_are_unknown() {
@@ -2182,6 +2094,32 @@ mod tests {
             let spec = QuerySpec { shape: Some(shape), ..QuerySpec::default() };
             let request = Request { id: 9, body: RequestBody::Search(spec) };
             roundtrip_request(&request);
+        }
+    }
+
+    /// The encoder never writes a polygon's closing vertex, so a polygon
+    /// that repeats its first vertex last is corrupt, not shortened.
+    #[test]
+    fn a_polygon_with_a_closing_vertex_is_refused() {
+        let mut w = Writer::new();
+        w.u16(PROTOCOL_VERSION);
+        w.u64(1);
+        w.u8(REQ_SEARCH);
+        w.u8(1);
+        w.u8(SHAPE_POLYGON);
+        w.seq_len(4);
+        for (lon, lat) in [(0.0, 0.0), (1.0, 0.0), (0.5, 1.5), (0.0, 0.0)] {
+            w.f64(lon);
+            w.f64(lat);
+        }
+        w.u8(0); // no date range
+        for _ in 0..3 {
+            w.seq_len(0); // no satellites, seasons or countries
+        }
+        w.u8(0); // no label filter
+        match Request::decode(w.as_bytes()) {
+            Err(WireError::Corrupt(message)) => assert!(message.contains("closing vertex")),
+            other => panic!("a closed polygon decoded as {other:?}"),
         }
     }
 

@@ -353,13 +353,12 @@ fn response_stats() {
                 cache_hits: 200,
                 cache_misses: 400,
                 cache_entries: 37,
-                filter_cache_hits: 0,
-                filter_cache_misses: 0,
-                filter_cache_entries: 0,
-                filter_cache_bytes: 0,
+                filter_cache_hits: 150,
+                filter_cache_misses: 50,
+                filter_cache_entries: 9,
+                filter_cache_bytes: 65_536,
                 archive_size: 40_000,
                 ingested_images: 12,
-                shard_occupancy: vec![5000, 5000, 5001, 4999],
             }),
         },
     );

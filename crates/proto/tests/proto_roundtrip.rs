@@ -266,13 +266,12 @@ fn response_from_script(script: &mut &[u8]) -> Response {
             cache_hits: take(script, 4),
             cache_misses: take(script, 4),
             cache_entries: take(script, 2) as usize,
-            filter_cache_hits: 0,
-            filter_cache_misses: 0,
-            filter_cache_entries: 0,
-            filter_cache_bytes: 0,
+            filter_cache_hits: take(script, 4),
+            filter_cache_misses: take(script, 4),
+            filter_cache_entries: take(script, 2) as usize,
+            filter_cache_bytes: take(script, 4) as usize,
             archive_size: take(script, 4) as usize,
             ingested_images: take(script, 2),
-            shard_occupancy: (0..take(script, 1) % 9).map(|_| take(script, 3) as usize).collect(),
         }),
         _ => ResponseBody::Error(ErrorPayload {
             code: [

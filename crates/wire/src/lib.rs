@@ -187,6 +187,15 @@ impl Writer {
         self.bytes(s.as_bytes());
     }
 
+    /// Writes an optional string: a flag byte (0 or 1), then the string
+    /// when there is one.
+    pub fn opt_str(&mut self, s: Option<&str>) {
+        self.bool(s.is_some());
+        if let Some(s) = s {
+            self.str(s);
+        }
+    }
+
     /// Writes a sequence length as a `u32` prefix.
     ///
     /// # Panics
@@ -328,6 +337,15 @@ impl<'a> Reader<'a> {
     pub fn str(&mut self) -> Result<&'a str, WireError> {
         std::str::from_utf8(self.bytes()?)
             .map_err(|e| WireError::Corrupt(format!("invalid UTF-8 string: {e}")))
+    }
+
+    /// Reads an optional string written by [`Writer::opt_str`].
+    ///
+    /// # Errors
+    /// Returns [`WireError`] on truncation, a flag byte other than 0 or 1,
+    /// or invalid UTF-8.
+    pub fn opt_str(&mut self) -> Result<Option<&'a str>, WireError> {
+        self.bool()?.then(|| self.str()).transpose()
     }
 
     /// Reads a sequence length written by [`Writer::seq_len`], rejecting
@@ -564,6 +582,8 @@ mod tests {
         w.f32(f32::from_bits(0x7FC0_1234)); // a non-canonical NaN
         w.f64(-0.0);
         w.str("héllo");
+        w.opt_str(Some("é"));
+        w.opt_str(None);
         w.bytes(&[1, 2, 3]);
         w.seq_len(5);
         w.raw(&[9; 5]); // the sequence seq_len promises
@@ -579,6 +599,8 @@ mod tests {
         assert_eq!(r.f32().unwrap().to_bits(), 0x7FC0_1234, "NaN payload must survive");
         assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(r.str().unwrap(), "héllo");
+        assert_eq!(r.opt_str().unwrap(), Some("é"));
+        assert_eq!(r.opt_str().unwrap(), None);
         assert_eq!(r.bytes().unwrap(), &[1, 2, 3]);
         assert_eq!(r.seq_len(1).unwrap(), 5);
         assert_eq!(r.take(5).unwrap(), &[9; 5]);

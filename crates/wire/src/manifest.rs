@@ -105,7 +105,7 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, WireError> {
         )));
     }
     let body_len = r.u64()? as usize;
-    if body_len + 4 != r.remaining() {
+    if r.remaining().checked_sub(4) != Some(body_len) {
         return Err(WireError::Corrupt(format!(
             "manifest body length {body_len} disagrees with {} remaining bytes",
             r.remaining()
@@ -222,6 +222,11 @@ mod tests {
         let mut trailing = good.clone();
         trailing.push(0);
         assert!(matches!(decode_manifest(&trailing), Err(WireError::Corrupt(_))));
+
+        // A body length no buffer can hold is refused, not overflowed.
+        let mut huge = good.clone();
+        huge[10..18].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(decode_manifest(&huge), Err(WireError::Corrupt(_))));
     }
 
     #[test]

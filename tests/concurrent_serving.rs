@@ -201,7 +201,5 @@ fn server_stats_track_the_workload() {
     assert_eq!(stats.queries_served, 2 * requests.len() as u64);
     assert!(stats.cache_hits >= requests.len() as u64, "stats: {stats:?}");
     assert!(stats.cache_hit_rate() > 0.0);
-    assert_eq!(stats.archive_size, 25);
-    assert_eq!(stats.shard_occupancy.len(), 1, "one arena indexes the archive");
-    assert_eq!(stats.shard_occupancy.iter().sum::<usize>(), 25);
+    assert_eq!(stats.archive_size, 25, "one arena indexes the archive");
 }

@@ -163,42 +163,58 @@ fn segment_files(dir: &Path) -> usize {
 /// A replica's pulled batch whose segment rotation fails after a good sync
 /// still applies what was synced: the records are on the replica's log,
 /// so the replica serves them, and the pull succeeds — sealing is best
-/// effort.  The next pull's write seals the oversized segment.
+/// effort.  The next pull's write seals the oversized segment.  The
+/// rotation fails before the next segment exists (`segment-precreate`),
+/// and after its header is synced but before its directory is
+/// (`segment-dir-sync`), which leaves that segment's file behind, holding
+/// only its header.
 #[test]
 fn a_failed_rotation_still_applies_the_synced_batch() {
-    let archive = generate(10, SEED + 1);
-    let (primary_dir, replica_dir) = (ScratchDir::new("primary"), ScratchDir::new("replica"));
-    let primary = Arc::new(build(&archive));
-    primary.checkpoint(primary_dir.path()).unwrap();
-    let net = NetServer::bind(Arc::clone(&primary), "127.0.0.1:0", 1).unwrap();
-    let addr = net.local_addr().to_string();
-    let mut replica =
-        Replica::bootstrap(replica_dir.path(), &addr, 1, RetryPolicy::no_retries()).unwrap();
-    let follower = Arc::clone(replica.server());
-    follower.set_segment_limit(1);
-    let logged = segment_files(replica_dir.path());
+    for point in ["segment-precreate", "segment-dir-sync"] {
+        let archive = generate(10, SEED + 1);
+        let (primary_dir, replica_dir) = (ScratchDir::new("primary"), ScratchDir::new("replica"));
+        let primary = Arc::new(build(&archive));
+        primary.checkpoint(primary_dir.path()).unwrap();
+        let net = NetServer::bind(Arc::clone(&primary), "127.0.0.1:0", 1).unwrap();
+        let addr = net.local_addr().to_string();
+        let mut replica =
+            Replica::bootstrap(replica_dir.path(), &addr, 1, RetryPolicy::no_retries()).unwrap();
+        let follower = Arc::clone(replica.server());
+        follower.set_segment_limit(1);
+        let logged = segment_files(replica_dir.path());
 
-    let extra = generate(2, 7_474);
-    primary.ingest(extra.patches()).unwrap();
-    assert!(follower.failpoints().arm("segment-precreate"));
-    let status = replica.sync_once();
-    follower.failpoints().disarm();
-    assert_eq!(status.unwrap(), SyncStatus::Applied(2), "a failed seal fails no pull");
-    assert_eq!(follower.archive_size(), 12, "the synced records are applied");
-    for patch in extra.patches() {
+        let extra = generate(2, 7_474);
+        primary.ingest(extra.patches()).unwrap();
+        assert!(follower.failpoints().arm(point));
+        let status = replica.sync_once();
+        follower.failpoints().disarm();
+        assert_eq!(status.unwrap(), SyncStatus::Applied(2), "{point}: a failed seal fails no pull");
+        assert_eq!(follower.archive_size(), 12, "{point}: the synced records are applied");
+        for patch in extra.patches() {
+            assert_eq!(
+                follower.similar_to(&patch.meta.name, 4).unwrap(),
+                primary.similar_to(&patch.meta.name, 4).unwrap()
+            );
+        }
+        let created = usize::from(point == "segment-dir-sync");
         assert_eq!(
-            follower.similar_to(&patch.meta.name, 4).unwrap(),
-            primary.similar_to(&patch.meta.name, 4).unwrap()
+            segment_files(replica_dir.path()),
+            logged + created,
+            "{point}: the live segment was not sealed"
         );
-    }
-    assert_eq!(segment_files(replica_dir.path()), logged, "the live segment was not sealed");
 
-    primary.submit_feedback("after the failed seal", None).unwrap();
-    assert_eq!(replica.sync_once().unwrap(), SyncStatus::Applied(1));
-    assert_eq!(segment_files(replica_dir.path()), logged + 1, "the next write seals it");
-    assert_eq!(primary.list_feedback().unwrap(), follower.list_feedback().unwrap());
-    drop((replica, follower));
-    let back = QueryServer::recover(replica_dir.path()).unwrap();
-    assert_eq!(back.archive_size(), 12, "the records are on the replica's log");
-    net.shutdown();
+        primary.submit_feedback("after the failed seal", None).unwrap();
+        assert_eq!(replica.sync_once().unwrap(), SyncStatus::Applied(1));
+        assert_eq!(
+            segment_files(replica_dir.path()),
+            logged + 1,
+            "{point}: the next write seals it"
+        );
+        assert_eq!(primary.list_feedback().unwrap(), follower.list_feedback().unwrap());
+        drop((replica, follower));
+        let back = QueryServer::recover(replica_dir.path()).unwrap();
+        assert_eq!(back.archive_size(), 12, "{point}: the records are on the replica's log");
+        assert_eq!(back.list_feedback().unwrap(), primary.list_feedback().unwrap());
+        net.shutdown();
+    }
 }
