@@ -1,6 +1,6 @@
 //! Collections: document storage, indexes and query execution.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use eq_hashindex::Bitmap;
 
@@ -47,42 +47,22 @@ pub struct CollectionStats {
     pub geo_index: Option<String>,
 }
 
-/// The documents that changed in one collection since a base snapshot —
-/// the payload of the delta chunks older checkpoint directories hold.
-///
-/// Deltas are applied deletes-first: a delete of a key the base never held
-/// is tolerated (the document was created and deleted entirely within the
-/// delta window), while upsert ids must be fresh and ascending so that
-/// replay reproduces the live collection's insertion order exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CollectionDelta {
-    /// Name of the collection the delta applies to.
-    pub name: String,
-    /// The collection's id watermark at capture time.
-    pub next_id: DocId,
-    /// Primary-key values deleted since the base, in key order.
-    pub deletes: Vec<Value>,
-    /// Documents inserted since the base, in ascending id order.
-    pub upserts: Vec<(DocId, Document)>,
-}
-
 /// A collection of documents with a mandatory primary key, optional
 /// secondary attribute indexes and an optional geohash 2-D index.
 #[derive(Debug, Clone)]
 pub struct Collection {
     name: String,
     primary_key: String,
-    docs: HashMap<DocId, Document>,
-    /// Ids are handed out in ascending order and never reused, so
-    /// ascending id order is insertion order.
-    next_id: DocId,
+    /// Document `id` is `docs[id]`: ids are dense, handed out in insertion
+    /// order, and a document is never removed, so ascending id order is
+    /// insertion order.
+    docs: Vec<Document>,
     pk_index: BTreeMap<Value, DocId>,
     attr_indexes: BTreeMap<String, AttributeIndex>,
-    geo_field: Option<String>,
-    geo_index: Option<GeoIndex>,
-    /// Bitmap of every live document id — the universe the prefilter
-    /// compiler negates against (`Ne`, `Not`), maintained by every insert
-    /// and delete.
+    /// The geo index and the field it covers.
+    geo: Option<(String, GeoIndex)>,
+    /// Bitmap of every document id, `0..len` — the universe the prefilter
+    /// compiler negates against (`Ne`, `Not`), extended by every insert.
     live: Bitmap,
 }
 
@@ -93,12 +73,10 @@ impl Collection {
         Self {
             name: name.to_string(),
             primary_key: primary_key.to_string(),
-            docs: HashMap::new(),
-            next_id: 0,
+            docs: Vec::new(),
             pk_index: BTreeMap::new(),
             attr_indexes: BTreeMap::new(),
-            geo_field: None,
-            geo_index: None,
+            geo: None,
             live: Bitmap::new(),
         }
     }
@@ -127,7 +105,7 @@ impl Collection {
     /// documents are indexed immediately.
     pub fn create_attribute_index(&mut self, field: &str) {
         let mut index = AttributeIndex::new();
-        for (&id, doc) in &self.docs {
+        for (id, doc) in self.iter() {
             if let Some(v) = doc.get(field) {
                 index.insert(v.clone(), id);
             }
@@ -142,21 +120,18 @@ impl Collection {
     /// Returns [`StoreError::BadIndex`] if a geo index already exists on a
     /// different field.
     pub fn create_geo_index(&mut self, field: &str) -> Result<(), StoreError> {
-        if let Some(existing) = &self.geo_field {
-            if existing != field {
-                return Err(StoreError::BadIndex(format!(
-                    "geo index already exists on field {existing}"
-                )));
-            }
+        if let Some((existing, _)) = self.geo.as_ref().filter(|(existing, _)| existing != field) {
+            return Err(StoreError::BadIndex(format!(
+                "geo index already exists on field {existing}"
+            )));
         }
         let mut index = GeoIndex::new(DEFAULT_GEOHASH_PRECISION);
-        for (&id, doc) in &self.docs {
+        for (id, doc) in self.iter() {
             if let Some(p) = point_from_field(doc, field) {
                 index.insert(id, p);
             }
         }
-        self.geo_field = Some(field.to_string());
-        self.geo_index = Some(index);
+        self.geo = Some((field.to_string(), index));
         Ok(())
     }
 
@@ -172,50 +147,37 @@ impl Collection {
 
     /// The geo index and the field it covers, if one was declared.
     pub fn geo_index(&self) -> Option<(&str, &GeoIndex)> {
-        match (&self.geo_field, &self.geo_index) {
-            (Some(field), Some(index)) => Some((field.as_str(), index)),
-            _ => None,
-        }
+        self.geo.as_ref().map(|(field, index)| (field.as_str(), index))
     }
 
-    /// The bitmap of every live document id — the universe against which
+    /// The bitmap of every document id — the universe against which
     /// the prefilter compiler evaluates `Ne` and `Not` (there is no
     /// unbounded complement on [`Bitmap`]).
     pub fn live_bitmap(&self) -> &Bitmap {
         &self.live
     }
 
-    /// Inserts a document.
+    /// Inserts a document under the next id, [`next_id`](Self::next_id).
     ///
     /// # Errors
     /// Fails if the primary-key field is missing or already present.
     pub fn insert(&mut self, doc: Document) -> Result<DocId, StoreError> {
-        let id = self.next_id;
-        self.insert_at(id, doc)?;
-        self.next_id = id + 1;
-        Ok(id)
-    }
-
-    /// Inserts a document under an explicit internal id (the shared core of
-    /// [`insert`](Self::insert) and snapshot restoration, which must
-    /// reproduce historical ids exactly — including gaps left by deletes).
-    fn insert_at(&mut self, id: DocId, doc: Document) -> Result<(), StoreError> {
         let key = self.check_insert(&doc)?;
-        // Update secondary indexes.
+        let id = self.next_id();
         for (field, index) in self.attr_indexes.iter_mut() {
             if let Some(v) = doc.get(field) {
                 index.insert(v.clone(), id);
             }
         }
-        if let (Some(field), Some(index)) = (&self.geo_field, self.geo_index.as_mut()) {
+        if let Some((field, index)) = self.geo.as_mut() {
             if let Some(p) = point_from_field(&doc, field) {
                 index.insert(id, p);
             }
         }
         self.pk_index.insert(key, id);
-        self.docs.insert(id, doc);
+        self.docs.push(doc);
         self.live.insert(id);
-        Ok(())
+        Ok(id)
     }
 
     /// The primary key `doc` would be stored under, checked as
@@ -235,141 +197,26 @@ impl Collection {
         Ok(key)
     }
 
-    /// The id the next inserted document will receive (serialized into
-    /// snapshots so restored collections keep allocating fresh ids).
+    /// The id the next inserted document will receive: the number of
+    /// documents, since ids are dense.
     pub fn next_id(&self) -> DocId {
-        self.next_id
-    }
-
-    /// Rebuilds a collection from its serialized parts: documents are
-    /// re-inserted in their historical insertion order under their
-    /// historical ids, and all declared indexes are rebuilt from scratch —
-    /// so the restored collection answers every query (ids, plans, scan
-    /// counts) exactly like the snapshotted one.
-    pub(crate) fn from_parts(
-        name: &str,
-        primary_key: &str,
-        next_id: DocId,
-        docs: Vec<(DocId, Document)>,
-        attr_fields: &[String],
-        geo_field: Option<&str>,
-    ) -> Result<Self, StoreError> {
-        let mut collection = Collection::new(name, primary_key);
-        for field in attr_fields {
-            collection.create_attribute_index(field);
-        }
-        if let Some(field) = geo_field {
-            collection.create_geo_index(field)?;
-        }
-        for (id, doc) in docs {
-            if id >= next_id {
-                return Err(StoreError::BadIndex(format!(
-                    "document id {id} is not below the collection's next_id {next_id}"
-                )));
-            }
-            if collection.docs.contains_key(&id) {
-                return Err(StoreError::BadIndex(format!("duplicate document id {id}")));
-            }
-            collection.insert_at(id, doc)?;
-        }
-        collection.next_id = next_id;
-        Ok(collection)
-    }
-
-    /// Applies a decoded delta on top of the current contents: deletes
-    /// first (a key the collection does not hold is tolerated), then
-    /// upserts, whose ids must be fresh and at or above the current
-    /// watermark so replay reproduces insertion order exactly.
-    ///
-    /// # Errors
-    /// Returns [`StoreError::BadIndex`] on an id that is stale, duplicate
-    /// or not below the delta's own watermark, and propagates primary-key
-    /// violations from the underlying inserts.
-    pub fn apply_delta(&mut self, delta: CollectionDelta) -> Result<(), StoreError> {
-        for key in &delta.deletes {
-            match self.delete_by_key(key) {
-                Ok(()) | Err(StoreError::NotFound(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        let mut last_id = None;
-        for (id, doc) in delta.upserts {
-            if last_id.is_some_and(|prev| id <= prev) {
-                return Err(StoreError::BadIndex(format!(
-                    "delta document ids out of order at {id}"
-                )));
-            }
-            last_id = Some(id);
-            if id >= delta.next_id {
-                return Err(StoreError::BadIndex(format!(
-                    "delta document id {id} is not below the delta's next_id {}",
-                    delta.next_id
-                )));
-            }
-            if id < self.next_id {
-                return Err(StoreError::BadIndex(format!(
-                    "delta document id {id} is below the collection's watermark {}",
-                    self.next_id
-                )));
-            }
-            if self.docs.contains_key(&id) {
-                return Err(StoreError::BadIndex(format!("delta document id {id} already exists")));
-            }
-            self.insert_at(id, doc)?;
-        }
-        self.next_id = self.next_id.max(delta.next_id);
-        Ok(())
+        self.docs.len() as DocId
     }
 
     /// The document with the given internal id.
     pub fn get(&self, id: DocId) -> Option<&Document> {
-        self.docs.get(&id)
+        self.docs.get(usize::try_from(id).ok()?)
     }
 
     /// The document with the given primary-key value.
     pub fn get_by_key(&self, key: &Value) -> Option<&Document> {
-        self.id_by_key(key).and_then(|id| self.docs.get(&id))
+        self.id_by_key(key).and_then(|id| self.get(id))
     }
 
     /// The internal id stored under a primary-key value (the key-index
     /// probe behind the prefilter compiler's `Eq`/`In` on the key field).
     pub(crate) fn id_by_key(&self, key: &Value) -> Option<DocId> {
         self.pk_index.get(key).copied()
-    }
-
-    /// Deletes the document with the given primary-key value.
-    ///
-    /// # Errors
-    /// Fails if no such document exists.
-    pub fn delete_by_key(&mut self, key: &Value) -> Result<(), StoreError> {
-        let id = *self.pk_index.get(key).ok_or_else(|| StoreError::NotFound(format!("{key:?}")))?;
-        // lint:allow(panic) every mutation keeps `pk_index` and `docs` in step, so a keyed id always has its document
-        let doc = self.docs.remove(&id).expect("pk index and docs are consistent");
-        self.pk_index.remove(key);
-        for (field, index) in self.attr_indexes.iter_mut() {
-            if let Some(v) = doc.get(field) {
-                index.remove(v, id);
-            }
-        }
-        if let (Some(field), Some(index)) = (&self.geo_field, self.geo_index.as_mut()) {
-            if let Some(p) = point_from_field(&doc, field) {
-                index.remove(id, p);
-            }
-        }
-        self.live.remove(id);
-        Ok(())
-    }
-
-    /// Replaces the document stored under the given primary-key value.
-    ///
-    /// # Errors
-    /// Fails if no such document exists or the new document's key differs.
-    pub fn replace_by_key(&mut self, key: &Value, doc: Document) -> Result<(), StoreError> {
-        if doc.get(&self.primary_key) != Some(key) {
-            return Err(StoreError::MissingPrimaryKey(self.primary_key.clone()));
-        }
-        self.delete_by_key(key)?;
-        self.insert(doc).map(|_| ())
     }
 
     /// Runs a query through the store's one filter engine:
@@ -397,17 +244,17 @@ impl Collection {
 
     /// Iterates over all documents in insertion order, which is ascending
     /// id order.
-    pub fn iter(&self) -> impl Iterator<Item = (&DocId, &Document)> {
-        self.live.iter().filter_map(move |id| self.docs.get_key_value(&id))
+    pub fn iter(&self) -> impl Iterator<Item = (DocId, &Document)> {
+        self.docs.iter().enumerate().map(|(id, doc)| (id as DocId, doc))
     }
 
     /// Collection statistics.
     pub fn stats(&self) -> CollectionStats {
         CollectionStats {
             count: self.docs.len(),
-            approximate_bytes: self.docs.values().map(|d| d.approximate_size()).sum(),
+            approximate_bytes: self.docs.iter().map(Document::approximate_size).sum(),
             attribute_indexes: self.attr_indexes.keys().cloned().collect(),
-            geo_index: self.geo_field.clone(),
+            geo_index: self.geo.as_ref().map(|(field, _)| field.clone()),
         }
     }
 }
@@ -467,7 +314,7 @@ mod tests {
             c.iter().map(|(_, d)| d.get("name").unwrap().as_str().unwrap()).collect();
         assert_eq!(names, vec!["p1", "p2", "p3", "p4"]);
         let (first_id, _) = c.iter().next().unwrap();
-        assert!(c.get(*first_id).is_some());
+        assert!(c.get(first_id).is_some());
         assert!(c.get(9999).is_none());
     }
 
@@ -559,25 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn delete_and_replace_maintain_indexes() {
-        let mut c = sample_collection();
-        c.delete_by_key(&"p1".into()).unwrap();
-        assert_eq!(c.len(), 3);
-        assert!(c.get_by_key(&"p1".into()).is_none());
-        let r = c.find(&Filter::Eq("country".into(), "Portugal".into()));
-        assert_eq!(r.ids.len(), 1);
-        // Replacing p2 with new country moves it between index postings.
-        c.replace_by_key(&"p2".into(), patch_doc("p2", "Austria", 14.1, 47.6, "B", 250)).unwrap();
-        assert_eq!(c.count(&Filter::Eq("country".into(), "Portugal".into())), 0);
-        assert_eq!(c.count(&Filter::Eq("country".into(), "Austria".into())), 2);
-        // Errors.
-        assert!(c.delete_by_key(&"ghost".into()).is_err());
-        assert!(c
-            .replace_by_key(&"p3".into(), patch_doc("other", "Austria", 1.0, 45.9, "C", 1))
-            .is_err());
-    }
-
-    #[test]
     fn late_index_creation_indexes_existing_documents() {
         let mut c = Collection::new("metadata", "name");
         c.insert(patch_doc("p1", "Portugal", -8.5, 37.1, "AB", 100)).unwrap();
@@ -602,63 +430,6 @@ mod tests {
         assert!(s.approximate_bytes > 0);
         assert_eq!(s.attribute_indexes, vec!["country".to_string()]);
         assert_eq!(s.geo_index.as_deref(), Some("location"));
-    }
-
-    #[test]
-    fn apply_delta_reproduces_the_source_collection() {
-        let mut base = sample_collection();
-        let mut live = base.clone();
-        live.delete_by_key(&"p2".into()).unwrap();
-        let p5 = patch_doc("p5", "Serbia", 20.0, 44.0, "B", 500);
-        let id = live.insert(p5.clone()).unwrap();
-        // What a delta of that window holds: the deleted key, the new
-        // document under its id, and the delete of a document created and
-        // deleted inside the window, which the base never held.
-        let delta = CollectionDelta {
-            name: "metadata".into(),
-            next_id: live.next_id(),
-            deletes: vec![Value::from("ghost"), Value::from("p2")],
-            upserts: vec![(id, p5)],
-        };
-
-        base.apply_delta(delta).unwrap();
-        assert_eq!(base.len(), live.len());
-        assert_eq!(base.next_id(), live.next_id());
-        let order: Vec<DocId> = base.iter().map(|(id, _)| *id).collect();
-        assert_eq!(order, live.iter().map(|(id, _)| *id).collect::<Vec<_>>());
-        let f = Filter::Eq("country".into(), Value::from("Serbia"));
-        assert_eq!(base.find(&f), live.find(&f));
-    }
-
-    #[test]
-    fn apply_delta_rejects_stale_and_disordered_ids() {
-        let mut c = sample_collection();
-        let stale = CollectionDelta {
-            name: "metadata".into(),
-            next_id: 10,
-            deletes: vec![],
-            upserts: vec![(0, patch_doc("x", "X", 0.0, 0.0, "A", 1))],
-        };
-        assert!(matches!(c.apply_delta(stale), Err(StoreError::BadIndex(_))));
-
-        let disordered = CollectionDelta {
-            name: "metadata".into(),
-            next_id: 10,
-            deletes: vec![],
-            upserts: vec![
-                (5, patch_doc("x", "X", 0.0, 0.0, "A", 1)),
-                (4, patch_doc("y", "Y", 0.0, 0.0, "A", 1)),
-            ],
-        };
-        assert!(matches!(c.apply_delta(disordered), Err(StoreError::BadIndex(_))));
-
-        let above_watermark = CollectionDelta {
-            name: "metadata".into(),
-            next_id: 5,
-            deletes: vec![],
-            upserts: vec![(5, patch_doc("x", "X", 0.0, 0.0, "A", 1))],
-        };
-        assert!(matches!(c.apply_delta(above_watermark), Err(StoreError::BadIndex(_))));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::collection::{Collection, CollectionDelta};
+use crate::collection::Collection;
 use crate::StoreError;
 
 /// A named set of [`Collection`]s — the embedded equivalent of the MongoDB
@@ -36,11 +36,6 @@ impl Database {
         self.collections.get_mut(name).ok_or_else(|| StoreError::NoSuchCollection(name.to_string()))
     }
 
-    /// Drops a collection, returning whether it existed.
-    pub fn drop_collection(&mut self, name: &str) -> bool {
-        self.collections.remove(name).is_some()
-    }
-
     /// Names of all collections, sorted.
     pub fn collection_names(&self) -> Vec<&str> {
         self.collections.keys().map(|s| s.as_str()).collect()
@@ -60,24 +55,6 @@ impl Database {
     pub fn collections(&self) -> impl Iterator<Item = &Collection> {
         self.collections.values()
     }
-
-    /// Installs a fully decoded collection, replacing any existing one
-    /// with the same name — how an older checkpoint's full collection
-    /// chunk is applied during recovery.
-    pub fn insert_collection(&mut self, collection: Collection) {
-        self.collections.insert(collection.name().to_string(), collection);
-    }
-
-    /// Applies a decoded collection delta on top of the already-restored
-    /// base collection.
-    ///
-    /// # Errors
-    /// Returns [`StoreError::NoSuchCollection`] when the base chunk for
-    /// the named collection has not been applied yet, and propagates any
-    /// inconsistency from [`Collection::apply_delta`].
-    pub fn apply_delta(&mut self, delta: CollectionDelta) -> Result<(), StoreError> {
-        self.collection_mut(&delta.name)?.apply_delta(delta)
-    }
 }
 
 #[cfg(test)]
@@ -86,7 +63,7 @@ mod tests {
     use crate::value::Document;
 
     #[test]
-    fn create_access_and_drop_collections() {
+    fn create_and_access_collections() {
         let mut db = Database::new();
         assert!(db.is_empty());
         db.create_collection("metadata", "name");
@@ -96,9 +73,6 @@ mod tests {
         assert!(db.collection("metadata").is_ok());
         assert!(db.collection("nope").is_err());
         assert!(db.collection_mut("nope").is_err());
-        assert!(db.drop_collection("feedback"));
-        assert!(!db.drop_collection("feedback"));
-        assert_eq!(db.len(), 1);
     }
 
     #[test]

@@ -70,17 +70,6 @@ fn num_key(v: &Value) -> Option<NumKey> {
     }
 }
 
-/// Removes `doc` from the posting under `key`, dropping the posting once it
-/// is empty; returns whether the document was posted there.
-fn unpost<K: Ord>(postings: &mut BTreeMap<K, Bitmap>, key: &K, doc: DocId) -> bool {
-    let Some(bitmap) = postings.get_mut(key) else { return false };
-    let removed = bitmap.remove(doc);
-    if bitmap.is_empty() {
-        postings.remove(key);
-    }
-    removed
-}
-
 impl AttributeIndex {
     /// Creates an empty index.
     pub fn new() -> Self {
@@ -117,24 +106,6 @@ impl AttributeIndex {
         if self.entries.entry(key).or_default().insert(doc) {
             self.len += 1;
         }
-    }
-
-    /// Removes a posting (if present).
-    pub fn remove(&mut self, key: &Value, doc: DocId) {
-        if !unpost(&mut self.entries, key, doc) {
-            return;
-        }
-        self.len -= 1;
-        self.present.remove(doc);
-        if let Some(nk) = num_key(key) {
-            unpost(&mut self.numeric, &nk, doc);
-        }
-        for_each_element(key, |element| {
-            if let Some(nk) = num_key(&element) {
-                unpost(&mut self.numeric_elements, &nk, doc);
-            }
-            unpost(&mut self.elements, &element, doc);
-        });
     }
 
     /// The bitmap of documents whose attribute equals `key` — equality
@@ -219,9 +190,8 @@ impl AttributeIndex {
 /// Calls `visit` once per distinct *element* of an indexed value: the
 /// elements of an `Array`, or the characters of a `Str` as one-character
 /// strings (the ASCII label encoding).  Scalar values have no elements.
-/// Duplicate elements may be visited twice; bitmap insert/remove are
-/// idempotent, and a document holds at most one value per indexed field,
-/// so multiplicity never matters here.
+/// Duplicate elements may be visited twice; a bitmap insert is
+/// idempotent, so multiplicity never matters here.
 fn for_each_element(key: &Value, mut visit: impl FnMut(Value)) {
     match key {
         Value::Array(elements) => {
@@ -307,14 +277,6 @@ impl GeoIndex {
         }
     }
 
-    /// Removes a point (if present).
-    pub fn remove(&mut self, doc: DocId, point: Point) {
-        let cell = self.cell_of(point);
-        if unpost(&mut self.cells, &cell, doc) {
-            self.len -= 1;
-        }
-    }
-
     /// The union bitmap of every cell covering the query shape's bounding
     /// region — a **superset** of the documents inside the shape (cell
     /// membership is never point-verified), so a `GeoWithin` compiled
@@ -387,21 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn attribute_index_remove() {
-        let mut idx = AttributeIndex::new();
-        idx.insert(Value::Int(1), 10);
-        idx.insert(Value::Int(1), 11);
-        idx.remove(&Value::Int(1), 10);
-        assert_eq!(idx.value_bitmap(&Value::Int(1)).map(ids), Some(vec![11]));
-        idx.remove(&Value::Int(1), 11);
-        assert!(idx.is_empty());
-        assert_eq!(idx.distinct_keys(), 0);
-        // Removing a non-existent posting is a no-op.
-        idx.remove(&Value::Int(1), 99);
-        assert!(idx.is_empty());
-    }
-
-    #[test]
     fn numeric_postings_key_ints_and_floats_apart() {
         let mut idx = AttributeIndex::new();
         idx.insert(Value::Int(2), 1);
@@ -434,16 +381,6 @@ mod tests {
         // Non-numeric queries decline (`None`): the caller falls back to
         // the ordered posting map.
         assert!(idx.numeric_eq_bitmap(&Value::Str("2".into())).is_none());
-
-        // Removal prunes the numeric maps symmetrically.
-        idx.remove(&Value::Int(2), 1);
-        assert!(idx.numeric_eq_bitmap(&Value::Int(2)).unwrap().is_empty());
-        assert_eq!(
-            idx.numeric_eq_bitmap(&Value::Float(2.0)).unwrap().iter().collect::<Vec<_>>(),
-            vec![2]
-        );
-        idx.remove(&Value::Array(vec![Value::Int(7), Value::Float(7.0)]), 6);
-        assert!(idx.numeric_element_bitmap(&Value::Int(7)).unwrap().is_empty());
     }
 
     #[test]
@@ -474,16 +411,10 @@ mod tests {
     }
 
     #[test]
-    fn geo_index_remove_and_shape_query() {
+    fn geo_index_default_precision_and_circle_query() {
         let mut idx = GeoIndex::default();
         assert_eq!(idx.precision(), DEFAULT_GEOHASH_PRECISION);
         let p = Point::new(10.0, 50.0).unwrap();
-        idx.insert(7, p);
-        idx.remove(7, p);
-        assert!(idx.is_empty());
-        // Removing a point that is not indexed is a no-op.
-        idx.remove(7, p);
-        assert!(idx.is_empty());
         idx.insert(8, p);
         let shape = GeoShape::Circle(eq_geo::Circle::new(p, 10.0).unwrap());
         assert_eq!(ids(&idx.bitmap_in_shape(&shape).0), vec![8]);

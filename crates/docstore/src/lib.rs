@@ -10,13 +10,17 @@
 //! * [`Value`] / [`Document`] — a dynamically typed document model,
 //! * [`Filter`] — a query AST with comparison, logical, array and
 //!   geospatial predicates,
-//! * [`Collection`] — storage with a primary-key index, secondary B-tree
-//!   attribute indexes and a geohash-based 2-D index, queried through one
-//!   filter engine ([`prefilter`]) that compiles what the indexes can
-//!   decide into a candidate bitmap and reports an execution plan,
+//! * [`Collection`] — insert-only storage under dense ids with a
+//!   primary-key index, secondary B-tree attribute indexes and a
+//!   geohash-based 2-D index, queried through one filter engine
+//!   ([`prefilter`]) that compiles what the indexes can decide into a
+//!   candidate bitmap and reports an execution plan,
 //! * [`Database`] — a named set of collections,
-//! * [`wire`] — the checksummed binary snapshot encoding of values,
-//!   documents, collections and databases (the durable storage tier).
+//! * [`wire`] — the binary encoding of values and documents that the
+//!   durable storage tier's records carry.
+//!
+//! EarthQube's archive only grows (§3.2): patches and feedback are
+//! ingested, never deleted or replaced, so neither is a collection.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -29,7 +33,7 @@ pub mod prefilter;
 pub mod value;
 pub mod wire;
 
-pub use collection::{Collection, CollectionDelta, CollectionStats, QueryPlan, QueryResult};
+pub use collection::{Collection, CollectionStats, QueryPlan, QueryResult};
 pub use database::Database;
 pub use filter::Filter;
 pub use index::{AttributeIndex, GeoIndex};
@@ -45,8 +49,6 @@ pub type DocId = u64;
 pub enum StoreError {
     /// A document with the same primary key already exists.
     DuplicateKey(String),
-    /// The referenced document does not exist.
-    NotFound(String),
     /// The referenced collection does not exist.
     NoSuchCollection(String),
     /// A document is missing the collection's primary-key field.
@@ -59,7 +61,6 @@ impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StoreError::DuplicateKey(k) => write!(f, "duplicate primary key: {k}"),
-            StoreError::NotFound(k) => write!(f, "document not found: {k}"),
             StoreError::NoSuchCollection(c) => write!(f, "no such collection: {c}"),
             StoreError::MissingPrimaryKey(field) => {
                 write!(f, "document is missing primary key field {field}")
@@ -78,7 +79,6 @@ mod tests {
     #[test]
     fn errors_display_meaningfully() {
         assert!(StoreError::DuplicateKey("a".into()).to_string().contains("duplicate"));
-        assert!(StoreError::NotFound("x".into()).to_string().contains("not found"));
         assert!(StoreError::NoSuchCollection("c".into())
             .to_string()
             .contains("no such collection"));

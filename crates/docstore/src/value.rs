@@ -262,11 +262,6 @@ impl Document {
         &self.fields
     }
 
-    /// Removes a top-level field, returning its value.
-    pub fn remove(&mut self, key: &str) -> Option<Value> {
-        self.fields.remove(key)
-    }
-
     /// Approximate in-memory size in bytes (used for collection statistics).
     pub fn approximate_size(&self) -> usize {
         fn size_of(v: &Value) -> usize {
@@ -363,12 +358,10 @@ mod tests {
     #[test]
     fn document_mutation_and_iteration() {
         let mut doc = Document::new().with("a", 1i64).with("b", 2i64);
-        assert_eq!(doc.remove("a"), Some(Value::Int(1)));
-        assert_eq!(doc.remove("a"), None);
         doc.set("c", "three");
         let keys: Vec<&String> = doc.iter().map(|(k, _)| k).collect();
-        assert_eq!(keys.len(), 2);
-        assert_eq!(doc.fields().len(), 2);
+        assert_eq!(keys, ["a", "b", "c"]);
+        assert_eq!(doc.fields().len(), 3);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! Filters also land on the primary key (`Eq`/`In` there compile to point
 //! lookups), and the last property pins [`Collection::find`] — the same
 //! compiler, resolved — against the brute-force match list on corpora
-//! mutated by deletes and replacements.
+//! grown by an insert-only stream.
 //!
 //! Filter ASTs are built from a drawn token stream by a small
 //! recursive-descent constructor (the vendored proptest stub has no
@@ -172,7 +172,7 @@ fn build_filter(toks: &mut std::slice::Iter<'_, Tok>, depth: u32) -> Filter {
 /// Asserts the compiler contract over every live document of `coll`.
 fn assert_contract(coll: &Collection, filter: &Filter) -> Result<(), TestCaseError> {
     let plan = coll.compile_prefilter(filter);
-    for (&id, doc) in coll.iter() {
+    for (id, doc) in coll.iter() {
         let naive = filter.matches(doc);
         let via_plan =
             plan.bitmap.as_ref().is_none_or(|b| b.contains(id)) && plan.residual.matches(doc);
@@ -209,23 +209,36 @@ proptest! {
         }
     }
 
+    /// Indexes declared after some inserts post the documents already
+    /// stored, then keep posting the ones inserted after them.
     #[test]
-    fn the_contract_survives_random_deletions(
+    fn the_contract_holds_for_indexes_declared_mid_stream(
         records in arb_records(),
         toks in arb_toks(),
-        stride in 2usize..4,
+        stored in 0usize..32,
     ) {
-        let mut coll = build_collection(&records);
-        for r in records.iter().step_by(stride) {
-            coll.delete_by_key(&Value::Str(r.name.clone())).unwrap();
+        let (before, after) = records.split_at(stored.min(records.len()));
+        let mut coll = build_collection(&[]);
+        let mut late = Collection::new("metadata", "name");
+        for r in before {
+            late.insert(to_doc(r)).unwrap();
+        }
+        for field in ["country", "labels", "date", "score"] {
+            late.create_attribute_index(field);
+        }
+        late.create_geo_index("location").unwrap();
+        for r in before.iter().chain(after) {
+            coll.insert(to_doc(r)).unwrap();
+        }
+        for r in after {
+            late.insert(to_doc(r)).unwrap();
         }
         let mut it = toks.iter();
         let filter = build_filter(&mut it, 2);
-        assert_contract(&coll, &filter)?;
-        // Postings shrank with the documents: a full-universe Ne bitmap
-        // has exactly the live cardinality.
-        let plan = coll.compile_prefilter(&Filter::Ne("country".into(), "Nowhere".into()));
-        prop_assert_eq!(plan.cardinality(), Some(coll.live_bitmap().len()));
+        assert_contract(&late, &filter)?;
+        let (early, late) = (coll.compile_prefilter(&filter), late.compile_prefilter(&filter));
+        prop_assert_eq!(early.bitmap, late.bitmap);
+        prop_assert_eq!(early.residual, late.residual);
     }
 
     #[test]
@@ -235,7 +248,7 @@ proptest! {
             let f = Filter::Ne("country".into(), country.into());
             let plan = coll.compile_prefilter(&f);
             prop_assert!(plan.is_exact(), "Ne on an indexed field compiles exactly");
-            for (&id, doc) in coll.iter() {
+            for (id, doc) in coll.iter() {
                 if doc.get("country").is_none() {
                     prop_assert!(
                         plan.bitmap.as_ref().is_some_and(|b| b.contains(id)),
@@ -323,12 +336,12 @@ proptest! {
             None => coll
                 .iter()
                 .filter(|(_, d)| plan.residual.matches(d))
-                .map(|(&id, _)| id)
+                .map(|(id, _)| id)
                 .collect(),
         };
         resolved.sort_unstable();
         let mut naive: Vec<u64> =
-            coll.iter().filter(|(_, d)| filter.matches(d)).map(|(&id, _)| id).collect();
+            coll.iter().filter(|(_, d)| filter.matches(d)).map(|(id, _)| id).collect();
         naive.sort_unstable();
         prop_assert_eq!(resolved, naive);
     }
@@ -340,28 +353,29 @@ proptest! {
         stride in 2usize..5,
     ) {
         let mut coll = build_collection(&records);
-        // Delete every `stride`-th document and replace the ones after
-        // them (a replacement moves to a fresh id at the end, with another
-        // country and a numerically equal score of the other numeric type).
+        // An insert-only stream over the built corpus: every `stride`-th
+        // record again, which the store refuses as it stands, and a twin of
+        // the one after it under a fresh key at the end, with another
+        // country and a numerically equal score of the other numeric type.
         for (i, r) in records.iter().enumerate() {
-            let key = Value::Str(r.name.clone());
             if i % stride == 0 {
-                coll.delete_by_key(&key).unwrap();
+                prop_assert!(coll.insert(to_doc(r)).is_err(), "a stored key is refused");
             } else if i % stride == 1 {
                 let score = match &r.score {
                     Some(Value::Int(n)) => Some(Value::Float(*n as f64)),
                     Some(Value::Float(f)) => Some(Value::Int(*f as i64)),
                     _ => Some(Value::Int(1)),
                 };
-                let moved = Record { country: Some("Serbia"), score, ..r.clone() };
-                coll.replace_by_key(&key, to_doc(&moved)).unwrap();
+                let name = format!("{}_twin", r.name);
+                let twin = Record { name, country: Some("Serbia"), score, ..r.clone() };
+                coll.insert(to_doc(&twin)).unwrap();
             }
         }
         let mut it = toks.iter();
         while it.len() > 0 {
             let filter = build_filter(&mut it, 2);
             let mut naive: Vec<u64> =
-                coll.iter().filter(|(_, d)| filter.matches(d)).map(|(&id, _)| id).collect();
+                coll.iter().filter(|(_, d)| filter.matches(d)).map(|(id, _)| id).collect();
             naive.sort_unstable();
             let found = coll.find(&filter);
             prop_assert!(found.ids == naive, "{:?}: {:?} vs brute force {:?}", filter, found, naive);

@@ -157,7 +157,7 @@ impl Attachment {
     /// Whether the published manifest lists legacy chunks, which the next
     /// checkpoint replaces with a new lineage in place.
     fn is_legacy(&self) -> bool {
-        self.manifest.chunks.iter().any(|c| persist::is_legacy_kind(&c.kind))
+        self.manifest.chunks.iter().any(|c| crate::legacy::is_kind(&c.kind))
     }
 }
 

@@ -100,7 +100,7 @@ impl ResolvedFilter {
                 IdMask::from_bitmap(&plan.matching(coll).map(|(id, _)| id).collect::<Bitmap>())
             }
             _ => IdMask::from_bitmap(
-                &coll.iter().filter(|(_, doc)| filter.matches(doc)).map(|(id, _)| *id).collect(),
+                &coll.iter().filter(|(_, doc)| filter.matches(doc)).map(|(id, _)| id).collect(),
             ),
         };
 

@@ -235,6 +235,7 @@ mod tests {
         // the record refused before any of its three inserts.
         let squatter = Document::new().with(fields::NAME, patch.meta.name.as_str());
         let images = catalog.database.collection_mut(collections::IMAGE_DATA).unwrap();
+        let without_squatter = images.clone();
         images.insert(squatter).unwrap();
 
         let err = catalog.apply_record(record()).unwrap_err();
@@ -246,11 +247,11 @@ mod tests {
         assert_eq!(len(&catalog, collections::RENDERED), 0);
         assert!(catalog.metadata.is_empty() && catalog.cbir.is_empty());
 
-        // With the conflict removed, the same patch ingests cleanly, as
-        // dense id 0 and metadata document 0.
+        // With the squatter dropped (its collection as it was before it),
+        // the same patch ingests cleanly, as dense id 0 and metadata
+        // document 0.
         let key = Value::Str(patch.meta.name.clone());
-        let images = catalog.database.collection_mut(collections::IMAGE_DATA).unwrap();
-        images.delete_by_key(&key).unwrap();
+        *catalog.database.collection_mut(collections::IMAGE_DATA).unwrap() = without_squatter;
         assert_eq!(catalog.apply_record(record()).unwrap(), 0);
         for coll in [collections::METADATA, collections::IMAGE_DATA, collections::RENDERED] {
             assert_eq!(len(&catalog, coll), 1, "collection {coll}");

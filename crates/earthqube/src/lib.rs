@@ -88,6 +88,7 @@ pub mod engine;
 pub mod feedback;
 pub mod filtered;
 pub mod ingest;
+mod legacy;
 pub mod net;
 mod persist;
 pub mod query;

@@ -102,6 +102,7 @@ use std::time::{Duration, Instant};
 use eq_bigearthnet::patch::Patch;
 use eq_docstore::QueryPlan;
 use eq_proto::{RequestBody, ResponseBody};
+use eq_wire::frame::FRAME_BUF_KEEP;
 use rand::SeedableRng as _;
 
 use crate::engine::SearchResponse;
@@ -1613,10 +1614,6 @@ pub(crate) fn unexpected(body: ResponseBody, request: &str) -> EarthQubeError {
         other => EarthQubeError::Net(format!("unexpected response {other:?} to {request}")),
     }
 }
-
-/// A client keeps its frame buffer across requests only up to this
-/// capacity.
-const FRAME_BUF_KEEP: usize = 1 << 20;
 
 /// Builds one request frame in `frame` (cleared first) and sends it with
 /// one `write_all`: header and payload leave in one `write(2)`, so the

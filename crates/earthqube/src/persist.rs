@@ -42,14 +42,15 @@
 //!   A payload is a WAL record's, byte for byte (grammar below); records
 //!   are self-delimiting, so a run holds them back to back.
 //!
-//!   Tags 2–4 are the legacy format, read only by the legacy reader: a
-//!   full collection (`coll:NAME`), a collection delta (`delta:NAME`) and a
-//!   dense-id range of patch metadata and codes (`images:START`).  Recovery
-//!   turns them into the same record runs, and the next checkpoint starts a
-//!   new lineage in place, so no manifest mixes the two formats.  Tag 5
-//!   (manifest kind `shard:N`) held one index shard; it is retired and must
-//!   never be reused: recovery skips `shard:` entries unread, and the next
-//!   checkpoint drops them from the manifest, so their files are swept.
+//!   Tags 2–4 are the legacy format, owned and only read by the crate's
+//!   `legacy` module: a full collection (`coll:NAME`), a collection delta
+//!   (`delta:NAME`) and a dense-id range of patch metadata and codes
+//!   (`images:START`).  Recovery translates them into the same records,
+//!   and the next checkpoint starts a new lineage in place, so no manifest
+//!   mixes the two formats.  Tag 5 (manifest kind `shard:N`) held one index
+//!   shard; it is retired and must never be reused: recovery skips `shard:`
+//!   entries unread, and the next checkpoint drops them from the manifest,
+//!   so their files are swept.
 //!
 //! * **WAL segments** (`wal.NNNN.eqw`, magic `EQWSEG01`) — the write-ahead
 //!   log, rotated into bounded segments instead of one endless file.  Each
@@ -96,7 +97,7 @@ use std::path::{Path, PathBuf};
 
 use eq_bigearthnet::patch::PatchMetadata;
 use eq_bigearthnet::wire::{decode_patch_metadata, encode_patch_metadata};
-use eq_docstore::{wire, Collection, CollectionDelta, Database, Document, Value};
+use eq_docstore::{wire, Document};
 use eq_hashindex::BinaryCode;
 use eq_milan::persist::{
     decode_config as decode_milan_config, encode_config as encode_milan_config,
@@ -106,8 +107,7 @@ use eq_wire::manifest::{decode_manifest, encode_manifest, ChunkEntry, Manifest};
 use eq_wire::{crc32, Reader, WireError, Writer};
 
 use crate::engine::EarthQubeConfig;
-use crate::feedback::FeedbackService;
-use crate::schema::collections;
+use crate::legacy::{self, Legacy};
 use crate::serve::ServeConfig;
 use crate::EarthQubeError;
 
@@ -124,10 +124,7 @@ const SEGMENT_MAGIC: &[u8; 8] = b"EQWSEG01";
 pub(crate) const SEGMENT_HEADER_LEN: u64 = 16;
 
 const CHUNK_STATIC: u8 = 1;
-// Tags 2–4 are read only by the legacy reader (`Legacy`).
-const CHUNK_COLLECTION: u8 = 2;
-const CHUNK_COLLECTION_DELTA: u8 = 3;
-const CHUNK_IMAGES: u8 = 4;
+// Tags 2–4 are the legacy format (`crate::legacy`).
 // Tag 5 is retired (index shards): never reuse it.
 const CHUNK_RECORDS: u8 = 6;
 
@@ -307,12 +304,6 @@ pub(crate) fn kind_static() -> String {
     "static".to_string()
 }
 
-/// Whether a manifest kind names a chunk of the legacy format (a full
-/// collection, a collection delta or an image range): read, never written.
-pub(crate) fn is_legacy_kind(kind: &str) -> bool {
-    ["coll:", "delta:", "images:"].iter().any(|prefix| kind.starts_with(prefix))
-}
-
 /// Whether a manifest kind names a retired index-shard chunk, which older
 /// directories still list: read by nothing, dropped by the next manifest.
 pub(crate) fn is_retired_kind(kind: &str) -> bool {
@@ -372,18 +363,8 @@ pub(crate) enum ChunkPayload {
         /// The records, in sequence order.
         records: Vec<WalRecord>,
     },
-    /// Legacy: a full docstore collection (replaces the base and any prior
-    /// deltas).
-    Collection(Collection),
-    /// Legacy: a delta layered on top of the collection's current base.
-    Delta(CollectionDelta),
-    /// Legacy: a dense-id range of per-image metadata and binary codes.
-    Images {
-        /// First dense id of the range.
-        start: u64,
-        /// The metadata/code pairs, in dense-id order.
-        images: Vec<(PatchMetadata, BinaryCode)>,
-    },
+    /// A chunk of the legacy format.
+    Legacy(legacy::Chunk),
 }
 
 impl ChunkPayload {
@@ -399,9 +380,7 @@ impl ChunkPayload {
                         && records.iter().all(|record| Sequence::of(record) == seq)
                 });
             }
-            ChunkPayload::Collection(c) => format!("coll:{}", c.name()),
-            ChunkPayload::Delta(d) => format!("delta:{}", d.name),
-            ChunkPayload::Images { start, .. } => format!("images:{start}"),
+            ChunkPayload::Legacy(chunk) => chunk.kind(),
         };
         expected == kind
     }
@@ -450,21 +429,8 @@ pub(crate) fn decode_chunk_body(body: &[u8]) -> Result<ChunkPayload, EarthQubeEr
             }
             ChunkPayload::Records { start, records }
         }
-        CHUNK_COLLECTION => {
-            ChunkPayload::Collection(wire::decode_collection(&mut r).map_err(corrupt)?)
-        }
-        CHUNK_COLLECTION_DELTA => {
-            ChunkPayload::Delta(wire::decode_collection_delta(&mut r).map_err(corrupt)?)
-        }
-        CHUNK_IMAGES => {
-            let start = r.u64().map_err(corrupt)?;
-            let count = r.seq_len(8).map_err(corrupt)?;
-            let mut images = Vec::with_capacity(count);
-            for _ in 0..count {
-                let meta = decode_patch_metadata(&mut r).map_err(corrupt)?;
-                images.push((meta, BinaryCode::decode(&mut r).map_err(corrupt)?));
-            }
-            ChunkPayload::Images { start, images }
+        tag @ legacy::CHUNK_COLLECTION..=legacy::CHUNK_IMAGES => {
+            ChunkPayload::Legacy(legacy::Chunk::decode(tag, &mut r)?)
         }
         other => {
             return Err(EarthQubeError::Persist(format!("unknown checkpoint chunk tag {other}")))
@@ -633,10 +599,10 @@ pub(crate) struct SnapshotState {
 /// Validation: exactly one static chunk; each sequence's records chunks
 /// tile it from 0 in manifest order (a published manifest lists a
 /// sequence's chunks in ascending start order).  A directory of the
-/// legacy format is read by `Legacy` into the same records, and may not
-/// mix in records chunks.  Retired `shard:` entries are skipped unread.
-/// What the records carry (dense ids, code widths, duplicates) is checked
-/// where they are applied.
+/// legacy format is translated by [`Legacy`] into the same records, and
+/// may not mix in records chunks.  Retired `shard:` entries are skipped
+/// unread.  What the records carry (dense ids, code widths, duplicates)
+/// is checked where they are applied.
 pub(crate) fn read_snapshot(
     dir: &Path,
     manifest: &Manifest,
@@ -666,11 +632,7 @@ pub(crate) fn read_snapshot(
                 }
                 run.extend(records);
             }
-            ChunkPayload::Collection(collection) => legacy.database.insert_collection(collection),
-            ChunkPayload::Delta(delta) => legacy.database.apply_delta(delta).map_err(|e| {
-                EarthQubeError::Persist(format!("collection delta does not apply: {e}"))
-            })?,
-            ChunkPayload::Images { start, images } => legacy.ranges.push((start, images)),
+            ChunkPayload::Legacy(chunk) => legacy.apply(chunk)?,
         }
     }
     let Some((config, serve, model)) = static_part else {
@@ -678,7 +640,7 @@ pub(crate) fn read_snapshot(
     };
     let [mut records, feedback] = runs;
     records.extend(feedback);
-    if !legacy.database.is_empty() || !legacy.ranges.is_empty() {
+    if !legacy.is_empty() {
         if !records.is_empty() {
             return Err(EarthQubeError::Persist(
                 "manifest mixes legacy chunks and records chunks".into(),
@@ -687,45 +649,6 @@ pub(crate) fn read_snapshot(
         records = legacy.into_records()?;
     }
     Ok(SnapshotState { config, serve, model, records })
-}
-
-/// The legacy reader's state: directories written before records chunks
-/// hold full collections and deltas layered on them (tags 2 and 3, applied
-/// in manifest order, so a full collection replaces its base and the
-/// deltas before it) and the image table in dense-id ranges (tag 4).
-#[derive(Default)]
-struct Legacy {
-    database: Database,
-    ranges: Vec<(u64, Vec<(PatchMetadata, BinaryCode)>)>,
-}
-
-impl Legacy {
-    /// The records the same writes would have logged: one ingest record
-    /// per image, in dense-id order, with its stored documents, then one
-    /// feedback record per stored entry.  Applying them checks that the
-    /// ranges tile.
-    fn into_records(mut self) -> Result<Vec<WalRecord>, EarthQubeError> {
-        self.ranges.sort_by_key(|(start, _)| *start);
-        let stored = |name: &str, key: &Value| {
-            let doc = self.database.collection(name).ok().and_then(|c| c.get_by_key(key));
-            doc.cloned().ok_or_else(|| {
-                EarthQubeError::Persist(format!("the legacy {name} collection lacks {key:?}"))
-            })
-        };
-        let mut records = Vec::new();
-        for (meta, code) in self.ranges.into_iter().flat_map(|(_, range)| range) {
-            let key = Value::Str(meta.name.clone());
-            let image_doc = stored(collections::IMAGE_DATA, &key)?;
-            let rendered_doc = stored(collections::RENDERED, &key)?;
-            records.push(WalRecord::Ingest { meta, code, image_doc, rendered_doc });
-        }
-        if self.database.collection(collections::FEEDBACK).is_ok() {
-            for entry in FeedbackService.list(&self.database)? {
-                records.push(WalRecord::Feedback { text: entry.text, category: entry.category });
-            }
-        }
-        Ok(records)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1529,16 +1452,22 @@ mod tests {
     }
 
     /// The durable tier's half of the codec property (the public codecs'
-    /// half is `tests/proptest_codecs.rs`): a random WAL record, and a
-    /// records chunk body of random records, re-encode to their own bytes,
-    /// and the same bytes with one byte overwritten or one bit flipped
-    /// either fail to decode or re-encode to the damaged bytes.
+    /// half is `tests/proptest_codecs.rs`): a random WAL record, a records
+    /// chunk body of random records and a static chunk body of a random
+    /// configuration and model re-encode to their own bytes, and the same
+    /// bytes with one byte overwritten or one bit flipped either fail to
+    /// decode or re-encode to the damaged bytes.  The static chunk's two
+    /// retired slots are the one exception: read and dropped, so damage
+    /// there re-encodes to the undamaged bytes.
     mod codec_property {
         use super::*;
         use eq_bigearthnet::patch::{AcquisitionDate, PatchId};
-        use eq_bigearthnet::{Country, Label, LabelSet};
+        use eq_bigearthnet::{ArchiveGenerator, Country, GeneratorConfig, Label, LabelSet};
+        use eq_docstore::Value;
         use eq_geo::BBox;
+        use eq_milan::MilanConfig;
         use proptest::prelude::*;
+        use std::sync::OnceLock;
 
         /// Draws from a byte script; an exhausted script reads as zeros.
         fn take(script: &mut &[u8], n: usize) -> u64 {
@@ -1624,6 +1553,80 @@ mod tests {
             }
         }
 
+        /// A MiLaN configuration: any field values for the engine
+        /// configuration's copy, valid ones when `valid` (a model's own).
+        fn milan_config(script: &mut &[u8], valid: bool) -> MilanConfig {
+            let floor = u64::from(valid);
+            let dims: Vec<usize> =
+                (0..take(script, 1) % 3).map(|_| (floor + take(script, 1) % 4) as usize).collect();
+            let mut float = || f32::from_bits(take(script, 4) as u32);
+            let loss = eq_milan::LossWeights {
+                triplet: float(),
+                bit_balance: float(),
+                quantization: float(),
+                margin: float(),
+            };
+            MilanConfig {
+                code_bits: (floor + take(script, 1) % 24) as u32,
+                hidden_dims: dims,
+                loss,
+                epochs: (floor + take(script, 2)) as usize,
+                triplets_per_epoch: (floor + take(script, 2)) as usize,
+                learning_rate: if valid { 0.01 } else { f32::from_bits(take(script, 4) as u32) },
+                semi_hard_pool: take(script, 1) as usize,
+                seed: take(script, 8),
+            }
+        }
+
+        /// A model trained once on a small archive, so its normaliser is
+        /// set: shared by every case that draws it.
+        fn trained_model() -> &'static Milan {
+            static MODEL: OnceLock<Milan> = OnceLock::new();
+            MODEL.get_or_init(|| {
+                let config =
+                    MilanConfig { epochs: 1, triplets_per_epoch: 8, ..MilanConfig::fast(8, 3) };
+                let mut model = Milan::new(config).expect("valid configuration");
+                let archive = ArchiveGenerator::new(GeneratorConfig::tiny(6, 3)).expect("config");
+                model.train_on_archive(&archive.generate());
+                model
+            })
+        }
+
+        /// A static chunk body, and where its two retired slots lie in it.
+        fn static_chunk(script: &mut &[u8]) -> (Vec<u8>, std::ops::Range<usize>) {
+            let config = EarthQubeConfig {
+                milan: milan_config(script, false),
+                page_size: take(script, 8) as usize,
+                train_model: take(script, 1) % 2 == 1,
+            };
+            let serve = ServeConfig {
+                shards: 1 + take(script, 2) as usize,
+                cache_capacity: take(script, 8) as usize,
+            };
+            let bytes = if take(script, 1) % 2 == 1 {
+                encode_static_chunk(&config, serve, trained_model())
+            } else {
+                let model = Milan::new(milan_config(script, true)).expect("valid configuration");
+                encode_static_chunk(&config, serve, &model)
+            };
+            let mut milan = Writer::new();
+            encode_milan_config(&config.milan, &mut milan);
+            let retired = 1 + milan.as_bytes().len();
+            (bytes, retired..retired + 12)
+        }
+
+        /// A decoded static chunk body re-encoded, or `None` for any other
+        /// kind.
+        fn reencoded_static(body: &[u8]) -> Option<Result<Vec<u8>, EarthQubeError>> {
+            match decode_chunk_body(body) {
+                Ok(ChunkPayload::Static { config, serve, model }) => {
+                    Some(Ok(encode_static_chunk(&config, serve, &model)))
+                }
+                Ok(_) => None,
+                Err(e) => Some(Err(e)),
+            }
+        }
+
         fn damaged(mut bytes: Vec<u8>, (at, byte, flip): (usize, u8, bool)) -> Vec<u8> {
             let at = at % bytes.len();
             if flip {
@@ -1665,6 +1668,33 @@ mod tests {
                     Some(Ok(back)) => prop_assert!(back == bytes, "a damaged chunk re-encodes otherwise"),
                     Some(Err(_)) => {}
                     None => prop_assert!(false, "a damaged records chunk decoded as another kind"),
+                }
+            }
+        }
+
+        proptest! {
+            // Each case decodes its chunk ~260 times, once per damaged byte.
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn static_chunks_accept_only_what_they_write(
+                script in proptest::collection::vec(0u8..=255u8, 0..160),
+                damage in (0usize..1 << 20, 0u8..=255u8, any::<bool>()),
+            ) {
+                let (bytes, retired) = static_chunk(&mut script.as_slice());
+                prop_assert!(matches!(reencoded_static(&bytes), Some(Ok(back)) if back == bytes));
+                // Damage at every byte of the configurations and the model's
+                // header, then at one byte anywhere: the weights behind the
+                // header are bare `f32` bit patterns.
+                let (_, byte, flip) = damage;
+                for at in (0..bytes.len().min(256)).chain([damage.0 % bytes.len()]) {
+                    let hurt = damaged(bytes.clone(), (at, byte, flip));
+                    let expected = if retired.contains(&at) { &bytes } else { &hurt };
+                    match reencoded_static(&hurt) {
+                        Some(Ok(back)) => prop_assert!(back == *expected, "a damaged static chunk re-encodes otherwise at {}", at),
+                        Some(Err(_)) => {}
+                        None => prop_assert!(false, "a damaged static chunk decoded as another kind"),
+                    }
                 }
             }
         }

@@ -62,8 +62,8 @@ impl MilanConfig {
     }
 
     fn validate(&self) -> Result<(), String> {
-        if self.code_bits == 0 {
-            return Err("code_bits must be positive".into());
+        if self.code_bits == 0 || self.hidden_dims.contains(&0) {
+            return Err("code_bits and hidden layer widths must be positive".into());
         }
         if self.epochs == 0 || self.triplets_per_epoch == 0 {
             return Err("epochs and triplets_per_epoch must be positive".into());
@@ -355,6 +355,8 @@ mod tests {
     #[test]
     fn config_validation() {
         assert!(Milan::new(MilanConfig { code_bits: 0, ..Default::default() }).is_err());
+        // A zero-width hidden layer is refused, not a panic in the layer.
+        assert!(Milan::new(MilanConfig { hidden_dims: vec![8, 0], ..Default::default() }).is_err());
         assert!(Milan::new(MilanConfig { epochs: 0, ..Default::default() }).is_err());
         assert!(Milan::new(MilanConfig { learning_rate: -1.0, ..Default::default() }).is_err());
         assert!(Milan::new(MilanConfig::default()).is_ok());

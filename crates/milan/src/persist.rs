@@ -21,6 +21,7 @@
 
 use eq_wire::{Reader, WireError, Writer};
 
+use crate::features::FEATURE_DIM;
 use crate::loss::LossWeights;
 use crate::model::{Milan, MilanConfig};
 use crate::normalizer::Normalizer;
@@ -116,10 +117,25 @@ impl Milan {
     /// bit-identical hash codes.
     ///
     /// # Errors
-    /// Returns a [`WireError`] on truncation, an invalid configuration or a
-    /// layer-shape mismatch; never panics.
+    /// Returns a [`WireError`] on truncation, an invalid configuration, a
+    /// configuration whose layers the remaining input cannot hold (checked
+    /// before they are allocated), a normaliser of another width than the
+    /// features or a layer-shape mismatch; never panics.
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let config = decode_config(r)?;
+        let widths = || {
+            let hidden = config.hidden_dims.iter().copied();
+            std::iter::once(FEATURE_DIM).chain(hidden).chain([config.code_bits as usize])
+        };
+        let parameters = widths()
+            .zip(widths().skip(1))
+            .map(|(rows, cols)| rows.saturating_mul(cols).saturating_add(cols))
+            .fold(0usize, usize::saturating_add);
+        if parameters.saturating_mul(4) > r.remaining() {
+            return Err(WireError::Corrupt(format!(
+                "the configuration implies {parameters} parameters, more than the remaining input"
+            )));
+        }
         let mut model = Milan::new(config)
             .map_err(|e| WireError::Corrupt(format!("invalid model configuration: {e}")))?;
         let trained = r.bool()?;
@@ -127,9 +143,9 @@ impl Milan {
             0 => None,
             1 => {
                 let dim = r.u32()? as usize;
-                if dim.saturating_mul(8) > r.remaining() {
+                if dim != FEATURE_DIM {
                     return Err(WireError::Corrupt(format!(
-                        "normalizer of dim {dim} exceeds the remaining input"
+                        "normalizer of dim {dim}, the features have {FEATURE_DIM}"
                     )));
                 }
                 let mut mean = Vec::with_capacity(dim);
@@ -246,5 +262,46 @@ mod tests {
         // stored layer shapes.
         bytes[0] ^= 0x01;
         assert!(Milan::decode(&mut Reader::new(&bytes)).is_err());
+    }
+
+    /// A damaged width is refused before the layers it implies are
+    /// allocated: here a hidden layer of 2^40 units (terabytes of
+    /// weights) over a model of a few kilobytes.
+    #[test]
+    fn a_configuration_larger_than_its_input_is_refused_before_allocating() {
+        let model = Milan::new(MilanConfig::fast(16, 8)).unwrap();
+        let bytes = encoded(&model);
+        let mut config = Writer::new();
+        encode_config(
+            &MilanConfig { hidden_dims: vec![1 << 40], ..model.config().clone() },
+            &mut config,
+        );
+        let config = config.into_bytes();
+        let mut huge = config.clone();
+        huge.extend_from_slice(&bytes[config.len()..]);
+        let err = Milan::decode(&mut Reader::new(&huge)).unwrap_err();
+        assert!(err.to_string().contains("parameters"), "{err}");
+    }
+
+    #[test]
+    fn a_normalizer_of_another_width_is_refused() {
+        let archive = ArchiveGenerator::new(GeneratorConfig::tiny(8, 23)).unwrap().generate();
+        let mut model = Milan::new(MilanConfig::fast(8, 9)).unwrap();
+        model.train_on_archive(&archive);
+        let bytes = encoded(&model);
+        let mut config = Writer::new();
+        encode_config(model.config(), &mut config);
+        // The normaliser's width follows the config and the trained flag.
+        let at = config.as_bytes().len() + 2;
+        assert_eq!(bytes[at..at + 4], (FEATURE_DIM as u32).to_le_bytes());
+        // The same model with its normaliser's last dimension cut off.
+        let (mean, std) = (at + 4, at + 4 + FEATURE_DIM * 4);
+        let mut narrower = bytes[..at].to_vec();
+        narrower.extend_from_slice(&(FEATURE_DIM as u32 - 1).to_le_bytes());
+        narrower.extend_from_slice(&bytes[mean..std - 4]);
+        narrower.extend_from_slice(&bytes[std..std + FEATURE_DIM * 4 - 4]);
+        narrower.extend_from_slice(&bytes[std + FEATURE_DIM * 4..]);
+        assert!(Milan::decode(&mut Reader::new(&narrower)).is_err());
+        assert!(Milan::decode(&mut Reader::new(&bytes)).is_ok());
     }
 }

@@ -89,6 +89,12 @@ impl From<std::io::Error> for FrameError {
 /// Bytes of a frame header: magic, payload length, payload CRC-32.
 pub const HEADER_LEN: usize = 12;
 
+/// The largest frame buffer kept once it is empty: a connection's buffer
+/// above this capacity (a large upload's, say) is given back instead of
+/// being held for the connection's life.  Both the server's
+/// [`FrameDecoder`] and the client's send buffer keep to it.
+pub const FRAME_BUF_KEEP: usize = 1 << 20;
+
 /// Starts a frame at the end of `buf`: appends the magic and a placeholder
 /// for the length and checksum, and returns the frame's start offset for
 /// [`end_frame`].  The caller then appends the payload to `buf` directly —
@@ -210,7 +216,8 @@ pub struct FrameDecoder {
     buf: Vec<u8>,
     /// Start of undecoded bytes within `buf`; consumed prefixes are
     /// compacted away once they outgrow a small threshold, so steady-state
-    /// decoding reuses one buffer instead of shifting bytes per frame.
+    /// decoding reuses one buffer instead of shifting bytes per frame.  A
+    /// drained buffer above [`FRAME_BUF_KEEP`] is dropped.
     pos: usize,
 }
 
@@ -264,7 +271,11 @@ impl FrameDecoder {
         let payload = b[12..total].to_vec();
         self.pos += total;
         if self.pos == self.buf.len() {
-            self.buf.clear();
+            if self.buf.capacity() > FRAME_BUF_KEEP {
+                self.buf = Vec::new();
+            } else {
+                self.buf.clear();
+            }
             self.pos = 0;
         } else if self.pos > Self::COMPACT_THRESHOLD {
             self.buf.drain(..self.pos);
@@ -533,6 +544,32 @@ mod tests {
             assert_eq!(dec.next_frame().unwrap().unwrap(), vec![0x5A; 1024]);
         }
         assert_eq!(dec.buffered_len(), 0);
+    }
+
+    #[test]
+    fn a_drained_decoder_gives_a_large_buffer_back() {
+        let mut dec = FrameDecoder::new(*MAGIC, 8 << 20);
+        // Small frames keep their buffer: one allocation, reused.
+        for _ in 0..4 {
+            dec.extend(&framed(&[1; 3000]));
+            assert_eq!(dec.next_frame().unwrap().unwrap(), [1; 3000]);
+        }
+        let kept = dec.buf.capacity();
+        assert!(kept >= 3000);
+        dec.extend(&framed(&[2; 100]));
+        dec.next_frame().unwrap().unwrap();
+        assert_eq!(dec.buf.capacity(), kept, "a small frame's buffer is kept");
+        // A 4 MiB frame, fed in socket-sized reads, grows the buffer past
+        // the cap; once it is out, the buffer is given back.
+        let big = framed(&vec![3; 4 << 20]);
+        for read in big.chunks(64 << 10) {
+            dec.extend(read);
+        }
+        assert!(dec.buf.capacity() > FRAME_BUF_KEEP);
+        assert_eq!(dec.next_frame().unwrap().unwrap().len(), 4 << 20);
+        assert!(dec.buf.capacity() <= FRAME_BUF_KEEP, "{} bytes kept", dec.buf.capacity());
+        dec.extend(&framed(b"after"));
+        assert_eq!(dec.next_frame().unwrap().unwrap(), b"after");
     }
 
     #[test]
