@@ -172,7 +172,13 @@ pub fn response_to_payload(response: &SearchResponse) -> eq_proto::SearchPayload
     eq_proto::SearchPayload {
         rows: panel.entries().to_vec(),
         page_size: panel.page_size() as u64,
-        label_counts: statistics.counts().iter().map(|&c| c as u64).collect(),
+        // A count never exceeds the answer's rows, which are dense ids, so
+        // it always fits; saturate rather than wrap if it ever did not.
+        label_counts: statistics
+            .counts()
+            .iter()
+            .map(|&c| u32::try_from(c).unwrap_or(u32::MAX))
+            .collect(),
         image_count: statistics.image_count() as u64,
         plan: plan.as_ref().map(plan_spec),
     }

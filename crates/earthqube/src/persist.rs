@@ -40,7 +40,10 @@
 //!   ```
 //!
 //!   A payload is a WAL record's, byte for byte (grammar below); records
-//!   are self-delimiting, so a run holds them back to back.
+//!   are self-delimiting, so a run holds them back to back.  The static
+//!   body carries the MiLaN configuration twice, first inside
+//!   `engine_config` and then at the head of `milan_model`; a body whose
+//!   two copies differ in any byte is refused.
 //!
 //!   Tags 2–4 are the legacy format, owned and only read by the crate's
 //!   `legacy` module: a full collection (`coll:NAME`), a collection delta
@@ -102,7 +105,7 @@ use eq_hashindex::BinaryCode;
 use eq_milan::persist::{
     decode_config as decode_milan_config, encode_config as encode_milan_config,
 };
-use eq_milan::Milan;
+use eq_milan::{Milan, MilanConfig};
 use eq_wire::manifest::{decode_manifest, encode_manifest, ChunkEntry, Manifest};
 use eq_wire::{crc32, Reader, WireError, Writer};
 
@@ -276,6 +279,15 @@ fn decode_engine_config(r: &mut Reader<'_>) -> Result<EarthQubeConfig, WireError
     Ok(EarthQubeConfig { milan, page_size, train_model })
 }
 
+/// A MiLaN configuration as the static chunk encodes it.  The chunk
+/// carries it twice, in the engine configuration and in the model, and a
+/// chunk whose two copies differ in any byte is refused.
+fn milan_config_bytes(config: &MilanConfig) -> Vec<u8> {
+    let mut w = Writer::new();
+    encode_milan_config(config, &mut w);
+    w.into_bytes()
+}
+
 fn encode_serve_config(serve: ServeConfig, w: &mut Writer) {
     w.u64(serve.shards as u64);
     w.u64(serve.cache_capacity as u64);
@@ -419,6 +431,13 @@ pub(crate) fn decode_chunk_body(body: &[u8]) -> Result<ChunkPayload, EarthQubeEr
             let config = decode_engine_config(&mut r).map_err(corrupt)?;
             let serve = decode_serve_config(&mut r).map_err(corrupt)?;
             let model = Milan::decode(&mut r).map_err(corrupt)?;
+            if milan_config_bytes(&config.milan) != milan_config_bytes(model.config()) {
+                return Err(EarthQubeError::Persist(
+                    "a static chunk's engine configuration differs from its model's own MiLaN \
+                     configuration"
+                        .into(),
+                ));
+            }
             ChunkPayload::Static { config, serve, model }
         }
         CHUNK_RECORDS => {
@@ -1458,14 +1477,15 @@ mod tests {
     /// bytes with one byte overwritten or one bit flipped either fail to
     /// decode or re-encode to the damaged bytes.  The static chunk's two
     /// retired slots are the one exception: read and dropped, so damage
-    /// there re-encodes to the undamaged bytes.
+    /// there re-encodes to the undamaged bytes.  A static chunk's engine
+    /// configuration carries its model's MiLaN configuration, as a server
+    /// writes it; the same chunk with the two disagreeing is refused.
     mod codec_property {
         use super::*;
         use eq_bigearthnet::patch::{AcquisitionDate, PatchId};
         use eq_bigearthnet::{ArchiveGenerator, Country, GeneratorConfig, Label, LabelSet};
         use eq_docstore::Value;
         use eq_geo::BBox;
-        use eq_milan::MilanConfig;
         use proptest::prelude::*;
         use std::sync::OnceLock;
 
@@ -1553,7 +1573,7 @@ mod tests {
             }
         }
 
-        /// A MiLaN configuration: any field values for the engine
+        /// A MiLaN configuration: any field values for a disagreeing engine
         /// configuration's copy, valid ones when `valid` (a model's own).
         fn milan_config(script: &mut &[u8], valid: bool) -> MilanConfig {
             let floor = u64::from(valid);
@@ -1592,10 +1612,20 @@ mod tests {
             })
         }
 
-        /// A static chunk body, and where its two retired slots lie in it.
-        fn static_chunk(script: &mut &[u8]) -> (Vec<u8>, std::ops::Range<usize>) {
-            let config = EarthQubeConfig {
-                milan: milan_config(script, false),
+        /// A static chunk body whose engine configuration carries its
+        /// model's MiLaN configuration, where its two retired slots lie in
+        /// it, and the same chunk with the engine's copy drawn on its own
+        /// (`None` if that draw encodes like the model's).
+        fn static_chunk(script: &mut &[u8]) -> (Vec<u8>, std::ops::Range<usize>, Option<Vec<u8>>) {
+            let drawn;
+            let model = if take(script, 1) % 2 == 1 {
+                trained_model()
+            } else {
+                drawn = Milan::new(milan_config(script, true)).expect("valid configuration");
+                &drawn
+            };
+            let mut config = EarthQubeConfig {
+                milan: model.config().clone(),
                 page_size: take(script, 8) as usize,
                 train_model: take(script, 1) % 2 == 1,
             };
@@ -1603,16 +1633,13 @@ mod tests {
                 shards: 1 + take(script, 2) as usize,
                 cache_capacity: take(script, 8) as usize,
             };
-            let bytes = if take(script, 1) % 2 == 1 {
-                encode_static_chunk(&config, serve, trained_model())
-            } else {
-                let model = Milan::new(milan_config(script, true)).expect("valid configuration");
-                encode_static_chunk(&config, serve, &model)
-            };
-            let mut milan = Writer::new();
-            encode_milan_config(&config.milan, &mut milan);
-            let retired = 1 + milan.as_bytes().len();
-            (bytes, retired..retired + 12)
+            let bytes = encode_static_chunk(&config, serve, model);
+            let retired = 1 + milan_config_bytes(&config.milan).len();
+            config.milan = milan_config(script, false);
+            let disagreeing = (milan_config_bytes(&config.milan)
+                != milan_config_bytes(model.config()))
+            .then(|| encode_static_chunk(&config, serve, model));
+            (bytes, retired..retired + 12, disagreeing)
         }
 
         /// A decoded static chunk body re-encoded, or `None` for any other
@@ -1681,8 +1708,14 @@ mod tests {
                 script in proptest::collection::vec(0u8..=255u8, 0..160),
                 damage in (0usize..1 << 20, 0u8..=255u8, any::<bool>()),
             ) {
-                let (bytes, retired) = static_chunk(&mut script.as_slice());
+                let (bytes, retired, disagreeing) = static_chunk(&mut script.as_slice());
                 prop_assert!(matches!(reencoded_static(&bytes), Some(Ok(back)) if back == bytes));
+                if let Some(disagreeing) = disagreeing {
+                    prop_assert!(
+                        matches!(decode_chunk_body(&disagreeing), Err(EarthQubeError::Persist(_))),
+                        "a static chunk whose two MiLaN configurations differ was accepted"
+                    );
+                }
                 // Damage at every byte of the configurations and the model's
                 // header, then at one byte anywhere: the weights behind the
                 // header are bare `f32` bit patterns.

@@ -153,7 +153,7 @@ fn reference(
     let search = |plan: Option<PlanSpec>| SearchPayload {
         rows: panel.entries().to_vec(),
         page_size: panel.page_size() as u64,
-        label_counts: statistics.counts().iter().map(|&c| c as u64).collect(),
+        label_counts: statistics.counts().iter().map(|&c| c as u32).collect(),
         image_count: statistics.image_count() as u64,
         plan,
     };

@@ -195,7 +195,7 @@ impl Script<'_> {
         SearchPayload {
             rows: (0..self.below(4)).map(|_| row(self)).collect(),
             page_size: self.take(8),
-            label_counts: (0..self.below(50)).map(|_| self.take(4)).collect(),
+            label_counts: (0..self.below(50)).map(|_| self.take(4) as u32).collect(),
             image_count: self.take(8),
             plan: self.coin().then(|| PlanSpec {
                 index_used: self.coin().then(|| self.string()),

@@ -18,7 +18,11 @@
 //!   XOR, `vpopcntq`, a pairwise add of each 128-bit row's two words (other
 //!   widths gather each word at the row stride), one unsigned compare of
 //!   all eight distances against the bound, with the block's keep bits
-//!   ANDed in.  The last `len % 8` rows run portable.
+//!   ANDed in.  Unmasked 1- and 2-word codes decide **32 rows per
+//!   branch**: four blocks' distances folded by a lane-wise `min` and
+//!   compared once with a hoisted bound vector; only a group with a row
+//!   inside the bound is decided block by block.  The last `len % 8` rows
+//!   run portable.
 //! * **`Popcnt`**: the portable loop compiled with the `popcnt` instruction.
 //! * **`Portable`**: `u64::count_ones` (a SWAR sequence on x86_64 without
 //!   `popcnt`) in 1/2/4-word arms that keep the query in registers.  The
@@ -94,7 +98,8 @@ pub enum KernelTier {
     /// The portable loop compiled with the `popcnt` instruction.
     Popcnt,
     /// `avx512f` + `avx512vpopcntdq`: eight rows per step, their distances
-    /// compared with the bound in one instruction.
+    /// compared with the bound in one instruction; unmasked 1- and 2-word
+    /// codes 32 rows per compare.
     Avx512,
 }
 
@@ -293,6 +298,75 @@ impl CodeArena {
     }
 }
 
+/// The eight distances of one AVX-512 block, `$block` (8 rows of `$w`
+/// words each), to the query lanes.  1- and 2-word rows are
+/// loaded whole (a 2-word block's two popcounted halves are summed by a
+/// permute-add); wider rows gather each word at the row stride.  A macro,
+/// like the step that uses it: `$w` is a literal in the grouped loop of
+/// [`CodeArena::scan_avx512`], so its `match` folds away there.
+#[cfg(target_arch = "x86_64")]
+macro_rules! distances_avx512 {
+    ($block:ident, $w:expr, $query:ident, $pairs:ident, $evens:ident, $odds:ident, $stride:ident) => {
+        match $w {
+            1 => {
+                // SAFETY: avx512f is on; the load reads `block[0..8]`, and
+                // `block.len() == 8`.
+                let words = unsafe { _mm512_loadu_epi64($block.as_ptr().cast()) };
+                _mm512_popcnt_epi64(_mm512_xor_si512(words, $pairs))
+            }
+            2 => {
+                // SAFETY: avx512f is on; the loads read `block[0..8]` and
+                // `block[8..16]`, and `block.len() == 16`.
+                let (lo, hi) = unsafe {
+                    (
+                        _mm512_loadu_epi64($block.as_ptr().cast()),
+                        _mm512_loadu_epi64($block[8..].as_ptr().cast()),
+                    )
+                };
+                let lo = _mm512_popcnt_epi64(_mm512_xor_si512(lo, $pairs));
+                let hi = _mm512_popcnt_epi64(_mm512_xor_si512(hi, $pairs));
+                _mm512_add_epi64(
+                    _mm512_permutex2var_epi64(lo, $evens, hi),
+                    _mm512_permutex2var_epi64(lo, $odds, hi),
+                )
+            }
+            _ => {
+                let mut sum = _mm512_setzero_si512();
+                for (j, &q) in $query.iter().enumerate() {
+                    let column = $block[j..].as_ptr().cast();
+                    // SAFETY: avx512f is on; lane `r` reads `block[j + r * w]`,
+                    // at most `w - 1 + 7 * w < 8 * w == block.len()`.
+                    let words = unsafe { _mm512_i64gather_epi64::<8>($stride, column) };
+                    let q = _mm512_set1_epi64(q as i64);
+                    sum = _mm512_add_epi64(sum, _mm512_popcnt_epi64(_mm512_xor_si512(words, q)));
+                }
+                sum
+            }
+        }
+    };
+}
+
+/// Shows `$visit` the rows `$base + lane` of the set bits of `$hits`, in
+/// lane order, each re-checked against `$bound` first: an earlier row may
+/// have lowered it since the compare that set the bit.  `$bound` becomes
+/// what each visit returns.
+#[cfg(target_arch = "x86_64")]
+macro_rules! visit_avx512 {
+    ($distances:ident, $hits:ident, $base:expr, $bound:ident, $visit:ident) => {
+        // SAFETY: `__m512i` and `[u64; 8]` are both 64 bytes and every
+        // bit pattern is a valid `u64`.
+        let lanes: [u64; 8] = unsafe { std::mem::transmute($distances) };
+        while $hits != 0 {
+            let lane = $hits.trailing_zeros() as usize;
+            $hits &= $hits - 1;
+            let d = lanes[lane] as u32;
+            if d <= $bound {
+                $bound = $visit($base + lane, d);
+            }
+        }
+    };
+}
+
 /// One AVX-512 step of [`CodeArena::scan_avx512`] and
 /// [`CodeArena::walk_avx512`], inside the caller's loop: the distances of
 /// rows `$base..$base + 8` (`$base + 8 <= len`), compared with `$bound`;
@@ -312,59 +386,58 @@ macro_rules! block_avx512 {
         // Rows `base..base + 8` (`base + 8 <= blocked <= len`): the loads
         // below stay inside this bounds-checked slice of `8 * w` words.
         let block = &$arena.data[$base * $w..($base + 8) * $w];
-        let distances = match $w {
-            1 => {
-                // SAFETY: avx512f is on; the load reads `block[0..8]`, and
-                // `block.len() == 8`.
-                let words = unsafe { _mm512_loadu_epi64(block.as_ptr().cast()) };
-                _mm512_popcnt_epi64(_mm512_xor_si512(words, $pairs))
-            }
-            2 => {
-                // SAFETY: avx512f is on; the loads read `block[0..8]` and
-                // `block[8..16]`, and `block.len() == 16`.
-                let (lo, hi) = unsafe {
-                    (
-                        _mm512_loadu_epi64(block.as_ptr().cast()),
-                        _mm512_loadu_epi64(block[8..].as_ptr().cast()),
-                    )
-                };
-                let lo = _mm512_popcnt_epi64(_mm512_xor_si512(lo, $pairs));
-                let hi = _mm512_popcnt_epi64(_mm512_xor_si512(hi, $pairs));
-                _mm512_add_epi64(
-                    _mm512_permutex2var_epi64(lo, $evens, hi),
-                    _mm512_permutex2var_epi64(lo, $odds, hi),
-                )
-            }
-            _ => {
-                let mut sum = _mm512_setzero_si512();
-                for (j, &q) in $query.iter().enumerate() {
-                    let column = block[j..].as_ptr().cast();
-                    // SAFETY: avx512f is on; lane `r` reads `block[j + r * w]`,
-                    // at most `w - 1 + 7 * w < 8 * w == block.len()`.
-                    let words = unsafe { _mm512_i64gather_epi64::<8>($stride, column) };
-                    let q = _mm512_set1_epi64(q as i64);
-                    sum = _mm512_add_epi64(sum, _mm512_popcnt_epi64(_mm512_xor_si512(words, q)));
-                }
-                sum
-            }
-        };
+        let distances = distances_avx512!(block, $w, $query, $pairs, $evens, $odds, $stride);
         let mut hits =
             _mm512_cmple_epu64_mask(distances, _mm512_set1_epi64(i64::from($bound))) & $keep;
         if hits == 0 {
             continue;
         }
-        // SAFETY: `__m512i` and `[u64; 8]` are both 64 bytes and every
-        // bit pattern is a valid `u64`.
-        let lanes: [u64; 8] = unsafe { std::mem::transmute(distances) };
-        while hits != 0 {
-            let lane = hits.trailing_zeros() as usize;
-            hits &= hits - 1;
-            // Re-checked: an earlier row of this block may have lowered
-            // the bound since the compare.
-            let d = lanes[lane] as u32;
-            if d <= $bound {
-                $bound = $visit($base + lane, d);
+        visit_avx512!(distances, hits, $base, $bound, $visit);
+    };
+}
+
+/// The unmasked AVX-512 loop of [`CodeArena::scan_avx512`] for `$w`-word
+/// rows (`$w` a literal, 1 or 2) over rows `0..$grouped` (a multiple of
+/// 32): **32 rows per branch**.  Each group of four 8-row blocks is
+/// measured whole, its distances folded lane-wise by `min`, and that one
+/// vector compared with `below`, the bound broadcast once and re-broadcast
+/// only after a group with a row inside it.  Such a group is then decided
+/// block by block against the running bound, in row order, with every row
+/// re-checked as in [`block_avx512`] — so exactly the rows the per-block
+/// loop would visit are visited, in the same order with the same bounds.
+#[cfg(target_arch = "x86_64")]
+macro_rules! groups_avx512 {
+    (
+        $arena:ident, $query:ident, $w:literal, $pairs:ident, $evens:ident, $odds:ident,
+        $stride:ident, $grouped:ident, $bound:ident, $visit:ident
+    ) => {
+        let mut below = _mm512_set1_epi64(i64::from($bound));
+        // Rows `32 g..32 g + 32` as one array (`grouped <= len`), so every
+        // block's slice below is in bounds by its type.
+        let (groups, _) = $arena.data[..$grouped * $w].as_chunks::<{ 32 * $w }>();
+        for (base, group) in (0..).step_by(32).zip(groups) {
+            let (b0, b1, b2, b3) = (
+                &group[..8 * $w],
+                &group[8 * $w..16 * $w],
+                &group[16 * $w..24 * $w],
+                &group[24 * $w..],
+            );
+            let d0 = distances_avx512!(b0, $w, $query, $pairs, $evens, $odds, $stride);
+            let d1 = distances_avx512!(b1, $w, $query, $pairs, $evens, $odds, $stride);
+            let d2 = distances_avx512!(b2, $w, $query, $pairs, $evens, $odds, $stride);
+            let d3 = distances_avx512!(b3, $w, $query, $pairs, $evens, $odds, $stride);
+            let least = _mm512_min_epu64(_mm512_min_epu64(d0, d1), _mm512_min_epu64(d2, d3));
+            if _mm512_cmple_epu64_mask(least, below) == 0 {
+                continue;
             }
+            for (at, distances) in [d0, d1, d2, d3].into_iter().enumerate() {
+                let mut hits =
+                    _mm512_cmple_epu64_mask(distances, _mm512_set1_epi64(i64::from($bound)));
+                if hits != 0 {
+                    visit_avx512!(distances, hits, base + 8 * at, $bound, $visit);
+                }
+            }
+            below = _mm512_set1_epi64(i64::from($bound));
         }
     };
 }
@@ -555,9 +628,10 @@ impl CodeArena {
         self.scan_portable(0, query, keep, bound, visit)
     }
 
-    /// The AVX-512 tier: 8-row blocks up to `len / 8 * 8`, the tail
-    /// portable; a mask is probed for each block's eight ids in one gather.
-    /// A dense arena's mask is walked instead
+    /// The AVX-512 tier: unmasked 1- and 2-word rows in 32-row groups up
+    /// to `len / 32 * 32` ([`groups_avx512`]), then 8-row blocks up to
+    /// `len / 8 * 8`, the tail portable; a mask is probed for each block's
+    /// eight ids in one gather.  A dense arena's mask is walked instead
     /// ([`walk_avx512`](Self::walk_avx512)).
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
@@ -583,7 +657,19 @@ impl CodeArena {
         let mask_len = _mm512_set1_epi64(mask_words.map_or(0, <[u64]>::len) as i64);
         let (zero, one, low_six) =
             (_mm512_setzero_si512(), _mm512_set1_epi64(1), _mm512_set1_epi64(63));
-        for base in (0..blocked).step_by(8) {
+        let grouped = self.len() / 32 * 32;
+        let from = match (mask_words, w) {
+            (None, 1) => {
+                groups_avx512!(self, query, 1, pairs, evens, odds, stride, grouped, bound, visit);
+                grouped
+            }
+            (None, 2) => {
+                groups_avx512!(self, query, 2, pairs, evens, odds, stride, grouped, bound, visit);
+                grouped
+            }
+            _ => 0,
+        };
+        for base in (from..blocked).step_by(8) {
             // Bit `r` set iff row `base + r`'s id is in the mask: the
             // mask's words probed for all eight ids at once.
             let keep = match mask_words {
@@ -900,6 +986,98 @@ mod tests {
                 for tier in KernelTier::supported() {
                     let got = visits(&arena, tier, query.words(), None, u32::MAX, true);
                     assert_eq!(got, want, "{tier:?}, bits {bits}");
+                }
+            }
+        }
+    }
+
+    /// An arena of `rows` codes near `query`: row `r` is the query with
+    /// the bits of `r % 4 + 1` random words ANDed together flipped, so its
+    /// distance is about a half, a quarter, an eighth or a sixteenth of the
+    /// width, and the low bounds pass a few rows of most groups.
+    fn near_arena(bits: u32, rows: u64, query: &BinaryCode) -> CodeArena {
+        let mut arena = CodeArena::new(bits);
+        for r in 0..rows {
+            let flips = (0..=r % 4).fold(rand_code(bits, 1000 + r).words().to_vec(), |acc, i| {
+                let more = rand_code(bits, 5000 + 7 * r + i);
+                acc.iter().zip(more.words()).map(|(a, b)| a & b).collect()
+            });
+            let words = query.words().iter().zip(&flips).map(|(q, f)| q ^ f).collect();
+            arena.push(r, &BinaryCode::from_words(bits, words));
+        }
+        arena
+    }
+
+    #[test]
+    fn every_tier_matches_the_portable_reference_across_groups() {
+        // Lengths across four 32-row groups with every remainder, so each
+        // group boundary, block boundary and portable tail is crossed.
+        let tiers: Vec<KernelTier> = KernelTier::supported().collect();
+        for bits in [64u32, 128, 192] {
+            let query = rand_code(bits, 31);
+            let q = query.words();
+            for rows in 0..=130u64 {
+                let arena = near_arena(bits, rows, &query);
+                for bound in [0, 3, 12, bits, u32::MAX] {
+                    let reference = visits(&arena, KernelTier::Portable, q, None, bound, false);
+                    let brute: Vec<(usize, u32)> = (0..arena.len())
+                        .map(|r| (r, arena.code(r).hamming_distance(&query)))
+                        .filter(|&(_, d)| d <= bound)
+                        .collect();
+                    assert_eq!(reference, brute, "bits {bits}, rows {rows}, bound {bound}");
+                    for &tier in &tiers {
+                        let got = visits(&arena, tier, q, None, bound, false);
+                        assert_eq!(
+                            got, reference,
+                            "{tier:?}, bits {bits}, rows {rows}, bound {bound}"
+                        );
+                    }
+                }
+                let reference = visits(&arena, KernelTier::Portable, q, None, u32::MAX, true);
+                for &tier in &tiers {
+                    let got = visits(&arena, tier, q, None, u32::MAX, true);
+                    assert_eq!(got, reference, "{tier:?}, bits {bits}, rows {rows}, falling");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rows_of_one_group_beating_a_falling_bound_are_each_rechecked() {
+        // One 32-row group (then a few tail rows) at distances from an
+        // all-zero query, row `r` setting its lowest `distances[r]` bits.
+        // Every row is inside the bound the group started with; a visitor
+        // that lowers the bound to what it sees must still be shown
+        // exactly the running minima, in row order.
+        let descending: Vec<u32> = (0..32).rev().collect();
+        let zigzag: Vec<u32> = (0..35).map(|r| if r % 2 == 0 { 40 - r } else { 60 - r }).collect();
+        // A minimum in each block, the rest above it, and a late tie.
+        let stairs: Vec<u32> = (0..36).map(|r| if r % 8 == 5 { 30 - r / 8 } else { 50 }).collect();
+        let late: Vec<u32> =
+            (0..33).map(|r| [20, 20, 21, 19, 25, 19, 18, 30][r % 8] - r as u32 / 8).collect();
+        for distances in [descending, zigzag, stairs, late] {
+            let mut least = u32::MAX;
+            let want: Vec<(usize, u32)> = distances
+                .iter()
+                .enumerate()
+                .filter(|&(_, &d)| {
+                    let minimum = d <= least;
+                    least = least.min(d);
+                    minimum
+                })
+                .map(|(r, &d)| (r, d))
+                .collect();
+            for bits in [64u32, 128, 192] {
+                let mut arena = CodeArena::new(bits);
+                for (r, &d) in distances.iter().enumerate() {
+                    let code =
+                        (0..d).fold(BinaryCode::zeros(bits), |c, bit| c.with_flipped_bit(bit));
+                    arena.push(r as u64, &code);
+                }
+                let query = BinaryCode::zeros(bits);
+                for tier in KernelTier::supported() {
+                    let got = visits(&arena, tier, query.words(), None, u32::MAX, true);
+                    assert_eq!(got, want, "{tier:?}, bits {bits}, {distances:?}");
                 }
             }
         }

@@ -981,10 +981,10 @@ pub struct SearchPayload {
     pub rows: Vec<ResultEntry>,
     /// The result panel's page size.
     pub page_size: u64,
-    /// Per-label occurrence counts, indexed by `Label::index`.  Each
-    /// crosses the wire as a `u32`: a count never exceeds the rows of an
-    /// answer, and rows are dense ids, which are `u32`.
-    pub label_counts: Vec<u64>,
+    /// Per-label occurrence counts, indexed by `Label::index`, as the wire
+    /// carries them: a count never exceeds the rows of an answer, and rows
+    /// are dense ids, which are `u32`.
+    pub label_counts: Vec<u32>,
     /// Number of images the statistics cover.
     pub image_count: u64,
     /// Planner report (`None` for pure CBIR responses).
@@ -1001,9 +1001,7 @@ impl SearchPayload {
         w.u64(self.page_size);
         w.seq_len(self.label_counts.len());
         for &count in &self.label_counts {
-            // Checked, not truncated: a count past `u32::MAX` (which no
-            // answer holds) saturates.
-            w.u32(u32::try_from(count).unwrap_or(u32::MAX));
+            w.u32(count);
         }
         w.u64(self.image_count);
         encode_plan(self.plan.as_ref(), w);
@@ -1022,8 +1020,12 @@ impl SearchPayload {
             rows.push(decode_row(r)?);
         }
         let page_size = r.u64()?;
+        // Bounded the same way: four bytes a count.
         let n = r.seq_len(4)?;
-        let label_counts = (0..n).map(|_| r.u32().map(u64::from)).collect::<Result<_, _>>()?;
+        let mut label_counts = Vec::with_capacity(n);
+        for _ in 0..n {
+            label_counts.push(r.u32()?);
+        }
         let image_count = r.u64()?;
         let plan = match r.bool()? {
             false => None,

@@ -260,7 +260,7 @@ fn response_pong() {
 
 #[test]
 fn response_search() {
-    let mut label_counts = vec![0u64; Label::COUNT];
+    let mut label_counts = vec![0u32; Label::COUNT];
     label_counts[Label::SeaAndOcean.index()] = 2;
     label_counts[Label::ConiferousForest.index()] = 1;
     check_response(
@@ -401,7 +401,7 @@ fn response_metrics_text() {
 
 #[test]
 fn response_filtered() {
-    let mut label_counts = vec![0u64; Label::COUNT];
+    let mut label_counts = vec![0u32; Label::COUNT];
     label_counts[Label::SeaAndOcean.index()] = 1;
     check_response(
         "response_filtered",

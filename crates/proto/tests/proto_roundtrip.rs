@@ -78,7 +78,7 @@ fn search_from_script(script: &mut &[u8]) -> SearchPayload {
     SearchPayload {
         rows: (0..take(script, 1) % 5).map(|_| row_from_script(script)).collect(),
         page_size: take(script, 1),
-        label_counts: (0..take(script, 1) % 50).map(|_| take(script, 4)).collect(),
+        label_counts: (0..take(script, 1) % 50).map(|_| take(script, 4) as u32).collect(),
         image_count: take(script, 2),
         plan: (take(script, 1) % 2 == 1).then(|| PlanSpec {
             index_used: (take(script, 1) % 2 == 1).then(|| string_from_script(script)),
@@ -129,7 +129,7 @@ fn reference_search_bytes(payload: &SearchPayload) -> Vec<u8> {
     w.u64(payload.page_size);
     w.seq_len(payload.label_counts.len());
     for &count in &payload.label_counts {
-        w.u32(u32::try_from(count).unwrap());
+        w.u32(count);
     }
     w.u64(payload.image_count);
     match &payload.plan {

@@ -93,7 +93,7 @@ fn encode_v1_search(payload: &SearchPayload, w: &mut Writer) {
     w.u64(payload.page_size);
     w.seq_len(payload.label_counts.len());
     for &count in &payload.label_counts {
-        w.u64(count);
+        w.u64(u64::from(count));
     }
     w.u64(payload.image_count);
     w.bool(payload.plan.is_some());
