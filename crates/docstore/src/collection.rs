@@ -61,8 +61,8 @@ pub struct Collection {
     attr_indexes: BTreeMap<String, AttributeIndex>,
     /// The geo index and the field it covers.
     geo: Option<(String, GeoIndex)>,
-    /// Bitmap of every document id, `0..len` — the universe the prefilter
-    /// compiler negates against (`Ne`, `Not`), extended by every insert.
+    /// Bitmap of every document id, `0..len` — the candidates of a plan
+    /// that compiled nothing, extended by every insert.
     live: Bitmap,
 }
 
@@ -150,9 +150,8 @@ impl Collection {
         self.geo.as_ref().map(|(field, index)| (field.as_str(), index))
     }
 
-    /// The bitmap of every document id — the universe against which
-    /// the prefilter compiler evaluates `Ne` and `Not` (there is no
-    /// unbounded complement on [`Bitmap`]).
+    /// The bitmap of every document id — what a prefilter plan that
+    /// compiled nothing walks.
     pub fn live_bitmap(&self) -> &Bitmap {
         &self.live
     }
@@ -378,16 +377,8 @@ mod tests {
     }
 
     #[test]
-    fn a_disjunction_with_an_unindexed_branch_is_a_full_scan() {
+    fn several_key_values_are_point_lookups() {
         let c = sample_collection();
-        let f = Filter::Or(vec![
-            Filter::Eq("country".into(), "Austria".into()),
-            Filter::Eq("labels".into(), "AD".into()),
-        ]);
-        let r = c.find(&f);
-        assert_eq!(r.ids, vec![2, 3]);
-        assert_eq!(r.plan, QueryPlan { index_used: None, scanned: 4, matched: 2 });
-        // Several values of the key are still point lookups.
         let r = c.find(&Filter::In("name".into(), vec!["p4".into(), "p2".into(), "nope".into()]));
         assert_eq!(r.ids, vec![1, 3]);
         assert_eq!(r.plan, QueryPlan { index_used: Some("pk".into()), scanned: 2, matched: 2 });

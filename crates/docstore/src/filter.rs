@@ -6,18 +6,17 @@ use crate::value::{Document, Value};
 
 /// A query predicate over documents.
 ///
-/// Filters compose the comparison, array, logical and geospatial operators
-/// that the EarthQube back-end needs: attribute equality/ranges (dates,
+/// A filter is a conjunction of atomic predicates — the shape of every
+/// query the EarthQube panel sends: attribute equality/ranges (dates,
 /// countries, seasons), label-code array predicates (the three label
 /// operators of §3.1) and geospatial containment (the map query shapes).
+/// There is no disjunction or negation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Filter {
     /// Matches every document.
     All,
     /// Field equals the value.
     Eq(String, Value),
-    /// Field differs from the value (missing fields match).
-    Ne(String, Value),
     /// Field is strictly less than the value.
     Lt(String, Value),
     /// Field is less than or equal to the value.
@@ -28,8 +27,6 @@ pub enum Filter {
     Gte(String, Value),
     /// Field value is one of the listed values.
     In(String, Vec<Value>),
-    /// The field exists (even if null).
-    Exists(String),
     /// The field is an array (or string treated as a set of characters)
     /// containing **all** of the listed values.
     ContainsAll(String, Vec<Value>),
@@ -41,14 +38,8 @@ pub enum Filter {
     /// must agree (`["A","A","B"]` does not match a query for
     /// `["A","B","B"]`).
     ContainsExactly(String, Vec<Value>),
-    /// A string field starts with the given prefix.
-    StartsWith(String, String),
     /// All sub-filters match.
     And(Vec<Filter>),
-    /// At least one sub-filter matches.
-    Or(Vec<Filter>),
-    /// The sub-filter does not match.
-    Not(Box<Filter>),
     /// A geospatial point field (a two-element `[lon, lat]` array) lies
     /// within the shape.
     GeoWithin(String, GeoShape),
@@ -80,13 +71,11 @@ impl Filter {
         match self {
             Filter::All => true,
             Filter::Eq(field, v) => doc.get(field) == Some(v),
-            Filter::Ne(field, v) => doc.get(field) != Some(v),
             Filter::Lt(field, v) => cmp_field(doc, field, v).is_some_and(|o| o.is_lt()),
             Filter::Lte(field, v) => cmp_field(doc, field, v).is_some_and(|o| o.is_le()),
             Filter::Gt(field, v) => cmp_field(doc, field, v).is_some_and(|o| o.is_gt()),
             Filter::Gte(field, v) => cmp_field(doc, field, v).is_some_and(|o| o.is_ge()),
             Filter::In(field, values) => doc.get(field).is_some_and(|v| values.contains(v)),
-            Filter::Exists(field) => doc.contains(field),
             Filter::ContainsAll(field, values) => {
                 Elements::of(doc, field).is_some_and(|els| values.iter().all(|v| els.contains(v)))
             }
@@ -96,12 +85,7 @@ impl Filter {
             Filter::ContainsExactly(field, values) => {
                 Elements::of(doc, field).is_some_and(|els| els.eq_multiset(values))
             }
-            Filter::StartsWith(field, prefix) => {
-                doc.get(field).and_then(Value::as_str).is_some_and(|s| s.starts_with(prefix))
-            }
             Filter::And(fs) => fs.iter().all(|f| f.matches(doc)),
-            Filter::Or(fs) => fs.iter().any(|f| f.matches(doc)),
-            Filter::Not(f) => !f.matches(doc),
             Filter::GeoWithin(field, shape) => {
                 point_from_field(doc, field).map(|p| shape.contains(p)).unwrap_or(false)
             }
@@ -222,8 +206,6 @@ mod tests {
         assert!(Filter::All.matches(&d));
         assert!(Filter::Eq("country".into(), "Portugal".into()).matches(&d));
         assert!(!Filter::Eq("country".into(), "Austria".into()).matches(&d));
-        assert!(Filter::Ne("country".into(), "Austria".into()).matches(&d));
-        assert!(Filter::Ne("missing".into(), "x".into()).matches(&d));
         assert!(Filter::Lt("date".into(), Value::Date(750_001)).matches(&d));
         assert!(Filter::Lte("date".into(), Value::Date(750_000)).matches(&d));
         assert!(Filter::Gt("date".into(), Value::Date(749_999)).matches(&d));
@@ -234,15 +216,10 @@ mod tests {
     }
 
     #[test]
-    fn membership_and_existence() {
+    fn membership() {
         let d = doc();
         assert!(Filter::In("country".into(), vec!["Austria".into(), "Portugal".into()]).matches(&d));
         assert!(!Filter::In("country".into(), vec!["Austria".into()]).matches(&d));
-        assert!(Filter::Exists("cloud".into()).matches(&d));
-        assert!(!Filter::Exists("nope".into()).matches(&d));
-        assert!(Filter::StartsWith("name".into(), "S2A_".into()).matches(&d));
-        assert!(!Filter::StartsWith("name".into(), "S1B_".into()).matches(&d));
-        assert!(!Filter::StartsWith("date".into(), "S".into()).matches(&d));
     }
 
     #[test]
@@ -294,20 +271,13 @@ mod tests {
     }
 
     #[test]
-    fn logical_operators_compose() {
+    fn conjunctions_compose() {
         let d = doc();
         let f = Filter::Eq("country".into(), "Portugal".into())
             .and(Filter::Gt("date".into(), Value::Date(0)));
         assert!(f.matches(&d));
-        assert!(Filter::Or(vec![
-            Filter::Eq("country".into(), "Austria".into()),
-            Filter::Eq("country".into(), "Portugal".into()),
-        ])
-        .matches(&d));
-        assert!(!Filter::Or(vec![]).matches(&d));
+        assert!(!f.and(Filter::Eq("country".into(), "Austria".into())).matches(&d));
         assert!(Filter::And(vec![]).matches(&d));
-        assert!(Filter::Not(Box::new(Filter::Eq("country".into(), "Austria".into()))).matches(&d));
-        assert!(!Filter::Not(Box::new(Filter::All)).matches(&d));
     }
 
     #[test]
@@ -319,7 +289,8 @@ mod tests {
             Filter::And(parts) => assert_eq!(parts.len(), 3),
             other => panic!("expected And, got {other:?}"),
         }
-        assert_eq!(Filter::All.and(Filter::Exists("x".into())), Filter::Exists("x".into()));
+        let leaf = Filter::Eq("x".into(), "y".into());
+        assert_eq!(Filter::All.and(leaf.clone()), leaf);
     }
 
     #[test]

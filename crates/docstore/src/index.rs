@@ -2,12 +2,12 @@
 //!
 //! Every posting is a compressed [`Bitmap`] of document ids: per distinct
 //! attribute value, per distinct *element* of array/string values (the
-//! label codes), per geohash cell, and one `present` bitmap per attribute
-//! index.  The prefilter compiler ([`crate::prefilter`]) — the store's one
-//! filter engine, behind [`Collection::find`](crate::Collection::find) and
-//! the filtered similarity searches alike — combines these with
-//! AND/OR/AND-NOT to turn a filter's indexable prefix into one candidate
-//! set without touching any document.
+//! label codes) and per geohash cell.  The prefilter compiler
+//! ([`crate::prefilter`]) — the store's one filter engine, behind
+//! [`Collection::find`](crate::Collection::find) and the filtered
+//! similarity searches alike — unions and intersects these to turn a
+//! filter's indexable part into one candidate set without touching any
+//! document.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -21,53 +21,18 @@ use crate::DocId;
 /// An ordered secondary index over one (dotted-path) attribute.
 ///
 /// Implemented as a B-tree from attribute value to the bitmap of documents
-/// holding it, which supports exact lookups and ordered range unions.  Two
-/// more bitmap families ride along:
-///
-/// * a per-element bitmap over the distinct elements of `Array` values and
-///   the characters of `Str` values (as one-character strings — the ASCII
-///   label encoding), powering the `Contains*` operators,
-/// * a `present` bitmap of every document carrying the field, powering
-///   `Exists` and (with the collection's live-ids universe) `Ne`/`Not`.
+/// holding it, which supports lookups and ordered range unions, plus a
+/// per-element B-tree over the distinct elements of `Array` values and the
+/// characters of `Str` values (as one-character strings — the ASCII label
+/// encoding), powering the `Contains*` operators.  Both are keyed by the
+/// total [`Value`] order, under which `Int(2)` and `Float(2.0)` share a
+/// key although `==` keeps them apart, so the compiler never looks up a
+/// numeric through them.
 #[derive(Debug, Clone, Default)]
 pub struct AttributeIndex {
     entries: BTreeMap<Value, Bitmap>,
     elements: BTreeMap<Value, Bitmap>,
-    /// Exact-`==` postings for numeric scalar values, keyed by [`NumKey`]
-    /// so `Int(2)` and `Float(2.0)` — which share one `entries` key under
-    /// the total order — resolve to distinct bitmaps.
-    numeric: BTreeMap<NumKey, Bitmap>,
-    /// Exact-`==` postings for numeric *elements* of `Array` values.
-    numeric_elements: BTreeMap<NumKey, Bitmap>,
-    present: Bitmap,
     len: usize,
-}
-
-/// Canonical exact-numeric posting key.  The index B-tree orders values by
-/// [`Value::cmp`], under which `Int(2)` and `Float(2.0)` collide on one
-/// key and `-0.0`/`+0.0` split into two — both the opposite of what the
-/// filter evaluator's `==` sees.  `NumKey` keys numeric postings the way
-/// `PartialEq` compares them: integers and floats apart, `-0.0`
-/// canonicalised onto `+0.0`, and `NaN` excluded entirely (it equals
-/// nothing, itself included).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum NumKey {
-    Int(i64),
-    /// IEEE-754 bits of a non-NaN float, `-0.0` stored as `+0.0`.
-    Float(u64),
-}
-
-/// The canonical posting key of a numeric scalar; `None` for `NaN` (never
-/// posted) and for every non-numeric value.
-fn num_key(v: &Value) -> Option<NumKey> {
-    match v {
-        Value::Int(i) => Some(NumKey::Int(*i)),
-        Value::Float(f) if !f.is_nan() => {
-            let canonical = if *f == 0.0 { 0.0f64 } else { *f };
-            Some(NumKey::Float(canonical.to_bits()))
-        }
-        _ => None,
-    }
 }
 
 impl AttributeIndex {
@@ -94,15 +59,8 @@ impl AttributeIndex {
     /// Adds a posting.
     pub fn insert(&mut self, key: Value, doc: DocId) {
         for_each_element(&key, |element| {
-            if let Some(nk) = num_key(&element) {
-                self.numeric_elements.entry(nk).or_default().insert(doc);
-            }
             self.elements.entry(element).or_default().insert(doc);
         });
-        if let Some(nk) = num_key(&key) {
-            self.numeric.entry(nk).or_default().insert(doc);
-        }
-        self.present.insert(doc);
         if self.entries.entry(key).or_default().insert(doc) {
             self.len += 1;
         }
@@ -128,62 +86,11 @@ impl AttributeIndex {
         out
     }
 
-    /// The union bitmap of every `Str`-keyed posting starting with
-    /// `prefix` (the `StartsWith` compilation — non-string values never
-    /// match, and string keys are contiguous in the value order).
-    pub fn prefix_bitmap(&self, prefix: &str) -> Bitmap {
-        let mut out = Bitmap::new();
-        let start = Value::Str(prefix.to_string());
-        for (key, bitmap) in self.entries.range(start..) {
-            match key {
-                Value::Str(s) if s.starts_with(prefix) => out = out.or(bitmap),
-                _ => break,
-            }
-        }
-        out
-    }
-
     /// The bitmap of documents whose attribute *contains* `element`: an
     /// `Array` value with an equal element, or a `Str` value containing it
     /// as a character (`element` must then be a one-character string).
     pub fn element_bitmap(&self, element: &Value) -> Option<&Bitmap> {
         self.elements.get(element)
-    }
-
-    /// The bitmap of every document carrying the indexed field (the
-    /// `Exists` compilation; also the base of `Contains*` supersets).
-    pub fn present_bitmap(&self) -> &Bitmap {
-        &self.present
-    }
-
-    /// The **exact** `==` equality bitmap for a numeric scalar query
-    /// value, resolved through the canonical numeric postings: `Int` and
-    /// `Float` postings are keyed apart, `±0.0` share one key, and a
-    /// `NaN` query resolves to the empty set (it `==` nothing).  Returns
-    /// `None` when `key` is not a numeric scalar — the caller then
-    /// decides via the ordered posting map instead.
-    pub fn numeric_eq_bitmap(&self, key: &Value) -> Option<Bitmap> {
-        match key {
-            Value::Float(f) if f.is_nan() => Some(Bitmap::new()),
-            _ => {
-                let nk = num_key(key)?;
-                Some(self.numeric.get(&nk).cloned().unwrap_or_default())
-            }
-        }
-    }
-
-    /// The exact `==` *element*-containment bitmap for a numeric scalar:
-    /// documents whose `Array` value holds an element `==` to `key`.
-    /// Same key canonicalisation and `None` contract as
-    /// [`numeric_eq_bitmap`](Self::numeric_eq_bitmap).
-    pub fn numeric_element_bitmap(&self, key: &Value) -> Option<Bitmap> {
-        match key {
-            Value::Float(f) if f.is_nan() => Some(Bitmap::new()),
-            _ => {
-                let nk = num_key(key)?;
-                Some(self.numeric_elements.get(&nk).cloned().unwrap_or_default())
-            }
-        }
     }
 }
 
@@ -346,41 +253,6 @@ mod tests {
         let range = idx
             .range_bitmap(Bound::Included(&Value::Date(100)), Bound::Included(&Value::Date(250)));
         assert_eq!(ids(&range), vec![4, 5]);
-    }
-
-    #[test]
-    fn numeric_postings_key_ints_and_floats_apart() {
-        let mut idx = AttributeIndex::new();
-        idx.insert(Value::Int(2), 1);
-        idx.insert(Value::Float(2.0), 2);
-        idx.insert(Value::Float(-0.0), 3);
-        idx.insert(Value::Float(0.0), 4);
-        idx.insert(Value::Float(f64::NAN), 5);
-        idx.insert(Value::Array(vec![Value::Int(7), Value::Float(7.0)]), 6);
-
-        // Int(2) and Float(2.0) share an `entries` key under the total
-        // order, but the numeric postings keep them apart.
-        let int2 = idx.numeric_eq_bitmap(&Value::Int(2)).unwrap();
-        assert_eq!(int2.iter().collect::<Vec<_>>(), vec![1]);
-        let float2 = idx.numeric_eq_bitmap(&Value::Float(2.0)).unwrap();
-        assert_eq!(float2.iter().collect::<Vec<_>>(), vec![2]);
-
-        // ±0.0 canonicalise onto one key (PartialEq agrees: -0.0 == 0.0).
-        let zero = idx.numeric_eq_bitmap(&Value::Float(-0.0)).unwrap();
-        assert_eq!(zero.iter().collect::<Vec<_>>(), vec![3, 4]);
-
-        // NaN == nothing, itself included: the exact bitmap is empty.
-        assert!(idx.numeric_eq_bitmap(&Value::Float(f64::NAN)).unwrap().is_empty());
-
-        // Array elements mirror into the numeric element postings.
-        let el7 = idx.numeric_element_bitmap(&Value::Int(7)).unwrap();
-        assert_eq!(el7.iter().collect::<Vec<_>>(), vec![6]);
-        let el7f = idx.numeric_element_bitmap(&Value::Float(7.0)).unwrap();
-        assert_eq!(el7f.iter().collect::<Vec<_>>(), vec![6]);
-
-        // Non-numeric queries decline (`None`): the caller falls back to
-        // the ordered posting map.
-        assert!(idx.numeric_eq_bitmap(&Value::Str("2".into())).is_none());
     }
 
     #[test]

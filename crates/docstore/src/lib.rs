@@ -8,13 +8,16 @@
 //! This crate provides the same capabilities as an embedded library:
 //!
 //! * [`Value`] / [`Document`] — a dynamically typed document model,
-//! * [`Filter`] — a query AST with comparison, logical, array and
-//!   geospatial predicates,
+//! * [`Filter`] — a conjunction of comparison, membership, array and
+//!   geospatial predicates, the class of filter EarthQube's query panel
+//!   sends (no disjunction, no negation),
 //! * [`Collection`] — insert-only storage under dense ids with a
 //!   primary-key index, secondary B-tree attribute indexes and a
 //!   geohash-based 2-D index, queried through one filter engine
 //!   ([`prefilter`]) that compiles what the indexes can decide into a
-//!   candidate bitmap and reports an execution plan,
+//!   candidate bitmap and reports an execution plan (equality on numbers
+//!   is left to the residual filter: the index order and `==` disagree
+//!   on them),
 //! * [`Database`] — a named set of collections,
 //! * [`wire`] — the binary encoding of values and documents that the
 //!   durable storage tier's records carry.

@@ -19,35 +19,32 @@
 //!                          && plan.residual.matches(doc)
 //! ```
 //!
-//! for every live document.  Operators compile in one of three ways:
+//! for every live document.  A filter is a conjunction (`And`) of leaves,
+//! and each leaf compiles in one of three ways:
 //!
-//! * **Exact** (residual contribution `All`): `Eq`, `Ne`, `In`, `Exists`,
-//!   `StartsWith`, `Lt`/`Lte`/`Gt`/`Gte`, `ContainsAny` on an indexed
+//! * **Exact** (residual contribution `All`): `Eq`, `In`,
+//!   `Lt`/`Lte`/`Gt`/`Gte`, `ContainsAll` and `ContainsAny` on an indexed
 //!   field, and `Eq`/`In` on the primary key (an at-most-one-id bitmap per
 //!   value straight from the key map, so a point lookup stays O(log n)).
-//!   `Ne` is `live \ value-postings`, which by construction matches
-//!   documents *missing* the field — exactly the evaluator's documented
-//!   semantics.
 //! * **Superset** (the leaf stays in the residual): `ContainsExactly`
 //!   (element postings bound membership but not multiset equality) and
 //!   `GeoWithin` (covering cells are never point-verified).
 //! * **Uncompiled** (`bitmap: None`, the leaf stays in the residual):
-//!   anything on an unindexed field.
+//!   anything on an unindexed field, equality or containment of a value
+//!   holding a number, and an empty `ContainsAll`/`ContainsExactly` list
+//!   (no element posting to start from).
 //!
-//! One equality caveat decides exactness: the evaluator's `Eq`/`In`/
+//! `And` intersects the bitmaps of the conjuncts that compiled and keeps
+//! the other residuals.
+//!
+//! Numerics are left to the residual because the evaluator's `Eq`/`In`/
 //! `Contains*` use `==` (`PartialEq`), while posting lookup uses the index
-//! B-tree's total [`Value`] order — and the two disagree on numerics
-//! (`Int(2)` Ord-equals `Float(2.0)`; `0.0`/`-0.0` split the other way).
-//! Numeric **scalar** query values therefore resolve through the index's
-//! canonical exact-numeric postings
-//! ([`AttributeIndex::numeric_eq_bitmap`]), which key postings the way
-//! `==` compares them — ints and floats apart, `±0.0` merged, `NaN`
-//! equal to nothing — so `Eq`/`In`/`Contains*` on numbers compile to
-//! exact bitmaps too.  Only numerics *nested* inside `Array`/`Doc` query
-//! values still force the leaf to stay uncompiled (composite `==` has no
-//! posting mirror).  The comparison operators never needed any of this:
-//! both the evaluator and the B-tree use [`Value::cmp`], so ranges are
-//! exact for every type straight off the ordered map.
+//! B-tree's total [`Value`] order, and the two disagree on numbers
+//! (`Int(2)` Ord-equals `Float(2.0)`; `0.0`/`-0.0` split the other way;
+//! `NaN` equals nothing).  No field EarthQube indexes holds a number.  The
+//! comparison operators are unaffected: both the evaluator and the B-tree
+//! use [`Value::cmp`], so ranges are exact for every type straight off the
+//! ordered map.
 
 use std::ops::Bound::{self, Excluded, Included, Unbounded};
 
@@ -166,62 +163,38 @@ fn compile_node<'f>(
         Filter::Eq(field, v) => equality_leaf(c, field, std::slice::from_ref(v), filter, used),
         Filter::In(field, values) => equality_leaf(c, field, values, filter, used),
 
-        Filter::Ne(field, v) => match consult(c, field, used) {
-            Some(idx) => match exact_value_bitmap(idx, v) {
-                Some(matching) => (Some(c.live_bitmap().and_not(&matching)), Filter::All),
-                None => uncompiled(filter),
-            },
-            None => uncompiled(filter),
-        },
-
         Filter::Lt(field, v) => range_leaf(c, field, Unbounded, Excluded(v), filter, used),
         Filter::Lte(field, v) => range_leaf(c, field, Unbounded, Included(v), filter, used),
         Filter::Gt(field, v) => range_leaf(c, field, Excluded(v), Unbounded, filter, used),
         Filter::Gte(field, v) => range_leaf(c, field, Included(v), Unbounded, filter, used),
 
-        Filter::Exists(field) => match consult(c, field, used) {
-            Some(idx) => (Some(idx.present_bitmap().clone()), Filter::All),
-            None => uncompiled(filter),
-        },
-
-        Filter::StartsWith(field, prefix) => match consult(c, field, used) {
-            Some(idx) => (Some(idx.prefix_bitmap(prefix)), Filter::All),
-            None => uncompiled(filter),
-        },
-
         Filter::ContainsAll(field, values) | Filter::ContainsExactly(field, values) => {
-            match consult(c, field, used) {
-                // The vacuous `[]` matches any array or string (`All`) or
-                // only empty ones (`Exactly`); `present` is a superset of
-                // both (it also holds scalar-valued documents), so the
-                // leaf stays.
-                Some(idx) if values.is_empty() => {
-                    (Some(idx.present_bitmap().clone()), filter.clone())
-                }
-                Some(idx) => {
-                    let mut out: Option<Bitmap> = None;
-                    for v in values {
-                        let Some(bm) = exact_element_bitmap(idx, v) else {
-                            return uncompiled(filter);
-                        };
-                        out = Some(match out {
-                            Some(acc) => acc.and(&bm),
-                            None => bm,
-                        });
-                    }
-                    // Element postings decide containment, but never the
-                    // multiset equality `ContainsExactly` also asks for:
-                    // that leaf is a superset and stays in the residual.
-                    let exact = matches!(filter, Filter::ContainsAll(..));
-                    (out, if exact { Filter::All } else { filter.clone() })
-                }
-                None => uncompiled(filter),
+            let Some(idx) = consult(c, field, used) else {
+                return uncompiled(filter);
+            };
+            let mut out: Option<Bitmap> = None;
+            for v in values {
+                let Some(bm) = exact_element_bitmap(idx, v) else {
+                    return uncompiled(filter);
+                };
+                out = Some(match out {
+                    Some(acc) => acc.and(&bm),
+                    None => bm,
+                });
             }
+            // The vacuous `[]` has no posting to intersect: uncompiled.
+            let Some(out) = out else {
+                return uncompiled(filter);
+            };
+            // Element postings decide containment, but never the multiset
+            // equality `ContainsExactly` also asks for: that leaf is a
+            // superset and stays in the residual.
+            let exact = matches!(filter, Filter::ContainsAll(..));
+            (Some(out), if exact { Filter::All } else { filter.clone() })
         }
 
         Filter::ContainsAny(field, values) => match consult(c, field, used) {
             // `any` over an empty list is false: the empty bitmap is exact.
-            Some(_) if values.is_empty() => (Some(Bitmap::new()), Filter::All),
             Some(idx) => {
                 let mut out = Bitmap::new();
                 for v in values {
@@ -267,42 +240,6 @@ fn compile_node<'f>(
                 _ => Filter::And(residuals),
             };
             (bitmap, residual)
-        }
-
-        Filter::Or(fs) => {
-            // A disjunction only has a candidate set when *every* branch
-            // has one (a branch without a bitmap can match anything).
-            let mut bitmap = Some(Bitmap::new());
-            let mut all_exact = true;
-            for f in fs {
-                let (b, r) = compile(c, f, used);
-                match (&bitmap, b) {
-                    (Some(acc), Some(b)) => bitmap = Some(acc.or(&b)),
-                    _ => bitmap = None,
-                }
-                all_exact &= r == Filter::All;
-                if bitmap.is_none() {
-                    break;
-                }
-            }
-            match (&bitmap, all_exact) {
-                (Some(_), true) => (bitmap, Filter::All),
-                // Per-branch residuals cannot be OR-ed independently of
-                // their bitmaps, so a partially-exact disjunction keeps
-                // the whole `Or` in the residual over the union bitmap.
-                (Some(_), false) => (bitmap, filter.clone()),
-                (None, _) => (None, filter.clone()),
-            }
-        }
-
-        Filter::Not(inner) => {
-            let (b, r) = compile(c, inner, used);
-            match (b, r) {
-                // Only an *exact* inner bitmap can be complemented; a
-                // superset's complement would drop matching documents.
-                (Some(b), Filter::All) => (Some(c.live_bitmap().and_not(&b)), Filter::All),
-                _ => uncompiled(filter),
-            }
         }
     }
 }
@@ -356,42 +293,24 @@ fn equality_leaf<'f>(
     (Some(out), Filter::All)
 }
 
-/// The **exact** `==` equality bitmap for one query value, when the index
-/// can supply one: numeric scalars go through the canonical numeric
-/// postings (`Int(2)` and `Float(2.0)` resolve to distinct sets, `NaN` to
-/// the empty set), every other `==`-faithful value through the ordered
-/// posting map.  `None` means no exact bitmap exists — numerics nested
-/// inside `Array`/`Doc` query values — and the leaf must stay uncompiled.
+/// The exact `==` equality bitmap for one query value, when the ordered
+/// posting map can supply one (see [`ord_eq_safe`]); `None` leaves the
+/// leaf uncompiled.
 fn exact_value_bitmap(idx: &AttributeIndex, v: &Value) -> Option<Bitmap> {
-    if let Some(bm) = idx.numeric_eq_bitmap(v) {
-        return Some(bm);
-    }
-    if ord_eq_safe(v) {
-        return Some(idx.value_bitmap(v).cloned().unwrap_or_default());
-    }
-    None
+    ord_eq_safe(v).then(|| idx.value_bitmap(v).cloned().unwrap_or_default())
 }
 
 /// [`exact_value_bitmap`]'s counterpart for the `Contains*` family:
 /// documents whose indexed value *contains* an element `==` to `v`.
 fn exact_element_bitmap(idx: &AttributeIndex, v: &Value) -> Option<Bitmap> {
-    if let Some(bm) = idx.numeric_element_bitmap(v) {
-        return Some(bm);
-    }
-    if ord_eq_safe(v) {
-        return Some(idx.element_bitmap(v).cloned().unwrap_or_default());
-    }
-    None
+    ord_eq_safe(v).then(|| idx.element_bitmap(v).cloned().unwrap_or_default())
 }
 
 /// Whether `==` and the index order's equality coincide for this value:
 /// `Int`/`Float` anywhere inside breaks the correspondence (`Int(2)`
 /// Ord-equals `Float(2.0)` but `!=` it; `NaN`/`±0.0` split the other
-/// way), so such values cannot drive an exact equality bitmap **through
-/// the ordered posting map**.  Numeric *scalars* are instead resolved
-/// through the canonical numeric postings before this check is consulted
-/// (see [`exact_value_bitmap`]); only composite values with numerics
-/// inside reach here and stay uncompiled.
+/// way), so such values cannot drive an exact equality bitmap and their
+/// leaf stays in the residual.
 fn ord_eq_safe(v: &Value) -> bool {
     match v {
         Value::Int(_) | Value::Float(_) => false,
@@ -404,6 +323,7 @@ fn ord_eq_safe(v: &Value) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collection::QueryPlan;
     use crate::value::Document;
     use eq_geo::{BBox, GeoShape};
 
@@ -448,16 +368,13 @@ mod tests {
     }
 
     #[test]
-    fn eq_in_ne_and_exists_compile_exactly() {
+    fn eq_and_in_compile_exactly() {
         let c = sample();
         for f in [
             Filter::Eq("country".into(), "Austria".into()),
             Filter::Eq("country".into(), "Nowhere".into()),
             Filter::In("country".into(), vec!["Austria".into(), "Finland".into()]),
             Filter::In("country".into(), vec![]),
-            Filter::Ne("country".into(), "Austria".into()),
-            Filter::Exists("labels".into()),
-            Filter::StartsWith("country".into(), "Po".into()),
         ] {
             let plan = c.compile_prefilter(&f);
             assert!(plan.is_exact(), "{f:?} should compile exactly, got {plan:?}");
@@ -499,29 +416,13 @@ mod tests {
             .and(Filter::GeoWithin("location".into(), shape))
             .and(Filter::Lte("date".into(), Value::Date(300)));
         assert_eq!(c.compile_prefilter(&dated).index_used.as_deref(), Some("date+location"));
-        // A branch that compiles to nothing takes its indexes with it …
-        let unindexed = Filter::Eq("unindexed".into(), "x".into());
-        let either = Filter::Or(vec![Filter::Eq("country".into(), "Austria".into()), unindexed]);
-        assert_eq!(c.compile_prefilter(&either).index_used, None);
+        // A leaf that consults an index but compiles to nothing takes the
+        // index with it …
+        let numeric = Filter::Eq("country".into(), Value::Int(2));
+        assert_eq!(c.compile_prefilter(&numeric).index_used, None);
         // … also from inside a conjunction that still has a bitmap.
-        let both = Filter::Exists("labels".into()).and(either);
+        let both = Filter::ContainsAny("labels".into(), vec!["A".into()]).and(numeric);
         assert_eq!(c.compile_prefilter(&both).index_used.as_deref(), Some("labels"));
-    }
-
-    #[test]
-    fn ne_matches_documents_missing_the_field() {
-        let mut c = sample();
-        // A document without `country` at all.
-        c.insert(Document::new().with("name", "bare").with("labels", "Z")).unwrap();
-        let f = Filter::Ne("country".into(), "Austria".into());
-        let plan = c.compile_prefilter(&f);
-        assert!(plan.is_exact());
-        let bare_id = c.find(&Filter::Eq("name".into(), "bare".into())).ids[0];
-        assert!(
-            plan.bitmap.as_ref().is_some_and(|b| b.contains(bare_id)),
-            "Ne must keep documents missing the field"
-        );
-        assert_invariant(&c, &f);
     }
 
     #[test]
@@ -560,6 +461,15 @@ mod tests {
         ));
         assert!(!exactly.is_exact());
         assert_eq!(exactly.cardinality(), Some(2), "p0 (AB) and p4 (AAB) both survive the bitmap");
+        // An empty list has no element posting to intersect.
+        for f in [
+            Filter::ContainsAll("labels".into(), vec![]),
+            Filter::ContainsExactly("labels".into(), vec![]),
+        ] {
+            let plan = c.compile_prefilter(&f);
+            assert!(plan.bitmap.is_none(), "{f:?} must stay uncompiled, got {plan:?}");
+            assert_eq!(plan.residual, f);
+        }
         for f in [
             Filter::ContainsAny("labels".into(), vec!["A".into(), "D".into()]),
             Filter::ContainsAny("labels".into(), vec![]),
@@ -584,7 +494,7 @@ mod tests {
     }
 
     #[test]
-    fn and_intersects_and_or_unions() {
+    fn and_intersects_what_compiled_and_keeps_the_rest() {
         let c = sample();
         let f = Filter::Eq("country".into(), "Austria".into())
             .and(Filter::ContainsAny("labels".into(), vec!["B".into()]));
@@ -593,130 +503,70 @@ mod tests {
         assert_eq!(plan.cardinality(), Some(2)); // p0, p1
         assert_invariant(&c, &f);
 
-        let f = Filter::Or(vec![
-            Filter::Eq("country".into(), "Finland".into()),
-            Filter::Eq("country".into(), "Portugal".into()),
-        ]);
-        let plan = c.compile_prefilter(&f);
-        assert!(plan.is_exact());
-        assert_eq!(plan.cardinality(), Some(3)); // p2, p3, p4
-        assert_invariant(&c, &f);
-
-        // An Or with a superset branch keeps the whole Or in the residual.
+        // A superset leaf keeps itself in the residual over the
+        // intersection …
         let shape = GeoShape::Rect(BBox::new(13.9, 47.0, 14.25, 48.0).unwrap());
-        let f = Filter::Or(vec![
-            Filter::Eq("country".into(), "Finland".into()),
-            Filter::GeoWithin("location".into(), shape),
-        ]);
+        let geo = Filter::GeoWithin("location".into(), shape);
+        let f = Filter::Eq("country".into(), "Austria".into()).and(geo.clone());
         let plan = c.compile_prefilter(&f);
         assert!(plan.bitmap.is_some());
-        assert_eq!(plan.residual, f);
+        assert_eq!(plan.residual, geo);
         assert_invariant(&c, &f);
 
-        // An Or with an uncompilable branch has no bitmap at all.
-        let f = Filter::Or(vec![
-            Filter::Eq("country".into(), "Finland".into()),
-            Filter::Eq("unindexed".into(), "x".into()),
-        ]);
+        // … and an uncompiled leaf adds no bitmap, only its residual.
+        let unindexed = Filter::Eq("unindexed".into(), "x".into());
+        let f = Filter::Eq("country".into(), "Finland".into()).and(unindexed.clone());
         let plan = c.compile_prefilter(&f);
-        assert!(plan.bitmap.is_none());
+        assert_eq!(plan.cardinality(), Some(1));
+        assert_eq!(plan.residual, unindexed);
         assert_invariant(&c, &f);
     }
 
     #[test]
-    fn not_complements_only_exact_children() {
-        let c = sample();
-        let f = Filter::Not(Box::new(Filter::Eq("country".into(), "Austria".into())));
-        let plan = c.compile_prefilter(&f);
-        assert!(plan.is_exact());
-        assert_eq!(plan.cardinality(), Some(3));
-        assert_invariant(&c, &f);
-
-        // Not over a superset leaf must NOT complement the bitmap.
-        let shape = GeoShape::Rect(BBox::new(13.9, 47.0, 14.25, 48.0).unwrap());
-        let f = Filter::Not(Box::new(Filter::GeoWithin("location".into(), shape)));
-        let plan = c.compile_prefilter(&f);
-        assert!(plan.bitmap.is_none());
-        assert_eq!(plan.residual, f);
-        assert_invariant(&c, &f);
-    }
-
-    #[test]
-    fn numeric_equality_compiles_exactly_through_canonical_postings() {
+    fn numeric_equality_is_decided_by_the_residual() {
+        // The ordered postings key `Int(2)` with `Float(2.0)` and `-0.0`
+        // apart from `0.0`, the opposite of `==`, and `NaN` equals nothing:
+        // a numeric `Eq`/`In`/`ContainsAny` on an indexed field compiles to
+        // no bitmap, and `find` returns exactly the `==` matches.
         let mut c = Collection::new("t", "name");
         c.create_attribute_index("x");
-        c.insert(Document::new().with("name", "a").with("x", Value::Float(2.0))).unwrap();
-        c.insert(Document::new().with("name", "b").with("x", Value::Int(2))).unwrap();
-        c.insert(Document::new().with("name", "z").with("x", Value::Float(-0.0))).unwrap();
-        c.insert(
-            Document::new()
-                .with("name", "arr")
-                .with("x", Value::Array(vec![Value::Int(2), Value::Float(3.5)])),
-        )
-        .unwrap();
+        let nan = Value::Float(f64::NAN);
+        for x in [
+            Value::Int(2),
+            Value::Float(2.0),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            nan.clone(),
+            Value::Array(vec![Value::Int(2), Value::Float(-0.0), nan.clone()]),
+        ] {
+            let name = format!("d{}", c.len());
+            c.insert(Document::new().with("name", name).with("x", x)).unwrap();
+        }
         c.insert(Document::new().with("name", "bare")).unwrap();
-
-        // Int(2) and Float(2.0) share a B-tree key under the index order
-        // but are `!=` to the evaluator; the canonical numeric postings
-        // keep them apart, so equality-family leaves compile *exactly*.
-        for f in [
-            Filter::Eq("x".into(), Value::Int(2)),
-            Filter::Eq("x".into(), Value::Float(2.0)),
-            Filter::Eq("x".into(), Value::Float(0.0)), // merges with the stored -0.0
-            Filter::Eq("x".into(), Value::Float(f64::NAN)), // == nothing: empty, still exact
-            Filter::Ne("x".into(), Value::Int(2)),
-            Filter::In("x".into(), vec![Value::Int(2), Value::Float(3.5), "y".into()]),
-            Filter::ContainsAny("x".into(), vec![Value::Int(2)]),
-            Filter::ContainsAll("x".into(), vec![Value::Int(2), Value::Float(3.5)]),
+        let x = || "x".to_string();
+        for (f, ids) in [
+            (Filter::Eq(x(), Value::Int(2)), vec![0]),
+            (Filter::Eq(x(), Value::Float(2.0)), vec![1]),
+            (Filter::Eq(x(), Value::Float(0.0)), vec![2, 3]),
+            (Filter::Eq(x(), nan.clone()), vec![]),
+            (Filter::In(x(), vec![Value::Int(2), Value::Float(-0.0), "2".into()]), vec![0, 2, 3]),
+            (Filter::In(x(), vec![Value::Float(2.0), nan.clone()]), vec![1]),
+            (Filter::ContainsAny(x(), vec![Value::Int(2)]), vec![5]),
+            (Filter::ContainsAny(x(), vec![Value::Float(2.0)]), vec![]),
+            (Filter::ContainsAny(x(), vec![Value::Float(0.0)]), vec![5]),
+            (Filter::ContainsAny(x(), vec![nan.clone()]), vec![]),
         ] {
             let plan = c.compile_prefilter(&f);
-            assert!(plan.is_exact(), "{f:?} should compile exactly, got {plan:?}");
-            assert_invariant(&c, &f);
-        }
-        let eq_int = c.compile_prefilter(&Filter::Eq("x".into(), Value::Int(2)));
-        assert_eq!(eq_int.cardinality(), Some(1), "only doc b holds Int(2)");
-        let eq_float = c.compile_prefilter(&Filter::Eq("x".into(), Value::Float(2.0)));
-        assert_eq!(eq_float.cardinality(), Some(1), "only doc a holds Float(2.0)");
-        assert_eq!(
-            c.compile_prefilter(&Filter::Eq("x".into(), Value::Float(0.0))).cardinality(),
-            Some(1),
-            "-0.0 == 0.0 to the evaluator, so the stored -0.0 matches"
-        );
-        assert_eq!(
-            c.compile_prefilter(&Filter::Eq("x".into(), Value::Float(f64::NAN))).cardinality(),
-            Some(0)
-        );
-        // Ne keeps documents missing the field, like every other Ne.
-        assert_eq!(
-            c.compile_prefilter(&Filter::Ne("x".into(), Value::Int(2))).cardinality(),
-            Some(4)
-        );
-        // Array elements resolve through the numeric element postings.
-        assert_eq!(
-            c.compile_prefilter(&Filter::ContainsAny("x".into(), vec![Value::Float(3.5)]))
-                .cardinality(),
-            Some(1)
-        );
-        assert_eq!(
-            c.compile_prefilter(&Filter::ContainsAny("x".into(), vec![Value::Float(2.0)]))
-                .cardinality(),
-            Some(0),
-            "the array holds Int(2), which the evaluator's == keeps distinct from Float(2.0)"
-        );
-
-        // Composite query values with numerics inside have no posting
-        // mirror for `==` and must stay uncompiled.
-        for f in [
-            Filter::Eq("x".into(), Value::Array(vec![Value::Int(2), Value::Float(3.5)])),
-            Filter::In("x".into(), vec![Value::Array(vec![Value::Int(2)])]),
-        ] {
-            let plan = c.compile_prefilter(&f);
-            assert!(plan.bitmap.is_none(), "{f:?} must stay uncompiled");
-            assert_invariant(&c, &f);
+            assert!(plan.bitmap.is_none(), "{f:?} must stay uncompiled, got {plan:?}");
+            // `NaN != NaN`, so the residual is compared by its rendering.
+            assert_eq!(format!("{:?}", plan.residual), format!("{f:?}"));
+            let found = c.find(&f);
+            assert_eq!(found.ids, ids, "{f:?}");
+            assert_eq!(found.plan, QueryPlan { index_used: None, scanned: 7, matched: ids.len() });
         }
 
-        // Ranges stay exact even for numerics (cmp on both sides).
-        let f = Filter::Lte("x".into(), Value::Float(2.5));
+        // Ranges stay exact for numerics (`cmp` on both sides).
+        let f = Filter::Lte(x(), Value::Float(2.5));
         assert!(c.compile_prefilter(&f).is_exact());
         assert_invariant(&c, &f);
     }

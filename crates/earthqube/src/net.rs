@@ -16,13 +16,13 @@
 //!   connection — a best-effort error frame, then close — and every other
 //!   connection keeps being served.  [`NetServer::shutdown`] wakes every
 //!   loop, closes live connections and joins every thread.
-//! * **Admission control** — a per-connection quota and a bound on the
-//!   requests waiting on a loop.  An over-quota request, or one arriving
-//!   while its loop is at the bound, is answered immediately with a typed
+//! * **Admission control** — a per-connection quota on the requests of
+//!   one read burst ([`NetConfig::max_inflight_per_conn`]).  An over-quota
+//!   request is answered immediately with a typed
 //!   [`eq_proto::ErrorCode::Overloaded`] error frame instead of stalling
-//!   the connection; clients that stop draining their responses (slow
-//!   loris) are evicted on a write timeout or when their unsent answers
-//!   exceed a cap.  The [`RequestBody::MetricsText`] endpoint
+//!   the connection, and a poisoned server refuses every request; clients
+//!   that stop draining their responses (slow loris) are evicted on a
+//!   write timeout or when their unsent answers exceed a cap.  The [`RequestBody::MetricsText`] endpoint
 //!   renders the serving counters plus the net-tier counters
 //!   ([`NetTierStats`]) as Prometheus-style scrape text.
 //! * [`EqClient`] — a blocking client over one reused connection: one
@@ -324,7 +324,7 @@ struct NetStats {
 pub struct NetTierStats {
     /// Connections accepted since bind.
     pub accepted: u64,
-    /// Requests rejected with `Overloaded` (quota or a loop at its bound).
+    /// Requests rejected with `Overloaded` (over the per-connection quota).
     pub rejected_overload: u64,
     /// Connections evicted for not draining their responses.
     pub evicted_slow: u64,
@@ -591,7 +591,7 @@ const READ_CHUNK: usize = 64 * 1024;
 enum Slot {
     /// An admitted request's payload, answered in turn.
     Admitted(Vec<u8>),
-    /// A refusal (poisoned server, over quota, loop at its bound), framed.
+    /// A refusal (poisoned server or over quota), framed.
     Refused(Vec<u8>),
 }
 

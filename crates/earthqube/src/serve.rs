@@ -121,15 +121,16 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// A configuration with the result cache disabled (used by benchmarks
-    /// that measure raw query throughput).
+    /// A configuration with the result cache disabled: every request runs
+    /// the query core (the E8 bench's raw-throughput server and the tests'
+    /// cache-free references).
     pub fn uncached(shards: usize) -> Self {
         Self { shards, cache_capacity: 0 }
     }
 }
 
 // The serving-counter snapshot is defined in `eq_proto` beside its codec,
-// which carries all but the four `filter_cache_*` counters.
+// which carries all ten counters.
 pub use eq_proto::ServerStats;
 // A request and its answer are the wire's values, in process too.
 pub use eq_proto::{Request, RequestBody, ResponseBody};

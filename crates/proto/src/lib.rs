@@ -1516,9 +1516,9 @@ pub enum ErrorCode {
     Persist,
     /// Any other server-side failure.
     Internal,
-    /// The server shed this request under load (per-client quota or
-    /// worker-queue backpressure); the connection stays usable and the
-    /// client may retry later.
+    /// The server shed this request: it was over the per-connection quota
+    /// of one read burst.  The connection stays usable and the client may
+    /// retry once it has read its answers.
     Overloaded,
     /// A write reached a read replica; the client should re-discover the
     /// primary and retry there.
