@@ -7,7 +7,8 @@
 //! index), by label codes, by acquisition date and by other attributes.
 //! This crate provides the same capabilities as an embedded library:
 //!
-//! * [`Value`] / [`Document`] — a dynamically typed document model,
+//! * [`Value`] / [`Document`] / [`Fields`] — a dynamically typed document
+//!   model whose field lists are sorted, exactly sized vectors,
 //! * [`Filter`] — a conjunction of comparison, membership, array and
 //!   geospatial predicates, the class of filter EarthQube's query panel
 //!   sends (no disjunction, no negation),
@@ -41,7 +42,7 @@ pub use database::Database;
 pub use filter::Filter;
 pub use index::{AttributeIndex, GeoIndex};
 pub use prefilter::PrefilterPlan;
-pub use value::{Document, Value};
+pub use value::{Document, Fields, Value};
 pub use wire::{decode_document, decode_value, encode_document, encode_value};
 
 /// Internal identifier of a stored document.

@@ -1,13 +1,12 @@
 //! The dynamically typed document model.
 
-use std::collections::BTreeMap;
-
 /// A dynamically typed value, the unit of storage in the document store.
 ///
 /// The variants mirror the BSON types EarthQube actually uses: scalars,
 /// strings, arrays (e.g. label-code lists), nested documents (the
 /// `properties` sub-document of the metadata collection), raw bytes (band
-/// rasters, rendered images) and dates.
+/// rasters, rendered images) and dates.  A nested document's fields are a
+/// [`Fields`] list, the same type a [`Document`] holds.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Absent / null.
@@ -23,7 +22,7 @@ pub enum Value {
     /// Ordered array of values.
     Array(Vec<Value>),
     /// Nested document.
-    Doc(BTreeMap<String, Value>),
+    Doc(Fields),
     /// Raw binary data.
     Bytes(Vec<u8>),
     /// A date stored as an ordinal day number (see
@@ -89,7 +88,7 @@ impl Value {
     }
 
     /// The value as a nested document, if it is one.
-    pub fn as_doc(&self) -> Option<&BTreeMap<String, Value>> {
+    pub fn as_doc(&self) -> Option<&Fields> {
         match self {
             Value::Doc(d) => Some(d),
             _ => None,
@@ -203,10 +202,108 @@ impl<T: Into<Value>> From<Vec<T>> for Value {
     }
 }
 
+/// The fields of a [`Document`] or a [`Value::Doc`]: string keys mapped to
+/// [`Value`]s, held as one vector of `(key, value)` pairs in strictly
+/// ascending key order.
+///
+/// A collected or decoded list is sized exactly, so a document costs its
+/// keys, its values and one `(String, Value)` slot per field (a B-tree
+/// would add a ~630-byte node per list, however few fields it held).
+/// Lookup is a binary search and iteration runs in key order; collecting,
+/// equality, ordering and `Debug` (a map) behave as a `BTreeMap`'s with the
+/// same entries.
+#[derive(Clone, PartialEq, Default)]
+pub struct Fields {
+    /// Keys strictly ascending.
+    entries: Vec<(String, Value)>,
+}
+
+impl Fields {
+    /// Creates an empty field list.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Takes `entries` as they are; the caller guarantees their keys are
+    /// strictly ascending (the wire decoder checks it before calling).
+    pub(crate) fn from_sorted(entries: Vec<(String, Value)>) -> Self {
+        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "keys must ascend");
+        Self { entries }
+    }
+
+    /// The value under `key`.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        let at = self.entries.binary_search_by(|(k, _)| k.as_str().cmp(key)).ok()?;
+        Some(&self.entries[at].1)
+    }
+
+    /// Sets `key` to `value` in key order, returning the value it replaces.
+    pub fn insert(&mut self, key: String, value: Value) -> Option<Value> {
+        match self.entries.binary_search_by(|(k, _)| k.as_str().cmp(&key)) {
+            Ok(at) => Some(std::mem::replace(&mut self.entries[at].1, value)),
+            Err(at) => {
+                self.entries.insert(at, (key, value));
+                None
+            }
+        }
+    }
+
+    /// Number of fields.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether there are no fields.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Iterates over the fields in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (&String, &Value)> {
+        self.entries.iter().map(|(k, v)| (k, v))
+    }
+}
+
+impl std::fmt::Debug for Fields {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl FromIterator<(String, Value)> for Fields {
+    /// Collects like a `BTreeMap`: keys sorted, and the last value wins on a
+    /// repeated key.  An already ascending input is taken as it is.
+    fn from_iter<T: IntoIterator<Item = (String, Value)>>(iter: T) -> Self {
+        let mut entries: Vec<(String, Value)> = iter.into_iter().collect();
+        if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
+            // Stable, so equal keys keep their input order; `dedup_by`
+            // then keeps the first of each run, holding the last's value.
+            entries.sort_by(|a, b| a.0.cmp(&b.0));
+            entries.dedup_by(|later, kept| {
+                let repeated = later.0 == kept.0;
+                if repeated {
+                    std::mem::swap(&mut later.1, &mut kept.1);
+                }
+                repeated
+            });
+        }
+        entries.shrink_to_fit();
+        Self { entries }
+    }
+}
+
+impl<const N: usize> From<[(&str, Value); N]> for Fields {
+    /// Collects literal fields in one exactly sized allocation (sorted, the
+    /// last value winning, like any collection).
+    fn from(fields: [(&str, Value); N]) -> Self {
+        fields.into_iter().map(|(key, value)| (key.to_string(), value)).collect()
+    }
+}
+
 /// A document: a string-keyed map of [`Value`]s with dotted-path access.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Document {
-    fields: BTreeMap<String, Value>,
+    fields: Fields,
 }
 
 impl Document {
@@ -221,7 +318,7 @@ impl Document {
         self
     }
 
-    /// Sets a top-level field.
+    /// Sets a top-level field, in key order.
     pub fn set(&mut self, key: &str, value: impl Into<Value>) {
         self.fields.insert(key.to_string(), value.into());
     }
@@ -237,11 +334,6 @@ impl Document {
         Some(current)
     }
 
-    /// Whether the dotted path resolves to a (possibly null) value.
-    pub fn contains(&self, path: &str) -> bool {
-        self.get(path).is_some()
-    }
-
     /// Number of top-level fields.
     pub fn len(&self) -> usize {
         self.fields.len()
@@ -252,13 +344,13 @@ impl Document {
         self.fields.is_empty()
     }
 
-    /// Iterates over the top-level fields.
+    /// Iterates over the top-level fields in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&String, &Value)> {
         self.fields.iter()
     }
 
-    /// The top-level field map.
-    pub fn fields(&self) -> &BTreeMap<String, Value> {
+    /// The top-level fields.
+    pub fn fields(&self) -> &Fields {
         &self.fields
     }
 
@@ -279,7 +371,21 @@ impl Document {
     }
 }
 
+impl From<Fields> for Document {
+    fn from(fields: Fields) -> Self {
+        Self { fields }
+    }
+}
+
+impl<const N: usize> From<[(&str, Value); N]> for Document {
+    /// Collects literal fields like [`Fields`]'s `From` does.
+    fn from(fields: [(&str, Value); N]) -> Self {
+        Self { fields: Fields::from(fields) }
+    }
+}
+
 impl FromIterator<(String, Value)> for Document {
+    /// Collects like [`Fields`]: keys sorted, the last value wins.
     fn from_iter<T: IntoIterator<Item = (String, Value)>>(iter: T) -> Self {
         Self { fields: iter.into_iter().collect() }
     }
@@ -308,7 +414,7 @@ mod tests {
     fn type_names_are_stable() {
         assert_eq!(Value::Null.type_name(), "null");
         assert_eq!(Value::Int(1).type_name(), "int");
-        assert_eq!(Value::Doc(BTreeMap::new()).type_name(), "document");
+        assert_eq!(Value::Doc(Fields::new()).type_name(), "document");
     }
 
     #[test]
@@ -337,7 +443,7 @@ mod tests {
 
     #[test]
     fn document_dotted_path_access() {
-        let mut props = BTreeMap::new();
+        let mut props = Fields::new();
         props.insert("labels".to_string(), Value::from("ABC"));
         props.insert("season".to_string(), Value::from("Summer"));
         let doc = Document::new()
@@ -349,8 +455,6 @@ mod tests {
         assert_eq!(doc.get("properties.season").unwrap().as_str(), Some("Summer"));
         assert!(doc.get("properties.missing").is_none());
         assert!(doc.get("missing.path").is_none());
-        assert!(doc.contains("properties.labels"));
-        assert!(!doc.contains("nope"));
         assert_eq!(doc.len(), 3);
         assert!(!doc.is_empty());
     }

@@ -23,11 +23,13 @@
 //!
 //! Only *storage* state is serialized; query filters are runtime values and
 //! are deliberately not part of the format.  Encoding is deterministic
-//! (documents iterate their `BTreeMap` fields in key order), so encoding
-//! the same logical state twice yields byte-identical output — which is
-//! what lets the property suite assert encode→decode→encode fixpoints.
+//! (a [`Fields`] list iterates in key order), so encoding the same logical
+//! state twice yields byte-identical output — which is what lets the
+//! property suite assert encode→decode→encode fixpoints.  The decoded
+//! field vector, already checked ascending, becomes the [`Fields`] list as
+//! it is, sized by its count.
 
-use crate::value::{Document, Value};
+use crate::value::{Document, Fields, Value};
 use eq_wire::{Reader, WireError, Writer};
 
 /// Maximum nesting depth accepted when decoding a [`Value`].  Corrupt input
@@ -75,7 +77,7 @@ pub fn encode_value(value: &Value, w: &mut Writer) {
         Value::Doc(fields) => {
             w.u8(TAG_DOC);
             w.seq_len(fields.len());
-            for (key, val) in fields {
+            for (key, val) in fields.iter() {
                 w.str(key);
                 encode_value(val, w);
             }
@@ -118,7 +120,7 @@ fn decode_value_at(r: &mut Reader<'_>, depth: usize) -> Result<Value, WireError>
             }
             Ok(Value::Array(items))
         }
-        TAG_DOC => Ok(Value::Doc(decode_fields(r, depth + 1)?.into_iter().collect())),
+        TAG_DOC => Ok(Value::Doc(decode_fields(r, depth + 1)?)),
         TAG_BYTES => Ok(Value::Bytes(r.bytes()?.to_vec())),
         TAG_DATE => Ok(Value::Date(r.i64()?)),
         other => Err(WireError::Corrupt(format!("unknown value tag {other:#04x}"))),
@@ -139,12 +141,12 @@ pub fn encode_document(doc: &Document, w: &mut Writer) {
 /// # Errors
 /// Returns a [`WireError`] on any structural problem; never panics.
 pub fn decode_document(r: &mut Reader<'_>) -> Result<Document, WireError> {
-    Ok(decode_fields(r, 1)?.into_iter().collect())
+    Ok(Document::from(decode_fields(r, 1)?))
 }
 
 /// The fields of a document or a `Doc` value whose values sit at `depth`:
 /// keys strictly ascending, as the encoder writes them.
-fn decode_fields(r: &mut Reader<'_>, depth: usize) -> Result<Vec<(String, Value)>, WireError> {
+fn decode_fields(r: &mut Reader<'_>, depth: usize) -> Result<Fields, WireError> {
     let n = r.seq_len(1)?;
     let mut fields: Vec<(String, Value)> = Vec::with_capacity(n);
     for _ in 0..n {
@@ -154,7 +156,7 @@ fn decode_fields(r: &mut Reader<'_>, depth: usize) -> Result<Vec<(String, Value)
         }
         fields.push((key.to_string(), decode_value_at(r, depth)?));
     }
-    Ok(fields)
+    Ok(Fields::from_sorted(fields))
 }
 
 #[cfg(test)]
@@ -162,7 +164,7 @@ mod tests {
     use super::*;
 
     fn sample_doc(name: &str) -> Document {
-        let mut nested = std::collections::BTreeMap::new();
+        let mut nested = Fields::new();
         nested.insert("labels".to_string(), Value::Str("ABC".into()));
         nested.insert("flag".to_string(), Value::Bool(true));
         Document::new()

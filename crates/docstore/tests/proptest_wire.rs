@@ -1,7 +1,11 @@
 //! Property tests of the wire format: arbitrary values and patch-shaped
 //! documents must round-trip encode→decode byte-identically, and decoding
 //! any truncated or bit-flipped input must return a clean error — never
-//! panic, never over-allocate.
+//! panic, never over-allocate.  Under them, the field list the codec
+//! writes and reads must behave as a `BTreeMap` of the same fields:
+//! collected or set one field at a time, it iterates, answers `get`,
+//! compares and prints as the map does, the last value winning on a
+//! repeated key.
 //!
 //! Arbitrary `Value` trees are grown by interpreting a random byte script,
 //! which gives the vendored (non-recursive) proptest stub full coverage of
@@ -9,9 +13,10 @@
 //! (NaNs with payloads, -0.0) and non-UTF-8-adjacent strings.
 
 use eq_docstore::wire::{decode_document, decode_value, encode_document, encode_value};
-use eq_docstore::{Document, Value};
+use eq_docstore::{Document, Fields, Value};
 use eq_wire::{Reader, Writer};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Consumes up to `n` bytes of the script as a big-endian integer; an
 /// exhausted script reads as zeros.
@@ -57,7 +62,7 @@ fn value_from_script(script: &mut &[u8], depth: u32) -> Value {
         }
         6 => {
             let n = (take(script, 1) % 4) as usize;
-            let mut fields = std::collections::BTreeMap::new();
+            let mut fields = eq_docstore::Fields::new();
             for i in 0..n {
                 let key = format!("k{}_{}", i, take(script, 1));
                 fields.insert(key, value_from_script(script, depth + 1));
@@ -76,7 +81,7 @@ fn value_from_script(script: &mut &[u8], depth: u32) -> Value {
 /// id, location pair, bbox quad, nested properties) with script-driven
 /// field values, plus a few entirely arbitrary extra fields.
 fn document_from_script(script: &mut &[u8]) -> Document {
-    let mut properties = std::collections::BTreeMap::new();
+    let mut properties = eq_docstore::Fields::new();
     properties.insert("labels".to_string(), Value::Str("ABC".into()));
     properties.insert("date".to_string(), Value::Date(take(script, 8) as i64));
     let mut doc = Document::new()
@@ -108,8 +113,84 @@ fn encoded_document(doc: &Document) -> Vec<u8> {
     w.into_bytes()
 }
 
+/// Field names with shared prefixes, an empty and a multi-byte one, and
+/// byte orders that differ from char orders' intuition (`B` < `a`).
+const KEYS: [&str; 10] = ["", "a", "ab", "abc", "b", "B", "b2", "é", "z", "aé"];
+
+/// Turns drawn `(key, value)` indexes into a field sequence.  `shape`
+/// picks it as drawn (repeats anywhere), sorted with its repeats kept side
+/// by side, or strictly ascending (the input a collect may take as it is).
+fn field_sequence(draws: &[(usize, i64)], shape: u8) -> Vec<(String, Value)> {
+    let mut fields: Vec<(String, Value)> =
+        draws.iter().map(|&(k, v)| (KEYS[k].to_string(), Value::Int(v))).collect();
+    if shape > 0 {
+        fields.sort_by(|a, b| a.0.cmp(&b.0));
+    }
+    if shape > 1 {
+        fields.dedup_by(|later, kept| later.0 == kept.0);
+    }
+    fields
+}
+
+/// A field list's `(key, value)` pairs as its iterator yields them.
+fn pairs<'a>(fields: impl Iterator<Item = (&'a String, &'a Value)>) -> Vec<(String, Value)> {
+    fields.map(|(k, v)| (k.clone(), v.clone())).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Collected, and built by `insert` one field at a time, a field list
+    /// agrees with a `BTreeMap` fed the same sequence: the same fields in
+    /// the same order, the last value of a repeated key, the same `get`
+    /// answers for present and absent keys, the same replaced values, the
+    /// same `Debug` text and the same order between two lists.
+    #[test]
+    fn fields_behave_as_a_btreemap_of_the_same_fields(
+        draws in proptest::collection::vec((0usize..KEYS.len(), -3i64..1000), 0..48),
+        others in proptest::collection::vec((0usize..KEYS.len(), -3i64..4), 0..6),
+        shape in 0u8..3,
+    ) {
+        let sequence = field_sequence(&draws, shape);
+        let reference: BTreeMap<String, Value> = sequence.iter().cloned().collect();
+        let want = pairs(reference.iter());
+
+        let collected: Fields = sequence.iter().cloned().collect();
+        prop_assert_eq!(pairs(collected.iter()), want.clone());
+        prop_assert_eq!(collected.len(), reference.len());
+        let document: Document = sequence.iter().cloned().collect();
+        prop_assert_eq!(pairs(document.iter()), want.clone());
+
+        let mut inserted = Fields::new();
+        let mut map = BTreeMap::new();
+        let mut set = Document::new();
+        for (key, value) in &sequence {
+            prop_assert_eq!(
+                inserted.insert(key.clone(), value.clone()),
+                map.insert(key.clone(), value.clone())
+            );
+            set.set(key, value.clone());
+        }
+        prop_assert_eq!(pairs(inserted.iter()), want.clone());
+        prop_assert_eq!(pairs(set.iter()), want);
+
+        for key in KEYS {
+            prop_assert_eq!(collected.get(key), reference.get(key));
+            prop_assert_eq!(inserted.get(key), reference.get(key));
+            prop_assert_eq!(document.get(key), reference.get(key));
+        }
+        prop_assert_eq!(format!("{collected:?}"), format!("{reference:?}"));
+        prop_assert_eq!(&collected, &inserted);
+
+        let other_sequence = field_sequence(&others, 0);
+        let other_reference: BTreeMap<String, Value> = other_sequence.iter().cloned().collect();
+        let other: Fields = other_sequence.into_iter().collect();
+        prop_assert_eq!(
+            Value::Doc(collected.clone()).cmp(&Value::Doc(other.clone())),
+            reference.iter().cmp(other_reference.iter())
+        );
+        prop_assert_eq!(collected == other, reference == other_reference);
+    }
 
     /// encode→decode→encode is a byte-identical fixpoint for arbitrary
     /// values (bit-pattern equality even for NaN floats, which `==` on the

@@ -1,7 +1,7 @@
 //! Archive ingestion into the document-store collections.
 
 use eq_bigearthnet::patch::{Patch, PatchMetadata};
-use eq_docstore::{Database, Document, Value};
+use eq_docstore::{Database, Document, Fields, Value};
 
 use crate::schema::{collections, fields, metadata_document};
 use crate::EarthQubeError;
@@ -96,33 +96,31 @@ pub(crate) fn validate_patch(patch: &Patch) -> Result<(), EarthQubeError> {
 pub(crate) fn prepare_patch_docs(patch: &Patch, name: &str) -> (Document, Document) {
     // Image-data document: one bytes field per Sentinel-2 band plus the
     // two Sentinel-1 polarisations, exactly the layout §3.2 describes.
-    let mut bands = std::collections::BTreeMap::new();
-    for band in eq_bigearthnet::bands::SENTINEL2_BANDS {
-        let data = patch.band(band);
-        bands.insert(
-            band.name().to_string(),
-            Value::Bytes(data.pixels().iter().flat_map(|p| p.to_le_bytes()).collect()),
-        );
-    }
-    let mut sar = std::collections::BTreeMap::new();
-    for pol in eq_bigearthnet::bands::Polarization::ALL {
-        let data = patch.polarization(pol);
-        sar.insert(
-            pol.name().to_string(),
-            Value::Bytes(data.pixels().iter().flat_map(|p| p.to_le_bytes()).collect()),
-        );
-    }
-    let image_doc = Document::new()
-        .with(fields::NAME, name)
-        .with("bands", Value::Doc(bands))
-        .with("sar", Value::Doc(sar));
+    // Each field list is collected from an exactly sized iterator, so it is
+    // one allocation.
+    let raster =
+        |pixels: &[u16]| Value::Bytes(pixels.iter().flat_map(|p| p.to_le_bytes()).collect());
+    let bands: Fields = eq_bigearthnet::bands::SENTINEL2_BANDS
+        .into_iter()
+        .map(|band| (band.name().to_string(), raster(patch.band(band).pixels())))
+        .collect();
+    let sar: Fields = eq_bigearthnet::bands::Polarization::ALL
+        .into_iter()
+        .map(|pol| (pol.name().to_string(), raster(patch.polarization(pol).pixels())))
+        .collect();
+    let image_doc = Document::from([
+        ("bands", Value::Doc(bands)),
+        (fields::NAME, Value::from(name)),
+        ("sar", Value::Doc(sar)),
+    ]);
 
     // Rendered RGB document.
     let (size, rgb) = patch.render_rgb();
-    let rendered_doc = Document::new()
-        .with(fields::NAME, name)
-        .with("size", size as i64)
-        .with("rgb", Value::Bytes(rgb));
+    let rendered_doc = Document::from([
+        (fields::NAME, Value::from(name)),
+        ("rgb", Value::Bytes(rgb)),
+        ("size", Value::Int(size as i64)),
+    ]);
     (image_doc, rendered_doc)
 }
 

@@ -8,7 +8,7 @@
 use eq_bigearthnet::labels::LabelSet;
 use eq_bigearthnet::patch::{AcquisitionDate, PatchId, PatchMetadata};
 use eq_bigearthnet::Country;
-use eq_docstore::{Document, Value};
+use eq_docstore::{Document, Fields, Value};
 use eq_geo::BBox;
 
 /// The four collection names of the EarthQube data tier.
@@ -45,33 +45,25 @@ pub mod fields {
     pub const DATE_ISO: &str = "properties.date_iso";
 }
 
-/// Builds the metadata document for a patch.
+/// Builds the metadata document for a patch.  Each field list is collected
+/// from an array in key order, so it is one exactly sized allocation.
 pub fn metadata_document(meta: &PatchMetadata) -> Document {
     let center = meta.bbox.center();
-    let mut properties = std::collections::BTreeMap::new();
-    properties.insert("labels".to_string(), Value::Str(meta.labels.to_ascii_codes()));
-    properties.insert("country".to_string(), Value::Str(meta.country.name().to_string()));
-    properties.insert("season".to_string(), Value::Str(meta.season().name().to_string()));
-    properties.insert("date".to_string(), Value::Date(meta.date.ordinal()));
-    properties.insert("date_iso".to_string(), Value::Str(meta.date.to_iso()));
-
-    Document::new()
-        .with(fields::NAME, meta.name.as_str())
-        .with(fields::PATCH_ID, meta.id.0)
-        .with(
-            fields::LOCATION,
-            Value::Array(vec![Value::Float(center.lon), Value::Float(center.lat)]),
-        )
-        .with(
-            fields::BBOX,
-            Value::Array(vec![
-                Value::Float(meta.bbox.min_lon),
-                Value::Float(meta.bbox.min_lat),
-                Value::Float(meta.bbox.max_lon),
-                Value::Float(meta.bbox.max_lat),
-            ]),
-        )
-        .with("properties", Value::Doc(properties))
+    let properties = Fields::from([
+        ("country", Value::Str(meta.country.name().to_string())),
+        ("date", Value::Date(meta.date.ordinal())),
+        ("date_iso", Value::Str(meta.date.to_iso())),
+        ("labels", Value::Str(meta.labels.to_ascii_codes())),
+        ("season", Value::Str(meta.season().name().to_string())),
+    ]);
+    let bbox = [meta.bbox.min_lon, meta.bbox.min_lat, meta.bbox.max_lon, meta.bbox.max_lat];
+    Document::from([
+        (fields::BBOX, Value::Array(bbox.into_iter().map(Value::Float).collect())),
+        (fields::LOCATION, Value::Array(vec![Value::Float(center.lon), Value::Float(center.lat)])),
+        (fields::NAME, Value::Str(meta.name.clone())),
+        (fields::PATCH_ID, Value::from(meta.id.0)),
+        ("properties", Value::Doc(properties)),
+    ])
 }
 
 /// Reconstructs patch metadata from a metadata document (the inverse of

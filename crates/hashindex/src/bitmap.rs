@@ -8,7 +8,7 @@
 //! 1. **Compact posting lists** — one bitmap per distinct attribute value /
 //!    label code / geohash cell, cheap enough to keep thousands of them
 //!    resident next to the secondary indexes,
-//! 2. **Fast algebra** — `AND`/`OR`/`AND NOT` to compile a filter's
+//! 2. **Fast algebra** — `AND`/`OR` to compile a filter's
 //!    indexable prefix into a single candidate set,
 //! 3. **O(1) membership** at scan time, so the arena kernel can skip the
 //!    XOR/popcount for rows outside the candidate set.
@@ -28,11 +28,10 @@
 //! scan kernel a two-instruction membership test with no branching on
 //! container type.
 //!
-//! There is deliberately no complement operation: ids are unbounded
-//! (`u64`), so negation is only meaningful against a concrete universe.
-//! Callers that need `NOT x` compute `universe.and_not(&x)` with the
-//! collection's live-ids bitmap, which also pins the intended "`Ne`
-//! matches documents missing the field" semantics at the algebra level.
+//! The algebra is `and` and `or` only: the filters EarthQube compiles are
+//! conjunctions of atomic predicates, so nothing takes a complement or a
+//! difference (ids are unbounded `u64`s, so a complement would also need
+//! a concrete universe).
 
 use crate::ItemId;
 
@@ -208,19 +207,6 @@ fn normalize_words(words: Box<[u64; CONTAINER_WORDS]>, len: u32) -> Option<Conta
     }
 }
 
-/// The bitset view of any container shape: a bitset borrows its words, an
-/// array materialises them once (8 KiB, amortised over a whole-container
-/// operation).
-fn as_words(c: &Container) -> Box<[u64; CONTAINER_WORDS]> {
-    match c {
-        Container::Array(a) => match promote(a) {
-            Container::Words { words, .. } => words,
-            Container::Array(_) => Box::new([0u64; CONTAINER_WORDS]),
-        },
-        Container::Words { words, .. } => words.clone(),
-    }
-}
-
 /// Container intersection; `None` when empty.
 fn container_and(a: &Container, b: &Container) -> Option<Container> {
     match (a, b) {
@@ -304,26 +290,6 @@ fn container_or(a: &Container, b: &Container) -> Container {
                 len += words[i].count_ones();
             }
             Container::Words { words, len }
-        }
-    }
-}
-
-/// Container difference `a \ b`; `None` when empty.
-fn container_and_not(a: &Container, b: &Container) -> Option<Container> {
-    match (a, b) {
-        (Container::Array(x), y) => {
-            let out: Vec<u16> = x.iter().copied().filter(|&v| !y.contains(v)).collect();
-            normalize_array(out)
-        }
-        (Container::Words { words: wa, .. }, b) => {
-            let wb = as_words(b);
-            let mut words = Box::new([0u64; CONTAINER_WORDS]);
-            let mut len = 0u32;
-            for i in 0..CONTAINER_WORDS {
-                words[i] = wa[i] & !wb[i];
-                len += words[i].count_ones();
-            }
-            normalize_words(words, len)
         }
     }
 }
@@ -506,27 +472,6 @@ impl Bitmap {
             };
             out.len += next.1.len() as u64;
             out.containers.push(next);
-        }
-        out
-    }
-
-    /// Set difference `self \ other`.
-    pub fn and_not(&self, other: &Bitmap) -> Bitmap {
-        let mut out = Bitmap::new();
-        let mut j = 0;
-        for (key, ca) in &self.containers {
-            while j < other.containers.len() && other.containers[j].0 < *key {
-                j += 1;
-            }
-            let kept = if j < other.containers.len() && other.containers[j].0 == *key {
-                container_and_not(ca, &other.containers[j].1)
-            } else {
-                Some(ca.clone())
-            };
-            if let Some(c) = kept {
-                out.len += c.len() as u64;
-                out.containers.push((*key, c));
-            }
         }
         out
     }
@@ -736,14 +681,11 @@ mod tests {
             }
             let and: Vec<u64> = a.and(&b).iter().collect();
             let or: Vec<u64> = a.or(&b).iter().collect();
-            let diff: Vec<u64> = a.and_not(&b).iter().collect();
             assert_eq!(and, ma.intersection(&mb).copied().collect::<Vec<_>>());
             assert_eq!(or, ma.union(&mb).copied().collect::<Vec<_>>());
-            assert_eq!(diff, ma.difference(&mb).copied().collect::<Vec<_>>());
             // Cached cardinalities agree with the iterators.
             assert_eq!(a.and(&b).len(), and.len() as u64);
             assert_eq!(a.or(&b).len(), or.len() as u64);
-            assert_eq!(a.and_not(&b).len(), diff.len() as u64);
         }
     }
 
@@ -754,26 +696,10 @@ mod tests {
         assert_eq!(a.and(&empty), empty);
         assert_eq!(a.or(&empty), a);
         assert_eq!(empty.or(&a), a);
-        assert_eq!(a.and_not(&empty), a);
-        assert_eq!(empty.and_not(&a), empty);
         // Disjoint containers (different keys).
         let far: Bitmap = [1u64 << 30].into_iter().collect();
         assert_eq!(a.and(&far), empty);
         assert_eq!(a.or(&far).len(), 4);
-        assert_eq!(a.and_not(&far), a);
-    }
-
-    #[test]
-    fn not_via_universe_pins_missing_id_semantics() {
-        // The documented way to negate: universe \ x.
-        let universe: Bitmap = (0..100u64).collect();
-        let x: Bitmap = [5u64, 50].into_iter().collect();
-        let not_x = universe.and_not(&x);
-        assert_eq!(not_x.len(), 98);
-        assert!(!not_x.contains(5));
-        assert!(not_x.contains(6));
-        // Ids outside the universe never appear.
-        assert!(!not_x.contains(100));
     }
 
     #[test]
