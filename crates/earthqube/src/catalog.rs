@@ -1,8 +1,8 @@
 //! The one query core: the state a query reads, and the single
 //! implementation of every query kind over it.
 //!
-//! A [`Catalog`] is the document store, the dense-id metadata table and
-//! the CBIR service (model, name→code table, code arena) as one value.
+//! A [`Catalog`] is the document store, the dense-id metadata and raster
+//! tables and the CBIR service (model, name→code table, code arena) as one value.
 //! Both façades are configurations of it: [`EarthQube`](crate::EarthQube)
 //! owns it bare (no cache, no lock), and [`QueryServer`](crate::QueryServer)
 //! owns it behind the `catalog` lock and adds only what is the server's:
@@ -16,7 +16,7 @@
 //! [`WalRecord`] checked by [`Catalog::check_records`] and applied by
 //! [`Catalog::apply`]: build, live ingest and feedback make the record,
 //! recovery and replication decode it.  So one id space holds: arena row
-//! *r*, metadata entry *r* and metadata document *r* are dense patch id *r*.
+//! *r*, metadata and raster entry *r* and metadata document *r* are dense id *r*.
 //!
 //! A filter-taking kind is two steps: [`Catalog::resolve`] turns the
 //! [`ImageQuery`] into a `ResolvedFilter` (the crate's one path to the
@@ -43,7 +43,7 @@ use std::ops::Range;
 
 use eq_bigearthnet::patch::PatchMetadata;
 use eq_bigearthnet::Archive;
-use eq_docstore::{Database, Value};
+use eq_docstore::{Database, Document, Value};
 use eq_hashindex::{BinaryCode, CountingTopK};
 use eq_milan::Milan;
 use eq_proto::{AnswerPlan, AnswerWriter};
@@ -53,11 +53,11 @@ use crate::cbir::CbirService;
 use crate::engine::EarthQubeConfig;
 use crate::feedback::{self, FeedbackService};
 use crate::filtered::{PrefilterMode, ResolvedFilter};
-use crate::ingest::{insert_patch_docs, prepare_collections, prepare_patch_docs};
+use crate::ingest::{patch_rasters, prepare_collections};
 use crate::net::plan_spec;
 use crate::persist::{self, Sequence, WalRecord};
 use crate::query::ImageQuery;
-use crate::schema::{collections, fields};
+use crate::schema::{collections, fields, metadata_document};
 use crate::EarthQubeError;
 
 thread_local! {
@@ -138,6 +138,10 @@ pub(crate) struct Catalog {
     pub(crate) metadata: Vec<PatchMetadata>,
     /// Indexed by dense patch id, filled beside `metadata`.
     pub(crate) rows: RowTable,
+    /// Indexed by dense patch id: each patch's raster bytes as its ingest
+    /// record carries them (`persist::encode_rasters`), kept only to be
+    /// written again; no query reads them.
+    pub(crate) rasters: Vec<Box<[u8]>>,
     pub(crate) cbir: CbirService,
     pub(crate) page_size: usize,
 }
@@ -168,23 +172,24 @@ impl Catalog {
         // The row table is sized exactly, once, before the first record.
         let prefix_bytes = metas.iter().map(|m| eq_proto::row_prefix_len(&m.name)).sum();
         catalog.rows.reserve_exact(metas.len(), prefix_bytes);
-        let docs: Vec<_> =
-            archive.patches().iter().map(|p| prepare_patch_docs(p, &p.meta.name)).collect();
-        for ((meta, (image_doc, rendered_doc)), code) in metas.into_iter().zip(docs).zip(codes) {
-            catalog.apply_record(WalRecord::Ingest { meta, code, image_doc, rendered_doc })?;
+        let rasters: Vec<_> =
+            archive.patches().iter().map(|p| patch_rasters(p, &p.meta.name)).collect();
+        for ((meta, rasters), code) in metas.into_iter().zip(rasters).zip(codes) {
+            catalog.apply_record(WalRecord::Ingest { meta, code, rasters })?;
         }
         Ok(catalog)
     }
 
-    /// An empty core over a trained model, with room for `images`: the four
-    /// collections with their indexes, no image and no feedback — what
-    /// recovery applies a checkpoint's records to.
+    /// An empty core over a trained model, with room for `images`: the
+    /// metadata and feedback collections with their indexes, no image and
+    /// no feedback — what recovery applies a checkpoint's records to.
     pub(crate) fn empty(model: Milan, page_size: usize, images: usize) -> Self {
         let mut database = Database::new();
         prepare_collections(&mut database);
         let cbir = CbirService::new(model, images);
         let metadata = Vec::with_capacity(images);
-        Self { database, metadata, rows: RowTable::default(), cbir, page_size }
+        let rasters = Vec::with_capacity(images);
+        Self { database, metadata, rows: RowTable::default(), rasters, cbir, page_size }
     }
 
     /// Ingest's duplicate check.
@@ -218,49 +223,36 @@ impl Catalog {
     }
 
     /// One record's check, behind the `ahead` names.  Feedback must hold
-    /// text.  An ingest must carry the next dense id (its metadata document's
-    /// id too), a code of the model's width and documents keyed by its name,
-    /// or it is an [`EarthQubeError::Persist`]; a name already indexed is a
+    /// text.  An ingest's name must be new: one already indexed is a
     /// [`EarthQubeError::BadRequest`], one already stored a store error.
+    /// It must carry the next dense id (its metadata document's id too) and
+    /// a code of the model's width, or it is an [`EarthQubeError::Persist`].
     fn check_record(
         &self,
         record: &WalRecord,
         ahead: &HashSet<&str>,
     ) -> Result<(), EarthQubeError> {
-        let (meta, code, image_doc, rendered_doc) = match record {
-            WalRecord::Ingest { meta, code, image_doc, rendered_doc } => {
-                (meta, code, image_doc, rendered_doc)
-            }
+        let (meta, code) = match record {
+            WalRecord::Ingest { meta, code, .. } => (meta, code),
             WalRecord::Feedback { text, .. } => return feedback::trimmed(text).map(drop),
         };
-        let next = self.metadata.len() + ahead.len();
-        let next_doc = self.database.collection(collections::METADATA)?.next_id() as usize;
-        let bits = self.cbir.code_bits();
-        if (meta.id.0 as usize, next_doc + ahead.len(), code.bits()) != (next, next, bits) {
-            return Err(EarthQubeError::Persist(format!(
-                "the record for {} carries dense id {} and a {}-bit code, expected id {next} \
-                 (next document id {next_doc}) and {bits} bits",
-                meta.name,
-                meta.id.0,
-                code.bits()
-            )));
-        }
         let name = &meta.name;
         if ahead.contains(name.as_str()) {
             return Err(EarthQubeError::BadRequest(format!("image {name} is twice in the batch")));
         }
         self.ensure_new(name)?;
-        let key = Value::Str(name.clone());
-        if [image_doc, rendered_doc].iter().any(|doc| doc.get(fields::NAME) != Some(&key)) {
-            return Err(EarthQubeError::Persist(format!("a document of {name} has another key")));
-        }
-        // All three collections are keyed by name, so the image document
-        // stands in for the metadata document built at apply.
-        use collections::{IMAGE_DATA, METADATA, RENDERED};
-        for (coll, doc) in
-            [(METADATA, image_doc), (IMAGE_DATA, image_doc), (RENDERED, rendered_doc)]
-        {
-            self.database.collection(coll)?.check_insert(doc)?;
+        let docs = self.database.collection(collections::METADATA)?;
+        docs.check_insert(&Document::from([(fields::NAME, Value::from(name.as_str()))]))?;
+        let next = self.metadata.len() + ahead.len();
+        let next_doc = docs.next_id() as usize;
+        let bits = self.cbir.code_bits();
+        if (meta.id.0 as usize, next_doc + ahead.len(), code.bits()) != (next, next, bits) {
+            return Err(EarthQubeError::Persist(format!(
+                "the record for {name} carries dense id {} and a {}-bit code, expected id {next} \
+                 (next document id {next_doc}) and {bits} bits",
+                meta.id.0,
+                code.bits()
+            )));
         }
         Ok(())
     }
@@ -269,13 +261,17 @@ impl Catalog {
     /// returns its key: an ingest's dense id, a feedback entry's id.  Every
     /// write applies here, so a recovered server or a replica is
     /// byte-identical to the server that took the writes, and arena row
-    /// *r*, metadata entry *r* and metadata document *r* are dense id *r*.
+    /// *r*, metadata and raster entry *r* and metadata document *r* are dense id *r*.
     pub(crate) fn apply(&mut self, record: WalRecord) -> i64 {
         match record {
-            WalRecord::Ingest { meta, code, image_doc, rendered_doc } => {
-                insert_patch_docs(&mut self.database, &meta, image_doc, rendered_doc);
+            WalRecord::Ingest { meta, code, rasters } => {
+                let docs = self.database.collection_mut(collections::METADATA);
+                let inserted = docs.and_then(|docs| docs.insert(metadata_document(&meta)));
+                // lint:allow(panic) check_records found the metadata collection not holding the name
+                inserted.expect("a checked patch inserts");
                 self.cbir.insert(meta.id.0 as u64, &meta.name, code);
                 self.rows.push(&meta);
+                self.rasters.push(rasters);
                 self.metadata.push(meta);
                 self.metadata.len() as i64 - 1
             }
@@ -323,9 +319,9 @@ impl Catalog {
     /// Appends a sequence's records at the positions `records` (those the
     /// catalog holds) to a records chunk body, and returns how many: each
     /// record encoded as its write logged it, from the catalog's own parts
-    /// — metadata, stored code and stored documents — so no document is
-    /// cloned, and each record is found by its position, so none before
-    /// the range is visited.  With a `budget`, it stops before the first
+    /// — metadata, stored code and raster bytes, copied as they are — and
+    /// each record is found by its position, so none before the range is
+    /// visited.  With a `budget`, it stops before the first
     /// record past it once the appended records hold that many bytes: it
     /// appends at least one record when any is pending.
     pub(crate) fn append_records(
@@ -341,18 +337,14 @@ impl Catalog {
         let mut appended = 0;
         match sequence {
             Sequence::Ingest => {
-                let images = self.database.collection(collections::IMAGE_DATA)?;
-                let rendered = self.database.collection(collections::RENDERED)?;
-                for meta in self.metadata.get(records.start..end).unwrap_or_default() {
+                let metas = self.metadata.get(records.start..end).unwrap_or_default();
+                let rasters = self.rasters.get(records.start..end).unwrap_or_default();
+                for (meta, rasters) in metas.iter().zip(rasters) {
                     if full(chunk) {
                         break;
                     }
-                    let key = Value::Str(meta.name.clone());
-                    let missing = || EarthQubeError::UnknownImage(meta.name.clone());
-                    let image_doc = images.get_by_key(&key).ok_or_else(missing)?;
-                    let rendered_doc = rendered.get_by_key(&key).ok_or_else(missing)?;
                     let (_, code) = self.image(&meta.name)?;
-                    persist::encode_ingest(meta, code, image_doc, rendered_doc, chunk);
+                    persist::encode_ingest(meta, code, rasters, chunk);
                     appended += 1;
                 }
             }
@@ -558,8 +550,8 @@ mod tests {
         let mut meta = patches[29].meta.clone();
         meta.id = eq_bigearthnet::patch::PatchId(29);
         let code = catalog.cbir.model().hash_patch(&patches[29]);
-        let (image_doc, rendered_doc) = prepare_patch_docs(&patches[29], &meta.name);
-        catalog.apply_record(WalRecord::Ingest { meta, code, image_doc, rendered_doc }).unwrap();
+        let rasters = patch_rasters(&patches[29], &meta.name);
+        catalog.apply_record(WalRecord::Ingest { meta, code, rasters }).unwrap();
         for (id, meta) in catalog.metadata.iter().enumerate() {
             assert_eq!(catalog.rows.prefix(id as u64), Some(&prefix_of(meta)[..]), "row {id}");
         }

@@ -83,7 +83,7 @@ pub struct EarthQube {
 
 impl EarthQube {
     /// Builds the full back-end from an archive: trains MiLaN, ingests
-    /// every patch into the four collections and the CBIR index, and
+    /// every patch (metadata document, raster bytes, CBIR code), and
     /// registers the assets in the AgoraEO registry.
     ///
     /// # Errors
@@ -100,7 +100,7 @@ impl EarthQube {
         &self.config
     }
 
-    /// The underlying document database.
+    /// The underlying document database: the metadata and feedback collections.
     pub fn database(&self) -> &Database {
         &self.catalog.database
     }

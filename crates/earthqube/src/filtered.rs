@@ -239,13 +239,17 @@ mod tests {
             let meta =
                 PatchMetadata { id: PatchId(catalog.metadata.len() as u32), ..patch.meta.clone() };
             let code = catalog.cbir.model().hash_patch(patch);
-            let (image_doc, rendered_doc) = crate::ingest::prepare_patch_docs(patch, &meta.name);
-            WalRecord::Ingest { meta, code, image_doc, rendered_doc }
+            let rasters = crate::ingest::patch_rasters(patch, &meta.name);
+            WalRecord::Ingest { meta, code, rasters }
         };
+        // A squatter takes a document id, so it is dropped again (its
+        // collection as it was before it) once it refused its patch.
         let squatter = Document::new().with(fields::NAME, patches[4].meta.name.as_str());
-        let rendered = catalog.database.collection_mut(collections::RENDERED).unwrap();
-        rendered.insert(squatter).unwrap();
+        let docs = catalog.database.collection_mut(collections::METADATA).unwrap();
+        let without_squatter = docs.clone();
+        docs.insert(squatter).unwrap();
         assert!(catalog.apply_record(record(&catalog, 4)).is_err());
+        *catalog.database.collection_mut(collections::METADATA).unwrap() = without_squatter;
         assert_eq!(catalog.apply_record(record(&catalog, 5)).unwrap(), 4);
 
         let coll = catalog.database.collection(collections::METADATA).unwrap();

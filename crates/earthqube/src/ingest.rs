@@ -1,15 +1,16 @@
-//! Archive ingestion into the document-store collections.
+//! Archive ingestion: a patch's metadata document, and its raster bytes.
 
 use eq_bigearthnet::patch::{Patch, PatchMetadata};
 use eq_docstore::{Database, Document, Fields, Value};
 
+use crate::persist;
 use crate::schema::{collections, fields, metadata_document};
 use crate::EarthQubeError;
 
 pub use eq_proto::IngestReport;
 
-/// Creates the four collections and the metadata collection's indexes
-/// (a no-op for those that exist).
+/// Creates the metadata and feedback collections and the metadata
+/// collection's indexes (a no-op for those that exist).
 pub(crate) fn prepare_collections(db: &mut Database) {
     let metadata = db.create_collection(collections::METADATA, fields::NAME);
     if !metadata.has_attribute_index(fields::COUNTRY) {
@@ -26,8 +27,6 @@ pub(crate) fn prepare_collections(db: &mut Database) {
             // lint:allow(panic) infallible: the collection was created just above and cannot already carry a geo index
             .expect("fresh metadata collection accepts a geo index");
     }
-    db.create_collection(collections::IMAGE_DATA, fields::NAME);
-    db.create_collection(collections::RENDERED, fields::NAME);
     db.create_collection(collections::FEEDBACK, "id");
 }
 
@@ -90,9 +89,7 @@ pub(crate) fn validate_patch(patch: &Patch) -> Result<(), EarthQubeError> {
 }
 
 /// Serialises a patch into its image-data and rendered documents, keyed by
-/// `name` — the CPU-heavy half of an ingest, needing no database access so
-/// the concurrent write path can run it before taking the catalog write
-/// lock.
+/// `name`.
 pub(crate) fn prepare_patch_docs(patch: &Patch, name: &str) -> (Document, Document) {
     // Image-data document: one bytes field per Sentinel-2 band plus the
     // two Sentinel-1 polarisations, exactly the layout §3.2 describes.
@@ -124,25 +121,13 @@ pub(crate) fn prepare_patch_docs(patch: &Patch, name: &str) -> (Document, Docume
     (image_doc, rendered_doc)
 }
 
-/// Inserts a patch's three documents, which `Catalog::check_records`
-/// passed: the metadata document built from `meta`, and the image-data and
-/// rendered documents.
-pub(crate) fn insert_patch_docs(
-    db: &mut Database,
-    meta: &PatchMetadata,
-    image_doc: Document,
-    rendered_doc: Document,
-) {
-    let docs = [
-        (collections::METADATA, metadata_document(meta)),
-        (collections::IMAGE_DATA, image_doc),
-        (collections::RENDERED, rendered_doc),
-    ];
-    for (coll, doc) in docs {
-        let inserted = db.collection_mut(coll).and_then(|c| c.insert(doc));
-        // lint:allow(panic) Catalog::check_records found each collection and none holding the name
-        inserted.expect("a checked patch inserts");
-    }
+/// A patch's raster bytes, as its ingest record carries them: its
+/// image-data and rendered documents keyed by `name`, encoded — the
+/// CPU-heavy half of an ingest, needing no database access so the
+/// concurrent write path can run it before taking the catalog write lock.
+pub(crate) fn patch_rasters(patch: &Patch, name: &str) -> Box<[u8]> {
+    let (image_doc, rendered_doc) = prepare_patch_docs(patch, name);
+    persist::encode_rasters(&image_doc, &rendered_doc)
 }
 
 #[cfg(test)]
@@ -150,9 +135,10 @@ mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use crate::persist::WalRecord;
-    use crate::EarthQubeConfig;
+    use crate::{EarthQubeConfig, QueryServer, ServeConfig};
     use eq_bigearthnet::{Archive, ArchiveGenerator, GeneratorConfig};
     use eq_docstore::Filter;
+    use eq_wire::Reader;
 
     #[test]
     fn metadata_only_ingest_populates_the_metadata_collection() {
@@ -167,8 +153,8 @@ mod tests {
         // Indexes exist and are used.
         let r = coll.find(&Filter::Eq(fields::COUNTRY.into(), "Finland".into()));
         assert_eq!(r.plan.index_used.as_deref(), Some(fields::COUNTRY));
-        // All four collections exist.
-        assert_eq!(db.collection_names().len(), 4);
+        // The metadata and feedback collections exist.
+        assert_eq!(db.collection_names(), [collections::FEEDBACK, collections::METADATA]);
     }
 
     fn untrained(seed: u64) -> EarthQubeConfig {
@@ -177,31 +163,55 @@ mod tests {
         config
     }
 
+    /// A built catalog holds the metadata and feedback collections, and
+    /// each patch's rasters as bytes: decoded, they are the documents
+    /// `prepare_patch_docs` makes of the patch, on a built server, after
+    /// checkpoint → recover, and on a replica after a pull.
     #[test]
-    fn full_ingest_populates_all_four_collections() {
+    fn full_ingest_keeps_metadata_documents_and_raster_bytes() {
         let archive = ArchiveGenerator::new(GeneratorConfig::tiny(8, 14)).unwrap().generate();
-        let catalog = Catalog::build(&archive, &untrained(14)).unwrap();
-        let db = &catalog.database;
-        for coll in [collections::METADATA, collections::IMAGE_DATA, collections::RENDERED] {
-            assert_eq!(db.collection(coll).unwrap().len(), 8, "collection {coll}");
-        }
-        assert_eq!(db.collection_names().len(), 4);
+        let assert_rasters = |srv: &QueryServer, what: &str| {
+            let catalog = srv.catalog.read();
+            let db = &catalog.database;
+            assert_eq!(db.collection_names(), [collections::FEEDBACK, collections::METADATA]);
+            assert_eq!(db.collection(collections::METADATA).unwrap().len(), 8, "{what}");
+            assert_eq!(catalog.rasters.len(), 8, "{what}");
+            for (patch, rasters) in archive.patches().iter().zip(&catalog.rasters) {
+                let (name, mut r) = (&patch.meta.name, Reader::new(rasters));
+                let docs = persist::read_rasters(&mut r, name).unwrap();
+                assert!(r.is_empty(), "{what}: {name} holds more than its rasters");
+                let prepared = <[Document; 2]>::from(prepare_patch_docs(patch, name));
+                assert!(docs == prepared, "{what}: {name}");
+            }
+        };
+        let srv = QueryServer::build(&archive, untrained(14), ServeConfig::default()).unwrap();
+        assert_rasters(&srv, "built");
 
         // The image-data document stores all 12 band buffers.
-        let name = archive.patches()[0].meta.name.clone();
-        let img = db
-            .collection(collections::IMAGE_DATA)
-            .unwrap()
-            .get_by_key(&Value::Str(name.clone()))
-            .unwrap();
+        let name = &archive.patches()[0].meta.name;
+        let [img, rendered] = {
+            let catalog = srv.catalog.read();
+            persist::read_rasters(&mut Reader::new(&catalog.rasters[0]), name).unwrap()
+        };
         assert!(!img.get("bands.B02").unwrap().as_bytes().unwrap().is_empty());
         assert!(img.get("bands.B12").is_some());
         assert!(img.get("sar.VV").is_some());
         // The rendered document stores an RGB buffer of size² × 3 bytes.
-        let rendered =
-            db.collection(collections::RENDERED).unwrap().get_by_key(&Value::Str(name)).unwrap();
         let size = rendered.get("size").unwrap().as_int().unwrap() as usize;
         assert_eq!(rendered.get("rgb").unwrap().as_bytes().unwrap().len(), size * size * 3);
+
+        let dirs = ["primary", "replica"].map(|dir| {
+            std::env::temp_dir().join(format!("eq_ingest_{dir}_{}", std::process::id()))
+        });
+        dirs.iter().for_each(|dir| _ = std::fs::remove_dir_all(dir));
+        srv.checkpoint(&dirs[0]).unwrap();
+        let pulled = srv.repl_pull(0, 0, 0, [0, 0], u64::MAX).unwrap();
+        let replica = QueryServer::seed(&dirs[1], &pulled.static_chunk, pulled.generation).unwrap();
+        assert_eq!(replica.apply_runs(&pulled.runs).unwrap(), 8);
+        assert_rasters(&replica, "pulled");
+        drop((srv, replica));
+        assert_rasters(&QueryServer::recover(&dirs[0]).unwrap(), "recovered");
+        dirs.iter().for_each(|dir| _ = std::fs::remove_dir_all(dir));
     }
 
     #[test]
@@ -220,40 +230,40 @@ mod tests {
         let patch = &archive.patches()[0];
         let mut catalog = Catalog::build(&Archive::default(), &untrained(17)).unwrap();
         let code = catalog.cbir.model().hash_patch(patch);
-        let record = || {
-            let (image_doc, rendered_doc) = prepare_patch_docs(patch, &patch.meta.name);
-            WalRecord::Ingest {
-                meta: patch.meta.clone(),
-                code: code.clone(),
-                image_doc,
-                rendered_doc,
-            }
+        let named = |name: &str| WalRecord::Ingest {
+            meta: PatchMetadata { name: name.to_string(), ..patch.meta.clone() },
+            code: code.clone(),
+            rasters: patch_rasters(patch, name),
         };
-        // A pre-existing image-data document under the patch's name makes
-        // the record refused before any of its three inserts.
+        let record = || named(&patch.meta.name);
+        // A pre-existing metadata document under the patch's name makes
+        // the record refused before anything is inserted.
         let squatter = Document::new().with(fields::NAME, patch.meta.name.as_str());
-        let images = catalog.database.collection_mut(collections::IMAGE_DATA).unwrap();
-        let without_squatter = images.clone();
-        images.insert(squatter).unwrap();
+        let docs = catalog.database.collection_mut(collections::METADATA).unwrap();
+        let without_squatter = docs.clone();
+        docs.insert(squatter).unwrap();
 
         let err = catalog.apply_record(record()).unwrap_err();
         assert!(matches!(err, EarthQubeError::Store(_)));
         // Nothing was inserted; the squatter survived.
-        let len = |catalog: &Catalog, coll| catalog.database.collection(coll).unwrap().len();
-        assert_eq!(len(&catalog, collections::METADATA), 0);
-        assert_eq!(len(&catalog, collections::IMAGE_DATA), 1);
-        assert_eq!(len(&catalog, collections::RENDERED), 0);
+        let len =
+            |catalog: &Catalog| catalog.database.collection(collections::METADATA).unwrap().len();
+        assert_eq!(len(&catalog), 1);
         assert!(catalog.metadata.is_empty() && catalog.cbir.is_empty());
+        assert!(catalog.rasters.is_empty());
+        // Under another name, the record is refused too: the squatter holds
+        // document id 0, so no patch can land as dense id 0.
+        let err = catalog.apply_record(named("another-name")).unwrap_err();
+        assert!(matches!(err, EarthQubeError::Persist(_)), "{err:?}");
+        assert!(catalog.metadata.is_empty() && catalog.rasters.is_empty());
 
         // With the squatter dropped (its collection as it was before it),
         // the same patch ingests cleanly, as dense id 0 and metadata
         // document 0.
         let key = Value::Str(patch.meta.name.clone());
-        *catalog.database.collection_mut(collections::IMAGE_DATA).unwrap() = without_squatter;
+        *catalog.database.collection_mut(collections::METADATA).unwrap() = without_squatter;
         assert_eq!(catalog.apply_record(record()).unwrap(), 0);
-        for coll in [collections::METADATA, collections::IMAGE_DATA, collections::RENDERED] {
-            assert_eq!(len(&catalog, coll), 1, "collection {coll}");
-        }
+        assert_eq!((len(&catalog), catalog.rasters.len()), (1, 1));
         let metadata = catalog.database.collection(collections::METADATA).unwrap();
         assert_eq!(metadata.get(0).unwrap().get(fields::NAME), Some(&key));
     }

@@ -40,8 +40,8 @@ use eq_docstore::{DocId, Document, Value};
 use eq_hashindex::BinaryCode;
 use eq_wire::{Reader, WireError};
 
-use crate::persist::{corrupt, WalRecord};
-use crate::schema::collections;
+use crate::persist::{self, corrupt, WalRecord};
+use crate::schema::{collections, fields};
 use crate::EarthQubeError;
 
 /// The legacy chunk tags: a collection, a delta, an image range.
@@ -224,15 +224,16 @@ impl Legacy {
     }
 
     /// The records the same writes would have logged: one ingest record
-    /// per image, in dense-id order, with its stored documents, then one
-    /// feedback record per stored entry with an integer id and a text, in
-    /// ascending document id.  Applying them checks that the ranges tile.
+    /// per image, in dense-id order, with its stored documents (keyed by its
+    /// name) as its raster bytes, then one feedback record per stored entry
+    /// with an integer id and a text, in ascending document id.  Applying
+    /// them checks that the ranges tile.
     pub(crate) fn into_records(self) -> Result<Vec<WalRecord>, EarthQubeError> {
         let Legacy { collections: stored, mut ranges } = self;
         ranges.sort_by_key(|(start, _)| *start);
         let document = |name: &str, key: &Value| {
             let doc = stored.get(name).and_then(|c| c.get(key));
-            doc.cloned().ok_or_else(|| {
+            doc.filter(|doc| doc.get(fields::NAME) == Some(key)).ok_or_else(|| {
                 EarthQubeError::Persist(format!("the legacy {name} collection lacks {key:?}"))
             })
         };
@@ -241,7 +242,8 @@ impl Legacy {
             let key = Value::Str(meta.name.clone());
             let image_doc = document(collections::IMAGE_DATA, &key)?;
             let rendered_doc = document(collections::RENDERED, &key)?;
-            records.push(WalRecord::Ingest { meta, code, image_doc, rendered_doc });
+            let rasters = persist::encode_rasters(image_doc, rendered_doc);
+            records.push(WalRecord::Ingest { meta, code, rasters });
         }
         let feedback = stored.get(collections::FEEDBACK).map(|c| c.docs.values());
         for doc in feedback.into_iter().flatten() {
@@ -264,11 +266,22 @@ mod tests {
     use eq_docstore::wire::{encode_document, encode_value};
     use eq_wire::Writer;
 
-    /// A `coll:` body past its tag.
+    /// A `coll:` body past its tag, keyed by `name`.
     fn coll(name: &str, next_id: DocId, geo: u8, docs: &[(DocId, Document)]) -> Vec<u8> {
+        keyed_coll(name, "name", next_id, geo, docs)
+    }
+
+    /// A `coll:` body past its tag, keyed by the field `key`.
+    fn keyed_coll(
+        name: &str,
+        key: &str,
+        next_id: DocId,
+        geo: u8,
+        docs: &[(DocId, Document)],
+    ) -> Vec<u8> {
         let mut w = Writer::new();
         w.str(name);
-        w.str("name");
+        w.str(key);
         w.u64(next_id);
         w.seq_len(1);
         w.str("country");
@@ -428,16 +441,32 @@ mod tests {
         let names: Vec<&str> = records
             .iter()
             .map(|record| match record {
-                WalRecord::Ingest { meta, image_doc, .. } => {
-                    assert_eq!(image_doc.get("name"), Some(&Value::from(meta.name.as_str())));
+                WalRecord::Ingest { meta, rasters, .. } => {
+                    let mut r = Reader::new(rasters);
+                    let docs = persist::read_rasters(&mut r, &meta.name).unwrap();
+                    assert!(r.is_empty() && docs == [doc(&meta.name), doc(&meta.name)]);
                     meta.name.as_str()
                 }
                 WalRecord::Feedback { .. } => panic!("a feedback record from no feedback"),
             })
             .collect();
         assert_eq!(names, metas.iter().map(|m| m.name.as_str()).collect::<Vec<_>>());
-        // An image whose rendered document is missing is refused.
+        // An image whose rendered document is missing is refused, and so is
+        // one whose rendered document is keyed by another name.
         chunks[2] = (CHUNK_COLLECTION, coll(collections::RENDERED, 3, 0, &stored[..2]));
         assert!(applied(&chunks).unwrap().into_records().is_err());
+        let aliased: Vec<_> = metas
+            .iter()
+            .enumerate()
+            .map(|(i, m)| {
+                let name = if i == 1 { "someone-else" } else { &m.name };
+                (i as DocId, doc(name).with("alias", m.name.as_str()))
+            })
+            .collect();
+        chunks[2] = (CHUNK_COLLECTION, keyed_coll(collections::RENDERED, "alias", 3, 0, &aliased));
+        assert!(matches!(
+            applied(&chunks).unwrap().into_records(),
+            Err(EarthQubeError::Persist(e)) if e.contains(&metas[1].name)
+        ));
     }
 }

@@ -4,14 +4,14 @@
 //! EarthQube follows a three-tier architecture; this crate is the back-end
 //! tier.  It wires the other workspace crates together:
 //!
-//! * [`schema`] / [`ingest`] — turn a BigEarthNet archive into the four
-//!   document-store collections of §3.2 (metadata, image data, rendered
-//!   images, feedback),
+//! * [`schema`] / [`ingest`] — turn a BigEarthNet archive into the data of
+//!   §3.2: the metadata and feedback collections, and each patch's image
+//!   and rendered documents as the bytes its ingest record carries,
 //! * [`query`] — the query-panel model of §3.1: geospatial shape, date
 //!   range, satellites, seasons, and label filtering with the `Some`,
 //!   `Exactly` and `At least & more` operators over the CLC hierarchy,
 //! * `catalog` (private) — the one query core: document store, dense-id
-//!   metadata table and CBIR service as one value, with the single
+//!   metadata and raster tables and CBIR service as one value, with the single
 //!   implementation of every query kind and of the write apply path; both
 //!   façades below are configurations of it,
 //! * [`cbir`] — the MiLaN-backed content-based image-retrieval service of

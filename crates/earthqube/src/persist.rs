@@ -100,7 +100,7 @@ use std::path::{Path, PathBuf};
 
 use eq_bigearthnet::patch::PatchMetadata;
 use eq_bigearthnet::wire::{decode_patch_metadata, encode_patch_metadata};
-use eq_docstore::{wire, Document};
+use eq_docstore::{wire, Document, Value};
 use eq_hashindex::BinaryCode;
 use eq_milan::persist::{
     decode_config as decode_milan_config, encode_config as encode_milan_config,
@@ -111,6 +111,7 @@ use eq_wire::{crc32, Reader, WireError, Writer};
 
 use crate::engine::EarthQubeConfig;
 use crate::legacy::{self, Legacy};
+use crate::schema::fields;
 use crate::serve::ServeConfig;
 use crate::EarthQubeError;
 
@@ -677,9 +678,9 @@ pub(crate) fn read_snapshot(
 /// One decoded WAL record.
 pub(crate) enum WalRecord {
     /// A patch applied by [`QueryServer::ingest`](crate::serve::QueryServer::ingest):
-    /// the dense-id-assigned metadata, the binary code, and the two
-    /// pre-serialized documents.
-    Ingest { meta: PatchMetadata, code: BinaryCode, image_doc: Document, rendered_doc: Document },
+    /// the dense-id-assigned metadata, the binary code, and the raster
+    /// bytes ([`encode_rasters`]), keyed by the metadata's name.
+    Ingest { meta: PatchMetadata, code: BinaryCode, rasters: Box<[u8]> },
     /// A feedback comment stored through the write path.
     Feedback { text: String, category: Option<String> },
 }
@@ -689,9 +690,7 @@ impl WalRecord {
     pub(crate) fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         match self {
-            WalRecord::Ingest { meta, code, image_doc, rendered_doc } => {
-                encode_ingest(meta, code, image_doc, rendered_doc, &mut w)
-            }
+            WalRecord::Ingest { meta, code, rasters } => encode_ingest(meta, code, rasters, &mut w),
             WalRecord::Feedback { text, category } => {
                 encode_feedback(text, category.as_deref(), &mut w)
             }
@@ -700,19 +699,33 @@ impl WalRecord {
     }
 }
 
-/// Writes an ingest record's payload from borrowed parts.
-pub(crate) fn encode_ingest(
-    meta: &PatchMetadata,
-    code: &BinaryCode,
-    image_doc: &Document,
-    rendered_doc: &Document,
-    w: &mut Writer,
-) {
+/// Writes an ingest record's payload from borrowed parts, `raw` its rasters.
+pub(crate) fn encode_ingest(meta: &PatchMetadata, code: &BinaryCode, raw: &[u8], w: &mut Writer) {
     w.u8(RECORD_INGEST);
     encode_patch_metadata(meta, w);
     code.encode(w);
-    wire::encode_document(image_doc, w);
-    wire::encode_document(rendered_doc, w);
+    w.raw(raw);
+}
+
+/// An ingest record's raster bytes: its image-data and rendered documents,
+/// encoded back to back.
+pub(crate) fn encode_rasters(image_doc: &Document, rendered_doc: &Document) -> Box<[u8]> {
+    let mut w = Writer::new();
+    wire::encode_document(image_doc, &mut w);
+    wire::encode_document(rendered_doc, &mut w);
+    // Exactly sized: a shrunk buffer's freed tails would scatter the
+    // build's later allocations (the names queries read) between rasters.
+    Box::from(w.as_bytes())
+}
+
+/// Reads the image-data and rendered documents of `name`'s raster bytes,
+/// refusing either when keyed by another name (no checkpoint could file it).
+pub(crate) fn read_rasters(r: &mut Reader<'_>, name: &str) -> Result<[Document; 2], WireError> {
+    let docs = [wire::decode_document(r)?, wire::decode_document(r)?];
+    if docs.iter().any(|doc| doc.get(fields::NAME).and_then(Value::as_str) != Some(name)) {
+        return Err(WireError::Corrupt(format!("a document of {name} has another key")));
+    }
+    Ok(docs)
 }
 
 /// Writes a feedback record's payload from borrowed parts.
@@ -739,12 +752,13 @@ pub(crate) fn decode_record(payload: &[u8]) -> Result<WalRecord, WireError> {
 /// holds them back to back.
 fn read_record(r: &mut Reader<'_>) -> Result<WalRecord, WireError> {
     Ok(match r.u8()? {
-        RECORD_INGEST => WalRecord::Ingest {
-            meta: decode_patch_metadata(r)?,
-            code: BinaryCode::decode(r)?,
-            image_doc: wire::decode_document(r)?,
-            rendered_doc: wire::decode_document(r)?,
-        },
+        RECORD_INGEST => {
+            let (meta, code) = (decode_patch_metadata(r)?, BinaryCode::decode(r)?);
+            let mut docs = r.clone();
+            read_rasters(&mut docs, &meta.name)?;
+            let rasters = r.take(r.remaining() - docs.remaining())?.into();
+            WalRecord::Ingest { meta, code, rasters }
+        }
         RECORD_FEEDBACK => WalRecord::Feedback {
             text: r.str()?.to_string(),
             category: r.opt_str()?.map(str::to_string),
@@ -1475,7 +1489,9 @@ mod tests {
     /// chunk body of random records and a static chunk body of a random
     /// configuration and model re-encode to their own bytes, and the same
     /// bytes with one byte overwritten or one bit flipped either fail to
-    /// decode or re-encode to the damaged bytes.  The static chunk's two
+    /// decode or re-encode to the damaged bytes.  An ingest record whose
+    /// raster bytes hold a document keyed by another name, are cut short or
+    /// carry a trailing byte is refused.  The static chunk's two
     /// retired slots are the one exception: read and dropped, so damage
     /// there re-encodes to the undamaged bytes.  A static chunk's engine
     /// configuration carries its model's MiLaN configuration, as a server
@@ -1529,11 +1545,38 @@ mod tests {
             (0..take(script, 1) % 4).map(|_| (string(script), value(script, 2))).collect()
         }
 
-        fn record(script: &mut &[u8]) -> WalRecord {
+        /// An ingest record's raster bytes, made of two generated documents
+        /// keyed by `name`, and whether decode must accept them: one time in
+        /// two a document is keyed by another name, or the bytes are cut
+        /// short or carry a trailing byte.
+        fn rasters(script: &mut &[u8], name: &str) -> (Box<[u8]>, bool) {
+            let flaw = take(script, 1) % 8;
+            let other = format!("{name}~");
+            let names = match flaw {
+                0 => [other.as_str(), name],
+                1 => [name, other.as_str()],
+                _ => [name, name],
+            };
+            let [image, rendered] = names.map(|name| {
+                let mut doc = document(script);
+                doc.set(fields::NAME, name);
+                doc
+            });
+            let mut bytes = encode_rasters(&image, &rendered).into_vec();
+            match flaw {
+                2 => bytes.truncate(take(script, 2) as usize % bytes.len()),
+                3 => bytes.push(take(script, 1) as u8),
+                _ => {}
+            }
+            (bytes.into(), flaw > 3)
+        }
+
+        /// A random record, and whether decode must accept its bytes.
+        fn record(script: &mut &[u8]) -> (WalRecord, bool) {
             if take(script, 1) % 2 == 1 {
                 let text = string(script);
                 let category = (take(script, 1) % 2 == 1).then(|| string(script));
-                return WalRecord::Feedback { text, category };
+                return (WalRecord::Feedback { text, category }, true);
             }
             let (lon, lat) = (take(script, 1) as f64 / 4.0 - 30.0, take(script, 1) as f64 / 4.0);
             let meta = PatchMetadata {
@@ -1547,12 +1590,8 @@ mod tests {
             let bits = 1 + take(script, 1) as u32 % 128;
             let words = (0..bits.div_ceil(64)).map(|_| take(script, 8)).collect();
             let code = BinaryCode::from_words(bits, words);
-            WalRecord::Ingest {
-                meta,
-                code,
-                image_doc: document(script),
-                rendered_doc: document(script),
-            }
+            let (rasters, accepted) = rasters(script, &meta.name);
+            (WalRecord::Ingest { meta, code, rasters }, accepted)
         }
 
         /// The records chunk body `records` make, from `start`.
@@ -1672,7 +1711,12 @@ mod tests {
                 script in proptest::collection::vec(0u8..=255u8, 0..160),
                 damage in (0usize..1 << 20, 0u8..=255u8, any::<bool>()),
             ) {
-                let bytes = record(&mut script.as_slice()).encode();
+                let (record, accepted) = record(&mut script.as_slice());
+                let bytes = record.encode();
+                if !accepted {
+                    prop_assert!(decode_record(&bytes).is_err(), "a record of flawed rasters decoded");
+                    return Ok(());
+                }
                 prop_assert_eq!(decode_record(&bytes).map(|back| back.encode()), Ok(bytes.clone()));
                 let bytes = damaged(bytes, damage);
                 if let Ok(back) = decode_record(&bytes) {
@@ -1687,10 +1731,18 @@ mod tests {
             ) {
                 let mut script = script.as_slice();
                 let start = take(&mut script, 2) as usize;
-                let records: Vec<_> = (0..take(&mut script, 1) % 4).map(|_| record(&mut script)).collect();
+                let (records, accepted): (Vec<_>, Vec<_>) =
+                    (0..take(&mut script, 1) % 4).map(|_| record(&mut script)).unzip();
                 let bytes = chunk_bytes(start, &records);
-                prop_assert!(matches!(reencoded_chunk(&bytes), Some(Ok(back)) if back == bytes));
-                let bytes = damaged(bytes, damage);
+                // Flawed rasters run into the next record, so such a chunk
+                // may read as other records; it must still re-encode to its
+                // own bytes.
+                let bytes = if accepted.iter().all(|a| *a) {
+                    prop_assert!(matches!(reencoded_chunk(&bytes), Some(Ok(back)) if back == bytes));
+                    damaged(bytes, damage)
+                } else {
+                    bytes
+                };
                 match reencoded_chunk(&bytes) {
                     Some(Ok(back)) => prop_assert!(back == bytes, "a damaged chunk re-encodes otherwise"),
                     Some(Err(_)) => {}

@@ -11,7 +11,7 @@ use eq_bigearthnet::Country;
 use eq_docstore::{Document, Fields, Value};
 use eq_geo::BBox;
 
-/// The four collection names of the EarthQube data tier.
+/// The collection names: the store holds metadata and feedback, legacy checkpoints all four.
 pub mod collections {
     /// Image metadata (the central collection).
     pub const METADATA: &str = "metadata";

@@ -93,7 +93,7 @@ use crate::durability::{Durability, Lineage};
 use crate::engine::{build_registry, EarthQube, EarthQubeConfig, SearchResponse};
 use crate::feedback::{FeedbackEntry, FeedbackService};
 use crate::filtered::{FilteredResponse, PrefilterMode, ResolvedFilter};
-use crate::ingest::{prepare_patch_docs, validate_patch, IngestReport};
+use crate::ingest::{patch_rasters, validate_patch, IngestReport};
 use crate::net::{
     encode_response_frame, error_to_payload, expect_filtered, expect_search, query_to_spec,
     render_metrics, spec_to_query, unsendable, NetTierStats,
@@ -573,12 +573,18 @@ impl QueryServer {
     /// The k most similar archive images to an arbitrary binary code.
     ///
     /// # Errors
-    /// Propagates store errors from result assembly.
+    /// [`EarthQubeError::BadRequest`] on a code not as wide as the model's,
+    /// before the cache is probed; store errors from result assembly.
     pub fn search_by_code(
         &self,
         code: &BinaryCode,
         k: usize,
     ) -> Result<SearchResponse, EarthQubeError> {
+        let bits = self.model.code_bits();
+        if code.bits() != bits {
+            let e = format!("a {}-bit code, the model's are {bits}-bit", code.bits());
+            return Err(EarthQubeError::BadRequest(e));
+        }
         expect_search(self.by_code(code, k).into_body())
     }
 
@@ -842,8 +848,8 @@ impl QueryServer {
             .iter()
             .map(|patch| {
                 let (meta, code) = (patch.meta.clone(), self.model.hash_patch(patch));
-                let (image_doc, rendered_doc) = prepare_patch_docs(patch, &meta.name);
-                WalRecord::Ingest { meta, code, image_doc, rendered_doc }
+                let rasters = patch_rasters(patch, &meta.name);
+                WalRecord::Ingest { meta, code, rasters }
             })
             .collect();
         // Appended patches take the next dense ids.
@@ -1326,6 +1332,7 @@ fn not_applied(e: EarthQubeError) -> EarthQubeError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingest::prepare_patch_docs;
     use eq_bigearthnet::{ArchiveGenerator, GeneratorConfig};
     use eq_docstore::Document;
     use std::time::Duration;
@@ -1340,6 +1347,24 @@ mod tests {
             })?;
             self.replicate(|_| Ok(records))
         }
+    }
+
+    /// Runs `f` while a document squats `name` in the metadata collection,
+    /// so the store refuses that name's ingest, then puts the collection
+    /// back as it was: the squatter took a document id, which only a patch
+    /// may hold.
+    fn squatting<R>(srv: &QueryServer, name: &str, f: impl FnOnce() -> R) -> R {
+        use crate::schema::{collections, fields};
+        let unsquatted = {
+            let mut catalog = srv.catalog.write();
+            let docs = catalog.database.collection_mut(collections::METADATA).unwrap();
+            let unsquatted = docs.clone();
+            docs.insert(Document::new().with(fields::NAME, name)).unwrap();
+            unsquatted
+        };
+        let out = f();
+        *srv.catalog.write().database.collection_mut(collections::METADATA).unwrap() = unsquatted;
+        out
     }
 
     fn server(n: usize, seed: u64, serve: ServeConfig) -> (QueryServer, Archive) {
@@ -1602,7 +1627,6 @@ mod tests {
     /// them warm; a live and a replicated ingest each clear them.
     #[test]
     fn only_a_write_that_grows_the_archive_clears_the_caches() {
-        use crate::schema::{collections, fields};
         let dir = ScratchDir::new("invalidation");
         let (srv, archive) = server(12, 105, ServeConfig::default());
         let name = &archive.patches()[0].meta.name;
@@ -1624,12 +1648,7 @@ mod tests {
         srv.submit_feedback("keep the caches", None).unwrap();
         assert_eq!(entries(), warmed, "feedback");
         let squatted = extra.patches()[0].meta.name.as_str();
-        {
-            let mut catalog = srv.catalog.write();
-            let images = catalog.database.collection_mut(collections::IMAGE_DATA).unwrap();
-            images.insert(Document::new().with(fields::NAME, squatted)).unwrap();
-        }
-        let refused = srv.ingest(&extra.patches()[..1]).unwrap_err();
+        let refused = squatting(&srv, squatted, || srv.ingest(&extra.patches()[..1]).unwrap_err());
         assert!(matches!(refused, EarthQubeError::Store(_)), "{refused:?}");
         assert_eq!(entries(), warmed, "a refused ingest");
         srv.ingest(&extra.patches()[1..2]).unwrap();
@@ -1645,11 +1664,28 @@ mod tests {
         assert_eq!(entries(), warmed, "a replicated feedback batch");
         let patch = &extra.patches()[2];
         let meta = PatchMetadata { id: PatchId(srv.archive_size() as u32), ..patch.meta.clone() };
-        let (image_doc, rendered_doc) = prepare_patch_docs(patch, &meta.name);
+        let rasters = patch_rasters(patch, &meta.name);
         let code = srv.model.hash_patch(patch);
-        let ingest = WalRecord::Ingest { meta, code, image_doc, rendered_doc }.encode();
+        let ingest = WalRecord::Ingest { meta, code, rasters }.encode();
         assert_eq!(srv.apply_replicated(&[ingest]).unwrap(), 1);
         assert_eq!(entries(), (0, 0), "a replicated ingest");
+    }
+
+    /// A code of another width than the model's is a bad request, not a
+    /// panic in the scan, and is never cached: a code of the right width
+    /// after it is the first query the cache sees.
+    #[test]
+    fn a_code_of_another_width_is_a_bad_request() {
+        let (srv, archive) = server(10, 106, ServeConfig::default());
+        let code = srv.model.hash_patch(&archive.patches()[0]);
+        for bits in [code.bits() - 1, code.bits() + 1, 1] {
+            let err = srv.search_by_code(&BinaryCode::zeros(bits), 3).unwrap_err();
+            assert!(matches!(err, EarthQubeError::BadRequest(_)), "{bits} bits: {err:?}");
+        }
+        let stats = srv.stats();
+        assert_eq!((stats.cache_hits, stats.cache_misses, stats.cache_entries), (0, 0, 0));
+        assert_eq!(srv.search_by_code(&code, 3).unwrap().panel.entries().len(), 3);
+        assert_eq!(srv.stats().cache_misses, 1);
     }
 
     #[test]
@@ -2009,9 +2045,9 @@ mod tests {
             .patches()
             .iter()
             .map(|patch| {
-                let (image_doc, rendered_doc) = prepare_patch_docs(patch, &patch.meta.name);
+                let rasters = patch_rasters(patch, &patch.meta.name);
                 let (meta, code) = (patch.meta.clone(), srv.model.hash_patch(patch));
-                WalRecord::Ingest { meta, code, image_doc, rendered_doc }.encode()
+                WalRecord::Ingest { meta, code, rasters }.encode()
             })
             .collect();
         let full = records_chunks(dir.path());
@@ -2095,9 +2131,9 @@ mod tests {
         srv.set_replica_mode();
         let patch = ArchiveGenerator::new(GeneratorConfig::tiny(1, 955)).unwrap().generate_patch(0);
         let meta = PatchMetadata { id: PatchId(10), ..patch.meta.clone() };
-        let (image_doc, rendered_doc) = prepare_patch_docs(&patch, &meta.name);
+        let rasters = patch_rasters(&patch, &meta.name);
         let code = srv.model.hash_patch(&patch);
-        let record = WalRecord::Ingest { meta, code, image_doc, rendered_doc }.encode();
+        let record = WalRecord::Ingest { meta, code, rasters }.encode();
         let err = srv.apply_replicated(&[record]).unwrap_err();
         assert!(matches!(err, EarthQubeError::Persist(_)), "{err:?}");
         assert_eq!((srv.archive_size(), srv.stats().ingested_images), (10, 0));
@@ -2116,9 +2152,9 @@ mod tests {
         let patch = ArchiveGenerator::new(GeneratorConfig::tiny(1, 952)).unwrap().generate_patch(0);
         let mut meta = patch.meta.clone();
         meta.id = PatchId(10);
-        let (image_doc, rendered_doc) = prepare_patch_docs(&patch, &meta.name);
+        let rasters = patch_rasters(&patch, &meta.name);
         let code = BinaryCode::zeros(32);
-        let record = WalRecord::Ingest { meta, code, image_doc, rendered_doc }.encode();
+        let record = WalRecord::Ingest { meta, code, rasters }.encode();
         let err = srv.apply_replicated(&[record]).unwrap_err();
         assert!(matches!(err, EarthQubeError::Persist(_)), "{err:?}");
         assert_eq!(srv.archive_size(), 10);
@@ -2126,10 +2162,10 @@ mod tests {
     }
 
     /// A logged ingest whose image or rendered document is keyed by another
-    /// name is refused with a typed error before anything is applied.  Had
-    /// it applied, no later checkpoint could encode the record again (its
-    /// documents are not under its name), so the replica could never be
-    /// promoted.
+    /// name is refused where it is decoded, with a typed error, before
+    /// anything is applied.  Had it applied, its documents would be filed
+    /// under no patch of the replica's, so no checkpoint of it would
+    /// recover and the replica could never be promoted.
     #[test]
     fn a_replicated_ingest_with_a_misnamed_document_is_refused_unapplied() {
         let dir = ScratchDir::new("misnamed");
@@ -2143,10 +2179,11 @@ mod tests {
         let (image_doc, rendered_doc) = prepare_patch_docs(&patch, &meta.name);
         let (other_image, other_rendered) = prepare_patch_docs(&patch, "someone-else");
         for (image_doc, rendered_doc) in
-            [(other_image, rendered_doc.clone()), (image_doc.clone(), other_rendered)]
+            [(&other_image, &rendered_doc), (&image_doc, &other_rendered)]
         {
-            let meta = meta.clone();
-            let record = WalRecord::Ingest { meta, code: code.clone(), image_doc, rendered_doc };
+            let (meta, code) = (meta.clone(), code.clone());
+            let rasters = persist::encode_rasters(image_doc, rendered_doc);
+            let record = WalRecord::Ingest { meta, code, rasters };
             let err = srv.apply_replicated(&[record.encode()]).unwrap_err();
             assert!(matches!(err, EarthQubeError::Persist(_)), "{err:?}");
             assert_eq!(srv.archive_size(), 10);
@@ -2154,7 +2191,8 @@ mod tests {
         }
         // The record keyed right applies as dense id 10, and the replica's
         // whole state encodes into the promotion checkpoint.
-        let record = WalRecord::Ingest { meta, code, image_doc, rendered_doc };
+        let rasters = persist::encode_rasters(&image_doc, &rendered_doc);
+        let record = WalRecord::Ingest { meta, code, rasters };
         assert_eq!(srv.apply_replicated(&[record.encode()]).unwrap(), 1);
         assert_eq!(srv.archive_size(), 11);
         srv.promote().unwrap();
@@ -2489,17 +2527,14 @@ mod tests {
     /// plan.
     #[test]
     fn search_lists_insertion_order_across_a_refused_insert() {
-        use crate::schema::{collections, fields};
+        use crate::schema::collections;
         let (srv, archive) = server(12, 104, ServeConfig::default());
         let extra = ArchiveGenerator::new(GeneratorConfig::tiny(4, 780)).unwrap().generate();
         let squatted = extra.patches()[1].meta.name.clone();
-        {
-            let mut catalog = srv.catalog.write();
-            let images = catalog.database.collection_mut(collections::IMAGE_DATA).unwrap();
-            images.insert(Document::new().with(fields::NAME, squatted.as_str())).unwrap();
-        }
-        // Patch 0 lands, patch 1 is refused and stops the batch.
-        assert!(matches!(srv.ingest(extra.patches()), Err(EarthQubeError::Store(_))));
+        // Patch 0 lands, patch 1 is refused and stops its batch.
+        srv.ingest(&extra.patches()[..1]).unwrap();
+        let refused = squatting(&srv, &squatted, || srv.ingest(&extra.patches()[1..]));
+        assert!(matches!(refused, Err(EarthQubeError::Store(_))));
         srv.ingest(&extra.patches()[2..]).unwrap();
         assert_eq!(srv.archive_size(), 15);
 
@@ -2558,7 +2593,6 @@ mod tests {
     /// tail included.
     #[test]
     fn every_write_path_keeps_the_arena_in_dense_id_order() {
-        use crate::schema::{collections, fields};
         let dir = ScratchDir::new("dense_arena");
         let (srv, _) = server(12, 216, ServeConfig::default());
         let assert_dense_and_counted = |srv: &QueryServer| {
@@ -2573,13 +2607,10 @@ mod tests {
         assert_dense_and_counted(&srv);
 
         // Patch 1 lands, patch 2 is refused on its squatted name.
+        srv.ingest(&extra.patches()[1..2]).unwrap();
         let squatted = extra.patches()[2].meta.name.as_str();
-        {
-            let mut catalog = srv.catalog.write();
-            let images = catalog.database.collection_mut(collections::IMAGE_DATA).unwrap();
-            images.insert(Document::new().with(fields::NAME, squatted)).unwrap();
-        }
-        assert!(matches!(srv.ingest(&extra.patches()[1..]), Err(EarthQubeError::Store(_))));
+        let refused = squatting(&srv, squatted, || srv.ingest(&extra.patches()[2..]));
+        assert!(matches!(refused, Err(EarthQubeError::Store(_))));
         assert_eq!(srv.archive_size(), 14);
         assert_dense_and_counted(&srv);
         drop(srv);
@@ -2592,9 +2623,9 @@ mod tests {
         let patch = &extra.patches()[3];
         let mut meta = patch.meta.clone();
         meta.id = PatchId(14);
-        let (image_doc, rendered_doc) = prepare_patch_docs(patch, &meta.name);
+        let rasters = patch_rasters(patch, &meta.name);
         let code = back.model.hash_patch(patch);
-        let record = WalRecord::Ingest { meta, code, image_doc, rendered_doc }.encode();
+        let record = WalRecord::Ingest { meta, code, rasters }.encode();
         assert_eq!(back.apply_replicated(&[record]).unwrap(), 1);
         assert_eq!(back.archive_size(), 15);
         assert_dense_and_counted(&back);

@@ -17,8 +17,14 @@
 //! checkpoint of the recovered server must hold the fixture's bytes: the
 //! same static chunk, and each record sequence as the fixture's runs and
 //! WAL tail hold it.
+//!
+//! The same check runs on a directory another revision's
+//! `write_the_fixture` wrote: [`read_a_written_directory`] (ignored) is
+//! the reader of CI's upgrade check, where the parent commit writes and
+//! this one reads.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use agoraeo::bigearthnet::patch::Season;
 use agoraeo::bigearthnet::{Archive, ArchiveGenerator, GeneratorConfig, Label};
@@ -63,20 +69,28 @@ fn committed(file: &str) -> Vec<u8> {
 struct ScratchDir(PathBuf);
 
 impl ScratchDir {
+    /// A fresh directory, one per call in this process.
     fn new(name: &str) -> Self {
-        let path = std::env::temp_dir().join(format!("eq_records_{name}_{}", std::process::id()));
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let nth = NEXT.fetch_add(1, Ordering::Relaxed);
+        let name = format!("eq_records_{name}_{}_{nth}", std::process::id());
+        let path = std::env::temp_dir().join(name);
         let _ = std::fs::remove_dir_all(&path);
         std::fs::create_dir_all(&path).unwrap();
         ScratchDir(path)
     }
 
-    /// A copy of the fixture's persistence files: recovery takes the
-    /// directory lock and may truncate a torn tail, so it never runs on
-    /// the committed files.
-    fn copy_of_fixture() -> Self {
+    /// A copy of a written directory's persistence files (all but the
+    /// answers and the directory lock): recovery takes the directory lock
+    /// and may truncate a torn tail, so it never runs on the written files.
+    fn copy_of(written: &Path) -> Self {
         let dir = Self::new("copy");
-        for (file, _) in FIXTURE_FILES.iter().filter(|(file, _)| !file.ends_with(".bin")) {
-            std::fs::copy(fixture().join(file), dir.0.join(file)).unwrap();
+        for entry in std::fs::read_dir(written).unwrap() {
+            let file = entry.unwrap().file_name();
+            let name = file.to_string_lossy();
+            if !name.ends_with(".bin") && name != "wal.lock" {
+                std::fs::copy(written.join(&file), dir.0.join(&file)).unwrap();
+            }
         }
         dir
     }
@@ -254,26 +268,47 @@ fn a_records_directory_recovers_byte_identically() {
         .collect();
     assert_eq!(kinds, ["static", "ingest:0", "feedback:0", "ingest:12", "feedback:1"]);
 
-    let dir = ScratchDir::copy_of_fixture();
+    assert_recovers_byte_identically(&fixture());
+}
+
+/// Recovers a copy of `written`, a directory [`write_the_fixture`] wrote:
+/// the recovered server answers the fixed query set and lists its feedback
+/// as the `answers.bin` and `feedback.bin` written beside it, byte for
+/// byte, and a full checkpoint of it holds the directory's bytes.
+fn assert_recovers_byte_identically(written: &Path) {
+    let read = |file: &str| std::fs::read(written.join(file)).unwrap();
+    let dir = ScratchDir::copy_of(written);
     let srv = QueryServer::recover(&dir.0).unwrap();
     assert_eq!(srv.archive_size(), 15);
     assert_eq!(srv.stats().ingested_images, 1, "only the WAL tail counts as ingested");
-    assert_eq!(answers(&srv), committed("answers.bin"));
-    assert_eq!(feedback(&srv), committed("feedback.bin"));
+    assert_eq!(answers(&srv), read("answers.bin"));
+    assert_eq!(feedback(&srv), read("feedback.bin"));
 
-    // A full checkpoint of the recovered server holds the fixture's bytes.
+    // A full checkpoint of the recovered server holds the written bytes.
     let full = ScratchDir::new("full");
     assert_eq!(srv.checkpoint(&full.0).unwrap().kind, CheckpointKind::Full);
     let manifest = manifest_of(&full.0);
     let static_chunk = |dir: &Path, manifest: &Manifest| {
         std::fs::read(dir.join(chunk_file(manifest, "static"))).unwrap()
     };
-    let fixture_manifest = manifest_of(&fixture());
+    let written_manifest = manifest_of(written);
     assert!(
-        static_chunk(&full.0, &manifest) == static_chunk(&fixture(), &fixture_manifest),
+        static_chunk(&full.0, &manifest) == static_chunk(written, &written_manifest),
         "the static chunk re-encodes otherwise"
     );
-    assert!(sequences(&full.0) == sequences(&fixture()), "the records re-encode otherwise");
+    assert!(sequences(&full.0) == sequences(written), "the records re-encode otherwise");
+}
+
+/// The reader of a directory [`write_the_fixture`] wrote, maybe under
+/// another revision: run it with `EQ_RECORDS_DIR=<dir> cargo test --test
+/// records_checkpoint -- --ignored read_a_written_directory`.  It makes
+/// the fixture test's checks but the pins, which belong to the committed
+/// files.
+#[test]
+#[ignore = "reads a directory `write_the_fixture` wrote; run by CI's upgrade check"]
+fn read_a_written_directory() {
+    let written = PathBuf::from(std::env::var("EQ_RECORDS_DIR").expect("EQ_RECORDS_DIR"));
+    assert_recovers_byte_identically(&written);
 }
 
 /// The program that wrote `tests/fixtures/records_checkpoint`: run it with
