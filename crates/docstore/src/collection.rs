@@ -4,8 +4,8 @@ use std::collections::BTreeMap;
 
 use eq_hashindex::Bitmap;
 
-use crate::filter::{point_from_field, Filter};
-use crate::index::{AttributeIndex, GeoIndex, DEFAULT_GEOHASH_PRECISION};
+use crate::filter::Filter;
+use crate::index::Indexes;
 use crate::value::{Document, Value};
 use crate::{DocId, StoreError};
 
@@ -58,12 +58,8 @@ pub struct Collection {
     /// insertion order.
     docs: Vec<Document>,
     pk_index: BTreeMap<Value, DocId>,
-    attr_indexes: BTreeMap<String, AttributeIndex>,
-    /// The geo index and the field it covers.
-    geo: Option<(String, GeoIndex)>,
-    /// Bitmap of every document id, `0..len` — the candidates of a plan
-    /// that compiled nothing, extended by every insert.
-    live: Bitmap,
+    /// The postings of `docs`, under the same ids.
+    indexes: Indexes,
 }
 
 impl Collection {
@@ -75,9 +71,7 @@ impl Collection {
             primary_key: primary_key.to_string(),
             docs: Vec::new(),
             pk_index: BTreeMap::new(),
-            attr_indexes: BTreeMap::new(),
-            geo: None,
-            live: Bitmap::new(),
+            indexes: Indexes::new(),
         }
     }
 
@@ -104,13 +98,7 @@ impl Collection {
     /// Declares a secondary index on a (dotted-path) attribute; existing
     /// documents are indexed immediately.
     pub fn create_attribute_index(&mut self, field: &str) {
-        let mut index = AttributeIndex::new();
-        for (id, doc) in self.iter() {
-            if let Some(v) = doc.get(field) {
-                index.insert(v.clone(), id);
-            }
-        }
-        self.attr_indexes.insert(field.to_string(), index);
+        self.indexes.create_attribute_index(field, &self.docs);
     }
 
     /// Declares a geohash 2-D index on a point attribute (a `[lon, lat]`
@@ -120,40 +108,18 @@ impl Collection {
     /// Returns [`StoreError::BadIndex`] if a geo index already exists on a
     /// different field.
     pub fn create_geo_index(&mut self, field: &str) -> Result<(), StoreError> {
-        if let Some((existing, _)) = self.geo.as_ref().filter(|(existing, _)| existing != field) {
-            return Err(StoreError::BadIndex(format!(
-                "geo index already exists on field {existing}"
-            )));
-        }
-        let mut index = GeoIndex::new(DEFAULT_GEOHASH_PRECISION);
-        for (id, doc) in self.iter() {
-            if let Some(p) = point_from_field(doc, field) {
-                index.insert(id, p);
-            }
-        }
-        self.geo = Some((field.to_string(), index));
-        Ok(())
+        self.indexes.create_geo_index(field, &self.docs)
     }
 
-    /// Whether an attribute index exists on the field.
-    pub fn has_attribute_index(&self, field: &str) -> bool {
-        self.attr_indexes.contains_key(field)
-    }
-
-    /// The attribute index on a field, if one was declared.
-    pub fn attribute_index(&self, field: &str) -> Option<&AttributeIndex> {
-        self.attr_indexes.get(field)
-    }
-
-    /// The geo index and the field it covers, if one was declared.
-    pub fn geo_index(&self) -> Option<(&str, &GeoIndex)> {
-        self.geo.as_ref().map(|(field, index)| (field.as_str(), index))
+    /// The collection's indexes: attribute, geo and the live bitmap.
+    pub fn indexes(&self) -> &Indexes {
+        &self.indexes
     }
 
     /// The bitmap of every document id — what a prefilter plan that
     /// compiled nothing walks.
     pub fn live_bitmap(&self) -> &Bitmap {
-        &self.live
+        self.indexes.live_bitmap()
     }
 
     /// Inserts a document under the next id, [`next_id`](Self::next_id).
@@ -161,31 +127,6 @@ impl Collection {
     /// # Errors
     /// Fails if the primary-key field is missing or already present.
     pub fn insert(&mut self, doc: Document) -> Result<DocId, StoreError> {
-        let key = self.check_insert(&doc)?;
-        let id = self.next_id();
-        for (field, index) in self.attr_indexes.iter_mut() {
-            if let Some(v) = doc.get(field) {
-                index.insert(v.clone(), id);
-            }
-        }
-        if let Some((field, index)) = self.geo.as_mut() {
-            if let Some(p) = point_from_field(&doc, field) {
-                index.insert(id, p);
-            }
-        }
-        self.pk_index.insert(key, id);
-        self.docs.push(doc);
-        self.live.insert(id);
-        Ok(id)
-    }
-
-    /// The primary key `doc` would be stored under, checked as
-    /// [`insert`](Self::insert) checks it: so a write spanning several
-    /// collections can be validated before it changes any of them.
-    ///
-    /// # Errors
-    /// Fails if the primary-key field is missing or already present.
-    pub fn check_insert(&self, doc: &Document) -> Result<Value, StoreError> {
         let key = doc
             .get(&self.primary_key)
             .cloned()
@@ -193,7 +134,10 @@ impl Collection {
         if self.pk_index.contains_key(&key) {
             return Err(StoreError::DuplicateKey(format!("{key:?}")));
         }
-        Ok(key)
+        let id = self.indexes.insert(&doc);
+        self.pk_index.insert(key, id);
+        self.docs.push(doc);
+        Ok(id)
     }
 
     /// The id the next inserted document will receive: the number of
@@ -252,8 +196,8 @@ impl Collection {
         CollectionStats {
             count: self.docs.len(),
             approximate_bytes: self.docs.iter().map(Document::approximate_size).sum(),
-            attribute_indexes: self.attr_indexes.keys().cloned().collect(),
-            geo_index: self.geo.as_ref().map(|(field, _)| field.clone()),
+            attribute_indexes: self.indexes.attribute_fields().map(str::to_string).collect(),
+            geo_index: self.indexes.geo_index().map(|(field, _)| field.to_string()),
         }
     }
 }
@@ -403,7 +347,7 @@ mod tests {
         c.insert(patch_doc("p2", "Austria", 14.0, 47.5, "C", 300)).unwrap();
         c.create_attribute_index("country");
         c.create_geo_index("location").unwrap();
-        assert!(c.has_attribute_index("country"));
+        assert!(c.indexes().attribute_index("country").is_some());
         let r = c.find(&Filter::Eq("country".into(), "Austria".into()));
         assert_eq!(r.plan.index_used.as_deref(), Some("country"));
         assert_eq!(r.ids.len(), 1);

@@ -31,11 +31,6 @@ impl Database {
         self.collections.get(name).ok_or_else(|| StoreError::NoSuchCollection(name.to_string()))
     }
 
-    /// Mutable access to a collection.
-    pub fn collection_mut(&mut self, name: &str) -> Result<&mut Collection, StoreError> {
-        self.collections.get_mut(name).ok_or_else(|| StoreError::NoSuchCollection(name.to_string()))
-    }
-
     /// Names of all collections, sorted.
     pub fn collection_names(&self) -> Vec<&str> {
         self.collections.keys().map(|s| s.as_str()).collect()
@@ -72,7 +67,6 @@ mod tests {
         assert_eq!(db.collection_names(), vec!["feedback", "metadata"]);
         assert!(db.collection("metadata").is_ok());
         assert!(db.collection("nope").is_err());
-        assert!(db.collection_mut("nope").is_err());
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Secondary indexes: ordered attribute indexes and the geohash 2-D index.
+//! Secondary indexes: ordered attribute indexes, the geohash 2-D index, and
+//! [`Indexes`], the set of them a collection keeps beside its documents.
 //!
 //! Every posting is a compressed [`Bitmap`] of document ids: per distinct
 //! attribute value, per distinct *element* of array/string values (the
@@ -15,8 +16,115 @@ use std::ops::Bound;
 use eq_geo::{geohash, GeoShape, Point};
 use eq_hashindex::Bitmap;
 
-use crate::value::Value;
-use crate::DocId;
+use crate::filter::point_from_field;
+use crate::value::{Document, Value};
+use crate::{DocId, StoreError};
+
+/// A collection's indexes without its documents: the secondary attribute
+/// indexes, the geo index and the bitmap of every document id, with the
+/// store's one filter compiler ([`compile_prefilter`](Self::compile_prefilter)).
+/// A [`Collection`](crate::Collection) holds one beside its documents; a
+/// caller that keeps its rows typed elsewhere holds one alone, indexing
+/// each document as it inserts it.  The *n*-th document inserted is id *n*.
+#[derive(Debug, Clone, Default)]
+pub struct Indexes {
+    attributes: BTreeMap<String, AttributeIndex>,
+    /// The geo index and the field it covers.
+    geo: Option<(String, GeoIndex)>,
+    /// Every document id, `0..len`: the candidates of a plan that compiled
+    /// nothing.
+    live: Bitmap,
+}
+
+impl Indexes {
+    /// Indexes over no document, with no index declared.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of indexed documents, which is the next document's id.
+    pub fn len(&self) -> usize {
+        self.live.len() as usize
+    }
+
+    /// Whether no document is indexed.
+    pub fn is_empty(&self) -> bool {
+        self.live.is_empty()
+    }
+
+    /// Declares a secondary index on a (dotted-path) attribute, indexing
+    /// `docs`, the documents inserted so far in id order.
+    pub fn create_attribute_index(&mut self, field: &str, docs: &[Document]) {
+        self.attributes.insert(field.to_string(), AttributeIndex::new());
+        self.post_all(docs);
+    }
+
+    /// Declares a geohash 2-D index on a point attribute (a `[lon, lat]`
+    /// array field), indexing `docs`, the documents inserted so far in id
+    /// order.
+    ///
+    /// # Errors
+    /// Returns [`StoreError::BadIndex`] if a geo index already exists on a
+    /// different field.
+    pub fn create_geo_index(&mut self, field: &str, docs: &[Document]) -> Result<(), StoreError> {
+        if let Some((existing, _)) = self.geo.as_ref().filter(|(existing, _)| existing != field) {
+            return Err(StoreError::BadIndex(format!(
+                "geo index already exists on field {existing}"
+            )));
+        }
+        self.geo = Some((field.to_string(), GeoIndex::new(DEFAULT_GEOHASH_PRECISION)));
+        self.post_all(docs);
+        Ok(())
+    }
+
+    /// Indexes a document under the next id, and returns that id.
+    pub fn insert(&mut self, doc: &Document) -> DocId {
+        let id = self.live.len();
+        self.post(id, doc);
+        id
+    }
+
+    /// Posts `docs` again under their ids: a posting is a set insert, so
+    /// only a newly declared index changes.
+    fn post_all(&mut self, docs: &[Document]) {
+        (0..).zip(docs).for_each(|(id, doc)| self.post(id, doc));
+    }
+
+    /// Posts document `id` into every index.
+    fn post(&mut self, id: DocId, doc: &Document) {
+        for (field, index) in &mut self.attributes {
+            if let Some(v) = doc.get(field) {
+                index.insert(v.clone(), id);
+            }
+        }
+        if let Some((field, index)) = &mut self.geo {
+            if let Some(p) = point_from_field(doc, field) {
+                index.insert(id, p);
+            }
+        }
+        self.live.insert(id);
+    }
+
+    /// The attribute index on a field, if one was declared.
+    pub fn attribute_index(&self, field: &str) -> Option<&AttributeIndex> {
+        self.attributes.get(field)
+    }
+
+    /// The fields carrying an attribute index, in name order.
+    pub fn attribute_fields(&self) -> impl Iterator<Item = &str> {
+        self.attributes.keys().map(String::as_str)
+    }
+
+    /// The geo index and the field it covers, if one was declared.
+    pub fn geo_index(&self) -> Option<(&str, &GeoIndex)> {
+        self.geo.as_ref().map(|(field, index)| (field.as_str(), index))
+    }
+
+    /// The bitmap of every document id.
+    pub fn live_bitmap(&self) -> &Bitmap {
+        &self.live
+    }
+}
 
 /// An ordered secondary index over one (dotted-path) attribute.
 ///

@@ -40,7 +40,7 @@ pub mod wire;
 pub use collection::{Collection, CollectionStats, QueryPlan, QueryResult};
 pub use database::Database;
 pub use filter::Filter;
-pub use index::{AttributeIndex, GeoIndex};
+pub use index::{AttributeIndex, GeoIndex, Indexes};
 pub use prefilter::PrefilterPlan;
 pub use value::{Document, Fields, Value};
 pub use wire::{decode_document, decode_value, encode_document, encode_value};

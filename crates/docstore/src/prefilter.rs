@@ -4,12 +4,14 @@
 //! Every query — [`Collection::find`] behind the query panel as much as a
 //! bitmap-prefiltered similarity search — wants to know, *before* touching
 //! any document or code, which documents can possibly match a filter.  The
-//! compiler walks the [`Filter`] AST against a collection's indexes (the
-//! primary-key map and the posting bitmaps of attribute values,
-//! array/label elements and geohash cells — see [`crate::index`]) and
-//! produces a [`PrefilterPlan`]: an optional candidate [`Bitmap`] plus the
-//! **residual** filter that must still be evaluated on the surviving
-//! documents, which [`PrefilterPlan::matching`] does in ascending id order.
+//! compiler walks the [`Filter`] AST against an [`Indexes`] value (the
+//! posting bitmaps of attribute values, array/label elements and geohash
+//! cells — see [`crate::index`]), plus, in a [`Collection`], its
+//! primary-key map, and produces a [`PrefilterPlan`]: an optional candidate
+//! [`Bitmap`] plus the **residual** filter that must still be evaluated on
+//! the surviving documents, which [`PrefilterPlan::matching`] does in
+//! ascending id order.  An [`Indexes`] held without its documents compiles
+//! the same plan; its owner evaluates the residual on rows of its own.
 //!
 //! The contract, pinned by the property suite in
 //! `tests/proptest_prefilter.rs`, is:
@@ -24,8 +26,9 @@
 //!
 //! * **Exact** (residual contribution `All`): `Eq`, `In`,
 //!   `Lt`/`Lte`/`Gt`/`Gte`, `ContainsAll` and `ContainsAny` on an indexed
-//!   field, and `Eq`/`In` on the primary key (an at-most-one-id bitmap per
-//!   value straight from the key map, so a point lookup stays O(log n)).
+//!   field, and `Eq`/`In` on a collection's primary key (an at-most-one-id
+//!   bitmap per value straight from the key map, so a point lookup stays
+//!   O(log n)).
 //! * **Superset** (the leaf stays in the residual): `ContainsExactly`
 //!   (element postings bound membership but not multiset equality) and
 //!   `GeoWithin` (covering cells are never point-verified).
@@ -52,7 +55,7 @@ use eq_hashindex::Bitmap;
 
 use crate::collection::Collection;
 use crate::filter::Filter;
-use crate::index::AttributeIndex;
+use crate::index::{AttributeIndex, Indexes};
 use crate::value::{Document, Value};
 use crate::DocId;
 
@@ -99,7 +102,7 @@ impl PrefilterPlan {
         &'a self,
         coll: &'c Collection,
     ) -> impl Iterator<Item = (DocId, &'c Document)> + 'a {
-        let candidates = self.bitmap.as_ref().unwrap_or(coll.live_bitmap());
+        let candidates = self.bitmap.as_ref().unwrap_or(coll.indexes().live_bitmap());
         candidates
             .iter()
             .filter_map(|id| Some((id, coll.get(id)?)))
@@ -107,27 +110,51 @@ impl PrefilterPlan {
     }
 }
 
-impl Collection {
+impl Indexes {
     /// Compiles a filter's indexable prefix into a candidate bitmap; see
-    /// the [module docs](self) for the exactness contract.
+    /// the [module docs](self) for the exactness contract.  Indexes alone
+    /// hold no primary-key map, so an `Eq`/`In` on the key field compiles
+    /// like one on any other field.
     pub fn compile_prefilter(&self, filter: &Filter) -> PrefilterPlan {
-        let mut used = Vec::new();
-        let (bitmap, residual) = compile(self, filter, &mut used);
-        let index_used = bitmap.is_some().then(|| used.join("+"));
-        PrefilterPlan { bitmap, residual, index_used }
+        plan(Sources { indexes: self, keys: None }, filter)
     }
+}
+
+impl Collection {
+    /// Compiles a filter's indexable prefix into a candidate bitmap, with
+    /// the primary-key map as one more index; see the [module docs](self)
+    /// for the exactness contract.
+    pub fn compile_prefilter(&self, filter: &Filter) -> PrefilterPlan {
+        plan(Sources { indexes: self.indexes(), keys: Some(self) }, filter)
+    }
+}
+
+/// What a filter compiles against: a set of indexes, and the collection
+/// whose primary-key map can answer key equality, when there is one.
+#[derive(Clone, Copy)]
+struct Sources<'c> {
+    indexes: &'c Indexes,
+    keys: Option<&'c Collection>,
+}
+
+/// The one compiler's entry: the plan of `filter` over `s`.
+fn plan(s: Sources<'_>, filter: &Filter) -> PrefilterPlan {
+    let mut used = Vec::new();
+    let (bitmap, residual) = compile(s, filter, &mut used);
+    let index_used = bitmap.is_some().then(|| used.join("+"));
+    PrefilterPlan { bitmap, residual, index_used }
 }
 
 /// Recursive compilation: returns `(bitmap, residual)` satisfying the
 /// module-level invariant for this sub-filter, and appends to `used` the
 /// indexes the bitmap was built from (nothing when there is no bitmap).
 fn compile<'f>(
-    c: &Collection,
+    s: Sources<'_>,
     filter: &'f Filter,
     used: &mut Vec<&'f str>,
 ) -> (Option<Bitmap>, Filter) {
     let mark = used.len();
-    let compiled = compile_node(c, filter, used);
+    let compiled = compile_node(s, filter, used);
     if compiled.0.is_none() {
         used.truncate(mark);
     }
@@ -143,33 +170,33 @@ fn note<'f>(used: &mut Vec<&'f str>, index: &'f str) {
 
 /// The attribute index on `field`, recorded in `used` when there is one.
 fn consult<'c, 'f>(
-    c: &'c Collection,
+    s: Sources<'c>,
     field: &'f str,
     used: &mut Vec<&'f str>,
 ) -> Option<&'c AttributeIndex> {
-    let idx = c.attribute_index(field)?;
+    let idx = s.indexes.attribute_index(field)?;
     note(used, field);
     Some(idx)
 }
 
 fn compile_node<'f>(
-    c: &Collection,
+    s: Sources<'_>,
     filter: &'f Filter,
     used: &mut Vec<&'f str>,
 ) -> (Option<Bitmap>, Filter) {
     match filter {
         Filter::All => (None, Filter::All),
 
-        Filter::Eq(field, v) => equality_leaf(c, field, std::slice::from_ref(v), filter, used),
-        Filter::In(field, values) => equality_leaf(c, field, values, filter, used),
+        Filter::Eq(field, v) => equality_leaf(s, field, std::slice::from_ref(v), filter, used),
+        Filter::In(field, values) => equality_leaf(s, field, values, filter, used),
 
-        Filter::Lt(field, v) => range_leaf(c, field, Unbounded, Excluded(v), filter, used),
-        Filter::Lte(field, v) => range_leaf(c, field, Unbounded, Included(v), filter, used),
-        Filter::Gt(field, v) => range_leaf(c, field, Excluded(v), Unbounded, filter, used),
-        Filter::Gte(field, v) => range_leaf(c, field, Included(v), Unbounded, filter, used),
+        Filter::Lt(field, v) => range_leaf(s, field, Unbounded, Excluded(v), filter, used),
+        Filter::Lte(field, v) => range_leaf(s, field, Unbounded, Included(v), filter, used),
+        Filter::Gt(field, v) => range_leaf(s, field, Excluded(v), Unbounded, filter, used),
+        Filter::Gte(field, v) => range_leaf(s, field, Included(v), Unbounded, filter, used),
 
         Filter::ContainsAll(field, values) | Filter::ContainsExactly(field, values) => {
-            let Some(idx) = consult(c, field, used) else {
+            let Some(idx) = consult(s, field, used) else {
                 return uncompiled(filter);
             };
             let mut out: Option<Bitmap> = None;
@@ -193,7 +220,7 @@ fn compile_node<'f>(
             (Some(out), if exact { Filter::All } else { filter.clone() })
         }
 
-        Filter::ContainsAny(field, values) => match consult(c, field, used) {
+        Filter::ContainsAny(field, values) => match consult(s, field, used) {
             // `any` over an empty list is false: the empty bitmap is exact.
             Some(idx) => {
                 let mut out = Bitmap::new();
@@ -208,7 +235,7 @@ fn compile_node<'f>(
             None => uncompiled(filter),
         },
 
-        Filter::GeoWithin(field, shape) => match c.geo_index() {
+        Filter::GeoWithin(field, shape) => match s.indexes.geo_index() {
             Some((geo_field, idx)) if geo_field == field => {
                 let (bm, _cells) = idx.bitmap_in_shape(shape);
                 note(used, field);
@@ -223,7 +250,7 @@ fn compile_node<'f>(
             let mut bitmap: Option<Bitmap> = None;
             let mut residuals = Vec::new();
             for f in fs {
-                let (b, r) = compile(c, f, used);
+                let (b, r) = compile(s, f, used);
                 if let Some(b) = b {
                     bitmap = Some(match bitmap {
                         Some(acc) => acc.and(&b),
@@ -251,14 +278,14 @@ fn uncompiled(filter: &Filter) -> (Option<Bitmap>, Filter) {
 
 /// Shared compilation of the four comparison operators.
 fn range_leaf<'f>(
-    c: &Collection,
+    s: Sources<'_>,
     field: &'f str,
     lo: Bound<&Value>,
     hi: Bound<&Value>,
     filter: &Filter,
     used: &mut Vec<&'f str>,
 ) -> (Option<Bitmap>, Filter) {
-    match consult(c, field, used) {
+    match consult(s, field, used) {
         Some(idx) => (Some(idx.range_bitmap(lo, hi)), Filter::All),
         None => uncompiled(filter),
     }
@@ -270,17 +297,18 @@ fn range_leaf<'f>(
 /// posting — for values whose key order agrees with `==` (see
 /// [`ord_eq_safe`]); any other field needs an attribute index.
 fn equality_leaf<'f>(
-    c: &Collection,
+    s: Sources<'_>,
     field: &'f str,
     values: &[Value],
     filter: &Filter,
     used: &mut Vec<&'f str>,
 ) -> (Option<Bitmap>, Filter) {
     let mut out = Bitmap::new();
-    if field == c.primary_key() && values.iter().all(ord_eq_safe) {
+    let keys = s.keys.filter(|c| field == c.primary_key() && values.iter().all(ord_eq_safe));
+    if let Some(c) = keys {
         out.extend(values.iter().filter_map(|v| c.id_by_key(v)));
         note(used, "pk");
-    } else if let Some(idx) = consult(c, field, used) {
+    } else if let Some(idx) = consult(s, field, used) {
         for v in values {
             let Some(bm) = exact_value_bitmap(idx, v) else {
                 return uncompiled(filter);

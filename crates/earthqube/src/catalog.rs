@@ -1,8 +1,9 @@
 //! The one query core: the state a query reads, and the single
 //! implementation of every query kind over it.
 //!
-//! A [`Catalog`] is the document store, the dense-id metadata and raster
-//! tables and the CBIR service (model, name→code table, code arena) as one value.
+//! A [`Catalog`] is the metadata postings, the dense-id metadata and raster
+//! tables, the feedback store and the CBIR service (model, name→code table,
+//! code arena) as one value.
 //! Both façades are configurations of it: [`EarthQube`](crate::EarthQube)
 //! owns it bare (no cache, no lock), and [`QueryServer`](crate::QueryServer)
 //! owns it behind the `catalog` lock and adds only what is the server's:
@@ -16,7 +17,9 @@
 //! [`WalRecord`] checked by [`Catalog::check_records`] and applied by
 //! [`Catalog::apply`]: build, live ingest and feedback make the record,
 //! recovery and replication decode it.  So one id space holds: arena row
-//! *r*, metadata and raster entry *r* and metadata document *r* are dense id *r*.
+//! *r*, metadata and raster entry *r* and posting id *r* are dense id *r*.
+//! No metadata document is kept: [`Catalog::apply`] indexes one and drops
+//! it, and a filter's residual runs on the typed `metadata` row.
 //!
 //! A filter-taking kind is two steps: [`Catalog::resolve`] turns the
 //! [`ImageQuery`] into a `ResolvedFilter` (the crate's one path to the
@@ -43,7 +46,7 @@ use std::ops::Range;
 
 use eq_bigearthnet::patch::PatchMetadata;
 use eq_bigearthnet::Archive;
-use eq_docstore::{Database, Document, Value};
+use eq_docstore::{Database, Indexes, Value};
 use eq_hashindex::{BinaryCode, CountingTopK};
 use eq_milan::Milan;
 use eq_proto::{AnswerPlan, AnswerWriter};
@@ -53,11 +56,11 @@ use crate::cbir::CbirService;
 use crate::engine::EarthQubeConfig;
 use crate::feedback::{self, FeedbackService};
 use crate::filtered::{PrefilterMode, ResolvedFilter};
-use crate::ingest::{patch_rasters, prepare_collections};
+use crate::ingest::{metadata_indexes, patch_rasters};
 use crate::net::plan_spec;
 use crate::persist::{self, Sequence, WalRecord};
 use crate::query::ImageQuery;
-use crate::schema::{collections, fields, metadata_document};
+use crate::schema::{collections, metadata_document};
 use crate::EarthQubeError;
 
 thread_local! {
@@ -129,10 +132,14 @@ impl RowTable {
 }
 
 /// Everything a query reads and the write path mutates, as one value, so
-/// every query sees a consistent snapshot of store, metadata, code table
+/// every query sees a consistent snapshot of postings, metadata, code table
 /// and arena.
 #[derive(Debug)]
 pub(crate) struct Catalog {
+    /// The metadata collection's postings, geo index and live bitmap, under
+    /// dense patch ids; its documents are not kept.
+    pub(crate) indexes: Indexes,
+    /// The feedback collection.
     pub(crate) database: Database,
     /// Indexed by dense patch id.
     pub(crate) metadata: Vec<PatchMetadata>,
@@ -181,15 +188,20 @@ impl Catalog {
     }
 
     /// An empty core over a trained model, with room for `images`: the
-    /// metadata and feedback collections with their indexes, no image and
-    /// no feedback — what recovery applies a checkpoint's records to.
+    /// metadata indexes and the feedback collection, no image and no
+    /// feedback — what recovery applies a checkpoint's records to.
     pub(crate) fn empty(model: Milan, page_size: usize, images: usize) -> Self {
         let mut database = Database::new();
-        prepare_collections(&mut database);
-        let cbir = CbirService::new(model, images);
-        let metadata = Vec::with_capacity(images);
-        let rasters = Vec::with_capacity(images);
-        Self { database, metadata, rows: RowTable::default(), rasters, cbir, page_size }
+        feedback::create_collection(&mut database);
+        Self {
+            indexes: metadata_indexes(),
+            database,
+            metadata: Vec::with_capacity(images),
+            rows: RowTable::default(),
+            rasters: Vec::with_capacity(images),
+            cbir: CbirService::new(model, images),
+            page_size,
+        }
     }
 
     /// Ingest's duplicate check.
@@ -223,10 +235,10 @@ impl Catalog {
     }
 
     /// One record's check, behind the `ahead` names.  Feedback must hold
-    /// text.  An ingest's name must be new: one already indexed is a
-    /// [`EarthQubeError::BadRequest`], one already stored a store error.
-    /// It must carry the next dense id (its metadata document's id too) and
-    /// a code of the model's width, or it is an [`EarthQubeError::Persist`].
+    /// text.  An ingest's name must be new, neither in the CBIR name table
+    /// nor ahead in the batch, or it is an [`EarthQubeError::BadRequest`].
+    /// It must carry the next dense id and a code of the model's width, or
+    /// it is an [`EarthQubeError::Persist`].
     fn check_record(
         &self,
         record: &WalRecord,
@@ -241,15 +253,12 @@ impl Catalog {
             return Err(EarthQubeError::BadRequest(format!("image {name} is twice in the batch")));
         }
         self.ensure_new(name)?;
-        let docs = self.database.collection(collections::METADATA)?;
-        docs.check_insert(&Document::from([(fields::NAME, Value::from(name.as_str()))]))?;
         let next = self.metadata.len() + ahead.len();
-        let next_doc = docs.next_id() as usize;
         let bits = self.cbir.code_bits();
-        if (meta.id.0 as usize, next_doc + ahead.len(), code.bits()) != (next, next, bits) {
+        if (meta.id.0 as usize, code.bits()) != (next, bits) {
             return Err(EarthQubeError::Persist(format!(
                 "the record for {name} carries dense id {} and a {}-bit code, expected id {next} \
-                 (next document id {next_doc}) and {bits} bits",
+                 and {bits} bits",
                 meta.id.0,
                 code.bits()
             )));
@@ -261,14 +270,12 @@ impl Catalog {
     /// returns its key: an ingest's dense id, a feedback entry's id.  Every
     /// write applies here, so a recovered server or a replica is
     /// byte-identical to the server that took the writes, and arena row
-    /// *r*, metadata and raster entry *r* and metadata document *r* are dense id *r*.
+    /// *r*, metadata and raster entry *r* and posting id *r* are dense id *r*:
+    /// a patch's metadata document is indexed, then dropped.
     pub(crate) fn apply(&mut self, record: WalRecord) -> i64 {
         match record {
             WalRecord::Ingest { meta, code, rasters } => {
-                let docs = self.database.collection_mut(collections::METADATA);
-                let inserted = docs.and_then(|docs| docs.insert(metadata_document(&meta)));
-                // lint:allow(panic) check_records found the metadata collection not holding the name
-                inserted.expect("a checked patch inserts");
+                self.indexes.insert(&metadata_document(&meta));
                 self.cbir.insert(meta.id.0 as u64, &meta.name, code);
                 self.rows.push(&meta);
                 self.rasters.push(rasters);
@@ -319,7 +326,7 @@ impl Catalog {
     /// Appends a sequence's records at the positions `records` (those the
     /// catalog holds) to a records chunk body, and returns how many: each
     /// record encoded as its write logged it, from the catalog's own parts
-    /// — metadata, stored code and raster bytes, copied as they are — and
+    /// — metadata, arena row and raster bytes, copied as they are — and
     /// each record is found by its position, so none before the range is
     /// visited.  With a `budget`, it stops before the first
     /// record past it once the appended records hold that many bytes: it
@@ -339,11 +346,13 @@ impl Catalog {
             Sequence::Ingest => {
                 let metas = self.metadata.get(records.start..end).unwrap_or_default();
                 let rasters = self.rasters.get(records.start..end).unwrap_or_default();
-                for (meta, rasters) in metas.iter().zip(rasters) {
+                let arena = &self.cbir.arena;
+                for (row, (meta, rasters)) in (records.start..).zip(metas.iter().zip(rasters)) {
                     if full(chunk) {
                         break;
                     }
-                    let (_, code) = self.image(&meta.name)?;
+                    // Arena row *r* is dense id *r*'s code.
+                    let code = (arena.bits(), arena.code_words(row));
                     persist::encode_ingest(meta, code, rasters, chunk);
                     appended += 1;
                 }
@@ -374,18 +383,14 @@ impl Catalog {
     /// mode, so every mode ranks the same universe.  Every filter-taking
     /// query kind below consumes its result; the bare engine calls it per
     /// query, the server keeps what it returns in its resolved-filter cache.
-    pub(crate) fn resolve(
-        &self,
-        query: &ImageQuery,
-        mode: PrefilterMode,
-    ) -> Result<ResolvedFilter, EarthQubeError> {
-        let coll = self.database.collection(collections::METADATA)?;
-        Ok(ResolvedFilter::resolve(coll, &query.to_filter(), mode))
+    pub(crate) fn resolve(&self, query: &ImageQuery, mode: PrefilterMode) -> ResolvedFilter {
+        ResolvedFilter::resolve(&self.indexes, &self.metadata, query, mode)
     }
 
     /// The query-panel search over a resolved filter, written into `w`:
     /// the matching images in ascending dense id — insertion order, as
-    /// `Collection::find` lists them — with the plan `find` would report.
+    /// `Collection::find` lists them — with the plan `find` would report
+    /// over the metadata documents.
     pub(crate) fn search(
         &self,
         filter: &ResolvedFilter,

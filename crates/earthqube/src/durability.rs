@@ -28,8 +28,8 @@
 //! one, or the followed primary's, see [`Lineage`]) and a segment
 //! numbering above every file on disk.  The one difference is lock scope,
 //! explained where the paths part.  Nothing derived is written: recovery
-//! applies the records to an empty catalog, which rebuilds the arena, the
-//! metadata collection and its indexes as live writes built them.  The atomic
+//! applies the records to an empty catalog, which rebuilds the arena and
+//! the metadata postings as live writes built them.  The atomic
 //! rename of the manifest is the commit point: a failure before it leaves
 //! the old manifest, the old attachment and both counts in force, so there
 //! is nothing to restore; after it, at worst retired segments and orphan
@@ -63,7 +63,7 @@ pub(crate) const RUN_COMPACT_THRESHOLD: usize = 8;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointKind {
     /// A new lineage: the static chunk and every record (the index and
-    /// the metadata collection are rebuilt from them on recovery, never
+    /// the metadata postings are rebuilt from them on recovery, never
     /// written).
     Full,
     /// Only the records past the previous checkpoint were written.

@@ -5,7 +5,7 @@
 use eq_agora::{asset, AssetKind, AssetRegistry};
 use eq_bigearthnet::patch::{Patch, PatchMetadata};
 use eq_bigearthnet::Archive;
-use eq_docstore::{Database, QueryPlan};
+use eq_docstore::QueryPlan;
 use eq_milan::MilanConfig;
 use eq_proto::ResponseBody;
 
@@ -83,7 +83,7 @@ pub struct EarthQube {
 
 impl EarthQube {
     /// Builds the full back-end from an archive: trains MiLaN, ingests
-    /// every patch (metadata document, raster bytes, CBIR code), and
+    /// every patch (metadata postings, raster bytes, CBIR code), and
     /// registers the assets in the AgoraEO registry.
     ///
     /// # Errors
@@ -98,11 +98,6 @@ impl EarthQube {
     /// The back-end configuration.
     pub fn config(&self) -> &EarthQubeConfig {
         &self.config
-    }
-
-    /// The underlying document database: the metadata and feedback collections.
-    pub fn database(&self) -> &Database {
-        &self.catalog.database
     }
 
     /// The AgoraEO asset registry this instance registered itself in.
@@ -128,13 +123,13 @@ impl EarthQube {
         self.catalog.metadata_of(name)
     }
 
-    /// Runs a query-panel search over the metadata collection (§3.1).
+    /// Runs a query-panel search over the archive's metadata (§3.1).
     ///
     /// # Errors
-    /// Fails on an invalid query or a store error.
+    /// Fails on an invalid query.
     pub fn search(&self, query: &ImageQuery) -> Result<SearchResponse, EarthQubeError> {
         query.validate()?;
-        let filter = self.catalog.resolve(query, PrefilterMode::Auto)?;
+        let filter = self.catalog.resolve(query, PrefilterMode::Auto);
         expect_search(decoded(|w| self.catalog.search(&filter, w))?)
     }
 
@@ -179,7 +174,7 @@ impl EarthQube {
     /// work.  Both modes return byte-identical responses.
     ///
     /// # Errors
-    /// Fails on an invalid query, an unknown image or a store error.
+    /// Fails on an invalid query or an unknown image.
     pub fn similar_to_filtered(
         &self,
         name: &str,
@@ -188,7 +183,7 @@ impl EarthQube {
         mode: PrefilterMode,
     ) -> Result<FilteredResponse, EarthQubeError> {
         query.validate()?;
-        let filter = self.catalog.resolve(query, mode)?;
+        let filter = self.catalog.resolve(query, mode);
         expect_filtered(decoded(|w| self.catalog.similar_to_filtered(name, k, &filter, w))?)
     }
 
@@ -197,7 +192,7 @@ impl EarthQube {
     /// query-panel filter, excluding the query image itself.
     ///
     /// # Errors
-    /// Fails on an invalid query, an unknown image or a store error.
+    /// Fails on an invalid query or an unknown image.
     pub fn similar_within_filtered(
         &self,
         name: &str,
@@ -206,7 +201,7 @@ impl EarthQube {
         mode: PrefilterMode,
     ) -> Result<FilteredResponse, EarthQubeError> {
         query.validate()?;
-        let filter = self.catalog.resolve(query, mode)?;
+        let filter = self.catalog.resolve(query, mode);
         expect_filtered(decoded(|w| {
             self.catalog.similar_within_filtered(name, radius, &filter, w)
         })?)
@@ -293,7 +288,6 @@ pub(crate) fn build_registry(config: &EarthQubeConfig) -> AssetRegistry {
 mod tests {
     use super::*;
     use crate::query::{LabelFilter, LabelOperator};
-    use crate::schema::collections;
     use eq_bigearthnet::labels::Label;
     use eq_bigearthnet::patch::Season;
     use eq_bigearthnet::{ArchiveGenerator, Country, GeneratorConfig};
@@ -311,7 +305,7 @@ mod tests {
     fn build_populates_database_cbir_and_registry() {
         let (eq, archive) = build(40, 51);
         assert_eq!(eq.archive_size(), 40);
-        assert_eq!(eq.database().collection(collections::METADATA).unwrap().len(), 40);
+        assert_eq!(eq.catalog.indexes.len(), 40);
         assert_eq!(eq.cbir().unwrap().len(), 40);
         assert_eq!(eq.registry().discover_by_kind(eq_agora::AssetKind::Service).len(), 1);
         assert!(eq.registry().pipeline("earthqube-cbir").is_some());

@@ -2,7 +2,7 @@
 //! stores anonymous user-provided text feedback, such as public reactions
 //! and comments").
 
-use eq_docstore::{Database, Document, Filter, Value};
+use eq_docstore::{Collection, Database, Document, Filter, Value};
 
 use crate::schema::collections;
 use crate::EarthQubeError;
@@ -27,6 +27,11 @@ pub(crate) fn trimmed(text: &str) -> Result<&str, EarthQubeError> {
     Ok(trimmed)
 }
 
+/// The feedback collection, created when `db` has none yet.
+pub(crate) fn create_collection(db: &mut Database) -> &mut Collection {
+    db.create_collection(collections::FEEDBACK, "id")
+}
+
 /// Stores and lists anonymous feedback in the `feedback` collection.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct FeedbackService;
@@ -48,8 +53,7 @@ impl FeedbackService {
         category: Option<&str>,
     ) -> Result<i64, EarthQubeError> {
         let trimmed = trimmed(text)?;
-        db.create_collection(collections::FEEDBACK, "id");
-        let coll = db.collection_mut(collections::FEEDBACK)?;
+        let coll = create_collection(db);
         let id = coll.len() as i64;
         let mut doc = Document::new().with("id", id).with("text", trimmed);
         if let Some(c) = category {

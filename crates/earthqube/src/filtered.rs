@@ -4,20 +4,19 @@
 //!
 //! Two execution strategies produce byte-identical results:
 //!
-//! * **Bitmap prefilter** — resolve the filter the way the query panel's
-//!   `find` does: compile its indexable prefix against the metadata
-//!   collection's posting bitmaps
-//!   ([`Collection::compile_prefilter`](eq_docstore::Collection::compile_prefilter)),
-//!   let the docstore evaluate the residual filter on the bitmap's
-//!   survivors ([`PrefilterPlan::matching`](eq_docstore::PrefilterPlan::matching)),
-//!   and take the matching document ids as an [`IdMask`].  A metadata
-//!   document's id is its dense patch id, so the ids need no mapping, and
-//!   an exact plan's compiled bitmap is the mask without touching a
-//!   document.  The Hamming kernels then skip every masked-out row
+//! * **Bitmap prefilter** — compile the filter's indexable prefix against
+//!   the metadata postings
+//!   ([`Indexes::compile_prefilter`](eq_docstore::Indexes::compile_prefilter),
+//!   the compiler behind the query panel's `find`), evaluate the query on
+//!   the typed metadata row of each of the bitmap's survivors
+//!   ([`ImageQuery::matches`]), and take the ids it accepts as an
+//!   [`IdMask`].  A posting id is its dense patch id, so the ids need no
+//!   mapping, and an exact plan's compiled bitmap is the mask without
+//!   touching a row.  The Hamming kernels then skip every masked-out row
 //!   *before* paying for a distance computation.
-//! * **Scan-then-post-filter** — evaluate the full filter on every
-//!   metadata document (the pre-bitmap baseline), then run the same masked
-//!   kernels over the resulting mask.
+//! * **Scan-then-post-filter** — evaluate the query on every metadata row
+//!   (the pre-bitmap baseline), then run the same masked kernels over the
+//!   resulting mask.
 //!
 //! Both strategies compute the *exact* set of filter-matching images
 //! before any distance work, so the downstream k-NN / radius selection
@@ -40,10 +39,12 @@
 //! re-issues the same panel filter with one query image after another, the
 //! value the server caches per (filter, mode) until the next write.
 
-use eq_docstore::{Collection, Filter, QueryPlan};
-use eq_hashindex::{Bitmap, IdMask};
+use eq_bigearthnet::patch::PatchMetadata;
+use eq_docstore::{Filter, Indexes, QueryPlan};
+use eq_hashindex::IdMask;
 
 use crate::engine::SearchResponse;
+use crate::query::ImageQuery;
 
 // Defined in `eq_proto` beside their codec: what a filtered search reports
 // in process is what the wire carries.
@@ -64,7 +65,7 @@ pub struct FilteredResponse {
 /// every filter-taking query kind consumes, and what the server's
 /// resolved-filter cache holds.  Nothing in it borrows the catalog, so a
 /// cached one answers later requests without a `Filter`, a compile or a
-/// `Document` — until a write changes the catalog and the cache is cleared.
+/// row test — until a write changes the catalog and the cache is cleared.
 #[derive(Debug)]
 pub(crate) struct ResolvedFilter {
     /// The exact matching dense patch ids: what the masked Hamming kernels
@@ -72,36 +73,40 @@ pub(crate) struct ResolvedFilter {
     pub(crate) mask: IdMask,
     /// Strategy, candidate count, residual flag and match count.
     pub(crate) plan: FilteredPlan,
-    /// The plan `Collection::find` reports for the same filter: which
-    /// indexes built the candidates, how many documents were examined (the
-    /// whole collection without candidates) and how many matched.
+    /// The plan `Collection::find` reports for the same filter over the
+    /// metadata documents: which indexes built the candidates, how many
+    /// were examined (every row without candidates) and how many matched.
     pub(crate) query_plan: QueryPlan,
 }
 
 impl ResolvedFilter {
-    /// Resolves `filter` over the metadata collection by the strategy
-    /// `mode` selects (see the module docs).
-    pub(crate) fn resolve(coll: &Collection, filter: &Filter, mode: PrefilterMode) -> Self {
-        let plan = coll.compile_prefilter(filter);
+    /// Resolves `query` over the metadata postings `indexes` and the typed
+    /// rows they index (posting id *r* is `rows[r]`) by the strategy `mode`
+    /// selects (see the module docs).
+    pub(crate) fn resolve(
+        indexes: &Indexes,
+        rows: &[PatchMetadata],
+        query: &ImageQuery,
+        mode: PrefilterMode,
+    ) -> Self {
+        let plan = indexes.compile_prefilter(&query.to_filter());
         let use_bitmap = match mode {
             PrefilterMode::ForcePostFilter => false,
             PrefilterMode::ForceBitmap => plan.bitmap.is_some(),
             PrefilterMode::Auto => {
-                plan.cardinality().is_some_and(|c| c.saturating_mul(2) <= coll.len() as u64)
+                plan.cardinality().is_some_and(|c| c.saturating_mul(2) <= rows.len() as u64)
             }
         };
 
-        // A metadata document's id is its dense patch id, so the matching
-        // document ids are the mask: an exact plan's bitmap as compiled, else
-        // the ids the residual (or, scanning, the whole filter) accepts.
-        let mask = match &plan.bitmap {
-            Some(bitmap) if use_bitmap && plan.is_exact() => IdMask::from_bitmap(bitmap),
-            _ if use_bitmap => {
-                IdMask::from_bitmap(&plan.matching(coll).map(|(id, _)| id).collect::<Bitmap>())
-            }
-            _ => IdMask::from_bitmap(
-                &coll.iter().filter(|(_, doc)| filter.matches(doc)).map(|(id, _)| id).collect(),
-            ),
+        // The mask is the matching dense ids: an exact plan's bitmap as
+        // compiled, else the candidates — the bitmap's, or every row when
+        // post-filtering — whose row the query accepts.  A candidate
+        // already passed the compiled leaves, so testing the whole query on
+        // it decides exactly the residual.
+        let mask = match plan.bitmap.as_ref().filter(|_| use_bitmap) {
+            Some(bitmap) if plan.is_exact() => IdMask::from_bitmap(bitmap),
+            Some(bitmap) => accepted(bitmap.iter(), rows, query),
+            None => accepted(0..rows.len() as u64, rows, query),
         };
 
         let report = FilteredPlan {
@@ -116,7 +121,7 @@ impl ResolvedFilter {
         };
         let query_plan = QueryPlan {
             index_used: plan.index_used().map(str::to_string),
-            scanned: plan.cardinality().map_or(coll.len(), |c| c as usize),
+            scanned: plan.cardinality().map_or(rows.len(), |c| c as usize),
             matched: report.matching,
         };
         Self { mask, plan: report, query_plan }
@@ -131,36 +136,42 @@ impl ResolvedFilter {
     }
 }
 
+/// The ids among `ids` whose row `query` accepts, as a mask.
+fn accepted(ids: impl Iterator<Item = u64>, rows: &[PatchMetadata], query: &ImageQuery) -> IdMask {
+    let matching = ids.filter(|&id| rows.get(id as usize).is_some_and(|row| query.matches(row)));
+    IdMask::from_bitmap(&matching.collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ingest::ingest_metadata;
-    use crate::query::ImageQuery;
-    use crate::schema::collections;
+    use crate::schema::{collections, metadata_document};
     use eq_bigearthnet::patch::{PatchId, PatchMetadata, Season};
     use eq_bigearthnet::{ArchiveGenerator, Country, GeneratorConfig};
     use eq_docstore::Database;
 
-    fn metadata_db(n: usize, seed: u64) -> Database {
+    /// `n` patches' metadata, and a standalone database holding their
+    /// documents (whose collection's indexes the resolver reads).
+    fn metadata_db(n: usize, seed: u64) -> (Vec<PatchMetadata>, Database) {
         let metas =
             ArchiveGenerator::new(GeneratorConfig::tiny(n, seed)).unwrap().generate_metadata_only();
         let mut db = Database::new();
         ingest_metadata(&mut db, &metas).unwrap();
-        db
+        (metas, db)
     }
 
     #[test]
     fn both_strategies_resolve_the_same_mask() {
-        let db = metadata_db(150, 71);
-        let coll = db.collection(collections::METADATA).unwrap();
-        let filter = ImageQuery::all()
+        let (metas, db) = metadata_db(150, 71);
+        let indexes = db.collection(collections::METADATA).unwrap().indexes();
+        let query = ImageQuery::all()
             .with_countries(vec![Country::Austria, Country::Finland])
-            .with_seasons(vec![Season::Summer])
-            .to_filter();
+            .with_seasons(vec![Season::Summer]);
         let ResolvedFilter { mask: bitmap_mask, plan: bitmap_plan, .. } =
-            ResolvedFilter::resolve(coll, &filter, PrefilterMode::ForceBitmap);
+            ResolvedFilter::resolve(indexes, &metas, &query, PrefilterMode::ForceBitmap);
         let ResolvedFilter { mask: scan_mask, plan: scan_plan, .. } =
-            ResolvedFilter::resolve(coll, &filter, PrefilterMode::ForcePostFilter);
+            ResolvedFilter::resolve(indexes, &metas, &query, PrefilterMode::ForcePostFilter);
         assert_eq!(bitmap_plan.strategy, FilterStrategy::BitmapPrefilter);
         assert_eq!(scan_plan.strategy, FilterStrategy::PostFilter);
         assert_eq!(bitmap_plan.matching, scan_plan.matching);
@@ -174,15 +185,15 @@ mod tests {
 
     #[test]
     fn auto_mode_picks_by_selectivity() {
-        let db = metadata_db(120, 72);
-        let coll = db.collection(collections::METADATA).unwrap();
+        let (metas, db) = metadata_db(120, 72);
+        let indexes = db.collection(collections::METADATA).unwrap().indexes();
         // One country out of ten is selective → bitmap.
-        let selective = ImageQuery::all().with_countries(vec![Country::Austria]).to_filter();
-        let plan = ResolvedFilter::resolve(coll, &selective, PrefilterMode::Auto).plan;
+        let selective = ImageQuery::all().with_countries(vec![Country::Austria]);
+        let plan = ResolvedFilter::resolve(indexes, &metas, &selective, PrefilterMode::Auto).plan;
         assert_eq!(plan.strategy, FilterStrategy::BitmapPrefilter);
         // An unrestricted query compiles to no bitmap → post-filter scan.
         let ResolvedFilter { mask, plan, .. } =
-            ResolvedFilter::resolve(coll, &Filter::All, PrefilterMode::Auto);
+            ResolvedFilter::resolve(indexes, &metas, &ImageQuery::all(), PrefilterMode::Auto);
         assert_eq!(plan.strategy, FilterStrategy::PostFilter);
         assert_eq!(plan.candidates, None);
         assert_eq!(plan.matching, 120);
@@ -193,7 +204,7 @@ mod tests {
     /// the query panel reads it from here instead of running `find`.
     #[test]
     fn the_query_plan_is_the_one_find_reports() {
-        let db = metadata_db(90, 74);
+        let (metas, db) = metadata_db(90, 74);
         let coll = db.collection(collections::METADATA).unwrap();
         let queries = [
             ImageQuery::all(),
@@ -203,31 +214,29 @@ mod tests {
             ),
         ];
         for query in queries {
-            let filter = query.to_filter();
-            let found = coll.find(&filter);
+            let found = coll.find(&query.to_filter());
             for mode in
                 [PrefilterMode::Auto, PrefilterMode::ForceBitmap, PrefilterMode::ForcePostFilter]
             {
-                let resolved = ResolvedFilter::resolve(coll, &filter, mode);
+                let resolved = ResolvedFilter::resolve(coll.indexes(), &metas, &query, mode);
                 assert_eq!(resolved.query_plan, found.plan, "{query:?} under {mode:?}");
-                assert_eq!(resolved.mask.len() as usize, found.ids.len());
+                assert_eq!(resolved.mask.iter().collect::<Vec<_>>(), found.ids);
                 assert!(resolved.size_bytes() >= resolved.mask.size_bytes());
             }
         }
     }
 
-    /// The mask is the matching document ids, which are dense patch ids:
-    /// a refused ingest burns no document id, so metadata document `r`
-    /// stays `metadata[r]` and a patch ingested after the refusal is found
-    /// under its dense id in every mode.
+    /// The mask holds dense ids: a refused ingest takes no posting id, so
+    /// posting id `r` stays `metadata[r]`, and a patch ingested after the
+    /// refusal is found under its dense id in every mode.
     #[test]
     fn document_ids_are_dense_patch_ids_across_a_refused_ingest() {
         use crate::catalog::Catalog;
         use crate::persist::WalRecord;
         use crate::schema::fields;
-        use crate::EarthQubeConfig;
+        use crate::{EarthQubeConfig, EarthQubeError};
         use eq_bigearthnet::Archive;
-        use eq_docstore::{Document, Value};
+        use eq_docstore::Value;
 
         let patches = ArchiveGenerator::new(GeneratorConfig::tiny(6, 73)).unwrap().generate();
         let patches = patches.patches();
@@ -242,29 +251,35 @@ mod tests {
             let rasters = crate::ingest::patch_rasters(patch, &meta.name);
             WalRecord::Ingest { meta, code, rasters }
         };
-        // A squatter takes a document id, so it is dropped again (its
-        // collection as it was before it) once it refused its patch.
-        let squatter = Document::new().with(fields::NAME, patches[4].meta.name.as_str());
-        let docs = catalog.database.collection_mut(collections::METADATA).unwrap();
-        let without_squatter = docs.clone();
-        docs.insert(squatter).unwrap();
-        assert!(catalog.apply_record(record(&catalog, 4)).is_err());
-        *catalog.database.collection_mut(collections::METADATA).unwrap() = without_squatter;
+        // A name already indexed is refused before anything is applied.
+        let refused = catalog.apply_record(record(&catalog, 0)).unwrap_err();
+        assert!(matches!(refused, EarthQubeError::BadRequest(_)), "{refused:?}");
         assert_eq!(catalog.apply_record(record(&catalog, 5)).unwrap(), 4);
 
-        let coll = catalog.database.collection(collections::METADATA).unwrap();
-        assert_eq!(coll.next_id(), 5);
+        assert_eq!(catalog.indexes.len(), 5);
+        let countries = catalog.indexes.attribute_index(fields::COUNTRY).unwrap();
         for (id, meta) in catalog.metadata.iter().enumerate() {
-            let name = coll.get(id as u64).and_then(|doc| doc.get(fields::NAME));
-            assert_eq!(name.and_then(Value::as_str), Some(meta.name.as_str()), "document {id}");
+            let posting = countries.value_bitmap(&Value::from(meta.country.name()));
+            assert!(posting.is_some_and(|ids| ids.contains(id as u64)), "posting {id}");
         }
-        let filter = Filter::Eq(fields::NAME.into(), patches[5].meta.name.as_str().into());
+        let last = &catalog.metadata[4];
+        assert_eq!(last.name, patches[5].meta.name);
+        let query = ImageQuery::all()
+            .with_countries(vec![last.country])
+            .with_date_range(last.date, last.date);
+        let filter = query.to_filter();
+        let expected: Vec<u64> = (0..)
+            .zip(&catalog.metadata)
+            .filter(|(_, meta)| filter.matches(&metadata_document(meta)))
+            .map(|(id, _)| id)
+            .collect();
+        assert!(expected.contains(&4), "{expected:?}");
         for mode in
             [PrefilterMode::Auto, PrefilterMode::ForceBitmap, PrefilterMode::ForcePostFilter]
         {
-            let ResolvedFilter { mask, plan, .. } = ResolvedFilter::resolve(coll, &filter, mode);
-            assert_eq!(plan.matching, 1);
-            assert_eq!(mask.iter().collect::<Vec<_>>(), [4], "{mode:?}");
+            let ResolvedFilter { mask, plan, .. } = catalog.resolve(&query, mode);
+            assert_eq!(plan.matching, expected.len());
+            assert_eq!(mask.iter().collect::<Vec<_>>(), expected, "{mode:?}");
         }
     }
 }

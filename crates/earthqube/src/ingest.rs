@@ -1,33 +1,26 @@
 //! Archive ingestion: a patch's metadata document, and its raster bytes.
 
 use eq_bigearthnet::patch::{Patch, PatchMetadata};
-use eq_docstore::{Database, Document, Fields, Value};
+use eq_docstore::{Database, Document, Fields, Indexes, Value};
 
-use crate::persist;
 use crate::schema::{collections, fields, metadata_document};
-use crate::EarthQubeError;
+use crate::{feedback, persist, EarthQubeError};
 
 pub use eq_proto::IngestReport;
 
-/// Creates the metadata and feedback collections and the metadata
-/// collection's indexes (a no-op for those that exist).
-pub(crate) fn prepare_collections(db: &mut Database) {
-    let metadata = db.create_collection(collections::METADATA, fields::NAME);
-    if !metadata.has_attribute_index(fields::COUNTRY) {
-        metadata.create_attribute_index(fields::COUNTRY);
-        metadata.create_attribute_index(fields::SEASON);
-        // Element postings over the ASCII label codes and value postings
-        // over the acquisition date feed the bitmap prefilter (E13): label
-        // and date predicates compile to posting-bitmap candidates instead
-        // of post-filter scans.
-        metadata.create_attribute_index(fields::LABELS);
-        metadata.create_attribute_index(fields::DATE);
-        metadata
-            .create_geo_index(fields::LOCATION)
-            // lint:allow(panic) infallible: the collection was created just above and cannot already carry a geo index
-            .expect("fresh metadata collection accepts a geo index");
+/// The metadata collection's indexes, declared over no document: attribute
+/// indexes on country and season, element postings over the ASCII label
+/// codes and value postings over the acquisition date (so label and date
+/// predicates compile to posting-bitmap candidates, E13), and the geohash
+/// index on the location.  The catalog keeps this value alone.
+pub(crate) fn metadata_indexes() -> Indexes {
+    let mut indexes = Indexes::new();
+    for field in [fields::COUNTRY, fields::SEASON, fields::LABELS, fields::DATE] {
+        indexes.create_attribute_index(field, &[]);
     }
-    db.create_collection(collections::FEEDBACK, "id");
+    // lint:allow(panic) infallible: fresh indexes carry no geo index on another field
+    indexes.create_geo_index(fields::LOCATION, &[]).expect("fresh indexes accept a geo index");
+    indexes
 }
 
 /// Ingests only patch metadata (no pixels); the path used for large-scale
@@ -39,8 +32,19 @@ pub fn ingest_metadata(
     db: &mut Database,
     metadata: &[PatchMetadata],
 ) -> Result<IngestReport, EarthQubeError> {
-    prepare_collections(db);
-    let coll = db.collection_mut(collections::METADATA)?;
+    feedback::create_collection(db);
+    let coll = db.create_collection(collections::METADATA, fields::NAME);
+    if coll.indexes().attribute_index(fields::COUNTRY).is_none() {
+        // The catalog's index declarations, on a collection that keeps its
+        // documents.
+        let declared = metadata_indexes();
+        for field in declared.attribute_fields() {
+            coll.create_attribute_index(field);
+        }
+        if let Some((field, _)) = declared.geo_index() {
+            coll.create_geo_index(field)?;
+        }
+    }
     for meta in metadata {
         coll.insert(metadata_document(meta))?;
     }
@@ -136,6 +140,7 @@ mod tests {
     use crate::catalog::Catalog;
     use crate::persist::WalRecord;
     use crate::{EarthQubeConfig, QueryServer, ServeConfig};
+    use eq_bigearthnet::patch::PatchId;
     use eq_bigearthnet::{Archive, ArchiveGenerator, GeneratorConfig};
     use eq_docstore::Filter;
     use eq_wire::Reader;
@@ -163,18 +168,18 @@ mod tests {
         config
     }
 
-    /// A built catalog holds the metadata and feedback collections, and
-    /// each patch's rasters as bytes: decoded, they are the documents
-    /// `prepare_patch_docs` makes of the patch, on a built server, after
-    /// checkpoint → recover, and on a replica after a pull.
+    /// A built catalog holds the metadata postings, the feedback
+    /// collection alone, and each patch's rasters as bytes: decoded, they
+    /// are the documents `prepare_patch_docs` makes of the patch, on a
+    /// built server, after checkpoint → recover, and on a replica after a
+    /// pull.
     #[test]
-    fn full_ingest_keeps_metadata_documents_and_raster_bytes() {
+    fn full_ingest_keeps_metadata_postings_and_raster_bytes() {
         let archive = ArchiveGenerator::new(GeneratorConfig::tiny(8, 14)).unwrap().generate();
         let assert_rasters = |srv: &QueryServer, what: &str| {
             let catalog = srv.catalog.read();
-            let db = &catalog.database;
-            assert_eq!(db.collection_names(), [collections::FEEDBACK, collections::METADATA]);
-            assert_eq!(db.collection(collections::METADATA).unwrap().len(), 8, "{what}");
+            assert_eq!(catalog.database.collection_names(), [collections::FEEDBACK]);
+            assert_eq!(catalog.indexes.len(), 8, "{what}");
             assert_eq!(catalog.rasters.len(), 8, "{what}");
             for (patch, rasters) in archive.patches().iter().zip(&catalog.rasters) {
                 let (name, mut r) = (&patch.meta.name, Reader::new(rasters));
@@ -230,42 +235,37 @@ mod tests {
         let patch = &archive.patches()[0];
         let mut catalog = Catalog::build(&Archive::default(), &untrained(17)).unwrap();
         let code = catalog.cbir.model().hash_patch(patch);
-        let named = |name: &str| WalRecord::Ingest {
-            meta: PatchMetadata { name: name.to_string(), ..patch.meta.clone() },
+        let named = |name: &str, id: u32| WalRecord::Ingest {
+            meta: PatchMetadata { name: name.to_string(), id: PatchId(id), ..patch.meta.clone() },
             code: code.clone(),
             rasters: patch_rasters(patch, name),
         };
-        let record = || named(&patch.meta.name);
-        // A pre-existing metadata document under the patch's name makes
-        // the record refused before anything is inserted.
-        let squatter = Document::new().with(fields::NAME, patch.meta.name.as_str());
-        let docs = catalog.database.collection_mut(collections::METADATA).unwrap();
-        let without_squatter = docs.clone();
-        docs.insert(squatter).unwrap();
-
-        let err = catalog.apply_record(record()).unwrap_err();
-        assert!(matches!(err, EarthQubeError::Store(_)));
-        // Nothing was inserted; the squatter survived.
-        let len =
-            |catalog: &Catalog| catalog.database.collection(collections::METADATA).unwrap().len();
-        assert_eq!(len(&catalog), 1);
+        let record = || named(&patch.meta.name, 0);
+        // A batch naming the patch twice is refused at its second record,
+        // before anything is inserted.
+        let (valid, refused) = catalog.check_records(&[record(), named(&patch.meta.name, 1)]);
+        assert_eq!(valid, 1);
+        assert!(matches!(refused, Err(EarthQubeError::BadRequest(_))), "{refused:?}");
+        let len = |catalog: &Catalog| catalog.indexes.len();
+        assert_eq!(len(&catalog), 0);
         assert!(catalog.metadata.is_empty() && catalog.cbir.is_empty());
         assert!(catalog.rasters.is_empty());
-        // Under another name, the record is refused too: the squatter holds
-        // document id 0, so no patch can land as dense id 0.
-        let err = catalog.apply_record(named("another-name")).unwrap_err();
-        assert!(matches!(err, EarthQubeError::Persist(_)), "{err:?}");
-        assert!(catalog.metadata.is_empty() && catalog.rasters.is_empty());
 
-        // With the squatter dropped (its collection as it was before it),
-        // the same patch ingests cleanly, as dense id 0 and metadata
-        // document 0.
-        let key = Value::Str(patch.meta.name.clone());
-        *catalog.database.collection_mut(collections::METADATA).unwrap() = without_squatter;
+        // On its own, the patch ingests cleanly, as dense id 0 and posting
+        // id 0.
         assert_eq!(catalog.apply_record(record()).unwrap(), 0);
         assert_eq!((len(&catalog), catalog.rasters.len()), (1, 1));
-        let metadata = catalog.database.collection(collections::METADATA).unwrap();
-        assert_eq!(metadata.get(0).unwrap().get(fields::NAME), Some(&key));
+        // Its name, now indexed, is refused, and nothing is inserted.
+        let err = catalog.apply_record(named(&patch.meta.name, 1)).unwrap_err();
+        assert!(matches!(err, EarthQubeError::BadRequest(_)), "{err:?}");
+        // Under another name, a record carrying dense id 0 is refused too:
+        // the patch holds it.
+        let err = catalog.apply_record(named("another-name", 0)).unwrap_err();
+        assert!(matches!(err, EarthQubeError::Persist(_)), "{err:?}");
+        assert_eq!((len(&catalog), catalog.metadata.len(), catalog.rasters.len()), (1, 1, 1));
+        let countries = catalog.indexes.attribute_index(fields::COUNTRY).unwrap();
+        let posting = countries.value_bitmap(&Value::from(patch.meta.country.name()));
+        assert_eq!(posting.map(|ids| ids.iter().collect::<Vec<_>>()), Some(vec![0]));
     }
 
     #[test]

@@ -28,10 +28,10 @@
 //!   A checkpoint appends one run per sequence that grew, and rewrites a
 //!   sequence from 0 as one run once `RUN_COMPACT_THRESHOLD` runs are
 //!   stacked.  Nothing derived is persisted: recovery applies the records
-//!   to an empty catalog, which rebuilds the metadata collection, its
-//!   indexes, the name→code table and the code arena as the writer built
-//!   them.  A chunk file not named by the published manifest is a harmless
-//!   orphan (a crashed checkpoint) and is swept by the next successful one.
+//!   to an empty catalog, which rebuilds the metadata postings, the
+//!   name→code table and the code arena as the writer built them.  A chunk
+//!   file not named by the published manifest is a harmless orphan (a
+//!   crashed checkpoint) and is swept by the next successful one.
 //!
 //!   ```text
 //!   chunk  := "EQCHNK01" body_len:u64 body crc32(body):u32
@@ -690,7 +690,9 @@ impl WalRecord {
     pub(crate) fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         match self {
-            WalRecord::Ingest { meta, code, rasters } => encode_ingest(meta, code, rasters, &mut w),
+            WalRecord::Ingest { meta, code, rasters } => {
+                encode_ingest(meta, (code.bits(), code.words()), rasters, &mut w)
+            }
             WalRecord::Feedback { text, category } => {
                 encode_feedback(text, category.as_deref(), &mut w)
             }
@@ -699,11 +701,12 @@ impl WalRecord {
     }
 }
 
-/// Writes an ingest record's payload from borrowed parts, `raw` its rasters.
-pub(crate) fn encode_ingest(meta: &PatchMetadata, code: &BinaryCode, raw: &[u8], w: &mut Writer) {
+/// Writes an ingest record's payload from borrowed parts: `code` as its
+/// width and words (a code's, or its arena row's), `raw` its rasters.
+pub(crate) fn encode_ingest(meta: &PatchMetadata, code: (u32, &[u64]), raw: &[u8], w: &mut Writer) {
     w.u8(RECORD_INGEST);
     encode_patch_metadata(meta, w);
-    code.encode(w);
+    BinaryCode::encode_words(code.0, code.1, w);
     w.raw(raw);
 }
 

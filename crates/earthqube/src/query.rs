@@ -4,8 +4,8 @@
 //! polygon), an acquisition-date range, satellites, seasons, and land-cover
 //! labels with three operators: `Some`, `Exactly` and `At least & more`.
 
-use eq_bigearthnet::labels::Label;
-use eq_bigearthnet::patch::{AcquisitionDate, Satellite, Season};
+use eq_bigearthnet::labels::{Label, LabelSet};
+use eq_bigearthnet::patch::{AcquisitionDate, PatchMetadata, Satellite, Season};
 use eq_docstore::{Filter, Value};
 use eq_geo::GeoShape;
 
@@ -51,13 +51,15 @@ impl LabelFilter {
         }
     }
 
-    /// Whether a label set satisfies the filter (used for in-memory checks
-    /// and tests; must agree with [`to_filter`](Self::to_filter)).
-    pub fn matches(&self, labels: eq_bigearthnet::labels::LabelSet) -> bool {
-        let selected = eq_bigearthnet::labels::LabelSet::from_labels(self.labels.iter().copied());
+    /// Whether a label set satisfies the filter, as
+    /// [`to_filter`](Self::to_filter) decides it on the set's label codes.
+    /// `Exactly` compares multisets there, and an image's labels are a set:
+    /// a selection naming a label twice matches no image.
+    pub fn matches(&self, labels: LabelSet) -> bool {
+        let selected = LabelSet::from_labels(self.labels.iter().copied());
         match self.operator {
             LabelOperator::Some => labels.intersects(selected),
-            LabelOperator::Exactly => labels == selected,
+            LabelOperator::Exactly => labels == selected && selected.len() == self.labels.len(),
             LabelOperator::AtLeastAndMore => labels.is_superset(selected),
         }
     }
@@ -141,6 +143,21 @@ impl ImageQuery {
         Ok(())
     }
 
+    /// Whether a patch's metadata satisfies the query: what
+    /// [`to_filter`](Self::to_filter) decides on the patch's metadata
+    /// document, evaluated on the typed row, with neither built.  The
+    /// resolver runs it on every candidate row a filter's postings leave.
+    pub fn matches(&self, meta: &PatchMetadata) -> bool {
+        let date = meta.date.ordinal();
+        self.shape.as_ref().is_none_or(|shape| shape.contains(meta.bbox.center()))
+            && self
+                .date_range
+                .is_none_or(|(from, to)| from.ordinal() <= date && date <= to.ordinal())
+            && (self.seasons.is_empty() || self.seasons.contains(&meta.season()))
+            && (self.countries.is_empty() || self.countries.contains(&meta.country))
+            && self.labels.as_ref().is_none_or(|labels| labels.matches(meta.labels))
+    }
+
     /// Translates the query into a document-store filter over the metadata
     /// collection.
     pub fn to_filter(&self) -> Filter {
@@ -176,7 +193,6 @@ impl ImageQuery {
 mod tests {
     use super::*;
     use crate::schema::metadata_document;
-    use eq_bigearthnet::labels::LabelSet;
     use eq_bigearthnet::{ArchiveGenerator, Country, GeneratorConfig};
     use eq_geo::{BBox, Point};
     use std::hash::{Hash, Hasher};
@@ -208,11 +224,17 @@ mod tests {
         assert!(!LabelFilter::new(LabelOperator::Exactly, selected).matches(partial));
     }
 
+    /// Also with a label selected twice, as a request may send it: the
+    /// document predicate's multiset test matches no image under `Exactly`
+    /// (an image's labels are a set), and a repeat changes nothing under
+    /// the other two operators.
     #[test]
     fn label_filter_document_predicate_agrees_with_in_memory_matching() {
         let metas =
             ArchiveGenerator::new(GeneratorConfig::tiny(80, 21)).unwrap().generate_metadata_only();
-        let filters = vec![
+        let operators =
+            [LabelOperator::Some, LabelOperator::AtLeastAndMore, LabelOperator::Exactly];
+        let mut filters = vec![
             LabelFilter::new(
                 LabelOperator::Some,
                 vec![Label::MixedForest, Label::ConiferousForest],
@@ -220,17 +242,29 @@ mod tests {
             LabelFilter::new(LabelOperator::AtLeastAndMore, vec![Label::MixedForest]),
             LabelFilter::new(LabelOperator::Exactly, vec![Label::MixedForest]),
         ];
-        for lf in filters {
-            let doc_filter = lf.to_filter();
+        for operator in operators {
+            let twice = vec![Label::MixedForest, Label::ConiferousForest, Label::MixedForest];
+            filters.push(LabelFilter::new(operator, twice));
+        }
+        let agree = |lf: &LabelFilter, meta: &PatchMetadata| {
+            let (document, typed) =
+                (lf.to_filter().matches(&metadata_document(meta)), lf.matches(meta.labels));
+            assert_eq!(document, typed, "operator {:?} disagreed on {}", lf.operator, meta.name);
+            typed
+        };
+        for lf in &filters {
             for meta in &metas {
-                let doc = metadata_document(meta);
-                assert_eq!(
-                    doc_filter.matches(&doc),
-                    lf.matches(meta.labels),
-                    "operator {:?} disagreed on {}",
-                    lf.operator,
-                    meta.name
-                );
+                agree(lf, meta);
+            }
+        }
+        // Each image's own labels, and its own labels with one repeated.
+        for meta in &metas {
+            let own: Vec<Label> = meta.labels.iter().collect();
+            let repeated = [&own[..], &own[..1]].concat();
+            for operator in operators {
+                assert!(agree(&LabelFilter::new(operator, own.clone()), meta));
+                let matched = agree(&LabelFilter::new(operator, repeated.clone()), meta);
+                assert_eq!(matched, operator != LabelOperator::Exactly, "{operator:?}");
             }
         }
     }

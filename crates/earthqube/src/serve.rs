@@ -541,7 +541,7 @@ impl QueryServer {
     /// names, so a hit decodes the bytes a remote client receives.
     ///
     /// # Errors
-    /// Fails on an invalid query or a store error.
+    /// Fails on an invalid query.
     pub fn search(&self, query: &ImageQuery) -> Result<SearchResponse, EarthQubeError> {
         expect_search(self.call(&RequestBody::Search(query_to_spec(query))))
     }
@@ -614,7 +614,7 @@ impl QueryServer {
     /// once per catalog state.
     ///
     /// # Errors
-    /// Fails on an invalid query, an unknown image or a store error.
+    /// Fails on an invalid query or an unknown image.
     pub fn similar_to_filtered(
         &self,
         name: &str,
@@ -632,7 +632,7 @@ impl QueryServer {
     /// the query image itself.
     ///
     /// # Errors
-    /// Fails on an invalid query, an unknown image or a store error.
+    /// Fails on an invalid query or an unknown image.
     pub fn similar_within_filtered(
         &self,
         name: &str,
@@ -646,8 +646,8 @@ impl QueryServer {
 
     /// Resolve-or-reuse: the filter of every filter-taking query comes
     /// through here, on that query's result-cache miss.  A hit builds no
-    /// `Filter`, compiles nothing, touches no `Document` and allocates no
-    /// mask; it costs one hash of the query and one shard lock.
+    /// `Filter`, compiles nothing, tests no row and allocates no mask; it
+    /// costs one hash of the query and one shard lock.
     ///
     /// `catalog` is the guard [`cached`](Self::cached) holds, so an entry
     /// is inserted under the catalog read lock and the argument there
@@ -657,20 +657,20 @@ impl QueryServer {
         catalog: &Catalog,
         query: &ImageQuery,
         mode: PrefilterMode,
-    ) -> Result<Arc<ResolvedFilter>, EarthQubeError> {
+    ) -> Arc<ResolvedFilter> {
         if self.serve.cache_capacity == 0 {
-            return catalog.resolve(query, mode).map(Arc::new);
+            return Arc::new(catalog.resolve(query, mode));
         }
         let fp = fingerprint(&(query, mode));
         if let Some(hit) = self.filter_cache.lookup(fp, |key| key.1 == mode && key.0 == *query) {
             self.filter_cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit);
+            return hit;
         }
-        let filter = Arc::new(catalog.resolve(query, mode)?);
+        let filter = Arc::new(catalog.resolve(query, mode));
         let weight = filter.size_bytes();
         self.filter_cache.put(fp, (query.clone(), mode), Arc::clone(&filter), weight);
         self.filter_cache_misses.fetch_add(1, Ordering::Relaxed);
-        Ok(filter)
+        filter
     }
 
     /// The server's one request entry: answers `body` with the response
@@ -735,7 +735,7 @@ impl QueryServer {
             RequestBody::Search(spec) => self.cached(key, |catalog, w| {
                 let query = spec_to_query(spec);
                 query.validate()?;
-                catalog.search(&*self.resolved(catalog, &query, PrefilterMode::Auto)?, w)
+                catalog.search(&self.resolved(catalog, &query, PrefilterMode::Auto), w)
             }),
             RequestBody::SimilarTo { name, k } => {
                 self.cached(key, |catalog, w| catalog.similar_to(name, clamp_k(*k), w))
@@ -744,7 +744,7 @@ impl QueryServer {
                 self.cached(key, |catalog, w| {
                     let query = spec_to_query(spec);
                     query.validate()?;
-                    let filter = self.resolved(catalog, &query, *mode)?;
+                    let filter = self.resolved(catalog, &query, *mode);
                     catalog.similar_to_filtered(name, clamp_k(*k), &filter, w)
                 })
             }
@@ -752,7 +752,7 @@ impl QueryServer {
                 self.cached(key, |catalog, w| {
                     let query = spec_to_query(spec);
                     query.validate()?;
-                    let filter = self.resolved(catalog, &query, *mode)?;
+                    let filter = self.resolved(catalog, &query, *mode);
                     catalog.similar_within_filtered(name, *radius, &filter, w)
                 })
             }
@@ -1029,9 +1029,10 @@ impl QueryServer {
     /// stacked), the manifest is atomically republished and the WAL
     /// segments it no longer needs are retired; writes are held off only
     /// for the brief state *cut* (encoding the new records, sealing the
-    /// live WAL segment), so ingest keeps flowing during file I/O.  No checkpoint writes derived state — the Hamming index, the
-    /// metadata collection and its indexes — which [`recover`](Self::recover)
-    /// rebuilds from the records.  With no new record the checkpoint is
+    /// live WAL segment), so ingest keeps flowing during file I/O.  No
+    /// checkpoint writes derived state — the Hamming index and the metadata
+    /// postings — which [`recover`](Self::recover) rebuilds from the
+    /// records.  With no new record the checkpoint is
     /// [`CheckpointKind::Skipped`] and writes no bytes.
     ///
     /// # Errors
@@ -1055,8 +1056,7 @@ impl QueryServer {
     /// Restores a server from a persistence directory: reads the manifest
     /// and its static chunk, applies every record of its records chunks to
     /// an empty catalog through the one apply path live writes use — which
-    /// rebuilds the documents, the metadata collection's indexes and the
-    /// code arena — then replays every intact record of the manifest's WAL
+    /// rebuilds the metadata postings and the code arena — then replays every intact record of the manifest's WAL
     /// segment chain through the write section, truncates a torn tail in
     /// the final segment, and re-attaches.  A directory of the legacy chunk
     /// format (full collections, deltas, image ranges) is read into the
@@ -1082,8 +1082,8 @@ impl QueryServer {
 
         // Everything but the static chunk is derived from the records:
         // applied to an empty catalog through the one apply path, they
-        // rebuild the documents, the metadata collection's indexes, the
-        // name→code table and the arena exactly as the writer built its own.
+        // rebuild the metadata postings, the name→code table and the arena
+        // exactly as the writer built its own.
         let room = snapshot.records.len();
         let mut catalog = Catalog::empty(snapshot.model, snapshot.config.page_size, room);
         for record in snapshot.records {
@@ -1334,7 +1334,6 @@ mod tests {
     use super::*;
     use crate::ingest::prepare_patch_docs;
     use eq_bigearthnet::{ArchiveGenerator, GeneratorConfig};
-    use eq_docstore::Document;
     use std::time::Duration;
 
     impl QueryServer {
@@ -1347,24 +1346,6 @@ mod tests {
             })?;
             self.replicate(|_| Ok(records))
         }
-    }
-
-    /// Runs `f` while a document squats `name` in the metadata collection,
-    /// so the store refuses that name's ingest, then puts the collection
-    /// back as it was: the squatter took a document id, which only a patch
-    /// may hold.
-    fn squatting<R>(srv: &QueryServer, name: &str, f: impl FnOnce() -> R) -> R {
-        use crate::schema::{collections, fields};
-        let unsquatted = {
-            let mut catalog = srv.catalog.write();
-            let docs = catalog.database.collection_mut(collections::METADATA).unwrap();
-            let unsquatted = docs.clone();
-            docs.insert(Document::new().with(fields::NAME, name)).unwrap();
-            unsquatted
-        };
-        let out = f();
-        *srv.catalog.write().database.collection_mut(collections::METADATA).unwrap() = unsquatted;
-        out
     }
 
     fn server(n: usize, seed: u64, serve: ServeConfig) -> (QueryServer, Archive) {
@@ -1623,8 +1604,8 @@ mod tests {
 
     /// The write section's invalidation rule: both caches are cleared
     /// exactly when a write grew the archive.  Feedback (live or
-    /// replicated) and an ingest whose only patch the store refuses keep
-    /// them warm; a live and a replicated ingest each clear them.
+    /// replicated) and an ingest whose only patch the write section refuses
+    /// keep them warm; a live and a replicated ingest each clear them.
     #[test]
     fn only_a_write_that_grows_the_archive_clears_the_caches() {
         let dir = ScratchDir::new("invalidation");
@@ -1647,9 +1628,13 @@ mod tests {
 
         srv.submit_feedback("keep the caches", None).unwrap();
         assert_eq!(entries(), warmed, "feedback");
-        let squatted = extra.patches()[0].meta.name.as_str();
-        let refused = squatting(&srv, squatted, || srv.ingest(&extra.patches()[..1]).unwrap_err());
-        assert!(matches!(refused, EarthQubeError::Store(_)), "{refused:?}");
+        // A record under a name already indexed is refused at the check.
+        let indexed = &archive.patches()[0];
+        let meta = PatchMetadata { id: PatchId(srv.archive_size() as u32), ..indexed.meta.clone() };
+        let (code, rasters) = (srv.model.hash_patch(indexed), patch_rasters(indexed, &meta.name));
+        let record = WalRecord::Ingest { meta, code, rasters };
+        let refused = srv.write(|_| Ok(vec![record])).unwrap_err();
+        assert!(matches!(refused, EarthQubeError::BadRequest(_)), "{refused:?}");
         assert_eq!(entries(), warmed, "a refused ingest");
         srv.ingest(&extra.patches()[1..2]).unwrap();
         assert_eq!(entries(), (0, 0), "a live ingest");
@@ -2520,21 +2505,21 @@ mod tests {
         assert!(text.contains("6 filters resolved from cache, 4 compiled; 1 cached in"), "{text}");
     }
 
-    /// A patch whose image name is squatted is refused before any insert,
-    /// so it burns no metadata document id: document ids stay the dense
-    /// patch ids.  The query panel walks dense ids, `find` walks document
-    /// ids; both must list the archive in insertion order, with the same
-    /// plan.
+    /// A patch named twice in a batch is refused before any insert, so it
+    /// burns no posting id: posting ids stay the dense patch ids.  The
+    /// query panel walks dense ids, `find` over the archive's metadata
+    /// documents walks document ids; both must list the archive in
+    /// insertion order, with the same plan.
     #[test]
     fn search_lists_insertion_order_across_a_refused_insert() {
+        use crate::ingest::ingest_metadata;
         use crate::schema::collections;
         let (srv, archive) = server(12, 104, ServeConfig::default());
         let extra = ArchiveGenerator::new(GeneratorConfig::tiny(4, 780)).unwrap().generate();
-        let squatted = extra.patches()[1].meta.name.clone();
-        // Patch 0 lands, patch 1 is refused and stops its batch.
-        srv.ingest(&extra.patches()[..1]).unwrap();
-        let refused = squatting(&srv, &squatted, || srv.ingest(&extra.patches()[1..]));
-        assert!(matches!(refused, Err(EarthQubeError::Store(_))));
+        // Patch 0 lands, its repeat is refused and stops its batch.
+        let repeated = [0, 0, 1].map(|i| extra.patches()[i].clone());
+        let refused = srv.ingest(&repeated);
+        assert!(matches!(refused, Err(EarthQubeError::BadRequest(_))), "{refused:?}");
         srv.ingest(&extra.patches()[2..]).unwrap();
         assert_eq!(srv.archive_size(), 15);
 
@@ -2547,10 +2532,12 @@ mod tests {
         ] {
             let found = {
                 let catalog = srv.catalog.read();
-                let coll = catalog.database.collection(collections::METADATA).unwrap();
+                let mut db = eq_docstore::Database::new();
+                ingest_metadata(&mut db, &catalog.metadata).unwrap();
+                let coll = db.collection(collections::METADATA).unwrap();
                 let found = coll.find(&query.to_filter());
                 let last = *found.ids.last().unwrap();
-                assert_eq!(last as usize, coll.len() - 1, "no document id was skipped");
+                assert_eq!(last as usize, catalog.indexes.len() - 1, "no posting id was skipped");
                 found
             };
             for _ in 0..2 {
@@ -2567,25 +2554,24 @@ mod tests {
     /// One id space: the serving index is one arena in dense-id order, as
     /// many rows as the metadata table, row `r` holding dense id `r` and
     /// the code the name→code table has for `metadata[r]`; and the
-    /// metadata collection holds exactly `metadata[r]`'s document under
-    /// document id `r`.
+    /// metadata postings index exactly `metadata[r]` under posting id `r`.
     fn assert_dense_arena(srv: &QueryServer) {
-        use crate::schema::{collections, fields};
+        use crate::schema::fields;
         let catalog = srv.catalog.read();
         let arena = &catalog.cbir.arena;
-        let docs = catalog.database.collection(collections::METADATA).unwrap();
         assert_eq!(arena.len(), catalog.metadata.len());
-        assert_eq!((docs.len(), docs.next_id() as usize), (arena.len(), arena.len()));
+        assert_eq!(catalog.indexes.len(), arena.len());
+        let countries = catalog.indexes.attribute_index(fields::COUNTRY).unwrap();
         for (row, meta) in catalog.metadata.iter().enumerate() {
             assert_eq!(arena.id(row), row as u64);
             let code = catalog.cbir.code_of(&meta.name).unwrap();
             assert_eq!(arena.code_words(row), code.words(), "row {row}, {}", meta.name);
-            let name = docs.get(row as u64).and_then(|doc| doc.get(fields::NAME));
-            assert_eq!(name.and_then(|n| n.as_str()), Some(meta.name.as_str()), "document {row}");
+            let posting = countries.value_bitmap(&meta.country.name().into());
+            assert!(posting.is_some_and(|ids| ids.contains(row as u64)), "posting {row}");
         }
     }
 
-    /// Every write path keeps the arena and the metadata document ids
+    /// Every write path keeps the arena and the metadata posting ids
     /// dense: build, live ingest, an ingest refused mid-batch, WAL
     /// recovery and a replicated apply.
     /// And each counts what it grew the archive by, past the 12 built (and
@@ -2606,11 +2592,10 @@ mod tests {
         srv.ingest(&extra.patches()[..1]).unwrap();
         assert_dense_and_counted(&srv);
 
-        // Patch 1 lands, patch 2 is refused on its squatted name.
-        srv.ingest(&extra.patches()[1..2]).unwrap();
-        let squatted = extra.patches()[2].meta.name.as_str();
-        let refused = squatting(&srv, squatted, || srv.ingest(&extra.patches()[2..]));
-        assert!(matches!(refused, Err(EarthQubeError::Store(_))));
+        // Patch 1 lands, its repeat is refused and stops the batch.
+        let repeated = [1, 1, 2].map(|i| extra.patches()[i].clone());
+        let refused = srv.ingest(&repeated);
+        assert!(matches!(refused, Err(EarthQubeError::BadRequest(_))), "{refused:?}");
         assert_eq!(srv.archive_size(), 14);
         assert_dense_and_counted(&srv);
         drop(srv);

@@ -195,8 +195,16 @@ impl BinaryCode {
     /// count is implied by the width).  Part of the durable snapshot/WAL
     /// format.
     pub fn encode(&self, w: &mut eq_wire::Writer) {
-        w.u32(self.bits);
-        for &word in &self.words {
+        Self::encode_words(self.bits, &self.words, w);
+    }
+
+    /// [`encode`](Self::encode) of a code held as `words` of a `bits`-wide
+    /// code (a [`CodeArena`](crate::CodeArena) row): the same bytes, with no
+    /// code built.  `words` must be as many as the width needs, bits past
+    /// it zero, as every stored code's are.
+    pub fn encode_words(bits: u32, words: &[u64], w: &mut eq_wire::Writer) {
+        w.u32(bits);
+        for &word in words {
             w.u64(word);
         }
     }
