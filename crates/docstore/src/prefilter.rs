@@ -102,7 +102,7 @@ impl PrefilterPlan {
         &'a self,
         coll: &'c Collection,
     ) -> impl Iterator<Item = (DocId, &'c Document)> + 'a {
-        let candidates = self.bitmap.as_ref().unwrap_or(coll.indexes().live_bitmap());
+        let candidates = self.bitmap.as_ref().unwrap_or(coll.live_bitmap());
         candidates
             .iter()
             .filter_map(|id| Some((id, coll.get(id)?)))
@@ -411,6 +411,38 @@ mod tests {
         // Cardinalities drive the planner.
         let plan = c.compile_prefilter(&Filter::Eq("country".into(), "Austria".into()));
         assert_eq!(plan.cardinality(), Some(2));
+    }
+
+    /// Indexes held without their documents, inserted into one document
+    /// at a time, compile every filter to the plan the collection compiles,
+    /// except that the key field has no key map there.
+    #[test]
+    fn indexes_alone_compile_the_collection_s_plans() {
+        let c = sample();
+        let mut alone = Indexes::new();
+        for field in ["country", "labels", "date"] {
+            alone.create_attribute_index(field, &[]);
+        }
+        alone.create_geo_index("location", &[]).unwrap();
+        for (id, doc) in c.iter() {
+            assert_eq!(alone.insert(doc), id);
+        }
+        let shape = GeoShape::Rect(BBox::new(13.9, 47.0, 14.25, 48.0).unwrap());
+        for f in [
+            Filter::All,
+            Filter::Eq("country".into(), "Austria".into()),
+            Filter::ContainsExactly("labels".into(), vec!["A".into(), "B".into()])
+                .and(Filter::Gte("date".into(), Value::Date(200))),
+            Filter::GeoWithin("location".into(), shape),
+        ] {
+            let (plan, kept) = (c.compile_prefilter(&f), alone.compile_prefilter(&f));
+            assert_eq!((plan.bitmap, plan.residual), (kept.bitmap, kept.residual), "{f:?}");
+            assert_eq!(plan.index_used, kept.index_used);
+        }
+        assert_eq!(alone.live_bitmap(), c.live_bitmap());
+        let key = Filter::Eq("name".into(), "p3".into());
+        let kept = alone.compile_prefilter(&key);
+        assert_eq!((kept.bitmap, kept.residual), (None, key));
     }
 
     #[test]
